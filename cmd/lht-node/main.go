@@ -1,5 +1,6 @@
-// Command lht-node runs one storage node of an LHT cluster: a
-// gob-over-TCP key-value server (internal/tcpnet). Start a few on
+// Command lht-node runs one storage node of an LHT cluster: a TCP
+// key-value server speaking internal/tcpnet's framed binary protocol (and
+// the legacy gob stream, auto-detected per connection). Start a few on
 // different ports, then point lht-cli (or any program using
 // tcpnet.Dial + lht.New) at the full member list:
 //
@@ -94,6 +95,10 @@ func main() {
 func run(ctx context.Context, cfg nodeConfig) error {
 	listen, data, metricsAddr := cfg.listen, cfg.data, cfg.metricsAddr
 	interval := cfg.snapshotInterval
+	// The node stores buckets as opaque bytes; gob is needed only to
+	// transcode one for a legacy gob-wire client, and by the repair
+	// loop's own client to read buckets stored before the binary codec.
+	lht.RegisterGobTypes()
 	srv := tcpnet.NewServer()
 	if data != "" {
 		if err := srv.LoadSnapshot(data); err != nil {
@@ -134,12 +139,11 @@ func run(ctx context.Context, cfg nodeConfig) error {
 		if cfg.repairReplicas < 2 {
 			return fmt.Errorf("-repair-replicas must be at least 2")
 		}
-		lht.RegisterGobTypes()
 		go repairLoop(ctx, cfg)
 	}
 
 	// The observability endpoint is separate from the data port so
-	// scrapes never contend with the gob protocol.
+	// scrapes never contend with the data protocol.
 	if metricsAddr != "" {
 		mln, err := net.Listen("tcp", metricsAddr)
 		if err != nil {

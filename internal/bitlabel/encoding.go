@@ -5,21 +5,29 @@ import (
 	"fmt"
 )
 
+// BinaryLen is the size of a label's binary form.
+const BinaryLen = 9
+
 // MarshalBinary implements encoding.BinaryMarshaler. The format is one
 // length byte followed by the bit string as a big-endian uint64, 9 bytes
-// total; it is stable and used by the gob codecs of the networked
+// total; it is stable and used by the bucket codecs of the networked
 // substrates.
 func (l Label) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 9)
-	buf[0] = l.n
-	binary.BigEndian.PutUint64(buf[1:], l.val)
-	return buf, nil
+	return l.AppendBinary(make([]byte, 0, BinaryLen))
+}
+
+// AppendBinary implements encoding.BinaryAppender: MarshalBinary's bytes
+// appended to b, which is how the hand-rolled codecs write a label
+// without allocating.
+func (l Label) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, l.n)
+	return binary.BigEndian.AppendUint64(b, l.val), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (l *Label) UnmarshalBinary(data []byte) error {
-	if len(data) != 9 {
-		return fmt.Errorf("%w: binary label has %d bytes, want 9", ErrBadLabel, len(data))
+	if len(data) != BinaryLen {
+		return fmt.Errorf("%w: binary label has %d bytes, want %d", ErrBadLabel, len(data), BinaryLen)
 	}
 	n := data[0]
 	if n > MaxBits {

@@ -90,8 +90,9 @@ func IsTransient(err error) bool {
 }
 
 // Value is the unit of storage. Index layers store their bucket structures
-// directly; substrates that cross process boundaries serialize values with
-// a codec supplied at construction.
+// directly; a substrate that crosses process boundaries lets a WireValue
+// serialise itself, ships a []byte as it is, and falls back to
+// encoding/gob for any other registered type.
 type Value any
 
 // DHT is the substrate interface the index layers program against. A DHT

@@ -13,13 +13,14 @@
 package lht
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"lht/internal/bitlabel"
+	"lht/internal/dht"
 	"lht/internal/keyspace"
 	"lht/internal/record"
 )
@@ -140,14 +141,17 @@ func (b *Bucket) Interval() keyspace.Interval { return keyspace.IntervalOf(b.Lab
 // Contains reports whether the bucket's interval covers the data key.
 func (b *Bucket) Contains(delta float64) bool { return b.Interval().Contains(delta) }
 
-// Clone returns a deep copy of the bucket.
+// Clone returns a copy of the bucket that shares no mutable state with
+// it: the record slice is fresh, the record values, which are read-only,
+// are shared. The slice has room for one more record, so the insert
+// path's clone-then-append does not reallocate it.
 func (b *Bucket) Clone() *Bucket {
-	out := &Bucket{Label: b.Label, Epoch: b.Epoch, Pending: b.Pending, Rate: b.Rate, RateAt: b.RateAt}
+	out := *b
 	if b.Records != nil {
-		out.Records = make([]record.Record, len(b.Records))
+		out.Records = make([]record.Record, len(b.Records), len(b.Records)+1)
 		copy(out.Records, b.Records)
 	}
-	return out
+	return &out
 }
 
 // String summarizes the bucket for logs and test failures.
@@ -155,35 +159,120 @@ func (b *Bucket) String() string {
 	return fmt.Sprintf("bucket(%s, %d records)", b.Label, len(b.Records))
 }
 
-// bucketWire is the serialized form of a Bucket. Epoch, Pending and the
-// rate fields are zero-valued on clean (or load-plane-off) buckets,
-// which gob omits, so snapshots written before those planes existed
-// decode unchanged.
-type bucketWire struct {
-	Label   bitlabel.Label
-	Records []record.Record
-	Epoch   uint64
-	Pending Pending
-	Rate    float64
-	RateAt  int64
+// Bucket wire format 1, the one serialized form of a bucket: what
+// EncodeBucket returns and what a network substrate ships and stores
+// (Bucket is a dht.WireValue). uv is a shortest-form unsigned varint.
+//
+//	version u8 = 1
+//	uv epoch
+//	label        9 B  bit count u8, bits u64 BE (bitlabel binary form)
+//	pending      kind u8, uv n + n-byte remove-key, uv peer epoch
+//	rate         u64 BE = math.Float64bits(Rate)
+//	uv rate-at   uint64(RateAt)
+//	record list  uv count, count x (key u64 BE, uv vlen, value)
+//
+// The layout is canonical: a byte string decodes to at most one bucket
+// and that bucket encodes back to the same bytes.
+const (
+	bucketWireVersion = 1
+	// bucketWireKind is Bucket's dht.WireValue kind byte.
+	bucketWireKind = 1
+)
+
+func init() {
+	dht.RegisterWireKind(bucketWireKind, func(data []byte) (dht.Value, error) { return DecodeBucket(data) })
 }
 
-// EncodeBucket serializes a bucket for substrates that cross process
-// boundaries (Chord/Kademlia byte stores, the TCP cluster).
+// WireKind implements dht.WireValue.
+func (b *Bucket) WireKind() byte { return bucketWireKind }
+
+// AppendWire implements dht.WireValue: it appends the bucket's wire
+// format to dst.
+func (b *Bucket) AppendWire(dst []byte) []byte {
+	dst = append(dst, bucketWireVersion)
+	dst = binary.AppendUvarint(dst, b.Epoch)
+	dst, _ = b.Label.AppendBinary(dst) // never fails
+	dst = append(dst, byte(b.Pending.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(b.Pending.RemoveKey)))
+	dst = append(dst, b.Pending.RemoveKey...)
+	dst = binary.AppendUvarint(dst, b.Pending.PeerEpoch)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Rate))
+	dst = binary.AppendUvarint(dst, uint64(b.RateAt))
+	return record.AppendList(dst, b.Records)
+}
+
+// maxBucketHeaderLen bounds everything AppendWire writes before the
+// record list, apart from the remove-key's own bytes.
+const maxBucketHeaderLen = 1 + binary.MaxVarintLen64 + bitlabel.BinaryLen + 1 +
+	2*binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
+
+// EncodeBucket serializes a bucket into a buffer sized for it. The error
+// is always nil; the signature predates the hand-rolled format.
 func EncodeBucket(b *Bucket) ([]byte, error) {
-	var buf bytes.Buffer
-	w := bucketWire{Label: b.Label, Records: b.Records, Epoch: b.Epoch, Pending: b.Pending, Rate: b.Rate, RateAt: b.RateAt}
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("encode bucket: %w", err)
-	}
-	return buf.Bytes(), nil
+	size := maxBucketHeaderLen + len(b.Pending.RemoveKey) + record.ListSize(b.Records)
+	return b.AppendWire(make([]byte, 0, size)), nil
 }
 
-// DecodeBucket is the inverse of EncodeBucket.
+// DecodeBucket is the inverse of EncodeBucket. It copies data once and
+// the bucket's record values are capacity-clipped sub-slices of that
+// copy, so data may be a pooled buffer the caller reuses at once, and
+// the values must be treated as read-only. Every length is checked
+// against the bytes remaining before it drives an allocation, so
+// malformed or hostile input costs O(len(data)) memory and an error.
 func DecodeBucket(data []byte) (*Bucket, error) {
-	var w bucketWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	b, err := decodeBucket(append([]byte(nil), data...))
+	if err != nil {
 		return nil, fmt.Errorf("decode bucket: %w", err)
 	}
-	return &Bucket{Label: w.Label, Records: w.Records, Epoch: w.Epoch, Pending: w.Pending, Rate: w.Rate, RateAt: w.RateAt}, nil
+	return b, nil
+}
+
+var errBucketTruncated = errors.New("truncated header")
+
+// decodeBucket parses buf, which the returned bucket takes ownership of.
+func decodeBucket(buf []byte) (*Bucket, error) {
+	if len(buf) == 0 {
+		return nil, errBucketTruncated
+	}
+	if buf[0] != bucketWireVersion {
+		return nil, fmt.Errorf("unknown wire version %d", buf[0])
+	}
+	b := new(Bucket)
+	var err error
+	if b.Epoch, buf, err = record.ReadUvarint(buf[1:]); err != nil {
+		return nil, err
+	}
+	if len(buf) < bitlabel.BinaryLen+1 {
+		return nil, errBucketTruncated
+	}
+	if err := b.Label.UnmarshalBinary(buf[:bitlabel.BinaryLen]); err != nil {
+		return nil, err
+	}
+	b.Pending.Kind = PendingKind(buf[bitlabel.BinaryLen])
+	if b.Pending.Kind > PendingMerge {
+		return nil, fmt.Errorf("unknown pending kind %d", b.Pending.Kind)
+	}
+	var n uint64
+	if n, buf, err = record.ReadUvarint(buf[bitlabel.BinaryLen+1:]); err != nil {
+		return nil, err
+	}
+	if n > uint64(len(buf)) {
+		return nil, errBucketTruncated
+	}
+	b.Pending.RemoveKey = string(buf[:n])
+	if b.Pending.PeerEpoch, buf, err = record.ReadUvarint(buf[n:]); err != nil {
+		return nil, err
+	}
+	if len(buf) < 8 {
+		return nil, errBucketTruncated
+	}
+	b.Rate = math.Float64frombits(binary.BigEndian.Uint64(buf))
+	if n, buf, err = record.ReadUvarint(buf[8:]); err != nil {
+		return nil, err
+	}
+	b.RateAt = int64(n)
+	if b.Records, err = record.DecodeList(buf); err != nil {
+		return nil, err
+	}
+	return b, nil
 }

@@ -506,4 +506,11 @@ func TestBucketClone(t *testing.T) {
 	if (&Bucket{Label: b.Label}).Clone().Records != nil {
 		t.Error("Clone of nil records should stay nil")
 	}
+	// The insert path clones, then appends one record: the clone has room.
+	c = b.Clone()
+	first := &c.Records[0]
+	c.Records = append(c.Records, record.Record{Key: 0.9})
+	if &c.Records[0] != first {
+		t.Error("one append after Clone reallocated the record slice")
+	}
 }

@@ -23,11 +23,12 @@
 package pht
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"lht/internal/bitlabel"
+	"lht/internal/dht"
 	"lht/internal/keyspace"
 	"lht/internal/record"
 )
@@ -55,12 +56,15 @@ type Node struct {
 // serialize concurrent mutations of one trie node.
 func (n *Node) DHTEpoch() uint64 { return n.Epoch }
 
-// Clone returns a deep copy of the node, for mutating without aliasing
-// the pointer an in-process substrate may be sharing with readers.
+// Clone returns a copy of the node, for mutating without aliasing the
+// pointer an in-process substrate may be sharing with readers. The record
+// slice is fresh, with room for one more record so the insert path's
+// clone-then-append does not reallocate it; the read-only record values
+// are shared.
 func (n *Node) Clone() *Node {
 	out := *n
 	if n.Records != nil {
-		out.Records = make([]record.Record, len(n.Records))
+		out.Records = make([]record.Record, len(n.Records), len(n.Records)+1)
 		copy(out.Records, n.Records)
 	}
 	return &out
@@ -85,41 +89,108 @@ func (n *Node) String() string {
 	return fmt.Sprintf("pht(%s, %s)", n.Label, kind)
 }
 
-// nodeWire is the serialized form of a Node. Epoch is zero-valued on
-// nodes written before it existed, which gob omits, so old snapshots
-// decode unchanged.
-type nodeWire struct {
-	Label            bitlabel.Label
-	Leaf             bool
-	Records          []record.Record
-	Prev, Next       bitlabel.Label
-	HasPrev, HasNext bool
-	Epoch            uint64
+// Node wire format 1, the one serialized form of a trie node: what
+// EncodeNode returns and what a network substrate ships and stores (Node
+// is a dht.WireValue). It shares lht.Bucket's building blocks: uv is a
+// shortest-form unsigned varint, a label its 9-byte binary form.
+//
+//	version u8 = 1
+//	uv epoch
+//	label        9 B
+//	flags u8     bit 0 leaf, bit 1 has-prev, bit 2 has-next
+//	prev, next   9 B each
+//	record list  uv count, count x (key u64 BE, uv vlen, value)
+const (
+	nodeWireVersion = 1
+	// nodeWireKind is Node's dht.WireValue kind byte.
+	nodeWireKind = 2
+
+	flagLeaf    = 1 << 0
+	flagHasPrev = 1 << 1
+	flagHasNext = 1 << 2
+
+	// nodeFixedLen is what follows the epoch and precedes the records.
+	nodeFixedLen = 3*bitlabel.BinaryLen + 1
+)
+
+func init() {
+	dht.RegisterWireKind(nodeWireKind, func(data []byte) (dht.Value, error) { return DecodeNode(data) })
 }
 
-// EncodeNode serializes a node for byte-store substrates.
+// WireKind implements dht.WireValue.
+func (n *Node) WireKind() byte { return nodeWireKind }
+
+// AppendWire implements dht.WireValue: it appends the node's wire format
+// to dst.
+func (n *Node) AppendWire(dst []byte) []byte {
+	dst = append(dst, nodeWireVersion)
+	dst = binary.AppendUvarint(dst, n.Epoch)
+	dst, _ = n.Label.AppendBinary(dst) // never fails
+	var flags byte
+	if n.Leaf {
+		flags |= flagLeaf
+	}
+	if n.HasPrev {
+		flags |= flagHasPrev
+	}
+	if n.HasNext {
+		flags |= flagHasNext
+	}
+	dst = append(dst, flags)
+	dst, _ = n.Prev.AppendBinary(dst)
+	dst, _ = n.Next.AppendBinary(dst)
+	return record.AppendList(dst, n.Records)
+}
+
+// EncodeNode serializes a node into a buffer sized for it. The error is
+// always nil; the signature predates the hand-rolled format.
 func EncodeNode(n *Node) ([]byte, error) {
-	var buf bytes.Buffer
-	w := nodeWire{
-		Label: n.Label, Leaf: n.Leaf, Records: n.Records,
-		Prev: n.Prev, Next: n.Next, HasPrev: n.HasPrev, HasNext: n.HasNext,
-		Epoch: n.Epoch,
-	}
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("encode pht node: %w", err)
-	}
-	return buf.Bytes(), nil
+	size := 1 + binary.MaxVarintLen64 + nodeFixedLen + record.ListSize(n.Records)
+	return n.AppendWire(make([]byte, 0, size)), nil
 }
 
-// DecodeNode is the inverse of EncodeNode.
+// DecodeNode is the inverse of EncodeNode. It copies data once and the
+// node's record values are capacity-clipped sub-slices of that copy, so
+// data may be a pooled buffer and the values must be treated as
+// read-only; malformed input costs O(len(data)) memory and an error.
 func DecodeNode(data []byte) (*Node, error) {
-	var w nodeWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	n, err := decodeNode(append([]byte(nil), data...))
+	if err != nil {
 		return nil, fmt.Errorf("decode pht node: %w", err)
 	}
-	return &Node{
-		Label: w.Label, Leaf: w.Leaf, Records: w.Records,
-		Prev: w.Prev, Next: w.Next, HasPrev: w.HasPrev, HasNext: w.HasNext,
-		Epoch: w.Epoch,
-	}, nil
+	return n, nil
+}
+
+// decodeNode parses buf, which the returned node takes ownership of.
+func decodeNode(buf []byte) (*Node, error) {
+	if len(buf) == 0 || buf[0] != nodeWireVersion {
+		return nil, errors.New("unknown wire version")
+	}
+	n := new(Node)
+	var err error
+	if n.Epoch, buf, err = record.ReadUvarint(buf[1:]); err != nil {
+		return nil, err
+	}
+	if len(buf) < nodeFixedLen {
+		return nil, errors.New("truncated header")
+	}
+	const l = bitlabel.BinaryLen
+	flags := buf[l]
+	if flags&^(flagLeaf|flagHasPrev|flagHasNext) != 0 {
+		return nil, fmt.Errorf("unknown flags %#x", flags)
+	}
+	n.Leaf, n.HasPrev, n.HasNext = flags&flagLeaf != 0, flags&flagHasPrev != 0, flags&flagHasNext != 0
+	if err := n.Label.UnmarshalBinary(buf[:l]); err != nil {
+		return nil, err
+	}
+	if err := n.Prev.UnmarshalBinary(buf[l+1 : 2*l+1]); err != nil {
+		return nil, err
+	}
+	if err := n.Next.UnmarshalBinary(buf[2*l+1 : nodeFixedLen]); err != nil {
+		return nil, err
+	}
+	if n.Records, err = record.DecodeList(buf[nodeFixedLen:]); err != nil {
+		return nil, err
+	}
+	return n, nil
 }

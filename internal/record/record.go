@@ -16,6 +16,9 @@ type Record struct {
 	// Key is the data key delta in [0, 1). Records are unique by Key.
 	Key float64
 	// Value is the application payload; the index never interprets it.
+	// A value read back from an index is read-only: it shares memory with
+	// the bucket it came from (DecodeList hands out sub-slices of one
+	// buffer).
 	Value []byte
 }
 

@@ -66,21 +66,16 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 	for i, kv := range kvs {
 		keys[i] = kv.Key
 	}
-	// Pre-encode values that need gob; on the framed wire a []byte value
-	// travels raw and needs no encoding pass at all.
+	// Pre-encode values that need gob, so an unencodable one fails in its
+	// slot alone; on the framed wire raw bytes and self-serialising values
+	// need no encoding pass and write themselves into the frame.
+	encode := gobEncoded
+	if c.wire == WireGob {
+		encode = encodeValue
+	}
 	enc := make([][]byte, len(kvs))
 	for i, kv := range kvs {
-		if c.wire != WireGob {
-			if _, ok := kv.Val.([]byte); ok {
-				continue
-			}
-		}
-		b, err := encodeValue(kv.Val)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		enc[i] = b
+		enc[i], errs[i] = encode(kv.Val)
 	}
 	var wg sync.WaitGroup
 	for n, slots := range c.groupByRank(keys, rank) {
@@ -205,34 +200,28 @@ func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string
 	}
 }
 
+// appendLenValue appends v's tagged form (enc is gobEncoded(v)) behind its
+// varint length. A self-serialising value's length is known only once it
+// has written itself, so the value goes in after a one-byte length and is
+// shifted up when the length needs more.
+func appendLenValue(b []byte, v dht.Value, enc []byte) []byte {
+	at := len(b)
+	b = appendEncoded(append(b, 0), v, enc)
+	n := len(b) - at - 1
+	var lenBuf [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(lenBuf[:], uint64(n))
+	b = append(b, lenBuf[:w-1]...)
+	copy(b[at+w:], b[at+1:at+1+n])
+	copy(b[at:], lenBuf[:w])
+	return b
+}
+
 func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, enc [][]byte, slots []int, errs []error) {
 	cur, frame, err := batchCall(ctx, n, dht.OpPutBatch, len(slots), func(b []byte) ([]byte, error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
 			b = appendLenString(b, kvs[i].Key)
-			if e := enc[i]; e != nil {
-				// Epoch-carrying values get the same tagEpoch prefix
-				// appendValue produces, sized into the slot's length.
-				var ev [binary.MaxVarintLen64]byte
-				evn := 0
-				if ep, ok := kvs[i].Val.(dht.Epocher); ok {
-					evn = binary.PutUvarint(ev[:], ep.DHTEpoch())
-				}
-				if evn > 0 {
-					b = appendUv(b, uint64(1+evn+1+len(e)))
-					b = append(b, tagEpoch)
-					b = append(b, ev[:evn]...)
-				} else {
-					b = appendUv(b, uint64(1+len(e)))
-				}
-				b = append(b, tagGob)
-				b = append(b, e...)
-			} else {
-				raw, _ := kvs[i].Val.([]byte)
-				b = appendUv(b, uint64(1+len(raw)))
-				b = append(b, tagRaw)
-				b = append(b, raw...)
-			}
+			b = appendLenValue(b, kvs[i].Val, enc[i])
 		}
 		return b, nil
 	})

@@ -44,14 +44,25 @@ import (
 //	getbatch                uv count, count x (uv klen, key)
 //	putbatch                uv count, count x (uv klen, key, uv vlen, value)
 //
-// A value is a tag byte followed by its serialized form: tagRaw means the
-// bytes ARE the dht.Value (a []byte travels with zero serialization work),
-// tagGob means encoding/gob (arbitrary registered types, exactly the bytes
-// the legacy protocol would have carried). A value whose type implements
-// dht.Epocher additionally travels with a tagEpoch prefix — tagEpoch,
-// uv epoch, then the inner tagged form — so the server can serve CAS
-// comparisons without ever decoding a value. Servers store values with
-// their tags, so the two wire formats interoperate on one store.
+// A value is a tag byte followed by its serialized form:
+//
+//	tagRaw  0  the bytes ARE the dht.Value (a []byte travels with zero
+//	           serialization work)
+//	tagGob  1  encoding/gob, exactly the bytes the legacy protocol would
+//	           have carried: any registered type that does not serialise
+//	           itself, and every value a pre-tagWire node stored
+//	tagEpoch 2 uv epoch, then the inner tagged form: the prefix a value
+//	           whose type implements dht.Epocher travels with, so the
+//	           server can serve CAS comparisons without ever decoding a
+//	           value
+//	tagWire 3  kind u8, then what the value's own AppendWire wrote (a
+//	           dht.WireValue: the index's buckets), encoded straight into
+//	           the frame buffer and decoded through dht.DecodeWire with no
+//	           reflection and no knowledge of the type here
+//
+// Servers store values with their tags, so the two wire formats, and
+// values written before and after tagWire existed, interoperate on one
+// store.
 //
 // Response payloads:
 //
@@ -99,6 +110,7 @@ const (
 	tagRaw   = 0 // the bytes are the dht.Value (a []byte) verbatim
 	tagGob   = 1 // encoding/gob, same bytes as the legacy protocol
 	tagEpoch = 2 // uv epoch then an inner tagged value; serves CAS compares
+	tagWire  = 3 // kind u8 then the dht.WireValue's own serialized form
 )
 
 var (
@@ -153,29 +165,52 @@ func appendLenString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendValue appends the tagged wire form of v: a []byte travels raw, any
-// other type goes through gob exactly as the legacy protocol would. A
-// value carrying a CAS epoch (dht.Epocher) is prefixed with tagEpoch and
-// the epoch varint so the server can compare epochs on pure bytes.
+// gobEncoded returns v's gob bytes when v has to travel as tagGob, and nil
+// for the types that need no encoding pass: raw bytes and values that
+// serialise themselves.
+func gobEncoded(v dht.Value) ([]byte, error) {
+	switch v.(type) {
+	case []byte, dht.WireValue:
+		return nil, nil
+	}
+	return encodeValue(v)
+}
+
+// appendValue appends the tagged wire form of v: a []byte travels raw, a
+// dht.WireValue writes itself into b, any other type goes through gob
+// exactly as the legacy protocol would. A value carrying a CAS epoch
+// (dht.Epocher) is prefixed with tagEpoch and the epoch varint so the
+// server can compare epochs on pure bytes.
 func appendValue(b []byte, v dht.Value) ([]byte, error) {
+	enc, err := gobEncoded(v)
+	if err != nil {
+		return nil, err
+	}
+	return appendEncoded(b, v, enc), nil
+}
+
+// appendEncoded is appendValue with the gob pass already done: enc is
+// gobEncoded(v).
+func appendEncoded(b []byte, v dht.Value, enc []byte) []byte {
 	if e, ok := v.(dht.Epocher); ok {
 		b = append(b, tagEpoch)
 		b = appendUv(b, e.DHTEpoch())
 	}
-	if raw, ok := v.([]byte); ok {
+	switch v := v.(type) {
+	case []byte:
 		b = append(b, tagRaw)
-		return append(b, raw...), nil
-	}
-	data, err := encodeValue(v)
-	if err != nil {
-		return nil, err
+		return append(b, v...)
+	case dht.WireValue:
+		b = append(b, tagWire, v.WireKind())
+		return v.AppendWire(b)
 	}
 	b = append(b, tagGob)
-	return append(b, data...), nil
+	return append(b, enc...)
 }
 
 // decodeTaggedValue is the inverse of appendValue. The input's backing
-// array may be a pooled buffer, so raw bytes are copied out.
+// array may be a pooled buffer, so raw bytes are copied out (and a
+// dht.WireDecoder copies what it keeps).
 func decodeTaggedValue(tv []byte) (dht.Value, error) {
 	if len(tv) == 0 {
 		return nil, fmt.Errorf("tcpnet: empty wire value")
@@ -187,6 +222,11 @@ func decodeTaggedValue(tv []byte) (dht.Value, error) {
 		return out, nil
 	case tagGob:
 		return decodeValue(tv[1:])
+	case tagWire:
+		if len(tv) < 2 {
+			return nil, fmt.Errorf("tcpnet: truncated wire-kind tag")
+		}
+		return dht.DecodeWire(tv[1], tv[2:])
 	case tagEpoch:
 		// The epoch only exists for the server's CAS compare; the decoded
 		// value carries its own version, so the prefix is simply stripped.

@@ -10,8 +10,10 @@ import (
 )
 
 // snapshotFormat versions the on-disk layout. Format 2 stores tagged
-// values (tagRaw/tagGob prefix, see frame.go); format 1 stored bare gob
-// bytes and is migrated on load by prefixing tagGob.
+// values exactly as the store holds them (see frame.go for the tags; a
+// snapshot written before tagWire existed holds its buckets as tagGob and
+// loads unchanged); format 1 stored bare gob bytes and is migrated on
+// load by prefixing tagGob.
 const snapshotFormat = 2
 
 type snapshot struct {

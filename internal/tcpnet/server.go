@@ -21,9 +21,9 @@ import (
 // Create with NewServer, start with Serve, stop with Close.
 type Server struct {
 	mu sync.Mutex
-	// store holds tagged values (tagRaw/tagGob prefix, see frame.go), the
-	// framed protocol's value form; the gob handler wraps and unwraps the
-	// tag so both wire formats interoperate on one store.
+	// store holds tagged values (see frame.go for the tags), the framed
+	// protocol's value form; the gob handler wraps and unwraps the tag so
+	// both wire formats interoperate on one store.
 	store map[string][]byte
 	ln    net.Listener
 	conns map[net.Conn]struct{}
@@ -195,8 +195,11 @@ func storedEpoch(v []byte) uint64 {
 
 // detagValue converts a stored tagged value into the legacy wire form:
 // gob bytes travel as-is, raw []byte values are gob-encoded so a legacy
-// client can decode a value a framed client stored. The server never
-// decodes gob itself — it stays a pure byte store.
+// client can decode a value a framed client stored, and a self-serialised
+// value is transcoded — decoded through the dht kind registry and
+// gob-encoded — which is the one place a server looks inside a value, and
+// only for a legacy client. The server never decodes gob itself; for
+// framed clients it stays a pure byte store.
 func detagValue(v []byte) ([]byte, error) {
 	if len(v) == 0 {
 		return nil, errors.New("tcpnet: corrupt stored value")
@@ -206,6 +209,12 @@ func detagValue(v []byte) ([]byte, error) {
 		return v[1:], nil
 	case tagRaw:
 		return encodeValue(dht.Value(v[1:]))
+	case tagWire:
+		val, err := decodeTaggedValue(v)
+		if err != nil {
+			return nil, err
+		}
+		return encodeValue(val)
 	case tagEpoch:
 		// Strip the CAS epoch prefix; the decoded value carries its own
 		// version, so a legacy client loses nothing.

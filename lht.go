@@ -81,6 +81,13 @@ import (
 )
 
 // Record is one indexed data unit: a key in [0, 1) plus an opaque payload.
+//
+// The Value of a record an index hands back (GetContext, RangeContext,
+// scans, min/max) is read-only: it shares memory with the bucket it was
+// read from — the stored bucket itself on the in-process substrates, the
+// bucket's one decode buffer on a networked one — so writing into it
+// corrupts other readers, and holding it keeps that whole buffer alive.
+// Copy a value to modify it or to retain it long-term.
 type Record = record.Record
 
 // Config tunes an index: theta_split, the merge threshold, the maximum
@@ -285,14 +292,16 @@ func (ix *Index) DeleteContext(ctx context.Context, key float64) (Cost, error) {
 	return ix.inner.DeleteContext(ctx, key)
 }
 
-// GetContext answers an exact-match query for one key.
+// GetContext answers an exact-match query for one key. The record's
+// Value is read-only and shares its bucket's memory (see Record).
 func (ix *Index) GetContext(ctx context.Context, key float64) (Record, Cost, error) {
 	return ix.inner.SearchContext(ctx, key)
 }
 
 // RangeContext returns every record with key in [lo, hi). A deadline
 // bounds the whole forwarding recursion, and cancellation stops the
-// parallel branch goroutines promptly.
+// parallel branch goroutines promptly. The records' Values are read-only
+// and share their buckets' memory (see Record).
 func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) ([]Record, Cost, error) {
 	return ix.inner.RangeContext(ctx, lo, hi)
 }

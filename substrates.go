@@ -208,9 +208,11 @@ func NewKademliaDHT(n int, cfg KademliaConfig) (*KademliaNetwork, error) {
 	return kademlia.NewNetwork(n, cfg)
 }
 
-// RegisterGobTypes registers the index's stored types with encoding/gob,
-// required before using a substrate that serializes values across
-// processes (internal/tcpnet and anything else gob-encoding dht.Value).
+// RegisterGobTypes registers the index's stored types with encoding/gob.
+// Buckets cross the tcpnet wire in their own binary format and need no
+// registration; gob is still what reads a bucket stored before that
+// format existed (an old node snapshot) and what the legacy gob wire
+// speaks, so programs that may meet either call this first.
 func RegisterGobTypes() {
 	gob.Register(&ilht.Bucket{})
 }
