@@ -55,6 +55,11 @@ type coalescer struct {
 // capabilities unchanged (batched and conditional ops are never
 // coalesced), so capability type-assertions by upper layers see exactly
 // what they would on inner. c, when non-nil, receives CoalescedGets.
+//
+// It deliberately does not implement Prober: a flight's value is shared
+// by callers whose hints differ, so it must be whole. DoProbe therefore
+// turns a probe into a (coalesced) Get here, and nothing below this layer
+// sees a hint.
 func WithCoalescing(inner DHT, c *metrics.Counters) DHT {
 	co := &coalescer{inner: inner, c: c, inflight: make(map[string]*flight)}
 	b, hasB := inner.(Batcher)

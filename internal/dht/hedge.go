@@ -20,9 +20,9 @@ const (
 
 // hedger wraps Get with a tail-latency hedge: if the first attempt has
 // not answered after a trigger delay, a duplicate Get races it and the
-// first decisive response wins, the loser cancelled. Only Get is hedged
-// — it is the one idempotent read in the interface; duplicating writes
-// would double-apply them.
+// first decisive response wins, the loser cancelled. Only Get (and its
+// hinted form, Probe) is hedged — it is the one idempotent read in the
+// interface; duplicating writes would double-apply them.
 //
 // The trigger is quantile-driven: it starts at the configured floor and,
 // once enough samples accumulate, rises to the p95 of observed
@@ -56,7 +56,9 @@ type hedger struct {
 // duplicate. after is the trigger floor; a non-positive after returns
 // inner unchanged. The returned DHT re-exposes inner's optional Batcher
 // and Conditional capabilities unchanged (batched and conditional ops
-// are never hedged). c, when non-nil, receives HedgedGets and HedgeWins.
+// are never hedged), and is a Prober whatever inner is: a probe of a
+// substrate that is not one falls back to a hedged Get. c, when non-nil,
+// receives HedgedGets and HedgeWins.
 func WithHedging(inner DHT, after time.Duration, c *metrics.Counters) DHT {
 	if after <= 0 {
 		return inner
@@ -131,9 +133,21 @@ func (h *hedger) trigger(ctx context.Context) time.Duration {
 func decisive(err error) bool { return !IsTransient(err) }
 
 func (h *hedger) Get(ctx context.Context, key string) (Value, error) {
+	return h.race(ctx, func(ctx context.Context) (Value, error) { return h.inner.Get(ctx, key) })
+}
+
+// Probe implements Prober: a probe is hedged exactly as the Get it
+// stands in for, and the duplicate carries the same hint.
+func (h *hedger) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
+	return h.race(ctx, func(ctx context.Context) (Value, error) { return DoProbe(ctx, h.inner, key, hint) })
+}
+
+// race runs one read under the hedge: fetch is the attempt, issued once
+// at first and a second time if the first straggles or fails transiently.
+func (h *hedger) race(ctx context.Context, fetch func(context.Context) (Value, error)) (Value, error) {
 	delay := h.trigger(ctx)
 	if delay <= 0 {
-		return h.inner.Get(ctx, key)
+		return fetch(ctx)
 	}
 
 	type result struct {
@@ -152,7 +166,7 @@ func (h *hedger) Get(ctx context.Context, key string) (Value, error) {
 		}
 		start := time.Now()
 		go func() {
-			v, err := h.inner.Get(lctx, key)
+			v, err := fetch(lctx)
 			ch <- result{v, err, hedge, time.Since(start)}
 		}()
 	}

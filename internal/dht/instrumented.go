@@ -33,6 +33,7 @@ var (
 	_ DHT         = (*Instrumented)(nil)
 	_ Batcher     = (*Instrumented)(nil)
 	_ Conditional = (*Instrumented)(nil)
+	_ Prober      = (*Instrumented)(nil)
 )
 
 // NewInstrumented wraps inner, charging costs to c. c must not be nil.
@@ -132,12 +133,27 @@ func (d *Instrumented) Get(ctx context.Context, key string) (Value, error) {
 	lb := d.charge(ctx, 1)
 	start := d.start()
 	v, err := d.inner.Get(ctx, key)
+	d.noteGet(lb, key, start, err)
+	return v, err
+}
+
+// Probe implements Prober. It is charged and traced exactly as the Get
+// it stands in for, whether or not the wrapped substrate probes natively.
+func (d *Instrumented) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
+	lb := d.charge(ctx, 1)
+	start := d.start()
+	v, err := DoProbe(ctx, d.inner, key, hint)
+	d.noteGet(lb, key, start, err)
+	return v, err
+}
+
+// noteGet tallies and traces one finished Get or Probe.
+func (d *Instrumented) noteGet(lb metrics.Labels, key string, start time.Time, err error) {
 	if errors.Is(err, ErrNotFound) {
 		d.c.AddFailedGets(1)
 	}
 	d.note(err)
 	d.emit(lb, "get", key, 1, start, err)
-	return v, err
 }
 
 // Put implements DHT, counting one lookup.

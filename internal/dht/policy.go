@@ -103,6 +103,7 @@ var (
 	_ DHT         = (*PolicyDHT)(nil)
 	_ Batcher     = (*PolicyDHT)(nil)
 	_ Conditional = (*PolicyDHT)(nil)
+	_ Prober      = (*PolicyDHT)(nil)
 )
 
 // WithPolicy wraps inner so every routed operation retries transient
@@ -273,6 +274,17 @@ func (d *PolicyDHT) Get(ctx context.Context, key string) (Value, error) {
 	err := d.do(ctx, func(ctx context.Context) error {
 		var e error
 		v, e = d.inner.Get(ctx, key)
+		return e
+	})
+	return v, err
+}
+
+// Probe implements Prober with retries; every attempt carries the hint.
+func (d *PolicyDHT) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
+	var v Value
+	err := d.do(ctx, func(ctx context.Context) error {
+		var e error
+		v, e = DoProbe(ctx, d.inner, key, hint)
 		return e
 	})
 	return v, err

@@ -1,0 +1,31 @@
+package dht
+
+import "context"
+
+// Prober is the optional substrate capability behind header-only probes.
+// A probe is a Get whose caller may be able to do without most of the
+// value: it passes an opaque hint, and the peer storing the value decides
+// from the value's bytes and the hint (the kind's WireTrimmer) whether to
+// answer with the whole value or with a prefix, in the same single round
+// trip. The caller learns which from the type of what comes back (see
+// RegisterWireProbe), and a substrate is always free to return the whole
+// value.
+//
+// Cost model: a Probe is one DHT-lookup, exactly like the Get it stands
+// in for, and is counted and traced as one.
+type Prober interface {
+	// Probe is Get with a hint for the storing peer.
+	Probe(ctx context.Context, key string, hint uint64) (Value, error)
+}
+
+// DoProbe probes key through d's native Probe when d implements Prober,
+// and otherwise falls back to a plain Get, which returns the whole value.
+// A wrapper that must see whole values (the coalescer, whose flights are
+// shared by callers with different hints) simply does not implement
+// Prober.
+func DoProbe(ctx context.Context, d DHT, key string, hint uint64) (Value, error) {
+	if p, ok := d.(Prober); ok {
+		return p.Probe(ctx, key, hint)
+	}
+	return d.Get(ctx, key)
+}

@@ -1,0 +1,209 @@
+package dht
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"lht/internal/metrics"
+)
+
+// hintLog is a Local that is also a Prober and records which of the two
+// reads each call arrived as. failNext makes that many reads fail
+// transiently first.
+type hintLog struct {
+	*Local
+	mu       sync.Mutex
+	hints    []uint64 // one per Probe
+	gets     int
+	failNext int
+}
+
+func (p *hintLog) fail() error {
+	if p.failNext > 0 {
+		p.failNext--
+		return MarkTransient(errors.New("connection reset"))
+	}
+	return nil
+}
+
+func (p *hintLog) Get(ctx context.Context, key string) (Value, error) {
+	p.mu.Lock()
+	p.gets++
+	err := p.fail()
+	p.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return p.Local.Get(ctx, key)
+}
+
+func (p *hintLog) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
+	p.mu.Lock()
+	p.hints = append(p.hints, hint)
+	err := p.fail()
+	p.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return p.Local.Get(ctx, key)
+}
+
+func (p *hintLog) seen() (hints []uint64, gets int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]uint64(nil), p.hints...), p.gets
+}
+
+func newHintLog(t *testing.T) *hintLog {
+	p := &hintLog{Local: NewLocal()}
+	if err := p.Local.Put(context.Background(), "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestDoProbeFallsBackToGet(t *testing.T) {
+	ctx := context.Background()
+	l := NewLocal()
+	_ = l.Put(ctx, "k", "v")
+	if v, err := DoProbe(ctx, l, "k", 7); err != nil || v != "v" {
+		t.Fatalf("DoProbe over a plain DHT = %v, %v", v, err)
+	}
+	if _, err := DoProbe(ctx, l, "absent", 7); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("DoProbe of an absent key = %v", err)
+	}
+	p := newHintLog(t)
+	if v, err := DoProbe(ctx, p, "k", 7); err != nil || v != "v" {
+		t.Fatalf("DoProbe over a Prober = %v, %v", v, err)
+	}
+	if hints, gets := p.seen(); len(hints) != 1 || hints[0] != 7 || gets != 0 {
+		t.Fatalf("Prober saw hints %v and %d gets, want [7] and none", hints, gets)
+	}
+}
+
+// A probe is one lookup, one failed get on a miss and one "get" trace
+// event, over a Prober and over a plain substrate alike.
+func TestInstrumentedProbeIsChargedAsAGet(t *testing.T) {
+	ctx := context.Background()
+	for name, inner := range map[string]DHT{"prober": newHintLog(t), "plain": newHintLog(t).Local} {
+		var c metrics.Counters
+		ring := metrics.NewRing(8)
+		d := NewInstrumented(inner, &c)
+		d.SetSink(ring)
+		if v, err := d.Probe(ctx, "k", 9); err != nil || v != "v" {
+			t.Fatalf("%s: Probe = %v, %v", name, v, err)
+		}
+		if _, err := d.Probe(ctx, "absent", 9); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Probe of an absent key = %v", name, err)
+		}
+		if f := c.Snapshot().Flat(); f.Lookups != 2 || f.FailedGets != 1 {
+			t.Errorf("%s: Lookups=%d FailedGets=%d, want 2, 1", name, f.Lookups, f.FailedGets)
+		}
+		evs := ring.Events()
+		if len(evs) != 2 || evs[0].Kind != "get" || evs[0].Outcome != "ok" || evs[1].Kind != "get" || evs[1].Outcome != "not_found" {
+			t.Errorf("%s: trace events %+v, want two gets", name, evs)
+		}
+		if p, ok := inner.(*hintLog); ok {
+			if hints, gets := p.seen(); len(hints) != 2 || hints[0] != 9 || gets != 0 {
+				t.Errorf("hints %v and %d gets reached the substrate, want [9 9] and none", hints, gets)
+			}
+		}
+	}
+}
+
+func TestPolicyProbeRetriesWithTheHint(t *testing.T) {
+	p := newHintLog(t)
+	p.failNext = 2
+	var c metrics.Counters
+	d := WithPolicy(p, Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, Counters: &c})
+	if v, err := d.Probe(context.Background(), "k", 11); err != nil || v != "v" {
+		t.Fatalf("Probe = %v, %v", v, err)
+	}
+	hints, gets := p.seen()
+	if len(hints) != 3 || hints[0] != 11 || hints[1] != 11 || hints[2] != 11 || gets != 0 {
+		t.Fatalf("attempts arrived as hints %v and %d gets, want three probes with hint 11", hints, gets)
+	}
+	if r := c.Snapshot().Flat().Retries; r != 2 {
+		t.Errorf("Retries = %d, want 2", r)
+	}
+}
+
+func TestHedgedProbeCarriesTheHintOnBothArms(t *testing.T) {
+	p := newHintLog(t)
+	p.failNext = 1 // the first arm dies at once, so the duplicate launches
+	var c metrics.Counters
+	d := WithHedging(p, time.Minute, &c)
+	if v, err := DoProbe(context.Background(), d, "k", 13); err != nil || v != "v" {
+		t.Fatalf("Probe = %v, %v", v, err)
+	}
+	hints, gets := p.seen()
+	if len(hints) != 2 || hints[0] != 13 || hints[1] != 13 || gets != 0 {
+		t.Fatalf("arms arrived as hints %v and %d gets, want two probes with hint 13", hints, gets)
+	}
+	if f := c.Snapshot().Flat(); f.HedgedGets != 1 || f.HedgeWins != 1 {
+		t.Errorf("HedgedGets=%d HedgeWins=%d, want 1, 1", f.HedgedGets, f.HedgeWins)
+	}
+}
+
+// A coalesced flight is shared by callers with different hints, so the
+// coalescer turns every probe into a whole Get, also when layers that do
+// forward probes sit above and below it.
+func TestCoalescerNeverForwardsAProbe(t *testing.T) {
+	p := newHintLog(t)
+	var c metrics.Counters
+	co := WithCoalescing(WithHedging(p, time.Minute, &c), &c)
+	if _, ok := co.(Prober); ok {
+		t.Fatal("the coalescer implements Prober")
+	}
+	d := WithPolicy(NewInstrumented(co, &c), Policy{Counters: &c})
+	if v, err := d.Probe(context.Background(), "k", 17); err != nil || v != "v" {
+		t.Fatalf("Probe = %v, %v", v, err)
+	}
+	if hints, gets := p.seen(); len(hints) != 0 || gets != 1 {
+		t.Fatalf("substrate saw hints %v and %d gets, want no probe and one get", hints, gets)
+	}
+}
+
+// testTrimKind trims to the hint's low byte; testWireKind (wirevalue_test)
+// registers no probe plane.
+const testTrimKind = 249
+
+func init() {
+	RegisterWireKind(testTrimKind, func(data []byte) (Value, error) { return "whole:" + string(data), nil })
+	RegisterWireProbe(testTrimKind,
+		func(data []byte, hint uint64) int { return int(int8(hint)) },
+		func(data []byte) (Value, error) { return "probe:" + string(data), nil })
+}
+
+func TestWireProbeRegistry(t *testing.T) {
+	data := []byte("abcdef")
+	for hint, want := range map[uint64]int{0: 0, 2: 2, 5: 5, 6: 6, 7: 6, 0xff: 6} { // 0xff trims to -1
+		if n := TrimWire(testTrimKind, data, hint); n != want {
+			t.Errorf("TrimWire(hint %d) = %d, want %d", hint, n, want)
+		}
+	}
+	if n := TrimWire(testWireKind, data, 2); n != len(data) {
+		t.Errorf("a kind with no trimmer was cut to %d bytes", n)
+	}
+	if n := TrimWire(251, data, 2); n != len(data) {
+		t.Errorf("an unregistered kind was cut to %d bytes", n)
+	}
+	if v, err := DecodeProbe(testTrimKind, data[:2]); err != nil || v != "probe:ab" {
+		t.Errorf("DecodeProbe = %v, %v", v, err)
+	}
+	if v, err := DecodeWire(testTrimKind, data[:2]); err != nil || v != "whole:ab" {
+		t.Errorf("DecodeWire = %v, %v: a plain decode must not use the probe decoder", v, err)
+	}
+	if v, err := DecodeProbe(testWireKind, data); err != nil || v != "abcdef" {
+		t.Errorf("DecodeProbe of a kind with no probe plane = %v, %v, want DecodeWire's answer", v, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("registering a probe plane twice did not panic")
+		}
+	}()
+	RegisterWireProbe(testTrimKind, func([]byte, uint64) int { return 0 }, nil)
+}

@@ -43,3 +43,54 @@ func DecodeWire(kind byte, data []byte) (Value, error) {
 	}
 	return dec(data)
 }
+
+// WireTrimmer decides, on the peer that stores a value, how much of it a
+// probe needs. data is the stored serialized form (what AppendWire wrote)
+// and hint the prober's opaque word; the result is the length of the
+// prefix of data to ship, len(data) meaning the whole value. It runs on
+// bytes under the store's lock, so it neither decodes nor allocates, and
+// like a WireDecoder it never panics on malformed input.
+type WireTrimmer func(data []byte, hint uint64) int
+
+// wireProbes holds, per kind, the optional probe plane: the storing
+// side's trimmer and the probing side's decoder for what the trimmer may
+// have left. Filled from init functions only, like wireDecoders.
+var wireProbes [256]struct {
+	trim WireTrimmer
+	dec  WireDecoder
+}
+
+// RegisterWireProbe lets probes of one kind be answered with a prefix of
+// the value (see Prober). trim picks the prefix on the storing peer; dec
+// decodes a probe's reply, which is either the whole value or a prefix
+// trim chose, and returns for a prefix a type of its own that is not the
+// kind's WireValue. The kind's RegisterWireKind decoder keeps rejecting
+// prefixes: only a probe can be answered with one. Kinds that register
+// nothing are probed whole.
+func RegisterWireProbe(kind byte, trim WireTrimmer, dec WireDecoder) {
+	if wireProbes[kind].trim != nil {
+		panic(fmt.Sprintf("dht: wire kind %d registered its probe plane twice", kind))
+	}
+	wireProbes[kind].trim, wireProbes[kind].dec = trim, dec
+}
+
+// TrimWire returns how many leading bytes of data, a stored value of the
+// given kind, answer a probe carrying hint: what the kind's trimmer
+// says when that is a proper prefix, else all of it.
+func TrimWire(kind byte, data []byte, hint uint64) int {
+	if trim := wireProbes[kind].trim; trim != nil {
+		if n := trim(data, hint); n >= 0 && n < len(data) {
+			return n
+		}
+	}
+	return len(data)
+}
+
+// DecodeProbe decodes a probe's reply: with the kind's probe decoder
+// when it registered one, else exactly as DecodeWire.
+func DecodeProbe(kind byte, data []byte) (Value, error) {
+	if dec := wireProbes[kind].dec; dec != nil {
+		return dec(data)
+	}
+	return DecodeWire(kind, data)
+}

@@ -173,6 +173,14 @@ func (b *Bucket) String() string {
 //
 // The layout is canonical: a byte string decodes to at most one bucket
 // and that bucket encodes back to the same bytes.
+//
+// Everything before the record list is the header. It is a stable,
+// self-delimiting prefix: parseBucketHeader finds its end from its own
+// bytes, and because a record list is never empty on the wire (zero
+// records still write their count) a header alone is never a bucket and
+// a bucket never a header. That is what lets a storing peer answer a
+// probe with the header by cutting the stored bytes, undecoded, at
+// trimBucket's length, and lets the prober tell the two replies apart.
 const (
 	bucketWireVersion = 1
 	// bucketWireKind is Bucket's dht.WireValue kind byte.
@@ -181,6 +189,7 @@ const (
 
 func init() {
 	dht.RegisterWireKind(bucketWireKind, func(data []byte) (dht.Value, error) { return DecodeBucket(data) })
+	dht.RegisterWireProbe(bucketWireKind, trimBucket, decodeProbeReply)
 }
 
 // WireKind implements dht.WireValue.
@@ -231,14 +240,29 @@ var errBucketTruncated = errors.New("truncated header")
 
 // decodeBucket parses buf, which the returned bucket takes ownership of.
 func decodeBucket(buf []byte) (*Bucket, error) {
+	b := new(Bucket)
+	rest, err := parseBucketHeader(b, buf)
+	if err != nil {
+		return nil, err
+	}
+	if b.Records, err = record.DecodeList(rest); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// parseBucketHeader reads the header off the front of buf into b (every
+// field but Records) and returns the bytes that follow it. It is the one
+// walk over the header, shared by decoding a bucket, trimming a stored
+// one on its peer and decoding a header-only probe reply. It keeps no
+// reference to buf and allocates only a torn bucket's remove-key.
+func parseBucketHeader(b *Bucket, buf []byte) (rest []byte, err error) {
 	if len(buf) == 0 {
 		return nil, errBucketTruncated
 	}
 	if buf[0] != bucketWireVersion {
 		return nil, fmt.Errorf("unknown wire version %d", buf[0])
 	}
-	b := new(Bucket)
-	var err error
 	if b.Epoch, buf, err = record.ReadUvarint(buf[1:]); err != nil {
 		return nil, err
 	}
@@ -271,8 +295,46 @@ func decodeBucket(buf []byte) (*Bucket, error) {
 		return nil, err
 	}
 	b.RateAt = int64(n)
-	if b.Records, err = record.DecodeList(buf); err != nil {
-		return nil, err
+	return buf, nil
+}
+
+// trimBucket is the bucket's dht.WireTrimmer: the storing peer's half of
+// a header-only probe, hint being the looked-up data key's bit pattern
+// (Index.probeBucket). A probed bucket that does not cover that key
+// tells Algorithm 2 only that a leaf with this label lives under this
+// name, so the header is all the prober can use — unless the bucket is
+// torn, which the prober must see whole to repair. Anything that does
+// not parse is shipped whole too, for the prober's decoder to refuse.
+func trimBucket(data []byte, hint uint64) int {
+	var b Bucket
+	rest, err := parseBucketHeader(&b, data)
+	if err != nil || b.Torn() || b.Contains(math.Float64frombits(hint)) {
+		return len(data)
 	}
-	return b, nil
+	return len(data) - len(rest)
+}
+
+// BucketHeader is a storing peer's whole answer to a probe its leaf
+// cannot satisfy (see trimBucket): proof that an untorn leaf with this
+// label is stored under the probed name. It is deliberately a type of
+// its own and not a dht.WireValue, so nothing that handles buckets —
+// clone, CAS, write-back, a query's result — can be handed one.
+type BucketHeader struct {
+	// Label is the leaf's label.
+	Label bitlabel.Label
+}
+
+// decodeProbeReply is the bucket kind's probe decoder: a reply that ends
+// where its header ends is a BucketHeader, anything else must be a whole
+// bucket. A torn bucket is never trimmed, so a torn header is refused.
+func decodeProbeReply(data []byte) (dht.Value, error) {
+	var b Bucket
+	rest, err := parseBucketHeader(&b, data)
+	if err != nil || len(rest) != 0 {
+		return DecodeBucket(data)
+	}
+	if b.Torn() {
+		return nil, errors.New("decode bucket: header-only reply for a torn bucket")
+	}
+	return &BucketHeader{Label: b.Label}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lht/internal/bitlabel"
+	"lht/internal/dht"
 	"lht/internal/record"
 )
 
@@ -215,6 +216,89 @@ func TestBucketDecodeRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// headerLen is where b's header ends in its encoding.
+func headerLen(t testing.TB, b *Bucket) int {
+	t.Helper()
+	return len(mustEncode(t, b)) - record.ListSize(b.Records)
+}
+
+// The storing peer's half of a header-only probe: a leaf that cannot
+// cover the hinted key is cut at the end of its header; one that covers
+// it, a torn one, or bytes that are no bucket at all are shipped whole.
+// The cut reads bytes in place: no decode, no allocation.
+func TestTrimBucket(t *testing.T) {
+	b := referenceBucket() // #0101101 = [0.703125, 0.71875)
+	data := mustEncode(t, b)
+	hdr := headerLen(t, b)
+	iv := b.Interval()
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		delta float64
+		want  int
+	}{
+		{"covered, low edge", data, iv.Lo, len(data)},
+		{"covered, inside", data, 0.71, len(data)},
+		{"just below", data, math.Nextafter(iv.Lo, 0), hdr},
+		{"high edge is outside", data, iv.Hi, hdr},
+		{"far away", data, 0.1, hdr},
+		{"not a key", data, math.NaN(), hdr},
+		{"truncated header", data[:hdr-1], 0.1, hdr - 1},
+		{"junk", []byte("junk"), 0.1, 4},
+		{"empty", nil, 0.1, 0},
+	} {
+		if got := trimBucket(tc.data, math.Float64bits(tc.delta)); got != tc.want {
+			t.Errorf("%s: trimmed to %d of %d bytes, want %d", tc.name, got, len(tc.data), tc.want)
+		}
+	}
+	for _, pending := range []Pending{{Kind: PendingSplit}, {Kind: PendingMerge, RemoveKey: "#01011011", PeerEpoch: 3}} {
+		torn := referenceBucket()
+		torn.Pending = pending
+		data := mustEncode(t, torn)
+		if got := trimBucket(data, math.Float64bits(0.1)); got != len(data) {
+			t.Errorf("torn bucket (kind %d) trimmed to %d of %d bytes", pending.Kind, got, len(data))
+		}
+	}
+	hint := math.Float64bits(0.1)
+	if n := testing.AllocsPerRun(200, func() { sinkInt = trimBucket(data, hint) }); n != 0 {
+		t.Errorf("trimBucket: %v allocations, want 0", n)
+	}
+}
+
+// What a probe may be answered with decodes to exactly one of two types,
+// and DecodeBucket, which every other path uses, takes only the whole.
+func TestDecodeProbeReply(t *testing.T) {
+	b := referenceBucket()
+	data := mustEncode(t, b)
+	hdr := headerLen(t, b)
+
+	v, err := decodeProbeReply(data)
+	if got, ok := v.(*Bucket); err != nil || !ok || !sameBucket(got, b) {
+		t.Fatalf("whole reply decoded to %T, %v", v, err)
+	}
+	v, err = decodeProbeReply(data[:hdr])
+	if h, ok := v.(*BucketHeader); err != nil || !ok || h.Label != b.Label {
+		t.Fatalf("header-only reply decoded to %#v, %v", v, err)
+	}
+	if _, err := DecodeBucket(data[:hdr]); err == nil {
+		t.Error("DecodeBucket accepted a header-only prefix")
+	}
+	for _, n := range []int{0, 1, hdr - 1, hdr + 1, len(data) - 1} {
+		if v, err := decodeProbeReply(data[:n]); err == nil {
+			t.Errorf("%d-byte prefix decoded to %T", n, v)
+		}
+	}
+	torn := referenceBucket()
+	torn.Pending = Pending{Kind: PendingSplit}
+	if v, err := decodeProbeReply(mustEncode(t, torn)[:headerLen(t, torn)]); err == nil {
+		t.Errorf("torn header decoded to %#v", v)
+	}
+	var hv any = &BucketHeader{}
+	if _, ok := hv.(dht.WireValue); ok {
+		t.Error("BucketHeader is a dht.WireValue: it could be put, CAS-ed or written back")
+	}
+}
+
 // bucketFromBytes builds an arbitrary well-formed bucket out of fuzz
 // input, so the fuzzer explores the value side of the codec too.
 func bucketFromBytes(raw []byte) *Bucket {
@@ -253,7 +337,11 @@ func bucketFromBytes(raw []byte) *Bucket {
 //     blur);
 //   - any accepted input is canonical: the decoded bucket encodes back to
 //     exactly the input;
-//   - decode∘encode is the identity on buckets, floats compared bitwise.
+//   - decode∘encode is the identity on buckets, floats compared bitwise;
+//   - of the prefixes of a valid encoding, a probe reply decodes the whole
+//     to the bucket, the header (of an untorn bucket) to a BucketHeader
+//     with its label, and every other one to an error — never to a bucket
+//     with fewer records — and the peer's trimmer cuts nowhere else.
 func FuzzDecodeBucket(f *testing.F) {
 	// Small seeds: a mutation of a three-record bucket lands inside the
 	// grammar far more often than one of a five-kilobyte bucket.
@@ -295,6 +383,32 @@ func FuzzDecodeBucket(f *testing.F) {
 		if !sameBucket(got, want) {
 			t.Fatalf("round trip changed the bucket:\n got %+v\nwant %+v", got, want)
 		}
+
+		enc := mustEncode(t, want)
+		hdr := headerLen(t, want)
+		for n := 0; n <= len(enc); n++ {
+			if n > hdr+64 && n < len(enc)-8 {
+				n = len(enc) - 8 // every cut near the header and the end; decoding all of a long tail is quadratic
+			}
+			v, err := decodeProbeReply(enc[:n])
+			switch {
+			case n == len(enc):
+				if b, ok := v.(*Bucket); err != nil || !ok || !sameBucket(b, want) {
+					t.Fatalf("whole encoding as a probe reply: %T, %v", v, err)
+				}
+			case n == hdr && !want.Torn():
+				if h, ok := v.(*BucketHeader); err != nil || !ok || h.Label != want.Label {
+					t.Fatalf("header as a probe reply: %#v, %v", v, err)
+				}
+			case err == nil:
+				t.Fatalf("%d-byte prefix of a %d-byte bucket (header %d) decoded to %#v", n, len(enc), hdr, v)
+			}
+		}
+		var hint [8]byte // the input's first bytes, zero-padded
+		copy(hint[:], raw)
+		if cut := trimBucket(enc, binary.BigEndian.Uint64(hint[:])); cut != len(enc) && (cut != hdr || want.Torn()) {
+			t.Fatalf("trimmed a %d-byte bucket (header %d, torn %v) to %d bytes", len(enc), hdr, want.Torn(), cut)
+		}
 	})
 }
 
@@ -303,6 +417,7 @@ func FuzzDecodeBucket(f *testing.F) {
 var (
 	sinkBytes  []byte
 	sinkBucket *Bucket
+	sinkInt    int
 )
 
 func BenchmarkBucketEncode(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -203,6 +204,31 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 	return ix.fetchBucket(ctx, key)
 }
 
+// probeBucket is getBucket for Algorithm 2's probes. The search reads a
+// probed bucket's records only when it covers delta (or is torn, and
+// gets repaired); any other bucket says just "a leaf lives under this
+// name, so the probed prefix is an internal node". The probe therefore
+// carries delta as its hint, and a substrate that is a dht.Prober may
+// answer a non-covering leaf with its BucketHeader alone — still one
+// round trip and one DHT-lookup. That reply comes back as a nil bucket
+// and a nil error: the leaf exists, is untorn, does not cover delta, and
+// the leaf cache has learnt its label exactly as from a whole bucket.
+func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, cost *Cost) (*Bucket, error) {
+	cost.Lookups++
+	v, err := dht.DoProbe(ctx, ix.d, key, math.Float64bits(delta))
+	h, ok := v.(*BucketHeader)
+	if !ok || err != nil {
+		return ix.bucketOf(v, err, key)
+	}
+	if keyspace.IntervalOf(h.Label).Contains(delta) {
+		// No peer trims a leaf that covers the hint. Whatever sent this,
+		// the search needs the records: fetch the bucket whole.
+		return ix.getBucket(ctx, key, cost)
+	}
+	ix.cacheNote(h.Label)
+	return nil, nil
+}
+
 // LookupBucket implements LHT-lookup (Algorithm 2): a binary search over
 // the prefix lengths of mu(delta, D) that returns the leaf bucket covering
 // delta. The search probes the *names* f_n(x) of candidate prefixes: a
@@ -245,15 +271,15 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 	if ix.cache != nil {
 		if x, ok := ix.cache.find(mu); ok {
 			name := x.Name()
-			b, err := ix.getBucket(ctx, name.Key(), &cost)
-			if err == nil && b.Torn() {
+			b, err := ix.probeBucket(ctx, name.Key(), delta, &cost)
+			if b != nil && b.Torn() {
 				// The cached leaf's peer holds a torn mutation from a
 				// crashed writer; finish it, then apply the normal case
 				// analysis to the repaired bucket.
 				b, err = ix.repairTorn(ctx, name.Key(), b, &cost)
 			}
 			switch {
-			case err == nil && b.Contains(delta):
+			case err == nil && b != nil && b.Contains(delta):
 				// Hit. The fetched label can differ from the cached one
 				// (the leaf split but this half kept the name and still
 				// covers delta); fetchBucket noted the fresh label, so
@@ -310,8 +336,8 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 			mid := lo + (hi-lo)/2
 			x := mu.Prefix(mid)
 			name := x.Name()
-			b, err := ix.getBucket(ctx, name.Key(), &cost)
-			if err == nil && b.Torn() {
+			b, err := ix.probeBucket(ctx, name.Key(), delta, &cost)
+			if b != nil && b.Torn() {
 				// In-line read-repair: a fetched bucket carrying a pending
 				// split/merge intent is completed (or rolled back) before the
 				// search interprets it, so a torn tree converges back to the
@@ -333,11 +359,11 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 			case err != nil:
 				cost.Steps = cost.Lookups
 				return nil, "", cost, err
-			case b.Contains(delta):
+			case b != nil && b.Contains(delta):
 				cost.Steps = cost.Lookups
 				return b, name.Key(), cost, nil
 			default:
-				// The bucket named f_n(x) does not cover delta, so x is an
+				// The leaf named f_n(x) does not cover delta, so x is an
 				// internal node; the next candidate is the first prefix of
 				// mu past x's trailing run (it has a different name).
 				next, ok := x.NextName(mu)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"lht/internal/bitlabel"
 	"lht/internal/dht"
 	"lht/internal/record"
 )
@@ -512,5 +513,46 @@ func TestBucketClone(t *testing.T) {
 	c.Records = append(c.Records, record.Record{Key: 0.9})
 	if &c.Records[0] != first {
 		t.Error("one append after Clone reallocated the record slice")
+	}
+}
+
+// Clustered keys make every split one-sided: the heavy child keeps all
+// the records and gains one per insert, so it outgrows any multiple of
+// theta_split — what bounds it is theta_split plus its depth, and
+// CheckInvariants holds after every insert on the way down.
+func TestLeafWeightBoundIsDepthLimited(t *testing.T) {
+	cfg := Config{SplitThreshold: 4, Depth: 18}
+	ix, err := New(dht.NewLocal(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heaviest := 0
+	for i := 0; i < 14; i++ {
+		if _, err := ix.Insert(record.Record{Key: float64(i) / (1 << 17)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("after insert %d: %v", i, err)
+		}
+		leaves, err := ix.Leaves()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range leaves {
+			if b.Label.Len() < cfg.Depth && b.Weight() > heaviest {
+				heaviest = b.Weight()
+			}
+		}
+	}
+	if heaviest <= 2*cfg.SplitThreshold {
+		t.Fatalf("heaviest splittable leaf weighed %d: the run never left the old 2x theta bound (%d)", heaviest, 2*cfg.SplitThreshold)
+	}
+	over := &Bucket{Label: bitlabel.MustParse("#0001"), Records: make([]record.Record, cfg.SplitThreshold+4)}
+	if !ix.overweight(over) {
+		t.Errorf("a depth-%d leaf of weight %d passes the bound", over.Label.Len(), over.Weight())
+	}
+	over.Records = over.Records[:cfg.SplitThreshold+3]
+	if ix.overweight(over) {
+		t.Errorf("a depth-%d leaf of weight %d fails the bound", over.Label.Len(), over.Weight())
 	}
 }

@@ -238,12 +238,11 @@ func (ix *Index) scrubWalk(ctx context.Context, rep *ScrubReport, cost *Cost, st
 				fmt.Sprintf("relocated %d record(s) outside leaf %s %v", len(out), b.Label, iv))
 		}
 
-		// Weight bound: a leaf inside the depth bound may transiently hold
-		// up to ~2x theta (one insertion causes at most one split), but
-		// runaway weight means maintenance is not keeping up.
-		if b.Label.Len() < ix.cfg.Depth && b.Weight() > 2*ix.cfg.SplitThreshold {
+		// Weight bound: more than theta plus the leaf's depth (overweight)
+		// means maintenance is not keeping up.
+		if ix.overweight(b) {
 			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("unrepaired: leaf %s weight %d exceeds 2x threshold %d", b.Label, b.Weight(), ix.cfg.SplitThreshold))
+				fmt.Sprintf("unrepaired: leaf %s weight %d exceeds threshold %d + depth %d", b.Label, b.Weight(), ix.cfg.SplitThreshold, b.Label.Len()))
 		}
 
 		rep.Leaves++

@@ -53,7 +53,8 @@ func (ix *Index) LeavesContext(ctx context.Context) ([]*Bucket, error) {
 //   - every leaf bucket is stored under its name f_n(label), and the
 //     naming is injective (Theorem 1);
 //   - every record lies inside its leaf's interval;
-//   - no leaf inside the depth bound exceeds the split threshold.
+//   - no leaf inside the depth bound outweighs theta_split by more than
+//     its depth (see overweight).
 //
 // It is meant for tests and debugging.
 func (ix *Index) CheckInvariants() error {
@@ -87,18 +88,37 @@ func (ix *Index) CheckInvariants() error {
 				return fmt.Errorf("%w: record %g outside leaf %s %v", ErrCorrupt, r.Key, b.Label, iv)
 			}
 		}
-		// A leaf may transiently exceed theta_split: an insertion causes
-		// at most one split (section 5, no cascades), so a split whose
-		// records all fall on one side leaves that child oversized until
-		// the next insertion into it. Flag only runaway weights.
-		if b.Label.Len() < ix.cfg.Depth && b.Weight() > 2*ix.cfg.SplitThreshold {
-			return fmt.Errorf("%w: leaf %s weight %d exceeds 2x threshold %d", ErrCorrupt, b.Label, b.Weight(), ix.cfg.SplitThreshold)
+		if ix.overweight(b) {
+			return fmt.Errorf("%w: leaf %s weight %d exceeds threshold %d + depth %d", ErrCorrupt, b.Label, b.Weight(), ix.cfg.SplitThreshold, b.Label.Len())
 		}
 	}
 	if want != 1 {
 		return fmt.Errorf("%w: leaves tile [0, %g), want [0, 1)", ErrCorrupt, want)
 	}
 	return nil
+}
+
+// overweight reports whether leaf b holds more than the insertion rule
+// can have put there. A leaf may exceed theta_split: an insertion causes
+// at most one split (section 5, no cascades), so a split whose records
+// all fall on one side leaves that child as heavy as its parent was, and
+// a run of such splits under clustered keys adds one record per level.
+// Hence no multiple of theta bounds a leaf; its depth does:
+//
+//	weight(leaf) <= theta_split + len(label)
+//
+// by induction over a serial history. A leaf lighter than theta_split
+// satisfies it outright (the root, every bulk-loaded leaf, and every
+// merged leaf, which weighs less than theta_merge <= theta_split). An
+// insert takes a leaf of weight w to w+1; if that reaches theta_split it
+// splits, and each child weighs at most w+1 <= theta_split + len + 1 at
+// depth len + 1. Nothing else adds a record. Leaves at the depth bound D
+// cannot split and are exempt. (Writers racing on one leaf can stretch
+// this: the one that loses the split fence yields its split, so each lost
+// race may add a record without adding a level. That takes a leaf
+// already at the bound, i.e. nothing but one-sided splits above it.)
+func (ix *Index) overweight(b *Bucket) bool {
+	return b.Label.Len() < ix.cfg.Depth && b.Weight() > ix.cfg.SplitThreshold+b.Label.Len()
 }
 
 // Count returns the total number of indexed records, via a full leaf walk

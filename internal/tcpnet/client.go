@@ -203,6 +203,7 @@ func (c *Client) ringNodes() []*clientNode {
 var (
 	_ dht.DHT         = (*Client)(nil)
 	_ dht.Conditional = (*Client)(nil)
+	_ dht.Prober      = (*Client)(nil)
 )
 
 // clientNode is one member's connection state: a pool of multiplexed
@@ -519,23 +520,33 @@ func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([
 	}
 }
 
+// probeHint is a get request's optional tail: set makes the get a probe.
+type probeHint struct {
+	v   uint64
+	set bool
+}
+
 // Get implements dht.DHT.
 func (c *Client) Get(ctx context.Context, key string) (dht.Value, error) {
+	return c.get(ctx, key, probeHint{})
+}
+
+// Probe implements dht.Prober: a get that carries hint to the storing
+// node, which may answer a dht.WireValue whose kind registered a trimmer
+// with a prefix of it (see frame.go). The legacy gob wire has no hint
+// and probes whole.
+func (c *Client) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+	return c.get(ctx, key, probeHint{v: hint, set: true})
+}
+
+func (c *Client) get(ctx context.Context, key string, h probeHint) (dht.Value, error) {
 	if c.replicas > 1 {
-		return c.replicatedGet(ctx, key)
+		return c.replicatedGet(ctx, key, h)
 	}
 	if c.wire == WireGob {
 		return c.gobGet(ctx, key, request{Op: opGet, Key: key})
 	}
-	tv, frame, err := c.owner(key).simpleCall(ctx, dht.OpGet, func(b []byte) ([]byte, error) {
-		return appendLenString(b, key), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	v, err := decodeTaggedValue(tv)
-	putBuf(frame)
-	return v, err
+	return c.getFrom(ctx, c.owner(key), key, h)
 }
 
 // Put implements dht.DHT.

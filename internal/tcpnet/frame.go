@@ -34,7 +34,8 @@ import (
 // Request payloads (uv = unsigned varint; "rest" = to the frame's end):
 //
 //	ping                    (empty)
-//	get / take / remove     uv klen, key
+//	get                     uv klen, key [, hint u64 BE]
+//	take / remove           uv klen, key
 //	put / write             uv klen, key, value(rest)
 //	putnewer                uv klen, key, value(rest); stored only if no
 //	                        strictly newer epoch tag is already held
@@ -64,10 +65,21 @@ import (
 // values written before and after tagWire existed, interoperate on one
 // store.
 //
+// A get may end in an 8-byte hint, which makes it a probe (dht.Prober):
+// the requester can perhaps do without most of the value. The reply to a
+// hinted get of a tagWire value carries a prefix of the stored bytes,
+// cut where the kind's dht.WireTrimmer says given the hint — the tags
+// and kind byte always, the value's own bytes possibly short — and the
+// requester decodes it with dht.DecodeProbe. The server cuts without
+// decoding; every other tag, and a kind with no trimmer, is answered
+// whole, and a get with no hint is served exactly as before the hint
+// existed.
+//
 // Response payloads:
 //
 //	status u8: 0 ok, 1 not-found, 2 server error, 3 CAS conflict
-//	ok   get/take            value(rest)
+//	ok   get/take            value(rest); after a hinted get possibly
+//	                         a prefix of it, see above
 //	ok   put/remove/write/ping  (empty)
 //	ok   putif/createif/removeif/writeif  (empty)
 //	ok   getbatch/putbatch   uv count, count x slot
@@ -211,7 +223,12 @@ func appendEncoded(b []byte, v dht.Value, enc []byte) []byte {
 // decodeTaggedValue is the inverse of appendValue. The input's backing
 // array may be a pooled buffer, so raw bytes are copied out (and a
 // dht.WireDecoder copies what it keeps).
-func decodeTaggedValue(tv []byte) (dht.Value, error) {
+func decodeTaggedValue(tv []byte) (dht.Value, error) { return decodeTagged(tv, dht.DecodeWire) }
+
+// decodeTagged is decodeTaggedValue with the tagWire decoder passed in:
+// dht.DecodeWire for a value that must be whole, dht.DecodeProbe for the
+// reply to a hinted get, which the server may have trimmed.
+func decodeTagged(tv []byte, wire func(kind byte, data []byte) (dht.Value, error)) (dht.Value, error) {
 	if len(tv) == 0 {
 		return nil, fmt.Errorf("tcpnet: empty wire value")
 	}
@@ -226,7 +243,7 @@ func decodeTaggedValue(tv []byte) (dht.Value, error) {
 		if len(tv) < 2 {
 			return nil, fmt.Errorf("tcpnet: truncated wire-kind tag")
 		}
-		return dht.DecodeWire(tv[1], tv[2:])
+		return wire(tv[1], tv[2:])
 	case tagEpoch:
 		// The epoch only exists for the server's CAS compare; the decoded
 		// value carries its own version, so the prefix is simply stripped.
@@ -237,10 +254,29 @@ func decodeTaggedValue(tv []byte) (dht.Value, error) {
 		if len(c.b) == 0 || c.b[0] == tagEpoch {
 			return nil, fmt.Errorf("tcpnet: malformed epoch-tagged value")
 		}
-		return decodeTaggedValue(c.b)
+		return decodeTagged(c.b, wire)
 	default:
 		return nil, fmt.Errorf("tcpnet: unknown value tag %d", tv[0])
 	}
+}
+
+// probeLen returns how many leading bytes of the stored tagged value tv
+// answer a get carrying hint: for a tagWire value (under its tagEpoch
+// prefix or bare) whatever the kind's trimmer leaves, for anything else
+// all of it. Pure arithmetic on the stored bytes: nothing is decoded or
+// allocated, and the kind byte is all the server knows of the type.
+func probeLen(tv []byte, hint uint64) int {
+	c := cursor{b: tv}
+	if len(c.b) > 0 && c.b[0] == tagEpoch {
+		c.b = c.b[1:]
+		if _, err := c.uvarint(); err != nil {
+			return len(tv)
+		}
+	}
+	if len(c.b) < 2 || c.b[0] != tagWire {
+		return len(tv)
+	}
+	return len(tv) - len(c.b) + 2 + dht.TrimWire(c.b[1], c.b[2:], hint)
 }
 
 // readFrameBody reads one frame from br into buf (grown as needed) and

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"lht/internal/dht"
@@ -38,6 +39,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		buildFrame(6, dht.OpWrite, put),
 		buildFrame(7, dht.OpGetBatch, getBatch),
 		buildFrame(8, dht.OpPutBatch, putBatch),
+		// Probes: a get with the eight-byte hint, and the same tail where
+		// it does not belong.
+		buildFrame(11, dht.OpGet, hintedGet("key", 0.25)),
+		buildFrame(12, dht.OpGet, hintedGet("", math.NaN())),
+		buildFrame(13, dht.OpTake, hintedGet("key", 0.25)),
 		// Malformed shapes.
 		{},
 		{0, 0, 0, 0},

@@ -33,6 +33,7 @@ package tcpnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -87,15 +88,24 @@ func (c *Client) rotateStart(key string, n int) int {
 // SpreadReads reports how many reads started at a non-primary holder.
 func (c *Client) SpreadReads() int64 { return c.spreadReads.Load() }
 
-// getFrom fetches key from one specific node on the binary wire.
-func (c *Client) getFrom(ctx context.Context, n *clientNode, key string) (dht.Value, error) {
+// getFrom fetches key from one specific node on the binary wire, as a
+// probe when h is set.
+func (c *Client) getFrom(ctx context.Context, n *clientNode, key string, h probeHint) (dht.Value, error) {
 	tv, frame, err := n.simpleCall(ctx, dht.OpGet, func(b []byte) ([]byte, error) {
-		return appendLenString(b, key), nil
+		b = appendLenString(b, key)
+		if h.set {
+			b = binary.BigEndian.AppendUint64(b, h.v)
+		}
+		return b, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	v, err := decodeTaggedValue(tv)
+	wire := dht.DecodeWire
+	if h.set {
+		wire = dht.DecodeProbe
+	}
+	v, err := decodeTagged(tv, wire)
 	putBuf(frame)
 	return v, err
 }
@@ -103,7 +113,8 @@ func (c *Client) getFrom(ctx context.Context, n *clientNode, key string) (dht.Va
 // replicatedGet reads from the rotated holder, falling back through the
 // rest: a holder that is missing the key (a fan-out it has not seen) or
 // unreachable costs one extra round trip, and only a miss on every
-// holder is a real miss.
+// holder is a real miss. A probe's hint (h) rides every attempt, so a
+// failover is answered under the same rule as the first try.
 //
 // Degradation contract (WithHealth): a holder whose breaker is open
 // fails in microseconds, so the read moves straight to the next holder —
@@ -116,7 +127,7 @@ func (c *Client) getFrom(ctx context.Context, n *clientNode, key string) (dht.Va
 // instead: first reads never do, so the duplicate is guaranteed a
 // different first holder than the straggler it is racing, whatever the
 // rotation sequence did in between.
-func (c *Client) replicatedGet(ctx context.Context, key string) (dht.Value, error) {
+func (c *Client) replicatedGet(ctx context.Context, key string, h probeHint) (dht.Value, error) {
 	owners := c.owners(key)
 	start := 0
 	if !dht.IsHedgeAttempt(ctx) {
@@ -126,7 +137,7 @@ func (c *Client) replicatedGet(ctx context.Context, key string) (dht.Value, erro
 	for i := range owners {
 		n := owners[(start+i)%len(owners)]
 		actx, cancel := stepCtx(ctx, len(owners)-i)
-		v, err := c.getFrom(actx, n, key)
+		v, err := c.getFrom(actx, n, key, h)
 		cancel()
 		if err == nil {
 			return v, nil

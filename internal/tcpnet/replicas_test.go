@@ -134,7 +134,7 @@ func TestReplicaPropagationEpochOrder(t *testing.T) {
 	if err := c.putTo(ctx, holder, dht.OpPutNewer, "k", &dhttest.EpochValue{Epoch: 4, Body: "old"}); err != nil {
 		t.Fatalf("superseded propagation errored instead of no-oping: %v", err)
 	}
-	v, err := c.getFrom(ctx, holder, "k")
+	v, err := c.getFrom(ctx, holder, "k", probeHint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestReplicaPropagationEpochOrder(t *testing.T) {
 	if err := c.putTo(ctx, holder, dht.OpPutNewer, "k", &dhttest.EpochValue{Epoch: 6, Body: "newer"}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := c.getFrom(ctx, holder, "k"); v.(*dhttest.EpochValue).Epoch != 6 {
+	if v, _ := c.getFrom(ctx, holder, "k", probeHint{}); v.(*dhttest.EpochValue).Epoch != 6 {
 		t.Fatalf("in-order propagation did not store, holder at %#v", v)
 	}
 }
@@ -203,7 +203,7 @@ func TestReplicatedCASHoldersConverge(t *testing.T) {
 
 	want := uint64(1 + writers*commitsEach)
 	for rank, holder := range c.owners(key) {
-		v, err := c.getFrom(ctx, holder, key)
+		v, err := c.getFrom(ctx, holder, key, probeHint{})
 		if err != nil {
 			t.Fatalf("holder %d (%s): %v", rank, holder.addr, err)
 		}

@@ -94,7 +94,9 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 
 	case dht.OpGet, dht.OpTake:
 		key, err := c.lenBytes()
-		if err != nil || !c.empty() {
+		// A get may carry a probe hint after the key; a take never does.
+		hinted := op == dht.OpGet && len(c.b) == 8
+		if err != nil || !(c.empty() || hinted) {
 			return appendStatusErr(out, errMalformed)
 		}
 		s.c.AddLookups(1)
@@ -105,6 +107,9 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		}
 		if op == dht.OpTake {
 			delete(s.store, string(key))
+		}
+		if hinted {
+			v = v[:probeLen(v, binary.BigEndian.Uint64(c.b))]
 		}
 		out = append(out, statusOK)
 		return append(out, v...)

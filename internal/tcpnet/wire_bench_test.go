@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"testing"
 
@@ -109,6 +110,36 @@ func BenchmarkWireGet(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkWireProbeTrimmed / BenchmarkWireProbeWhole are the two replies
+// a probe of a 75-record bucket can get, full client round trip: the
+// header alone (the hinted key lies outside the leaf) and the whole
+// bucket (it lies inside). wire-B/op is what the server sent back.
+func BenchmarkWireProbeTrimmed(b *testing.B) { benchWireProbe(b, 0.1) }
+
+func BenchmarkWireProbeWhole(b *testing.B) { benchWireProbe(b, 0.71) }
+
+func benchWireProbe(b *testing.B, delta float64) {
+	c := benchCluster(b)
+	ctx := context.Background()
+	if err := c.Put(ctx, "k", wideBucket()); err != nil {
+		b.Fatal(err)
+	}
+	hint := math.Float64bits(delta)
+	stored, err := appendValue(nil, wideBucket())
+	if err != nil {
+		b.Fatal(err)
+	}
+	reply := 4 + frameHeaderLen + 1 + probeLen(stored, hint) // length, id+op, status, value
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Probe(ctx, "k", hint); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(reply), "wire-B/op")
 }
 
 func BenchmarkWirePut(b *testing.B) {
