@@ -63,9 +63,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		retry   = fs.Bool("retry", true, "retry transient node faults with backoff (each retry costs one DHT-lookup)")
 		scrub   = fs.Bool("scrub", false, "verify and repair the tree's structural invariants, print the report, and exit")
 		trace   = fs.Int("trace", 0, "after the command, print its last N DHT operations (kind, key, phase, duration, outcome)")
-		wire    = fs.String("wire", "binary", "wire format to the nodes: binary (framed, pipelined) or gob (legacy)")
-		conns   = fs.Int("conns", 0, "pipelined connections per node on the binary wire (0 = default)")
-		reps    = fs.Int("replicas", 1, "store each key on this many distinct nodes (binary wire only)")
+		conns   = fs.Int("conns", 0, "pipelined connections per node (0 = default)")
+		reps    = fs.Int("replicas", 1, "store each key on this many distinct nodes")
 		status  = fs.Bool("status", false, "print the cluster membership and health report, and exit")
 		rerep   = fs.Bool("rereplicate", false, "with -scrub: restore the replica count of every bucket (needs -replicas > 1)")
 		degr    = fs.Bool("degraded", false, "connect even if part of the cluster is down (dead nodes start breaker-open); implied by -status")
@@ -90,17 +89,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer cancel()
 	}
 
-	w, err := tcpnet.ParseWire(*wire)
-	if err != nil {
-		return err
-	}
 	lht.RegisterGobTypes()
 	// -status must work precisely when part of the cluster is down, so it
 	// always boots degraded: unreachable members start breaker-open and
 	// show up in the report instead of failing the dial.
 	client, err := tcpnet.Dial(ctx, tcpnet.ClusterConfig{
 		Seeds:         strings.Split(*nodes, ","),
-		Wire:          w,
 		PoolSize:      *conns,
 		Replicas:      *reps,
 		DegradedStart: *degr || *status,

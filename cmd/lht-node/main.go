@@ -1,8 +1,7 @@
 // Command lht-node runs one storage node of an LHT cluster: a TCP
-// key-value server speaking internal/tcpnet's framed binary protocol (and
-// the legacy gob stream, auto-detected per connection). Start a few on
-// different ports, then point lht-cli (or any program using
-// tcpnet.Dial + lht.New) at the full member list:
+// key-value server speaking internal/tcpnet's framed binary protocol.
+// Start a few on different ports, then point lht-cli (or any program
+// using tcpnet.Dial + lht.New) at the full member list:
 //
 //	lht-node -listen 127.0.0.1:7001 -data /var/lib/lht/n1.snap &
 //	lht-node -listen 127.0.0.1:7002 -data /var/lib/lht/n2.snap &
@@ -95,10 +94,6 @@ func main() {
 func run(ctx context.Context, cfg nodeConfig) error {
 	listen, data, metricsAddr := cfg.listen, cfg.data, cfg.metricsAddr
 	interval := cfg.snapshotInterval
-	// The node stores buckets as opaque bytes; gob is needed only to
-	// transcode one for a legacy gob-wire client, and by the repair
-	// loop's own client to read buckets stored before the binary codec.
-	lht.RegisterGobTypes()
 	srv := tcpnet.NewServer()
 	if data != "" {
 		if err := srv.LoadSnapshot(data); err != nil {
@@ -139,6 +134,10 @@ func run(ctx context.Context, cfg nodeConfig) error {
 		if cfg.repairReplicas < 2 {
 			return fmt.Errorf("-repair-replicas must be at least 2")
 		}
+		// The node itself stores buckets as opaque bytes and never decodes
+		// one; only the repair loop's index client does, and it may meet a
+		// bucket stored as gob before the binary codec existed.
+		lht.RegisterGobTypes()
 		go repairLoop(ctx, cfg)
 	}
 

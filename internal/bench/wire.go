@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,15 +13,9 @@ import (
 
 	"lht/internal/dht"
 	"lht/internal/lht"
-	"lht/internal/record"
 	"lht/internal/tcpnet"
 	"lht/internal/workload"
 )
-
-// The tcpnet-backed experiments ship lht buckets across a real socket, so
-// the stored type must be gob-registered exactly as an embedding process
-// (lht.RegisterGobTypes) would register it.
-func init() { gob.Register(&lht.Bucket{}) }
 
 // wireCluster is a set of in-process tcpnet servers backing the wire
 // experiments.
@@ -70,101 +63,63 @@ func (cl *wireCluster) close() {
 	}
 }
 
-// wireServed sums the cost-model counters the cluster's servers charged.
-type wireServed struct {
-	Lookups, FailedGets, BatchOps, BatchedKeys, RoundTrips int64
-}
-
-func (cl *wireCluster) served() wireServed {
-	var tot wireServed
-	for _, s := range cl.servers {
-		f := s.Metrics().Flat()
-		tot.Lookups += f.Lookups
-		tot.FailedGets += f.FailedGets
-		tot.BatchOps += f.BatchOps
-		tot.BatchedKeys += f.BatchedKeys
-		tot.RoundTrips += f.RoundTrips()
-	}
-	return tot
-}
-
 // wireValueSizes spans the payload range the codec ablation sweeps.
 var wireValueSizes = []int{16, 256, 4096}
 
-// RunWireAblation is ablation A8: the framed binary wire protocol versus
-// the legacy gob wire, measured end to end over real TCP connections to
-// in-process tcpnet servers. Three results: allocations per operation
-// (the deterministic row the CI perf gate diffs), throughput (client
-// kops/sec on Get plus batched bulk-load krecords/sec through the
-// index), and Get tail latency.
-//
-// Before measuring, the run pins the two codecs to each other: the
-// identical index workload over each wire must produce byte-identical
-// tree state and byte-identical server-side cost-model counters — the
-// codec may change how bytes travel, never what the index observes or
-// what the cost model charges. Any divergence fails the run.
+// RunWireAblation is ablation A8: what the framed wire protocol costs,
+// measured end to end over real TCP connections to in-process tcpnet
+// servers. Three results: allocations per operation (the deterministic row
+// the CI perf gate diffs), throughput (client kops/sec on Get plus batched
+// bulk-load krecords/sec), and Get tail latency. RunSweep pins the wire's
+// counted costs against dht.Local; this run prices its codec.
 func RunWireAblation(o Options) (Result, Result, Result, error) {
 	o = o.WithDefaults()
 	allocs := Result{
 		Name:   "A8",
-		Title:  "Wire codec: allocations per operation (framed binary vs gob)",
+		Title:  "Frame codec: allocations per operation",
 		XLabel: "value size (bytes)",
 		YLabel: "allocs/op",
 	}
 	thru := Result{
 		Name:   "A8b",
-		Title:  "Wire codec: throughput (framed binary vs gob)",
+		Title:  "Frame codec: throughput",
 		XLabel: "value size (bytes)",
 		YLabel: "kops/sec (Get) | krecords/sec (bulk load)",
 	}
 	tail := Result{
 		Name:   "A8c",
-		Title:  "Wire codec: Get tail latency (framed binary vs gob)",
+		Title:  "Frame codec: Get tail latency",
 		XLabel: "value size (bytes)",
 		YLabel: "p99 microseconds",
 	}
 
-	if err := wireOracle(o); err != nil {
-		return allocs, thru, tail, err
-	}
-	if err := wireCondOracle(o); err != nil {
-		return allocs, thru, tail, err
-	}
-
-	arms := []struct {
-		name string
-		wire tcpnet.Wire
-	}{
-		{"binary", tcpnet.WireBinary},
-		{"gob", tcpnet.WireGob},
-	}
 	xs := float64s(wireValueSizes)
-	for _, arm := range arms {
-		var getAllocs, putAllocs, getKops, loadRate, p99 []float64
-		for _, vs := range wireValueSizes {
-			st, err := measureWire(o, arm.wire, vs)
-			if err != nil {
-				return allocs, thru, tail, fmt.Errorf("bench: wire %s/%d: %w", arm.name, vs, err)
-			}
-			getAllocs = append(getAllocs, st.getAllocs)
-			putAllocs = append(putAllocs, st.putAllocs)
-			getKops = append(getKops, st.getKops)
-			loadRate = append(loadRate, st.loadRate)
-			p99 = append(p99, st.p99)
+	var getAllocs, putAllocs, getKops, loadRate, p99 []float64
+	for _, vs := range wireValueSizes {
+		st, err := measureWire(o, vs)
+		if err != nil {
+			return allocs, thru, tail, fmt.Errorf("bench: wire %d: %w", vs, err)
 		}
-		allocs.Series = append(allocs.Series,
-			meanSeries(arm.name+" Get", xs, [][]float64{getAllocs}),
-			meanSeries(arm.name+" Put", xs, [][]float64{putAllocs}))
-		thru.Series = append(thru.Series,
-			meanSeries(arm.name+" Get kops/s", xs, [][]float64{getKops}),
-			meanSeries(arm.name+" load krec/s", xs, [][]float64{loadRate}))
-		tail.Series = append(tail.Series,
-			meanSeries(arm.name+" Get p99 us", xs, [][]float64{p99}))
+		getAllocs = append(getAllocs, st.getAllocs)
+		putAllocs = append(putAllocs, st.putAllocs)
+		getKops = append(getKops, st.getKops)
+		loadRate = append(loadRate, st.loadRate)
+		p99 = append(p99, st.p99)
 	}
+	// The series keep the "binary" prefix the checked-in baseline rows
+	// are keyed by.
+	allocs.Series = append(allocs.Series,
+		meanSeries("binary Get", xs, [][]float64{getAllocs}),
+		meanSeries("binary Put", xs, [][]float64{putAllocs}))
+	thru.Series = append(thru.Series,
+		meanSeries("binary Get kops/s", xs, [][]float64{getKops}),
+		meanSeries("binary load krec/s", xs, [][]float64{loadRate}))
+	tail.Series = append(tail.Series,
+		meanSeries("binary Get p99 us", xs, [][]float64{p99}))
 	return allocs, thru, tail, nil
 }
 
-// wireStats are one codec's measurements at one value size.
+// wireStats are the codec's measurements at one value size.
 type wireStats struct {
 	getAllocs float64 // allocations per Get round trip, min over reps
 	putAllocs float64 // allocations per Put round trip, min over reps
@@ -173,7 +128,7 @@ type wireStats struct {
 	loadRate  float64 // batched index bulk load, krecords/sec, best rep
 }
 
-func measureWire(o Options, wire tcpnet.Wire, valSize int) (wireStats, error) {
+func measureWire(o Options, valSize int) (wireStats, error) {
 	var st wireStats
 
 	// Point ops against a single node: one server isolates codec cost from
@@ -183,7 +138,7 @@ func measureWire(o Options, wire tcpnet.Wire, valSize int) (wireStats, error) {
 		return st, err
 	}
 	defer cl.close()
-	c, err := tcpnet.DialContext(context.Background(), cl.addrs, tcpnet.WithWire(wire))
+	c, err := tcpnet.DialContext(context.Background(), cl.addrs)
 	if err != nil {
 		return st, err
 	}
@@ -209,7 +164,7 @@ func measureWire(o Options, wire tcpnet.Wire, valSize int) (wireStats, error) {
 		return st, err
 	}
 
-	st.loadRate, err = measureLoad(o, wire, valSize)
+	st.loadRate, err = measureLoad(o, valSize)
 	return st, err
 }
 
@@ -260,12 +215,10 @@ func measureOp(n int, op func(int) error) (allocsPerOp, kops, p99us float64, err
 // measureLoad times a batched bulk load through the DHT batch plane:
 // records ship as PutBatch rounds of 64 raw []byte values, several
 // rounds in flight across a 3-node cluster, best of two runs, in
-// krecords/sec. Raw values are the framed wire's sweet spot — they
-// travel tag-prefixed with zero serialization work while the legacy wire
-// gob-encodes every one — and in-flight rounds are the pipelined
-// multiplexer's: the legacy wire admits one blocking request per
-// connection, so concurrent rounds to the same node serialize.
-func measureLoad(o Options, wire tcpnet.Wire, valSize int) (float64, error) {
+// krecords/sec. Raw values travel tag-prefixed with zero serialization
+// work, and the in-flight rounds to one node share its pipelined
+// connections.
+func measureLoad(o Options, valSize int) (float64, error) {
 	nrec := 8 * o.Queries
 	val := bytes.Repeat([]byte("v"), valSize)
 	kvs := make([]dht.KV, nrec)
@@ -274,7 +227,7 @@ func measureLoad(o Options, wire tcpnet.Wire, valSize int) (float64, error) {
 	}
 	var best float64
 	for rep := 0; rep < 2; rep++ {
-		rate, err := loadOnce(wire, kvs)
+		rate, err := loadOnce(kvs)
 		if err != nil {
 			return 0, err
 		}
@@ -287,7 +240,7 @@ func measureLoad(o Options, wire tcpnet.Wire, valSize int) (float64, error) {
 
 // loadOnce runs one timed load: loadWorkers goroutines strip-mine the
 // records in rounds of loadBatch keys each.
-func loadOnce(wire tcpnet.Wire, kvs []dht.KV) (float64, error) {
+func loadOnce(kvs []dht.KV) (float64, error) {
 	const (
 		loadBatch   = 64
 		loadWorkers = 4
@@ -297,7 +250,7 @@ func loadOnce(wire tcpnet.Wire, kvs []dht.KV) (float64, error) {
 		return 0, err
 	}
 	defer cl.close()
-	c, err := tcpnet.DialContext(context.Background(), cl.addrs, tcpnet.WithWire(wire))
+	c, err := tcpnet.DialContext(context.Background(), cl.addrs)
 	if err != nil {
 		return 0, err
 	}
@@ -341,226 +294,12 @@ func loadOnce(wire tcpnet.Wire, kvs []dht.KV) (float64, error) {
 	return float64(total) / time.Since(t0).Seconds() / 1000, nil
 }
 
-// wireOracle runs the identical index workload over each codec against
-// clusters bound to the same addresses and requires byte-identical tree
-// state and byte-identical server-side counters.
-func wireOracle(o Options) error {
-	var addrs []string
-	binTree, binServed, err := wireOracleArm(o, &addrs, tcpnet.WireBinary)
-	if err != nil {
-		return fmt.Errorf("bench: wire oracle (binary): %w", err)
-	}
-	gobTree, gobServed, err := wireOracleArm(o, &addrs, tcpnet.WireGob)
-	if err != nil {
-		return fmt.Errorf("bench: wire oracle (gob): %w", err)
-	}
-	if !bytes.Equal(binTree, gobTree) {
-		return fmt.Errorf("bench: tree state diverges across codecs: %d vs %d bytes", len(binTree), len(gobTree))
-	}
-	if binServed != gobServed {
-		return fmt.Errorf("bench: cost-model counters diverge across codecs: binary %+v, gob %+v", binServed, gobServed)
-	}
-	if binServed.Lookups == 0 || binServed.BatchOps == 0 {
-		return fmt.Errorf("bench: wire oracle workload did not exercise the cost model: %+v", binServed)
-	}
-	return nil
-}
-
-// wireOracleArm boots a 3-node cluster (fresh ports on the first call,
-// recorded into addrs; the same ports on the second, so key ownership
-// matches), runs a deterministic index workload over the given wire, and
-// returns the gob-encoded leaves plus the summed server counters.
-func wireOracleArm(o Options, addrs *[]string, wire tcpnet.Wire) ([]byte, wireServed, error) {
-	cl, err := startWireCluster(3, *addrs)
-	if err != nil {
-		return nil, wireServed{}, err
-	}
-	defer cl.close()
-	if len(*addrs) == 0 {
-		*addrs = append(*addrs, cl.addrs...)
-	}
-	c, err := tcpnet.DialContext(context.Background(), cl.addrs, tcpnet.WithWire(wire))
-	if err != nil {
-		return nil, wireServed{}, err
-	}
-	defer func() { _ = c.Close() }()
-
-	// Small thresholds so a small workload still splits and merges.
-	ix, err := lht.New(c, lht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20, Aggregate: o.Agg})
-	if err != nil {
-		return nil, wireServed{}, err
-	}
-	rng := rand.New(rand.NewSource(o.Seed + 42))
-	recs := make([]record.Record, 200)
-	for i := range recs {
-		recs[i] = record.Record{Key: rng.Float64(), Value: []byte(fmt.Sprintf("r%d", i))}
-	}
-	if _, err := ix.BulkLoad(recs); err != nil {
-		return nil, wireServed{}, err
-	}
-	keys := make([]float64, 0, 120)
-	for i := 0; i < 120; i++ {
-		k := rng.Float64()
-		keys = append(keys, k)
-		if _, err := ix.Insert(record.Record{Key: k, Value: []byte("ins")}); err != nil {
-			return nil, wireServed{}, err
-		}
-	}
-	for i := 0; i < 40; i++ {
-		if _, err := ix.Delete(keys[i]); err != nil {
-			return nil, wireServed{}, err
-		}
-	}
-	for i := 40; i < 80; i++ {
-		if _, _, err := ix.Search(keys[i]); err != nil {
-			return nil, wireServed{}, err
-		}
-	}
-	for i := 0; i < 20; i++ {
-		lo := rng.Float64() * 0.9
-		if _, _, err := ix.Range(lo, lo+0.1); err != nil {
-			return nil, wireServed{}, err
-		}
-	}
-	leaves, err := ix.Leaves()
-	if err != nil {
-		return nil, wireServed{}, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(leaves); err != nil {
-		return nil, wireServed{}, err
-	}
-	return buf.Bytes(), cl.served(), nil
-}
-
-// wireCondCost is the comparable slice of one client's cost counters the
-// conditional-interleave oracle diffs across codecs.
-type wireCondCost struct {
-	Lookups, BatchOps, BatchedKeys            int64
-	CASConflicts, WriterRetries, CASFallbacks int64
-}
-
-// wireCondOracle pins the conditional-write plane across codecs: one
-// shared cluster, two index clients — one per wire — interleaving every
-// mutation class (epoch-guarded inserts, deletes through RemoveIf, splits
-// through CreateIf, merges) against the same tree. Both clients must read
-// back byte-identical leaves, and re-running with the codecs' roles
-// swapped on a rebound cluster must reproduce the same tree, the same
-// server-side counters, and exactly transposed client-side costs — the
-// codec may never leak into what a conditional op costs or stores.
-func wireCondOracle(o Options) error {
-	type armResult struct {
-		tree   []byte
-		even   wireCondCost // the client driving even-indexed ops
-		odd    wireCondCost
-		served wireServed
-	}
-	costOf := func(ix *lht.Index) wireCondCost {
-		f := ix.Metrics().Flat()
-		return wireCondCost{
-			Lookups: f.Lookups, BatchOps: f.BatchOps, BatchedKeys: f.BatchedKeys,
-			CASConflicts: f.CASConflicts, WriterRetries: f.WriterRetries, CASFallbacks: f.CASFallbacks,
-		}
-	}
-	run := func(addrs *[]string, swap bool) (armResult, error) {
-		var res armResult
-		cl, err := startWireCluster(3, *addrs)
-		if err != nil {
-			return res, err
-		}
-		defer cl.close()
-		if len(*addrs) == 0 {
-			*addrs = append(*addrs, cl.addrs...)
-		}
-		wires := []tcpnet.Wire{tcpnet.WireBinary, tcpnet.WireGob}
-		if swap {
-			wires[0], wires[1] = wires[1], wires[0]
-		}
-		clients := make([]*lht.Index, 2)
-		for i, w := range wires {
-			c, err := tcpnet.DialContext(context.Background(), cl.addrs, tcpnet.WithWire(w))
-			if err != nil {
-				return res, err
-			}
-			defer func() { _ = c.Close() }()
-			if clients[i], err = lht.New(c, lht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20}); err != nil {
-				return res, err
-			}
-		}
-
-		rng := rand.New(rand.NewSource(o.Seed + 43))
-		keys := make([]float64, 160)
-		for i := range keys {
-			keys[i] = rng.Float64()
-			if _, err := clients[i%2].Insert(record.Record{Key: keys[i], Value: []byte(fmt.Sprintf("c%d", i))}); err != nil {
-				return res, fmt.Errorf("interleaved insert %d: %w", i, err)
-			}
-		}
-		for i := 0; i < 60; i++ {
-			// Each client deletes keys the other inserted, so the
-			// epoch-guarded removes cross codecs.
-			if _, err := clients[(i+1)%2].Delete(keys[i]); err != nil {
-				return res, fmt.Errorf("interleaved delete %d: %w", i, err)
-			}
-		}
-		for i := 60; i < 120; i++ {
-			if _, _, err := clients[(i+1)%2].Search(keys[i]); err != nil {
-				return res, fmt.Errorf("cross-codec search %d: %w", i, err)
-			}
-		}
-
-		// Both clients must agree on the final bytes.
-		var trees [2][]byte
-		for i, ix := range clients {
-			leaves, err := ix.Leaves()
-			if err != nil {
-				return res, err
-			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(leaves); err != nil {
-				return res, err
-			}
-			trees[i] = buf.Bytes()
-		}
-		if !bytes.Equal(trees[0], trees[1]) {
-			return res, fmt.Errorf("the two codecs read different trees from one store: %d vs %d bytes", len(trees[0]), len(trees[1]))
-		}
-		res.tree = trees[0]
-		res.even, res.odd = costOf(clients[0]), costOf(clients[1])
-		res.served = cl.served()
-		return res, nil
-	}
-
-	var addrs []string
-	a, err := run(&addrs, false)
-	if err != nil {
-		return fmt.Errorf("bench: conditional wire oracle: %w", err)
-	}
-	b, err := run(&addrs, true)
-	if err != nil {
-		return fmt.Errorf("bench: conditional wire oracle (swapped): %w", err)
-	}
-	if !bytes.Equal(a.tree, b.tree) {
-		return fmt.Errorf("bench: conditional interleave tree differs across codec role swap")
-	}
-	if a.served != b.served {
-		return fmt.Errorf("bench: served counters differ across codec role swap: %+v vs %+v", a.served, b.served)
-	}
-	if a.even != b.even || a.odd != b.odd {
-		return fmt.Errorf("bench: client cost counters leak the codec: %+v/%+v vs %+v/%+v", a.even, a.odd, b.even, b.odd)
-	}
-	if a.even.CASFallbacks != 0 || a.odd.CASFallbacks != 0 {
-		return fmt.Errorf("bench: conditional ops fell back to fetch-verify on a native wire: %+v %+v", a.even, a.odd)
-	}
-	return nil
-}
-
 // Sweep dimensions: batched-operation cap, record payload size, leaf
 // cache capacity, and query-arrival skew.
 var (
 	sweepBatchSizes = []int{1, 8, 64, 256}
 	sweepValueSizes = []int{16, 64, 256, 1024}
-	sweepSubstrates = []string{"local", "tcpnet", "tcpnet-gob"}
+	sweepSubstrates = []string{"local", "tcpnet"}
 	// sweepCacheSizes caps the leaf cache well below the default 4096 so
 	// eviction is visible at bench scale: a 2-bucket cache thrashes under
 	// uniform queries, a 128-bucket one holds the whole working set.
@@ -582,8 +321,7 @@ const (
 // RunSweep is the wire-protocol parameter sweep: one deterministic index
 // workload — a batched bulk load of size records followed by exact-match
 // searches and range sweeps — run across substrate {instrumented local
-// map, tcpnet framed binary, tcpnet legacy gob} × batch size × leaf-cache
-// setting × value size.
+// map, tcpnet} × batch size × leaf-cache setting × value size.
 //
 // It emits five results. The first carries the deterministic cost rows
 // the CI perf gate diffs: round trips for the whole workload, per batch
@@ -739,17 +477,13 @@ func runSweepCell(o Options, substrate string, batch, valSize int, cache bool, c
 	switch substrate {
 	case "local":
 		d = dht.NewLocal()
-	case "tcpnet", "tcpnet-gob":
+	case "tcpnet":
 		cl, err := startWireCluster(3, nil)
 		if err != nil {
 			return sweepCell{}, err
 		}
 		defer cl.close()
-		wire := tcpnet.WireBinary
-		if substrate == "tcpnet-gob" {
-			wire = tcpnet.WireGob
-		}
-		c, err := tcpnet.DialContext(context.Background(), cl.addrs, tcpnet.WithWire(wire))
+		c, err := tcpnet.DialContext(context.Background(), cl.addrs)
 		if err != nil {
 			return sweepCell{}, err
 		}

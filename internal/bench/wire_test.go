@@ -5,31 +5,32 @@ import (
 	"testing"
 )
 
-// TestRunWireAblation runs A8 at a reduced scale: the cross-codec oracle
-// must hold, and the headline claim — the framed binary wire allocates
-// less than gob on every operation at every value size — must reproduce.
+// TestRunWireAblation runs A8 at a reduced scale and pins the frame
+// codec's headline cost absolutely: a Get round trip allocates at most 2
+// and a Put at most 3, at every value size.
 func TestRunWireAblation(t *testing.T) {
 	o := Options{Theta: 16, Depth: 12, Trials: 1, Queries: 60, Seed: 1}
 	allocs, thru, tail, err := RunWireAblation(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(allocs.Series) != 4 || len(thru.Series) != 4 || len(tail.Series) != 2 {
+	if len(allocs.Series) != 2 || len(thru.Series) != 2 || len(tail.Series) != 1 {
 		t.Fatalf("series counts = %d/%d/%d", len(allocs.Series), len(thru.Series), len(tail.Series))
 	}
-	byName := map[string][]Point{}
+	limits := map[string]float64{"binary Get": 2, "binary Put": 3}
 	for _, s := range allocs.Series {
 		if len(s.Points) != len(wireValueSizes) {
 			t.Fatalf("series %q has %d points, want %d", s.Name, len(s.Points), len(wireValueSizes))
 		}
-		byName[s.Name] = s.Points
-	}
-	for _, op := range []string{"Get", "Put"} {
-		bin, gob := byName["binary "+op], byName["gob "+op]
-		for i := range bin {
-			if bin[i].Y >= gob[i].Y {
-				t.Errorf("%s at %g B: binary %g allocs/op not below gob %g",
-					op, bin[i].X, bin[i].Y, gob[i].Y)
+		limit, ok := limits[s.Name]
+		if !ok {
+			t.Fatalf("unexpected series %q", s.Name)
+		}
+		for _, p := range s.Points {
+			// Under the race detector sync.Pool drops a share of its puts,
+			// so the frame buffers it recycles are allocated afresh.
+			if p.Y > limit && !raceEnabled {
+				t.Errorf("%s at %g B: %g allocs/op, want at most %g", s.Name, p.X, p.Y, limit)
 			}
 		}
 	}

@@ -29,11 +29,7 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []er
 		wg.Add(1)
 		go func(n *clientNode, slots []int) {
 			defer wg.Done()
-			if c.wire == WireGob {
-				c.gobGetBatch(ctx, n, keys, slots, vals, errs)
-			} else {
-				c.frameGetBatch(ctx, n, keys, slots, vals, errs)
-			}
+			c.frameGetBatch(ctx, n, keys, slots, vals, errs)
 		}(n, slots)
 	}
 	wg.Wait()
@@ -67,15 +63,11 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 		keys[i] = kv.Key
 	}
 	// Pre-encode values that need gob, so an unencodable one fails in its
-	// slot alone; on the framed wire raw bytes and self-serialising values
-	// need no encoding pass and write themselves into the frame.
-	encode := gobEncoded
-	if c.wire == WireGob {
-		encode = encodeValue
-	}
+	// slot alone; raw bytes and self-serialising values need no encoding
+	// pass and write themselves into the frame.
 	enc := make([][]byte, len(kvs))
 	for i, kv := range kvs {
-		enc[i], errs[i] = encode(kv.Val)
+		enc[i], errs[i] = gobEncoded(kv.Val)
 	}
 	var wg sync.WaitGroup
 	for n, slots := range c.groupByRank(keys, rank) {
@@ -91,11 +83,7 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 		wg.Add(1)
 		go func(n *clientNode, slots []int) {
 			defer wg.Done()
-			if c.wire == WireGob {
-				c.gobPutBatch(ctx, n, kvs, enc, slots, errs)
-			} else {
-				c.framePutBatch(ctx, n, kvs, enc, slots, errs)
-			}
+			c.framePutBatch(ctx, n, kvs, enc, slots, errs)
 		}(n, sendable)
 	}
 	wg.Wait()
@@ -124,8 +112,6 @@ func (c *Client) groupByRank(keys []string, rank int) map[*clientNode][]int {
 	}
 	return groups
 }
-
-// --- framed binary wire ---
 
 // batchCall performs one framed batch round trip and hands back a cursor
 // positioned at the first of want slots, or an error applied to the whole
@@ -252,54 +238,6 @@ func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV,
 				continue
 			}
 			errs[i] = serverErr(msg)
-		}
-	}
-}
-
-// --- legacy gob wire ---
-
-func (c *Client) gobGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, vals []dht.Value, errs []error) {
-	req := request{Op: opGetBatch, Keys: make([]string, len(slots))}
-	for j, i := range slots {
-		req.Keys[j] = keys[i]
-	}
-	replies, err := n.gc.batchRoundTrip(ctx, req, len(slots))
-	if err != nil {
-		for _, i := range slots {
-			errs[i] = err
-		}
-		return
-	}
-	for j, i := range slots {
-		switch replies[j].Err {
-		case "":
-			vals[i], errs[i] = decodeValue(replies[j].Val)
-		case errNotFound:
-			errs[i] = dht.ErrNotFound
-		default:
-			errs[i] = fmt.Errorf("tcpnet: server error: %s", replies[j].Err)
-		}
-	}
-}
-
-func (c *Client) gobPutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, enc [][]byte, slots []int, errs []error) {
-	req := request{Op: opPutBatch, KVs: make([]batchKV, len(slots))}
-	for j, i := range slots {
-		req.KVs[j] = batchKV{Key: kvs[i].Key, Val: enc[i]}
-		if e, ok := kvs[i].Val.(dht.Epocher); ok {
-			req.KVs[j].Epoch, req.KVs[j].EpochKnown = e.DHTEpoch(), true
-		}
-	}
-	replies, err := n.gc.batchRoundTrip(ctx, req, len(slots))
-	if err != nil {
-		for _, i := range slots {
-			errs[i] = err
-		}
-		return
-	}
-	for j, i := range slots {
-		if replies[j].Err != "" {
-			errs[i] = fmt.Errorf("tcpnet: server error: %s", replies[j].Err)
 		}
 	}
 }

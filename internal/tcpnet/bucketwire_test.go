@@ -101,25 +101,19 @@ func TestTaggedBucketRoundTrip(t *testing.T) {
 }
 
 // TestMixedFormatStore runs one store holding buckets in both stored
-// forms: tagGob ones written over the legacy gob wire, tagWire ones
-// written over the framed wire. Both clients read both (the gob client
-// through the server's transcode), and the epoch compare-and-swap, which
-// only ever reads the tagEpoch prefix, works from either client over
-// either form.
+// forms: a tagGob one planted as a pre-tagWire node would have stored it,
+// a tagWire one written over the wire. The client reads both, and the
+// epoch compare-and-swap, which only ever reads the tagEpoch prefix, works
+// over either form and re-stores in the client's own.
 func TestMixedFormatStore(t *testing.T) {
 	ctx := context.Background()
-	bin, servers := startCluster(t, 3)
-	legacy, err := DialContext(ctx, bin.NodeAddrs(), WithWire(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = legacy.Close() })
+	c, servers := startCluster(t, 3)
 
 	bucket := func(epoch uint64, tag string) *ilht.Bucket {
 		return &ilht.Bucket{Label: bitlabel.MustParse("#01"), Epoch: epoch,
 			Records: []record.Record{{Key: 0.6, Value: []byte(tag)}}}
 	}
-	check := func(c *Client, key string, epoch uint64, tag string) {
+	check := func(key string, epoch uint64, tag string) {
 		t.Helper()
 		v, err := c.Get(ctx, key)
 		if err != nil {
@@ -131,56 +125,55 @@ func TestMixedFormatStore(t *testing.T) {
 		}
 	}
 
-	writers := []struct {
-		key  string
-		c    *Client
-		want byte
-	}{{"via-gob", legacy, tagGob}, {"via-binary", bin, tagWire}}
-	for _, w := range writers {
-		if err := w.c.Put(ctx, w.key, bucket(5, "first")); err != nil {
-			t.Fatal(err)
-		}
-		if got := storedInnerTag(t, servers, w.key); got != w.want {
-			t.Fatalf("%s stored with tag %d, want %d", w.key, got, w.want)
-		}
+	// The tagGob form cannot be written over the wire any more: plant it
+	// on the key's owner.
+	enc, err := encodeValue(bucket(5, "first"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range writers {
-		check(bin, w.key, 5, "first")
-		check(legacy, w.key, 5, "first")
+	planted := append(appendUv([]byte{tagEpoch}, 5), tagGob)
+	planted = append(planted, enc...)
+	owner := c.owner("stored-gob").addr
+	for _, s := range servers {
+		s.mu.Lock()
+		if s.ln.Addr().String() == owner {
+			s.store["stored-gob"] = planted
+		}
+		s.mu.Unlock()
 	}
-
-	// Each client swaps the bucket the other one wrote: a stale epoch
-	// loses and names the winner, the right one commits in the swapper's
-	// own stored form, and both clients see the result.
-	swaps := []struct {
-		key  string
-		c    *Client
-		want byte
-	}{{"via-gob", bin, tagWire}, {"via-binary", legacy, tagGob}}
-	for _, s := range swaps {
-		var conflict *dht.CASConflictError
-		if err := s.c.PutIf(ctx, s.key, bucket(5, "stale"), 4); !errors.As(err, &conflict) || conflict.WinnerEpoch != 5 {
-			t.Fatalf("%s: stale swap = %v, want a conflict naming epoch 5", s.key, err)
+	if err := c.Put(ctx, "stored-wire", bucket(5, "first")); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"stored-gob", "stored-wire"}
+	for i, want := range []byte{tagGob, tagWire} {
+		if got := storedInnerTag(t, servers, keys[i]); got != want {
+			t.Fatalf("%s stored with tag %d, want %d", keys[i], got, want)
 		}
-		if err := s.c.PutIf(ctx, s.key, bucket(6, "second"), 5); err != nil {
-			t.Fatalf("%s: swap: %v", s.key, err)
-		}
-		if got := storedInnerTag(t, servers, s.key); got != s.want {
-			t.Fatalf("%s re-stored with tag %d, want %d", s.key, got, s.want)
-		}
-		check(bin, s.key, 6, "second")
-		check(legacy, s.key, 6, "second")
+		check(keys[i], 5, "first")
 	}
 
 	// The batch plane carries both forms in one reply.
-	keys := []string{"via-gob", "via-binary"}
-	for _, c := range []*Client{bin, legacy} {
-		vals, errs := c.GetBatch(ctx, keys)
-		for i := range keys {
-			if b, ok := vals[i].(*ilht.Bucket); errs[i] != nil || !ok || b.Epoch != 6 {
-				t.Fatalf("GetBatch %s = %v, %v", keys[i], vals[i], errs[i])
-			}
+	vals, errs := c.GetBatch(ctx, keys)
+	for i := range keys {
+		if b, ok := vals[i].(*ilht.Bucket); errs[i] != nil || !ok || b.Epoch != 5 {
+			t.Fatalf("GetBatch %s = %v, %v", keys[i], vals[i], errs[i])
 		}
+	}
+
+	// A swap over either form: a stale epoch loses and names the winner,
+	// the right one commits as tagWire.
+	for _, key := range keys {
+		var conflict *dht.CASConflictError
+		if err := c.PutIf(ctx, key, bucket(5, "stale"), 4); !errors.As(err, &conflict) || conflict.WinnerEpoch != 5 {
+			t.Fatalf("%s: stale swap = %v, want a conflict naming epoch 5", key, err)
+		}
+		if err := c.PutIf(ctx, key, bucket(6, "second"), 5); err != nil {
+			t.Fatalf("%s: swap: %v", key, err)
+		}
+		if got := storedInnerTag(t, servers, key); got != tagWire {
+			t.Fatalf("%s re-stored with tag %d, want tagWire", key, got)
+		}
+		check(key, 6, "second")
 	}
 }
 

@@ -14,32 +14,6 @@ import (
 	"lht/internal/metrics"
 )
 
-// Wire selects the client's wire format.
-type Wire int
-
-const (
-	// WireBinary is the framed binary protocol (see frame.go): no
-	// reflection, pooled buffers, and a pipelined multiplexer holding
-	// many requests in flight per connection. The default.
-	WireBinary Wire = iota
-	// WireGob is the legacy reflection-based gob stream with one blocking
-	// request per connection. It exists as the compat arm for the codec
-	// oracle (ablation A8) and for talking to pre-framed-protocol nodes.
-	WireGob
-)
-
-// ParseWire maps a command-line wire name ("binary" or "gob") to its
-// Wire value.
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "binary":
-		return WireBinary, nil
-	case "gob":
-		return WireGob, nil
-	}
-	return 0, fmt.Errorf("tcpnet: unknown wire format %q (have binary, gob)", s)
-}
-
 // ClusterConfig is the one-stop cluster client configuration: the Dial
 // entry point takes it whole, replacing the accreted option list
 // (WithReplicas/WithHealth/WithDialer/...), which survives only as the
@@ -52,13 +26,10 @@ type ClusterConfig struct {
 	// the gossiped view changes. Without gossip they are the static
 	// member list, exactly as before.
 	Seeds []string
-	// Wire selects the wire format (default WireBinary).
-	Wire Wire
-	// PoolSize is the number of multiplexed connections per node (default
-	// 2; ignored by WireGob).
+	// PoolSize is the number of multiplexed connections per node (default 2).
 	PoolSize int
 	// Replicas stores each key on this many consecutive ring members
-	// (default 1 = unreplicated). Requires the binary wire.
+	// (default 1 = unreplicated).
 	Replicas int
 	// Counters chains the client's counters onto a shared metrics sink.
 	Counters *metrics.Counters
@@ -89,7 +60,6 @@ type ClusterConfig struct {
 type Option func(*clientOptions)
 
 type clientOptions struct {
-	wire     Wire
 	poolSize int
 	replicas int
 	counters *metrics.Counters
@@ -98,19 +68,15 @@ type clientOptions struct {
 	degraded bool
 }
 
-// WithWire selects the wire format (default WireBinary).
-func WithWire(w Wire) Option { return func(o *clientOptions) { o.wire = w } }
-
 // WithPoolSize sets how many multiplexed connections the client keeps per
 // node (default 2, minimum 1). Each connection already pipelines many
 // requests; extra connections spread very hot nodes across sockets.
-// Ignored by WireGob, which keeps the legacy one connection per node.
 func WithPoolSize(n int) Option { return func(o *clientOptions) { o.poolSize = n } }
 
 // WithReplicas stores each key on n consecutive ring members instead of
 // one (default 1, i.e. no replication). Replication is client-driven —
 // see replicas.go for the fan-out, fallback and read-spreading contract.
-// Requires the binary wire and a cluster of at least n nodes.
+// Requires a cluster of at least n nodes.
 func WithReplicas(n int) Option { return func(o *clientOptions) { o.replicas = n } }
 
 // WithCounters chains the client's load counters (spread reads) onto cs,
@@ -119,10 +85,9 @@ func WithReplicas(n int) Option { return func(o *clientOptions) { o.replicas = n
 func WithCounters(cs *metrics.Counters) Option { return func(o *clientOptions) { o.counters = cs } }
 
 // WithDialer replaces the transport factory used for every outgoing
-// connection on both wire formats (default: a plain net.Dialer). This is
-// the injection point for the netchaos plane: a scripted dialer can
-// drop, delay, throttle, or partition individual node links under an
-// otherwise unmodified client.
+// connection (default: a plain net.Dialer). This is the injection point
+// for the netchaos plane: a scripted dialer can drop, delay, throttle, or
+// partition individual node links under an otherwise unmodified client.
 func WithDialer(d ContextDialer) Option { return func(o *clientOptions) { o.dialer = d } }
 
 // WithHealth enables the graceful-degradation plane: one circuit breaker
@@ -146,11 +111,10 @@ func WithDegradedStart() Option { return func(o *clientOptions) { o.degraded = t
 // Client implements dht.DHT over a static set of tcpnet servers: keys are
 // mapped to nodes with consistent hashing on the same 64-bit circle the
 // Chord substrate uses, so each node owns the arc ending at its hashed
-// address. It is safe for concurrent use: on the default binary wire,
-// each node connection is a pipelined multiplexer carrying many requests
-// in flight at once, so concurrent callers (and the batch plane's
-// per-node fan-out) overlap their round trips instead of queueing on a
-// connection mutex.
+// address. It is safe for concurrent use: each node connection is a
+// pipelined multiplexer carrying many requests in flight at once, so
+// concurrent callers (and the batch plane's per-node fan-out) overlap
+// their round trips instead of queueing on a connection mutex.
 //
 // Contexts bound the dial of a connection, and cancellation abandons the
 // request's pending slot — the connection and everyone else's in-flight
@@ -158,7 +122,6 @@ func WithDegradedStart() Option { return func(o *clientOptions) { o.degraded = t
 // (dht.IsTransient) so a policy wrapper can retry them; the next attempt
 // redials lazily, health-checking the fresh connection with a ping.
 type Client struct {
-	wire     Wire
 	replicas int // holders per key; 1 = unreplicated
 	counters *metrics.Counters
 	opts     clientOptions // retained to build nodes for members the view adds
@@ -207,14 +170,13 @@ var (
 )
 
 // clientNode is one member's connection state: a pool of multiplexed
-// connections (binary wire) or a single legacy gob connection.
+// connections, used round-robin.
 type clientNode struct {
 	id   hashring.ID
 	addr string
 
-	conns []*mconn // binary wire; round-robin
+	conns []*mconn
 	next  atomic.Uint32
-	gc    *gobConn // gob wire
 
 	br       *dht.Breaker // health plane; nil when WithHealth is off
 	counters *metrics.Counters
@@ -241,7 +203,6 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 		return nil, errors.New("tcpnet: no node addresses")
 	}
 	o := clientOptions{
-		wire:     cfg.Wire,
 		poolSize: cfg.PoolSize,
 		replicas: cfg.Replicas,
 		counters: cfg.Counters,
@@ -258,9 +219,6 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	if o.replicas < 1 {
 		o.replicas = 1
 	}
-	if o.replicas > 1 && o.wire == WireGob {
-		return nil, errors.New("tcpnet: replication requires the binary wire")
-	}
 	if cfg.HintedHandoff && o.replicas < 2 {
 		return nil, errors.New("tcpnet: hinted handoff requires replication")
 	}
@@ -268,7 +226,6 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 		o.health = &dht.BreakerConfig{}
 	}
 	c := &Client{
-		wire:     o.wire,
 		replicas: o.replicas,
 		counters: o.counters,
 		opts:     o,
@@ -350,12 +307,8 @@ func (c *Client) newNode(a string) *clientNode {
 		}
 		n.br = dht.NewBreaker(cfg)
 	}
-	if o.wire == WireGob {
-		n.gc = &gobConn{addr: a, dial: o.dialer, gate: redialGate{br: n.br}}
-	} else {
-		for i := 0; i < o.poolSize; i++ {
-			n.conns = append(n.conns, &mconn{addr: a, dial: o.dialer, gate: redialGate{br: n.br}})
-		}
+	for i := 0; i < o.poolSize; i++ {
+		n.conns = append(n.conns, &mconn{addr: a, dial: o.dialer, gate: redialGate{br: n.br}})
 	}
 	return n
 }
@@ -374,7 +327,7 @@ func (c *Client) verifyAll(ctx context.Context, nodes []*clientNode) error {
 		wg.Add(1)
 		go func(n *clientNode) {
 			defer wg.Done()
-			err := c.verify(vctx, n)
+			err := n.conns[0].connect(vctx) // dials and pings
 			if err == nil {
 				return
 			}
@@ -396,13 +349,12 @@ func (c *Client) verifyAll(ctx context.Context, nodes []*clientNode) error {
 // call sites migrate mechanically. New code should call Dial with a
 // ClusterConfig.
 func DialContext(ctx context.Context, addrs []string, opts ...Option) (*Client, error) {
-	o := clientOptions{wire: WireBinary, poolSize: 2}
+	o := clientOptions{poolSize: 2}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return Dial(ctx, ClusterConfig{
 		Seeds:         addrs,
-		Wire:          o.wire,
 		PoolSize:      o.poolSize,
 		Replicas:      o.replicas,
 		Counters:      o.counters,
@@ -412,16 +364,6 @@ func DialContext(ctx context.Context, addrs []string, opts ...Option) (*Client, 
 	})
 }
 
-// verify dials and pings one node on the appropriate wire.
-func (c *Client) verify(ctx context.Context, n *clientNode) error {
-	if c.wire == WireGob {
-		_, err := n.gc.roundTrip(ctx, request{Op: opPing})
-		return err
-	}
-	// The binary dial health-checks with a ping already.
-	return n.conns[0].connect(ctx)
-}
-
 // Close stops the view-refresh loop (if any) and tears down all
 // connections.
 func (c *Client) Close() error {
@@ -429,18 +371,12 @@ func (c *Client) Close() error {
 		c.refreshCancel()
 		c.refreshWG.Wait()
 	}
-	var first error
 	for _, n := range c.ringNodes() {
 		for _, m := range n.conns {
 			m.close()
 		}
-		if n.gc != nil {
-			if err := n.gc.close(); err != nil && first == nil {
-				first = err
-			}
-		}
 	}
-	return first
+	return nil
 }
 
 // owner returns the node responsible for key: the first node clockwise
@@ -457,7 +393,7 @@ func (c *Client) owner(key string) *clientNode {
 
 // MaxInFlight reports the highest number of requests any single
 // connection has had in flight at once — the pipelining depth actually
-// reached. Zero on the gob wire, which cannot pipeline.
+// reached.
 func (c *Client) MaxInFlight() int {
 	max := 0
 	for _, n := range c.ringNodes() {
@@ -482,9 +418,6 @@ func (c *Client) NodeAddrs() []string {
 
 // serverErr converts a wire error payload into the caller-facing error.
 func serverErr(msg []byte) error {
-	if string(msg) == errNotFound {
-		return dht.ErrNotFound
-	}
 	return fmt.Errorf("tcpnet: server error: %s", msg)
 }
 
@@ -533,8 +466,7 @@ func (c *Client) Get(ctx context.Context, key string) (dht.Value, error) {
 
 // Probe implements dht.Prober: a get that carries hint to the storing
 // node, which may answer a dht.WireValue whose kind registered a trimmer
-// with a prefix of it (see frame.go). The legacy gob wire has no hint
-// and probes whole.
+// with a prefix of it (see frame.go).
 func (c *Client) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
 	return c.get(ctx, key, probeHint{v: hint, set: true})
 }
@@ -543,9 +475,6 @@ func (c *Client) get(ctx context.Context, key string, h probeHint) (dht.Value, e
 	if c.replicas > 1 {
 		return c.replicatedGet(ctx, key, h)
 	}
-	if c.wire == WireGob {
-		return c.gobGet(ctx, key, request{Op: opGet, Key: key})
-	}
 	return c.getFrom(ctx, c.owner(key), key, h)
 }
 
@@ -553,9 +482,6 @@ func (c *Client) get(ctx context.Context, key string, h probeHint) (dht.Value, e
 func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
 	if c.replicas > 1 {
 		return c.replicatedPut(ctx, key, v)
-	}
-	if c.wire == WireGob {
-		return c.gobPutLike(ctx, opPut, key, v)
 	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpPut, func(b []byte) ([]byte, error) {
 		return appendValue(appendLenString(b, key), v)
@@ -571,9 +497,6 @@ func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
 func (c *Client) Take(ctx context.Context, key string) (dht.Value, error) {
 	if c.replicas > 1 {
 		return c.replicatedTake(ctx, key)
-	}
-	if c.wire == WireGob {
-		return c.gobGet(ctx, key, request{Op: opTake, Key: key})
 	}
 	tv, frame, err := c.owner(key).simpleCall(ctx, dht.OpTake, func(b []byte) ([]byte, error) {
 		return appendLenString(b, key), nil
@@ -591,10 +514,6 @@ func (c *Client) Remove(ctx context.Context, key string) error {
 	if c.replicas > 1 {
 		return c.replicatedRemove(ctx, key)
 	}
-	if c.wire == WireGob {
-		_, err := c.gobDo(ctx, key, request{Op: opRemove, Key: key})
-		return err
-	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpRemove, func(b []byte) ([]byte, error) {
 		return appendLenString(b, key), nil
 	})
@@ -609,9 +528,6 @@ func (c *Client) Remove(ctx context.Context, key string) error {
 func (c *Client) Write(ctx context.Context, key string, v dht.Value) error {
 	if c.replicas > 1 {
 		return c.replicatedWrite(ctx, key, v)
-	}
-	if c.wire == WireGob {
-		return c.gobPutLike(ctx, opWrite, key, v)
 	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpWrite, func(b []byte) ([]byte, error) {
 		return appendValue(appendLenString(b, key), v)
@@ -665,9 +581,6 @@ func (c *Client) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uin
 	if c.replicas > 1 {
 		return c.replicatedPutIf(ctx, key, v, ifEpoch)
 	}
-	if c.wire == WireGob {
-		return c.gobCond(ctx, opPutIf, key, v, ifEpoch)
-	}
 	return c.owner(key).condCall(ctx, dht.OpPutIf, key, func(b []byte) ([]byte, error) {
 		b = appendLenString(b, key)
 		b = appendUv(b, ifEpoch)
@@ -680,9 +593,6 @@ func (c *Client) CreateIf(ctx context.Context, key string, v dht.Value) error {
 	if c.replicas > 1 {
 		return c.replicatedCreateIf(ctx, key, v)
 	}
-	if c.wire == WireGob {
-		return c.gobCond(ctx, opCreateIf, key, v, 0)
-	}
 	return c.owner(key).condCall(ctx, dht.OpCreateIf, key, func(b []byte) ([]byte, error) {
 		return appendValue(appendLenString(b, key), v)
 	})
@@ -692,10 +602,6 @@ func (c *Client) CreateIf(ctx context.Context, key string, v dht.Value) error {
 func (c *Client) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
 	if c.replicas > 1 {
 		return c.replicatedRemoveIf(ctx, key, ifEpoch)
-	}
-	if c.wire == WireGob {
-		_, err := c.gobDo(ctx, key, request{Op: opRemoveIf, Key: key, IfEpoch: ifEpoch})
-		return err
 	}
 	return c.owner(key).condCall(ctx, dht.OpRemoveIf, key, func(b []byte) ([]byte, error) {
 		b = appendLenString(b, key)
@@ -708,74 +614,9 @@ func (c *Client) WriteIf(ctx context.Context, key string, v dht.Value, ifEpoch u
 	if c.replicas > 1 {
 		return c.replicatedWriteIf(ctx, key, v, ifEpoch)
 	}
-	if c.wire == WireGob {
-		return c.gobCond(ctx, opWriteIf, key, v, ifEpoch)
-	}
 	return c.owner(key).condCall(ctx, dht.OpWriteIf, key, func(b []byte) ([]byte, error) {
 		b = appendLenString(b, key)
 		b = appendUv(b, ifEpoch)
 		return appendValue(b, v)
 	})
-}
-
-// --- legacy gob wire ---
-
-func (c *Client) gobDo(ctx context.Context, key string, req request) (_ response, err error) {
-	n := c.owner(key)
-	tok, err := n.allow()
-	if err != nil {
-		return response{}, err
-	}
-	defer func() { n.record(tok, err) }()
-	resp, err := n.gc.roundTrip(ctx, req)
-	if err != nil {
-		return response{}, err
-	}
-	switch resp.Err {
-	case "":
-		return resp, nil
-	case errNotFound:
-		return response{}, dht.ErrNotFound
-	case errCASConflict:
-		return response{}, &dht.CASConflictError{
-			Key: key, Exists: resp.ConflictExists, WinnerEpoch: resp.Winner,
-		}
-	default:
-		return response{}, fmt.Errorf("tcpnet: server error: %s", resp.Err)
-	}
-}
-
-func (c *Client) gobGet(ctx context.Context, key string, req request) (dht.Value, error) {
-	resp, err := c.gobDo(ctx, key, req)
-	if err != nil {
-		return nil, err
-	}
-	return decodeValue(resp.Val)
-}
-
-func (c *Client) gobPutLike(ctx context.Context, op op, key string, v dht.Value) error {
-	data, err := encodeValue(v)
-	if err != nil {
-		return err
-	}
-	req := request{Op: op, Key: key, Val: data}
-	if e, ok := v.(dht.Epocher); ok {
-		req.Epoch, req.EpochKnown = e.DHTEpoch(), true
-	}
-	_, err = c.gobDo(ctx, key, req)
-	return err
-}
-
-// gobCond sends a value-carrying conditional op on the legacy wire.
-func (c *Client) gobCond(ctx context.Context, op op, key string, v dht.Value, ifEpoch uint64) error {
-	data, err := encodeValue(v)
-	if err != nil {
-		return err
-	}
-	req := request{Op: op, Key: key, Val: data, IfEpoch: ifEpoch}
-	if e, ok := v.(dht.Epocher); ok {
-		req.Epoch, req.EpochKnown = e.DHTEpoch(), true
-	}
-	_, err = c.gobDo(ctx, key, req)
-	return err
 }

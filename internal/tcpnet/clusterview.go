@@ -60,9 +60,6 @@ func (c *Client) View() dht.ClusterView {
 // if the routable member set changed. Errors only when no member could be
 // exchanged with (all down, or none runs the membership plane).
 func (c *Client) RefreshView(ctx context.Context) error {
-	if c.wire == WireGob {
-		return errors.New("tcpnet: membership requires the binary wire")
-	}
 	c.viewMu.Lock()
 	local := c.view.Clone()
 	c.viewMu.Unlock()
@@ -156,9 +153,6 @@ func (c *Client) applyView(v dht.ClusterView) bool {
 		for _, m := range n.conns {
 			m.close()
 		}
-		if n.gc != nil {
-			_ = n.gc.close()
-		}
 	}
 	c.counters.AddViewRefreshes(1)
 	return true
@@ -238,7 +232,7 @@ func (c *Client) putRaw(ctx context.Context, n *clientNode, key string, tagged [
 // newer value, never lose to it.
 func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaRepair, error) {
 	var rep dht.ReplicaRepair
-	if c.replicas <= 1 || c.wire == WireGob {
+	if c.replicas <= 1 {
 		return rep, nil
 	}
 	owners := c.owners(key)
@@ -326,9 +320,6 @@ func (c *Client) ClusterStatus(ctx context.Context) (dht.ClusterStatus, error) {
 // fetchStatus asks the first reachable member for its view and hint
 // backlog over OpStatus.
 func (c *Client) fetchStatus(ctx context.Context) (dht.ClusterView, map[string]int, error) {
-	if c.wire == WireGob {
-		return dht.ClusterView{}, nil, errors.New("tcpnet: membership requires the binary wire")
-	}
 	err := errors.New("tcpnet: no members to query")
 	for _, n := range c.ringNodes() {
 		var tv []byte

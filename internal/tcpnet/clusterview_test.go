@@ -64,9 +64,6 @@ func TestDialClusterConfigValidation(t *testing.T) {
 	if _, err := Dial(ctx, ClusterConfig{Seeds: []string{"a:1"}, HintedHandoff: true}); err == nil {
 		t.Error("hinted handoff without replication must fail")
 	}
-	if _, err := Dial(ctx, ClusterConfig{Seeds: []string{"a:1", "b:1"}, Replicas: 2, Wire: WireGob}); err == nil {
-		t.Error("replication on the gob wire must fail")
-	}
 }
 
 func TestRefreshViewGrowsRing(t *testing.T) {

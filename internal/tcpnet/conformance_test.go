@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -29,172 +28,41 @@ func startServers(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestClientConformance runs the full dhttest battery over both wire
-// formats, with both gob-encoded struct values and raw []byte values (the
-// framed protocol's zero-serialization fast path).
+// TestClientConformance runs the full dhttest battery over the framed
+// wire, with both gob-encoded struct values and raw []byte values (the
+// zero-serialization fast path).
 func TestClientConformance(t *testing.T) {
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		factory := func(t *testing.T) dht.DHT {
-			c, err := DialContext(context.Background(), startServers(t, 3), WithWire(w.wire))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = c.Close() })
-			return c
+	factory := func(t *testing.T) dht.DHT {
+		c, err := DialContext(context.Background(), startServers(t, 3))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(w.name+"/struct", func(t *testing.T) {
-			dhttest.Run(t, factory, dhttest.Options{
-				Keys:         120,
-				ValueFactory: func(i int) dht.Value { return &payload{N: i} },
-				ValueEqual: func(v dht.Value, i int) bool {
-					p, ok := v.(*payload)
-					return ok && p.N == i
-				},
-			})
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+	t.Run("binary/struct", func(t *testing.T) {
+		dhttest.Run(t, factory, dhttest.Options{
+			Keys:         120,
+			ValueFactory: func(i int) dht.Value { return &payload{N: i} },
+			ValueEqual: func(v dht.Value, i int) bool {
+				p, ok := v.(*payload)
+				return ok && p.N == i
+			},
 		})
-		t.Run(w.name+"/bytes", func(t *testing.T) {
-			dhttest.Run(t, factory, dhttest.Options{
-				Keys:         120,
-				ValueFactory: func(i int) dht.Value { return []byte(fmt.Sprintf("v-%d", i)) },
-				ValueEqual: func(v dht.Value, i int) bool {
-					b, ok := v.([]byte)
-					return ok && bytes.Equal(b, []byte(fmt.Sprintf("v-%d", i)))
-				},
-			})
+	})
+	t.Run("binary/bytes", func(t *testing.T) {
+		dhttest.Run(t, factory, dhttest.Options{
+			Keys:         120,
+			ValueFactory: func(i int) dht.Value { return []byte(fmt.Sprintf("v-%d", i)) },
+			ValueEqual: func(v dht.Value, i int) bool {
+				b, ok := v.([]byte)
+				return ok && bytes.Equal(b, []byte(fmt.Sprintf("v-%d", i)))
+			},
 		})
-		t.Run(w.name+"/conditional", func(t *testing.T) {
-			// The byte store serves the CAS from the epoch prefix written
-			// with every put-like op, so conditional semantics must hold
-			// over both wire protocols.
-			dhttest.RunConditional(t, factory, dhttest.Options{})
-		})
-	}
-}
-
-// TestCrossWireConditional pins the conditional plane's interop: an epoch
-// written through one wire must be compared and swapped correctly through
-// the other, in both directions.
-func TestCrossWireConditional(t *testing.T) {
-	addrs := startServers(t, 3)
-	bin, err := DialContext(context.Background(), addrs, WithWire(WireBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = bin.Close() })
-	gb, err := DialContext(context.Background(), addrs, WithWire(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gb.Close() })
-
-	ctx := context.Background()
-	arms := []struct {
-		name           string
-		writer, reader dht.DHT
-	}{
-		{"binary-writes_gob-cas", bin, gb},
-		{"gob-writes_binary-cas", gb, bin},
-	}
-	for _, arm := range arms {
-		t.Run(arm.name, func(t *testing.T) {
-			key := "xc/" + arm.name
-			if err := arm.writer.Put(ctx, key, &dhttest.EpochValue{Epoch: 4, Body: "w"}); err != nil {
-				t.Fatal(err)
-			}
-			if err := dht.DoPutIf(ctx, arm.reader, key, &dhttest.EpochValue{Epoch: 5, Body: "r"}, 3); !errors.Is(err, dht.ErrCASConflict) {
-				t.Fatalf("stale cross-wire PutIf = %v, want ErrCASConflict", err)
-			}
-			var c *dht.CASConflictError
-			if err := dht.DoPutIf(ctx, arm.reader, key, &dhttest.EpochValue{Epoch: 5, Body: "r"}, 3); !errors.As(err, &c) || c.WinnerEpoch != 4 {
-				t.Fatalf("cross-wire conflict carries winner %+v, want epoch 4", c)
-			}
-			if err := dht.DoPutIf(ctx, arm.reader, key, &dhttest.EpochValue{Epoch: 5, Body: "r"}, 4); err != nil {
-				t.Fatalf("matching cross-wire PutIf = %v", err)
-			}
-			v, err := arm.writer.Get(ctx, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev, ok := v.(*dhttest.EpochValue); !ok || ev.Epoch != 5 || ev.Body != "r" {
-				t.Fatalf("cross-wire read-back = %#v, want epoch 5 body r", v)
-			}
-			if err := dht.DoRemoveIf(ctx, arm.writer, key, 5); err != nil {
-				t.Fatalf("cross-wire RemoveIf = %v", err)
-			}
-		})
-	}
-}
-
-// TestCrossWireInterop stores through each wire format and reads through
-// the other: the two protocols must interoperate on one store, for both
-// gob-encoded struct values and raw []byte values.
-func TestCrossWireInterop(t *testing.T) {
-	addrs := startServers(t, 3)
-	bin, err := DialContext(context.Background(), addrs, WithWire(WireBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = bin.Close() })
-	gob, err := DialContext(context.Background(), addrs, WithWire(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gob.Close() })
-
-	ctx := context.Background()
-	writers := map[string]dht.DHT{"binary": bin, "gob": gob}
-	readers := map[string]dht.DHT{"binary": bin, "gob": gob}
-	for wn, w := range writers {
-		for rn, r := range readers {
-			t.Run(wn+"-writes_"+rn+"-reads", func(t *testing.T) {
-				sk := fmt.Sprintf("x/%s/%s/struct", wn, rn)
-				if err := w.Put(ctx, sk, &payload{N: 42, S: "cross"}); err != nil {
-					t.Fatal(err)
-				}
-				v, err := r.Get(ctx, sk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p, ok := v.(*payload); !ok || p.N != 42 || p.S != "cross" {
-					t.Fatalf("struct value = %#v", v)
-				}
-
-				bk := fmt.Sprintf("x/%s/%s/bytes", wn, rn)
-				if err := w.Put(ctx, bk, []byte("raw-bytes")); err != nil {
-					t.Fatal(err)
-				}
-				v, err = r.Get(ctx, bk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b, ok := v.([]byte); !ok || !bytes.Equal(b, []byte("raw-bytes")) {
-					t.Fatalf("bytes value = %#v", v)
-				}
-
-				// Batches cross too.
-				kvs := []dht.KV{
-					{Key: bk + "/b0", Val: []byte("b0")},
-					{Key: bk + "/b1", Val: &payload{N: 1}},
-				}
-				for i, err := range w.(dht.Batcher).PutBatch(ctx, kvs) {
-					if err != nil {
-						t.Fatalf("PutBatch[%d]: %v", i, err)
-					}
-				}
-				vals, errs := r.(dht.Batcher).GetBatch(ctx, []string{bk + "/b0", bk + "/b1", bk + "/absent"})
-				if errs[0] != nil || !bytes.Equal(vals[0].([]byte), []byte("b0")) {
-					t.Fatalf("batch slot 0 = %#v, %v", vals[0], errs[0])
-				}
-				if errs[1] != nil || vals[1].(*payload).N != 1 {
-					t.Fatalf("batch slot 1 = %#v, %v", vals[1], errs[1])
-				}
-				if !errors.Is(errs[2], dht.ErrNotFound) {
-					t.Fatalf("batch slot 2 err = %v, want not found", errs[2])
-				}
-			})
-		}
-	}
+	})
+	t.Run("binary/conditional", func(t *testing.T) {
+		// The byte store serves the CAS from the epoch prefix written
+		// with every put-like op.
+		dhttest.RunConditional(t, factory, dhttest.Options{})
+	})
 }

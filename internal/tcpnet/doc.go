@@ -1,0 +1,25 @@
+// Package tcpnet is the real-network deployment mode: storage nodes that
+// serve a key-value protocol over TCP, and a client that implements the
+// dht.DHT interface over them with client-side consistent hashing.
+//
+// There is one wire: the framed binary protocol (frame.go) —
+// reflection-free length-prefixed frames with pooled buffers, carried by a
+// pipelined multiplexer (mux.go) that keeps many requests in flight per
+// connection. A connection opens with the "LHT2" magic; a server closes
+// one that opens with anything else. Servers are pure byte stores: values
+// travel and are stored tagged (frame.go lists the tags), and the server
+// reads no further into one than its epoch prefix. encoding/gob survives
+// only as a stored-value form, tagGob: what a value that does not
+// serialise itself is encoded with, and what stores and snapshots written
+// before the index's own binary bucket format hold.
+//
+// This is the substrate behind cmd/lht-node and cmd/lht-cli: it
+// demonstrates the paper's "easy to implement and deploy" claim with
+// actual sockets and processes. The cluster's moving parts live here too:
+// gossiped membership that grows and shrinks the client's routing ring
+// (membership.go, clusterview.go), client-driven replication with read
+// spreading and failover (replicas.go), hinted handoff for writes a down
+// holder missed, and per-node circuit breakers (health.go). The index
+// layer sees none of it — it talks to a dht.DHT, which is the point of
+// the over-DHT design.
+package tcpnet

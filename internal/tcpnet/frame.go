@@ -2,7 +2,9 @@ package tcpnet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -11,14 +13,13 @@ import (
 	"lht/internal/dht"
 )
 
-// This file is the framed binary wire codec (wire format 2). Unlike the
-// legacy gob stream it uses no reflection and recycles every buffer it
-// touches, so the encode/decode hot path allocates nothing beyond the
-// returned value bytes.
+// This file is the framed binary wire codec (wire format 2). It uses no
+// reflection and recycles every buffer it touches, so the encode/decode
+// hot path allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT2" (absent on legacy gob
-// connections, which the server detects by peeking). After the magic,
-// both directions speak length-prefixed frames:
+// A connection opens with the 4-byte magic "LHT2"; a server closes one
+// that opens with anything else. After the magic, both directions speak
+// length-prefixed frames:
 //
 //	+---------+------------+--------+---------------------+
 //	| len u32 | request id | op u8  | payload (len-9 B)   |
@@ -49,9 +50,9 @@ import (
 //
 //	tagRaw  0  the bytes ARE the dht.Value (a []byte travels with zero
 //	           serialization work)
-//	tagGob  1  encoding/gob, exactly the bytes the legacy protocol would
-//	           have carried: any registered type that does not serialise
-//	           itself, and every value a pre-tagWire node stored
+//	tagGob  1  encoding/gob, a stored-value form only: any registered
+//	           type that does not serialise itself, and every value a
+//	           pre-tagWire node stored
 //	tagEpoch 2 uv epoch, then the inner tagged form: the prefix a value
 //	           whose type implements dht.Epocher travels with, so the
 //	           server can serve CAS comparisons without ever decoding a
@@ -61,9 +62,8 @@ import (
 //	           the frame buffer and decoded through dht.DecodeWire with no
 //	           reflection and no knowledge of the type here
 //
-// Servers store values with their tags, so the two wire formats, and
-// values written before and after tagWire existed, interoperate on one
-// store.
+// Servers store values with their tags, so values written before and
+// after tagWire existed interoperate on one store.
 //
 // A get may end in an 8-byte hint, which makes it a probe (dht.Prober):
 // the requester can perhaps do without most of the value. The reply to a
@@ -91,8 +91,7 @@ import (
 // get slot, n=0 for a put slot); not-found = nothing; error = uv n,
 // n-byte message.
 const (
-	// wireMagic opens every framed binary connection; its absence selects
-	// the legacy gob protocol.
+	// wireMagic opens every connection; the server closes one without it.
 	wireMagic = "LHT2"
 
 	// frameHeaderLen is the id+op prefix counted inside the length field.
@@ -120,7 +119,7 @@ const (
 // Value tag bytes.
 const (
 	tagRaw   = 0 // the bytes are the dht.Value (a []byte) verbatim
-	tagGob   = 1 // encoding/gob, same bytes as the legacy protocol
+	tagGob   = 1 // encoding/gob of the dht.Value
 	tagEpoch = 2 // uv epoch then an inner tagged value; serves CAS compares
 	tagWire  = 3 // kind u8 then the dht.WireValue's own serialized form
 )
@@ -177,6 +176,26 @@ func appendLenString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// encodeValue serializes a dht.Value with gob, the tagGob stored form.
+// Concrete types must be registered (lht.RegisterGobTypes or gob.Register)
+// by the embedding program.
+func encodeValue(v dht.Value) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+		return nil, fmt.Errorf("tcpnet: encode value: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeValue is the inverse of encodeValue.
+func decodeValue(data []byte) (dht.Value, error) {
+	var v dht.Value
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
+		return nil, fmt.Errorf("tcpnet: decode value: %w", err)
+	}
+	return v, nil
+}
+
 // gobEncoded returns v's gob bytes when v has to travel as tagGob, and nil
 // for the types that need no encoding pass: raw bytes and values that
 // serialise themselves.
@@ -189,10 +208,9 @@ func gobEncoded(v dht.Value) ([]byte, error) {
 }
 
 // appendValue appends the tagged wire form of v: a []byte travels raw, a
-// dht.WireValue writes itself into b, any other type goes through gob
-// exactly as the legacy protocol would. A value carrying a CAS epoch
-// (dht.Epocher) is prefixed with tagEpoch and the epoch varint so the
-// server can compare epochs on pure bytes.
+// dht.WireValue writes itself into b, any other type goes through gob.
+// A value carrying a CAS epoch (dht.Epocher) is prefixed with tagEpoch
+// and the epoch varint so the server can compare epochs on pure bytes.
 func appendValue(b []byte, v dht.Value) ([]byte, error) {
 	enc, err := gobEncoded(v)
 	if err != nil {

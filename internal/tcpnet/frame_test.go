@@ -119,7 +119,7 @@ func TestTaggedValueRoundTrip(t *testing.T) {
 		t.Error("decoded value aliases the input buffer")
 	}
 
-	// Arbitrary type: gob, byte-identical to the legacy encoding.
+	// Arbitrary type: gob, byte-identical to what pre-tagWire stores hold.
 	b, err = appendValue(nil, &payload{N: 9, S: "s"})
 	if err != nil {
 		t.Fatal(err)
@@ -127,12 +127,12 @@ func TestTaggedValueRoundTrip(t *testing.T) {
 	if b[0] != tagGob {
 		t.Fatalf("tag = %d", b[0])
 	}
-	legacy, err := encodeValue(&payload{N: 9, S: "s"})
+	stored, err := encodeValue(&payload{N: 9, S: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b[1:], legacy) {
-		t.Error("tagGob bytes differ from the legacy gob encoding")
+	if !bytes.Equal(b[1:], stored) {
+		t.Error("tagGob bytes differ from the plain gob encoding")
 	}
 	v, err = decodeTaggedValue(b)
 	if err != nil {

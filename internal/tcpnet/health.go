@@ -2,8 +2,8 @@ package tcpnet
 
 // Graceful degradation for the cluster client: per-node circuit breakers
 // over the shared dht.Breaker state machine, a pluggable dialer (the
-// injection point for the netchaos plane), redial backoff for both wire
-// formats, and per-operation deadline budgets for replica failover.
+// injection point for the netchaos plane), redial backoff, and
+// per-operation deadline budgets for replica failover.
 //
 // The health plane is opt-in (WithHealth): without it the client keeps
 // its original contract — every operation attempts its node, transport
@@ -72,8 +72,8 @@ const (
 	dialBackoffMax  = 250 * time.Millisecond
 )
 
-// redialGate is the lazy-redial cooldown both wire formats consult
-// before dialing: a dead node costs one dial per backoff window, not one
+// redialGate is the lazy-redial cooldown a connection consults before
+// dialing: a dead node costs one dial per backoff window, not one
 // per operation. All methods must be called under the owning
 // connection's lock.
 type redialGate struct {
@@ -247,7 +247,7 @@ func (c *Client) verifyDegraded(ctx context.Context) error {
 		wg.Add(1)
 		go func(n *clientNode) {
 			defer wg.Done()
-			err := c.verify(ctx, n)
+			err := n.conns[0].connect(ctx) // dials and pings
 			mu.Lock()
 			defer mu.Unlock()
 			if err == nil {

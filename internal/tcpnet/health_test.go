@@ -424,38 +424,33 @@ func TestExpiredDeadlineDoesNotTripBreaker(t *testing.T) {
 // breaker, a dead node must cost one dial per backoff window, not one
 // dial per operation — rapid-fire calls mostly fail fast on the gate.
 func TestRedialBackoffLimitsDials(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		t.Run(tc.name, func(t *testing.T) {
-			addrs, srvs := startServerMap(t, 1)
-			cd := &countingDialer{}
-			c, err := DialContext(context.Background(), addrs, WithWire(tc.wire), WithDialer(cd))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = c.Close() }()
-			ctx := context.Background()
-			if err := c.Put(ctx, "k", &payload{N: 1}); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("binary", func(t *testing.T) {
+		addrs, srvs := startServerMap(t, 1)
+		cd := &countingDialer{}
+		c, err := DialContext(context.Background(), addrs, WithDialer(cd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		ctx := context.Background()
+		if err := c.Put(ctx, "k", &payload{N: 1}); err != nil {
+			t.Fatal(err)
+		}
 
-			_ = srvs[addrs[0]].Close()
-			cd.fail.Store(true) // refuse instantly: no OS connect latency
-			before := cd.dials.Load()
-			const calls = 200
-			for i := 0; i < calls; i++ {
-				if _, err := c.Get(ctx, "k"); err == nil {
-					t.Fatal("Get against dead node succeeded")
-				} else if !dht.IsTransient(err) {
-					t.Fatalf("backed-off Get = %v, want transient", err)
-				}
+		_ = srvs[addrs[0]].Close()
+		cd.fail.Store(true) // refuse instantly: no OS connect latency
+		before := cd.dials.Load()
+		const calls = 200
+		for i := 0; i < calls; i++ {
+			if _, err := c.Get(ctx, "k"); err == nil {
+				t.Fatal("Get against dead node succeeded")
+			} else if !dht.IsTransient(err) {
+				t.Fatalf("backed-off Get = %v, want transient", err)
 			}
-			dials := cd.dials.Load() - before
-			if dials >= calls {
-				t.Fatalf("%d calls cost %d dials: redial gate not limiting", calls, dials)
-			}
-		})
-	}
+		}
+		dials := cd.dials.Load() - before
+		if dials >= calls {
+			t.Fatalf("%d calls cost %d dials: redial gate not limiting", calls, dials)
+		}
+	})
 }

@@ -18,9 +18,7 @@ import (
 // their frames into the socket and a reader goroutine correlates response
 // frames back to waiters through a request-id-keyed pending table. A
 // cancelled caller abandons its pending slot and walks away — the
-// connection (and everyone else's in-flight requests) keeps going, unlike
-// the legacy gob path, which could only interrupt a round trip by killing
-// the shared connection.
+// connection (and everyone else's in-flight requests) keeps going.
 //
 // The connection dials lazily and redials after a failure; every dial is
 // health-checked with a synchronous ping before the connection is handed
@@ -82,8 +80,7 @@ func (m *mconn) connect(ctx context.Context) error {
 
 // ensureLocked returns the live wireState, dialing (with a health-check
 // ping) if there is none. Called with m.mu held; the dial happens under
-// the lock, which serializes concurrent reconnect attempts exactly like
-// the legacy per-connection mutex did.
+// the lock, which serializes concurrent reconnect attempts.
 func (m *mconn) ensureLocked(ctx context.Context) (*wireState, error) {
 	if m.closed {
 		return nil, errClientClosed
@@ -137,7 +134,7 @@ const handshakeTimeout = 5 * time.Second
 // (capped at handshakeTimeout when absent), and cancelling the context
 // closes the socket to unblock the read.
 func handshake(ctx context.Context, conn net.Conn) error {
-	dl := deadline(ctx)
+	dl, _ := ctx.Deadline()
 	if lim := time.Now().Add(handshakeTimeout); dl.IsZero() || dl.After(lim) {
 		dl = lim
 	}
@@ -288,8 +285,7 @@ func (m *mconn) transport(err error) error {
 
 // call performs one framed round trip: build encodes the request payload
 // (called once per attempt, appending to a pooled frame). A transport
-// failure is retried once on a fresh connection, mirroring the legacy
-// path's reconnect-within-the-call behaviour; context cancellation and
+// failure is retried once on a fresh connection; context cancellation and
 // server-level responses are returned as-is. The returned buffer is the
 // response frame body (id+op+payload) and must be recycled with putBuf.
 func (m *mconn) call(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (*[]byte, error) {

@@ -73,7 +73,7 @@ func (s *Server) LoadSnapshot(path string) error {
 	case 1:
 		// Format 1 predates value tagging: every value is gob bytes.
 		for k, v := range snap.Store {
-			snap.Store[k] = tagWrap(v)
+			snap.Store[k] = append([]byte{tagGob}, v...)
 		}
 	default:
 		return fmt.Errorf("tcpnet: snapshot format %d, want %d", snap.Format, snapshotFormat)

@@ -246,34 +246,29 @@ func TestPipelinedClientStress(t *testing.T) {
 // TestNoGoroutinePerCall verifies the satellite that removed the per-call
 // cancellation watcher: a burst of calls on a never-cancelled context must
 // not grow the goroutine count (the old client spawned one goroutine per
-// round trip; both wire paths are now goroutine-free per call).
+// round trip; the framed path is goroutine-free per call).
 func TestNoGoroutinePerCall(t *testing.T) {
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		t.Run(w.name, func(t *testing.T) {
-			addrs := startServers(t, 1)
-			c, err := DialContext(context.Background(), addrs, WithWire(w.wire), WithPoolSize(1))
-			if err != nil {
+	t.Run("binary", func(t *testing.T) {
+		addrs := startServers(t, 1)
+		c, err := DialContext(context.Background(), addrs, WithPoolSize(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ctx := context.Background()
+		if err := c.Put(ctx, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			if _, err := c.Get(ctx, "k"); err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			ctx := context.Background()
-			if err := c.Put(ctx, "k", []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			base := runtime.NumGoroutine()
-			for i := 0; i < 200; i++ {
-				if _, err := c.Get(ctx, "k"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := countGoroutines(base); n > base {
-				t.Errorf("goroutine count grew %d -> %d over 200 sequential calls", base, n)
-			}
-		})
-	}
+		}
+		if n := countGoroutines(base); n > base {
+			t.Errorf("goroutine count grew %d -> %d over 200 sequential calls", base, n)
+		}
+	})
 }
 
 // TestCancellationAbandonsSlot pins the framed wire's cancellation

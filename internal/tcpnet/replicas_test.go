@@ -220,9 +220,6 @@ func TestReplicasValidation(t *testing.T) {
 	if _, err := DialContext(context.Background(), addrs, WithReplicas(3)); err == nil {
 		t.Error("3 replicas on a 2-node cluster dialed")
 	}
-	if _, err := DialContext(context.Background(), addrs, WithReplicas(2), WithWire(WireGob)); err == nil {
-		t.Error("replicated gob wire dialed")
-	}
 	// Duplicate addresses must fail the dial outright — they can never
 	// shrink the distinct-node count below the replica count, which would
 	// leave owners() handing out short holder sets.

@@ -76,11 +76,11 @@ func appendCASConflict(out []byte, exists bool, winner uint64) []byte {
 }
 
 // respond appends the status + payload of op's response. Counter
-// discipline matches the legacy path exactly (the cost-model oracle pins
-// this): every routed op charges one lookup per key, misses charge failed
-// gets, Write is free, batches feed the batch counters. Batch payloads
-// are validated in full before any counter is charged or key served, so a
-// malformed frame has no side effects.
+// discipline is the cost model's (TestCodecOracle pins it against
+// dht.Local): every routed op charges one lookup per key, misses charge
+// failed gets, Write is free, batches feed the batch counters. Batch
+// payloads are validated in full before any counter is charged or key
+// served, so a malformed frame has no side effects.
 func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 	c := cursor{b: payload}
 	s.mu.Lock()

@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"lht/internal/dht"
 	ilht "lht/internal/lht"
@@ -226,13 +228,71 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	}
 }
 
+// gobPutStream is what a pre-framed-wire client's gob encoder opened a
+// connection with: the type descriptors of its request struct, then a put
+// of key "k". Recorded from the last build that spoke that protocol.
+const gobPutStream = "c\x7f\x03\x01\x01\arequest\x01\xff\x80\x00\x01\b\x01\x02Op\x01\x06\x00\x01\x03Key\x01\f\x00\x01\x03Val\x01\n\x00\x01\x04Keys\x01\xff\x82\x00\x01\x03KVs\x01\xff\x86\x00\x01\aIfEpoch\x01\x06\x00\x01\x05Epoch\x01\x06\x00\x01\nEpochKnown\x01\x02\x00\x00\x00" +
+	"\x16\xff\x81\x02\x01\x01\b[]string\x01\xff\x82\x00\x01\f\x00\x00" +
+	"\x1f\xff\x85\x02\x01\x01\x10[]tcpnet.batchKV\x01\xff\x86\x00\x01\xff\x84\x00\x00" +
+	">\xff\x83\x03\x01\x01\abatchKV\x01\xff\x84\x00\x01\x04\x01\x03Key\x01\f\x00\x01\x03Val\x01\n\x00\x01\x05Epoch\x01\x06\x00\x01\nEpochKnown\x01\x02\x00\x00\x00" +
+	"\v\xff\x80\x01\x03\x01\x01k\x01\x01\x01\x00"
+
+// TestServerRejectsNonMagic: a connection that does not open with the
+// LHT2 magic, or follows it with something that is not a frame, is closed
+// without a byte served, the store untouched and no handler left behind.
+func TestServerRejectsNonMagic(t *testing.T) {
+	_, servers := startCluster(t, 1)
+	srv := servers[0]
+	addr := srv.ln.Addr().String()
+	leak := checkGoroutines(t)
+
+	for name, tc := range map[string]struct {
+		send      string
+		halfClose bool // the peer hangs up before the magic is complete
+	}{
+		"gob stream":        {send: gobPutStream},
+		"nothing then EOF":  {send: "", halfClose: true},
+		"1 byte then EOF":   {send: "L", halfClose: true},
+		"3 bytes then EOF":  {send: "LHT", halfClose: true},
+		"wrong magic":       {send: "LHT1"},
+		"magic, short len":  {send: wireMagic + "\x00\x00\x00\x01junk"},
+		"magic, huge len":   {send: wireMagic + "\xff\xff\xff\xffjunk"},
+		"magic, torn frame": {send: wireMagic + "\x00\x00\x00\x20junk", halfClose: true},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(tc.send)); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		if tc.halfClose {
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatalf("%s: close write: %v", name, err)
+			}
+		}
+		// A close that leaves sent bytes unread reaches the peer as a reset,
+		// not an EOF; either is a close, a timeout is not.
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, err := io.ReadAll(conn)
+		if len(got) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: server answered %q, %v; want a bare close", name, got, err)
+		}
+		_ = conn.Close()
+	}
+	if n := srv.Len(); n != 0 {
+		t.Errorf("store holds %d keys after rejected connections, want 0", n)
+	}
+	leak()
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/node.snap"
 
 	srv := NewServer()
 	for i := 0; i < 50; i++ {
-		srv.apply(request{Op: opPut, Key: fmt.Sprintf("k%d", i), Val: []byte{byte(i)}})
+		srv.store[fmt.Sprintf("k%d", i)] = []byte{tagRaw, byte(i)}
 	}
 	if err := srv.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
@@ -245,9 +305,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if restored.Len() != 50 {
 		t.Fatalf("restored %d keys, want 50", restored.Len())
 	}
-	resp := restored.apply(request{Op: opGet, Key: "k7"})
-	if !resp.Found || resp.Val[0] != 7 {
-		t.Fatalf("restored value = %+v", resp)
+	if v := restored.store["k7"]; string(v) != string([]byte{tagRaw, 7}) {
+		t.Fatalf("restored value = % x", v)
 	}
 
 	// Missing snapshot is a fresh node, not an error.

@@ -60,10 +60,10 @@ func BenchmarkFrameDecode(b *testing.B) {
 }
 
 // benchCluster is one server + one client for end-to-end benchmarks.
-func benchCluster(b *testing.B, opts ...Option) *Client {
+func benchCluster(b *testing.B) *Client {
 	b.Helper()
 	addrs := startBenchServers(b, 1)
-	c, err := DialContext(context.Background(), addrs, opts...)
+	c, err := DialContext(context.Background(), addrs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,28 +87,21 @@ func startBenchServers(b *testing.B, n int) []string {
 	return addrs
 }
 
-// BenchmarkWireGet / BenchmarkWirePut compare the full client round trip
-// across codecs with a raw []byte value: run with -benchmem to see the
-// allocs/op gap that ablation A8 gates on.
+// BenchmarkWireGet / BenchmarkWirePut time the full client round trip
+// with a raw []byte value: run with -benchmem to see the allocs/op that
+// ablation A8 gates on.
 func BenchmarkWireGet(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		b.Run(w.name, func(b *testing.B) {
-			c := benchCluster(b, WithWire(w.wire))
-			ctx := context.Background()
-			if err := c.Put(ctx, "k", bytes.Repeat([]byte("x"), 256)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Get(ctx, "k"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := benchCluster(b)
+	ctx := context.Background()
+	if err := c.Put(ctx, "k", bytes.Repeat([]byte("x"), 256)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Get(ctx, "k"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -143,22 +136,15 @@ func benchWireProbe(b *testing.B, delta float64) {
 }
 
 func BenchmarkWirePut(b *testing.B) {
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		b.Run(w.name, func(b *testing.B) {
-			c := benchCluster(b, WithWire(w.wire))
-			ctx := context.Background()
-			val := bytes.Repeat([]byte("x"), 256)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Put(ctx, "k", val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := benchCluster(b)
+	ctx := context.Background()
+	val := bytes.Repeat([]byte("x"), 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Put(ctx, "k", val); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -181,39 +167,32 @@ func BenchmarkWirePipelined(b *testing.B) {
 	})
 }
 
-// BenchmarkWireGetBatch compares a 64-key batch across codecs.
+// BenchmarkWireGetBatch times a 64-key batch.
 func BenchmarkWireGetBatch(b *testing.B) {
 	const n = 64
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bk-%03d", i)
 	}
-	for _, w := range []struct {
-		name string
-		wire Wire
-	}{{"binary", WireBinary}, {"gob", WireGob}} {
-		b.Run(w.name, func(b *testing.B) {
-			c := benchCluster(b, WithWire(w.wire))
-			ctx := context.Background()
-			kvs := make([]dht.KV, n)
-			for i, k := range keys {
-				kvs[i] = dht.KV{Key: k, Val: []byte("v-" + k)}
+	c := benchCluster(b)
+	ctx := context.Background()
+	kvs := make([]dht.KV, n)
+	for i, k := range keys {
+		kvs[i] = dht.KV{Key: k, Val: []byte("v-" + k)}
+	}
+	for _, err := range c.PutBatch(ctx, kvs) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, errs := c.GetBatch(ctx, keys)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
 			}
-			for _, err := range c.PutBatch(ctx, kvs) {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, errs := c.GetBatch(ctx, keys)
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+		}
 	}
 }

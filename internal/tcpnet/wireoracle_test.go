@@ -3,92 +3,36 @@ package tcpnet
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
 	"testing"
-	"time"
 
+	"lht/internal/dht"
 	ilht "lht/internal/lht"
 	"lht/internal/record"
 )
 
-// servedCounters are the cost-model counters a tcpnet server maintains,
-// summed across a cluster.
-type servedCounters struct {
-	Lookups, FailedGets, BatchOps, BatchedKeys, RoundTrips int64
+// oracleCost is the slice of the index's own cost counters the oracle
+// compares across substrates.
+type oracleCost struct {
+	Lookups, FailedGets, BatchedKeys, CASConflicts, CASFallbacks int64
 }
 
-func sumServed(servers []*Server) servedCounters {
-	var tot servedCounters
-	for _, s := range servers {
-		f := s.Metrics().Flat()
-		tot.Lookups += f.Lookups
-		tot.FailedGets += f.FailedGets
-		tot.BatchOps += f.BatchOps
-		tot.BatchedKeys += f.BatchedKeys
-		tot.RoundTrips += f.RoundTrips()
-	}
-	return tot
-}
-
-// runWireArm boots a cluster, runs the oracle workload over the given
-// wire format, and returns the gob-encoded tree plus the served counters.
-// On the first call *addrs is empty and the cluster picks fresh ports,
-// recording them; later calls rebind the same ports so consistent hashing
-// assigns every key to the same node in every arm (server-side batch
-// counters depend on how keys group by owner). Everything is torn down
-// before returning so the next arm can bind.
-func runWireArm(t *testing.T, addrs *[]string, wire Wire) ([]byte, servedCounters) {
+func newOracleIndex(t *testing.T, d dht.DHT) *ilht.Index {
 	t.Helper()
-	fresh := len(*addrs) == 0
-	servers := make([]*Server, 0, 3)
-	var conns []*Client
-	for i := 0; i < 3; i++ {
-		var ln net.Listener
-		var err error
-		if fresh {
-			ln, err = net.Listen("tcp", "127.0.0.1:0")
-		} else {
-			for try := 0; try < 100; try++ {
-				ln, err = net.Listen("tcp", (*addrs)[i])
-				if err == nil {
-					break
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		}
-		if err != nil {
-			t.Skipf("port not reusable for the second arm: %v", err)
-		}
-		if fresh {
-			*addrs = append(*addrs, ln.Addr().String())
-		}
-		srv := NewServer()
-		go func() { _ = srv.Serve(ln) }()
-		servers = append(servers, srv)
-	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		for _, s := range servers {
-			_ = s.Close()
-		}
-	}()
-
-	c, err := DialContext(context.Background(), *addrs, WithWire(wire))
+	ix, err := ilht.New(d, ilht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns = append(conns, c)
+	return ix
+}
 
-	ix, err := ilht.New(c, ilht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// runOracleWorkload runs the seeded oracle workload through a fresh index
+// (newOracleIndex) and returns every leaf in its EncodeBucket form plus what the index
+// charged itself.
+func runOracleWorkload(t *testing.T, ix *ilht.Index) ([][]byte, oracleCost) {
+	t.Helper()
 	// Deterministic workload: bulk load (exercises the batch plane), point
 	// inserts, deletes, searches and range queries, including misses.
 	rng := rand.New(rand.NewSource(99))
@@ -131,30 +75,86 @@ func runWireArm(t *testing.T, addrs *[]string, wire Wire) ([]byte, servedCounter
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(leaves); err != nil {
-		t.Fatal(err)
+	enc := make([][]byte, len(leaves))
+	for i, b := range leaves {
+		if enc[i], err = ilht.EncodeBucket(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return buf.Bytes(), sumServed(servers)
+	f := ix.Metrics().Flat()
+	return enc, oracleCost{
+		Lookups: f.Lookups, FailedGets: f.FailedGets, BatchedKeys: f.BatchedKeys,
+		CASConflicts: f.CASConflicts, CASFallbacks: f.CASFallbacks,
+	}
 }
 
-// TestCodecOracle pins the framed binary wire to the legacy gob wire: the
-// identical index workload over each codec must produce byte-identical
-// tree state and byte-identical cost-model counters — the new wire may
-// change how bytes travel, never what the index observes or what the cost
-// model charges.
+// TestCodecOracle pins the framed wire to the in-memory reference: the
+// identical index workload over a 3-node tcpnet cluster and over dht.Local
+// must leave byte-identical leaves and charge the index identical costs —
+// the wire may change how bytes travel, never what the index observes or
+// what the cost model charges — and the servers must have charged exactly
+// what the client was.
 func TestCodecOracle(t *testing.T) {
-	var addrs []string
-	binTree, binServed := runWireArm(t, &addrs, WireBinary)
-	gobTree, gobServed := runWireArm(t, &addrs, WireGob)
+	servers := make([]*Server, 3)
+	addrs := make([]string, 3)
+	for i := range servers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer()
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { _ = srv.Close() })
+		servers[i], addrs[i] = srv, ln.Addr().String()
+	}
+	c, err := DialContext(context.Background(), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
 
-	if !bytes.Equal(binTree, gobTree) {
-		t.Errorf("tree state diverges across codecs: %d vs %d bytes", len(binTree), len(gobTree))
+	sumServed := func() (tot oracleCost, batchOps int64) {
+		for _, s := range servers {
+			f := s.Metrics().Flat()
+			tot.Lookups += f.Lookups
+			tot.FailedGets += f.FailedGets
+			tot.BatchedKeys += f.BatchedKeys
+			batchOps += f.BatchOps
+		}
+		return tot, batchOps
 	}
-	if binServed != gobServed {
-		t.Errorf("cost-model counters diverge across codecs:\n binary: %+v\n gob:    %+v", binServed, gobServed)
+
+	// The index bootstraps its root before its counters exist, so the
+	// servers' charge is taken from here on.
+	ix := newOracleIndex(t, c)
+	before, _ := sumServed()
+	wireLeaves, wireCost := runOracleWorkload(t, ix)
+	served, batchOps := sumServed()
+	served.Lookups -= before.Lookups
+	served.FailedGets -= before.FailedGets
+	localLeaves, localCost := runOracleWorkload(t, newOracleIndex(t, dht.NewLocal()))
+
+	if len(wireLeaves) != len(localLeaves) {
+		t.Fatalf("tree state diverges from dht.Local: %d vs %d leaves", len(wireLeaves), len(localLeaves))
 	}
-	if binServed.Lookups == 0 || binServed.BatchOps == 0 {
-		t.Errorf("oracle workload did not exercise the cost model: %+v", binServed)
+	for i := range wireLeaves {
+		if !bytes.Equal(wireLeaves[i], localLeaves[i]) {
+			t.Errorf("leaf %d diverges from dht.Local: %d vs %d bytes", i, len(wireLeaves[i]), len(localLeaves[i]))
+		}
+	}
+	if wireCost != localCost {
+		t.Errorf("index cost counters diverge:\n tcpnet: %+v\n local:  %+v", wireCost, localCost)
+	}
+	if wireCost.CASFallbacks != 0 {
+		t.Errorf("conditional ops fell back to fetch-verify on a native wire: %+v", wireCost)
+	}
+
+	want := oracleCost{Lookups: wireCost.Lookups, FailedGets: wireCost.FailedGets, BatchedKeys: wireCost.BatchedKeys}
+	if served != want {
+		t.Errorf("servers charged %+v, the client was charged %+v", served, want)
+	}
+	// BatchOps is per owner on the server, per call on the client.
+	if served.Lookups == 0 || batchOps == 0 {
+		t.Errorf("oracle workload did not exercise the cost model: %+v, %d batch ops", served, batchOps)
 	}
 }

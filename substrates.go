@@ -211,8 +211,8 @@ func NewKademliaDHT(n int, cfg KademliaConfig) (*KademliaNetwork, error) {
 // RegisterGobTypes registers the index's stored types with encoding/gob.
 // Buckets cross the tcpnet wire in their own binary format and need no
 // registration; gob is still what reads a bucket stored before that
-// format existed (an old node snapshot) and what the legacy gob wire
-// speaks, so programs that may meet either call this first.
+// format existed (an old node snapshot), so programs that may meet one
+// call this first.
 func RegisterGobTypes() {
 	gob.Register(&ilht.Bucket{})
 }
