@@ -294,8 +294,8 @@ func benchmarkLookup(b *testing.B, cached bool) {
 			b.Fatal(err)
 		}
 	}
-	diff := ix.Metrics().Sub(before).Flat()
-	b.ReportMetric(float64(diff.Lookups)/float64(b.N), "dht-lookups/query")
+	diff := ix.Metrics().Sub(before)
+	b.ReportMetric(float64(diff.Lookup.Total)/float64(b.N), "dht-lookups/query")
 }
 
 // BenchmarkLookupCached is the leaf-cache fast path: repeat exact-match

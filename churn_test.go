@@ -115,9 +115,9 @@ func TestTornSplitOverChordRepaired(t *testing.T) {
 			t.Fatalf("Get(%v) on torn tree: %v", k, err)
 		}
 	}
-	s := fresh.Metrics().Flat()
-	if s.TornSplits != 1 || s.Repairs != 1 {
-		t.Fatalf("TornSplits=%d Repairs=%d, want 1, 1", s.TornSplits, s.Repairs)
+	s := fresh.Metrics()
+	if s.Repair.TornSplits != 1 || s.Repair.Repairs != 1 {
+		t.Fatalf("TornSplits=%d Repairs=%d, want 1, 1", s.Repair.TornSplits, s.Repair.Repairs)
 	}
 	rep, err := fresh.Scrub()
 	if err != nil || !rep.Clean() {

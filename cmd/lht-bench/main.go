@@ -395,8 +395,7 @@ func runExperiments(ctx context.Context, cfg config, out io.Writer) error {
 		return fmt.Errorf("interrupted: %w", err)
 	}
 	if cfg.jsonPath != "" {
-		flat := cfg.opts.Agg.Snapshot().Flat()
-		report.Counters = &flat
+		report.Counters = cfg.opts.Agg.Snapshot().Counts()
 		if err := report.WriteFile(cfg.jsonPath); err != nil {
 			return err
 		}

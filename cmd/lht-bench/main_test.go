@@ -8,6 +8,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"lht/internal/bench"
+	"lht/internal/metrics"
 )
 
 func runBench(t *testing.T, args ...string) string {
@@ -74,11 +77,9 @@ func TestRunJSONLatencySchema(t *testing.T) {
 		t.Fatalf("reading %s: %v", path, err)
 	}
 	var report struct {
-		Schema   string `json:"schema"`
-		Counters *struct {
-			Lookups int64 `json:"lookups"`
-		} `json:"counters"`
-		Results []struct {
+		Schema   string           `json:"schema"`
+		Counters map[string]int64 `json:"counters"`
+		Results  []struct {
 			Latency []struct {
 				Op    string  `json:"op"`
 				Count int64   `json:"count"`
@@ -94,8 +95,21 @@ func TestRunJSONLatencySchema(t *testing.T) {
 	if report.Schema != "lht-bench/2" {
 		t.Errorf("schema = %q, want lht-bench/2", report.Schema)
 	}
-	if report.Counters == nil || report.Counters.Lookups == 0 {
+	if report.Counters["lookups"] == 0 {
 		t.Errorf("run-level counters missing or empty: %+v", report.Counters)
+	}
+	if len(report.Counters) != int(metrics.NumCounters) {
+		t.Errorf("counters block has %d keys, want %d", len(report.Counters), metrics.NumCounters)
+	}
+	// The key set must not drift from the reports already checked in.
+	base, err := bench.LoadReport("../../results/baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range report.Counters {
+		if _, ok := base.Counters[k]; !ok {
+			t.Errorf("counter %q missing from results/baseline.json", k)
+		}
 	}
 	var ops []string
 	for _, res := range report.Results {

@@ -297,9 +297,9 @@ func dispatch(ctx context.Context, ix *lht.Index, cmd []string, seed int64, out 
 				return err
 			}
 		}
-		s := ix.Metrics().Flat()
+		s := ix.Metrics()
 		fmt.Fprintf(out, "inserted %d records: %d DHT-lookups, %d splits, %d record slots moved\n",
-			n, s.Lookups, s.Splits, s.MovedRecords)
+			n, s.Lookup.Total, s.Lookup.Splits, s.Lookup.MovedRecords)
 	default:
 		return fmt.Errorf("unknown command %q", cmd[0])
 	}

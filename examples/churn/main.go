@@ -89,9 +89,9 @@ func run() error {
 	// it (section 8.2: "LHT has no need of periodical maintenance...
 	// this piece of work is left to and well done by the underlying
 	// DHT").
-	s := ix.Metrics().Flat()
+	s := ix.Metrics()
 	fmt.Printf("\nindex maintenance across all churn: %d splits, %d merges, %d maintenance lookups\n",
-		s.Splits, s.Merges, s.MaintLookups)
+		s.Lookup.Splits, s.Lookup.Merges, s.Lookup.Maintenance)
 	fmt.Printf("(every one of them caused by data growth, none by the %d membership changes)\n", 8*2+4)
 
 	recs, _, err := ix.Range(0, 1)

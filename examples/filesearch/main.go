@@ -84,8 +84,8 @@ func run() error {
 	fmt.Printf("substrate cost: %d Chord messages for the query (ring of 32 nodes, O(log N) hops per lookup)\n",
 		queryMsgs)
 
-	s := ix.Metrics().Flat()
+	s := ix.Metrics()
 	fmt.Printf("\nbulk load: %d Chord messages, %d leaf splits, %d record slots moved (one DHT-lookup per split)\n",
-		loadMsgs, s.Splits, s.MovedRecords)
+		loadMsgs, s.Lookup.Splits, s.Lookup.MovedRecords)
 	return nil
 }

@@ -65,10 +65,10 @@ func run() error {
 
 	// Maintenance summary (section 8): one DHT-lookup and half a bucket
 	// moved per split.
-	s := ix.Metrics().Flat()
+	s := ix.Metrics()
 	alpha, splits := ix.AlphaMean()
 	fmt.Printf("\nmaintenance: %d splits, %d record slots moved, %d maintenance lookups\n",
-		s.Splits, s.MovedRecords, s.MaintLookups)
+		s.Lookup.Splits, s.Lookup.MovedRecords, s.Lookup.Maintenance)
 	fmt.Printf("average alpha over %d splits: %.4f (theory: 1/2 + 1/(2*theta) = %.4f)\n",
 		splits, alpha, 0.5+1.0/(2*float64(ix.Config().SplitThreshold)))
 	return nil

@@ -89,9 +89,9 @@ func run() error {
 			return fmt.Errorf("delete %v: %w", k, err)
 		}
 	}
-	s := ix.Metrics().Flat()
+	s := ix.Metrics()
 	fmt.Printf("\naged out %d readings: %d leaf merges reclaimed buckets (%d splits during load)\n",
-		len(expired), s.Merges, s.Splits)
+		len(expired), s.Lookup.Merges, s.Lookup.Splits)
 	if err := ix.CheckInvariants(); err != nil {
 		return fmt.Errorf("invariants after aging: %w", err)
 	}

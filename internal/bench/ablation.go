@@ -131,12 +131,12 @@ func RunMergeAblation(o Options, dist workload.Dist, size, churnOps int) (Result
 				}
 				live[victim] = nr
 			}
-			maint := ix.Metrics().Sub(before).Flat()
+			maint := ix.Metrics().Sub(before)
 			leaves, err := ix.Leaves()
 			if err != nil {
 				return res, err
 			}
-			mrow = append(mrow, float64(maint.MaintLookups)/float64(churnOps))
+			mrow = append(mrow, float64(maint.Lookup.Maintenance)/float64(churnOps))
 			lrow = append(lrow, float64(len(leaves)))
 		}
 		maintYs[t], leafYs[t] = mrow, lrow
@@ -190,10 +190,10 @@ func RunThetaSweep(o Options, dist workload.Dist, size int, thetas []int, span f
 				}
 				ltot += lcost.Lookups
 			}
-			s := ix.Metrics().Flat()
+			s := ix.Metrics()
 			rrow = append(rrow, float64(rtot)/float64(o.Queries))
 			lrow = append(lrow, float64(ltot)/float64(o.Queries))
-			mrow = append(mrow, float64(s.MovedRecords)/float64(size))
+			mrow = append(mrow, float64(s.Lookup.MovedRecords)/float64(size))
 		}
 		rangeYs[t], movedYs[t], lookupYs[t] = rrow, mrow, lrow
 	}

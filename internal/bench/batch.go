@@ -81,7 +81,7 @@ func RunBatchAblation(o Options, dist workload.Dist, sizes []int) (Result, Resul
 				if _, err := ix.BulkLoad(recs); err != nil {
 					return load, query, fmt.Errorf("bench: bulk load (%s): %w", variant.name, err)
 				}
-				loaded := ix.Metrics().Flat()
+				loaded := ix.Metrics()
 				loadYs[vi][t] = append(loadYs[vi][t], float64(loaded.RoundTrips()))
 
 				// A fresh, identically seeded generator per arm: both arms
@@ -93,7 +93,7 @@ func RunBatchAblation(o Options, dist workload.Dist, sizes []int) (Result, Resul
 						return load, query, fmt.Errorf("bench: range (%s): %w", variant.name, err)
 					}
 				}
-				delta := ix.Metrics().Flat().Sub(loaded)
+				delta := ix.Metrics().Sub(loaded)
 				queryYs[vi][t] = append(queryYs[vi][t], float64(delta.RoundTrips())/float64(o.Queries))
 
 				// Oracle check: both arms must agree on bandwidth and tree
@@ -107,7 +107,7 @@ func RunBatchAblation(o Options, dist workload.Dist, sizes []int) (Result, Resul
 					return load, query, err
 				}
 				trees = append(trees, buf.Bytes())
-				lookups = append(lookups, loaded.Lookups+delta.Lookups)
+				lookups = append(lookups, loaded.Lookup.Total+delta.Lookup.Total)
 			}
 			if !bytes.Equal(trees[0], trees[1]) {
 				return load, query, fmt.Errorf("bench: batched and per-op trees diverge at size %d", size)

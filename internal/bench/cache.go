@@ -54,39 +54,39 @@ func mixedOps(rng *rand.Rand, gen *workload.Generator, live []float64, n int) []
 // per exact-match query and the final counter snapshot. Cache counters
 // are reset after the build so the hit rate reflects the measured
 // queries only.
-func replayCacheWorkload(o Options, data []record.Record, ops []cacheOp, cached bool) (float64, metrics.FlatSnapshot, error) {
+func replayCacheWorkload(o Options, data []record.Record, ops []cacheOp, cached bool) (float64, metrics.Snapshot, error) {
 	cfg := lht.Config{SplitThreshold: o.Theta, MergeThreshold: o.Theta / 2, Depth: o.Depth, LeafCache: cached, Aggregate: o.Agg}
 	ix, err := lht.New(dht.NewLocal(), cfg)
 	if err != nil {
-		return 0, metrics.FlatSnapshot{}, err
+		return 0, metrics.Snapshot{}, err
 	}
 	for _, r := range data {
 		if _, err := ix.Insert(r); err != nil {
-			return 0, metrics.FlatSnapshot{}, err
+			return 0, metrics.Snapshot{}, err
 		}
 	}
-	build := ix.Metrics().Flat()
+	build := ix.Metrics()
 	var readLookups, reads int
 	for _, op := range ops {
 		switch {
 		case op.read:
 			_, cost, err := ix.Search(op.key)
 			if err != nil {
-				return 0, metrics.FlatSnapshot{}, fmt.Errorf("bench: cache search %v: %w", op.key, err)
+				return 0, metrics.Snapshot{}, fmt.Errorf("bench: cache search %v: %w", op.key, err)
 			}
 			readLookups += cost.Lookups
 			reads++
 		case op.insert:
 			if _, err := ix.Insert(record.Record{Key: op.key}); err != nil {
-				return 0, metrics.FlatSnapshot{}, err
+				return 0, metrics.Snapshot{}, err
 			}
 		default:
 			if _, err := ix.Delete(op.key); err != nil {
-				return 0, metrics.FlatSnapshot{}, fmt.Errorf("bench: cache delete %v: %w", op.key, err)
+				return 0, metrics.Snapshot{}, fmt.Errorf("bench: cache delete %v: %w", op.key, err)
 			}
 		}
 	}
-	return float64(readLookups) / float64(reads), ix.Metrics().Flat().Sub(build), nil
+	return float64(readLookups) / float64(reads), ix.Metrics().Sub(build), nil
 }
 
 // RunCacheAblation measures what the client-side leaf cache buys on the
@@ -131,8 +131,8 @@ func RunCacheAblation(o Options, dist workload.Dist, sizes []int) (Result, error
 			}
 			crow = append(crow, cMean)
 			urow = append(urow, uMean)
-			probes := cSnap.CacheHits + cSnap.CacheMisses + cSnap.CacheStale
-			hrow = append(hrow, float64(cSnap.CacheHits)/float64(probes))
+			probes := cSnap.Cache.Hits + cSnap.Cache.Misses + cSnap.Cache.Stale
+			hrow = append(hrow, float64(cSnap.Cache.Hits)/float64(probes))
 		}
 		cachedYs[t], uncachedYs[t], hitYs[t] = crow, urow, hrow
 	}

@@ -158,10 +158,10 @@ func RunChurnAblation(o Options, dist workload.Dist, nodes, size int, churns []f
 						ok++
 					}
 				}
-				delta := cl.Metrics().Sub(before).Flat()
+				delta := cl.Metrics().Sub(before)
 				row = append(row, 100*float64(ok)/float64(o.Queries))
 				costRow = append(costRow,
-					float64(delta.ScrubLookups+delta.MaintLookups)/float64(o.Queries))
+					float64(delta.Repair.ScrubLookups+delta.Lookup.Maintenance)/float64(o.Queries))
 			}
 			ysSuccess[vi][t] = row
 			ysCost[vi][t] = costRow

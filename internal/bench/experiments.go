@@ -130,9 +130,9 @@ func RunMaintenance(o Options, dists []workload.Dist, sizes []int) (moved, looku
 			err = grow(recs, sizes,
 				func(r record.Record) error { _, e := lix.Insert(r); return e },
 				func(int) {
-					s := lix.Metrics().Flat()
-					lm = append(lm, float64(s.MovedRecords))
-					ll = append(ll, float64(s.MaintLookups))
+					s := lix.Metrics()
+					lm = append(lm, float64(s.Lookup.MovedRecords))
+					ll = append(ll, float64(s.Lookup.Maintenance))
 				})
 			if err != nil {
 				return moved, lookups, err
@@ -146,9 +146,9 @@ func RunMaintenance(o Options, dists []workload.Dist, sizes []int) (moved, looku
 			err = grow(recs, sizes,
 				func(r record.Record) error { _, e := pix.Insert(r); return e },
 				func(int) {
-					s := pix.Metrics().Flat()
-					pm = append(pm, float64(s.MovedRecords))
-					pl = append(pl, float64(s.MaintLookups))
+					s := pix.Metrics()
+					pm = append(pm, float64(s.Lookup.MovedRecords))
+					pl = append(pl, float64(s.Lookup.Maintenance))
 				})
 			if err != nil {
 				return moved, lookups, err
@@ -450,10 +450,10 @@ func RunSavingRatio(o Options, dist workload.Dist, size int, gammas []float64) (
 				return res, err
 			}
 		}
-		ls, ps := lix.Metrics().Flat(), pix.Metrics().Flat()
+		ls, ps := lix.Metrics(), pix.Metrics()
 		sums = append(sums, totals{
-			lm: float64(ls.MovedRecords), ll: float64(ls.MaintLookups),
-			pm: float64(ps.MovedRecords), pl: float64(ps.MaintLookups),
+			lm: float64(ls.Lookup.MovedRecords), ll: float64(ls.Lookup.Maintenance),
+			pm: float64(ps.Lookup.MovedRecords), pl: float64(ps.Lookup.Maintenance),
 		})
 	}
 	measured := Series{Name: "measured"}

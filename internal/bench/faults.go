@@ -171,9 +171,9 @@ func RunFaultAblation(o Options, dist workload.Dist, size int, rates []float64) 
 						ok++
 					}
 				}
-				delta := ix.Metrics().Sub(before).Flat()
+				delta := ix.Metrics().Sub(before)
 				row = append(row, 100*float64(ok)/float64(o.Queries))
-				retryRow = append(retryRow, float64(delta.Retries)/float64(o.Queries))
+				retryRow = append(retryRow, float64(delta.Retry.Retries)/float64(o.Queries))
 			}
 			ysSuccess[vi][t] = row
 			if variant.policy {

@@ -467,5 +467,5 @@ func healCostCell(o Options, size, scenario int, cache bool) (float64, error) {
 			return 0, err
 		}
 	}
-	return float64(ix.Metrics().Flat().RoundTrips()), nil
+	return float64(ix.Metrics().RoundTrips()), nil
 }

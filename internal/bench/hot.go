@@ -320,5 +320,5 @@ func hotCostCell(o Options, size int, s float64, cache bool) (float64, error) {
 			return 0, err
 		}
 	}
-	return float64(ix.Metrics().Flat().RoundTrips()), nil
+	return float64(ix.Metrics().RoundTrips()), nil
 }

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"lht/internal/metrics"
 )
 
 // ReportSchema versions the machine-readable report format; bump it when
@@ -34,8 +32,9 @@ type Report struct {
 	WallMillis int64         `json:"wall_millis"`
 	Results    []TimedResult `json:"results"`
 	// Counters is the run-wide counter total (Options.Agg at the end of
-	// the run), present when the run aggregated its indexes' counters.
-	Counters *metrics.FlatSnapshot `json:"counters,omitempty"`
+	// the run) as metrics.Snapshot.Counts names it, present when the run
+	// aggregated its indexes' counters.
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 // NewReport starts a report for one run.

@@ -544,10 +544,9 @@ func runSweepCell(o Options, substrate string, batch, valSize int, cache bool, c
 	}
 	elapsed := time.Since(t0)
 
-	flat := ix.Metrics().Flat()
 	ops := size + o.Queries + 20
 	return sweepCell{
-		roundTrips: float64(flat.RoundTrips()),
+		roundTrips: float64(ix.Metrics().RoundTrips()),
 		kops:       float64(ops) / elapsed.Seconds() / 1000,
 	}, nil
 }

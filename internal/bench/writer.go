@@ -182,9 +182,9 @@ func RunWriterAblation(o Options, dist workload.Dist, size int, writerCounts []i
 		}
 		var cc, wr int64
 		for _, ix := range handles {
-			f := ix.Metrics().Flat()
-			cc += f.CASConflicts
-			wr += f.WriterRetries
+			f := ix.Metrics()
+			cc += f.Write.CASConflicts
+			wr += f.Write.WriterRetries
 		}
 		conflicts.Points = append(conflicts.Points, Point{X: float64(nW), Y: float64(cc)})
 		retries.Points = append(retries.Points, Point{X: float64(nW), Y: float64(wr)})

@@ -362,7 +362,7 @@ func (r *Ring) rotateStart(key string, n int) int {
 	start := int((uint64(h.Sum32()) + r.readSeq.Add(1) - 1) % uint64(n))
 	if start != 0 {
 		r.spreadReads.Add(1)
-		r.cfg.Counters.AddSpreadReads(1)
+		r.cfg.Counters.Add(metrics.SpreadReads, 1)
 	}
 	return start
 }

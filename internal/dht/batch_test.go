@@ -112,15 +112,15 @@ func TestPolicyBatchRetriesOnlyFailedSubset(t *testing.T) {
 		}
 	}
 
-	s := c.Snapshot().Flat()
-	if s.Lookups != 6 {
-		t.Errorf("Lookups = %d, want 6 (3+2+1: every attempt charged)", s.Lookups)
+	s := c.Snapshot()
+	if s.Lookup.Total != 6 {
+		t.Errorf("Lookups = %d, want 6 (3+2+1: every attempt charged)", s.Lookup.Total)
 	}
-	if s.BatchOps != 3 || s.BatchedKeys != 6 {
-		t.Errorf("BatchOps/BatchedKeys = %d/%d, want 3/6", s.BatchOps, s.BatchedKeys)
+	if s.Batch.Ops != 3 || s.Batch.Keys != 6 {
+		t.Errorf("BatchOps/BatchedKeys = %d/%d, want 3/6", s.Batch.Ops, s.Batch.Keys)
 	}
-	if s.Retries != 3 {
-		t.Errorf("Retries = %d, want 3 (two slots round 1, one slot round 2)", s.Retries)
+	if s.Retry.Retries != 3 {
+		t.Errorf("Retries = %d, want 3 (two slots round 1, one slot round 2)", s.Retry.Retries)
 	}
 	if got := s.RoundTrips(); got != 3 {
 		t.Errorf("RoundTrips = %d, want 3", got)
@@ -146,8 +146,8 @@ func TestPolicyBatchExhaustion(t *testing.T) {
 		t.Fatalf("A = %v, %v", v, err)
 	}
 	// 4 attempts for B (1 + 3 retries), 1 for A.
-	if s := c.Snapshot().Flat(); s.Lookups != 5 || s.Retries != 3 {
-		t.Errorf("Lookups/Retries = %d/%d, want 5/3", s.Lookups, s.Retries)
+	if s := c.Snapshot(); s.Lookup.Total != 5 || s.Retry.Retries != 3 {
+		t.Errorf("Lookups/Retries = %d/%d, want 5/3", s.Lookup.Total, s.Retry.Retries)
 	}
 }
 
@@ -177,12 +177,12 @@ func TestWithoutBatchHidesBatcher(t *testing.T) {
 	if vals[0] != 1 || vals[1] != 2 {
 		t.Fatalf("fallback GetBatch vals: %v", vals)
 	}
-	s := c.Snapshot().Flat()
-	if s.Lookups != 5 || s.FailedGets != 1 {
-		t.Errorf("Lookups/FailedGets = %d/%d, want 5/1", s.Lookups, s.FailedGets)
+	s := c.Snapshot()
+	if s.Lookup.Total != 5 || s.Lookup.FailedGets != 1 {
+		t.Errorf("Lookups/FailedGets = %d/%d, want 5/1", s.Lookup.Total, s.Lookup.FailedGets)
 	}
-	if s.BatchOps != 0 || s.BatchedKeys != 0 {
-		t.Errorf("per-op fallback tallied batches: %d/%d", s.BatchOps, s.BatchedKeys)
+	if s.Batch.Ops != 0 || s.Batch.Keys != 0 {
+		t.Errorf("per-op fallback tallied batches: %d/%d", s.Batch.Ops, s.Batch.Keys)
 	}
 	if got := s.RoundTrips(); got != 5 {
 		t.Errorf("RoundTrips = %d, want 5 (no batching, one per lookup)", got)
@@ -202,12 +202,12 @@ func TestInstrumentedNativeBatchCharging(t *testing.T) {
 	if !errors.Is(errs[2], ErrNotFound) {
 		t.Fatalf("missing slot = %v", errs[2])
 	}
-	s := c.Snapshot().Flat()
-	if s.Lookups != 5 || s.FailedGets != 1 {
-		t.Errorf("Lookups/FailedGets = %d/%d, want 5/1", s.Lookups, s.FailedGets)
+	s := c.Snapshot()
+	if s.Lookup.Total != 5 || s.Lookup.FailedGets != 1 {
+		t.Errorf("Lookups/FailedGets = %d/%d, want 5/1", s.Lookup.Total, s.Lookup.FailedGets)
 	}
-	if s.BatchOps != 2 || s.BatchedKeys != 5 {
-		t.Errorf("BatchOps/BatchedKeys = %d/%d, want 2/5", s.BatchOps, s.BatchedKeys)
+	if s.Batch.Ops != 2 || s.Batch.Keys != 5 {
+		t.Errorf("BatchOps/BatchedKeys = %d/%d, want 2/5", s.Batch.Ops, s.Batch.Keys)
 	}
 	if got := s.RoundTrips(); got != 2 {
 		t.Errorf("RoundTrips = %d, want 2 (one per batch)", got)

@@ -115,7 +115,7 @@ func (co *coalescer) Get(ctx context.Context, key string) (Value, error) {
 		co.mu.Lock()
 		if f, ok := co.inflight[key]; ok {
 			co.mu.Unlock()
-			co.c.AddCoalescedGets(1)
+			co.c.Add(metrics.CoalescedGets, 1)
 			select {
 			case <-f.done:
 			case <-ctx.Done():

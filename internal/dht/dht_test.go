@@ -137,12 +137,12 @@ func TestInstrumentedCounting(t *testing.T) {
 	_ = d.Put(context.Background(), "b", 1)       // 7
 	_ = d.Write(context.Background(), "b", 2)     // free
 
-	s := c.Snapshot().Flat()
-	if s.Lookups != 7 {
-		t.Errorf("Lookups = %d, want 7", s.Lookups)
+	s := c.Snapshot()
+	if s.Lookup.Total != 7 {
+		t.Errorf("Lookups = %d, want 7", s.Lookup.Total)
 	}
-	if s.FailedGets != 2 {
-		t.Errorf("FailedGets = %d, want 2", s.FailedGets)
+	if s.Lookup.FailedGets != 2 {
+		t.Errorf("FailedGets = %d, want 2", s.Lookup.FailedGets)
 	}
 	if v, err := d.Get(context.Background(), "b"); err != nil || v.(int) != 2 {
 		t.Errorf("Write through instrumentation failed: %v, %v", v, err)
@@ -151,16 +151,16 @@ func TestInstrumentedCounting(t *testing.T) {
 
 func TestSnapshotSubAndReset(t *testing.T) {
 	var c metrics.Counters
-	c.AddLookups(10)
-	c.AddFailedGets(2)
-	c.AddMovedRecords(30)
-	c.AddSplits(4)
-	c.AddMerges(1)
+	c.Add(metrics.Lookups, 10)
+	c.Add(metrics.FailedGets, 2)
+	c.Add(metrics.MovedRecords, 30)
+	c.Add(metrics.Splits, 4)
+	c.Add(metrics.Merges, 1)
 	before := c.Snapshot()
-	c.AddLookups(5)
-	c.AddMovedRecords(7)
-	diff := c.Snapshot().Sub(before).Flat()
-	if diff.Lookups != 5 || diff.MovedRecords != 7 || diff.Splits != 0 {
+	c.Add(metrics.Lookups, 5)
+	c.Add(metrics.MovedRecords, 7)
+	diff := c.Snapshot().Sub(before)
+	if diff.Lookup.Total != 5 || diff.Lookup.MovedRecords != 7 || diff.Lookup.Splits != 0 {
 		t.Errorf("Sub = %+v", diff)
 	}
 	c.Reset()

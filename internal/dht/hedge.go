@@ -183,7 +183,7 @@ func (h *hedger) race(ctx context.Context, fetch func(context.Context) (Value, e
 			if !hedged {
 				hedged = true
 				inflight++
-				h.c.AddHedgedGets(1)
+				h.c.Add(metrics.HedgedGets, 1)
 				launch(true)
 			}
 		case r := <-ch:
@@ -193,7 +193,7 @@ func (h *hedger) race(ctx context.Context, fetch func(context.Context) (Value, e
 					h.observe(r.took)
 				}
 				if r.hedge {
-					h.c.AddHedgeWins(1)
+					h.c.Add(metrics.HedgeWins, 1)
 				}
 				return r.v, r.err
 			}
@@ -209,7 +209,7 @@ func (h *hedger) race(ctx context.Context, fetch func(context.Context) (Value, e
 				// out the timer against nothing.
 				hedged = true
 				inflight++
-				h.c.AddHedgedGets(1)
+				h.c.Add(metrics.HedgedGets, 1)
 				launch(true)
 			}
 		case <-ctx.Done():

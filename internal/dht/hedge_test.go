@@ -45,9 +45,9 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	if err != nil || v != "fast" {
 		t.Fatalf("Get = %v, %v; want the hedge's answer", v, err)
 	}
-	f := c.Snapshot().Flat()
-	if f.HedgedGets != 1 || f.HedgeWins != 1 {
-		t.Fatalf("HedgedGets=%d HedgeWins=%d, want 1/1", f.HedgedGets, f.HedgeWins)
+	f := c.Snapshot()
+	if f.Health.HedgedGets != 1 || f.Health.HedgeWins != 1 {
+		t.Fatalf("HedgedGets=%d HedgeWins=%d, want 1/1", f.Health.HedgedGets, f.Health.HedgeWins)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestNoHedgeWhenFast(t *testing.T) {
 			t.Fatalf("Get = %v, %v", v, err)
 		}
 	}
-	if f := c.Snapshot().Flat(); f.HedgedGets != 0 {
-		t.Fatalf("fast gets hedged %d times", f.HedgedGets)
+	if f := c.Snapshot(); f.Health.HedgedGets != 0 {
+		t.Fatalf("fast gets hedged %d times", f.Health.HedgedGets)
 	}
 	if n := inner.calls.Load(); n != 5 {
 		t.Fatalf("inner saw %d calls, want 5", n)
@@ -91,8 +91,8 @@ func TestHedgeAfterTransientFailure(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("hedge waited for the timer instead of firing on arm death")
 	}
-	if f := c.Snapshot().Flat(); f.HedgedGets != 1 || f.HedgeWins != 1 {
-		t.Fatalf("HedgedGets=%d HedgeWins=%d, want 1/1", f.HedgedGets, f.HedgeWins)
+	if f := c.Snapshot(); f.Health.HedgedGets != 1 || f.Health.HedgeWins != 1 {
+		t.Fatalf("HedgedGets=%d HedgeWins=%d, want 1/1", f.Health.HedgedGets, f.Health.HedgeWins)
 	}
 }
 

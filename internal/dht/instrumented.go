@@ -54,16 +54,16 @@ func (d *Instrumented) note(err error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled):
-		d.c.AddCancellations(1)
+		d.c.Add(metrics.Cancellations, 1)
 	case errors.Is(err, context.DeadlineExceeded):
-		d.c.AddDeadlineExceeded(1)
+		d.c.Add(metrics.DeadlineExceeded, 1)
 	}
 }
 
 // charge counts n lookups and attributes them to the labels on ctx.
 func (d *Instrumented) charge(ctx context.Context, n int64) metrics.Labels {
 	lb := metrics.LabelsFrom(ctx)
-	d.c.AddLookups(n)
+	d.c.Add(metrics.Lookups, n)
 	d.c.AddPhaseLookups(lb.Op, lb.Phase, n)
 	return lb
 }
@@ -150,7 +150,7 @@ func (d *Instrumented) Probe(ctx context.Context, key string, hint uint64) (Valu
 // noteGet tallies and traces one finished Get or Probe.
 func (d *Instrumented) noteGet(lb metrics.Labels, key string, start time.Time, err error) {
 	if errors.Is(err, ErrNotFound) {
-		d.c.AddFailedGets(1)
+		d.c.Add(metrics.FailedGets, 1)
 	}
 	d.note(err)
 	d.emit(lb, "get", key, 1, start, err)
@@ -172,7 +172,7 @@ func (d *Instrumented) Take(ctx context.Context, key string) (Value, error) {
 	start := d.start()
 	v, err := d.inner.Take(ctx, key)
 	if errors.Is(err, ErrNotFound) {
-		d.c.AddFailedGets(1)
+		d.c.Add(metrics.FailedGets, 1)
 	}
 	d.note(err)
 	d.emit(lb, "take", key, 1, start, err)
@@ -208,13 +208,13 @@ func (d *Instrumented) GetBatch(ctx context.Context, keys []string) ([]Value, []
 		return vals, errs
 	}
 	lb := d.charge(ctx, int64(len(keys)))
-	d.c.AddBatchOps(1)
-	d.c.AddBatchedKeys(int64(len(keys)))
+	d.c.Add(metrics.BatchOps, 1)
+	d.c.Add(metrics.BatchedKeys, int64(len(keys)))
 	start := d.start()
 	vals, errs := b.GetBatch(ctx, keys)
 	for _, err := range errs {
 		if errors.Is(err, ErrNotFound) {
-			d.c.AddFailedGets(1)
+			d.c.Add(metrics.FailedGets, 1)
 		}
 		d.note(err)
 	}
@@ -236,8 +236,8 @@ func (d *Instrumented) PutBatch(ctx context.Context, kvs []KV) []error {
 		return errs
 	}
 	lb := d.charge(ctx, int64(len(kvs)))
-	d.c.AddBatchOps(1)
-	d.c.AddBatchedKeys(int64(len(kvs)))
+	d.c.Add(metrics.BatchOps, 1)
+	d.c.Add(metrics.BatchedKeys, int64(len(kvs)))
 	start := d.start()
 	errs := b.PutBatch(ctx, kvs)
 	for _, err := range errs {
@@ -264,7 +264,7 @@ func (d *Instrumented) Write(ctx context.Context, key string, v Value) error {
 // the compare lost, plus the usual context-outcome counters.
 func (d *Instrumented) noteCAS(err error) {
 	if errors.Is(err, ErrCASConflict) {
-		d.c.AddCASConflicts(1)
+		d.c.Add(metrics.CASConflicts, 1)
 	}
 	d.note(err)
 }
@@ -276,7 +276,7 @@ func (d *Instrumented) noteCAS(err error) {
 func (d *Instrumented) PutIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
 	cd, ok := d.inner.(Conditional)
 	if !ok {
-		d.c.AddCASFallbacks(1)
+		d.c.Add(metrics.CASFallbacks, 1)
 		err := fallbackPutIf(ctx, d, key, v, ifEpoch)
 		d.noteCAS(err)
 		return err
@@ -293,7 +293,7 @@ func (d *Instrumented) PutIf(ctx context.Context, key string, v Value, ifEpoch u
 func (d *Instrumented) CreateIf(ctx context.Context, key string, v Value) error {
 	cd, ok := d.inner.(Conditional)
 	if !ok {
-		d.c.AddCASFallbacks(1)
+		d.c.Add(metrics.CASFallbacks, 1)
 		err := fallbackCreateIf(ctx, d, key, v)
 		d.noteCAS(err)
 		return err
@@ -310,7 +310,7 @@ func (d *Instrumented) CreateIf(ctx context.Context, key string, v Value) error 
 func (d *Instrumented) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
 	cd, ok := d.inner.(Conditional)
 	if !ok {
-		d.c.AddCASFallbacks(1)
+		d.c.Add(metrics.CASFallbacks, 1)
 		err := fallbackRemoveIf(ctx, d, key, ifEpoch)
 		d.noteCAS(err)
 		return err
@@ -328,7 +328,7 @@ func (d *Instrumented) RemoveIf(ctx context.Context, key string, ifEpoch uint64)
 func (d *Instrumented) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
 	cd, ok := d.inner.(Conditional)
 	if !ok {
-		d.c.AddCASFallbacks(1)
+		d.c.Add(metrics.CASFallbacks, 1)
 		err := fallbackWriteIf(ctx, d, key, v, ifEpoch)
 		d.noteCAS(err)
 		return err

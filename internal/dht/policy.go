@@ -154,9 +154,9 @@ func (d *PolicyDHT) backoff(ctx context.Context, n int) error {
 		if d.p.Counters != nil {
 			switch {
 			case errors.Is(err, context.Canceled):
-				d.p.Counters.AddCancellations(1)
+				d.p.Counters.Add(metrics.Cancellations, 1)
 			case errors.Is(err, context.DeadlineExceeded):
-				d.p.Counters.AddDeadlineExceeded(1)
+				d.p.Counters.Add(metrics.DeadlineExceeded, 1)
 			}
 		}
 		return fmt.Errorf("dht: backoff interrupted: %w", err)
@@ -173,7 +173,7 @@ func (d *PolicyDHT) do(ctx context.Context, op func(context.Context) error) erro
 	for attempt := 0; attempt < d.p.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if d.p.Counters != nil {
-				d.p.Counters.AddRetries(1)
+				d.p.Counters.Add(metrics.Retries, 1)
 			}
 			if berr := d.backoff(ctx, attempt-1); berr != nil {
 				return berr
@@ -197,7 +197,7 @@ func (d *PolicyDHT) do(ctx context.Context, op func(context.Context) error) erro
 func (d *PolicyDHT) retryBatch(ctx context.Context, errs []error, pending []int, attempt func(context.Context, []int)) {
 	for round := 1; round < d.p.MaxAttempts && len(pending) > 0; round++ {
 		if d.p.Counters != nil {
-			d.p.Counters.AddRetries(int64(len(pending)))
+			d.p.Counters.Add(metrics.Retries, int64(len(pending)))
 		}
 		if berr := d.backoff(ctx, round-1); berr != nil {
 			for _, i := range pending {

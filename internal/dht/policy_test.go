@@ -172,12 +172,12 @@ func TestPolicyCancelDuringBackoff(t *testing.T) {
 	if f.calls != 1 {
 		t.Fatalf("attempts = %d, want 1 (cancelled before the retry)", f.calls)
 	}
-	s := c.Snapshot().Flat()
-	if s.Cancellations != 1 {
-		t.Fatalf("Cancellations = %d, want 1", s.Cancellations)
+	s := c.Snapshot()
+	if s.Retry.Cancellations != 1 {
+		t.Fatalf("Cancellations = %d, want 1", s.Retry.Cancellations)
 	}
-	if s.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1 (the retry was attempted, then aborted)", s.Retries)
+	if s.Retry.Retries != 1 {
+		t.Fatalf("Retries = %d, want 1 (the retry was attempted, then aborted)", s.Retry.Retries)
 	}
 }
 
@@ -193,12 +193,12 @@ func TestPolicyRetriesChargedAsLookups(t *testing.T) {
 	if err := d.Put(ctx, "k", 1); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Snapshot().Flat()
-	if s.Lookups != 3 {
-		t.Fatalf("Lookups = %d, want 3 (each retry is a real DHT-lookup)", s.Lookups)
+	s := c.Snapshot()
+	if s.Lookup.Total != 3 {
+		t.Fatalf("Lookups = %d, want 3 (each retry is a real DHT-lookup)", s.Lookup.Total)
 	}
-	if s.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", s.Retries)
+	if s.Retry.Retries != 2 {
+		t.Fatalf("Retries = %d, want 2", s.Retry.Retries)
 	}
 }
 

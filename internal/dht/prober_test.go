@@ -99,8 +99,8 @@ func TestInstrumentedProbeIsChargedAsAGet(t *testing.T) {
 		if _, err := d.Probe(ctx, "absent", 9); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s: Probe of an absent key = %v", name, err)
 		}
-		if f := c.Snapshot().Flat(); f.Lookups != 2 || f.FailedGets != 1 {
-			t.Errorf("%s: Lookups=%d FailedGets=%d, want 2, 1", name, f.Lookups, f.FailedGets)
+		if f := c.Snapshot(); f.Lookup.Total != 2 || f.Lookup.FailedGets != 1 {
+			t.Errorf("%s: Lookups=%d FailedGets=%d, want 2, 1", name, f.Lookup.Total, f.Lookup.FailedGets)
 		}
 		evs := ring.Events()
 		if len(evs) != 2 || evs[0].Kind != "get" || evs[0].Outcome != "ok" || evs[1].Kind != "get" || evs[1].Outcome != "not_found" {
@@ -126,7 +126,7 @@ func TestPolicyProbeRetriesWithTheHint(t *testing.T) {
 	if len(hints) != 3 || hints[0] != 11 || hints[1] != 11 || hints[2] != 11 || gets != 0 {
 		t.Fatalf("attempts arrived as hints %v and %d gets, want three probes with hint 11", hints, gets)
 	}
-	if r := c.Snapshot().Flat().Retries; r != 2 {
+	if r := c.Snapshot().Retry.Retries; r != 2 {
 		t.Errorf("Retries = %d, want 2", r)
 	}
 }
@@ -143,8 +143,8 @@ func TestHedgedProbeCarriesTheHintOnBothArms(t *testing.T) {
 	if len(hints) != 2 || hints[0] != 13 || hints[1] != 13 || gets != 0 {
 		t.Fatalf("arms arrived as hints %v and %d gets, want two probes with hint 13", hints, gets)
 	}
-	if f := c.Snapshot().Flat(); f.HedgedGets != 1 || f.HedgeWins != 1 {
-		t.Errorf("HedgedGets=%d HedgeWins=%d, want 1, 1", f.HedgedGets, f.HedgeWins)
+	if f := c.Snapshot(); f.Health.HedgedGets != 1 || f.Health.HedgeWins != 1 {
+		t.Errorf("HedgedGets=%d HedgeWins=%d, want 1, 1", f.Health.HedgedGets, f.Health.HedgeWins)
 	}
 }
 

@@ -196,17 +196,17 @@ func (ix *Index) Insert(rec record.Record) (Cost, error) {
 			if label.Len() < ix.cfg.Depth && n.Weight() >= ix.cfg.SaturationThreshold {
 				n.Saturated = true
 				n.Records = nil
-				ix.c.AddSplits(1) // saturation events stand in for splits
+				ix.c.Add(metrics.Splits, 1) // saturation events stand in for splits
 			}
 		}
 		// One routed store message per level.
 		cost.Lookups++
-		ix.c.AddMovedRecords(1)
+		ix.c.Add(metrics.MovedRecords, 1)
 		if err := ix.d.Put(context.Background(), label.Key(), n); err != nil {
 			return cost, fmt.Errorf("dst: insert put %s: %w", label, err)
 		}
 	}
-	ix.c.AddMaintLookups(int64(mu.Len() - 1)) // everything beyond the leaf store is replication upkeep
+	ix.c.Add(metrics.MaintLookups, int64(mu.Len()-1)) // everything beyond the leaf store is replication upkeep
 	return cost, nil
 }
 
@@ -268,7 +268,7 @@ func (ix *Index) Delete(delta float64) (Cost, error) {
 		}
 	}
 	if cost.Lookups > 1 {
-		ix.c.AddMaintLookups(int64(cost.Lookups - 1))
+		ix.c.Add(metrics.MaintLookups, int64(cost.Lookups-1))
 	}
 	return cost, nil
 }

@@ -84,8 +84,8 @@ func TestReplicationInvariants(t *testing.T) {
 		t.Fatalf("Count = %d, %v", n, err)
 	}
 	// The root must have saturated long ago at capacity 8.
-	s := ix.Metrics().Flat()
-	if s.Splits == 0 {
+	s := ix.Metrics()
+	if s.Lookup.Splits == 0 {
 		t.Fatal("no saturation events")
 	}
 }

@@ -378,7 +378,7 @@ func (nw *Network) rotateStart(key string, n int) int {
 	start := int((uint64(h.Sum32()) + nw.readSeq.Add(1) - 1) % uint64(n))
 	if start != 0 {
 		nw.spreadReads.Add(1)
-		nw.cfg.Counters.AddSpreadReads(1)
+		nw.cfg.Counters.Add(metrics.SpreadReads, 1)
 	}
 	return start
 }

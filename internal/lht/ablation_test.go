@@ -42,10 +42,10 @@ func TestLinearLookupAgreesWithBinary(t *testing.T) {
 			t.Fatalf("linear cost %+v", cost)
 		}
 	}
-	diff := ix.Metrics().Sub(before).Flat()
+	diff := ix.Metrics().Sub(before)
 	// The binary search misses; the linear walk never does. With 300 of
 	// each, failed gets must come only from the binary side.
-	if diff.FailedGets == 0 {
+	if diff.Lookup.FailedGets == 0 {
 		t.Error("binary search should have produced some failed gets")
 	}
 

@@ -130,15 +130,15 @@ func TestBatchedPathIsAnOracle(t *testing.T) {
 				}
 			}
 
-			bs, ps := batched.c.Snapshot().Flat(), perOp.c.Snapshot().Flat()
-			if bs.Lookups != ps.Lookups {
-				t.Errorf("counter Lookups: batched %d, per-op %d", bs.Lookups, ps.Lookups)
+			bs, ps := batched.c.Snapshot(), perOp.c.Snapshot()
+			if bs.Lookup.Total != ps.Lookup.Total {
+				t.Errorf("counter Lookups: batched %d, per-op %d", bs.Lookup.Total, ps.Lookup.Total)
 			}
-			if ps.BatchOps != 0 || ps.BatchedKeys != 0 {
-				t.Errorf("per-op arm tallied batches: %d/%d", ps.BatchOps, ps.BatchedKeys)
+			if ps.Batch.Ops != 0 || ps.Batch.Keys != 0 {
+				t.Errorf("per-op arm tallied batches: %d/%d", ps.Batch.Ops, ps.Batch.Keys)
 			}
 			if sub.native {
-				if bs.BatchOps == 0 {
+				if bs.Batch.Ops == 0 {
 					t.Error("native substrate never batched")
 				}
 				if bs.RoundTrips() >= ps.RoundTrips() {

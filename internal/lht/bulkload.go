@@ -124,7 +124,7 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 	cost.Lookups++
 	cerr := dht.DoPutIf(ctx, ix.d, bitlabel.Root.Key(), rootLeaf, b.Epoch)
 	if errors.Is(cerr, dht.ErrCASConflict) {
-		ix.c.AddWriterRetries(1)
+		ix.c.Add(metrics.WriterRetries, 1)
 		for _, r := range sorted {
 			c, ierr := ix.InsertContext(ctx, r)
 			cost.Add(c)
@@ -137,7 +137,7 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 	if cerr != nil {
 		return cost, fmt.Errorf("lht: bulk load claim %q: %w", bitlabel.Root.Key(), cerr)
 	}
-	ix.c.AddMovedRecords(int64(rootLeaf.Weight()))
+	ix.c.Add(metrics.MovedRecords, int64(rootLeaf.Weight()))
 	leaves = leaves[1:]
 	if len(leaves) == 0 {
 		return cost, nil
@@ -176,7 +176,7 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 			for i, err := range errs {
 				if err == nil {
 					shipped++
-					ix.c.AddMovedRecords(int64(leaves[lo+i].Weight()))
+					ix.c.Add(metrics.MovedRecords, int64(leaves[lo+i].Weight()))
 					continue
 				}
 				err = fmt.Errorf("lht: bulk load put %s: %w", leaves[lo+i].Label, err)

@@ -96,8 +96,8 @@ func TestRangeCancellationStopsParallelFetches(t *testing.T) {
 	waitUntil(t, "parked fetches to drain", func() bool { return b.inflight.Load() == 0 })
 
 	// The instrumented layer saw the cancelled operations.
-	if s := ix.Metrics().Flat(); s.Cancellations < 1 {
-		t.Fatalf("Cancellations = %d, want >= 1", s.Cancellations)
+	if s := ix.Metrics(); s.Retry.Cancellations < 1 {
+		t.Fatalf("Cancellations = %d, want >= 1", s.Retry.Cancellations)
 	}
 
 	// The index remains fully usable on a fresh context.
@@ -133,8 +133,8 @@ func TestRangeDeadlineExpiry(t *testing.T) {
 		t.Fatalf("RangeContext = %v, want context.DeadlineExceeded", err)
 	}
 	waitUntil(t, "parked fetches to drain", func() bool { return b.inflight.Load() == 0 })
-	if s := ix.Metrics().Flat(); s.DeadlineExceeded < 1 {
-		t.Fatalf("DeadlineExceeded = %d, want >= 1", s.DeadlineExceeded)
+	if s := ix.Metrics(); s.Retry.DeadlineExceeded < 1 {
+		t.Fatalf("DeadlineExceeded = %d, want >= 1", s.Retry.DeadlineExceeded)
 	}
 }
 

@@ -85,13 +85,13 @@ func TestHedgedGetsUnderFacade(t *testing.T) {
 		t.Fatalf("hedged searches took %v; hedge never rescued the slow arm", d)
 	}
 
-	hf := ix.Metrics().Flat()
-	rf := ref.Metrics().Flat()
-	if hf.HedgedGets == 0 || hf.HedgeWins == 0 {
-		t.Fatalf("HedgedGets=%d HedgeWins=%d, want both > 0", hf.HedgedGets, hf.HedgeWins)
+	hf := ix.Metrics()
+	rf := ref.Metrics()
+	if hf.Health.HedgedGets == 0 || hf.Health.HedgeWins == 0 {
+		t.Fatalf("HedgedGets=%d HedgeWins=%d, want both > 0", hf.Health.HedgedGets, hf.Health.HedgeWins)
 	}
-	if hf.Lookups != rf.Lookups {
+	if hf.Lookup.Total != rf.Lookup.Total {
 		t.Fatalf("hedged run charged %d lookups, reference %d — hedges must not be lookups",
-			hf.Lookups, rf.Lookups)
+			hf.Lookup.Total, rf.Lookup.Total)
 	}
 }

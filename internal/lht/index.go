@@ -130,9 +130,9 @@ func New(d dht.DHT, cfg Config) (*Index, error) {
 func (ix *Index) Config() Config { return ix.cfg }
 
 // Metrics returns the cumulative cost counters of this index client,
-// grouped by concern (Lookup, Cache, Retry, Batch, Repair) plus the
-// per-operation-class latency histograms and phase-attribution matrix
-// (Latency). Use Snapshot.Flat for the legacy one-level field names.
+// grouped by concern (Lookup, Cache, Retry, Batch, Repair, Write, Load,
+// Health, Membership) plus the per-operation-class latency histograms
+// and phase-attribution matrix (Latency).
 func (ix *Index) Metrics() metrics.Snapshot { return ix.c.Snapshot() }
 
 // Counters exposes the live counter set, e.g. to serve a /metrics
@@ -284,7 +284,7 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 				// (the leaf split but this half kept the name and still
 				// covers delta); fetchBucket noted the fresh label, so
 				// just retire the stale entry.
-				ix.c.AddCacheHits(1)
+				ix.c.Add(metrics.CacheHits, 1)
 				if b.Label != x {
 					ix.cache.drop(x)
 				}
@@ -296,7 +296,7 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 				// as to its own: every prefix of mu longer than f_n(x)
 				// up to x shares the missing name, so the covering leaf
 				// is at most len(f_n(x)) deep.
-				ix.c.AddCacheStale(1)
+				ix.c.Add(metrics.CacheStale, 1)
 				ix.cache.drop(x)
 				hi = name.Len()
 			case err != nil:
@@ -309,14 +309,14 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 				// past x's trailing run. If mu never leaves that run
 				// there is no tighter bound; fall back to the full
 				// search.
-				ix.c.AddCacheStale(1)
+				ix.c.Add(metrics.CacheStale, 1)
 				ix.cache.drop(x)
 				if next, ok := x.NextName(mu); ok {
 					lo = next.Len()
 				}
 			}
 		} else {
-			ix.c.AddCacheMisses(1)
+			ix.c.Add(metrics.CacheMisses, 1)
 		}
 	}
 	// Algorithm 2's case analysis is sound against a static tree, but the
@@ -459,7 +459,7 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		cost.Steps++
 		err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
-			ix.c.AddWriterRetries(1)
+			ix.c.Add(metrics.WriterRetries, 1)
 			ix.cacheDrop(b.Label)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
@@ -477,7 +477,7 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		if capacity || ix.hotLeaf(nb, hotEdge) {
 			splitCost, err := ix.split(ctx, key, nb, !capacity)
 			cost.Add(splitCost)
-			ix.c.AddMaintLookups(int64(splitCost.Lookups))
+			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
 			if err != nil {
 				return cost, err
 			}
@@ -564,11 +564,11 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Co
 	// Accounting strictly after both writes succeeded: a failed split
 	// must not distort the cost metrics or the paper's alpha estimate.
 	moved := int64(rb.Weight())
-	ix.c.AddSplits(1)
+	ix.c.Add(metrics.Splits, 1)
 	if hot {
-		ix.c.AddHotSplits(1)
+		ix.c.Add(metrics.HotSplits, 1)
 	}
-	ix.c.AddMovedRecords(moved)
+	ix.c.Add(metrics.MovedRecords, moved)
 	ix.mu.Lock()
 	ix.alphaSum += float64(moved) / float64(ix.cfg.SplitThreshold)
 	ix.mu.Unlock()
@@ -612,7 +612,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 		cost.Steps++
 		err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
-			ix.c.AddWriterRetries(1)
+			ix.c.Add(metrics.WriterRetries, 1)
 			ix.cacheDrop(b.Label)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
@@ -630,7 +630,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 		if ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold && !ix.rateHot(nb) {
 			mergeCost, err := ix.merge(ctx, key, nb)
 			cost.Add(mergeCost)
-			ix.c.AddMaintLookups(int64(mergeCost.Lookups))
+			ix.c.Add(metrics.MaintLookups, int64(mergeCost.Lookups))
 			if err != nil {
 				return cost, err
 			}
@@ -770,8 +770,8 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket) (Cost, error)
 	}
 
 	// Accounting strictly after all steps succeeded.
-	ix.c.AddMerges(1)
-	ix.c.AddMovedRecords(moved)
+	ix.c.Add(metrics.Merges, 1)
+	ix.c.Add(metrics.MovedRecords, moved)
 	// Both children stop being leaves; the parent takes their place.
 	ix.cacheDrop(b.Label)
 	ix.cacheDrop(sibling)

@@ -151,9 +151,9 @@ func TestSplitKeepsOneHalfLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := ix.Metrics().Flat()
-	if s.Splits != 1 {
-		t.Fatalf("Splits = %d, want 1", s.Splits)
+	s := ix.Metrics()
+	if s.Lookup.Splits != 1 {
+		t.Fatalf("Splits = %d, want 1", s.Lookup.Splits)
 	}
 	// The original leaf #0 was stored under "#". After splitting, #00
 	// stays under "#" (f_n(#00) = #) and #01 is pushed to key "#0".
@@ -278,7 +278,7 @@ func TestDeleteTriggersMerges(t *testing.T) {
 	if n, err := ix.Count(); err != nil || n != 0 {
 		t.Fatalf("Count = %d, %v", n, err)
 	}
-	if s := ix.Metrics().Flat(); s.Merges == 0 {
+	if s := ix.Metrics(); s.Lookup.Merges == 0 {
 		t.Error("expected merges during mass deletion")
 	}
 	// The index must remain fully usable afterwards.
@@ -305,8 +305,8 @@ func TestMergeDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := ix.Metrics().Flat(); s.Merges != 0 {
-		t.Fatalf("Merges = %d with merging disabled", s.Merges)
+	if s := ix.Metrics(); s.Lookup.Merges != 0 {
+		t.Fatalf("Merges = %d with merging disabled", s.Lookup.Merges)
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -465,8 +465,8 @@ func TestCostAccountingMatchesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	total += int64(cost.Lookups)
-	if s := ix.Metrics().Flat(); s.Lookups != total {
-		t.Fatalf("metrics lookups = %d, per-op sum = %d", s.Lookups, total)
+	if s := ix.Metrics(); s.Lookup.Total != total {
+		t.Fatalf("metrics lookups = %d, per-op sum = %d", s.Lookup.Total, total)
 	}
 }
 

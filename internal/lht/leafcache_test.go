@@ -129,11 +129,11 @@ func TestCachedLookupEquivalence(t *testing.T) {
 	if err := cix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	s := cix.Metrics().Flat()
-	if s.CacheHits == 0 {
+	s := cix.Metrics()
+	if s.Cache.Hits == 0 {
 		t.Error("no cache hits over 1200 operations")
 	}
-	if s.CacheHits+s.CacheMisses+s.CacheStale == 0 {
+	if s.Cache.Hits+s.Cache.Misses+s.Cache.Stale == 0 {
 		t.Error("cache counters never ticked")
 	}
 }
@@ -171,8 +171,8 @@ func TestCachedLookupHitCost(t *testing.T) {
 			t.Fatalf("warm Search(%v) cost %+v, want 1 lookup / 1 step", k, cost)
 		}
 	}
-	diff := ix.Metrics().Sub(before).Flat()
-	if diff.CacheHits != int64(len(keys)) || diff.CacheMisses != 0 || diff.CacheStale != 0 {
+	diff := ix.Metrics().Sub(before)
+	if diff.Cache.Hits != int64(len(keys)) || diff.Cache.Misses != 0 || diff.Cache.Stale != 0 {
 		t.Fatalf("counters after warm reads: %+v", diff)
 	}
 }
@@ -229,7 +229,7 @@ func TestCacheAcceptance(t *testing.T) {
 	if mean > 1.5 {
 		t.Fatalf("mean DHT-lookups per cached exact-match query = %.3f, want <= 1.5", mean)
 	}
-	t.Logf("mean lookups/query = %.3f over %d reads (metrics: %+v)", mean, reads, ix.Metrics().Flat())
+	t.Logf("mean lookups/query = %.3f over %d reads (cache: %+v)", mean, reads, ix.Metrics().Cache)
 }
 
 // TestCacheTinyCapacity checks correctness is independent of capacity:

@@ -134,8 +134,8 @@ func TestLeafCacheStalenessAcrossClients(t *testing.T) {
 			t.Fatalf("Search(%v) after B's splits: %v", k, err)
 		}
 	}
-	afterSplits := a.Metrics().Flat()
-	if afterSplits.CacheStale == 0 {
+	afterSplits := a.Metrics()
+	if afterSplits.Cache.Stale == 0 {
 		t.Error("no stale probes detected although B split leaves behind A's cache")
 	}
 
@@ -146,7 +146,7 @@ func TestLeafCacheStalenessAcrossClients(t *testing.T) {
 			t.Fatalf("Delete(%v): %v", k, err)
 		}
 	}
-	if b.Metrics().Flat().Merges == 0 {
+	if b.Metrics().Lookup.Merges == 0 {
 		t.Fatal("workload produced no merges; staleness-after-merge is untested")
 	}
 	for _, k := range keys {
@@ -160,8 +160,8 @@ func TestLeafCacheStalenessAcrossClients(t *testing.T) {
 			t.Fatalf("Search(%v) of deleted key = %v, want ErrKeyNotFound", k, err)
 		}
 	}
-	if s := a.Metrics().Flat(); s.CacheStale <= afterSplits.CacheStale {
-		t.Errorf("stale counter did not tick for merges: %d -> %d", afterSplits.CacheStale, s.CacheStale)
+	if s := a.Metrics(); s.Cache.Stale <= afterSplits.Cache.Stale {
+		t.Errorf("stale counter did not tick for merges: %d -> %d", afterSplits.Cache.Stale, s.Cache.Stale)
 	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)

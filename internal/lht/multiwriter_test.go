@@ -276,10 +276,10 @@ func TestMultiWriterOracle(t *testing.T) {
 
 			var conflicts, retries, fallbacks int64
 			for _, ix := range writers {
-				f := ix.Metrics().Flat()
-				conflicts += f.CASConflicts
-				retries += f.WriterRetries
-				fallbacks += f.CASFallbacks
+				f := ix.Metrics()
+				conflicts += f.Write.CASConflicts
+				retries += f.Write.WriterRetries
+				fallbacks += f.Write.CASFallbacks
 			}
 			t.Logf("%d writers: %d CAS conflicts, %d writer retries, %d fallbacks",
 				nWriters, conflicts, retries, fallbacks)

@@ -126,9 +126,9 @@ func cacheLabels(ix *Index) []bitlabel.Label {
 // served sums what the servers counted.
 func served(srvs []*tcpnet.Server) (lookups, failedGets int64) {
 	for _, s := range srvs {
-		f := s.Metrics().Flat()
-		lookups += f.Lookups
-		failedGets += f.FailedGets
+		f := s.Metrics()
+		lookups += f.Lookup.Total
+		failedGets += f.Lookup.FailedGets
 	}
 	return
 }
@@ -160,9 +160,9 @@ func traceLookups(t *testing.T, ix *Index, srvs []*tcpnet.Server, keys []float64
 	l1, f1 := served(srvs)
 	tr.lookups, tr.failed = l1-l0, f1-f0
 	tr.cache = cacheLabels(ix)
-	f := ix.Metrics().Flat()
-	tr.hits, tr.stale, tr.miss = f.CacheHits, f.CacheStale, f.CacheMisses
-	tr.ixLookups, tr.ixFails = f.Lookups, f.FailedGets
+	f := ix.Metrics()
+	tr.hits, tr.stale, tr.miss = f.Cache.Hits, f.Cache.Stale, f.Cache.Misses
+	tr.ixLookups, tr.ixFails = f.Lookup.Total, f.Lookup.FailedGets
 	return tr
 }
 
@@ -408,9 +408,9 @@ func TestProbeOfTornLeafComesBackWholeAndIsRepaired(t *testing.T) {
 			if _, _, tornExcluding := spy.counts(); tornExcluding == 0 && !math.IsNaN(first) {
 				t.Error("no search met the torn bucket through a probe for a key it excludes")
 			}
-			f := ix.Metrics().Flat()
-			if f.TornSplits+f.TornMerges != 1 || f.Repairs != 1 {
-				t.Errorf("TornSplits=%d TornMerges=%d Repairs=%d, want one tear, one repair", f.TornSplits, f.TornMerges, f.Repairs)
+			f := ix.Metrics()
+			if f.Repair.TornSplits+f.Repair.TornMerges != 1 || f.Repair.Repairs != 1 {
+				t.Errorf("TornSplits=%d TornMerges=%d Repairs=%d, want one tear, one repair", f.Repair.TornSplits, f.Repair.TornMerges, f.Repair.Repairs)
 			}
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatal(err)

@@ -226,7 +226,7 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 	var err error
 	switch b.Pending.Kind {
 	case PendingSplit:
-		ix.c.AddTornSplits(1)
+		ix.c.Add(metrics.TornSplits, 1)
 		if b.Label.Len() >= ix.cfg.Depth {
 			// The split can never complete at the depth bound (a marker
 			// left by a writer with a larger configured D, or a corrupt
@@ -248,7 +248,7 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 		}
 		out, _, err = ix.completeSplit(ctx, key, b, cost, true)
 	case PendingMerge:
-		ix.c.AddTornMerges(1)
+		ix.c.Add(metrics.TornMerges, 1)
 		out, err = ix.completeMerge(ctx, key, b, cost)
 	default:
 		return b, nil
@@ -256,8 +256,8 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 	if err != nil {
 		return nil, err
 	}
-	ix.c.AddRepairs(1)
-	ix.c.AddMaintLookups(int64(cost.Lookups - before))
+	ix.c.Add(metrics.Repairs, 1)
+	ix.c.Add(metrics.MaintLookups, int64(cost.Lookups-before))
 	return out, nil
 }
 

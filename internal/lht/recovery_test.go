@@ -148,9 +148,9 @@ func TestTornSplitRepairedByLookup(t *testing.T) {
 					t.Fatalf("Search(%g) = %v, want value [%d]", k, rec.Value, i)
 				}
 			}
-			s := ix.Metrics().Flat()
-			if s.TornSplits != 1 || s.Repairs != 1 {
-				t.Fatalf("TornSplits=%d Repairs=%d, want 1, 1", s.TornSplits, s.Repairs)
+			s := ix.Metrics()
+			if s.Repair.TornSplits != 1 || s.Repair.Repairs != 1 {
+				t.Fatalf("TornSplits=%d Repairs=%d, want 1, 1", s.Repair.TornSplits, s.Repair.Repairs)
 			}
 
 			// The repaired substrate is byte-identical to the oracle.
@@ -204,7 +204,7 @@ func TestTornSplitRepairedByScrub(t *testing.T) {
 	if err != nil || !rep.Clean() {
 		t.Fatalf("second Scrub = %v, %s; want clean", err, rep)
 	}
-	if got := ix.Metrics().Flat().ScrubLookups; got <= 0 {
+	if got := ix.Metrics().Repair.ScrubLookups; got <= 0 {
 		t.Fatalf("ScrubLookups = %d, want > 0", got)
 	}
 }
@@ -275,9 +275,9 @@ func TestTornMergeRepaired(t *testing.T) {
 			if _, _, err := ix.Search(0.7); !errors.Is(err, ErrKeyNotFound) {
 				t.Fatalf("Search(0.7) = %v, want ErrKeyNotFound", err)
 			}
-			s := ix.Metrics().Flat()
-			if s.TornMerges != 1 || s.Repairs != 1 {
-				t.Fatalf("TornMerges=%d Repairs=%d, want 1, 1", s.TornMerges, s.Repairs)
+			s := ix.Metrics()
+			if s.Repair.TornMerges != 1 || s.Repair.Repairs != 1 {
+				t.Fatalf("TornMerges=%d Repairs=%d, want 1, 1", s.Repair.TornMerges, s.Repair.Repairs)
 			}
 			if d := diffImages(substrateImage(t, base), oracle); d != "" {
 				t.Fatalf("repaired tree differs from never-crashed oracle: %s", d)

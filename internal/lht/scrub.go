@@ -113,7 +113,7 @@ func (ix *Index) Scrub(ctx context.Context) (rep *ScrubReport, err error) {
 		rep.TornSplits = int(d.Repair.TornSplits)
 		rep.TornMerges = int(d.Repair.TornMerges)
 		rep.Repairs = int(d.Repair.Repairs) + rep.Strays
-		ix.c.AddScrubLookups(int64(cost.Lookups))
+		ix.c.Add(metrics.ScrubLookups, int64(cost.Lookups))
 	}()
 
 	var strays []record.Record
@@ -315,7 +315,7 @@ func (ix *Index) scrubRereplicate(ctx context.Context, keys []string, rep *Scrub
 		trips := r.Probes + r.Restored
 		cost.Lookups += trips
 		cost.Steps += trips
-		ix.c.AddLookups(int64(trips))
+		ix.c.Add(metrics.Lookups, int64(trips))
 		ix.c.AddPhaseLookups(metrics.OpScrub, metrics.PhaseRepair, int64(trips))
 		rep.ReplicaProbes += r.Probes
 		rep.ReplicaMissing += r.Missing
@@ -358,11 +358,11 @@ func (ix *Index) scrubShadow(ctx context.Context, key string, b *Bucket, rep *Sc
 		// The subtree under our label is live and newer: this bucket is a
 		// stale pre-split leaf. Completing the split (remote side kept as
 		// stored) reconciles the two.
-		ix.c.AddTornSplits(1)
+		ix.c.Add(metrics.TornSplits, 1)
 		if _, _, err := ix.completeSplit(ctx, key, b, cost, true); err != nil {
 			return nil, false, fmt.Errorf("lht: scrub reconcile stale leaf %s: %w", b.Label, err)
 		}
-		ix.c.AddRepairs(1)
+		ix.c.Add(metrics.Repairs, 1)
 		rep.Violations = append(rep.Violations,
 			fmt.Sprintf("re-split stale leaf %s shadowed by newer %s", b.Label, shadow.Label))
 		return nil, true, nil
@@ -380,7 +380,7 @@ func (ix *Index) scrubShadow(ctx context.Context, key string, b *Bucket, rep *Sc
 	if rerr != nil {
 		return nil, false, fmt.Errorf("lht: scrub remove orphan %s: %w", shadow.Label, rerr)
 	}
-	ix.c.AddRepairs(1)
+	ix.c.Add(metrics.Repairs, 1)
 	rep.Orphans++
 	rep.Violations = append(rep.Violations,
 		fmt.Sprintf("removed orphan %s (epoch %d) shadowing leaf %s (epoch %d)", shadow.Label, shadow.Epoch, b.Label, b.Epoch))

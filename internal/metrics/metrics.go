@@ -16,6 +16,13 @@
 // A Counters may chain to a parent aggregate (Chain), letting many
 // index instances roll up into one process-wide set served at /metrics
 // while each instance keeps its own exact accounting.
+//
+// Adding a counter takes three edits: a Counter constant before
+// NumCounters, its row in counterTable (counters.go), and the int64
+// field of the Snapshot group the row points at. Everything else —
+// Add, Snapshot, Reset, Sub, the /metrics exposition and the lht-bench
+// report — loops over the table, and TestCounterTableComplete fails
+// until all three exist.
 package metrics
 
 import (
@@ -43,48 +50,7 @@ func (c *Cost) Add(o Cost) {
 // Counters aggregates the cost-model measurements of one index instance or
 // one DHT instance. The zero value is ready to use.
 type Counters struct {
-	lookups      atomic.Int64 // DHT-lookups: every routed Get/Put/Take/Remove
-	failedGets   atomic.Int64 // subset of lookups: Gets that found no value
-	movedRecords atomic.Int64 // records transferred between peers (incl. label slots)
-	splits       atomic.Int64 // leaf splits performed
-	merges       atomic.Int64 // leaf merges performed
-	maintLookups atomic.Int64 // subset of lookups spent on splits/merges (Fig. 7b)
-	cacheHits    atomic.Int64 // leaf-cache probes that resolved the lookup in one get
-	cacheMisses  atomic.Int64 // lookups that found no leaf-cache entry
-	cacheStale   atomic.Int64 // leaf-cache probes that found a stale entry
-
-	retries          atomic.Int64 // policy-layer re-attempts after transient faults
-	cancellations    atomic.Int64 // operations ended by context cancellation
-	deadlineExceeded atomic.Int64 // operations ended by context deadline expiry
-
-	batchOps    atomic.Int64 // native batched round trips issued
-	batchedKeys atomic.Int64 // keys carried by those batches (each also a lookup)
-
-	tornSplits   atomic.Int64 // torn split intents detected (lookup or scrub)
-	tornMerges   atomic.Int64 // torn merge intents detected (lookup or scrub)
-	repairs      atomic.Int64 // torn states completed or rolled back
-	scrubLookups atomic.Int64 // subset of lookups issued by Scrub walks
-
-	casConflicts  atomic.Int64 // conditional writes that lost their compare-and-swap
-	writerRetries atomic.Int64 // index mutation rounds re-run after a CAS conflict
-	casFallbacks  atomic.Int64 // conditional ops emulated by fetch-verify-write
-
-	hotSplits     atomic.Int64 // leaf splits triggered by request rate, not capacity
-	coalescedGets atomic.Int64 // DHT-gets absorbed by singleflight coalescing
-	spreadReads   atomic.Int64 // reads served starting at a non-primary replica
-
-	hedgedGets       atomic.Int64 // hedge requests launched for slow idempotent gets
-	hedgeWins        atomic.Int64 // hedges that answered before the original attempt
-	breakerOpens     atomic.Int64 // circuit-breaker transitions into the open state
-	breakerFastFails atomic.Int64 // operations rejected instantly by an open breaker
-	failovers        atomic.Int64 // reads rerouted off an unhealthy primary holder
-
-	gossipRounds   atomic.Int64 // anti-entropy membership exchanges performed
-	viewRefreshes  atomic.Int64 // membership views applied to a client's routing ring
-	hintsParked    atomic.Int64 // hinted handoffs parked for an unreachable holder
-	hintsReplayed  atomic.Int64 // parked hints delivered to their returned holder
-	replicaProbes  atomic.Int64 // per-holder existence probes issued by re-replication
-	replicaRepairs atomic.Int64 // missing replica copies restored on their owners
+	n [NumCounters]atomic.Int64 // the flat cost counters, indexed by Counter
 
 	opCount [NumOps]atomic.Int64            // completed index operations per class
 	opErrs  [NumOps]atomic.Int64            // subset of opCount that returned an error
@@ -104,297 +70,18 @@ type Counters struct {
 // chained children. Must be called before c is used concurrently.
 func (c *Counters) Chain(parent *Counters) { c.parent = parent }
 
-// AddLookups adds n DHT-lookups.
-func (c *Counters) AddLookups(n int64) {
+// Add adds n to counter k, here and on every chained parent. A nil
+// receiver is a no-op, so callers need not check whether an aggregate is
+// configured. k must be one of the declared constants.
+func (c *Counters) Add(k Counter, n int64) {
 	for ; c != nil; c = c.parent {
-		c.lookups.Add(n)
-	}
-}
-
-// AddFailedGets adds n failed DHT-gets (already counted as lookups).
-func (c *Counters) AddFailedGets(n int64) {
-	for ; c != nil; c = c.parent {
-		c.failedGets.Add(n)
-	}
-}
-
-// AddMovedRecords adds n records moved between peers.
-func (c *Counters) AddMovedRecords(n int64) {
-	for ; c != nil; c = c.parent {
-		c.movedRecords.Add(n)
-	}
-}
-
-// AddSplits adds n leaf splits.
-func (c *Counters) AddSplits(n int64) {
-	for ; c != nil; c = c.parent {
-		c.splits.Add(n)
-	}
-}
-
-// AddMerges adds n leaf merges.
-func (c *Counters) AddMerges(n int64) {
-	for ; c != nil; c = c.parent {
-		c.merges.Add(n)
-	}
-}
-
-// AddMaintLookups attributes n already-counted lookups to structure
-// maintenance (splits and merges), the traffic Fig. 7b isolates.
-func (c *Counters) AddMaintLookups(n int64) {
-	for ; c != nil; c = c.parent {
-		c.maintLookups.Add(n)
-	}
-}
-
-// AddCacheHits adds n leaf-cache hits: exact-match lookups resolved by
-// probing a cached leaf name with a single DHT-get.
-func (c *Counters) AddCacheHits(n int64) {
-	for ; c != nil; c = c.parent {
-		c.cacheHits.Add(n)
-	}
-}
-
-// AddCacheMisses adds n leaf-cache misses: lookups for keys with no
-// cached covering leaf, answered by the full binary search.
-func (c *Counters) AddCacheMisses(n int64) {
-	for ; c != nil; c = c.parent {
-		c.cacheMisses.Add(n)
-	}
-}
-
-// AddCacheStale adds n stale leaf-cache probes: the cached leaf had
-// split or merged away, so the client repaired and fell back.
-func (c *Counters) AddCacheStale(n int64) {
-	for ; c != nil; c = c.parent {
-		c.cacheStale.Add(n)
-	}
-}
-
-// AddRetries adds n policy-layer retries: repeated attempts after a
-// transient substrate fault. Each retry is also charged as a DHT-lookup
-// by the instrumentation layer beneath the policy wrapper.
-func (c *Counters) AddRetries(n int64) {
-	for ; c != nil; c = c.parent {
-		c.retries.Add(n)
-	}
-}
-
-// AddCancellations adds n operations that ended because the caller's
-// context was cancelled.
-func (c *Counters) AddCancellations(n int64) {
-	for ; c != nil; c = c.parent {
-		c.cancellations.Add(n)
-	}
-}
-
-// AddDeadlineExceeded adds n operations that ended because the caller's
-// context deadline expired.
-func (c *Counters) AddDeadlineExceeded(n int64) {
-	for ; c != nil; c = c.parent {
-		c.deadlineExceeded.Add(n)
-	}
-}
-
-// AddBatchOps adds n native batched round trips. Only batches served by a
-// substrate's own Batcher implementation count; per-op fallbacks charge
-// nothing here because they save no round trips.
-func (c *Counters) AddBatchOps(n int64) {
-	for ; c != nil; c = c.parent {
-		c.batchOps.Add(n)
-	}
-}
-
-// AddBatchedKeys adds n keys carried inside native batches. Every such
-// key is also charged as a DHT-lookup, keeping the bandwidth measure
-// identical whether or not batching is available.
-func (c *Counters) AddBatchedKeys(n int64) {
-	for ; c != nil; c = c.parent {
-		c.batchedKeys.Add(n)
-	}
-}
-
-// AddTornSplits adds n torn split intents detected: buckets fetched with a
-// pending split marker left behind by a writer that crashed mid-mutation.
-func (c *Counters) AddTornSplits(n int64) {
-	for ; c != nil; c = c.parent {
-		c.tornSplits.Add(n)
-	}
-}
-
-// AddTornMerges adds n torn merge intents detected.
-func (c *Counters) AddTornMerges(n int64) {
-	for ; c != nil; c = c.parent {
-		c.tornMerges.Add(n)
-	}
-}
-
-// AddRepairs adds n repairs: torn states idempotently completed or rolled
-// back by lookup read-repair or by Scrub.
-func (c *Counters) AddRepairs(n int64) {
-	for ; c != nil; c = c.parent {
-		c.repairs.Add(n)
-	}
-}
-
-// AddScrubLookups attributes n already-counted lookups to Scrub walks, the
-// cost of verifying and repairing the tree's structural invariants.
-func (c *Counters) AddScrubLookups(n int64) {
-	for ; c != nil; c = c.parent {
-		c.scrubLookups.Add(n)
-	}
-}
-
-// AddCASConflicts adds n lost compare-and-swaps: conditional writes that
-// found the stored epoch moved by a concurrent winner.
-func (c *Counters) AddCASConflicts(n int64) {
-	for ; c != nil; c = c.parent {
-		c.casConflicts.Add(n)
-	}
-}
-
-// AddWriterRetries adds n optimistic-writer retry rounds: whole
-// read-modify-write cycles the index layer re-ran after losing a CAS.
-func (c *Counters) AddWriterRetries(n int64) {
-	for ; c != nil; c = c.parent {
-		c.writerRetries.Add(n)
-	}
-}
-
-// AddCASFallbacks adds n conditional operations served by the non-atomic
-// fetch-verify-write fallback because the substrate has no native CAS.
-func (c *Counters) AddCASFallbacks(n int64) {
-	for ; c != nil; c = c.parent {
-		c.casFallbacks.Add(n)
-	}
-}
-
-// AddHotSplits adds n hot splits: leaf splits triggered by the decaying
-// request-rate estimate crossing Config.HotSplitRate while the leaf was
-// still under its capacity threshold. Each is also counted by AddSplits.
-func (c *Counters) AddHotSplits(n int64) {
-	for ; c != nil; c = c.parent {
-		c.hotSplits.Add(n)
-	}
-}
-
-// AddCoalescedGets adds n coalesced DHT-gets: concurrent fetches of one
-// hot key that rode an already-in-flight get instead of issuing their
-// own. Coalesced gets are still charged as lookups by the
-// instrumentation layer above the coalescer, so the cost model is
-// unchanged; this counts the physical round trips saved.
-func (c *Counters) AddCoalescedGets(n int64) {
-	for ; c != nil; c = c.parent {
-		c.coalescedGets.Add(n)
-	}
-}
-
-// AddSpreadReads adds n spread reads: Get/Take operations whose replica
-// iteration started at a rotated non-primary holder to spread a hot
-// key's read load across its replica set.
-func (c *Counters) AddSpreadReads(n int64) {
-	for ; c != nil; c = c.parent {
-		c.spreadReads.Add(n)
-	}
-}
-
-// AddHedgedGets adds n hedged gets: duplicate reads launched against
-// another replica holder after the original attempt outlived the hedge
-// delay. Hedges are physical round trips, not logical DHT-lookups — the
-// paper's cost model is unchanged; this counts the extra load spent
-// buying tail latency.
-func (c *Counters) AddHedgedGets(n int64) {
-	for ; c != nil; c = c.parent {
-		c.hedgedGets.Add(n)
-	}
-}
-
-// AddHedgeWins adds n hedge wins: hedged gets whose duplicate answered
-// before the original attempt did.
-func (c *Counters) AddHedgeWins(n int64) {
-	for ; c != nil; c = c.parent {
-		c.hedgeWins.Add(n)
-	}
-}
-
-// AddBreakerOpens adds n circuit-breaker open transitions: a node's
-// consecutive transport failures crossed the threshold and further
-// traffic to it will fast-fail for the cooldown.
-func (c *Counters) AddBreakerOpens(n int64) {
-	for ; c != nil; c = c.parent {
-		c.breakerOpens.Add(n)
-	}
-}
-
-// AddBreakerFastFails adds n breaker fast fails: operations that were
-// rejected instantly by an open breaker instead of paying a dial or
-// request timeout against a node known to be unhealthy.
-func (c *Counters) AddBreakerFastFails(n int64) {
-	for ; c != nil; c = c.parent {
-		c.breakerFastFails.Add(n)
-	}
-}
-
-// AddFailovers adds n read failovers: reads that skipped an open
-// (unhealthy) holder and were served by another replica.
-func (c *Counters) AddFailovers(n int64) {
-	for ; c != nil; c = c.parent {
-		c.failovers.Add(n)
-	}
-}
-
-// AddGossipRounds adds n anti-entropy membership exchanges: one gossip
-// round trip between two nodes, successful or not.
-func (c *Counters) AddGossipRounds(n int64) {
-	for ; c != nil; c = c.parent {
-		c.gossipRounds.Add(n)
-	}
-}
-
-// AddViewRefreshes adds n view refreshes: membership views a client
-// pulled from the cluster and applied to its routing ring.
-func (c *Counters) AddViewRefreshes(n int64) {
-	for ; c != nil; c = c.parent {
-		c.viewRefreshes.Add(n)
-	}
-}
-
-// AddHintsParked adds n hinted handoffs: epoch-tagged writes a fan-out
-// could not deliver to their holder, parked on a substitute node for
-// replay when the holder returns.
-func (c *Counters) AddHintsParked(n int64) {
-	for ; c != nil; c = c.parent {
-		c.hintsParked.Add(n)
-	}
-}
-
-// AddHintsReplayed adds n hint replays: parked hinted handoffs delivered
-// to their returned holder through the epoch-ordered store.
-func (c *Counters) AddHintsReplayed(n int64) {
-	for ; c != nil; c = c.parent {
-		c.hintsReplayed.Add(n)
-	}
-}
-
-// AddReplicaProbes adds n re-replication probes: per-holder existence
-// checks EnsureReplicated issued while auditing a key's replica set.
-func (c *Counters) AddReplicaProbes(n int64) {
-	for ; c != nil; c = c.parent {
-		c.replicaProbes.Add(n)
-	}
-}
-
-// AddReplicaRepairs adds n replica repairs: missing copies re-stored on
-// their ring owners by re-replication.
-func (c *Counters) AddReplicaRepairs(n int64) {
-	for ; c != nil; c = c.parent {
-		c.replicaRepairs.Add(n)
+		c.n[k].Add(n)
 	}
 }
 
 // AddPhaseLookups attributes n already-counted lookups to the (op, phase)
 // cell of the attribution matrix. The instrumentation layer calls this
-// alongside AddLookups with the labels it read from the context, so the
+// alongside Add(Lookups, n) with the labels it read from the context, so the
 // matrix row sums track the lookup total for labelled traffic.
 func (c *Counters) AddPhaseLookups(op Op, phase Phase, n int64) {
 	if op < 0 || op >= NumOps || phase < 0 || phase >= NumPhases {
@@ -423,9 +110,10 @@ func (c *Counters) ObserveOp(op Op, d time.Duration, failed bool) {
 // Snapshot is a point-in-time copy of the counters, grouped by concern:
 // the paper's cost model (Lookup), the client leaf cache (Cache), the
 // retry policy plane (Retry), the batched operation plane (Batch), the
-// crash-consistency plane (Repair), and per-operation-class latency and
-// phase attribution (Latency). Flat returns the same numbers as a flat
-// struct for column-oriented consumers.
+// crash-consistency plane (Repair), multi-writer concurrency control
+// (Write), hot-leaf load balancing (Load), graceful degradation (Health),
+// self-healing membership (Membership), and per-operation-class latency
+// and phase attribution (Latency).
 type Snapshot struct {
 	Lookup     LookupCounts
 	Cache      CacheCounts
@@ -548,60 +236,9 @@ func (s Snapshot) RoundTrips() int64 { return s.Lookup.Total - s.Batch.Keys + s.
 
 // Snapshot returns the current counter values.
 func (c *Counters) Snapshot() Snapshot {
-	s := Snapshot{
-		Lookup: LookupCounts{
-			Total:        c.lookups.Load(),
-			FailedGets:   c.failedGets.Load(),
-			MovedRecords: c.movedRecords.Load(),
-			Splits:       c.splits.Load(),
-			Merges:       c.merges.Load(),
-			Maintenance:  c.maintLookups.Load(),
-		},
-		Cache: CacheCounts{
-			Hits:   c.cacheHits.Load(),
-			Misses: c.cacheMisses.Load(),
-			Stale:  c.cacheStale.Load(),
-		},
-		Retry: RetryCounts{
-			Retries:          c.retries.Load(),
-			Cancellations:    c.cancellations.Load(),
-			DeadlineExceeded: c.deadlineExceeded.Load(),
-		},
-		Batch: BatchCounts{
-			Ops:  c.batchOps.Load(),
-			Keys: c.batchedKeys.Load(),
-		},
-		Repair: RepairCounts{
-			TornSplits:   c.tornSplits.Load(),
-			TornMerges:   c.tornMerges.Load(),
-			Repairs:      c.repairs.Load(),
-			ScrubLookups: c.scrubLookups.Load(),
-		},
-		Write: WriteCounts{
-			CASConflicts:  c.casConflicts.Load(),
-			WriterRetries: c.writerRetries.Load(),
-			CASFallbacks:  c.casFallbacks.Load(),
-		},
-		Load: LoadCounts{
-			HotSplits:     c.hotSplits.Load(),
-			CoalescedGets: c.coalescedGets.Load(),
-			SpreadReads:   c.spreadReads.Load(),
-		},
-		Health: HealthCounts{
-			HedgedGets:       c.hedgedGets.Load(),
-			HedgeWins:        c.hedgeWins.Load(),
-			BreakerOpens:     c.breakerOpens.Load(),
-			BreakerFastFails: c.breakerFastFails.Load(),
-			Failovers:        c.failovers.Load(),
-		},
-		Membership: MembershipCounts{
-			GossipRounds:   c.gossipRounds.Load(),
-			ViewRefreshes:  c.viewRefreshes.Load(),
-			HintsParked:    c.hintsParked.Load(),
-			HintsReplayed:  c.hintsReplayed.Load(),
-			ReplicaProbes:  c.replicaProbes.Load(),
-			ReplicaRepairs: c.replicaRepairs.Load(),
-		},
+	var s Snapshot
+	for k := range counterTable {
+		*counterTable[k].field(&s) = c.n[k].Load()
 	}
 	for op := Op(0); op < NumOps; op++ {
 		o := &s.Latency.Ops[op]
@@ -618,41 +255,9 @@ func (c *Counters) Snapshot() Snapshot {
 // Reset zeroes all counters (the parent aggregate, if chained, keeps
 // what it has already absorbed).
 func (c *Counters) Reset() {
-	c.lookups.Store(0)
-	c.failedGets.Store(0)
-	c.movedRecords.Store(0)
-	c.splits.Store(0)
-	c.merges.Store(0)
-	c.maintLookups.Store(0)
-	c.cacheHits.Store(0)
-	c.cacheMisses.Store(0)
-	c.cacheStale.Store(0)
-	c.retries.Store(0)
-	c.cancellations.Store(0)
-	c.deadlineExceeded.Store(0)
-	c.batchOps.Store(0)
-	c.batchedKeys.Store(0)
-	c.tornSplits.Store(0)
-	c.tornMerges.Store(0)
-	c.repairs.Store(0)
-	c.scrubLookups.Store(0)
-	c.casConflicts.Store(0)
-	c.writerRetries.Store(0)
-	c.casFallbacks.Store(0)
-	c.hotSplits.Store(0)
-	c.coalescedGets.Store(0)
-	c.spreadReads.Store(0)
-	c.hedgedGets.Store(0)
-	c.hedgeWins.Store(0)
-	c.breakerOpens.Store(0)
-	c.breakerFastFails.Store(0)
-	c.failovers.Store(0)
-	c.gossipRounds.Store(0)
-	c.viewRefreshes.Store(0)
-	c.hintsParked.Store(0)
-	c.hintsReplayed.Store(0)
-	c.replicaProbes.Store(0)
-	c.replicaRepairs.Store(0)
+	for k := range c.n {
+		c.n[k].Store(0)
+	}
 	for op := Op(0); op < NumOps; op++ {
 		c.opCount[op].Store(0)
 		c.opErrs[op].Store(0)
@@ -666,60 +271,10 @@ func (c *Counters) Reset() {
 // Sub returns the component-wise difference s - prev, for measuring the
 // cost of a single operation or experiment phase.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Lookup: LookupCounts{
-			Total:        s.Lookup.Total - prev.Lookup.Total,
-			FailedGets:   s.Lookup.FailedGets - prev.Lookup.FailedGets,
-			MovedRecords: s.Lookup.MovedRecords - prev.Lookup.MovedRecords,
-			Splits:       s.Lookup.Splits - prev.Lookup.Splits,
-			Merges:       s.Lookup.Merges - prev.Lookup.Merges,
-			Maintenance:  s.Lookup.Maintenance - prev.Lookup.Maintenance,
-		},
-		Cache: CacheCounts{
-			Hits:   s.Cache.Hits - prev.Cache.Hits,
-			Misses: s.Cache.Misses - prev.Cache.Misses,
-			Stale:  s.Cache.Stale - prev.Cache.Stale,
-		},
-		Retry: RetryCounts{
-			Retries:          s.Retry.Retries - prev.Retry.Retries,
-			Cancellations:    s.Retry.Cancellations - prev.Retry.Cancellations,
-			DeadlineExceeded: s.Retry.DeadlineExceeded - prev.Retry.DeadlineExceeded,
-		},
-		Batch: BatchCounts{
-			Ops:  s.Batch.Ops - prev.Batch.Ops,
-			Keys: s.Batch.Keys - prev.Batch.Keys,
-		},
-		Repair: RepairCounts{
-			TornSplits:   s.Repair.TornSplits - prev.Repair.TornSplits,
-			TornMerges:   s.Repair.TornMerges - prev.Repair.TornMerges,
-			Repairs:      s.Repair.Repairs - prev.Repair.Repairs,
-			ScrubLookups: s.Repair.ScrubLookups - prev.Repair.ScrubLookups,
-		},
-		Write: WriteCounts{
-			CASConflicts:  s.Write.CASConflicts - prev.Write.CASConflicts,
-			WriterRetries: s.Write.WriterRetries - prev.Write.WriterRetries,
-			CASFallbacks:  s.Write.CASFallbacks - prev.Write.CASFallbacks,
-		},
-		Load: LoadCounts{
-			HotSplits:     s.Load.HotSplits - prev.Load.HotSplits,
-			CoalescedGets: s.Load.CoalescedGets - prev.Load.CoalescedGets,
-			SpreadReads:   s.Load.SpreadReads - prev.Load.SpreadReads,
-		},
-		Health: HealthCounts{
-			HedgedGets:       s.Health.HedgedGets - prev.Health.HedgedGets,
-			HedgeWins:        s.Health.HedgeWins - prev.Health.HedgeWins,
-			BreakerOpens:     s.Health.BreakerOpens - prev.Health.BreakerOpens,
-			BreakerFastFails: s.Health.BreakerFastFails - prev.Health.BreakerFastFails,
-			Failovers:        s.Health.Failovers - prev.Health.Failovers,
-		},
-		Membership: MembershipCounts{
-			GossipRounds:   s.Membership.GossipRounds - prev.Membership.GossipRounds,
-			ViewRefreshes:  s.Membership.ViewRefreshes - prev.Membership.ViewRefreshes,
-			HintsParked:    s.Membership.HintsParked - prev.Membership.HintsParked,
-			HintsReplayed:  s.Membership.HintsReplayed - prev.Membership.HintsReplayed,
-			ReplicaProbes:  s.Membership.ReplicaProbes - prev.Membership.ReplicaProbes,
-			ReplicaRepairs: s.Membership.ReplicaRepairs - prev.Membership.ReplicaRepairs,
-		},
+	d := s
+	for k := range counterTable {
+		field := counterTable[k].field
+		*field(&d) -= *field(&prev)
 	}
 	for op := Op(0); op < NumOps; op++ {
 		a, b := s.Latency.Ops[op], prev.Latency.Ops[op]
@@ -732,154 +287,4 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		}
 	}
 	return d
-}
-
-// FlatSnapshot is Snapshot flattened back to the original one-level
-// counter names, for column-oriented consumers (benchmark formatters,
-// JSON reports) that want every number addressable by a short name.
-type FlatSnapshot struct {
-	Lookups      int64 `json:"lookups"`
-	FailedGets   int64 `json:"failed_gets"`
-	MovedRecords int64 `json:"moved_records"`
-	Splits       int64 `json:"splits"`
-	Merges       int64 `json:"merges"`
-	MaintLookups int64 `json:"maint_lookups"`
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
-	CacheStale   int64 `json:"cache_stale"`
-
-	Retries          int64 `json:"retries"`
-	Cancellations    int64 `json:"cancellations"`
-	DeadlineExceeded int64 `json:"deadline_exceeded"`
-
-	BatchOps    int64 `json:"batch_ops"`
-	BatchedKeys int64 `json:"batched_keys"`
-
-	TornSplits   int64 `json:"torn_splits"`
-	TornMerges   int64 `json:"torn_merges"`
-	Repairs      int64 `json:"repairs"`
-	ScrubLookups int64 `json:"scrub_lookups"`
-
-	CASConflicts  int64 `json:"cas_conflicts"`
-	WriterRetries int64 `json:"writer_retries"`
-	CASFallbacks  int64 `json:"cas_fallbacks"`
-
-	HotSplits     int64 `json:"hot_splits"`
-	CoalescedGets int64 `json:"coalesced_gets"`
-	SpreadReads   int64 `json:"spread_reads"`
-
-	HedgedGets       int64 `json:"hedged_gets"`
-	HedgeWins        int64 `json:"hedge_wins"`
-	BreakerOpens     int64 `json:"breaker_opens"`
-	BreakerFastFails int64 `json:"breaker_fast_fails"`
-	Failovers        int64 `json:"failovers"`
-
-	GossipRounds   int64 `json:"gossip_rounds"`
-	ViewRefreshes  int64 `json:"view_refreshes"`
-	HintsParked    int64 `json:"hints_parked"`
-	HintsReplayed  int64 `json:"hints_replayed"`
-	ReplicaProbes  int64 `json:"replica_probes"`
-	ReplicaRepairs int64 `json:"replica_repairs"`
-}
-
-// Flat returns the snapshot's counters under their flat legacy names.
-// Latency histograms and the phase matrix have no flat form; use
-// s.Latency directly.
-func (s Snapshot) Flat() FlatSnapshot {
-	return FlatSnapshot{
-		Lookups:      s.Lookup.Total,
-		FailedGets:   s.Lookup.FailedGets,
-		MovedRecords: s.Lookup.MovedRecords,
-		Splits:       s.Lookup.Splits,
-		Merges:       s.Lookup.Merges,
-		MaintLookups: s.Lookup.Maintenance,
-		CacheHits:    s.Cache.Hits,
-		CacheMisses:  s.Cache.Misses,
-		CacheStale:   s.Cache.Stale,
-
-		Retries:          s.Retry.Retries,
-		Cancellations:    s.Retry.Cancellations,
-		DeadlineExceeded: s.Retry.DeadlineExceeded,
-
-		BatchOps:    s.Batch.Ops,
-		BatchedKeys: s.Batch.Keys,
-
-		TornSplits:   s.Repair.TornSplits,
-		TornMerges:   s.Repair.TornMerges,
-		Repairs:      s.Repair.Repairs,
-		ScrubLookups: s.Repair.ScrubLookups,
-
-		CASConflicts:  s.Write.CASConflicts,
-		WriterRetries: s.Write.WriterRetries,
-		CASFallbacks:  s.Write.CASFallbacks,
-
-		HotSplits:     s.Load.HotSplits,
-		CoalescedGets: s.Load.CoalescedGets,
-		SpreadReads:   s.Load.SpreadReads,
-
-		HedgedGets:       s.Health.HedgedGets,
-		HedgeWins:        s.Health.HedgeWins,
-		BreakerOpens:     s.Health.BreakerOpens,
-		BreakerFastFails: s.Health.BreakerFastFails,
-		Failovers:        s.Health.Failovers,
-
-		GossipRounds:   s.Membership.GossipRounds,
-		ViewRefreshes:  s.Membership.ViewRefreshes,
-		HintsParked:    s.Membership.HintsParked,
-		HintsReplayed:  s.Membership.HintsReplayed,
-		ReplicaProbes:  s.Membership.ReplicaProbes,
-		ReplicaRepairs: s.Membership.ReplicaRepairs,
-	}
-}
-
-// RoundTrips mirrors Snapshot.RoundTrips for flat consumers.
-func (s FlatSnapshot) RoundTrips() int64 { return s.Lookups - s.BatchedKeys + s.BatchOps }
-
-// Sub returns the counter-wise difference s - prev, mirroring
-// Snapshot.Sub for flat consumers.
-func (s FlatSnapshot) Sub(prev FlatSnapshot) FlatSnapshot {
-	return FlatSnapshot{
-		Lookups:      s.Lookups - prev.Lookups,
-		FailedGets:   s.FailedGets - prev.FailedGets,
-		MovedRecords: s.MovedRecords - prev.MovedRecords,
-		Splits:       s.Splits - prev.Splits,
-		Merges:       s.Merges - prev.Merges,
-		MaintLookups: s.MaintLookups - prev.MaintLookups,
-		CacheHits:    s.CacheHits - prev.CacheHits,
-		CacheMisses:  s.CacheMisses - prev.CacheMisses,
-		CacheStale:   s.CacheStale - prev.CacheStale,
-
-		Retries:          s.Retries - prev.Retries,
-		Cancellations:    s.Cancellations - prev.Cancellations,
-		DeadlineExceeded: s.DeadlineExceeded - prev.DeadlineExceeded,
-
-		BatchOps:    s.BatchOps - prev.BatchOps,
-		BatchedKeys: s.BatchedKeys - prev.BatchedKeys,
-
-		TornSplits:   s.TornSplits - prev.TornSplits,
-		TornMerges:   s.TornMerges - prev.TornMerges,
-		Repairs:      s.Repairs - prev.Repairs,
-		ScrubLookups: s.ScrubLookups - prev.ScrubLookups,
-
-		CASConflicts:  s.CASConflicts - prev.CASConflicts,
-		WriterRetries: s.WriterRetries - prev.WriterRetries,
-		CASFallbacks:  s.CASFallbacks - prev.CASFallbacks,
-
-		HotSplits:     s.HotSplits - prev.HotSplits,
-		CoalescedGets: s.CoalescedGets - prev.CoalescedGets,
-		SpreadReads:   s.SpreadReads - prev.SpreadReads,
-
-		HedgedGets:       s.HedgedGets - prev.HedgedGets,
-		HedgeWins:        s.HedgeWins - prev.HedgeWins,
-		BreakerOpens:     s.BreakerOpens - prev.BreakerOpens,
-		BreakerFastFails: s.BreakerFastFails - prev.BreakerFastFails,
-		Failovers:        s.Failovers - prev.Failovers,
-
-		GossipRounds:   s.GossipRounds - prev.GossipRounds,
-		ViewRefreshes:  s.ViewRefreshes - prev.ViewRefreshes,
-		HintsParked:    s.HintsParked - prev.HintsParked,
-		HintsReplayed:  s.HintsReplayed - prev.HintsReplayed,
-		ReplicaProbes:  s.ReplicaProbes - prev.ReplicaProbes,
-		ReplicaRepairs: s.ReplicaRepairs - prev.ReplicaRepairs,
-	}
 }

@@ -15,44 +15,11 @@ import (
 // proportional to what actually ran.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	bw := &errWriter{w: w}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	for k := range counterTable {
+		r := &counterTable[k]
+		name := r.series()
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, r.help, name, name, *r.field(&s))
 	}
-	counter("lht_dht_lookups_total", "DHT-lookups issued (paper section 8.1 bandwidth measure).", s.Lookup.Total)
-	counter("lht_dht_failed_gets_total", "DHT-gets that returned not-found.", s.Lookup.FailedGets)
-	counter("lht_moved_records_total", "Record slots moved between peers.", s.Lookup.MovedRecords)
-	counter("lht_splits_total", "Leaf splits performed.", s.Lookup.Splits)
-	counter("lht_merges_total", "Leaf merges performed.", s.Lookup.Merges)
-	counter("lht_maint_lookups_total", "Lookups spent on splits and merges.", s.Lookup.Maintenance)
-	counter("lht_cache_hits_total", "Leaf-cache probes resolved in one DHT-get.", s.Cache.Hits)
-	counter("lht_cache_misses_total", "Lookups with no leaf-cache entry.", s.Cache.Misses)
-	counter("lht_cache_stale_total", "Leaf-cache probes that detected a stale entry.", s.Cache.Stale)
-	counter("lht_retries_total", "Policy-layer retries after transient faults.", s.Retry.Retries)
-	counter("lht_cancellations_total", "Operations ended by context cancellation.", s.Retry.Cancellations)
-	counter("lht_deadline_exceeded_total", "Operations ended by context deadline expiry.", s.Retry.DeadlineExceeded)
-	counter("lht_batch_ops_total", "Native batched round trips issued.", s.Batch.Ops)
-	counter("lht_batched_keys_total", "Keys carried inside native batches.", s.Batch.Keys)
-	counter("lht_torn_splits_total", "Torn split intents detected.", s.Repair.TornSplits)
-	counter("lht_torn_merges_total", "Torn merge intents detected.", s.Repair.TornMerges)
-	counter("lht_repairs_total", "Torn states completed or rolled back.", s.Repair.Repairs)
-	counter("lht_scrub_lookups_total", "Lookups issued by Scrub walks.", s.Repair.ScrubLookups)
-	counter("lht_cas_conflicts_total", "Conditional writes that lost their compare-and-swap.", s.Write.CASConflicts)
-	counter("lht_writer_retries_total", "Index mutation rounds re-run after a CAS conflict.", s.Write.WriterRetries)
-	counter("lht_cas_fallbacks_total", "Conditional ops emulated by fetch-verify-write.", s.Write.CASFallbacks)
-	counter("lht_hot_splits_total", "Leaf splits triggered by request rate, not capacity.", s.Load.HotSplits)
-	counter("lht_coalesced_gets_total", "DHT-gets absorbed by singleflight coalescing.", s.Load.CoalescedGets)
-	counter("lht_spread_reads_total", "Reads served starting at a non-primary replica.", s.Load.SpreadReads)
-	counter("lht_hedged_gets_total", "Duplicate reads launched after the hedge delay.", s.Health.HedgedGets)
-	counter("lht_hedge_wins_total", "Hedges that answered before the original attempt.", s.Health.HedgeWins)
-	counter("lht_breaker_opens_total", "Circuit-breaker transitions into the open state.", s.Health.BreakerOpens)
-	counter("lht_breaker_fast_fails_total", "Operations rejected instantly by an open breaker.", s.Health.BreakerFastFails)
-	counter("lht_failovers_total", "Reads rerouted off an unhealthy holder.", s.Health.Failovers)
-	counter("lht_gossip_rounds_total", "Anti-entropy membership exchanges performed.", s.Membership.GossipRounds)
-	counter("lht_view_refreshes_total", "Membership views applied to a client routing ring.", s.Membership.ViewRefreshes)
-	counter("lht_hints_parked_total", "Hinted handoffs parked for an unreachable holder.", s.Membership.HintsParked)
-	counter("lht_hints_replayed_total", "Parked hints delivered to their returned holder.", s.Membership.HintsReplayed)
-	counter("lht_replica_probes_total", "Per-holder existence probes issued by re-replication.", s.Membership.ReplicaProbes)
-	counter("lht_replica_repairs_total", "Missing replica copies restored on their owners.", s.Membership.ReplicaRepairs)
 
 	active := func(o OpStats) bool { return o.Count != 0 || o.Lookups() != 0 }
 

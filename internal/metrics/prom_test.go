@@ -13,40 +13,40 @@ import (
 // pinned byte-for-byte.
 func goldenCounters() *Counters {
 	var c Counters
-	c.AddLookups(12)
-	c.AddFailedGets(2)
-	c.AddMovedRecords(30)
-	c.AddSplits(3)
-	c.AddMerges(1)
-	c.AddMaintLookups(5)
-	c.AddCacheHits(4)
-	c.AddCacheMisses(6)
-	c.AddCacheStale(1)
-	c.AddRetries(2)
-	c.AddCancellations(1)
-	c.AddDeadlineExceeded(1)
-	c.AddBatchOps(2)
-	c.AddBatchedKeys(8)
-	c.AddTornSplits(1)
-	c.AddRepairs(1)
-	c.AddScrubLookups(4)
-	c.AddCASConflicts(3)
-	c.AddWriterRetries(2)
-	c.AddCASFallbacks(1)
-	c.AddHotSplits(2)
-	c.AddCoalescedGets(5)
-	c.AddSpreadReads(6)
-	c.AddHedgedGets(3)
-	c.AddHedgeWins(1)
-	c.AddBreakerOpens(2)
-	c.AddBreakerFastFails(4)
-	c.AddFailovers(2)
-	c.AddGossipRounds(5)
-	c.AddViewRefreshes(2)
-	c.AddHintsParked(3)
-	c.AddHintsReplayed(2)
-	c.AddReplicaProbes(9)
-	c.AddReplicaRepairs(1)
+	c.Add(Lookups, 12)
+	c.Add(FailedGets, 2)
+	c.Add(MovedRecords, 30)
+	c.Add(Splits, 3)
+	c.Add(Merges, 1)
+	c.Add(MaintLookups, 5)
+	c.Add(CacheHits, 4)
+	c.Add(CacheMisses, 6)
+	c.Add(CacheStale, 1)
+	c.Add(Retries, 2)
+	c.Add(Cancellations, 1)
+	c.Add(DeadlineExceeded, 1)
+	c.Add(BatchOps, 2)
+	c.Add(BatchedKeys, 8)
+	c.Add(TornSplits, 1)
+	c.Add(Repairs, 1)
+	c.Add(ScrubLookups, 4)
+	c.Add(CASConflicts, 3)
+	c.Add(WriterRetries, 2)
+	c.Add(CASFallbacks, 1)
+	c.Add(HotSplits, 2)
+	c.Add(CoalescedGets, 5)
+	c.Add(SpreadReads, 6)
+	c.Add(HedgedGets, 3)
+	c.Add(HedgeWins, 1)
+	c.Add(BreakerOpens, 2)
+	c.Add(BreakerFastFails, 4)
+	c.Add(Failovers, 2)
+	c.Add(GossipRounds, 5)
+	c.Add(ViewRefreshes, 2)
+	c.Add(HintsParked, 3)
+	c.Add(HintsReplayed, 2)
+	c.Add(ReplicaProbes, 9)
+	c.Add(ReplicaRepairs, 1)
 	c.AddPhaseLookups(OpGet, PhaseProbe, 7)
 	c.AddPhaseLookups(OpGet, PhaseRetry, 1)
 	c.AddPhaseLookups(OpRange, PhaseForward, 4)

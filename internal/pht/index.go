@@ -238,7 +238,7 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		cost.Steps++
 		err = dht.DoPutIf(ctx, ix.d, nn.Label.Key(), nn, n.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
-			ix.c.AddWriterRetries(1)
+			ix.c.Add(metrics.WriterRetries, 1)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
@@ -250,7 +250,7 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		if nn.Weight() >= ix.cfg.SplitThreshold {
 			splitCost, err := ix.split(ctx, nn)
 			cost.Add(splitCost)
-			ix.c.AddMaintLookups(int64(splitCost.Lookups))
+			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
 			if err != nil {
 				return cost, err
 			}
@@ -316,8 +316,8 @@ func (ix *Index) split(ctx context.Context, n *Node) (Cost, error) {
 		return cost, fmt.Errorf("pht: split write %s: %w", n.Label, err)
 	}
 
-	ix.c.AddSplits(1)
-	ix.c.AddMovedRecords(int64(left.Weight() + right.Weight()))
+	ix.c.Add(metrics.Splits, 1)
+	ix.c.Add(metrics.MovedRecords, int64(left.Weight()+right.Weight()))
 
 	// Both children move to the peers responsible for their new labels.
 	// Plain puts: only the fence winner gets here, and overwriting is
@@ -361,7 +361,7 @@ func (ix *Index) patchLink(ctx context.Context, label bitlabel.Label, cost *Cost
 		np.Epoch++
 		err = dht.DoWriteIf(ctx, ix.d, label.Key(), np, p.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
-			ix.c.AddWriterRetries(1)
+			ix.c.Add(metrics.WriterRetries, 1)
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
@@ -405,7 +405,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 		cost.Steps++
 		err = dht.DoPutIf(ctx, ix.d, nn.Label.Key(), nn, n.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
-			ix.c.AddWriterRetries(1)
+			ix.c.Add(metrics.WriterRetries, 1)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
@@ -417,7 +417,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 		if ix.cfg.MergeThreshold > 0 && nn.Label.Len() >= 2 && nn.Weight() < ix.cfg.MergeThreshold {
 			mergeCost, err := ix.merge(ctx, nn)
 			cost.Add(mergeCost)
-			ix.c.AddMaintLookups(int64(mergeCost.Lookups))
+			ix.c.Add(metrics.MaintLookups, int64(mergeCost.Lookups))
 			if err != nil {
 				return cost, err
 			}
@@ -462,8 +462,8 @@ func (ix *Index) merge(ctx context.Context, n *Node) (Cost, error) {
 		Epoch: max(left.Epoch, right.Epoch) + 1,
 	}
 
-	ix.c.AddMerges(1)
-	ix.c.AddMovedRecords(int64(left.Weight() + right.Weight()))
+	ix.c.Add(metrics.Merges, 1)
+	ix.c.Add(metrics.MovedRecords, int64(left.Weight()+right.Weight()))
 
 	cost.Lookups += 3
 	cost.Steps++ // put parent + remove both children, in parallel

@@ -90,32 +90,32 @@ func TestSplitCostProfile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := ix.Metrics().Flat()
+	before := ix.Metrics()
 	for i := 0; i < 600; i++ {
-		pre := ix.Metrics().Flat()
+		pre := ix.Metrics()
 		cost, err := ix.Insert(record.Record{Key: rng.Float64()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		post := ix.Metrics().Flat()
-		if post.Splits == pre.Splits {
+		post := ix.Metrics()
+		if post.Lookup.Splits == pre.Lookup.Splits {
 			continue
 		}
 		_ = cost
 		// A split normally fires with theta-1 records (moving theta+1
 		// slots); a child left oversized by a skewed split can fire with
 		// a few more, never fewer.
-		moved := post.MovedRecords - pre.MovedRecords
+		moved := post.Lookup.MovedRecords - pre.Lookup.MovedRecords
 		if moved < int64(theta+1) || moved > int64(theta+4) {
 			t.Errorf("split moved %d record slots, want about theta+1 = %d", moved, theta+1)
 		}
 	}
-	after := ix.Metrics().Flat()
-	splits := after.Splits - before.Splits
+	after := ix.Metrics()
+	splits := after.Lookup.Splits - before.Lookup.Splits
 	if splits == 0 {
 		t.Fatal("no splits observed")
 	}
-	perSplitMoved := float64(after.MovedRecords-before.MovedRecords) / float64(splits)
+	perSplitMoved := float64(after.Lookup.MovedRecords-before.Lookup.MovedRecords) / float64(splits)
 	if perSplitMoved < float64(theta+1) || perSplitMoved > float64(theta)+1.5 {
 		t.Errorf("moved per split = %v, want about %d", perSplitMoved, theta+1)
 	}
@@ -163,7 +163,7 @@ func TestDeleteTriggersMerges(t *testing.T) {
 			}
 		}
 	}
-	if s := ix.Metrics().Flat(); s.Merges == 0 {
+	if s := ix.Metrics(); s.Lookup.Merges == 0 {
 		t.Error("expected merges")
 	}
 	if n, err := ix.Count(); err != nil || n != 0 {

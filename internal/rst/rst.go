@@ -223,8 +223,8 @@ func (ix *Index) mutateShape(fn func(shape []bitlabel.Label) []bitlabel.Label) e
 	})
 	snapshot := ix.snapshotShape()
 	ix.mu.Unlock()
-	ix.c.AddLookups(int64(ix.cfg.Peers))
-	ix.c.AddMaintLookups(int64(ix.cfg.Peers))
+	ix.c.Add(metrics.Lookups, int64(ix.cfg.Peers))
+	ix.c.Add(metrics.MaintLookups, int64(ix.cfg.Peers))
 	if err := ix.d.Write(context.Background(), shapeKey, snapshot); err != nil {
 		return fmt.Errorf("rst: persist shape: %w", err)
 	}
@@ -325,8 +325,8 @@ func (ix *Index) split(b *Bucket) (Cost, error) {
 	}
 	lc := &Bucket{Label: b.Label.Left(), Records: left}
 	rc := &Bucket{Label: b.Label.Right(), Records: right}
-	ix.c.AddSplits(1)
-	ix.c.AddMovedRecords(int64(lc.Weight() + rc.Weight()))
+	ix.c.Add(metrics.Splits, 1)
+	ix.c.Add(metrics.MovedRecords, int64(lc.Weight()+rc.Weight()))
 	cost.Lookups += 3
 	cost.Steps++
 	if err := ix.d.Put(context.Background(), lc.Label.Key(), lc); err != nil {
@@ -338,7 +338,7 @@ func (ix *Index) split(b *Bucket) (Cost, error) {
 	if err := ix.d.Remove(context.Background(), b.Label.Key()); err != nil {
 		return cost, fmt.Errorf("rst: split remove %s: %w", b.Label, err)
 	}
-	ix.c.AddMaintLookups(3)
+	ix.c.Add(metrics.MaintLookups, 3)
 	old := b.Label
 	err := ix.mutateShape(func(shape []bitlabel.Label) []bitlabel.Label {
 		out := shape[:0]
@@ -420,8 +420,8 @@ func (ix *Index) merge(b *Bucket) (Cost, error) {
 		Label:   b.Label.Parent(),
 		Records: append(append([]record.Record{}, b.Records...), sb.Records...),
 	}
-	ix.c.AddMerges(1)
-	ix.c.AddMovedRecords(int64(parent.Weight()))
+	ix.c.Add(metrics.Merges, 1)
+	ix.c.Add(metrics.MovedRecords, int64(parent.Weight()))
 	cost.Lookups += 3
 	cost.Steps++
 	if err := ix.d.Put(context.Background(), parent.Label.Key(), parent); err != nil {
@@ -433,7 +433,7 @@ func (ix *Index) merge(b *Bucket) (Cost, error) {
 	if err := ix.d.Remove(context.Background(), sibling.Key()); err != nil {
 		return cost, fmt.Errorf("rst: merge remove %s: %w", sibling, err)
 	}
-	ix.c.AddMaintLookups(3)
+	ix.c.Add(metrics.MaintLookups, 3)
 	old1, old2 := b.Label, sibling
 	err = ix.mutateShape(func(shape []bitlabel.Label) []bitlabel.Label {
 		out := shape[:0]

@@ -166,7 +166,7 @@ func TestBroadcastCostScalesWithPeers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return ix.Metrics().Flat().MaintLookups
+		return ix.Metrics().Lookup.Maintenance
 	}
 	small := maintAt(10)
 	large := maintAt(1000)
@@ -236,7 +236,7 @@ func TestMergesKeepShapeConsistent(t *testing.T) {
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if s := ix.Metrics().Flat(); s.Merges == 0 {
+	if s := ix.Metrics(); s.Lookup.Merges == 0 {
 		t.Error("expected merges")
 	}
 	if n, _ := ix.Count(); n != 0 {

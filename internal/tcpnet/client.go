@@ -297,7 +297,7 @@ func (c *Client) newNode(a string) *clientNode {
 		prev := cfg.OnOpen
 		counters := o.counters
 		cfg.OnOpen = func() {
-			counters.AddBreakerOpens(1)
+			counters.Add(metrics.BreakerOpens, 1)
 			// An opened breaker is local evidence of failure: mark the
 			// member suspect so the next gossip exchange spreads the doubt.
 			c.markSuspect(a)

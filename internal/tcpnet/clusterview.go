@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"lht/internal/dht"
+	"lht/internal/metrics"
 )
 
 var (
@@ -154,7 +155,7 @@ func (c *Client) applyView(v dht.ClusterView) bool {
 			m.close()
 		}
 	}
-	c.counters.AddViewRefreshes(1)
+	c.counters.Add(metrics.ViewRefreshes, 1)
 	return true
 }
 
@@ -242,7 +243,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 		rep.Probes++
 		vals[i], errs[i] = c.rawGet(ctx, n, key)
 	}
-	c.counters.AddReplicaProbes(int64(rep.Probes))
+	c.counters.Add(metrics.ReplicaProbes, int64(rep.Probes))
 
 	// The freshest surviving copy (highest stored epoch) is the donor.
 	var donor []byte
@@ -275,7 +276,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 				continue
 			}
 			rep.Restored++
-			c.counters.AddReplicaRepairs(1)
+			c.counters.Add(metrics.ReplicaRepairs, 1)
 			c.clearDebt(n.addr, key)
 		default:
 			// Unreachable holder: its copy state is unknown; leave any

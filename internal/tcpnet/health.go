@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"lht/internal/dht"
+	"lht/internal/metrics"
 )
 
 // ContextDialer is the pluggable transport factory: anything with
@@ -144,7 +145,7 @@ func (n *clientNode) allow() (opToken, error) {
 	}
 	ok, probe := n.br.AllowProbe()
 	if !ok {
-		n.counters.AddBreakerFastFails(1)
+		n.counters.Add(metrics.BreakerFastFails, 1)
 		return opToken{}, n.br.Unavailable(n.addr)
 	}
 	return opToken{probe: probe, start: time.Now()}, nil

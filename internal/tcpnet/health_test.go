@@ -74,9 +74,9 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	if errors.Is(err, dht.ErrNotFound) {
 		t.Fatal("fast-fail mislabelled as a missing key")
 	}
-	f := agg.Snapshot().Flat()
-	if f.BreakerOpens != 1 || f.BreakerFastFails < 1 {
-		t.Fatalf("BreakerOpens=%d BreakerFastFails=%d, want 1/>=1", f.BreakerOpens, f.BreakerFastFails)
+	f := agg.Snapshot()
+	if f.Health.BreakerOpens != 1 || f.Health.BreakerFastFails < 1 {
+		t.Fatalf("BreakerOpens=%d BreakerFastFails=%d, want 1/>=1", f.Health.BreakerOpens, f.Health.BreakerFastFails)
 	}
 	// Writes surface the same typed unavailability.
 	if err := c.Put(ctx, "k2", &payload{N: 2}); !dht.IsUnavailable(err) {
@@ -267,8 +267,8 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("50 reads through an open holder took %v", d)
 	}
-	if f := agg.Snapshot().Flat(); f.Failovers < 1 {
-		t.Fatalf("Failovers = %d, want >= 1", f.Failovers)
+	if f := agg.Snapshot(); f.Health.Failovers < 1 {
+		t.Fatalf("Failovers = %d, want >= 1", f.Health.Failovers)
 	}
 }
 

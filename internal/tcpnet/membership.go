@@ -198,7 +198,7 @@ func (m *Membership) Tick(ctx context.Context) error {
 		m.replayHints(ctx)
 		return nil
 	}
-	m.c.AddGossipRounds(1)
+	m.c.Add(metrics.GossipRounds, 1)
 	m.mu.Lock()
 	local := m.view.Clone()
 	m.mu.Unlock()
@@ -389,7 +389,7 @@ func (m *Membership) replayHints(ctx context.Context) {
 			}
 		}
 		s.mu.Unlock()
-		m.c.AddHintsReplayed(int64(len(delivered)))
+		m.c.Add(metrics.HintsReplayed, int64(len(delivered)))
 	}
 }
 
@@ -473,7 +473,7 @@ func (s *Server) parkHintLocked(holder, key string, val []byte) {
 		return // an older fan-out arrived late; keep the newer hint
 	}
 	keys[key] = append([]byte(nil), val...)
-	s.c.AddHintsParked(1)
+	s.c.Add(metrics.HintsParked, 1)
 }
 
 // View wire encoding (canonical, shared by OpGossip and OpStatus):

@@ -93,7 +93,7 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 
 	// On the wire: the trimmed reply is the tags, the kind and the
 	// bucket's header; the server counts a probe as the get it is.
-	before := srv.Metrics().Flat()
+	before := srv.Metrics()
 	whole := srv.applyFrame(buildFrame(1, dht.OpGet, appendLenString(nil, "bucket"))[4:], nil)
 	cut := srv.applyFrame(buildFrame(2, dht.OpGet, hintedGet("bucket", 0.1))[4:], nil)
 	miss := srv.applyFrame(buildFrame(3, dht.OpGet, hintedGet("absent", 0.1))[4:], nil)
@@ -103,9 +103,9 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	if miss[4+frameHeaderLen] != statusNotFound {
 		t.Errorf("hinted get of an absent key: status %d", miss[4+frameHeaderLen])
 	}
-	if after := srv.Metrics().Flat(); after.Lookups-before.Lookups != 3 || after.FailedGets-before.FailedGets != 1 {
+	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 3 || after.Lookup.FailedGets-before.Lookup.FailedGets != 1 {
 		t.Errorf("three gets, one a miss, counted as %d lookups, %d failed gets",
-			after.Lookups-before.Lookups, after.FailedGets-before.FailedGets)
+			after.Lookup.Total-before.Lookup.Total, after.Lookup.FailedGets-before.Lookup.FailedGets)
 	}
 
 	// The hint is exactly eight bytes after a get's key, and nothing else
@@ -302,7 +302,7 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 	// A hedged duplicate starts at the primary, a first read at the other
 	// holder: between them both orders of the failover walk are covered.
 	for name, pctx := range map[string]context.Context{"primary first": dht.MarkHedgeAttempt(ctx), "secondary first": ctx} {
-		before := agg.Snapshot().Flat().Failovers
+		before := agg.Snapshot().Health.Failovers
 		v, err := c.Probe(pctx, "bucket", math.Float64bits(0.1))
 		if h, ok := v.(*ilht.BucketHeader); err != nil || !ok || h.Label != b.Label {
 			t.Errorf("%s: probe with an excluded key: %#v, %v, want the header", name, v, err)
@@ -311,7 +311,7 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 		if got, ok := v.(*ilht.Bucket); err != nil || !ok || len(got.Records) != len(b.Records) {
 			t.Errorf("%s: probe with a covered key: %T, %v, want the whole bucket", name, v, err)
 		}
-		if failed := agg.Snapshot().Flat().Failovers - before; (name == "primary first") != (failed == 2) {
+		if failed := agg.Snapshot().Health.Failovers - before; (name == "primary first") != (failed == 2) {
 			t.Errorf("%s: %d failovers", name, failed)
 		}
 	}

@@ -41,6 +41,7 @@ import (
 
 	"lht/internal/dht"
 	"lht/internal/hashring"
+	"lht/internal/metrics"
 )
 
 // owners returns the replica set for key: the owning node plus the next
@@ -81,7 +82,7 @@ func (c *Client) rotateStart(key string, n int) int {
 	_, _ = h.Write([]byte(key))
 	start := 1 + int((uint64(h.Sum32())+c.readSeq.Add(1)-1)%uint64(n-1))
 	c.spreadReads.Add(1)
-	c.counters.AddSpreadReads(1)
+	c.counters.Add(metrics.SpreadReads, 1)
 	return start
 }
 
@@ -157,7 +158,7 @@ func (c *Client) replicatedGet(ctx context.Context, key string, h probeHint) (dh
 				firstErr = err
 			}
 			if i < len(owners)-1 {
-				c.counters.AddFailovers(1)
+				c.counters.Add(metrics.Failovers, 1)
 			}
 		}
 		if ctx.Err() != nil {

@@ -6,6 +6,7 @@ import (
 	"net"
 
 	"lht/internal/dht"
+	"lht/internal/metrics"
 )
 
 // errMalformed is the server's reply to a frame whose payload does not
@@ -99,10 +100,10 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if err != nil || !(c.empty() || hinted) {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(1)
+		s.c.Add(metrics.Lookups, 1)
 		v, ok := s.store[string(key)]
 		if !ok {
-			s.c.AddFailedGets(1)
+			s.c.Add(metrics.FailedGets, 1)
 			return append(out, statusNotFound)
 		}
 		if op == dht.OpTake {
@@ -119,7 +120,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(1)
+		s.c.Add(metrics.Lookups, 1)
 		s.store[string(key)] = append([]byte(nil), c.rest()...)
 		return append(out, statusOK)
 
@@ -138,7 +139,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if len(val) == 0 {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(1)
+		s.c.Add(metrics.Lookups, 1)
 		if cur, ok := s.store[string(key)]; ok && storedEpoch(cur) > storedEpoch(val) {
 			return append(out, statusOK) // superseded: keep the newer value
 		}
@@ -150,7 +151,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if err != nil || !c.empty() {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(1)
+		s.c.Add(metrics.Lookups, 1)
 		delete(s.store, string(key))
 		return append(out, statusOK)
 
@@ -180,7 +181,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		if op == dht.OpPutIf {
-			s.c.AddLookups(1) // WriteIf, like Write, is free
+			s.c.Add(metrics.Lookups, 1) // WriteIf, like Write, is free
 		}
 		cur, ok := s.store[string(key)]
 		if !ok {
@@ -204,7 +205,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if len(val) == 0 {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(1)
+		s.c.Add(metrics.Lookups, 1)
 		if cur, ok := s.store[string(key)]; ok {
 			return appendCASConflict(out, true, storedEpoch(cur))
 		}
@@ -220,7 +221,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if err != nil || !c.empty() {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(1)
+		s.c.Add(metrics.Lookups, 1)
 		cur, ok := s.store[string(key)]
 		if !ok {
 			return append(out, statusOK) // already gone: the removal is done
@@ -245,16 +246,16 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if !cc.empty() {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(int64(n))
-		s.c.AddBatchOps(1)
-		s.c.AddBatchedKeys(int64(n))
+		s.c.Add(metrics.Lookups, int64(n))
+		s.c.Add(metrics.BatchOps, 1)
+		s.c.Add(metrics.BatchedKeys, int64(n))
 		out = append(out, statusOK)
 		out = appendUv(out, uint64(n))
 		for i := 0; i < n; i++ {
 			key, _ := c.lenBytes()
 			v, ok := s.store[string(key)]
 			if !ok {
-				s.c.AddFailedGets(1)
+				s.c.Add(metrics.FailedGets, 1)
 				out = append(out, statusNotFound)
 				continue
 			}
@@ -280,9 +281,9 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if !cc.empty() {
 			return appendStatusErr(out, errMalformed)
 		}
-		s.c.AddLookups(int64(n))
-		s.c.AddBatchOps(1)
-		s.c.AddBatchedKeys(int64(n))
+		s.c.Add(metrics.Lookups, int64(n))
+		s.c.Add(metrics.BatchOps, 1)
+		s.c.Add(metrics.BatchedKeys, int64(n))
 		for i := 0; i < n; i++ { // in order: a duplicate key's last pair wins
 			key, _ := c.lenBytes()
 			val, _ := c.lenBytes()

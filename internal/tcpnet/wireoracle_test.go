@@ -81,10 +81,10 @@ func runOracleWorkload(t *testing.T, ix *ilht.Index) ([][]byte, oracleCost) {
 			t.Fatal(err)
 		}
 	}
-	f := ix.Metrics().Flat()
+	f := ix.Metrics()
 	return enc, oracleCost{
-		Lookups: f.Lookups, FailedGets: f.FailedGets, BatchedKeys: f.BatchedKeys,
-		CASConflicts: f.CASConflicts, CASFallbacks: f.CASFallbacks,
+		Lookups: f.Lookup.Total, FailedGets: f.Lookup.FailedGets, BatchedKeys: f.Batch.Keys,
+		CASConflicts: f.Write.CASConflicts, CASFallbacks: f.Write.CASFallbacks,
 	}
 }
 
@@ -115,11 +115,11 @@ func TestCodecOracle(t *testing.T) {
 
 	sumServed := func() (tot oracleCost, batchOps int64) {
 		for _, s := range servers {
-			f := s.Metrics().Flat()
-			tot.Lookups += f.Lookups
-			tot.FailedGets += f.FailedGets
-			tot.BatchedKeys += f.BatchedKeys
-			batchOps += f.BatchOps
+			f := s.Metrics()
+			tot.Lookups += f.Lookup.Total
+			tot.FailedGets += f.Lookup.FailedGets
+			tot.BatchedKeys += f.Batch.Keys
+			batchOps += f.Batch.Ops
 		}
 		return tot, batchOps
 	}

@@ -49,8 +49,8 @@
 // Every index keeps per-operation-class latency histograms and a
 // phase-attributed lookup matrix alongside the paper's cost counters:
 // Metrics returns the grouped Snapshot (Lookup, Cache, Retry, Batch,
-// Repair, Latency sub-structs; Flat() recovers the one-level legacy
-// names). WritePrometheus / MetricsHandler / NewMetricsMux export the
+// Repair, Write, Load, Health, Membership, Latency sub-structs).
+// WritePrometheus / MetricsHandler / NewMetricsMux export the
 // same counters in Prometheus text format, and WithTraceSink streams one
 // structured OpEvent per DHT operation into a sink such as the bounded
 // NewTraceRing. cmd/lht-node and cmd/lht-bench serve these on a -metrics
@@ -111,13 +111,9 @@ type Cost = metrics.Cost
 
 // Snapshot is the cumulative counter state of an index client, grouped
 // by concern: Lookup (the paper's cost counters), Cache, Retry, Batch,
-// Repair, and Latency (per-operation-class histograms and phase
-// attribution). Flat() recovers the legacy one-level field names.
+// Repair, Write, Load, Health, Membership, and Latency
+// (per-operation-class histograms and phase attribution).
 type Snapshot = metrics.Snapshot
-
-// FlatSnapshot is Snapshot flattened to one-level counter names, for
-// column-oriented consumers.
-type FlatSnapshot = metrics.FlatSnapshot
 
 // Bucket is a leaf bucket of the partition tree, as returned by inspection
 // helpers.
@@ -365,9 +361,9 @@ func (ix *Index) Leaves() ([]*Bucket, error) { return ix.inner.Leaves() }
 func (ix *Index) CheckInvariants() error { return ix.inner.CheckInvariants() }
 
 // Metrics returns this client's cumulative counters: the paper's cost
-// counters under Snapshot.Lookup, plus cache, retry, batch, repair, and
-// per-operation-class latency groups. Use Metrics().Flat() for the
-// one-level legacy names.
+// counters under Snapshot.Lookup, plus the cache, retry, batch, repair,
+// write, load, health, membership and per-operation-class latency
+// groups.
 func (ix *Index) Metrics() Snapshot { return ix.inner.Metrics() }
 
 // AlphaMean returns the measured average alpha over all splits (paper

@@ -81,8 +81,8 @@ func TestPublicAPIOverChord(t *testing.T) {
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	s := ix.Metrics().Flat()
-	if s.Splits == 0 || s.Lookups == 0 {
+	s := ix.Metrics()
+	if s.Lookup.Splits == 0 || s.Lookup.Total == 0 {
 		t.Errorf("metrics look dead: %+v", s)
 	}
 	if mean, n := ix.AlphaMean(); n == 0 || mean <= 0 {
