@@ -2,14 +2,16 @@ package dht
 
 import "context"
 
-// Prober is the optional substrate capability behind header-only probes.
-// A probe is a Get whose caller may be able to do without most of the
-// value: it passes an opaque hint, and the peer storing the value decides
-// from the value's bytes and the hint (the kind's WireTrimmer) whether to
-// answer with the whole value or with a prefix, in the same single round
+// Prober is the optional substrate capability behind probes. A probe is a
+// Get whose caller may be able to do without most of the value: it passes
+// an opaque hint, and the peer storing the value builds the reply from
+// the value's bytes and the hint (the kind's WireProjector) — the whole
+// value, or a smaller form the kind defines — in the same single round
 // trip. The caller learns which from the type of what comes back (see
-// RegisterWireProbe), and a substrate is always free to return the whole
-// value.
+// RegisterWireProbe). The projector contract is what keeps the storing
+// peer a byte store: it only appends to the reply, decodes nothing,
+// allocates nothing and never panics, and the whole value is always a
+// legal answer, so a substrate is always free to return exactly that.
 //
 // Cost model: a Probe is one DHT-lookup, exactly like the Get it stands
 // in for, and is counted and traced as one.

@@ -167,34 +167,43 @@ func TestCoalescerNeverForwardsAProbe(t *testing.T) {
 	}
 }
 
-// testTrimKind trims to the hint's low byte; testWireKind (wirevalue_test)
-// registers no probe plane.
-const testTrimKind = 249
+// testProjectKind answers a probe with '#' and the hint's low byte, or
+// whole when that byte is zero; testWireKind (wirevalue_test) registers
+// no probe plane.
+const testProjectKind = 249
 
 func init() {
-	RegisterWireKind(testTrimKind, func(data []byte) (Value, error) { return "whole:" + string(data), nil })
-	RegisterWireProbe(testTrimKind,
-		func(data []byte, hint uint64) int { return int(int8(hint)) },
+	RegisterWireKind(testProjectKind, func(data []byte) (Value, error) { return "whole:" + string(data), nil })
+	RegisterWireProbe(testProjectKind,
+		func(dst, data []byte, hint uint64) []byte {
+			if byte(hint) == 0 {
+				return append(dst, data...)
+			}
+			return append(dst, '#', byte(hint))
+		},
 		func(data []byte) (Value, error) { return "probe:" + string(data), nil })
 }
 
 func TestWireProbeRegistry(t *testing.T) {
 	data := []byte("abcdef")
-	for hint, want := range map[uint64]int{0: 0, 2: 2, 5: 5, 6: 6, 7: 6, 0xff: 6} { // 0xff trims to -1
-		if n := TrimWire(testTrimKind, data, hint); n != want {
-			t.Errorf("TrimWire(hint %d) = %d, want %d", hint, n, want)
+	for _, tc := range []struct {
+		kind byte
+		hint uint64
+		want string
+	}{
+		{testProjectKind, 'x', "reply:#x"},
+		{testProjectKind, 0x100, "reply:abcdef"},
+		{testWireKind, 'x', "reply:abcdef"}, // a kind with no projector
+		{251, 'x', "reply:abcdef"},          // an unregistered kind
+	} {
+		if got := ProjectWire([]byte("reply:"), tc.kind, data, tc.hint); string(got) != tc.want {
+			t.Errorf("ProjectWire(kind %d, hint %#x) = %q, want %q", tc.kind, tc.hint, got, tc.want)
 		}
 	}
-	if n := TrimWire(testWireKind, data, 2); n != len(data) {
-		t.Errorf("a kind with no trimmer was cut to %d bytes", n)
-	}
-	if n := TrimWire(251, data, 2); n != len(data) {
-		t.Errorf("an unregistered kind was cut to %d bytes", n)
-	}
-	if v, err := DecodeProbe(testTrimKind, data[:2]); err != nil || v != "probe:ab" {
+	if v, err := DecodeProbe(testProjectKind, data[:2]); err != nil || v != "probe:ab" {
 		t.Errorf("DecodeProbe = %v, %v", v, err)
 	}
-	if v, err := DecodeWire(testTrimKind, data[:2]); err != nil || v != "whole:ab" {
+	if v, err := DecodeWire(testProjectKind, data[:2]); err != nil || v != "whole:ab" {
 		t.Errorf("DecodeWire = %v, %v: a plain decode must not use the probe decoder", v, err)
 	}
 	if v, err := DecodeProbe(testWireKind, data); err != nil || v != "abcdef" {
@@ -205,5 +214,5 @@ func TestWireProbeRegistry(t *testing.T) {
 			t.Error("registering a probe plane twice did not panic")
 		}
 	}()
-	RegisterWireProbe(testTrimKind, func([]byte, uint64) int { return 0 }, nil)
+	RegisterWireProbe(testProjectKind, func(dst, _ []byte, _ uint64) []byte { return dst }, nil)
 }

@@ -44,46 +44,48 @@ func DecodeWire(kind byte, data []byte) (Value, error) {
 	return dec(data)
 }
 
-// WireTrimmer decides, on the peer that stores a value, how much of it a
-// probe needs. data is the stored serialized form (what AppendWire wrote)
-// and hint the prober's opaque word; the result is the length of the
-// prefix of data to ship, len(data) meaning the whole value. It runs on
-// bytes under the store's lock, so it neither decodes nor allocates, and
-// like a WireDecoder it never panics on malformed input.
-type WireTrimmer func(data []byte, hint uint64) int
+// WireProjector answers a probe on the peer that stores a value. data is
+// the stored serialized form (what AppendWire wrote) and hint the
+// prober's opaque word; the projector appends to dst what to ship and
+// returns the extended slice. Appending data whole is always a legal
+// answer; anything else must be a form the kind's probe decoder tells
+// apart from a whole value. It runs on bytes under the store's lock, so
+// it is append-only (it writes nothing but dst's tail and keeps no
+// reference to either slice), neither decodes nor allocates beyond
+// growing dst, costs O(len(data)), and like a WireDecoder never panics on
+// malformed input.
+type WireProjector func(dst, data []byte, hint uint64) []byte
 
 // wireProbes holds, per kind, the optional probe plane: the storing
-// side's trimmer and the probing side's decoder for what the trimmer may
-// have left. Filled from init functions only, like wireDecoders.
+// side's projector and the probing side's decoder for what the projector
+// may have shipped. Filled from init functions only, like wireDecoders.
 var wireProbes [256]struct {
-	trim WireTrimmer
-	dec  WireDecoder
+	project WireProjector
+	dec     WireDecoder
 }
 
-// RegisterWireProbe lets probes of one kind be answered with a prefix of
-// the value (see Prober). trim picks the prefix on the storing peer; dec
-// decodes a probe's reply, which is either the whole value or a prefix
-// trim chose, and returns for a prefix a type of its own that is not the
-// kind's WireValue. The kind's RegisterWireKind decoder keeps rejecting
-// prefixes: only a probe can be answered with one. Kinds that register
-// nothing are probed whole.
-func RegisterWireProbe(kind byte, trim WireTrimmer, dec WireDecoder) {
-	if wireProbes[kind].trim != nil {
+// RegisterWireProbe lets probes of one kind be answered with less than
+// the value (see Prober). project builds the reply on the storing peer;
+// dec decodes a probe's reply, which is either the whole value or one of
+// the projector's other forms, and returns for those a type of its own
+// that is not the kind's WireValue. The kind's RegisterWireKind decoder
+// keeps rejecting them: only a probe can be answered with one. Kinds that
+// register nothing are probed whole.
+func RegisterWireProbe(kind byte, project WireProjector, dec WireDecoder) {
+	if wireProbes[kind].project != nil {
 		panic(fmt.Sprintf("dht: wire kind %d registered its probe plane twice", kind))
 	}
-	wireProbes[kind].trim, wireProbes[kind].dec = trim, dec
+	wireProbes[kind].project, wireProbes[kind].dec = project, dec
 }
 
-// TrimWire returns how many leading bytes of data, a stored value of the
-// given kind, answer a probe carrying hint: what the kind's trimmer
-// says when that is a proper prefix, else all of it.
-func TrimWire(kind byte, data []byte, hint uint64) int {
-	if trim := wireProbes[kind].trim; trim != nil {
-		if n := trim(data, hint); n >= 0 && n < len(data) {
-			return n
-		}
+// ProjectWire appends to dst the answer to a probe carrying hint of data,
+// a stored value of the given kind: what the kind's projector ships, or
+// all of data when the kind registered none.
+func ProjectWire(dst []byte, kind byte, data []byte, hint uint64) []byte {
+	if project := wireProbes[kind].project; project != nil {
+		return project(dst, data, hint)
 	}
-	return len(data)
+	return append(dst, data...)
 }
 
 // DecodeProbe decodes a probe's reply: with the kind's probe decoder

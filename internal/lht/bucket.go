@@ -178,18 +178,37 @@ func (b *Bucket) String() string {
 // self-delimiting prefix: parseBucketHeader finds its end from its own
 // bytes, and because a record list is never empty on the wire (zero
 // records still write their count) a header alone is never a bucket and
-// a bucket never a header. That is what lets a storing peer answer a
-// probe with the header by cutting the stored bytes, undecoded, at
-// trimBucket's length, and lets the prober tell the two replies apart.
+// a bucket never a header.
+//
+// Probe replies. A storing peer answers a probe (a hinted get, see
+// ProbeHint) of a stored bucket with one of three forms, built from the
+// stored bytes, undecoded, by projectBucket:
+//
+//	whole    the stored bytes: the bucket is torn or does not parse, or
+//	         it covers the hinted key and the prober wants the bucket
+//	header   the header bytes alone: an untorn leaf that does not cover
+//	         the hinted key
+//	record   an untorn leaf that covers the hinted key, for a prober that
+//	         wants the record alone:
+//	           marker u8 = 0xFF (never a wire version)
+//	           header      the stored header bytes, verbatim
+//	           found u8    0 = no record with that key in this leaf, 1
+//	           if found: key u64 BE, uv vlen, value (the stored record)
+//
+// The three are told apart from their own bytes (decodeProbeReply), and
+// DecodeBucket accepts only the first.
 const (
 	bucketWireVersion = 1
 	// bucketWireKind is Bucket's dht.WireValue kind byte.
 	bucketWireKind = 1
+	// recordReplyMarker opens a record reply where a bucket or a header
+	// has its version byte.
+	recordReplyMarker = 0xFF
 )
 
 func init() {
 	dht.RegisterWireKind(bucketWireKind, func(data []byte) (dht.Value, error) { return DecodeBucket(data) })
-	dht.RegisterWireProbe(bucketWireKind, trimBucket, decodeProbeReply)
+	dht.RegisterWireProbe(bucketWireKind, projectBucket, decodeProbeReply)
 }
 
 // WireKind implements dht.WireValue.
@@ -253,8 +272,8 @@ func decodeBucket(buf []byte) (*Bucket, error) {
 
 // parseBucketHeader reads the header off the front of buf into b (every
 // field but Records) and returns the bytes that follow it. It is the one
-// walk over the header, shared by decoding a bucket, trimming a stored
-// one on its peer and decoding a header-only probe reply. It keeps no
+// walk over the header, shared by decoding a bucket, projecting a stored
+// one on its peer and decoding a probe's reply. It keeps no
 // reference to buf and allocates only a torn bucket's remove-key.
 func parseBucketHeader(b *Bucket, buf []byte) (rest []byte, err error) {
 	if len(buf) == 0 {
@@ -298,24 +317,64 @@ func parseBucketHeader(b *Bucket, buf []byte) (rest []byte, err error) {
 	return buf, nil
 }
 
-// trimBucket is the bucket's dht.WireTrimmer: the storing peer's half of
-// a header-only probe, hint being the looked-up data key's bit pattern
-// (Index.probeBucket). A probed bucket that does not cover that key
-// tells Algorithm 2 only that a leaf with this label lives under this
-// name, so the header is all the prober can use — unless the bucket is
-// torn, which the prober must see whole to repair. Anything that does
-// not parse is shipped whole too, for the prober's decoder to refuse.
-func trimBucket(data []byte, hint uint64) int {
-	var b Bucket
-	rest, err := parseBucketHeader(&b, data)
-	if err != nil || b.Torn() || b.Contains(math.Float64frombits(hint)) {
-		return len(data)
+// ProbeHint builds the hint word of a probe for the data key delta: the
+// key's bit pattern, with the sign bit saying whether the prober wants
+// only delta's record (Search) or the bucket (every other lookup). A data
+// key is never negative, but -0.0 passes keyspace.CheckKey with the sign
+// bit set, so the key is normalised here; parseProbeHint is the one
+// reader. A peer that predates the sign bit's meaning sees a negative key
+// no leaf covers and answers a header, which the prober re-fetches.
+func ProbeHint(delta float64, recordOnly bool) uint64 {
+	h := math.Float64bits(delta) &^ probeRecordOnly
+	if recordOnly {
+		h |= probeRecordOnly
 	}
-	return len(data) - len(rest)
+	return h
+}
+
+// probeRecordOnly is the hint word's record-only bit.
+const probeRecordOnly = 1 << 63
+
+// parseProbeHint is the inverse of ProbeHint.
+func parseProbeHint(hint uint64) (delta float64, recordOnly bool) {
+	return math.Float64frombits(hint &^ probeRecordOnly), hint&probeRecordOnly != 0
+}
+
+// projectBucket is the bucket's dht.WireProjector: the storing peer's
+// half of a probe (see "Probe replies" above). A probed bucket that does
+// not cover the hinted key tells Algorithm 2 only that a leaf with this
+// label lives under this name, so the header is all the prober can use;
+// one that does cover it ends an exact-match query, which reads a single
+// record of it, found exactly as record.FindByKey would. A torn bucket
+// goes out whole, for the prober must see it to repair it, and so does
+// anything that does not parse, for the prober's decoder to refuse.
+func projectBucket(dst, data []byte, hint uint64) []byte {
+	delta, recordOnly := parseProbeHint(hint)
+	var b Bucket
+	list, err := parseBucketHeader(&b, data)
+	if err != nil || b.Torn() {
+		return append(dst, data...)
+	}
+	header := data[:len(data)-len(list)]
+	if !b.Contains(delta) {
+		return append(dst, header...)
+	}
+	if !recordOnly {
+		return append(dst, data...)
+	}
+	rec, err := record.FindInList(list, delta)
+	if err != nil {
+		return append(dst, data...)
+	}
+	dst = append(append(dst, recordReplyMarker), header...)
+	if rec == nil {
+		return append(dst, 0)
+	}
+	return append(append(dst, 1), rec...)
 }
 
 // BucketHeader is a storing peer's whole answer to a probe its leaf
-// cannot satisfy (see trimBucket): proof that an untorn leaf with this
+// cannot satisfy (see projectBucket): proof that an untorn leaf with this
 // label is stored under the probed name. It is deliberately a type of
 // its own and not a dht.WireValue, so nothing that handles buckets —
 // clone, CAS, write-back, a query's result — can be handed one.
@@ -324,10 +383,29 @@ type BucketHeader struct {
 	Label bitlabel.Label
 }
 
-// decodeProbeReply is the bucket kind's probe decoder: a reply that ends
-// where its header ends is a BucketHeader, anything else must be a whole
-// bucket. A torn bucket is never trimmed, so a torn header is refused.
+// BucketRecord is a storing peer's answer to a record-only probe of the
+// untorn leaf that covers the hinted key: the leaf's label and the one
+// record the exact-match query came for, or word that the leaf holds
+// none. Like BucketHeader it is not a dht.WireValue and has no encoder,
+// so it can never be cloned, CAS'd, written back or cached as a bucket.
+type BucketRecord struct {
+	// Label is the leaf's label.
+	Label bitlabel.Label
+	// Found reports whether the leaf holds a record with the hinted key.
+	Found bool
+	// Record is that record when Found; its value is a copy of its own.
+	Record record.Record
+}
+
+// decodeProbeReply is the bucket kind's probe decoder. A reply that opens
+// with the record marker is a BucketRecord, one that ends where its
+// header ends a BucketHeader, and anything else must be a whole bucket. A
+// torn bucket is only ever shipped whole, so either short form of one is
+// refused.
 func decodeProbeReply(data []byte) (dht.Value, error) {
+	if len(data) > 0 && data[0] == recordReplyMarker {
+		return decodeRecordReply(data[1:])
+	}
 	var b Bucket
 	rest, err := parseBucketHeader(&b, data)
 	if err != nil || len(rest) != 0 {
@@ -337,4 +415,25 @@ func decodeProbeReply(data []byte) (dht.Value, error) {
 		return nil, errors.New("decode bucket: header-only reply for a torn bucket")
 	}
 	return &BucketHeader{Label: b.Label}, nil
+}
+
+// decodeRecordReply decodes a record reply past its marker.
+func decodeRecordReply(data []byte) (dht.Value, error) {
+	var b Bucket
+	rest, err := parseBucketHeader(&b, data)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("decode record reply: %w", err)
+	case b.Torn():
+		return nil, errors.New("decode record reply: sent for a torn bucket")
+	case len(rest) == 1 && rest[0] == 0:
+		return &BucketRecord{Label: b.Label}, nil
+	case len(rest) > 1 && rest[0] == 1:
+		rec, err := record.DecodeRecord(rest[1:])
+		if err != nil {
+			return nil, fmt.Errorf("decode record reply: %w", err)
+		}
+		return &BucketRecord{Label: b.Label, Found: true, Record: rec}, nil
+	}
+	return nil, errors.New("decode record reply: malformed found flag")
 }

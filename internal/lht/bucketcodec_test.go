@@ -222,51 +222,148 @@ func headerLen(t testing.TB, b *Bucket) int {
 	return len(mustEncode(t, b)) - record.ListSize(b.Records)
 }
 
-// The storing peer's half of a header-only probe: a leaf that cannot
-// cover the hinted key is cut at the end of its header; one that covers
-// it, a torn one, or bytes that are no bucket at all are shipped whole.
-// The cut reads bytes in place: no decode, no allocation.
+// probeReply classifies what projectBucket shipped for data: "whole",
+// "header", or "record" with the decoded reply; anything else fails the
+// test. A record reply must also be one DecodeBucket refuses.
+func probeReply(t testing.TB, data, reply []byte) (string, *BucketRecord) {
+	t.Helper()
+	var b Bucket
+	rest, err := parseBucketHeader(&b, data)
+	switch {
+	case bytes.Equal(reply, data):
+		return "whole", nil
+	case err == nil && bytes.Equal(reply, data[:len(data)-len(rest)]):
+		return "header", nil
+	}
+	v, err := decodeProbeReply(reply)
+	r, ok := v.(*BucketRecord)
+	if err != nil || !ok {
+		t.Fatalf("a %d-byte reply to a probe of %d bytes is no whole, header or record: %T, %v", len(reply), len(data), v, err)
+	}
+	if _, err := DecodeBucket(reply); err == nil {
+		t.Fatal("DecodeBucket accepted a record reply")
+	}
+	return "record", r
+}
+
+// The storing peer's half of a probe, over its three outcomes. A leaf
+// that cannot cover the hinted key is cut to its header; one that covers
+// it goes out whole, or, for a prober that wants the record alone, as
+// header plus the record record.FindByKey would pick; a torn one, or
+// bytes that are no bucket at all, are shipped whole whatever was asked.
+// The reply is built from bytes in place: no decode, no allocation.
 func TestTrimBucket(t *testing.T) {
-	b := referenceBucket() // #0101101 = [0.703125, 0.71875)
+	b := referenceBucket()               // #0101101 = [0.703125, 0.71875)
+	b.Records[40].Key = b.Records[3].Key // a duplicate: the first in list order answers
 	data := mustEncode(t, b)
 	hdr := headerLen(t, b)
 	iv := b.Interval()
+	zero := &Bucket{Label: bitlabel.MustParse("#00"), Records: []record.Record{
+		{Key: 0.1, Value: []byte("tenth")}, {Key: math.Copysign(0, -1), Value: []byte("minus zero")}, {Key: 0.2}}}
+	zeroData := mustEncode(t, zero)
+	badList := append([]byte(nil), data[:len(data)-1]...) // sound header, last value a byte short
+	absent := &BucketRecord{Label: b.Label}
+	found := func(b *Bucket, i int) *BucketRecord {
+		return &BucketRecord{Label: b.Label, Found: true, Record: b.Records[i]}
+	}
 	for _, tc := range []struct {
-		name  string
-		data  []byte
-		delta float64
-		want  int
+		name       string
+		data       []byte
+		delta      float64
+		recordOnly bool
+		want       string
+		rec        *BucketRecord
 	}{
-		{"covered, low edge", data, iv.Lo, len(data)},
-		{"covered, inside", data, 0.71, len(data)},
-		{"just below", data, math.Nextafter(iv.Lo, 0), hdr},
-		{"high edge is outside", data, iv.Hi, hdr},
-		{"far away", data, 0.1, hdr},
-		{"not a key", data, math.NaN(), hdr},
-		{"truncated header", data[:hdr-1], 0.1, hdr - 1},
-		{"junk", []byte("junk"), 0.1, 4},
-		{"empty", nil, 0.1, 0},
+		{"covered, low edge", data, iv.Lo, false, "whole", nil},
+		{"covered, inside", data, 0.71, false, "whole", nil},
+		{"just below", data, math.Nextafter(iv.Lo, 0), false, "header", nil},
+		{"high edge is outside", data, iv.Hi, false, "header", nil},
+		{"far away", data, 0.1, false, "header", nil},
+		{"not a key", data, math.NaN(), false, "header", nil},
+		{"truncated header", data[:hdr-1], 0.1, false, "whole", nil},
+		{"junk", []byte("junk"), 0.1, false, "whole", nil},
+		{"empty", nil, 0.1, false, "whole", nil},
+
+		{"record of the first key", data, b.Records[0].Key, true, "record", found(b, 0)},
+		{"record of the last key", data, b.Records[74].Key, true, "record", found(b, 74)},
+		{"record of a duplicated key", data, b.Records[40].Key, true, "record", found(b, 3)},
+		{"record of an absent key", data, 0.7101, true, "record", absent},
+		{"record, just below", data, math.Nextafter(iv.Lo, 0), true, "header", nil},
+		{"record, far away", data, 0.1, true, "header", nil},
+		{"record, not a key", data, math.NaN(), true, "header", nil},
+		{"record of +0 stored as -0", zeroData, 0, true, "record", found(zero, 1)},
+		{"record of -0 stored as -0", zeroData, math.Copysign(0, -1), true, "record", found(zero, 1)},
+		{"bucket for -0", zeroData, math.Copysign(0, -1), false, "whole", nil},
+		{"record of an empty value", zeroData, 0.2, true, "record", found(zero, 2)},
+		{"record, list does not parse", badList, b.Records[0].Key, true, "whole", nil},
+		{"record, truncated header", data[:hdr-1], 0.71, true, "whole", nil},
+		{"record, junk", []byte("junk"), 0.1, true, "whole", nil},
+		{"record, empty", nil, 0.1, true, "whole", nil},
 	} {
-		if got := trimBucket(tc.data, math.Float64bits(tc.delta)); got != tc.want {
-			t.Errorf("%s: trimmed to %d of %d bytes, want %d", tc.name, got, len(tc.data), tc.want)
+		reply := projectBucket([]byte("reply:"), tc.data, ProbeHint(tc.delta, tc.recordOnly))
+		if !bytes.HasPrefix(reply, []byte("reply:")) {
+			t.Fatalf("%s: the projector rewrote what it was to append to", tc.name)
+		}
+		got, rec := probeReply(t, tc.data, reply[len("reply:"):])
+		if got != tc.want {
+			t.Errorf("%s: answered with %s (%d of %d bytes), want %s", tc.name, got, len(reply)-len("reply:"), len(tc.data), tc.want)
+			continue
+		}
+		if tc.rec == nil {
+			continue
+		}
+		if rec.Label != tc.rec.Label || rec.Found != tc.rec.Found ||
+			math.Float64bits(rec.Record.Key) != math.Float64bits(tc.rec.Record.Key) || !bytes.Equal(rec.Record.Value, tc.rec.Record.Value) {
+			t.Errorf("%s: record reply %+v, want %+v", tc.name, rec, tc.rec)
 		}
 	}
 	for _, pending := range []Pending{{Kind: PendingSplit}, {Kind: PendingMerge, RemoveKey: "#01011011", PeerEpoch: 3}} {
 		torn := referenceBucket()
 		torn.Pending = pending
 		data := mustEncode(t, torn)
-		if got := trimBucket(data, math.Float64bits(0.1)); got != len(data) {
-			t.Errorf("torn bucket (kind %d) trimmed to %d of %d bytes", pending.Kind, got, len(data))
+		for _, hint := range []uint64{ProbeHint(0.1, false), ProbeHint(0.1, true), ProbeHint(0.71, true)} {
+			if got, _ := probeReply(t, data, projectBucket(nil, data, hint)); got != "whole" {
+				t.Errorf("torn bucket (kind %d) probed with %#x answered with %s", pending.Kind, hint, got)
+			}
 		}
 	}
-	hint := math.Float64bits(0.1)
-	if n := testing.AllocsPerRun(200, func() { sinkInt = trimBucket(data, hint) }); n != 0 {
-		t.Errorf("trimBucket: %v allocations, want 0", n)
+	out := make([]byte, 0, 2*len(data))
+	for name, hint := range map[string]uint64{
+		"header": ProbeHint(0.1, false),
+		"whole":  ProbeHint(0.71, false),
+		"record": ProbeHint(b.Records[74].Key, true),
+		"absent": ProbeHint(0.7101, true),
+	} {
+		if n := testing.AllocsPerRun(200, func() { out = projectBucket(out[:0], data, hint) }); n != 0 {
+			t.Errorf("projectBucket (%s): %v allocations, want 0", name, n)
+		}
 	}
 }
 
-// What a probe may be answered with decodes to exactly one of two types,
-// and DecodeBucket, which every other path uses, takes only the whole.
+// The hint word is built and read in one place, which takes the sign bit
+// for the record-only wish and so must keep -0.0, a legal key, out of it.
+func TestProbeHint(t *testing.T) {
+	for _, delta := range []float64{0, math.Copysign(0, -1), 0.1, math.Nextafter(1, 0), math.SmallestNonzeroFloat64} {
+		for _, recordOnly := range []bool{false, true} {
+			got, gotOnly := parseProbeHint(ProbeHint(delta, recordOnly))
+			if got != delta || math.Signbit(got) || gotOnly != recordOnly {
+				t.Errorf("ProbeHint(%v, %v) reads back as %v (sign %v), %v", delta, recordOnly, got, math.Signbit(got), gotOnly)
+			}
+		}
+	}
+	if ProbeHint(0.25, false) != math.Float64bits(0.25) {
+		t.Error("a bucket-wanted hint is no longer the key's bit pattern, which pre-record-reply peers read")
+	}
+	// Such a peer reads a record-only hint as a negative key: no leaf
+	// covers it, so it answers a header and the prober re-fetches.
+	if old := math.Float64frombits(ProbeHint(0.25, true)); old >= 0 {
+		t.Errorf("a record-only hint reads as key %v on a peer that predates it", old)
+	}
+}
+
+// What a probe may be answered with decodes to exactly one of three
+// types, and DecodeBucket, which every other path uses, takes only the
+// whole.
 func TestDecodeProbeReply(t *testing.T) {
 	b := referenceBucket()
 	data := mustEncode(t, b)
@@ -290,12 +387,51 @@ func TestDecodeProbeReply(t *testing.T) {
 	}
 	torn := referenceBucket()
 	torn.Pending = Pending{Kind: PendingSplit}
-	if v, err := decodeProbeReply(mustEncode(t, torn)[:headerLen(t, torn)]); err == nil {
+	tornHdr := mustEncode(t, torn)[:headerLen(t, torn)]
+	if v, err := decodeProbeReply(tornHdr); err == nil {
 		t.Errorf("torn header decoded to %#v", v)
 	}
-	var hv any = &BucketHeader{}
-	if _, ok := hv.(dht.WireValue); ok {
-		t.Error("BucketHeader is a dht.WireValue: it could be put, CAS-ed or written back")
+
+	// The record reply: every cut of it but the whole is refused, as is a
+	// torn one, a flag that is neither 0 nor 1, and bytes after the record.
+	reply := projectBucket(nil, data, ProbeHint(b.Records[5].Key, true))
+	v, err = decodeProbeReply(reply)
+	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || !r.Found ||
+		r.Record.Key != b.Records[5].Key || !bytes.Equal(r.Record.Value, b.Records[5].Value) {
+		t.Fatalf("record reply decoded to %#v, %v", v, err)
+	}
+	for i := range reply { // the decoded record pins nothing of the reply buffer
+		reply[i] ^= 0xFF
+	}
+	if r := v.(*BucketRecord); !bytes.Equal(r.Record.Value, b.Records[5].Value) {
+		t.Error("the decoded record's value aliases the reply buffer")
+	}
+	for i := range reply {
+		reply[i] ^= 0xFF
+	}
+	for n := 0; n < len(reply); n++ {
+		if v, err := decodeProbeReply(reply[:n]); err == nil {
+			t.Errorf("%d-byte prefix of a %d-byte record reply decoded to %#v", n, len(reply), v)
+		}
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, bad := range map[string][]byte{
+		"torn":           cat([]byte{recordReplyMarker}, tornHdr, []byte{0}),
+		"flag 2":         cat(reply[:1+hdr], []byte{2}, reply[2+hdr:]),
+		"absent + bytes": cat(reply[:1+hdr], []byte{0}, reply[2+hdr:]),
+		"found, nothing": cat(reply[:1+hdr], []byte{1}),
+		"trailing byte":  cat(reply, []byte{0}),
+		"marker twice":   cat([]byte{recordReplyMarker}, reply),
+		"marker + whole": cat([]byte{recordReplyMarker}, data),
+	} {
+		if v, err := decodeProbeReply(bad); err == nil {
+			t.Errorf("%s: decoded to %#v", name, v)
+		}
+	}
+	for _, v := range []any{&BucketHeader{}, &BucketRecord{}} {
+		if _, ok := v.(dht.WireValue); ok {
+			t.Errorf("%T is a dht.WireValue: it could be put, CAS-ed or written back", v)
+		}
 	}
 }
 
@@ -341,7 +477,11 @@ func bucketFromBytes(raw []byte) *Bucket {
 //   - of the prefixes of a valid encoding, a probe reply decodes the whole
 //     to the bucket, the header (of an untorn bucket) to a BucketHeader
 //     with its label, and every other one to an error — never to a bucket
-//     with fewer records — and the peer's trimmer cuts nowhere else.
+//     with fewer records;
+//   - the peer's projector, on arbitrary bytes and on a valid encoding
+//     probed with every key in it, one absent key and an arbitrary hint,
+//     ships only the whole, the header or a record reply, the last
+//     refused by DecodeBucket and agreeing with record.FindByKey.
 func FuzzDecodeBucket(f *testing.F) {
 	// Small seeds: a mutation of a three-record bucket lands inside the
 	// grammar far more often than one of a five-kilobyte bucket.
@@ -354,8 +494,21 @@ func FuzzDecodeBucket(f *testing.F) {
 	}
 	f.Add([]byte("junk"))
 	f.Add([]byte{})
+	small := mustEncode(f, &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
+		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}})
+	f.Add(projectBucket(nil, small, ProbeHint(0.5, true)))
+	f.Add(projectBucket(nil, small, ProbeHint(0.6, true)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		// A probe reply is outside input too: decoding one never panics,
+		// and yields a bucket only from what DecodeBucket accepts.
+		if v, err := decodeProbeReply(raw); err == nil {
+			if _, whole := v.(*Bucket); whole {
+				if _, err := DecodeBucket(raw); err != nil {
+					t.Fatalf("a probe reply decoded to a bucket that DecodeBucket refuses: %v", err)
+				}
+			}
+		}
 		if b, err := DecodeBucket(raw); err == nil {
 			if len(b.Records) > len(raw)/9 || len(b.Pending.RemoveKey) > len(raw) {
 				t.Fatalf("%d records and a %d-byte remove-key out of %d bytes", len(b.Records), len(b.Pending.RemoveKey), len(raw))
@@ -404,10 +557,39 @@ func FuzzDecodeBucket(f *testing.F) {
 				t.Fatalf("%d-byte prefix of a %d-byte bucket (header %d) decoded to %#v", n, len(enc), hdr, v)
 			}
 		}
-		var hint [8]byte // the input's first bytes, zero-padded
-		copy(hint[:], raw)
-		if cut := trimBucket(enc, binary.BigEndian.Uint64(hint[:])); cut != len(enc) && (cut != hdr || want.Torn()) {
-			t.Fatalf("trimmed a %d-byte bucket (header %d, torn %v) to %d bytes", len(enc), hdr, want.Torn(), cut)
+		var word [8]byte // the input's first bytes, zero-padded
+		copy(word[:], raw)
+		arbitrary := binary.BigEndian.Uint64(word[:])
+		probeReply(t, raw, projectBucket(nil, raw, arbitrary))
+		if got, _ := probeReply(t, enc, projectBucket(nil, enc, arbitrary)); got != "whole" && want.Torn() {
+			t.Fatalf("a torn bucket was answered with its %s", got)
+		}
+		keys := []float64{math.Float64frombits(arbitrary &^ probeRecordOnly)} // absent, most likely
+		for _, r := range want.Records {
+			keys = append(keys, r.Key)
+		}
+		for _, k := range keys {
+			hint := ProbeHint(k, true)
+			k, _ = parseProbeHint(hint) // a generated key may be negative, a data key never is
+			got, rec := probeReply(t, enc, projectBucket(nil, enc, hint))
+			switch {
+			case want.Torn():
+				if got != "whole" {
+					t.Fatalf("a torn bucket was answered with its %s", got)
+				}
+			case !want.Contains(k):
+				if got != "header" {
+					t.Fatalf("key %v outside %s was answered with the %s", k, want.Label, got)
+				}
+			case got != "record" || rec.Label != want.Label:
+				t.Fatalf("key %v inside %s was answered with the %s, %+v", k, want.Label, got, rec)
+			default:
+				i := record.FindByKey(want.Records, k)
+				if rec.Found != (i >= 0) || rec.Found && (math.Float64bits(rec.Record.Key) != math.Float64bits(want.Records[i].Key) ||
+					!bytes.Equal(rec.Record.Value, want.Records[i].Value)) {
+					t.Fatalf("key %v: record reply %+v, FindByKey says %d", k, rec, i)
+				}
+			}
 		}
 	})
 }
@@ -417,7 +599,6 @@ func FuzzDecodeBucket(f *testing.F) {
 var (
 	sinkBytes  []byte
 	sinkBucket *Bucket
-	sinkInt    int
 )
 
 func BenchmarkBucketEncode(b *testing.B) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -210,23 +209,41 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 // name, so the probed prefix is an internal node". The probe therefore
 // carries delta as its hint, and a substrate that is a dht.Prober may
 // answer a non-covering leaf with its BucketHeader alone — still one
-// round trip and one DHT-lookup. That reply comes back as a nil bucket
-// and a nil error: the leaf exists, is untorn, does not cover delta, and
-// the leaf cache has learnt its label exactly as from a whole bucket.
-func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, cost *Cost) (*Bucket, error) {
+// round trip and one DHT-lookup. That reply comes back as nil, nil and a
+// nil error: the leaf exists, is untorn, does not cover delta, and the
+// leaf cache has learnt its label exactly as from a whole bucket.
+//
+// With recordOnly (Search alone) the hint also says that of the covering
+// leaf only delta's record is wanted, and such a substrate may answer
+// that leaf with a BucketRecord, returned in place of the bucket. A short
+// reply is trusted no further than its own claim: a header that covers
+// delta, a BucketRecord that was not asked for, does not cover delta or
+// carries another key's record, is dropped and the bucket fetched whole
+// with a plain, charged get.
+func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, recordOnly bool, cost *Cost) (*Bucket, *BucketRecord, error) {
 	cost.Lookups++
-	v, err := dht.DoProbe(ctx, ix.d, key, math.Float64bits(delta))
-	h, ok := v.(*BucketHeader)
-	if !ok || err != nil {
-		return ix.bucketOf(v, err, key)
+	v, err := dht.DoProbe(ctx, ix.d, key, ProbeHint(delta, recordOnly))
+	if err != nil {
+		return nil, nil, err
 	}
-	if keyspace.IntervalOf(h.Label).Contains(delta) {
-		// No peer trims a leaf that covers the hint. Whatever sent this,
-		// the search needs the records: fetch the bucket whole.
-		return ix.getBucket(ctx, key, cost)
+	switch r := v.(type) {
+	case *BucketHeader:
+		if !keyspace.IntervalOf(r.Label).Contains(delta) {
+			ix.cacheNote(r.Label)
+			return nil, nil, nil
+		}
+	case *BucketRecord:
+		if recordOnly && keyspace.IntervalOf(r.Label).Contains(delta) && (!r.Found || r.Record.Key == delta) {
+			ix.cacheNote(r.Label)
+			return nil, r, nil
+		}
+	default:
+		b, err := ix.bucketOf(v, nil, key)
+		return b, nil, err
 	}
-	ix.cacheNote(h.Label)
-	return nil, nil
+	// No peer sends this. Whatever did, the search needs the bucket.
+	b, err := ix.getBucket(ctx, key, cost)
+	return b, nil, err
 }
 
 // LookupBucket implements LHT-lookup (Algorithm 2): a binary search over
@@ -251,13 +268,23 @@ func (ix *Index) LookupBucketContext(ctx context.Context, delta float64) (b *Buc
 	return b, cost, err
 }
 
-// lookup is LookupBucket returning also the bucket's DHT key. With the
-// leaf cache enabled it first probes the name of the deepest cached
-// leaf covering delta: a covering bucket back is a hit (one DHT-get);
-// any other outcome is a soundly detected stale entry, which is dropped
-// and converted into tightened binary-search bounds (see repair cases
-// below), so cached results are always identical to the uncached path.
+// lookup is LookupBucket returning also the bucket's DHT key.
 func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Cost, error) {
+	b, _, key, cost, err := ix.lookupLeaf(ctx, delta, false)
+	return b, key, cost, err
+}
+
+// lookupLeaf is Algorithm 2. It ends at the leaf covering delta, which it
+// returns as the whole bucket or, only when recordOnly allows it, as the
+// storing peer's BucketRecord for delta (see probeBucket): exactly one of
+// the two is non-nil on success, and both searches probe the same names
+// at the same cost. With the leaf cache enabled it first probes the name
+// of the deepest cached leaf covering delta: the covering leaf back is a
+// hit (one DHT-get); any other outcome is a soundly detected stale entry,
+// which is dropped and converted into tightened binary-search bounds (see
+// repair cases below), so cached results are always identical to the
+// uncached path.
+func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool) (*Bucket, *BucketRecord, string, Cost, error) {
 	// Every probe of the binary search (and of the cache pre-probe) is
 	// PhaseProbe traffic; repairTorn overrides the phase for the repair
 	// writes it issues.
@@ -265,13 +292,13 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 	var cost Cost
 	mu, err := keyspace.Mu(delta, ix.cfg.Depth)
 	if err != nil {
-		return nil, "", cost, err
+		return nil, nil, "", cost, err
 	}
 	lo, hi := 1, ix.cfg.Depth
 	if ix.cache != nil {
 		if x, ok := ix.cache.find(mu); ok {
 			name := x.Name()
-			b, err := ix.probeBucket(ctx, name.Key(), delta, &cost)
+			b, rec, err := ix.probeBucket(ctx, name.Key(), delta, recordOnly, &cost)
 			if b != nil && b.Torn() {
 				// The cached leaf's peer holds a torn mutation from a
 				// crashed writer; finish it, then apply the normal case
@@ -279,17 +306,17 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 				b, err = ix.repairTorn(ctx, name.Key(), b, &cost)
 			}
 			switch {
-			case err == nil && b != nil && b.Contains(delta):
+			case err == nil && (rec != nil || b != nil && b.Contains(delta)):
 				// Hit. The fetched label can differ from the cached one
 				// (the leaf split but this half kept the name and still
-				// covers delta); fetchBucket noted the fresh label, so
+				// covers delta); the probe noted the fresh label, so
 				// just retire the stale entry.
 				ix.c.Add(metrics.CacheHits, 1)
-				if b.Label != x {
+				if rec != nil && rec.Label != x || b != nil && b.Label != x {
 					ix.cache.drop(x)
 				}
 				cost.Steps = cost.Lookups
-				return b, name.Key(), cost, nil
+				return b, rec, name.Key(), cost, nil
 			case errors.Is(err, dht.ErrNotFound):
 				// The cached leaf's name is gone (a merge removed it).
 				// Algorithm 2's miss rule applies to this probe exactly
@@ -301,7 +328,7 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 				hi = name.Len()
 			case err != nil:
 				cost.Steps = cost.Lookups
-				return nil, "", cost, err
+				return nil, nil, "", cost, err
 			default:
 				// A leaf answered under f_n(x) but does not cover delta,
 				// so x is now an internal node (the leaf split):
@@ -336,7 +363,7 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 			mid := lo + (hi-lo)/2
 			x := mu.Prefix(mid)
 			name := x.Name()
-			b, err := ix.probeBucket(ctx, name.Key(), delta, &cost)
+			b, rec, err := ix.probeBucket(ctx, name.Key(), delta, recordOnly, &cost)
 			if b != nil && b.Torn() {
 				// In-line read-repair: a fetched bucket carrying a pending
 				// split/merge intent is completed (or rolled back) before the
@@ -358,10 +385,10 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 				hi = name.Len()
 			case err != nil:
 				cost.Steps = cost.Lookups
-				return nil, "", cost, err
-			case b != nil && b.Contains(delta):
+				return nil, nil, "", cost, err
+			case rec != nil || b != nil && b.Contains(delta):
 				cost.Steps = cost.Lookups
-				return b, name.Key(), cost, nil
+				return b, rec, name.Key(), cost, nil
 			default:
 				// The leaf named f_n(x) does not cover delta, so x is an
 				// internal node; the next candidate is the first prefix of
@@ -384,9 +411,9 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 	}
 	cost.Steps = cost.Lookups
 	if err := ctx.Err(); err != nil {
-		return nil, "", cost, err
+		return nil, nil, "", cost, err
 	}
-	return nil, "", cost, fmt.Errorf("%w: lookup %v found no covering leaf", ErrCorrupt, delta)
+	return nil, nil, "", cost, fmt.Errorf("%w: lookup %v found no covering leaf", ErrCorrupt, delta)
 }
 
 // lookupRestarts bounds how many times one lookup may re-run its binary
@@ -403,11 +430,15 @@ func (ix *Index) Search(delta float64) (record.Record, Cost, error) {
 func (ix *Index) SearchContext(ctx context.Context, delta float64) (rec record.Record, cost Cost, err error) {
 	ctx, done := ix.beginOp(ctx, metrics.OpGet)
 	defer func() { done(err) }()
-	b, _, cost, err := ix.lookup(ctx, delta)
+	b, r, _, cost, err := ix.lookupLeaf(ctx, delta, true)
 	if err != nil {
 		return record.Record{}, cost, err
 	}
-	if i := record.FindByKey(b.Records, delta); i >= 0 {
+	if r != nil {
+		if r.Found {
+			return r.Record, cost, nil
+		}
+	} else if i := record.FindByKey(b.Records, delta); i >= 0 {
 		return b.Records[i], cost, nil
 	}
 	return record.Record{}, cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)

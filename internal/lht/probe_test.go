@@ -7,23 +7,32 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
+	"lht/internal/metrics"
 	"lht/internal/record"
 	"lht/internal/tcpnet"
 )
 
 // These tests run the index over real tcpnet servers, whose binary wire
-// is the one substrate that answers probes with headers, against the
-// same index with the capability hidden: a trimmed reply may change what
-// crosses the wire and nothing else.
+// is the one substrate that answers probes with headers and records,
+// against the same index with the capability hidden: a short reply may
+// change what crosses the wire and nothing else.
 
 // startProbeCluster boots n servers and dials one client over them.
 func startProbeCluster(t *testing.T, n int) (*tcpnet.Client, []*tcpnet.Server) {
+	t.Helper()
+	return startReplicatedProbeCluster(t, n, 1, nil)
+}
+
+// startReplicatedProbeCluster is startProbeCluster with each key on
+// replicas of the n servers and the client's counters chained onto agg.
+func startReplicatedProbeCluster(t *testing.T, n, replicas int, agg *metrics.Counters) (*tcpnet.Client, []*tcpnet.Server) {
 	t.Helper()
 	srvs := make([]*tcpnet.Server, n)
 	addrs := make([]string, n)
@@ -37,7 +46,7 @@ func startProbeCluster(t *testing.T, n int) (*tcpnet.Client, []*tcpnet.Server) {
 		t.Cleanup(func() { _ = srv.Close() })
 		srvs[i], addrs[i] = srv, ln.Addr().String()
 	}
-	c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: addrs})
+	c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: addrs, Replicas: replicas, Counters: agg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,18 +74,45 @@ type probeSpy struct {
 
 	mu            sync.Mutex
 	probes        int                // Probe calls
+	recordOnly    int                // of those, asking for the record alone
 	headers       int                // answered with a BucketHeader
+	records       int                // answered with a BucketRecord
 	tornExcluding int                // answered with a whole torn bucket that excludes the hinted key
 	headerFor     map[string]float64 // DHT key -> a data key whose probe of it got a header
 }
 
 func (s *probeSpy) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
 	v, err := s.Client.Probe(ctx, key, hint)
-	delta := math.Float64frombits(hint)
+	delta, recordOnly := parseProbeHint(hint)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.probes++
+	if recordOnly {
+		s.recordOnly++
+	}
 	switch r := v.(type) {
+	case *BucketRecord:
+		s.records++
+		if !recordOnly {
+			s.t.Errorf("probe of %q for the bucket covering %v answered with a record reply", key, delta)
+		}
+		if !s.verify {
+			break
+		}
+		// As for a header below: what is stored now is what was projected.
+		// It must be an untorn leaf with this label that covers the hinted
+		// key, and the record the one a search of the whole bucket finds.
+		w, gerr := s.Client.Get(ctx, key)
+		b, ok := w.(*Bucket)
+		if gerr != nil || !ok {
+			s.t.Errorf("probe of %q answered with a record, plain get with %T, %v", key, w, gerr)
+			break
+		}
+		i := record.FindByKey(b.Records, delta)
+		if b.Label != r.Label || b.Torn() || !b.Contains(delta) || r.Found != (i >= 0) ||
+			r.Found && (math.Float64bits(r.Record.Key) != math.Float64bits(b.Records[i].Key) || string(r.Record.Value) != string(b.Records[i].Value)) {
+			s.t.Errorf("probe of %q for %v answered with %+v; stored: %s, torn %v, record %d", key, delta, r, b.Label, b.Torn(), i)
+		}
 	case *BucketHeader:
 		s.headers++
 		if s.headerFor != nil {
@@ -109,6 +145,14 @@ func (s *probeSpy) counts() (probes, headers, tornExcluding int) {
 	return s.probes, s.headers, s.tornExcluding
 }
 
+// recordCounts is how many probes asked for the record alone and how
+// many were answered with one.
+func (s *probeSpy) recordCounts() (recordOnly, records int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recordOnly, s.records
+}
+
 // cacheLabels lists the leaf cache from most to least recently used.
 func cacheLabels(ix *Index) []bitlabel.Label {
 	if ix.cache == nil {
@@ -135,7 +179,7 @@ func served(srvs []*tcpnet.Server) (lookups, failedGets int64) {
 
 // lookupTrace is everything one arm's pass over the query keys shows.
 type lookupTrace struct {
-	results            []string // per key: bucket and cost
+	results            []string // per key: bucket (or record, or error) and cost
 	lookups, failed    int64    // served by the servers during the pass
 	cache              []bitlabel.Label
 	hits, stale, miss  int64
@@ -144,9 +188,7 @@ type lookupTrace struct {
 
 func traceLookups(t *testing.T, ix *Index, srvs []*tcpnet.Server, keys []float64) lookupTrace {
 	t.Helper()
-	var tr lookupTrace
-	l0, f0 := served(srvs)
-	for _, k := range keys {
+	return trace(t, ix, srvs, keys, func(k float64) string {
 		b, cost, err := ix.LookupBucket(k)
 		if err != nil {
 			t.Fatalf("LookupBucket(%v): %v", k, err)
@@ -155,7 +197,29 @@ func traceLookups(t *testing.T, ix *Index, srvs []*tcpnet.Server, keys []float64
 			t.Fatalf("LookupBucket(%v) returned %s", k, b.Label)
 		}
 		enc, _ := EncodeBucket(b)
-		tr.results = append(tr.results, fmt.Sprintf("%x %+v", enc, cost))
+		return fmt.Sprintf("%x %+v", enc, cost)
+	})
+}
+
+// traceSearches is traceLookups for the exact-match query: the record,
+// bit for bit, or that there is none, and the cost.
+func traceSearches(t *testing.T, ix *Index, srvs []*tcpnet.Server, keys []float64) lookupTrace {
+	t.Helper()
+	return trace(t, ix, srvs, keys, func(k float64) string {
+		rec, cost, err := ix.Search(k)
+		if err != nil && !errors.Is(err, ErrKeyNotFound) {
+			t.Fatalf("Search(%v): %v", k, err)
+		}
+		return fmt.Sprintf("%#x %x %+v %v", math.Float64bits(rec.Key), rec.Value, cost, err)
+	})
+}
+
+func trace(t *testing.T, ix *Index, srvs []*tcpnet.Server, keys []float64, query func(float64) string) lookupTrace {
+	t.Helper()
+	var tr lookupTrace
+	l0, f0 := served(srvs)
+	for _, k := range keys {
+		tr.results = append(tr.results, query(k))
 	}
 	l1, f1 := served(srvs)
 	tr.lookups, tr.failed = l1-l0, f1-f0
@@ -169,7 +233,7 @@ func traceLookups(t *testing.T, ix *Index, srvs []*tcpnet.Server, keys []float64
 func (a lookupTrace) diff(b lookupTrace) string {
 	for i := range a.results {
 		if a.results[i] != b.results[i] {
-			return fmt.Sprintf("query %d: bucket or cost differs", i)
+			return fmt.Sprintf("query %d: %s\nagainst %s", i, a.results[i], b.results[i])
 		}
 	}
 	if a.lookups != b.lookups || a.failed != b.failed {
@@ -186,77 +250,195 @@ func (a lookupTrace) diff(b lookupTrace) string {
 
 // TestProbesMatchPlainGets is the property: over random trees that keep
 // changing under the readers, an index that probes and one that fetches
-// every bucket whole return the same buckets at the same cost, leave the
-// same leaf cache and counters behind, and put the same load on the
-// servers — while a good share of the prober's replies were headers.
+// every bucket whole return the same buckets and the same records (or
+// ErrKeyNotFound) at the same cost, leave the same leaf cache and
+// counters behind, and put the same load on the servers — while a good
+// share of the prober's replies were headers and every exact-match query
+// it made ended in a record reply.
 func TestProbesMatchPlainGets(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, cached := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed%d/cache=%v", seed, cached), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				theta := 4 + rng.Intn(6)
-				cfg := Config{SplitThreshold: theta, MergeThreshold: rng.Intn(theta/2 + 1), Depth: 20}
 				client, srvs := startProbeCluster(t, 3)
-				builder, err := New(client, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.LeafCache = cached
-				spy := &probeSpy{Client: client, t: t}
-				prober, err := New(spy, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain, err := New(hideProber(client), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				var present []float64
-				for round := 0; round < 3; round++ {
-					// Grow and shrink the tree behind the readers' backs:
-					// uniform keys, a cluster (deep one-sided splits), and
-					// deletes that merge leaves the caches still hold.
-					centre := rng.Float64()
-					for i := 0; i < 60; i++ {
-						k := rng.Float64()
-						if i%2 == 0 {
-							k = math.Mod(centre+rng.Float64()/4096, 1)
-						}
-						if _, err := builder.Insert(record.Record{Key: k, Value: []byte{byte(i)}}); err != nil {
-							t.Fatal(err)
-						}
-						present = append(present, k)
-					}
-					for i := 0; i < 25 && len(present) > 0; i++ {
-						j := rng.Intn(len(present))
-						if _, err := builder.Delete(present[j]); err != nil && !errors.Is(err, ErrKeyNotFound) {
-							t.Fatal(err)
-						}
-						present = append(present[:j], present[j+1:]...)
-					}
-					keys := make([]float64, 80)
-					for i := range keys {
-						keys[i] = rng.Float64()
-						if i%2 == 0 {
-							keys[i] = present[rng.Intn(len(present))]
-						}
-					}
-					got := traceLookups(t, prober, srvs, keys)
-					want := traceLookups(t, plain, srvs, keys)
-					if d := got.diff(want); d != "" {
-						t.Fatalf("round %d: prober against plain gets: %s", round, d)
-					}
-				}
-				probes, headers, _ := spy.counts()
-				if headers == 0 || headers >= probes {
-					t.Errorf("%d of %d probes were answered with headers", headers, probes)
-				}
-				if err := builder.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
+				probesMatchPlainGets(t, seed, cached, client, srvs, nil)
 			})
 		}
+		// Two holders a key. Once the tree stands and the caches are warm
+		// (Algorithm 2's misses need every holder's word, a cache hit does
+		// not), one server dies: it was the first holder tried for some
+		// leaves, and those probes fail over with their hints.
+		t.Run(fmt.Sprintf("seed%d/replicas=2,one dead", seed), func(t *testing.T) {
+			agg := &metrics.Counters{}
+			client, srvs := startReplicatedProbeCluster(t, 3, 2, agg)
+			probesMatchPlainGets(t, seed, true, client, srvs, agg)
+		})
+	}
+}
+
+// probesMatchPlainGets runs the property over one cluster. A non-nil agg,
+// the client's counters, adds a last pass with one server dead.
+func probesMatchPlainGets(t *testing.T, seed int64, cached bool, client *tcpnet.Client, srvs []*tcpnet.Server, agg *metrics.Counters) {
+	rng := rand.New(rand.NewSource(seed))
+	theta := 4 + rng.Intn(6)
+	cfg := Config{SplitThreshold: theta, MergeThreshold: rng.Intn(theta/2 + 1), Depth: 20}
+	builder, err := New(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.LeafCache = cached
+	spy := &probeSpy{Client: client, t: t}
+	prober, err := New(spy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(hideProber(client), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both arms make the same queries in the same order, bucket lookups
+	// then exact-match queries, so their caches see one history.
+	searches := 0
+	compare := func(when string, keys []float64) {
+		t.Helper()
+		got := traceLookups(t, prober, srvs, keys)
+		want := traceLookups(t, plain, srvs, keys)
+		if d := got.diff(want); d != "" {
+			t.Fatalf("%s: prober against plain gets, LookupBucket: %s", when, d)
+		}
+		got = traceSearches(t, prober, srvs, keys)
+		want = traceSearches(t, plain, srvs, keys)
+		if d := got.diff(want); d != "" {
+			t.Fatalf("%s: prober against plain gets, Search: %s", when, d)
+		}
+		searches += len(keys)
+	}
+
+	var present, keys []float64
+	for round := 0; round < 3; round++ {
+		// Grow and shrink the tree behind the readers' backs:
+		// uniform keys, a cluster (deep one-sided splits), and
+		// deletes that merge leaves the caches still hold.
+		centre := rng.Float64()
+		for i := 0; i < 60; i++ {
+			k := rng.Float64()
+			if i%2 == 0 {
+				k = math.Mod(centre+rng.Float64()/4096, 1)
+			}
+			if _, err := builder.Insert(record.Record{Key: k, Value: []byte{byte(i)}}); err != nil {
+				t.Fatal(err)
+			}
+			present = append(present, k)
+		}
+		for i := 0; i < 25 && len(present) > 0; i++ {
+			j := rng.Intn(len(present))
+			if _, err := builder.Delete(present[j]); err != nil && !errors.Is(err, ErrKeyNotFound) {
+				t.Fatal(err)
+			}
+			present = append(present[:j], present[j+1:]...)
+		}
+		keys = make([]float64, 80)
+		for i := range keys {
+			keys[i] = rng.Float64()
+			if i%2 == 0 {
+				keys[i] = present[rng.Intn(len(present))]
+			}
+		}
+		compare(fmt.Sprintf("round %d", round), keys)
+	}
+	if agg != nil {
+		// The victim is whoever answers most of these reads first.
+		reads := make([]int64, len(srvs))
+		for i, srv := range srvs {
+			reads[i] = -srv.Metrics().Lookup.Total
+		}
+		compare("caches warm", keys)
+		victim := 0
+		for i, srv := range srvs {
+			if reads[i] += srv.Metrics().Lookup.Total; reads[i] > reads[victim] {
+				victim = i
+			}
+		}
+		if err := srvs[victim].Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := agg.Snapshot().Health.Failovers
+		compare("one server dead", keys)
+		if agg.Snapshot().Health.Failovers == before {
+			t.Error("no read failed over to a second holder")
+		}
+	}
+	probes, headers, _ := spy.counts()
+	if headers == 0 || headers >= probes {
+		t.Errorf("%d of %d probes were answered with headers", headers, probes)
+	}
+	if recordOnly, records := spy.recordCounts(); records != searches || recordOnly < records || recordOnly >= probes {
+		t.Errorf("%d searches: %d of %d probes asked for the record alone, %d were answered with one", searches, recordOnly, probes, records)
+	}
+	if agg != nil {
+		return // the checker walks every name, and misses need the dead holder's word
+	}
+	if err := builder.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A data key's sign is not part of it: -0.0 and +0.0 are one key, which
+// passes keyspace.CheckKey either way, while the hint word spends the
+// sign bit on the record-only wish. Insert one, get the other, on both
+// arms; then insert -0.0, whose lookup must reach the peer as a probe for
+// the bucket and come back whole, at the plain arm's cost.
+func TestProbeOfSignedZero(t *testing.T) {
+	client, srvs := startProbeCluster(t, 3)
+	cfg := Config{SplitThreshold: 4, Depth: 20}
+	spy := &probeSpy{Client: client, t: t}
+	prober, err := New(spy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(hideProber(client), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builder, err := New(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := math.Copysign(0, -1)
+	for i, k := range []float64{0, 0.3, 0.6, 0.9, 0.01, 0.02} {
+		if _, err := builder.Insert(record.Record{Key: k, Value: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeros := []float64{negZero, 0}
+	got, want := traceSearches(t, prober, srvs, zeros), traceSearches(t, plain, srvs, zeros)
+	if d := got.diff(want); d != "" {
+		t.Fatalf("stored as +0: %s", d)
+	}
+	if !strings.HasPrefix(got.results[0], "0x0 00 ") { // +0's bits, the first record's value
+		t.Fatalf("Search(-0) of the record stored as +0: %s", got.results[0])
+	}
+
+	_, records := spy.recordCounts()
+	cost, err := prober.Insert(record.Record{Key: negZero, Value: []byte("minus")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, after := spy.recordCounts(); after != records {
+		t.Error("the insert of -0 was answered with a record reply: its hint's sign bit reached the peer")
+	}
+	wantCost, err := plain.Insert(record.Record{Key: negZero, Value: []byte("minus")})
+	if err != nil || cost != wantCost {
+		t.Errorf("Insert(-0) cost %+v through probes, %+v (%v) through plain gets", cost, wantCost, err)
+	}
+	got, want = traceSearches(t, prober, srvs, zeros), traceSearches(t, plain, srvs, zeros)
+	if d := got.diff(want); d != "" {
+		t.Fatalf("stored as -0: %s", d)
+	}
+	if !strings.HasPrefix(got.results[1], fmt.Sprintf("%#x %x ", uint64(1)<<63, "minus")) {
+		t.Fatalf("Search(+0) of the record stored as -0: %s", got.results[1])
+	}
+	if n, err := prober.Count(); err != nil || n != 6 {
+		t.Errorf("Count = %d, %v: -0 and +0 are one key, want 6", n, err)
 	}
 }
 
@@ -372,9 +554,17 @@ func TestProbeOfTornLeafComesBackWholeAndIsRepaired(t *testing.T) {
 			if err != nil || !ok || !torn.Torn() {
 				t.Fatalf("bucket under %q after the tear: %v, %v", tornKey, v, err)
 			}
-			v, err = client.Probe(ctx, tornKey, math.Float64bits(excluded(torn)))
-			if b, ok := v.(*Bucket); err != nil || !ok || !sameBucket(b, torn) {
-				t.Fatalf("probe of the torn bucket with a key it excludes: %#v, %v, want it whole", v, err)
+			iv := torn.Interval()
+			for name, hint := range map[string]uint64{
+				"a key it excludes":                ProbeHint(excluded(torn), false),
+				"a key it excludes, record wanted": ProbeHint(excluded(torn), true),
+				"a key it covers, record wanted":   ProbeHint(iv.Lo, true),
+				"a record it holds, record wanted": ProbeHint(torn.Records[0].Key, true),
+			} {
+				v, err = client.Probe(ctx, tornKey, hint)
+				if b, ok := v.(*Bucket); err != nil || !ok || !sameBucket(b, torn) {
+					t.Fatalf("probe of the torn bucket with %s: %#v, %v, want it whole", name, v, err)
+				}
 			}
 
 			// The tear's chosen key goes first, then the others the torn
@@ -467,9 +657,11 @@ func TestOnlyTheCoalescerStopsAProbe(t *testing.T) {
 				lookups += cost.Lookups
 			}
 			probes, headers, _ := spy.counts()
+			recordOnly, records := spy.recordCounts()
 			switch {
-			case tc.probes && (probes != lookups || headers == 0):
-				t.Errorf("%d lookups reached the client as %d probes, %d answered with headers", lookups, probes, headers)
+			case tc.probes && (probes != lookups || headers == 0 || recordOnly != probes || records != len(keys)):
+				t.Errorf("%d lookups of %d searches reached the client as %d probes, %d for the record alone, %d answered with headers, %d with records",
+					lookups, len(keys), probes, recordOnly, headers, records)
 			case !tc.probes && probes != 0:
 				t.Errorf("%d probes got past the coalescer", probes)
 			}

@@ -80,36 +80,100 @@ func AppendList(b []byte, rs []Record) []byte {
 // record slice, is bounded by len(buf). Zero records decode as a nil
 // list and a zero-length value as a nil value.
 func DecodeList(buf []byte) ([]Record, error) {
-	count, buf, err := ReadUvarint(buf)
+	count, buf, err := readCount(buf)
 	if err != nil {
 		return nil, err
-	}
-	if count > uint64(len(buf)/minRecordLen) {
-		return nil, fmt.Errorf("record: count %d exceeds the %d bytes that follow", count, len(buf))
 	}
 	var rs []Record
 	if count > 0 {
 		rs = make([]Record, count)
 	}
 	for i := range rs {
-		if len(buf) < 8 {
-			return nil, errTruncated
-		}
-		rs[i].Key = math.Float64frombits(binary.BigEndian.Uint64(buf))
-		var n uint64
-		if n, buf, err = ReadUvarint(buf[8:]); err != nil {
+		if buf, err = readRecord(&rs[i], buf); err != nil {
 			return nil, err
 		}
-		if n > uint64(len(buf)) {
-			return nil, errTruncated
-		}
-		if n > 0 {
-			rs[i].Value = buf[:n:n]
-		}
-		buf = buf[n:]
 	}
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("record: %d bytes after the last record", len(buf))
 	}
 	return rs, nil
+}
+
+// readCount reads a list's record count off the front of buf, refusing
+// one the bytes that follow could not hold.
+func readCount(buf []byte) (count uint64, rest []byte, err error) {
+	if count, rest, err = ReadUvarint(buf); err != nil {
+		return 0, nil, err
+	}
+	if count > uint64(len(rest)/minRecordLen) {
+		return 0, nil, fmt.Errorf("record: count %d exceeds the %d bytes that follow", count, len(rest))
+	}
+	return count, rest, nil
+}
+
+// readRecord reads one record (key, length, value) off the front of buf
+// into r, which must be zero, and returns the bytes that follow. The
+// value is a capacity-clipped view of buf, nil when empty.
+func readRecord(r *Record, buf []byte) (rest []byte, err error) {
+	if len(buf) < 8 {
+		return nil, errTruncated
+	}
+	r.Key = math.Float64frombits(binary.BigEndian.Uint64(buf))
+	var n uint64
+	if n, buf, err = ReadUvarint(buf[8:]); err != nil {
+		return nil, err
+	}
+	if n > uint64(len(buf)) {
+		return nil, errTruncated
+	}
+	if n > 0 {
+		r.Value = buf[:n:n]
+	}
+	return buf[n:], nil
+}
+
+// FindInList is FindByKey on an encoded list: it walks buf, which a
+// record list must occupy exactly, and returns the encoded form (key,
+// length, value: a view of buf) of the first record in list order whose
+// key == key, or nil when there is none. It accepts exactly the lists
+// DecodeList accepts and walks them to the end either way, so a hit is
+// never cut from a list that would not decode. It allocates nothing.
+func FindInList(buf []byte, key float64) (enc []byte, err error) {
+	count, buf, err := readCount(buf)
+	if err != nil {
+		return nil, err
+	}
+	for ; count > 0; count-- {
+		var r Record
+		rest, err := readRecord(&r, buf)
+		if err != nil {
+			return nil, err
+		}
+		if enc == nil && r.Key == key {
+			enc = buf[:len(buf)-len(rest)]
+		}
+		buf = rest
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("record: %d bytes after the last record", len(buf))
+	}
+	return enc, nil
+}
+
+// DecodeRecord parses what FindInList returned: one record occupying all
+// of buf. Unlike DecodeList's, the value is a copy, so buf may be a pooled
+// buffer and the record pins nothing but its own bytes.
+func DecodeRecord(buf []byte) (Record, error) {
+	var r Record
+	rest, err := readRecord(&r, buf)
+	if err != nil {
+		return Record{}, err
+	}
+	if len(rest) != 0 {
+		return Record{}, fmt.Errorf("record: %d bytes after the record", len(rest))
+	}
+	if r.Value != nil {
+		r.Value = append([]byte(nil), r.Value...)
+	}
+	return r, nil
 }

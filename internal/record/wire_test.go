@@ -78,3 +78,68 @@ func TestReadUvarint(t *testing.T) {
 		}
 	}
 }
+
+// FindInList agrees with FindByKey on what DecodeList decodes, accepts
+// exactly the lists DecodeList accepts, and hands DecodeRecord a record
+// whose value is a copy.
+func TestFindInList(t *testing.T) {
+	rs := []Record{
+		{Key: 0.125, Value: []byte("a")},
+		{Key: math.Copysign(0, -1), Value: []byte("minus zero")},
+		{Key: 0.75, Value: bytes.Repeat([]byte{7}, 300)},
+		{Key: 0.125, Value: []byte("shadowed")},
+		{Key: math.NaN(), Value: []byte("never matches")},
+		{Key: 0.5},
+	}
+	data := AppendList(nil, rs)
+	for _, key := range []float64{0.125, 0, math.Copysign(0, -1), 0.75, 0.5, 0.3, math.NaN()} {
+		enc, err := FindInList(data, key)
+		if err != nil {
+			t.Fatalf("FindInList(%v): %v", key, err)
+		}
+		i := FindByKey(rs, key)
+		if (enc != nil) != (i >= 0) {
+			t.Fatalf("FindInList(%v) found %v, FindByKey says %d", key, enc != nil, i)
+		}
+		if i < 0 {
+			continue
+		}
+		got, err := DecodeRecord(enc)
+		if err != nil || math.Float64bits(got.Key) != math.Float64bits(rs[i].Key) || !bytes.Equal(got.Value, rs[i].Value) {
+			t.Errorf("FindInList(%v) = %v, %v, want record %d %v", key, got, err, i, rs[i])
+		}
+		if len(got.Value) > 0 && &got.Value[0] == &enc[len(enc)-len(got.Value)] {
+			t.Errorf("DecodeRecord(%v) aliases its input", key)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = FindInList(data, 0.75) }); n != 0 {
+		t.Errorf("FindInList: %v allocations, want 0", n)
+	}
+
+	one := AppendList(nil, rs[:1])
+	for name, bad := range map[string][]byte{
+		"empty":              {},
+		"count past the end": binary.AppendUvarint(nil, 1<<40),
+		"truncated":          data[:len(data)-1],
+		"trailing byte":      append(append([]byte(nil), data...), 0),
+		"padded count":       append([]byte{0x81, 0x00}, one[1:]...),
+	} {
+		if _, err := DecodeList(bad); err == nil {
+			t.Fatalf("%s: DecodeList accepts it", name)
+		}
+		// A hit before the damage must not come back either.
+		if enc, err := FindInList(bad, 0.125); err == nil {
+			t.Errorf("%s: FindInList walked it without error (hit: %v)", name, enc != nil)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"empty":         {},
+		"short key":     one[1:5],
+		"short value":   one[1 : len(one)-1],
+		"trailing byte": append(append([]byte(nil), one[1:]...), 0),
+	} {
+		if r, err := DecodeRecord(bad); err == nil {
+			t.Errorf("%s: DecodeRecord returned %v", name, r)
+		}
+	}
+}

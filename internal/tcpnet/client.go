@@ -465,8 +465,8 @@ func (c *Client) Get(ctx context.Context, key string) (dht.Value, error) {
 }
 
 // Probe implements dht.Prober: a get that carries hint to the storing
-// node, which may answer a dht.WireValue whose kind registered a trimmer
-// with a prefix of it (see frame.go).
+// node, which answers a dht.WireValue whose kind registered a projector
+// with what that ships, possibly less than the value (see frame.go).
 func (c *Client) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
 	return c.get(ctx, key, probeHint{v: hint, set: true})
 }

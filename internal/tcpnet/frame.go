@@ -67,19 +67,22 @@ import (
 //
 // A get may end in an 8-byte hint, which makes it a probe (dht.Prober):
 // the requester can perhaps do without most of the value. The reply to a
-// hinted get of a tagWire value carries a prefix of the stored bytes,
-// cut where the kind's dht.WireTrimmer says given the hint — the tags
-// and kind byte always, the value's own bytes possibly short — and the
-// requester decodes it with dht.DecodeProbe. The server cuts without
-// decoding; every other tag, and a kind with no trimmer, is answered
-// whole, and a get with no hint is served exactly as before the hint
-// existed.
+// hinted get of a tagWire value carries the stored tags and kind byte,
+// then what the kind's dht.WireProjector appended given the hint: the
+// value's own bytes whole, or a smaller form the kind defines. For the
+// index's buckets (internal/lht, "Probe replies") that is the header
+// alone when the leaf does not cover the hinted key, and the header plus
+// the one record asked for when it does and the hint says the record is
+// all the requester wants. The requester decodes with dht.DecodeProbe.
+// The server builds the reply without decoding anything; every other
+// tag, and a kind with no projector, is answered whole, and a get with no
+// hint is served exactly as before the hint existed.
 //
 // Response payloads:
 //
 //	status u8: 0 ok, 1 not-found, 2 server error, 3 CAS conflict
 //	ok   get/take            value(rest); after a hinted get possibly
-//	                         a prefix of it, see above
+//	                         a projection of it, see above
 //	ok   put/remove/write/ping  (empty)
 //	ok   putif/createif/removeif/writeif  (empty)
 //	ok   getbatch/putbatch   uv count, count x slot
@@ -245,7 +248,7 @@ func decodeTaggedValue(tv []byte) (dht.Value, error) { return decodeTagged(tv, d
 
 // decodeTagged is decodeTaggedValue with the tagWire decoder passed in:
 // dht.DecodeWire for a value that must be whole, dht.DecodeProbe for the
-// reply to a hinted get, which the server may have trimmed.
+// reply to a hinted get, which the server may have projected.
 func decodeTagged(tv []byte, wire func(kind byte, data []byte) (dht.Value, error)) (dht.Value, error) {
 	if len(tv) == 0 {
 		return nil, fmt.Errorf("tcpnet: empty wire value")
@@ -278,23 +281,25 @@ func decodeTagged(tv []byte, wire func(kind byte, data []byte) (dht.Value, error
 	}
 }
 
-// probeLen returns how many leading bytes of the stored tagged value tv
-// answer a get carrying hint: for a tagWire value (under its tagEpoch
-// prefix or bare) whatever the kind's trimmer leaves, for anything else
-// all of it. Pure arithmetic on the stored bytes: nothing is decoded or
-// allocated, and the kind byte is all the server knows of the type.
-func probeLen(tv []byte, hint uint64) int {
+// appendProbed appends the reply value of a get carrying hint, given the
+// stored tagged value tv: for a tagWire value (under its tagEpoch prefix
+// or bare) the tags and kind byte, then whatever the kind's projector
+// ships; for anything else all of tv. Pure byte work on the stored value:
+// nothing is decoded or allocated, and the kind byte is all the server
+// knows of the type.
+func appendProbed(out, tv []byte, hint uint64) []byte {
 	c := cursor{b: tv}
 	if len(c.b) > 0 && c.b[0] == tagEpoch {
 		c.b = c.b[1:]
 		if _, err := c.uvarint(); err != nil {
-			return len(tv)
+			return append(out, tv...)
 		}
 	}
 	if len(c.b) < 2 || c.b[0] != tagWire {
-		return len(tv)
+		return append(out, tv...)
 	}
-	return len(tv) - len(c.b) + 2 + dht.TrimWire(c.b[1], c.b[2:], hint)
+	out = append(out, tv[:len(tv)-len(c.b)+2]...)
+	return dht.ProjectWire(out, c.b[1], c.b[2:], hint)
 }
 
 // readFrameBody reads one frame from br into buf (grown as needed) and

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lht/internal/dht"
+	ilht "lht/internal/lht"
 )
 
 // FuzzDecodeFrame drives arbitrary bytes through the full server-side
@@ -44,6 +45,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		buildFrame(11, dht.OpGet, hintedGet("key", 0.25)),
 		buildFrame(12, dht.OpGet, hintedGet("", math.NaN())),
 		buildFrame(13, dht.OpTake, hintedGet("key", 0.25)),
+		// Record-only probes of the bucket the fuzzed server holds: a
+		// present key, a covered absent one, an excluded one.
+		buildFrame(14, dht.OpGet, recordGet("key", 0.703125)),
+		buildFrame(15, dht.OpGet, recordGet("key", 0.7101)),
+		buildFrame(16, dht.OpGet, recordGet("key", 0.25)),
 		// Malformed shapes.
 		{},
 		{0, 0, 0, 0},
@@ -53,6 +59,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	for _, s := range seeds {
 		f.Add(s)
+	}
+	stored, err := appendValue(nil, wideBucket())
+	if err != nil {
+		f.Fatal(err)
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -77,6 +87,7 @@ func FuzzDecodeFrame(f *testing.F) {
 
 		// Serve the request; garbage payloads must answer, not panic.
 		s := NewServer()
+		s.store["key"] = stored
 		resp := s.applyFrame(body, nil)
 		if len(resp) < frameHeaderLen+4+1 {
 			t.Fatalf("response frame too short: %d bytes", len(resp))
@@ -92,14 +103,24 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("server emitted an unreadable frame: %v", err)
 		}
 		c := cursor{b: rbody[frameHeaderLen:]}
-		if _, err := c.u8(); err != nil {
+		status, err := c.u8()
+		if err != nil {
 			t.Fatalf("server emitted a status-less response: %v", err)
+		}
+		op := dht.OpKind(body[8])
+		// Whatever the hint, a get of the stored bucket is answered with
+		// the bucket, its header or one record of it.
+		if op == dht.OpGet && status == statusOK {
+			switch v, err := decodeTagged(c.rest(), dht.DecodeProbe); v.(type) {
+			case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord:
+			default:
+				t.Fatalf("get of the stored bucket answered with %T, %v", v, err)
+			}
 		}
 
 		// And the mirrored payload parses under the batch slot grammar
 		// when it claims to be a batch response (client symmetry: these
 		// parsers also must not panic on anything the fuzzer reaches).
-		op := dht.OpKind(body[8])
 		if op == dht.OpGetBatch || op == dht.OpPutBatch {
 			cc := cursor{b: rbody[frameHeaderLen:]}
 			if st, _ := cc.u8(); st == statusOK {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"net"
@@ -31,16 +32,23 @@ func wideBucket() *ilht.Bucket {
 	return b
 }
 
-// hintedGet is a get request payload carrying a probe hint.
+// hintedGet is a get request payload carrying a probe hint: the bucket
+// is wanted.
 func hintedGet(key string, delta float64) []byte {
-	return binary.BigEndian.AppendUint64(appendLenString(nil, key), math.Float64bits(delta))
+	return binary.BigEndian.AppendUint64(appendLenString(nil, key), ilht.ProbeHint(delta, false))
+}
+
+// recordGet is hintedGet for a prober that wants delta's record alone.
+func recordGet(key string, delta float64) []byte {
+	return binary.BigEndian.AppendUint64(appendLenString(nil, key), ilht.ProbeHint(delta, true))
 }
 
 // TestProbeTrimsOnlyWhatTheKindAllows: over the wire a probe of a bucket
-// its hint excludes is answered with the header alone; a covering hint,
-// a plain get, and every stored form the server cannot ask a trimmer
-// about — raw bytes, gob, gob under an epoch, a kind with no trimmer —
-// are answered whole.
+// its hint excludes is answered with the header alone, and one that asks
+// for a covered key's record with header and record; a covering hint that
+// wants the bucket, a plain get, and every stored form the server cannot
+// ask a projector about — raw bytes, gob, gob under an epoch, a kind with
+// no projector — are answered whole.
 func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	ctx := context.Background()
 	c, servers := startCluster(t, 1)
@@ -59,11 +67,23 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outside, inside := math.Float64bits(0.1), math.Float64bits(0.71)
+	outside, inside := ilht.ProbeHint(0.1, false), ilht.ProbeHint(0.71, false)
+	present, absent := b.Records[20], 0.7101
 
-	v, err := c.Probe(ctx, "bucket", outside)
-	if h, ok := v.(*ilht.BucketHeader); err != nil || !ok || h.Label != b.Label {
-		t.Fatalf("probe with an excluded key: %#v, %v, want the header", v, err)
+	for name, hint := range map[string]uint64{"bucket": outside, "record": ilht.ProbeHint(0.1, true)} {
+		v, err := c.Probe(ctx, "bucket", hint)
+		if h, ok := v.(*ilht.BucketHeader); err != nil || !ok || h.Label != b.Label {
+			t.Fatalf("%s probe with an excluded key: %#v, %v, want the header", name, v, err)
+		}
+	}
+	v, err := c.Probe(ctx, "bucket", ilht.ProbeHint(present.Key, true))
+	if r, ok := v.(*ilht.BucketRecord); err != nil || !ok || r.Label != b.Label || !r.Found ||
+		r.Record.Key != present.Key || !bytes.Equal(r.Record.Value, present.Value) {
+		t.Fatalf("record probe with a present key: %#v, %v, want its record", v, err)
+	}
+	v, err = c.Probe(ctx, "bucket", ilht.ProbeHint(absent, true))
+	if r, ok := v.(*ilht.BucketRecord); err != nil || !ok || r.Label != b.Label || r.Found {
+		t.Fatalf("record probe with a covered, absent key: %#v, %v, want a reply without a record", v, err)
 	}
 	for name, fetch := range map[string]func() (dht.Value, error){
 		"probe with a covered key": func() (dht.Value, error) { return c.Probe(ctx, "bucket", inside) },
@@ -80,7 +100,7 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, hint := range []uint64{outside, inside, 0, math.MaxUint64} {
+		for _, hint := range []uint64{outside, inside, ilht.ProbeHint(0.3, true), 0, math.MaxUint64} {
 			got, err := c.Probe(ctx, key, hint)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Errorf("probe of %q with hint %#x: %v, %v, want what a get returns", key, hint, got, err)
@@ -92,29 +112,36 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	}
 
 	// On the wire: the trimmed reply is the tags, the kind and the
-	// bucket's header; the server counts a probe as the get it is.
+	// bucket's header, the record reply those plus one record; the server
+	// counts a probe as the get it is.
 	before := srv.Metrics()
 	whole := srv.applyFrame(buildFrame(1, dht.OpGet, appendLenString(nil, "bucket"))[4:], nil)
 	cut := srv.applyFrame(buildFrame(2, dht.OpGet, hintedGet("bucket", 0.1))[4:], nil)
 	miss := srv.applyFrame(buildFrame(3, dht.OpGet, hintedGet("absent", 0.1))[4:], nil)
+	one := srv.applyFrame(buildFrame(4, dht.OpGet, recordGet("bucket", present.Key))[4:], nil)
 	if len(whole) < 5000 || len(cut) > 4+frameHeaderLen+1+40 || !bytes.HasPrefix(whole[4+frameHeaderLen:], cut[4+frameHeaderLen:]) {
 		t.Errorf("whole reply %d bytes, trimmed reply %d bytes: want a short prefix", len(whole), len(cut))
 	}
 	if miss[4+frameHeaderLen] != statusNotFound {
 		t.Errorf("hinted get of an absent key: status %d", miss[4+frameHeaderLen])
 	}
-	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 3 || after.Lookup.FailedGets-before.Lookup.FailedGets != 1 {
-		t.Errorf("three gets, one a miss, counted as %d lookups, %d failed gets",
+	// Past the header: marker, found flag, key, one length byte, value.
+	if want := len(cut) + 1 + 1 + 8 + 1 + len(present.Value); len(one) != want || !bytes.HasSuffix(one, present.Value) {
+		t.Errorf("record reply %d bytes, want %d ending in the record's value", len(one), want)
+	}
+	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 4 || after.Lookup.FailedGets-before.Lookup.FailedGets != 1 {
+		t.Errorf("four gets, one a miss, counted as %d lookups, %d failed gets",
 			after.Lookup.Total-before.Lookup.Total, after.Lookup.FailedGets-before.Lookup.FailedGets)
 	}
 
 	// The hint is exactly eight bytes after a get's key, and nothing else
 	// takes one.
 	for name, frame := range map[string][]byte{
-		"hinted take":   buildFrame(4, dht.OpTake, hintedGet("bucket", 0.1)),
-		"hinted remove": buildFrame(5, dht.OpRemove, hintedGet("bucket", 0.1)),
-		"short hint":    buildFrame(6, dht.OpGet, hintedGet("bucket", 0.1)[:len("bucket")+8]),
-		"long hint":     buildFrame(7, dht.OpGet, append(hintedGet("bucket", 0.1), 0)),
+		"hinted take":   buildFrame(5, dht.OpTake, hintedGet("bucket", 0.1)),
+		"hinted remove": buildFrame(6, dht.OpRemove, hintedGet("bucket", 0.1)),
+		"record take":   buildFrame(7, dht.OpTake, recordGet("bucket", present.Key)),
+		"short hint":    buildFrame(8, dht.OpGet, hintedGet("bucket", 0.1)[:len("bucket")+8]),
+		"long hint":     buildFrame(9, dht.OpGet, append(recordGet("bucket", 0.1), 0)),
 	} {
 		resp := srv.applyFrame(frame[4:], nil)
 		if resp[4+frameHeaderLen] != statusErr || string(resp[4+frameHeaderLen+1:]) != errMalformed {
@@ -125,11 +152,17 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 		t.Errorf("the hinted take or remove went through: %v", err)
 	}
 
-	// Trimming is arithmetic on the stored bytes under the store lock.
-	req := buildFrame(8, dht.OpGet, hintedGet("bucket", 0.1))[4:]
+	// The reply is built from the stored bytes under the store lock.
 	out := make([]byte, 0, 256)
-	if n := testing.AllocsPerRun(200, func() { out = srv.applyFrame(req, out[:0]) }); n != 0 {
-		t.Errorf("serving a hinted get: %v allocations, want 0", n)
+	for name, payload := range map[string][]byte{
+		"header": hintedGet("bucket", 0.1),
+		"record": recordGet("bucket", present.Key),
+		"absent": recordGet("bucket", absent),
+	} {
+		req := buildFrame(10, dht.OpGet, payload)[4:]
+		if n := testing.AllocsPerRun(200, func() { out = srv.applyFrame(req, out[:0]) }); n != 0 {
+			t.Errorf("serving a hinted get (%s): %v allocations, want 0", name, n)
+		}
 	}
 }
 
@@ -154,9 +187,11 @@ func TestProbeOfGobStoredBucketsIsWhole(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 
-	v, err := c.Probe(ctx, bitlabel.Root.Key(), math.Float64bits(0.99))
-	if b, ok := v.(*ilht.Bucket); err != nil || !ok || b.Contains(0.99) {
-		t.Fatalf("probe of the gob-stored leftmost leaf for a key it excludes: %#v, %v, want the bucket", v, err)
+	for _, recordOnly := range []bool{false, true} {
+		v, err := c.Probe(ctx, bitlabel.Root.Key(), ilht.ProbeHint(0.99, recordOnly))
+		if b, ok := v.(*ilht.Bucket); err != nil || !ok || b.Contains(0.99) {
+			t.Fatalf("probe of the gob-stored leftmost leaf for a key it excludes: %#v, %v, want the bucket", v, err)
+		}
 	}
 	ix, err := ilht.New(c, ilht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20})
 	if err != nil {
@@ -203,7 +238,7 @@ func serveLying(t *testing.T, real *Server) string {
 					if dht.OpKind(body[8]) == dht.OpGet {
 						c := cursor{b: body[frameHeaderLen:]}
 						if _, err := c.lenBytes(); err == nil && len(c.b) == 8 {
-							binary.BigEndian.PutUint64(c.b, math.Float64bits(-1))
+							binary.BigEndian.PutUint64(c.b, ilht.ProbeHint(1, false))
 						}
 					}
 					if _, err := conn.Write(real.applyFrame(body, nil)); err != nil {
@@ -216,14 +251,11 @@ func serveLying(t *testing.T, real *Server) string {
 	return ln.Addr().String()
 }
 
-// A header proves a leaf exists and steers the search past it; it is
-// never taken for the leaf that holds the key. Against a peer that trims
-// everything, each lookup's last probe comes back as a header that does
-// cover the key, and the index fetches that bucket again, whole, with a
-// plain get: same answers, one more lookup each.
-func TestCoveringHeaderIsRefetchedNotTrusted(t *testing.T) {
-	ctx := context.Background()
-	honest, servers := startCluster(t, 1)
+// growHonestIndex builds a 40-record tree through an honest client: what
+// the lying-peer tests then read through a peer that is not. Record i's
+// value is the byte i.
+func growHonestIndex(t *testing.T, honest *Client) (ilht.Config, *ilht.Index, []float64) {
+	t.Helper()
 	cfg := ilht.Config{SplitThreshold: 4, Depth: 20}
 	builder, err := ilht.New(honest, cfg)
 	if err != nil {
@@ -237,13 +269,25 @@ func TestCoveringHeaderIsRefetchedNotTrusted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return cfg, builder, keys
+}
+
+// A header proves a leaf exists and steers the search past it; it is
+// never taken for the leaf that holds the key. Against a peer that trims
+// everything, each lookup's last probe comes back as a header that does
+// cover the key, and the index fetches that bucket again, whole, with a
+// plain get: same answers, one more lookup each.
+func TestCoveringHeaderIsRefetchedNotTrusted(t *testing.T) {
+	ctx := context.Background()
+	honest, servers := startCluster(t, 1)
+	cfg, builder, keys := growHonestIndex(t, honest)
 
 	lying, err := Dial(ctx, ClusterConfig{Seeds: []string{serveLying(t, servers[0])}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = lying.Close() })
-	v, err := lying.Probe(ctx, bitlabel.Root.Key(), math.Float64bits(0))
+	v, err := lying.Probe(ctx, bitlabel.Root.Key(), ilht.ProbeHint(0, true))
 	if h, ok := v.(*ilht.BucketHeader); err != nil || !ok || !keyspace.IntervalOf(h.Label).Contains(0) {
 		t.Fatalf("the lying peer answered a probe for a covered key with %#v, %v", v, err)
 	}
@@ -266,6 +310,102 @@ func TestCoveringHeaderIsRefetchedNotTrusted(t *testing.T) {
 	}
 	// Writes go through lookups too: the bucket they clone and CAS is the
 	// refetched one.
+	if _, err := ix.Insert(record.Record{Key: 0.123456, Value: []byte("new")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Delete(keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := builder.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := builder.Count(); err != nil || n != len(keys) {
+		t.Errorf("Count = %d, %v, want %d", n, err, len(keys))
+	}
+}
+
+// lyingProber is a peer whose honest answer to a record probe is tampered
+// with on its way to the index.
+type lyingProber struct {
+	*Client
+	lie func(*ilht.BucketRecord) dht.Value
+}
+
+func (p lyingProber) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+	v, err := p.Client.Probe(ctx, key, hint)
+	if r, ok := v.(*ilht.BucketRecord); ok && err == nil {
+		return p.lie(r), nil
+	}
+	return v, err
+}
+
+// unaskedProber answers every probe as if the record alone were wanted.
+type unaskedProber struct{ *Client }
+
+func (p unaskedProber) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+	return p.Client.Probe(ctx, key, hint|ilht.ProbeHint(0, true))
+}
+
+// A record reply is believed only as far as it checks out: its label must
+// cover the key and its record, if any, carry that key. A reply that
+// fails either, like a header that claims to cover the key, costs one
+// plain get of the bucket and changes no answer; and a record reply to a
+// lookup that asked for the bucket is never taken for one.
+func TestLyingRecordReplyIsRefetchedNotTrusted(t *testing.T) {
+	honest, _ := startCluster(t, 1)
+	cfg, builder, keys := growHonestIndex(t, honest)
+	queries := append(append([]float64(nil), keys...), 0.123456, 0.654321) // the last two are absent
+	for name, lie := range map[string]func(*ilht.BucketRecord) dht.Value{
+		"a sibling's label": func(r *ilht.BucketRecord) dht.Value {
+			r.Label = r.Label.Sibling()
+			return r
+		},
+		"another key's record": func(r *ilht.BucketRecord) dht.Value {
+			r.Found, r.Record.Key = true, math.Nextafter(r.Record.Key, 2)
+			return r
+		},
+		"a covering header": func(r *ilht.BucketRecord) dht.Value {
+			return &ilht.BucketHeader{Label: r.Label}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			lies := 0
+			ix, err := ilht.New(lyingProber{honest, func(r *ilht.BucketRecord) dht.Value { lies++; return lie(r) }}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range queries {
+				want, wantCost, wantErr := builder.Search(k)
+				got, cost, err := ix.Search(k)
+				if wantErr != nil && !errors.Is(err, ilht.ErrKeyNotFound) ||
+					wantErr == nil && (err != nil || got.Key != want.Key || !bytes.Equal(got.Value, want.Value)) {
+					t.Fatalf("Search(%v) through the lying peer: %v, %v; through the honest one: %v, %v", k, got, err, want, wantErr)
+				}
+				if cost.Lookups != wantCost.Lookups+1 {
+					t.Errorf("Search(%v): %d lookups through the lying peer, %d through the honest one, want one refetch more", k, cost.Lookups, wantCost.Lookups)
+				}
+			}
+			// A lookup that wants the bucket never asks for a record.
+			if b, _, err := ix.LookupBucket(keys[1]); err != nil || !b.Contains(keys[1]) {
+				t.Fatalf("LookupBucket through the lying peer: %v, %v", b, err)
+			}
+			if lies != len(queries) {
+				t.Errorf("%d record replies over %d searches and a bucket lookup", lies, len(queries))
+			}
+		})
+	}
+
+	// A peer that sends record replies nobody asked for: a lookup that
+	// wants the bucket fetches it again, and writes clone and CAS that one.
+	ix, err := ilht.New(unaskedProber{honest}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, cost, err := ix.LookupBucket(keys[2])
+	_, wantCost, _ := builder.LookupBucket(keys[2])
+	if err != nil || !b.Contains(keys[2]) || cost.Lookups != wantCost.Lookups+1 {
+		t.Fatalf("LookupBucket answered with an unasked record reply: %v, %+v (honest %+v), %v", b, cost, wantCost, err)
+	}
 	if _, err := ix.Insert(record.Record{Key: 0.123456, Value: []byte("new")}); err != nil {
 		t.Fatal(err)
 	}
@@ -303,15 +443,19 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 	// holder: between them both orders of the failover walk are covered.
 	for name, pctx := range map[string]context.Context{"primary first": dht.MarkHedgeAttempt(ctx), "secondary first": ctx} {
 		before := agg.Snapshot().Health.Failovers
-		v, err := c.Probe(pctx, "bucket", math.Float64bits(0.1))
+		v, err := c.Probe(pctx, "bucket", ilht.ProbeHint(0.1, false))
 		if h, ok := v.(*ilht.BucketHeader); err != nil || !ok || h.Label != b.Label {
 			t.Errorf("%s: probe with an excluded key: %#v, %v, want the header", name, v, err)
 		}
-		v, err = c.Probe(pctx, "bucket", math.Float64bits(0.71))
+		v, err = c.Probe(pctx, "bucket", ilht.ProbeHint(0.71, false))
 		if got, ok := v.(*ilht.Bucket); err != nil || !ok || len(got.Records) != len(b.Records) {
 			t.Errorf("%s: probe with a covered key: %T, %v, want the whole bucket", name, v, err)
 		}
-		if failed := agg.Snapshot().Health.Failovers - before; (name == "primary first") != (failed == 2) {
+		v, err = c.Probe(pctx, "bucket", ilht.ProbeHint(b.Records[9].Key, true))
+		if r, ok := v.(*ilht.BucketRecord); err != nil || !ok || !r.Found || r.Record.Key != b.Records[9].Key {
+			t.Errorf("%s: record probe with a present key: %#v, %v, want its record", name, v, err)
+		}
+		if failed := agg.Snapshot().Health.Failovers - before; (name == "primary first") != (failed == 3) {
 			t.Errorf("%s: %d failovers", name, failed)
 		}
 	}

@@ -109,10 +109,10 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if op == dht.OpTake {
 			delete(s.store, string(key))
 		}
-		if hinted {
-			v = v[:probeLen(v, binary.BigEndian.Uint64(c.b))]
-		}
 		out = append(out, statusOK)
+		if hinted {
+			return appendProbed(out, v, binary.BigEndian.Uint64(c.b))
+		}
 		return append(out, v...)
 
 	case dht.OpPut:

@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"net"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"lht/internal/dht"
+	ilht "lht/internal/lht"
 )
 
 // BenchmarkFrameEncode measures pure codec cost: building a put frame
@@ -87,9 +90,34 @@ func startBenchServers(b *testing.B, n int) []string {
 	return addrs
 }
 
+// ioSyscalls is the process's read plus write syscall count so far, from
+// /proc/self/io; ok is false where there is no such file (not Linux).
+func ioSyscalls() (n int64, ok bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		name, val, _ := strings.Cut(line, ": ")
+		if name == "syscr" || name == "syscw" {
+			v, err := strconv.ParseInt(val, 10, 64)
+			if err != nil {
+				return 0, false
+			}
+			n += v
+		}
+	}
+	return n, true
+}
+
 // BenchmarkWireGet / BenchmarkWirePut time the full client round trip
 // with a raw []byte value: run with -benchmem to see the allocs/op that
-// ablation A8 gates on.
+// ablation A8 gates on. BenchmarkWireGet also reports syscalls/op, the
+// reads and writes of both ends of the connection (client and server
+// share the process): on an idle connection each side pays one write,
+// one read and the runtime's speculative read that returns EAGAIN before
+// the goroutine parks in the poller, so ~6 is the floor of a lone round
+// trip, not a sign that writes go unbatched.
 func BenchmarkWireGet(b *testing.B) {
 	c := benchCluster(b)
 	ctx := context.Background()
@@ -97,34 +125,43 @@ func BenchmarkWireGet(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	before, counted := ioSyscalls()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Get(ctx, "k"); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if after, _ := ioSyscalls(); counted {
+		b.ReportMetric(float64(after-before)/float64(b.N), "syscalls/op")
+	}
 }
 
-// BenchmarkWireProbeTrimmed / BenchmarkWireProbeWhole are the two replies
-// a probe of a 75-record bucket can get, full client round trip: the
-// header alone (the hinted key lies outside the leaf) and the whole
-// bucket (it lies inside). wire-B/op is what the server sent back.
-func BenchmarkWireProbeTrimmed(b *testing.B) { benchWireProbe(b, 0.1) }
+// BenchmarkWireProbe{Trimmed,Whole,Selected} are the three replies a
+// probe of a 75-record bucket can get, full client round trip: the
+// header alone (the hinted key lies outside the leaf), the whole bucket
+// (it lies inside) and header plus one record (it lies inside and the
+// prober wants the record alone). wire-B/op is what the server sent back.
+func BenchmarkWireProbeTrimmed(b *testing.B) { benchWireProbe(b, ilht.ProbeHint(0.1, false)) }
 
-func BenchmarkWireProbeWhole(b *testing.B) { benchWireProbe(b, 0.71) }
+func BenchmarkWireProbeWhole(b *testing.B) { benchWireProbe(b, ilht.ProbeHint(0.71, false)) }
 
-func benchWireProbe(b *testing.B, delta float64) {
+func BenchmarkWireProbeSelected(b *testing.B) {
+	benchWireProbe(b, ilht.ProbeHint(wideBucket().Records[37].Key, true))
+}
+
+func benchWireProbe(b *testing.B, hint uint64) {
 	c := benchCluster(b)
 	ctx := context.Background()
 	if err := c.Put(ctx, "k", wideBucket()); err != nil {
 		b.Fatal(err)
 	}
-	hint := math.Float64bits(delta)
 	stored, err := appendValue(nil, wideBucket())
 	if err != nil {
 		b.Fatal(err)
 	}
-	reply := 4 + frameHeaderLen + 1 + probeLen(stored, hint) // length, id+op, status, value
+	reply := 4 + frameHeaderLen + 1 + len(appendProbed(nil, stored, hint)) // length, id+op, status, value
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -87,7 +87,9 @@ import (
 // read from — the stored bucket itself on the in-process substrates, the
 // bucket's one decode buffer on a networked one — so writing into it
 // corrupts other readers, and holding it keeps that whole buffer alive.
-// Copy a value to modify it or to retain it long-term.
+// Copy a value to modify it or to retain it long-term. (The one
+// exception pins less, not more: a GetContext over the TCP substrate is
+// answered with the one record, whose Value is a small copy of its own.)
 type Record = record.Record
 
 // Config tunes an index: theta_split, the merge threshold, the maximum
@@ -289,7 +291,7 @@ func (ix *Index) DeleteContext(ctx context.Context, key float64) (Cost, error) {
 }
 
 // GetContext answers an exact-match query for one key. The record's
-// Value is read-only and shares its bucket's memory (see Record).
+// Value is read-only and may share its bucket's memory (see Record).
 func (ix *Index) GetContext(ctx context.Context, key float64) (Record, Cost, error) {
 	return ix.inner.SearchContext(ctx, key)
 }
