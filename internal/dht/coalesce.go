@@ -59,7 +59,8 @@ type coalescer struct {
 // It deliberately does not implement Prober: a flight's value is shared
 // by callers whose hints differ, so it must be whole. DoProbe therefore
 // turns a probe into a (coalesced) Get here, and nothing below this layer
-// sees a hint.
+// sees a hint. Nor is it a Patcher: a writer above it reads whole values,
+// so it writes whole values, and DoPatchIf refuses here.
 func WithCoalescing(inner DHT, c *metrics.Counters) DHT {
 	co := &coalescer{inner: inner, c: c, inflight: make(map[string]*flight)}
 	b, hasB := inner.(Batcher)

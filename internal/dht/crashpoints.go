@@ -82,6 +82,12 @@ const (
 	// OpStatus asks a node for its membership view plus its parked-hint
 	// backlog per intended holder.
 	OpStatus
+
+	// OpPatchIf is the wire op of Patcher.PatchIf: an epoch-guarded write
+	// that ships a patch for the storing node's WirePatcher in place of
+	// the value. Wire-level only: a crash schedule sees a PatchIf as the
+	// OpPutIf it stands in for.
+	OpPatchIf
 )
 
 // String names the kind for logs and test failures.
@@ -121,6 +127,8 @@ func (k OpKind) String() string {
 		return "hintput"
 	case OpStatus:
 		return "status"
+	case OpPatchIf:
+		return "patchif"
 	}
 	return "unknown"
 }
@@ -157,7 +165,10 @@ type CrashRule struct {
 // Unlike probabilistic injection (bench's flaky substrate), the same
 // operation sequence always fails at the same points, so torn states are
 // reproducible in tests. It implements Batcher: batched keys advance the
-// same per-op counter, one count per key, in slice order.
+// same per-op counter, one count per key, in slice order. It forwards
+// Prober and Patcher too, each scheduled as the op it stands in for, so a
+// schedule over a substrate that has them exercises the path production
+// takes.
 type CrashPoints struct {
 	inner DHT
 	rules []CrashRule
@@ -172,6 +183,8 @@ var (
 	_ DHT         = (*CrashPoints)(nil)
 	_ Batcher     = (*CrashPoints)(nil)
 	_ Conditional = (*CrashPoints)(nil)
+	_ Prober      = (*CrashPoints)(nil)
+	_ Patcher     = (*CrashPoints)(nil)
 )
 
 // WithCrashPoints wraps d with the given schedule. Rules are evaluated in
@@ -259,6 +272,21 @@ func (c *CrashPoints) Get(ctx context.Context, key string) (Value, error) {
 	return val, err
 }
 
+// Probe implements Prober: scheduled as the OpGet it stands in for, so a
+// schedule written against Gets fires at the same points over a
+// substrate that probes, and the hint reaches it.
+func (c *CrashPoints) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
+	v := c.decide(OpGet, key)
+	if v.fail && !v.after {
+		return nil, v.err
+	}
+	val, err := DoProbe(ctx, c.inner, key, hint)
+	if v.fail {
+		return nil, v.err
+	}
+	return val, err
+}
+
 // Put implements DHT.
 func (c *CrashPoints) Put(ctx context.Context, key string, val Value) error {
 	v := c.decide(OpPut, key)
@@ -323,6 +351,21 @@ func (c *CrashPoints) PutIf(ctx context.Context, key string, val Value, ifEpoch 
 		return v.err
 	}
 	return err
+}
+
+// PatchIf implements Patcher: scheduled as the OpPutIf it stands in for.
+// A refusal is the inner substrate's answer, not a fault, and passes
+// through unless the schedule fired.
+func (c *CrashPoints) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
+	v := c.decide(OpPutIf, key)
+	if v.fail && !v.after {
+		return nil, v.err
+	}
+	val, err := DoPatchIf(ctx, c.inner, key, patch, ifEpoch)
+	if v.fail {
+		return nil, v.err
+	}
+	return val, err
 }
 
 // CreateIf implements Conditional.

@@ -56,8 +56,9 @@ type hedger struct {
 // duplicate. after is the trigger floor; a non-positive after returns
 // inner unchanged. The returned DHT re-exposes inner's optional Batcher
 // and Conditional capabilities unchanged (batched and conditional ops
-// are never hedged), and is a Prober whatever inner is: a probe of a
-// substrate that is not one falls back to a hedged Get. c, when non-nil,
+// are never hedged), and is a Prober and a Patcher whatever inner is: a
+// probe of a substrate that is not one falls back to a hedged Get, a
+// patch of one is refused, as without the hedger. c, when non-nil,
 // receives HedgedGets and HedgeWins.
 func WithHedging(inner DHT, after time.Duration, c *metrics.Counters) DHT {
 	if after <= 0 {
@@ -254,4 +255,10 @@ func (h *hedger) Remove(ctx context.Context, key string) error {
 
 func (h *hedger) Write(ctx context.Context, key string, v Value) error {
 	return h.inner.Write(ctx, key, v)
+}
+
+// PatchIf implements Patcher by forwarding: a patch is a write and is
+// never hedged.
+func (h *hedger) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
+	return DoPatchIf(ctx, h.inner, key, patch, ifEpoch)
 }

@@ -34,6 +34,7 @@ var (
 	_ Batcher     = (*Instrumented)(nil)
 	_ Conditional = (*Instrumented)(nil)
 	_ Prober      = (*Instrumented)(nil)
+	_ Patcher     = (*Instrumented)(nil)
 )
 
 // NewInstrumented wraps inner, charging costs to c. c must not be nil.
@@ -287,6 +288,22 @@ func (d *Instrumented) PutIf(ctx context.Context, key string, v Value, ifEpoch u
 	d.noteCAS(err)
 	d.emit(lb, "putif", key, 1, start, err)
 	return err
+}
+
+// PatchIf implements Patcher. A patch that was applied, lost its
+// compare-and-swap or failed in transit is charged, conflict-counted and
+// traced exactly as the PutIf it stands in for; a refused one was no
+// lookup and leaves no trace here: the caller's fallback is charged.
+func (d *Instrumented) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
+	start := d.start()
+	v, err := DoPatchIf(ctx, d.inner, key, patch, ifEpoch)
+	if errors.Is(err, ErrPatchRefused) {
+		return nil, err
+	}
+	lb := d.charge(ctx, 1)
+	d.noteCAS(err)
+	d.emit(lb, "putif", key, 1, start, err)
+	return v, err
 }
 
 // CreateIf implements Conditional, counting one lookup like Put.

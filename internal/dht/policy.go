@@ -104,6 +104,7 @@ var (
 	_ Batcher     = (*PolicyDHT)(nil)
 	_ Conditional = (*PolicyDHT)(nil)
 	_ Prober      = (*PolicyDHT)(nil)
+	_ Patcher     = (*PolicyDHT)(nil)
 )
 
 // WithPolicy wraps inner so every routed operation retries transient
@@ -336,6 +337,19 @@ func (d *PolicyDHT) PutIf(ctx context.Context, key string, v Value, ifEpoch uint
 	return d.do(ctx, func(ctx context.Context) error {
 		return DoPutIf(ctx, d.inner, key, v, ifEpoch)
 	})
+}
+
+// PatchIf implements Patcher with retries on transient faults only; a
+// refusal, like a conflict, is an answer and surfaces on the first
+// attempt.
+func (d *PolicyDHT) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
+	var v Value
+	err := d.do(ctx, func(ctx context.Context) error {
+		var e error
+		v, e = DoPatchIf(ctx, d.inner, key, patch, ifEpoch)
+		return e
+	})
+	return v, err
 }
 
 // CreateIf implements Conditional with retries on transient faults only.

@@ -96,3 +96,57 @@ func DecodeProbe(kind byte, data []byte) (Value, error) {
 	}
 	return DecodeWire(kind, data)
 }
+
+// WirePatcher applies a patch on the peer that stores a value. data is
+// the stored serialized form (what AppendWire wrote) and patch the
+// patcher's opaque bytes; the patcher appends to dst the serialized form
+// of the patched value — byte for byte what AppendWire would write for
+// it, so that every holder of the value and every writer that takes the
+// long way agree — appends to reply what to tell the writer, and returns
+// both with the new value's epoch. The reply is the new serialized form
+// whole or a shorter form the kind's patch-reply decoder tells apart from
+// it. ok == false refuses: the patch is not one the patcher will apply to
+// these bytes, and nothing the call appended is used. Like a
+// WireProjector it runs on bytes under the store's lock: it writes
+// nothing but the tails of dst and reply, keeps no reference to any of
+// its arguments, neither decodes nor allocates beyond growing the two,
+// costs O(len(data)), and never panics on malformed input.
+type WirePatcher func(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64, ok bool)
+
+// wirePatches holds, per kind, the optional patch plane: the storing
+// side's patcher and the writing side's decoder for its reply. Filled
+// from init functions only, like wireDecoders.
+var wirePatches [256]struct {
+	patch WirePatcher
+	dec   WireDecoder
+}
+
+// RegisterWirePatch lets values of one kind be written by patch (see
+// Patcher). patch builds the new value on the storing peer; dec decodes
+// its reply, which is either the new value whole or the patcher's short
+// form, for which it returns a type of its own that is not the kind's
+// WireValue. Kinds that register nothing refuse every patch.
+func RegisterWirePatch(kind byte, patch WirePatcher, dec WireDecoder) {
+	if wirePatches[kind].patch != nil {
+		panic(fmt.Sprintf("dht: wire kind %d registered its patch plane twice", kind))
+	}
+	wirePatches[kind].patch, wirePatches[kind].dec = patch, dec
+}
+
+// PatchWire runs the kind's patcher (see WirePatcher), refusing for a
+// kind that registered none.
+func PatchWire(dst, reply []byte, kind byte, data, patch []byte) (out, rep []byte, epoch uint64, ok bool) {
+	if p := wirePatches[kind].patch; p != nil {
+		return p(dst, reply, data, patch)
+	}
+	return dst, reply, 0, false
+}
+
+// DecodePatchReply decodes what the kind's patcher replied.
+func DecodePatchReply(kind byte, data []byte) (Value, error) {
+	dec := wirePatches[kind].dec
+	if dec == nil {
+		return nil, fmt.Errorf("dht: no patch plane registered for wire kind %d", kind)
+	}
+	return dec(data)
+}

@@ -197,6 +197,22 @@ func (b *Bucket) String() string {
 //
 // The three are told apart from their own bytes (decodeProbeReply), and
 // DecodeBucket accepts only the first.
+//
+// Patches. A write that changes one record of an untorn leaf ships the
+// change, not the leaf (UpsertPatch, DeletePatch), and the storing peer
+// builds the new stored bytes from the old, undecoded, with patchBucket:
+//
+//	op u8        1 = upsert, 2 = delete
+//	uv whole     the weight (record count + 1) at which the writer needs
+//	             the new bucket back: an upsert's new weight >= whole, a
+//	             delete's new weight < whole; 0 = never
+//	upsert       key u64 BE, uv vlen, value: one record, to the patch's end
+//	delete       key u64 BE
+//
+// and answers with one of two forms, told apart by decodePatchReply:
+//
+//	ack      marker u8 = 0xFE (never a wire version), uv new record count
+//	whole    the new stored bytes: the weight crossed the patch's whole
 const (
 	bucketWireVersion = 1
 	// bucketWireKind is Bucket's dht.WireValue kind byte.
@@ -204,11 +220,17 @@ const (
 	// recordReplyMarker opens a record reply where a bucket or a header
 	// has its version byte.
 	recordReplyMarker = 0xFF
+	// patchAckMarker opens a patch's short reply likewise.
+	patchAckMarker = 0xFE
+
+	patchUpsert = 1
+	patchDelete = 2
 )
 
 func init() {
 	dht.RegisterWireKind(bucketWireKind, func(data []byte) (dht.Value, error) { return DecodeBucket(data) })
 	dht.RegisterWireProbe(bucketWireKind, projectBucket, decodeProbeReply)
+	dht.RegisterWirePatch(bucketWireKind, patchBucket, decodePatchReply)
 }
 
 // WireKind implements dht.WireValue.
@@ -319,8 +341,9 @@ func parseBucketHeader(b *Bucket, buf []byte) (rest []byte, err error) {
 
 // ProbeHint builds the hint word of a probe for the data key delta: the
 // key's bit pattern, with the sign bit saying whether the prober wants
-// only delta's record (Search) or the bucket (every other lookup). A data
-// key is never negative, but -0.0 passes keyspace.CheckKey with the sign
+// only delta's record (Search; Insert and Delete, which then patch the
+// leaf) or the bucket (LookupBucket, range, scan, and a writer that will
+// write the bucket whole). A data key is never negative, but -0.0 passes keyspace.CheckKey with the sign
 // bit set, so the key is normalised here; parseProbeHint is the one
 // reader. A peer that predates the sign bit's meaning sees a negative key
 // no leaf covers and answers a header, which the prober re-fetches.
@@ -344,8 +367,9 @@ func parseProbeHint(hint uint64) (delta float64, recordOnly bool) {
 // half of a probe (see "Probe replies" above). A probed bucket that does
 // not cover the hinted key tells Algorithm 2 only that a leaf with this
 // label lives under this name, so the header is all the prober can use;
-// one that does cover it ends an exact-match query, which reads a single
-// record of it, found exactly as record.FindByKey would. A torn bucket
+// one that does cover it ends an exact-match query or a one-record
+// write's lookup, which reads a single record of it, found exactly as
+// record.FindByKey would. A torn bucket
 // goes out whole, for the prober must see it to repair it, and so does
 // anything that does not parse, for the prober's decoder to refuse.
 func projectBucket(dst, data []byte, hint uint64) []byte {
@@ -391,6 +415,9 @@ type BucketHeader struct {
 type BucketRecord struct {
 	// Label is the leaf's label.
 	Label bitlabel.Label
+	// Epoch is the leaf's epoch: what a write that patches the leaf on
+	// the strength of this reply guards its patch with.
+	Epoch uint64
 	// Found reports whether the leaf holds a record with the hinted key.
 	Found bool
 	// Record is that record when Found; its value is a copy of its own.
@@ -427,13 +454,108 @@ func decodeRecordReply(data []byte) (dht.Value, error) {
 	case b.Torn():
 		return nil, errors.New("decode record reply: sent for a torn bucket")
 	case len(rest) == 1 && rest[0] == 0:
-		return &BucketRecord{Label: b.Label}, nil
+		return &BucketRecord{Label: b.Label, Epoch: b.Epoch}, nil
 	case len(rest) > 1 && rest[0] == 1:
 		rec, err := record.DecodeRecord(rest[1:])
 		if err != nil {
 			return nil, fmt.Errorf("decode record reply: %w", err)
 		}
-		return &BucketRecord{Label: b.Label, Found: true, Record: rec}, nil
+		return &BucketRecord{Label: b.Label, Epoch: b.Epoch, Found: true, Record: rec}, nil
 	}
 	return nil, errors.New("decode record reply: malformed found flag")
+}
+
+// UpsertPatch is the patch that stores rec into the leaf covering its
+// key, in place of the record with that key or as a new one. wholeAt is
+// the weight from which the writer wants the new bucket back whole (its
+// split threshold); 0 asks for the acknowledgement always.
+func UpsertPatch(rec record.Record, wholeAt int) []byte {
+	p := make([]byte, 0, 1+binary.MaxVarintLen64+8+binary.MaxVarintLen64+len(rec.Value))
+	p = binary.AppendUvarint(append(p, patchUpsert), uint64(wholeAt))
+	p = binary.BigEndian.AppendUint64(p, math.Float64bits(rec.Key))
+	p = binary.AppendUvarint(p, uint64(len(rec.Value)))
+	return append(p, rec.Value...)
+}
+
+// DeletePatch is the patch that deletes the record with the given key
+// from the leaf covering it. wholeBelow is the weight under which the
+// writer wants the new bucket back whole (its merge threshold); 0 asks
+// for the acknowledgement always.
+func DeletePatch(delta float64, wholeBelow int) []byte {
+	p := make([]byte, 0, 1+binary.MaxVarintLen64+8)
+	p = binary.AppendUvarint(append(p, patchDelete), uint64(wholeBelow))
+	return binary.BigEndian.AppendUint64(p, math.Float64bits(delta))
+}
+
+// patchBucket is the bucket's dht.WirePatcher: the storing peer's half of
+// a patched write (see "Patches" above). What it appends to dst is byte
+// for byte what AppendWire writes for the bucket InsertContext or
+// DeleteContext would have built from the stored one — the epoch one up,
+// the header otherwise untouched, the record replaced in place, appended,
+// or its hole filled with the last record. It refuses what those would
+// not have written that way: a bucket that is torn or does not parse, a
+// key the leaf does not cover, a record to delete that is not there, a
+// patch that is not exactly one of the two forms.
+func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64, ok bool) {
+	var b Bucket
+	list, err := parseBucketHeader(&b, data)
+	if err != nil || b.Torn() || len(patch) < 2 {
+		return dst, reply, 0, false
+	}
+	op := patch[0]
+	whole, arg, err := record.ReadUvarint(patch[1:])
+	if err != nil || op != patchUpsert && op != patchDelete || len(arg) < 8 || op == patchDelete && len(arg) != 8 {
+		return dst, reply, 0, false
+	}
+	delta := math.Float64frombits(binary.BigEndian.Uint64(arg))
+	if !b.Contains(delta) {
+		return dst, reply, 0, false
+	}
+	// The header past its epoch is copied as it stands; the stored epoch
+	// is in shortest form (parseBucketHeader checked), so its length is
+	// the length of re-encoding it.
+	mark := len(dst)
+	dst = binary.AppendUvarint(append(dst, bucketWireVersion), b.Epoch+1)
+	dst = append(dst, data[1+record.UvarintLen(b.Epoch):len(data)-len(list)]...)
+	var count uint64
+	var crossed bool
+	if op == patchUpsert {
+		dst, count, err = record.UpsertInList(dst, list, arg)
+		crossed = whole > 0 && count+1 >= whole
+	} else {
+		dst, count, err = record.DeleteFromList(dst, list, delta)
+		crossed = count+1 < whole
+	}
+	if err != nil {
+		return dst[:mark], reply, 0, false
+	}
+	if crossed {
+		reply = append(reply, dst[mark:]...)
+	} else {
+		reply = binary.AppendUvarint(append(reply, patchAckMarker), count)
+	}
+	return dst, reply, b.Epoch + 1, true
+}
+
+// PatchAck is a storing peer's short answer to a patch it applied: the
+// leaf's new record count, on the near side of the weight at which the
+// patch asked for the bucket. Like BucketHeader it is not a
+// dht.WireValue. It travels as a value, not a pointer: a word in an
+// interface costs a write no allocation at the counts a leaf holds.
+type PatchAck struct {
+	// Records is the patched leaf's record count.
+	Records int
+}
+
+// decodePatchReply is the bucket kind's patch-reply decoder: an
+// acknowledgement, or else a whole bucket.
+func decodePatchReply(data []byte) (dht.Value, error) {
+	if len(data) == 0 || data[0] != patchAckMarker {
+		return DecodeBucket(data)
+	}
+	n, rest, err := record.ReadUvarint(data[1:])
+	if err != nil || len(rest) != 0 || n > math.MaxInt32 {
+		return nil, errors.New("decode patch ack: malformed record count")
+	}
+	return PatchAck{Records: int(n)}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
@@ -396,9 +397,14 @@ func TestDecodeProbeReply(t *testing.T) {
 	// torn one, a flag that is neither 0 nor 1, and bytes after the record.
 	reply := projectBucket(nil, data, ProbeHint(b.Records[5].Key, true))
 	v, err = decodeProbeReply(reply)
-	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || !r.Found ||
+	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || r.Epoch != b.Epoch || !r.Found ||
 		r.Record.Key != b.Records[5].Key || !bytes.Equal(r.Record.Value, b.Records[5].Value) {
 		t.Fatalf("record reply decoded to %#v, %v", v, err)
+	}
+	// The reply stays in the allocator's 64-byte class: one more word and
+	// every Get over the wire pays 16 bytes for it.
+	if size := unsafe.Sizeof(BucketRecord{}); size > 64 {
+		t.Errorf("BucketRecord is %d bytes, past the 64-byte size class", size)
 	}
 	for i := range reply { // the decoded record pins nothing of the reply buffer
 		reply[i] ^= 0xFF
@@ -428,7 +434,7 @@ func TestDecodeProbeReply(t *testing.T) {
 			t.Errorf("%s: decoded to %#v", name, v)
 		}
 	}
-	for _, v := range []any{&BucketHeader{}, &BucketRecord{}} {
+	for _, v := range []any{&BucketHeader{}, &BucketRecord{}, PatchAck{}} {
 		if _, ok := v.(dht.WireValue); ok {
 			t.Errorf("%T is a dht.WireValue: it could be put, CAS-ed or written back", v)
 		}

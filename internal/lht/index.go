@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lht/internal/bitlabel"
@@ -57,6 +58,13 @@ type Index struct {
 	c     *metrics.Counters
 	cache *leafCache   // nil unless Config.LeafCache
 	now   func() int64 // rate-estimator clock (UnixNano); cfg.clock or real time
+
+	// wholeWrites is set, for good, by the first refused patch: the
+	// substrate answers record-only probes but does not patch (an old
+	// node, a wrapper that hides the capability), so from then on a
+	// write's lookup asks for the bucket again and the refusal's extra
+	// fetch is paid once, not per write.
+	wholeWrites atomic.Bool
 
 	mu        sync.Mutex
 	alphaSum  float64 // sum over splits of (remote bucket weight / theta)
@@ -213,8 +221,8 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 // nil error: the leaf exists, is untorn, does not cover delta, and the
 // leaf cache has learnt its label exactly as from a whole bucket.
 //
-// With recordOnly (Search alone) the hint also says that of the covering
-// leaf only delta's record is wanted, and such a substrate may answer
+// With recordOnly (Search; Insert and Delete while patchWrites) the hint
+// also says that of the covering leaf only delta's record is wanted, and such a substrate may answer
 // that leaf with a BucketRecord, returned in place of the bucket. A short
 // reply is trusted no further than its own claim: a header that covers
 // delta, a BucketRecord that was not asked for, does not cover delta or
@@ -458,6 +466,15 @@ func (ix *Index) Insert(rec record.Record) (Cost, error) {
 // conditional put, and losing the compare-and-swap to a concurrent writer
 // re-runs the whole round (lookup included — the leaf may have split or
 // merged under us) until the insert commits or ctx ends.
+//
+// Which form the write-back takes follows from what the lookup ended in,
+// never from asking the substrate what it can do. A whole bucket in hand
+// (every in-process substrate, a coalesced or hidden-capability stack, a
+// torn leaf just repaired, the hot-split plane) is cloned, changed and
+// PutIf'd. A BucketRecord in hand means the storing peer answers from
+// its bytes, so the write ships the one record as a patch guarded by the
+// reply's epoch (patchLeaf) and the peer builds the same bytes the PutIf
+// would have carried — same lookups, same conflicts, same stored bucket.
 func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cost, err error) {
 	if err := keyspace.CheckKey(rec.Key); err != nil {
 		return Cost{}, err
@@ -465,33 +482,42 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 	ctx, done := ix.beginOp(ctx, metrics.OpInsert)
 	defer func() { done(err) }()
 	for {
-		b, key, lcost, err := ix.lookup(ctx, rec.Key)
+		b, r, key, lcost, err := ix.lookupLeaf(ctx, rec.Key, ix.patchWrites())
 		cost.Add(lcost)
 		if err != nil {
 			return cost, err
 		}
-		// Mutate a private clone: the substrate may hand concurrent readers
-		// the very pointer it stores (the in-process substrates do).
-		nb := b.Clone()
-		if i := record.FindByKey(nb.Records, rec.Key); i >= 0 {
-			nb.Records[i] = rec
-		} else {
-			nb.Records = append(nb.Records, rec)
-		}
+		var nb *Bucket // the committed bucket, when this writer holds it
 		var hotEdge bool
-		if ix.cfg.HotSplitRate > 0 {
-			now := ix.now()
-			hotEdge = nb.RateNow(now) < ix.cfg.HotSplitRate
-			nb.bumpRate(now)
-			hotEdge = hotEdge && nb.Rate >= ix.cfg.HotSplitRate
+		label := leafLabel(b, r)
+		if r != nil {
+			if nb, b, err = ix.patchLeaf(ctx, key, r, rec, true, &cost); err == errLeafMoved {
+				continue
+			}
 		}
-		nb.Epoch++
-		cost.Lookups++
-		cost.Steps++
-		err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
+		if b != nil {
+			// Mutate a private clone: the substrate may hand concurrent readers
+			// the very pointer it stores (the in-process substrates do).
+			nb = b.Clone()
+			if i := record.FindByKey(nb.Records, rec.Key); i >= 0 {
+				nb.Records[i] = rec
+			} else {
+				nb.Records = append(nb.Records, rec)
+			}
+			if ix.cfg.HotSplitRate > 0 {
+				now := ix.now()
+				hotEdge = nb.RateNow(now) < ix.cfg.HotSplitRate
+				nb.bumpRate(now)
+				hotEdge = hotEdge && nb.Rate >= ix.cfg.HotSplitRate
+			}
+			nb.Epoch++
+			cost.Lookups++
+			cost.Steps++
+			err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
+		}
 		if errors.Is(err, dht.ErrCASConflict) {
 			ix.c.Add(metrics.WriterRetries, 1)
-			ix.cacheDrop(b.Label)
+			ix.cacheDrop(label)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
@@ -504,6 +530,9 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		if err != nil {
 			return cost, fmt.Errorf("lht: write back %q: %w", key, err)
 		}
+		if nb == nil {
+			return cost, nil // patched, and still under the split threshold
+		}
 		capacity := nb.Weight() >= ix.cfg.SplitThreshold
 		if capacity || ix.hotLeaf(nb, hotEdge) {
 			splitCost, err := ix.split(ctx, key, nb, !capacity)
@@ -515,6 +544,107 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		}
 		return cost, nil
 	}
+}
+
+// patchWrites reports whether a write's lookup asks its terminal probe
+// for the record alone, so that a substrate whose peers answer from
+// their bytes gets the write as a patch. The hot-split plane does not:
+// its commit folds the request into the leaf's rate words, which a
+// BucketRecord does not carry (the reply stays in the allocator's 64-byte
+// class, for a Get's sake).
+func (ix *Index) patchWrites() bool {
+	return ix.cfg.HotSplitRate == 0 && !ix.wholeWrites.Load()
+}
+
+// leafLabel is the label of the leaf a lookup ended in, in either form.
+func leafLabel(b *Bucket, r *BucketRecord) bitlabel.Label {
+	if r != nil {
+		return r.Label
+	}
+	return b.Label
+}
+
+// errLeafMoved is patchLeaf's word for "start the round over".
+var errLeafMoved = errors.New("lht: leaf moved under a refused patch")
+
+// patchLeaf commits a one-record write to the leaf under key as a patch:
+// the storing peer upserts rec, or deletes rec.Key's record, in the bytes
+// it stores, iff they are still at the epoch of the record reply r the
+// lookup ended in. It is the PutIf of the whole-bucket arm in every
+// respect but size: one lookup, the same *dht.CASConflictError when the
+// leaf has moved on.
+//
+// The peer acknowledges with the new record count, or with the new bucket
+// whole once its weight reaches the split threshold (falls below the
+// merge threshold), and that bucket is returned as nb for Algorithm 1 or
+// the merge to run on at no further lookup. It is trusted no further than
+// a probed bucket: it must be the untorn leaf r described, one epoch on,
+// with the record in (out), and an acknowledgement must be on the near
+// side of the threshold; anything else is dropped and the committed
+// bucket fetched with a plain, charged get. A nil nb with nil b and err
+// means committed, nothing to maintain.
+//
+// A refused patch (dht.ErrPatchRefused, uncharged) committed nothing, and
+// turns this index's writes whole from here on (see wholeWrites). The
+// leaf is then fetched whole with a charged get and returned as b — the
+// only case in which b is not nil — for the caller's whole-bucket arm to
+// commit the write on; if what is stored there now is not a leaf to write
+// to as it stands (gone, torn, no longer covering the key) the error is
+// errLeafMoved: the round starts over, and its lookup deals with that.
+func (ix *Index) patchLeaf(ctx context.Context, key string, r *BucketRecord, rec record.Record, upsert bool, cost *Cost) (nb, b *Bucket, err error) {
+	whole := ix.cfg.SplitThreshold
+	var patch []byte
+	if upsert {
+		patch = UpsertPatch(rec, whole)
+	} else {
+		if whole = ix.cfg.MergeThreshold; r.Label.Len() < 2 {
+			whole = 0 // the root's children never merge
+		}
+		patch = DeletePatch(rec.Key, whole)
+	}
+	v, err := dht.DoPatchIf(ctx, ix.d, key, patch, r.Epoch)
+	if errors.Is(err, dht.ErrPatchRefused) {
+		ix.wholeWrites.Store(true)
+		b, err = ix.getBucket(ctx, key, cost)
+		cost.Steps++
+		switch {
+		case errors.Is(err, dht.ErrNotFound):
+			return nil, nil, errLeafMoved
+		case err != nil:
+			return nil, nil, err
+		case b.Torn() || !b.Contains(rec.Key):
+			return nil, nil, errLeafMoved
+		}
+		return nil, b, nil
+	}
+	cost.Lookups++
+	cost.Steps++
+	if err != nil {
+		return nil, nil, err
+	}
+	switch a := v.(type) {
+	case PatchAck:
+		if weight := a.Records + 1; upsert && weight < whole || !upsert && weight >= whole {
+			return nil, nil, nil
+		}
+	case *Bucket:
+		if a.Label == r.Label && a.Epoch == r.Epoch+1 && !a.Torn() && (record.FindByKey(a.Records, rec.Key) >= 0) == upsert {
+			return a, nil, nil
+		}
+	}
+	// No peer sends this. The write is committed all the same; what
+	// maintenance may run on is the leaf as stored, if it still is one.
+	nb, err = ix.getBucket(ctx, key, cost)
+	cost.Steps++
+	switch {
+	case errors.Is(err, dht.ErrNotFound):
+		return nil, nil, nil
+	case err != nil:
+		return nil, nil, err
+	case nb.Torn() || nb.Label != r.Label:
+		return nil, nil, nil // already being restructured by someone else
+	}
+	return nb, nil, nil
 }
 
 // rateHot reports whether the leaf's decayed request-rate estimate has
@@ -615,7 +745,8 @@ func (ix *Index) Delete(delta float64) (Cost, error) {
 
 // DeleteContext is Delete with a caller-supplied context. Like
 // InsertContext it is an optimistic read-modify-write: a lost CAS re-runs
-// the round from the lookup until the delete commits or ctx ends.
+// the round from the lookup until the delete commits or ctx ends, and the
+// write-back is a patch when the lookup ended in a record reply.
 func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, err error) {
 	if err := keyspace.CheckKey(delta); err != nil {
 		return Cost{}, err
@@ -623,28 +754,40 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 	ctx, done := ix.beginOp(ctx, metrics.OpDelete)
 	defer func() { done(err) }()
 	for {
-		b, key, lcost, err := ix.lookup(ctx, delta)
+		b, r, key, lcost, err := ix.lookupLeaf(ctx, delta, ix.patchWrites())
 		cost.Add(lcost)
 		if err != nil {
 			return cost, err
 		}
-		i := record.FindByKey(b.Records, delta)
-		if i < 0 {
-			return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
+		var nb *Bucket // the committed bucket, when this writer holds it
+		label := leafLabel(b, r)
+		if r != nil {
+			if !r.Found {
+				return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
+			}
+			if nb, b, err = ix.patchLeaf(ctx, key, r, record.Record{Key: delta}, false, &cost); err == errLeafMoved {
+				continue
+			}
 		}
-		nb := b.Clone()
-		nb.Records[i] = nb.Records[len(nb.Records)-1]
-		nb.Records = nb.Records[:len(nb.Records)-1]
-		if ix.cfg.HotSplitRate > 0 {
-			nb.bumpRate(ix.now())
+		if b != nil {
+			i := record.FindByKey(b.Records, delta)
+			if i < 0 {
+				return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
+			}
+			nb = b.Clone()
+			nb.Records[i] = nb.Records[len(nb.Records)-1]
+			nb.Records = nb.Records[:len(nb.Records)-1]
+			if ix.cfg.HotSplitRate > 0 {
+				nb.bumpRate(ix.now())
+			}
+			nb.Epoch++
+			cost.Lookups++
+			cost.Steps++
+			err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
 		}
-		nb.Epoch++
-		cost.Lookups++
-		cost.Steps++
-		err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
 			ix.c.Add(metrics.WriterRetries, 1)
-			ix.cacheDrop(b.Label)
+			ix.cacheDrop(label)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
@@ -658,7 +801,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 		}
 		// A rate-hot leaf never merges: re-widening the interval a skewed
 		// read stream is hammering would undo the load split and thrash.
-		if ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold && !ix.rateHot(nb) {
+		if nb != nil && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold && !ix.rateHot(nb) {
 			mergeCost, err := ix.merge(ctx, key, nb)
 			cost.Add(mergeCost)
 			ix.c.Add(metrics.MaintLookups, int64(mergeCost.Lookups))

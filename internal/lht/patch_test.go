@@ -1,0 +1,254 @@
+package lht
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"lht/internal/bitlabel"
+	"lht/internal/dht"
+	"lht/internal/record"
+)
+
+// applyUpsert and applyDelete are the whole-bucket arm's mutations, as
+// InsertContext and DeleteContext make them on a clone: what a patch must
+// reproduce byte for byte on the storing peer.
+func applyUpsert(b *Bucket, rec record.Record) *Bucket {
+	nb := b.Clone()
+	if i := record.FindByKey(nb.Records, rec.Key); i >= 0 {
+		nb.Records[i] = rec
+	} else {
+		nb.Records = append(nb.Records, rec)
+	}
+	nb.Epoch++
+	return nb
+}
+
+func applyDelete(b *Bucket, delta float64) (*Bucket, bool) {
+	i := record.FindByKey(b.Records, delta)
+	if i < 0 {
+		return nil, false
+	}
+	nb := b.Clone()
+	nb.Records[i] = nb.Records[len(nb.Records)-1]
+	nb.Records = nb.Records[:len(nb.Records)-1]
+	nb.Epoch++
+	return nb, true
+}
+
+// patchedReply classifies a patch's reply against the new stored bytes:
+// the record count an acknowledgement carries, or -1 for the bucket whole.
+func patchedReply(t testing.TB, reply, stored []byte) int {
+	t.Helper()
+	v, err := decodePatchReply(reply)
+	switch a := v.(type) {
+	case PatchAck:
+		if _, err := DecodeBucket(reply); err == nil {
+			t.Fatal("DecodeBucket accepted a patch acknowledgement")
+		}
+		return a.Records
+	case *Bucket:
+		if !bytes.Equal(reply, stored) {
+			t.Fatalf("whole reply differs from the stored bytes:\n%x\n%x", reply, stored)
+		}
+		return -1
+	}
+	t.Fatalf("patch reply decodes to %T, %v", v, err)
+	return 0
+}
+
+// The storing peer's half of a patched write: patch(encode(b)) is
+// encode(apply(b)) for every mutation the whole-bucket arm makes, the
+// reply is the count or, across the patch's threshold, the new bytes, and
+// everything the whole arm would not have written that way is refused.
+func TestPatchBucket(t *testing.T) {
+	small := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 127, Rate: 2.5, RateAt: 99, // [0.5, 1)
+		Records: []record.Record{
+			{Key: 0.5, Value: []byte("half")},
+			{Key: 0.75, Value: bytes.Repeat([]byte{7}, 200)},
+			{Key: 0.625},
+			{Key: 0.5, Value: []byte("shadowed")},
+			{Key: 0.875, Value: []byte("last")},
+		}}
+	wide := &Bucket{Label: bitlabel.TreeRoot, Epoch: 1<<14 - 1}
+	for i := 0; i < 127; i++ {
+		wide.Records = append(wide.Records, record.Record{Key: float64(i) / 256, Value: []byte{byte(i)}})
+	}
+	zero := &Bucket{Label: bitlabel.TreeRoot, Records: []record.Record{{Key: 0, Value: []byte("plus")}}}
+	negZero := math.Copysign(0, -1)
+	prefix := []byte("dst")
+
+	for name, tc := range map[string]struct {
+		b     *Bucket
+		patch []byte
+		want  *Bucket
+		whole bool // the reply is the new bucket
+	}{
+		"append":                      {b: small, patch: UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 100)},
+		"append an empty value":       {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 0)},
+		"append at the threshold":     {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 7), whole: true},
+		"append under the threshold":  {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 8)},
+		"replace first of duplicates": {b: small, patch: UpsertPatch(record.Record{Key: 0.5, Value: []byte("a longer value than before")}, 100)},
+		"replace past the threshold":  {b: small, patch: UpsertPatch(record.Record{Key: 0.875}, 3), whole: true},
+		"replace +0 with -0":          {b: zero, patch: UpsertPatch(record.Record{Key: negZero, Value: []byte("minus")}, 100)},
+		"count 127 to 128":            {b: wide, patch: UpsertPatch(record.Record{Key: 0.9}, 0)},
+		"delete last":                 {b: small, patch: DeletePatch(0.875, 0)},
+		"delete middle":               {b: small, patch: DeletePatch(0.75, 3)},
+		"delete first of duplicates":  {b: small, patch: DeletePatch(0.5, 5)},
+		"delete below the threshold":  {b: small, patch: DeletePatch(0.625, 6), whole: true},
+		"delete the only record":      {b: zero, patch: DeletePatch(negZero, 0)},
+	} {
+		var rec record.Record
+		_, arg, _ := record.ReadUvarint(tc.patch[1:])
+		if tc.patch[0] == patchUpsert {
+			var err error
+			if rec, err = record.DecodeRecord(arg); err != nil {
+				t.Fatal(err)
+			}
+			tc.want = applyUpsert(tc.b, rec)
+		} else {
+			tc.want, _ = applyDelete(tc.b, math.Float64frombits(binary.BigEndian.Uint64(arg)))
+		}
+		data, want := mustEncode(t, tc.b), mustEncode(t, tc.want)
+		out, reply, epoch, ok := patchBucket(append([]byte(nil), prefix...), append([]byte(nil), prefix...), data, tc.patch)
+		if !ok || epoch != tc.want.Epoch || !bytes.HasPrefix(out, prefix) || !bytes.Equal(out[len(prefix):], want) {
+			t.Errorf("%s: ok %v, epoch %d; patched\n%x, want\n%x", name, ok, epoch, out, want)
+			continue
+		}
+		if !bytes.HasPrefix(reply, prefix) {
+			t.Errorf("%s: the reply buffer's prefix is gone", name)
+		}
+		if got := patchedReply(t, reply[len(prefix):], want); tc.whole != (got < 0) || !tc.whole && got != len(tc.want.Records) {
+			t.Errorf("%s: reply says %d (-1 = whole), want whole %v of %d records", name, got, tc.whole, len(tc.want.Records))
+		}
+		dst, rep := make([]byte, 0, 2*len(data)+64), make([]byte, 0, 2*len(data)+64)
+		if n := testing.AllocsPerRun(50, func() { patchBucket(dst, rep, data, tc.patch) }); n != 0 {
+			t.Errorf("%s: %v allocations with room in dst and reply, want 0", name, n)
+		}
+	}
+
+	torn := small.Clone()
+	torn.Pending = Pending{Kind: PendingSplit}
+	data := mustEncode(t, small)
+	list := len(data) - record.ListSize(small.Records)
+	put := UpsertPatch(record.Record{Key: 0.6, Value: []byte("v")}, 9)
+	for name, tc := range map[string]struct{ data, patch []byte }{
+		"delete of an absent key":  {data, DeletePatch(0.6, 0)},
+		"delete of NaN":            {data, DeletePatch(math.NaN(), 0)},
+		"torn, upsert":             {mustEncode(t, torn), put},
+		"torn, delete":             {mustEncode(t, torn), DeletePatch(0.75, 0)},
+		"non-covering upsert":      {data, UpsertPatch(record.Record{Key: 0.25}, 9)},
+		"non-covering delete":      {data, DeletePatch(0.25, 0)},
+		"corrupt list":             {data[:len(data)-1], put},
+		"bytes after the list":     {append(append([]byte(nil), data...), 0), put},
+		"count past the records":   {append(append([]byte(nil), data[:list]...), 9), put},
+		"header alone":             {data[:list], put},
+		"not a bucket":             {[]byte("junk"), put},
+		"nothing stored":           {nil, put},
+		"empty patch":              {data, nil},
+		"op alone":                 {data, []byte{patchUpsert}},
+		"unknown op":               {data, append([]byte{9}, put[1:]...)},
+		"padded threshold":         {data, append([]byte{patchUpsert, 0x80, 0x00}, put[2:]...)},
+		"short key":                {data, put[:6]},
+		"record cut short":         {data, put[:len(put)-1]},
+		"bytes after the record":   {data, append(append([]byte(nil), put...), 0)},
+		"bytes after a delete key": {data, append(DeletePatch(0.75, 0), 0)},
+	} {
+		out, reply, _, ok := patchBucket(prefix, prefix, tc.data, tc.patch)
+		if ok || !bytes.Equal(out, prefix) || !bytes.Equal(reply, prefix) {
+			t.Errorf("%s: ok %v, dst %q, reply %q: want a refusal that appends nothing", name, ok, out, reply)
+		}
+	}
+
+	// Through the registry, as a storing node reaches it.
+	out, reply, epoch, ok := dht.PatchWire(nil, nil, bucketWireKind, data, put)
+	if v, err := dht.DecodePatchReply(bucketWireKind, reply); !ok || epoch != small.Epoch+1 || err != nil || v != (PatchAck{Records: 6}) {
+		t.Errorf("PatchWire: ok %v, epoch %d, reply %#v, %v", ok, epoch, v, err)
+	}
+	if b, err := DecodeBucket(out); err != nil || !sameBucket(b, applyUpsert(small, record.Record{Key: 0.6, Value: []byte("v")})) {
+		t.Errorf("PatchWire stored %v, %v", b, err)
+	}
+	for name, bad := range map[string][]byte{
+		"marker alone":   {patchAckMarker},
+		"padded count":   {patchAckMarker, 0x80, 0x00},
+		"trailing byte":  {patchAckMarker, 5, 0},
+		"absurd count":   binary.AppendUvarint([]byte{patchAckMarker}, 1<<40),
+		"header alone":   data[:list],
+		"a record reply": projectBucket(nil, data, ProbeHint(0.75, true)),
+		"empty":          {},
+	} {
+		if v, err := decodePatchReply(bad); err == nil {
+			t.Errorf("patch reply %s decoded to %#v", name, v)
+		}
+	}
+}
+
+// FuzzPatchBucket drives arbitrary stored bytes and an arbitrary patch
+// through the patcher, and a well-formed bucket built from the same bytes
+// through every patch its records suggest:
+//
+//   - it never panics, and a refusal appends nothing;
+//   - what it stores always decodes, one epoch on, and its reply is an
+//     acknowledgement of that bucket's record count or those very bytes;
+//   - it accepts exactly when the whole-bucket arm could have made the
+//     write (an untorn bucket that covers the key; for a delete, holds it)
+//     and then stores exactly that arm's encoding.
+func FuzzPatchBucket(f *testing.F) {
+	small := mustEncode(f, &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
+		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}})
+	f.Add(small, UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 4))
+	f.Add(small, UpsertPatch(record.Record{Key: 0.5}, 0))
+	f.Add(small, DeletePatch(0.75, 2))
+	f.Add(small, DeletePatch(0.1, 0))
+	f.Add([]byte("junk"), []byte{})
+	for _, h := range hostileBuckets() {
+		f.Add(h, DeletePatch(0.5, 0))
+	}
+
+	f.Fuzz(func(t *testing.T, raw, patch []byte) {
+		check := func(data, patch []byte) (stored *Bucket) {
+			out, reply, epoch, ok := patchBucket([]byte("d"), []byte("r"), data, patch)
+			if !ok {
+				if string(out) != "d" || string(reply) != "r" {
+					t.Fatalf("a refusal appended %q, %q", out, reply)
+				}
+				return nil
+			}
+			before, err := DecodeBucket(data)
+			if err != nil {
+				t.Fatalf("patched %x, which does not decode: %v", data, err)
+			}
+			stored, err = DecodeBucket(out[1:])
+			if err != nil || stored.Epoch != epoch || epoch != before.Epoch+1 {
+				t.Fatalf("stored bytes decode to %v, %v; epoch %d after %d", stored, err, epoch, before.Epoch)
+			}
+			if n := patchedReply(t, reply[1:], out[1:]); n >= 0 && n != len(stored.Records) {
+				t.Fatalf("acknowledged %d records, stored %d", n, len(stored.Records))
+			}
+			return stored
+		}
+		check(raw, patch)
+
+		b := bucketFromBytes(raw)
+		enc := mustEncode(t, b)
+		check(enc, patch)
+		keys := []float64{0.3}
+		for _, r := range b.Records {
+			keys = append(keys, r.Key)
+		}
+		for i, k := range keys {
+			rec := record.Record{Key: k, Value: patch}
+			able := !b.Torn() && b.Contains(k)
+			got := check(enc, UpsertPatch(rec, i))
+			if (got != nil) != able || able && !sameBucket(got, applyUpsert(b, rec)) {
+				t.Fatalf("upsert of %v into %s (torn %v): stored %v", k, b.Label, b.Torn(), got)
+			}
+			want, held := applyDelete(b, k)
+			got = check(enc, DeletePatch(k, i))
+			if (got != nil) != (able && held) || got != nil && !sameBucket(got, want) {
+				t.Fatalf("delete of %v from %s (torn %v, held %v): stored %v", k, b.Label, b.Torn(), held, got)
+			}
+		}
+	})
+}

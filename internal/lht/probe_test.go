@@ -79,6 +79,20 @@ type probeSpy struct {
 	records       int                // answered with a BucketRecord
 	tornExcluding int                // answered with a whole torn bucket that excludes the hinted key
 	headerFor     map[string]float64 // DHT key -> a data key whose probe of it got a header
+	patches       int                // PatchIf calls
+}
+
+func (s *probeSpy) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	s.mu.Lock()
+	s.patches++
+	s.mu.Unlock()
+	return s.Client.PatchIf(ctx, key, patch, ifEpoch)
+}
+
+func (s *probeSpy) patchCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.patches
 }
 
 func (s *probeSpy) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
@@ -385,11 +399,12 @@ func probesMatchPlainGets(t *testing.T, seed int64, cached bool, client *tcpnet.
 // A data key's sign is not part of it: -0.0 and +0.0 are one key, which
 // passes keyspace.CheckKey either way, while the hint word spends the
 // sign bit on the record-only wish. Insert one, get the other, on both
-// arms; then insert -0.0, whose lookup must reach the peer as a probe for
-// the bucket and come back whole, at the plain arm's cost.
+// arms; then insert -0.0 over the record stored as +0.0: through the
+// prober it goes as a patch, at the plain arm's cost, and leaves the
+// record the plain arm's clone-and-put leaves, sign bit and all.
 func TestProbeOfSignedZero(t *testing.T) {
 	client, srvs := startProbeCluster(t, 3)
-	cfg := Config{SplitThreshold: 4, Depth: 20}
+	cfg := Config{SplitThreshold: 5, Depth: 20} // key 0's leaf ends up one short of splitting
 	spy := &probeSpy{Client: client, t: t}
 	prober, err := New(spy, cfg)
 	if err != nil {
@@ -418,17 +433,35 @@ func TestProbeOfSignedZero(t *testing.T) {
 		t.Fatalf("Search(-0) of the record stored as +0: %s", got.results[0])
 	}
 
+	// leftmost is the leaf of key 0 as stored, its epoch aside.
+	leftmost := func() string {
+		b, _, err := builder.LookupBucket(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = b.Clone()
+		b.Epoch = 0
+		return fmt.Sprintf("%x", mustEncode(t, b))
+	}
+	minus := record.Record{Key: negZero, Value: []byte("minus")}
 	_, records := spy.recordCounts()
-	cost, err := prober.Insert(record.Record{Key: negZero, Value: []byte("minus")})
+	cost, err := prober.Insert(minus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, after := spy.recordCounts(); after != records {
-		t.Error("the insert of -0 was answered with a record reply: its hint's sign bit reached the peer")
+	if _, after := spy.recordCounts(); after != records+1 || spy.patchCount() != 1 {
+		t.Errorf("the insert of -0 ended in %d record replies and %d patches, want one of each", after-records, spy.patchCount())
 	}
-	wantCost, err := plain.Insert(record.Record{Key: negZero, Value: []byte("minus")})
+	patched := leftmost()
+	if _, err := builder.Insert(record.Record{Key: 0, Value: []byte{0}}); err != nil { // back to +0
+		t.Fatal(err)
+	}
+	wantCost, err := plain.Insert(minus)
 	if err != nil || cost != wantCost {
-		t.Errorf("Insert(-0) cost %+v through probes, %+v (%v) through plain gets", cost, wantCost, err)
+		t.Errorf("Insert(-0) cost %+v as a patch, %+v (%v) as a whole bucket", cost, wantCost, err)
+	}
+	if whole := leftmost(); patched != whole {
+		t.Errorf("the leaf after Insert(-0) as a patch:\n%s\nas a whole bucket:\n%s", patched, whole)
 	}
 	got, want = traceSearches(t, prober, srvs, zeros), traceSearches(t, plain, srvs, zeros)
 	if d := got.diff(want); d != "" {

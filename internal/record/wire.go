@@ -40,8 +40,8 @@ func ReadUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// uvarintLen is the encoded size of v.
-func uvarintLen(v uint64) int {
+// UvarintLen is the encoded size of v in shortest form.
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7
@@ -53,9 +53,9 @@ func uvarintLen(v uint64) int {
 // ListSize returns len(AppendList(nil, rs)), so an encoder can size its
 // buffer once.
 func ListSize(rs []Record) int {
-	n := uvarintLen(uint64(len(rs)))
+	n := UvarintLen(uint64(len(rs)))
 	for i := range rs {
-		n += 8 + uvarintLen(uint64(len(rs[i].Value))) + len(rs[i].Value)
+		n += 8 + UvarintLen(uint64(len(rs[i].Value))) + len(rs[i].Value)
 	}
 	return n
 }
@@ -132,32 +132,110 @@ func readRecord(r *Record, buf []byte) (rest []byte, err error) {
 	return buf[n:], nil
 }
 
-// FindInList is FindByKey on an encoded list: it walks buf, which a
-// record list must occupy exactly, and returns the encoded form (key,
-// length, value: a view of buf) of the first record in list order whose
-// key == key, or nil when there is none. It accepts exactly the lists
-// DecodeList accepts and walks them to the end either way, so a hit is
-// never cut from a list that would not decode. It allocates nothing.
-func FindInList(buf []byte, key float64) (enc []byte, err error) {
-	count, buf, err := readCount(buf)
+// listSpan is what one validating walk over an encoded record list found:
+// the list's shape, and where the first record with the wanted key sits.
+type listSpan struct {
+	// Count is the number of records in the list.
+	Count uint64
+	// Body is the offset of the first record: the length of the count.
+	Body int
+	// Hit and End bound the first record in list order whose key == the
+	// wanted key, buf[Hit:End] (key, length, value); Hit is -1 when there
+	// is none.
+	Hit, End int
+	// Last is the offset of the last record, len(buf) in an empty list.
+	Last int
+}
+
+// locateInList is FindByKey on an encoded list: it walks buf, which a
+// record list must occupy exactly, and reports where the first record
+// with the given key (float ==, as FindByKey) lies. It accepts exactly
+// the lists DecodeList accepts and walks them to the end either way, so
+// nothing is ever cut from or spliced into a list that would not decode.
+// It allocates nothing.
+func locateInList(buf []byte, key float64) (listSpan, error) {
+	count, rest, err := readCount(buf)
 	if err != nil {
-		return nil, err
+		return listSpan{}, err
 	}
+	s := listSpan{Count: count, Body: len(buf) - len(rest), Hit: -1, Last: len(buf)}
 	for ; count > 0; count-- {
 		var r Record
-		rest, err := readRecord(&r, buf)
-		if err != nil {
-			return nil, err
+		at := len(buf) - len(rest)
+		if rest, err = readRecord(&r, rest); err != nil {
+			return listSpan{}, err
 		}
-		if enc == nil && r.Key == key {
-			enc = buf[:len(buf)-len(rest)]
+		if s.Hit < 0 && r.Key == key {
+			s.Hit, s.End = at, len(buf)-len(rest)
 		}
-		buf = rest
+		s.Last = at
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("record: %d bytes after the last record", len(buf))
+	if len(rest) != 0 {
+		return listSpan{}, fmt.Errorf("record: %d bytes after the last record", len(rest))
 	}
-	return enc, nil
+	return s, nil
+}
+
+// FindInList returns the encoded form (key, length, value: a view of buf)
+// of the record locateInList finds, or nil when there is none.
+func FindInList(buf []byte, key float64) (enc []byte, err error) {
+	s, err := locateInList(buf, key)
+	if err != nil || s.Hit < 0 {
+		return nil, err
+	}
+	return buf[s.Hit:s.End], nil
+}
+
+// ErrNoRecord reports a DeleteFromList of a key the list does not hold.
+var ErrNoRecord = errors.New("record: no record with that key in the list")
+
+// UpsertInList appends to dst the encoded list that list becomes when the
+// one encoded record rec (key, length, value, as FindInList returns it)
+// is stored into it the way the indexes do on the decoded form: in place
+// of the first record with rec's key, or else after the last record. It
+// returns the new record count. Both inputs are validated whole; dst
+// grows and nothing else is allocated.
+func UpsertInList(dst, list, rec []byte) (out []byte, count uint64, err error) {
+	var r Record
+	if rest, err := readRecord(&r, rec); err != nil {
+		return dst, 0, err
+	} else if len(rest) != 0 {
+		return dst, 0, fmt.Errorf("record: %d bytes after the record", len(rest))
+	}
+	s, err := locateInList(list, r.Key)
+	if err != nil {
+		return dst, 0, err
+	}
+	if s.Hit >= 0 {
+		dst = append(dst, list[:s.Hit]...)
+		dst = append(dst, rec...)
+		return append(dst, list[s.End:]...), s.Count, nil
+	}
+	dst = binary.AppendUvarint(dst, s.Count+1)
+	dst = append(dst, list[s.Body:]...)
+	return append(dst, rec...), s.Count + 1, nil
+}
+
+// DeleteFromList appends to dst the encoded list that list becomes when
+// the first record with the given key is deleted the way the indexes do
+// on the decoded form: the last record moves into the hole. It returns
+// the new record count, or ErrNoRecord. dst grows and nothing else is
+// allocated.
+func DeleteFromList(dst, list []byte, key float64) (out []byte, count uint64, err error) {
+	s, err := locateInList(list, key)
+	if err != nil {
+		return dst, 0, err
+	}
+	if s.Hit < 0 {
+		return dst, 0, ErrNoRecord
+	}
+	dst = binary.AppendUvarint(dst, s.Count-1)
+	dst = append(dst, list[s.Body:s.Hit]...)
+	if s.Hit != s.Last {
+		dst = append(dst, list[s.Last:]...)
+		dst = append(dst, list[s.End:s.Last]...)
+	}
+	return dst, s.Count - 1, nil
 }
 
 // DecodeRecord parses what FindInList returned: one record occupying all

@@ -63,8 +63,8 @@ func TestReadUvarint(t *testing.T) {
 		if err != nil || got != v || len(rest) != 1 {
 			t.Errorf("ReadUvarint(%d) = %d, %d left, %v", v, got, len(rest), err)
 		}
-		if n := len(binary.AppendUvarint(nil, v)); uvarintLen(v) != n {
-			t.Errorf("uvarintLen(%d) = %d, want %d", v, uvarintLen(v), n)
+		if n := len(binary.AppendUvarint(nil, v)); UvarintLen(v) != n {
+			t.Errorf("UvarintLen(%d) = %d, want %d", v, UvarintLen(v), n)
 		}
 	}
 	for name, b := range map[string][]byte{
@@ -140,6 +140,122 @@ func TestFindInList(t *testing.T) {
 	} {
 		if r, err := DecodeRecord(bad); err == nil {
 			t.Errorf("%s: DecodeRecord returned %v", name, r)
+		}
+	}
+}
+
+// upsert and remove are the struct-level mutations the indexes make; the
+// list splicers must produce the encoding of their result.
+func upsert(rs []Record, r Record) []Record {
+	out := append([]Record(nil), rs...)
+	if i := FindByKey(out, r.Key); i >= 0 {
+		out[i] = r
+		return out
+	}
+	return append(out, r)
+}
+
+func remove(rs []Record, key float64) ([]Record, bool) {
+	out := append([]Record(nil), rs...)
+	i := FindByKey(out, key)
+	if i < 0 {
+		return nil, false
+	}
+	out[i] = out[len(out)-1]
+	return out[:len(out)-1], true
+}
+
+// UpsertInList and DeleteFromList splice the encoded list into exactly
+// what encoding the mutated decoded list gives, keep what dst held, grow
+// nothing but dst, and refuse every list DecodeList refuses.
+func TestSpliceList(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rs := []Record{
+		{Key: 0.125, Value: []byte("a")},
+		{Key: 0, Value: []byte("plus zero")},
+		{Key: 0.75, Value: bytes.Repeat([]byte{7}, 300)},
+		{Key: 0.125, Value: []byte("shadowed")},
+		{Key: 0.5},
+	}
+	wide := make([]Record, 127)
+	for i := range wide {
+		wide[i] = Record{Key: float64(i) / 128, Value: []byte{byte(i)}}
+	}
+	prefix := []byte("kept")
+	for name, tc := range map[string]struct {
+		list []Record
+		put  *Record
+		del  float64
+	}{
+		"append":                      {list: rs, put: &Record{Key: 0.3, Value: []byte("new")}},
+		"append to an empty list":     {put: &Record{Key: 0.3}},
+		"replace first of duplicates": {list: rs, put: &Record{Key: 0.125, Value: []byte("longer than it was")}},
+		"replace +0 by -0":            {list: rs, put: &Record{Key: negZero, Value: []byte("minus")}},
+		"replace last":                {list: rs, put: &Record{Key: 0.5, Value: []byte("v")}},
+		"count 127 to 128":            {list: wide, put: &Record{Key: 0.999}},
+		"delete last":                 {list: rs, del: 0.5},
+		"delete middle":               {list: rs, del: 0.75},
+		"delete first of duplicates":  {list: rs, del: 0.125},
+		"delete the only record":      {list: rs[:1], del: 0.125},
+		"count 128 to 127":            {list: append(wide[:127:127], Record{Key: 0.999}), del: 0.5},
+	} {
+		list := AppendList(nil, tc.list)
+		var got []byte
+		var count uint64
+		var err error
+		var want, rec []byte
+		if tc.put != nil {
+			want = AppendList(append([]byte(nil), prefix...), upsert(tc.list, *tc.put))
+			rec = AppendList(nil, []Record{*tc.put})[1:]
+		} else {
+			left, _ := remove(tc.list, tc.del)
+			want = AppendList(append([]byte(nil), prefix...), left)
+		}
+		splice := func(dst []byte) {
+			if tc.put != nil {
+				got, count, err = UpsertInList(dst, list, rec)
+			} else {
+				got, count, err = DeleteFromList(dst, list, tc.del)
+			}
+		}
+		splice(append([]byte(nil), prefix...))
+		if wantCount, _, _ := ReadUvarint(want[len(prefix):]); err != nil || count != wantCount || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d records, %v; spliced\n%x, want\n%x", name, count, err, got, want)
+		}
+		dst := make([]byte, 0, len(list)+64)
+		if n := testing.AllocsPerRun(50, func() { splice(dst) }); n != 0 {
+			t.Errorf("%s: %v allocations into a dst with room, want 0", name, n)
+		}
+	}
+	list := AppendList(nil, rs)
+	if _, _, err := DeleteFromList(nil, list, 0.3); err != ErrNoRecord {
+		t.Errorf("delete of an absent key: %v, want ErrNoRecord", err)
+	}
+	if _, _, err := DeleteFromList(nil, list, math.NaN()); err != ErrNoRecord {
+		t.Errorf("delete of NaN: %v, want ErrNoRecord", err)
+	}
+	rec := AppendList(nil, rs[:1])[1:]
+	for name, bad := range map[string][]byte{
+		"empty":         {},
+		"truncated":     list[:len(list)-1],
+		"trailing byte": append(append([]byte(nil), list...), 0),
+		"padded count":  append([]byte{0x81, 0x00}, rec...),
+	} {
+		if out, _, err := UpsertInList(prefix, bad, rec); err == nil || !bytes.Equal(out, prefix) {
+			t.Errorf("%s: UpsertInList = %x, %v", name, out, err)
+		}
+		if out, _, err := DeleteFromList(prefix, bad, 0.125); err == nil || err == ErrNoRecord || !bytes.Equal(out, prefix) {
+			t.Errorf("%s: DeleteFromList = %x, %v", name, out, err)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"empty":         {},
+		"short value":   rec[:len(rec)-1],
+		"trailing byte": append(append([]byte(nil), rec...), 0),
+		"two records":   append(append([]byte(nil), rec...), rec...),
+	} {
+		if out, _, err := UpsertInList(prefix, list, bad); err == nil || !bytes.Equal(out, prefix) {
+			t.Errorf("record %s: UpsertInList = %x, %v", name, out, err)
 		}
 	}
 }

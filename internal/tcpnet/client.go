@@ -167,6 +167,7 @@ var (
 	_ dht.DHT         = (*Client)(nil)
 	_ dht.Conditional = (*Client)(nil)
 	_ dht.Prober      = (*Client)(nil)
+	_ dht.Patcher     = (*Client)(nil)
 )
 
 // clientNode is one member's connection state: a pool of multiplexed
@@ -558,9 +559,16 @@ func (n *clientNode) condCall(ctx context.Context, op dht.OpKind, key string, bu
 	if err != nil {
 		return dht.MarkTransient(fmt.Errorf("tcpnet: malformed response: %w", err))
 	}
-	switch status {
-	case statusOK:
+	if status == statusOK {
 		return nil
+	}
+	return condErr(status, &c, key)
+}
+
+// condErr turns a conditional op's non-ok response, past its status
+// byte, into the caller-facing error.
+func condErr(status byte, c *cursor, key string) error {
+	switch status {
 	case statusNotFound:
 		return dht.ErrNotFound
 	case statusCASConflict:
@@ -573,6 +581,54 @@ func (n *clientNode) condCall(ctx context.Context, op dht.OpKind, key string, bu
 	default:
 		return serverErr(c.rest())
 	}
+}
+
+// patchCall performs one patchif round trip in the given mode. A primary
+// patch that was applied returns the patcher's decoded reply, a newer one
+// nil; a node that would not patch, or does not know the op, returns
+// dht.ErrPatchRefused.
+func (n *clientNode) patchCall(ctx context.Context, key string, mode byte, patch []byte, ifEpoch uint64) (v dht.Value, err error) {
+	tok, err := n.allow()
+	if err != nil {
+		return nil, err
+	}
+	defer func() { n.record(tok, err) }()
+	body, err := n.pick().call(ctx, dht.OpPatchIf, func(b []byte) ([]byte, error) {
+		b = append(appendLenString(b, key), mode)
+		return append(appendUv(b, ifEpoch), patch...), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer putBuf(body)
+	c := cursor{b: (*body)[frameHeaderLen:]}
+	status, err := c.u8()
+	if err != nil {
+		return nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed response: %w", err))
+	}
+	switch {
+	case status == statusOK && mode == patchNewer:
+		return nil, nil
+	case status == statusOK:
+		kind, err := c.u8()
+		if err != nil {
+			return nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed patch reply: %w", err))
+		}
+		return dht.DecodePatchReply(kind, c.rest())
+	case status == statusPatchRefused, status == statusErr && string(c.b) == errUnknownOp:
+		return nil, dht.ErrPatchRefused
+	}
+	return nil, condErr(status, &c, key)
+}
+
+// PatchIf implements dht.Patcher: PutIf's compare-and-swap on the owning
+// node, with the new value built there from the stored bytes and patch
+// by the kind's dht.WirePatcher (see frame.go).
+func (c *Client) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	if c.replicas > 1 {
+		return c.replicatedPatchIf(ctx, key, patch, ifEpoch)
+	}
+	return c.owner(key).patchCall(ctx, key, patchPrimary, patch, ifEpoch)
 }
 
 // PutIf implements dht.Conditional: the owning node compares the stored

@@ -8,7 +8,10 @@
 // connection. A connection opens with the "LHT2" magic; a server closes
 // one that opens with anything else. Servers are pure byte stores: values
 // travel and are stored tagged (frame.go lists the tags), and the server
-// reads no further into one than its epoch prefix. encoding/gob survives
+// reads no further into one than its epoch prefix; what a hinted get
+// ships of a value and what a patchif makes of one it asks the value's
+// kind, bytes in and bytes out (dht.WireProjector, dht.WirePatcher).
+// encoding/gob survives
 // only as a stored-value form, tagGob: what a value that does not
 // serialise itself is encoded with, and what stores and snapshots written
 // before the index's own binary bucket format hold.

@@ -43,6 +43,7 @@ import (
 //	putif / writeif         uv klen, key, uv ifEpoch, value(rest)
 //	createif                uv klen, key, value(rest)
 //	removeif                uv klen, key, uv ifEpoch
+//	patchif                 uv klen, key, mode u8, uv ifEpoch, patch(rest)
 //	getbatch                uv count, count x (uv klen, key)
 //	putbatch                uv count, count x (uv klen, key, uv vlen, value)
 //
@@ -78,17 +79,55 @@ import (
 // tag, and a kind with no projector, is answered whole, and a get with no
 // hint is served exactly as before the hint existed.
 //
+// A patchif (dht.Patcher) is a putif that ships a change in place of the
+// value: the node hands the stored bytes of a tagEpoch-over-tagWire value
+// and the opaque patch to the kind's dht.WirePatcher, stores what that
+// builds under the epoch it returns, and replies with what it replied.
+// Like a probe's projector the patcher works on bytes, under the store
+// lock, and the kind byte is all the node knows of the type; for the
+// index's buckets (internal/lht, "Patches") a patch upserts or deletes
+// one record and the reply is the new record count, or the new bucket
+// whole when the writer must split or merge it. The mode byte says whose
+// write this is:
+//
+//	0 primary  the serializer's compare-and-swap, exactly putif's: applied
+//	           iff the stored epoch == ifEpoch, else a CAS conflict
+//	1 newer    propagation of a patch the serializer applied, to another
+//	           holder: applied iff the stored epoch == ifEpoch; a stored
+//	           epoch > ifEpoch is ok (superseded, as putnewer keeps the
+//	           newer value); < ifEpoch or absent is a CAS conflict, and
+//	           the sender ships the whole value through putnewer instead
+//
+// Newer mode rests on "same epoch means same bytes": a holder applies the
+// patch to whatever it stores at ifEpoch and nothing compares the result
+// with the serializer's. One serializer per key makes that so. Where it
+// fails — two writers whose breakers disagree on who is reachable each
+// commit epoch E+1 on a different acting serializer — a putif's
+// propagation, the whole value by putnewer, overwrites the odd holder at
+// the next commit; a patch carries the difference forward, until that
+// key's next whole value: a split, a merge, or any holder's conflict or
+// refusal above.
+//
+// A stored form the node cannot patch (raw, gob, no epoch tag, a kind
+// with no patcher) and a patch the patcher will not apply are answered
+// patch-refused, and nothing is written. A node that predates the op
+// answers "unknown op", which the client reads as the same refusal.
+//
 // Response payloads:
 //
-//	status u8: 0 ok, 1 not-found, 2 server error, 3 CAS conflict
+//	status u8: 0 ok, 1 not-found, 2 server error, 3 CAS conflict,
+//	           4 patch refused
 //	ok   get/take            value(rest); after a hinted get possibly
 //	                         a projection of it, see above
 //	ok   put/remove/write/ping  (empty)
 //	ok   putif/createif/removeif/writeif  (empty)
+//	ok   patchif primary     kind u8, the patcher's reply(rest)
+//	ok   patchif newer       (empty)
 //	ok   getbatch/putbatch   uv count, count x slot
 //	not-found                (empty)
 //	error                    message(rest)
 //	cas-conflict             exists u8, uv winnerEpoch
+//	patch-refused            (empty)
 //
 // A batch slot is: status u8; ok = uv n, n bytes (a tagged value for a
 // get slot, n=0 for a put slot); not-found = nothing; error = uv n,
@@ -113,11 +152,21 @@ const (
 
 // Response status bytes.
 const (
-	statusOK          = 0
-	statusNotFound    = 1
-	statusErr         = 2
-	statusCASConflict = 3 // payload: exists u8, uv winnerEpoch
+	statusOK           = 0
+	statusNotFound     = 1
+	statusErr          = 2
+	statusCASConflict  = 3 // payload: exists u8, uv winnerEpoch
+	statusPatchRefused = 4
 )
+
+// A patchif's mode byte.
+const (
+	patchPrimary = 0 // the serializer's CAS: stored epoch must equal ifEpoch
+	patchNewer   = 1 // propagation: a stored epoch past ifEpoch supersedes
+)
+
+// errUnknownOp is what a node answers an op byte it does not serve.
+const errUnknownOp = "unknown op"
 
 // Value tag bytes.
 const (

@@ -9,6 +9,7 @@ import (
 
 	"lht/internal/dht"
 	ilht "lht/internal/lht"
+	"lht/internal/record"
 )
 
 // FuzzDecodeFrame drives arbitrary bytes through the full server-side
@@ -50,6 +51,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		buildFrame(14, dht.OpGet, recordGet("key", 0.703125)),
 		buildFrame(15, dht.OpGet, recordGet("key", 0.7101)),
 		buildFrame(16, dht.OpGet, recordGet("key", 0.25)),
+		// Patches of that bucket (epoch 7): the serializer's and a
+		// holder's, applied, the first answered with the new bucket; a lost
+		// compare-and-swap; one the patcher refuses; one of a stored form
+		// no patcher can look into.
+		buildFrame(17, dht.OpPatchIf, patchIf("key", patchPrimary, 7, ilht.UpsertPatch(record.Record{Key: 0.7101, Value: []byte("v")}, 77))),
+		buildFrame(18, dht.OpPatchIf, patchIf("key", patchNewer, 7, ilht.DeletePatch(0.703125, 0))),
+		buildFrame(19, dht.OpPatchIf, patchIf("key", patchPrimary, 6, ilht.DeletePatch(0.703125, 0))),
+		buildFrame(20, dht.OpPatchIf, patchIf("key", patchNewer, 7, ilht.DeletePatch(0.25, 0))),
+		buildFrame(21, dht.OpPatchIf, patchIf("raw", patchPrimary, 0, ilht.DeletePatch(0.25, 0))),
 		// Malformed shapes.
 		{},
 		{0, 0, 0, 0},
@@ -88,6 +98,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Serve the request; garbage payloads must answer, not panic.
 		s := NewServer()
 		s.store["key"] = stored
+		s.store["raw"] = []byte{tagRaw, 'v'}
 		resp := s.applyFrame(body, nil)
 		if len(resp) < frameHeaderLen+4+1 {
 			t.Fatalf("response frame too short: %d bytes", len(resp))
@@ -115,6 +126,26 @@ func FuzzDecodeFrame(f *testing.F) {
 			case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord:
 			default:
 				t.Fatalf("get of the stored bucket answered with %T, %v", v, err)
+			}
+		}
+
+		// Whatever the patch, what it leaves stored is a bucket, what it
+		// answers decodes, and only a tagWire value was ever patched.
+		if op == dht.OpPatchIf {
+			if v, err := decodeTaggedValue(s.store["key"]); err != nil {
+				t.Fatalf("a patchif left %x stored: %v", s.store["key"], err)
+			} else if _, ok := v.(*ilht.Bucket); !ok {
+				t.Fatalf("a patchif left a %T stored", v)
+			}
+			if string(s.store["raw"]) != string([]byte{tagRaw, 'v'}) {
+				t.Fatalf("a patchif rewrote a raw value to %x", s.store["raw"])
+			}
+			if reply := c.rest(); status == statusOK && len(reply) > 0 {
+				switch v, err := dht.DecodePatchReply(reply[0], reply[1:]); v.(type) {
+				case *ilht.Bucket, ilht.PatchAck:
+				default:
+					t.Fatalf("patchif answered with %T, %v", v, err)
+				}
 			}
 		}
 

@@ -591,6 +591,6 @@ func (s *Server) respondMembership(op dht.OpKind, c *cursor, out []byte) []byte 
 		return out
 
 	default:
-		return appendStatusErr(out, "unknown op")
+		return appendStatusErr(out, errUnknownOp)
 	}
 }

@@ -356,6 +356,52 @@ func (c *Client) replicatedPutIf(ctx context.Context, key string, v dht.Value, i
 	)
 }
 
+// replicatedPatchIf is PatchIf with propagation: the acting serializer
+// applies the patch, then every other holder is sent the same patch in
+// newer mode and, holding the same bytes at the same epoch, builds the
+// same value. A holder that cannot — it is behind or ahead of ifEpoch
+// (conflict), stores a form it will not patch (refused), or is out of
+// reach — gets the whole value instead, read back once from the acting
+// serializer and sent down the putnewer path exactly as replicatedPutIf
+// sends it, so a hint parked for a dead holder is a whole value, never a
+// patch. The value read back may already be a later commit's; putnewer's
+// epoch order makes that harmless. A refusal by the serializer itself
+// wrote nothing anywhere.
+//
+// Weaker than replicatedPutIf in one respect: nothing checks that a
+// holder at ifEpoch held the serializer's bytes. Two holders that differ
+// at one epoch (split serializers, see replicatedCond) are made equal by
+// the next replicatedPutIf's whole value; patched, they stay apart until
+// the key is next written whole (frame.go, "same epoch means same bytes").
+func (c *Client) replicatedPatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	// One heap object for everything the fan-out's goroutines share.
+	f := &struct {
+		reply  dht.Value
+		acting *clientNode
+		once   sync.Once
+		whole  dht.Value
+		werr   error
+	}{}
+	err := c.replicatedCond(ctx, key,
+		func(n *clientNode) (err error) {
+			f.acting = n
+			f.reply, err = n.patchCall(ctx, key, patchPrimary, patch, ifEpoch)
+			return err
+		},
+		func(n *clientNode) error {
+			if _, err := n.patchCall(ctx, key, patchNewer, patch, ifEpoch); err == nil {
+				return nil
+			}
+			f.once.Do(func() { f.whole, f.werr = c.getFrom(ctx, f.acting, key, probeHint{}) })
+			if f.werr != nil {
+				return f.werr // not-found: since removed, nothing to propagate
+			}
+			return c.putToOrHint(ctx, n, dht.OpPutNewer, key, f.whole)
+		},
+	)
+	return f.reply, err
+}
+
 // replicatedCreateIf is CreateIf with propagation of the created value.
 func (c *Client) replicatedCreateIf(ctx context.Context, key string, v dht.Value) error {
 	return c.replicatedCond(ctx, key,

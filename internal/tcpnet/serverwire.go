@@ -300,7 +300,83 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 	case dht.OpGossip, dht.OpHintPut, dht.OpStatus:
 		return s.respondMembership(op, &c, out)
 
+	case dht.OpPatchIf:
+		key, err := c.lenBytes()
+		if err != nil {
+			return appendStatusErr(out, errMalformed)
+		}
+		mode, err := c.u8()
+		if err != nil || mode > patchNewer {
+			return appendStatusErr(out, errMalformed)
+		}
+		ifEpoch, err := c.uvarint()
+		if err != nil {
+			return appendStatusErr(out, errMalformed)
+		}
+		// Charged as the putif (primary) or putnewer it replaces, once
+		// the outcome is one of theirs; a refused patch is free, as
+		// dht.Patcher has it: the whole-value write that follows is the
+		// lookup.
+		cur, ok := s.store[string(key)]
+		if !ok {
+			s.c.Add(metrics.Lookups, 1)
+			return appendCASConflict(out, false, 0)
+		}
+		if w := storedEpoch(cur); w != ifEpoch {
+			s.c.Add(metrics.Lookups, 1)
+			if mode == patchNewer && w > ifEpoch {
+				return append(out, statusOK) // superseded: keep the newer value
+			}
+			return appendCASConflict(out, true, w)
+		}
+		next, reply, ok := patchStored(cur, c.rest(), append(out, statusOK))
+		if !ok {
+			return append(out, statusPatchRefused)
+		}
+		s.c.Add(metrics.Lookups, 1)
+		s.store[string(key)] = next
+		if mode == patchNewer {
+			return reply[:len(out)+1] // a holder's word is its status
+		}
+		return reply
+
 	default:
-		return appendStatusErr(out, "unknown op")
+		return appendStatusErr(out, errUnknownOp)
 	}
+}
+
+// maxEpochTagLen is the longest prefix a tagEpoch-over-tagWire value has
+// before the wire value's own bytes: both tags, the epoch, the kind.
+const maxEpochTagLen = 1 + binary.MaxVarintLen64 + 2
+
+// patchStored applies patch to cur, a stored tagged value, with the
+// dht.WirePatcher of its kind. It returns the value to store in cur's
+// place, freshly allocated (stored values are never written to: replies
+// are cut from them under the lock, and snapshots alias them) and tagged
+// with the epoch the patcher returned, and reply extended by the kind
+// byte and the patcher's reply. ok is false, and nothing else of use,
+// when cur is not a tagEpoch-over-tagWire value or the patcher refuses.
+func patchStored(cur, patch, reply []byte) (next, rep []byte, ok bool) {
+	c := cursor{b: cur}
+	if tag, _ := c.u8(); tag != tagEpoch {
+		return nil, reply, false
+	}
+	if _, err := c.uvarint(); err != nil || len(c.b) < 2 || c.b[0] != tagWire {
+		return nil, reply, false
+	}
+	kind, data := c.b[1], c.b[2:]
+	// One allocation, sized for an upsert that appends all of the patch.
+	// The patcher writes the value past room for the longest prefix; the
+	// real one, known only once the patcher has named the epoch, is then
+	// laid down right before it.
+	buf := make([]byte, maxEpochTagLen, maxEpochTagLen+len(data)+len(patch)+binary.MaxVarintLen64)
+	buf, rep, epoch, ok := dht.PatchWire(buf, append(reply, kind), kind, data, patch)
+	if !ok {
+		return nil, reply, false
+	}
+	var prefix [maxEpochTagLen]byte
+	p := append(appendUv(append(prefix[:0], tagEpoch), epoch), tagWire, kind)
+	next = buf[maxEpochTagLen-len(p):]
+	copy(next, p)
+	return next, rep, true
 }

@@ -172,6 +172,52 @@ func benchWireProbe(b *testing.B, hint uint64) {
 	b.ReportMetric(float64(reply), "wire-B/op")
 }
 
+// BenchmarkWirePutIf / BenchmarkWirePatch are the two ways to overwrite
+// one 64-byte record of a 75-record bucket, full client round trip: the
+// whole bucket under putif, the one record under patchif. wire-B/op is
+// request plus reply.
+func BenchmarkWirePutIf(b *testing.B) {
+	c := benchCluster(b)
+	ctx := context.Background()
+	bucket := wideBucket()
+	if err := c.Put(ctx, "k", bucket); err != nil {
+		b.Fatal(err)
+	}
+	req, err := appendValue(appendUv(appendLenString(nil, "k"), bucket.Epoch), bucket)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bucket.Epoch++
+		if err := c.PutIf(ctx, "k", bucket, bucket.Epoch-1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(4+frameHeaderLen+len(req)+4+frameHeaderLen+1), "wire-B/op")
+}
+
+func BenchmarkWirePatch(b *testing.B) {
+	c := benchCluster(b)
+	ctx := context.Background()
+	bucket := wideBucket()
+	if err := c.Put(ctx, "k", bucket); err != nil {
+		b.Fatal(err)
+	}
+	patch := ilht.UpsertPatch(bucket.Records[37], 0)
+	req := patchIf("k", patchPrimary, bucket.Epoch, patch)
+	const reply = 4 + frameHeaderLen + 1 + 1 + 2 // length, id+op, status, kind, acknowledgement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.PatchIf(ctx, "k", patch, bucket.Epoch+uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(4+frameHeaderLen+len(req)+reply), "wire-B/op")
+}
+
 func BenchmarkWirePut(b *testing.B) {
 	c := benchCluster(b)
 	ctx := context.Background()
