@@ -9,13 +9,45 @@ import (
 	"lht/internal/metrics"
 )
 
-// patchLog is a hintLog that is also a Patcher: it records each PatchIf
-// and answers with the next of its scripted errors, or (nil, or the
-// script run out) with the patch.
+// patchLog is a hintLog that is also a Patcher and a BatchViewer: it
+// records each PatchIf and answers with the next of its scripted errors,
+// or (nil, or the script run out) with the patch; and it counts the
+// multi-gets that arrive with a view, which it runs on each stored string
+// as a wire would on a value's bytes.
 type patchLog struct {
 	*hintLog
 	patches []string // one per PatchIf: the patch bytes
 	script  []error
+	views   int // GetBatchView calls
+}
+
+func (p *patchLog) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
+	p.mu.Lock()
+	p.views++
+	err := p.fail()
+	p.mu.Unlock()
+	vals, errs := p.Local.GetBatch(ctx, keys)
+	if err != nil {
+		for i := range errs {
+			vals[i], errs[i] = nil, err
+		}
+	}
+	for i, v := range vals {
+		if errs[i] == nil {
+			vals[i], errs[i] = view(testViewKind, []byte(v.(string)))
+		}
+	}
+	return vals, errs
+}
+
+const testViewKind = 9
+
+// testView is a WireView that shows it ran.
+func testView(kind byte, data []byte) (Value, error) {
+	if kind != testViewKind {
+		return nil, errors.New("view handed another kind")
+	}
+	return "viewed:" + string(data), nil
 }
 
 func (p *patchLog) PatchIf(_ context.Context, _ string, patch []byte, _ uint64) (Value, error) {
@@ -43,25 +75,36 @@ func newPatchLog(t *testing.T, script ...error) *patchLog {
 // values). Over a substrate with neither, every layer answers a probe
 // with a Get and refuses a patch, as the bare substrate does. A wrapper
 // that drops a capability silently fails here.
+//
+// A multi-get's view reaches a viewing substrate through Instrumented,
+// PolicyDHT and CrashPoints. The hedger and the coalescer pass a
+// substrate's Batcher through as it is and know nothing of views, so
+// through either a viewed multi-get arrives as a plain GetBatch and comes
+// back whole, as it does from every layer over a substrate that only
+// batches.
 func TestCapabilityForwarding(t *testing.T) {
 	ctx := context.Background()
 	var c metrics.Counters
 	wrappers := []struct {
 		name    string
 		wrap    func(DHT) DHT
-		forward bool
+		forward bool // Prober and Patcher
+		view    bool // BatchViewer
 	}{
-		{"Instrumented", func(d DHT) DHT { return NewInstrumented(d, &c) }, true},
-		{"PolicyDHT", func(d DHT) DHT { return WithPolicy(d, Policy{Counters: &c}) }, true},
-		{"hedger", func(d DHT) DHT { return WithHedging(d, time.Minute, &c) }, true},
-		{"coalescer", func(d DHT) DHT { return WithCoalescing(d, &c) }, false},
-		{"CrashPoints", func(d DHT) DHT { return WithCrashPoints(d) }, true},
+		{"Instrumented", func(d DHT) DHT { return NewInstrumented(d, &c) }, true, true},
+		{"PolicyDHT", func(d DHT) DHT { return WithPolicy(d, Policy{Counters: &c}) }, true, true},
+		{"hedger", func(d DHT) DHT { return WithHedging(d, time.Minute, &c) }, true, false},
+		{"coalescer", func(d DHT) DHT { return WithCoalescing(d, &c) }, false, false},
+		{"CrashPoints", func(d DHT) DHT { return WithCrashPoints(d) }, true, true},
+		{"policy(instrumented(crashpoints))", func(d DHT) DHT {
+			return WithPolicy(NewInstrumented(WithCrashPoints(d), &c), Policy{Counters: &c})
+		}, true, true},
 		{"policy(instrumented(hedger))", func(d DHT) DHT {
 			return WithPolicy(NewInstrumented(WithHedging(d, time.Minute, &c), &c), Policy{Counters: &c})
-		}, true},
+		}, true, false},
 		{"policy(instrumented(coalescer(hedger)))", func(d DHT) DHT {
 			return WithPolicy(NewInstrumented(WithCoalescing(WithHedging(d, time.Minute, &c), &c), &c), Policy{Counters: &c})
-		}, false},
+		}, false, false},
 	}
 	for _, w := range wrappers {
 		t.Run(w.name, func(t *testing.T) {
@@ -84,8 +127,17 @@ func TestCapabilityForwarding(t *testing.T) {
 			if !w.forward && (!errors.Is(err, ErrPatchRefused) || len(sub.patches) != 0) {
 				t.Errorf("DoPatchIf = %v, %v after %d patches at the substrate, want a refusal above it", v, err, len(sub.patches))
 			}
+			keys := []string{"k", "absent"}
+			vals, errs := DoGetBatchView(ctx, d, keys, testView)
+			want := map[bool]Value{true: "viewed:v", false: "v"}[w.view]
+			if len(vals) != 2 || vals[0] != want || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) || (sub.views == 1) != w.view {
+				t.Errorf("DoGetBatchView = %v, %v after %d viewed batches at the substrate, want %v from a viewed batch: %v", vals, errs, sub.views, want, w.view)
+			}
+			if vals, errs := DoGetBatch(ctx, d, keys); vals[0] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) || (sub.views == 1) != w.view {
+				t.Errorf("DoGetBatch = %v, %v after %d viewed batches at the substrate, want whole values and no view", vals, errs, sub.views)
+			}
 
-			// Over a substrate with neither capability.
+			// Over a substrate with none of the capabilities.
 			plain := w.wrap(newHintLog(t).Local)
 			if v, err := DoProbe(ctx, plain, "k", 7); err != nil || v != "v" {
 				t.Errorf("DoProbe over a plain substrate = %v, %v", v, err)
@@ -93,7 +145,47 @@ func TestCapabilityForwarding(t *testing.T) {
 			if v, err := DoPatchIf(ctx, plain, "k", []byte("p"), 3); !errors.Is(err, ErrPatchRefused) || v != nil {
 				t.Errorf("DoPatchIf over a plain substrate = %v, %v, want a refusal", v, err)
 			}
+			if vals, errs := DoGetBatchView(ctx, plain, keys, testView); vals[0] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
+				t.Errorf("DoGetBatchView over a plain substrate = %v, %v, want whole values", vals, errs)
+			}
 		})
+	}
+}
+
+// A viewed multi-get is charged, counted and traced exactly as the
+// GetBatch it stands in for, over a substrate that views and over one
+// that only batches.
+func TestInstrumentedViewIsChargedAsAGetBatch(t *testing.T) {
+	ctx := context.Background()
+	keys := []string{"k", "absent", "k"}
+	for name, sub := range map[string]func() DHT{
+		"viewing substrate":  func() DHT { return newPatchLog(t) },
+		"batching substrate": func() DHT { return newHintLog(t).Local },
+	} {
+		var plain, viewed metrics.Counters
+		plainRing, viewedRing := metrics.NewRing(4), metrics.NewRing(4)
+		p := NewInstrumented(sub(), &plain)
+		p.SetSink(plainRing)
+		p.GetBatch(metrics.WithOp(ctx, metrics.OpRange), keys)
+		v := NewInstrumented(sub(), &viewed)
+		v.SetSink(viewedRing)
+		v.GetBatchView(metrics.WithOp(ctx, metrics.OpRange), keys, testView)
+
+		ps, vs := plain.Snapshot(), viewed.Snapshot()
+		if ps.Lookup.Total != 3 || ps.Batch.Ops != 1 || ps.Batch.Keys != 3 || ps.Lookup.FailedGets != 1 {
+			t.Fatalf("%s: GetBatch charged %+v %+v", name, ps.Lookup, ps.Batch)
+		}
+		if vs.Lookup != ps.Lookup || vs.Batch != ps.Batch {
+			t.Errorf("%s: a viewed batch charged %+v %+v, the GetBatch %+v %+v", name, vs.Lookup, vs.Batch, ps.Lookup, ps.Batch)
+		}
+		pe, ve := plainRing.Events(), viewedRing.Events()
+		if len(pe) != 1 || len(ve) != 1 || pe[0].Kind != "get_batch" {
+			t.Fatalf("%s: trace events %+v and %+v, want one get_batch each", name, pe, ve)
+		}
+		pe[0].Start, pe[0].Duration, ve[0].Start, ve[0].Duration = time.Time{}, 0, time.Time{}, 0
+		if pe[0] != ve[0] {
+			t.Errorf("%s: a viewed batch traced as %+v, the GetBatch as %+v", name, ve[0], pe[0])
+		}
 	}
 }
 
@@ -183,5 +275,28 @@ func TestCrashPointsScheduleProbesAndPatches(t *testing.T) {
 	}
 	if d.Ops() != 5 {
 		t.Errorf("the schedule observed %d operations, want 5", d.Ops())
+	}
+}
+
+// The policy layer retries a viewed multi-get's transient slots with the
+// view, and a crash schedule fires at a viewed batch's keys as at a plain
+// one's: a slot it fails is not fetched, the rest come back viewed.
+func TestViewedBatchUnderRetriesAndCrashPoints(t *testing.T) {
+	ctx := context.Background()
+	keys := []string{"k", "absent", "k"}
+
+	sub := newPatchLog(t)
+	sub.failNext = 1
+	d := WithPolicy(sub, Policy{MaxAttempts: 3, BaseDelay: time.Microsecond})
+	vals, errs := DoGetBatchView(ctx, d, keys, testView)
+	if vals[0] != "viewed:v" || vals[2] != "viewed:v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) || sub.views != 2 {
+		t.Errorf("through one reset: %v, %v after %d viewed batches, want the retry viewed", vals, errs, sub.views)
+	}
+
+	sub = newPatchLog(t)
+	cp := WithCrashPoints(sub, CrashRule{Op: OpGet, N: 3})
+	vals, errs = DoGetBatchView(ctx, cp, keys, testView)
+	if vals[0] != "viewed:v" || !errors.Is(errs[1], ErrNotFound) || !errors.Is(errs[2], ErrCrashed) || vals[2] != nil || sub.views != 1 || cp.Ops() != 3 {
+		t.Errorf("under a crash at the third get: %v, %v after %d viewed batches and %d scheduled ops", vals, errs, sub.views, cp.Ops())
 	}
 }

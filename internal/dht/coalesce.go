@@ -60,7 +60,9 @@ type coalescer struct {
 // by callers whose hints differ, so it must be whole. DoProbe therefore
 // turns a probe into a (coalesced) Get here, and nothing below this layer
 // sees a hint. Nor is it a Patcher: a writer above it reads whole values,
-// so it writes whole values, and DoPatchIf refuses here.
+// so it writes whole values, and DoPatchIf refuses here. Nor a
+// BatchViewer: a viewed multi-get reaches inner as a GetBatch and comes
+// back whole.
 func WithCoalescing(inner DHT, c *metrics.Counters) DHT {
 	co := &coalescer{inner: inner, c: c, inflight: make(map[string]*flight)}
 	b, hasB := inner.(Batcher)

@@ -181,7 +181,7 @@ type CrashPoints struct {
 
 var (
 	_ DHT         = (*CrashPoints)(nil)
-	_ Batcher     = (*CrashPoints)(nil)
+	_ BatchViewer = (*CrashPoints)(nil)
 	_ Conditional = (*CrashPoints)(nil)
 	_ Prober      = (*CrashPoints)(nil)
 	_ Patcher     = (*CrashPoints)(nil)
@@ -411,6 +411,12 @@ func (c *CrashPoints) WriteIf(ctx context.Context, key string, val Value, ifEpoc
 // slice order, exactly as a loop of per-op Gets would be. Surviving keys
 // are fetched through the inner substrate's batch plane when available.
 func (c *CrashPoints) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
+	return c.GetBatchView(ctx, keys, nil)
+}
+
+// GetBatchView implements BatchViewer and is GetBatch's one body: a
+// schedule fires at the same keys whether or not the batch is viewed.
+func (c *CrashPoints) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
 	vals := make([]Value, len(keys))
 	errs := make([]error, len(keys))
 	var live []string
@@ -430,7 +436,7 @@ func (c *CrashPoints) GetBatch(ctx context.Context, keys []string) ([]Value, []e
 		live = append(live, k)
 		liveIdx = append(liveIdx, i)
 	}
-	lv, le := DoGetBatch(ctx, c.inner, live)
+	lv, le := DoGetBatchView(ctx, c.inner, live, view)
 	for j, i := range liveIdx {
 		if after[i] {
 			continue // effect happened; the scheduled error stands

@@ -15,7 +15,10 @@
 // serving many keys per round trip; DoGetBatch and DoPutBatch fall back
 // to per-op calls for substrates that do not. Batched keys are charged as
 // lookups exactly like per-op calls, so batching changes latency (round
-// trips), never the cost model's bandwidth measure.
+// trips), never the cost model's bandwidth measure. A Batcher whose values
+// cross a wire may also be a BatchViewer, which decodes a multi-get's
+// values with the caller's WireView; DoGetBatchView falls back to
+// DoGetBatch.
 //
 // All routed operations take a context.Context: substrates honor
 // cancellation and deadlines (the TCP substrate derives real dial/read/

@@ -58,8 +58,9 @@ type hedger struct {
 // and Conditional capabilities unchanged (batched and conditional ops
 // are never hedged), and is a Prober and a Patcher whatever inner is: a
 // probe of a substrate that is not one falls back to a hedged Get, a
-// patch of one is refused, as without the hedger. c, when non-nil,
-// receives HedgedGets and HedgeWins.
+// patch of one is refused, as without the hedger. It is not a
+// BatchViewer: a viewed multi-get reaches inner as a GetBatch and comes
+// back whole. c, when non-nil, receives HedgedGets and HedgeWins.
 func WithHedging(inner DHT, after time.Duration, c *metrics.Counters) DHT {
 	if after <= 0 {
 		return inner

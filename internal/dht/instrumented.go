@@ -31,7 +31,7 @@ type Instrumented struct {
 
 var (
 	_ DHT         = (*Instrumented)(nil)
-	_ Batcher     = (*Instrumented)(nil)
+	_ BatchViewer = (*Instrumented)(nil)
 	_ Conditional = (*Instrumented)(nil)
 	_ Prober      = (*Instrumented)(nil)
 	_ Patcher     = (*Instrumented)(nil)
@@ -196,11 +196,17 @@ func (d *Instrumented) Remove(ctx context.Context, key string) error {
 // BatchOps/BatchedKeys. Otherwise the batch decomposes through this
 // wrapper's own per-op Get, which charges each key as it goes.
 func (d *Instrumented) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
+	return d.GetBatchView(ctx, keys, nil)
+}
+
+// GetBatchView implements BatchViewer and is GetBatch's one body: a
+// viewed batch is charged, counted and traced exactly as the GetBatch it
+// stands in for, whether or not the wrapped substrate views natively.
+func (d *Instrumented) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	b, ok := d.inner.(Batcher)
-	if !ok {
+	if _, ok := d.inner.(Batcher); !ok {
 		vals := make([]Value, len(keys))
 		errs := make([]error, len(keys))
 		for i, k := range keys {
@@ -212,7 +218,7 @@ func (d *Instrumented) GetBatch(ctx context.Context, keys []string) ([]Value, []
 	d.c.Add(metrics.BatchOps, 1)
 	d.c.Add(metrics.BatchedKeys, int64(len(keys)))
 	start := d.start()
-	vals, errs := b.GetBatch(ctx, keys)
+	vals, errs := DoGetBatchView(ctx, d.inner, keys, view)
 	for _, err := range errs {
 		if errors.Is(err, ErrNotFound) {
 			d.c.Add(metrics.FailedGets, 1)

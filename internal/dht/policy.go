@@ -101,7 +101,7 @@ type PolicyDHT struct {
 
 var (
 	_ DHT         = (*PolicyDHT)(nil)
-	_ Batcher     = (*PolicyDHT)(nil)
+	_ BatchViewer = (*PolicyDHT)(nil)
 	_ Conditional = (*PolicyDHT)(nil)
 	_ Prober      = (*PolicyDHT)(nil)
 	_ Patcher     = (*PolicyDHT)(nil)
@@ -238,13 +238,20 @@ func (d *PolicyDHT) transientSlots(errs []error) []int {
 // its successful keys. Every re-issued key is charged again by whatever
 // Instrumented wrapper sits below this one.
 func (d *PolicyDHT) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
-	vals, errs := DoGetBatch(ctx, d.inner, keys)
+	return d.GetBatchView(ctx, keys, nil)
+}
+
+// GetBatchView implements BatchViewer and is GetBatch's one body; every
+// attempt carries the view, which is pure, so a slot's retry decodes as
+// its first reply would have.
+func (d *PolicyDHT) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
+	vals, errs := DoGetBatchView(ctx, d.inner, keys, view)
 	d.retryBatch(ctx, errs, d.transientSlots(errs), func(ctx context.Context, pending []int) {
 		sub := make([]string, len(pending))
 		for j, i := range pending {
 			sub[j] = keys[i]
 		}
-		svals, serrs := DoGetBatch(ctx, d.inner, sub)
+		svals, serrs := DoGetBatchView(ctx, d.inner, sub, view)
 		for j, i := range pending {
 			vals[i], errs[i] = svals[j], serrs[j]
 		}

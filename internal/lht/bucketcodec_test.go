@@ -469,6 +469,25 @@ func bucketFromBytes(raw []byte) *Bucket {
 	return b
 }
 
+// bucketFuzzSeeds is the seed corpus of the fuzz targets that take a
+// bucket's bytes. Small seeds: a mutation of a three-record bucket lands
+// inside the grammar far more often than one of a five-kilobyte bucket.
+func bucketFuzzSeeds(tb testing.TB) [][]byte {
+	seeds := [][]byte{
+		mustEncode(tb, &Bucket{Label: bitlabel.TreeRoot}),
+		mustEncode(tb, &Bucket{Label: bitlabel.MustParse("#011"), Epoch: 1 << 60, Rate: 3.5, RateAt: 12345,
+			Pending: Pending{Kind: PendingMerge, RemoveKey: "#0110", PeerEpoch: 9},
+			Records: []record.Record{{Key: 0.4}, {Key: 0.45, Value: []byte("x")}}}),
+	}
+	for _, h := range hostileBuckets() {
+		seeds = append(seeds, h)
+	}
+	seeds = append(seeds, []byte("junk"), []byte{})
+	small := mustEncode(tb, &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
+		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}})
+	return append(seeds, projectBucket(nil, small, ProbeHint(0.5, true)), projectBucket(nil, small, ProbeHint(0.6, true)))
+}
+
 // FuzzDecodeBucket drives arbitrary bytes through DecodeBucket, and an
 // arbitrary bucket built from the same bytes through the round trip:
 //
@@ -489,21 +508,9 @@ func bucketFromBytes(raw []byte) *Bucket {
 //     ships only the whole, the header or a record reply, the last
 //     refused by DecodeBucket and agreeing with record.FindByKey.
 func FuzzDecodeBucket(f *testing.F) {
-	// Small seeds: a mutation of a three-record bucket lands inside the
-	// grammar far more often than one of a five-kilobyte bucket.
-	f.Add(mustEncode(f, &Bucket{Label: bitlabel.TreeRoot}))
-	f.Add(mustEncode(f, &Bucket{Label: bitlabel.MustParse("#011"), Epoch: 1 << 60, Rate: 3.5, RateAt: 12345,
-		Pending: Pending{Kind: PendingMerge, RemoveKey: "#0110", PeerEpoch: 9},
-		Records: []record.Record{{Key: 0.4}, {Key: 0.45, Value: []byte("x")}}}))
-	for _, h := range hostileBuckets() {
-		f.Add(h)
+	for _, seed := range bucketFuzzSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add([]byte("junk"))
-	f.Add([]byte{})
-	small := mustEncode(f, &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
-		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}})
-	f.Add(projectBucket(nil, small, ProbeHint(0.5, true)))
-	f.Add(projectBucket(nil, small, ProbeHint(0.6, true)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// A probe reply is outside input too: decoding one never panics,

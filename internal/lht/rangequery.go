@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"lht/internal/bitlabel"
@@ -16,21 +17,99 @@ import (
 // ErrBadRange reports a malformed range query.
 var ErrBadRange = errors.New("lht: invalid range")
 
+// bucketRun is what a swept leaf amounts to for the range query that
+// fetched it: the label the sweep goes on from, and the leaf's records
+// inside the query's range, still encoded. It is what the query's
+// dht.WireView (runView) makes of a stored bucket in place of decoding
+// it, so that the join can decode the records straight into the result.
+// It is unexported and not a dht.WireValue: nothing that handles buckets
+// — clone, CAS, write-back, the leaf cache — can be handed one.
+type bucketRun struct {
+	label bitlabel.Label
+	n     int    // records in enc
+	enc   []byte // the run's own copy, as record.FilterList cut it
+}
+
+// runView returns the view a range query over [lo, hi) fetches its swept
+// leaves with. A bucket that is torn, or that DecodeBucket would refuse,
+// is handed to DecodeBucket — a torn leaf stays a *Bucket and an
+// unparsable one gets its error; any other becomes a bucketRun. The view
+// keeps nothing of data: the header walk copies what it reads and
+// FilterList returns a copy.
+func runView(lo, hi float64) dht.WireView {
+	return func(kind byte, data []byte) (dht.Value, error) {
+		if kind != bucketWireKind {
+			return dht.DecodeWire(kind, data)
+		}
+		var b Bucket
+		list, err := parseBucketHeader(&b, data)
+		if err != nil || b.Torn() {
+			return DecodeBucket(data)
+		}
+		enc, n, err := record.FilterList(list, lo, hi)
+		if err != nil {
+			return DecodeBucket(data)
+		}
+		return &bucketRun{label: b.Label, n: n, enc: enc}, nil
+	}
+}
+
+// rangeShare is one leaf's contribution to a range query's result: its
+// records, decoded (a fetched bucket's own slice: stored buckets are never
+// written in place) or still encoded, of which the join takes those in
+// [lo, hi), the subrange the leaf was entered for.
+type rangeShare struct {
+	recs   []record.Record
+	run    *bucketRun
+	lo, hi float64
+}
+
 // rangeCollector accumulates a range query's results and bandwidth cost.
 // When the index is configured with ParallelRange, branch forwards run in
 // goroutines, so the collector is mutex-guarded; latency (Steps) is
 // always computed structurally from the forwarding DAG, identically in
 // both modes.
+//
+// The result is built once, by snapshot, at its final size: until then
+// each leaf's share waits as it was fetched. The single gets of a range
+// (the LCA probe, enterChild, a terminal branch's second try) arrive as
+// whole buckets, because Get is what the coalescer shares between callers;
+// only the sweep's multi-get is viewed.
 type rangeCollector struct {
 	mu      sync.Mutex
-	out     []record.Record
+	view    dht.WireView // runView over the query's range
+	shares  []rangeShare
+	n       int // the result's size, or an upper bound of it
 	lookups int
 	err     error
 }
 
+// addRecords adds a fetched bucket's records in [lo, hi).
 func (c *rangeCollector) addRecords(recs []record.Record, lo, hi float64) {
+	n := 0
+	for i := range recs {
+		if recs[i].Key >= lo && recs[i].Key < hi {
+			n++
+		}
+	}
+	c.add(rangeShare{recs: recs, lo: lo, hi: hi}, n)
+}
+
+// addRun adds a viewed leaf's records in [lo, hi), a subrange of the
+// view's: every record of the run, unless the stored tree is in a state
+// the sweep did not expect, so run.n bounds what the join will take.
+func (c *rangeCollector) addRun(run *bucketRun, lo, hi float64) {
+	c.add(rangeShare{run: run, lo: lo, hi: hi}, run.n)
+}
+
+// add queues a share the join will take at most n records from.
+func (c *rangeCollector) add(s rangeShare, n int) {
+	if n == 0 {
+		return
+	}
 	c.mu.Lock()
-	c.out = record.FilterRange(c.out, recs, lo, hi)
+	c.shares = append(c.shares, s)
+	c.n += n
 	c.mu.Unlock()
 }
 
@@ -67,10 +146,27 @@ func (c *rangeCollector) setErr(err error) {
 	c.mu.Unlock()
 }
 
+// snapshot joins the shares, in the order they were added, into the
+// query's result. A run's values alias its enc, as a bucket's records
+// alias the buffer it was decoded from.
 func (c *rangeCollector) snapshot() ([]record.Record, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.out, c.lookups, c.err
+	if c.err != nil || c.n == 0 {
+		return nil, c.lookups, c.err
+	}
+	out := make([]record.Record, 0, c.n)
+	for _, s := range c.shares {
+		if s.run == nil {
+			out = record.FilterRange(out, s.recs, s.lo, s.hi)
+			continue
+		}
+		var err error
+		if out, err = record.AppendRange(out, s.run.enc, s.lo, s.hi); err != nil {
+			return nil, c.lookups, fmt.Errorf("%w: run of leaf %s: %v", ErrCorrupt, s.run.label, err)
+		}
+	}
+	return out, c.lookups, nil
 }
 
 // getBucketC fetches a bucket, charging the collector.
@@ -119,42 +215,43 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 	r := keyspace.Interval{Lo: lo, Hi: hi}
 	lca := keyspace.RangeLCA(r, ix.cfg.Depth)
 
-	col := &rangeCollector{}
+	col := &rangeCollector{view: runView(lo, hi)}
 	b, err := ix.getBucketC(metrics.WithPhase(ctx, metrics.PhaseProbe), lca.Name().Key(), col)
 	switch {
 	case errors.Is(err, dht.ErrNotFound):
 		// Case 1: no leaf is named f_n(LCA), so the subtree under LCA is
 		// a single leaf covering the whole range: exact-match lookup.
 		lb, _, lcost, err := ix.lookup(ctx, lo)
-		out, lookups, _ := col.snapshot()
-		cost.Lookups = lookups + lcost.Lookups
+		cost.Lookups = col.lookups + lcost.Lookups
 		cost.Steps = 1 + lcost.Steps
 		if err != nil {
 			return nil, cost, err
 		}
-		out = record.FilterRange(out, lb.Records, lo, hi)
-		return out, cost, nil
+		return record.FilterRange(nil, lb.Records, lo, hi), cost, nil
 	case err != nil:
-		_, cost.Lookups, _ = col.snapshot()
+		cost.Lookups = col.lookups
 		cost.Steps = 1
 		return nil, cost, err
 	}
 
+	// Everything from here on is forwarding traffic.
+	fctx := metrics.WithPhase(ctx, metrics.PhaseForward)
 	var depth int
-	if b.Interval().Overlaps(r) {
+	switch {
+	case b.Interval().Overlaps(r):
 		// Case 2: the simple case holds from this bucket.
-		depth = 1 + ix.forward(ctx, b, r, col)
-	} else {
+		depth = 1 + ix.forward(fctx, b, r, col)
+	case ix.cfg.ParallelRange:
 		// Case 3: descend through both children of the LCA; each child's
 		// subrange contains one bound of its half, so forwarding from the
 		// entered leaf is again the simple case. The two descents proceed
 		// in parallel.
-		var d0, d1 int
-		ix.inParallel(
-			func() { d0 = ix.enterChild(ctx, lca.Left(), r, col) },
-			func() { d1 = ix.enterChild(ctx, lca.Right(), r, col) },
+		depth = 1 + deepest(
+			func() int { return ix.enterChild(fctx, lca.Left(), r, col) },
+			func() int { return ix.enterChild(fctx, lca.Right(), r, col) },
 		)
-		depth = 1 + max(d0, d1)
+	default:
+		depth = 1 + max(ix.enterChild(fctx, lca.Left(), r, col), ix.enterChild(fctx, lca.Right(), r, col))
 	}
 	out, lookups, err := col.snapshot()
 	cost.Lookups = lookups
@@ -165,24 +262,22 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 	return out, cost, nil
 }
 
-// inParallel runs the thunks concurrently when ParallelRange is set, or
-// sequentially otherwise.
-func (ix *Index) inParallel(thunks ...func()) {
-	if !ix.cfg.ParallelRange {
-		for _, f := range thunks {
-			f()
-		}
-		return
-	}
+// deepest runs the lookup chains concurrently and returns the depth of
+// the deepest. Only a ParallelRange query gets here: a sequential one
+// makes the same calls in the same order directly, and builds no closures
+// to do so.
+func deepest(chains ...func() int) int {
+	depths := make([]int, len(chains))
 	var wg sync.WaitGroup
-	for _, f := range thunks {
+	for i, chain := range chains {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f()
+			depths[i] = chain()
 		}()
 	}
 	wg.Wait()
+	return slices.Max(depths)
 }
 
 // enterChild fetches the leaf that starts the sweep inside one child
@@ -193,7 +288,6 @@ func (ix *Index) inParallel(thunks ...func()) {
 // extra lookup the complexity analysis of section 6.3 budgets for.
 // It returns the depth of the dependent lookup chain it issued.
 func (ix *Index) enterChild(ctx context.Context, child bitlabel.Label, r keyspace.Interval, col *rangeCollector) int {
-	ctx = metrics.WithPhase(ctx, metrics.PhaseForward)
 	sub := keyspace.IntervalOf(child).Intersect(r)
 	if sub.Empty() {
 		return 0
@@ -217,30 +311,37 @@ func (ix *Index) enterChild(ctx context.Context, child bitlabel.Label, r keyspac
 
 // forward implements the recursive forwarding of Algorithm 3 from bucket
 // b, which the caller has already fetched: collect b's records in r, then
-// sweep toward whichever sides of r extend beyond b's interval. Both
-// sweeps and all per-branch forwards are issued by b's peer in one round,
-// so the returned chain depth is the maximum over the branches.
+// sweep on from b's leaf.
 func (ix *Index) forward(ctx context.Context, b *Bucket, r keyspace.Interval, col *rangeCollector) int {
-	ctx = metrics.WithPhase(ctx, metrics.PhaseForward)
 	col.addRecords(b.Records, r.Lo, r.Hi)
+	return ix.sweepFrom(ctx, b.Label, r, col)
+}
+
+// sweepFrom is forward past the leaf labeled from, whose share of r the
+// collector already has: sweep toward whichever sides of r extend beyond
+// the leaf's interval. Both sweeps and all per-branch forwards are issued
+// by the leaf's peer in one round, so the returned chain depth is the
+// maximum over the branches.
+func (ix *Index) sweepFrom(ctx context.Context, from bitlabel.Label, r keyspace.Interval, col *rangeCollector) int {
 	if err := ctx.Err(); err != nil {
-		col.setErr(fmt.Errorf("lht: range forward from %s: %w", b.Label, err))
+		col.setErr(fmt.Errorf("lht: range forward from %s: %w", from, err))
 		return 0
 	}
-	iv := b.Interval()
+	iv := keyspace.IntervalOf(from)
+	right, left := r.Hi > iv.Hi, r.Lo < iv.Lo
+	if right && left && ix.cfg.ParallelRange {
+		return deepest(
+			func() int { return ix.sweep(ctx, from, r, sweepRight, col) },
+			func() int { return ix.sweep(ctx, from, r, sweepLeft, col) },
+		)
+	}
 	var dRight, dLeft int
-	ix.inParallel(
-		func() {
-			if r.Hi > iv.Hi {
-				dRight = ix.sweep(ctx, b.Label, r, sweepRight, col)
-			}
-		},
-		func() {
-			if r.Lo < iv.Lo {
-				dLeft = ix.sweep(ctx, b.Label, r, sweepLeft, col)
-			}
-		},
-	)
+	if right {
+		dRight = ix.sweep(ctx, from, r, sweepRight, col)
+	}
+	if left {
+		dLeft = ix.sweep(ctx, from, r, sweepLeft, col)
+	}
 	return max(dRight, dLeft)
 }
 
@@ -266,14 +367,10 @@ const (
 // its own goroutine. A cancelled context stops the recursion before any
 // further branch fetch.
 func (ix *Index) sweep(ctx context.Context, from bitlabel.Label, r keyspace.Interval, dir sweepDir, col *rangeCollector) int {
-	ctx = metrics.WithPhase(ctx, metrics.PhaseForward)
 	// Phase 1: enumerate the branches to visit (pure local arithmetic).
-	type branchTask struct {
-		label   bitlabel.Label
-		inv     keyspace.Interval
-		covered bool
-	}
-	var tasks []branchTask
+	// A sweep rarely has more branches than fit on the stack.
+	var few [8]branchTask
+	tasks := few[:0]
 	beta := from
 loop:
 	for {
@@ -330,47 +427,69 @@ loop:
 		}
 	}
 	col.addLookups(len(keys))
-	vals, errs := dht.DoGetBatch(ctx, ix.d, keys)
+	vals, errs := dht.DoGetBatchView(ctx, ix.d, keys, col.view)
 
-	depths := make([]int, len(tasks))
-	thunks := make([]func(), len(tasks))
-	for i, task := range tasks {
-		nb, err := ix.bucketOf(vals[i], errs[i], keys[i])
-		if task.covered {
-			// The branch is fully inside the remaining range: enter it
-			// through its named leaf and let it sweep back inward.
-			thunks[i] = func() {
-				if err != nil {
-					col.setErr(fmt.Errorf("lht: range forward %s: %w", task.label, err))
-					depths[i] = 1
-					return
-				}
-				depths[i] = 1 + ix.forward(ctx, nb, task.inv, col)
-			}
-			continue
-		}
-		thunks[i] = func() {
-			hops := 1
-			tb, terr := nb, err
-			if errors.Is(terr, dht.ErrNotFound) {
-				hops = 2
-				tb, terr = ix.getBucketC(ctx, task.label.Name().Key(), col)
-			}
-			if terr != nil {
-				col.setErr(fmt.Errorf("lht: range forward %s: %w", task.label, terr))
-				depths[i] = hops
-				return
-			}
-			depths[i] = hops + ix.forward(ctx, tb, task.inv.Intersect(r), col)
-		}
+	// Every slot is type-checked, and its leaf noted in the cache, before
+	// any branch forwards, in slot order, whichever way the branches run.
+	for i := range tasks {
+		errs[i] = ix.sweptLeaf(vals[i], errs[i], keys[i])
 	}
-	ix.inParallel(thunks...)
-
-	var depth int
-	for _, d := range depths {
-		if d > depth {
-			depth = d
+	if ix.cfg.ParallelRange {
+		chains := make([]func() int, len(tasks))
+		for i, task := range tasks {
+			chains[i] = func() int { return ix.branch(ctx, task, vals[i], errs[i], r, col) }
 		}
+		return deepest(chains...)
+	}
+	var depth int
+	for i, task := range tasks {
+		depth = max(depth, ix.branch(ctx, task, vals[i], errs[i], r, col))
 	}
 	return depth
+}
+
+// branchTask is one branch node a sweep visits.
+type branchTask struct {
+	label   bitlabel.Label
+	inv     keyspace.Interval
+	covered bool
+}
+
+// sweptLeaf type-checks one slot of a sweep's multi-get, which holds a
+// whole bucket or the run a viewing substrate made of it, teaching the
+// leaf cache on success as bucketOf does.
+func (ix *Index) sweptLeaf(v dht.Value, err error, key string) error {
+	if run, ok := v.(*bucketRun); ok && err == nil {
+		ix.cacheNote(run.label)
+		return nil
+	}
+	_, err = ix.bucketOf(v, err, key)
+	return err
+}
+
+// branch enters one branch of a sweep over r, given its slot (v, err) of
+// the sweep's multi-get as sweptLeaf left it, and returns the depth of
+// the dependent lookup chain. A covered branch is fully inside the
+// remaining range: it is entered through its named leaf, which sweeps
+// back inward. The terminal branch is entered through the leaf under its
+// own label or, on a miss, under its name.
+func (ix *Index) branch(ctx context.Context, task branchTask, v dht.Value, err error, r keyspace.Interval, col *rangeCollector) int {
+	hops := 1
+	sub := task.inv
+	if !task.covered {
+		sub = task.inv.Intersect(r)
+		if errors.Is(err, dht.ErrNotFound) {
+			hops = 2
+			v, err = ix.getBucketC(ctx, task.label.Name().Key(), col)
+		}
+	}
+	if err != nil {
+		col.setErr(fmt.Errorf("lht: range forward %s: %w", task.label, err))
+		return hops
+	}
+	if run, ok := v.(*bucketRun); ok {
+		col.addRun(run, sub.Lo, sub.Hi)
+		return hops + ix.sweepFrom(ctx, run.label, sub, col)
+	}
+	return hops + ix.forward(ctx, v.(*Bucket), sub, col)
 }

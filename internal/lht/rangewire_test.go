@@ -1,0 +1,217 @@
+package lht
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"lht/internal/bitlabel"
+	"lht/internal/dht"
+	"lht/internal/keyspace"
+	"lht/internal/record"
+	"lht/internal/tcpnet"
+)
+
+// These tests run range queries over real tcpnet servers, the one
+// substrate whose multi-get is viewed, against the same queries over
+// dht.Local, which hands out whole buckets: a run may change what the
+// client allocates and nothing else.
+
+// viewSpy is the client with what its viewed multi-gets returned on
+// record.
+type viewSpy struct {
+	*tcpnet.Client
+
+	mu   sync.Mutex
+	runs int // slots answered with a run
+	torn int // slots answered with a whole, torn bucket
+}
+
+func (s *viewSpy) GetBatchView(ctx context.Context, keys []string, view dht.WireView) ([]dht.Value, []error) {
+	vals, errs := s.Client.GetBatchView(ctx, keys, view)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, v := range vals {
+		switch v := v.(type) {
+		case *bucketRun:
+			s.runs++
+		case *Bucket:
+			if v.Torn() {
+				s.torn++
+			}
+		}
+	}
+	return vals, errs
+}
+
+// rangeCase says which case of Algorithm 4 the range [lo, hi) is over the
+// tree stored in d: 1 one leaf holds it, 2 the leaf named by the LCA
+// overlaps it, 3 it is entered through both children of the LCA.
+func rangeCase(t *testing.T, d dht.DHT, depth int, lo, hi float64) int {
+	t.Helper()
+	r := keyspace.Interval{Lo: lo, Hi: hi}
+	v, err := d.Get(context.Background(), keyspace.RangeLCA(r, depth).Name().Key())
+	switch {
+	case errors.Is(err, dht.ErrNotFound):
+		return 1
+	case err != nil:
+		t.Fatal(err)
+	case v.(*Bucket).Interval().Overlaps(r):
+		return 2
+	}
+	return 3
+}
+
+// cachedLabels is the leaf cache's content, most recently used first.
+func cachedLabels(ix *Index) []bitlabel.Label {
+	var out []bitlabel.Label
+	for e := ix.cache.order.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(bitlabel.Label))
+	}
+	return out
+}
+
+func TestRangeOverTheWireMatchesLocal(t *testing.T) {
+	const depth = 20
+	ctx := context.Background()
+	local := dht.NewLocal()
+	client, _ := startProbeCluster(t, 3)
+
+	// The same inserts grow the same tree on both substrates. No key falls
+	// in [0.45, 0.55), so a range inside that gap sweeps leaves and finds
+	// nothing.
+	var tornKey string
+	for _, d := range []dht.DHT{local, client} {
+		ix, err := New(d, Config{SplitThreshold: 8, MergeThreshold: 6, Depth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(22))
+		for i := 0; i < 400; i++ {
+			k := rng.Float64() * 0.9
+			if k >= 0.45 {
+				k += 0.1
+			}
+			if _, err := ix.Insert(record.Record{Key: k, Value: []byte{byte(i), byte(i >> 8)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		// Tear the leaf covering 0.7 as a crashed merge leaves one: whole,
+		// queryable, its intent uncleared.
+		b, key, _, err := ix.lookup(ctx, 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := b.Clone()
+		torn.Pending = Pending{Kind: PendingMerge, RemoveKey: "no such key", PeerEpoch: 1}
+		if err := d.Put(ctx, key, torn); err != nil {
+			t.Fatal(err)
+		}
+		tornKey = key
+	}
+
+	// One range of each kind, found by looking at the tree.
+	type query struct {
+		name   string
+		lo, hi float64
+	}
+	queries := []query{{"an empty result", 0.46, 0.54}, {"a torn leaf inside", 0.62, 0.78}}
+	rng := rand.New(rand.NewSource(23))
+	for _, want := range []int{1, 2, 3} {
+		for {
+			lo := rng.Float64() * 0.4
+			hi := lo + rng.Float64()*0.04
+			if want > 1 {
+				hi = lo + 0.05 + rng.Float64()*0.3
+			}
+			if rangeCase(t, local, depth, lo, hi) == want {
+				queries = append(queries, query{[]string{1: "case 1", 2: "case 2", 3: "case 3"}[want], lo, hi})
+				break
+			}
+		}
+	}
+	for _, q := range queries[:2] {
+		if c := rangeCase(t, local, depth, q.lo, q.hi); c == 1 {
+			t.Fatalf("%s: [%v, %v) lies in one leaf, want a sweep", q.name, q.lo, q.hi)
+		}
+	}
+
+	type answer struct {
+		recs []record.Record
+		cost Cost
+	}
+	run := func(d dht.DHT, cfg Config) ([]answer, []bitlabel.Label) {
+		t.Helper()
+		cfg.SplitThreshold, cfg.MergeThreshold, cfg.Depth = 8, 6, depth
+		cfg.LeafCache, cfg.LeafCacheSize = true, 6
+		ix, err := New(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers := make([]answer, len(queries))
+		for i, q := range queries {
+			recs, cost, err := ix.Range(q.lo, q.hi)
+			if err != nil {
+				t.Fatalf("%s: %v", q.name, err)
+			}
+			answers[i] = answer{recs, cost}
+		}
+		return answers, cachedLabels(ix)
+	}
+
+	want, wantCache := run(local, Config{})
+	for i, q := range queries {
+		if (len(want[i].recs) == 0) != (q.name == "an empty result") {
+			t.Fatalf("%s: %d records over dht.Local", q.name, len(want[i].recs))
+		}
+	}
+	policy := dht.DefaultPolicy()
+	spy := &viewSpy{Client: client}
+	for _, arm := range []struct {
+		name string
+		d    dht.DHT
+		cfg  Config
+	}{
+		{"bare", spy, Config{}},
+		{"bare, parallel", spy, Config{ParallelRange: true}},
+		{"policy(instrumented(crashpoints))", dht.WithCrashPoints(spy), Config{Policy: &policy}},
+		{"policy(instrumented(crashpoints)), parallel", dht.WithCrashPoints(spy), Config{Policy: &policy, ParallelRange: true}},
+	} {
+		name, before := arm.name, spy.runs
+		got, gotCache := run(arm.d, arm.cfg)
+		if spy.runs == before {
+			t.Errorf("%s: no multi-get slot came back as a run", name)
+		}
+		for i, q := range queries {
+			if got[i].cost != want[i].cost {
+				t.Errorf("%s, %s: cost %+v, over dht.Local %+v", name, q.name, got[i].cost, want[i].cost)
+			}
+			g, w := got[i].recs, want[i].recs
+			if arm.cfg.ParallelRange {
+				g, w = append([]record.Record(nil), g...), append([]record.Record(nil), w...)
+				record.SortByKey(g)
+				record.SortByKey(w)
+			}
+			if !sameBucket(&Bucket{Records: g}, &Bucket{Records: w}) {
+				t.Errorf("%s, %s: records\n got %v\nwant %v", name, q.name, g, w)
+			}
+		}
+		if !arm.cfg.ParallelRange && !slices.Equal(gotCache, wantCache) {
+			t.Errorf("%s: leaf cache ends as %v, over dht.Local as %v", name, gotCache, wantCache)
+		}
+	}
+	if spy.torn == 0 {
+		t.Error("the torn leaf never came back from a viewed multi-get as a bucket")
+	}
+	for _, d := range []dht.DHT{local, client} {
+		if v, err := d.Get(ctx, tornKey); err != nil || !v.(*Bucket).Torn() {
+			t.Errorf("the torn leaf did not stay torn: %v, %v", v, err)
+		}
+	}
+}

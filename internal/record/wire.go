@@ -186,6 +186,70 @@ func FindInList(buf []byte, key float64) (enc []byte, err error) {
 	return buf[s.Hit:s.End], nil
 }
 
+// FilterList is FilterRange on an encoded list: it returns, still encoded
+// and in list order, the n records of list whose keys fall in [lo, hi),
+// back to back with no count in front (what AppendRange decodes). It
+// accepts exactly the lists DecodeList accepts and validates all of list
+// before it allocates. enc is a copy sized to the records it holds, so
+// list may be a pooled buffer and nothing out of range stays alive; it is
+// nil when n is 0.
+func FilterList(list []byte, lo, hi float64) (enc []byte, n int, err error) {
+	count, body, err := readCount(list)
+	if err != nil {
+		return nil, 0, err
+	}
+	size := 0
+	rest := body
+	for i := count; i > 0; i-- {
+		var r Record
+		before := len(rest)
+		if rest, err = readRecord(&r, rest); err != nil {
+			return nil, 0, err
+		}
+		if r.Key >= lo && r.Key < hi {
+			n++
+			size += before - len(rest)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, 0, fmt.Errorf("record: %d bytes after the last record", len(rest))
+	}
+	if n == 0 {
+		return nil, 0, nil
+	}
+	enc = make([]byte, 0, size)
+	if uint64(n) == count {
+		return append(enc, body...), n, nil
+	}
+	for rest = body; len(rest) > 0; {
+		var r Record
+		next, _ := readRecord(&r, rest) // validated by the walk above
+		if r.Key >= lo && r.Key < hi {
+			enc = append(enc, rest[:len(rest)-len(next)]...)
+		}
+		rest = next
+	}
+	return enc, n, nil
+}
+
+// AppendRange decodes enc, records back to back as FilterList returns
+// them, and appends to dst those whose keys fall in [lo, hi). Like
+// DecodeList's, the values are capacity-clipped views of enc, which the
+// caller must own.
+func AppendRange(dst []Record, enc []byte, lo, hi float64) ([]Record, error) {
+	for len(enc) > 0 {
+		var r Record
+		var err error
+		if enc, err = readRecord(&r, enc); err != nil {
+			return dst, err
+		}
+		if r.Key >= lo && r.Key < hi {
+			dst = append(dst, r)
+		}
+	}
+	return dst, nil
+}
+
 // ErrNoRecord reports a DeleteFromList of a key the list does not hold.
 var ErrNoRecord = errors.New("record: no record with that key in the list")
 

@@ -4,12 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"lht/internal/dht"
 )
 
-var _ dht.Batcher = (*Client)(nil)
+var _ dht.BatchViewer = (*Client)(nil)
 
 // malformedResp wraps a response-parse failure: the server (or something
 // between) broke framing, which is a transport-level, retryable fault.
@@ -22,17 +23,25 @@ func malformedResp(err error) error {
 // trips to distinct nodes running concurrently. A transport failure fails
 // only that node's slots; the rest of the batch stands.
 func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []error) {
+	return c.GetBatchView(ctx, keys, nil)
+}
+
+// GetBatchView implements dht.BatchViewer and is GetBatch's one body: the
+// view decodes each tagWire value while it still lies in the reply's
+// pooled frame, on the goroutine that received the frame.
+func (c *Client) GetBatchView(ctx context.Context, keys []string, view dht.WireView) ([]dht.Value, []error) {
+	if view == nil {
+		view = dht.DecodeWire
+	}
 	vals := make([]dht.Value, len(keys))
 	errs := make([]error, len(keys))
-	var wg sync.WaitGroup
-	for n, slots := range c.groupByOwner(keys) {
-		wg.Add(1)
-		go func(n *clientNode, slots []int) {
-			defer wg.Done()
-			c.frameGetBatch(ctx, n, keys, slots, vals, errs)
-		}(n, slots)
+	if groups := c.groupByOwner(keys); len(groups) == 1 {
+		c.frameGetBatch(ctx, groups[0].n, keys, groups[0].slots, view, vals, errs)
+	} else {
+		eachGroup(groups, func(g ownerGroup) {
+			c.frameGetBatch(ctx, g.n, keys, g.slots, view, vals, errs)
+		})
 	}
-	wg.Wait()
 	return vals, errs
 }
 
@@ -69,46 +78,85 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 	for i, kv := range kvs {
 		enc[i], errs[i] = gobEncoded(kv.Val)
 	}
-	var wg sync.WaitGroup
-	for n, slots := range c.groupByRank(keys, rank) {
-		sendable := slots[:0:0]
-		for _, i := range slots {
+	groups := c.groupByRank(keys, rank)
+	live := groups[:0]
+	for _, g := range groups {
+		sendable := g.slots[:0]
+		for _, i := range g.slots {
 			if errs[i] == nil {
 				sendable = append(sendable, i)
 			}
 		}
-		if len(sendable) == 0 {
-			continue
+		if len(sendable) > 0 {
+			live = append(live, ownerGroup{g.n, sendable})
 		}
-		wg.Add(1)
-		go func(n *clientNode, slots []int) {
-			defer wg.Done()
-			c.framePutBatch(ctx, n, kvs, enc, slots, errs)
-		}(n, sendable)
 	}
-	wg.Wait()
+	if len(live) == 1 {
+		c.framePutBatch(ctx, live[0].n, kvs, enc, live[0].slots, errs)
+	} else {
+		eachGroup(live, func(g ownerGroup) {
+			c.framePutBatch(ctx, g.n, kvs, enc, g.slots, errs)
+		})
+	}
 	return errs
 }
 
-// groupByOwner maps each owning node to the slot indices it serves, in
-// ascending slice order per node. Batched reads always group by primary:
-// the primary is in every key's holder set and sees every accepted
-// write, so a primary-grouped read can miss nothing a replicated one
-// would find.
-func (c *Client) groupByOwner(keys []string) map[*clientNode][]int {
+// ownerGroup is one node's share of a batch: the slot indices it serves,
+// ascending.
+type ownerGroup struct {
+	n     *clientNode
+	slots []int
+}
+
+// eachGroup runs do once per group, the groups concurrently: one round
+// trip per node, all in flight together. Its callers run a batch that has
+// a single owner themselves, on their own goroutine, and so build neither
+// the closure nor the WaitGroup for it.
+func eachGroup(groups []ownerGroup, do func(ownerGroup)) {
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		wg.Add(1)
+		go func(g ownerGroup) {
+			defer wg.Done()
+			do(g)
+		}(g)
+	}
+	wg.Wait()
+}
+
+// groupByOwner groups the slot indices by owning node. Batched reads
+// always group by primary: the primary is in every key's holder set and
+// sees every accepted write, so a primary-grouped read can miss nothing a
+// replicated one would find.
+func (c *Client) groupByOwner(keys []string) []ownerGroup {
 	return c.groupByRank(keys, 0)
 }
 
 // groupByRank groups each key under its rank-th holder (rank 0 is the
-// primary; higher ranks exist only with replication on).
-func (c *Client) groupByRank(keys []string, rank int) map[*clientNode][]int {
-	groups := make(map[*clientNode][]int)
+// primary; higher ranks exist only with replication on), the groups in
+// ring order. All the groups' slots share one backing array.
+func (c *Client) groupByRank(keys []string, rank int) []ownerGroup {
+	nodes := c.ringNodes()
+	buf := make([]int, 2*len(keys))
+	at, slots := buf[:len(keys)], buf[len(keys):]
 	for i, k := range keys {
-		n := c.owner(k)
-		if rank > 0 {
-			n = c.owners(k)[rank]
+		at[i] = (ownerIndex(nodes, k) + rank) % len(nodes)
+		slots[i] = i
+	}
+	slices.SortFunc(slots, func(a, b int) int {
+		if d := at[a] - at[b]; d != 0 {
+			return d
 		}
-		groups[n] = append(groups[n], i)
+		return a - b
+	})
+	groups := make([]ownerGroup, 0, min(len(keys), len(nodes)))
+	for lo := 0; lo < len(slots); {
+		hi := lo + 1
+		for hi < len(slots) && at[slots[hi]] == at[slots[lo]] {
+			hi++
+		}
+		groups = append(groups, ownerGroup{nodes[at[slots[lo]]], slots[lo:hi:hi]})
+		lo = hi
 	}
 	return groups
 }
@@ -144,7 +192,7 @@ func batchCall(ctx context.Context, n *clientNode, op dht.OpKind, want int, buil
 	return cur, body, nil
 }
 
-func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, vals []dht.Value, errs []error) {
+func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, view dht.WireView, vals []dht.Value, errs []error) {
 	cur, frame, err := batchCall(ctx, n, dht.OpGetBatch, len(slots), func(b []byte) ([]byte, error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
@@ -172,7 +220,7 @@ func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string
 				errs[i] = malformedResp(err)
 				continue
 			}
-			vals[i], errs[i] = decodeTaggedValue(tv)
+			vals[i], errs[i] = decodeTagged(tv, view)
 		case statusNotFound:
 			errs[i] = dht.ErrNotFound
 		default:

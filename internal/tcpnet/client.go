@@ -384,12 +384,18 @@ func (c *Client) Close() error {
 // from hash(key).
 func (c *Client) owner(key string) *clientNode {
 	nodes := c.ringNodes()
+	return nodes[ownerIndex(nodes, key)]
+}
+
+// ownerIndex is the position in nodes, a ring in id order, of the node
+// responsible for key.
+func ownerIndex(nodes []*clientNode, key string) int {
 	h := hashring.HashKey(key)
 	i := sort.Search(len(nodes), func(i int) bool { return nodes[i].id >= h })
 	if i == len(nodes) {
 		i = 0
 	}
-	return nodes[i]
+	return i
 }
 
 // MaxInFlight reports the highest number of requests any single

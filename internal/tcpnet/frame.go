@@ -297,7 +297,8 @@ func decodeTaggedValue(tv []byte) (dht.Value, error) { return decodeTagged(tv, d
 
 // decodeTagged is decodeTaggedValue with the tagWire decoder passed in:
 // dht.DecodeWire for a value that must be whole, dht.DecodeProbe for the
-// reply to a hinted get, which the server may have projected.
+// reply to a hinted get, which the server may have projected, the
+// caller's dht.WireView for a slot of a viewed multi-get.
 func decodeTagged(tv []byte, wire func(kind byte, data []byte) (dht.Value, error)) (dht.Value, error) {
 	if len(tv) == 0 {
 		return nil, fmt.Errorf("tcpnet: empty wire value")

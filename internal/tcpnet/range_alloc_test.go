@@ -1,0 +1,28 @@
+//go:build !race
+
+package tcpnet
+
+import "testing"
+
+// TestWireRangeAllocationCeiling pins what BenchmarkWireRange measures, a
+// 12-leaf range over three loopback servers, which share the process and
+// whose allocations count too: 97 when this was written. Eight of the
+// twelve leaves come from a sweep's multi-get, as runs, and cost two
+// allocations each, the run and its bytes, where a decoded bucket costs
+// three (the bucket, its copy of the frame, its record slice); so a
+// per-bucket record slice, or any other per-leaf allocation, coming back
+// breaks the ceiling. (Not under the race detector, whose sync.Pool drops
+// buffers.)
+func TestWireRangeAllocationCeiling(t *testing.T) {
+	ix, _ := wireRangeIndex(t)
+	query := func() {
+		if recs, _, err := ix.Range(wireRangeLo, wireRangeHi); err != nil || len(recs) != 864 {
+			t.Fatalf("Range = %d records, %v", len(recs), err)
+		}
+	}
+	query() // dial, fill the frame pools
+	const ceiling = 102
+	if n := testing.AllocsPerRun(200, query); n > ceiling {
+		t.Errorf("a 12-leaf range over the wire: %v allocations, want at most %d", n, ceiling)
+	}
+}

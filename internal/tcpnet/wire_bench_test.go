@@ -9,10 +9,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"lht/internal/bitlabel"
 	"lht/internal/dht"
 	ilht "lht/internal/lht"
+	"lht/internal/record"
 )
 
 // BenchmarkFrameEncode measures pure codec cost: building a put frame
@@ -74,7 +77,7 @@ func benchCluster(b *testing.B) *Client {
 	return c
 }
 
-func startBenchServers(b *testing.B, n int) []string {
+func startBenchServers(b testing.TB, n int) []string {
 	b.Helper()
 	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -278,4 +281,99 @@ func BenchmarkWireGetBatch(b *testing.B) {
 			}
 		}
 	}
+}
+
+// byteDialer dials cluster members by fixed names, so that every run
+// places every key alike, and counts the bytes its connections carry,
+// both ways.
+type byteDialer struct {
+	addrs map[string]string
+	n     atomic.Int64
+}
+
+func (d *byteDialer) DialContext(ctx context.Context, network, name string) (net.Conn, error) {
+	conn, err := (&net.Dialer{}).DialContext(ctx, network, d.addrs[name])
+	if err != nil {
+		return nil, err
+	}
+	return &byteConn{Conn: conn, n: &d.n}, nil
+}
+
+type byteConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c *byteConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (c *byteConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// Bounds of the range the range benchmark and its allocation ceiling
+// query: both edge leaves are cut, the ten between are swept whole.
+const wireRangeLo, wireRangeHi = 0.14, 0.86
+
+// wireRangeIndex stores a complete 16-leaf tree of 75 x 64 B buckets on
+// three fresh servers and returns an index over a client of theirs, with
+// the counter of that client's wire bytes. [wireRangeLo, wireRangeHi) has
+// the shape of a range-scan op of the end-to-end ledger: an LCA probe,
+// two entered children, and 12 leaves, most of them from a sweep's
+// multi-get.
+func wireRangeIndex(tb testing.TB) (*ilht.Index, *atomic.Int64) {
+	tb.Helper()
+	names := []string{"range-node-0", "range-node-1", "range-node-2"}
+	dialer := &byteDialer{addrs: make(map[string]string)}
+	for i, addr := range startBenchServers(tb, len(names)) {
+		dialer.addrs[names[i]] = addr
+	}
+	ctx := context.Background()
+	c, err := Dial(ctx, ClusterConfig{Seeds: names, PoolSize: 1, Dialer: dialer})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = c.Close() })
+	for leaf := 0; leaf < 16; leaf++ {
+		b := &ilht.Bucket{Label: bitlabel.MustParse(fmt.Sprintf("#0%04b", leaf)), Epoch: 1}
+		for i := 0; i < 75; i++ {
+			b.Records = append(b.Records, record.Record{Key: (float64(leaf) + float64(i)/75) / 16, Value: bytes.Repeat([]byte{byte(i)}, 64)})
+		}
+		if err := c.Put(ctx, b.Label.Name().Key(), b); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ix, err := ilht.New(c, ilht.Config{SplitThreshold: 100, MergeThreshold: 50, Depth: 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		tb.Fatal(err)
+	}
+	return ix, &dialer.n
+}
+
+// BenchmarkWireRange is a range query over 12 of 16 leaves on three
+// loopback servers, through the index: run with -benchmem for what a
+// range costs the client in allocations (servers share the process; they
+// add a handful a request). wire-B/op is request plus reply bytes, so
+// B/op over wire-B/op is the ledger's alloc-bytes-per-wire-byte ratio.
+func BenchmarkWireRange(b *testing.B) {
+	ix, wire := wireRangeIndex(b)
+	b.ReportAllocs()
+	before := wire.Load()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, _, err := ix.Range(wireRangeLo, wireRangeHi)
+		if err != nil || len(recs) != 864 {
+			b.Fatalf("Range = %d records, %v", len(recs), err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(wire.Load()-before)/float64(b.N), "wire-B/op")
 }
