@@ -43,7 +43,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	lht.RegisterGobTypes()
-	client, err := tcpnet.DialContext(context.Background(), strings.Split(*nodes, ","))
+	client, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: strings.Split(*nodes, ",")})
 	if err != nil {
 		return err
 	}

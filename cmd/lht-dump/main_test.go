@@ -25,7 +25,7 @@ func startClusterWithData(t *testing.T) string {
 	}
 	nodes := strings.Join(addrs, ",")
 	lht.RegisterGobTypes()
-	client, err := tcpnet.DialContext(context.Background(), addrs)
+	client, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}

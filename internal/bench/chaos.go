@@ -168,27 +168,23 @@ func chaosSchedule(o Options, keys []float64, scenario, rep int) []float64 {
 // times the concurrent query phase.
 func measureChaosCell(o Options, size, scenario int, plane bool) (chaosCell, error) {
 	var cell chaosCell
-	cl, err := startWireCluster(4, nil)
+	cl, err := startWireCluster(4, nil, nil)
 	if err != nil {
 		return cell, err
 	}
 	defer cl.close()
 
 	chaos := netchaos.New(o.Seed + int64(scenario))
-	copts := []tcpnet.Option{
-		tcpnet.WithDialer(chaos),
-		tcpnet.WithReplicas(3),
-		tcpnet.WithCounters(o.Agg),
-	}
+	ccfg := tcpnet.ClusterConfig{Seeds: cl.addrs, Dialer: chaos, Replicas: 3, Counters: o.Agg}
 	if plane {
-		copts = append(copts, tcpnet.WithHealth(dht.BreakerConfig{
+		ccfg.Health = &dht.BreakerConfig{
 			Threshold:   3,
 			Cooldown:    50 * time.Millisecond,
 			MaxCooldown: 250 * time.Millisecond,
 			Seed:        o.Seed,
-		}))
+		}
 	}
-	c, err := tcpnet.DialContext(context.Background(), cl.addrs, copts...)
+	c, err := tcpnet.Dial(context.Background(), ccfg)
 	if err != nil {
 		return cell, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -162,15 +161,14 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 
 	// Boot the servers with the membership plane on. Gossip is driven
 	// explicitly (Tick, not Run) so the cell controls its own clock.
-	srvs, mems, addrs, err := bootHealCluster(o, healNodes)
+	cl, err := startWireCluster(healNodes, nil, &gossip{seed: o.Seed + 1})
 	if err != nil {
 		return cell, err
 	}
-	defer func() {
-		for _, s := range srvs {
-			_ = s.Close()
-		}
-	}()
+	defer cl.close()
+	// srvs and mems alias the cluster's slices: the server that rejoins
+	// below replaces the victim in them, and is closed with the rest.
+	srvs, mems, addrs := cl.servers, cl.members, cl.addrs
 
 	c, err := tcpnet.Dial(ctx, tcpnet.ClusterConfig{
 		Seeds:    addrs,
@@ -238,11 +236,11 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 	if scenario == 1 {
 		// Rejoin: the node returns EMPTY at its old address, with a fresh
 		// incarnation-0 membership that must refute its own death.
-		fresh, err := resurrectEmpty(addrs[victim], addrs, o.Seed+91)
+		fresh, err := startWireCluster(1, []string{addrs[victim]}, &gossip{seeds: addrs, seed: o.Seed + 91})
 		if err != nil {
 			return cell, err
 		}
-		srvs[victim], mems[victim] = fresh.srv, fresh.mem
+		srvs[victim], mems[victim] = fresh.servers[0], fresh.members[0]
 	}
 
 	if healing {
@@ -269,61 +267,6 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 	}
 	cell.coverage = cov
 	return cell, nil
-}
-
-// bootHealCluster boots n membership-enabled servers, each seeded with
-// the full member list and a deterministic per-node gossip seed.
-func bootHealCluster(o Options, n int) ([]*tcpnet.Server, []*tcpnet.Membership, []string, error) {
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:i] {
-				_ = l.Close()
-			}
-			return nil, nil, nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	srvs := make([]*tcpnet.Server, n)
-	mems := make([]*tcpnet.Membership, n)
-	for i := range srvs {
-		srvs[i] = tcpnet.NewServer()
-		mems[i] = srvs[i].EnableMembership(tcpnet.MembershipConfig{
-			Self: addrs[i], Seeds: addrs, Seed: o.Seed + int64(i+1),
-		})
-		go func(s *tcpnet.Server, ln net.Listener) { _ = s.Serve(ln) }(srvs[i], lns[i])
-	}
-	return srvs, mems, addrs, nil
-}
-
-// resurrected bundles a rebound server with its membership handle.
-type resurrected struct {
-	srv *tcpnet.Server
-	mem *tcpnet.Membership
-}
-
-// resurrectEmpty rebinds addr with a brand-new empty server, retrying
-// briefly while the dead listener's socket winds down.
-func resurrectEmpty(addr string, seeds []string, seed int64) (resurrected, error) {
-	var ln net.Listener
-	var err error
-	for try := 0; try < 200; try++ {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		return resurrected{}, fmt.Errorf("rebind %s: %w", addr, err)
-	}
-	srv := tcpnet.NewServer()
-	mem := srv.EnableMembership(tcpnet.MembershipConfig{Self: addr, Seeds: seeds, Seed: seed})
-	go func() { _ = srv.Serve(ln) }()
-	return resurrected{srv: srv, mem: mem}, nil
 }
 
 // healRecover runs the self-healing arm's recovery protocol: drive

@@ -30,15 +30,12 @@ func TestMembershipChurnSoak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	srvs, mems, addrs, err := bootHealCluster(o, healNodes)
+	cl, err := startWireCluster(healNodes, nil, &gossip{seed: o.Seed + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, s := range srvs {
-			_ = s.Close()
-		}
-	}()
+	defer cl.close()
+	mems, addrs := cl.members, cl.addrs
 	for _, m := range mems {
 		go m.Run(ctx, 20*time.Millisecond)
 	}

@@ -48,7 +48,7 @@ const (
 // model. The plane-on arm enables every load mechanism this ablation
 // studies — rate-triggered splitting (Config.HotSplitRate), read
 // coalescing (Config.CoalesceGets) and replica read spreading
-// (tcpnet.WithReplicas) — and the plane-off arm none, on otherwise
+// (tcpnet.ClusterConfig.Replicas) — and the plane-off arm none, on otherwise
 // identical clusters.
 //
 // Two results: the timed p50/p99 per op class (latency, machine-speed
@@ -152,16 +152,16 @@ func hotSchedule(o Options, keys []float64, s float64, n int, rep int64) ([]hotO
 // the concurrent skewed phase.
 func measureHotCell(o Options, size int, s float64, plane bool) (hotCell, error) {
 	var cell hotCell
-	cl, err := startWireCluster(4, nil)
+	cl, err := startWireCluster(4, nil, nil)
 	if err != nil {
 		return cell, err
 	}
 	defer cl.close()
-	var copts []tcpnet.Option
+	ccfg := tcpnet.ClusterConfig{Seeds: cl.addrs}
 	if plane {
-		copts = append(copts, tcpnet.WithReplicas(2), tcpnet.WithCounters(o.Agg))
+		ccfg.Replicas, ccfg.Counters = 2, o.Agg
 	}
-	c, err := tcpnet.DialContext(context.Background(), cl.addrs, copts...)
+	c, err := tcpnet.Dial(context.Background(), ccfg)
 	if err != nil {
 		return cell, err
 	}

@@ -21,38 +21,59 @@ import (
 // experiments.
 type wireCluster struct {
 	servers []*tcpnet.Server
+	members []*tcpnet.Membership // nil unless booted with gossip
 	addrs   []string
 }
 
-// startWireCluster boots n servers. When want is non-empty the servers
-// bind exactly those addresses, retrying briefly while the previous
-// owner's socket winds down: consistent hashing — and with it the
-// per-node batch grouping the servers count — is a function of the
-// addresses, so rebinding them keeps sequential clusters comparable.
-func startWireCluster(n int, want []string) (*wireCluster, error) {
+// gossip turns the membership plane on for a cluster's servers. Server i
+// draws its gossip peers from seed+i; seeds is the member list each starts
+// from, the cluster's own addresses when nil.
+type gossip struct {
+	seeds []string
+	seed  int64
+}
+
+// startWireCluster boots n empty servers on free loopback ports, or, when
+// want is non-empty, on exactly those addresses, retrying briefly while a
+// previous owner's socket winds down (a node that rejoins must come back
+// where consistent hashing put it). Every listener is open before the
+// first server starts, so with g set each server knows the whole member
+// list from its first gossip round.
+func startWireCluster(n int, want []string, g *gossip) (*wireCluster, error) {
 	cl := &wireCluster{}
+	lns := make([]net.Listener, 0, n)
 	for i := 0; i < n; i++ {
-		var ln net.Listener
-		var err error
+		addr := "127.0.0.1:0"
 		if len(want) > 0 {
-			for try := 0; try < 200; try++ {
-				ln, err = net.Listen("tcp", want[i])
-				if err == nil {
-					break
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		} else {
-			ln, err = net.Listen("tcp", "127.0.0.1:0")
+			addr = want[i]
+		}
+		ln, err := net.Listen("tcp", addr)
+		for try := 1; err != nil && try < 200; try++ {
+			time.Sleep(5 * time.Millisecond)
+			ln, err = net.Listen("tcp", addr)
 		}
 		if err != nil {
-			cl.close()
+			for _, l := range lns {
+				_ = l.Close()
+			}
 			return nil, fmt.Errorf("bench: wire cluster listen: %w", err)
 		}
+		lns = append(lns, ln)
+		cl.addrs = append(cl.addrs, ln.Addr().String())
+	}
+	for i, ln := range lns {
 		srv := tcpnet.NewServer()
+		if g != nil {
+			seeds := g.seeds
+			if seeds == nil {
+				seeds = cl.addrs
+			}
+			cl.members = append(cl.members, srv.EnableMembership(tcpnet.MembershipConfig{
+				Self: cl.addrs[i], Seeds: seeds, Seed: g.seed + int64(i),
+			}))
+		}
 		go func() { _ = srv.Serve(ln) }()
 		cl.servers = append(cl.servers, srv)
-		cl.addrs = append(cl.addrs, ln.Addr().String())
 	}
 	return cl, nil
 }
@@ -133,12 +154,12 @@ func measureWire(o Options, valSize int) (wireStats, error) {
 
 	// Point ops against a single node: one server isolates codec cost from
 	// key placement.
-	cl, err := startWireCluster(1, nil)
+	cl, err := startWireCluster(1, nil, nil)
 	if err != nil {
 		return st, err
 	}
 	defer cl.close()
-	c, err := tcpnet.DialContext(context.Background(), cl.addrs)
+	c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: cl.addrs})
 	if err != nil {
 		return st, err
 	}
@@ -245,12 +266,12 @@ func loadOnce(kvs []dht.KV) (float64, error) {
 		loadBatch   = 64
 		loadWorkers = 4
 	)
-	cl, err := startWireCluster(3, nil)
+	cl, err := startWireCluster(3, nil, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer cl.close()
-	c, err := tcpnet.DialContext(context.Background(), cl.addrs)
+	c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: cl.addrs})
 	if err != nil {
 		return 0, err
 	}
@@ -478,12 +499,12 @@ func runSweepCell(o Options, substrate string, batch, valSize int, cache bool, c
 	case "local":
 		d = dht.NewLocal()
 	case "tcpnet":
-		cl, err := startWireCluster(3, nil)
+		cl, err := startWireCluster(3, nil, nil)
 		if err != nil {
 			return sweepCell{}, err
 		}
 		defer cl.close()
-		c, err := tcpnet.DialContext(context.Background(), cl.addrs)
+		c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: cl.addrs})
 		if err != nil {
 			return sweepCell{}, err
 		}

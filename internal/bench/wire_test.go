@@ -18,6 +18,14 @@ func TestRunWireAblation(t *testing.T) {
 		t.Fatalf("series counts = %d/%d/%d", len(allocs.Series), len(thru.Series), len(tail.Series))
 	}
 	limits := map[string]float64{"binary Get": 2, "binary Put": 3}
+	// measureOp divides a process-wide Mallocs delta — the in-process
+	// servers, the runtime and a GC cycle that empties the frame-buffer
+	// pool are all in it — by the 60 ops of a rep, so one stray allocation
+	// reads as +0.017 over an integer limit (2.008–2.025 and 3.017 were
+	// seen, about 3 runs in 20). A tenth of an allocation per op absorbs
+	// six of them; the regression this test exists for is one more
+	// allocation on every round trip, +1.0.
+	const strays = 0.1
 	for _, s := range allocs.Series {
 		if len(s.Points) != len(wireValueSizes) {
 			t.Fatalf("series %q has %d points, want %d", s.Name, len(s.Points), len(wireValueSizes))
@@ -29,7 +37,7 @@ func TestRunWireAblation(t *testing.T) {
 		for _, p := range s.Points {
 			// Under the race detector sync.Pool drops a share of its puts,
 			// so the frame buffers it recycles are allocated afresh.
-			if p.Y > limit && !raceEnabled {
+			if p.Y > limit+strays && !raceEnabled {
 				t.Errorf("%s at %g B: %g allocs/op, want at most %g", s.Name, p.X, p.Y, limit)
 			}
 		}

@@ -80,8 +80,7 @@ type BatchViewer interface {
 // DoGetBatchView fetches keys through d's native GetBatchView when d
 // implements BatchViewer, and otherwise through DoGetBatch, which returns
 // whole values: the caller tells a viewed slot from a whole one by the
-// type that comes back, as with a probe. A wrapper that does not know the
-// capability therefore stays correct and merely decodes more.
+// type that comes back, as with a probe.
 func DoGetBatchView(ctx context.Context, d DHT, keys []string, view WireView) ([]Value, []error) {
 	if b, ok := d.(BatchViewer); ok && view != nil {
 		return b.GetBatchView(ctx, keys, view)
@@ -102,33 +101,20 @@ func DoPutBatch(ctx context.Context, d DHT, kvs []KV) []error {
 	return errs
 }
 
-// withoutBatch hides a substrate's Batcher implementation: only the five
-// DHT methods promote through the embedded interface, so DoGetBatch /
-// DoPutBatch fall back to per-op calls. The conditional plane is passed
-// through untouched — the wrapper strips batching, not CAS; without the
-// pass-through the A6 ablation arms would diverge in lookups (the per-op
-// arm's conditional puts would degrade to fetch-verify emulation).
-type withoutBatch struct{ DHT }
-
-func (w withoutBatch) PutIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
-	return DoPutIf(ctx, w.DHT, key, v, ifEpoch)
-}
-
-func (w withoutBatch) CreateIf(ctx context.Context, key string, v Value) error {
-	return DoCreateIf(ctx, w.DHT, key, v)
-}
-
-func (w withoutBatch) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
-	return DoRemoveIf(ctx, w.DHT, key, ifEpoch)
-}
-
-func (w withoutBatch) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
-	return DoWriteIf(ctx, w.DHT, key, v, ifEpoch)
-}
+// withoutBatch hides a substrate's batch planes (GetBatch, PutBatch,
+// GetBatchView): it has the per-key methods only, so DoGetBatch /
+// DoPutBatch fall back to per-op calls. Every per-key plane is passed
+// through untouched — the wrapper strips batching, not CAS, probes or
+// patches. Without the pass-through the arms of the A6 ablation would
+// differ in more than batching: the per-op arm's conditional puts would
+// degrade to fetch-verify emulation (more lookups), and over tcpnet its
+// lookups and writes would ship whole values where the batched arm's
+// ship records.
+type withoutBatch struct{ perKey }
 
 // WithoutBatch returns d stripped of its batched-operation plane, forcing
 // every batch through the per-op fallback. Benchmarks use it as the
 // baseline arm when measuring round trips saved by native batching (the
 // A6 ablation); it is also a way to disable batching for a substrate that
 // misbehaves under it.
-func WithoutBatch(d DHT) DHT { return withoutBatch{d} }
+func WithoutBatch(d DHT) DHT { return withoutBatch{perKey{forwardTo{d}}} }

@@ -3,6 +3,8 @@ package dht
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,12 +15,52 @@ import (
 // records each PatchIf and answers with the next of its scripted errors,
 // or (nil, or the script run out) with the patch; and it counts the
 // multi-gets that arrive with a view, which it runs on each stored string
-// as a wire would on a value's bytes.
+// as a wire would on a value's bytes. It counts the batches and the
+// conditional writes it serves too, so it knows of every optional per-key
+// and batch plane whether a call reached it natively.
 type patchLog struct {
 	*hintLog
 	patches []string // one per PatchIf: the patch bytes
 	script  []error
 	views   int // GetBatchView calls
+	batches int // GetBatch and PutBatch calls
+	cas     int // PutIf, CreateIf, RemoveIf and WriteIf calls
+}
+
+func (p *patchLog) count(n *int) {
+	p.mu.Lock()
+	*n++
+	p.mu.Unlock()
+}
+
+func (p *patchLog) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
+	p.count(&p.batches)
+	return p.Local.GetBatch(ctx, keys)
+}
+
+func (p *patchLog) PutBatch(ctx context.Context, kvs []KV) []error {
+	p.count(&p.batches)
+	return p.Local.PutBatch(ctx, kvs)
+}
+
+func (p *patchLog) PutIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
+	p.count(&p.cas)
+	return p.Local.PutIf(ctx, key, v, ifEpoch)
+}
+
+func (p *patchLog) CreateIf(ctx context.Context, key string, v Value) error {
+	p.count(&p.cas)
+	return p.Local.CreateIf(ctx, key, v)
+}
+
+func (p *patchLog) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
+	p.count(&p.cas)
+	return p.Local.RemoveIf(ctx, key, ifEpoch)
+}
+
+func (p *patchLog) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
+	p.count(&p.cas)
+	return p.Local.WriteIf(ctx, key, v, ifEpoch)
 }
 
 func (p *patchLog) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
@@ -67,88 +109,236 @@ func newPatchLog(t *testing.T, script ...error) *patchLog {
 	return &patchLog{hintLog: newHintLog(t), script: script}
 }
 
-// TestCapabilityForwarding is the table of which optional read and write
-// capabilities survive which wrapper: a probe's hint and a patch reach a
-// substrate that has them through every layer but the coalescer, which
-// turns the one into a whole Get and refuses the other, on purpose (its
-// flights are shared, so it reads whole values, so its writers hold whole
-// values). Over a substrate with neither, every layer answers a probe
-// with a Get and refuses a patch, as the bare substrate does. A wrapper
-// that drops a capability silently fails here.
+// bare hides every optional plane of a substrate: only the five DHT
+// methods promote through the embedded interface.
+type bare struct{ DHT }
+
+// capabilities is every optional plane a wrapper can stand between an
+// index and a substrate on. use drives the plane through d by its Do*
+// helper and reports an answer that is neither the native one (native)
+// nor the helper's fallback (!native); served is how many of the plane's
+// methods sub served itself, out of how many the plane has.
+var capabilities = []struct {
+	name   string
+	use    func(ctx context.Context, d DHT, native bool) error
+	served func(sub *patchLog) (got, of int)
+}{
+	{"Batcher", func(ctx context.Context, d DHT, _ bool) error {
+		vals, errs := DoGetBatch(ctx, d, []string{"k", "absent"})
+		if len(vals) != 2 || vals[0] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
+			return fmt.Errorf("DoGetBatch = %v, %v", vals, errs)
+		}
+		if errs := DoPutBatch(ctx, d, []KV{{Key: "b", Val: "w"}}); len(errs) != 1 || errs[0] != nil {
+			return fmt.Errorf("DoPutBatch = %v", errs)
+		}
+		return nil
+	}, func(sub *patchLog) (int, int) { return sub.batches, 2 }},
+
+	{"BatchViewer", func(ctx context.Context, d DHT, native bool) error {
+		want := map[bool]Value{true: "viewed:v", false: "v"}[native]
+		vals, errs := DoGetBatchView(ctx, d, []string{"k", "absent"}, testView)
+		if len(vals) != 2 || vals[0] != want || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
+			return fmt.Errorf("DoGetBatchView = %v, %v, want %v", vals, errs, want)
+		}
+		return nil
+	}, func(sub *patchLog) (int, int) { return sub.views, 1 }},
+
+	{"Conditional", func(ctx context.Context, d DHT, _ bool) error {
+		if err := DoCreateIf(ctx, d, "c", "1"); err != nil {
+			return fmt.Errorf("DoCreateIf = %v", err)
+		}
+		if err := DoPutIf(ctx, d, "c", "2", 0); err != nil {
+			return fmt.Errorf("DoPutIf = %v", err)
+		}
+		if err := DoWriteIf(ctx, d, "c", "3", 0); err != nil {
+			return fmt.Errorf("DoWriteIf = %v", err)
+		}
+		if err := DoRemoveIf(ctx, d, "c", 0); err != nil {
+			return fmt.Errorf("DoRemoveIf = %v", err)
+		}
+		if _, err := d.Get(ctx, "c"); !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("Get after the conditional writes = %v, want the key removed", err)
+		}
+		return nil
+	}, func(sub *patchLog) (int, int) { return sub.cas, 4 }},
+
+	{"Prober", func(ctx context.Context, d DHT, _ bool) error {
+		if v, err := DoProbe(ctx, d, "k", 7); err != nil || v != "v" {
+			return fmt.Errorf("DoProbe = %v, %v", v, err)
+		}
+		return nil
+	}, func(sub *patchLog) (int, int) {
+		hints, _ := sub.seen()
+		for _, h := range hints {
+			if h != 7 {
+				return -1, 1 // a probe arrived without its hint
+			}
+		}
+		return len(hints), 1
+	}},
+
+	{"Patcher", func(ctx context.Context, d DHT, native bool) error {
+		v, err := DoPatchIf(ctx, d, "k", []byte("p"), 3)
+		if native && (err != nil || v != "patched:p") || !native && (!errors.Is(err, ErrPatchRefused) || v != nil) {
+			return fmt.Errorf("DoPatchIf = %v, %v", v, err)
+		}
+		return nil
+	}, func(sub *patchLog) (int, int) { return len(sub.patches), 1 }},
+}
+
+// refusals is every cell of the conformance table in which a layer keeps
+// a plane from a substrate that has it, and why. Nothing else may.
+var refusals = map[string]string{
+	"coalescer/Prober":         "a flight is shared by callers whose hints differ, so a probe is a whole Get",
+	"coalescer/Patcher":        "a writer above it reads whole values, so it writes whole values",
+	"withoutBatch/Batcher":     "stripping the batch planes is what it is for",
+	"withoutBatch/BatchViewer": "stripping the batch planes is what it is for",
+}
+
+// layered is one row of the conformance table: a wrapper, or a stack of
+// them, and the names of the layers in it.
+type layered struct {
+	name   string
+	layers []string
+	wrap   func(DHT) DHT
+}
+
+// conformanceRows lists every wrapper in this package alone, and every
+// stack dht.Stack can build (hedging, coalescing and retries each on and
+// off), named inside out as policy(instrumented(coalescer(hedger))).
+func conformanceRows(c *metrics.Counters) []layered {
+	single := func(name string, wrap func(DHT) DHT) layered { return layered{name, []string{name}, wrap} }
+	rows := []layered{
+		single("Instrumented", func(d DHT) DHT { return NewInstrumented(d, c) }),
+		single("PolicyDHT", func(d DHT) DHT { return WithPolicy(d, Policy{Counters: c}) }),
+		single("hedger", func(d DHT) DHT { return WithHedging(d, time.Minute, c) }),
+		single("coalescer", func(d DHT) DHT { return WithCoalescing(d, c) }),
+		single("CrashPoints", func(d DHT) DHT { return WithCrashPoints(d) }),
+		single("withoutBatch", WithoutBatch),
+		{"policy(instrumented(crashpoints))", []string{"PolicyDHT", "Instrumented", "CrashPoints"}, func(d DHT) DHT {
+			return Stack(WithCrashPoints(d), c, 0, false, nil, &Policy{})
+		}},
+	}
+	for _, hedge := range []bool{false, true} {
+		for _, coalesce := range []bool{false, true} {
+			for _, retry := range []bool{false, true} {
+				row := layered{name: "instrumented", layers: []string{"Instrumented"}}
+				var after time.Duration
+				var policy *Policy
+				inner := ""
+				if hedge {
+					after, inner = time.Minute, "hedger" // a trigger no test outlives
+					row.layers = append(row.layers, "hedger")
+				}
+				if coalesce {
+					inner = strings.TrimSuffix("coalescer("+inner+")", "()")
+					row.layers = append(row.layers, "coalescer")
+				}
+				if inner != "" {
+					row.name += "(" + inner + ")"
+				}
+				if retry {
+					policy = &Policy{}
+					row.name = "policy(" + row.name + ")"
+					row.layers = append(row.layers, "PolicyDHT")
+				}
+				row.wrap = func(d DHT) DHT { return Stack(d, c, after, coalesce, nil, policy) }
+				rows = append(rows, row)
+			}
+		}
+	}
+	return rows
+}
+
+// TestCapabilityForwarding is the conformance table of wrapper ×
+// optional plane × substrate {has the plane, has it not}. Over a
+// substrate that has it, a call on the plane reaches the substrate's own
+// method — the hint, the patch and the view with it — through every
+// wrapper and every stack dht.Stack builds, except in the cells refusals
+// names, where it is answered as over a substrate without the plane. Over
+// a substrate without it every wrapper answers as the bare substrate
+// does: by the Do* helper's fallback.
 //
-// A multi-get's view reaches a viewing substrate through Instrumented,
-// PolicyDHT and CrashPoints. The hedger and the coalescer pass a
-// substrate's Batcher through as it is and know nothing of views, so
-// through either a viewed multi-get arrives as a plain GetBatch and comes
-// back whole, as it does from every layer over a substrate that only
-// batches.
+// A wrapper added to conformanceRows that drops a plane fails here, and
+// so does a refusal nobody listed.
 func TestCapabilityForwarding(t *testing.T) {
 	ctx := context.Background()
 	var c metrics.Counters
-	wrappers := []struct {
-		name    string
-		wrap    func(DHT) DHT
-		forward bool // Prober and Patcher
-		view    bool // BatchViewer
-	}{
-		{"Instrumented", func(d DHT) DHT { return NewInstrumented(d, &c) }, true, true},
-		{"PolicyDHT", func(d DHT) DHT { return WithPolicy(d, Policy{Counters: &c}) }, true, true},
-		{"hedger", func(d DHT) DHT { return WithHedging(d, time.Minute, &c) }, true, false},
-		{"coalescer", func(d DHT) DHT { return WithCoalescing(d, &c) }, false, false},
-		{"CrashPoints", func(d DHT) DHT { return WithCrashPoints(d) }, true, true},
-		{"policy(instrumented(crashpoints))", func(d DHT) DHT {
-			return WithPolicy(NewInstrumented(WithCrashPoints(d), &c), Policy{Counters: &c})
-		}, true, true},
-		{"policy(instrumented(hedger))", func(d DHT) DHT {
-			return WithPolicy(NewInstrumented(WithHedging(d, time.Minute, &c), &c), Policy{Counters: &c})
-		}, true, false},
-		{"policy(instrumented(coalescer(hedger)))", func(d DHT) DHT {
-			return WithPolicy(NewInstrumented(WithCoalescing(WithHedging(d, time.Minute, &c), &c), &c), Policy{Counters: &c})
-		}, false, false},
-	}
-	for _, w := range wrappers {
+	for _, w := range conformanceRows(&c) {
 		t.Run(w.name, func(t *testing.T) {
-			sub := newPatchLog(t)
-			d := w.wrap(sub)
-			if v, err := DoProbe(ctx, d, "k", 7); err != nil || v != "v" {
-				t.Fatalf("DoProbe = %v, %v", v, err)
-			}
-			hints, gets := sub.seen()
-			if w.forward && (len(hints) != 1 || hints[0] != 7 || gets != 0) {
-				t.Errorf("the probe reached the substrate as hints %v and %d gets, want the hint", hints, gets)
-			}
-			if !w.forward && (len(hints) != 0 || gets != 1) {
-				t.Errorf("the probe reached the substrate as hints %v and %d gets, want a plain get", hints, gets)
-			}
-			v, err := DoPatchIf(ctx, d, "k", []byte("p"), 3)
-			if w.forward && (err != nil || v != "patched:p" || len(sub.patches) != 1) {
-				t.Errorf("DoPatchIf = %v, %v after %d patches at the substrate, want it applied there", v, err, len(sub.patches))
-			}
-			if !w.forward && (!errors.Is(err, ErrPatchRefused) || len(sub.patches) != 0) {
-				t.Errorf("DoPatchIf = %v, %v after %d patches at the substrate, want a refusal above it", v, err, len(sub.patches))
-			}
-			keys := []string{"k", "absent"}
-			vals, errs := DoGetBatchView(ctx, d, keys, testView)
-			want := map[bool]Value{true: "viewed:v", false: "v"}[w.view]
-			if len(vals) != 2 || vals[0] != want || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) || (sub.views == 1) != w.view {
-				t.Errorf("DoGetBatchView = %v, %v after %d viewed batches at the substrate, want %v from a viewed batch: %v", vals, errs, sub.views, want, w.view)
-			}
-			if vals, errs := DoGetBatch(ctx, d, keys); vals[0] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) || (sub.views == 1) != w.view {
-				t.Errorf("DoGetBatch = %v, %v after %d viewed batches at the substrate, want whole values and no view", vals, errs, sub.views)
-			}
+			for _, cp := range capabilities {
+				refused := ""
+				for _, l := range w.layers {
+					if why := refusals[l+"/"+cp.name]; why != "" {
+						refused = l + ": " + why
+					}
+				}
+				sub := newPatchLog(t)
+				if err := cp.use(ctx, w.wrap(sub), refused == ""); err != nil {
+					t.Errorf("%s over a substrate that has it: %v", cp.name, err)
+				}
+				got, of := cp.served(sub)
+				if refused == "" && got != of {
+					t.Errorf("%s: the substrate served %d of the plane's %d methods itself, want all: the wrapper drops the capability", cp.name, got, of)
+				}
+				if refused != "" && got != 0 {
+					t.Errorf("%s: the substrate served %d of the plane's methods itself, want none (%s)", cp.name, got, refused)
+				}
 
-			// Over a substrate with none of the capabilities.
-			plain := w.wrap(newHintLog(t).Local)
-			if v, err := DoProbe(ctx, plain, "k", 7); err != nil || v != "v" {
-				t.Errorf("DoProbe over a plain substrate = %v, %v", v, err)
-			}
-			if v, err := DoPatchIf(ctx, plain, "k", []byte("p"), 3); !errors.Is(err, ErrPatchRefused) || v != nil {
-				t.Errorf("DoPatchIf over a plain substrate = %v, %v, want a refusal", v, err)
-			}
-			if vals, errs := DoGetBatchView(ctx, plain, keys, testView); vals[0] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
-				t.Errorf("DoGetBatchView over a plain substrate = %v, %v, want whole values", vals, errs)
+				sub = newPatchLog(t)
+				if err := cp.use(ctx, w.wrap(bare{sub}), false); err != nil {
+					t.Errorf("%s over a substrate without it: %v", cp.name, err)
+				}
+				if got, _ := cp.served(sub); got != 0 {
+					t.Errorf("%s: %d calls reached a plane the substrate does not expose", cp.name, got)
+				}
 			}
 		})
+	}
+}
+
+// chargedThrough pins what the conformance table cannot see: Instrumented
+// prices an emulated plane by what the substrate under layer lacks, not
+// by layer's method set. Over a substrate that does not batch, a batch
+// decomposes into the instrumented layer's own charged per-op calls (n
+// lookups, no BatchOps); over one with no CAS, a conditional write is a
+// CASFallback and its fetch and its write are both charged — in each case
+// exactly as with no layer in between.
+func chargedThrough(t *testing.T, layer func(DHT) DHT) {
+	t.Helper()
+	ctx := context.Background()
+	charge := func(sub DHT, wrap func(DHT) DHT) metrics.Snapshot {
+		var c metrics.Counters
+		d := NewInstrumented(wrap(sub), &c)
+		if errs := DoPutBatch(ctx, d, []KV{{Key: "a", Val: "1"}, {Key: "b", Val: "2"}}); errs[0] != nil || errs[1] != nil {
+			t.Fatalf("DoPutBatch: %v", errs)
+		}
+		if vals, errs := DoGetBatch(ctx, d, []string{"a", "b", "absent"}); vals[0] != "1" || vals[1] != "2" || !errors.Is(errs[2], ErrNotFound) {
+			t.Fatalf("DoGetBatch = %v, %v", vals, errs)
+		}
+		if err := DoPutIf(ctx, d, "a", "3", 0); err != nil {
+			t.Fatalf("DoPutIf: %v", err)
+		}
+		return c.Snapshot()
+	}
+	for _, sub := range []struct {
+		name                     string
+		new                      func() DHT
+		lookups, batchOps, falls int64
+	}{
+		{"Local", func() DHT { return NewLocal() }, 6, 2, 0},
+		{"a substrate without batches", func() DHT { return WithoutBatch(NewLocal()) }, 6, 0, 0},
+		{"a substrate with no optional plane", func() DHT { return bare{NewLocal()} }, 7, 0, 1},
+	} {
+		want := charge(sub.new(), func(d DHT) DHT { return d })
+		if want.Lookup.Total != sub.lookups || want.Batch.Ops != sub.batchOps || want.Write.CASFallbacks != sub.falls {
+			t.Fatalf("over %s: %d lookups, %d batch ops, %d CAS fallbacks, want %d, %d, %d", sub.name,
+				want.Lookup.Total, want.Batch.Ops, want.Write.CASFallbacks, sub.lookups, sub.batchOps, sub.falls)
+		}
+		if got := charge(sub.new(), layer); got.Lookup != want.Lookup || got.Batch != want.Batch || got.Write != want.Write {
+			t.Errorf("over %s the layer changes the charge: %+v %+v %+v, want %+v %+v %+v", sub.name,
+				got.Lookup, got.Batch, got.Write, want.Lookup, want.Batch, want.Write)
+		}
 	}
 }
 

@@ -43,50 +43,19 @@ type flight struct {
 // reads that joined the herd before its commit, exactly as if those
 // reads had been issued just before the insert.
 type coalescer struct {
-	inner DHT
-	c     *metrics.Counters
+	passthrough
+	c *metrics.Counters
 
 	mu       sync.Mutex
 	inflight map[string]*flight
 }
 
-// WithCoalescing wraps inner with singleflight Get coalescing. The
-// returned DHT re-exposes inner's optional Batcher and Conditional
-// capabilities unchanged (batched and conditional ops are never
-// coalesced), so capability type-assertions by upper layers see exactly
-// what they would on inner. c, when non-nil, receives CoalescedGets.
-//
-// It deliberately does not implement Prober: a flight's value is shared
-// by callers whose hints differ, so it must be whole. DoProbe therefore
-// turns a probe into a (coalesced) Get here, and nothing below this layer
-// sees a hint. Nor is it a Patcher: a writer above it reads whole values,
-// so it writes whole values, and DoPatchIf refuses here. Nor a
-// BatchViewer: a viewed multi-get reaches inner as a GetBatch and comes
-// back whole.
+// WithCoalescing wraps inner with singleflight Get coalescing. Writes,
+// conditional writes and batches reach inner as they were issued (see
+// passthrough); Probe and PatchIf do not, see below. c, when non-nil,
+// receives CoalescedGets.
 func WithCoalescing(inner DHT, c *metrics.Counters) DHT {
-	co := &coalescer{inner: inner, c: c, inflight: make(map[string]*flight)}
-	b, hasB := inner.(Batcher)
-	cd, hasC := inner.(Conditional)
-	switch {
-	case hasB && hasC:
-		return struct {
-			*coalescer
-			Batcher
-			Conditional
-		}{co, b, cd}
-	case hasB:
-		return struct {
-			*coalescer
-			Batcher
-		}{co, b}
-	case hasC:
-		return struct {
-			*coalescer
-			Conditional
-		}{co, cd}
-	default:
-		return co
-	}
+	return &coalescer{passthrough: newPassthrough(inner), c: c, inflight: make(map[string]*flight)}
 }
 
 // freshReadKey marks a context whose Gets must bypass coalescing.
@@ -146,18 +115,15 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (co *coalescer) Put(ctx context.Context, key string, v Value) error {
-	return co.inner.Put(ctx, key, v)
+// Probe overrides the base to drop the hint: a flight's value is shared
+// by callers whose hints differ, so it must be whole. A probe is a
+// (coalesced) Get here, and nothing below this layer sees a hint.
+func (co *coalescer) Probe(ctx context.Context, key string, _ uint64) (Value, error) {
+	return co.Get(ctx, key)
 }
 
-func (co *coalescer) Take(ctx context.Context, key string) (Value, error) {
-	return co.inner.Take(ctx, key)
-}
-
-func (co *coalescer) Remove(ctx context.Context, key string) error {
-	return co.inner.Remove(ctx, key)
-}
-
-func (co *coalescer) Write(ctx context.Context, key string, v Value) error {
-	return co.inner.Write(ctx, key, v)
+// PatchIf overrides the base to refuse: a writer above this layer reads
+// whole values, so it holds one and writes it whole.
+func (co *coalescer) PatchIf(context.Context, string, []byte, uint64) (Value, error) {
+	return nil, ErrPatchRefused
 }

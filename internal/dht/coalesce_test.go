@@ -115,33 +115,13 @@ func TestCoalescingFollowerOutlivesLeader(t *testing.T) {
 	}
 }
 
-// TestCoalescingPreservesCapabilities pins that the wrapper re-exposes
-// exactly the inner substrate's optional interfaces.
+// TestCoalescingPreservesCapabilities pins that the instrumented layer
+// charges batches and conditional writes through the coalescer, alone
+// and over the hedger, as it charges them without: natively where the
+// substrate underneath has the plane, decomposed where it has not.
 func TestCoalescingPreservesCapabilities(t *testing.T) {
-	full := WithCoalescing(NewLocal(), nil) // Local: Batcher + Conditional
-	if _, ok := full.(Batcher); !ok {
-		t.Error("Batcher capability lost")
-	}
-	if _, ok := full.(Conditional); !ok {
-		t.Error("Conditional capability lost")
-	}
-
-	cond := WithCoalescing(WithoutBatch(NewLocal()), nil) // Conditional only
-	if _, ok := cond.(Batcher); ok {
-		t.Error("Batcher capability invented")
-	}
-	if _, ok := cond.(Conditional); !ok {
-		t.Error("Conditional capability lost")
-	}
-
-	// Conditional ops still work through the wrapper.
-	ctx := context.Background()
-	if err := DoCreateIf(ctx, full, "c", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := DoCreateIf(ctx, full, "c", 2); err == nil {
-		t.Fatal("CreateIf on existing key succeeded")
-	}
+	chargedThrough(t, func(d DHT) DHT { return WithCoalescing(d, nil) })
+	chargedThrough(t, func(d DHT) DHT { return WithCoalescing(WithHedging(d, time.Minute, nil), nil) })
 }
 
 // TestCoalescingFreshReadBypass pins the CAS-retry escape hatch: a Get

@@ -136,6 +136,21 @@ func DoWriteIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) 
 // capability wrappers can route them through their own charged per-op
 // methods without recursing.
 
+// emulate performs the conditional write c on d by fetch-verify-write.
+func (c call) emulate(ctx context.Context, d DHT) error {
+	switch c.prim {
+	case primPutIf:
+		return fallbackPutIf(ctx, d, c.key, c.val, c.epoch)
+	case primCreateIf:
+		return fallbackCreateIf(ctx, d, c.key, c.val)
+	case primRemoveIf:
+		return fallbackRemoveIf(ctx, d, c.key, c.epoch)
+	case primWriteIf:
+		return fallbackWriteIf(ctx, d, c.key, c.val, c.epoch)
+	}
+	panic("dht: not a conditional primitive")
+}
+
 func fallbackPutIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) error {
 	cur, err := d.Get(ctx, key)
 	if errors.Is(err, ErrNotFound) {

@@ -170,8 +170,9 @@ type CrashRule struct {
 // schedule over a substrate that has them exercises the path production
 // takes.
 type CrashPoints struct {
-	inner DHT
-	rules []CrashRule
+	perKey // every per-key primitive is scheduled by do
+	inner  DHT
+	rules  []CrashRule
 
 	mu      sync.Mutex
 	matches []int // per-rule match counts
@@ -190,7 +191,9 @@ var (
 // WithCrashPoints wraps d with the given schedule. Rules are evaluated in
 // order; the first firing rule decides the outcome.
 func WithCrashPoints(d DHT, rules ...CrashRule) *CrashPoints {
-	return &CrashPoints{inner: d, rules: rules, matches: make([]int, len(rules))}
+	c := &CrashPoints{inner: d, rules: rules, matches: make([]int, len(rules))}
+	c.perKey = perKey{c}
+	return c
 }
 
 // Ops returns how many operations the schedule has observed (batched keys
@@ -259,152 +262,22 @@ func (c *CrashPoints) decide(op OpKind, key string) verdict {
 	return verdict{}
 }
 
-// Get implements DHT.
-func (c *CrashPoints) Get(ctx context.Context, key string) (Value, error) {
-	v := c.decide(OpGet, key)
+// do schedules one per-key primitive as the operation class it stands for
+// (prims) — a Probe as an OpGet, a PatchIf as an OpPutIf, so a schedule
+// written against whole-value reads and writes fires at the same points
+// over a substrate that probes and patches — and then performs it on the
+// inner substrate, hint and patch included. Whatever the substrate
+// answers, a refusal too, passes through unless the schedule fired.
+func (c *CrashPoints) do(ctx context.Context, cl call) (Value, error) {
+	v := c.decide(prims[cl.prim].kind, cl.key)
 	if v.fail && !v.after {
 		return nil, v.err
 	}
-	val, err := c.inner.Get(ctx, key)
-	if v.fail {
-		return nil, v.err
-	}
-	return val, err
-}
-
-// Probe implements Prober: scheduled as the OpGet it stands in for, so a
-// schedule written against Gets fires at the same points over a
-// substrate that probes, and the hint reaches it.
-func (c *CrashPoints) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
-	v := c.decide(OpGet, key)
-	if v.fail && !v.after {
-		return nil, v.err
-	}
-	val, err := DoProbe(ctx, c.inner, key, hint)
+	val, err := cl.on(ctx, c.inner)
 	if v.fail {
 		return nil, v.err
 	}
 	return val, err
-}
-
-// Put implements DHT.
-func (c *CrashPoints) Put(ctx context.Context, key string, val Value) error {
-	v := c.decide(OpPut, key)
-	if v.fail && !v.after {
-		return v.err
-	}
-	err := c.inner.Put(ctx, key, val)
-	if v.fail {
-		return v.err
-	}
-	return err
-}
-
-// Take implements DHT.
-func (c *CrashPoints) Take(ctx context.Context, key string) (Value, error) {
-	v := c.decide(OpTake, key)
-	if v.fail && !v.after {
-		return nil, v.err
-	}
-	val, err := c.inner.Take(ctx, key)
-	if v.fail {
-		return nil, v.err
-	}
-	return val, err
-}
-
-// Remove implements DHT.
-func (c *CrashPoints) Remove(ctx context.Context, key string) error {
-	v := c.decide(OpRemove, key)
-	if v.fail && !v.after {
-		return v.err
-	}
-	err := c.inner.Remove(ctx, key)
-	if v.fail {
-		return v.err
-	}
-	return err
-}
-
-// Write implements DHT.
-func (c *CrashPoints) Write(ctx context.Context, key string, val Value) error {
-	v := c.decide(OpWrite, key)
-	if v.fail && !v.after {
-		return v.err
-	}
-	err := c.inner.Write(ctx, key, val)
-	if v.fail {
-		return v.err
-	}
-	return err
-}
-
-// PutIf implements Conditional: scheduled as one OpPutIf, then delegated
-// to the inner substrate's native CAS (or the fetch-verify fallback).
-func (c *CrashPoints) PutIf(ctx context.Context, key string, val Value, ifEpoch uint64) error {
-	v := c.decide(OpPutIf, key)
-	if v.fail && !v.after {
-		return v.err
-	}
-	err := DoPutIf(ctx, c.inner, key, val, ifEpoch)
-	if v.fail {
-		return v.err
-	}
-	return err
-}
-
-// PatchIf implements Patcher: scheduled as the OpPutIf it stands in for.
-// A refusal is the inner substrate's answer, not a fault, and passes
-// through unless the schedule fired.
-func (c *CrashPoints) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
-	v := c.decide(OpPutIf, key)
-	if v.fail && !v.after {
-		return nil, v.err
-	}
-	val, err := DoPatchIf(ctx, c.inner, key, patch, ifEpoch)
-	if v.fail {
-		return nil, v.err
-	}
-	return val, err
-}
-
-// CreateIf implements Conditional.
-func (c *CrashPoints) CreateIf(ctx context.Context, key string, val Value) error {
-	v := c.decide(OpCreateIf, key)
-	if v.fail && !v.after {
-		return v.err
-	}
-	err := DoCreateIf(ctx, c.inner, key, val)
-	if v.fail {
-		return v.err
-	}
-	return err
-}
-
-// RemoveIf implements Conditional.
-func (c *CrashPoints) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
-	v := c.decide(OpRemoveIf, key)
-	if v.fail && !v.after {
-		return v.err
-	}
-	err := DoRemoveIf(ctx, c.inner, key, ifEpoch)
-	if v.fail {
-		return v.err
-	}
-	return err
-}
-
-// WriteIf implements Conditional.
-func (c *CrashPoints) WriteIf(ctx context.Context, key string, val Value, ifEpoch uint64) error {
-	v := c.decide(OpWriteIf, key)
-	if v.fail && !v.after {
-		return v.err
-	}
-	err := DoWriteIf(ctx, c.inner, key, val, ifEpoch)
-	if v.fail {
-		return v.err
-	}
-	return err
 }
 
 // GetBatch implements Batcher: every key is scheduled as one OpGet, in

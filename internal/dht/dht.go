@@ -20,6 +20,10 @@
 // values with the caller's WireView; DoGetBatchView falls back to
 // DoGetBatch.
 //
+// The wrappers compose in one order, stated by Stack. Each declares only
+// what it changes of a per-key primitive; forward.go spells the
+// primitives out once.
+//
 // All routed operations take a context.Context: substrates honor
 // cancellation and deadlines (the TCP substrate derives real dial/read/
 // write deadlines from it), and the index layers thread the caller's

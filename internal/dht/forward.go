@@ -1,0 +1,211 @@
+package dht
+
+import "context"
+
+// This file is the one place a per-key primitive is spelt out: which
+// there are (prim), what each stands for (prims), how one is performed on
+// a DHT (call.on), and which method reifies as which (perKey). A wrapper
+// embeds perKey, or the passthrough base built on it, and declares only
+// what it changes; a new per-key capability is a row, a case and a
+// method here and reaches the substrate through every wrapper.
+
+// prim names one per-key primitive: the five DHT methods and each method
+// of the optional per-key planes (Conditional, Prober, Patcher).
+type prim uint8
+
+const (
+	primGet prim = iota
+	primProbe
+	primPut
+	primTake
+	primRemove
+	primWrite
+	primPutIf
+	primPatchIf
+	primCreateIf
+	primRemoveIf
+	primWriteIf
+)
+
+// prims is what the layers that treat every primitive alike need to know
+// of each. A Probe is the Get and a PatchIf the PutIf it stands in for:
+// scheduled, charged, named and traced as one. Write and WriteIf rewrite
+// a value on the peer already holding it and are free in the cost model.
+var prims = [...]struct {
+	kind        OpKind // the operation class a crash schedule matches and a trace names
+	lookups     int64  // DHT-lookups charged
+	miss        bool   // an ErrNotFound answer is a failed get
+	conditional bool   // a method of Conditional: emulated where the substrate has no CAS
+}{
+	primGet:      {kind: OpGet, lookups: 1, miss: true},
+	primProbe:    {kind: OpGet, lookups: 1, miss: true},
+	primPut:      {kind: OpPut, lookups: 1},
+	primTake:     {kind: OpTake, lookups: 1, miss: true},
+	primRemove:   {kind: OpRemove, lookups: 1},
+	primWrite:    {kind: OpWrite},
+	primPutIf:    {kind: OpPutIf, lookups: 1, conditional: true},
+	primPatchIf:  {kind: OpPutIf, lookups: 1},
+	primCreateIf: {kind: OpCreateIf, lookups: 1, conditional: true},
+	primRemoveIf: {kind: OpRemoveIf, lookups: 1, conditional: true},
+	primWriteIf:  {kind: OpWriteIf, conditional: true},
+}
+
+// call is one per-key primitive as a value. Layers hand it on by value:
+// it never escapes, so reifying an operation costs no allocation.
+type call struct {
+	prim  prim
+	key   string
+	val   Value  // Put, Write, PutIf, CreateIf, WriteIf
+	epoch uint64 // PutIf, PatchIf, RemoveIf, WriteIf
+	hint  uint64 // Probe
+	patch []byte // PatchIf
+}
+
+// on performs c on d. The optional planes go through their Do* helpers,
+// so a d without the plane answers as the helper's fallback does: a
+// probe with a plain Get, a conditional write by fetch-verify-write, a
+// patch with ErrPatchRefused.
+func (c call) on(ctx context.Context, d DHT) (Value, error) {
+	switch c.prim {
+	case primGet:
+		return d.Get(ctx, c.key)
+	case primProbe:
+		return DoProbe(ctx, d, c.key, c.hint)
+	case primPut:
+		return nil, d.Put(ctx, c.key, c.val)
+	case primTake:
+		return d.Take(ctx, c.key)
+	case primRemove:
+		return nil, d.Remove(ctx, c.key)
+	case primWrite:
+		return nil, d.Write(ctx, c.key, c.val)
+	case primPutIf:
+		return nil, DoPutIf(ctx, d, c.key, c.val, c.epoch)
+	case primPatchIf:
+		return DoPatchIf(ctx, d, c.key, c.patch, c.epoch)
+	case primCreateIf:
+		return nil, DoCreateIf(ctx, d, c.key, c.val)
+	case primRemoveIf:
+		return nil, DoRemoveIf(ctx, d, c.key, c.epoch)
+	case primWriteIf:
+		return nil, DoWriteIf(ctx, d, c.key, c.val, c.epoch)
+	}
+	panic("dht: unknown primitive")
+}
+
+// layer is a wrapper's whole treatment of a per-key primitive.
+type layer interface {
+	do(ctx context.Context, c call) (Value, error)
+}
+
+// perKey implements DHT, Conditional, Prober and Patcher by handing each
+// call to l. A wrapper that gives every primitive the same treatment
+// (PolicyDHT's retry loop, CrashPoints' schedule, Instrumented's
+// charging) embeds it with itself as l and states that treatment once.
+type perKey struct{ l layer }
+
+func (k perKey) Get(ctx context.Context, key string) (Value, error) {
+	return k.l.do(ctx, call{prim: primGet, key: key})
+}
+
+func (k perKey) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
+	return k.l.do(ctx, call{prim: primProbe, key: key, hint: hint})
+}
+
+func (k perKey) Put(ctx context.Context, key string, v Value) error {
+	_, err := k.l.do(ctx, call{prim: primPut, key: key, val: v})
+	return err
+}
+
+func (k perKey) Take(ctx context.Context, key string) (Value, error) {
+	return k.l.do(ctx, call{prim: primTake, key: key})
+}
+
+func (k perKey) Remove(ctx context.Context, key string) error {
+	_, err := k.l.do(ctx, call{prim: primRemove, key: key})
+	return err
+}
+
+func (k perKey) Write(ctx context.Context, key string, v Value) error {
+	_, err := k.l.do(ctx, call{prim: primWrite, key: key, val: v})
+	return err
+}
+
+func (k perKey) PutIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
+	_, err := k.l.do(ctx, call{prim: primPutIf, key: key, val: v, epoch: ifEpoch})
+	return err
+}
+
+func (k perKey) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
+	return k.l.do(ctx, call{prim: primPatchIf, key: key, patch: patch, epoch: ifEpoch})
+}
+
+func (k perKey) CreateIf(ctx context.Context, key string, v Value) error {
+	_, err := k.l.do(ctx, call{prim: primCreateIf, key: key, val: v})
+	return err
+}
+
+func (k perKey) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
+	_, err := k.l.do(ctx, call{prim: primRemoveIf, key: key, epoch: ifEpoch})
+	return err
+}
+
+func (k perKey) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
+	_, err := k.l.do(ctx, call{prim: primWriteIf, key: key, val: v, epoch: ifEpoch})
+	return err
+}
+
+// forwardTo is the layer that changes nothing.
+type forwardTo struct{ inner DHT }
+
+func (f forwardTo) do(ctx context.Context, c call) (Value, error) { return c.on(ctx, f.inner) }
+
+// passthrough is the forwarding base of the wrappers that change a method
+// or two (the hedger, the coalescer): every DHT method and every optional
+// plane reaches inner untouched, through the plane's Do* helper. The
+// wrapper overrides what it changes, and a plane it must refuse it
+// overrides too, with the reason.
+//
+// Its method set therefore says nothing of what inner can do. The one
+// layer that asks, Instrumented, asks substrateOf.
+type passthrough struct {
+	perKey
+	inner DHT
+}
+
+func newPassthrough(inner DHT) passthrough {
+	return passthrough{perKey: perKey{forwardTo{inner}}, inner: inner}
+}
+
+var (
+	_ BatchViewer = passthrough{}
+	_ Conditional = passthrough{}
+	_ Prober      = passthrough{}
+	_ Patcher     = passthrough{}
+)
+
+func (p passthrough) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
+	return DoGetBatch(ctx, p.inner, keys)
+}
+
+func (p passthrough) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
+	return DoGetBatchView(ctx, p.inner, keys, view)
+}
+
+func (p passthrough) PutBatch(ctx context.Context, kvs []KV) []error {
+	return DoPutBatch(ctx, p.inner, kvs)
+}
+
+func (p passthrough) unwrap() DHT { return p.inner }
+
+// substrateOf returns what d's passthrough layers stand on: the DHT whose
+// method set tells which optional planes are served natively below d.
+func substrateOf(d DHT) DHT {
+	for {
+		p, ok := d.(interface{ unwrap() DHT })
+		if !ok {
+			return d
+		}
+		d = p.unwrap()
+	}
+}

@@ -36,13 +36,13 @@ const (
 // paper's cost model is unchanged whether hedging is on or off.
 // HedgedGets counts launches, HedgeWins the races the duplicate won.
 //
-// Over a replicated substrate (tcpnet WithReplicas) the duplicate is not
-// a pure retry: its context carries the hedge-attempt mark, and the
-// client starts marked reads at the primary — the one holder a first
-// read never starts at — so the duplicate is guaranteed to probe a
-// different holder than the straggler began with.
+// Over a replicated substrate (tcpnet's ClusterConfig.Replicas) the
+// duplicate is not a pure retry: its context carries the hedge-attempt
+// mark, and the client starts marked reads at the primary — the one
+// holder a first read never starts at — so the duplicate is guaranteed to
+// probe a different holder than the straggler began with.
 type hedger struct {
-	inner DHT
+	passthrough
 	after time.Duration
 	c     *metrics.Counters
 
@@ -54,40 +54,14 @@ type hedger struct {
 
 // WithHedging wraps inner so Gets slower than the trigger delay race a
 // duplicate. after is the trigger floor; a non-positive after returns
-// inner unchanged. The returned DHT re-exposes inner's optional Batcher
-// and Conditional capabilities unchanged (batched and conditional ops
-// are never hedged), and is a Prober and a Patcher whatever inner is: a
-// probe of a substrate that is not one falls back to a hedged Get, a
-// patch of one is refused, as without the hedger. It is not a
-// BatchViewer: a viewed multi-get reaches inner as a GetBatch and comes
-// back whole. c, when non-nil, receives HedgedGets and HedgeWins.
+// inner unchanged. Everything but Get and Probe reaches inner as it was
+// issued (see passthrough). c, when non-nil, receives HedgedGets and
+// HedgeWins.
 func WithHedging(inner DHT, after time.Duration, c *metrics.Counters) DHT {
 	if after <= 0 {
 		return inner
 	}
-	h := &hedger{inner: inner, after: after, c: c}
-	b, hasB := inner.(Batcher)
-	cd, hasC := inner.(Conditional)
-	switch {
-	case hasB && hasC:
-		return struct {
-			*hedger
-			Batcher
-			Conditional
-		}{h, b, cd}
-	case hasB:
-		return struct {
-			*hedger
-			Batcher
-		}{h, b}
-	case hasC:
-		return struct {
-			*hedger
-			Conditional
-		}{h, cd}
-	default:
-		return h
-	}
+	return &hedger{passthrough: newPassthrough(inner), after: after, c: c}
 }
 
 // observe feeds one successful Get latency into the quantile window.
@@ -240,26 +214,4 @@ func MarkHedgeAttempt(ctx context.Context) context.Context {
 func IsHedgeAttempt(ctx context.Context) bool {
 	hedged, _ := ctx.Value(hedgeAttemptKey{}).(bool)
 	return hedged
-}
-
-func (h *hedger) Put(ctx context.Context, key string, v Value) error {
-	return h.inner.Put(ctx, key, v)
-}
-
-func (h *hedger) Take(ctx context.Context, key string) (Value, error) {
-	return h.inner.Take(ctx, key)
-}
-
-func (h *hedger) Remove(ctx context.Context, key string) error {
-	return h.inner.Remove(ctx, key)
-}
-
-func (h *hedger) Write(ctx context.Context, key string, v Value) error {
-	return h.inner.Write(ctx, key, v)
-}
-
-// PatchIf implements Patcher by forwarding: a patch is a write and is
-// never hedged.
-func (h *hedger) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
-	return DoPatchIf(ctx, h.inner, key, patch, ifEpoch)
 }

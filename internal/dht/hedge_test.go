@@ -158,14 +158,8 @@ func TestHedgeDisabledPassThrough(t *testing.T) {
 	}
 }
 
-// TestHedgeCapabilityReexposure: wrapping the Local substrate (which is
-// both a Batcher and a Conditional) must keep both capabilities visible.
+// TestHedgeCapabilityReexposure: the instrumented layer charges batches
+// and conditional writes through the hedger as it charges them without.
 func TestHedgeCapabilityReexposure(t *testing.T) {
-	h := WithHedging(NewLocal(), time.Millisecond, nil)
-	if _, ok := h.(Batcher); !ok {
-		t.Fatal("Batcher capability lost")
-	}
-	if _, ok := h.(Conditional); !ok {
-		t.Fatal("Conditional capability lost")
-	}
+	chargedThrough(t, func(d DHT) DHT { return WithHedging(d, time.Minute, nil) })
 }

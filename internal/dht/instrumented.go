@@ -24,9 +24,16 @@ import (
 // span-by-span. Without a sink no clocks are read and the overhead is a
 // handful of atomic adds.
 type Instrumented struct {
-	inner DHT
-	c     *metrics.Counters
-	sink  metrics.TraceSink
+	perKey // every per-key primitive is charged by do
+	inner  DHT
+	c      *metrics.Counters
+	sink   metrics.TraceSink
+
+	// Whether the substrate under inner's passthrough layers batches and
+	// compares-and-swaps natively. Where it does not, the operation is
+	// decomposed here, through this wrapper's own charged per-op methods,
+	// so the emulation is priced honestly.
+	batches, cas bool
 }
 
 var (
@@ -39,7 +46,12 @@ var (
 
 // NewInstrumented wraps inner, charging costs to c. c must not be nil.
 func NewInstrumented(inner DHT, c *metrics.Counters) *Instrumented {
-	return &Instrumented{inner: inner, c: c}
+	d := &Instrumented{inner: inner, c: c}
+	d.perKey = perKey{d}
+	sub := substrateOf(inner)
+	_, d.batches = sub.(Batcher)
+	_, d.cas = sub.(Conditional)
+	return d
 }
 
 // Counters returns the counter set this wrapper charges.
@@ -64,8 +76,10 @@ func (d *Instrumented) note(err error) {
 // charge counts n lookups and attributes them to the labels on ctx.
 func (d *Instrumented) charge(ctx context.Context, n int64) metrics.Labels {
 	lb := metrics.LabelsFrom(ctx)
-	d.c.Add(metrics.Lookups, n)
-	d.c.AddPhaseLookups(lb.Op, lb.Phase, n)
+	if n > 0 {
+		d.c.Add(metrics.Lookups, n)
+		d.c.AddPhaseLookups(lb.Op, lb.Phase, n)
+	}
 	return lb
 }
 
@@ -129,65 +143,36 @@ func batchErr(errs []error) error {
 	return first
 }
 
-// Get implements DHT, counting one lookup (and one failed get on miss).
-func (d *Instrumented) Get(ctx context.Context, key string) (Value, error) {
-	lb := d.charge(ctx, 1)
+// do charges, tallies and traces one per-key primitive by its row of
+// prims, whether or not the wrapped substrate serves its plane natively:
+// a Probe over a substrate that only Gets is still the one lookup.
+//
+// A conditional write over a substrate with no native CAS decomposes into
+// this wrapper's own charged Get and Put (two lookups — the price of
+// emulation) and is tallied as a CASFallback. A refused patch was no
+// lookup and leaves no trace here: the caller's fallback is charged. The
+// free in-place writes are still traced, since intent writes are part of
+// a mutation's span.
+func (d *Instrumented) do(ctx context.Context, c call) (Value, error) {
+	p := &prims[c.prim]
+	if p.conditional && !d.cas {
+		d.c.Add(metrics.CASFallbacks, 1)
+		err := c.emulate(ctx, d)
+		d.noteCAS(err)
+		return nil, err
+	}
 	start := d.start()
-	v, err := d.inner.Get(ctx, key)
-	d.noteGet(lb, key, start, err)
-	return v, err
-}
-
-// Probe implements Prober. It is charged and traced exactly as the Get
-// it stands in for, whether or not the wrapped substrate probes natively.
-func (d *Instrumented) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
-	lb := d.charge(ctx, 1)
-	start := d.start()
-	v, err := DoProbe(ctx, d.inner, key, hint)
-	d.noteGet(lb, key, start, err)
-	return v, err
-}
-
-// noteGet tallies and traces one finished Get or Probe.
-func (d *Instrumented) noteGet(lb metrics.Labels, key string, start time.Time, err error) {
-	if errors.Is(err, ErrNotFound) {
+	v, err := c.on(ctx, d.inner)
+	if errors.Is(err, ErrPatchRefused) {
+		return nil, err
+	}
+	lb := d.charge(ctx, p.lookups)
+	if p.miss && errors.Is(err, ErrNotFound) {
 		d.c.Add(metrics.FailedGets, 1)
 	}
-	d.note(err)
-	d.emit(lb, "get", key, 1, start, err)
-}
-
-// Put implements DHT, counting one lookup.
-func (d *Instrumented) Put(ctx context.Context, key string, v Value) error {
-	lb := d.charge(ctx, 1)
-	start := d.start()
-	err := d.inner.Put(ctx, key, v)
-	d.note(err)
-	d.emit(lb, "put", key, 1, start, err)
-	return err
-}
-
-// Take implements DHT, counting one lookup.
-func (d *Instrumented) Take(ctx context.Context, key string) (Value, error) {
-	lb := d.charge(ctx, 1)
-	start := d.start()
-	v, err := d.inner.Take(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		d.c.Add(metrics.FailedGets, 1)
-	}
-	d.note(err)
-	d.emit(lb, "take", key, 1, start, err)
+	d.noteCAS(err)
+	d.emit(lb, p.kind.String(), c.key, 1, start, err)
 	return v, err
-}
-
-// Remove implements DHT, counting one lookup.
-func (d *Instrumented) Remove(ctx context.Context, key string) error {
-	lb := d.charge(ctx, 1)
-	start := d.start()
-	err := d.inner.Remove(ctx, key)
-	d.note(err)
-	d.emit(lb, "remove", key, 1, start, err)
-	return err
 }
 
 // GetBatch implements Batcher. When the wrapped substrate batches
@@ -206,7 +191,7 @@ func (d *Instrumented) GetBatchView(ctx context.Context, keys []string, view Wir
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if _, ok := d.inner.(Batcher); !ok {
+	if !d.batches {
 		vals := make([]Value, len(keys))
 		errs := make([]error, len(keys))
 		for i, k := range keys {
@@ -234,8 +219,7 @@ func (d *Instrumented) PutBatch(ctx context.Context, kvs []KV) []error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	b, ok := d.inner.(Batcher)
-	if !ok {
+	if !d.batches {
 		errs := make([]error, len(kvs))
 		for i, kv := range kvs {
 			errs[i] = d.Put(ctx, kv.Key, kv.Val)
@@ -246,7 +230,7 @@ func (d *Instrumented) PutBatch(ctx context.Context, kvs []KV) []error {
 	d.c.Add(metrics.BatchOps, 1)
 	d.c.Add(metrics.BatchedKeys, int64(len(kvs)))
 	start := d.start()
-	errs := b.PutBatch(ctx, kvs)
+	errs := DoPutBatch(ctx, d.inner, kvs)
 	for _, err := range errs {
 		d.note(err)
 	}
@@ -254,113 +238,11 @@ func (d *Instrumented) PutBatch(ctx context.Context, kvs []KV) []error {
 	return errs
 }
 
-// Write implements DHT; it is free in the cost model but still traced,
-// since intent writes are part of a mutation's span.
-func (d *Instrumented) Write(ctx context.Context, key string, v Value) error {
-	start := d.start()
-	err := d.inner.Write(ctx, key, v)
-	d.note(err)
-	if d.sink != nil {
-		// Write charges nothing, so the labels were not read yet.
-		d.emit(metrics.LabelsFrom(ctx), "write", key, 1, start, err)
-	}
-	return err
-}
-
-// noteCAS tallies a finished conditional operation: one CASConflict when
-// the compare lost, plus the usual context-outcome counters.
+// noteCAS tallies a finished per-key operation: one CASConflict when a
+// compare lost, plus the usual context-outcome counters.
 func (d *Instrumented) noteCAS(err error) {
 	if errors.Is(err, ErrCASConflict) {
 		d.c.Add(metrics.CASConflicts, 1)
 	}
 	d.note(err)
-}
-
-// PutIf implements Conditional, counting one lookup like Put. When the
-// wrapped substrate has no native CAS, the operation decomposes into this
-// wrapper's own charged Get + Put (two lookups — the price of emulation)
-// and is tallied as a CASFallback.
-func (d *Instrumented) PutIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
-	cd, ok := d.inner.(Conditional)
-	if !ok {
-		d.c.Add(metrics.CASFallbacks, 1)
-		err := fallbackPutIf(ctx, d, key, v, ifEpoch)
-		d.noteCAS(err)
-		return err
-	}
-	lb := d.charge(ctx, 1)
-	start := d.start()
-	err := cd.PutIf(ctx, key, v, ifEpoch)
-	d.noteCAS(err)
-	d.emit(lb, "putif", key, 1, start, err)
-	return err
-}
-
-// PatchIf implements Patcher. A patch that was applied, lost its
-// compare-and-swap or failed in transit is charged, conflict-counted and
-// traced exactly as the PutIf it stands in for; a refused one was no
-// lookup and leaves no trace here: the caller's fallback is charged.
-func (d *Instrumented) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
-	start := d.start()
-	v, err := DoPatchIf(ctx, d.inner, key, patch, ifEpoch)
-	if errors.Is(err, ErrPatchRefused) {
-		return nil, err
-	}
-	lb := d.charge(ctx, 1)
-	d.noteCAS(err)
-	d.emit(lb, "putif", key, 1, start, err)
-	return v, err
-}
-
-// CreateIf implements Conditional, counting one lookup like Put.
-func (d *Instrumented) CreateIf(ctx context.Context, key string, v Value) error {
-	cd, ok := d.inner.(Conditional)
-	if !ok {
-		d.c.Add(metrics.CASFallbacks, 1)
-		err := fallbackCreateIf(ctx, d, key, v)
-		d.noteCAS(err)
-		return err
-	}
-	lb := d.charge(ctx, 1)
-	start := d.start()
-	err := cd.CreateIf(ctx, key, v)
-	d.noteCAS(err)
-	d.emit(lb, "createif", key, 1, start, err)
-	return err
-}
-
-// RemoveIf implements Conditional, counting one lookup like Remove.
-func (d *Instrumented) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
-	cd, ok := d.inner.(Conditional)
-	if !ok {
-		d.c.Add(metrics.CASFallbacks, 1)
-		err := fallbackRemoveIf(ctx, d, key, ifEpoch)
-		d.noteCAS(err)
-		return err
-	}
-	lb := d.charge(ctx, 1)
-	start := d.start()
-	err := cd.RemoveIf(ctx, key, ifEpoch)
-	d.noteCAS(err)
-	d.emit(lb, "removeif", key, 1, start, err)
-	return err
-}
-
-// WriteIf implements Conditional; like Write it is free in the cost model
-// but still traced and conflict-counted.
-func (d *Instrumented) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
-	cd, ok := d.inner.(Conditional)
-	if !ok {
-		d.c.Add(metrics.CASFallbacks, 1)
-		err := fallbackWriteIf(ctx, d, key, v, ifEpoch)
-		d.noteCAS(err)
-		return err
-	}
-	start := d.start()
-	err := cd.WriteIf(ctx, key, v, ifEpoch)
-	d.noteCAS(err)
-	if d.sink != nil {
-		d.emit(metrics.LabelsFrom(ctx), "writeif", key, 1, start, err)
-	}
-	return err
 }

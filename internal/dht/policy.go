@@ -92,8 +92,9 @@ func (p Policy) withDefaults() Policy {
 
 // PolicyDHT is the retry/backoff wrapper created by WithPolicy.
 type PolicyDHT struct {
-	inner DHT
-	p     Policy
+	perKey // every per-key primitive runs under do's retry loop
+	inner  DHT
+	p      Policy
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -122,7 +123,9 @@ func WithPolicy(inner DHT, p Policy) *PolicyDHT {
 	if seed == 0 {
 		seed = 1
 	}
-	return &PolicyDHT{inner: inner, p: p, rng: rand.New(rand.NewSource(seed))}
+	d := &PolicyDHT{inner: inner, p: p, rng: rand.New(rand.NewSource(seed))}
+	d.perKey = perKey{d}
+	return d
 }
 
 // Inner returns the wrapped DHT.
@@ -164,11 +167,19 @@ func (d *PolicyDHT) backoff(ctx context.Context, n int) error {
 	}
 }
 
-// do runs op under the retry policy. Re-attempts run with the context's
-// phase label switched to PhaseRetry, so the instrumented layer below
-// attributes their lookups to retry traffic while the first attempt
-// keeps the phase of the algorithm that issued it.
-func (d *PolicyDHT) do(ctx context.Context, op func(context.Context) error) error {
+// do runs one per-key primitive under the retry policy. Re-attempts run
+// with the context's phase label switched to PhaseRetry, so the
+// instrumented layer below attributes their lookups to retry traffic
+// while the first attempt keeps the phase of the algorithm that issued
+// it; every attempt of a Probe carries the hint.
+//
+// Only what Classify accepts is retried. A CAS conflict or a refused
+// patch is an answer — IsTransient rejects both — so it surfaces to the
+// index layer's optimistic-retry loop on the first attempt instead of
+// burning backoff rounds on an identical doomed operation. Take is safe
+// to retry against the repository's substrates: delivery is synchronous,
+// so a failed attempt means the fetch-and-delete did not happen.
+func (d *PolicyDHT) do(ctx context.Context, c call) (Value, error) {
 	var err error
 	actx := ctx
 	for attempt := 0; attempt < d.p.MaxAttempts; attempt++ {
@@ -177,16 +188,17 @@ func (d *PolicyDHT) do(ctx context.Context, op func(context.Context) error) erro
 				d.p.Counters.Add(metrics.Retries, 1)
 			}
 			if berr := d.backoff(ctx, attempt-1); berr != nil {
-				return berr
+				return nil, berr
 			}
 			actx = metrics.WithPhase(ctx, metrics.PhaseRetry)
 		}
-		err = op(actx)
+		var v Value
+		v, err = c.on(actx, d.inner)
 		if err == nil || !d.p.Classify(err) {
-			return err
+			return v, err
 		}
 	}
-	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, d.p.MaxAttempts, err)
+	return nil, fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, d.p.MaxAttempts, err)
 }
 
 // retryBatch drives the shared retry loop of GetBatch/PutBatch. pending
@@ -274,108 +286,4 @@ func (d *PolicyDHT) PutBatch(ctx context.Context, kvs []KV) []error {
 		}
 	})
 	return errs
-}
-
-// Get implements DHT with retries.
-func (d *PolicyDHT) Get(ctx context.Context, key string) (Value, error) {
-	var v Value
-	err := d.do(ctx, func(ctx context.Context) error {
-		var e error
-		v, e = d.inner.Get(ctx, key)
-		return e
-	})
-	return v, err
-}
-
-// Probe implements Prober with retries; every attempt carries the hint.
-func (d *PolicyDHT) Probe(ctx context.Context, key string, hint uint64) (Value, error) {
-	var v Value
-	err := d.do(ctx, func(ctx context.Context) error {
-		var e error
-		v, e = DoProbe(ctx, d.inner, key, hint)
-		return e
-	})
-	return v, err
-}
-
-// Put implements DHT with retries.
-func (d *PolicyDHT) Put(ctx context.Context, key string, v Value) error {
-	return d.do(ctx, func(ctx context.Context) error {
-		return d.inner.Put(ctx, key, v)
-	})
-}
-
-// Take implements DHT with retries. Take is safe to retry against the
-// repository's substrates: delivery is synchronous, so a failed attempt
-// means the fetch-and-delete did not happen.
-func (d *PolicyDHT) Take(ctx context.Context, key string) (Value, error) {
-	var v Value
-	err := d.do(ctx, func(ctx context.Context) error {
-		var e error
-		v, e = d.inner.Take(ctx, key)
-		return e
-	})
-	return v, err
-}
-
-// Remove implements DHT with retries.
-func (d *PolicyDHT) Remove(ctx context.Context, key string) error {
-	return d.do(ctx, func(ctx context.Context) error {
-		return d.inner.Remove(ctx, key)
-	})
-}
-
-// Write implements DHT with retries (Write stays free in the cost model;
-// the instrumented layer below charges nothing for it).
-func (d *PolicyDHT) Write(ctx context.Context, key string, v Value) error {
-	return d.do(ctx, func(ctx context.Context) error {
-		return d.inner.Write(ctx, key, v)
-	})
-}
-
-// The conditional operations retry transient faults exactly like their
-// unconditional counterparts. CAS conflicts are permanent outcomes —
-// IsTransient rejects them — so a lost compare-and-swap surfaces to the
-// index layer's optimistic-retry loop on the first attempt instead of
-// burning backoff rounds on an identical doomed operation.
-
-// PutIf implements Conditional with retries on transient faults only.
-func (d *PolicyDHT) PutIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
-	return d.do(ctx, func(ctx context.Context) error {
-		return DoPutIf(ctx, d.inner, key, v, ifEpoch)
-	})
-}
-
-// PatchIf implements Patcher with retries on transient faults only; a
-// refusal, like a conflict, is an answer and surfaces on the first
-// attempt.
-func (d *PolicyDHT) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
-	var v Value
-	err := d.do(ctx, func(ctx context.Context) error {
-		var e error
-		v, e = DoPatchIf(ctx, d.inner, key, patch, ifEpoch)
-		return e
-	})
-	return v, err
-}
-
-// CreateIf implements Conditional with retries on transient faults only.
-func (d *PolicyDHT) CreateIf(ctx context.Context, key string, v Value) error {
-	return d.do(ctx, func(ctx context.Context) error {
-		return DoCreateIf(ctx, d.inner, key, v)
-	})
-}
-
-// RemoveIf implements Conditional with retries on transient faults only.
-func (d *PolicyDHT) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
-	return d.do(ctx, func(ctx context.Context) error {
-		return DoRemoveIf(ctx, d.inner, key, ifEpoch)
-	})
-}
-
-// WriteIf implements Conditional with retries on transient faults only.
-func (d *PolicyDHT) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
-	return d.do(ctx, func(ctx context.Context) error {
-		return DoWriteIf(ctx, d.inner, key, v, ifEpoch)
-	})
 }

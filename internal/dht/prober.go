@@ -22,9 +22,6 @@ type Prober interface {
 
 // DoProbe probes key through d's native Probe when d implements Prober,
 // and otherwise falls back to a plain Get, which returns the whole value.
-// A wrapper that must see whole values (the coalescer, whose flights are
-// shared by callers with different hints) simply does not implement
-// Prober.
 func DoProbe(ctx context.Context, d DHT, key string, hint uint64) (Value, error) {
 	if p, ok := d.(Prober); ok {
 		return p.Probe(ctx, key, hint)

@@ -155,9 +155,6 @@ func TestCoalescerNeverForwardsAProbe(t *testing.T) {
 	p := newHintLog(t)
 	var c metrics.Counters
 	co := WithCoalescing(WithHedging(p, time.Minute, &c), &c)
-	if _, ok := co.(Prober); ok {
-		t.Fatal("the coalescer implements Prober")
-	}
 	d := WithPolicy(NewInstrumented(co, &c), Policy{Counters: &c})
 	if v, err := d.Probe(context.Background(), "k", 17); err != nil || v != "v" {
 		t.Fatalf("Probe = %v, %v", v, err)

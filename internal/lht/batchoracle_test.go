@@ -56,7 +56,7 @@ func TestBatchedPathIsAnOracle(t *testing.T) {
 				t.Cleanup(func() { _ = srv.Close() })
 				addrs = append(addrs, ln.Addr().String())
 			}
-			c, err := tcpnet.DialContext(context.Background(), addrs)
+			c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: addrs})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,20 +76,14 @@ type Index struct {
 // empty tree: the single leaf "#0" stored under its name "#". Bootstrap
 // traffic is not charged to the index counters.
 //
-// When cfg.Policy is set, the substrate stack becomes
-// policy(instrumented(d)): transient faults are retried per the policy,
-// and because the retry layer sits above the instrumentation, every
-// attempt is charged as a DHT-lookup. When cfg.CoalesceGets or
-// cfg.HedgeAfter is set, the singleflight and hedging layers sit *below*
-// the instrumentation — policy(instrumented(coalesce(hedge(d)))) — so
-// coalesced reads are still charged as lookups, a hedge is a physical
-// round trip rather than a logical lookup, and only the traffic the cost
-// model does not count changes.
+// The index runs over dht.Stack(d, ...), which states the order of the
+// retry, instrumentation, singleflight and hedging layers that
+// cfg.Policy, cfg.TraceSink, cfg.CoalesceGets and cfg.HedgeAfter switch
+// on, and why the cost model needs that order.
 func New(d dht.DHT, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	raw := d // keep the bare substrate for membership-plane interfaces
 	ctx := context.Background()
 	if _, err := d.Get(ctx, bitlabel.Root.Key()); err != nil {
 		if !errors.Is(err, dht.ErrNotFound) {
@@ -107,23 +101,8 @@ func New(d dht.DHT, cfg Config) (*Index, error) {
 	if cfg.Aggregate != nil {
 		c.Chain(cfg.Aggregate)
 	}
-	if cfg.HedgeAfter > 0 {
-		d = dht.WithHedging(d, cfg.HedgeAfter, c)
-	}
-	if cfg.CoalesceGets {
-		d = dht.WithCoalescing(d, c)
-	}
-	inst := dht.NewInstrumented(d, c)
-	if cfg.TraceSink != nil {
-		inst.SetSink(cfg.TraceSink)
-	}
-	stack := dht.DHT(inst)
-	if cfg.Policy != nil {
-		p := *cfg.Policy
-		p.Counters = c
-		stack = dht.WithPolicy(stack, p)
-	}
-	ix := &Index{d: stack, raw: raw, cfg: cfg, c: c, now: cfg.clock}
+	stack := dht.Stack(d, c, cfg.HedgeAfter, cfg.CoalesceGets, cfg.TraceSink, cfg.Policy)
+	ix := &Index{d: stack, raw: d, cfg: cfg, c: c, now: cfg.clock}
 	if ix.now == nil {
 		ix.now = func() int64 { return time.Now().UnixNano() }
 	}

@@ -166,7 +166,7 @@ func TestMultiWriterOracle(t *testing.T) {
 			return ring
 		}, false},
 		{"tcpnet-binary", func(t *testing.T) dht.DHT {
-			c, err := tcpnet.DialContext(context.Background(), startServers(t, 3))
+			c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: startServers(t, 3)})
 			if err != nil {
 				t.Fatal(err)
 			}

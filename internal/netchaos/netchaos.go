@@ -4,7 +4,7 @@
 // asymmetrically partition individual links on a replayable schedule.
 //
 // A Chaos wraps a ContextDialer (plain net.Dialer by default) and is
-// injected into a tcpnet client with tcpnet.WithDialer, so every
+// injected into a tcpnet client as its ClusterConfig.Dialer, so every
 // connection the client opens — including lazy redials and half-open
 // breaker probes — passes through the plane. Faults are expressed as
 // Rules: each names a destination address (the link, from this client's
@@ -124,9 +124,9 @@ func (r Rule) active(t time.Duration) bool {
 	return true
 }
 
-// Chaos is the injector. Create with New, add rules, inject via
-// tcpnet.WithDialer (or use DialContext directly), then Start the
-// schedule clock. Safe for concurrent use.
+// Chaos is the injector. Create with New, add rules, inject as a
+// tcpnet.ClusterConfig's Dialer (or use DialContext directly), then Start
+// the schedule clock. Safe for concurrent use.
 type Chaos struct {
 	base ContextDialer
 

@@ -14,11 +14,9 @@ import (
 	"lht/internal/metrics"
 )
 
-// ClusterConfig is the one-stop cluster client configuration: the Dial
-// entry point takes it whole, replacing the accreted option list
-// (WithReplicas/WithHealth/WithDialer/...), which survives only as the
-// deprecated DialContext compat path. The zero value of every field is a
-// sensible default; only Seeds is required.
+// ClusterConfig is the cluster client configuration, taken whole by Dial,
+// the one constructor. The zero value of every field is a sensible
+// default; only Seeds is required.
 type ClusterConfig struct {
 	// Seeds are the bootstrap node addresses. With membership gossip
 	// running on the servers they are only the first view — RefreshView
@@ -26,20 +24,38 @@ type ClusterConfig struct {
 	// the gossiped view changes. Without gossip they are the static
 	// member list, exactly as before.
 	Seeds []string
-	// PoolSize is the number of multiplexed connections per node (default 2).
+	// PoolSize is the number of multiplexed connections the client keeps
+	// per node (default 2; a negative value means 1). Each connection
+	// already pipelines many requests; extra connections spread very hot
+	// nodes across sockets.
 	PoolSize int
 	// Replicas stores each key on this many consecutive ring members
-	// (default 1 = unreplicated).
+	// (default 1 = unreplicated). Replication is client-driven — see
+	// replicas.go for the fan-out, fallback and read-spreading contract.
+	// Requires a cluster of at least that many nodes.
 	Replicas int
-	// Counters chains the client's counters onto a shared metrics sink.
+	// Counters chains the client's load counters (spread reads, breaker
+	// opens) onto a shared metrics sink. Nil keeps the client's local
+	// SpreadReads tally only.
 	Counters *metrics.Counters
-	// Dialer replaces the transport factory (nil = plain net.Dialer); the
-	// netchaos plane injects here.
+	// Dialer replaces the transport factory used for every outgoing
+	// connection (nil = plain net.Dialer). This is the injection point for
+	// the netchaos plane: a scripted dialer can drop, delay, throttle, or
+	// partition individual node links under an otherwise unmodified client.
 	Dialer ContextDialer
-	// Health enables the per-node circuit-breaker plane (see WithHealth).
+	// Health enables the graceful-degradation plane: one circuit breaker
+	// per node with the given configuration (zero fields defaulted — see
+	// dht.BreakerConfig). Consecutive transport failures open the node's
+	// breaker; while open, every operation against it fails instantly with
+	// a typed *dht.UnavailableError, replicated reads fail over to the next
+	// holder immediately, and the first operation after the cooldown probes
+	// the node half-open. See health.go for the full contract.
 	Health *dht.BreakerConfig
-	// DegradedStart lets construction succeed with part of the cluster
-	// down (dead nodes start with open breakers). Implies Health.
+	// DegradedStart lets Dial succeed with part of the cluster
+	// unreachable: dead nodes are registered with their breaker already
+	// open, so they fail fast until a half-open probe finds them recovered
+	// and adopts them. Implies Health (with defaults, if not configured
+	// explicitly). Construction still fails when no node is reachable.
 	DegradedStart bool
 	// HintedHandoff parks put-like fan-outs that fail against a down
 	// holder on a reachable node instead of surfacing the fault: the park
@@ -52,61 +68,6 @@ type ClusterConfig struct {
 	// servers' gossiped membership view. Zero leaves refresh manual.
 	RefreshInterval time.Duration
 }
-
-// Option tunes a Client at dial time.
-//
-// Deprecated: options configure the legacy DialContext path; new code
-// should fill a ClusterConfig and call Dial.
-type Option func(*clientOptions)
-
-type clientOptions struct {
-	poolSize int
-	replicas int
-	counters *metrics.Counters
-	dialer   ContextDialer
-	health   *dht.BreakerConfig
-	degraded bool
-}
-
-// WithPoolSize sets how many multiplexed connections the client keeps per
-// node (default 2, minimum 1). Each connection already pipelines many
-// requests; extra connections spread very hot nodes across sockets.
-func WithPoolSize(n int) Option { return func(o *clientOptions) { o.poolSize = n } }
-
-// WithReplicas stores each key on n consecutive ring members instead of
-// one (default 1, i.e. no replication). Replication is client-driven —
-// see replicas.go for the fan-out, fallback and read-spreading contract.
-// Requires a cluster of at least n nodes.
-func WithReplicas(n int) Option { return func(o *clientOptions) { o.replicas = n } }
-
-// WithCounters chains the client's load counters (spread reads) onto cs,
-// so replica read spreading shows up on a shared metrics endpoint. Nil
-// (the default) keeps the client's local SpreadReads tally only.
-func WithCounters(cs *metrics.Counters) Option { return func(o *clientOptions) { o.counters = cs } }
-
-// WithDialer replaces the transport factory used for every outgoing
-// connection (default: a plain net.Dialer). This is the injection point
-// for the netchaos plane: a scripted dialer can drop, delay, throttle, or
-// partition individual node links under an otherwise unmodified client.
-func WithDialer(d ContextDialer) Option { return func(o *clientOptions) { o.dialer = d } }
-
-// WithHealth enables the graceful-degradation plane: one circuit breaker
-// per node with the given configuration (zero fields defaulted — see
-// dht.BreakerConfig). Consecutive transport failures open the node's
-// breaker; while open, every operation against it fails instantly with a
-// typed *dht.UnavailableError, replicated reads fail over to the next
-// holder immediately, and the first operation after the cooldown probes
-// the node half-open. See health.go for the full contract.
-func WithHealth(cfg dht.BreakerConfig) Option {
-	return func(o *clientOptions) { o.health = &cfg }
-}
-
-// WithDegradedStart lets DialContext succeed with part of the cluster
-// unreachable: dead nodes are registered with their breaker already
-// open, so they fail fast until a half-open probe finds them recovered
-// and adopts them. Implies WithHealth (with defaults, if not configured
-// explicitly). Construction still fails when no node is reachable.
-func WithDegradedStart() Option { return func(o *clientOptions) { o.degraded = true } }
 
 // Client implements dht.DHT over a static set of tcpnet servers: keys are
 // mapped to nodes with consistent hashing on the same 64-bit circle the
@@ -124,7 +85,7 @@ func WithDegradedStart() Option { return func(o *clientOptions) { o.degraded = t
 type Client struct {
 	replicas int // holders per key; 1 = unreplicated
 	counters *metrics.Counters
-	opts     clientOptions // retained to build nodes for members the view adds
+	cfg      ClusterConfig // as dialled, defaults filled in; builds nodes for members the view adds
 	hinted   bool          // hinted handoff enabled
 
 	// ring is the current routing ring. It is replaced wholesale (never
@@ -179,7 +140,7 @@ type clientNode struct {
 	conns []*mconn
 	next  atomic.Uint32
 
-	br       *dht.Breaker // health plane; nil when WithHealth is off
+	br       *dht.Breaker // health plane; nil when ClusterConfig.Health is nil
 	counters *metrics.Counters
 }
 
@@ -196,40 +157,29 @@ func (n *clientNode) pick() *mconn {
 // startup instead of the sum of all nodes, and the first hard error
 // cancels the remaining probes and is surfaced. The context bounds the
 // verification; later operations carry their own contexts.
-//
-// This is the canonical constructor; DialContext and the Option list are
-// its deprecated compat form.
 func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("tcpnet: no node addresses")
 	}
-	o := clientOptions{
-		poolSize: cfg.PoolSize,
-		replicas: cfg.Replicas,
-		counters: cfg.Counters,
-		dialer:   cfg.Dialer,
-		health:   cfg.Health,
-		degraded: cfg.DegradedStart,
+	if cfg.PoolSize == 0 {
+		cfg.PoolSize = 2
 	}
-	if o.poolSize == 0 {
-		o.poolSize = 2
+	if cfg.PoolSize < 1 {
+		cfg.PoolSize = 1
 	}
-	if o.poolSize < 1 {
-		o.poolSize = 1
+	if cfg.Replicas < 1 {
+		cfg.Replicas = 1
 	}
-	if o.replicas < 1 {
-		o.replicas = 1
-	}
-	if cfg.HintedHandoff && o.replicas < 2 {
+	if cfg.HintedHandoff && cfg.Replicas < 2 {
 		return nil, errors.New("tcpnet: hinted handoff requires replication")
 	}
-	if o.degraded && o.health == nil {
-		o.health = &dht.BreakerConfig{}
+	if cfg.DegradedStart && cfg.Health == nil {
+		cfg.Health = &dht.BreakerConfig{}
 	}
 	c := &Client{
-		replicas: o.replicas,
-		counters: o.counters,
-		opts:     o,
+		replicas: cfg.Replicas,
+		counters: cfg.Counters,
+		cfg:      cfg,
 		hinted:   cfg.HintedHandoff,
 	}
 	seen := make(map[string]bool, len(cfg.Seeds))
@@ -247,13 +197,13 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	// the replica count must never exceed the number of distinct nodes, or
 	// owners() would hand out short holder sets and the per-rank batch
 	// fan-out would index past them.
-	if o.replicas > len(nodes) {
-		return nil, fmt.Errorf("tcpnet: %d replicas exceed the %d-node cluster", o.replicas, len(nodes))
+	if cfg.Replicas > len(nodes) {
+		return nil, fmt.Errorf("tcpnet: %d replicas exceed the %d-node cluster", cfg.Replicas, len(nodes))
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
 	c.ring.Store(&memberRing{nodes: nodes})
 
-	if o.degraded {
+	if cfg.DegradedStart {
 		if err := c.verifyDegraded(ctx); err != nil {
 			_ = c.Close()
 			return nil, err
@@ -283,22 +233,20 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	return c, nil
 }
 
-// newNode builds one member's connection state from the client's retained
-// dial options. Used at construction and again whenever a view refresh
-// admits a new member.
+// newNode builds one member's connection state from the configuration
+// the client was dialled with. Used at construction and again whenever a
+// view refresh admits a new member.
 func (c *Client) newNode(a string) *clientNode {
-	o := c.opts
-	n := &clientNode{id: hashring.HashAddr(a), addr: a, counters: o.counters}
-	if o.health != nil {
-		cfg := *o.health
+	n := &clientNode{id: hashring.HashAddr(a), addr: a, counters: c.counters}
+	if c.cfg.Health != nil {
+		cfg := *c.cfg.Health
 		if cfg.Seed == 0 {
 			// Distinct deterministic jitter stream per node.
 			cfg.Seed = int64(n.id) | 1
 		}
 		prev := cfg.OnOpen
-		counters := o.counters
 		cfg.OnOpen = func() {
-			counters.Add(metrics.BreakerOpens, 1)
+			c.counters.Add(metrics.BreakerOpens, 1)
 			// An opened breaker is local evidence of failure: mark the
 			// member suspect so the next gossip exchange spreads the doubt.
 			c.markSuspect(a)
@@ -308,8 +256,8 @@ func (c *Client) newNode(a string) *clientNode {
 		}
 		n.br = dht.NewBreaker(cfg)
 	}
-	for i := 0; i < o.poolSize; i++ {
-		n.conns = append(n.conns, &mconn{addr: a, dial: o.dialer, gate: redialGate{br: n.br}})
+	for i := 0; i < c.cfg.PoolSize; i++ {
+		n.conns = append(n.conns, &mconn{addr: a, dial: c.cfg.Dialer, gate: redialGate{br: n.br}})
 	}
 	return n
 }
@@ -342,27 +290,6 @@ func (c *Client) verifyAll(ctx context.Context, nodes []*clientNode) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// DialContext builds a client from a bootstrap address list plus options.
-//
-// Deprecated: this is the pre-ClusterConfig constructor, kept so existing
-// call sites migrate mechanically. New code should call Dial with a
-// ClusterConfig.
-func DialContext(ctx context.Context, addrs []string, opts ...Option) (*Client, error) {
-	o := clientOptions{poolSize: 2}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return Dial(ctx, ClusterConfig{
-		Seeds:         addrs,
-		PoolSize:      o.poolSize,
-		Replicas:      o.replicas,
-		Counters:      o.counters,
-		Dialer:        o.dialer,
-		Health:        o.health,
-		DegradedStart: o.degraded,
-	})
 }
 
 // Close stops the view-refresh loop (if any) and tears down all

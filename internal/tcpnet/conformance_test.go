@@ -33,7 +33,7 @@ func startServers(t *testing.T, n int) []string {
 // zero-serialization fast path).
 func TestClientConformance(t *testing.T) {
 	factory := func(t *testing.T) dht.DHT {
-		c, err := DialContext(context.Background(), startServers(t, 3))
+		c, err := Dial(context.Background(), ClusterConfig{Seeds: startServers(t, 3)})
 		if err != nil {
 			t.Fatal(err)
 		}

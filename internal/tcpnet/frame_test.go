@@ -157,7 +157,7 @@ func TestTaggedValueRoundTrip(t *testing.T) {
 // garbage, and must keep serving well-formed clients throughout.
 func TestServerSurvivesMalformedPeer(t *testing.T) {
 	addrs := startServers(t, 1)
-	c, err := DialContext(context.Background(), addrs)
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestClientSurvivesMalformedServer(t *testing.T) {
 				}
 			}()
 
-			c, err := DialContext(context.Background(), []string{ln.Addr().String()})
+			c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{ln.Addr().String()}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,7 @@ package tcpnet
 // injection point for the netchaos plane), redial backoff, and
 // per-operation deadline budgets for replica failover.
 //
-// The health plane is opt-in (WithHealth): without it the client keeps
+// The health plane is opt-in (ClusterConfig.Health): without it the client keeps
 // its original contract — every operation attempts its node, transport
 // faults are transient, and the policy layer above owns all pacing. With
 // it, each node gets a breaker: a run of consecutive transport failures

@@ -37,9 +37,11 @@ func (d *countingDialer) DialContext(ctx context.Context, network, addr string) 
 func TestBreakerOpensAndFastFails(t *testing.T) {
 	addrs, srvs := startServerMap(t, 1)
 	agg := &metrics.Counters{}
-	c, err := DialContext(context.Background(), addrs,
-		WithCounters(agg),
-		WithHealth(dht.BreakerConfig{Threshold: 2, Cooldown: time.Minute}))
+	c, err := Dial(context.Background(), ClusterConfig{
+		Seeds:    addrs,
+		Counters: agg,
+		Health:   &dht.BreakerConfig{Threshold: 2, Cooldown: time.Minute},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +184,10 @@ func TestBreakerHalfOpenProbeRecoversClient(t *testing.T) {
 	p := newFlipProxy(t, backends[0], false)
 	addr := p.addr()
 
-	c, err := DialContext(context.Background(), []string{addr},
-		WithHealth(dht.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Millisecond, MaxCooldown: 60 * time.Millisecond}))
+	c, err := Dial(context.Background(), ClusterConfig{
+		Seeds:  []string{addr},
+		Health: &dht.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Millisecond, MaxCooldown: 60 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +231,12 @@ func TestBreakerHalfOpenProbeRecoversClient(t *testing.T) {
 func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	addrs, srvs := startServerMap(t, 4)
 	agg := &metrics.Counters{}
-	c, err := DialContext(context.Background(), addrs,
-		WithReplicas(2),
-		WithCounters(agg),
-		WithHealth(dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute}))
+	c, err := Dial(context.Background(), ClusterConfig{
+		Seeds:    addrs,
+		Replicas: 2,
+		Counters: agg,
+		Health:   &dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +279,8 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 }
 
 // TestDegradedStartAdoptsRecoveredNode is the degraded-dial satellite:
-// DialContext used to fail hard if any node was down; with
-// WithDegradedStart the client comes up with the dead node's breaker
+// Dial fails hard if any node is down; with
+// ClusterConfig.DegradedStart the client comes up with the dead node's breaker
 // open, keys it owns fail fast with the typed error, and the node is
 // adopted once a half-open probe finds it recovered.
 func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
@@ -285,13 +291,15 @@ func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 
 	// The strict dial contract is unchanged: without the option, one
 	// dead node still fails construction.
-	if _, err := DialContext(context.Background(), addrs); err == nil {
+	if _, err := Dial(context.Background(), ClusterConfig{Seeds: addrs}); err == nil {
 		t.Fatal("strict Dial succeeded with a dead node")
 	}
 
-	c, err := DialContext(context.Background(), addrs,
-		WithDegradedStart(),
-		WithHealth(dht.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Millisecond, MaxCooldown: 60 * time.Millisecond}))
+	c, err := Dial(context.Background(), ClusterConfig{
+		Seeds:         addrs,
+		DegradedStart: true,
+		Health:        &dht.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Millisecond, MaxCooldown: 60 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatalf("degraded Dial = %v, want a working client", err)
 	}
@@ -427,7 +435,7 @@ func TestRedialBackoffLimitsDials(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		addrs, srvs := startServerMap(t, 1)
 		cd := &countingDialer{}
-		c, err := DialContext(context.Background(), addrs, WithDialer(cd))
+		c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Dialer: cd})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,10 +53,12 @@ func TestCloseReclaimsInFlightHedgedReads(t *testing.T) {
 	leak := checkGoroutines(t)
 
 	chaos := netchaos.New(11)
-	c, err := DialContext(context.Background(), addrs,
-		WithDialer(chaos),
-		WithReplicas(2),
-		WithHealth(dht.BreakerConfig{Threshold: 100, Cooldown: time.Minute}))
+	c, err := Dial(context.Background(), ClusterConfig{
+		Seeds:    addrs,
+		Dialer:   chaos,
+		Replicas: 2,
+		Health:   &dht.BreakerConfig{Threshold: 100, Cooldown: time.Minute},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +99,11 @@ func TestCloseReclaimsOpenBreakers(t *testing.T) {
 	leak := checkGoroutines(t)
 
 	chaos := netchaos.New(12)
-	c, err := DialContext(context.Background(), addrs,
-		WithDialer(chaos),
-		WithHealth(dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute}))
+	c, err := Dial(context.Background(), ClusterConfig{
+		Seeds:  addrs,
+		Dialer: chaos,
+		Health: &dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestCloseReclaimsCancelledHandshake(t *testing.T) {
 	leak := checkGoroutines(t)
 
 	chaos := netchaos.New(13)
-	c, err := DialContext(context.Background(), addrs, WithDialer(chaos))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Dialer: chaos})
 	if err != nil {
 		t.Fatal(err)
 	}

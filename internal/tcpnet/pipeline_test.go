@@ -104,7 +104,7 @@ func batchServer(t *testing.T, hold int) (addr string, done <-chan struct{}) {
 func TestPipelineDepthAndCorrelation(t *testing.T) {
 	const depth = 64
 	addr, done := batchServer(t, depth)
-	c, err := DialContext(context.Background(), []string{addr}, WithPoolSize(1))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{addr}, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPipelinedClientStress(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	addrs := startServers(t, 3)
-	c, err := DialContext(context.Background(), addrs)
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPipelinedClientStress(t *testing.T) {
 func TestNoGoroutinePerCall(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		addrs := startServers(t, 1)
-		c, err := DialContext(context.Background(), addrs, WithPoolSize(1))
+		c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, PoolSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestNoGoroutinePerCall(t *testing.T) {
 // dropped when it eventually arrives.
 func TestCancellationAbandonsSlot(t *testing.T) {
 	addrs := startServers(t, 1)
-	c, err := DialContext(context.Background(), addrs, WithPoolSize(1))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	srv := NewServer()
 	go func() { _ = srv.Serve(ln) }()
 
-	c, err := DialContext(context.Background(), []string{addr})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestServerKilledIsTransientAndPolicyRecovers(t *testing.T) {
 	srv := NewServer()
 	go func() { _ = srv.Serve(ln) }()
 
-	c, err := DialContext(context.Background(), []string{addr})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}

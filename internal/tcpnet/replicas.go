@@ -1,6 +1,6 @@
 package tcpnet
 
-// Client-driven replication (Option WithReplicas): each key is stored on
+// Client-driven replication (ClusterConfig.Replicas): each key is stored on
 // its owner plus the next replicas-1 distinct ring members, the same
 // successor-set scheme the Chord substrate uses. The servers stay plain
 // byte stores — fan-out, fallback and read spreading all live here:
@@ -117,7 +117,7 @@ func (c *Client) getFrom(ctx context.Context, n *clientNode, key string, h probe
 // holder is a real miss. A probe's hint (h) rides every attempt, so a
 // failover is answered under the same rule as the first try.
 //
-// Degradation contract (WithHealth): a holder whose breaker is open
+// Degradation contract (ClusterConfig.Health): a holder whose breaker is open
 // fails in microseconds, so the read moves straight to the next holder —
 // an open primary never costs a timeout. Each failover attempt runs
 // under an even share of the caller's remaining deadline (stepCtx), so a

@@ -38,7 +38,7 @@ func startServerMap(t *testing.T, n int) ([]string, map[string]*Server) {
 // client, with redundancy and read spreading invisible to callers.
 func TestReplicatedConformance(t *testing.T) {
 	factory := func(t *testing.T) dht.DHT {
-		c, err := DialContext(context.Background(), startServers(t, 4), WithReplicas(2))
+		c, err := Dial(context.Background(), ClusterConfig{Seeds: startServers(t, 4), Replicas: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestReplicatedConformance(t *testing.T) {
 func TestReplicatedFailover(t *testing.T) {
 	addrs, srvs := startServerMap(t, 4)
 	agg := &metrics.Counters{}
-	c, err := DialContext(context.Background(), addrs, WithReplicas(2), WithCounters(agg))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 2, Counters: agg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestReplicatedFailover(t *testing.T) {
 // the key would serve the stale epoch.
 func TestReplicaPropagationEpochOrder(t *testing.T) {
 	addrs, _ := startServerMap(t, 2)
-	c, err := DialContext(context.Background(), addrs, WithReplicas(2))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestReplicaPropagationEpochOrder(t *testing.T) {
 // propagation forbids any straggling older fan-out from overwriting it.
 func TestReplicatedCASHoldersConverge(t *testing.T) {
 	addrs, _ := startServerMap(t, 4)
-	c, err := DialContext(context.Background(), addrs, WithReplicas(3))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +217,16 @@ func TestReplicatedCASHoldersConverge(t *testing.T) {
 // TestReplicasValidation pins the dial-time contract.
 func TestReplicasValidation(t *testing.T) {
 	addrs := startServers(t, 2)
-	if _, err := DialContext(context.Background(), addrs, WithReplicas(3)); err == nil {
+	if _, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 3}); err == nil {
 		t.Error("3 replicas on a 2-node cluster dialed")
 	}
 	// Duplicate addresses must fail the dial outright — they can never
 	// shrink the distinct-node count below the replica count, which would
 	// leave owners() handing out short holder sets.
-	if _, err := DialContext(context.Background(), []string{addrs[0], addrs[0]}, WithReplicas(2)); err == nil {
+	if _, err := Dial(context.Background(), ClusterConfig{Seeds: []string{addrs[0], addrs[0]}, Replicas: 2}); err == nil {
 		t.Error("duplicated node list dialed")
 	}
-	c, err := DialContext(context.Background(), addrs, WithReplicas(2))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 
 func TestScrubRetiresResurrectedStraggler(t *testing.T) {
 	addrs, _ := startServerMap(t, 3)
-	c, err := DialContext(context.Background(), addrs, WithReplicas(2))
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

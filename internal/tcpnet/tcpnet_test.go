@@ -38,7 +38,7 @@ func startCluster(t *testing.T, n int) (*Client, []*Server) {
 		addrs = append(addrs, ln.Addr().String())
 		servers = append(servers, srv)
 	}
-	c, err := DialContext(context.Background(), addrs)
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestClusterBasicOps(t *testing.T) {
 }
 
 func TestDialValidation(t *testing.T) {
-	if _, err := DialContext(context.Background(), nil); err == nil {
+	if _, err := Dial(context.Background(), ClusterConfig{Seeds: nil}); err == nil {
 		t.Error("Dial with no nodes should fail")
 	}
-	if _, err := DialContext(context.Background(), []string{"x:1", "x:1"}); err == nil {
+	if _, err := Dial(context.Background(), ClusterConfig{Seeds: []string{"x:1", "x:1"}}); err == nil {
 		t.Error("Dial with duplicates should fail")
 	}
-	if _, err := DialContext(context.Background(), []string{"127.0.0.1:1"}); err == nil {
+	if _, err := Dial(context.Background(), ClusterConfig{Seeds: []string{"127.0.0.1:1"}}); err == nil {
 		t.Error("Dial to a dead port should fail the ping")
 	}
 }
@@ -209,7 +209,7 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	srv := NewServer()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	c, err := DialContext(context.Background(), []string{ln.Addr().String()})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{ln.Addr().String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestNodeRestartPreservesIndex(t *testing.T) {
 	srv := NewServer()
 	go func() { _ = srv.Serve(ln) }()
 
-	c, err := DialContext(context.Background(), []string{addr})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestNodeRestartPreservesIndex(t *testing.T) {
 	go func() { _ = srv2.Serve(ln2) }()
 	t.Cleanup(func() { _ = srv2.Close() })
 
-	c2, err := DialContext(context.Background(), []string{addr})
+	c2, err := Dial(context.Background(), ClusterConfig{Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}

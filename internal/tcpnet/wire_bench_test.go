@@ -69,7 +69,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 func benchCluster(b *testing.B) *Client {
 	b.Helper()
 	addrs := startBenchServers(b, 1)
-	c, err := DialContext(context.Background(), addrs)
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs})
 	if err != nil {
 		b.Fatal(err)
 	}

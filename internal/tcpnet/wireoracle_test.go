@@ -107,7 +107,7 @@ func TestCodecOracle(t *testing.T) {
 		t.Cleanup(func() { _ = srv.Close() })
 		servers[i], addrs[i] = srv, ln.Addr().String()
 	}
-	c, err := DialContext(context.Background(), addrs)
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
