@@ -181,21 +181,26 @@ func (b *Bucket) String() string {
 // a bucket never a header.
 //
 // Probe replies. A storing peer answers a probe (a hinted get, see
-// ProbeHint) of a stored bucket with one of three forms, built from the
-// stored bytes, undecoded, by projectBucket:
+// ProbeHint and RangeHint) of a stored bucket with one of four forms,
+// built from the stored bytes, undecoded, by projectBucket:
 //
 //	whole    the stored bytes: the bucket is torn or does not parse, or
 //	         it covers the hinted key and the prober wants the bucket
 //	header   the header bytes alone: an untorn leaf that does not cover
-//	         the hinted key
+//	         the hinted key, or does not overlap the hinted range
 //	record   an untorn leaf that covers the hinted key, for a prober that
 //	         wants the record alone:
 //	           marker u8 = 0xFF (never a wire version)
 //	           header      the stored header bytes, verbatim
 //	           found u8    0 = no record with that key in this leaf, 1
 //	           if found: key u64 BE, uv vlen, value (the stored record)
+//	run      an untorn leaf that overlaps the hinted range:
+//	           marker u8 = 0xFD (never a wire version)
+//	           header      the stored header bytes, verbatim
+//	           record list the stored records whose keys fall in the
+//	                       hinted range, in stored order
 //
-// The three are told apart from their own bytes (decodeProbeReply), and
+// The four are told apart from their own bytes (decodeProbeReply), and
 // DecodeBucket accepts only the first.
 //
 // Patches. A write that changes one record of an untorn leaf ships the
@@ -222,6 +227,8 @@ const (
 	recordReplyMarker = 0xFF
 	// patchAckMarker opens a patch's short reply likewise.
 	patchAckMarker = 0xFE
+	// runReplyMarker opens a run reply likewise.
+	runReplyMarker = 0xFD
 
 	patchUpsert = 1
 	patchDelete = 2
@@ -342,11 +349,19 @@ func parseBucketHeader(b *Bucket, buf []byte) (rest []byte, err error) {
 // ProbeHint builds the hint word of a probe for the data key delta: the
 // key's bit pattern, with the sign bit saying whether the prober wants
 // only delta's record (Search; Insert and Delete, which then patch the
-// leaf) or the bucket (LookupBucket, range, scan, and a writer that will
-// write the bucket whole). A data key is never negative, but -0.0 passes keyspace.CheckKey with the sign
-// bit set, so the key is normalised here; parseProbeHint is the one
-// reader. A peer that predates the sign bit's meaning sees a negative key
-// no leaf covers and answers a header, which the prober re-fetches.
+// leaf) or the bucket (LookupBucket, scan, and a writer that will write
+// the bucket whole). A data key is never negative, but -0.0 passes
+// keyspace.CheckKey with the sign bit set, so the key is normalised here.
+//
+// The hint word has two forms, told apart by bit 62, the top bit of a
+// float64's exponent, which no key in [0, 1] sets. Clear, the word is a
+// key hint, built here: bit 63 is the record-only wish, the rest delta.
+// Set, it is a range hint (RangeHint): bit 63 means nothing, and the 62
+// bits below hold the range. parseProbeHint and parseRangeHint, both
+// called by projectBucket alone, are the only readers. A peer that
+// predates either bit's meaning reads it as part of a key no leaf covers
+// — a negative one, or one of 2 and more — and answers a header, which
+// the prober re-fetches.
 func ProbeHint(delta float64, recordOnly bool) uint64 {
 	h := math.Float64bits(delta) &^ probeRecordOnly
 	if recordOnly {
@@ -355,12 +370,40 @@ func ProbeHint(delta float64, recordOnly bool) uint64 {
 	return h
 }
 
-// probeRecordOnly is the hint word's record-only bit.
-const probeRecordOnly = 1 << 63
+const (
+	// probeRecordOnly is a key hint's record-only bit.
+	probeRecordOnly = 1 << 63
+	// probeRange is the bit that makes a hint word a range hint.
+	probeRange = 1 << 62
+	// rangeHintBits is the width of each of a range hint's two bounds,
+	// which count cells of 2^-rangeHintBits: every leaf boundary down to
+	// depth 31 is a whole number of them.
+	rangeHintBits = 31
+	rangeHintMask = 1<<rangeHintBits - 1
+)
 
 // parseProbeHint is the inverse of ProbeHint.
 func parseProbeHint(hint uint64) (delta float64, recordOnly bool) {
 	return math.Float64frombits(hint &^ probeRecordOnly), hint&probeRecordOnly != 0
+}
+
+// RangeHint builds the hint word of a range query's probes: the query's
+// range [lo, hi), 0 <= lo < hi <= 1, rounded outward to whole cells — the
+// first cell the range touches and the last — so what a peer reads back
+// (parseRangeHint) contains the range, and equals it when both bounds are
+// multiples of 2^-31. The peer's cut is a saving, never the answer: the
+// query still filters what comes back by its exact bounds.
+func RangeHint(lo, hi float64) uint64 {
+	first := uint64(math.Floor(lo * (1 << rangeHintBits)))
+	last := uint64(math.Ceil(hi*(1<<rangeHintBits))) - 1
+	return probeRange | first<<rangeHintBits | last
+}
+
+// parseRangeHint is the inverse of RangeHint, for a hint with probeRange
+// set. The bounds are exact in a float64, as is every product above.
+func parseRangeHint(hint uint64) keyspace.Interval {
+	first, last := hint>>rangeHintBits&rangeHintMask, hint&rangeHintMask
+	return keyspace.Interval{Lo: float64(first) / (1 << rangeHintBits), Hi: float64(last+1) / (1 << rangeHintBits)}
 }
 
 // projectBucket is the bucket's dht.WireProjector: the storing peer's
@@ -369,17 +412,32 @@ func parseProbeHint(hint uint64) (delta float64, recordOnly bool) {
 // label lives under this name, so the header is all the prober can use;
 // one that does cover it ends an exact-match query or a one-record
 // write's lookup, which reads a single record of it, found exactly as
-// record.FindByKey would. A torn bucket
-// goes out whole, for the prober must see it to repair it, and so does
-// anything that does not parse, for the prober's decoder to refuse.
+// record.FindByKey would. A range query's single gets likewise go on from
+// the leaf's label and read only the records in the query's range, cut
+// out exactly as record.FilterRange would; a leaf that does not overlap
+// the range has none. A torn bucket goes out whole, for the prober must
+// see it to repair it, and so does anything that does not parse, for the
+// prober's decoder to refuse.
 func projectBucket(dst, data []byte, hint uint64) []byte {
-	delta, recordOnly := parseProbeHint(hint)
 	var b Bucket
 	list, err := parseBucketHeader(&b, data)
 	if err != nil || b.Torn() {
 		return append(dst, data...)
 	}
 	header := data[:len(data)-len(list)]
+	if hint&probeRange != 0 {
+		r := parseRangeHint(hint)
+		if !b.Interval().Overlaps(r) {
+			return append(dst, header...)
+		}
+		mark := len(dst)
+		dst = append(append(dst, runReplyMarker), header...)
+		if dst, err = record.AppendFilteredList(dst, list, r.Lo, r.Hi); err != nil {
+			return append(dst[:mark], data...)
+		}
+		return dst
+	}
+	delta, recordOnly := parseProbeHint(hint)
 	if !b.Contains(delta) {
 		return append(dst, header...)
 	}
@@ -425,13 +483,16 @@ type BucketRecord struct {
 }
 
 // decodeProbeReply is the bucket kind's probe decoder. A reply that opens
-// with the record marker is a BucketRecord, one that ends where its
-// header ends a BucketHeader, and anything else must be a whole bucket. A
-// torn bucket is only ever shipped whole, so either short form of one is
-// refused.
+// with the record marker is a BucketRecord, one that opens with the run
+// marker a bucketRun, one that ends where its header ends a BucketHeader,
+// and anything else must be a whole bucket. A torn bucket is only ever
+// shipped whole, so any short form of one is refused.
 func decodeProbeReply(data []byte) (dht.Value, error) {
 	if len(data) > 0 && data[0] == recordReplyMarker {
 		return decodeRecordReply(data[1:])
+	}
+	if len(data) > 0 && data[0] == runReplyMarker {
+		return decodeRunReply(data[1:])
 	}
 	var b Bucket
 	rest, err := parseBucketHeader(&b, data)
@@ -442,6 +503,26 @@ func decodeProbeReply(data []byte) (dht.Value, error) {
 		return nil, errors.New("decode bucket: header-only reply for a torn bucket")
 	}
 	return &BucketHeader{Label: b.Label}, nil
+}
+
+// decodeRunReply decodes a run reply past its marker. The decoder is not
+// told the probe's hint: the run is every record of the reply's list, in a
+// copy of its own, and the query's join filters it as it filters a whole
+// bucket's records.
+func decodeRunReply(data []byte) (dht.Value, error) {
+	var b Bucket
+	list, err := parseBucketHeader(&b, data)
+	if err != nil {
+		return nil, fmt.Errorf("decode run reply: %w", err)
+	}
+	if b.Torn() {
+		return nil, errors.New("decode run reply: sent for a torn bucket")
+	}
+	enc, n, err := record.FilterList(list, math.Inf(-1), math.Inf(1))
+	if err != nil {
+		return nil, fmt.Errorf("decode run reply: %w", err)
+	}
+	return &bucketRun{label: b.Label, n: n, enc: enc}, nil
 }
 
 // decodeRecordReply decodes a record reply past its marker.

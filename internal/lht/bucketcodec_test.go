@@ -224,8 +224,9 @@ func headerLen(t testing.TB, b *Bucket) int {
 }
 
 // probeReply classifies what projectBucket shipped for data: "whole",
-// "header", or "record" with the decoded reply; anything else fails the
-// test. A record reply must also be one DecodeBucket refuses.
+// "header", "run", or "record" with the decoded reply; anything else
+// fails the test. A record or run reply must also be one DecodeBucket
+// refuses.
 func probeReply(t testing.TB, data, reply []byte) (string, *BucketRecord) {
 	t.Helper()
 	var b Bucket
@@ -237,12 +238,15 @@ func probeReply(t testing.TB, data, reply []byte) (string, *BucketRecord) {
 		return "header", nil
 	}
 	v, err := decodeProbeReply(reply)
+	if _, err := DecodeBucket(reply); err == nil {
+		t.Fatalf("DecodeBucket accepted a short reply (%T)", v)
+	}
+	if _, ok := v.(*bucketRun); ok && err == nil {
+		return "run", nil
+	}
 	r, ok := v.(*BucketRecord)
 	if err != nil || !ok {
-		t.Fatalf("a %d-byte reply to a probe of %d bytes is no whole, header or record: %T, %v", len(reply), len(data), v, err)
-	}
-	if _, err := DecodeBucket(reply); err == nil {
-		t.Fatal("DecodeBucket accepted a record reply")
+		t.Fatalf("a %d-byte reply to a probe of %d bytes is no whole, header, run or record: %T, %v", len(reply), len(data), v, err)
 	}
 	return "record", r
 }
@@ -483,6 +487,8 @@ func bucketFuzzSeeds(tb testing.TB) [][]byte {
 		seeds = append(seeds, h)
 	}
 	seeds = append(seeds, []byte("junk"), []byte{})
+	// A stored key that is no data key: as a hint it would read as a range.
+	seeds = append(seeds, mustEncode(tb, &Bucket{Label: bitlabel.MustParse("#010"), Records: []record.Record{{Key: 3, Value: []byte("astray")}}}))
 	small := mustEncode(tb, &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
 		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}})
 	return append(seeds, projectBucket(nil, small, ProbeHint(0.5, true)), projectBucket(nil, small, ProbeHint(0.6, true)))
@@ -505,8 +511,9 @@ func bucketFuzzSeeds(tb testing.TB) [][]byte {
 //     with fewer records;
 //   - the peer's projector, on arbitrary bytes and on a valid encoding
 //     probed with every key in it, one absent key and an arbitrary hint,
-//     ships only the whole, the header or a record reply, the last
-//     refused by DecodeBucket and agreeing with record.FindByKey.
+//     ships only the whole, the header, a run (FuzzRangeProbe holds
+//     that form to its contract) or a record reply, the last refused by
+//     DecodeBucket and agreeing with record.FindByKey.
 func FuzzDecodeBucket(f *testing.F) {
 	for _, seed := range bucketFuzzSeeds(f) {
 		f.Add(seed)
@@ -583,6 +590,9 @@ func FuzzDecodeBucket(f *testing.F) {
 		}
 		for _, k := range keys {
 			hint := ProbeHint(k, true)
+			if hint&probeRange != 0 {
+				continue // a generated key may be 2 or more, which makes the word a range hint; a data key never is
+			}
 			k, _ = parseProbeHint(hint) // a generated key may be negative, a data key never is
 			got, rec := probeReply(t, enc, projectBucket(nil, enc, hint))
 			switch {
@@ -633,4 +643,21 @@ func BenchmarkBucketDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkBucket, _ = DecodeBucket(data)
 	}
+}
+
+// BenchmarkBucketProjectRange is the storing peer's cost of a range
+// probe: one walk over the stored bytes and a copy of the third of the
+// records the hinted range takes, into the reply buffer it was handed.
+func BenchmarkBucketProjectRange(b *testing.B) {
+	bk := referenceBucket()
+	data := mustEncode(b, bk)
+	hint := RangeHint(bk.Records[25].Key, bk.Records[50].Key)
+	out := make([]byte, 0, len(data)+1)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = projectBucket(out[:0], data, hint)
+	}
+	sinkBytes = out
 }

@@ -161,9 +161,9 @@ func (ix *Index) Overflows() int64 {
 }
 
 // fetchBucket is the shared fetch-and-type-assert behind both cost
-// paths (getBucket charges a *Cost, getBucketC a rangeCollector). Every
-// bucket fetched from the DHT is a current leaf, so the fetch is also
-// where the leaf cache learns: any successful get notes the leaf's
+// paths (getBucket charges a *Cost, a range's probeLeaf its collector).
+// Every bucket fetched from the DHT is a current leaf, so the fetch is
+// also where the leaf cache learns: any successful get notes the leaf's
 // label, covering lookup probes, range forwarding, scans and walks.
 func (ix *Index) fetchBucket(ctx context.Context, key string) (*Bucket, error) {
 	v, err := ix.d.Get(ctx, key)

@@ -701,3 +701,107 @@ func TestOnlyTheCoalescerStopsAProbe(t *testing.T) {
 		})
 	}
 }
+
+// rangeLiar is a peer whose honest answer to a range probe is tampered
+// with on its way to the index. lie returns what the index gets in place
+// of the run, and whether the index should see through it.
+type rangeLiar struct {
+	*tcpnet.Client
+	lie func(key string, run *bucketRun) (v dht.Value, caught bool)
+
+	mu     sync.Mutex
+	lies   int // runs tampered with
+	caught int // of those, the ones the index must drop and re-fetch
+}
+
+func (p *rangeLiar) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+	v, err := p.Client.Probe(ctx, key, hint)
+	run, ok := v.(*bucketRun)
+	if err != nil || !ok {
+		return v, err
+	}
+	v, caught := p.lie(key, run)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.lies++
+	if caught {
+		p.caught++
+	}
+	return v, nil
+}
+
+// A short reply to a range probe is believed no further than a whole
+// bucket would be. A header is taken only from a leaf outside the range:
+// one whose label overlaps it — all an overlapping leaf gets out of a node
+// that predates the range hint — costs one plain get of the bucket, as
+// does a record reply, which no range asks for; and a run that carries
+// records the hint excludes is filtered by the join like any bucket's
+// records. No answer changes, and each dropped reply is one lookup more.
+// (A run reply for a torn bucket, or one whose list does not parse, never
+// gets this far: TestDecodeRunReply has the decoder refuse them, and the
+// query fails as it does on a bucket that does not decode.)
+func TestLyingRangeReplyIsRefetchedNotTrusted(t *testing.T) {
+	ctx := context.Background()
+	client, _ := startProbeCluster(t, 3)
+	cfg := Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20}
+	honest, err := New(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 300; i++ {
+		if _, err := honest.Insert(record.Record{Key: rng.Float64(), Value: []byte{byte(i), byte(i >> 8)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type query struct{ lo, hi float64 }
+	queries := []query{{0, 1}, {0.5, 0.5 + 1.0/(1<<20)}}
+	for i := 0; i < 30; i++ {
+		lo := rng.Float64() * 0.9
+		queries = append(queries, query{lo, lo + rng.Float64()*(1-lo)/4})
+	}
+	for name, lie := range map[string]func(key string, run *bucketRun) (dht.Value, bool){
+		"a header for a leaf that overlaps the range": func(_ string, run *bucketRun) (dht.Value, bool) {
+			return &BucketHeader{Label: run.label}, true
+		},
+		"a record reply nobody asked for": func(_ string, run *bucketRun) (dht.Value, bool) {
+			return &BucketRecord{Label: run.label}, true
+		},
+		"a run with records outside the hint": func(key string, run *bucketRun) (dht.Value, bool) {
+			v, err := client.Get(ctx, key)
+			if err != nil {
+				t.Error(err)
+				return run, false
+			}
+			b := v.(*Bucket)
+			list := record.AppendList(nil, b.Records)
+			return &bucketRun{label: b.Label, n: len(b.Records), enc: list[record.UvarintLen(uint64(len(b.Records))):]}, false
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			liar := &rangeLiar{Client: client, lie: lie}
+			ix, err := New(liar, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				want, wantCost, err := honest.Range(q.lo, q.hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := liar.caught
+				got, cost, err := ix.Range(q.lo, q.hi)
+				if err != nil || !sameBucket(&Bucket{Records: got}, &Bucket{Records: want}) {
+					t.Fatalf("Range(%v, %v) through the lying peer: %v, %v; through the honest one: %v", q.lo, q.hi, got, err, want)
+				}
+				if refetched := liar.caught - before; cost.Lookups != wantCost.Lookups+refetched || cost.Steps != wantCost.Steps {
+					t.Errorf("Range(%v, %v): cost %+v through the lying peer, %+v through the honest one, want %d refetches more",
+						q.lo, q.hi, cost, wantCost, refetched)
+				}
+			}
+			if liar.lies < len(queries) {
+				t.Errorf("%d runs tampered with over %d ranges", liar.lies, len(queries))
+			}
+		})
+	}
+}

@@ -17,13 +17,16 @@ import (
 // ErrBadRange reports a malformed range query.
 var ErrBadRange = errors.New("lht: invalid range")
 
-// bucketRun is what a swept leaf amounts to for the range query that
-// fetched it: the label the sweep goes on from, and the leaf's records
-// inside the query's range, still encoded. It is what the query's
-// dht.WireView (runView) makes of a stored bucket in place of decoding
-// it, so that the join can decode the records straight into the result.
-// It is unexported and not a dht.WireValue: nothing that handles buckets
-// — clone, CAS, write-back, the leaf cache — can be handed one.
+// bucketRun is what a leaf amounts to for the range query that fetched
+// it: the label the sweep goes on from, and the leaf's records inside the
+// query's range, still encoded. It is what the query's dht.WireView
+// (runView) makes of a swept bucket in place of decoding it, and what a
+// storing peer's run reply to one of the query's probes (projectBucket,
+// RangeHint) decodes to, so that the join can decode the records straight
+// into the result. A peer's run may hold records the query's range does
+// not: the join filters. It is unexported and not a dht.WireValue: nothing
+// that handles buckets — clone, CAS, write-back, the leaf cache — can be
+// handed one.
 type bucketRun struct {
 	label bitlabel.Label
 	n     int    // records in enc
@@ -71,13 +74,17 @@ type rangeShare struct {
 // both modes.
 //
 // The result is built once, by snapshot, at its final size: until then
-// each leaf's share waits as it was fetched. The single gets of a range
-// (the LCA probe, enterChild, a terminal branch's second try) arrive as
-// whole buckets, because Get is what the coalescer shares between callers;
-// only the sweep's multi-get is viewed.
+// each leaf's share waits as it was fetched. Over a substrate that cuts
+// runs every leaf of an untorn tree arrives as one: the sweep's multi-get
+// is viewed on the client, and the single gets of a range (the LCA probe,
+// enterChild, a terminal branch's second try) are probes with the query's
+// range for a hint, cut by the storing peer (probeLeaf).
 type rangeCollector struct {
+	r    keyspace.Interval // the query's range
+	hint uint64            // RangeHint of r: one hint per query
+	view dht.WireView      // runView over r
+
 	mu      sync.Mutex
-	view    dht.WireView // runView over the query's range
 	shares  []rangeShare
 	n       int // the result's size, or an upper bound of it
 	lookups int
@@ -95,9 +102,10 @@ func (c *rangeCollector) addRecords(recs []record.Record, lo, hi float64) {
 	c.add(rangeShare{recs: recs, lo: lo, hi: hi}, n)
 }
 
-// addRun adds a viewed leaf's records in [lo, hi), a subrange of the
-// view's: every record of the run, unless the stored tree is in a state
-// the sweep did not expect, so run.n bounds what the join will take.
+// addRun adds a run's records in [lo, hi), a subrange of the query's.
+// run.n bounds what the join will take: every record of a viewed run,
+// unless the stored tree is in a state the sweep did not expect, and of a
+// peer's run all but those in the margin its hint was rounded out by.
 func (c *rangeCollector) addRun(run *bucketRun, lo, hi float64) {
 	c.add(rangeShare{run: run, lo: lo, hi: hi}, run.n)
 }
@@ -169,10 +177,65 @@ func (c *rangeCollector) snapshot() ([]record.Record, int, error) {
 	return out, c.lookups, nil
 }
 
-// getBucketC fetches a bucket, charging the collector.
-func (ix *Index) getBucketC(ctx context.Context, key string, col *rangeCollector) (*Bucket, error) {
+// probeLeaf is a range query's single get, charging the collector. The
+// query goes on from the fetched leaf's label and takes only its records
+// in the query's range, so the get is a probe hinted with that range, and
+// a substrate that is a dht.Prober may answer an untorn leaf with the run
+// of those records, or, when the leaf does not overlap the range, with its
+// BucketHeader alone — still one round trip and one DHT-lookup. What comes
+// back is a *Bucket, a *bucketRun or such a *BucketHeader, the leaf cache
+// having learnt the label from each alike (see forward).
+//
+// A short reply is trusted no further than a whole bucket: the join
+// filters a run as it filters a bucket's records, so a peer that ships too
+// much decides nothing, and a header whose label does overlap the range —
+// every header a peer sends that predates the range hint, which it reads
+// as a key of 2 or more — or a reply of a form not asked for is dropped
+// and the bucket fetched whole with a plain, charged get.
+func (ix *Index) probeLeaf(ctx context.Context, key string, col *rangeCollector) (dht.Value, error) {
 	col.addLookup()
-	return ix.fetchBucket(ctx, key)
+	v, err := dht.DoProbe(ctx, ix.d, key, col.hint)
+	if err != nil {
+		return nil, err
+	}
+	switch r := v.(type) {
+	case *bucketRun:
+		ix.cacheNote(r.label)
+		return r, nil
+	case *BucketHeader:
+		if !keyspace.IntervalOf(r.Label).Overlaps(col.r) {
+			ix.cacheNote(r.Label)
+			return r, nil
+		}
+	case *BucketRecord:
+		// Never asked for by a range.
+	default:
+		return wholeLeaf(ix.bucketOf(v, nil, key))
+	}
+	// No current peer sends this. Whatever did, the query needs the leaf.
+	col.addLookup()
+	return wholeLeaf(ix.fetchBucket(ctx, key))
+}
+
+// wholeLeaf returns a fetched bucket as probeLeaf does, keeping the nil
+// *Bucket of a failed fetch out of the interface.
+func wholeLeaf(b *Bucket, err error) (dht.Value, error) {
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// rangeLeafLabel is the label of a leaf as a range query holds it: see
+// probeLeaf and sweptLeaf for the forms.
+func rangeLeafLabel(v dht.Value) bitlabel.Label {
+	switch v := v.(type) {
+	case *bucketRun:
+		return v.label
+	case *BucketHeader:
+		return v.Label
+	}
+	return v.(*Bucket).Label
 }
 
 // Range answers the range query [lo, hi) (sections 6.1-6.2): it returns
@@ -215,8 +278,8 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 	r := keyspace.Interval{Lo: lo, Hi: hi}
 	lca := keyspace.RangeLCA(r, ix.cfg.Depth)
 
-	col := &rangeCollector{view: runView(lo, hi)}
-	b, err := ix.getBucketC(metrics.WithPhase(ctx, metrics.PhaseProbe), lca.Name().Key(), col)
+	col := &rangeCollector{r: r, hint: RangeHint(lo, hi), view: runView(lo, hi)}
+	leaf, err := ix.probeLeaf(metrics.WithPhase(ctx, metrics.PhaseProbe), lca.Name().Key(), col)
 	switch {
 	case errors.Is(err, dht.ErrNotFound):
 		// Case 1: no leaf is named f_n(LCA), so the subtree under LCA is
@@ -238,9 +301,9 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 	fctx := metrics.WithPhase(ctx, metrics.PhaseForward)
 	var depth int
 	switch {
-	case b.Interval().Overlaps(r):
-		// Case 2: the simple case holds from this bucket.
-		depth = 1 + ix.forward(fctx, b, r, col)
+	case keyspace.IntervalOf(rangeLeafLabel(leaf)).Overlaps(r):
+		// Case 2: the simple case holds from this leaf.
+		depth = 1 + ix.forward(fctx, leaf, r, col)
 	case ix.cfg.ParallelRange:
 		// Case 3: descend through both children of the LCA; each child's
 		// subrange contains one bound of its half, so forwarding from the
@@ -297,24 +360,30 @@ func (ix *Index) enterChild(ctx context.Context, child bitlabel.Label, r keyspac
 		return 0
 	}
 	depth := 1
-	b, err := ix.getBucketC(ctx, child.Key(), col)
+	leaf, err := ix.probeLeaf(ctx, child.Key(), col)
 	if errors.Is(err, dht.ErrNotFound) {
 		depth = 2
-		b, err = ix.getBucketC(ctx, child.Name().Key(), col)
+		leaf, err = ix.probeLeaf(ctx, child.Name().Key(), col)
 	}
 	if err != nil {
 		col.setErr(fmt.Errorf("lht: range enter %s: %w", child, err))
 		return depth
 	}
-	return depth + ix.forward(ctx, b, sub, col)
+	return depth + ix.forward(ctx, leaf, sub, col)
 }
 
-// forward implements the recursive forwarding of Algorithm 3 from bucket
-// b, which the caller has already fetched: collect b's records in r, then
-// sweep on from b's leaf.
-func (ix *Index) forward(ctx context.Context, b *Bucket, r keyspace.Interval, col *rangeCollector) int {
-	col.addRecords(b.Records, r.Lo, r.Hi)
-	return ix.sweepFrom(ctx, b.Label, r, col)
+// forward implements the recursive forwarding of Algorithm 3 from a leaf
+// the caller has already fetched — whole, as a run, or as the header of a
+// leaf with nothing in the query's range: collect its records in r, then
+// sweep on from its label.
+func (ix *Index) forward(ctx context.Context, leaf dht.Value, r keyspace.Interval, col *rangeCollector) int {
+	switch leaf := leaf.(type) {
+	case *Bucket:
+		col.addRecords(leaf.Records, r.Lo, r.Hi)
+	case *bucketRun:
+		col.addRun(leaf, r.Lo, r.Hi)
+	}
+	return ix.sweepFrom(ctx, rangeLeafLabel(leaf), r, col)
 }
 
 // sweepFrom is forward past the leaf labeled from, whose share of r the
@@ -480,16 +549,12 @@ func (ix *Index) branch(ctx context.Context, task branchTask, v dht.Value, err e
 		sub = task.inv.Intersect(r)
 		if errors.Is(err, dht.ErrNotFound) {
 			hops = 2
-			v, err = ix.getBucketC(ctx, task.label.Name().Key(), col)
+			v, err = ix.probeLeaf(ctx, task.label.Name().Key(), col)
 		}
 	}
 	if err != nil {
 		col.setErr(fmt.Errorf("lht: range forward %s: %w", task.label, err))
 		return hops
 	}
-	if run, ok := v.(*bucketRun); ok {
-		col.addRun(run, sub.Lo, sub.Hi)
-		return hops + ix.sweepFrom(ctx, run.label, sub, col)
-	}
-	return hops + ix.forward(ctx, v.(*Bucket), sub, col)
+	return hops + ix.forward(ctx, v, sub, col)
 }

@@ -16,18 +16,45 @@ import (
 )
 
 // These tests run range queries over real tcpnet servers, the one
-// substrate whose multi-get is viewed, against the same queries over
-// dht.Local, which hands out whole buckets: a run may change what the
-// client allocates and nothing else.
+// substrate whose multi-get is viewed and whose peers cut runs, against
+// the same queries over dht.Local, which hands out whole buckets: a run
+// may change what crosses the wire and what the client allocates, and
+// nothing else.
 
-// viewSpy is the client with what its viewed multi-gets returned on
-// record.
+// viewSpy is the client with what its viewed multi-gets and its range
+// probes returned on record.
 type viewSpy struct {
 	*tcpnet.Client
 
 	mu   sync.Mutex
 	runs int // slots answered with a run
 	torn int // slots answered with a whole, torn bucket
+
+	probes       int // range probes
+	probeRuns    int // answered with a run
+	probeHeaders int // answered with a header
+	probeWhole   int // answered with a whole bucket that is not torn
+}
+
+func (s *viewSpy) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+	v, err := s.Client.Probe(ctx, key, hint)
+	if hint&probeRange == 0 {
+		return v, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.probes++
+	switch v := v.(type) {
+	case *bucketRun:
+		s.probeRuns++
+	case *BucketHeader:
+		s.probeHeaders++
+	case *Bucket:
+		if !v.Torn() {
+			s.probeWhole++
+		}
+	}
+	return v, err
 }
 
 func (s *viewSpy) GetBatchView(ctx context.Context, keys []string, view dht.WireView) ([]dht.Value, []error) {
@@ -172,21 +199,39 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		}
 	}
 	policy := dht.DefaultPolicy()
-	spy := &viewSpy{Client: client}
+	torn := 0
 	for _, arm := range []struct {
-		name string
-		d    dht.DHT
-		cfg  Config
+		name        string
+		crashpoints bool
+		cfg         Config
 	}{
-		{"bare", spy, Config{}},
-		{"bare, parallel", spy, Config{ParallelRange: true}},
-		{"policy(instrumented(crashpoints))", dht.WithCrashPoints(spy), Config{Policy: &policy}},
-		{"policy(instrumented(crashpoints)), parallel", dht.WithCrashPoints(spy), Config{Policy: &policy, ParallelRange: true}},
+		{"bare", false, Config{}},
+		{"bare, parallel", false, Config{ParallelRange: true}},
+		{"policy(instrumented(crashpoints))", true, Config{Policy: &policy}},
+		{"policy(instrumented(crashpoints)), parallel", true, Config{Policy: &policy, ParallelRange: true}},
+		// The coalescer shares a flight between callers, so it turns every
+		// probe into a plain get: the whole-bucket arm, over the wire.
+		{"coalesced", false, Config{CoalesceGets: true}},
 	} {
-		name, before := arm.name, spy.runs
-		got, gotCache := run(arm.d, arm.cfg)
-		if spy.runs == before {
+		name, spy := arm.name, &viewSpy{Client: client}
+		var d dht.DHT = spy
+		if arm.crashpoints {
+			d = dht.WithCrashPoints(spy)
+		}
+		got, gotCache := run(d, arm.cfg)
+		if spy.runs == 0 {
 			t.Errorf("%s: no multi-get slot came back as a run", name)
+		}
+		torn += spy.torn
+		// Every single get of a range is a probe, and of an untorn leaf it
+		// comes back as a run, or as a header when the leaf lies outside
+		// the range (case 3's LCA probe): never as the bucket.
+		switch {
+		case arm.cfg.CoalesceGets && spy.probes != 0:
+			t.Errorf("%s: %d range probes got past the coalescer", name, spy.probes)
+		case !arm.cfg.CoalesceGets && (spy.probeRuns == 0 || spy.probeHeaders == 0 || spy.probeWhole != 0):
+			t.Errorf("%s: of %d range probes %d came back as runs, %d as headers, %d as whole untorn buckets",
+				name, spy.probes, spy.probeRuns, spy.probeHeaders, spy.probeWhole)
 		}
 		for i, q := range queries {
 			if got[i].cost != want[i].cost {
@@ -206,7 +251,7 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 			t.Errorf("%s: leaf cache ends as %v, over dht.Local as %v", name, gotCache, wantCache)
 		}
 	}
-	if spy.torn == 0 {
+	if torn == 0 {
 		t.Error("the torn leaf never came back from a viewed multi-get as a bucket")
 	}
 	for _, d := range []dht.DHT{local, client} {

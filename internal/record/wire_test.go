@@ -262,7 +262,9 @@ func TestSpliceList(t *testing.T) {
 
 // FilterList agrees with FilterRange on what DecodeList decodes, record
 // for record and in order, accepts exactly the lists DecodeList accepts,
-// and returns a copy that holds the records in range and nothing else.
+// and returns a copy that holds the records in range and nothing else;
+// AppendFilteredList makes the same cut into the caller's buffer, as a
+// list with its count.
 func TestFilterList(t *testing.T) {
 	rs := []Record{
 		{Key: 0.75, Value: bytes.Repeat([]byte{7}, 300)},
@@ -306,6 +308,11 @@ func TestFilterList(t *testing.T) {
 		if size := ListSize(want) - UvarintLen(uint64(len(want))); len(enc) != size || cap(enc) != size || (n == 0) != (enc == nil) {
 			t.Errorf("%s: enc has %d of %d bytes for %d records that encode in %d", name, len(enc), cap(enc), n, size)
 		}
+		// The same cut appended to a buffer is the list FilterRange's
+		// records encode to, after what the buffer held.
+		if out, err := AppendFilteredList([]byte("dst:"), list, tc.lo, tc.hi); err != nil || !bytes.Equal(out, AppendList([]byte("dst:"), want)) {
+			t.Errorf("%s: AppendFilteredList = %x, %v; want the list of %v", name, out, err, want)
+		}
 		// A copy: the pooled buffer it was cut from may be reused at once.
 		for i := range list {
 			list[i] ^= 0xFF
@@ -322,6 +329,12 @@ func TestFilterList(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = FilterList(data, 0.8, 0.9) }); n != 0 {
 		t.Errorf("FilterList: %v allocations for an empty cut, want 0", n)
 	}
+	buf := make([]byte, 0, len(data))
+	for _, r := range [][2]float64{{0.125, 0.5}, {0.8, 0.9}, {math.Inf(-1), math.Inf(1)}} {
+		if n := testing.AllocsPerRun(100, func() { buf, _ = AppendFilteredList(buf[:0], data, r[0], r[1]) }); n != 0 {
+			t.Errorf("AppendFilteredList(%v) into a sized buffer: %v allocations, want 0", r, n)
+		}
+	}
 
 	one := AppendList(nil, rs[:1])
 	for name, bad := range map[string][]byte{
@@ -337,6 +350,9 @@ func TestFilterList(t *testing.T) {
 		}
 		// Even a range the damage lies outside of must not be cut.
 		for _, r := range [][2]float64{{0, 1}, {0.7, 0.8}, {0.9, 1}} {
+			if out, err := AppendFilteredList([]byte("dst:"), bad, r[0], r[1]); err == nil || string(out) != "dst:" {
+				t.Errorf("%s: AppendFilteredList(%v) = %q, %v", name, r, out, err)
+			}
 			if enc, n, err := FilterList(bad, r[0], r[1]); err == nil || enc != nil || n != 0 {
 				t.Errorf("%s: FilterList(%v) = %d bytes, %d records, %v", name, r, len(enc), n, err)
 			}

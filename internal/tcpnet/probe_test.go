@@ -213,6 +213,13 @@ func TestProbeOfGobStoredBucketsIsWhole(t *testing.T) {
 // the header alone, also when the bucket does cover the key asked for.
 func serveLying(t *testing.T, real *Server) string {
 	t.Helper()
+	return serveRehinted(t, real, func(uint64) uint64 { return ilht.ProbeHint(1, false) })
+}
+
+// serveRehinted serves the framed protocol from a real server's store,
+// with every get's hint passed through rehint first.
+func serveRehinted(t *testing.T, real *Server, rehint func(uint64) uint64) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +245,7 @@ func serveLying(t *testing.T, real *Server) string {
 					if dht.OpKind(body[8]) == dht.OpGet {
 						c := cursor{b: body[frameHeaderLen:]}
 						if _, err := c.lenBytes(); err == nil && len(c.b) == 8 {
-							binary.BigEndian.PutUint64(c.b, ilht.ProbeHint(1, false))
+							binary.BigEndian.PutUint64(c.b, rehint(binary.BigEndian.Uint64(c.b)))
 						}
 					}
 					if _, err := conn.Write(real.applyFrame(body, nil)); err != nil {
@@ -458,5 +465,152 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 		if failed := agg.Snapshot().Health.Failovers - before; (name == "primary first") != (failed == 3) {
 			t.Errorf("%s: %d failovers", name, failed)
 		}
+	}
+}
+
+// TestRangeProbeShipsTheRun: over the wire a get hinted with a range is
+// answered with the bucket's header and the records in the range, or with
+// the header alone by a leaf outside it, built from the stored bytes under
+// the store lock and counted as the one get it is.
+func TestRangeProbeShipsTheRun(t *testing.T) {
+	ctx := context.Background()
+	c, servers := startCluster(t, 1)
+	srv := servers[0]
+	b := wideBucket()
+	if err := c.Put(ctx, "bucket", b); err != nil {
+		t.Fatal(err)
+	}
+	rangeGet := func(lo, hi float64) []byte {
+		return binary.BigEndian.AppendUint64(appendLenString(nil, "bucket"), ilht.RangeHint(lo, hi))
+	}
+	// Records 20 to 44. The bounds are rounded outward, by less than the
+	// half-gap to record 45 but by enough to take a key that is a bound.
+	slice := rangeGet(b.Records[20].Key, (b.Records[44].Key+b.Records[45].Key)/2)
+	before := srv.Metrics()
+	header := srv.applyFrame(buildFrame(1, dht.OpGet, hintedGet("bucket", 0.1))[4:], nil)
+	outside := srv.applyFrame(buildFrame(2, dht.OpGet, rangeGet(0.1, 0.2))[4:], nil)
+	run := srv.applyFrame(buildFrame(3, dht.OpGet, slice)[4:], nil)
+	all := srv.applyFrame(buildFrame(4, dht.OpGet, rangeGet(0, 1))[4:], nil)
+	whole := srv.applyFrame(buildFrame(5, dht.OpGet, appendLenString(nil, "bucket"))[4:], nil)
+	if !bytes.Equal(outside[4+8:], header[4+8:]) { // past the length and the request id
+		t.Errorf("a range that misses the leaf was answered with %d bytes, a key that does with %d: want the header both times", len(outside), len(header))
+	}
+	// Past the header: the marker, a one-byte count, and the records, each
+	// a key, one length byte and the value.
+	perRecord := 8 + 1 + len(b.Records[0].Value)
+	if want := len(header) + 1 + 1 + 25*perRecord; len(run) != want || !bytes.HasSuffix(run, b.Records[44].Value) {
+		t.Errorf("run reply %d bytes, want %d ending in the last record's value", len(run), want)
+	}
+	if len(all) != len(whole)+1 {
+		t.Errorf("a range that takes every record was answered with %d bytes, a plain get with %d: want the marker more", len(all), len(whole))
+	}
+	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 5 || after.Lookup.FailedGets != before.Lookup.FailedGets {
+		t.Errorf("five gets counted as %d lookups, %d failed gets",
+			after.Lookup.Total-before.Lookup.Total, after.Lookup.FailedGets-before.Lookup.FailedGets)
+	}
+	out := make([]byte, 0, 2*len(whole))
+	for name, payload := range map[string][]byte{"run": slice, "all": rangeGet(0, 1), "outside": rangeGet(0.1, 0.2)} {
+		req := buildFrame(6, dht.OpGet, payload)[4:]
+		if n := testing.AllocsPerRun(200, func() { out = srv.applyFrame(req, out[:0]) }); n != 0 {
+			t.Errorf("serving a range-hinted get (%s): %v allocations, want 0", name, n)
+		}
+	}
+	// What the client makes of the run is the index's business (the type
+	// is its own); a leaf outside the range comes back as its header.
+	v, err := c.Probe(ctx, "bucket", ilht.RangeHint(0.1, 0.2))
+	if h, ok := v.(*ilht.BucketHeader); err != nil || !ok || h.Label != b.Label {
+		t.Errorf("range probe of a leaf outside the range: %#v, %v, want the header", v, err)
+	}
+	if _, err := c.Probe(ctx, "absent", ilht.RangeHint(0, 1)); err != dht.ErrNotFound {
+		t.Errorf("range probe of an absent key: %v", err)
+	}
+}
+
+// rangeHintBit is what tells a range hint from a key hint.
+const rangeHintBit = 1 << 62
+
+// rangeReplies is a client that counts what its range probes came back
+// as; a reply that is neither a bucket nor a header is a run.
+type rangeReplies struct {
+	*Client
+	probes, whole, headers int
+}
+
+func (p *rangeReplies) runs() int { return p.probes - p.whole - p.headers }
+
+func (p *rangeReplies) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+	v, err := p.Client.Probe(ctx, key, hint)
+	if hint&rangeHintBit != 0 && err == nil {
+		p.probes++
+		switch v.(type) {
+		case *ilht.Bucket:
+			p.whole++
+		case *ilht.BucketHeader:
+			p.headers++
+		}
+	}
+	return v, err
+}
+
+// A node that predates the range hint reads the word as a key hint, and
+// the key as one of 2 or more, which no leaf covers: it answers every
+// untorn leaf with its header. A header for a leaf outside the range is
+// all the query wanted; one for a leaf that overlaps it is dropped and the
+// bucket fetched again, whole, with a plain get. So a new client over old
+// nodes returns what it returns over new ones, one lookup more for each
+// run it would have got.
+func TestRangeProbeOfAnOldNodeIsRefetched(t *testing.T) {
+	ctx := context.Background()
+	if ilht.RangeHint(0, 1)&rangeHintBit == 0 || ilht.ProbeHint(1, true)&rangeHintBit != 0 {
+		t.Fatal("bit 62 no longer tells a range hint from a key hint")
+	}
+	honest, servers := startCluster(t, 1)
+	cfg, _, _ := growHonestIndex(t, honest)
+	// The old projector, from the new one: to a hint it takes for a key no
+	// leaf covers it gives the answer it gives to the key 1.
+	addr := serveRehinted(t, servers[0], func(hint uint64) uint64 {
+		if hint&rangeHintBit != 0 {
+			return ilht.ProbeHint(1, false)
+		}
+		return hint
+	})
+	old, err := Dial(ctx, ClusterConfig{Seeds: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = old.Close() })
+
+	newNodes, oldNodes := &rangeReplies{Client: honest}, &rangeReplies{Client: old}
+	want, err := ilht.New(newNodes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ilht.New(oldNodes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 40; i++ {
+		lo := rng.Float64() * 0.9
+		hi := lo + rng.Float64()*(1-lo)/2
+		before := newNodes.runs()
+		wantRecs, wantCost, err := want.Range(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := newNodes.runs() - before
+		recs, cost, err := got.Range(lo, hi)
+		if err != nil || !reflect.DeepEqual(recs, wantRecs) {
+			t.Fatalf("Range(%v, %v) over the old node: %v, %v; over the new one: %v", lo, hi, recs, err, wantRecs)
+		}
+		if cost.Lookups != wantCost.Lookups+runs || cost.Steps != wantCost.Steps {
+			t.Errorf("Range(%v, %v): cost %+v over the old node, %+v over the new one with %d runs, want one refetch for each", lo, hi, cost, wantCost, runs)
+		}
+	}
+	if newNodes.runs() == 0 || newNodes.whole != 0 {
+		t.Errorf("the new node answered %d range probes with %d runs and %d whole buckets", newNodes.probes, newNodes.runs(), newNodes.whole)
+	}
+	if oldNodes.runs() != 0 || oldNodes.whole != 0 || oldNodes.headers == 0 {
+		t.Errorf("the old node answered %d range probes with %d headers, %d whole buckets and %d other replies", oldNodes.probes, oldNodes.headers, oldNodes.whole, oldNodes.runs())
 	}
 }
