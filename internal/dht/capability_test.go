@@ -12,8 +12,9 @@ import (
 )
 
 // patchLog is a hintLog that is also a Patcher and a BatchViewer: it
-// records each PatchIf and answers with the next of its scripted errors,
-// or (nil, or the script run out) with the patch; and it counts the
+// records each PatchIf and WritePatchIf and answers with the next of its
+// scripted errors, or (nil, or the script run out) with the patch; and it
+// counts the
 // multi-gets that arrive with a view, which it runs on each stored string
 // as a wire would on a value's bytes. It counts the batches and the
 // conditional writes it serves too, so it knows of every optional per-key
@@ -21,6 +22,7 @@ import (
 type patchLog struct {
 	*hintLog
 	patches []string // one per PatchIf: the patch bytes
+	inPlace []string // one per WritePatchIf: the patch bytes
 	script  []error
 	views   int // GetBatchView calls
 	batches int // GetBatch and PutBatch calls
@@ -93,16 +95,24 @@ func testView(kind byte, data []byte) (Value, error) {
 }
 
 func (p *patchLog) PatchIf(_ context.Context, _ string, patch []byte, _ uint64) (Value, error) {
+	return p.patch(&p.patches, "patched:", patch)
+}
+
+func (p *patchLog) WritePatchIf(_ context.Context, _ string, patch []byte, _ uint64) (Value, error) {
+	return p.patch(&p.inPlace, "in place:", patch)
+}
+
+func (p *patchLog) patch(log *[]string, answer string, patch []byte) (Value, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.patches = append(p.patches, string(patch))
+	*log = append(*log, string(patch))
 	if len(p.script) > 0 {
 		err := p.script[0]
 		if p.script = p.script[1:]; err != nil {
 			return nil, err
 		}
 	}
-	return "patched:" + string(patch), nil
+	return answer + string(patch), nil
 }
 
 func newPatchLog(t *testing.T, script ...error) *patchLog {
@@ -177,22 +187,31 @@ var capabilities = []struct {
 		return len(hints), 1
 	}},
 
-	{"Patcher", func(ctx context.Context, d DHT, native bool) error {
+	{"Patcher.PatchIf", func(ctx context.Context, d DHT, native bool) error {
 		v, err := DoPatchIf(ctx, d, "k", []byte("p"), 3)
 		if native && (err != nil || v != "patched:p") || !native && (!errors.Is(err, ErrPatchRefused) || v != nil) {
 			return fmt.Errorf("DoPatchIf = %v, %v", v, err)
 		}
 		return nil
 	}, func(sub *patchLog) (int, int) { return len(sub.patches), 1 }},
+
+	{"Patcher.WritePatchIf", func(ctx context.Context, d DHT, native bool) error {
+		v, err := DoWritePatchIf(ctx, d, "k", []byte("p"), 3)
+		if native && (err != nil || v != "in place:p") || !native && (!errors.Is(err, ErrPatchRefused) || v != nil) {
+			return fmt.Errorf("DoWritePatchIf = %v, %v", v, err)
+		}
+		return nil
+	}, func(sub *patchLog) (int, int) { return len(sub.inPlace), 1 }},
 }
 
 // refusals is every cell of the conformance table in which a layer keeps
 // a plane from a substrate that has it, and why. Nothing else may.
 var refusals = map[string]string{
-	"coalescer/Prober":         "a flight is shared by callers whose hints differ, so a probe is a whole Get",
-	"coalescer/Patcher":        "a writer above it reads whole values, so it writes whole values",
-	"withoutBatch/Batcher":     "stripping the batch planes is what it is for",
-	"withoutBatch/BatchViewer": "stripping the batch planes is what it is for",
+	"coalescer/Prober":               "a flight is shared by callers whose hints differ, so a probe is a whole Get",
+	"coalescer/Patcher.PatchIf":      "a writer above it reads whole values, so it writes whole values",
+	"coalescer/Patcher.WritePatchIf": "a writer above it reads whole values, so it rewrites whole values",
+	"withoutBatch/Batcher":           "stripping the batch planes is what it is for",
+	"withoutBatch/BatchViewer":       "stripping the batch planes is what it is for",
 }
 
 // layered is one row of the conformance table: a wrapper, or a stack of
@@ -400,6 +419,36 @@ func TestInstrumentedPatchIsChargedAsAPutIf(t *testing.T) {
 	evs := ring.Events()
 	if len(evs) != 3 || evs[0].Kind != "putif" || evs[0].Outcome != "ok" || evs[1].Outcome != "error" || evs[2].Outcome != "error" {
 		t.Errorf("trace events %+v, want three putifs", evs)
+	}
+}
+
+// An in-place patch is charged, conflict-counted, traced and scheduled as
+// the WriteIf it stands in for: no lookup, a conflict counted, a writeif
+// event, an OpWriteIf to a crash schedule. A refused one leaves no trace.
+func TestInPlacePatchIsChargedAndScheduledAsAWriteIf(t *testing.T) {
+	ctx := context.Background()
+	conflict := &CASConflictError{Key: "k", Exists: true, WinnerEpoch: 9}
+	sub := newPatchLog(t, nil, conflict, ErrPatchRefused)
+	var c metrics.Counters
+	ring := metrics.NewRing(8)
+	d := NewInstrumented(sub, &c)
+	d.SetSink(ring)
+	for i, want := range []error{nil, ErrCASConflict, ErrPatchRefused} {
+		if _, err := d.WritePatchIf(ctx, "k", []byte("p"), 3); !errors.Is(err, want) || want == nil && err != nil {
+			t.Fatalf("in-place patch %d: %v, want %v", i, err, want)
+		}
+	}
+	if f := c.Snapshot(); f.Lookup.Total != 0 || f.Write.CASConflicts != 1 {
+		t.Errorf("Lookups=%d CASConflicts=%d after an applied, a conflicting and a refused in-place patch, want 0, 1", f.Lookup.Total, f.Write.CASConflicts)
+	}
+	if evs := ring.Events(); len(evs) != 2 || evs[0].Kind != "writeif" || evs[0].Outcome != "ok" || evs[1].Outcome != "error" {
+		t.Errorf("trace events %+v, want two writeifs", evs)
+	}
+
+	sub = newPatchLog(t)
+	cp := WithCrashPoints(sub, CrashRule{Op: OpWriteIf, N: 1, After: true})
+	if _, err := cp.WritePatchIf(ctx, "k", []byte("a"), 1); !errors.Is(err, ErrCrashed) || len(sub.inPlace) != 1 {
+		t.Errorf("in-place patch under an OpWriteIf rule = %v after %d at the substrate, want applied, acknowledgement lost", err, len(sub.inPlace))
 	}
 }
 

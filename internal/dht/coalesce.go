@@ -52,7 +52,7 @@ type coalescer struct {
 
 // WithCoalescing wraps inner with singleflight Get coalescing. Writes,
 // conditional writes and batches reach inner as they were issued (see
-// passthrough); Probe and PatchIf do not, see below. c, when non-nil,
+// passthrough); probes and patches do not, see below. c, when non-nil,
 // receives CoalescedGets.
 func WithCoalescing(inner DHT, c *metrics.Counters) DHT {
 	return &coalescer{passthrough: newPassthrough(inner), c: c, inflight: make(map[string]*flight)}
@@ -122,8 +122,12 @@ func (co *coalescer) Probe(ctx context.Context, key string, _ uint64) (Value, er
 	return co.Get(ctx, key)
 }
 
-// PatchIf overrides the base to refuse: a writer above this layer reads
-// whole values, so it holds one and writes it whole.
+// PatchIf and WritePatchIf override the base to refuse: a writer above
+// this layer reads whole values, so it holds one and writes it whole.
 func (co *coalescer) PatchIf(context.Context, string, []byte, uint64) (Value, error) {
+	return nil, ErrPatchRefused
+}
+
+func (co *coalescer) WritePatchIf(context.Context, string, []byte, uint64) (Value, error) {
 	return nil, ErrPatchRefused
 }

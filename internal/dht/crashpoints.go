@@ -83,10 +83,11 @@ const (
 	// backlog per intended holder.
 	OpStatus
 
-	// OpPatchIf is the wire op of Patcher.PatchIf: an epoch-guarded write
-	// that ships a patch for the storing node's WirePatcher in place of
-	// the value. Wire-level only: a crash schedule sees a PatchIf as the
-	// OpPutIf it stands in for.
+	// OpPatchIf is the wire op of Patcher.PatchIf and WritePatchIf: an
+	// epoch-guarded write that ships a patch for the storing node's
+	// WirePatcher in place of the value. Wire-level only: a crash schedule
+	// sees a PatchIf as the OpPutIf, a WritePatchIf as the OpWriteIf it
+	// stands in for.
 	OpPatchIf
 )
 
@@ -263,10 +264,11 @@ func (c *CrashPoints) decide(op OpKind, key string) verdict {
 }
 
 // do schedules one per-key primitive as the operation class it stands for
-// (prims) — a Probe as an OpGet, a PatchIf as an OpPutIf, so a schedule
-// written against whole-value reads and writes fires at the same points
-// over a substrate that probes and patches — and then performs it on the
-// inner substrate, hint and patch included. Whatever the substrate
+// (prims) — a Probe as an OpGet, a PatchIf as an OpPutIf, a WritePatchIf
+// as an OpWriteIf, so a schedule written against whole-value reads and
+// writes fires at the same points over a substrate that probes and
+// patches — and then performs it on the inner substrate, hint and patch
+// included. Whatever the substrate
 // answers, a refusal too, passes through unless the schedule fired.
 func (c *CrashPoints) do(ctx context.Context, cl call) (Value, error) {
 	v := c.decide(prims[cl.prim].kind, cl.key)

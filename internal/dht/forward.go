@@ -25,29 +25,32 @@ const (
 	primCreateIf
 	primRemoveIf
 	primWriteIf
+	primWritePatchIf
 )
 
 // prims is what the layers that treat every primitive alike need to know
-// of each. A Probe is the Get and a PatchIf the PutIf it stands in for:
-// scheduled, charged, named and traced as one. Write and WriteIf rewrite
-// a value on the peer already holding it and are free in the cost model.
+// of each. A Probe is the Get, a PatchIf the PutIf and a WritePatchIf the
+// WriteIf it stands in for: scheduled, charged, named and traced as one.
+// Write, WriteIf and WritePatchIf rewrite a value on the peer already
+// holding it and are free in the cost model.
 var prims = [...]struct {
 	kind        OpKind // the operation class a crash schedule matches and a trace names
 	lookups     int64  // DHT-lookups charged
 	miss        bool   // an ErrNotFound answer is a failed get
 	conditional bool   // a method of Conditional: emulated where the substrate has no CAS
 }{
-	primGet:      {kind: OpGet, lookups: 1, miss: true},
-	primProbe:    {kind: OpGet, lookups: 1, miss: true},
-	primPut:      {kind: OpPut, lookups: 1},
-	primTake:     {kind: OpTake, lookups: 1, miss: true},
-	primRemove:   {kind: OpRemove, lookups: 1},
-	primWrite:    {kind: OpWrite},
-	primPutIf:    {kind: OpPutIf, lookups: 1, conditional: true},
-	primPatchIf:  {kind: OpPutIf, lookups: 1},
-	primCreateIf: {kind: OpCreateIf, lookups: 1, conditional: true},
-	primRemoveIf: {kind: OpRemoveIf, lookups: 1, conditional: true},
-	primWriteIf:  {kind: OpWriteIf, conditional: true},
+	primGet:          {kind: OpGet, lookups: 1, miss: true},
+	primProbe:        {kind: OpGet, lookups: 1, miss: true},
+	primPut:          {kind: OpPut, lookups: 1},
+	primTake:         {kind: OpTake, lookups: 1, miss: true},
+	primRemove:       {kind: OpRemove, lookups: 1},
+	primWrite:        {kind: OpWrite},
+	primPutIf:        {kind: OpPutIf, lookups: 1, conditional: true},
+	primPatchIf:      {kind: OpPutIf, lookups: 1},
+	primCreateIf:     {kind: OpCreateIf, lookups: 1, conditional: true},
+	primRemoveIf:     {kind: OpRemoveIf, lookups: 1, conditional: true},
+	primWriteIf:      {kind: OpWriteIf, conditional: true},
+	primWritePatchIf: {kind: OpWriteIf},
 }
 
 // call is one per-key primitive as a value. Layers hand it on by value:
@@ -56,9 +59,9 @@ type call struct {
 	prim  prim
 	key   string
 	val   Value  // Put, Write, PutIf, CreateIf, WriteIf
-	epoch uint64 // PutIf, PatchIf, RemoveIf, WriteIf
+	epoch uint64 // PutIf, PatchIf, RemoveIf, WriteIf, WritePatchIf
 	hint  uint64 // Probe
-	patch []byte // PatchIf
+	patch []byte // PatchIf, WritePatchIf
 }
 
 // on performs c on d. The optional planes go through their Do* helpers,
@@ -89,6 +92,8 @@ func (c call) on(ctx context.Context, d DHT) (Value, error) {
 		return nil, DoRemoveIf(ctx, d, c.key, c.epoch)
 	case primWriteIf:
 		return nil, DoWriteIf(ctx, d, c.key, c.val, c.epoch)
+	case primWritePatchIf:
+		return DoWritePatchIf(ctx, d, c.key, c.patch, c.epoch)
 	}
 	panic("dht: unknown primitive")
 }
@@ -153,6 +158,10 @@ func (k perKey) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error 
 func (k perKey) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
 	_, err := k.l.do(ctx, call{prim: primWriteIf, key: key, val: v, epoch: ifEpoch})
 	return err
+}
+
+func (k perKey) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
+	return k.l.do(ctx, call{prim: primWritePatchIf, key: key, patch: patch, epoch: ifEpoch})
 }
 
 // forwardTo is the layer that changes nothing.

@@ -27,12 +27,18 @@ var ErrPatchRefused = errors.New("dht: patch refused")
 //
 // Cost model: a PatchIf that is applied or loses its compare-and-swap is
 // one DHT-lookup, exactly like the PutIf it stands in for, and is counted
-// and traced as one; a refused one is free.
+// and traced as one; a WritePatchIf is as free as the WriteIf it stands in
+// for; a refused patch of either kind is free.
 type Patcher interface {
 	// PatchIf applies patch to the value under key iff a value is present
 	// and its epoch equals ifEpoch; otherwise it returns a
 	// *CASConflictError as PutIf does, or ErrPatchRefused.
 	PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error)
+
+	// WritePatchIf is PatchIf in place of WriteIf: the rewrite of a value
+	// by the peer already holding it, which the caller reached with an
+	// earlier lookup. An absent key returns ErrNotFound, as WriteIf does.
+	WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error)
 }
 
 // DoPatchIf patches key through d's native PatchIf when d implements
@@ -42,6 +48,14 @@ type Patcher interface {
 func DoPatchIf(ctx context.Context, d DHT, key string, patch []byte, ifEpoch uint64) (Value, error) {
 	if p, ok := d.(Patcher); ok {
 		return p.PatchIf(ctx, key, patch, ifEpoch)
+	}
+	return nil, ErrPatchRefused
+}
+
+// DoWritePatchIf is DoPatchIf's in-place counterpart.
+func DoWritePatchIf(ctx context.Context, d DHT, key string, patch []byte, ifEpoch uint64) (Value, error) {
+	if p, ok := d.(Patcher); ok {
+		return p.WritePatchIf(ctx, key, patch, ifEpoch)
 	}
 	return nil, ErrPatchRefused
 }

@@ -17,9 +17,10 @@ import (
 // Each layer hands the reified call on by value, which is what keeps it
 // off the heap. (Not under the race detector, which allocates on its own.)
 //
-// PatchIf is the exception, at one: Local refuses a patch, and IsTransient
-// allocates the net.Error it tests an unrecognised error against. That is
-// the refusal's price, paid once per Index, not the layers'.
+// PatchIf and WritePatchIf are the exception, at one: Local refuses a
+// patch, and IsTransient allocates the net.Error it tests an unrecognised
+// error against. That is the refusal's price, not the layers', and an
+// index never pays it over Local: only a record reply leads it to patch.
 func TestStackAddsNoAllocations(t *testing.T) {
 	ctx := context.Background()
 	local := NewLocal()
@@ -40,6 +41,7 @@ func TestStackAddsNoAllocations(t *testing.T) {
 		{"PutIf", 0, func(d DHT) { _ = DoPutIf(ctx, d, "k", v, 0) }},
 		{"WriteIf", 0, func(d DHT) { _ = DoWriteIf(ctx, d, "k", v, 0) }},
 		{"PatchIf", 1, func(d DHT) { _, _ = DoPatchIf(ctx, d, "k", nil, 0) }},
+		{"WritePatchIf", 1, func(d DHT) { _, _ = DoWritePatchIf(ctx, d, "k", nil, 0) }},
 		{"GetBatch", 0, func(d DHT) { _, _ = DoGetBatch(ctx, d, keys) }},
 	} {
 		bare := testing.AllocsPerRun(100, func() { op.run(local) })

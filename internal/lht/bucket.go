@@ -218,6 +218,21 @@ func (b *Bucket) String() string {
 //
 //	ack      marker u8 = 0xFE (never a wire version), uv new record count
 //	whole    the new stored bytes: the weight crossed the patch's whole
+//
+// The steps a split or merge takes on the peer that keeps its bucket —
+// free, in-place rewrites (dht.Patcher's WritePatchIf) — are patches too,
+// the op byte alone (MarkSplitPatch, CommitSplitPatch, ClearMergePatch).
+// Each writes what AppendWire writes for the bucket the index's step
+// builds from the stored one, and is acknowledged with the new record
+// count:
+//
+//	3 mark split    an untorn leaf: the epoch one up, Pending{Split}, the
+//	                rest verbatim (Algorithm 1's write-ahead intent)
+//	4 commit split  a leaf marked Pending{Split}: the local half of
+//	                splitHalves — the label the local child's, the epoch
+//	                one up, no intent, the rate halved, the records of the
+//	                local child's side of the median in stored order
+//	5 clear merge   a leaf marked Pending{Merge}: no intent, the epoch kept
 const (
 	bucketWireVersion = 1
 	// bucketWireKind is Bucket's dht.WireValue kind byte.
@@ -230,8 +245,11 @@ const (
 	// runReplyMarker opens a run reply likewise.
 	runReplyMarker = 0xFD
 
-	patchUpsert = 1
-	patchDelete = 2
+	patchUpsert      = 1
+	patchDelete      = 2
+	patchMarkSplit   = 3
+	patchCommitSplit = 4
+	patchClearMerge  = 5
 )
 
 func init() {
@@ -246,6 +264,12 @@ func (b *Bucket) WireKind() byte { return bucketWireKind }
 // AppendWire implements dht.WireValue: it appends the bucket's wire
 // format to dst.
 func (b *Bucket) AppendWire(dst []byte) []byte {
+	return record.AppendList(b.appendHeader(dst), b.Records)
+}
+
+// appendHeader appends the bucket's header: its wire format up to the
+// record list.
+func (b *Bucket) appendHeader(dst []byte) []byte {
 	dst = append(dst, bucketWireVersion)
 	dst = binary.AppendUvarint(dst, b.Epoch)
 	dst, _ = b.Label.AppendBinary(dst) // never fails
@@ -254,8 +278,7 @@ func (b *Bucket) AppendWire(dst []byte) []byte {
 	dst = append(dst, b.Pending.RemoveKey...)
 	dst = binary.AppendUvarint(dst, b.Pending.PeerEpoch)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Rate))
-	dst = binary.AppendUvarint(dst, uint64(b.RateAt))
-	return record.AppendList(dst, b.Records)
+	return binary.AppendUvarint(dst, uint64(b.RateAt))
 }
 
 // maxBucketHeaderLen bounds everything AppendWire writes before the
@@ -300,50 +323,58 @@ func decodeBucket(buf []byte) (*Bucket, error) {
 }
 
 // parseBucketHeader reads the header off the front of buf into b (every
-// field but Records) and returns the bytes that follow it. It is the one
-// walk over the header, shared by decoding a bucket, projecting a stored
-// one on its peer and decoding a probe's reply. It keeps no
+// field but Records) and returns the bytes that follow it. It keeps no
 // reference to buf and allocates only a torn bucket's remove-key.
 func parseBucketHeader(b *Bucket, buf []byte) (rest []byte, err error) {
+	rest, removeKey, err := parseHeader(b, buf)
+	b.Pending.RemoveKey = string(removeKey)
+	return rest, err
+}
+
+// parseHeader is the one walk over the header, shared by decoding a
+// bucket, projecting or patching a stored one on its peer and decoding a
+// probe's reply: parseBucketHeader that leaves b's remove-key out and
+// returns it as a view of buf, so that it allocates nothing.
+func parseHeader(b *Bucket, buf []byte) (rest, removeKey []byte, err error) {
 	if len(buf) == 0 {
-		return nil, errBucketTruncated
+		return nil, nil, errBucketTruncated
 	}
 	if buf[0] != bucketWireVersion {
-		return nil, fmt.Errorf("unknown wire version %d", buf[0])
+		return nil, nil, fmt.Errorf("unknown wire version %d", buf[0])
 	}
 	if b.Epoch, buf, err = record.ReadUvarint(buf[1:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(buf) < bitlabel.BinaryLen+1 {
-		return nil, errBucketTruncated
+		return nil, nil, errBucketTruncated
 	}
 	if err := b.Label.UnmarshalBinary(buf[:bitlabel.BinaryLen]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b.Pending.Kind = PendingKind(buf[bitlabel.BinaryLen])
 	if b.Pending.Kind > PendingMerge {
-		return nil, fmt.Errorf("unknown pending kind %d", b.Pending.Kind)
+		return nil, nil, fmt.Errorf("unknown pending kind %d", b.Pending.Kind)
 	}
 	var n uint64
 	if n, buf, err = record.ReadUvarint(buf[bitlabel.BinaryLen+1:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if n > uint64(len(buf)) {
-		return nil, errBucketTruncated
+		return nil, nil, errBucketTruncated
 	}
-	b.Pending.RemoveKey = string(buf[:n])
+	removeKey = buf[:n]
 	if b.Pending.PeerEpoch, buf, err = record.ReadUvarint(buf[n:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(buf) < 8 {
-		return nil, errBucketTruncated
+		return nil, nil, errBucketTruncated
 	}
 	b.Rate = math.Float64frombits(binary.BigEndian.Uint64(buf))
 	if n, buf, err = record.ReadUvarint(buf[8:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b.RateAt = int64(n)
-	return buf, nil
+	return buf, removeKey, nil
 }
 
 // ProbeHint builds the hint word of a probe for the data key delta: the
@@ -420,7 +451,7 @@ func parseRangeHint(hint uint64) keyspace.Interval {
 // prober's decoder to refuse.
 func projectBucket(dst, data []byte, hint uint64) []byte {
 	var b Bucket
-	list, err := parseBucketHeader(&b, data)
+	list, _, err := parseHeader(&b, data)
 	if err != nil || b.Torn() {
 		return append(dst, data...)
 	}
@@ -568,18 +599,34 @@ func DeletePatch(delta float64, wholeBelow int) []byte {
 	return binary.BigEndian.AppendUint64(p, math.Float64bits(delta))
 }
 
+// MarkSplitPatch is the in-place patch that records a split's intent in
+// an untorn leaf (see "Patches").
+func MarkSplitPatch() []byte { return []byte{patchMarkSplit} }
+
+// CommitSplitPatch is the in-place patch that rewrites a leaf marked for
+// a split as the local half of that split.
+func CommitSplitPatch() []byte { return []byte{patchCommitSplit} }
+
+// ClearMergePatch is the in-place patch that clears a merged leaf's
+// intent.
+func ClearMergePatch() []byte { return []byte{patchClearMerge} }
+
 // patchBucket is the bucket's dht.WirePatcher: the storing peer's half of
 // a patched write (see "Patches" above). What it appends to dst is byte
 // for byte what AppendWire writes for the bucket InsertContext or
 // DeleteContext would have built from the stored one — the epoch one up,
 // the header otherwise untouched, the record replaced in place, appended,
-// or its hole filled with the last record. It refuses what those would
-// not have written that way: a bucket that is torn or does not parse, a
-// key the leaf does not cover, a record to delete that is not there, a
-// patch that is not exactly one of the two forms.
+// or its hole filled with the last record — or, for a one-byte patch, the
+// bucket a step of a split or merge would have (patchInPlace). It refuses
+// what those would not have written that way: a bucket that is torn or
+// does not parse, a key the leaf does not cover, a record to delete that
+// is not there, a patch that is not exactly one of the forms.
 func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64, ok bool) {
+	if len(patch) == 1 {
+		return patchInPlace(dst, reply, data, patch[0])
+	}
 	var b Bucket
-	list, err := parseBucketHeader(&b, data)
+	list, _, err := parseHeader(&b, data)
 	if err != nil || b.Torn() || len(patch) < 2 {
 		return dst, reply, 0, false
 	}
@@ -616,6 +663,48 @@ func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64,
 		reply = binary.AppendUvarint(append(reply, patchAckMarker), count)
 	}
 	return dst, reply, b.Epoch + 1, true
+}
+
+// patchInPlace applies one of the in-place patches, op 3 to 5 (see
+// "Patches"), under patchBucket's contract. The commit cuts the records
+// at the median exactly as splitHalves does — key < mid one side, the
+// rest the other — so a key at the top of the leaf's interval, such as
+// 1.0 in the rightmost leaf, stays where splitHalves keeps it. A leaf
+// that could not have split — the virtual root, or one already as deep
+// as a label goes — cannot be committed.
+func patchInPlace(dst, reply, data []byte, op byte) (out, rep []byte, epoch uint64, ok bool) {
+	var b Bucket
+	list, _, err := parseHeader(&b, data)
+	if err != nil {
+		return dst, reply, 0, false
+	}
+	next := Bucket{Label: b.Label, Epoch: b.Epoch, Rate: b.Rate, RateAt: b.RateAt}
+	var mid float64
+	var low bool
+	switch {
+	case op == patchMarkSplit && !b.Torn():
+		next.Epoch++
+		next.Pending.Kind = PendingSplit
+	case op == patchCommitSplit && b.Pending.Kind == PendingSplit && b.Label.Len() > 0 && b.Label.Len() < bitlabel.MaxBits:
+		next.Label, mid, low = splitAt(b.Label)
+		next.Epoch++
+		next.Rate /= 2
+	case op == patchClearMerge && b.Pending.Kind == PendingMerge:
+	default:
+		return dst, reply, 0, false
+	}
+	mark := len(dst)
+	dst = next.appendHeader(dst)
+	var count uint64
+	if op == patchCommitSplit {
+		dst, count, err = record.AppendHalf(dst, list, mid, low)
+	} else if count, err = record.CountList(list); err == nil {
+		dst = append(dst, list...)
+	}
+	if err != nil {
+		return dst[:mark], reply, 0, false
+	}
+	return dst, binary.AppendUvarint(append(reply, patchAckMarker), count), next.Epoch, true
 }
 
 // PatchAck is a storing peer's short answer to a patch it applied: the

@@ -474,6 +474,7 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 				continue
 			}
 		}
+		inPlace := b == nil // the write was a patch, and so is the split's every in-place step
 		if b != nil {
 			// Mutate a private clone: the substrate may hand concurrent readers
 			// the very pointer it stores (the in-process substrates do).
@@ -514,7 +515,7 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		}
 		capacity := nb.Weight() >= ix.cfg.SplitThreshold
 		if capacity || ix.hotLeaf(nb, hotEdge) {
-			splitCost, err := ix.split(ctx, key, nb, !capacity)
+			splitCost, err := ix.split(ctx, key, nb, !capacity, inPlace)
 			cost.Add(splitCost)
 			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
 			if err != nil {
@@ -626,6 +627,47 @@ func (ix *Index) patchLeaf(ctx context.Context, key string, r *BucketRecord, rec
 	return nb, nil, nil
 }
 
+// inPlaceOps holds the in-place patches back to back, read-only: a step
+// sends a slice of it instead of allocating its one byte.
+var inPlaceOps = [...]byte{patchMarkSplit, patchCommitSplit, patchClearMerge}
+
+// writeInPlace commits one of the free in-place steps of a split or merge
+// — the split's intent mark and its commit, the merge's intent clear —
+// that leave want stored under key, guarded by ifEpoch. On the patched
+// arm (inPlace: the write that led here was a patch) it ships the step's
+// one-byte patch op, from which the storing peer builds want's bytes out
+// of its own; a refusal falls back to the WriteIf of want, which this
+// writer holds, at no lookup. Off it, it is that WriteIf, byte for byte.
+//
+// The peer acknowledges with the record count, which must be want's. An
+// acknowledgement that is not costs one plain, charged get, as in
+// patchLeaf: if what is stored is want's leaf at want's epoch and intent,
+// the step stands and that bucket is returned for the mutation to go on
+// from; if it is anything else, the step is reported as the conflict a
+// WriteIf would have met there, and the caller yields as from one.
+func (ix *Index) writeInPlace(ctx context.Context, key string, op byte, want *Bucket, ifEpoch uint64, inPlace bool, cost *Cost) (*Bucket, error) {
+	if !inPlace {
+		return want, dht.DoWriteIf(ctx, ix.d, key, want, ifEpoch)
+	}
+	v, err := dht.DoWritePatchIf(ctx, ix.d, key, inPlaceOps[op-patchMarkSplit:][:1], ifEpoch)
+	switch {
+	case errors.Is(err, dht.ErrPatchRefused):
+		return want, dht.DoWriteIf(ctx, ix.d, key, want, ifEpoch)
+	case err != nil || v == PatchAck{Records: len(want.Records)}:
+		return want, err
+	}
+	// No peer sends this.
+	stored, err := ix.peekBucket(ctx, key, cost)
+	cost.Steps++
+	switch {
+	case err != nil:
+		return want, err
+	case stored.Label != want.Label || stored.Epoch != want.Epoch || stored.Pending.Kind != want.Pending.Kind:
+		return want, &dht.CASConflictError{Key: key, Exists: true, WinnerEpoch: stored.Epoch}
+	}
+	return stored, nil
+}
+
 // rateHot reports whether the leaf's decayed request-rate estimate has
 // crossed the configured hot threshold (always false with the plane
 // off).
@@ -653,7 +695,10 @@ func (ix *Index) hotLeaf(b *Bucket, hotEdge bool) bool {
 // estimate rather than capacity; the mechanism is identical — the same
 // intent protocol, the same deterministic partition — only the
 // accounting differs (HotSplits), so a rate-triggered split leaves
-// exactly the tree a capacity split of the same leaf would.
+// exactly the tree a capacity split of the same leaf would. inPlace
+// marks the split of a patched write: its two free rewrites of the leaf
+// in place are patches too, which the storing peer applies to its own
+// bytes (writeInPlace), and only the remote half travels whole.
 //
 // The rewrite is crash-consistent: a write-ahead intent (Pending) is
 // recorded in the full leaf in place before any routed write, and cleared
@@ -661,7 +706,7 @@ func (ix *Index) hotLeaf(b *Bucket, hotEdge bool) bool {
 // detectable from the bucket under key alone, and completeSplit — invoked
 // by the next lookup's read-repair or by Scrub — re-runs the remaining
 // steps idempotently, converging on exactly the never-crashed tree.
-func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Cost, error) {
+func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot, inPlace bool) (Cost, error) {
 	// Maintenance traffic: the intent write and both halves' writes are
 	// split-phase lookups (repairTorn labels its own calls PhaseRepair).
 	ctx = metrics.WithPhase(ctx, metrics.PhaseSplit)
@@ -683,11 +728,12 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Co
 	// complete the split before retrying. Losing the fence ourselves means
 	// another writer committed first (possibly its own split); yield and
 	// let the structure settle — if the leaf is still over threshold, the
-	// next insert re-triggers the split.
-	marked := b.Clone()
+	// next insert re-triggers the split. The marked bucket is a copy of
+	// b's header over b's records, which are read-only.
+	marked := *b
 	marked.Pending = Pending{Kind: PendingSplit}
 	marked.Epoch = b.Epoch + 1
-	err := dht.DoWriteIf(ctx, ix.d, key, marked, b.Epoch)
+	stored, err := ix.writeInPlace(ctx, key, patchMarkSplit, &marked, b.Epoch, inPlace, &cost)
 	if errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound) {
 		return cost, nil
 	}
@@ -696,7 +742,7 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot bool) (Co
 	}
 
 	// Steps 2-3: push the remote half out, write the local half back.
-	_, rb, err := ix.completeSplit(ctx, key, marked, &cost, false)
+	_, rb, err := ix.completeSplit(ctx, key, stored, &cost, false, inPlace)
 	if err != nil {
 		return cost, err
 	}
@@ -748,6 +794,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 				continue
 			}
 		}
+		inPlace := b == nil // the write was a patch, and so is the merge's intent clear
 		if b != nil {
 			i := record.FindByKey(b.Records, delta)
 			if i < 0 {
@@ -781,7 +828,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 		// A rate-hot leaf never merges: re-widening the interval a skewed
 		// read stream is hammering would undo the load split and thrash.
 		if nb != nil && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold && !ix.rateHot(nb) {
-			mergeCost, err := ix.merge(ctx, key, nb)
+			mergeCost, err := ix.merge(ctx, key, nb, inPlace)
 			cost.Add(mergeCost)
 			ix.c.Add(metrics.MaintLookups, int64(mergeCost.Lookups))
 			if err != nil {
@@ -804,10 +851,11 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 // loses records: the merged bucket — carrying both children's records and
 // a Pending intent naming the obsolete child — is made durable first, the
 // obsolete child is removed second, and the intent is cleared last (a
-// free in-place rewrite). A crash in either window leaves the intent in
-// the merged bucket, and completeMerge rolls the mutation forward (or
-// back, if another client has since written to the obsolete child).
-func (ix *Index) merge(ctx context.Context, key string, b *Bucket) (Cost, error) {
+// free in-place rewrite; a patch when inPlace, as in split). A crash in
+// either window leaves the intent in the merged bucket, and completeMerge
+// rolls the mutation forward (or back, if another client has since
+// written to the obsolete child).
+func (ix *Index) merge(ctx context.Context, key string, b *Bucket, inPlace bool) (Cost, error) {
 	// Maintenance traffic: the sibling fetch and the merge rewrite are
 	// merge-phase lookups.
 	ctx = metrics.WithPhase(ctx, metrics.PhaseMerge)
@@ -915,9 +963,9 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket) (Cost, error)
 	// repairers write identical bytes, so the non-bump is idempotent) and
 	// is itself guarded: if a repairer or writer already advanced the
 	// bucket, the intent is gone and this write must not clobber theirs.
-	cleared := merged.Clone()
+	cleared := *merged
 	cleared.Pending = Pending{}
-	err = dht.DoWriteIf(ctx, ix.d, mergedKey, cleared, merged.Epoch)
+	_, err = ix.writeInPlace(ctx, mergedKey, patchClearMerge, &cleared, merged.Epoch, inPlace, &cost)
 	if err != nil && !errors.Is(err, dht.ErrCASConflict) && !errors.Is(err, dht.ErrNotFound) {
 		return cost, fmt.Errorf("lht: merge clear %q: %w", mergedKey, err)
 	}

@@ -37,6 +37,27 @@ func applyDelete(b *Bucket, delta float64) (*Bucket, bool) {
 	return nb, true
 }
 
+// markedSplit, committedSplit and clearedMerge are the steps a split and
+// a merge take on the bucket their peer keeps, as the index makes them:
+// what the in-place patches must reproduce byte for byte.
+func markedSplit(b *Bucket) *Bucket {
+	m := *b
+	m.Pending = Pending{Kind: PendingSplit}
+	m.Epoch++
+	return &m
+}
+
+func committedSplit(marked *Bucket) *Bucket {
+	local, _ := splitHalves(marked)
+	return local
+}
+
+func clearedMerge(merged *Bucket) *Bucket {
+	c := *merged
+	c.Pending = Pending{}
+	return &c
+}
+
 // patchedReply classifies a patch's reply against the new stored bytes:
 // the record count an acknowledgement carries, or -1 for the bucket whole.
 func patchedReply(t testing.TB, reply, stored []byte) int {
@@ -128,6 +149,43 @@ func TestPatchBucket(t *testing.T) {
 		}
 	}
 
+	// The in-place steps of a split and a merge, acknowledged with the
+	// record count they leave. 1<<14 - 1 is the widest epoch in two varint
+	// bytes, so marking or committing that leaf moves all that follows.
+	rightmost := &Bucket{Label: bitlabel.MustParse("#011"), Epoch: 4, // [0.75, 1]
+		Records: []record.Record{{Key: 1, Value: []byte("top")}, {Key: 0.8}, {Key: 0.875, Value: []byte("mid")}, {Key: 0.9}}}
+	merged := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 9, Rate: 3, RateAt: 7, Records: small.Records,
+		Pending: Pending{Kind: PendingMerge, RemoveKey: "#01", PeerEpoch: 5}}
+	for name, tc := range map[string]struct {
+		b, want *Bucket
+		patch   []byte
+	}{
+		"mark":                                   {small, markedSplit(small), MarkSplitPatch()},
+		"mark, the epoch a byte wider":           {wide, markedSplit(wide), MarkSplitPatch()},
+		"commit to the right child, rate halved": {markedSplit(small), committedSplit(markedSplit(small)), CommitSplitPatch()},
+		"commit to the left child":               {markedSplit(wide), committedSplit(markedSplit(wide)), CommitSplitPatch()},
+		"commit keeps 1.0 in the rightmost leaf": {markedSplit(rightmost), committedSplit(markedSplit(rightmost)), CommitSplitPatch()},
+		"commit of an empty leaf":                {markedSplit(&Bucket{Label: bitlabel.TreeRoot}), &Bucket{Label: bitlabel.MustParse("#00"), Epoch: 2}, CommitSplitPatch()},
+		"clear, the epoch kept":                  {merged, clearedMerge(merged), ClearMergePatch()},
+	} {
+		data, want := mustEncode(t, tc.b), mustEncode(t, tc.want)
+		out, reply, epoch, ok := patchBucket(append([]byte(nil), prefix...), append([]byte(nil), prefix...), data, tc.patch)
+		if !ok || epoch != tc.want.Epoch || !bytes.HasPrefix(out, prefix) || !bytes.Equal(out[len(prefix):], want) {
+			t.Errorf("%s: ok %v, epoch %d; patched\n%x, want\n%x", name, ok, epoch, out, want)
+			continue
+		}
+		if got := patchedReply(t, reply[len(prefix):], want); got != len(tc.want.Records) {
+			t.Errorf("%s: reply says %d (-1 = whole), want an acknowledgement of %d records", name, got, len(tc.want.Records))
+		}
+		dst, rep := make([]byte, 0, 2*len(data)+64), make([]byte, 0, 64)
+		if n := testing.AllocsPerRun(50, func() { patchBucket(dst, rep, data, tc.patch) }); n != 0 {
+			t.Errorf("%s: %v allocations with room in dst and reply, want 0", name, n)
+		}
+	}
+	if got := committedSplit(markedSplit(rightmost)); len(got.Records) != 3 || got.Records[0].Key != 1 {
+		t.Errorf("the rightmost leaf's local half holds %v, want 1.0 and the keys from 0.875", got.Records)
+	}
+
 	torn := small.Clone()
 	torn.Pending = Pending{Kind: PendingSplit}
 	data := mustEncode(t, small)
@@ -154,6 +212,23 @@ func TestPatchBucket(t *testing.T) {
 		"record cut short":         {data, put[:len(put)-1]},
 		"bytes after the record":   {data, append(append([]byte(nil), put...), 0)},
 		"bytes after a delete key": {data, append(DeletePatch(0.75, 0), 0)},
+
+		"mark of a split leaf":                {mustEncode(t, torn), MarkSplitPatch()},
+		"mark of a merged leaf":               {mustEncode(t, merged), MarkSplitPatch()},
+		"commit of an untorn leaf":            {data, CommitSplitPatch()},
+		"commit of a merged leaf":             {mustEncode(t, merged), CommitSplitPatch()},
+		"commit of the virtual root":          {mustEncode(t, markedSplit(&Bucket{})), CommitSplitPatch()},
+		"commit of a leaf as deep as a label": {mustEncode(t, markedSplit(&Bucket{Label: deepestLabel()})), CommitSplitPatch()},
+		"clear of an untorn leaf":             {data, ClearMergePatch()},
+		"clear of a split leaf":               {mustEncode(t, torn), ClearMergePatch()},
+		"mark, a corrupt list":                {data[:len(data)-1], MarkSplitPatch()},
+		"commit, bytes after the list":        {append(mustEncode(t, torn), 0), CommitSplitPatch()},
+		"clear, bytes after the list":         {append(mustEncode(t, merged), 0), ClearMergePatch()},
+		"mark, bytes after the op":            {data, append(MarkSplitPatch(), 0)},
+		"commit, bytes after the op":          {mustEncode(t, torn), append(CommitSplitPatch(), 0)},
+		"clear, bytes after the op":           {mustEncode(t, merged), append(ClearMergePatch(), 0)},
+		"an unknown one-byte op":              {data, []byte{6}},
+		"a record op alone":                   {data, []byte{patchDelete}},
 	} {
 		out, reply, _, ok := patchBucket(prefix, prefix, tc.data, tc.patch)
 		if ok || !bytes.Equal(out, prefix) || !bytes.Equal(reply, prefix) {
@@ -184,19 +259,31 @@ func TestPatchBucket(t *testing.T) {
 	}
 }
 
+// deepestLabel is a label as deep as a label goes, which has no children.
+func deepestLabel() bitlabel.Label {
+	l := bitlabel.TreeRoot
+	for l.Len() < bitlabel.MaxBits {
+		l = l.Left()
+	}
+	return l
+}
+
 // FuzzPatchBucket drives arbitrary stored bytes and an arbitrary patch
 // through the patcher, and a well-formed bucket built from the same bytes
 // through every patch its records suggest:
 //
 //   - it never panics, and a refusal appends nothing;
-//   - what it stores always decodes, one epoch on, and its reply is an
-//     acknowledgement of that bucket's record count or those very bytes;
+//   - what it stores always decodes, one epoch on (the epoch kept, for a
+//     merge's clear), and its reply is an acknowledgement of that bucket's
+//     record count or those very bytes;
 //   - it accepts exactly when the whole-bucket arm could have made the
 //     write (an untorn bucket that covers the key; for a delete, holds it)
-//     and then stores exactly that arm's encoding.
+//     or taken the step (marked an untorn leaf, committed a split one,
+//     cleared a merged one) and then stores exactly that arm's encoding.
 func FuzzPatchBucket(f *testing.F) {
-	small := mustEncode(f, &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
-		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}})
+	b := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
+		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}}
+	small := mustEncode(f, b)
 	f.Add(small, UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 4))
 	f.Add(small, UpsertPatch(record.Record{Key: 0.5}, 0))
 	f.Add(small, DeletePatch(0.75, 2))
@@ -205,6 +292,11 @@ func FuzzPatchBucket(f *testing.F) {
 	for _, h := range hostileBuckets() {
 		f.Add(h, DeletePatch(0.5, 0))
 	}
+	merged := *b
+	merged.Pending = Pending{Kind: PendingMerge, RemoveKey: "#011", PeerEpoch: 2}
+	f.Add(small, MarkSplitPatch())
+	f.Add(mustEncode(f, markedSplit(b)), CommitSplitPatch())
+	f.Add(mustEncode(f, &merged), ClearMergePatch())
 
 	f.Fuzz(func(t *testing.T, raw, patch []byte) {
 		check := func(data, patch []byte) (stored *Bucket) {
@@ -219,8 +311,12 @@ func FuzzPatchBucket(f *testing.F) {
 			if err != nil {
 				t.Fatalf("patched %x, which does not decode: %v", data, err)
 			}
+			bump := uint64(1)
+			if len(patch) == 1 && patch[0] == patchClearMerge {
+				bump = 0
+			}
 			stored, err = DecodeBucket(out[1:])
-			if err != nil || stored.Epoch != epoch || epoch != before.Epoch+1 {
+			if err != nil || stored.Epoch != epoch || epoch != before.Epoch+bump {
 				t.Fatalf("stored bytes decode to %v, %v; epoch %d after %d", stored, err, epoch, before.Epoch)
 			}
 			if n := patchedReply(t, reply[1:], out[1:]); n >= 0 && n != len(stored.Records) {
@@ -248,6 +344,24 @@ func FuzzPatchBucket(f *testing.F) {
 			got = check(enc, DeletePatch(k, i))
 			if (got != nil) != (able && held) || got != nil && !sameBucket(got, want) {
 				t.Fatalf("delete of %v from %s (torn %v, held %v): stored %v", k, b.Label, b.Torn(), held, got)
+			}
+		}
+
+		for _, step := range []struct {
+			patch []byte
+			able  bool
+			want  func(*Bucket) *Bucket
+		}{
+			{MarkSplitPatch(), !b.Torn(), markedSplit},
+			{CommitSplitPatch(), b.Pending.Kind == PendingSplit, committedSplit}, // bucketFromBytes labels are 2 bits deep
+			{ClearMergePatch(), b.Pending.Kind == PendingMerge, clearedMerge},
+		} {
+			got := check(enc, step.patch)
+			if (got != nil) != step.able || step.able && !sameBucket(got, step.want(b)) {
+				t.Fatalf("patch %d of %s (pending %d): stored %v", step.patch[0], b.Label, b.Pending.Kind, got)
+			}
+			if check(enc, append(step.patch, patch...)) != nil && len(patch) > 0 {
+				t.Fatalf("patch %d with %d bytes after the op accepted", step.patch[0], len(patch))
 			}
 		}
 	})

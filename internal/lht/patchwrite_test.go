@@ -110,6 +110,9 @@ type writeTrace struct {
 	cacheHits, cacheStale, cacheMs int64
 }
 
+// runWrites runs ops through ix and returns what they showed: op by op
+// the cost, the error, the index's counters and the servers' load so far;
+// at the end the tree as reader finds it.
 func runWrites(t *testing.T, ix *Index, reader *Index, srvs []*tcpnet.Server, ops []writeOp) writeTrace {
 	t.Helper()
 	var tr writeTrace
@@ -127,7 +130,9 @@ func runWrites(t *testing.T, ix *Index, reader *Index, srvs []*tcpnet.Server, op
 		} else if cost, err = ix.Insert(o.rec); err != nil {
 			t.Fatalf("op %d: Insert(%v): %v", i, o.rec.Key, err)
 		}
-		tr.results = append(tr.results, fmt.Sprintf("%+v %v", cost, err))
+		f := ix.Metrics()
+		l, fg := served(srvs)
+		tr.results = append(tr.results, fmt.Sprintf("%+v %v | %+v %+v %+v | served %d, %d", cost, err, f.Lookup, f.Write, f.Cache, l-l0, fg-f0))
 	}
 	l1, f1 := served(srvs)
 	tr.lookups, tr.failed = l1-l0, f1-f0
@@ -174,10 +179,11 @@ func (a writeTrace) diff(b writeTrace) string {
 // TestPatchedWritesMatchWholeWrites is the property: one seeded stream of
 // inserts, overwrites, deletes and deletes of absent keys, long enough to
 // split and merge, leaves byte-identical trees behind, op for op at the
-// same cost and with the same errors, the same splits and merges, the
-// same leaf cache and counters, and the same load on the servers, whether
+// same cost and with the same errors, index counters and load on the
+// servers, the same splits and merges and the same leaf cache, whether
 // each write commits as a patch or as a whole bucket — while every write
-// of the first arm that did not stop at a missing key was a patch.
+// of the first arm that did not stop at a missing key was a patch, and
+// every split's mark and commit and every merge's clear an in-place one.
 func TestPatchedWritesMatchWholeWrites(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, arm := range []struct {
@@ -225,6 +231,9 @@ func TestPatchedWritesMatchWholeWrites(t *testing.T) {
 				}
 				if _, records := spy.recordCounts(); records != len(ops) {
 					t.Errorf("%d of %d write lookups ended in a record reply", records, len(ops))
+				}
+				if n := spy.inPlaceCount(); n != int(2*got.splits+got.merges) {
+					t.Errorf("%d in-place patches for %d splits and %d merges, want two a split and one a merge", n, got.splits, got.merges)
 				}
 			})
 		}
@@ -291,4 +300,78 @@ func TestPatchedWritersConverge(t *testing.T) {
 		t.Errorf("%d patches, %d CAS fallbacks", spy.patchCount(), f.Write.CASFallbacks)
 	}
 	t.Logf("%d patches, %d CAS conflicts, %d writer retries", spy.patchCount(), f.Write.CASConflicts, f.Write.WriterRetries)
+}
+
+// A split of a patched write crashes at each of its in-place steps on real
+// servers: after the intent mark lands, after the remote half's CreateIf
+// (the commit never sent), and at the commit (applied, its acknowledgement
+// lost). Each time the next lookup finds the tree as a split that was
+// never interrupted leaves it, repairing the torn leaf where there is one.
+func TestPatchedSplitCrashesRepairToTheNeverCrashedTree(t *testing.T) {
+	oracle, _ := startNamedCluster(t, 3, 1)
+	if err := splitWorkload(t, oracle); err != nil {
+		t.Fatalf("oracle workload: %v", err)
+	}
+	want := leafBytes(t, oracle)
+	for _, tc := range []struct {
+		name string
+		rule dht.CrashRule
+		torn bool
+	}{
+		{"after the mark", dht.CrashRule{Op: dht.OpWriteIf, N: 1, After: true, Halt: true}, true},
+		{"after the remote CreateIf", dht.CrashRule{Op: dht.OpWriteIf, N: 2, Halt: true}, true},
+		{"at the commit", dht.CrashRule{Op: dht.OpWriteIf, N: 2, After: true, Halt: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, _ := startNamedCluster(t, 3, 1)
+			spy := &probeSpy{Client: client, t: t}
+			if err := splitWorkload(t, dht.WithCrashPoints(spy, tc.rule)); !errors.Is(err, dht.ErrCrashed) {
+				t.Fatalf("splitting insert = %v, want ErrCrashed", err)
+			}
+			if n := spy.inPlaceCount(); n != tc.rule.N-1+btoi(tc.rule.After) {
+				t.Fatalf("%d in-place patches reached the servers before the crash", n)
+			}
+			ix, err := New(client, Config{SplitThreshold: 4, Depth: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range splitKeys {
+				rec, _, err := ix.Search(k)
+				if err != nil || len(rec.Value) != 1 || rec.Value[0] != byte(i) {
+					t.Fatalf("Search(%g) after the crash = %v, %v", k, rec, err)
+				}
+			}
+			if s := ix.Metrics(); s.Repair.TornSplits != int64(btoi(tc.torn)) || s.Repair.Repairs != int64(btoi(tc.torn)) {
+				t.Errorf("TornSplits=%d Repairs=%d, want %d each", s.Repair.TornSplits, s.Repair.Repairs, btoi(tc.torn))
+			}
+			if got := leafBytes(t, client); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("after the crash the tree is\n%v\nwant the never-crashed\n%v", got, want)
+			}
+		})
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// leafBytes is the tree on d, leaf by leaf, as EncodeBucket writes it.
+func leafBytes(t *testing.T, d *tcpnet.Client) []string {
+	t.Helper()
+	reader, err := New(hideProber(d), Config{SplitThreshold: 4, Depth: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves, err := reader.Leaves()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(leaves))
+	for i, b := range leaves {
+		out[i] = fmt.Sprintf("%x", mustEncode(t, b))
+	}
+	return out
 }

@@ -80,6 +80,7 @@ type probeSpy struct {
 	tornExcluding int                // answered with a whole torn bucket that excludes the hinted key
 	headerFor     map[string]float64 // DHT key -> a data key whose probe of it got a header
 	patches       int                // PatchIf calls
+	inPlace       int                // WritePatchIf calls
 }
 
 func (s *probeSpy) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
@@ -89,10 +90,23 @@ func (s *probeSpy) PatchIf(ctx context.Context, key string, patch []byte, ifEpoc
 	return s.Client.PatchIf(ctx, key, patch, ifEpoch)
 }
 
+func (s *probeSpy) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	s.mu.Lock()
+	s.inPlace++
+	s.mu.Unlock()
+	return s.Client.WritePatchIf(ctx, key, patch, ifEpoch)
+}
+
 func (s *probeSpy) patchCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.patches
+}
+
+func (s *probeSpy) inPlaceCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inPlace
 }
 
 func (s *probeSpy) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {

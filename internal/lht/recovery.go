@@ -31,35 +31,43 @@ import (
 // deterministic: re-deriving the halves from the marked bucket yields the
 // same bytes the crashed writer was about to write.
 func splitHalves(b *Bucket) (local, remote *Bucket) {
-	lambda := b.Label
-	iv := b.Interval()
-	mid := iv.Lo + (iv.Hi-iv.Lo)/2
-	var left, right []record.Record
+	localLabel, mid, low := splitAt(b.Label)
+	var below, above []record.Record // keys < mid, and the rest
 	for _, r := range b.Records {
 		if r.Key < mid {
-			left = append(left, r)
+			below = append(below, r)
 		} else {
-			right = append(right, r)
+			above = append(above, r)
 		}
+	}
+	localRecs, remoteRecs := above, below
+	if low {
+		localRecs, remoteRecs = below, above
 	}
 	// Each child serves half the parent's interval, so it inherits half
 	// the rate estimate — a pure function of the stored bucket, like the
 	// record partition, so crash-repair replays reproduce it exactly.
 	// Zero rate (load plane off) stays zero.
-	local = &Bucket{Epoch: b.Epoch + 1, Rate: b.Rate / 2, RateAt: b.RateAt}
-	remote = &Bucket{Epoch: b.Epoch + 1, Rate: b.Rate / 2, RateAt: b.RateAt}
+	local = &Bucket{Label: localLabel, Records: localRecs, Epoch: b.Epoch + 1, Rate: b.Rate / 2, RateAt: b.RateAt}
+	remote = &Bucket{Label: localLabel.Sibling(), Records: remoteRecs, Epoch: b.Epoch + 1, Rate: b.Rate / 2, RateAt: b.RateAt}
+	return local, remote
+}
+
+// splitAt is where Algorithm 1 cuts the leaf lambda: at its interval's
+// median mid, into the local child, which keeps the name f_n(lambda) and
+// the peer, and its sibling, named lambda itself. low says which side of
+// mid the local child takes: the keys below it, or the rest.
+func splitAt(lambda bitlabel.Label) (local bitlabel.Label, mid float64, low bool) {
+	iv := keyspace.IntervalOf(lambda)
+	mid = iv.Lo + (iv.Hi-iv.Lo)/2
 	if lambda.LastBit() == 1 {
 		// lambda = p011*: the remote leaf is lambda0 (named lambda), the
 		// local leaf is lambda1 (named f_n(lambda)).
-		remote.Label, remote.Records = lambda.Left(), left
-		local.Label, local.Records = lambda.Right(), right
-	} else {
-		// lambda = p100* or #00*: the remote leaf is lambda1 (named
-		// lambda), the local leaf is lambda0.
-		remote.Label, remote.Records = lambda.Right(), right
-		local.Label, local.Records = lambda.Left(), left
+		return lambda.Right(), mid, false
 	}
-	return local, remote
+	// lambda = p100* or #00*: the remote leaf is lambda1 (named lambda),
+	// the local leaf is lambda0.
+	return lambda.Left(), mid, true
 }
 
 // completeSplit performs the routed steps of Algorithm 1 on the
@@ -72,8 +80,9 @@ func splitHalves(b *Bucket) (local, remote *Bucket) {
 // possibly with newer writes absorbed since, so it is probed first and
 // left untouched if present. The in-flight path skips the probe — the
 // caller just fetched lambda as a leaf, so nothing can be stored under
-// lambda's own key.
-func (ix *Index) completeSplit(ctx context.Context, key string, b *Bucket, cost *Cost, repair bool) (local, remote *Bucket, err error) {
+// lambda's own key. With inPlace, the in-flight split of a patched write,
+// the local half is written back as a patch (writeInPlace).
+func (ix *Index) completeSplit(ctx context.Context, key string, b *Bucket, cost *Cost, repair, inPlace bool) (local, remote *Bucket, err error) {
 	lambda := b.Label
 	local, remote = splitHalves(b)
 	put := true
@@ -108,7 +117,7 @@ func (ix *Index) completeSplit(ctx context.Context, key string, b *Bucket, cost 
 	// bucket's epoch: a conflict (or a vanished key) means a racing
 	// repairer already committed this very split — the halves are a pure
 	// function of the marked bucket, so the committed state is ours.
-	err = dht.DoWriteIf(ctx, ix.d, key, local, b.Epoch)
+	local, err = ix.writeInPlace(ctx, key, patchCommitSplit, local, b.Epoch, inPlace, cost)
 	if err != nil && !errors.Is(err, dht.ErrCASConflict) && !errors.Is(err, dht.ErrNotFound) {
 		return nil, nil, fmt.Errorf("lht: split write %q: %w", key, err)
 	}
@@ -184,9 +193,9 @@ func (ix *Index) completeMerge(ctx context.Context, key string, b *Bucket, cost 
 		ix.cacheNote(kb.Label)
 		return kb, nil
 	}
-	cleared := b.Clone()
+	cleared := *b
 	cleared.Pending = Pending{}
-	werr := dht.DoWriteIf(ctx, ix.d, key, cleared, b.Epoch)
+	werr := dht.DoWriteIf(ctx, ix.d, key, &cleared, b.Epoch)
 	if errors.Is(werr, dht.ErrCASConflict) || errors.Is(werr, dht.ErrNotFound) {
 		return ix.peekBucket(ctx, key, cost)
 	}
@@ -195,7 +204,7 @@ func (ix *Index) completeMerge(ctx context.Context, key string, b *Bucket, cost 
 	}
 	ix.cacheDrop(removed)
 	ix.cacheNote(cleared.Label)
-	return cleared, nil
+	return &cleared, nil
 }
 
 // removedChildOf identifies the child of the merged bucket's label that
@@ -233,9 +242,9 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 			// one): roll it back to a plain oversized leaf. Guarded and
 			// epoch-preserving: racing repairers write identical bytes,
 			// and a conflict means someone else resolved it — adopt theirs.
-			nb := b.Clone()
+			nb := *b
 			nb.Pending = Pending{}
-			werr := dht.DoWriteIf(ctx, ix.d, key, nb, b.Epoch)
+			werr := dht.DoWriteIf(ctx, ix.d, key, &nb, b.Epoch)
 			if errors.Is(werr, dht.ErrCASConflict) || errors.Is(werr, dht.ErrNotFound) {
 				out, err = ix.peekBucket(ctx, key, cost)
 				break
@@ -243,10 +252,10 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 			if werr != nil {
 				return nil, fmt.Errorf("lht: rollback split %q: %w", key, werr)
 			}
-			out = nb
+			out = &nb
 			break
 		}
-		out, _, err = ix.completeSplit(ctx, key, b, cost, true)
+		out, _, err = ix.completeSplit(ctx, key, b, cost, true, false)
 	case PendingMerge:
 		ix.c.Add(metrics.TornMerges, 1)
 		out, err = ix.completeMerge(ctx, key, b, cost)

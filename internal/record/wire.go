@@ -260,6 +260,51 @@ func AppendFilteredList(dst, list []byte, lo, hi float64) ([]byte, error) {
 	return appendInRange(dst, body, uint64(n) == count, lo, hi), nil
 }
 
+// CountList is the validating walk on its own: it accepts exactly the
+// lists DecodeList accepts, returns their record count and allocates
+// nothing.
+func CountList(list []byte) (uint64, error) {
+	s, err := locateInList(list, math.NaN()) // NaN == nothing: no record is sought
+	return s.Count, err
+}
+
+// AppendHalf appends to dst the encoded list, count and all, of one side
+// of list's records cut at mid — the keys below it (low), or the rest —
+// in list order, and returns how many records it kept. That is a leaf
+// split's partition: a key that is not below mid, NaN and +Inf included,
+// goes with the rest. list is validated whole first and left out of dst
+// altogether when it does not parse; dst grows and nothing else is
+// allocated.
+func AppendHalf(dst, list []byte, mid float64, low bool) (out []byte, n uint64, err error) {
+	count, body, err := readCount(list)
+	if err != nil {
+		return dst, 0, err
+	}
+	rest := body
+	for i := count; i > 0; i-- {
+		var r Record
+		if rest, err = readRecord(&r, rest); err != nil {
+			return dst, 0, err
+		}
+		if (r.Key < mid) == low {
+			n++
+		}
+	}
+	if len(rest) != 0 {
+		return dst, 0, fmt.Errorf("record: %d bytes after the last record", len(rest))
+	}
+	dst = binary.AppendUvarint(dst, n)
+	for rest = body; len(rest) > 0; {
+		var r Record
+		next, _ := readRecord(&r, rest) // validated above
+		if (r.Key < mid) == low {
+			dst = append(dst, rest[:len(rest)-len(next)]...)
+		}
+		rest = next
+	}
+	return dst, n, nil
+}
+
 // AppendRange decodes enc, records back to back as FilterList returns
 // them, and appends to dst those whose keys fall in [lo, hi). Like
 // DecodeList's, the values are capacity-clipped views of enc, which the

@@ -348,6 +348,12 @@ func TestFilterList(t *testing.T) {
 		if _, err := DecodeList(bad); err == nil {
 			t.Fatalf("%s: DecodeList accepts it", name)
 		}
+		if n, err := CountList(bad); err == nil {
+			t.Errorf("%s: CountList = %d", name, n)
+		}
+		if out, n, err := AppendHalf([]byte("dst:"), bad, 0.5, true); err == nil || string(out) != "dst:" || n != 0 {
+			t.Errorf("%s: AppendHalf = %q, %d, %v", name, out, n, err)
+		}
 		// Even a range the damage lies outside of must not be cut.
 		for _, r := range [][2]float64{{0, 1}, {0.7, 0.8}, {0.9, 1}} {
 			if out, err := AppendFilteredList([]byte("dst:"), bad, r[0], r[1]); err == nil || string(out) != "dst:" {
@@ -370,5 +376,45 @@ func TestFilterList(t *testing.T) {
 	}
 	if _, err := AppendRange(nil, enc[:len(enc)-1], 0, 1); err == nil {
 		t.Error("AppendRange decoded a truncated run")
+	}
+}
+
+// AppendHalf cuts a list where a leaf split cuts its records: the keys
+// below mid one side, every other key — NaN and +Inf too, and a key equal
+// to mid — the other, each side in list order; CountList counts a list.
+// Neither allocates with room in dst.
+func TestAppendHalf(t *testing.T) {
+	rs := []Record{
+		{Key: 1, Value: []byte("top")},
+		{Key: 0.25, Value: []byte("a")},
+		{Key: math.NaN(), Value: []byte("nan")},
+		{Key: 0.5},
+		{Key: math.Inf(1)},
+		{Key: math.Copysign(0, -1), Value: []byte("minus zero")},
+	}
+	list := AppendList(nil, rs)
+	var below, rest []Record
+	for _, r := range rs {
+		if r.Key < 0.5 {
+			below = append(below, r)
+		} else {
+			rest = append(rest, r)
+		}
+	}
+	for low, want := range map[bool][]Record{true: below, false: rest} {
+		out, n, err := AppendHalf([]byte("dst:"), list, 0.5, low)
+		if err != nil || n != uint64(len(want)) || !bytes.Equal(out, AppendList([]byte("dst:"), want)) {
+			t.Errorf("low %v: AppendHalf = %x, %d, %v; want the list of %v", low, out, n, err, want)
+		}
+		buf := make([]byte, 0, len(list))
+		if a := testing.AllocsPerRun(100, func() { buf, _, _ = AppendHalf(buf[:0], list, 0.5, low) }); a != 0 {
+			t.Errorf("low %v: %v allocations into a sized buffer, want 0", low, a)
+		}
+	}
+	if n, err := CountList(list); err != nil || n != uint64(len(rs)) {
+		t.Errorf("CountList = %d, %v, want %d", n, err, len(rs))
+	}
+	if n, err := CountList(AppendList(nil, nil)); err != nil || n != 0 {
+		t.Errorf("CountList of the empty list = %d, %v", n, err)
 	}
 }

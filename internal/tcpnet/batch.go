@@ -54,7 +54,7 @@ func (c *Client) GetBatchView(ctx context.Context, keys []string, view dht.WireV
 // that per-key writes would.
 func (c *Client) PutBatch(ctx context.Context, kvs []dht.KV) []error {
 	errs := c.putBatchRank(ctx, kvs, 0)
-	for r := 1; r < c.replicas; r++ {
+	for r := 1; r < c.cfg.Replicas; r++ {
 		for i, err := range c.putBatchRank(ctx, kvs, r) {
 			if errs[i] == nil {
 				errs[i] = err

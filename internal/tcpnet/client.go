@@ -83,10 +83,7 @@ type ClusterConfig struct {
 // (dht.IsTransient) so a policy wrapper can retry them; the next attempt
 // redials lazily, health-checking the fresh connection with a ping.
 type Client struct {
-	replicas int // holders per key; 1 = unreplicated
-	counters *metrics.Counters
-	cfg      ClusterConfig // as dialled, defaults filled in; builds nodes for members the view adds
-	hinted   bool          // hinted handoff enabled
+	cfg ClusterConfig // as dialled, defaults filled in; builds nodes for members the view adds
 
 	// ring is the current routing ring. It is replaced wholesale (never
 	// mutated) when a membership view refresh changes the member set, so
@@ -176,12 +173,7 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	if cfg.DegradedStart && cfg.Health == nil {
 		cfg.Health = &dht.BreakerConfig{}
 	}
-	c := &Client{
-		replicas: cfg.Replicas,
-		counters: cfg.Counters,
-		cfg:      cfg,
-		hinted:   cfg.HintedHandoff,
-	}
+	c := &Client{cfg: cfg}
 	seen := make(map[string]bool, len(cfg.Seeds))
 	var nodes []*clientNode
 	for _, a := range cfg.Seeds {
@@ -237,7 +229,7 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 // the client was dialled with. Used at construction and again whenever a
 // view refresh admits a new member.
 func (c *Client) newNode(a string) *clientNode {
-	n := &clientNode{id: hashring.HashAddr(a), addr: a, counters: c.counters}
+	n := &clientNode{id: hashring.HashAddr(a), addr: a, counters: c.cfg.Counters}
 	if c.cfg.Health != nil {
 		cfg := *c.cfg.Health
 		if cfg.Seed == 0 {
@@ -246,7 +238,7 @@ func (c *Client) newNode(a string) *clientNode {
 		}
 		prev := cfg.OnOpen
 		cfg.OnOpen = func() {
-			c.counters.Add(metrics.BreakerOpens, 1)
+			c.cfg.Counters.Add(metrics.BreakerOpens, 1)
 			// An opened breaker is local evidence of failure: mark the
 			// member suspect so the next gossip exchange spreads the doubt.
 			c.markSuspect(a)
@@ -406,7 +398,7 @@ func (c *Client) Probe(ctx context.Context, key string, hint uint64) (dht.Value,
 }
 
 func (c *Client) get(ctx context.Context, key string, h probeHint) (dht.Value, error) {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedGet(ctx, key, h)
 	}
 	return c.getFrom(ctx, c.owner(key), key, h)
@@ -414,7 +406,7 @@ func (c *Client) get(ctx context.Context, key string, h probeHint) (dht.Value, e
 
 // Put implements dht.DHT.
 func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedPut(ctx, key, v)
 	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpPut, func(b []byte) ([]byte, error) {
@@ -429,7 +421,7 @@ func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
 
 // Take implements dht.DHT.
 func (c *Client) Take(ctx context.Context, key string) (dht.Value, error) {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedTake(ctx, key)
 	}
 	tv, frame, err := c.owner(key).simpleCall(ctx, dht.OpTake, func(b []byte) ([]byte, error) {
@@ -445,7 +437,7 @@ func (c *Client) Take(ctx context.Context, key string) (dht.Value, error) {
 
 // Remove implements dht.DHT.
 func (c *Client) Remove(ctx context.Context, key string) error {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedRemove(ctx, key)
 	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpRemove, func(b []byte) ([]byte, error) {
@@ -460,7 +452,7 @@ func (c *Client) Remove(ctx context.Context, key string) error {
 
 // Write implements dht.DHT: the owning node rewrites the value in place.
 func (c *Client) Write(ctx context.Context, key string, v dht.Value) error {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedWrite(ctx, key, v)
 	}
 	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpWrite, func(b []byte) ([]byte, error) {
@@ -517,16 +509,27 @@ func condErr(status byte, c *cursor, key string) error {
 }
 
 // patchCall performs one patchif round trip in the given mode. A primary
-// patch that was applied returns the patcher's decoded reply, a newer one
-// nil; a node that would not patch, or does not know the op, returns
-// dht.ErrPatchRefused.
+// or in-place patch that was applied returns the patcher's decoded reply,
+// a newer one nil; a node that would not patch, or does not know the op,
+// returns dht.ErrPatchRefused — and so does, with no round trip, a node
+// whose handshake did not say it serves in-place patches.
 func (n *clientNode) patchCall(ctx context.Context, key string, mode byte, patch []byte, ifEpoch uint64) (v dht.Value, err error) {
 	tok, err := n.allow()
 	if err != nil {
 		return nil, err
 	}
 	defer func() { n.record(tok, err) }()
-	body, err := n.pick().call(ctx, dht.OpPatchIf, func(b []byte) ([]byte, error) {
+	m := n.pick()
+	if mode == patchInPlace {
+		served, err := m.serves(ctx, featInPlacePatch)
+		if err != nil {
+			return nil, err
+		}
+		if !served {
+			return nil, dht.ErrPatchRefused
+		}
+	}
+	body, err := m.call(ctx, dht.OpPatchIf, func(b []byte) ([]byte, error) {
 		b = append(appendLenString(b, key), mode)
 		return append(appendUv(b, ifEpoch), patch...), nil
 	})
@@ -558,16 +561,26 @@ func (n *clientNode) patchCall(ctx context.Context, key string, mode byte, patch
 // node, with the new value built there from the stored bytes and patch
 // by the kind's dht.WirePatcher (see frame.go).
 func (c *Client) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
-	if c.replicas > 1 {
-		return c.replicatedPatchIf(ctx, key, patch, ifEpoch)
+	return c.patch(ctx, key, patchPrimary, patch, ifEpoch)
+}
+
+// WritePatchIf implements dht.Patcher: PatchIf as the free WriteIf, on a
+// node that serves it (its handshake says so; any other refuses).
+func (c *Client) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	return c.patch(ctx, key, patchInPlace, patch, ifEpoch)
+}
+
+func (c *Client) patch(ctx context.Context, key string, mode byte, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	if c.cfg.Replicas > 1 {
+		return c.replicatedPatchIf(ctx, key, mode, patch, ifEpoch)
 	}
-	return c.owner(key).patchCall(ctx, key, patchPrimary, patch, ifEpoch)
+	return c.owner(key).patchCall(ctx, key, mode, patch, ifEpoch)
 }
 
 // PutIf implements dht.Conditional: the owning node compares the stored
 // value's epoch tag and swaps atomically under its store lock.
 func (c *Client) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedPutIf(ctx, key, v, ifEpoch)
 	}
 	return c.owner(key).condCall(ctx, dht.OpPutIf, key, func(b []byte) ([]byte, error) {
@@ -579,7 +592,7 @@ func (c *Client) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uin
 
 // CreateIf implements dht.Conditional.
 func (c *Client) CreateIf(ctx context.Context, key string, v dht.Value) error {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedCreateIf(ctx, key, v)
 	}
 	return c.owner(key).condCall(ctx, dht.OpCreateIf, key, func(b []byte) ([]byte, error) {
@@ -589,7 +602,7 @@ func (c *Client) CreateIf(ctx context.Context, key string, v dht.Value) error {
 
 // RemoveIf implements dht.Conditional.
 func (c *Client) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedRemoveIf(ctx, key, ifEpoch)
 	}
 	return c.owner(key).condCall(ctx, dht.OpRemoveIf, key, func(b []byte) ([]byte, error) {
@@ -600,7 +613,7 @@ func (c *Client) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error
 
 // WriteIf implements dht.Conditional: the epoch-guarded form of Write.
 func (c *Client) WriteIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
-	if c.replicas > 1 {
+	if c.cfg.Replicas > 1 {
 		return c.replicatedWriteIf(ctx, key, v, ifEpoch)
 	}
 	return c.owner(key).condCall(ctx, dht.OpWriteIf, key, func(b []byte) ([]byte, error) {

@@ -126,7 +126,7 @@ func (c *Client) reviveBreakers(old, merged dht.ClusterView) {
 // finds replacements.
 func (c *Client) applyView(v dht.ClusterView) bool {
 	addrs := v.Alive()
-	if len(addrs) < c.replicas {
+	if len(addrs) < c.cfg.Replicas {
 		return false
 	}
 	old := c.ringNodes()
@@ -155,7 +155,7 @@ func (c *Client) applyView(v dht.ClusterView) bool {
 			m.close()
 		}
 	}
-	c.counters.Add(metrics.ViewRefreshes, 1)
+	c.cfg.Counters.Add(metrics.ViewRefreshes, 1)
 	return true
 }
 
@@ -233,7 +233,7 @@ func (c *Client) putRaw(ctx context.Context, n *clientNode, key string, tagged [
 // newer value, never lose to it.
 func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaRepair, error) {
 	var rep dht.ReplicaRepair
-	if c.replicas <= 1 {
+	if c.cfg.Replicas <= 1 {
 		return rep, nil
 	}
 	owners := c.owners(key)
@@ -243,7 +243,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 		rep.Probes++
 		vals[i], errs[i] = c.rawGet(ctx, n, key)
 	}
-	c.counters.Add(metrics.ReplicaProbes, int64(rep.Probes))
+	c.cfg.Counters.Add(metrics.ReplicaProbes, int64(rep.Probes))
 
 	// The freshest surviving copy (highest stored epoch) is the donor.
 	var donor []byte
@@ -276,7 +276,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 				continue
 			}
 			rep.Restored++
-			c.counters.Add(metrics.ReplicaRepairs, 1)
+			c.cfg.Counters.Add(metrics.ReplicaRepairs, 1)
 			c.clearDebt(n.addr, key)
 		default:
 			// Unreachable holder: its copy state is unknown; leave any
@@ -397,7 +397,7 @@ func (c *Client) parkHint(ctx context.Context, key, holderAddr string, v dht.Val
 // surface unchanged.
 func (c *Client) putToOrHint(ctx context.Context, n *clientNode, op dht.OpKind, key string, v dht.Value) error {
 	err := c.putTo(ctx, n, op, key, v)
-	if err == nil || !c.hinted {
+	if err == nil || !c.cfg.HintedHandoff {
 		return err
 	}
 	if errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {

@@ -34,7 +34,7 @@ import (
 //
 // Request payloads (uv = unsigned varint; "rest" = to the frame's end):
 //
-//	ping                    (empty)
+//	ping                    (empty): the handshake every connection opens with
 //	get                     uv klen, key [, hint u64 BE]
 //	take / remove           uv klen, key
 //	put / write             uv klen, key, value(rest)
@@ -87,8 +87,9 @@ import (
 // lock, and the kind byte is all the node knows of the type; for the
 // index's buckets (internal/lht, "Patches") a patch upserts or deletes
 // one record and the reply is the new record count, or the new bucket
-// whole when the writer must split or merge it. The mode byte says whose
-// write this is:
+// whole when the writer must split or merge it; or it marks, commits or
+// clears a split or merge intent, and the reply is the record count. The
+// mode byte says whose write this is:
 //
 //	0 primary  the serializer's compare-and-swap, exactly putif's: applied
 //	           iff the stored epoch == ifEpoch, else a CAS conflict
@@ -97,6 +98,10 @@ import (
 //	           epoch > ifEpoch is ok (superseded, as putnewer keeps the
 //	           newer value); < ifEpoch or absent is a CAS conflict, and
 //	           the sender ships the whole value through putnewer instead
+//	2 in place the serializer's writeif (dht.Patcher's WritePatchIf):
+//	           applied iff the stored epoch == ifEpoch, else a CAS
+//	           conflict; an absent key is not-found. Free, as writeif is:
+//	           it charges no lookup whatever the outcome
 //
 // Newer mode rests on "same epoch means same bytes": a holder applies the
 // patch to whatever it stores at ifEpoch and nothing compares the result
@@ -113,15 +118,26 @@ import (
 // patch-refused, and nothing is written. A node that predates the op
 // answers "unknown op", which the client reads as the same refusal.
 //
+// The handshake says what else a node serves: its ping reply carries a
+// uv feature word after the status, one bit per request form that an
+// older node would not answer correctly, and the client records it per
+// connection. A node that predates the word sends none, which reads as
+// 0; a client that predates it reads the status and ignores the rest.
+//
+//	bit 0  serves patchif mode 2; a client does not send a mode-2 patch
+//	       to a node without it, and treats it as refused, with no round
+//	       trip (a node that predates mode 2 answers it as malformed)
+//
 // Response payloads:
 //
 //	status u8: 0 ok, 1 not-found, 2 server error, 3 CAS conflict,
 //	           4 patch refused
 //	ok   get/take            value(rest); after a hinted get possibly
 //	                         a projection of it, see above
-//	ok   put/remove/write/ping  (empty)
+//	ok   ping                uv features (see above)
+//	ok   put/remove/write    (empty)
 //	ok   putif/createif/removeif/writeif  (empty)
-//	ok   patchif primary     kind u8, the patcher's reply(rest)
+//	ok   patchif primary, in place  kind u8, the patcher's reply(rest)
 //	ok   patchif newer       (empty)
 //	ok   getbatch/putbatch   uv count, count x slot
 //	not-found                (empty)
@@ -163,6 +179,13 @@ const (
 const (
 	patchPrimary = 0 // the serializer's CAS: stored epoch must equal ifEpoch
 	patchNewer   = 1 // propagation: a stored epoch past ifEpoch supersedes
+	patchInPlace = 2 // the serializer's free writeif: stored epoch must equal ifEpoch
+)
+
+// Feature bits of a ping reply, and the word this node sends.
+const (
+	featInPlacePatch = 1 << 0 // serves patchif mode 2
+	serverFeatures   = featInPlacePatch
 )
 
 // errUnknownOp is what a node answers an op byte it does not serve.

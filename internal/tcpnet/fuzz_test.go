@@ -66,6 +66,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		{0xff, 0xff, 0xff, 0xff, 1, 2, 3},
 		buildFrame(9, 200, []byte("junk")),
 		buildFrame(10, dht.OpGetBatch, binary.AppendUvarint(nil, 1<<60)),
+		// In-place patches of the bucket: a mark, applied; a commit the
+		// patcher refuses (nothing is marked).
+		buildFrame(22, dht.OpPatchIf, patchIf("key", patchInPlace, 7, ilht.MarkSplitPatch())),
+		buildFrame(23, dht.OpPatchIf, patchIf("key", patchInPlace, 7, ilht.CommitSplitPatch())),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -120,12 +124,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		op := dht.OpKind(body[8])
 		// Whatever the hint, a get of the stored bucket is answered with
-		// the bucket, its header or one record of it.
+		// the bucket, its header or one record of it — or, to a range
+		// hint, with the run of its records in range, a type lht keeps
+		// to itself.
 		if op == dht.OpGet && status == statusOK {
+			hc := cursor{b: body[frameHeaderLen:]}
+			_, _ = hc.lenBytes()
+			ranged := len(hc.b) == 8 && binary.BigEndian.Uint64(hc.b)&(1<<62) != 0
 			switch v, err := decodeTagged(c.rest(), dht.DecodeProbe); v.(type) {
 			case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord:
 			default:
-				t.Fatalf("get of the stored bucket answered with %T, %v", v, err)
+				if !ranged || err != nil || v == nil {
+					t.Fatalf("get of the stored bucket answered with %T, %v", v, err)
+				}
 			}
 		}
 

@@ -13,11 +13,13 @@ import (
 	"reflect"
 	"regexp"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
 	"lht/internal/dht/dhttest"
+	"lht/internal/keyspace"
 	ilht "lht/internal/lht"
 	"lht/internal/pht"
 	"lht/internal/record"
@@ -53,7 +55,8 @@ func mustAppendValue(t testing.TB, v dht.Value) []byte {
 // TestPatchIfOnTheWire pins the node's half of a patched write: the
 // stored bytes after a patch are the bytes a PutIf of the patched bucket
 // stores, tags and all; the serializer's mode compares epochs as putif
-// does and the propagation mode as putnewer does; every stored form the
+// does, the propagation mode as putnewer does and the in-place mode as
+// writeif does, charging no lookup; every stored form the
 // node cannot look into, and every patch the kind's patcher turns down,
 // is refused with nothing written; and the patcher's one allocation is
 // the new stored value.
@@ -169,7 +172,7 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		"newer, refused":        {patchIf("bucket", patchNewer, 9, ilht.DeletePatch(0.7189, 0)), []byte{statusPatchRefused}},
 		"primary, stored ahead": {patchIf("bucket", patchPrimary, 8, del), appendCASConflict(nil, true, 9)},
 		"no mode":               {appendLenString(nil, "bucket"), appendStatusErr(nil, errMalformed)},
-		"mode 2":                {patchIf("bucket", 2, 9, del), appendStatusErr(nil, errMalformed)},
+		"mode 3":                {patchIf("bucket", 3, 9, del), appendStatusErr(nil, errMalformed)},
 		"no epoch":              {append(appendLenString(nil, "bucket"), patchNewer), appendStatusErr(nil, errMalformed)},
 		"no key":                {nil, appendStatusErr(nil, errMalformed)},
 	} {
@@ -185,6 +188,43 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	want, _ = deleted(want, rec2.Key)
 	if !bytes.Equal(status(resp), []byte{statusOK}) || !bytes.Equal(stored("bucket"), mustAppendValue(t, want)) {
 		t.Errorf("newer at the stored epoch: answered % x, stored %x", status(resp), stored("bucket"))
+	}
+
+	// In place: writeif's verdicts, and never a lookup. A stale epoch is
+	// a conflict, an absent key not-found, a step that does not apply a
+	// refusal; the mark and the commit store what the WriteIf of the
+	// marked bucket and of its local half would.
+	before = srv.Metrics().Lookup.Total
+	was = stored("bucket") // epoch 10
+	for name, tc := range map[string]struct {
+		payload []byte
+		want    []byte
+	}{
+		"in place, stored ahead": {patchIf("bucket", patchInPlace, 9, ilht.MarkSplitPatch()), appendCASConflict(nil, true, 10)},
+		"in place, absent":       {patchIf("absent", patchInPlace, 0, ilht.MarkSplitPatch()), []byte{statusNotFound}},
+		"in place, refused":      {patchIf("bucket", patchInPlace, 10, ilht.CommitSplitPatch()), []byte{statusPatchRefused}},
+	} {
+		resp := srv.applyFrame(buildFrame(5, dht.OpPatchIf, tc.payload)[4:], nil)
+		if !bytes.Equal(status(resp), tc.want) {
+			t.Errorf("%s: answered % x, want % x", name, status(resp), tc.want)
+		}
+		if got := stored("bucket"); &got[0] != &was[0] {
+			t.Fatalf("%s: the stored value was replaced", name)
+		}
+	}
+	marked := *want
+	marked.Pending, marked.Epoch = ilht.Pending{Kind: ilht.PendingSplit}, want.Epoch+1
+	v, err = c.WritePatchIf(ctx, "bucket", ilht.MarkSplitPatch(), want.Epoch)
+	if v != (ilht.PatchAck{Records: len(want.Records)}) || err != nil || !bytes.Equal(stored("bucket"), mustAppendValue(t, &marked)) {
+		t.Errorf("in-place mark = %#v, %v; stored\n%x", v, err, stored("bucket"))
+	}
+	local := localHalf(&marked)
+	v, err = c.WritePatchIf(ctx, "bucket", ilht.CommitSplitPatch(), marked.Epoch)
+	if v != (ilht.PatchAck{Records: len(local.Records)}) || err != nil || !bytes.Equal(stored("bucket"), mustAppendValue(t, local)) {
+		t.Errorf("in-place commit = %#v, %v; stored\n%x\nwant\n%x", v, err, stored("bucket"), mustAppendValue(t, local))
+	}
+	if n := srv.Metrics().Lookup.Total - before; n != 0 {
+		t.Errorf("five in-place patches counted as %d lookups", n)
 	}
 
 	// Two allocations a patch, as for a putif: the value stored and the
@@ -211,6 +251,20 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	}); n != 2 {
 		t.Errorf("serving a patchif: %v allocations, want 2 (the new stored value, the key)", n)
 	}
+}
+
+// localHalf is the half of a marked wideBucket that a split commits on
+// its peer: #0101101 ends in 1, so the upper half stays, as the label's
+// right child.
+func localHalf(marked *ilht.Bucket) *ilht.Bucket {
+	iv := keyspace.IntervalOf(marked.Label)
+	local := &ilht.Bucket{Label: marked.Label.Right(), Epoch: marked.Epoch + 1}
+	for _, r := range marked.Records {
+		if r.Key >= iv.Lo+(iv.Hi-iv.Lo)/2 {
+			local.Records = append(local.Records, r)
+		}
+	}
+	return local
 }
 
 // deleted is b after the whole-bucket arm's delete of delta.
@@ -401,9 +455,14 @@ type wholeOnly struct {
 }
 
 // serveOld serves the framed protocol from a real server's store the way
-// a node that predates patchif does: that op it does not know.
-func serveOld(t *testing.T, real *Server) string {
+// an older node does: it answers a ping with the status alone, as every
+// node did before the feature word, and a patchif of mode 2 as malformed,
+// as PR 24's did; and with patches false, it does not know patchif at
+// all, as a node that predates PR 21. inPlace counts the mode-2 patches
+// that reach it.
+func serveOld(t *testing.T, real *Server, patches bool) (addr string, inPlace *atomic.Int64) {
 	t.Helper()
+	inPlace = new(atomic.Int64)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -426,25 +485,44 @@ func serveOld(t *testing.T, real *Server) string {
 					if err != nil {
 						return
 					}
-					if dht.OpKind(body[8]) == dht.OpPatchIf {
+					switch op := dht.OpKind(body[8]); {
+					case op == dht.OpPatchIf && !patches:
 						body[8] = 200 // the dispatcher's default arm, where the op fell before it existed
+					case op == dht.OpPatchIf:
+						c := cursor{b: body[frameHeaderLen:]}
+						if _, err := c.lenBytes(); err == nil && len(c.b) > 0 && c.b[0] == patchInPlace {
+							inPlace.Add(1)
+							c.b[0] = patchInPlace + 1 // past the modes PR 24 knew: malformed
+						}
 					}
-					if _, err := conn.Write(real.applyFrame(body, nil)); err != nil {
+					resp := real.applyFrame(body, nil)
+					if dht.OpKind(body[8]) == dht.OpPing {
+						resp = resp[:4+frameHeaderLen+1] // the status alone
+						binary.BigEndian.PutUint32(resp, frameHeaderLen+1)
+					}
+					if _, err := conn.Write(resp); err != nil {
 						return
 					}
 				}
 			}(conn)
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), inPlace
 }
 
-// recordOnlyCounter counts the lookups that ended in a record reply and
-// the patches.
+// recordOnlyCounter counts the lookups that ended in a record reply, the
+// patches and the in-place patches.
 type recordOnlyCounter struct {
 	*Client
-	mu               sync.Mutex
-	records, patches int
+	mu                        sync.Mutex
+	records, patches, inPlace int
+}
+
+func (p *recordOnlyCounter) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	p.mu.Lock()
+	p.inPlace++
+	p.mu.Unlock()
+	return p.Client.WritePatchIf(ctx, key, patch, ifEpoch)
 }
 
 func (p *recordOnlyCounter) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
@@ -475,7 +553,8 @@ func TestOldNodeRefusesPatchOnce(t *testing.T) {
 	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20}
 	honest, _ := startCluster(t, 1)
 	_, olds := startCluster(t, 1)
-	old, err := Dial(ctx, ClusterConfig{Seeds: []string{serveOld(t, olds[0])}})
+	addr, _ := serveOld(t, olds[0], false)
+	old, err := Dial(ctx, ClusterConfig{Seeds: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,6 +591,140 @@ func TestOldNodeRefusesPatchOnce(t *testing.T) {
 	}
 	if counter.records != 2 {
 		t.Errorf("a Search after the refusal ended in %d record replies, want 1", counter.records-1)
+	}
+}
+
+// A new client over PR 24's nodes, which patch but do not patch in place
+// and say nothing in their ping reply: the client never sends them an
+// in-place patch, the index takes each such refusal as a WriteIf of the
+// whole bucket at no lookup, and so grows the tree a new node grows, at
+// the same cost op for op.
+func TestInPlacePatchOfAnOldNodeWritesWhole(t *testing.T) {
+	ctx := context.Background()
+	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20}
+	honest, _ := startCluster(t, 1)
+	_, olds := startCluster(t, 1)
+	addr, reached := serveOld(t, olds[0], true)
+	old, err := Dial(ctx, ClusterConfig{Seeds: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = old.Close() })
+	want, err := ilht.New(honest, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &recordOnlyCounter{Client: old}
+	got, err := ilht.New(counter, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range growBoth(t, want, got) {
+		if n != 0 {
+			t.Errorf("write %d cost %d lookups more over the old node", i, n)
+		}
+	}
+	if counter.inPlace == 0 || counter.patches == 0 || reached.Load() != 0 {
+		t.Errorf("%d in-place patches asked for, %d of them sent, %d patches: want the record patches and none in place on the wire",
+			counter.inPlace, reached.Load(), counter.patches)
+	}
+	sameTree(t, want, got)
+}
+
+// A PR 24 client's handshake against a new node: the ping reply's
+// feature word follows the status, which is all that handshake read, and
+// it read no further (it never asked whether the payload had ended).
+func TestOldClientHandshakesWithANewNode(t *testing.T) {
+	_, srvs := startCluster(t, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = srvs[0].Serve(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// PR 24's handshake, less its deadline handling.
+	if _, err := conn.Write(append([]byte(wireMagic), buildFrame(0, dht.OpPing, nil)...)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReaderSize(conn, 256)
+	body, err := readFrameBody(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Buffered() != 0 {
+		t.Fatal("unexpected bytes after ping response")
+	}
+	c := cursor{b: body[frameHeaderLen:]}
+	if status, err := c.u8(); err != nil || status != statusOK {
+		t.Fatalf("ping rejected (status %d, %v)", status, err)
+	}
+	// What follows is the word a new client reads.
+	if f, err := c.uvarint(); err != nil || f&featInPlacePatch == 0 || !c.empty() {
+		t.Errorf("after the status: features %b, %v, %d bytes more", f, err, len(c.b))
+	}
+}
+
+// lyingAcker is a peer whose honest acknowledgement of one in-place step
+// (the patch op) is tampered with on its way to the index: a count one
+// off, or a whole bucket where an acknowledgement belongs, in turn.
+type lyingAcker struct {
+	*Client
+	op   byte
+	lies int
+}
+
+func (p *lyingAcker) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+	v, err := p.Client.WritePatchIf(ctx, key, patch, ifEpoch)
+	if err != nil || patch[0] != p.op {
+		return v, err
+	}
+	p.lies++
+	if p.lies%2 == 0 {
+		return &ilht.Bucket{Label: bitlabel.TreeRoot}, nil
+	}
+	return ilht.PatchAck{Records: v.(ilht.PatchAck).Records + 1}, nil
+}
+
+// An in-place step's acknowledgement is believed only if it carries the
+// record count the writer computed for the step. One that does not costs
+// one plain get of the leaf, and the split or merge goes on from what is
+// stored: the same tree, one lookup more for each lie.
+func TestLyingInPlaceAckIsRefetchedNotTrusted(t *testing.T) {
+	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 5, Depth: 20}
+	for name, op := range map[string]byte{"mark": ilht.MarkSplitPatch()[0], "commit": ilht.CommitSplitPatch()[0], "clear": ilht.ClearMergePatch()[0]} {
+		t.Run(name, func(t *testing.T) {
+			honest, _ := startCluster(t, 1)
+			lying, _ := startCluster(t, 1)
+			want, err := ilht.New(honest, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			liar := &lyingAcker{Client: lying, op: op}
+			got, err := ilht.New(liar, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			extra := 0
+			for i, n := range growBoth(t, want, got) {
+				if n != 0 && n != 1 {
+					t.Errorf("write %d cost %d lookups more through the lying peer", i, n)
+				}
+				extra += n
+			}
+			if liar.lies < 2 || extra != liar.lies {
+				t.Errorf("%d lookups more for %d lies, want one each, and at least two lies", extra, liar.lies)
+			}
+			plain, err := ilht.New(wholeOnly{lying, lying, lying}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTree(t, want, plain)
+		})
 	}
 }
 
@@ -556,11 +769,15 @@ func startNamedCluster(t *testing.T) (*Client, []*Server) {
 var dialNoise = regexp.MustCompile(`127\.0\.0\.1:\d+| backing off after \d+ failures: tcpnet: dial "[^"]*"`)
 
 // With two holders a key, a patched write and a whole-bucket write leave
-// byte-identical values on every holder. With one holder dead and hinted
-// handoff on, they still cost the same op for op, the live holders still
-// agree byte for byte, and what is parked for the dead one is the whole
-// value the whole-bucket arm parks — a patch is never parked, for it
-// means nothing to a holder that has missed the one before it.
+// byte-identical values on every holder after every op — splits and
+// merges, their in-place steps patched too, included — at the same cost
+// and index and server counters. With one holder dead and hinted handoff
+// on, they still cost the same op for op, the live holders still agree
+// byte for byte, and what is parked for the dead one is the whole value
+// the whole-bucket arm parks — a patch is never parked, for it means
+// nothing to a holder that has missed the one before it. (The servers'
+// counters part there: a holder a patch cannot reach costs the acting
+// serializer the read of the whole value to send it instead.)
 func TestPatchedWritesOnEveryHolder(t *testing.T) {
 	cfg := ilht.Config{SplitThreshold: 6, MergeThreshold: 4, Depth: 20, LeafCache: true}
 	type arm struct {
@@ -568,11 +785,15 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 		ix      *ilht.Index
 		results []string
 	}
+	counter := &recordOnlyCounter{}
 	start := func(hide bool) *arm {
 		client, srvs := startNamedCluster(t)
 		var d dht.DHT = client
 		if hide {
 			d = wholeOnly{client, client, client}
+		} else {
+			counter.Client = client
+			d = counter
 		}
 		ix, err := ilht.New(d, cfg)
 		if err != nil {
@@ -607,7 +828,7 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 			a.results = append(a.results, dialNoise.ReplaceAllString(fmt.Sprintf("%+v %v", cost, err), ""))
 		}
 	}
-	compare := func(when string, live ...int) {
+	compare := func(when string, allUp bool, live ...int) {
 		t.Helper()
 		for i := range patched.results {
 			if patched.results[i] != whole.results[i] {
@@ -616,10 +837,13 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 		}
 		for _, i := range live {
 			p, w := patched.srvs[i], whole.srvs[i]
+			if pl, wl := p.Metrics().Lookup, w.Metrics().Lookup; allUp && pl != wl {
+				t.Fatalf("%s: node%d counted %+v as a patch, %+v as a whole bucket", when, i, pl, wl)
+			}
 			p.mu.Lock()
 			w.mu.Lock()
 			if !reflect.DeepEqual(p.store, w.store) {
-				t.Errorf("%s: node%d stores differ between the arms (%d keys against %d)", when, i, len(p.store), len(w.store))
+				t.Fatalf("%s: node%d stores differ between the arms (%d keys against %d)", when, i, len(p.store), len(w.store))
 			}
 			if !reflect.DeepEqual(p.hints, w.hints) {
 				t.Errorf("%s: node%d parks different hints in the two arms", when, i)
@@ -643,10 +867,10 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		step(i)
+		compare(fmt.Sprintf("all holders up, op %d", i), true, 0, 1, 2)
 	}
-	compare("all holders up", 0, 1, 2)
-	if patched.ix.Metrics().Lookup.Splits < 10 {
-		t.Error("the stream hardly split")
+	if m := patched.ix.Metrics().Lookup; m.Splits < 10 || m.Merges < 3 {
+		t.Errorf("the stream made %d splits and %d merges: too tame to prove much", m.Splits, m.Merges)
 	}
 
 	for _, a := range []*arm{patched, whole} {
@@ -656,8 +880,11 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 	}
 	for i := 300; i < 500; i++ {
 		step(i)
+		compare(fmt.Sprintf("node1 dead, op %d", i), false, 0, 2)
 	}
-	compare("node1 dead", 0, 2)
+	if m := patched.ix.Metrics().Lookup; counter.inPlace != int(2*m.Splits+m.Merges) {
+		t.Errorf("%d in-place patches for %d splits and %d merges, want two a split and one a merge", counter.inPlace, m.Splits, m.Merges)
+	}
 	parked := 0
 	for _, i := range []int{0, 2} {
 		parked += patched.srvs[i].HintBacklog()["node1:7000"]

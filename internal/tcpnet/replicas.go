@@ -55,7 +55,7 @@ func (c *Client) owners(key string) []*clientNode {
 			break
 		}
 	}
-	n := c.replicas
+	n := c.cfg.Replicas
 	if n > len(nodes) {
 		n = len(nodes)
 	}
@@ -82,7 +82,7 @@ func (c *Client) rotateStart(key string, n int) int {
 	_, _ = h.Write([]byte(key))
 	start := 1 + int((uint64(h.Sum32())+c.readSeq.Add(1)-1)%uint64(n-1))
 	c.spreadReads.Add(1)
-	c.counters.Add(metrics.SpreadReads, 1)
+	c.cfg.Counters.Add(metrics.SpreadReads, 1)
 	return start
 }
 
@@ -158,7 +158,7 @@ func (c *Client) replicatedGet(ctx context.Context, key string, h probeHint) (dh
 				firstErr = err
 			}
 			if i < len(owners)-1 {
-				c.counters.Add(metrics.Failovers, 1)
+				c.cfg.Counters.Add(metrics.Failovers, 1)
 			}
 		}
 		if ctx.Err() != nil {
@@ -310,7 +310,7 @@ func (c *Client) replicatedCond(ctx context.Context, key string, primary func(*c
 	acting, err := 0, error(nil)
 	for i, n := range owners {
 		acting, err = i, primary(n)
-		if err == nil || !c.hinted || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
+		if err == nil || !c.cfg.HintedHandoff || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
 			break
 		}
 	}
@@ -356,8 +356,9 @@ func (c *Client) replicatedPutIf(ctx context.Context, key string, v dht.Value, i
 	)
 }
 
-// replicatedPatchIf is PatchIf with propagation: the acting serializer
-// applies the patch, then every other holder is sent the same patch in
+// replicatedPatchIf is PatchIf (mode patchPrimary) or WritePatchIf
+// (patchInPlace) with propagation: the acting serializer applies the
+// patch in that mode, then every other holder is sent the same patch in
 // newer mode and, holding the same bytes at the same epoch, builds the
 // same value. A holder that cannot — it is behind or ahead of ifEpoch
 // (conflict), stores a form it will not patch (refused), or is out of
@@ -373,7 +374,7 @@ func (c *Client) replicatedPutIf(ctx context.Context, key string, v dht.Value, i
 // at one epoch (split serializers, see replicatedCond) are made equal by
 // the next replicatedPutIf's whole value; patched, they stay apart until
 // the key is next written whole (frame.go, "same epoch means same bytes").
-func (c *Client) replicatedPatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+func (c *Client) replicatedPatchIf(ctx context.Context, key string, mode byte, patch []byte, ifEpoch uint64) (dht.Value, error) {
 	// One heap object for everything the fan-out's goroutines share.
 	f := &struct {
 		reply  dht.Value
@@ -385,7 +386,7 @@ func (c *Client) replicatedPatchIf(ctx context.Context, key string, patch []byte
 	err := c.replicatedCond(ctx, key,
 		func(n *clientNode) (err error) {
 			f.acting = n
-			f.reply, err = n.patchCall(ctx, key, patchPrimary, patch, ifEpoch)
+			f.reply, err = n.patchCall(ctx, key, mode, patch, ifEpoch)
 			return err
 		},
 		func(n *clientNode) error {

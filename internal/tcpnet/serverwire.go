@@ -91,7 +91,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if !c.empty() {
 			return appendStatusErr(out, errMalformed)
 		}
-		return append(out, statusOK)
+		return appendUv(append(out, statusOK), serverFeatures)
 
 	case dht.OpGet, dht.OpTake:
 		key, err := c.lenBytes()
@@ -306,24 +306,31 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		mode, err := c.u8()
-		if err != nil || mode > patchNewer {
+		if err != nil || mode > patchInPlace {
 			return appendStatusErr(out, errMalformed)
 		}
 		ifEpoch, err := c.uvarint()
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
-		// Charged as the putif (primary) or putnewer it replaces, once
-		// the outcome is one of theirs; a refused patch is free, as
-		// dht.Patcher has it: the whole-value write that follows is the
-		// lookup.
+		// Charged as the putif (primary), putnewer (newer) or writeif (in
+		// place: nothing) it replaces, once the outcome is one of theirs;
+		// a refused patch is free, as dht.Patcher has it: the whole-value
+		// write that follows is the lookup.
+		lookups := int64(1)
+		if mode == patchInPlace {
+			lookups = 0
+		}
 		cur, ok := s.store[string(key)]
 		if !ok {
-			s.c.Add(metrics.Lookups, 1)
+			if mode == patchInPlace {
+				return append(out, statusNotFound) // matches writeif
+			}
+			s.c.Add(metrics.Lookups, lookups)
 			return appendCASConflict(out, false, 0)
 		}
 		if w := storedEpoch(cur); w != ifEpoch {
-			s.c.Add(metrics.Lookups, 1)
+			s.c.Add(metrics.Lookups, lookups)
 			if mode == patchNewer && w > ifEpoch {
 				return append(out, statusOK) // superseded: keep the newer value
 			}
@@ -333,7 +340,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if !ok {
 			return append(out, statusPatchRefused)
 		}
-		s.c.Add(metrics.Lookups, 1)
+		s.c.Add(metrics.Lookups, lookups)
 		s.store[string(key)] = next
 		if mode == patchNewer {
 			return reply[:len(out)+1] // a holder's word is its status
@@ -365,18 +372,16 @@ func patchStored(cur, patch, reply []byte) (next, rep []byte, ok bool) {
 		return nil, reply, false
 	}
 	kind, data := c.b[1], c.b[2:]
-	// One allocation, sized for an upsert that appends all of the patch.
-	// The patcher writes the value past room for the longest prefix; the
-	// real one, known only once the patcher has named the epoch, is then
-	// laid down right before it.
-	buf := make([]byte, maxEpochTagLen, maxEpochTagLen+len(data)+len(patch)+binary.MaxVarintLen64)
-	buf, rep, epoch, ok := dht.PatchWire(buf, append(reply, kind), kind, data, patch)
+	// The patcher writes into a pooled buffer, and the value is copied out
+	// into one allocation of its own size: a patch may grow the value by
+	// all of itself or, committing a split, halve it.
+	scratch := getBuf()
+	defer putBuf(scratch)
+	out, rep, epoch, ok := dht.PatchWire((*scratch)[:0], append(reply, kind), kind, data, patch)
+	*scratch = out
 	if !ok {
 		return nil, reply, false
 	}
-	var prefix [maxEpochTagLen]byte
-	p := append(appendUv(append(prefix[:0], tagEpoch), epoch), tagWire, kind)
-	next = buf[maxEpochTagLen-len(p):]
-	copy(next, p)
-	return next, rep, true
+	next = appendUv(append(make([]byte, 0, maxEpochTagLen+len(out)), tagEpoch), epoch)
+	return append(append(next, tagWire, kind), out...), rep, true
 }

@@ -221,6 +221,46 @@ func BenchmarkWirePatch(b *testing.B) {
 	b.ReportMetric(float64(4+frameHeaderLen+len(req)+reply), "wire-B/op")
 }
 
+// BenchmarkWireWriteIfCommit / BenchmarkWirePatchCommit are the two ways
+// a split of that bucket commits on the peer that keeps it, full client
+// round trip: the local half whole under writeif, or the one-byte commit
+// under patchif in place, acknowledged with the half's record count.
+// wire-B/op is request plus reply.
+func BenchmarkWireWriteIfCommit(b *testing.B) { benchWireCommit(b, false) }
+
+func BenchmarkWirePatchCommit(b *testing.B) { benchWireCommit(b, true) }
+
+func benchWireCommit(b *testing.B, patched bool) {
+	c := benchCluster(b)
+	ctx := context.Background()
+	marked := wideBucket()
+	marked.Pending = ilht.Pending{Kind: ilht.PendingSplit}
+	local, commit := localHalf(marked), ilht.CommitSplitPatch()
+	req, reply := patchIf("k", patchInPlace, marked.Epoch, commit), 3 // status, kind, acknowledgement
+	if !patched {
+		req, reply = append(appendUv(appendLenString(nil, "k"), marked.Epoch), mustAppendValue(b, local)...), 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.Put(ctx, "k", marked); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		var err error
+		if patched {
+			_, err = c.WritePatchIf(ctx, "k", commit, marked.Epoch)
+		} else {
+			err = c.WriteIf(ctx, "k", local, marked.Epoch)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(4+frameHeaderLen+len(req)+4+frameHeaderLen+reply), "wire-B/op")
+}
+
 func BenchmarkWirePut(b *testing.B) {
 	c := benchCluster(b)
 	ctx := context.Background()
