@@ -11,20 +11,16 @@ import (
 	"lht/internal/metrics"
 )
 
-// patchLog is a hintLog that is also a Patcher and a BatchViewer: it
-// records each PatchIf and WritePatchIf and answers with the next of its
-// scripted errors, or (nil, or the script run out) with the patch; and it
-// counts the
-// multi-gets that arrive with a view, which it runs on each stored string
-// as a wire would on a value's bytes. It counts the batches and the
-// conditional writes it serves too, so it knows of every optional per-key
-// and batch plane whether a call reached it natively.
+// patchLog is a hintLog that is also a Patcher: it records each PatchIf
+// and WritePatchIf and answers with the next of its scripted errors, or
+// (nil, or the script run out) with the patch. It counts the batches and
+// the conditional writes it serves too, so it knows of every optional
+// per-key and batch plane whether a call reached it natively.
 type patchLog struct {
 	*hintLog
 	patches []string // one per PatchIf: the patch bytes
 	inPlace []string // one per WritePatchIf: the patch bytes
 	script  []error
-	views   int // GetBatchView calls
 	batches int // GetBatch and PutBatch calls
 	cas     int // PutIf, CreateIf, RemoveIf and WriteIf calls
 }
@@ -63,35 +59,6 @@ func (p *patchLog) RemoveIf(ctx context.Context, key string, ifEpoch uint64) err
 func (p *patchLog) WriteIf(ctx context.Context, key string, v Value, ifEpoch uint64) error {
 	p.count(&p.cas)
 	return p.Local.WriteIf(ctx, key, v, ifEpoch)
-}
-
-func (p *patchLog) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
-	p.mu.Lock()
-	p.views++
-	err := p.fail()
-	p.mu.Unlock()
-	vals, errs := p.Local.GetBatch(ctx, keys)
-	if err != nil {
-		for i := range errs {
-			vals[i], errs[i] = nil, err
-		}
-	}
-	for i, v := range vals {
-		if errs[i] == nil {
-			vals[i], errs[i] = view(testViewKind, []byte(v.(string)))
-		}
-	}
-	return vals, errs
-}
-
-const testViewKind = 9
-
-// testView is a WireView that shows it ran.
-func testView(kind byte, data []byte) (Value, error) {
-	if kind != testViewKind {
-		return nil, errors.New("view handed another kind")
-	}
-	return "viewed:" + string(data), nil
 }
 
 func (p *patchLog) PatchIf(_ context.Context, _ string, patch []byte, _ uint64) (Value, error) {
@@ -144,15 +111,6 @@ var capabilities = []struct {
 		return nil
 	}, func(sub *patchLog) (int, int) { return sub.batches, 2 }},
 
-	{"BatchViewer", func(ctx context.Context, d DHT, native bool) error {
-		want := map[bool]Value{true: "viewed:v", false: "v"}[native]
-		vals, errs := DoGetBatchView(ctx, d, []string{"k", "absent"}, testView)
-		if len(vals) != 2 || vals[0] != want || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
-			return fmt.Errorf("DoGetBatchView = %v, %v, want %v", vals, errs, want)
-		}
-		return nil
-	}, func(sub *patchLog) (int, int) { return sub.views, 1 }},
-
 	{"Conditional", func(ctx context.Context, d DHT, _ bool) error {
 		if err := DoCreateIf(ctx, d, "c", "1"); err != nil {
 			return fmt.Errorf("DoCreateIf = %v", err)
@@ -172,20 +130,23 @@ var capabilities = []struct {
 		return nil
 	}, func(sub *patchLog) (int, int) { return sub.cas, 4 }},
 
-	{"Prober", func(ctx context.Context, d DHT, _ bool) error {
+	{"Prober.Probe", func(ctx context.Context, d DHT, _ bool) error {
 		if v, err := DoProbe(ctx, d, "k", 7); err != nil || v != "v" {
 			return fmt.Errorf("DoProbe = %v, %v", v, err)
 		}
 		return nil
 	}, func(sub *patchLog) (int, int) {
 		hints, _ := sub.seen()
-		for _, h := range hints {
-			if h != 7 {
-				return -1, 1 // a probe arrived without its hint
-			}
-		}
-		return len(hints), 1
+		return hinted(hints, 7), 1
 	}},
+
+	{"Prober.ProbeBatch", func(ctx context.Context, d DHT, _ bool) error {
+		vals, errs := DoProbeBatch(ctx, d, []string{"k", "absent"}, 7)
+		if len(vals) != 2 || vals[0] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
+			return fmt.Errorf("DoProbeBatch = %v, %v", vals, errs)
+		}
+		return nil
+	}, func(sub *patchLog) (int, int) { return hinted(sub.seenBatches(), 7), 1 }},
 
 	{"Patcher.PatchIf", func(ctx context.Context, d DHT, native bool) error {
 		v, err := DoPatchIf(ctx, d, "k", []byte("p"), 3)
@@ -204,14 +165,25 @@ var capabilities = []struct {
 	}, func(sub *patchLog) (int, int) { return len(sub.inPlace), 1 }},
 }
 
+// hinted is how many of hints reached the substrate, or -1 if one arrived
+// without the hint want.
+func hinted(hints []uint64, want uint64) int {
+	for _, h := range hints {
+		if h != want {
+			return -1
+		}
+	}
+	return len(hints)
+}
+
 // refusals is every cell of the conformance table in which a layer keeps
 // a plane from a substrate that has it, and why. Nothing else may.
 var refusals = map[string]string{
-	"coalescer/Prober":               "a flight is shared by callers whose hints differ, so a probe is a whole Get",
+	"coalescer/Prober.Probe":         "a flight is shared by callers whose hints differ, so a probe is a whole Get",
 	"coalescer/Patcher.PatchIf":      "a writer above it reads whole values, so it writes whole values",
 	"coalescer/Patcher.WritePatchIf": "a writer above it reads whole values, so it rewrites whole values",
 	"withoutBatch/Batcher":           "stripping the batch planes is what it is for",
-	"withoutBatch/BatchViewer":       "stripping the batch planes is what it is for",
+	"withoutBatch/Prober.ProbeBatch": "stripping the batch planes is what it is for: a loop of probes",
 }
 
 // layered is one row of the conformance table: a wrapper, or a stack of
@@ -272,7 +244,7 @@ func conformanceRows(c *metrics.Counters) []layered {
 // TestCapabilityForwarding is the conformance table of wrapper ×
 // optional plane × substrate {has the plane, has it not}. Over a
 // substrate that has it, a call on the plane reaches the substrate's own
-// method — the hint, the patch and the view with it — through every
+// method — the hint and the patch with it — through every
 // wrapper and every stack dht.Stack builds, except in the cells refusals
 // names, where it is answered as over a substrate without the plane. Over
 // a substrate without it every wrapper answers as the bare substrate
@@ -361,39 +333,50 @@ func chargedThrough(t *testing.T, layer func(DHT) DHT) {
 	}
 }
 
-// A viewed multi-get is charged, counted and traced exactly as the
-// GetBatch it stands in for, over a substrate that views and over one
-// that only batches.
-func TestInstrumentedViewIsChargedAsAGetBatch(t *testing.T) {
+// A probed multi-get is charged, counted and traced exactly as the
+// GetBatch it stands in for, over a substrate that probes, over one that
+// only batches, and over one that does neither, where both decompose into
+// per-op gets.
+func TestInstrumentedProbeBatchIsChargedAsAGetBatch(t *testing.T) {
 	ctx := context.Background()
 	keys := []string{"k", "absent", "k"}
-	for name, sub := range map[string]func() DHT{
-		"viewing substrate":  func() DHT { return newPatchLog(t) },
-		"batching substrate": func() DHT { return newHintLog(t).Local },
+	for name, sub := range map[string]struct {
+		new     func() DHT
+		batched bool
+	}{
+		"probing substrate":  {func() DHT { return newPatchLog(t) }, true},
+		"batching substrate": {func() DHT { return newHintLog(t).Local }, true},
+		"per-op substrate":   {func() DHT { return WithoutBatch(newHintLog(t).Local) }, false},
 	} {
-		var plain, viewed metrics.Counters
-		plainRing, viewedRing := metrics.NewRing(4), metrics.NewRing(4)
-		p := NewInstrumented(sub(), &plain)
+		var plain, probed metrics.Counters
+		plainRing, probedRing := metrics.NewRing(4), metrics.NewRing(4)
+		p := NewInstrumented(sub.new(), &plain)
 		p.SetSink(plainRing)
 		p.GetBatch(metrics.WithOp(ctx, metrics.OpRange), keys)
-		v := NewInstrumented(sub(), &viewed)
-		v.SetSink(viewedRing)
-		v.GetBatchView(metrics.WithOp(ctx, metrics.OpRange), keys, testView)
+		v := NewInstrumented(sub.new(), &probed)
+		v.SetSink(probedRing)
+		v.ProbeBatch(metrics.WithOp(ctx, metrics.OpRange), keys, 7)
 
-		ps, vs := plain.Snapshot(), viewed.Snapshot()
-		if ps.Lookup.Total != 3 || ps.Batch.Ops != 1 || ps.Batch.Keys != 3 || ps.Lookup.FailedGets != 1 {
+		ps, vs := plain.Snapshot(), probed.Snapshot()
+		wantOps, events, kind := int64(0), 3, "get"
+		if sub.batched {
+			wantOps, events, kind = 1, 1, "get_batch"
+		}
+		if ps.Lookup.Total != 3 || ps.Batch.Ops != wantOps || ps.Batch.Keys != 3*wantOps || ps.Lookup.FailedGets != 1 {
 			t.Fatalf("%s: GetBatch charged %+v %+v", name, ps.Lookup, ps.Batch)
 		}
 		if vs.Lookup != ps.Lookup || vs.Batch != ps.Batch {
-			t.Errorf("%s: a viewed batch charged %+v %+v, the GetBatch %+v %+v", name, vs.Lookup, vs.Batch, ps.Lookup, ps.Batch)
+			t.Errorf("%s: a probed batch charged %+v %+v, the GetBatch %+v %+v", name, vs.Lookup, vs.Batch, ps.Lookup, ps.Batch)
 		}
-		pe, ve := plainRing.Events(), viewedRing.Events()
-		if len(pe) != 1 || len(ve) != 1 || pe[0].Kind != "get_batch" {
-			t.Fatalf("%s: trace events %+v and %+v, want one get_batch each", name, pe, ve)
+		pe, ve := plainRing.Events(), probedRing.Events()
+		if len(pe) != events || len(ve) != events || pe[0].Kind != kind {
+			t.Fatalf("%s: trace events %+v and %+v, want %d %s each", name, pe, ve, events, kind)
 		}
-		pe[0].Start, pe[0].Duration, ve[0].Start, ve[0].Duration = time.Time{}, 0, time.Time{}, 0
-		if pe[0] != ve[0] {
-			t.Errorf("%s: a viewed batch traced as %+v, the GetBatch as %+v", name, ve[0], pe[0])
+		for i := range pe {
+			pe[i].Start, pe[i].Duration, ve[i].Start, ve[i].Duration = time.Time{}, 0, time.Time{}, 0
+			if pe[i] != ve[i] {
+				t.Errorf("%s: a probed batch traced as %+v, the GetBatch as %+v", name, ve[i], pe[i])
+			}
 		}
 	}
 }
@@ -517,25 +500,25 @@ func TestCrashPointsScheduleProbesAndPatches(t *testing.T) {
 	}
 }
 
-// The policy layer retries a viewed multi-get's transient slots with the
-// view, and a crash schedule fires at a viewed batch's keys as at a plain
-// one's: a slot it fails is not fetched, the rest come back viewed.
-func TestViewedBatchUnderRetriesAndCrashPoints(t *testing.T) {
+// The policy layer retries a probed multi-get's transient slots with the
+// hint, and a crash schedule fires at a probed batch's keys as at a plain
+// one's: a slot it fails is not fetched, the rest go out with the hint.
+func TestProbeBatchUnderRetriesAndCrashPoints(t *testing.T) {
 	ctx := context.Background()
 	keys := []string{"k", "absent", "k"}
 
 	sub := newPatchLog(t)
 	sub.failNext = 1
 	d := WithPolicy(sub, Policy{MaxAttempts: 3, BaseDelay: time.Microsecond})
-	vals, errs := DoGetBatchView(ctx, d, keys, testView)
-	if vals[0] != "viewed:v" || vals[2] != "viewed:v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) || sub.views != 2 {
-		t.Errorf("through one reset: %v, %v after %d viewed batches, want the retry viewed", vals, errs, sub.views)
+	vals, errs := DoProbeBatch(ctx, d, keys, 7)
+	if hints := sub.seenBatches(); vals[0] != "v" || vals[2] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) || hinted(hints, 7) != 2 {
+		t.Errorf("through one reset: %v, %v after probe batches hinted %v, want the retry hinted", vals, errs, hints)
 	}
 
 	sub = newPatchLog(t)
 	cp := WithCrashPoints(sub, CrashRule{Op: OpGet, N: 3})
-	vals, errs = DoGetBatchView(ctx, cp, keys, testView)
-	if vals[0] != "viewed:v" || !errors.Is(errs[1], ErrNotFound) || !errors.Is(errs[2], ErrCrashed) || vals[2] != nil || sub.views != 1 || cp.Ops() != 3 {
-		t.Errorf("under a crash at the third get: %v, %v after %d viewed batches and %d scheduled ops", vals, errs, sub.views, cp.Ops())
+	vals, errs = DoProbeBatch(ctx, cp, keys, 7)
+	if hints := sub.seenBatches(); vals[0] != "v" || !errors.Is(errs[1], ErrNotFound) || !errors.Is(errs[2], ErrCrashed) || vals[2] != nil || hinted(hints, 7) != 1 || cp.Ops() != 3 {
+		t.Errorf("under a crash at the third get: %v, %v after probe batches hinted %v and %d scheduled ops", vals, errs, hints, cp.Ops())
 	}
 }

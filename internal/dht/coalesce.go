@@ -117,7 +117,8 @@ func isContextErr(err error) bool {
 
 // Probe overrides the base to drop the hint: a flight's value is shared
 // by callers whose hints differ, so it must be whole. A probe is a
-// (coalesced) Get here, and nothing below this layer sees a hint.
+// (coalesced) Get here. A ProbeBatch is no flight, and passes with its
+// hint, as every batch passes.
 func (co *coalescer) Probe(ctx context.Context, key string, _ uint64) (Value, error) {
 	return co.Get(ctx, key)
 }

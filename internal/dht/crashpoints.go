@@ -183,7 +183,7 @@ type CrashPoints struct {
 
 var (
 	_ DHT         = (*CrashPoints)(nil)
-	_ BatchViewer = (*CrashPoints)(nil)
+	_ Batcher     = (*CrashPoints)(nil)
 	_ Conditional = (*CrashPoints)(nil)
 	_ Prober      = (*CrashPoints)(nil)
 	_ Patcher     = (*CrashPoints)(nil)
@@ -286,12 +286,17 @@ func (c *CrashPoints) do(ctx context.Context, cl call) (Value, error) {
 // slice order, exactly as a loop of per-op Gets would be. Surviving keys
 // are fetched through the inner substrate's batch plane when available.
 func (c *CrashPoints) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
-	return c.GetBatchView(ctx, keys, nil)
+	return c.getBatch(ctx, keys, call{prim: primGet})
 }
 
-// GetBatchView implements BatchViewer and is GetBatch's one body: a
-// schedule fires at the same keys whether or not the batch is viewed.
-func (c *CrashPoints) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
+// ProbeBatch implements Prober, scheduled as GetBatch: the keys that
+// survive the schedule go out with the hint.
+func (c *CrashPoints) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]Value, []error) {
+	return c.getBatch(ctx, keys, call{prim: primProbe, hint: hint})
+}
+
+// getBatch is the one body of both: cl is the Get or the Probe of a slot.
+func (c *CrashPoints) getBatch(ctx context.Context, keys []string, cl call) ([]Value, []error) {
 	vals := make([]Value, len(keys))
 	errs := make([]error, len(keys))
 	var live []string
@@ -311,7 +316,7 @@ func (c *CrashPoints) GetBatchView(ctx context.Context, keys []string, view Wire
 		live = append(live, k)
 		liveIdx = append(liveIdx, i)
 	}
-	lv, le := DoGetBatchView(ctx, c.inner, live, view)
+	lv, le := cl.batch(ctx, c.inner, live)
 	for j, i := range liveIdx {
 		if after[i] {
 			continue // effect happened; the scheduled error stands

@@ -15,10 +15,9 @@
 // serving many keys per round trip; DoGetBatch and DoPutBatch fall back
 // to per-op calls for substrates that do not. Batched keys are charged as
 // lookups exactly like per-op calls, so batching changes latency (round
-// trips), never the cost model's bandwidth measure. A Batcher whose values
-// cross a wire may also be a BatchViewer, which decodes a multi-get's
-// values with the caller's WireView; DoGetBatchView falls back to
-// DoGetBatch.
+// trips), never the cost model's bandwidth measure. A Prober's ProbeBatch
+// is a multi-get whose slots share one probe hint; DoProbeBatch falls
+// back to DoGetBatch.
 //
 // The wrappers compose in one order, stated by Stack. Each declares only
 // what it changes of a per-key primitive; forward.go spells the

@@ -164,6 +164,32 @@ func (k perKey) WritePatchIf(ctx context.Context, key string, patch []byte, ifEp
 	return k.l.do(ctx, call{prim: primWritePatchIf, key: key, patch: patch, epoch: ifEpoch})
 }
 
+// ProbeBatch is the per-op loop of Probe: withoutBatch keeps it, and so
+// stays batch-free.
+func (k perKey) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]Value, []error) {
+	return call{prim: primProbe, hint: hint}.each(ctx, k.l, keys)
+}
+
+// batch performs c, a Get or a Probe short of its key, for keys on d as
+// one multi-get, through the plane's Do* helper.
+func (c call) batch(ctx context.Context, d DHT, keys []string) ([]Value, []error) {
+	if c.prim == primProbe {
+		return DoProbeBatch(ctx, d, keys, c.hint)
+	}
+	return DoGetBatch(ctx, d, keys)
+}
+
+// each performs c for keys one key at a time, through l.
+func (c call) each(ctx context.Context, l layer, keys []string) ([]Value, []error) {
+	vals := make([]Value, len(keys))
+	errs := make([]error, len(keys))
+	for i, key := range keys {
+		c.key = key
+		vals[i], errs[i] = l.do(ctx, c)
+	}
+	return vals, errs
+}
+
 // forwardTo is the layer that changes nothing.
 type forwardTo struct{ inner DHT }
 
@@ -187,7 +213,7 @@ func newPassthrough(inner DHT) passthrough {
 }
 
 var (
-	_ BatchViewer = passthrough{}
+	_ Batcher     = passthrough{}
 	_ Conditional = passthrough{}
 	_ Prober      = passthrough{}
 	_ Patcher     = passthrough{}
@@ -197,8 +223,8 @@ func (p passthrough) GetBatch(ctx context.Context, keys []string) ([]Value, []er
 	return DoGetBatch(ctx, p.inner, keys)
 }
 
-func (p passthrough) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
-	return DoGetBatchView(ctx, p.inner, keys, view)
+func (p passthrough) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]Value, []error) {
+	return DoProbeBatch(ctx, p.inner, keys, hint)
 }
 
 func (p passthrough) PutBatch(ctx context.Context, kvs []KV) []error {

@@ -38,7 +38,7 @@ type Instrumented struct {
 
 var (
 	_ DHT         = (*Instrumented)(nil)
-	_ BatchViewer = (*Instrumented)(nil)
+	_ Batcher     = (*Instrumented)(nil)
 	_ Conditional = (*Instrumented)(nil)
 	_ Prober      = (*Instrumented)(nil)
 	_ Patcher     = (*Instrumented)(nil)
@@ -181,29 +181,28 @@ func (d *Instrumented) do(ctx context.Context, c call) (Value, error) {
 // BatchOps/BatchedKeys. Otherwise the batch decomposes through this
 // wrapper's own per-op Get, which charges each key as it goes.
 func (d *Instrumented) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
-	return d.GetBatchView(ctx, keys, nil)
+	return d.getBatch(ctx, keys, call{prim: primGet})
 }
 
-// GetBatchView implements BatchViewer and is GetBatch's one body: a
-// viewed batch is charged, counted and traced exactly as the GetBatch it
-// stands in for, whether or not the wrapped substrate views natively.
-func (d *Instrumented) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
+// ProbeBatch implements Prober and is charged, counted and traced as the
+// GetBatch it stands in for, whether or not the substrate probes natively.
+func (d *Instrumented) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]Value, []error) {
+	return d.getBatch(ctx, keys, call{prim: primProbe, hint: hint})
+}
+
+// getBatch is the one body of both: c is the Get or the Probe of a slot.
+func (d *Instrumented) getBatch(ctx context.Context, keys []string, c call) ([]Value, []error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	if !d.batches {
-		vals := make([]Value, len(keys))
-		errs := make([]error, len(keys))
-		for i, k := range keys {
-			vals[i], errs[i] = d.Get(ctx, k)
-		}
-		return vals, errs
+		return c.each(ctx, d, keys)
 	}
 	lb := d.charge(ctx, int64(len(keys)))
 	d.c.Add(metrics.BatchOps, 1)
 	d.c.Add(metrics.BatchedKeys, int64(len(keys)))
 	start := d.start()
-	vals, errs := DoGetBatchView(ctx, d.inner, keys, view)
+	vals, errs := c.batch(ctx, d.inner, keys)
 	for _, err := range errs {
 		if errors.Is(err, ErrNotFound) {
 			d.c.Add(metrics.FailedGets, 1)

@@ -102,7 +102,7 @@ type PolicyDHT struct {
 
 var (
 	_ DHT         = (*PolicyDHT)(nil)
-	_ BatchViewer = (*PolicyDHT)(nil)
+	_ Batcher     = (*PolicyDHT)(nil)
 	_ Conditional = (*PolicyDHT)(nil)
 	_ Prober      = (*PolicyDHT)(nil)
 	_ Patcher     = (*PolicyDHT)(nil)
@@ -250,20 +250,23 @@ func (d *PolicyDHT) transientSlots(errs []error) []int {
 // its successful keys. Every re-issued key is charged again by whatever
 // Instrumented wrapper sits below this one.
 func (d *PolicyDHT) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {
-	return d.GetBatchView(ctx, keys, nil)
+	return d.getBatch(ctx, keys, call{prim: primGet})
 }
 
-// GetBatchView implements BatchViewer and is GetBatch's one body; every
-// attempt carries the view, which is pure, so a slot's retry decodes as
-// its first reply would have.
-func (d *PolicyDHT) GetBatchView(ctx context.Context, keys []string, view WireView) ([]Value, []error) {
-	vals, errs := DoGetBatchView(ctx, d.inner, keys, view)
+// ProbeBatch implements Prober with GetBatch's retries, each with the hint.
+func (d *PolicyDHT) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]Value, []error) {
+	return d.getBatch(ctx, keys, call{prim: primProbe, hint: hint})
+}
+
+// getBatch is the one body of both: c is the Get or the Probe of a slot.
+func (d *PolicyDHT) getBatch(ctx context.Context, keys []string, c call) ([]Value, []error) {
+	vals, errs := c.batch(ctx, d.inner, keys)
 	d.retryBatch(ctx, errs, d.transientSlots(errs), func(ctx context.Context, pending []int) {
 		sub := make([]string, len(pending))
 		for j, i := range pending {
 			sub[j] = keys[i]
 		}
-		svals, serrs := DoGetBatchView(ctx, d.inner, sub, view)
+		svals, serrs := c.batch(ctx, d.inner, sub)
 		for j, i := range pending {
 			vals[i], errs[i] = svals[j], serrs[j]
 		}

@@ -14,10 +14,14 @@ import "context"
 // legal answer, so a substrate is always free to return exactly that.
 //
 // Cost model: a Probe is one DHT-lookup, exactly like the Get it stands
-// in for, and is counted and traced as one.
+// in for, and is counted and traced as one; a ProbeBatch likewise is the
+// GetBatch it stands in for.
 type Prober interface {
 	// Probe is Get with a hint for the storing peer.
 	Probe(ctx context.Context, key string, hint uint64) (Value, error)
+	// ProbeBatch is GetBatch with one hint for every slot, each answered
+	// as Probe answers it.
+	ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]Value, []error)
 }
 
 // DoProbe probes key through d's native Probe when d implements Prober,
@@ -27,4 +31,12 @@ func DoProbe(ctx context.Context, d DHT, key string, hint uint64) (Value, error)
 		return p.Probe(ctx, key, hint)
 	}
 	return d.Get(ctx, key)
+}
+
+// DoProbeBatch is DoProbe for a multi-get: it falls back to DoGetBatch.
+func DoProbeBatch(ctx context.Context, d DHT, keys []string, hint uint64) ([]Value, []error) {
+	if p, ok := d.(Prober); ok {
+		return p.ProbeBatch(ctx, keys, hint)
+	}
+	return DoGetBatch(ctx, d, keys)
 }

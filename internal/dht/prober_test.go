@@ -11,14 +11,15 @@ import (
 )
 
 // hintLog is a Local that is also a Prober and records which of the two
-// reads each call arrived as. failNext makes that many reads fail
-// transiently first.
+// reads each call arrived as, and the hint of each ProbeBatch. failNext
+// makes that many reads (a batch is one) fail transiently first.
 type hintLog struct {
 	*Local
-	mu       sync.Mutex
-	hints    []uint64 // one per Probe
-	gets     int
-	failNext int
+	mu         sync.Mutex
+	hints      []uint64 // one per Probe
+	batchHints []uint64 // one per ProbeBatch
+	gets       int
+	failNext   int
 }
 
 func (p *hintLog) fail() error {
@@ -51,10 +52,30 @@ func (p *hintLog) Probe(ctx context.Context, key string, hint uint64) (Value, er
 	return p.Local.Get(ctx, key)
 }
 
+func (p *hintLog) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]Value, []error) {
+	p.mu.Lock()
+	p.batchHints = append(p.batchHints, hint)
+	err := p.fail()
+	p.mu.Unlock()
+	vals, errs := p.Local.GetBatch(ctx, keys)
+	if err != nil {
+		for i := range errs {
+			vals[i], errs[i] = nil, err
+		}
+	}
+	return vals, errs
+}
+
 func (p *hintLog) seen() (hints []uint64, gets int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]uint64(nil), p.hints...), p.gets
+}
+
+func (p *hintLog) seenBatches() []uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]uint64(nil), p.batchHints...)
 }
 
 func newHintLog(t *testing.T) *hintLog {
@@ -81,6 +102,14 @@ func TestDoProbeFallsBackToGet(t *testing.T) {
 	}
 	if hints, gets := p.seen(); len(hints) != 1 || hints[0] != 7 || gets != 0 {
 		t.Fatalf("Prober saw hints %v and %d gets, want [7] and none", hints, gets)
+	}
+	for name, d := range map[string]DHT{"a plain DHT": l, "a Prober": p} {
+		if vals, errs := DoProbeBatch(ctx, d, []string{"k", "absent"}, 8); vals[0] != "v" || errs[0] != nil || !errors.Is(errs[1], ErrNotFound) {
+			t.Fatalf("DoProbeBatch over %s = %v, %v", name, vals, errs)
+		}
+	}
+	if hints := p.seenBatches(); len(hints) != 1 || hints[0] != 8 {
+		t.Fatalf("Prober saw batch hints %v, want [8]", hints)
 	}
 }
 

@@ -43,6 +43,7 @@ func TestStackAddsNoAllocations(t *testing.T) {
 		{"PatchIf", 1, func(d DHT) { _, _ = DoPatchIf(ctx, d, "k", nil, 0) }},
 		{"WritePatchIf", 1, func(d DHT) { _, _ = DoWritePatchIf(ctx, d, "k", nil, 0) }},
 		{"GetBatch", 0, func(d DHT) { _, _ = DoGetBatch(ctx, d, keys) }},
+		{"ProbeBatch", 0, func(d DHT) { _, _ = DoProbeBatch(ctx, d, keys, 7) }},
 	} {
 		bare := testing.AllocsPerRun(100, func() { op.run(local) })
 		through := testing.AllocsPerRun(100, func() { op.run(stack) })

@@ -180,9 +180,10 @@ func (b *Bucket) String() string {
 // records still write their count) a header alone is never a bucket and
 // a bucket never a header.
 //
-// Probe replies. A storing peer answers a probe (a hinted get, see
-// ProbeHint and RangeHint) of a stored bucket with one of four forms,
-// built from the stored bytes, undecoded, by projectBucket:
+// Probe replies. A storing peer answers a probe (a hinted get or a slot of
+// a hinted multi-get, see ProbeHint and RangeHint) of a stored bucket with
+// one of four forms, built from the stored bytes, undecoded, by
+// projectBucket:
 //
 //	whole    the stored bytes: the bucket is torn or does not parse, or
 //	         it covers the hinted key and the prober wants the bucket

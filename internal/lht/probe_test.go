@@ -717,11 +717,13 @@ func TestOnlyTheCoalescerStopsAProbe(t *testing.T) {
 }
 
 // rangeLiar is a peer whose honest answer to a range probe is tampered
-// with on its way to the index. lie returns what the index gets in place
-// of the run, and whether the index should see through it.
+// with on its way to the index: to a single get's, or with sweep set to
+// each slot of a sweep's multi-get instead. lie returns what the index
+// gets in place of the run, and whether the index should see through it.
 type rangeLiar struct {
 	*tcpnet.Client
-	lie func(key string, run *bucketRun) (v dht.Value, caught bool)
+	lie   func(key string, run *bucketRun) (v dht.Value, caught bool)
+	sweep bool
 
 	mu     sync.Mutex
 	lies   int // runs tampered with
@@ -730,9 +732,28 @@ type rangeLiar struct {
 
 func (p *rangeLiar) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
 	v, err := p.Client.Probe(ctx, key, hint)
-	run, ok := v.(*bucketRun)
-	if err != nil || !ok {
+	if err != nil || p.sweep {
 		return v, err
+	}
+	return p.tamper(key, v), nil
+}
+
+func (p *rangeLiar) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]dht.Value, []error) {
+	vals, errs := p.Client.ProbeBatch(ctx, keys, hint)
+	for i := range vals {
+		if errs[i] == nil && p.sweep {
+			vals[i] = p.tamper(keys[i], vals[i])
+		}
+	}
+	return vals, errs
+}
+
+// tamper returns what the index gets in place of v, a reply to a get of
+// key: v itself unless it is a run.
+func (p *rangeLiar) tamper(key string, v dht.Value) dht.Value {
+	run, ok := v.(*bucketRun)
+	if !ok {
+		return v
 	}
 	v, caught := p.lie(key, run)
 	p.mu.Lock()
@@ -741,7 +762,7 @@ func (p *rangeLiar) Probe(ctx context.Context, key string, hint uint64) (dht.Val
 	if caught {
 		p.caught++
 	}
-	return v, nil
+	return v
 }
 
 // A short reply to a range probe is believed no further than a whole
@@ -754,7 +775,16 @@ func (p *rangeLiar) Probe(ctx context.Context, key string, hint uint64) (dht.Val
 // (A run reply for a torn bucket, or one whose list does not parse, never
 // gets this far: TestDecodeRunReply has the decoder refuse them, and the
 // query fails as it does on a bucket that does not decode.)
-func TestLyingRangeReplyIsRefetchedNotTrusted(t *testing.T) {
+func TestLyingRangeReplyIsRefetchedNotTrusted(t *testing.T) { lyingRangeReplies(t, false) }
+
+// A swept slot is taken by the rule a single get's reply is: the same
+// three lies to a sweep's multi-get cost the same, and change nothing.
+func TestLyingSweptSlotIsRefetchedNotTrusted(t *testing.T) { lyingRangeReplies(t, true) }
+
+// lyingRangeReplies runs range queries through a rangeLiar that lies to
+// the single gets, or with sweep to the sweeps' multi-gets, against the
+// same queries through an honest peer.
+func lyingRangeReplies(t *testing.T, sweep bool) {
 	ctx := context.Background()
 	client, _ := startProbeCluster(t, 3)
 	cfg := Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20}
@@ -793,7 +823,7 @@ func TestLyingRangeReplyIsRefetchedNotTrusted(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			liar := &rangeLiar{Client: client, lie: lie}
+			liar := &rangeLiar{Client: client, lie: lie, sweep: sweep}
 			ix, err := New(liar, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -19,42 +19,16 @@ var ErrBadRange = errors.New("lht: invalid range")
 
 // bucketRun is what a leaf amounts to for the range query that fetched
 // it: the label the sweep goes on from, and the leaf's records inside the
-// query's range, still encoded. It is what the query's dht.WireView
-// (runView) makes of a swept bucket in place of decoding it, and what a
-// storing peer's run reply to one of the query's probes (projectBucket,
-// RangeHint) decodes to, so that the join can decode the records straight
-// into the result. A peer's run may hold records the query's range does
-// not: the join filters. It is unexported and not a dht.WireValue: nothing
-// that handles buckets — clone, CAS, write-back, the leaf cache — can be
-// handed one.
+// query's range, still encoded: what a storing peer's run reply to one of
+// the query's probes (projectBucket, RangeHint) decodes to, so that the
+// join can decode the records straight into the result. A peer's run may
+// hold records the query's range does not: the join filters. It is
+// unexported and not a dht.WireValue: nothing that handles buckets —
+// clone, CAS, write-back, the leaf cache — can be handed one.
 type bucketRun struct {
 	label bitlabel.Label
 	n     int    // records in enc
 	enc   []byte // the run's own copy, as record.FilterList cut it
-}
-
-// runView returns the view a range query over [lo, hi) fetches its swept
-// leaves with. A bucket that is torn, or that DecodeBucket would refuse,
-// is handed to DecodeBucket — a torn leaf stays a *Bucket and an
-// unparsable one gets its error; any other becomes a bucketRun. The view
-// keeps nothing of data: the header walk copies what it reads and
-// FilterList returns a copy.
-func runView(lo, hi float64) dht.WireView {
-	return func(kind byte, data []byte) (dht.Value, error) {
-		if kind != bucketWireKind {
-			return dht.DecodeWire(kind, data)
-		}
-		var b Bucket
-		list, err := parseBucketHeader(&b, data)
-		if err != nil || b.Torn() {
-			return DecodeBucket(data)
-		}
-		enc, n, err := record.FilterList(list, lo, hi)
-		if err != nil {
-			return DecodeBucket(data)
-		}
-		return &bucketRun{label: b.Label, n: n, enc: enc}, nil
-	}
 }
 
 // rangeShare is one leaf's contribution to a range query's result: its
@@ -75,14 +49,12 @@ type rangeShare struct {
 //
 // The result is built once, by snapshot, at its final size: until then
 // each leaf's share waits as it was fetched. Over a substrate that cuts
-// runs every leaf of an untorn tree arrives as one: the sweep's multi-get
-// is viewed on the client, and the single gets of a range (the LCA probe,
-// enterChild, a terminal branch's second try) are probes with the query's
-// range for a hint, cut by the storing peer (probeLeaf).
+// runs every leaf of an untorn tree arrives as one: every get of a range,
+// swept or single, is a probe with the query's range for a hint, cut by
+// the storing peer (rangeLeaf).
 type rangeCollector struct {
 	r    keyspace.Interval // the query's range
 	hint uint64            // RangeHint of r: one hint per query
-	view dht.WireView      // runView over r
 
 	mu      sync.Mutex
 	shares  []rangeShare
@@ -103,9 +75,9 @@ func (c *rangeCollector) addRecords(recs []record.Record, lo, hi float64) {
 }
 
 // addRun adds a run's records in [lo, hi), a subrange of the query's.
-// run.n bounds what the join will take: every record of a viewed run,
-// unless the stored tree is in a state the sweep did not expect, and of a
-// peer's run all but those in the margin its hint was rounded out by.
+// run.n bounds what the join will take: all of a peer's run but those in
+// the margin its hint was rounded out by, unless the stored tree is in a
+// state the sweep did not expect.
 func (c *rangeCollector) addRun(run *bucketRun, lo, hi float64) {
 	c.add(rangeShare{run: run, lo: lo, hi: hi}, run.n)
 }
@@ -118,12 +90,6 @@ func (c *rangeCollector) add(s rangeShare, n int) {
 	c.mu.Lock()
 	c.shares = append(c.shares, s)
 	c.n += n
-	c.mu.Unlock()
-}
-
-func (c *rangeCollector) addLookup() {
-	c.mu.Lock()
-	c.lookups++
 	c.mu.Unlock()
 }
 
@@ -177,14 +143,22 @@ func (c *rangeCollector) snapshot() ([]record.Record, int, error) {
 	return out, c.lookups, nil
 }
 
-// probeLeaf is a range query's single get, charging the collector. The
-// query goes on from the fetched leaf's label and takes only its records
-// in the query's range, so the get is a probe hinted with that range, and
-// a substrate that is a dht.Prober may answer an untorn leaf with the run
-// of those records, or, when the leaf does not overlap the range, with its
-// BucketHeader alone — still one round trip and one DHT-lookup. What comes
-// back is a *Bucket, a *bucketRun or such a *BucketHeader, the leaf cache
-// having learnt the label from each alike (see forward).
+// probeLeaf is a range query's single get, charging the collector.
+func (ix *Index) probeLeaf(ctx context.Context, key string, col *rangeCollector) (dht.Value, error) {
+	col.addLookups(1)
+	v, err := dht.DoProbe(ctx, ix.d, key, col.hint)
+	return ix.rangeLeaf(ctx, v, err, key, col)
+}
+
+// rangeLeaf takes the reply (v, err) to a range query's get of key, a
+// single one (probeLeaf) or a sweep's slot. The query goes on from the
+// fetched leaf's label and takes only its records in the query's range,
+// so every get is a probe hinted with that range, and a substrate that is
+// a dht.Prober may answer an untorn leaf with the run of those records,
+// or, when the leaf does not overlap the range, with its BucketHeader
+// alone — still one round trip and one DHT-lookup. What comes back is a
+// *Bucket, a *bucketRun or such a *BucketHeader, the leaf cache having
+// learnt the label from each alike (see forward).
 //
 // A short reply is trusted no further than a whole bucket: the join
 // filters a run as it filters a bucket's records, so a peer that ships too
@@ -192,9 +166,7 @@ func (c *rangeCollector) snapshot() ([]record.Record, int, error) {
 // every header a peer sends that predates the range hint, which it reads
 // as a key of 2 or more — or a reply of a form not asked for is dropped
 // and the bucket fetched whole with a plain, charged get.
-func (ix *Index) probeLeaf(ctx context.Context, key string, col *rangeCollector) (dht.Value, error) {
-	col.addLookup()
-	v, err := dht.DoProbe(ctx, ix.d, key, col.hint)
+func (ix *Index) rangeLeaf(ctx context.Context, v dht.Value, err error, key string, col *rangeCollector) (dht.Value, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -213,11 +185,11 @@ func (ix *Index) probeLeaf(ctx context.Context, key string, col *rangeCollector)
 		return wholeLeaf(ix.bucketOf(v, nil, key))
 	}
 	// No current peer sends this. Whatever did, the query needs the leaf.
-	col.addLookup()
+	col.addLookups(1)
 	return wholeLeaf(ix.fetchBucket(ctx, key))
 }
 
-// wholeLeaf returns a fetched bucket as probeLeaf does, keeping the nil
+// wholeLeaf returns a fetched bucket as rangeLeaf does, keeping the nil
 // *Bucket of a failed fetch out of the interface.
 func wholeLeaf(b *Bucket, err error) (dht.Value, error) {
 	if err != nil {
@@ -227,7 +199,7 @@ func wholeLeaf(b *Bucket, err error) (dht.Value, error) {
 }
 
 // rangeLeafLabel is the label of a leaf as a range query holds it: see
-// probeLeaf and sweptLeaf for the forms.
+// rangeLeaf for the forms.
 func rangeLeafLabel(v dht.Value) bitlabel.Label {
 	switch v := v.(type) {
 	case *bucketRun:
@@ -278,7 +250,7 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 	r := keyspace.Interval{Lo: lo, Hi: hi}
 	lca := keyspace.RangeLCA(r, ix.cfg.Depth)
 
-	col := &rangeCollector{r: r, hint: RangeHint(lo, hi), view: runView(lo, hi)}
+	col := &rangeCollector{r: r, hint: RangeHint(lo, hi)}
 	leaf, err := ix.probeLeaf(metrics.WithPhase(ctx, metrics.PhaseProbe), lca.Name().Key(), col)
 	switch {
 	case errors.Is(err, dht.ErrNotFound):
@@ -496,12 +468,12 @@ loop:
 		}
 	}
 	col.addLookups(len(keys))
-	vals, errs := dht.DoGetBatchView(ctx, ix.d, keys, col.view)
+	vals, errs := dht.DoProbeBatch(ctx, ix.d, keys, col.hint)
 
-	// Every slot is type-checked, and its leaf noted in the cache, before
-	// any branch forwards, in slot order, whichever way the branches run.
+	// Every slot is taken, and its leaf noted in the cache, before any
+	// branch forwards, in slot order, whichever way the branches run.
 	for i := range tasks {
-		errs[i] = ix.sweptLeaf(vals[i], errs[i], keys[i])
+		vals[i], errs[i] = ix.rangeLeaf(ctx, vals[i], errs[i], keys[i], col)
 	}
 	if ix.cfg.ParallelRange {
 		chains := make([]func() int, len(tasks))
@@ -524,20 +496,8 @@ type branchTask struct {
 	covered bool
 }
 
-// sweptLeaf type-checks one slot of a sweep's multi-get, which holds a
-// whole bucket or the run a viewing substrate made of it, teaching the
-// leaf cache on success as bucketOf does.
-func (ix *Index) sweptLeaf(v dht.Value, err error, key string) error {
-	if run, ok := v.(*bucketRun); ok && err == nil {
-		ix.cacheNote(run.label)
-		return nil
-	}
-	_, err = ix.bucketOf(v, err, key)
-	return err
-}
-
 // branch enters one branch of a sweep over r, given its slot (v, err) of
-// the sweep's multi-get as sweptLeaf left it, and returns the depth of
+// the sweep's multi-get as rangeLeaf left it, and returns the depth of
 // the dependent lookup chain. A covered branch is fully inside the
 // remaining range: it is entered through its named leaf, which sweeps
 // back inward. The terminal branch is entered through the leaf under its

@@ -16,19 +16,19 @@ import (
 )
 
 // These tests run range queries over real tcpnet servers, the one
-// substrate whose multi-get is viewed and whose peers cut runs, against
-// the same queries over dht.Local, which hands out whole buckets: a run
-// may change what crosses the wire and what the client allocates, and
-// nothing else.
+// substrate whose peers cut runs, against the same queries over
+// dht.Local, which hands out whole buckets: a run may change what crosses
+// the wire and what the client allocates, and nothing else.
 
-// viewSpy is the client with what its viewed multi-gets and its range
+// rangeSpy is the client with what its probed multi-gets and its range
 // probes returned on record.
-type viewSpy struct {
+type rangeSpy struct {
 	*tcpnet.Client
 
-	mu   sync.Mutex
-	runs int // slots answered with a run
-	torn int // slots answered with a whole, torn bucket
+	mu    sync.Mutex
+	runs  int // slots answered with a run
+	torn  int // slots answered with a whole, torn bucket
+	whole int // slots answered with a whole bucket that is not torn
 
 	probes       int // range probes
 	probeRuns    int // answered with a run
@@ -36,7 +36,7 @@ type viewSpy struct {
 	probeWhole   int // answered with a whole bucket that is not torn
 }
 
-func (s *viewSpy) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+func (s *rangeSpy) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
 	v, err := s.Client.Probe(ctx, key, hint)
 	if hint&probeRange == 0 {
 		return v, err
@@ -57,8 +57,8 @@ func (s *viewSpy) Probe(ctx context.Context, key string, hint uint64) (dht.Value
 	return v, err
 }
 
-func (s *viewSpy) GetBatchView(ctx context.Context, keys []string, view dht.WireView) ([]dht.Value, []error) {
-	vals, errs := s.Client.GetBatchView(ctx, keys, view)
+func (s *rangeSpy) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]dht.Value, []error) {
+	vals, errs := s.Client.ProbeBatch(ctx, keys, hint)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, v := range vals {
@@ -68,6 +68,8 @@ func (s *viewSpy) GetBatchView(ctx context.Context, keys []string, view dht.Wire
 		case *Bucket:
 			if v.Torn() {
 				s.torn++
+			} else {
+				s.whole++
 			}
 		}
 	}
@@ -210,17 +212,19 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		{"policy(instrumented(crashpoints))", true, Config{Policy: &policy}},
 		{"policy(instrumented(crashpoints)), parallel", true, Config{Policy: &policy, ParallelRange: true}},
 		// The coalescer shares a flight between callers, so it turns every
-		// probe into a plain get: the whole-bucket arm, over the wire.
+		// single probe into a plain get: the whole-bucket arm, over the
+		// wire. A multi-get is no flight, and passes hinted.
 		{"coalesced", false, Config{CoalesceGets: true}},
 	} {
-		name, spy := arm.name, &viewSpy{Client: client}
+		name, spy := arm.name, &rangeSpy{Client: client}
 		var d dht.DHT = spy
 		if arm.crashpoints {
 			d = dht.WithCrashPoints(spy)
 		}
 		got, gotCache := run(d, arm.cfg)
-		if spy.runs == 0 {
-			t.Errorf("%s: no multi-get slot came back as a run", name)
+		// Every swept slot of an untorn leaf comes back as a run.
+		if spy.runs == 0 || spy.whole != 0 {
+			t.Errorf("%s: %d multi-get slots came back as runs, %d as whole untorn buckets", name, spy.runs, spy.whole)
 		}
 		torn += spy.torn
 		// Every single get of a range is a probe, and of an untorn leaf it
@@ -252,7 +256,7 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		}
 	}
 	if torn == 0 {
-		t.Error("the torn leaf never came back from a viewed multi-get as a bucket")
+		t.Error("the torn leaf never came back from a probed multi-get as a bucket")
 	}
 	for _, d := range []dht.DHT{local, client} {
 		if v, err := d.Get(ctx, tornKey); err != nil || !v.(*Bucket).Torn() {

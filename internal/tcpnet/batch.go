@@ -10,7 +10,7 @@ import (
 	"lht/internal/dht"
 )
 
-var _ dht.BatchViewer = (*Client)(nil)
+var _ dht.Batcher = (*Client)(nil)
 
 // malformedResp wraps a response-parse failure: the server (or something
 // between) broke framing, which is a transport-level, retryable fault.
@@ -23,23 +23,24 @@ func malformedResp(err error) error {
 // trips to distinct nodes running concurrently. A transport failure fails
 // only that node's slots; the rest of the batch stands.
 func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []error) {
-	return c.GetBatchView(ctx, keys, nil)
+	return c.getBatch(ctx, keys, probeHint{})
 }
 
-// GetBatchView implements dht.BatchViewer and is GetBatch's one body: the
-// view decodes each tagWire value while it still lies in the reply's
-// pooled frame, on the goroutine that received the frame.
-func (c *Client) GetBatchView(ctx context.Context, keys []string, view dht.WireView) ([]dht.Value, []error) {
-	if view == nil {
-		view = dht.DecodeWire
-	}
+// ProbeBatch implements dht.Prober: GetBatch with hint in every frame to
+// a node that serves it (frame.go); any other answers every slot whole.
+func (c *Client) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]dht.Value, []error) {
+	return c.getBatch(ctx, keys, probeHint{v: hint, set: true})
+}
+
+// getBatch is GetBatch's and ProbeBatch's one body.
+func (c *Client) getBatch(ctx context.Context, keys []string, h probeHint) ([]dht.Value, []error) {
 	vals := make([]dht.Value, len(keys))
 	errs := make([]error, len(keys))
 	if groups := c.groupByOwner(keys); len(groups) == 1 {
-		c.frameGetBatch(ctx, groups[0].n, keys, groups[0].slots, view, vals, errs)
+		c.frameGetBatch(ctx, groups[0].n, keys, groups[0].slots, h, vals, errs)
 	} else {
 		eachGroup(groups, func(g ownerGroup) {
-			c.frameGetBatch(ctx, g.n, keys, g.slots, view, vals, errs)
+			c.frameGetBatch(ctx, g.n, keys, g.slots, h, vals, errs)
 		})
 	}
 	return vals, errs
@@ -164,8 +165,8 @@ func (c *Client) groupByRank(keys []string, rank int) []ownerGroup {
 // batchCall performs one framed batch round trip and hands back a cursor
 // positioned at the first of want slots, or an error applied to the whole
 // group. The returned frame must be recycled after the slots are parsed.
-func batchCall(ctx context.Context, n *clientNode, op dht.OpKind, want int, build func([]byte) ([]byte, error)) (cursor, *[]byte, error) {
-	body, err := n.pick().call(ctx, op, build)
+func batchCall(ctx context.Context, m *mconn, op dht.OpKind, want int, build func([]byte) ([]byte, error)) (cursor, *[]byte, error) {
+	body, err := m.call(ctx, op, build)
 	if err != nil {
 		return cursor{}, nil, err
 	}
@@ -192,11 +193,20 @@ func batchCall(ctx context.Context, n *clientNode, op dht.OpKind, want int, buil
 	return cur, body, nil
 }
 
-func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, view dht.WireView, vals []dht.Value, errs []error) {
-	cur, frame, err := batchCall(ctx, n, dht.OpGetBatch, len(slots), func(b []byte) ([]byte, error) {
+// frameGetBatch fetches one node's slots of a batch in one frame, with h
+// if the node serves a hinted getbatch.
+func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, h probeHint, vals []dht.Value, errs []error) {
+	m := n.pick()
+	if h.set {
+		h.set, _ = m.serves(ctx, featHintedBatch) // on a failed dial the call below fails too
+	}
+	cur, frame, err := batchCall(ctx, m, dht.OpGetBatch, len(slots), func(b []byte) ([]byte, error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
 			b = appendLenString(b, keys[i])
+		}
+		if h.set {
+			b = binary.BigEndian.AppendUint64(b, h.v)
 		}
 		return b, nil
 	})
@@ -220,7 +230,7 @@ func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string
 				errs[i] = malformedResp(err)
 				continue
 			}
-			vals[i], errs[i] = decodeTagged(tv, view)
+			vals[i], errs[i] = decodeTagged(tv, h.set)
 		case statusNotFound:
 			errs[i] = dht.ErrNotFound
 		default:
@@ -235,23 +245,14 @@ func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string
 }
 
 // appendLenValue appends v's tagged form (enc is gobEncoded(v)) behind its
-// varint length. A self-serialising value's length is known only once it
-// has written itself, so the value goes in after a one-byte length and is
-// shifted up when the length needs more.
+// varint length.
 func appendLenValue(b []byte, v dht.Value, enc []byte) []byte {
 	at := len(b)
-	b = appendEncoded(append(b, 0), v, enc)
-	n := len(b) - at - 1
-	var lenBuf [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(lenBuf[:], uint64(n))
-	b = append(b, lenBuf[:w-1]...)
-	copy(b[at+w:], b[at+1:at+1+n])
-	copy(b[at:], lenBuf[:w])
-	return b
+	return closeLen(appendEncoded(append(b, 0), v, enc), at)
 }
 
 func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, enc [][]byte, slots []int, errs []error) {
-	cur, frame, err := batchCall(ctx, n, dht.OpPutBatch, len(slots), func(b []byte) ([]byte, error) {
+	cur, frame, err := batchCall(ctx, n.pick(), dht.OpPutBatch, len(slots), func(b []byte) ([]byte, error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
 			b = appendLenString(b, kvs[i].Key)

@@ -44,7 +44,7 @@ import (
 //	createif                uv klen, key, value(rest)
 //	removeif                uv klen, key, uv ifEpoch
 //	patchif                 uv klen, key, mode u8, uv ifEpoch, patch(rest)
-//	getbatch                uv count, count x (uv klen, key)
+//	getbatch                uv count, count x (uv klen, key) [, hint u64 BE]
 //	putbatch                uv count, count x (uv klen, key, uv vlen, value)
 //
 // A value is a tag byte followed by its serialized form:
@@ -78,6 +78,10 @@ import (
 // The server builds the reply without decoding anything; every other
 // tag, and a kind with no projector, is answered whole, and a get with no
 // hint is served exactly as before the hint existed.
+//
+// A getbatch may end in one such hint (dht.Prober's ProbeBatch), and each
+// found slot is then answered as the hinted get of its key would be. After
+// the keys comes nothing or the 8-byte hint; anything else is malformed.
 //
 // A patchif (dht.Patcher) is a putif that ships a change in place of the
 // value: the node hands the stored bytes of a tagEpoch-over-tagWire value
@@ -127,6 +131,8 @@ import (
 //	bit 0  serves patchif mode 2; a client does not send a mode-2 patch
 //	       to a node without it, and treats it as refused, with no round
 //	       trip (a node that predates mode 2 answers it as malformed)
+//	bit 1  serves a hinted getbatch; a node without it is sent the plain
+//	       one (it answers a hinted one as malformed)
 //
 // Response payloads:
 //
@@ -146,7 +152,8 @@ import (
 //	patch-refused            (empty)
 //
 // A batch slot is: status u8; ok = uv n, n bytes (a tagged value for a
-// get slot, n=0 for a put slot); not-found = nothing; error = uv n,
+// get slot, after a hinted getbatch possibly a projection of it, as for a
+// hinted get; n=0 for a put slot); not-found = nothing; error = uv n,
 // n-byte message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
@@ -185,7 +192,8 @@ const (
 // Feature bits of a ping reply, and the word this node sends.
 const (
 	featInPlacePatch = 1 << 0 // serves patchif mode 2
-	serverFeatures   = featInPlacePatch
+	featHintedBatch  = 1 << 1 // serves a getbatch ending in a hint
+	serverFeatures   = featInPlacePatch | featHintedBatch
 )
 
 // errUnknownOp is what a node answers an op byte it does not serve.
@@ -249,6 +257,20 @@ func appendLenBytes(b, p []byte) []byte {
 func appendLenString(b []byte, s string) []byte {
 	b = appendUv(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// closeLen writes the varint length of what follows b[at], a one-byte
+// placeholder, into its place: a field whose length is known only once it
+// is written (a self-serialising value, a probe's projection) goes in
+// after the placeholder and is shifted up when the length needs more.
+func closeLen(b []byte, at int) []byte {
+	n := len(b) - at - 1
+	var lenBuf [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(lenBuf[:], uint64(n))
+	b = append(b, lenBuf[:w-1]...)
+	copy(b[at+w:], b[at+1:at+1+n])
+	copy(b[at:], lenBuf[:w])
+	return b
 }
 
 // encodeValue serializes a dht.Value with gob, the tagGob stored form.
@@ -316,13 +338,12 @@ func appendEncoded(b []byte, v dht.Value, enc []byte) []byte {
 // decodeTaggedValue is the inverse of appendValue. The input's backing
 // array may be a pooled buffer, so raw bytes are copied out (and a
 // dht.WireDecoder copies what it keeps).
-func decodeTaggedValue(tv []byte) (dht.Value, error) { return decodeTagged(tv, dht.DecodeWire) }
+func decodeTaggedValue(tv []byte) (dht.Value, error) { return decodeTagged(tv, false) }
 
-// decodeTagged is decodeTaggedValue with the tagWire decoder passed in:
-// dht.DecodeWire for a value that must be whole, dht.DecodeProbe for the
-// reply to a hinted get, which the server may have projected, the
-// caller's dht.WireView for a slot of a viewed multi-get.
-func decodeTagged(tv []byte, wire func(kind byte, data []byte) (dht.Value, error)) (dht.Value, error) {
+// decodeTagged is decodeTaggedValue for a get that was a probe when probe
+// is set: its reply, or its slot of a hinted getbatch, may be a tagWire
+// value the server projected, which dht.DecodeProbe decodes.
+func decodeTagged(tv []byte, probe bool) (dht.Value, error) {
 	if len(tv) == 0 {
 		return nil, fmt.Errorf("tcpnet: empty wire value")
 	}
@@ -337,7 +358,10 @@ func decodeTagged(tv []byte, wire func(kind byte, data []byte) (dht.Value, error
 		if len(tv) < 2 {
 			return nil, fmt.Errorf("tcpnet: truncated wire-kind tag")
 		}
-		return wire(tv[1], tv[2:])
+		if probe {
+			return dht.DecodeProbe(tv[1], tv[2:])
+		}
+		return dht.DecodeWire(tv[1], tv[2:])
 	case tagEpoch:
 		// The epoch only exists for the server's CAS compare; the decoded
 		// value carries its own version, so the prefix is simply stripped.
@@ -348,7 +372,7 @@ func decodeTagged(tv []byte, wire func(kind byte, data []byte) (dht.Value, error
 		if len(c.b) == 0 || c.b[0] == tagEpoch {
 			return nil, fmt.Errorf("tcpnet: malformed epoch-tagged value")
 		}
-		return decodeTagged(c.b, wire)
+		return decodeTagged(c.b, probe)
 	default:
 		return nil, fmt.Errorf("tcpnet: unknown value tag %d", tv[0])
 	}

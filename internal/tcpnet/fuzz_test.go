@@ -71,6 +71,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		buildFrame(22, dht.OpPatchIf, patchIf("key", patchInPlace, 7, ilht.MarkSplitPatch())),
 		buildFrame(23, dht.OpPatchIf, patchIf("key", patchInPlace, 7, ilht.CommitSplitPatch())),
 	}
+	// A hinted getbatch of the bucket, the raw value and an absent key; and
+	// the same keys with a tail that is no hint, which is malformed.
+	probed := binary.AppendUvarint(nil, 3)
+	for _, k := range []string{"key", "raw", "absent"} {
+		probed = appendLenString(probed, k)
+	}
+	seeds = append(seeds, buildFrame(24, dht.OpGetBatch, binary.BigEndian.AppendUint64(probed, ilht.RangeHint(0.704, 0.71))))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
+		seeds = append(seeds, buildFrame(25, dht.OpGetBatch, append(probed, make([]byte, n)...)))
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -131,7 +141,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			hc := cursor{b: body[frameHeaderLen:]}
 			_, _ = hc.lenBytes()
 			ranged := len(hc.b) == 8 && binary.BigEndian.Uint64(hc.b)&(1<<62) != 0
-			switch v, err := decodeTagged(c.rest(), dht.DecodeProbe); v.(type) {
+			switch v, err := decodeTagged(c.rest(), true); v.(type) {
 			case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord:
 			default:
 				if !ranged || err != nil || v == nil {
@@ -160,6 +170,21 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 
+		// A getbatch is its keys and nothing more, or one hint more; a slot
+		// of the reply decodes as the reply to a get with that tail would.
+		hinted := false
+		if op == dht.OpGetBatch {
+			rc := cursor{b: body[frameHeaderLen:]}
+			n, err := rc.count()
+			for i := 0; i < n && err == nil; i++ {
+				_, err = rc.lenBytes()
+			}
+			if err == nil && len(rc.b) != 0 && len(rc.b) != 8 && status != statusErr {
+				t.Fatalf("a getbatch with %d bytes after its keys was answered with status %d", len(rc.b), status)
+			}
+			hinted = len(rc.b) == 8
+		}
+
 		// And the mirrored payload parses under the batch slot grammar
 		// when it claims to be a batch response (client symmetry: these
 		// parsers also must not panic on anything the fuzzer reaches).
@@ -178,8 +203,14 @@ func FuzzDecodeFrame(f *testing.F) {
 					if st == statusNotFound {
 						continue
 					}
-					if _, err := cc.lenBytes(); err != nil {
+					p, err := cc.lenBytes()
+					if err != nil {
 						t.Fatalf("batch slot %d payload: %v", i, err)
+					}
+					if op == dht.OpGetBatch {
+						if v, err := decodeTagged(p, hinted); err != nil || v == nil {
+							t.Fatalf("batch slot %d decoded to %T, %v", i, v, err)
+						}
 					}
 				}
 			}

@@ -454,15 +454,37 @@ type wholeOnly struct {
 	dht.Conditional
 }
 
+// oldVersion is how far back the node serveOld plays predates this one.
+type oldVersion int
+
+const (
+	// beforePatches knows no patchif at all.
+	beforePatches oldVersion = iota
+	// beforeFeatures patches, but not in place (mode 2), and its ping
+	// reply is the status alone, as every node's was before the feature
+	// word.
+	beforeFeatures
+	// beforeHintedBatch patches in place and says so (feature bit 0), but
+	// reads no hint on a getbatch.
+	beforeHintedBatch
+)
+
+// oldNode is a node serveOld plays, with what of the newer protocol
+// reached it.
+type oldNode struct {
+	addr          string
+	inPlace       atomic.Int64 // patchifs of mode 2
+	hintedBatches atomic.Int64 // getbatches with a hint after the keys
+}
+
 // serveOld serves the framed protocol from a real server's store the way
-// an older node does: it answers a ping with the status alone, as every
-// node did before the feature word, and a patchif of mode 2 as malformed,
-// as PR 24's did; and with patches false, it does not know patchif at
-// all, as a node that predates PR 21. inPlace counts the mode-2 patches
-// that reach it.
-func serveOld(t *testing.T, real *Server, patches bool) (addr string, inPlace *atomic.Int64) {
+// a node of version v does. Every such node answers a getbatch whose keys
+// are followed by anything as malformed; one before the feature word
+// answers a patchif of mode 2 as malformed too, and one before patches
+// answers patchif as an op it does not know.
+func serveOld(t *testing.T, real *Server, v oldVersion) *oldNode {
 	t.Helper()
-	inPlace = new(atomic.Int64)
+	node := new(oldNode)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -485,20 +507,34 @@ func serveOld(t *testing.T, real *Server, patches bool) (addr string, inPlace *a
 					if err != nil {
 						return
 					}
+					c := cursor{b: body[frameHeaderLen:]}
 					switch op := dht.OpKind(body[8]); {
-					case op == dht.OpPatchIf && !patches:
+					case op == dht.OpPatchIf && v == beforePatches:
 						body[8] = 200 // the dispatcher's default arm, where the op fell before it existed
 					case op == dht.OpPatchIf:
-						c := cursor{b: body[frameHeaderLen:]}
 						if _, err := c.lenBytes(); err == nil && len(c.b) > 0 && c.b[0] == patchInPlace {
-							inPlace.Add(1)
-							c.b[0] = patchInPlace + 1 // past the modes PR 24 knew: malformed
+							node.inPlace.Add(1)
+							if v < beforeHintedBatch {
+								c.b[0] = patchInPlace + 1 // past the modes it knew: malformed
+							}
+						}
+					case op == dht.OpGetBatch:
+						n, err := c.count()
+						for i := 0; i < n && err == nil; i++ {
+							_, err = c.lenBytes()
+						}
+						if err == nil && !c.empty() {
+							node.hintedBatches.Add(1)
+							body = append(body, 0) // a tail it cannot read: malformed
 						}
 					}
 					resp := real.applyFrame(body, nil)
 					if dht.OpKind(body[8]) == dht.OpPing {
 						resp = resp[:4+frameHeaderLen+1] // the status alone
-						binary.BigEndian.PutUint32(resp, frameHeaderLen+1)
+						if v == beforeHintedBatch {
+							resp = appendUv(resp, featInPlacePatch)
+						}
+						binary.BigEndian.PutUint32(resp, uint32(len(resp)-4))
 					}
 					if _, err := conn.Write(resp); err != nil {
 						return
@@ -507,7 +543,8 @@ func serveOld(t *testing.T, real *Server, patches bool) (addr string, inPlace *a
 			}(conn)
 		}
 	}()
-	return ln.Addr().String(), inPlace
+	node.addr = ln.Addr().String()
+	return node
 }
 
 // recordOnlyCounter counts the lookups that ended in a record reply, the
@@ -553,8 +590,8 @@ func TestOldNodeRefusesPatchOnce(t *testing.T) {
 	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20}
 	honest, _ := startCluster(t, 1)
 	_, olds := startCluster(t, 1)
-	addr, _ := serveOld(t, olds[0], false)
-	old, err := Dial(ctx, ClusterConfig{Seeds: []string{addr}})
+	node := serveOld(t, olds[0], beforePatches)
+	old, err := Dial(ctx, ClusterConfig{Seeds: []string{node.addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,8 +641,8 @@ func TestInPlacePatchOfAnOldNodeWritesWhole(t *testing.T) {
 	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20}
 	honest, _ := startCluster(t, 1)
 	_, olds := startCluster(t, 1)
-	addr, reached := serveOld(t, olds[0], true)
-	old, err := Dial(ctx, ClusterConfig{Seeds: []string{addr}})
+	node := serveOld(t, olds[0], beforeFeatures)
+	old, err := Dial(ctx, ClusterConfig{Seeds: []string{node.addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,9 +661,9 @@ func TestInPlacePatchOfAnOldNodeWritesWhole(t *testing.T) {
 			t.Errorf("write %d cost %d lookups more over the old node", i, n)
 		}
 	}
-	if counter.inPlace == 0 || counter.patches == 0 || reached.Load() != 0 {
+	if counter.inPlace == 0 || counter.patches == 0 || node.inPlace.Load() != 0 {
 		t.Errorf("%d in-place patches asked for, %d of them sent, %d patches: want the record patches and none in place on the wire",
-			counter.inPlace, reached.Load(), counter.patches)
+			counter.inPlace, node.inPlace.Load(), counter.patches)
 	}
 	sameTree(t, want, got)
 }
@@ -666,6 +703,86 @@ func TestOldClientHandshakesWithANewNode(t *testing.T) {
 	// What follows is the word a new client reads.
 	if f, err := c.uvarint(); err != nil || f&featInPlacePatch == 0 || !c.empty() {
 		t.Errorf("after the status: features %b, %v, %d bytes more", f, err, len(c.b))
+	}
+}
+
+// A new client over nodes that read no hint on a getbatch: their handshake
+// does not offer the hinted form, so none is sent them, and they answer
+// every swept slot whole, which a range query takes as it takes a bucket
+// over dht.Local — the same records at the same cost.
+func TestProbeBatchOfAnOldNodeIsWhole(t *testing.T) {
+	ctx := context.Background()
+	_, olds := startCluster(t, 1)
+	node := serveOld(t, olds[0], beforeHintedBatch)
+	old, err := Dial(ctx, ClusterConfig{Seeds: []string{node.addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = old.Close() })
+	cfg := ilht.Config{SplitThreshold: 8, MergeThreshold: 4, Depth: 20}
+	want, err := ilht.New(dht.NewLocal(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ilht.New(old, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 300; i++ {
+		rec := record.Record{Key: rng.Float64(), Value: []byte{byte(i), byte(i >> 8)}}
+		for _, ix := range []*ilht.Index{want, got} {
+			if _, err := ix.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batches := olds[0].Metrics().Batch.Ops
+	for i := 0; i < 40; i++ {
+		lo := rng.Float64() * 0.9
+		hi := lo + rng.Float64()*(1-lo)/2
+		wantRecs, wantCost, err := want.Range(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, cost, err := got.Range(lo, hi)
+		if err != nil || !reflect.DeepEqual(recs, wantRecs) || cost != wantCost {
+			t.Fatalf("Range(%v, %v) over the old node: %d records at %+v, %v; over dht.Local %d at %+v",
+				lo, hi, len(recs), cost, err, len(wantRecs), wantCost)
+		}
+	}
+	if swept := olds[0].Metrics().Batch.Ops - batches; swept == 0 || node.hintedBatches.Load() != 0 {
+		t.Errorf("the old node served %d multi-gets, %d of them hinted: want sweeps, none hinted", swept, node.hintedBatches.Load())
+	}
+}
+
+// An older client's getbatch, the keys and nothing after them, is answered
+// by a new node as before the hint existed: each found slot holds the
+// stored value, byte for byte. Keys followed by anything but nothing or
+// one 8-byte hint are malformed, and charge nothing.
+func TestUnhintedBatchIsServedAsBefore(t *testing.T) {
+	srv := NewServer()
+	bucket := mustAppendValue(t, wideBucket())
+	srv.store["bucket"] = bucket
+	srv.store["raw"] = []byte{tagRaw, 'v'}
+	keys := binary.AppendUvarint(nil, 3)
+	for _, k := range []string{"bucket", "raw", "absent"} {
+		keys = appendLenString(keys, k)
+	}
+	want := appendLenBytes(append(appendUv([]byte{statusOK}, 3), statusOK), bucket)
+	want = append(appendLenBytes(append(want, statusOK), srv.store["raw"]), statusNotFound)
+	if got := srv.applyFrame(buildFrame(1, dht.OpGetBatch, keys)[4:], nil); !bytes.Equal(got, buildFrame(1, dht.OpGetBatch, want)) {
+		t.Errorf("a getbatch with no hint was answered with\n%x\nwant\n%x", got, buildFrame(1, dht.OpGetBatch, want))
+	}
+	before := srv.Metrics().Lookup.Total
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
+		resp := srv.applyFrame(buildFrame(2, dht.OpGetBatch, append(keys, make([]byte, n)...))[4:], nil)
+		if c := (cursor{b: resp[4+frameHeaderLen:]}); !bytes.Equal(c.b, append([]byte{statusErr}, errMalformed...)) {
+			t.Errorf("keys and %d bytes more were answered with %q, want malformed", n, c.b)
+		}
+	}
+	if after := srv.Metrics().Lookup.Total; after != before {
+		t.Errorf("malformed getbatches charged %d lookups", after-before)
 	}
 }
 

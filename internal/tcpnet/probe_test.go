@@ -217,7 +217,8 @@ func serveLying(t *testing.T, real *Server) string {
 }
 
 // serveRehinted serves the framed protocol from a real server's store,
-// with every get's hint passed through rehint first.
+// with every get's hint passed through rehint first. Its handshake does
+// not offer the hinted getbatch, so every multi-get it serves is plain.
 func serveRehinted(t *testing.T, real *Server, rehint func(uint64) uint64) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -248,7 +249,11 @@ func serveRehinted(t *testing.T, real *Server, rehint func(uint64) uint64) strin
 							binary.BigEndian.PutUint64(c.b, rehint(binary.BigEndian.Uint64(c.b)))
 						}
 					}
-					if _, err := conn.Write(real.applyFrame(body, nil)); err != nil {
+					resp := real.applyFrame(body, nil)
+					if dht.OpKind(body[8]) == dht.OpPing {
+						resp[len(resp)-1] &^= featHintedBatch // the feature word, one byte
+					}
+					if _, err := conn.Write(resp); err != nil {
 						return
 					}
 				}

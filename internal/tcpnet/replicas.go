@@ -102,11 +102,7 @@ func (c *Client) getFrom(ctx context.Context, n *clientNode, key string, h probe
 	if err != nil {
 		return nil, err
 	}
-	wire := dht.DecodeWire
-	if h.set {
-		wire = dht.DecodeProbe
-	}
-	v, err := decodeTagged(tv, wire)
+	v, err := decodeTagged(tv, h.set)
 	putBuf(frame)
 	return v, err
 }

@@ -243,7 +243,9 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 				return appendStatusErr(out, errMalformed)
 			}
 		}
-		if !cc.empty() {
+		// The keys may be followed by one probe hint for every slot.
+		hinted := len(cc.b) == 8
+		if !(cc.empty() || hinted) {
 			return appendStatusErr(out, errMalformed)
 		}
 		s.c.Add(metrics.Lookups, int64(n))
@@ -260,6 +262,11 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 				continue
 			}
 			out = append(out, statusOK)
+			if hinted {
+				at := len(out)
+				out = closeLen(appendProbed(append(out, 0), v, binary.BigEndian.Uint64(cc.b)), at)
+				continue
+			}
 			out = appendLenBytes(out, v)
 		}
 		return out
