@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -20,8 +21,9 @@ func malformedResp(err error) error {
 
 // GetBatch implements dht.Batcher: the batch's keys are grouped by owning
 // node and each group travels as one framed multi-op message, the round
-// trips to distinct nodes running concurrently. A transport failure fails
-// only that node's slots; the rest of the batch stands.
+// trips to distinct nodes running concurrently. A transport failure
+// touches only that node's slots, which are read again from their other
+// holders if they have any; the rest of the batch stands.
 func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []error) {
 	return c.getBatch(ctx, keys, probeHint{})
 }
@@ -32,16 +34,28 @@ func (c *Client) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]
 	return c.getBatch(ctx, keys, probeHint{v: hint, set: true})
 }
 
-// getBatch is GetBatch's and ProbeBatch's one body.
+// getBatch is GetBatch's and ProbeBatch's one body. Its frames go to the
+// keys' primaries: the primary is in every key's holder set and sees
+// every accepted write, so its ErrNotFound is a miss as authoritative as
+// Get's. A slot that failed otherwise (a transport fault, an open
+// breaker) is read again through Get's holder walk when the key has
+// another holder to walk to, so a batched read fails over as a single
+// one does.
 func (c *Client) getBatch(ctx context.Context, keys []string, h probeHint) ([]dht.Value, []error) {
 	vals := make([]dht.Value, len(keys))
 	errs := make([]error, len(keys))
-	if groups := c.groupByOwner(keys); len(groups) == 1 {
+	if groups := c.groupByRank(keys, 0); len(groups) == 1 {
 		c.frameGetBatch(ctx, groups[0].n, keys, groups[0].slots, h, vals, errs)
 	} else {
 		eachGroup(groups, func(g ownerGroup) {
 			c.frameGetBatch(ctx, g.n, keys, g.slots, h, vals, errs)
 		})
+	}
+	for i, err := range errs {
+		if err == nil || errors.Is(err, dht.ErrNotFound) || ctx.Err() != nil || len(c.holders(keys[i])) == 1 {
+			continue
+		}
+		vals[i], errs[i] = c.get(ctx, req{op: dht.OpGet, key: keys[i], hint: h})
 	}
 	return vals, errs
 }
@@ -123,14 +137,6 @@ func eachGroup(groups []ownerGroup, do func(ownerGroup)) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// groupByOwner groups the slot indices by owning node. Batched reads
-// always group by primary: the primary is in every key's holder set and
-// sees every accepted write, so a primary-grouped read can miss nothing a
-// replicated one would find.
-func (c *Client) groupByOwner(keys []string) []ownerGroup {
-	return c.groupByRank(keys, 0)
 }
 
 // groupByRank groups each key under its rank-th holder (rank 0 is the

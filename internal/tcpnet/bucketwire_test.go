@@ -133,7 +133,7 @@ func TestMixedFormatStore(t *testing.T) {
 	}
 	planted := append(appendUv([]byte{tagEpoch}, 5), tagGob)
 	planted = append(planted, enc...)
-	owner := c.owner("stored-gob").addr
+	owner := c.holders("stored-gob")[0].addr
 	for _, s := range servers {
 		s.mu.Lock()
 		if s.ln.Addr().String() == owner {

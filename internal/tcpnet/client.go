@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -29,14 +30,16 @@ type ClusterConfig struct {
 	// already pipelines many requests; extra connections spread very hot
 	// nodes across sockets.
 	PoolSize int
-	// Replicas stores each key on this many consecutive ring members
-	// (default 1 = unreplicated). Replication is client-driven — see
-	// replicas.go for the fan-out, fallback and read-spreading contract.
-	// Requires a cluster of at least that many nodes.
+	// Replicas stores each key on this many consecutive ring members, its
+	// holders (default 1: a holder set of one is an unreplicated client).
+	// Replication is client-driven and every operation has one path for
+	// any count — see replicas.go for the fan-out, fallback and
+	// read-spreading contract. Requires a cluster of at least that many
+	// nodes.
 	Replicas int
-	// Counters chains the client's load counters (spread reads, breaker
-	// opens) onto a shared metrics sink. Nil keeps the client's local
-	// SpreadReads tally only.
+	// Counters chains the client's load counters (spread reads,
+	// failovers, breaker opens) onto a shared metrics sink. Nil counts
+	// nothing.
 	Counters *metrics.Counters
 	// Dialer replaces the transport factory used for every outgoing
 	// connection (nil = plain net.Dialer). This is the injection point for
@@ -104,13 +107,24 @@ type Client struct {
 	refreshCancel context.CancelFunc
 	refreshWG     sync.WaitGroup
 
-	readSeq     atomic.Uint64 // read-spreading rotation sequence
-	spreadReads atomic.Int64  // reads started at a non-primary holder
+	readSeq atomic.Uint64 // read-spreading rotation sequence
 }
 
 // memberRing is one immutable routing-ring snapshot.
 type memberRing struct {
-	nodes []*clientNode // sorted by ring ID
+	nodes []*clientNode // the members, sorted by ring ID
+	// ring is nodes followed by the first Replicas-1 of them again, so
+	// every key's holders are one window of it (holders).
+	ring []*clientNode
+}
+
+// newRing builds the snapshot of members, which it sorts in place, for
+// keys stored on replicas consecutive members.
+func newRing(members []*clientNode, replicas int) *memberRing {
+	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
+	n := len(members)
+	ring := append(members[:n:n], members[:replicas-1]...)
+	return &memberRing{nodes: ring[:n:n], ring: ring}
 }
 
 // ringNodes returns the current ring snapshot's nodes.
@@ -187,13 +201,12 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	}
 	// Validated against the built member list, after the duplicate check:
 	// the replica count must never exceed the number of distinct nodes, or
-	// owners() would hand out short holder sets and the per-rank batch
-	// fan-out would index past them.
+	// a holder window would wrap onto a member twice and the per-rank
+	// batch fan-out would index past the ring.
 	if cfg.Replicas > len(nodes) {
 		return nil, fmt.Errorf("tcpnet: %d replicas exceed the %d-node cluster", cfg.Replicas, len(nodes))
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
-	c.ring.Store(&memberRing{nodes: nodes})
+	c.ring.Store(newRing(nodes, cfg.Replicas))
 
 	if cfg.DegradedStart {
 		if err := c.verifyDegraded(ctx); err != nil {
@@ -299,11 +312,14 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// owner returns the node responsible for key: the first node clockwise
-// from hash(key).
-func (c *Client) owner(key string) *clientNode {
-	nodes := c.ringNodes()
-	return nodes[ownerIndex(nodes, key)]
+// holders returns key's replica set, primary first: the node responsible
+// for key (the first clockwise from hash(key)) and the next Replicas-1
+// members. It is a window on the ring snapshot whose capacity ends at its
+// length: read-only, and free.
+func (c *Client) holders(key string) []*clientNode {
+	r := c.ring.Load()
+	i := ownerIndex(r.nodes, key)
+	return r.ring[i : i+c.cfg.Replicas : i+c.cfg.Replicas]
 }
 
 // ownerIndex is the position in nodes, a ring in id order, of the node
@@ -347,9 +363,11 @@ func serverErr(msg []byte) error {
 	return fmt.Errorf("tcpnet: server error: %s", msg)
 }
 
-// simpleCall performs one non-batch framed round trip and returns the
-// response's tagged value bytes (nil for value-less ops) plus the pooled
-// frame to recycle after the value is decoded.
+// simpleCall performs one framed round trip whose frame is not a req's
+// (the membership exchanges, and re-replication's and hinted handoff's
+// raw copies) and returns the response's tagged value bytes (nil for
+// value-less ops) plus the pooled frame to recycle after the value is
+// decoded.
 func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (val []byte, frame *[]byte, err error) {
 	tok, err := n.allow()
 	if err != nil {
@@ -362,21 +380,16 @@ func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([
 	}
 	c := cursor{b: (*body)[frameHeaderLen:]}
 	status, err := c.u8()
-	if err != nil {
-		putBuf(body)
-		return nil, nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed response: %w", err))
-	}
-	switch status {
-	case statusOK:
+	if err == nil && status == statusOK {
 		return c.rest(), body, nil
-	case statusNotFound:
-		putBuf(body)
-		return nil, nil, dht.ErrNotFound
-	default:
-		err = serverErr(c.rest())
-		putBuf(body)
-		return nil, nil, err
 	}
+	if err != nil {
+		err = malformedResp(err)
+	} else {
+		err = replyErr(status, &c, "")
+	}
+	putBuf(body)
+	return nil, nil, err
 }
 
 // probeHint is a get request's optional tail: set makes the get a probe.
@@ -385,114 +398,108 @@ type probeHint struct {
 	set bool
 }
 
-// Get implements dht.DHT.
-func (c *Client) Get(ctx context.Context, key string) (dht.Value, error) {
-	return c.get(ctx, key, probeHint{})
+// req is one keyed request as a value: the op and what its frame
+// carries. It is handed on by value, so building and sending one costs no
+// allocation; only fanOut's goroutines take a copy to the heap.
+type req struct {
+	op    dht.OpKind
+	key   string
+	val   dht.Value // the put-like ops and conditionals
+	epoch uint64    // PutIf, RemoveIf, WriteIf, patchif
+	hint  probeHint // get
+	mode  byte      // patchif
+	patch []byte    // patchif
 }
 
-// Probe implements dht.Prober: a get that carries hint to the storing
-// node, which answers a dht.WireValue whose kind registered a projector
-// with what that ships, possibly less than the value (see frame.go).
-func (c *Client) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
-	return c.get(ctx, key, probeHint{v: hint, set: true})
+// frame appends r's payload to b: the key, then what r.op carries. It is
+// the one place a keyed request's frame is spelt out.
+func (r req) frame(b []byte) ([]byte, error) {
+	b = appendLenString(b, r.key)
+	switch r.op {
+	case dht.OpGet:
+		if r.hint.set {
+			b = binary.BigEndian.AppendUint64(b, r.hint.v)
+		}
+		return b, nil
+	case dht.OpTake, dht.OpRemove:
+		return b, nil
+	case dht.OpRemoveIf:
+		return appendUv(b, r.epoch), nil
+	case dht.OpPatchIf:
+		return append(appendUv(append(b, r.mode), r.epoch), r.patch...), nil
+	case dht.OpPutIf, dht.OpWriteIf:
+		b = appendUv(b, r.epoch)
+	}
+	return appendValue(b, r.val)
 }
 
-func (c *Client) get(ctx context.Context, key string, h probeHint) (dht.Value, error) {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedGet(ctx, key, h)
+// propagated is the request that carries r's accepted outcome to a holder
+// other than the serializer that accepted it: the patch again in newer
+// mode, a removal, or the value over the epoch-ordered putnewer.
+func (r req) propagated() req {
+	switch r.op {
+	case dht.OpPatchIf:
+		r.mode = patchNewer
+	case dht.OpRemoveIf:
+		r.op = dht.OpRemove
+	default:
+		r.op = dht.OpPutNewer
 	}
-	return c.getFrom(ctx, c.owner(key), key, h)
+	return r
 }
 
-// Put implements dht.DHT.
-func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedPut(ctx, key, v)
-	}
-	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpPut, func(b []byte) ([]byte, error) {
-		return appendValue(appendLenString(b, key), v)
-	})
-	if err != nil {
-		return err
-	}
-	putBuf(frame)
-	return nil
-}
-
-// Take implements dht.DHT.
-func (c *Client) Take(ctx context.Context, key string) (dht.Value, error) {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedTake(ctx, key)
-	}
-	tv, frame, err := c.owner(key).simpleCall(ctx, dht.OpTake, func(b []byte) ([]byte, error) {
-		return appendLenString(b, key), nil
-	})
+// do performs r on n in one framed round trip. It answers the value a
+// get or take found, the decoded reply of a serializer's applied patch,
+// and nil for anything else; statusCASConflict is the typed
+// *dht.CASConflictError. A patch the node would not apply, or whose op it
+// does not know, is dht.ErrPatchRefused — and so is, with no round trip,
+// an in-place patch to a node whose handshake did not say it serves them.
+func (n *clientNode) do(ctx context.Context, r req) (v dht.Value, err error) {
+	tok, err := n.allow()
 	if err != nil {
 		return nil, err
 	}
-	v, err := decodeTaggedValue(tv)
-	putBuf(frame)
-	return v, err
-}
-
-// Remove implements dht.DHT.
-func (c *Client) Remove(ctx context.Context, key string) error {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedRemove(ctx, key)
-	}
-	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpRemove, func(b []byte) ([]byte, error) {
-		return appendLenString(b, key), nil
-	})
-	if err != nil {
-		return err
-	}
-	putBuf(frame)
-	return nil
-}
-
-// Write implements dht.DHT: the owning node rewrites the value in place.
-func (c *Client) Write(ctx context.Context, key string, v dht.Value) error {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedWrite(ctx, key, v)
-	}
-	_, frame, err := c.owner(key).simpleCall(ctx, dht.OpWrite, func(b []byte) ([]byte, error) {
-		return appendValue(appendLenString(b, key), v)
-	})
-	if err != nil {
-		return err
-	}
-	putBuf(frame)
-	return nil
-}
-
-// condCall performs one framed conditional round trip: like simpleCall,
-// but mapping statusCASConflict to the typed *dht.CASConflictError. The
-// conditional ops carry no response value, so the frame is recycled here.
-func (n *clientNode) condCall(ctx context.Context, op dht.OpKind, key string, build func([]byte) ([]byte, error)) (err error) {
-	tok, err := n.allow()
-	if err != nil {
-		return err
-	}
 	defer func() { n.record(tok, err) }()
-	body, err := n.pick().call(ctx, op, build)
+	m := n.pick()
+	if r.op == dht.OpPatchIf && r.mode == patchInPlace {
+		served, err := m.serves(ctx, featInPlacePatch)
+		if err != nil {
+			return nil, err
+		}
+		if !served {
+			return nil, dht.ErrPatchRefused
+		}
+	}
+	body, err := m.call(ctx, r.op, r.frame)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer putBuf(body)
 	c := cursor{b: (*body)[frameHeaderLen:]}
 	status, err := c.u8()
 	if err != nil {
-		return dht.MarkTransient(fmt.Errorf("tcpnet: malformed response: %w", err))
+		return nil, malformedResp(err)
 	}
-	if status == statusOK {
-		return nil
+	switch {
+	case status == statusOK && (r.op == dht.OpGet || r.op == dht.OpTake):
+		return decodeTagged(c.rest(), r.hint.set)
+	case status == statusOK && r.op == dht.OpPatchIf && r.mode != patchNewer:
+		kind, err := c.u8()
+		if err != nil {
+			return nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed patch reply: %w", err))
+		}
+		return dht.DecodePatchReply(kind, c.rest())
+	case status == statusOK:
+		return nil, nil
+	case r.op == dht.OpPatchIf && (status == statusPatchRefused || status == statusErr && string(c.b) == errUnknownOp):
+		return nil, dht.ErrPatchRefused
 	}
-	return condErr(status, &c, key)
+	return nil, replyErr(status, &c, r.key)
 }
 
-// condErr turns a conditional op's non-ok response, past its status
-// byte, into the caller-facing error.
-func condErr(status byte, c *cursor, key string) error {
+// replyErr turns a non-ok response, past its status byte, into the
+// caller-facing error; key names the conflicting key of a conditional.
+func replyErr(status byte, c *cursor, key string) error {
 	switch status {
 	case statusNotFound:
 		return dht.ErrNotFound
@@ -508,117 +515,72 @@ func condErr(status byte, c *cursor, key string) error {
 	}
 }
 
-// patchCall performs one patchif round trip in the given mode. A primary
-// or in-place patch that was applied returns the patcher's decoded reply,
-// a newer one nil; a node that would not patch, or does not know the op,
-// returns dht.ErrPatchRefused — and so does, with no round trip, a node
-// whose handshake did not say it serves in-place patches.
-func (n *clientNode) patchCall(ctx context.Context, key string, mode byte, patch []byte, ifEpoch uint64) (v dht.Value, err error) {
-	tok, err := n.allow()
-	if err != nil {
-		return nil, err
-	}
-	defer func() { n.record(tok, err) }()
-	m := n.pick()
-	if mode == patchInPlace {
-		served, err := m.serves(ctx, featInPlacePatch)
-		if err != nil {
-			return nil, err
-		}
-		if !served {
-			return nil, dht.ErrPatchRefused
-		}
-	}
-	body, err := m.call(ctx, dht.OpPatchIf, func(b []byte) ([]byte, error) {
-		b = append(appendLenString(b, key), mode)
-		return append(appendUv(b, ifEpoch), patch...), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer putBuf(body)
-	c := cursor{b: (*body)[frameHeaderLen:]}
-	status, err := c.u8()
-	if err != nil {
-		return nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed response: %w", err))
-	}
-	switch {
-	case status == statusOK && mode == patchNewer:
-		return nil, nil
-	case status == statusOK:
-		kind, err := c.u8()
-		if err != nil {
-			return nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed patch reply: %w", err))
-		}
-		return dht.DecodePatchReply(kind, c.rest())
-	case status == statusPatchRefused, status == statusErr && string(c.b) == errUnknownOp:
-		return nil, dht.ErrPatchRefused
-	}
-	return nil, condErr(status, &c, key)
+// Get implements dht.DHT.
+func (c *Client) Get(ctx context.Context, key string) (dht.Value, error) {
+	return c.get(ctx, req{op: dht.OpGet, key: key})
 }
 
-// PatchIf implements dht.Patcher: PutIf's compare-and-swap on the owning
-// node, with the new value built there from the stored bytes and patch
-// by the kind's dht.WirePatcher (see frame.go).
+// Probe implements dht.Prober: a get that carries hint to the storing
+// node, which answers a dht.WireValue whose kind registered a projector
+// with what that ships, possibly less than the value (see frame.go).
+func (c *Client) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
+	return c.get(ctx, req{op: dht.OpGet, key: key, hint: probeHint{v: hint, set: true}})
+}
+
+// Put implements dht.DHT: every holder stores the value.
+func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
+	return c.eachHolder(ctx, req{op: dht.OpPut, key: key, val: v})
+}
+
+// Take implements dht.DHT.
+func (c *Client) Take(ctx context.Context, key string) (dht.Value, error) {
+	return c.take(ctx, req{op: dht.OpTake, key: key})
+}
+
+// Remove implements dht.DHT: every holder deletes the key.
+func (c *Client) Remove(ctx context.Context, key string) error {
+	return c.eachHolder(ctx, req{op: dht.OpRemove, key: key})
+}
+
+// Write implements dht.DHT: every holder rewrites the value in place.
+func (c *Client) Write(ctx context.Context, key string, v dht.Value) error {
+	return c.eachHolder(ctx, req{op: dht.OpWrite, key: key, val: v})
+}
+
+// PatchIf implements dht.Patcher: PutIf's compare-and-swap on the key's
+// serializer, with the new value built there from the stored bytes and
+// patch by the kind's dht.WirePatcher (see frame.go).
 func (c *Client) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
-	return c.patch(ctx, key, patchPrimary, patch, ifEpoch)
+	return c.cond(ctx, req{op: dht.OpPatchIf, key: key, mode: patchPrimary, patch: patch, epoch: ifEpoch})
 }
 
 // WritePatchIf implements dht.Patcher: PatchIf as the free WriteIf, on a
 // node that serves it (its handshake says so; any other refuses).
 func (c *Client) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
-	return c.patch(ctx, key, patchInPlace, patch, ifEpoch)
+	return c.cond(ctx, req{op: dht.OpPatchIf, key: key, mode: patchInPlace, patch: patch, epoch: ifEpoch})
 }
 
-func (c *Client) patch(ctx context.Context, key string, mode byte, patch []byte, ifEpoch uint64) (dht.Value, error) {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedPatchIf(ctx, key, mode, patch, ifEpoch)
-	}
-	return c.owner(key).patchCall(ctx, key, mode, patch, ifEpoch)
-}
-
-// PutIf implements dht.Conditional: the owning node compares the stored
-// value's epoch tag and swaps atomically under its store lock.
+// PutIf implements dht.Conditional: the key's serializer compares the
+// stored value's epoch tag and swaps atomically under its store lock.
 func (c *Client) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedPutIf(ctx, key, v, ifEpoch)
-	}
-	return c.owner(key).condCall(ctx, dht.OpPutIf, key, func(b []byte) ([]byte, error) {
-		b = appendLenString(b, key)
-		b = appendUv(b, ifEpoch)
-		return appendValue(b, v)
-	})
+	_, err := c.cond(ctx, req{op: dht.OpPutIf, key: key, val: v, epoch: ifEpoch})
+	return err
 }
 
 // CreateIf implements dht.Conditional.
 func (c *Client) CreateIf(ctx context.Context, key string, v dht.Value) error {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedCreateIf(ctx, key, v)
-	}
-	return c.owner(key).condCall(ctx, dht.OpCreateIf, key, func(b []byte) ([]byte, error) {
-		return appendValue(appendLenString(b, key), v)
-	})
+	_, err := c.cond(ctx, req{op: dht.OpCreateIf, key: key, val: v})
+	return err
 }
 
 // RemoveIf implements dht.Conditional.
 func (c *Client) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedRemoveIf(ctx, key, ifEpoch)
-	}
-	return c.owner(key).condCall(ctx, dht.OpRemoveIf, key, func(b []byte) ([]byte, error) {
-		b = appendLenString(b, key)
-		return appendUv(b, ifEpoch), nil
-	})
+	_, err := c.cond(ctx, req{op: dht.OpRemoveIf, key: key, epoch: ifEpoch})
+	return err
 }
 
 // WriteIf implements dht.Conditional: the epoch-guarded form of Write.
 func (c *Client) WriteIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
-	if c.cfg.Replicas > 1 {
-		return c.replicatedWriteIf(ctx, key, v, ifEpoch)
-	}
-	return c.owner(key).condCall(ctx, dht.OpWriteIf, key, func(b []byte) ([]byte, error) {
-		b = appendLenString(b, key)
-		b = appendUv(b, ifEpoch)
-		return appendValue(b, v)
-	})
+	_, err := c.cond(ctx, req{op: dht.OpWriteIf, key: key, val: v, epoch: ifEpoch})
+	return err
 }

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"lht/internal/dht"
 	"lht/internal/metrics"
@@ -148,8 +147,7 @@ func (c *Client) applyView(v dht.ClusterView) bool {
 	if !changed {
 		return false
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
-	c.ring.Store(&memberRing{nodes: nodes})
+	c.ring.Store(newRing(nodes, c.cfg.Replicas))
 	for _, n := range byAddr { // members the view retired
 		for _, m := range n.conns {
 			m.close()
@@ -225,21 +223,21 @@ func (c *Client) putRaw(ctx context.Context, n *clientNode, key string, tagged [
 	return nil
 }
 
-// EnsureReplicated implements dht.Rereplicator: probe every current ring
-// owner of key and restore missing copies from the freshest surviving
-// one. A key no holder has is not an error (it was removed, or never
-// existed); a key no holder could even be asked about is. Restores ride
-// OpPutNewer, so racing writers can only ever beat the restore with a
-// newer value, never lose to it.
+// EnsureReplicated implements dht.Rereplicator: probe every current
+// holder of key and restore missing copies from the freshest surviving
+// one; with one copy there is none to restore. A key no holder has is not
+// an error (it was removed, or never existed); a key no holder could even
+// be asked about is. Restores ride OpPutNewer, so racing writers can only
+// ever beat the restore with a newer value, never lose to it.
 func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaRepair, error) {
 	var rep dht.ReplicaRepair
 	if c.cfg.Replicas <= 1 {
 		return rep, nil
 	}
-	owners := c.owners(key)
-	vals := make([][]byte, len(owners))
-	errs := make([]error, len(owners))
-	for i, n := range owners {
+	holders := c.holders(key)
+	vals := make([][]byte, len(holders))
+	errs := make([]error, len(holders))
+	for i, n := range holders {
 		rep.Probes++
 		vals[i], errs[i] = c.rawGet(ctx, n, key)
 	}
@@ -248,7 +246,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 	// The freshest surviving copy (highest stored epoch) is the donor.
 	var donor []byte
 	reachable := 0
-	for i := range owners {
+	for i := range holders {
 		switch {
 		case errs[i] == nil:
 			reachable++
@@ -265,7 +263,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 	if donor == nil {
 		return rep, nil // absent everywhere reachable: nothing to restore
 	}
-	for i, n := range owners {
+	for i, n := range holders {
 		switch {
 		case errs[i] == nil:
 			c.clearDebt(n.addr, key)
@@ -364,13 +362,13 @@ func (c *Client) fetchStatus(ctx context.Context) (dht.ClusterView, map[string]i
 }
 
 // parkHint parks the value a failed put-like fan-out could not deliver to
-// holderAddr on the first reachable other owner (any live node works; the
-// other owners are simply the closest candidates). The park node replays
-// it to the holder over OpPutNewer once gossip shows the holder routable
-// again.
+// holderAddr on the first reachable other holder of key (any live node
+// works; the other holders are simply the closest candidates). The park
+// node replays it to the holder over OpPutNewer once gossip shows the
+// holder routable again.
 func (c *Client) parkHint(ctx context.Context, key, holderAddr string, v dht.Value) error {
 	err := errors.New("tcpnet: no substitute for hint")
-	for _, n := range c.owners(key) {
+	for _, n := range c.holders(key) {
 		if n.addr == holderAddr {
 			continue
 		}
@@ -384,26 +382,6 @@ func (c *Client) parkHint(ctx context.Context, key, holderAddr string, v dht.Val
 			continue
 		}
 		putBuf(frame)
-		return nil
-	}
-	return err
-}
-
-// putToOrHint is putTo with hinted handoff: a put-like fan-out that fails
-// against an unreachable holder parks the value as a hint instead of
-// surfacing the fault — the write is complete on every reachable holder,
-// and the hint replays when the missing one returns. Only transport
-// faults are hinted; logical outcomes (not-found on Write, CAS conflicts)
-// surface unchanged.
-func (c *Client) putToOrHint(ctx context.Context, n *clientNode, op dht.OpKind, key string, v dht.Value) error {
-	err := c.putTo(ctx, n, op, key, v)
-	if err == nil || !c.cfg.HintedHandoff {
-		return err
-	}
-	if errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
-		return err
-	}
-	if perr := c.parkHint(ctx, key, n.addr, v); perr == nil {
 		return nil
 	}
 	return err

@@ -179,8 +179,7 @@ func TestHintedHandoffParksAndReplays(t *testing.T) {
 	// Choose the downed holder as the SECONDARY of the key so the primary
 	// stays up to accept both its copy and the park.
 	key := "hh-key"
-	owners := c.owners(key)
-	victim := owners[1].addr
+	victim := c.holders(key)[1].addr
 	var victimIdx int
 	for i, a := range addrs {
 		if a == victim {
@@ -242,7 +241,7 @@ func TestEnsureReplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sabotage one copy directly in a holder's store.
-	victim := c.owners("k")[1]
+	victim := c.holders("k")[1]
 	for _, s := range srvs {
 		s.mu.Lock()
 		if s.mem.self == victim.addr {
@@ -348,7 +347,7 @@ func TestRefreshViewRevivesBreaker(t *testing.T) {
 	// cooldown guarantees the breaker cannot recover on its own within
 	// this test: only the revive path can close it.
 	key := "revive-key"
-	victim := c.owners(key)[0].addr
+	victim := c.holders(key)[0].addr
 	var victimIdx int
 	for i, a := range addrs {
 		if a == victim {

@@ -247,7 +247,7 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	if err := c.Put(ctx, key, &payload{N: 7}); err != nil {
 		t.Fatal(err)
 	}
-	holders := c.owners(key)
+	holders := c.holders(key)
 	secondary := holders[1]
 	_ = srvs[secondary.addr].Close()
 
@@ -314,7 +314,7 @@ func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 	var liveKey, deadKey string
 	for i := 0; liveKey == "" || deadKey == ""; i++ {
 		k := "probe-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		if c.owner(k).addr == dead {
+		if c.holders(k)[0].addr == dead {
 			deadKey = k
 		} else {
 			liveKey = k

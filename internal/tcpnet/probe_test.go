@@ -447,8 +447,7 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 	if err := c.Put(ctx, "bucket", b); err != nil {
 		t.Fatal(err)
 	}
-	owners := c.owners("bucket")
-	if err := srvs[owners[0].addr].Close(); err != nil {
+	if err := srvs[c.holders("bucket")[0].addr].Close(); err != nil {
 		t.Fatal(err)
 	}
 	// A hedged duplicate starts at the primary, a first read at the other

@@ -10,6 +10,7 @@ import (
 	"lht/internal/dht"
 	ilht "lht/internal/lht"
 	"lht/internal/metrics"
+	"lht/internal/record"
 )
 
 // TestProbeBatchAnswersEverySlotAsAProbe: over the wire a probed
@@ -107,7 +108,7 @@ func TestGroupByRankIsRingOrdered(t *testing.T) {
 				if j > 0 && i <= group.slots[j-1] {
 					t.Errorf("rank %d: slots of %s not ascending: %v", rank, group.n.addr, group.slots)
 				}
-				if want := c.owners(keys[i])[rank]; want != group.n || placed[i] {
+				if want := c.holders(keys[i])[rank]; want != group.n || placed[i] {
 					t.Errorf("rank %d: slot %d (%s) under %s, want once under %s", rank, i, keys[i], group.n.addr, want.addr)
 				}
 				placed[i] = true
@@ -117,10 +118,73 @@ func TestGroupByRankIsRingOrdered(t *testing.T) {
 			t.Errorf("rank %d: %d of %d slots placed in %d groups", rank, len(placed), len(keys), len(groups))
 		}
 	}
-	if groups := c.groupByOwner([]string{"one", "one", "one"}); len(groups) != 1 || len(groups[0].slots) != 3 {
+	if groups := c.groupByRank([]string{"one", "one", "one"}, 0); len(groups) != 1 || len(groups[0].slots) != 3 {
 		t.Errorf("three slots of one key: %d groups", len(groups))
 	}
-	if groups := c.groupByOwner(nil); len(groups) != 0 {
+	if groups := c.groupByRank(nil, 0); len(groups) != 0 {
 		t.Errorf("no keys: %d groups", len(groups))
+	}
+}
+
+// TestBatchedReadsFailOver: a multi-get whose keys' primary is down reads
+// those slots from their other holder, as Get does, and a miss stays a
+// miss — so a range query over a replicated cluster survives a node.
+func TestBatchedReadsFailOver(t *testing.T) {
+	ctx := context.Background()
+	addrs, srvs := startServerMap(t, 4)
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	ix, err := ilht.New(c, ilht.Config{SplitThreshold: 8, Depth: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 300
+	for i := 0; i < records; i++ {
+		if _, err := ix.Insert(record.Record{Key: (float64(i) + 0.5) / records, Value: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([]string, 40)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("batched-%02d", i)
+		b := wideBucket()
+		b.Epoch = uint64(i + 1)
+		if err := c.Put(ctx, keys[i], b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A miss is authoritative only from a primary: the absent key's is up.
+	dead := c.holders(keys[0])[0].addr
+	absent := "absent"
+	for i := 0; c.holders(absent)[0].addr == dead; i++ {
+		absent = fmt.Sprintf("absent-%d", i)
+	}
+	keys = append(keys, absent)
+	if err := srvs[dead].Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := wideBucket()
+	for name, batch := range map[string]func() ([]dht.Value, []error){
+		"GetBatch": func() ([]dht.Value, []error) { return c.GetBatch(ctx, keys) },
+		"ProbeBatch": func() ([]dht.Value, []error) {
+			return c.ProbeBatch(ctx, keys, ilht.RangeHint(b.Records[20].Key, b.Records[40].Key))
+		},
+	} {
+		vals, errs := batch()
+		for i, key := range keys[:len(keys)-1] {
+			if errs[i] != nil || vals[i] == nil {
+				t.Errorf("%s: slot %s (primary %s down: %v) = %v, %v", name, key, dead, c.holders(key)[0].addr == dead, vals[i], errs[i])
+			}
+		}
+		if last := len(keys) - 1; !errors.Is(errs[last], dht.ErrNotFound) {
+			t.Errorf("%s: the absent key = %v, %v, want a miss", name, vals[last], errs[last])
+		}
+	}
+	recs, _, err := ix.Range(0, 1)
+	if err != nil || len(recs) != records {
+		t.Errorf("Range over the cluster with %s down = %d records, %v; want %d", dead, len(recs), err, records)
 	}
 }

@@ -1,9 +1,12 @@
 package tcpnet
 
 // Client-driven replication (ClusterConfig.Replicas): each key is stored on
-// its owner plus the next replicas-1 distinct ring members, the same
-// successor-set scheme the Chord substrate uses. The servers stay plain
-// byte stores — fan-out, fallback and read spreading all live here:
+// its holders — its owner plus the next Replicas-1 distinct ring members,
+// the same successor-set scheme the Chord substrate uses. Every operation
+// has one body, which walks the key's holders; a holder set of one is the
+// unreplicated client, and each body is then one round trip to it. The
+// servers stay plain byte stores — fan-out, fallback and read spreading
+// all live here:
 //
 //   - put-like ops store on every holder, concurrently, before returning;
 //   - conditional ops resolve their compare-and-swap on the primary (the
@@ -29,42 +32,24 @@ package tcpnet
 // secondary after RemoveIf's propagation deleted it); that copy carries
 // an older epoch, which the index's scrub orders and repairs. Batched
 // stores replicate in per-rank waves (see PutBatch); batched reads group
-// by primary, which holds every accepted write by construction.
+// by primary, which holds every accepted write by construction, and a
+// slot the primary could not answer is read again as Get reads it.
+//
+// With one holder a read neither rotates nor fails over, and nothing is
+// propagated. The concurrency a fan-out needs lives in fanOut, which runs
+// only for a window of more than one node: its goroutines and shared state
+// are heap-allocated, and a holder set of one never pays for them.
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
 
 	"lht/internal/dht"
-	"lht/internal/hashring"
 	"lht/internal/metrics"
 )
-
-// owners returns the replica set for key: the owning node plus the next
-// replicas-1 distinct members clockwise, primary first.
-func (c *Client) owners(key string) []*clientNode {
-	nodes := c.ringNodes()
-	h := hashring.HashKey(key)
-	i := 0
-	for ; i < len(nodes); i++ {
-		if nodes[i].id >= h {
-			break
-		}
-	}
-	n := c.cfg.Replicas
-	if n > len(nodes) {
-		n = len(nodes)
-	}
-	out := make([]*clientNode, 0, n)
-	for k := 0; k < n; k++ {
-		out = append(out, nodes[(i+k)%len(nodes)])
-	}
-	return out
-}
 
 // rotateStart picks which holder a read of key starts at: the
 // key-hash-plus-sequence rotation the Chord and Kademlia substrates use,
@@ -81,36 +66,14 @@ func (c *Client) rotateStart(key string, n int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	start := 1 + int((uint64(h.Sum32())+c.readSeq.Add(1)-1)%uint64(n-1))
-	c.spreadReads.Add(1)
 	c.cfg.Counters.Add(metrics.SpreadReads, 1)
 	return start
 }
 
-// SpreadReads reports how many reads started at a non-primary holder.
-func (c *Client) SpreadReads() int64 { return c.spreadReads.Load() }
-
-// getFrom fetches key from one specific node on the binary wire, as a
-// probe when h is set.
-func (c *Client) getFrom(ctx context.Context, n *clientNode, key string, h probeHint) (dht.Value, error) {
-	tv, frame, err := n.simpleCall(ctx, dht.OpGet, func(b []byte) ([]byte, error) {
-		b = appendLenString(b, key)
-		if h.set {
-			b = binary.BigEndian.AppendUint64(b, h.v)
-		}
-		return b, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	v, err := decodeTagged(tv, h.set)
-	putBuf(frame)
-	return v, err
-}
-
-// replicatedGet reads from the rotated holder, falling back through the
+// get reads r's key from the rotated holder, falling back through the
 // rest: a holder that is missing the key (a fan-out it has not seen) or
 // unreachable costs one extra round trip, and only a miss on every
-// holder is a real miss. A probe's hint (h) rides every attempt, so a
+// holder is a real miss. A probe's hint rides every attempt, so a
 // failover is answered under the same rule as the first try.
 //
 // Degradation contract (ClusterConfig.Health): a holder whose breaker is open
@@ -124,17 +87,17 @@ func (c *Client) getFrom(ctx context.Context, n *clientNode, key string, h probe
 // instead: first reads never do, so the duplicate is guaranteed a
 // different first holder than the straggler it is racing, whatever the
 // rotation sequence did in between.
-func (c *Client) replicatedGet(ctx context.Context, key string, h probeHint) (dht.Value, error) {
-	owners := c.owners(key)
+func (c *Client) get(ctx context.Context, r req) (dht.Value, error) {
+	holders := c.holders(r.key)
 	start := 0
 	if !dht.IsHedgeAttempt(ctx) {
-		start = c.rotateStart(key, len(owners))
+		start = c.rotateStart(r.key, len(holders))
 	}
 	var firstErr error
-	for i := range owners {
-		n := owners[(start+i)%len(owners)]
-		actx, cancel := stepCtx(ctx, len(owners)-i)
-		v, err := c.getFrom(actx, n, key, h)
+	for i := range holders {
+		n := holders[(start+i)%len(holders)]
+		actx, cancel := stepCtx(ctx, len(holders)-i)
+		v, err := n.do(actx, r)
 		cancel()
 		if err == nil {
 			return v, nil
@@ -153,7 +116,7 @@ func (c *Client) replicatedGet(ctx context.Context, key string, h probeHint) (dh
 			if firstErr == nil {
 				firstErr = err
 			}
-			if i < len(owners)-1 {
+			if i < len(holders)-1 {
 				c.cfg.Counters.Add(metrics.Failovers, 1)
 			}
 		}
@@ -167,113 +130,36 @@ func (c *Client) replicatedGet(ctx context.Context, key string, h probeHint) (dh
 	return nil, dht.ErrNotFound
 }
 
-// eachOwner runs op against every holder of key concurrently and returns
-// the first error, with ErrNotFound outranked by any other error (a
-// holder that never saw the key is expected mid-fan-out; a transport
-// fault is not).
-func (c *Client) eachOwner(ctx context.Context, key string, op func(*clientNode) error) error {
-	owners := c.owners(key)
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i, n := range owners {
-		wg.Add(1)
-		go func(i int, n *clientNode) {
-			defer wg.Done()
-			errs[i] = op(n)
-		}(i, n)
-	}
-	wg.Wait()
-	var notFound error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, dht.ErrNotFound) {
-			notFound = err
-			continue
-		}
+// eachHolder performs r, a put, write or remove, on every holder of its
+// key; with hinted handoff an unreachable holder's copy of a put or write
+// parks on a substitute instead of failing it (store).
+func (c *Client) eachHolder(ctx context.Context, r req) error {
+	holders := c.holders(r.key)
+	if len(holders) == 1 {
+		_, err := c.store(ctx, holders[0], r)
 		return err
 	}
-	return notFound
+	return firstFault(c.fanOut(ctx, holders, -1, r))
 }
 
-// replicatedPut stores on every holder; with hinted handoff an
-// unreachable holder's copy parks on a substitute instead of failing the
-// put.
-func (c *Client) replicatedPut(ctx context.Context, key string, v dht.Value) error {
-	return c.eachOwner(ctx, key, func(n *clientNode) error {
-		return c.putToOrHint(ctx, n, dht.OpPut, key, v)
-	})
-}
-
-// putTo issues one put-like op (store or in-place write) to one node.
-func (c *Client) putTo(ctx context.Context, n *clientNode, op dht.OpKind, key string, v dht.Value) error {
-	_, frame, err := n.simpleCall(ctx, op, func(b []byte) ([]byte, error) {
-		return appendValue(appendLenString(b, key), v)
-	})
-	if err != nil {
-		return err
+// take fetches-and-deletes across the whole replica set: every holder
+// gives up its copy, and the first found from the rotated start is
+// returned.
+func (c *Client) take(ctx context.Context, r req) (dht.Value, error) {
+	holders := c.holders(r.key)
+	if len(holders) == 1 {
+		return holders[0].do(ctx, r)
 	}
-	putBuf(frame)
-	return nil
-}
-
-// replicatedWrite rewrites in place on every holder that has the key; a
-// holder missing it is a pending fan-out, not an error, unless they all
-// are.
-func (c *Client) replicatedWrite(ctx context.Context, key string, v dht.Value) error {
-	return c.eachOwner(ctx, key, func(n *clientNode) error {
-		return c.putToOrHint(ctx, n, dht.OpWrite, key, v)
-	})
-}
-
-// replicatedRemove deletes from every holder.
-func (c *Client) replicatedRemove(ctx context.Context, key string) error {
-	return c.eachOwner(ctx, key, func(n *clientNode) error {
-		_, frame, err := n.simpleCall(ctx, dht.OpRemove, func(b []byte) ([]byte, error) {
-			return appendLenString(b, key), nil
-		})
-		if err != nil {
-			return err
-		}
-		putBuf(frame)
-		return nil
-	})
-}
-
-// replicatedTake fetches-and-deletes across the whole replica set: every
-// holder gives up its copy, the rotated holder's value (first found from
-// the rotated start) is returned.
-func (c *Client) replicatedTake(ctx context.Context, key string) (dht.Value, error) {
-	owners := c.owners(key)
-	start := c.rotateStart(key, len(owners))
-	vals := make([]dht.Value, len(owners))
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i := range owners {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			n := owners[(start+i)%len(owners)]
-			tv, frame, err := n.simpleCall(ctx, dht.OpTake, func(b []byte) ([]byte, error) {
-				return appendLenString(b, key), nil
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			vals[i], errs[i] = decodeTaggedValue(tv)
-			putBuf(frame)
-		}(i)
-	}
-	wg.Wait()
+	start := c.rotateStart(r.key, len(holders))
+	answers := c.fanOut(ctx, holders, -1, r)
 	var firstErr error
-	for i := range owners {
-		if errs[i] == nil {
-			return vals[i], nil
+	for i := range answers {
+		a := answers[(start+i)%len(answers)]
+		if a.err == nil {
+			return a.v, nil
 		}
-		if !errors.Is(errs[i], dht.ErrNotFound) && firstErr == nil {
-			firstErr = errs[i]
+		if !errors.Is(a.err, dht.ErrNotFound) && firstErr == nil {
+			firstErr = a.err
 		}
 	}
 	if firstErr != nil {
@@ -282,170 +168,134 @@ func (c *Client) replicatedTake(ctx context.Context, key string) (dht.Value, err
 	return nil, dht.ErrNotFound
 }
 
-// replicatedCond resolves a conditional op on the primary — the one
-// serializer for the key — and propagates the accepted outcome to the
-// remaining holders: epoch-ordered stores (OpPutNewer) for the put-like
+// cond resolves conditional r on the primary — the one serializer for
+// the key — and propagates the accepted outcome to the remaining holders
+// (req.propagated): epoch-ordered stores (OpPutNewer) for the put-like
 // conditionals, so two commits' concurrently in-flight fan-outs land in
-// epoch order regardless of network interleaving, and removal for
-// RemoveIf. Propagation failures surface to the caller (the write IS
-// committed on the primary; the caller's retry loop re-runs against the
-// committed state), they never roll back the primary's decision.
+// epoch order regardless of network interleaving, the same patch in newer
+// mode for a patch, and removal for RemoveIf. Propagation failures
+// surface to the caller (the write IS committed on the primary; the
+// caller's retry loop re-runs against the committed state), they never
+// roll back the primary's decision. It answers what the serializer did:
+// an applied patch's reply, nil for anything else.
 //
 // With hinted handoff on, the serializer role itself fails over: an
 // unreachable primary is skipped and the conditional resolves on the
 // first reachable holder instead — every reachable holder carries the
 // key's committed state (fan-outs are synchronous), so the CAS verdict
-// is the same, and all writers walk the owner list in the same order, so
+// is the same, and all writers walk the holders in the same order, so
 // within one view they agree on the acting serializer. The skipped
 // holders then receive the outcome through the ordinary propagation
 // path, whose hinting parks their copy for replay. Only transport
 // faults fail over; a logical verdict (CAS conflict, not-found) from
-// any holder settles the op.
-func (c *Client) replicatedCond(ctx context.Context, key string, primary func(*clientNode) error, propagate func(*clientNode) error) error {
-	owners := c.owners(key)
-	acting, err := 0, error(nil)
-	for i, n := range owners {
-		acting, err = i, primary(n)
-		if err == nil || !c.cfg.HintedHandoff || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
+// any holder settles the op. A refusal by the serializer itself wrote
+// nothing anywhere.
+func (c *Client) cond(ctx context.Context, r req) (dht.Value, error) {
+	holders := c.holders(r.key)
+	acting, reply, err := 0, dht.Value(nil), error(nil)
+	for i, n := range holders {
+		acting = i
+		if reply, err = n.do(ctx, r); err == nil || !c.cfg.HintedHandoff || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
 			break
 		}
 	}
-	if err != nil {
-		return err
+	if err != nil || len(holders) == 1 {
+		return reply, err
 	}
-	errs := make([]error, 0, len(owners)-1)
-	var mu sync.Mutex
+	if err := firstFault(c.fanOut(ctx, holders, acting, r.propagated())); err != nil && !errors.Is(err, dht.ErrNotFound) {
+		return reply, err
+	}
+	return reply, nil
+}
+
+// answer is one holder's reply to a fanned-out request.
+type answer struct {
+	v   dht.Value
+	err error
+}
+
+// fanOut performs r on every holder but holders[skip] (skip -1 skips
+// none), concurrently, and returns the answers in holder order. It is the
+// one fan-out of the replicated operations, run only for a window of more
+// than one node.
+//
+// A propagated patch (from cond, whose serializer is holders[skip]) that
+// a holder cannot apply — it is behind or ahead of the epoch (conflict),
+// stores a form it will not patch (refused), or is out of reach — is
+// replaced for that holder by the whole value, read back once from the
+// serializer and stored over putnewer exactly as a propagated PutIf is,
+// so a hint parked for a dead holder is a whole value, never a patch. The
+// value read back may already be a later commit's; putnewer's epoch order
+// makes that harmless.
+//
+// A patch is weaker than a PutIf in one respect: nothing checks that a
+// holder at the patch's epoch held the serializer's bytes. Two holders
+// that differ at one epoch (split serializers, see cond) are made equal by
+// the next PutIf's whole value; patched, they stay apart until the key is
+// next written whole (frame.go, "same epoch means same bytes").
+func (c *Client) fanOut(ctx context.Context, holders []*clientNode, skip int, r req) []answer {
+	answers := make([]answer, len(holders))
+	var whole struct {
+		once sync.Once
+		v    dht.Value
+		err  error
+	}
 	var wg sync.WaitGroup
-	for i, n := range owners {
-		if i == acting {
+	for i, n := range holders {
+		if i == skip {
 			continue
 		}
 		wg.Add(1)
-		go func(n *clientNode) {
+		go func(a *answer, n *clientNode) {
 			defer wg.Done()
-			perr := propagate(n)
-			mu.Lock()
-			errs = append(errs, perr)
-			mu.Unlock()
-		}(n)
+			a.v, a.err = c.store(ctx, n, r)
+			if a.err == nil || r.op != dht.OpPatchIf {
+				return
+			}
+			whole.once.Do(func() { whole.v, whole.err = holders[skip].do(ctx, req{op: dht.OpGet, key: r.key}) })
+			if a.err = whole.err; a.err == nil { // not-found: since removed, nothing to propagate
+				a.v, a.err = c.store(ctx, n, req{op: dht.OpPutNewer, key: r.key, val: whole.v})
+			}
+		}(&answers[i], n)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, dht.ErrNotFound) {
-			return err
+	return answers
+}
+
+// firstFault returns the first error among answers in holder order, with
+// ErrNotFound outranked by any other error (a holder that never saw the
+// key is expected mid-fan-out; a transport fault is not).
+func firstFault(answers []answer) error {
+	var notFound error
+	for _, a := range answers {
+		if a.err == nil {
+			continue
 		}
+		if errors.Is(a.err, dht.ErrNotFound) {
+			notFound = a.err
+			continue
+		}
+		return a.err
 	}
-	return nil
+	return notFound
 }
 
-// replicatedPutIf is PutIf with propagation of the accepted value.
-func (c *Client) replicatedPutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
-	return c.replicatedCond(ctx, key,
-		func(n *clientNode) error {
-			return n.condCall(ctx, dht.OpPutIf, key, func(b []byte) ([]byte, error) {
-				b = appendLenString(b, key)
-				b = appendUv(b, ifEpoch)
-				return appendValue(b, v)
-			})
-		},
-		func(n *clientNode) error { return c.putToOrHint(ctx, n, dht.OpPutNewer, key, v) },
-	)
-}
-
-// replicatedPatchIf is PatchIf (mode patchPrimary) or WritePatchIf
-// (patchInPlace) with propagation: the acting serializer applies the
-// patch in that mode, then every other holder is sent the same patch in
-// newer mode and, holding the same bytes at the same epoch, builds the
-// same value. A holder that cannot — it is behind or ahead of ifEpoch
-// (conflict), stores a form it will not patch (refused), or is out of
-// reach — gets the whole value instead, read back once from the acting
-// serializer and sent down the putnewer path exactly as replicatedPutIf
-// sends it, so a hint parked for a dead holder is a whole value, never a
-// patch. The value read back may already be a later commit's; putnewer's
-// epoch order makes that harmless. A refusal by the serializer itself
-// wrote nothing anywhere.
-//
-// Weaker than replicatedPutIf in one respect: nothing checks that a
-// holder at ifEpoch held the serializer's bytes. Two holders that differ
-// at one epoch (split serializers, see replicatedCond) are made equal by
-// the next replicatedPutIf's whole value; patched, they stay apart until
-// the key is next written whole (frame.go, "same epoch means same bytes").
-func (c *Client) replicatedPatchIf(ctx context.Context, key string, mode byte, patch []byte, ifEpoch uint64) (dht.Value, error) {
-	// One heap object for everything the fan-out's goroutines share.
-	f := &struct {
-		reply  dht.Value
-		acting *clientNode
-		once   sync.Once
-		whole  dht.Value
-		werr   error
-	}{}
-	err := c.replicatedCond(ctx, key,
-		func(n *clientNode) (err error) {
-			f.acting = n
-			f.reply, err = n.patchCall(ctx, key, mode, patch, ifEpoch)
-			return err
-		},
-		func(n *clientNode) error {
-			if _, err := n.patchCall(ctx, key, patchNewer, patch, ifEpoch); err == nil {
-				return nil
-			}
-			f.once.Do(func() { f.whole, f.werr = c.getFrom(ctx, f.acting, key, probeHint{}) })
-			if f.werr != nil {
-				return f.werr // not-found: since removed, nothing to propagate
-			}
-			return c.putToOrHint(ctx, n, dht.OpPutNewer, key, f.whole)
-		},
-	)
-	return f.reply, err
-}
-
-// replicatedCreateIf is CreateIf with propagation of the created value.
-func (c *Client) replicatedCreateIf(ctx context.Context, key string, v dht.Value) error {
-	return c.replicatedCond(ctx, key,
-		func(n *clientNode) error {
-			return n.condCall(ctx, dht.OpCreateIf, key, func(b []byte) ([]byte, error) {
-				return appendValue(appendLenString(b, key), v)
-			})
-		},
-		func(n *clientNode) error { return c.putToOrHint(ctx, n, dht.OpPutNewer, key, v) },
-	)
-}
-
-// replicatedRemoveIf is RemoveIf with propagation of the removal.
-// Removals are never hinted: replaying a deletion later could resurrect
-// nothing but could race a newer create, so a missed removal is left to
-// the scrub plane, whose epoch ordering repairs it safely.
-func (c *Client) replicatedRemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
-	return c.replicatedCond(ctx, key,
-		func(n *clientNode) error {
-			return n.condCall(ctx, dht.OpRemoveIf, key, func(b []byte) ([]byte, error) {
-				b = appendLenString(b, key)
-				return appendUv(b, ifEpoch), nil
-			})
-		},
-		func(n *clientNode) error {
-			_, frame, err := n.simpleCall(ctx, dht.OpRemove, func(b []byte) ([]byte, error) {
-				return appendLenString(b, key), nil
-			})
-			if err != nil {
-				return err
-			}
-			putBuf(frame)
-			return nil
-		},
-	)
-}
-
-// replicatedWriteIf is WriteIf with propagation of the accepted value.
-func (c *Client) replicatedWriteIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
-	return c.replicatedCond(ctx, key,
-		func(n *clientNode) error {
-			return n.condCall(ctx, dht.OpWriteIf, key, func(b []byte) ([]byte, error) {
-				b = appendLenString(b, key)
-				b = appendUv(b, ifEpoch)
-				return appendValue(b, v)
-			})
-		},
-		func(n *clientNode) error { return c.putToOrHint(ctx, n, dht.OpPutNewer, key, v) },
-	)
+// store is n.do with hinted handoff: a put-like request that fails
+// against an unreachable holder parks its value as a hint instead of
+// surfacing the fault — the write is complete on every reachable holder,
+// and the hint replays when the missing one returns. Only transport
+// faults are hinted; logical outcomes (not-found on Write, CAS conflicts)
+// surface unchanged. A request that carries no value (a take, a patch, a
+// removal) is never hinted: replaying a deletion later could race a newer
+// create, so a missed removal is left to the scrub plane, whose epoch
+// ordering repairs it safely.
+func (c *Client) store(ctx context.Context, n *clientNode, r req) (dht.Value, error) {
+	v, err := n.do(ctx, r)
+	if err == nil || !c.cfg.HintedHandoff || r.val == nil || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
+		return v, err
+	}
+	if c.parkHint(ctx, r.key, n.addr, r.val) == nil {
+		return nil, nil
+	}
+	return v, err
 }

@@ -3,12 +3,15 @@ package tcpnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
 	"lht/internal/dht"
 	"lht/internal/dht/dhttest"
+	"lht/internal/hashring"
 	"lht/internal/metrics"
 )
 
@@ -78,15 +81,12 @@ func TestReplicatedFailover(t *testing.T) {
 			t.Fatalf("get %d: %v", i, err)
 		}
 	}
-	if c.SpreadReads() == 0 {
+	if agg.Snapshot().Load.SpreadReads == 0 {
 		t.Error("no reads spread to the non-primary holder")
-	}
-	if got := agg.Snapshot().Load.SpreadReads; got != c.SpreadReads() {
-		t.Errorf("chained counter saw %d spread reads, client %d", got, c.SpreadReads())
 	}
 
 	// Kill the primary: the fallback scan must still serve the key.
-	primary := c.owners("hot")[0]
+	primary := c.holders("hot")[0]
 	if err := srvs[primary.addr].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,17 +124,17 @@ func TestReplicaPropagationEpochOrder(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx := context.Background()
 
-	holder := c.owners("k")[1] // a secondary: where fan-outs land
+	holder := c.holders("k")[1] // a secondary: where fan-outs land
 
 	// Commit N's fan-out lands first...
-	if err := c.putTo(ctx, holder, dht.OpPutNewer, "k", &dhttest.EpochValue{Epoch: 5, Body: "new"}); err != nil {
+	if _, err := holder.do(ctx, req{op: dht.OpPutNewer, key: "k", val: &dhttest.EpochValue{Epoch: 5, Body: "new"}}); err != nil {
 		t.Fatal(err)
 	}
 	// ...then commit N-1's straggler arrives. It must be rejected.
-	if err := c.putTo(ctx, holder, dht.OpPutNewer, "k", &dhttest.EpochValue{Epoch: 4, Body: "old"}); err != nil {
+	if _, err := holder.do(ctx, req{op: dht.OpPutNewer, key: "k", val: &dhttest.EpochValue{Epoch: 4, Body: "old"}}); err != nil {
 		t.Fatalf("superseded propagation errored instead of no-oping: %v", err)
 	}
-	v, err := c.getFrom(ctx, holder, "k", probeHint{})
+	v, err := holder.do(ctx, req{op: dht.OpGet, key: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +144,10 @@ func TestReplicaPropagationEpochOrder(t *testing.T) {
 
 	// Equal and newer epochs still store (idempotent re-propagation, and
 	// the normal in-order case).
-	if err := c.putTo(ctx, holder, dht.OpPutNewer, "k", &dhttest.EpochValue{Epoch: 6, Body: "newer"}); err != nil {
+	if _, err := holder.do(ctx, req{op: dht.OpPutNewer, key: "k", val: &dhttest.EpochValue{Epoch: 6, Body: "newer"}}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := c.getFrom(ctx, holder, "k", probeHint{}); v.(*dhttest.EpochValue).Epoch != 6 {
+	if v, _ := holder.do(ctx, req{op: dht.OpGet, key: "k"}); v.(*dhttest.EpochValue).Epoch != 6 {
 		t.Fatalf("in-order propagation did not store, holder at %#v", v)
 	}
 }
@@ -202,8 +202,8 @@ func TestReplicatedCASHoldersConverge(t *testing.T) {
 	wg.Wait()
 
 	want := uint64(1 + writers*commitsEach)
-	for rank, holder := range c.owners(key) {
-		v, err := c.getFrom(ctx, holder, key, probeHint{})
+	for rank, holder := range c.holders(key) {
+		v, err := holder.do(ctx, req{op: dht.OpGet, key: key})
 		if err != nil {
 			t.Fatalf("holder %d (%s): %v", rank, holder.addr, err)
 		}
@@ -222,7 +222,7 @@ func TestReplicasValidation(t *testing.T) {
 	}
 	// Duplicate addresses must fail the dial outright — they can never
 	// shrink the distinct-node count below the replica count, which would
-	// leave owners() handing out short holder sets.
+	// leave a holder window wrapping onto one node twice.
 	if _, err := Dial(context.Background(), ClusterConfig{Seeds: []string{addrs[0], addrs[0]}, Replicas: 2}); err == nil {
 		t.Error("duplicated node list dialed")
 	}
@@ -231,12 +231,92 @@ func TestReplicasValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if got := len(c.owners("k")); got != 2 {
-		t.Errorf("owners = %d nodes, want 2", got)
+	if got := len(c.holders("k")); got != 2 {
+		t.Errorf("holders = %d nodes, want 2", got)
 	}
-	if c.owners("k")[0] != c.owner("k") {
+	if nodes := c.ringNodes(); c.holders("k")[0] != nodes[ownerIndex(nodes, "k")] {
 		t.Error("replica set does not start at the owner")
 	}
+}
+
+// owners is the reference replica set of key on the id-ordered ring
+// nodes: the owning node plus the next replicas-1 members clockwise,
+// primary first, copied out one by one.
+func owners(nodes []*clientNode, replicas int, key string) []*clientNode {
+	h := hashring.HashKey(key)
+	i := 0
+	for ; i < len(nodes); i++ {
+		if nodes[i].id >= h {
+			break
+		}
+	}
+	out := make([]*clientNode, 0, replicas)
+	for k := 0; k < replicas; k++ {
+		out = append(out, nodes[(i+k)%len(nodes)])
+	}
+	return out
+}
+
+// TestHoldersMatchOwners: a key's holder window is its replica set, for
+// every ring size and replica count and on a ring a view refresh grew and
+// then shrank, and its capacity ends at its length, so nothing appended to
+// it can write into the ring.
+func TestHoldersMatchOwners(t *testing.T) {
+	check := func(t *testing.T, c *Client) {
+		t.Helper()
+		nodes := c.ringNodes()
+		for k := 0; k < 1000; k++ {
+			key := fmt.Sprintf("key-%d", k)
+			got, want := c.holders(key), owners(nodes, c.cfg.Replicas, key)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d nodes, %d replicas: holders(%q) = %v, want %v", len(nodes), c.cfg.Replicas, key, addrsOf(got), addrsOf(want))
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("holders(%q) has capacity %d past its %d nodes", key, cap(got), len(got))
+			}
+		}
+	}
+	member := func(i int) string { return fmt.Sprintf("10.0.0.%d:7000", i) }
+	for size := 1; size <= 5; size++ {
+		for replicas := 1; replicas <= size; replicas++ {
+			c := &Client{cfg: ClusterConfig{Replicas: replicas}}
+			var nodes []*clientNode
+			for i := 0; i < size; i++ {
+				nodes = append(nodes, &clientNode{id: hashring.HashAddr(member(i)), addr: member(i)})
+			}
+			c.ring.Store(newRing(nodes, replicas))
+			check(t, c)
+		}
+	}
+
+	// applyView builds its ring with the same newRing: grow 3 → 5, then
+	// shrink to 2 (the replica count), and check each.
+	c := &Client{cfg: ClusterConfig{Replicas: 2, PoolSize: 1}}
+	view := func(n int) dht.ClusterView {
+		var v dht.ClusterView
+		for i := 0; i < n; i++ {
+			v.Upsert(dht.Member{Addr: member(i), State: dht.MemberAlive})
+		}
+		return v
+	}
+	for _, n := range []int{3, 5, 2} {
+		if !c.applyView(view(n)) {
+			t.Fatalf("view of %d members did not change the ring", n)
+		}
+		if got := len(c.ringNodes()); got != n {
+			t.Fatalf("ring of %d members after a view of %d", got, n)
+		}
+		check(t, c)
+	}
+	_ = c.Close()
+}
+
+func addrsOf(nodes []*clientNode) []string {
+	out := make([]string, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.addr
+	}
+	return out
 }
 
 // TestCondSerializerFailover pins the acting-serializer rule: with hinted
@@ -258,8 +338,8 @@ func TestCondSerializerFailover(t *testing.T) {
 	defer static.Close()
 
 	key := "cas-failover"
-	owners := c.owners(key)
-	primary, secondary := owners[0].addr, owners[1].addr
+	holders := c.holders(key)
+	primary, secondary := holders[0].addr, holders[1].addr
 	_ = srvs[primary].Close()
 
 	if err := static.CreateIf(ctx, key, []byte("lost")); err == nil {

@@ -58,8 +58,8 @@ func TestScrubRetiresResurrectedStraggler(t *testing.T) {
 	// The straggler lands: the stale copy reappears on a secondary
 	// holder, after the removal. OpPutNewer accepts it — the holder has
 	// nothing stored, so there is no epoch to order it against.
-	secondary := c.owners("#0")[1]
-	if err := c.putTo(ctx, secondary, dht.OpPutNewer, "#0", stale); err != nil {
+	secondary := c.holders("#0")[1]
+	if _, err := secondary.do(ctx, req{op: dht.OpPutNewer, key: "#0", val: stale}); err != nil {
 		t.Fatalf("straggler store: %v", err)
 	}
 	if _, err := c.Get(ctx, "#0"); err != nil {
