@@ -242,12 +242,12 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 // the client was dialled with. Used at construction and again whenever a
 // view refresh admits a new member.
 func (c *Client) newNode(a string) *clientNode {
-	n := &clientNode{id: hashring.HashAddr(a), addr: a, counters: c.cfg.Counters}
+	var br *dht.Breaker
 	if c.cfg.Health != nil {
 		cfg := *c.cfg.Health
 		if cfg.Seed == 0 {
 			// Distinct deterministic jitter stream per node.
-			cfg.Seed = int64(n.id) | 1
+			cfg.Seed = int64(hashring.HashAddr(a)) | 1
 		}
 		prev := cfg.OnOpen
 		cfg.OnOpen = func() {
@@ -259,12 +259,27 @@ func (c *Client) newNode(a string) *clientNode {
 				prev()
 			}
 		}
-		n.br = dht.NewBreaker(cfg)
+		br = dht.NewBreaker(cfg)
 	}
-	for i := 0; i < c.cfg.PoolSize; i++ {
-		n.conns = append(n.conns, &mconn{addr: a, dial: c.cfg.Dialer, gate: redialGate{br: n.br}})
+	return newClientNode(a, c.cfg.Dialer, c.cfg.PoolSize, br, c.cfg.Counters)
+}
+
+// newClientNode builds the connection state for the node at addr: pool
+// pipelined connections through dial, gated by br (nil: no breaker). A
+// client builds its members with it, and a server its gossip peers.
+func newClientNode(addr string, dial ContextDialer, pool int, br *dht.Breaker, counters *metrics.Counters) *clientNode {
+	n := &clientNode{id: hashring.HashAddr(addr), addr: addr, br: br, counters: counters}
+	for i := 0; i < pool; i++ {
+		n.conns = append(n.conns, &mconn{addr: addr, dial: dial, gate: redialGate{br: br}})
 	}
 	return n
+}
+
+// close tears down every connection of n for good.
+func (n *clientNode) close() {
+	for _, m := range n.conns {
+		m.close()
+	}
 }
 
 // verifyAll probes all members concurrently; the first failure wins and
@@ -305,9 +320,7 @@ func (c *Client) Close() error {
 		c.refreshWG.Wait()
 	}
 	for _, n := range c.ringNodes() {
-		for _, m := range n.conns {
-			m.close()
-		}
+		n.close()
 	}
 	return nil
 }
@@ -364,10 +377,9 @@ func serverErr(msg []byte) error {
 }
 
 // simpleCall performs one framed round trip whose frame is not a req's
-// (the membership exchanges, and re-replication's and hinted handoff's
-// raw copies) and returns the response's tagged value bytes (nil for
-// value-less ops) plus the pooled frame to recycle after the value is
-// decoded.
+// (the membership exchanges, and the raw copies below) and returns the
+// response's tagged value bytes (nil for value-less ops) plus the pooled
+// frame to recycle after the value is decoded.
 func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (val []byte, frame *[]byte, err error) {
 	tok, err := n.allow()
 	if err != nil {
@@ -390,6 +402,35 @@ func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([
 	}
 	putBuf(body)
 	return nil, nil, err
+}
+
+// getRaw fetches key's stored tagged bytes from n, without decoding:
+// re-replication moves bytes between holders verbatim, so the epoch tag
+// (and the value it guards) survive untouched.
+func (n *clientNode) getRaw(ctx context.Context, key string) ([]byte, error) {
+	tv, frame, err := n.simpleCall(ctx, dht.OpGet, func(b []byte) ([]byte, error) {
+		return appendLenString(b, key), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), tv...)
+	putBuf(frame)
+	return out, nil
+}
+
+// putNewer stores already-tagged bytes on n over the epoch-ordered
+// OpPutNewer path: if n accepted a fresher write in the meantime, this
+// copy loses, which is exactly right for a restore or a replayed hint.
+func (n *clientNode) putNewer(ctx context.Context, key string, tagged []byte) error {
+	_, frame, err := n.simpleCall(ctx, dht.OpPutNewer, func(b []byte) ([]byte, error) {
+		return append(appendLenString(b, key), tagged...), nil
+	})
+	if err != nil {
+		return err
+	}
+	putBuf(frame)
+	return nil
 }
 
 // probeHint is a get request's optional tail: set makes the get a probe.

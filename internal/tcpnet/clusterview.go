@@ -63,22 +63,10 @@ func (c *Client) RefreshView(ctx context.Context) error {
 	c.viewMu.Lock()
 	local := c.view.Clone()
 	c.viewMu.Unlock()
-	nodes := c.ringNodes()
 	err := errors.New("tcpnet: no members to refresh from")
-	for _, n := range nodes {
-		var tv []byte
-		var frame *[]byte
-		tv, frame, err = n.simpleCall(ctx, dht.OpGossip, func(b []byte) ([]byte, error) {
-			return appendView(b, local), nil
-		})
-		if err != nil {
-			continue
-		}
-		cur := cursor{b: tv}
+	for _, n := range c.ringNodes() {
 		var remote dht.ClusterView
-		remote, err = readView(&cur)
-		putBuf(frame)
-		if err != nil {
+		if remote, err = n.gossip(ctx, local); err != nil {
 			continue
 		}
 		c.viewMu.Lock()
@@ -149,9 +137,7 @@ func (c *Client) applyView(v dht.ClusterView) bool {
 	}
 	c.ring.Store(newRing(nodes, c.cfg.Replicas))
 	for _, n := range byAddr { // members the view retired
-		for _, m := range n.conns {
-			m.close()
-		}
+		n.close()
 	}
 	c.cfg.Counters.Add(metrics.ViewRefreshes, 1)
 	return true
@@ -193,36 +179,6 @@ func (c *Client) replicaDebt(addr string) int {
 	return len(c.debt[addr])
 }
 
-// rawGet fetches key's stored tagged bytes from one node, without
-// decoding: re-replication moves bytes between holders verbatim, so the
-// epoch tag (and the value it guards) survive untouched.
-func (c *Client) rawGet(ctx context.Context, n *clientNode, key string) ([]byte, error) {
-	tv, frame, err := n.simpleCall(ctx, dht.OpGet, func(b []byte) ([]byte, error) {
-		return appendLenString(b, key), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), tv...)
-	putBuf(frame)
-	return out, nil
-}
-
-// putRaw stores already-tagged bytes on one node over the epoch-ordered
-// OpPutNewer path: if the holder accepted a fresher write in the
-// meantime, the restore loses, which is exactly right.
-func (c *Client) putRaw(ctx context.Context, n *clientNode, key string, tagged []byte) error {
-	_, frame, err := n.simpleCall(ctx, dht.OpPutNewer, func(b []byte) ([]byte, error) {
-		b = appendLenString(b, key)
-		return append(b, tagged...), nil
-	})
-	if err != nil {
-		return err
-	}
-	putBuf(frame)
-	return nil
-}
-
 // EnsureReplicated implements dht.Rereplicator: probe every current
 // holder of key and restore missing copies from the freshest surviving
 // one; with one copy there is none to restore. A key no holder has is not
@@ -239,7 +195,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 	errs := make([]error, len(holders))
 	for i, n := range holders {
 		rep.Probes++
-		vals[i], errs[i] = c.rawGet(ctx, n, key)
+		vals[i], errs[i] = n.getRaw(ctx, key)
 	}
 	c.cfg.Counters.Add(metrics.ReplicaProbes, int64(rep.Probes))
 
@@ -269,7 +225,7 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 			c.clearDebt(n.addr, key)
 		case errors.Is(errs[i], dht.ErrNotFound):
 			rep.Missing++
-			if err := c.putRaw(ctx, n, key, donor); err != nil {
+			if err := n.putNewer(ctx, key, donor); err != nil {
 				c.noteDebt(n.addr, key)
 				continue
 			}

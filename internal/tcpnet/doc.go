@@ -6,7 +6,10 @@
 // reflection-free length-prefixed frames with pooled buffers, carried by a
 // pipelined multiplexer (mux.go) that keeps many requests in flight per
 // connection. A connection opens with the "LHT2" magic; a server closes
-// one that opens with anything else. Servers are pure byte stores: values
+// one that opens with anything else. There is one transport too: a
+// server reaches its gossip peers, and replays hints to them, through the
+// same clientNode and pipelined connection a client uses for its members
+// (membership.go). Servers are pure byte stores: values
 // travel and are stored tagged (frame.go lists the tags), and the server
 // reads no further into one than its epoch prefix; what a hinted get
 // ships of a value and what a patchif makes of one it asks the value's

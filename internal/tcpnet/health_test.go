@@ -14,9 +14,11 @@ import (
 	"lht/internal/metrics"
 )
 
-// countingDialer wraps the default dialer and counts dial attempts, so
-// tests can observe how often the client actually hits the network.
+// countingDialer wraps base (nil: the default dialer) and counts dial
+// attempts, so tests can observe how often the client actually hits the
+// network.
 type countingDialer struct {
+	base  ContextDialer
 	dials atomic.Int64
 	fail  atomic.Bool // refuse every dial when set
 }
@@ -26,8 +28,7 @@ func (d *countingDialer) DialContext(ctx context.Context, network, addr string) 
 	if d.fail.Load() {
 		return nil, errors.New("dial refused by test dialer")
 	}
-	var nd net.Dialer
-	return nd.DialContext(ctx, network, addr)
+	return dialWith(ctx, d.base, addr)
 }
 
 // TestBreakerOpensAndFastFails: a run of transport failures against one

@@ -15,19 +15,23 @@ package tcpnet
 // view shows the holder routable again the hints replay to it over the
 // epoch-ordered OpPutNewer path — a stale hint loses to any newer write
 // the holder accepted in the meantime, so replay can never roll a key
-// back.
+// back; hints for a holder the view shows left are dropped.
+//
+// A server reaches its peers the way a client reaches its members: one
+// clientNode per peer, whose pipelined mconn handshakes with a ping,
+// redials lazily and stays up across rounds while the peer answers. A
+// round that fails closes and forgets the peer's node, so the next one
+// dials fresh (see onPeer).
 //
 // All membership traffic is free in the cost model (see the OpKind doc in
 // internal/dht): it is control-plane chatter, not index routing, and the
 // gated bench rows never enable it.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -42,8 +46,8 @@ import (
 const (
 	defaultSuspectAfter = 2
 	defaultDeadAfter    = 2
-	// gossipIOBudget bounds one exchange or replay connection when the
-	// caller's context carries no deadline of its own.
+	// gossipIOBudget bounds one exchange or replay round when the caller's
+	// context carries no deadline of its own.
 	gossipIOBudget = 2 * time.Second
 )
 
@@ -85,6 +89,9 @@ type Membership struct {
 	inc   uint64 // self incarnation, bumped only to refute
 	rng   *rand.Rand
 	fails map[string]int // consecutive failed exchanges per peer
+	// peers is the connection this node keeps to each peer it gossips with
+	// or replays hints to; nil once the server has closed.
+	peers map[string]*clientNode
 }
 
 // EnableMembership attaches a gossip participant to the server and
@@ -109,6 +116,7 @@ func (s *Server) EnableMembership(cfg MembershipConfig) *Membership {
 		deadAfter:    cfg.DeadAfter,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		fails:        make(map[string]int),
+		peers:        make(map[string]*clientNode),
 	}
 	m.view.Upsert(dht.Member{Addr: cfg.Self, State: dht.MemberAlive})
 	for _, seed := range cfg.Seeds {
@@ -202,7 +210,11 @@ func (m *Membership) Tick(ctx context.Context) error {
 	m.mu.Lock()
 	local := m.view.Clone()
 	m.mu.Unlock()
-	remote, err := m.exchange(ctx, peer, local)
+	var remote dht.ClusterView
+	err := m.onPeer(ctx, peer, func(ctx context.Context, n *clientNode) (err error) {
+		remote, err = n.gossip(ctx, local)
+		return err
+	})
 	m.mu.Lock()
 	if err != nil {
 		m.recordFailureLocked(peer)
@@ -270,69 +282,63 @@ func (m *Membership) recordFailureLocked(peer string) {
 	}
 }
 
-// exchange performs one outbound OpGossip round trip on a fresh
-// connection: send the local view, return the peer's.
-func (m *Membership) exchange(ctx context.Context, addr string, local dht.ClusterView) (dht.ClusterView, error) {
-	body, err := m.roundTrip(ctx, addr, func(conn net.Conn, bw *bufio.Writer) error {
-		bp := newFrame(dht.OpGossip)
-		*bp = appendView(*bp, local)
-		finishFrame(*bp, 1)
-		_, werr := bw.Write(*bp)
-		putBuf(bp)
-		return werr
+// onPeer runs one round against the peer at addr on its connection,
+// under the gossip IO budget: mconn.call has no deadline of its own, and
+// a black-holed peer must not hang Tick. A round that fails closes and
+// forgets the peer's node, so the next round dials fresh — no redial
+// backoff delays a comeback, and a wedged connection never outlives the
+// round that hit it. A healthy peer keeps its connection across rounds.
+func (m *Membership) onPeer(ctx context.Context, addr string, round func(context.Context, *clientNode) error) error {
+	ctx, cancel := withIOBudget(ctx)
+	defer cancel()
+	m.mu.Lock()
+	if m.peers == nil {
+		m.mu.Unlock()
+		return errClientClosed
+	}
+	n := m.peers[addr]
+	if n == nil {
+		// One connection and no breaker: the failure detector above is
+		// this plane's health signal.
+		n = newClientNode(addr, m.dialer, 1, nil, m.c)
+		m.peers[addr] = n
+	}
+	m.mu.Unlock()
+	err := round(ctx, n)
+	if err != nil {
+		m.mu.Lock()
+		if m.peers[addr] == n {
+			delete(m.peers, addr)
+		}
+		m.mu.Unlock()
+		n.close()
+	}
+	return err
+}
+
+// closePeers closes every peer connection for good; Server.Close calls it.
+func (m *Membership) closePeers() {
+	m.mu.Lock()
+	peers := m.peers
+	m.peers = nil
+	m.mu.Unlock()
+	for _, n := range peers {
+		n.close()
+	}
+}
+
+// gossip pushes local to n over OpGossip and returns n's view: a server's
+// exchange with a peer, and a client's view refresh.
+func (n *clientNode) gossip(ctx context.Context, local dht.ClusterView) (dht.ClusterView, error) {
+	tv, frame, err := n.simpleCall(ctx, dht.OpGossip, func(b []byte) ([]byte, error) {
+		return appendView(b, local), nil
 	})
 	if err != nil {
 		return dht.ClusterView{}, err
 	}
-	defer putBuf(body)
-	c := cursor{b: (*body)[frameHeaderLen:]}
-	st, err := c.u8()
-	if err != nil {
-		return dht.ClusterView{}, errTruncated
-	}
-	if st != statusOK {
-		return dht.ClusterView{}, fmt.Errorf("tcpnet: gossip %q: %s", addr, string(c.rest()))
-	}
+	defer putBuf(frame)
+	c := cursor{b: tv}
 	return readView(&c)
-}
-
-// roundTrip dials addr, writes the framed-protocol magic, lets send write
-// one or more request frames, flushes, and reads one response frame into
-// a pooled buffer the caller must putBuf.
-func (m *Membership) roundTrip(ctx context.Context, addr string, send func(net.Conn, *bufio.Writer) error) (*[]byte, error) {
-	ctx, cancel := withIOBudget(ctx)
-	defer cancel()
-	conn, err := dialWith(ctx, m.dialer, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	bw := bufio.NewWriterSize(conn, wireBufSize)
-	if _, err := bw.WriteString(wireMagic); err != nil {
-		return nil, err
-	}
-	if err := send(conn, bw); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	bp := getBuf()
-	body, err := readFrameBody(br, *bp)
-	*bp = body
-	if err != nil {
-		putBuf(bp)
-		return nil, err
-	}
-	if len(body) < frameHeaderLen+1 {
-		putBuf(bp)
-		return nil, errTruncated
-	}
-	return bp, nil
 }
 
 // withIOBudget caps ctx with the default gossip IO budget when it has no
@@ -346,12 +352,14 @@ func withIOBudget(ctx context.Context) (context.Context, context.CancelFunc) {
 
 // replayHints walks the parked-hint store and delivers every hint whose
 // holder the view shows routable, over the epoch-ordered OpPutNewer path.
-// Hints that fail to deliver stay parked for the next round.
+// Hints that fail to deliver stay parked for the next round; hints for a
+// holder the view shows left are dropped, since a left member never
+// rejoins under its incarnation (a dead one may, so its hints stay).
 func (m *Membership) replayHints(ctx context.Context) {
 	m.mu.Lock()
-	routable := make(map[string]bool, len(m.view.Members))
+	states := make(map[string]dht.MemberState, len(m.view.Members))
 	for _, mem := range m.view.Members {
-		routable[mem.Addr] = mem.State.Routable()
+		states[mem.Addr] = mem.State
 	}
 	m.mu.Unlock()
 
@@ -359,7 +367,12 @@ func (m *Membership) replayHints(ctx context.Context) {
 	s.mu.Lock()
 	var batches []hintBatch
 	for holder, keys := range s.hints {
-		if holder == m.self || !routable[holder] {
+		st, known := states[holder]
+		if known && st == dht.MemberLeft {
+			delete(s.hints, holder)
+			continue
+		}
+		if holder == m.self || !known || !st.Routable() {
 			continue
 		}
 		b := hintBatch{holder: holder, vals: make(map[string][]byte, len(keys))}
@@ -398,47 +411,19 @@ type hintBatch struct {
 	vals   map[string][]byte
 }
 
-// deliverHints sends each parked value to its returned holder as an
-// OpPutNewer and returns the keys the holder acknowledged. One connection
-// carries the whole batch; the first transport error abandons the rest
-// (they stay parked).
-func (m *Membership) deliverHints(ctx context.Context, holder string, vals map[string][]byte) []string {
-	ctx, cancel := withIOBudget(ctx)
-	defer cancel()
-	conn, err := dialWith(ctx, m.dialer, holder)
-	if err != nil {
-		return nil
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	bw := bufio.NewWriterSize(conn, wireBufSize)
-	if _, err := bw.WriteString(wireMagic); err != nil {
-		return nil
-	}
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	var delivered []string
-	for key, val := range vals {
-		bp := newFrame(dht.OpPutNewer)
-		*bp = appendLenString(*bp, key)
-		*bp = append(*bp, val...)
-		finishFrame(*bp, 1)
-		_, werr := bw.Write(*bp)
-		putBuf(bp)
-		if werr != nil || bw.Flush() != nil {
-			break
+// deliverHints sends each parked value to its returned holder over
+// putnewer and returns the keys the holder acknowledged. The first error
+// abandons the rest (they stay parked).
+func (m *Membership) deliverHints(ctx context.Context, holder string, vals map[string][]byte) (delivered []string) {
+	_ = m.onPeer(ctx, holder, func(ctx context.Context, n *clientNode) error {
+		for key, val := range vals {
+			if err := n.putNewer(ctx, key, val); err != nil {
+				return err
+			}
+			delivered = append(delivered, key)
 		}
-		rp := getBuf()
-		body, rerr := readFrameBody(br, *rp)
-		*rp = body
-		if rerr != nil || len(body) < frameHeaderLen+1 || body[frameHeaderLen] != statusOK {
-			putBuf(rp)
-			break
-		}
-		putBuf(rp)
-		delivered = append(delivered, key)
-	}
+		return nil
+	})
 	return delivered
 }
 

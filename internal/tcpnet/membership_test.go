@@ -7,11 +7,19 @@ import (
 	"time"
 
 	"lht/internal/dht"
+	"lht/internal/netchaos"
 )
 
 // startMember boots one server with membership enabled and returns it
 // with its address. The caller owns Close.
 func startMember(t *testing.T, seeds []string, seed int64) (*Server, *Membership, string) {
+	t.Helper()
+	return startMemberWith(t, MembershipConfig{Seeds: seeds, Seed: seed})
+}
+
+// startMemberWith is startMember with the whole configuration; Self is
+// filled in with the listen address.
+func startMemberWith(t *testing.T, cfg MembershipConfig) (*Server, *Membership, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -19,7 +27,8 @@ func startMember(t *testing.T, seeds []string, seed int64) (*Server, *Membership
 	}
 	srv := NewServer()
 	addr := ln.Addr().String()
-	mem := srv.EnableMembership(MembershipConfig{Self: addr, Seeds: seeds, Seed: seed})
+	cfg.Self = addr
+	mem := srv.EnableMembership(cfg)
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Close() })
 	return srv, mem, addr
@@ -242,4 +251,125 @@ func TestGossipDeterministicPeerSelection(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical schedules")
 	}
+}
+
+// taggedValue is a stored value as a fan-out would park it: epoch tag,
+// then raw bytes.
+func taggedValue(epoch uint64, v string) []byte {
+	b := append([]byte{tagEpoch}, appendUv(nil, epoch)...)
+	return append(append(b, tagRaw), v...)
+}
+
+// TestGossipDropsHintsOfLeftHolder: a holder that left never rejoins
+// under its incarnation, so the first round that sees it left drops what
+// was parked for it instead of keeping it for the life of the process.
+func TestGossipDropsHintsOfLeftHolder(t *testing.T) {
+	ctx := context.Background()
+	sub, msub, asub := startMember(t, nil, 1)
+	_, mholder, aholder := startMember(t, []string{asub}, 2)
+	if err := mholder.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sub.mu.Lock()
+	sub.parkHintLocked(aholder, "k", taggedValue(7, "v7"))
+	sub.mu.Unlock()
+
+	// The holder leaves and says so in the exchange it initiates.
+	mholder.Leave()
+	if err := mholder.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := msub.View().Find(aholder); st.State != dht.MemberLeft {
+		t.Fatalf("substitute sees the holder %s, want left", st.State)
+	}
+	_ = msub.Tick(ctx)
+	if b := sub.HintBacklog(); len(b) != 0 {
+		t.Fatalf("backlog %v after the holder left, want none", b)
+	}
+}
+
+// TestGossipReusesPeerConnection: rounds between healthy members ride one
+// pipelined connection per peer, not one dial per round.
+func TestGossipReusesPeerConnection(t *testing.T) {
+	ctx := context.Background()
+	d := &countingDialer{}
+	_, m1, a1 := startMemberWith(t, MembershipConfig{Seed: 1, Dialer: d})
+	_, m2, _ := startMemberWith(t, MembershipConfig{Seeds: []string{a1}, Seed: 2, Dialer: d})
+	for i := 0; i < 10; i++ {
+		for _, m := range []*Membership{m1, m2} {
+			if err := m.Tick(ctx); err != nil && i > 0 {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+	}
+	// m1 learns of m2 from m2's first exchange, so each side dials once.
+	if got := d.dials.Load(); got != 2 {
+		t.Fatalf("10 rounds each between two members dialed %d times, want 2 (one per peer)", got)
+	}
+}
+
+// TestGossipRedialsAfterFailedExchange: a round that times out on a
+// black-holed return path closes the peer's connection, and the next round
+// dials fresh and succeeds at once, with no redial backoff in the way.
+func TestGossipRedialsAfterFailedExchange(t *testing.T) {
+	ctx := context.Background()
+	chaos := netchaos.New(21)
+	d := &countingDialer{base: chaos}
+	_, _, a1 := startMember(t, nil, 1)
+	_, m2, _ := startMemberWith(t, MembershipConfig{Seeds: []string{a1}, Seed: 2, Dialer: d})
+	if err := m2.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The connection's reader may already be parked in a socket read,
+	// beyond the rule's reach, which lets one more reply through; the
+	// round after that is black-holed.
+	chaos.Add(netchaos.Rule{Effect: netchaos.Effect{DropReads: true}})
+	chaos.Start()
+	failed := false
+	for i := 0; i < 3 && !failed; i++ {
+		short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		start := time.Now()
+		failed = m2.Tick(short) != nil
+		cancel()
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("round took %v, want it bounded by its 100ms deadline", el)
+		}
+	}
+	if !failed {
+		t.Fatal("exchanges over a black-holed return path kept succeeding")
+	}
+
+	chaos.Clear()
+	start := time.Now()
+	if err := m2.Tick(ctx); err != nil {
+		t.Fatalf("round after the link healed: %v", err)
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("round after the link healed took %v, want no backoff wait", el)
+	}
+	if got := d.dials.Load(); got != 2 {
+		t.Fatalf("dials = %d, want 2: the failed round's connection must be replaced", got)
+	}
+}
+
+// TestCloseReclaimsPeerConnections: after gossip and hint replay have
+// opened a connection to a peer that stays up, Server.Close leaves no
+// connection goroutine behind on either side.
+func TestCloseReclaimsPeerConnections(t *testing.T) {
+	ctx := context.Background()
+	holder, _, aholder := startMember(t, nil, 2)
+	leak := checkGoroutines(t)
+	sub, msub, _ := startMember(t, []string{aholder}, 1)
+	sub.mu.Lock()
+	sub.parkHintLocked(aholder, "k", taggedValue(7, "v7"))
+	sub.mu.Unlock()
+	if err := msub.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(sub.HintBacklog()) != 0 || !holder.Has("k") {
+		t.Fatal("hint was not replayed")
+	}
+	_ = sub.Close()
+	leak()
 }

@@ -87,16 +87,19 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, closes open connections, and waits for handlers
-// to finish.
+// Close stops accepting, closes open connections and the membership
+// plane's peer connections, and waits for handlers to finish.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.done = true
-	ln := s.ln
+	ln, mem := s.ln, s.mem
 	for c := range s.conns {
 		_ = c.Close()
 	}
 	s.mu.Unlock()
+	if mem != nil {
+		mem.closePeers()
+	}
 	var err error
 	if ln != nil {
 		err = ln.Close()

@@ -186,15 +186,15 @@ func WithLeafCache(size int) Option { return ilht.WithLeafCache(size) }
 // substrate faults; every retry is charged as a DHT-lookup.
 func WithPolicy(p Policy) Option { return ilht.WithPolicy(p) }
 
-// WithBatchSize caps the keys per batched DHT operation (bulk load
-// rounds, parallel range fan-out).
+// WithBatchSize caps the keys per batched DHT operation (bulk-load
+// rounds, and the range sweep's multi-gets).
 func WithBatchSize(n int) Option { return ilht.WithBatchSize(n) }
 
 // WithTraceSink attaches a structured op-event sink; see TraceSink and
 // NewTraceRing.
 func WithTraceSink(s TraceSink) Option { return ilht.WithTraceSink(s) }
 
-// WithParallelRange toggles concurrent range-query forwarding (on by
+// WithParallelRange toggles concurrent range-query forwarding (off by
 // default).
 func WithParallelRange(on bool) Option { return ilht.WithParallelRange(on) }
 
@@ -249,7 +249,7 @@ func WithCoalescedGets(on bool) Option { return ilht.WithCoalescedGets(on) }
 // (counted in Snapshot.Write.CASFallbacks), which is sound only when the
 // caller serializes writers externally — any number of concurrent
 // readers, or exactly one writer. Every bundled substrate (Local, Chord,
-// Kademlia, tcpnet over either wire) is native. BulkLoad remains an
+// Kademlia, tcpnet) is native. BulkLoad remains an
 // empty-index construction pass, not a concurrent mutation.
 type Index struct {
 	inner *ilht.Index
