@@ -89,6 +89,59 @@ func replayCacheWorkload(o Options, data []record.Record, ops []cacheOp, cached 
 	return float64(readLookups) / float64(reads), ix.Metrics().Sub(build), nil
 }
 
+// freshKeyCost measures what a cache miss costs once the cache is warm:
+// a second, cached client on a substrate holding data first reads
+// len(data)/theta random data keys (about half the leaves), then keeps
+// reading random keys, and only the reads that miss its cache — the
+// first touch of a leaf it has not seen — are counted, until o.Queries
+// of them or 10·o.Queries reads. The same keys through an uncached
+// client are the control: Algorithm 2's search from D/2, which is also
+// what a miss cost before the cache bracketed it.
+func freshKeyCost(o Options, data []record.Record, rng *rand.Rand) (bracketed, unbracketed float64, err error) {
+	d := dht.NewLocal()
+	cfg := lht.Config{SplitThreshold: o.Theta, MergeThreshold: o.Theta / 2, Depth: o.Depth, Aggregate: o.Agg}
+	plain, err := lht.New(d, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := plain.BulkLoad(data); err != nil {
+		return 0, 0, err
+	}
+	cfg.LeafCache = true
+	ix, err := lht.New(d, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i := 0; i < len(data)/o.Theta; i++ {
+		if _, _, err := ix.Search(data[rng.Intn(len(data))].Key); err != nil {
+			return 0, 0, err
+		}
+	}
+	var fresh, cLookups, uLookups int
+	for i := 0; i < 10*o.Queries && fresh < o.Queries; i++ {
+		k := data[rng.Intn(len(data))].Key
+		misses := ix.Metrics().Cache.Misses
+		_, cost, err := ix.Search(k)
+		if err != nil {
+			return 0, 0, err
+		}
+		if ix.Metrics().Cache.Misses == misses {
+			continue
+		}
+		_, ucost, err := plain.Search(k)
+		if err != nil {
+			return 0, 0, err
+		}
+		fresh++
+		cLookups += cost.Lookups
+		uLookups += ucost.Lookups
+	}
+	if fresh == 0 {
+		return 0, 0, fmt.Errorf("bench: no cache miss in %d reads of %d records", 10*o.Queries, len(data))
+	}
+	return float64(cLookups) / float64(fresh), float64(uLookups) / float64(fresh), nil
+}
+
 // RunCacheAblation measures what the client-side leaf cache buys on the
 // dominant operation: mean DHT-lookups per exact-match query under a
 // read-heavy churn workload (95/5 read/write, inserts and deletes
@@ -96,7 +149,10 @@ func replayCacheWorkload(o Options, data []record.Record, ops []cacheOp, cached 
 // off, across data sizes. Expected shape: the uncached curve follows
 // Algorithm 2's ~log2(D) probes, the cached curve sits near 1 (every
 // repeat into a known leaf is a single direct get), and the hit-rate
-// series shows how quickly the bounded LRU covers the working set.
+// series shows how quickly the bounded LRU covers the working set. The
+// fresh-key series (see freshKeyCost) isolate the misses: a first touch
+// bracketed by the cached neighbours costs about one lookup, the same
+// keys unbracketed cost Algorithm 2's binary search.
 func RunCacheAblation(o Options, dist workload.Dist, sizes []int) (Result, error) {
 	o = o.WithDefaults()
 	res := Result{
@@ -109,11 +165,14 @@ func RunCacheAblation(o Options, dist workload.Dist, sizes []int) (Result, error
 	cachedYs := make([][]float64, o.Trials)
 	uncachedYs := make([][]float64, o.Trials)
 	hitYs := make([][]float64, o.Trials)
+	freshYs := make([][]float64, o.Trials)
+	coldYs := make([][]float64, o.Trials)
 	for t := 0; t < o.Trials; t++ {
 		gen := workload.NewGenerator(dist, o.Seed+int64(t))
 		recs := gen.Records(sizes[len(sizes)-1])
 		rng := rand.New(rand.NewSource(o.Seed + int64(t) + 7919))
-		var crow, urow, hrow []float64
+		freshRng := rand.New(rand.NewSource(o.Seed + int64(t) + 104729))
+		var crow, urow, hrow, frow, colds []float64
 		for _, size := range sizes {
 			data := recs[:size]
 			live := make([]float64, len(data))
@@ -133,13 +192,22 @@ func RunCacheAblation(o Options, dist workload.Dist, sizes []int) (Result, error
 			urow = append(urow, uMean)
 			probes := cSnap.Cache.Hits + cSnap.Cache.Misses + cSnap.Cache.Stale
 			hrow = append(hrow, float64(cSnap.Cache.Hits)/float64(probes))
+			fMean, coldMean, err := freshKeyCost(o, data, freshRng)
+			if err != nil {
+				return res, err
+			}
+			frow = append(frow, fMean)
+			colds = append(colds, coldMean)
 		}
 		cachedYs[t], uncachedYs[t], hitYs[t] = crow, urow, hrow
+		freshYs[t], coldYs[t] = frow, colds
 	}
 	xs := float64s(sizes)
 	res.Series = append(res.Series,
 		meanSeries("cached lookups/query", xs, cachedYs),
 		meanSeries("uncached lookups/query", xs, uncachedYs),
-		meanSeries("cache hit rate", xs, hitYs))
+		meanSeries("cache hit rate", xs, hitYs),
+		meanSeries("fresh-key lookups/query (warm cache)", xs, freshYs),
+		meanSeries("fresh-key lookups/query (no cache)", xs, coldYs))
 	return res, nil
 }

@@ -269,8 +269,10 @@ func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Co
 // of the deepest cached leaf covering delta: the covering leaf back is a
 // hit (one DHT-get); any other outcome is a soundly detected stale entry,
 // which is dropped and converted into tightened binary-search bounds (see
-// repair cases below), so cached results are always identical to the
-// uncached path.
+// repair cases below). A miss brackets the search instead: the cached
+// leaves beside delta's raise its lower bound and pick its first probe
+// (see leafCache.find). Either way cached results are always identical
+// to the uncached path.
 func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool) (*Bucket, *BucketRecord, string, Cost, error) {
 	// Every probe of the binary search (and of the cache pre-probe) is
 	// PhaseProbe traffic; repairTorn overrides the phase for the repair
@@ -282,8 +284,9 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 		return nil, nil, "", cost, err
 	}
 	lo, hi := 1, ix.cfg.Depth
+	first := 0 // the first probe's depth when a cache miss suggests one
 	if ix.cache != nil {
-		if x, ok := ix.cache.find(mu); ok {
+		if x, ok, br := ix.cache.find(mu); ok {
 			name := x.Name()
 			b, rec, err := ix.probeBucket(ctx, name.Key(), delta, recordOnly, &cost)
 			if b != nil && b.Torn() {
@@ -330,7 +333,16 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 				}
 			}
 		} else {
+			// A miss. Cached leaves below mu's prefix of length br.lo-1
+			// leave mu past it, so if they are fresh that prefix is an
+			// internal node and delta's leaf is deeper; their mean depth
+			// is the first guess. A stale bracket costs probes, never a
+			// result: success still needs a covering leaf, and an
+			// exhausted attempt restarts from [1, D] below.
 			ix.c.Add(metrics.CacheMisses, 1)
+			if br.lo > 0 {
+				lo, first = br.lo, min(max(br.first, br.lo), hi)
+			}
 		}
 	}
 	// Algorithm 2's case analysis is sound against a static tree, but the
@@ -348,6 +360,9 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 	for attempt := 0; ; attempt++ {
 		for lo <= hi {
 			mid := lo + (hi-lo)/2
+			if first > 0 {
+				mid, first = first, 0
+			}
 			x := mu.Prefix(mid)
 			name := x.Name()
 			b, rec, err := ix.probeBucket(ctx, name.Key(), delta, recordOnly, &cost)

@@ -22,23 +22,23 @@ func TestLeafCacheLRU(t *testing.T) {
 	}
 	// Touch a so b becomes the LRU victim.
 	mu := bitlabel.MustParse("#0000")
-	if got, ok := c.find(mu); !ok || got != a {
+	if got, ok, _ := c.find(mu); !ok || got != a {
 		t.Fatalf("find(%s) = %s, %v", mu, got, ok)
 	}
 	c.note(d) // evicts b
 	if c.len() != 2 {
 		t.Fatalf("len after evict = %d, want 2", c.len())
 	}
-	if _, ok := c.find(bitlabel.MustParse("#0111")); ok {
+	if _, ok, _ := c.find(bitlabel.MustParse("#0111")); ok {
 		t.Fatal("evicted entry still found")
 	}
 	// Deepest prefix wins: both #01 (gone) and #010 cover #0100...; only
 	// #010 is cached now.
-	if got, ok := c.find(bitlabel.MustParse("#0100")); !ok || got != d {
+	if got, ok, _ := c.find(bitlabel.MustParse("#0100")); !ok || got != d {
 		t.Fatalf("find deepest = %s, %v, want %s", got, ok, d)
 	}
 	c.drop(d)
-	if _, ok := c.find(bitlabel.MustParse("#0100")); ok {
+	if _, ok, _ := c.find(bitlabel.MustParse("#0100")); ok {
 		t.Fatal("dropped entry still found")
 	}
 	// The virtual root is never cached.
@@ -56,11 +56,11 @@ func TestLeafCacheFindPrefersDeepest(t *testing.T) {
 	c.note(child)
 	// A key under #011 must resolve to the deeper (fresher) leaf even
 	// though the stale parent is also cached.
-	if got, ok := c.find(bitlabel.MustParse("#01100")); !ok || got != child {
+	if got, ok, _ := c.find(bitlabel.MustParse("#01100")); !ok || got != child {
 		t.Fatalf("find = %s, %v, want %s", got, ok, child)
 	}
 	// A key under #010 is covered only by the parent.
-	if got, ok := c.find(bitlabel.MustParse("#01011")); !ok || got != parent {
+	if got, ok, _ := c.find(bitlabel.MustParse("#01011")); !ok || got != parent {
 		t.Fatalf("find = %s, %v, want %s", got, ok, parent)
 	}
 }
@@ -276,5 +276,257 @@ func TestConfigLeafCacheValidation(t *testing.T) {
 	}
 	if got := cfg.leafCacheSize(); got != DefaultLeafCacheSize {
 		t.Fatalf("leafCacheSize() = %d, want default %d", got, DefaultLeafCacheSize)
+	}
+}
+
+// TestCacheBracketFreshKeyCost pins the miss path: with every other leaf
+// cached, a Search in a leaf the cache has never held costs one lookup
+// when its sibling is a cached leaf, because the sibling brackets the
+// search at exactly the missing leaf's depth. Without the bracket the
+// same Searches are Algorithm 2's binary searches from D/2.
+func TestCacheBracketFreshKeyCost(t *testing.T) {
+	d := dht.NewLocal()
+	cfg := Config{SplitThreshold: 8, Depth: 20}
+	plain, err := New(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.LeafCache = true
+	ix, err := New(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		if _, err := plain.Insert(record.Record{Key: rng.Float64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves, err := ix.Leaves() // notes every leaf
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(ix *Index, key float64) int {
+		t.Helper()
+		_, cost, err := ix.Search(key)
+		if err != nil && !errors.Is(err, ErrKeyNotFound) {
+			t.Fatalf("Search(%v): %v", key, err)
+		}
+		return cost.Lookups
+	}
+	tried, unbracketed := 0, 0
+	for i, b := range leaves {
+		sibling := b.Label.Sibling()
+		if !(i > 0 && leaves[i-1].Label == sibling || i+1 < len(leaves) && leaves[i+1].Label == sibling) {
+			continue
+		}
+		ix.cache.drop(b.Label)
+		key := b.Interval().Lo
+		before := ix.Metrics()
+		if n := search(ix, key); n != 1 {
+			t.Fatalf("fresh Search(%v) in %s cost %d lookups, want 1", key, b.Label, n)
+		}
+		if diff := ix.Metrics().Sub(before); diff.Cache.Misses != 1 {
+			t.Fatalf("a bracketed miss counted as %+v, want one miss", diff.Cache)
+		}
+		tried++
+		unbracketed += search(plain, key)
+	}
+	if tried == 0 {
+		t.Fatal("no leaf has a leaf sibling")
+	}
+	if unbracketed < 2*tried {
+		t.Fatalf("unbracketed Searches cost %d lookups over %d leaves, want at least 2 each on average", unbracketed, tried)
+	}
+	t.Logf("%d fresh leaves: 1 lookup each bracketed, %.2f unbracketed", tried, float64(unbracketed)/float64(tried))
+}
+
+// TestCacheBracketStaleIsOnlyCost runs one script against two
+// substrates in lockstep: a writer client splits and merges leaves
+// behind a second client's back, and that second client caches in one
+// substrate and not in the other. Brackets drawn from leaves that have
+// since split or merged may cost probes, but every Search, Insert and
+// Delete answers as the uncached client does, and none is ErrCorrupt.
+func TestCacheBracketStaleIsOnlyCost(t *testing.T) {
+	type world struct{ writer, client *Index }
+	var worlds [2]world
+	for i := range worlds {
+		d := dht.NewLocal()
+		cfg := Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20}
+		w, err := New(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.LeafCache = i == 0
+		cfg.LeafCacheSize = 256
+		c, err := New(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds[i] = world{w, c}
+	}
+	check := func(op string, k float64, err [2]error, rec [2]record.Record) {
+		t.Helper()
+		for _, e := range err {
+			if errors.Is(e, ErrCorrupt) {
+				t.Fatalf("%s(%v): %v", op, k, e)
+			}
+		}
+		if (err[0] == nil) != (err[1] == nil) || errors.Is(err[0], ErrKeyNotFound) != errors.Is(err[1], ErrKeyNotFound) || rec[0].Key != rec[1].Key {
+			t.Fatalf("%s(%v): cached (%v, %v) vs uncached (%v, %v)", op, k, rec[0], err[0], rec[1], err[1])
+		}
+	}
+	insert := func(ix func(world) *Index, k float64) {
+		var errs [2]error
+		for i, w := range worlds {
+			_, errs[i] = ix(w).Insert(record.Record{Key: k})
+		}
+		check("Insert", k, errs, [2]record.Record{})
+	}
+	del := func(ix func(world) *Index, k float64) {
+		var errs [2]error
+		for i, w := range worlds {
+			_, errs[i] = ix(w).Delete(k)
+		}
+		check("Delete", k, errs, [2]record.Record{})
+	}
+	writer := func(w world) *Index { return w.writer }
+	client := func(w world) *Index { return w.client }
+
+	rng := rand.New(rand.NewSource(9))
+	var keys []float64
+	pick := func() float64 {
+		j := rng.Intn(len(keys))
+		k := keys[j]
+		keys[j] = keys[len(keys)-1]
+		keys = keys[:len(keys)-1]
+		return k
+	}
+	for i := 0; i < 500; i++ {
+		k := rng.Float64()
+		insert(writer, k)
+		keys = append(keys, k)
+	}
+	costlier := 0
+	for round := 0; round < 8; round++ {
+		// The writer grows one region (splits) or shrinks the tree
+		// (merges) behind the client's cache.
+		lo := rng.Float64() * 0.8
+		for i := 0; i < 120; i++ {
+			if round%2 == 0 {
+				k := lo + rng.Float64()*0.2
+				insert(writer, k)
+				keys = append(keys, k)
+			} else if len(keys) > 0 {
+				del(writer, pick())
+			}
+		}
+		for i := 0; i < 150; i++ {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				k := rng.Float64()
+				insert(client, k)
+				keys = append(keys, k)
+			case r == 1 && len(keys) > 0:
+				del(client, pick())
+			default:
+				k := rng.Float64()
+				if len(keys) > 0 && rng.Intn(2) == 0 {
+					k = keys[rng.Intn(len(keys))]
+				}
+				var errs [2]error
+				var recs [2]record.Record
+				var costs [2]Cost
+				for i, w := range worlds {
+					recs[i], costs[i], errs[i] = w.client.Search(k)
+				}
+				check("Search", k, errs, recs)
+				if costs[0].Lookups > costs[1].Lookups {
+					costlier++
+				}
+			}
+		}
+	}
+	for _, w := range worlds {
+		if err := w.client.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := worlds[0].client.Metrics().Cache
+	if s.Misses == 0 || s.Stale == 0 || costlier == 0 {
+		t.Fatalf("the script never met a stale cache: %+v, %d costlier searches", s, costlier)
+	}
+}
+
+// TestLeafCachePrefixIndexBounded churns note, drop, find and eviction
+// at several capacities and checks the prefix counts against a recount
+// of the cached labels: at most cap × D slots, none once the cache is
+// empty.
+func TestLeafCachePrefixIndexBounded(t *testing.T) {
+	const depth = 20
+	for _, capacity := range []int{1, 2, 64} {
+		c := newLeafCache(capacity)
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		random := func() bitlabel.Label {
+			l := bitlabel.TreeRoot
+			for n := 1 + rng.Intn(depth); l.Len() < n; {
+				l = l.Child(rng.Intn(2))
+			}
+			return l
+		}
+		var seen []bitlabel.Label
+		for i := 0; i < 3000; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				l := random()
+				c.note(l)
+				seen = append(seen, l)
+			case 1:
+				if len(seen) > 0 {
+					c.drop(seen[rng.Intn(len(seen))])
+				}
+			default:
+				c.find(random())
+			}
+			if n := len(c.entries); n > capacity*depth {
+				t.Fatalf("cap %d: %d slots, bound %d", capacity, n, capacity*depth)
+			}
+			if i%50 == 0 {
+				checkPrefixIndex(t, c)
+			}
+		}
+		checkPrefixIndex(t, c)
+		for _, l := range seen {
+			c.drop(l)
+		}
+		if c.len() != 0 || len(c.entries) != 0 {
+			t.Fatalf("cap %d: emptied cache keeps %d labels, %d slots", capacity, c.len(), len(c.entries))
+		}
+	}
+}
+
+// checkPrefixIndex recounts the cache's prefix slots from its LRU list.
+func checkPrefixIndex(t *testing.T, c *leafCache) {
+	t.Helper()
+	want := map[bitlabel.Label]cacheSlot{}
+	for e := c.order.Front(); e != nil; e = e.Next() {
+		l := e.Value.(bitlabel.Label)
+		s := want[l]
+		s.elem = e
+		want[l] = s
+		for k := 1; k < l.Len(); k++ {
+			s := want[l.Prefix(k)]
+			s.below++
+			s.depths += l.Len()
+			want[l.Prefix(k)] = s
+		}
+	}
+	if len(want) != len(c.entries) {
+		t.Fatalf("%d slots, recount %d", len(c.entries), len(want))
+	}
+	for l, s := range want {
+		if c.entries[l] != s {
+			t.Fatalf("slot %s = %+v, recount %+v", l, c.entries[l], s)
+		}
 	}
 }

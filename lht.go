@@ -37,7 +37,9 @@
 //
 // Read-heavy clients can enable the client-side leaf cache
 // (WithLeafCache): exact-match lookups then amortize to a single DHT-get
-// instead of Algorithm 2's ~log2(D) sequential probes, with staleness
+// instead of Algorithm 2's ~log2(D) sequential probes — a repeat key by
+// hitting its cached leaf, a key whose leaf was never seen by starting
+// the search at the depth of its cached neighbours — with staleness
 // after splits/merges detected and repaired soundly, so query results
 // never change — only their cost (see Snapshot.Cache). The WithPolicy
 // option adds a retry/backoff layer that absorbs transient substrate
