@@ -89,7 +89,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer cancel()
 	}
 
-	lht.RegisterGobTypes()
 	// -status must work precisely when part of the cluster is down, so it
 	// always boots degraded: unreachable members start breaker-open and
 	// show up in the report instead of failing the dial.

@@ -42,7 +42,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 
-	lht.RegisterGobTypes()
 	client, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: strings.Split(*nodes, ",")})
 	if err != nil {
 		return err

@@ -24,7 +24,6 @@ func startClusterWithData(t *testing.T) string {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	nodes := strings.Join(addrs, ",")
-	lht.RegisterGobTypes()
 	client, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: addrs})
 	if err != nil {
 		t.Fatal(err)

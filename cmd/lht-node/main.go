@@ -134,10 +134,6 @@ func run(ctx context.Context, cfg nodeConfig) error {
 		if cfg.repairReplicas < 2 {
 			return fmt.Errorf("-repair-replicas must be at least 2")
 		}
-		// The node itself stores buckets as opaque bytes and never decodes
-		// one; only the repair loop's index client does, and it may meet a
-		// bucket stored as gob before the binary codec existed.
-		lht.RegisterGobTypes()
 		go repairLoop(ctx, cfg)
 	}
 

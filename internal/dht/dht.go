@@ -97,8 +97,7 @@ func IsTransient(err error) bool {
 
 // Value is the unit of storage. Index layers store their bucket structures
 // directly; a substrate that crosses process boundaries lets a WireValue
-// serialise itself, ships a []byte as it is, and falls back to
-// encoding/gob for any other registered type.
+// serialise itself, ships a []byte as it is, and refuses any other type.
 type Value any
 
 // DHT is the substrate interface the index layers program against. A DHT

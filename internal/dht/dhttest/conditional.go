@@ -2,7 +2,7 @@ package dhttest
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,17 +12,38 @@ import (
 )
 
 // EpochValue is the battery's epoch-carrying stored value: what the index
-// layers' buckets look like to the conditional plane. It is gob-registered
-// so byte-store substrates can serialize it.
+// layers' buckets look like to the conditional plane. Like them it is a
+// dht.WireValue, so byte-store substrates can serialize it.
 type EpochValue struct {
 	Epoch uint64
 	Body  string
 }
 
+// EpochValueWireKind is EpochValue's dht.WireValue kind byte: one that
+// neither internal/lht's buckets (1) nor internal/pht's nodes (2) claim.
+const EpochValueWireKind = 240
+
+func init() {
+	dht.RegisterWireKind(EpochValueWireKind, func(data []byte) (dht.Value, error) {
+		epoch, n := binary.Uvarint(data)
+		if n <= 0 {
+			return nil, errors.New("dhttest: truncated EpochValue")
+		}
+		return &EpochValue{Epoch: epoch, Body: string(data[n:])}, nil
+	})
+}
+
 // DHTEpoch implements dht.Epocher.
 func (v *EpochValue) DHTEpoch() uint64 { return v.Epoch }
 
-func init() { gob.Register(&EpochValue{}) }
+// WireKind implements dht.WireValue.
+func (v *EpochValue) WireKind() byte { return EpochValueWireKind }
+
+// AppendWire implements dht.WireValue: the epoch as a uvarint, then the
+// body's bytes.
+func (v *EpochValue) AppendWire(b []byte) []byte {
+	return append(binary.AppendUvarint(b, v.Epoch), v.Body...)
+}
 
 // condBody fetches key and returns the stored EpochValue's body and epoch.
 func condBody(t *testing.T, d dht.DHT, key string) (string, uint64) {

@@ -26,7 +26,8 @@ var wireDecoders [256]WireDecoder
 
 // RegisterWireKind installs the decoder for one kind byte. Packages call
 // it from init for each WireValue type they define (internal/lht's
-// Bucket is kind 1, internal/pht's Node kind 2); registering a kind twice
+// Bucket is kind 1, internal/pht's Node kind 2, the test battery's
+// dhttest.EpochValue kind 240); registering a kind twice
 // panics, which is how a collision between two packages surfaces.
 func RegisterWireKind(kind byte, dec WireDecoder) {
 	if wireDecoders[kind] != nil {

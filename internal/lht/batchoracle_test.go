@@ -44,7 +44,6 @@ func TestBatchedPathIsAnOracle(t *testing.T) {
 			return nw
 		}},
 		{"tcpnet", true, func(t *testing.T) dht.DHT {
-			gob.Register(&Bucket{})
 			addrs := make([]string, 0, 3)
 			for i := 0; i < 3; i++ {
 				ln, err := net.Listen("tcp", "127.0.0.1:0")

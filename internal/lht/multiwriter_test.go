@@ -3,7 +3,6 @@ package lht
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -126,7 +125,6 @@ func sequentialFingerprint(t *testing.T, recs []record.Record, cfg Config) strin
 // addresses.
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
-	gob.Register(&Bucket{})
 	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -8,7 +8,6 @@ package lht
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"testing"
@@ -22,7 +21,6 @@ import (
 // with the given replica count, and builds an index over it.
 func startReplicatedIndex(t *testing.T, n, replicas int, cfg Config) ([]*tcpnet.Server, []string, *Index) {
 	t.Helper()
-	gob.Register(&Bucket{})
 	srvs := make([]*tcpnet.Server, n)
 	addrs := make([]string, n)
 	for i := range srvs {

@@ -62,8 +62,8 @@ func (c *Client) getBatch(ctx context.Context, keys []string, h probeHint) ([]dh
 
 // PutBatch implements dht.Batcher with the same per-owner grouping as
 // GetBatch. Pairs travel and apply in slice order, so a duplicate key's
-// last occurrence wins. A pair whose value fails to encode fails in its
-// slot alone and is left out of the wire message. With replication on,
+// last occurrence wins. A pair whose value has no stored form fails in
+// its slot alone and is left out of the wire message. With replication on,
 // the batch is stored on every holder — one wave of per-node batches per
 // replica rank — so a bulk load leaves the same fully replicated store
 // that per-key writes would.
@@ -86,12 +86,10 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 	for i, kv := range kvs {
 		keys[i] = kv.Key
 	}
-	// Pre-encode values that need gob, so an unencodable one fails in its
-	// slot alone; raw bytes and self-serialising values need no encoding
-	// pass and write themselves into the frame.
-	enc := make([][]byte, len(kvs))
+	// A value with no stored form fails in its slot alone, before the
+	// frames are built.
 	for i, kv := range kvs {
-		enc[i], errs[i] = gobEncoded(kv.Val)
+		errs[i] = storable(kv.Val)
 	}
 	groups := c.groupByRank(keys, rank)
 	live := groups[:0]
@@ -107,10 +105,10 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 		}
 	}
 	if len(live) == 1 {
-		c.framePutBatch(ctx, live[0].n, kvs, enc, live[0].slots, errs)
+		c.framePutBatch(ctx, live[0].n, kvs, live[0].slots, errs)
 	} else {
 		eachGroup(live, func(g ownerGroup) {
-			c.framePutBatch(ctx, g.n, kvs, enc, g.slots, errs)
+			c.framePutBatch(ctx, g.n, kvs, g.slots, errs)
 		})
 	}
 	return errs
@@ -250,19 +248,16 @@ func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string
 	}
 }
 
-// appendLenValue appends v's tagged form (enc is gobEncoded(v)) behind its
-// varint length.
-func appendLenValue(b []byte, v dht.Value, enc []byte) []byte {
-	at := len(b)
-	return closeLen(appendEncoded(append(b, 0), v, enc), at)
-}
-
-func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, enc [][]byte, slots []int, errs []error) {
-	cur, frame, err := batchCall(ctx, n.pick(), dht.OpPutBatch, len(slots), func(b []byte) ([]byte, error) {
+func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, slots []int, errs []error) {
+	cur, frame, err := batchCall(ctx, n.pick(), dht.OpPutBatch, len(slots), func(b []byte) (_ []byte, err error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
 			b = appendLenString(b, kvs[i].Key)
-			b = appendLenValue(b, kvs[i].Val, enc[i])
+			at := len(b) // the value's length goes here
+			if b, err = appendValue(append(b, 0), kvs[i].Val); err != nil {
+				return nil, err
+			}
+			b = closeLen(b, at)
 		}
 		return b, nil
 	})

@@ -495,7 +495,14 @@ func (r req) propagated() req {
 // *dht.CASConflictError. A patch the node would not apply, or whose op it
 // does not know, is dht.ErrPatchRefused — and so is, with no round trip,
 // an in-place patch to a node whose handshake did not say it serves them.
+// A value with no stored form fails before the breaker or the connection
+// is touched.
 func (n *clientNode) do(ctx context.Context, r req) (v dht.Value, err error) {
+	if r.val != nil {
+		if err := storable(r.val); err != nil {
+			return nil, err
+		}
+	}
 	tok, err := n.allow()
 	if err != nil {
 		return nil, err

@@ -14,10 +14,10 @@
 // reads no further into one than its epoch prefix; what a hinted get
 // ships of a value and what a patchif makes of one it asks the value's
 // kind, bytes in and bytes out (dht.WireProjector, dht.WirePatcher).
-// encoding/gob survives
-// only as a stored-value form, tagGob: what a value that does not
-// serialise itself is encoded with, and what stores and snapshots written
-// before the index's own binary bucket format hold.
+// There is one stored form too: a value is a []byte, shipped as it is,
+// or a dht.WireValue, which serialises itself; any other type is refused
+// before a frame is sent. encoding/gob survives only as the snapshot
+// file's container (persist.go).
 //
 // This is the substrate behind cmd/lht-node and cmd/lht-cli: it
 // demonstrates the paper's "easy to implement and deploy" claim with

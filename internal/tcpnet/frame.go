@@ -2,9 +2,7 @@ package tcpnet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -51,9 +49,8 @@ import (
 //
 //	tagRaw  0  the bytes ARE the dht.Value (a []byte travels with zero
 //	           serialization work)
-//	tagGob  1  encoding/gob, a stored-value form only: any registered
-//	           type that does not serialise itself, and every value a
-//	           pre-tagWire node stored
+//	        1  retired: encoding/gob, which nothing writes or reads any
+//	           more; a snapshot holding it is refused at load (persist.go)
 //	tagEpoch 2 uv epoch, then the inner tagged form: the prefix a value
 //	           whose type implements dht.Epocher travels with, so the
 //	           server can serve CAS comparisons without ever decoding a
@@ -63,8 +60,9 @@ import (
 //	           the frame buffer and decoded through dht.DecodeWire with no
 //	           reflection and no knowledge of the type here
 //
-// Servers store values with their tags, so values written before and
-// after tagWire existed interoperate on one store.
+// A value of any other type has no stored form: the client refuses it,
+// with an error that is not transient, before any frame is sent. Servers
+// store values with their tags, exactly as the wire delivered them.
 //
 // A get may end in an 8-byte hint, which makes it a probe (dht.Prober):
 // the requester can perhaps do without most of the value. The reply to a
@@ -117,7 +115,7 @@ import (
 // key's next whole value: a split, a merge, or any holder's conflict or
 // refusal above.
 //
-// A stored form the node cannot patch (raw, gob, no epoch tag, a kind
+// A stored form the node cannot patch (raw, no epoch tag, a kind
 // with no patcher) and a patch the patcher will not apply are answered
 // patch-refused, and nothing is written. A node that predates the op
 // answers "unknown op", which the client reads as the same refusal.
@@ -201,10 +199,10 @@ const errUnknownOp = "unknown op"
 
 // Value tag bytes.
 const (
-	tagRaw   = 0 // the bytes are the dht.Value (a []byte) verbatim
-	tagGob   = 1 // encoding/gob of the dht.Value
-	tagEpoch = 2 // uv epoch then an inner tagged value; serves CAS compares
-	tagWire  = 3 // kind u8 then the dht.WireValue's own serialized form
+	tagRaw     = 0 // the bytes are the dht.Value (a []byte) verbatim
+	tagRetired = 1 // encoding/gob, retired: refused at snapshot load
+	tagEpoch   = 2 // uv epoch then an inner tagged value; serves CAS compares
+	tagWire    = 3 // kind u8 then the dht.WireValue's own serialized form
 )
 
 var (
@@ -273,52 +271,22 @@ func closeLen(b []byte, at int) []byte {
 	return b
 }
 
-// encodeValue serializes a dht.Value with gob, the tagGob stored form.
-// Concrete types must be registered (lht.RegisterGobTypes or gob.Register)
-// by the embedding program.
-func encodeValue(v dht.Value) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("tcpnet: encode value: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeValue is the inverse of encodeValue.
-func decodeValue(data []byte) (dht.Value, error) {
-	var v dht.Value
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("tcpnet: decode value: %w", err)
-	}
-	return v, nil
-}
-
-// gobEncoded returns v's gob bytes when v has to travel as tagGob, and nil
-// for the types that need no encoding pass: raw bytes and values that
-// serialise themselves.
-func gobEncoded(v dht.Value) ([]byte, error) {
+// storable fails a value that has no stored form: anything but a []byte
+// or a dht.WireValue. The error is not transient, so a retry policy does
+// not spin on it.
+func storable(v dht.Value) error {
 	switch v.(type) {
 	case []byte, dht.WireValue:
-		return nil, nil
+		return nil
 	}
-	return encodeValue(v)
+	return fmt.Errorf("tcpnet: a %T has no stored form (store a []byte or a dht.WireValue)", v)
 }
 
 // appendValue appends the tagged wire form of v: a []byte travels raw, a
-// dht.WireValue writes itself into b, any other type goes through gob.
-// A value carrying a CAS epoch (dht.Epocher) is prefixed with tagEpoch
-// and the epoch varint so the server can compare epochs on pure bytes.
+// dht.WireValue writes itself into b, any other type is refused. A value
+// carrying a CAS epoch (dht.Epocher) is prefixed with tagEpoch and the
+// epoch varint so the server can compare epochs on pure bytes.
 func appendValue(b []byte, v dht.Value) ([]byte, error) {
-	enc, err := gobEncoded(v)
-	if err != nil {
-		return nil, err
-	}
-	return appendEncoded(b, v, enc), nil
-}
-
-// appendEncoded is appendValue with the gob pass already done: enc is
-// gobEncoded(v).
-func appendEncoded(b []byte, v dht.Value, enc []byte) []byte {
 	if e, ok := v.(dht.Epocher); ok {
 		b = append(b, tagEpoch)
 		b = appendUv(b, e.DHTEpoch())
@@ -326,13 +294,12 @@ func appendEncoded(b []byte, v dht.Value, enc []byte) []byte {
 	switch v := v.(type) {
 	case []byte:
 		b = append(b, tagRaw)
-		return append(b, v...)
+		return append(b, v...), nil
 	case dht.WireValue:
 		b = append(b, tagWire, v.WireKind())
-		return v.AppendWire(b)
+		return v.AppendWire(b), nil
 	}
-	b = append(b, tagGob)
-	return append(b, enc...)
+	return nil, storable(v)
 }
 
 // decodeTaggedValue is the inverse of appendValue. The input's backing
@@ -352,8 +319,6 @@ func decodeTagged(tv []byte, probe bool) (dht.Value, error) {
 		out := make([]byte, len(tv)-1)
 		copy(out, tv[1:])
 		return out, nil
-	case tagGob:
-		return decodeValue(tv[1:])
 	case tagWire:
 		if len(tv) < 2 {
 			return nil, fmt.Errorf("tcpnet: truncated wire-kind tag")
@@ -385,18 +350,25 @@ func decodeTagged(tv []byte, probe bool) (dht.Value, error) {
 // nothing is decoded or allocated, and the kind byte is all the server
 // knows of the type.
 func appendProbed(out, tv []byte, hint uint64) []byte {
-	c := cursor{b: tv}
-	if len(c.b) > 0 && c.b[0] == tagEpoch {
-		c.b = c.b[1:]
-		if _, err := c.uvarint(); err != nil {
-			return append(out, tv...)
-		}
-	}
-	if len(c.b) < 2 || c.b[0] != tagWire {
+	in := innerValue(tv)
+	if len(in) < 2 || in[0] != tagWire {
 		return append(out, tv...)
 	}
-	out = append(out, tv[:len(tv)-len(c.b)+2]...)
-	return dht.ProjectWire(out, c.b[1], c.b[2:], hint)
+	out = append(out, tv[:len(tv)-len(in)+2]...)
+	return dht.ProjectWire(out, in[1], in[2:], hint)
+}
+
+// innerValue returns the tagged value under tv's tagEpoch prefix, tv
+// itself when it has none, and nil when the prefix is truncated.
+func innerValue(tv []byte) []byte {
+	if len(tv) == 0 || tv[0] != tagEpoch {
+		return tv
+	}
+	c := cursor{b: tv[1:]}
+	if _, err := c.uvarint(); err != nil {
+		return nil
+	}
+	return c.b
 }
 
 // readFrameBody reads one frame from br into buf (grown as needed) and

@@ -119,35 +119,16 @@ func TestTaggedValueRoundTrip(t *testing.T) {
 		t.Error("decoded value aliases the input buffer")
 	}
 
-	// Arbitrary type: gob, byte-identical to what pre-tagWire stores hold.
-	b, err = appendValue(nil, &payload{N: 9, S: "s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != tagGob {
-		t.Fatalf("tag = %d", b[0])
-	}
-	stored, err := encodeValue(&payload{N: 9, S: "s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b[1:], stored) {
-		t.Error("tagGob bytes differ from the plain gob encoding")
-	}
-	v, err = decodeTaggedValue(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := v.(*payload); p.N != 9 || p.S != "s" {
-		t.Fatalf("value = %+v", p)
+	// Any other type has no stored form, and says which type it was.
+	if b, err := appendValue(nil, point{1, 2}); b != nil || err == nil || dht.IsTransient(err) || !strings.Contains(err.Error(), "tcpnet.point") {
+		t.Errorf("appendValue(struct) = % x, %v; want a permanent error naming the type", b, err)
 	}
 
-	// Garbage tags error.
-	if _, err := decodeTaggedValue(nil); err == nil {
-		t.Error("empty tagged value should fail")
-	}
-	if _, err := decodeTaggedValue([]byte{99, 1, 2}); err == nil {
-		t.Error("unknown tag should fail")
+	// Garbage tags error, the retired gob tag among them.
+	for _, tv := range [][]byte{nil, {99, 1, 2}, {tagRetired, 1, 2}, {tagEpoch, 1, tagRetired, 1}} {
+		if _, err := decodeTaggedValue(tv); err == nil {
+			t.Errorf("decodeTaggedValue(% x) succeeded", tv)
+		}
 	}
 }
 

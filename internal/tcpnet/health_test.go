@@ -49,7 +49,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx := context.Background()
 
-	if err := c.Put(ctx, "k", &payload{N: 1}); err != nil {
+	if err := c.Put(ctx, "k", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Health(addrs[0]); got != dht.BreakerClosed {
@@ -82,7 +82,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 		t.Fatalf("BreakerOpens=%d BreakerFastFails=%d, want 1/>=1", f.Health.BreakerOpens, f.Health.BreakerFastFails)
 	}
 	// Writes surface the same typed unavailability.
-	if err := c.Put(ctx, "k2", &payload{N: 2}); !dht.IsUnavailable(err) {
+	if err := c.Put(ctx, "k2", []byte("2")); !dht.IsUnavailable(err) {
 		t.Fatalf("open-breaker Put = %v, want *dht.UnavailableError", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestBreakerHalfOpenProbeRecoversClient(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	ctx := context.Background()
-	if err := c.Put(ctx, "k", &payload{N: 1}); err != nil {
+	if err := c.Put(ctx, "k", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,7 +212,7 @@ func TestBreakerHalfOpenProbeRecoversClient(t *testing.T) {
 	// half-open probe, find the node back, and close the breaker.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if v, err := c.Get(ctx, "k"); err == nil && v.(*payload).N == 1 {
+		if v, err := c.Get(ctx, "k"); err == nil && string(v.([]byte)) == "1" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -245,7 +245,7 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	ctx := context.Background()
 
 	const key = "failover-key"
-	if err := c.Put(ctx, key, &payload{N: 7}); err != nil {
+	if err := c.Put(ctx, key, []byte("7")); err != nil {
 		t.Fatal(err)
 	}
 	holders := c.holders(key)
@@ -255,7 +255,7 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	// The first read trips the secondary's breaker (reads start there)
 	// and falls back to the primary — it must still succeed.
 	v, err := c.Get(ctx, key)
-	if err != nil || v.(*payload).N != 7 {
+	if err != nil || string(v.([]byte)) != "7" {
 		t.Fatalf("Get with dead secondary = %v, %v", v, err)
 	}
 	if got := c.Health(secondary.addr); got != dht.BreakerOpen {
@@ -267,7 +267,7 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	// inside what even one connect timeout would burn.
 	start := time.Now()
 	for i := 0; i < 50; i++ {
-		if v, err := c.Get(ctx, key); err != nil || v.(*payload).N != 7 {
+		if v, err := c.Get(ctx, key); err != nil || string(v.([]byte)) != "7" {
 			t.Fatalf("read %d = %v, %v", i, v, err)
 		}
 	}
@@ -321,10 +321,10 @@ func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 			liveKey = k
 		}
 	}
-	if err := c.Put(ctx, liveKey, &payload{N: 1}); err != nil {
+	if err := c.Put(ctx, liveKey, []byte("1")); err != nil {
 		t.Fatalf("Put on live node = %v", err)
 	}
-	if err := c.Put(ctx, deadKey, &payload{N: 2}); !dht.IsUnavailable(err) {
+	if err := c.Put(ctx, deadKey, []byte("2")); !dht.IsUnavailable(err) {
 		t.Fatalf("Put on dead node = %v, want *dht.UnavailableError", err)
 	}
 
@@ -333,7 +333,7 @@ func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := c.Put(ctx, deadKey, &payload{N: 2}); err == nil {
+		if err := c.Put(ctx, deadKey, []byte("2")); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -442,7 +442,7 @@ func TestRedialBackoffLimitsDials(t *testing.T) {
 		}
 		defer func() { _ = c.Close() }()
 		ctx := context.Background()
-		if err := c.Put(ctx, "k", &payload{N: 1}); err != nil {
+		if err := c.Put(ctx, "k", []byte("1")); err != nil {
 			t.Fatal(err)
 		}
 

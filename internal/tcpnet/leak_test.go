@@ -63,7 +63,7 @@ func TestCloseReclaimsInFlightHedgedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := c.Put(ctx, "k", &payload{N: 1}); err != nil {
+	if err := c.Put(ctx, "k", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,7 +145,7 @@ func TestCloseReclaimsCancelledHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := c.Put(ctx, "k", &payload{N: 1}); err != nil {
+	if err := c.Put(ctx, "k", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 

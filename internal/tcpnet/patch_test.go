@@ -73,7 +73,6 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		"bucket": b,
 		"torn":   torn,
 		"raw":    []byte("just bytes"),
-		"gob":    &payload{N: 7, S: "seven"},
 		"epoch":  &dhttest.EpochValue{Epoch: 7, Body: "seven"},
 		"node":   node,
 	} {
@@ -125,7 +124,7 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	// Refusals write nothing and, as dht.Patcher has it, cost nothing:
 	// the whole-value write that follows one is the lookup.
 	before = srv.Metrics().Lookup.Total
-	for _, key := range []string{"torn", "raw", "gob", "epoch", "node"} {
+	for _, key := range []string{"torn", "raw", "epoch", "node"} {
 		was := append([]byte(nil), stored(key)...)
 		if v, err := c.PatchIf(ctx, key, put, storedEpoch(was)); !errors.Is(err, dht.ErrPatchRefused) || v != nil {
 			t.Errorf("PatchIf of %q = %#v, %v, want a refusal", key, v, err)

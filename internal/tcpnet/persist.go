@@ -10,10 +10,9 @@ import (
 )
 
 // snapshotFormat versions the on-disk layout. Format 2 stores tagged
-// values exactly as the store holds them (see frame.go for the tags; a
-// snapshot written before tagWire existed holds its buckets as tagGob and
-// loads unchanged); format 1 stored bare gob bytes and is migrated on
-// load by prefixing tagGob.
+// values exactly as the store holds them (see frame.go for the tags).
+// Format 1, bare gob values, is refused, as is a format-2 snapshot that
+// holds a value in the retired gob form: a node could not serve either.
 const snapshotFormat = 2
 
 type snapshot struct {
@@ -21,10 +20,10 @@ type snapshot struct {
 	Store  map[string][]byte
 }
 
-// SaveSnapshot writes the node's store to path atomically (temp file +
-// rename), so an lht-node can restart without losing its shard. Values
-// are already serialized bytes, making the snapshot format trivially
-// stable.
+// SaveSnapshot writes the node's store to path atomically (temp file,
+// synced, then renamed), so an lht-node can restart without losing its
+// shard. Values are already serialized bytes, making the snapshot format
+// trivially stable.
 func (s *Server) SaveSnapshot(path string) error {
 	s.mu.Lock()
 	snap := snapshot{Format: snapshotFormat, Store: make(map[string][]byte, len(s.store))}
@@ -44,6 +43,10 @@ func (s *Server) SaveSnapshot(path string) error {
 		_ = tmp.Close()
 		return fmt.Errorf("tcpnet: snapshot encode: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return fmt.Errorf("tcpnet: snapshot sync: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("tcpnet: snapshot close: %w", err)
 	}
@@ -54,7 +57,8 @@ func (s *Server) SaveSnapshot(path string) error {
 }
 
 // LoadSnapshot replaces the node's store with the snapshot at path. A
-// missing file is not an error - it is simply a fresh node.
+// missing file is not an error - it is simply a fresh node. A snapshot
+// the node cannot serve is refused whole, and the store is left as it was.
 func (s *Server) LoadSnapshot(path string) error {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -68,15 +72,13 @@ func (s *Server) LoadSnapshot(path string) error {
 	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
 		return fmt.Errorf("tcpnet: snapshot decode: %w", err)
 	}
-	switch snap.Format {
-	case snapshotFormat:
-	case 1:
-		// Format 1 predates value tagging: every value is gob bytes.
-		for k, v := range snap.Store {
-			snap.Store[k] = append([]byte{tagGob}, v...)
-		}
-	default:
+	if snap.Format != snapshotFormat {
 		return fmt.Errorf("tcpnet: snapshot format %d, want %d", snap.Format, snapshotFormat)
+	}
+	for k, v := range snap.Store {
+		if in := innerValue(v); len(in) > 0 && in[0] == tagRetired {
+			return fmt.Errorf("tcpnet: snapshot key %q holds a value in the retired gob form (tag %d)", k, tagRetired)
+		}
 	}
 	s.mu.Lock()
 	s.store = snap.Store

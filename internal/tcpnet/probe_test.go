@@ -47,8 +47,8 @@ func recordGet(key string, delta float64) []byte {
 // its hint excludes is answered with the header alone, and one that asks
 // for a covered key's record with header and record; a covering hint that
 // wants the bucket, a plain get, and every stored form the server cannot
-// ask a projector about — raw bytes, gob, gob under an epoch, a kind with
-// no projector — are answered whole.
+// ask a projector about — raw bytes, kinds with no projector — are
+// answered whole.
 func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	ctx := context.Background()
 	c, servers := startCluster(t, 1)
@@ -59,7 +59,6 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	for key, v := range map[string]dht.Value{
 		"bucket": b,
 		"raw":    []byte("just bytes, at least as long as a bucket header is"),
-		"gob":    &payload{N: 7, S: "seven"},
 		"epoch":  &dhttest.EpochValue{Epoch: 9, Body: "nine"},
 		"node":   node,
 	} {
@@ -95,7 +94,7 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 			t.Errorf("%s: %T, %v, want the whole bucket", name, v, err)
 		}
 	}
-	for _, key := range []string{"raw", "gob", "epoch", "node"} {
+	for _, key := range []string{"raw", "epoch", "node"} {
 		want, err := c.Get(ctx, key)
 		if err != nil {
 			t.Fatal(err)
@@ -163,48 +162,6 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { out = srv.applyFrame(req, out[:0]) }); n != 0 {
 			t.Errorf("serving a hinted get (%s): %v allocations, want 0", name, n)
 		}
-	}
-}
-
-// A node restarted from a snapshot the PR 13 build wrote holds gob
-// buckets. The server cannot look inside them, so probes of them come
-// back whole and the index over them still answers.
-func TestProbeOfGobStoredBucketsIsWhole(t *testing.T) {
-	ctx := context.Background()
-	srv := NewServer()
-	if err := srv.LoadSnapshot("testdata/pr13-node.snap"); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	c, err := Dial(ctx, ClusterConfig{Seeds: []string{ln.Addr().String()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-
-	for _, recordOnly := range []bool{false, true} {
-		v, err := c.Probe(ctx, bitlabel.Root.Key(), ilht.ProbeHint(0.99, recordOnly))
-		if b, ok := v.(*ilht.Bucket); err != nil || !ok || b.Contains(0.99) {
-			t.Fatalf("probe of the gob-stored leftmost leaf for a key it excludes: %#v, %v, want the bucket", v, err)
-		}
-	}
-	ix, err := ilht.New(c, ilht.Config{SplitThreshold: 8, MergeThreshold: 6, Depth: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 60; i++ {
-		if _, _, err := ix.Search(rng.Float64()); err != nil {
-			t.Fatalf("record %d of the snapshot: %v", i, err)
-		}
-	}
-	if tags := storedTags(t, srv); tags[tagGob] != srv.Len() {
-		t.Errorf("stored forms %v: reads rewrote the gob buckets", tags)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	if err := c.Put(context.Background(), "k", &payload{N: 1}); err != nil {
+	if err := c.Put(context.Background(), "k", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,11 +45,11 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 
 	// The client still holds the dead connection; this call must detect
 	// the broken pipe and reconnect without caller involvement.
-	if err := c.Put(context.Background(), "k2", &payload{N: 2}); err != nil {
+	if err := c.Put(context.Background(), "k2", []byte("2")); err != nil {
 		t.Fatalf("Put after server restart = %v, want reconnect", err)
 	}
 	v, err := c.Get(context.Background(), "k2")
-	if err != nil || v.(*payload).N != 2 {
+	if err != nil || string(v.([]byte)) != "2" {
 		t.Fatalf("Get after reconnect = %v, %v", v, err)
 	}
 }
@@ -73,7 +73,7 @@ func TestServerKilledIsTransientAndPolicyRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	if err := c.Put(context.Background(), "k", &payload{N: 1}); err != nil {
+	if err := c.Put(context.Background(), "k", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -116,7 +116,7 @@ func TestServerKilledIsTransientAndPolicyRecovers(t *testing.T) {
 		BaseDelay:   20 * time.Millisecond,
 		MaxDelay:    50 * time.Millisecond,
 	})
-	perr := p.Put(context.Background(), "k2", &payload{N: 2})
+	perr := p.Put(context.Background(), "k2", []byte("2"))
 	srv2 := <-restarted
 	if srv2 == nil {
 		t.Skipf("port %s not reusable, cannot test recovery", addr)
@@ -126,7 +126,7 @@ func TestServerKilledIsTransientAndPolicyRecovers(t *testing.T) {
 		t.Fatalf("policy did not ride out the outage: %v", perr)
 	}
 	v, err := p.Get(context.Background(), "k2")
-	if err != nil || v.(*payload).N != 2 {
+	if err != nil || string(v.([]byte)) != "2" {
 		t.Fatalf("Get after recovery = %v, %v", v, err)
 	}
 }

@@ -48,14 +48,7 @@ func TestReplicatedConformance(t *testing.T) {
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}
-	dhttest.Run(t, factory, dhttest.Options{
-		Keys:         120,
-		ValueFactory: func(i int) dht.Value { return &payload{N: i} },
-		ValueEqual: func(v dht.Value, i int) bool {
-			p, ok := v.(*payload)
-			return ok && p.N == i
-		},
-	})
+	dhttest.Run(t, factory, selfSerialising)
 }
 
 // TestReplicatedFailover pins what replication buys: with the primary

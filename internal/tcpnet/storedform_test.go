@@ -1,0 +1,221 @@
+package tcpnet
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"lht/internal/dht"
+	ilht "lht/internal/lht"
+	"lht/internal/record"
+)
+
+// point is a value with no stored form: neither a []byte nor a
+// dht.WireValue.
+type point struct{ X, Y int }
+
+// wantUnstorable asserts err is the refusal of a point: permanent, so a
+// retry policy does not spin on it, and naming the type.
+func wantUnstorable(t *testing.T, op string, err error) {
+	t.Helper()
+	if err == nil || dht.IsTransient(err) || !strings.Contains(err.Error(), "tcpnet.point") {
+		t.Errorf("%s of a point = %v, want a permanent error naming the type", op, err)
+	}
+}
+
+// TestUnstorableValueFailsBeforeAnyIO: a value with no stored form fails
+// every write that carries one before a frame is sent — also with a
+// holder down, where a storable value's copy would be parked as a hint —
+// and a batch fails that one slot and ships the rest.
+func TestUnstorableValueFailsBeforeAnyIO(t *testing.T) {
+	ctx := context.Background()
+	addrs, srvs := startServerMap(t, 3)
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, HintedHandoff: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	served := func() (n int64) {
+		for _, s := range srvs {
+			n += s.Metrics().Lookup.Total
+		}
+		return n
+	}
+
+	before := served()
+	errs := c.PutBatch(ctx, []dht.KV{{Key: "a", Val: []byte("a")}, {Key: "b", Val: point{1, 2}}, {Key: "c", Val: []byte("c")}})
+	wantUnstorable(t, "PutBatch slot", errs[1])
+	if n := served() - before; n != 4 {
+		t.Errorf("two slots on two holders each were served as %d lookups, want 4", n)
+	}
+	for _, i := range []int{0, 2} {
+		key := string(rune('a' + i))
+		if v, err := c.Get(ctx, key); errs[i] != nil || err != nil || string(v.([]byte)) != key {
+			t.Errorf("PutBatch slot %d = %v; Get(%s) = %v, %v", i, errs[i], key, v, err)
+		}
+	}
+	if _, err := c.Get(ctx, "b"); err != dht.ErrNotFound {
+		t.Errorf("the refused slot was stored: Get(b) = %v", err)
+	}
+
+	key := "k"
+	primary := c.holders(key)[0] // every write tries it first
+	down := primary.addr
+	_ = srvs[down].Close()
+	// Wait until the client has seen its connections to the primary drop,
+	// so that a request reaching one would dial, fail and park a hint.
+	for _, m := range primary.conns {
+		m.mu.Lock()
+		st := m.st
+		m.mu.Unlock()
+		if st == nil {
+			continue
+		}
+		select {
+		case <-st.dead:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the client never saw the closed node's connection drop")
+		}
+	}
+	before = served()
+	wantUnstorable(t, "Put", c.Put(ctx, key, point{1, 2}))
+	wantUnstorable(t, "Write", c.Write(ctx, key, point{1, 2}))
+	wantUnstorable(t, "PutIf", c.PutIf(ctx, key, point{1, 2}, 0))
+	wantUnstorable(t, "CreateIf", c.CreateIf(ctx, key, point{1, 2}))
+	wantUnstorable(t, "WriteIf", c.WriteIf(ctx, key, point{1, 2}, 0))
+	if n := served() - before; n != 0 {
+		t.Errorf("refused writes reached the servers: %d lookups served", n)
+	}
+	for addr, s := range srvs {
+		if b := s.HintBacklog(); len(b) != 0 {
+			t.Errorf("%s parked hints %v for refused writes", addr, b)
+		}
+	}
+	// The same put of bytes parks its copy for the down holder.
+	if err := c.Put(ctx, key, []byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	parked := 0
+	for _, s := range srvs {
+		parked += s.HintBacklog()[down]
+	}
+	if parked != 1 {
+		t.Errorf("a storable put with a holder down parked %d hints, want 1", parked)
+	}
+}
+
+// TestSnapshotWithRetiredFormIsRefused: a snapshot holding a value in the
+// retired gob form (tag 1), bare or under an epoch prefix, is refused at
+// load with an error naming the key, and the loading node's store is left
+// as it was.
+func TestSnapshotWithRetiredFormIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	for name, planted := range map[string][]byte{
+		"bare":        {tagRetired, 0x0f, 0xff},
+		"under epoch": {tagEpoch, 5, tagRetired, 0x0f, 0xff},
+	} {
+		src := NewServer()
+		src.store["fine"] = []byte{tagRaw, 'v'}
+		src.store["old-bucket"] = planted
+		path := dir + "/" + strings.ReplaceAll(name, " ", "-") + ".snap"
+		if err := src.SaveSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		dst := NewServer()
+		dst.store["mine"] = []byte{tagRaw, 'm'}
+		err := dst.LoadSnapshot(path)
+		if err == nil || !strings.Contains(err.Error(), `"old-bucket"`) {
+			t.Errorf("%s: LoadSnapshot = %v, want a refusal naming the key", name, err)
+		}
+		if len(dst.store) != 1 || !bytes.Equal(dst.store["mine"], []byte{tagRaw, 'm'}) {
+			t.Errorf("%s: the refused load changed the store: %q", name, dst.store)
+		}
+	}
+}
+
+// TestStoredFormsSnapshotServes: a snapshot of a store holding the index's
+// buckets (tagEpoch over tagWire) and raw values (tagRaw) — the forms and
+// the container every snapshot since the binary bucket format has held —
+// loads on a fresh node, and the index and plain gets read every value
+// back.
+func TestStoredFormsSnapshotServes(t *testing.T) {
+	ctx := context.Background()
+	cfg := ilht.Config{SplitThreshold: 8, MergeThreshold: 4, Depth: 20}
+	c, servers := startCluster(t, 1)
+	ix, err := ilht.New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(30))
+	keys := make([]float64, 80)
+	for i := range keys {
+		keys[i] = rng.Float64()
+		if _, err := ix.Insert(record.Record{Key: keys[i], Value: []byte(fmt.Sprint("r-", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if err := c.Put(ctx, fmt.Sprint("raw-", i), []byte(fmt.Sprint("raw-", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forms := map[string]int{}
+	servers[0].mu.Lock()
+	for _, v := range servers[0].store {
+		switch in := innerValue(v); {
+		case v[0] == tagEpoch && in[0] == tagWire:
+			forms["epoch+wire"]++
+		case v[0] == tagRaw:
+			forms["raw"]++
+		default:
+			forms[fmt.Sprintf("% x", v[:2])]++
+		}
+	}
+	servers[0].mu.Unlock()
+	if len(forms) != 2 || forms["raw"] != 5 || forms["epoch+wire"] < 8 {
+		t.Fatalf("stored forms %v, want buckets as epoch+wire and 5 raw values", forms)
+	}
+	path := t.TempDir() + "/node.snap"
+	if err := servers[0].SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := NewServer()
+	if err := srv.LoadSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	c2, err := Dial(ctx, ClusterConfig{Seeds: []string{ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c2.Close() })
+	ix2, err := ilht.New(c2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if r, _, err := ix2.Search(k); err != nil || string(r.Value) != fmt.Sprint("r-", i) {
+			t.Fatalf("Search(%v) after reload = %v, %v", k, r, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprint("raw-", i)
+		if v, err := c2.Get(ctx, key); err != nil || string(v.([]byte)) != key {
+			t.Fatalf("Get(%s) after reload = %v, %v", key, v, err)
+		}
+	}
+}

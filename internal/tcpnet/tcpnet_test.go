@@ -1,8 +1,8 @@
 package tcpnet
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -46,49 +46,39 @@ func startCluster(t *testing.T, n int) (*Client, []*Server) {
 	return c, servers
 }
 
-type payload struct {
-	N int
-	S string
-}
-
-func init() {
-	gob.Register(&payload{})
-	gob.Register(&ilht.Bucket{})
-}
-
 func TestClusterBasicOps(t *testing.T) {
 	c, servers := startCluster(t, 3)
 
-	if err := c.Put(context.Background(), "a", &payload{N: 1, S: "x"}); err != nil {
+	if err := c.Put(context.Background(), "a", []byte("x1")); err != nil {
 		t.Fatal(err)
 	}
 	v, err := c.Get(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := v.(*payload); p.N != 1 || p.S != "x" {
-		t.Fatalf("Get = %+v", p)
+	if string(v.([]byte)) != "x1" {
+		t.Fatalf("Get = %q", v)
 	}
 	if _, err := c.Get(context.Background(), "missing"); !errors.Is(err, dht.ErrNotFound) {
 		t.Fatalf("Get missing = %v", err)
 	}
-	if err := c.Write(context.Background(), "a", &payload{N: 2}); err != nil {
+	if err := c.Write(context.Background(), "a", []byte("2")); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := c.Get(context.Background(), "a"); v.(*payload).N != 2 {
+	if v, _ := c.Get(context.Background(), "a"); string(v.([]byte)) != "2" {
 		t.Fatal("Write lost")
 	}
-	if err := c.Write(context.Background(), "missing", &payload{}); !errors.Is(err, dht.ErrNotFound) {
+	if err := c.Write(context.Background(), "missing", []byte("0")); !errors.Is(err, dht.ErrNotFound) {
 		t.Fatalf("Write missing = %v", err)
 	}
 	v, err = c.Take(context.Background(), "a")
-	if err != nil || v.(*payload).N != 2 {
+	if err != nil || string(v.([]byte)) != "2" {
 		t.Fatalf("Take = %v, %v", v, err)
 	}
 	if _, err := c.Take(context.Background(), "a"); !errors.Is(err, dht.ErrNotFound) {
 		t.Fatal("second Take should miss")
 	}
-	if err := c.Put(context.Background(), "b", &payload{N: 3}); err != nil {
+	if err := c.Put(context.Background(), "b", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Remove(context.Background(), "b"); err != nil {
@@ -101,7 +91,7 @@ func TestClusterBasicOps(t *testing.T) {
 	// Keys spread across the member set.
 	total := 0
 	for i := 0; i < 60; i++ {
-		if err := c.Put(context.Background(), fmt.Sprintf("spread-%d", i), &payload{N: i}); err != nil {
+		if err := c.Put(context.Background(), fmt.Sprintf("spread-%d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,12 +131,12 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("c%d-%d", g, i)
-				if err := c.Put(context.Background(), key, &payload{N: i}); err != nil {
+				if err := c.Put(context.Background(), key, []byte{byte(i)}); err != nil {
 					t.Error(err)
 					return
 				}
 				v, err := c.Get(context.Background(), key)
-				if err != nil || v.(*payload).N != i {
+				if err != nil || !bytes.Equal(v.([]byte), []byte{byte(i)}) {
 					t.Errorf("Get(%s) = %v, %v", key, v, err)
 					return
 				}
@@ -213,7 +203,7 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(context.Background(), "k", &payload{N: 1}); err != nil {
+	if err := c.Put(context.Background(), "k", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -223,7 +213,7 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 		t.Fatalf("Serve returned %v after Close", err)
 	}
 	// The client should now fail cleanly.
-	if err := c.Put(context.Background(), "k2", &payload{N: 2}); err == nil {
+	if err := c.Put(context.Background(), "k2", []byte("2")); err == nil {
 		t.Error("Put to closed server should fail")
 	}
 }

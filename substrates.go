@@ -208,11 +208,11 @@ func NewKademliaDHT(n int, cfg KademliaConfig) (*KademliaNetwork, error) {
 	return kademlia.NewNetwork(n, cfg)
 }
 
-// RegisterGobTypes registers the index's stored types with encoding/gob.
-// Buckets cross the tcpnet wire in their own binary format and need no
-// registration; gob is still what reads a bucket stored before that
-// format existed (an old node snapshot), so programs that may meet one
-// call this first.
+// RegisterGobTypes registers the index's stored types with encoding/gob,
+// for a program that gob-encodes a bucket held in an interface value (a
+// dht.Value), such as a custom substrate that serialises values with
+// gob. Nothing in this module needs it: tcpnet ships and stores buckets
+// in their own binary format.
 func RegisterGobTypes() {
 	gob.Register(&ilht.Bucket{})
 }
