@@ -11,14 +11,15 @@ import (
 	"lht/internal/metrics"
 )
 
-// patchLog is a hintLog that is also a Patcher: it records each PatchIf
-// and WritePatchIf and answers with the next of its scripted errors, or
-// (nil, or the script run out) with the patch. It counts the batches and
+// patchLog is a hintLog that is also a Patcher: it records each Patch
+// (its hint and patch) and WritePatchIf and answers with the next of its
+// scripted errors — a refused Patch beside its probe's answer — or (nil,
+// or the script run out) with what it recorded. It counts the batches and
 // the conditional writes it serves too, so it knows of every optional
 // per-key and batch plane whether a call reached it natively.
 type patchLog struct {
 	*hintLog
-	patches []string // one per PatchIf: the patch bytes
+	patches []string // one per Patch: "hint:patch"
 	inPlace []string // one per WritePatchIf: the patch bytes
 	script  []error
 	batches int // GetBatch and PutBatch calls
@@ -61,8 +62,14 @@ func (p *patchLog) WriteIf(ctx context.Context, key string, v Value, ifEpoch uin
 	return p.Local.WriteIf(ctx, key, v, ifEpoch)
 }
 
-func (p *patchLog) PatchIf(_ context.Context, _ string, patch []byte, _ uint64) (Value, error) {
-	return p.patch(&p.patches, "patched:", patch)
+func (p *patchLog) Patch(ctx context.Context, key string, hint uint64, patch []byte) (Value, error) {
+	v, err := p.patch(&p.patches, "patched:", []byte(fmt.Sprintf("%d:%s", hint, patch)))
+	if errors.Is(err, ErrPatchRefused) {
+		if v, err = p.Local.Get(ctx, key); err == nil {
+			err = ErrPatchRefused
+		}
+	}
+	return v, err
 }
 
 func (p *patchLog) WritePatchIf(_ context.Context, _ string, patch []byte, _ uint64) (Value, error) {
@@ -148,10 +155,10 @@ var capabilities = []struct {
 		return nil
 	}, func(sub *patchLog) (int, int) { return hinted(sub.seenBatches(), 7), 1 }},
 
-	{"Patcher.PatchIf", func(ctx context.Context, d DHT, native bool) error {
-		v, err := DoPatchIf(ctx, d, "k", []byte("p"), 3)
-		if native && (err != nil || v != "patched:p") || !native && (!errors.Is(err, ErrPatchRefused) || v != nil) {
-			return fmt.Errorf("DoPatchIf = %v, %v", v, err)
+	{"Patcher.Patch", func(ctx context.Context, d DHT, native bool) error {
+		v, err := DoPatch(ctx, d, "k", 7, []byte("p"))
+		if native && (err != nil || v != "patched:7:p") || !native && (!errors.Is(err, ErrPatchRefused) || v != "v") {
+			return fmt.Errorf("DoPatch = %v, %v", v, err)
 		}
 		return nil
 	}, func(sub *patchLog) (int, int) { return len(sub.patches), 1 }},
@@ -180,7 +187,7 @@ func hinted(hints []uint64, want uint64) int {
 // a plane from a substrate that has it, and why. Nothing else may.
 var refusals = map[string]string{
 	"coalescer/Prober.Probe":         "a flight is shared by callers whose hints differ, so a probe is a whole Get",
-	"coalescer/Patcher.PatchIf":      "a writer above it reads whole values, so it writes whole values",
+	"coalescer/Patcher.Patch":        "a writer above it reads whole values, so a patch is its probe alone, a whole Get",
 	"coalescer/Patcher.WritePatchIf": "a writer above it reads whole values, so it rewrites whole values",
 	"withoutBatch/Batcher":           "stripping the batch planes is what it is for",
 	"withoutBatch/Prober.ProbeBatch": "stripping the batch planes is what it is for: a loop of probes",
@@ -381,27 +388,31 @@ func TestInstrumentedProbeBatchIsChargedAsAGetBatch(t *testing.T) {
 	}
 }
 
-// A patch is charged, conflict-counted and traced as the PutIf it stands
-// in for, unless it was refused: then it was no lookup at all.
-func TestInstrumentedPatchIsChargedAsAPutIf(t *testing.T) {
+// A patch is charged, counted and traced as the probe it rides, applied
+// or not: one lookup each, a failed get for an absent key, no conflict,
+// and a refused one is traced as its probe's answer, which it returns.
+func TestInstrumentedPatchIsChargedAsAProbe(t *testing.T) {
 	ctx := context.Background()
-	conflict := &CASConflictError{Key: "k", Exists: true, WinnerEpoch: 9}
-	sub := newPatchLog(t, nil, conflict, ErrPatchRefused, MarkTransient(errors.New("reset")))
+	sub := newPatchLog(t, nil, ErrPatchRefused, ErrNotFound, MarkTransient(errors.New("reset")))
 	var c metrics.Counters
 	ring := metrics.NewRing(8)
 	d := NewInstrumented(sub, &c)
 	d.SetSink(ring)
-	for i, want := range []error{nil, ErrCASConflict, ErrPatchRefused, ErrTransient} {
-		if _, err := d.PatchIf(ctx, "k", []byte("p"), 3); !errors.Is(err, want) || want == nil && err != nil {
-			t.Fatalf("patch %d: %v, want %v", i, err, want)
+	for i, want := range []struct {
+		v   Value
+		err error
+	}{{"patched:7:p", nil}, {"v", ErrPatchRefused}, {nil, ErrNotFound}, {nil, ErrTransient}} {
+		if v, err := d.Patch(ctx, "k", 7, []byte("p")); v != want.v || !errors.Is(err, want.err) || want.err == nil && err != nil {
+			t.Fatalf("patch %d: %v, %v, want %v, %v", i, v, err, want.v, want.err)
 		}
 	}
-	if f := c.Snapshot(); f.Lookup.Total != 3 || f.Write.CASConflicts != 1 {
-		t.Errorf("Lookups=%d CASConflicts=%d after an applied, a conflicting, a refused and a failed patch, want 3, 1", f.Lookup.Total, f.Write.CASConflicts)
+	if f := c.Snapshot(); f.Lookup.Total != 4 || f.Lookup.FailedGets != 1 || f.Write.CASConflicts != 0 {
+		t.Errorf("Lookups=%d FailedGets=%d CASConflicts=%d after an applied, a refused, a missing and a failed patch, want 4, 1, 0",
+			f.Lookup.Total, f.Lookup.FailedGets, f.Write.CASConflicts)
 	}
 	evs := ring.Events()
-	if len(evs) != 3 || evs[0].Kind != "putif" || evs[0].Outcome != "ok" || evs[1].Outcome != "error" || evs[2].Outcome != "error" {
-		t.Errorf("trace events %+v, want three putifs", evs)
+	if len(evs) != 4 || evs[0].Kind != "get" || evs[0].Outcome != "ok" || evs[1].Outcome != "ok" || evs[2].Outcome != "not_found" || evs[3].Outcome != "error" {
+		t.Errorf("trace events %+v, want four gets", evs)
 	}
 }
 
@@ -445,20 +456,20 @@ func TestPatchIsRetriedButNeverHedged(t *testing.T) {
 
 	sub := newPatchLog(t, reset, reset)
 	d := WithPolicy(sub, Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, Counters: &c})
-	if v, err := DoPatchIf(ctx, d, "k", []byte("p"), 3); err != nil || v != "patched:p" || len(sub.patches) != 3 {
-		t.Errorf("DoPatchIf through two resets = %v, %v after %d attempts, want the third to land", v, err, len(sub.patches))
+	if v, err := DoPatch(ctx, d, "k", 7, []byte("p")); err != nil || v != "patched:7:p" || len(sub.patches) != 3 {
+		t.Errorf("DoPatch through two resets = %v, %v after %d attempts, want the third to land", v, err, len(sub.patches))
 	}
-	for _, permanent := range []error{ErrPatchRefused, &CASConflictError{Key: "k"}} {
+	for _, permanent := range []error{ErrPatchRefused, ErrNotFound} {
 		sub = newPatchLog(t, permanent)
 		d = WithPolicy(sub, Policy{MaxAttempts: 4, BaseDelay: time.Microsecond, Counters: &c})
-		if _, err := DoPatchIf(ctx, d, "k", []byte("p"), 3); !errors.Is(err, permanent) || len(sub.patches) != 1 {
-			t.Errorf("DoPatchIf answered %v: %v after %d attempts, want it handed up at once", permanent, err, len(sub.patches))
+		if _, err := DoPatch(ctx, d, "k", 7, []byte("p")); !errors.Is(err, permanent) || len(sub.patches) != 1 {
+			t.Errorf("DoPatch answered %v: %v after %d attempts, want it handed up at once", permanent, err, len(sub.patches))
 		}
 	}
 
 	sub = newPatchLog(t, reset)
 	before := c.Snapshot().Health.HedgedGets
-	if _, err := DoPatchIf(ctx, WithHedging(sub, time.Nanosecond, &c), "k", []byte("p"), 3); !errors.Is(err, ErrTransient) || len(sub.patches) != 1 {
+	if _, err := DoPatch(ctx, WithHedging(sub, time.Nanosecond, &c), "k", 7, []byte("p")); !errors.Is(err, ErrTransient) || len(sub.patches) != 1 {
 		t.Errorf("a hedged substrate saw %d patches (%v), want the one", len(sub.patches), err)
 	}
 	if n := c.Snapshot().Health.HedgedGets - before; n != 0 {
@@ -466,16 +477,17 @@ func TestPatchIsRetriedButNeverHedged(t *testing.T) {
 	}
 }
 
-// A crash schedule sees a probe as the get and a patch as the putif they
+// A crash schedule sees a probe, and a patch riding one, as the get they
 // stand in for, so one written against the whole-value path fires at the
-// same operations over a substrate that probes and patches.
+// same operations over a substrate that probes and patches; an After rule
+// on a patch loses the answer of an applied write.
 func TestCrashPointsScheduleProbesAndPatches(t *testing.T) {
 	ctx := context.Background()
 	sub := newPatchLog(t)
 	d := WithCrashPoints(sub,
 		CrashRule{Op: OpGet, N: 2},
-		CrashRule{Op: OpPutIf, N: 1, After: true},
-		CrashRule{Op: OpPutIf, N: 2, Halt: true}, // the third patch: the first fired the rule above and stopped there
+		CrashRule{Op: OpGet, N: 2, After: true}, // the first patch: the rule above fired at the second get and stopped there
+		CrashRule{Op: OpGet, N: 3, Halt: true},  // the third patch
 	)
 	if v, err := d.Probe(ctx, "k", 5); err != nil || v != "v" {
 		t.Fatalf("first probe = %v, %v", v, err)
@@ -486,13 +498,13 @@ func TestCrashPointsScheduleProbesAndPatches(t *testing.T) {
 	if hints, gets := sub.seen(); len(hints) != 1 || gets != 0 {
 		t.Errorf("substrate saw hints %v and %d gets, want the one probe before the crash", hints, gets)
 	}
-	if _, err := d.PatchIf(ctx, "k", []byte("a"), 1); !errors.Is(err, ErrCrashed) || len(sub.patches) != 1 {
+	if _, err := d.Patch(ctx, "k", 5, []byte("a")); !errors.Is(err, ErrCrashed) || len(sub.patches) != 1 {
 		t.Errorf("first patch = %v after %d at the substrate, want applied, acknowledgement lost", err, len(sub.patches))
 	}
-	if v, err := d.PatchIf(ctx, "k", []byte("b"), 2); err != nil || v != "patched:b" {
+	if v, err := d.Patch(ctx, "k", 5, []byte("b")); err != nil || v != "patched:5:b" {
 		t.Errorf("second patch = %v, %v", v, err)
 	}
-	if _, err := d.PatchIf(ctx, "k", []byte("c"), 3); !errors.Is(err, ErrCrashed) || len(sub.patches) != 2 || !d.Crashed() {
+	if _, err := d.Patch(ctx, "k", 5, []byte("c")); !errors.Is(err, ErrCrashed) || len(sub.patches) != 2 || !d.Crashed() {
 		t.Errorf("third patch = %v after %d at the substrate, crashed %v: want the halt before it", err, len(sub.patches), d.Crashed())
 	}
 	if d.Ops() != 5 {

@@ -123,10 +123,15 @@ func (co *coalescer) Probe(ctx context.Context, key string, _ uint64) (Value, er
 	return co.Get(ctx, key)
 }
 
-// PatchIf and WritePatchIf override the base to refuse: a writer above
-// this layer reads whole values, so it holds one and writes it whole.
-func (co *coalescer) PatchIf(context.Context, string, []byte, uint64) (Value, error) {
-	return nil, ErrPatchRefused
+// Patch and WritePatchIf override the base to refuse: a writer above this
+// layer reads whole values, so it holds one and writes it whole. A Patch
+// is its probe alone, which is a (coalesced) Get here.
+func (co *coalescer) Patch(ctx context.Context, key string, _ uint64, _ []byte) (Value, error) {
+	v, err := co.Get(ctx, key)
+	if err != nil {
+		return nil, err
+	}
+	return v, ErrPatchRefused
 }
 
 func (co *coalescer) WritePatchIf(context.Context, string, []byte, uint64) (Value, error) {

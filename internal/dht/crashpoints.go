@@ -83,11 +83,10 @@ const (
 	// backlog per intended holder.
 	OpStatus
 
-	// OpPatchIf is the wire op of Patcher.PatchIf and WritePatchIf: an
-	// epoch-guarded write that ships a patch for the storing node's
-	// WirePatcher in place of the value. Wire-level only: a crash schedule
-	// sees a PatchIf as the OpPutIf, a WritePatchIf as the OpWriteIf it
-	// stands in for.
+	// OpPatchIf is the wire op of Patcher.Patch and WritePatchIf: a write
+	// that ships a patch for the storing node's WirePatcher in place of the
+	// value. Wire-level only: a crash schedule sees a Patch as the OpGet it
+	// rides, a WritePatchIf as the OpWriteIf it stands in for.
 	OpPatchIf
 )
 
@@ -264,12 +263,13 @@ func (c *CrashPoints) decide(op OpKind, key string) verdict {
 }
 
 // do schedules one per-key primitive as the operation class it stands for
-// (prims) — a Probe as an OpGet, a PatchIf as an OpPutIf, a WritePatchIf
+// (prims) — a Probe and the Patch riding one as an OpGet, a WritePatchIf
 // as an OpWriteIf, so a schedule written against whole-value reads and
-// writes fires at the same points over a substrate that probes and
-// patches — and then performs it on the inner substrate, hint and patch
-// included. Whatever the substrate
-// answers, a refusal too, passes through unless the schedule fired.
+// in-place writes fires at the same points over a substrate that probes
+// and patches — and then performs it on the inner substrate, hint and
+// patch included. Whatever the substrate answers, a refusal too, passes
+// through unless the schedule fired: an After rule on a Patch loses the
+// answer of a write that may have been applied.
 func (c *CrashPoints) do(ctx context.Context, cl call) (Value, error) {
 	v := c.decide(prims[cl.prim].kind, cl.key)
 	if v.fail && !v.after {

@@ -21,7 +21,7 @@ const (
 	primRemove
 	primWrite
 	primPutIf
-	primPatchIf
+	primPatch
 	primCreateIf
 	primRemoveIf
 	primWriteIf
@@ -29,8 +29,10 @@ const (
 )
 
 // prims is what the layers that treat every primitive alike need to know
-// of each. A Probe is the Get, a PatchIf the PutIf and a WritePatchIf the
-// WriteIf it stands in for: scheduled, charged, named and traced as one.
+// of each. A Probe is the Get it stands in for, a Patch the Probe it rides
+// — applied or not, the one lookup a write's last probe costs — and a
+// WritePatchIf the WriteIf it stands in for: scheduled, charged, named and
+// traced as one.
 // Write, WriteIf and WritePatchIf rewrite a value on the peer already
 // holding it and are free in the cost model.
 var prims = [...]struct {
@@ -46,7 +48,7 @@ var prims = [...]struct {
 	primRemove:       {kind: OpRemove, lookups: 1},
 	primWrite:        {kind: OpWrite},
 	primPutIf:        {kind: OpPutIf, lookups: 1, conditional: true},
-	primPatchIf:      {kind: OpPutIf, lookups: 1},
+	primPatch:        {kind: OpGet, lookups: 1, miss: true},
 	primCreateIf:     {kind: OpCreateIf, lookups: 1, conditional: true},
 	primRemoveIf:     {kind: OpRemoveIf, lookups: 1, conditional: true},
 	primWriteIf:      {kind: OpWriteIf, conditional: true},
@@ -59,15 +61,15 @@ type call struct {
 	prim  prim
 	key   string
 	val   Value  // Put, Write, PutIf, CreateIf, WriteIf
-	epoch uint64 // PutIf, PatchIf, RemoveIf, WriteIf, WritePatchIf
-	hint  uint64 // Probe
-	patch []byte // PatchIf, WritePatchIf
+	epoch uint64 // PutIf, RemoveIf, WriteIf, WritePatchIf
+	hint  uint64 // Probe, Patch
+	patch []byte // Patch, WritePatchIf
 }
 
 // on performs c on d. The optional planes go through their Do* helpers,
 // so a d without the plane answers as the helper's fallback does: a
 // probe with a plain Get, a conditional write by fetch-verify-write, a
-// patch with ErrPatchRefused.
+// Patch with its probe alone, a WritePatchIf with ErrPatchRefused.
 func (c call) on(ctx context.Context, d DHT) (Value, error) {
 	switch c.prim {
 	case primGet:
@@ -84,8 +86,8 @@ func (c call) on(ctx context.Context, d DHT) (Value, error) {
 		return nil, d.Write(ctx, c.key, c.val)
 	case primPutIf:
 		return nil, DoPutIf(ctx, d, c.key, c.val, c.epoch)
-	case primPatchIf:
-		return DoPatchIf(ctx, d, c.key, c.patch, c.epoch)
+	case primPatch:
+		return DoPatch(ctx, d, c.key, c.hint, c.patch)
 	case primCreateIf:
 		return nil, DoCreateIf(ctx, d, c.key, c.val)
 	case primRemoveIf:
@@ -141,8 +143,8 @@ func (k perKey) PutIf(ctx context.Context, key string, v Value, ifEpoch uint64) 
 	return err
 }
 
-func (k perKey) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (Value, error) {
-	return k.l.do(ctx, call{prim: primPatchIf, key: key, patch: patch, epoch: ifEpoch})
+func (k perKey) Patch(ctx context.Context, key string, hint uint64, patch []byte) (Value, error) {
+	return k.l.do(ctx, call{prim: primPatch, key: key, hint: hint, patch: patch})
 }
 
 func (k perKey) CreateIf(ctx context.Context, key string, v Value) error {

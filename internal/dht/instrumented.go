@@ -149,10 +149,11 @@ func batchErr(errs []error) error {
 //
 // A conditional write over a substrate with no native CAS decomposes into
 // this wrapper's own charged Get and Put (two lookups — the price of
-// emulation) and is tallied as a CASFallback. A refused patch was no
-// lookup and leaves no trace here: the caller's fallback is charged. The
-// free in-place writes are still traced, since intent writes are part of
-// a mutation's span.
+// emulation) and is tallied as a CASFallback. A refused WritePatchIf was
+// no lookup and leaves no trace here: the caller's fallback is charged. A
+// refused Patch was its probe, and is charged and traced as that probe
+// answered. The free in-place writes are still traced, since intent writes
+// are part of a mutation's span.
 func (d *Instrumented) do(ctx context.Context, c call) (Value, error) {
 	p := &prims[c.prim]
 	if p.conditional && !d.cas {
@@ -163,15 +164,19 @@ func (d *Instrumented) do(ctx context.Context, c call) (Value, error) {
 	}
 	start := d.start()
 	v, err := c.on(ctx, d.inner)
+	traced := err
 	if errors.Is(err, ErrPatchRefused) {
-		return nil, err
+		if c.prim != primPatch {
+			return nil, err
+		}
+		traced = nil
 	}
 	lb := d.charge(ctx, p.lookups)
 	if p.miss && errors.Is(err, ErrNotFound) {
 		d.c.Add(metrics.FailedGets, 1)
 	}
-	d.noteCAS(err)
-	d.emit(lb, p.kind.String(), c.key, 1, start, err)
+	d.noteCAS(traced)
+	d.emit(lb, p.kind.String(), c.key, 1, start, traced)
 	return v, err
 }
 

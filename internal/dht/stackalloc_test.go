@@ -17,10 +17,12 @@ import (
 // Each layer hands the reified call on by value, which is what keeps it
 // off the heap. (Not under the race detector, which allocates on its own.)
 //
-// PatchIf and WritePatchIf are the exception, at one: Local refuses a
-// patch, and IsTransient allocates the net.Error it tests an unrecognised
-// error against. That is the refusal's price, not the layers', and an
-// index never pays it over Local: only a record reply leads it to patch.
+// Patch and WritePatchIf are the exception, at one: Local refuses a patch,
+// and IsTransient allocates the net.Error it tests an unrecognised error
+// against. That is the refusal's price, not the layers'. An index pays it
+// over Local only for a write's cache-named probe, the one a patch rides,
+// and never for an in-place one: only a patch that was applied leads it
+// to patch in place.
 func TestStackAddsNoAllocations(t *testing.T) {
 	ctx := context.Background()
 	local := NewLocal()
@@ -40,7 +42,7 @@ func TestStackAddsNoAllocations(t *testing.T) {
 		{"Put", 0, func(d DHT) { _ = d.Put(ctx, "k", v) }},
 		{"PutIf", 0, func(d DHT) { _ = DoPutIf(ctx, d, "k", v, 0) }},
 		{"WriteIf", 0, func(d DHT) { _ = DoWriteIf(ctx, d, "k", v, 0) }},
-		{"PatchIf", 1, func(d DHT) { _, _ = DoPatchIf(ctx, d, "k", nil, 0) }},
+		{"Patch", 1, func(d DHT) { _, _ = DoPatch(ctx, d, "k", 7, nil) }},
 		{"WritePatchIf", 1, func(d DHT) { _, _ = DoWritePatchIf(ctx, d, "k", nil, 0) }},
 		{"GetBatch", 0, func(d DHT) { _, _ = DoGetBatch(ctx, d, keys) }},
 		{"ProbeBatch", 0, func(d DHT) { _, _ = DoProbeBatch(ctx, d, keys, 7) }},

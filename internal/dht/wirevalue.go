@@ -107,7 +107,10 @@ func DecodeProbe(kind byte, data []byte) (Value, error) {
 // both with the new value's epoch. The reply is the new serialized form
 // whole or a shorter form the kind's patch-reply decoder tells apart from
 // it. ok == false refuses: the patch is not one the patcher will apply to
-// these bytes, and nothing the call appended is used. Like a
+// these bytes, and nothing the call appended is used. A Patch carries no
+// epoch, so the patcher is the whole guard of the write: it refuses every
+// value the patch was not meant for, and the peer then answers the probe
+// the Patch rode instead (see Patcher). Like a
 // WireProjector it runs on bytes under the store's lock: it writes
 // nothing but the tails of dst and reply, keeps no reference to any of
 // its arguments, neither decodes nor allocates beyond growing the two,

@@ -208,17 +208,29 @@ func (b *Bucket) String() string {
 // change, not the leaf (UpsertPatch, DeletePatch), and the storing peer
 // builds the new stored bytes from the old, undecoded, with patchBucket:
 //
-//	op u8        1 = upsert, 2 = delete
+//	op u8        1 = upsert, 2 = delete; bit 7 set (WantLabel) asks for
+//	             the leaf's label in the ack
 //	uv whole     the weight (record count + 1) at which the writer needs
 //	             the new bucket back: an upsert's new weight >= whole, a
 //	             delete's new weight < whole; 0 = never
-//	upsert       key u64 BE, uv vlen, value: one record, to the patch's end
+//	upsert       uv depth (the tree's depth bound D), then key u64 BE,
+//	             uv vlen, value: one record, to the patch's end
 //	delete       key u64 BE
 //
 // and answers with one of two forms, told apart by decodePatchReply:
 //
-//	ack      marker u8 = 0xFE (never a wire version), uv new record count
+//	ack      marker u8 = 0xFE (never a wire version), uv new record count,
+//	         and when asked for, the leaf's label (9 B, bitlabel binary)
 //	whole    the new stored bytes: the weight crossed the patch's whole
+//
+// No epoch guards a patch (dht.Patcher's Patch), so the patcher is the
+// whole guard of the write: it refuses every leaf the write was not meant
+// for — torn, not covering the key, a record to delete that is not there —
+// and the peer answers the probe the patch rode instead. It also refuses
+// an upsert of a key the leaf does not hold once the leaf weighs
+// whole + len(label) or more and is shallower than depth: that record
+// would take the leaf past the weight bound (Index.overweight), so the
+// writer, answered with the bucket whole, splits it first.
 //
 // The steps a split or merge takes on the peer that keeps its bucket —
 // free, in-place rewrites (dht.Patcher's WritePatchIf) — are patches too,
@@ -248,6 +260,7 @@ const (
 
 	patchUpsert      = 1
 	patchDelete      = 2
+	patchWantLabel   = 0x80 // on an upsert or delete op: a labelled ack
 	patchMarkSplit   = 3
 	patchCommitSplit = 4
 	patchClearMerge  = 5
@@ -381,8 +394,9 @@ func parseHeader(b *Bucket, buf []byte) (rest, removeKey []byte, err error) {
 // ProbeHint builds the hint word of a probe for the data key delta: the
 // key's bit pattern, with the sign bit saying whether the prober wants
 // only delta's record (Search; Insert and Delete, which then patch the
-// leaf) or the bucket (LookupBucket, scan, and a writer that will write
-// the bucket whole). A data key is never negative, but -0.0 passes
+// leaf) or the bucket (LookupBucket, scan, a writer that will write the
+// bucket whole, and the probe an upsert's patch rides, should the patch
+// be refused). A data key is never negative, but -0.0 passes
 // keyspace.CheckKey with the sign bit set, so the key is normalised here.
 //
 // The hint word has two forms, told apart by bit 62, the top bit of a
@@ -390,10 +404,7 @@ func parseHeader(b *Bucket, buf []byte) (rest, removeKey []byte, err error) {
 // key hint, built here: bit 63 is the record-only wish, the rest delta.
 // Set, it is a range hint (RangeHint): bit 63 means nothing, and the 62
 // bits below hold the range. parseProbeHint and parseRangeHint, both
-// called by projectBucket alone, are the only readers. A peer that
-// predates either bit's meaning reads it as part of a key no leaf covers
-// — a negative one, or one of 2 and more — and answers a header, which
-// the prober re-fetches.
+// called by projectBucket alone, are the only readers.
 func ProbeHint(delta float64, recordOnly bool) uint64 {
 	h := math.Float64bits(delta) &^ probeRecordOnly
 	if recordOnly {
@@ -505,9 +516,6 @@ type BucketHeader struct {
 type BucketRecord struct {
 	// Label is the leaf's label.
 	Label bitlabel.Label
-	// Epoch is the leaf's epoch: what a write that patches the leaf on
-	// the strength of this reply guards its patch with.
-	Epoch uint64
 	// Found reports whether the leaf holds a record with the hinted key.
 	Found bool
 	// Record is that record when Found; its value is a copy of its own.
@@ -567,13 +575,13 @@ func decodeRecordReply(data []byte) (dht.Value, error) {
 	case b.Torn():
 		return nil, errors.New("decode record reply: sent for a torn bucket")
 	case len(rest) == 1 && rest[0] == 0:
-		return &BucketRecord{Label: b.Label, Epoch: b.Epoch}, nil
+		return &BucketRecord{Label: b.Label}, nil
 	case len(rest) > 1 && rest[0] == 1:
 		rec, err := record.DecodeRecord(rest[1:])
 		if err != nil {
 			return nil, fmt.Errorf("decode record reply: %w", err)
 		}
-		return &BucketRecord{Label: b.Label, Epoch: b.Epoch, Found: true, Record: rec}, nil
+		return &BucketRecord{Label: b.Label, Found: true, Record: rec}, nil
 	}
 	return nil, errors.New("decode record reply: malformed found flag")
 }
@@ -581,10 +589,13 @@ func decodeRecordReply(data []byte) (dht.Value, error) {
 // UpsertPatch is the patch that stores rec into the leaf covering its
 // key, in place of the record with that key or as a new one. wholeAt is
 // the weight from which the writer wants the new bucket back whole (its
-// split threshold); 0 asks for the acknowledgement always.
-func UpsertPatch(rec record.Record, wholeAt int) []byte {
-	p := make([]byte, 0, 1+binary.MaxVarintLen64+8+binary.MaxVarintLen64+len(rec.Value))
+// split threshold); 0 asks for the acknowledgement always and puts no
+// bound on the leaf's weight. depth is the tree's depth bound D: a leaf
+// that deep cannot split, and takes a new record past the weight bound.
+func UpsertPatch(rec record.Record, wholeAt, depth int) []byte {
+	p := make([]byte, 0, 1+3*binary.MaxVarintLen64+8+len(rec.Value))
 	p = binary.AppendUvarint(append(p, patchUpsert), uint64(wholeAt))
+	p = binary.AppendUvarint(p, uint64(depth))
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(rec.Key))
 	p = binary.AppendUvarint(p, uint64(len(rec.Value)))
 	return append(p, rec.Value...)
@@ -598,6 +609,14 @@ func DeletePatch(delta float64, wholeBelow int) []byte {
 	p := make([]byte, 0, 1+binary.MaxVarintLen64+8)
 	p = binary.AppendUvarint(append(p, patchDelete), uint64(wholeBelow))
 	return binary.BigEndian.AppendUint64(p, math.Float64bits(delta))
+}
+
+// WantLabel turns an upsert or delete patch, in place, into one whose
+// acknowledgement names the patched leaf: for a writer whose search has
+// not yet seen the leaf it patches. It returns patch.
+func WantLabel(patch []byte) []byte {
+	patch[0] |= patchWantLabel
+	return patch
 }
 
 // MarkSplitPatch is the in-place patch that records a split's intent in
@@ -621,7 +640,9 @@ func ClearMergePatch() []byte { return []byte{patchClearMerge} }
 // bucket a step of a split or merge would have (patchInPlace). It refuses
 // what those would not have written that way: a bucket that is torn or
 // does not parse, a key the leaf does not cover, a record to delete that
-// is not there, a patch that is not exactly one of the forms.
+// is not there, a patch that is not exactly one of the forms. And it
+// refuses a new key that would take the leaf past the weight bound (see
+// "Patches").
 func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64, ok bool) {
 	if len(patch) == 1 {
 		return patchInPlace(dst, reply, data, patch[0])
@@ -631,8 +652,12 @@ func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64,
 	if err != nil || b.Torn() || len(patch) < 2 {
 		return dst, reply, 0, false
 	}
-	op := patch[0]
+	op, labelled := patch[0]&^patchWantLabel, patch[0]&patchWantLabel != 0
 	whole, arg, err := record.ReadUvarint(patch[1:])
+	var depth uint64
+	if err == nil && op == patchUpsert {
+		depth, arg, err = record.ReadUvarint(arg)
+	}
 	if err != nil || op != patchUpsert && op != patchDelete || len(arg) < 8 || op == patchDelete && len(arg) != 8 {
 		return dst, reply, 0, false
 	}
@@ -649,8 +674,12 @@ func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64,
 	var count uint64
 	var crossed bool
 	if op == patchUpsert {
+		was, _, _ := record.ReadUvarint(list)
 		dst, count, err = record.UpsertInList(dst, list, arg)
 		crossed = whole > 0 && count+1 >= whole
+		if d := uint64(b.Label.Len()); err == nil && whole > 0 && count > was && d < depth && count >= whole+d {
+			return dst[:mark], reply, 0, false // one record past the bound: split first
+		}
 	} else {
 		dst, count, err = record.DeleteFromList(dst, list, delta)
 		crossed = count+1 < whole
@@ -660,8 +689,8 @@ func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64,
 	}
 	if crossed {
 		reply = append(reply, dst[mark:]...)
-	} else {
-		reply = binary.AppendUvarint(append(reply, patchAckMarker), count)
+	} else if reply = binary.AppendUvarint(append(reply, patchAckMarker), count); labelled {
+		reply, _ = b.Label.AppendBinary(reply) // never fails
 	}
 	return dst, reply, b.Epoch + 1, true
 }
@@ -718,15 +747,34 @@ type PatchAck struct {
 	Records int
 }
 
+// LeafAck is PatchAck for a patch that asked for the leaf's label
+// (WantLabel): the answer to a writer whose search had not yet seen the
+// leaf it patched, which it learns here as it would from a probe's reply.
+type LeafAck struct {
+	// Label is the patched leaf's label.
+	Label bitlabel.Label
+	// Records is its record count.
+	Records int
+}
+
 // decodePatchReply is the bucket kind's patch-reply decoder: an
-// acknowledgement, or else a whole bucket.
+// acknowledgement, labelled or not, or else a whole bucket.
 func decodePatchReply(data []byte) (dht.Value, error) {
 	if len(data) == 0 || data[0] != patchAckMarker {
 		return DecodeBucket(data)
 	}
 	n, rest, err := record.ReadUvarint(data[1:])
-	if err != nil || len(rest) != 0 || n > math.MaxInt32 {
+	if err != nil || n > math.MaxInt32 {
 		return nil, errors.New("decode patch ack: malformed record count")
 	}
-	return PatchAck{Records: int(n)}, nil
+	switch len(rest) {
+	case 0:
+		return PatchAck{Records: int(n)}, nil
+	case bitlabel.BinaryLen:
+		a := &LeafAck{Records: int(n)}
+		if err := a.Label.UnmarshalBinary(rest); err == nil {
+			return a, nil
+		}
+	}
+	return nil, errors.New("decode patch ack: malformed label")
 }

@@ -401,7 +401,7 @@ func TestDecodeProbeReply(t *testing.T) {
 	// torn one, a flag that is neither 0 nor 1, and bytes after the record.
 	reply := projectBucket(nil, data, ProbeHint(b.Records[5].Key, true))
 	v, err = decodeProbeReply(reply)
-	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || r.Epoch != b.Epoch || !r.Found ||
+	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || !r.Found ||
 		r.Record.Key != b.Records[5].Key || !bytes.Equal(r.Record.Value, b.Records[5].Value) {
 		t.Fatalf("record reply decoded to %#v, %v", v, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lht/internal/bitlabel"
@@ -45,7 +44,11 @@ type Cost = metrics.Cost
 // write-ahead intent takes the bucket's next epoch, so racing writers
 // either see the intent (and help complete it idempotently) or conflict
 // and retry — two clients racing one split converge on one winner and one
-// idempotent repair.
+// idempotent repair. A one-record write to a peer that patches (tcpnet)
+// needs no epoch: the storing peer applies its patch, under its store
+// lock, iff the leaf it holds is one the write is meant for — untorn,
+// covering the key, short of the weight bound — and otherwise answers as
+// a probe, and the writer goes on from that answer.
 //
 // On substrates without native conditional writes the commit degrades to
 // a fetch-verify-write emulation (counted in Write.CASFallbacks), which
@@ -58,13 +61,6 @@ type Index struct {
 	c     *metrics.Counters
 	cache *leafCache   // nil unless Config.LeafCache
 	now   func() int64 // rate-estimator clock (UnixNano); cfg.clock or real time
-
-	// wholeWrites is set, for good, by the first refused patch: the
-	// substrate answers record-only probes but does not patch (an old
-	// node, a wrapper that hides the capability), so from then on a
-	// write's lookup asks for the bucket again and the refusal's extra
-	// fetch is paid once, not per write.
-	wholeWrites atomic.Bool
 
 	mu        sync.Mutex
 	alphaSum  float64 // sum over splits of (remote bucket weight / theta)
@@ -207,30 +203,51 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 // delta, a BucketRecord that was not asked for, does not cover delta or
 // carries another key's record, is dropped and the bucket fetched whole
 // with a plain, charged get.
-func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, recordOnly bool, cost *Cost) (*Bucket, *BucketRecord, error) {
+//
+// A write w may ride the probe with patch (see lookupLeaf): the probe is
+// then a dht.Patch, whose hint asks for what the write needs should the
+// peer not apply it — a delete the record, an upsert the bucket, which the
+// peer refuses only at the weight bound — and an applied patch returns the
+// peer's reply as the third result. A refused one is the probe's answer
+// and is taken as such, with one rule more: a delete's record reply that
+// found the record is one the peer should have applied, and is dropped.
+func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, recordOnly bool, w *write, patch []byte, cost *Cost) (*Bucket, *BucketRecord, dht.Value, error) {
 	cost.Lookups++
-	v, err := dht.DoProbe(ctx, ix.d, key, ProbeHint(delta, recordOnly))
+	var v dht.Value
+	var err error
+	refused := false
+	if patch == nil {
+		v, err = dht.DoProbe(ctx, ix.d, key, ProbeHint(delta, recordOnly))
+	} else {
+		recordOnly = !w.upsert
+		if v, err = dht.DoPatch(ctx, ix.d, key, ProbeHint(delta, recordOnly), patch); err == nil {
+			return nil, nil, v, nil
+		}
+		if refused = errors.Is(err, dht.ErrPatchRefused); refused {
+			err = nil
+		}
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	switch r := v.(type) {
 	case *BucketHeader:
 		if !keyspace.IntervalOf(r.Label).Contains(delta) {
 			ix.cacheNote(r.Label)
-			return nil, nil, nil
+			return nil, nil, nil, nil
 		}
 	case *BucketRecord:
-		if recordOnly && keyspace.IntervalOf(r.Label).Contains(delta) && (!r.Found || r.Record.Key == delta) {
+		if recordOnly && keyspace.IntervalOf(r.Label).Contains(delta) && (!r.Found || r.Record.Key == delta && !refused) {
 			ix.cacheNote(r.Label)
-			return nil, r, nil
+			return nil, r, nil, nil
 		}
 	default:
 		b, err := ix.bucketOf(v, nil, key)
-		return b, nil, err
+		return b, nil, nil, err
 	}
 	// No peer sends this. Whatever did, the search needs the bucket.
 	b, err := ix.getBucket(ctx, key, cost)
-	return b, nil, err
+	return b, nil, nil, err
 }
 
 // LookupBucket implements LHT-lookup (Algorithm 2): a binary search over
@@ -257,23 +274,41 @@ func (ix *Index) LookupBucketContext(ctx context.Context, delta float64) (b *Buc
 
 // lookup is LookupBucket returning also the bucket's DHT key.
 func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Cost, error) {
-	b, _, key, cost, err := ix.lookupLeaf(ctx, delta, false)
-	return b, key, cost, err
+	f, cost, err := ix.lookupLeaf(ctx, delta, false, nil)
+	return f.b, f.key, cost, err
+}
+
+// leaf is where a lookup ended: the leaf covering its key, stored under
+// key, as the whole bucket (b) or as its peer's record reply (rec); or,
+// for a write whose patch the leaf's peer applied (patched), the write
+// done, with b the leaf as committed when maintenance may be due.
+type leaf struct {
+	key     string
+	b       *Bucket
+	rec     *BucketRecord
+	patched bool
 }
 
 // lookupLeaf is Algorithm 2. It ends at the leaf covering delta, which it
 // returns as the whole bucket or, only when recordOnly allows it, as the
 // storing peer's BucketRecord for delta (see probeBucket): exactly one of
-// the two is non-nil on success, and both searches probe the same names
-// at the same cost. With the leaf cache enabled it first probes the name
-// of the deepest cached leaf covering delta: the covering leaf back is a
-// hit (one DHT-get); any other outcome is a soundly detected stale entry,
+// the two is set on success, and both searches probe the same names at
+// the same cost. With the leaf cache enabled it first probes the name of
+// the deepest cached leaf covering delta: the covering leaf back is a hit
+// (one DHT-get); any other outcome is a soundly detected stale entry,
 // which is dropped and converted into tightened binary-search bounds (see
 // repair cases below). A miss brackets the search instead: the cached
 // leaves beside delta's raise its lower bound and pick its first probe
 // (see leafCache.find). Either way cached results are always identical
 // to the uncached path.
-func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool) (*Bucket, *BucketRecord, string, Cost, error) {
+//
+// A write w (nil for a read) rides the probe the cache names — the cached
+// leaf's name on a hit, the bracket's first probe on a miss — which is
+// the search's last almost every time: its patch travels with the probe
+// (ride), and a peer that applies it ends the search with the write done
+// (committed). One that does not answers the probe, and the search goes
+// on from that answer as from any probe's, at the same cost.
+func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool, w *write) (leaf, Cost, error) {
 	// Every probe of the binary search (and of the cache pre-probe) is
 	// PhaseProbe traffic; repairTorn overrides the phase for the repair
 	// writes it issues.
@@ -281,19 +316,32 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 	var cost Cost
 	mu, err := keyspace.Mu(delta, ix.cfg.Depth)
 	if err != nil {
-		return nil, nil, "", cost, err
+		return leaf{}, cost, err
 	}
 	lo, hi := 1, ix.cfg.Depth
 	first := 0 // the first probe's depth when a cache miss suggests one
 	if ix.cache != nil {
 		if x, ok, br := ix.cache.find(mu); ok {
 			name := x.Name()
-			b, rec, err := ix.probeBucket(ctx, name.Key(), delta, recordOnly, &cost)
+			key := name.Key()
+			patch, whole := ix.ride(w, x)
+			b, rec, v, err := ix.probeBucket(ctx, key, delta, recordOnly, w, patch, &cost)
+			if v != nil {
+				// A hit, and the write is done. A reply that names another
+				// leaf retires the stale entry, as a probe's does.
+				ix.c.Add(metrics.CacheHits, 1)
+				b, label, err := ix.committed(ctx, key, w, whole, v, &cost)
+				if !label.IsRoot() && label != x {
+					ix.cache.drop(x)
+				}
+				cost.Steps = cost.Lookups
+				return leaf{key: key, b: b, patched: true}, cost, err
+			}
 			if b != nil && b.Torn() {
 				// The cached leaf's peer holds a torn mutation from a
 				// crashed writer; finish it, then apply the normal case
 				// analysis to the repaired bucket.
-				b, err = ix.repairTorn(ctx, name.Key(), b, &cost)
+				b, err = ix.repairTorn(ctx, key, b, &cost)
 			}
 			switch {
 			case err == nil && (rec != nil || b != nil && b.Contains(delta)):
@@ -306,7 +354,7 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 					ix.cache.drop(x)
 				}
 				cost.Steps = cost.Lookups
-				return b, rec, name.Key(), cost, nil
+				return leaf{key: key, b: b, rec: rec}, cost, nil
 			case errors.Is(err, dht.ErrNotFound):
 				// The cached leaf's name is gone (a merge removed it).
 				// Algorithm 2's miss rule applies to this probe exactly
@@ -318,7 +366,7 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 				hi = name.Len()
 			case err != nil:
 				cost.Steps = cost.Lookups
-				return nil, nil, "", cost, err
+				return leaf{}, cost, err
 			default:
 				// A leaf answered under f_n(x) but does not cover delta,
 				// so x is now an internal node (the leaf split):
@@ -360,18 +408,26 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 	for attempt := 0; ; attempt++ {
 		for lo <= hi {
 			mid := lo + (hi-lo)/2
+			var patch []byte
+			var whole int
 			if first > 0 {
 				mid, first = first, 0
+				patch, whole = ix.ride(w, mu.Prefix(mid))
 			}
 			x := mu.Prefix(mid)
-			name := x.Name()
-			b, rec, err := ix.probeBucket(ctx, name.Key(), delta, recordOnly, &cost)
+			key := x.Name().Key()
+			b, rec, v, err := ix.probeBucket(ctx, key, delta, recordOnly, w, patch, &cost)
+			if v != nil {
+				b, _, err := ix.committed(ctx, key, w, whole, v, &cost)
+				cost.Steps = cost.Lookups
+				return leaf{key: key, b: b, patched: true}, cost, err
+			}
 			if b != nil && b.Torn() {
 				// In-line read-repair: a fetched bucket carrying a pending
 				// split/merge intent is completed (or rolled back) before the
 				// search interprets it, so a torn tree converges back to the
 				// never-crashed structure under ordinary query traffic.
-				b, err = ix.repairTorn(ctx, name.Key(), b, &cost)
+				b, err = ix.repairTorn(ctx, key, b, &cost)
 				// The repair changed tree structure, so bounds derived from
 				// probes of the pre-repair tree may exclude the new leaves
 				// (e.g. a split's remote child sits one level below an hi set
@@ -384,13 +440,13 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 			case errors.Is(err, dht.ErrNotFound):
 				// No leaf is named f_n(x): every prefix of mu in
 				// (len(f_n(x)), len(x)] shares that name and is ruled out.
-				hi = name.Len()
+				hi = x.Name().Len()
 			case err != nil:
 				cost.Steps = cost.Lookups
-				return nil, nil, "", cost, err
+				return leaf{}, cost, err
 			case rec != nil || b != nil && b.Contains(delta):
 				cost.Steps = cost.Lookups
-				return b, rec, name.Key(), cost, nil
+				return leaf{key: key, b: b, rec: rec}, cost, nil
 			default:
 				// The leaf named f_n(x) does not cover delta, so x is an
 				// internal node; the next candidate is the first prefix of
@@ -413,9 +469,9 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool)
 	}
 	cost.Steps = cost.Lookups
 	if err := ctx.Err(); err != nil {
-		return nil, nil, "", cost, err
+		return leaf{}, cost, err
 	}
-	return nil, nil, "", cost, fmt.Errorf("%w: lookup %v found no covering leaf", ErrCorrupt, delta)
+	return leaf{}, cost, fmt.Errorf("%w: lookup %v found no covering leaf", ErrCorrupt, delta)
 }
 
 // lookupRestarts bounds how many times one lookup may re-run its binary
@@ -432,16 +488,16 @@ func (ix *Index) Search(delta float64) (record.Record, Cost, error) {
 func (ix *Index) SearchContext(ctx context.Context, delta float64) (rec record.Record, cost Cost, err error) {
 	ctx, done := ix.beginOp(ctx, metrics.OpGet)
 	defer func() { done(err) }()
-	b, r, _, cost, err := ix.lookupLeaf(ctx, delta, true)
+	f, cost, err := ix.lookupLeaf(ctx, delta, true, nil)
 	if err != nil {
 		return record.Record{}, cost, err
 	}
-	if r != nil {
+	if r := f.rec; r != nil {
 		if r.Found {
 			return r.Record, cost, nil
 		}
-	} else if i := record.FindByKey(b.Records, delta); i >= 0 {
-		return b.Records[i], cost, nil
+	} else if i := record.FindByKey(f.b.Records, delta); i >= 0 {
+		return f.b.Records[i], cost, nil
 	}
 	return record.Record{}, cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
 }
@@ -462,35 +518,39 @@ func (ix *Index) Insert(rec record.Record) (Cost, error) {
 // merged under us) until the insert commits or ctx ends.
 //
 // Which form the write-back takes follows from what the lookup ended in,
-// never from asking the substrate what it can do. A whole bucket in hand
-// (every in-process substrate, a coalesced or hidden-capability stack, a
-// torn leaf just repaired, the hot-split plane) is cloned, changed and
-// PutIf'd. A BucketRecord in hand means the storing peer answers from
-// its bytes, so the write ships the one record as a patch guarded by the
-// reply's epoch (patchLeaf) and the peer builds the same bytes the PutIf
-// would have carried — same lookups, same conflicts, same stored bucket.
+// never from asking the substrate what it can do (reach). A whole bucket
+// in hand (every in-process substrate, a coalesced or hidden-capability
+// stack, a torn leaf just repaired, the hot-split plane) is cloned,
+// changed and PutIf'd. Where the storing peer answers from its bytes, the
+// write ships the one record as a patch, which either rode the search's
+// last probe or follows its record reply, and the peer builds the same
+// bytes the PutIf would have carried — same stored bucket, one lookup
+// fewer when it rode.
 func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cost, err error) {
 	if err := keyspace.CheckKey(rec.Key); err != nil {
 		return Cost{}, err
 	}
 	ctx, done := ix.beginOp(ctx, metrics.OpInsert)
 	defer func() { done(err) }()
+	w := &write{rec: rec, upsert: true}
 	for {
-		b, r, key, lcost, err := ix.lookupLeaf(ctx, rec.Key, ix.patchWrites())
-		cost.Add(lcost)
-		if err != nil {
+		f, err := ix.reach(ctx, w, &cost)
+		if err != nil && err != errLeafMoved {
 			return cost, err
 		}
-		var nb *Bucket // the committed bucket, when this writer holds it
+		nb := f.b // the committed bucket, when this writer holds it
 		var hotEdge bool
-		label := leafLabel(b, r)
-		if r != nil {
-			if nb, b, err = ix.patchLeaf(ctx, key, r, rec, true, &cost); err == errLeafMoved {
-				continue
+		if b := f.b; err == nil && !f.patched && ix.full(b, rec.Key) {
+			// The record would take the leaf past the weight bound, where
+			// a patch's peer refuses it: split, then start over.
+			splitCost, serr := ix.split(ctx, f.key, b, false, false)
+			cost.Add(splitCost)
+			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
+			if serr != nil {
+				return cost, serr
 			}
-		}
-		inPlace := b == nil // the write was a patch, and so is the split's every in-place step
-		if b != nil {
+			err = errLeafMoved
+		} else if err == nil && !f.patched {
 			// Mutate a private clone: the substrate may hand concurrent readers
 			// the very pointer it stores (the in-process substrates do).
 			nb = b.Clone()
@@ -508,11 +568,12 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 			nb.Epoch++
 			cost.Lookups++
 			cost.Steps++
-			err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
+			if err = dht.DoPutIf(ctx, ix.d, f.key, nb, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
+				ix.cacheDrop(b.Label)
+			}
 		}
-		if errors.Is(err, dht.ErrCASConflict) {
+		if errors.Is(err, dht.ErrCASConflict) || err == errLeafMoved {
 			ix.c.Add(metrics.WriterRetries, 1)
-			ix.cacheDrop(label)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
@@ -523,14 +584,14 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 			continue
 		}
 		if err != nil {
-			return cost, fmt.Errorf("lht: write back %q: %w", key, err)
+			return cost, fmt.Errorf("lht: write back %q: %w", f.key, err)
 		}
 		if nb == nil {
 			return cost, nil // patched, and still under the split threshold
 		}
 		capacity := nb.Weight() >= ix.cfg.SplitThreshold
 		if capacity || ix.hotLeaf(nb, hotEdge) {
-			splitCost, err := ix.split(ctx, key, nb, !capacity, inPlace)
+			splitCost, err := ix.split(ctx, f.key, nb, !capacity, f.patched)
 			cost.Add(splitCost)
 			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
 			if err != nil {
@@ -542,104 +603,176 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 }
 
 // patchWrites reports whether a write's lookup asks its terminal probe
-// for the record alone, so that a substrate whose peers answer from
-// their bytes gets the write as a patch. The hot-split plane does not:
-// its commit folds the request into the leaf's rate words, which a
-// BucketRecord does not carry (the reply stays in the allocator's 64-byte
-// class, for a Get's sake).
-func (ix *Index) patchWrites() bool {
-	return ix.cfg.HotSplitRate == 0 && !ix.wholeWrites.Load()
+// for the record alone, and so whether its patch rides the search, so
+// that a substrate whose peers answer from their bytes gets the write as
+// a patch. The hot-split plane does not: its commit folds the request
+// into the leaf's rate words, which a BucketRecord does not carry (the
+// reply stays in the allocator's 64-byte class, for a Get's sake).
+func (ix *Index) patchWrites() bool { return ix.cfg.HotSplitRate == 0 }
+
+// write is a one-record write on its way to the leaf covering its key:
+// the record an Insert stores, or the key a Delete removes (rec.Key).
+type write struct {
+	rec    record.Record
+	upsert bool
 }
 
-// leafLabel is the label of the leaf a lookup ended in, in either form.
-func leafLabel(b *Bucket, r *BucketRecord) bitlabel.Label {
-	if r != nil {
-		return r.Label
+// reach runs w's search and, when that ended in a record reply the
+// write's patch did not ride, follows it with the patch (patchLeaf). A
+// delete's record reply that found no record ends it there.
+func (ix *Index) reach(ctx context.Context, w *write, cost *Cost) (leaf, error) {
+	var ride *write
+	if ix.patchWrites() {
+		ride = w
 	}
-	return b.Label
+	f, lcost, err := ix.lookupLeaf(ctx, w.rec.Key, ride != nil, ride)
+	cost.Add(lcost)
+	if err != nil || f.rec == nil || !w.upsert && !f.rec.Found {
+		return f, err
+	}
+	return ix.patchLeaf(ctx, f.key, f.rec.Label, w, cost)
+}
+
+// patchOf is w as the patch of the leaf believed to be label, and the
+// weight at which that patch asks for the new bucket back whole.
+func (ix *Index) patchOf(w *write, label bitlabel.Label) ([]byte, int) {
+	if w.upsert {
+		return UpsertPatch(w.rec, ix.cfg.SplitThreshold, ix.cfg.Depth), ix.cfg.SplitThreshold
+	}
+	whole := ix.cfg.MergeThreshold
+	if label.Len() < 2 {
+		whole = 0 // the root's children never merge
+	}
+	return DeletePatch(w.rec.Key, whole), whole
+}
+
+// ride is patchOf for the probe a write rides, whose search has not seen
+// the leaf yet, so its acknowledgement names it; nil for no write.
+func (ix *Index) ride(w *write, label bitlabel.Label) ([]byte, int) {
+	if w == nil {
+		return nil, 0
+	}
+	patch, whole := ix.patchOf(w, label)
+	return WantLabel(patch), whole
+}
+
+// full reports whether b, a whole leaf in a writer's hand, is one a
+// patch's peer refuses w's record for: the record is new to it and would
+// take it past the weight bound (overweight) at a depth it can still
+// split at. The writer splits it first (see "Patches" in bucket.go).
+func (ix *Index) full(b *Bucket, key float64) bool {
+	d := b.Label.Len()
+	return !b.Torn() && d < ix.cfg.Depth && b.Weight() >= ix.cfg.SplitThreshold+d && record.FindByKey(b.Records, key) < 0
 }
 
 // errLeafMoved is patchLeaf's word for "start the round over".
-var errLeafMoved = errors.New("lht: leaf moved under a refused patch")
+var errLeafMoved = errors.New("lht: leaf moved under a patch")
 
-// patchLeaf commits a one-record write to the leaf under key as a patch:
-// the storing peer upserts rec, or deletes rec.Key's record, in the bytes
-// it stores, iff they are still at the epoch of the record reply r the
-// lookup ended in. It is the PutIf of the whole-bucket arm in every
-// respect but size: one lookup, the same *dht.CASConflictError when the
-// leaf has moved on.
+// patchLeaf commits w to the leaf under key, whose record reply (of label)
+// ended w's search, as a dht.Patch: the storing peer upserts w.rec, or
+// deletes its key's record, in the bytes it stores, iff they are still a
+// leaf the write applies to. It stands for the whole-bucket arm's PutIf:
+// one lookup, applied or not, and an applied reply is read as committed
+// reads it.
 //
-// The peer acknowledges with the new record count, or with the new bucket
-// whole once its weight reaches the split threshold (falls below the
-// merge threshold), and that bucket is returned as nb for Algorithm 1 or
-// the merge to run on at no further lookup. It is trusted no further than
-// a probed bucket: it must be the untorn leaf r described, one epoch on,
-// with the record in (out), and an acknowledgement must be on the near
-// side of the threshold; anything else is dropped and the committed
-// bucket fetched with a plain, charged get. A nil nb with nil b and err
-// means committed, nothing to maintain.
-//
-// A refused patch (dht.ErrPatchRefused, uncharged) committed nothing, and
-// turns this index's writes whole from here on (see wholeWrites). The
-// leaf is then fetched whole with a charged get and returned as b — the
-// only case in which b is not nil — for the caller's whole-bucket arm to
-// commit the write on; if what is stored there now is not a leaf to write
-// to as it stands (gone, torn, no longer covering the key) the error is
-// errLeafMoved: the round starts over, and its lookup deals with that.
-func (ix *Index) patchLeaf(ctx context.Context, key string, r *BucketRecord, rec record.Record, upsert bool, cost *Cost) (nb, b *Bucket, err error) {
-	whole := ix.cfg.SplitThreshold
-	var patch []byte
-	if upsert {
-		patch = UpsertPatch(rec, whole)
-	} else {
-		if whole = ix.cfg.MergeThreshold; r.Label.Len() < 2 {
-			whole = 0 // the root's children never merge
-		}
-		patch = DeletePatch(rec.Key, whole)
-	}
-	v, err := dht.DoPatchIf(ctx, ix.d, key, patch, r.Epoch)
-	if errors.Is(err, dht.ErrPatchRefused) {
-		ix.wholeWrites.Store(true)
-		b, err = ix.getBucket(ctx, key, cost)
-		cost.Steps++
-		switch {
-		case errors.Is(err, dht.ErrNotFound):
-			return nil, nil, errLeafMoved
-		case err != nil:
-			return nil, nil, err
-		case b.Torn() || !b.Contains(rec.Key):
-			return nil, nil, errLeafMoved
-		}
-		return nil, b, nil
-	}
+// Refused, the patch was a probe of the leaf, and its answer says why. A
+// whole untorn bucket covering the key (the peer refused the record at the
+// weight bound, or does not patch) is returned for the whole-bucket arm to
+// write on; a delete's record reply that still finds the record is fetched
+// whole with a plain, charged get, as the search would; anything else —
+// the leaf gone, torn, split or merged since the reply — is errLeafMoved:
+// the round starts over, as from a lost compare-and-swap.
+func (ix *Index) patchLeaf(ctx context.Context, key string, label bitlabel.Label, w *write, cost *Cost) (leaf, error) {
+	patch, whole := ix.patchOf(w, label)
 	cost.Lookups++
 	cost.Steps++
-	if err != nil {
-		return nil, nil, err
+	v, err := dht.DoPatch(ctx, ix.d, key, ProbeHint(w.rec.Key, !w.upsert), patch)
+	if err == nil {
+		lookups := cost.Lookups
+		nb, _, err := ix.committed(ctx, key, w, whole, v, cost)
+		cost.Steps += cost.Lookups - lookups
+		if err != nil {
+			err = fmt.Errorf("lht: write back %q: %w", key, err)
+		}
+		return leaf{key: key, b: nb, patched: true}, err
 	}
+	if r, ok := v.(*BucketRecord); ok && errors.Is(err, dht.ErrPatchRefused) && (w.upsert || r.Found) && keyspace.IntervalOf(r.Label).Contains(w.rec.Key) {
+		// The peer should have applied the write here; no peer sends this.
+		v, err = ix.d.Get(ctx, key)
+		cost.Lookups++
+		cost.Steps++
+	}
+	if errors.Is(err, dht.ErrPatchRefused) {
+		err = nil
+	}
+	switch b, ok := v.(*Bucket); {
+	case err == nil && ok && !b.Torn() && b.Contains(w.rec.Key):
+		ix.cacheNote(b.Label)
+		return leaf{key: key, b: b}, nil
+	case err == nil || errors.Is(err, dht.ErrNotFound):
+		ix.cacheDrop(label)
+		return leaf{}, errLeafMoved
+	}
+	return leaf{}, fmt.Errorf("lht: write back %q: %w", key, err)
+}
+
+// committed reads v, the storing peer's reply to w's patch of the leaf
+// under key, which it applied; whole is the weight at which the patch
+// asked for the new bucket back. It returns the leaf as committed when
+// maintenance may be due — the bucket of a reply that crossed whole — and
+// the leaf's label when the reply named it (the root label when not).
+//
+// A reply is trusted no further than a probed bucket: an acknowledgement
+// must be on the near side of whole, a labelled one (LeafAck) name a leaf
+// stored under key that covers the key, and a bucket be such a leaf,
+// untorn, holding the record (an upsert) or not (a delete). Anything else
+// is dropped and the leaf fetched with a plain, charged get. The write is
+// committed all the same; what maintenance may run on is the leaf as
+// stored, if it still is one.
+func (ix *Index) committed(ctx context.Context, key string, w *write, whole int, v dht.Value, cost *Cost) (*Bucket, bitlabel.Label, error) {
+	delta := w.rec.Key
 	switch a := v.(type) {
 	case PatchAck:
-		if weight := a.Records + 1; upsert && weight < whole || !upsert && weight >= whole {
-			return nil, nil, nil
+		if w.near(whole, a.Records) {
+			return nil, bitlabel.Root, nil
+		}
+	case *LeafAck:
+		if w.near(whole, a.Records) && stores(key, a.Label, delta) {
+			ix.cacheNote(a.Label)
+			return nil, a.Label, nil
 		}
 	case *Bucket:
-		if a.Label == r.Label && a.Epoch == r.Epoch+1 && !a.Torn() && (record.FindByKey(a.Records, rec.Key) >= 0) == upsert {
-			return a, nil, nil
+		if stores(key, a.Label, delta) && !a.Torn() && (record.FindByKey(a.Records, delta) >= 0) == w.upsert {
+			ix.cacheNote(a.Label)
+			return a, a.Label, nil
 		}
 	}
-	// No peer sends this. The write is committed all the same; what
-	// maintenance may run on is the leaf as stored, if it still is one.
-	nb, err = ix.getBucket(ctx, key, cost)
-	cost.Steps++
+	// No peer sends this.
+	nb, err := ix.getBucket(ctx, key, cost)
 	switch {
 	case errors.Is(err, dht.ErrNotFound):
-		return nil, nil, nil
+		return nil, bitlabel.Root, nil
 	case err != nil:
-		return nil, nil, err
-	case nb.Torn() || nb.Label != r.Label:
-		return nil, nil, nil // already being restructured by someone else
+		return nil, bitlabel.Root, err
+	case nb.Torn() || !nb.Contains(delta):
+		return nil, nb.Label, nil // already being restructured by someone else
 	}
-	return nb, nil, nil
+	return nb, nb.Label, nil
+}
+
+// near reports whether a leaf left holding n records by w is on the near
+// side of whole, the weight at which w's patch asks for the bucket back.
+func (w *write) near(whole, n int) bool {
+	if w.upsert {
+		return n+1 < whole
+	}
+	return n+1 >= whole
+}
+
+// stores reports whether label is a leaf that covers delta and is stored
+// under key.
+func stores(key string, label bitlabel.Label, delta float64) bool {
+	return keyspace.IntervalOf(label).Contains(delta) && label.Name().Key() == key
 }
 
 // inPlaceOps holds the in-place patches back to back, read-only: a step
@@ -786,31 +919,24 @@ func (ix *Index) Delete(delta float64) (Cost, error) {
 // DeleteContext is Delete with a caller-supplied context. Like
 // InsertContext it is an optimistic read-modify-write: a lost CAS re-runs
 // the round from the lookup until the delete commits or ctx ends, and the
-// write-back is a patch when the lookup ended in a record reply.
+// write-back is a patch where the storing peer answers from its bytes.
 func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, err error) {
 	if err := keyspace.CheckKey(delta); err != nil {
 		return Cost{}, err
 	}
 	ctx, done := ix.beginOp(ctx, metrics.OpDelete)
 	defer func() { done(err) }()
+	w := &write{rec: record.Record{Key: delta}}
 	for {
-		b, r, key, lcost, err := ix.lookupLeaf(ctx, delta, ix.patchWrites())
-		cost.Add(lcost)
-		if err != nil {
+		f, err := ix.reach(ctx, w, &cost)
+		if err != nil && err != errLeafMoved {
 			return cost, err
 		}
-		var nb *Bucket // the committed bucket, when this writer holds it
-		label := leafLabel(b, r)
-		if r != nil {
-			if !r.Found {
-				return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
-			}
-			if nb, b, err = ix.patchLeaf(ctx, key, r, record.Record{Key: delta}, false, &cost); err == errLeafMoved {
-				continue
-			}
+		if f.rec != nil {
+			return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
 		}
-		inPlace := b == nil // the write was a patch, and so is the merge's intent clear
-		if b != nil {
+		nb := f.b // the committed bucket, when this writer holds it
+		if b := f.b; err == nil && !f.patched {
 			i := record.FindByKey(b.Records, delta)
 			if i < 0 {
 				return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
@@ -824,11 +950,12 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 			nb.Epoch++
 			cost.Lookups++
 			cost.Steps++
-			err = dht.DoPutIf(ctx, ix.d, key, nb, b.Epoch)
+			if err = dht.DoPutIf(ctx, ix.d, f.key, nb, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
+				ix.cacheDrop(b.Label)
+			}
 		}
-		if errors.Is(err, dht.ErrCASConflict) {
+		if errors.Is(err, dht.ErrCASConflict) || err == errLeafMoved {
 			ix.c.Add(metrics.WriterRetries, 1)
-			ix.cacheDrop(label)
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
@@ -838,12 +965,12 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 			continue
 		}
 		if err != nil {
-			return cost, fmt.Errorf("lht: write back %q: %w", key, err)
+			return cost, fmt.Errorf("lht: write back %q: %w", f.key, err)
 		}
 		// A rate-hot leaf never merges: re-widening the interval a skewed
 		// read stream is hammering would undo the load split and thrash.
 		if nb != nil && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold && !ix.rateHot(nb) {
-			mergeCost, err := ix.merge(ctx, key, nb, inPlace)
+			mergeCost, err := ix.merge(ctx, f.key, nb, f.patched)
 			cost.Add(mergeCost)
 			ix.c.Add(metrics.MaintLookups, int64(mergeCost.Lookups))
 			if err != nil {

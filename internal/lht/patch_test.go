@@ -69,6 +69,11 @@ func patchedReply(t testing.TB, reply, stored []byte) int {
 			t.Fatal("DecodeBucket accepted a patch acknowledgement")
 		}
 		return a.Records
+	case *LeafAck:
+		if b, err := DecodeBucket(stored); err != nil || a.Label != b.Label {
+			t.Fatalf("labelled acknowledgement of %s for %v, %v", a.Label, b, err)
+		}
+		return a.Records
 	case *Bucket:
 		if !bytes.Equal(reply, stored) {
 			t.Fatalf("whole reply differs from the stored bytes:\n%x\n%x", reply, stored)
@@ -106,23 +111,29 @@ func TestPatchBucket(t *testing.T) {
 		want  *Bucket
 		whole bool // the reply is the new bucket
 	}{
-		"append":                      {b: small, patch: UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 100)},
-		"append an empty value":       {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 0)},
-		"append at the threshold":     {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 7), whole: true},
-		"append under the threshold":  {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 8)},
-		"replace first of duplicates": {b: small, patch: UpsertPatch(record.Record{Key: 0.5, Value: []byte("a longer value than before")}, 100)},
-		"replace past the threshold":  {b: small, patch: UpsertPatch(record.Record{Key: 0.875}, 3), whole: true},
-		"replace +0 with -0":          {b: zero, patch: UpsertPatch(record.Record{Key: negZero, Value: []byte("minus")}, 100)},
-		"count 127 to 128":            {b: wide, patch: UpsertPatch(record.Record{Key: 0.9}, 0)},
-		"delete last":                 {b: small, patch: DeletePatch(0.875, 0)},
-		"delete middle":               {b: small, patch: DeletePatch(0.75, 3)},
-		"delete first of duplicates":  {b: small, patch: DeletePatch(0.5, 5)},
-		"delete below the threshold":  {b: small, patch: DeletePatch(0.625, 6), whole: true},
-		"delete the only record":      {b: zero, patch: DeletePatch(negZero, 0)},
+		"append":                        {b: small, patch: UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 100, 20)},
+		"append an empty value":         {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 0, 20)},
+		"append at the threshold":       {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 7, 20), whole: true},
+		"append under the threshold":    {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 8, 20)},
+		"replace first of duplicates":   {b: small, patch: UpsertPatch(record.Record{Key: 0.5, Value: []byte("a longer value than before")}, 100, 20)},
+		"replace past the threshold":    {b: small, patch: UpsertPatch(record.Record{Key: 0.875}, 3, 20), whole: true},
+		"replace +0 with -0":            {b: zero, patch: UpsertPatch(record.Record{Key: negZero, Value: []byte("minus")}, 100, 20)},
+		"count 127 to 128":              {b: wide, patch: UpsertPatch(record.Record{Key: 0.9}, 0, 20)},
+		"delete last":                   {b: small, patch: DeletePatch(0.875, 0)},
+		"delete middle":                 {b: small, patch: DeletePatch(0.75, 3)},
+		"delete first of duplicates":    {b: small, patch: DeletePatch(0.5, 5)},
+		"delete below the threshold":    {b: small, patch: DeletePatch(0.625, 6), whole: true},
+		"delete the only record":        {b: zero, patch: DeletePatch(negZero, 0)},
+		"append, the label asked for":   {b: small, patch: WantLabel(UpsertPatch(record.Record{Key: 0.6}, 100, 20))},
+		"delete, the label asked for":   {b: small, patch: WantLabel(DeletePatch(0.75, 3))},
+		"append one short of the bound": {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 5, 20), whole: true},
+		"append at the bound, depth D":  {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 4, 2), whole: true},
+		"replace at the bound":          {b: small, patch: UpsertPatch(record.Record{Key: 0.75}, 4, 20), whole: true},
 	} {
 		var rec record.Record
 		_, arg, _ := record.ReadUvarint(tc.patch[1:])
-		if tc.patch[0] == patchUpsert {
+		if tc.patch[0]&^patchWantLabel == patchUpsert {
+			_, arg, _ = record.ReadUvarint(arg) // the depth bound
 			var err error
 			if rec, err = record.DecodeRecord(arg); err != nil {
 				t.Fatal(err)
@@ -190,14 +201,16 @@ func TestPatchBucket(t *testing.T) {
 	torn.Pending = Pending{Kind: PendingSplit}
 	data := mustEncode(t, small)
 	list := len(data) - record.ListSize(small.Records)
-	put := UpsertPatch(record.Record{Key: 0.6, Value: []byte("v")}, 9)
+	put := UpsertPatch(record.Record{Key: 0.6, Value: []byte("v")}, 9, 20)
 	for name, tc := range map[string]struct{ data, patch []byte }{
 		"delete of an absent key":  {data, DeletePatch(0.6, 0)},
 		"delete of NaN":            {data, DeletePatch(math.NaN(), 0)},
 		"torn, upsert":             {mustEncode(t, torn), put},
 		"torn, delete":             {mustEncode(t, torn), DeletePatch(0.75, 0)},
-		"non-covering upsert":      {data, UpsertPatch(record.Record{Key: 0.25}, 9)},
+		"non-covering upsert":      {data, UpsertPatch(record.Record{Key: 0.25}, 9, 20)},
 		"non-covering delete":      {data, DeletePatch(0.25, 0)},
+		"a new key at the bound":   {data, UpsertPatch(record.Record{Key: 0.6}, 4, 20)},
+		"a new key past the bound": {data, UpsertPatch(record.Record{Key: 0.6}, 1, 20)},
 		"corrupt list":             {data[:len(data)-1], put},
 		"bytes after the list":     {append(append([]byte(nil), data...), 0), put},
 		"count past the records":   {append(append([]byte(nil), data[:list]...), 9), put},
@@ -259,6 +272,9 @@ func TestPatchBucket(t *testing.T) {
 	}
 }
 
+// held reports whether b holds a record with key delta.
+func held(b *Bucket, delta float64) bool { return record.FindByKey(b.Records, delta) >= 0 }
+
 // deepestLabel is a label as deep as a label goes, which has no children.
 func deepestLabel() bitlabel.Label {
 	l := bitlabel.TreeRoot
@@ -277,17 +293,19 @@ func deepestLabel() bitlabel.Label {
 //     merge's clear), and its reply is an acknowledgement of that bucket's
 //     record count or those very bytes;
 //   - it accepts exactly when the whole-bucket arm could have made the
-//     write (an untorn bucket that covers the key; for a delete, holds it)
-//     or taken the step (marked an untorn leaf, committed a split one,
+//     write (an untorn bucket that covers the key; for a delete, holds it;
+//     for a new key, short of the weight bound or at the depth bound) or
+//     taken the step (marked an untorn leaf, committed a split one,
 //     cleared a merged one) and then stores exactly that arm's encoding.
 func FuzzPatchBucket(f *testing.F) {
 	b := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 3,
 		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}}
 	small := mustEncode(f, b)
-	f.Add(small, UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 4))
-	f.Add(small, UpsertPatch(record.Record{Key: 0.5}, 0))
+	f.Add(small, UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 4, 20))
+	f.Add(small, UpsertPatch(record.Record{Key: 0.5}, 0, 20))
 	f.Add(small, DeletePatch(0.75, 2))
 	f.Add(small, DeletePatch(0.1, 0))
+	f.Add(small, UpsertPatch(record.Record{Key: 0.6}, 1, 20)) // refused: a new key past the weight bound
 	f.Add([]byte("junk"), []byte{})
 	for _, h := range hostileBuckets() {
 		f.Add(h, DeletePatch(0.5, 0))
@@ -336,7 +354,7 @@ func FuzzPatchBucket(f *testing.F) {
 		for i, k := range keys {
 			rec := record.Record{Key: k, Value: patch}
 			able := !b.Torn() && b.Contains(k)
-			got := check(enc, UpsertPatch(rec, i))
+			got := check(enc, UpsertPatch(rec, i, 20))
 			if (got != nil) != able || able && !sameBucket(got, applyUpsert(b, rec)) {
 				t.Fatalf("upsert of %v into %s (torn %v): stored %v", k, b.Label, b.Torn(), got)
 			}
@@ -344,6 +362,16 @@ func FuzzPatchBucket(f *testing.F) {
 			got = check(enc, DeletePatch(k, i))
 			if (got != nil) != (able && held) || got != nil && !sameBucket(got, want) {
 				t.Fatalf("delete of %v from %s (torn %v, held %v): stored %v", k, b.Label, b.Torn(), held, got)
+			}
+		}
+		// A new key at the weight bound is refused while the leaf can still
+		// split, and taken at the depth bound.
+		if rec, d := (record.Record{Key: 0.3}), b.Label.Len(); !b.Torn() && b.Contains(0.3) && !held(b, 0.3) && b.Weight() > d {
+			if got := check(enc, UpsertPatch(rec, b.Weight()-d, 20)); got != nil {
+				t.Fatalf("upsert of a new key into %s at the weight bound stored %v", b.Label, got)
+			}
+			if got := check(enc, UpsertPatch(rec, b.Weight()-d, d)); !sameBucket(got, applyUpsert(b, rec)) {
+				t.Fatalf("upsert of a new key into %s at the depth bound stored %v", b.Label, got)
 			}
 		}
 

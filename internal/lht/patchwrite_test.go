@@ -112,12 +112,22 @@ type writeTrace struct {
 
 // runWrites runs ops through ix and returns what they showed: op by op
 // the cost, the error, the index's counters and the servers' load so far;
-// at the end the tree as reader finds it.
-func runWrites(t *testing.T, ix *Index, reader *Index, srvs []*tcpnet.Server, ops []writeOp) writeTrace {
+// at the end the tree as reader finds it. With spy, the patched arm's,
+// each patch that rode a search's probe and was applied is counted back
+// in as the lookup of the probe the whole-bucket arm pays for, in the
+// op's cost and in every lookup total, so that the arms compare op by op.
+func runWrites(t *testing.T, ix *Index, reader *Index, srvs []*tcpnet.Server, ops []writeOp, spy *probeSpy) writeTrace {
 	t.Helper()
+	ridden := func() int {
+		if spy == nil {
+			return 0
+		}
+		return spy.riddenCount()
+	}
 	var tr writeTrace
 	l0, f0 := served(srvs)
 	for i, o := range ops {
+		r0 := ridden()
 		var cost Cost
 		var err error
 		if o.del {
@@ -130,14 +140,18 @@ func runWrites(t *testing.T, ix *Index, reader *Index, srvs []*tcpnet.Server, op
 		} else if cost, err = ix.Insert(o.rec); err != nil {
 			t.Fatalf("op %d: Insert(%v): %v", i, o.rec.Key, err)
 		}
+		n := ridden()
+		cost.Lookups += n - r0
+		cost.Steps += n - r0
 		f := ix.Metrics()
+		f.Lookup.Total += int64(n)
 		l, fg := served(srvs)
-		tr.results = append(tr.results, fmt.Sprintf("%+v %v | %+v %+v %+v | served %d, %d", cost, err, f.Lookup, f.Write, f.Cache, l-l0, fg-f0))
+		tr.results = append(tr.results, fmt.Sprintf("%+v %v | %+v %+v %+v | served %d, %d", cost, err, f.Lookup, f.Write, f.Cache, l+int64(n)-l0, fg-f0))
 	}
 	l1, f1 := served(srvs)
-	tr.lookups, tr.failed = l1-l0, f1-f0
+	tr.lookups, tr.failed = l1+int64(ridden())-l0, f1-f0
 	f := ix.Metrics()
-	tr.ixLookups, tr.ixFails = f.Lookup.Total, f.Lookup.FailedGets
+	tr.ixLookups, tr.ixFails = f.Lookup.Total+int64(ridden()), f.Lookup.FailedGets
 	tr.conflicts, tr.retries, tr.fallbacks = f.Write.CASConflicts, f.Write.WriterRetries, f.Write.CASFallbacks
 	tr.splits, tr.merges, tr.moved, tr.maint = f.Lookup.Splits, f.Lookup.Merges, f.Lookup.MovedRecords, f.Lookup.Maintenance
 	tr.cache = cacheLabels(ix)
@@ -178,12 +192,15 @@ func (a writeTrace) diff(b writeTrace) string {
 
 // TestPatchedWritesMatchWholeWrites is the property: one seeded stream of
 // inserts, overwrites, deletes and deletes of absent keys, long enough to
-// split and merge, leaves byte-identical trees behind, op for op at the
-// same cost and with the same errors, index counters and load on the
-// servers, the same splits and merges and the same leaf cache, whether
-// each write commits as a patch or as a whole bucket — while every write
-// of the first arm that did not stop at a missing key was a patch, and
-// every split's mark and commit and every merge's clear an in-place one.
+// split and merge, leaves byte-identical trees behind, op for op with the
+// same errors, index counters and load on the servers, the same splits and
+// merges and the same leaf cache, whether each write commits as a patch
+// or as a whole bucket — while every write of the first arm that did not
+// stop at a missing key was a patch, and every split's mark and commit and
+// every merge's clear an in-place one. The costs are the same too, but for
+// the patches that rode the probe the leaf cache named: each such write
+// costs exactly one lookup less than its whole-bucket twin, on the index
+// and on the servers. With the cache off none rides; with it on, most do.
 func TestPatchedWritesMatchWholeWrites(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, arm := range []struct {
@@ -212,7 +229,11 @@ func TestPatchedWritesMatchWholeWrites(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tr := runWrites(t, ix, reader, srvs, ops)
+					var patched *probeSpy
+					if !hide {
+						patched = spy
+					}
+					tr := runWrites(t, ix, reader, srvs, ops, patched)
 					if err := reader.CheckInvariants(); err != nil {
 						t.Fatal(err)
 					}
@@ -226,11 +247,17 @@ func TestPatchedWritesMatchWholeWrites(t *testing.T) {
 				if got.splits < 10 || got.merges < 3 {
 					t.Errorf("the stream made %d splits and %d merges: too tame to prove much", got.splits, got.merges)
 				}
-				if patches := spy.patchCount(); patches != len(ops)-got.absent {
-					t.Errorf("%d patches for %d writes, %d of them deletes of absent keys", patches, len(ops), got.absent)
+				applied, ridden, patchRecords := spy.patchCounts()
+				if applied != len(ops)-got.absent {
+					t.Errorf("%d patches applied for %d writes, %d of them deletes of absent keys", applied, len(ops), got.absent)
 				}
-				if _, records := spy.recordCounts(); records != len(ops) {
-					t.Errorf("%d of %d write lookups ended in a record reply", records, len(ops))
+				if _, records := spy.recordCounts(); records+ridden+patchRecords != len(ops) {
+					t.Errorf("%d of %d write lookups ended in a record reply, %d in a patch that rode a probe, %d in a refused one's record reply",
+						records, len(ops), ridden, patchRecords)
+				}
+				if arm.cached != (2*ridden > len(ops)) || !arm.cached && ridden != 0 {
+					t.Errorf("cache %v: %d of %d writes were done by the probe their patch rode, want most with the cache and none without",
+						arm.cached, ridden, len(ops))
 				}
 				if n := spy.inPlaceCount(); n != int(2*got.splits+got.merges) {
 					t.Errorf("%d in-place patches for %d splits and %d merges, want two a split and one a merge", n, got.splits, got.merges)

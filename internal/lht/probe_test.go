@@ -79,15 +79,43 @@ type probeSpy struct {
 	records       int                // answered with a BucketRecord
 	tornExcluding int                // answered with a whole torn bucket that excludes the hinted key
 	headerFor     map[string]float64 // DHT key -> a data key whose probe of it got a header
-	patches       int                // PatchIf calls
+	patches       int                // Patch calls
+	applied       int                // of those, applied
+	ridden        int                // of those, applied ones that rode a search's probe
+	patchRecords  int                // refused, and answered with a record reply
 	inPlace       int                // WritePatchIf calls
 }
 
-func (s *probeSpy) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+func (s *probeSpy) Patch(ctx context.Context, key string, hint uint64, patch []byte) (dht.Value, error) {
+	v, err := s.Client.Patch(ctx, key, hint, patch)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.patches++
-	s.mu.Unlock()
-	return s.Client.PatchIf(ctx, key, patch, ifEpoch)
+	if _, ok := v.(*BucketRecord); ok && errors.Is(err, dht.ErrPatchRefused) {
+		s.patchRecords++
+	}
+	if err == nil {
+		s.applied++
+		if patch[0]&patchWantLabel != 0 {
+			s.ridden++
+		}
+	}
+	return v, err
+}
+
+// patchCounts is how many patches were applied, how many of those rode
+// a search's probe — each a lookup the whole-bucket arm pays and the
+// patched arm does not — and how many were refused with a record reply.
+func (s *probeSpy) patchCounts() (applied, ridden, records int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.applied, s.ridden, s.patchRecords
+}
+
+// riddenCount is patchCounts' second count.
+func (s *probeSpy) riddenCount() int {
+	_, ridden, _ := s.patchCounts()
+	return ridden
 }
 
 func (s *probeSpy) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {

@@ -1,0 +1,284 @@
+package lht
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"lht/internal/bitlabel"
+	"lht/internal/keyspace"
+	"lht/internal/record"
+	"lht/internal/tcpnet"
+)
+
+// These tests pin the write whose patch rides the probe its leaf cache
+// names: over real servers a cache hit is the whole write, one lookup in
+// one round trip; a probe that meets a leaf that moved since the cache
+// noted it is answered as a probe, and the write still commits exactly
+// once; and writers whose patches nothing but the storing peer guards keep
+// every leaf within the weight bound.
+
+// A cache-hit insert and delete over real servers are one lookup and one
+// round trip each: the patch rides the probe of the cached leaf, and the
+// peer's acknowledgement ends the write.
+func TestCacheHitWriteIsOneRoundTrip(t *testing.T) {
+	client, srvs := startProbeCluster(t, 3)
+	cfg := Config{SplitThreshold: 8, MergeThreshold: 2, Depth: 20}
+	builder, err := New(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 60; i++ {
+		if _, err := builder.Insert(record.Record{Key: rng.Float64(), Value: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A key whose leaf takes one record more without splitting, and gives
+	// it back without merging.
+	var k float64
+	for {
+		k = rng.Float64()
+		if b, _, err := builder.LookupBucket(k); err != nil {
+			t.Fatal(err)
+		} else if b.Weight()+1 < cfg.SplitThreshold && b.Weight() > cfg.MergeThreshold {
+			break
+		}
+	}
+	spy := &probeSpy{Client: client, t: t}
+	cfg.LeafCache = true
+	ix, err := New(spy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Search(k); !errors.Is(err, ErrKeyNotFound) { // the cache learns k's leaf
+		t.Fatalf("Search(%v) = %v", k, err)
+	}
+	for _, op := range []struct {
+		name string
+		do   func() (Cost, error)
+	}{
+		{"Insert", func() (Cost, error) { return ix.Insert(record.Record{Key: k, Value: []byte("new")}) }},
+		{"Delete", func() (Cost, error) { return ix.Delete(k) }},
+	} {
+		probes, _, _ := spy.counts()
+		patches, ridden := spy.patchCount(), spy.riddenCount()
+		served0, _ := served(srvs)
+		cost, err := op.do()
+		served1, _ := served(srvs)
+		if now, _, _ := spy.counts(); err != nil || cost != (Cost{Lookups: 1, Steps: 1}) || now != probes ||
+			spy.patchCount() != patches+1 || spy.riddenCount() != ridden+1 || served1-served0 != 1 {
+			t.Errorf("%s: %+v, %v: %d probes and %d patches (%d ridden) reached the client, the servers counted %d lookups; want one patch riding the one probe",
+				op.name, cost, err, now-probes, spy.patchCount()-patches, spy.riddenCount()-ridden, served1-served0)
+		}
+	}
+	if h := ix.Metrics().Cache.Hits; h != 2 {
+		t.Errorf("%d cache hits, want both writes'", h)
+	}
+	if _, _, err := builder.Search(k); !errors.Is(err, ErrKeyNotFound) {
+		t.Errorf("Search(%v) after the insert and the delete = %v", k, err)
+	}
+}
+
+// A write's patch rides the probe its cache names even when that leaf has
+// since moved: split by another writer, merged away, or torn by a writer
+// that crashed. The peer then answers as a probe — a header, nothing, the
+// torn leaf whole — and the search goes on from that answer (repairing
+// the torn leaf), and the write commits exactly once, by the patch that
+// follows its record reply.
+func TestProbePatchOfAMovedLeafIsAnsweredAsAProbe(t *testing.T) {
+	// #0 splits at its fourth key into #00 = {0.1, 0.2}, stored under "#",
+	// and #01 = {0.6}, stored under "#0".
+	cfg := Config{SplitThreshold: 4, MergeThreshold: 3, Depth: 20}
+	x := bitlabel.MustParse("#01")
+	for name, tc := range map[string]struct {
+		move  func(t *testing.T, other *Index, client *tcpnet.Client)
+		key   float64
+		torn  bool
+		count int
+	}{
+		// Two keys more split #01: #011 keeps the name "#0" and no longer
+		// covers 0.65, which went to #010, named "#01".
+		"split": {func(t *testing.T, other *Index, _ *tcpnet.Client) {
+			for _, k := range []float64{0.7, 0.8} {
+				if _, err := other.Insert(record.Record{Key: k}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 0.65, false, 6},
+		// Two deletes merge #01 into #0, stored under "#"; "#0" is gone.
+		"merge": {func(t *testing.T, other *Index, _ *tcpnet.Client) {
+			for _, k := range []float64{0.2, 0.6} {
+				if _, err := other.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 0.7, false, 2},
+		// A split of #01 that crashed after its intent mark.
+		"torn": {func(t *testing.T, _ *Index, client *tcpnet.Client) {
+			b := getLeaf(t, client, x)
+			marked := markedSplit(b)
+			if err := client.WriteIf(context.Background(), x.Name().Key(), marked, b.Epoch); err != nil {
+				t.Fatal(err)
+			}
+		}, 0.7, true, 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			client, _ := startProbeCluster(t, 3)
+			other, err := New(client, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []float64{0.1, 0.2, 0.6} {
+				if _, err := other.Insert(record.Record{Key: k}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if b := getLeaf(t, client, x); len(b.Records) != 1 {
+				t.Fatalf("the tree is not the one this test builds: %s", b)
+			}
+			spy := &probeSpy{Client: client, t: t}
+			wcfg := cfg
+			wcfg.LeafCache = true
+			ix, err := New(spy, wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ix.Search(0.6); err != nil { // the cache notes #01
+				t.Fatal(err)
+			}
+			tc.move(t, other, client)
+
+			if _, err := ix.Insert(record.Record{Key: tc.key, Value: []byte("w")}); err != nil {
+				t.Fatal(err)
+			}
+			applied, ridden, _ := spy.patchCounts()
+			if spy.patchCount() != 2 || applied != 1 || ridden != 0 {
+				t.Errorf("%d patches, %d applied, %d of those riding the cached leaf's probe; want the ridden one answered as a probe, then one applied",
+					spy.patchCount(), applied, ridden)
+			}
+			if rec, _, err := other.Search(tc.key); err != nil || string(rec.Value) != "w" {
+				t.Errorf("Search(%v) = %v, %v", tc.key, rec, err)
+			}
+			if n, err := other.Count(); err != nil || n != tc.count {
+				t.Errorf("Count = %d, %v, want %d: the write landed once", n, err, tc.count)
+			}
+			if f := ix.Metrics(); f.Cache.Stale != 1 || (f.Repair.Repairs == 1) != tc.torn {
+				t.Errorf("%d stale cache entries, %d repairs", f.Cache.Stale, f.Repair.Repairs)
+			}
+			if err := other.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// getLeaf is the leaf labelled x as stored under its name.
+func getLeaf(t *testing.T, client *tcpnet.Client, x bitlabel.Label) *Bucket {
+	t.Helper()
+	v, err := client.Get(context.Background(), x.Name().Key())
+	b, ok := v.(*Bucket)
+	if err != nil || !ok || b.Label != x {
+		t.Fatalf("under %s: %v, %v; want leaf %s", x.Name(), v, err, x)
+	}
+	return b
+}
+
+// Eight writers race over one cluster with their leaf caches on and θ = 4,
+// every commit a patch that only the storing peer guards: nothing fences a
+// write that lands between a split's threshold-crossing patch and its
+// intent mark. The peer's refusal of a new key at the weight bound is what
+// holds it: after every burst no leaf weighs past θ + its depth
+// (CheckInvariants, overweight), every key is stored exactly once, and the
+// tree is sound.
+func TestPatchedWritersKeepTheWeightBound(t *testing.T) {
+	const nWriters, perWriter, bursts = 8, 12, 4
+	cfg := Config{SplitThreshold: 4, Depth: 20, LeafCache: true}
+	client, _ := startProbeCluster(t, 3)
+	spy := &probeSpy{Client: client, t: t}
+	verify, err := New(hideProber(client), Config{SplitThreshold: 4, Depth: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writers := make([]*Index, nWriters)
+	for w := range writers {
+		if writers[w], err = New(spy, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	want := map[float64]bool{}
+	for burst := 0; burst < bursts; burst++ {
+		// Every writer's keys in one narrow band: the same few leaves fill
+		// and split under all of them at once.
+		centre := rng.Float64()
+		keys := make([][]float64, nWriters)
+		for w := range keys {
+			for i := 0; i < perWriter; i++ {
+				k := math.Mod(centre+rng.Float64()/256, 1)
+				keys[w] = append(keys[w], k)
+				want[k] = true
+			}
+		}
+		errs := make([]error, nWriters)
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, k := range keys[w] {
+					if _, err := writers[w].Insert(record.Record{Key: k, Value: []byte{byte(w)}}); err != nil {
+						errs[w] = fmt.Errorf("writer %d: Insert(%v): %w", w, k, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := verify.CheckInvariants(); err != nil {
+			t.Fatalf("after burst %d: %v", burst, err)
+		}
+		leaves, err := verify.Leaves()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[float64]int{}
+		for _, b := range leaves {
+			if d := b.Label.Len(); d < cfg.Depth && b.Weight() > cfg.SplitThreshold+d {
+				t.Errorf("after burst %d: leaf %s weighs %d, past %d + %d", burst, b.Label, b.Weight(), cfg.SplitThreshold, d)
+			}
+			for _, r := range b.Records {
+				if !keyspace.IntervalOf(b.Label).Contains(r.Key) {
+					t.Errorf("after burst %d: %v stored in %s", burst, r.Key, b.Label)
+				}
+				seen[r.Key]++
+			}
+		}
+		for k := range want {
+			if seen[k] != 1 {
+				t.Errorf("after burst %d: key %v stored %d times, want once", burst, k, seen[k])
+			}
+		}
+		if len(seen) != len(want) {
+			t.Errorf("after burst %d: %d keys stored, want %d", burst, len(seen), len(want))
+		}
+	}
+	var retries int64
+	for _, ix := range writers {
+		retries += ix.Metrics().Write.WriterRetries
+	}
+	applied, ridden, _ := spy.patchCounts()
+	t.Logf("%d patches applied, %d of them riding a probe; %d writer retries", applied, ridden, retries)
+	if ridden == 0 {
+		t.Error("no patch rode a probe")
+	}
+}

@@ -162,10 +162,9 @@ func (ix *Index) probeLeaf(ctx context.Context, key string, col *rangeCollector)
 //
 // A short reply is trusted no further than a whole bucket: the join
 // filters a run as it filters a bucket's records, so a peer that ships too
-// much decides nothing, and a header whose label does overlap the range —
-// every header a peer sends that predates the range hint, which it reads
-// as a key of 2 or more — or a reply of a form not asked for is dropped
-// and the bucket fetched whole with a plain, charged get.
+// much decides nothing, and a header whose label does overlap the range
+// or a reply of a form not asked for is dropped and the bucket fetched
+// whole with a plain, charged get.
 func (ix *Index) rangeLeaf(ctx context.Context, v dht.Value, err error, key string, col *rangeCollector) (dht.Value, error) {
 	if err != nil {
 		return nil, err

@@ -113,10 +113,20 @@ func (ix *Index) CheckInvariants() error {
 // insert takes a leaf of weight w to w+1; if that reaches theta_split it
 // splits, and each child weighs at most w+1 <= theta_split + len + 1 at
 // depth len + 1. Nothing else adds a record. Leaves at the depth bound D
-// cannot split and are exempt. (Writers racing on one leaf can stretch
-// this: the one that loses the split fence yields its split, so each lost
-// race may add a record without adding a level. That takes a leaf
-// already at the bound, i.e. nothing but one-sided splits above it.)
+// cannot split and are exempt. (The same induction keeps a serial leaf
+// two records short of the bound: the tree's first leaf splits at
+// theta_split, at depth 1.)
+//
+// Writers racing on one leaf are held to it without a fence. A patch
+// carries no epoch (dht.Patcher's Patch), so nothing orders the writes
+// that land between a threshold-crossing patch and the split's intent
+// mark, and each could add a record; the split's writer, its mark now
+// stale, yields. So the storing peer refuses a key the leaf does not hold
+// once the leaf weighs theta_split + len(label), answering with the
+// bucket, and the writer splits it before it starts over (Index.full);
+// the whole-bucket arm does the same with a bucket it holds. No leaf
+// weighs past the bound, however the writers interleave, and a serial
+// history never meets the refusal.
 func (ix *Index) overweight(b *Bucket) bool {
 	return b.Label.Len() < ix.cfg.Depth && b.Weight() > ix.cfg.SplitThreshold+b.Label.Len()
 }

@@ -28,8 +28,8 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []er
 	return c.getBatch(ctx, keys, probeHint{})
 }
 
-// ProbeBatch implements dht.Prober: GetBatch with hint in every frame to
-// a node that serves it (frame.go); any other answers every slot whole.
+// ProbeBatch implements dht.Prober: GetBatch with hint in every frame
+// (frame.go).
 func (c *Client) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]dht.Value, []error) {
 	return c.getBatch(ctx, keys, probeHint{v: hint, set: true})
 }
@@ -198,13 +198,9 @@ func batchCall(ctx context.Context, m *mconn, op dht.OpKind, want int, build fun
 }
 
 // frameGetBatch fetches one node's slots of a batch in one frame, with h
-// if the node serves a hinted getbatch.
+// when it is set.
 func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, h probeHint, vals []dht.Value, errs []error) {
-	m := n.pick()
-	if h.set {
-		h.set, _ = m.serves(ctx, featHintedBatch) // on a failed dial the call below fails too
-	}
-	cur, frame, err := batchCall(ctx, m, dht.OpGetBatch, len(slots), func(b []byte) ([]byte, error) {
+	cur, frame, err := batchCall(ctx, n.pick(), dht.OpGetBatch, len(slots), func(b []byte) ([]byte, error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
 			b = appendLenString(b, keys[i])

@@ -446,8 +446,8 @@ type req struct {
 	op    dht.OpKind
 	key   string
 	val   dht.Value // the put-like ops and conditionals
-	epoch uint64    // PutIf, RemoveIf, WriteIf, patchif
-	hint  probeHint // get
+	epoch uint64    // PutIf, RemoveIf, WriteIf, patchif modes 1 and 2
+	hint  probeHint // get, patchif mode 0
 	mode  byte      // patchif
 	patch []byte    // patchif
 }
@@ -467,7 +467,12 @@ func (r req) frame(b []byte) ([]byte, error) {
 	case dht.OpRemoveIf:
 		return appendUv(b, r.epoch), nil
 	case dht.OpPatchIf:
-		return append(appendUv(append(b, r.mode), r.epoch), r.patch...), nil
+		if b = append(b, r.mode); r.mode == patchProbe {
+			b = binary.BigEndian.AppendUint64(b, r.hint.v)
+		} else {
+			b = appendUv(b, r.epoch)
+		}
+		return append(b, r.patch...), nil
 	case dht.OpPutIf, dht.OpWriteIf:
 		b = appendUv(b, r.epoch)
 	}
@@ -476,7 +481,8 @@ func (r req) frame(b []byte) ([]byte, error) {
 
 // propagated is the request that carries r's accepted outcome to a holder
 // other than the serializer that accepted it: the patch again in newer
-// mode, a removal, or the value over the epoch-ordered putnewer.
+// mode at the epoch the serializer patched (r.epoch, which doAt recorded
+// for a Patch), a removal, or the value over the epoch-ordered putnewer.
 func (r req) propagated() req {
 	switch r.op {
 	case dht.OpPatchIf:
@@ -492,12 +498,18 @@ func (r req) propagated() req {
 // do performs r on n in one framed round trip. It answers the value a
 // get or take found, the decoded reply of a serializer's applied patch,
 // and nil for anything else; statusCASConflict is the typed
-// *dht.CASConflictError. A patch the node would not apply, or whose op it
-// does not know, is dht.ErrPatchRefused — and so is, with no round trip,
-// an in-place patch to a node whose handshake did not say it serves them.
-// A value with no stored form fails before the breaker or the connection
-// is touched.
-func (n *clientNode) do(ctx context.Context, r req) (v dht.Value, err error) {
+// *dht.CASConflictError. A patch the node would not apply is
+// dht.ErrPatchRefused, beside — for a Patch — the answer to the get it
+// rode. A value with no stored form fails before the breaker or the
+// connection is touched.
+func (n *clientNode) do(ctx context.Context, r req) (dht.Value, error) {
+	return n.doAt(ctx, &r)
+}
+
+// doAt is do that records in r.epoch, for a Patch the node applied, the
+// epoch of the value it patched: what the propagation to the other holders
+// carries.
+func (n *clientNode) doAt(ctx context.Context, r *req) (v dht.Value, err error) {
 	if r.val != nil {
 		if err := storable(r.val); err != nil {
 			return nil, err
@@ -508,17 +520,7 @@ func (n *clientNode) do(ctx context.Context, r req) (v dht.Value, err error) {
 		return nil, err
 	}
 	defer func() { n.record(tok, err) }()
-	m := n.pick()
-	if r.op == dht.OpPatchIf && r.mode == patchInPlace {
-		served, err := m.serves(ctx, featInPlacePatch)
-		if err != nil {
-			return nil, err
-		}
-		if !served {
-			return nil, dht.ErrPatchRefused
-		}
-	}
-	body, err := m.call(ctx, r.op, r.frame)
+	body, err := n.pick().call(ctx, r.op, r.frame)
 	if err != nil {
 		return nil, err
 	}
@@ -532,15 +534,29 @@ func (n *clientNode) do(ctx context.Context, r req) (v dht.Value, err error) {
 	case status == statusOK && (r.op == dht.OpGet || r.op == dht.OpTake):
 		return decodeTagged(c.rest(), r.hint.set)
 	case status == statusOK && r.op == dht.OpPatchIf && r.mode != patchNewer:
-		kind, err := c.u8()
-		if err != nil {
-			return nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed patch reply: %w", err))
+		epoch, err := r.epoch, error(nil)
+		if r.mode == patchProbe {
+			epoch, err = c.uvarint()
 		}
-		return dht.DecodePatchReply(kind, c.rest())
+		kind, kerr := c.u8()
+		if err != nil || kerr != nil {
+			return nil, dht.MarkTransient(fmt.Errorf("tcpnet: malformed patch reply"))
+		}
+		v, err := dht.DecodePatchReply(kind, c.rest())
+		if err == nil {
+			r.epoch = epoch
+		}
+		return v, err
 	case status == statusOK:
 		return nil, nil
-	case r.op == dht.OpPatchIf && (status == statusPatchRefused || status == statusErr && string(c.b) == errUnknownOp):
-		return nil, dht.ErrPatchRefused
+	case r.op == dht.OpPatchIf && status == statusPatchRefused:
+		if r.mode != patchProbe {
+			return nil, dht.ErrPatchRefused
+		}
+		if v, err = decodeTagged(c.rest(), true); err != nil {
+			return nil, err
+		}
+		return v, dht.ErrPatchRefused
 	}
 	return nil, replyErr(status, &c, r.key)
 }
@@ -595,15 +611,17 @@ func (c *Client) Write(ctx context.Context, key string, v dht.Value) error {
 	return c.eachHolder(ctx, req{op: dht.OpWrite, key: key, val: v})
 }
 
-// PatchIf implements dht.Patcher: PutIf's compare-and-swap on the key's
-// serializer, with the new value built there from the stored bytes and
-// patch by the kind's dht.WirePatcher (see frame.go).
-func (c *Client) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
-	return c.cond(ctx, req{op: dht.OpPatchIf, key: key, mode: patchPrimary, patch: patch, epoch: ifEpoch})
+// Patch implements dht.Patcher: a probe of key carrying hint, routed like
+// every conditional to the key's serializer, which builds the new value
+// from the stored bytes and patch with the kind's dht.WirePatcher if that
+// applies it, and otherwise answers the probe (see frame.go). An applied
+// patch reaches the other holders in newer mode.
+func (c *Client) Patch(ctx context.Context, key string, hint uint64, patch []byte) (dht.Value, error) {
+	return c.cond(ctx, req{op: dht.OpPatchIf, key: key, mode: patchProbe, hint: probeHint{v: hint, set: true}, patch: patch})
 }
 
-// WritePatchIf implements dht.Patcher: PatchIf as the free WriteIf, on a
-// node that serves it (its handshake says so; any other refuses).
+// WritePatchIf implements dht.Patcher: the patch as the free WriteIf on
+// the key's serializer, guarded by ifEpoch.
 func (c *Client) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
 	return c.cond(ctx, req{op: dht.OpPatchIf, key: key, mode: patchInPlace, patch: patch, epoch: ifEpoch})
 }

@@ -5,8 +5,11 @@
 // There is one wire: the framed binary protocol (frame.go) —
 // reflection-free length-prefixed frames with pooled buffers, carried by a
 // pipelined multiplexer (mux.go) that keeps many requests in flight per
-// connection. A connection opens with the "LHT2" magic; a server closes
-// one that opens with anything else. There is one transport too: a
+// connection. A connection opens with the "LHT3" magic; a server closes
+// one that opens with anything else, a peer of the protocol generation
+// before this one included: nodes and clients of one generation upgrade
+// together, and nothing negotiates which request forms a node serves.
+// There is one transport too: a
 // server reaches its gossip peers, and replays hints to them, through the
 // same clientNode and pipelined connection a client uses for its members
 // (membership.go). Servers are pure byte stores: values

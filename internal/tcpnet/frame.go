@@ -15,8 +15,10 @@ import (
 // reflection and recycles every buffer it touches, so the encode/decode
 // hot path allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT2"; a server closes one
-// that opens with anything else. After the magic, both directions speak
+// A connection opens with the 4-byte magic "LHT3"; a server closes one
+// that opens with anything else — an LHT2 peer of the generation before
+// this one included — before serving a frame. Nodes and clients of one
+// generation upgrade together. After the magic, both directions speak
 // length-prefixed frames:
 //
 //	+---------+------------+--------+---------------------+
@@ -41,7 +43,8 @@ import (
 //	putif / writeif         uv klen, key, uv ifEpoch, value(rest)
 //	createif                uv klen, key, value(rest)
 //	removeif                uv klen, key, uv ifEpoch
-//	patchif                 uv klen, key, mode u8, uv ifEpoch, patch(rest)
+//	patchif                 uv klen, key, mode u8, then for mode 0 hint
+//	                        u64 BE, for modes 1 and 2 uv ifEpoch; patch(rest)
 //	getbatch                uv count, count x (uv klen, key) [, hint u64 BE]
 //	putbatch                uv count, count x (uv klen, key, uv vlen, value)
 //
@@ -81,25 +84,33 @@ import (
 // found slot is then answered as the hinted get of its key would be. After
 // the keys comes nothing or the 8-byte hint; anything else is malformed.
 //
-// A patchif (dht.Patcher) is a putif that ships a change in place of the
-// value: the node hands the stored bytes of a tagEpoch-over-tagWire value
-// and the opaque patch to the kind's dht.WirePatcher, stores what that
-// builds under the epoch it returns, and replies with what it replied.
-// Like a probe's projector the patcher works on bytes, under the store
-// lock, and the kind byte is all the node knows of the type; for the
-// index's buckets (internal/lht, "Patches") a patch upserts or deletes
-// one record and the reply is the new record count, or the new bucket
-// whole when the writer must split or merge it; or it marks, commits or
-// clears a split or merge intent, and the reply is the record count. The
-// mode byte says whose write this is:
+// A patchif (dht.Patcher) ships a change in place of the value: the node
+// hands the stored bytes of a tagEpoch-over-tagWire value and the opaque
+// patch to the kind's dht.WirePatcher, stores what that builds under the
+// epoch it returns, and replies with what it replied. Like a probe's
+// projector the patcher works on bytes, under the store lock, and the kind
+// byte is all the node knows of the type; for the index's buckets
+// (internal/lht, "Patches") a patch upserts or deletes one record and the
+// reply is the new record count, or the new bucket whole when the writer
+// must split or merge it; or it marks, commits or clears a split or merge
+// intent, and the reply is the record count. The mode byte says whose
+// write this is:
 //
-//	0 primary  the serializer's compare-and-swap, exactly putif's: applied
-//	           iff the stored epoch == ifEpoch, else a CAS conflict
+//	0 probe    the serializer's dht.Patcher Patch: a hinted get that
+//	           carries a write. No epoch guards it; the patcher alone
+//	           decides. Applied, the node replies ok with the epoch of the
+//	           value it patched; refused — the stored form has no patcher,
+//	           or the patcher will not apply this patch to these bytes —
+//	           it answers as the hinted get would have, under the
+//	           patch-refused status; absent, not-found. One lookup in every
+//	           outcome, the get's, and a failed get for an absent key
 //	1 newer    propagation of a patch the serializer applied, to another
-//	           holder: applied iff the stored epoch == ifEpoch; a stored
-//	           epoch > ifEpoch is ok (superseded, as putnewer keeps the
-//	           newer value); < ifEpoch or absent is a CAS conflict, and
-//	           the sender ships the whole value through putnewer instead
+//	           holder: ifEpoch is the epoch the serializer patched (mode 0
+//	           replies it, mode 2 sent it); applied iff the stored epoch ==
+//	           ifEpoch; a stored epoch > ifEpoch is ok (superseded, as
+//	           putnewer keeps the newer value); < ifEpoch or absent is a
+//	           CAS conflict, and the sender ships the whole value through
+//	           putnewer instead
 //	2 in place the serializer's writeif (dht.Patcher's WritePatchIf):
 //	           applied iff the stored epoch == ifEpoch, else a CAS
 //	           conflict; an absent key is not-found. Free, as writeif is:
@@ -115,22 +126,9 @@ import (
 // key's next whole value: a split, a merge, or any holder's conflict or
 // refusal above.
 //
-// A stored form the node cannot patch (raw, no epoch tag, a kind
-// with no patcher) and a patch the patcher will not apply are answered
-// patch-refused, and nothing is written. A node that predates the op
-// answers "unknown op", which the client reads as the same refusal.
-//
-// The handshake says what else a node serves: its ping reply carries a
-// uv feature word after the status, one bit per request form that an
-// older node would not answer correctly, and the client records it per
-// connection. A node that predates the word sends none, which reads as
-// 0; a client that predates it reads the status and ignores the rest.
-//
-//	bit 0  serves patchif mode 2; a client does not send a mode-2 patch
-//	       to a node without it, and treats it as refused, with no round
-//	       trip (a node that predates mode 2 answers it as malformed)
-//	bit 1  serves a hinted getbatch; a node without it is sent the plain
-//	       one (it answers a hinted one as malformed)
+// A stored form the node cannot patch (raw, no epoch tag, a kind with no
+// patcher) and a patch the patcher will not apply write nothing: mode 0
+// answers the get it rides, modes 1 and 2 answer patch-refused alone.
 //
 // Response payloads:
 //
@@ -138,16 +136,19 @@ import (
 //	           4 patch refused
 //	ok   get/take            value(rest); after a hinted get possibly
 //	                         a projection of it, see above
-//	ok   ping                uv features (see above)
+//	ok   ping                (empty)
 //	ok   put/remove/write    (empty)
 //	ok   putif/createif/removeif/writeif  (empty)
-//	ok   patchif primary, in place  kind u8, the patcher's reply(rest)
+//	ok   patchif probe       uv epoch patched, kind u8, the patcher's
+//	                         reply(rest)
+//	ok   patchif in place    kind u8, the patcher's reply(rest)
 //	ok   patchif newer       (empty)
 //	ok   getbatch/putbatch   uv count, count x slot
 //	not-found                (empty)
 //	error                    message(rest)
 //	cas-conflict             exists u8, uv winnerEpoch
-//	patch-refused            (empty)
+//	patch-refused            patchif probe: value(rest), what the hinted
+//	                         get would have answered; otherwise (empty)
 //
 // A batch slot is: status u8; ok = uv n, n bytes (a tagged value for a
 // get slot, after a hinted getbatch possibly a projection of it, as for a
@@ -155,7 +156,7 @@ import (
 // n-byte message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT2"
+	wireMagic = "LHT3"
 
 	// frameHeaderLen is the id+op prefix counted inside the length field.
 	frameHeaderLen = 9
@@ -182,16 +183,9 @@ const (
 
 // A patchif's mode byte.
 const (
-	patchPrimary = 0 // the serializer's CAS: stored epoch must equal ifEpoch
+	patchProbe   = 0 // the serializer's Patch: the patcher decides, else the hinted get's answer
 	patchNewer   = 1 // propagation: a stored epoch past ifEpoch supersedes
 	patchInPlace = 2 // the serializer's free writeif: stored epoch must equal ifEpoch
-)
-
-// Feature bits of a ping reply, and the word this node sends.
-const (
-	featInPlacePatch = 1 << 0 // serves patchif mode 2
-	featHintedBatch  = 1 << 1 // serves a getbatch ending in a hint
-	serverFeatures   = featInPlacePatch | featHintedBatch
 )
 
 // errUnknownOp is what a node answers an op byte it does not serve.

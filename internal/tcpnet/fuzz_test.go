@@ -51,15 +51,20 @@ func FuzzDecodeFrame(f *testing.F) {
 		buildFrame(14, dht.OpGet, recordGet("key", 0.703125)),
 		buildFrame(15, dht.OpGet, recordGet("key", 0.7101)),
 		buildFrame(16, dht.OpGet, recordGet("key", 0.25)),
-		// Patches of that bucket (epoch 7): the serializer's and a
-		// holder's, applied, the first answered with the new bucket; a lost
-		// compare-and-swap; one the patcher refuses; one of a stored form
-		// no patcher can look into.
-		buildFrame(17, dht.OpPatchIf, patchIf("key", patchPrimary, 7, ilht.UpsertPatch(record.Record{Key: 0.7101, Value: []byte("v")}, 77))),
+		// Patches of that bucket (epoch 7, 75 records at depth 7): the
+		// serializer's, riding a probe, and a holder's, applied, the first
+		// answered with the new bucket, another with a labelled ack; a
+		// holder's the patcher refuses; and the serializer's answered as
+		// the probe it rode — a key the leaf excludes (a header), a stored
+		// form no patcher can look into (raw), a new key one past the
+		// weight bound (the bucket whole).
+		buildFrame(17, dht.OpPatchIf, probePatch("key", ilht.ProbeHint(0.7101, false), ilht.UpsertPatch(record.Record{Key: 0.7101, Value: []byte("v")}, 77, 20))),
 		buildFrame(18, dht.OpPatchIf, patchIf("key", patchNewer, 7, ilht.DeletePatch(0.703125, 0))),
-		buildFrame(19, dht.OpPatchIf, patchIf("key", patchPrimary, 6, ilht.DeletePatch(0.703125, 0))),
+		buildFrame(19, dht.OpPatchIf, probePatch("key", ilht.ProbeHint(0.703125, true), ilht.WantLabel(ilht.DeletePatch(0.703125, 0)))),
 		buildFrame(20, dht.OpPatchIf, patchIf("key", patchNewer, 7, ilht.DeletePatch(0.25, 0))),
-		buildFrame(21, dht.OpPatchIf, patchIf("raw", patchPrimary, 0, ilht.DeletePatch(0.25, 0))),
+		buildFrame(21, dht.OpPatchIf, probePatch("raw", ilht.ProbeHint(0.25, false), ilht.DeletePatch(0.25, 0))),
+		buildFrame(26, dht.OpPatchIf, probePatch("key", ilht.ProbeHint(0.25, false), ilht.UpsertPatch(record.Record{Key: 0.25}, 77, 20))),
+		buildFrame(27, dht.OpPatchIf, probePatch("key", ilht.ProbeHint(0.7186, false), ilht.UpsertPatch(record.Record{Key: 0.7186}, 69, 20))),
 		// Malformed shapes.
 		{},
 		{0, 0, 0, 0},
@@ -161,11 +166,34 @@ func FuzzDecodeFrame(f *testing.F) {
 			if string(s.store["raw"]) != string([]byte{tagRaw, 'v'}) {
 				t.Fatalf("a patchif rewrote a raw value to %x", s.store["raw"])
 			}
-			if reply := c.rest(); status == statusOK && len(reply) > 0 {
+			pc := cursor{b: body[frameHeaderLen:]}
+			_, _ = pc.lenBytes()
+			probe := len(pc.b) > 0 && pc.b[0] == patchProbe
+			reply := c.rest()
+			if status == statusOK && probe {
+				rc := cursor{b: reply}
+				if _, err := rc.uvarint(); err != nil {
+					t.Fatalf("an applied probe-mode patch answered no epoch: %x", reply)
+				}
+				reply = rc.b
+			}
+			if status == statusOK && len(reply) > 0 {
 				switch v, err := dht.DecodePatchReply(reply[0], reply[1:]); v.(type) {
-				case *ilht.Bucket, ilht.PatchAck:
+				case *ilht.Bucket, ilht.PatchAck, *ilht.LeafAck:
 				default:
 					t.Fatalf("patchif answered with %T, %v", v, err)
+				}
+			}
+			// Not applied, a probe-mode patch is answered as its probe: the
+			// bucket, a short form of it, or the raw value.
+			if status == statusPatchRefused && probe {
+				ranged := len(pc.b) >= 9 && binary.BigEndian.Uint64(pc.b[1:9])&(1<<62) != 0
+				switch v, err := decodeTagged(reply, true); v.(type) {
+				case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord, []byte:
+				default:
+					if !ranged || err != nil || v == nil {
+						t.Fatalf("a refused probe-mode patch answered with %T, %v", v, err)
+					}
 				}
 			}
 		}

@@ -25,7 +25,7 @@ func TestOneHolderAddsNoAllocations(t *testing.T) {
 	// Per operation: the exact count at one holder, the ceiling at two.
 	want := map[string][2]float64{
 		"Get": {2, 2}, "Probe": {2, 2}, "Put": {2, 12}, "PutIf": {2, 12},
-		"WriteIf": {2, 12}, "PatchIf": {2, 13}, "Remove": {0, 8},
+		"WriteIf": {2, 12}, "Patch": {2, 13}, "Remove": {0, 8},
 	}
 	for _, replicas := range []int{1, 2} {
 		c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: replicas})
@@ -40,7 +40,7 @@ func TestOneHolderAddsNoAllocations(t *testing.T) {
 		if err := c.Put(ctx, "bucket", b); err != nil {
 			t.Fatal(err)
 		}
-		patch := ilht.UpsertPatch(b.Records[37], 0)
+		patch := ilht.UpsertPatch(b.Records[37], 0, 20)
 		hint := ilht.ProbeHint(b.Records[37].Key, true)
 		ops := []struct {
 			name string
@@ -51,9 +51,8 @@ func TestOneHolderAddsNoAllocations(t *testing.T) {
 			{"Put", func() error { return c.Put(ctx, "raw", raw) }},
 			{"PutIf", func() error { b.Epoch++; return c.PutIf(ctx, "bucket", b, b.Epoch-1) }},
 			{"WriteIf", func() error { b.Epoch++; return c.WriteIf(ctx, "bucket", b, b.Epoch-1) }},
-			{"PatchIf", func() error {
-				v, err := c.PatchIf(ctx, "bucket", patch, b.Epoch)
-				b.Epoch++
+			{"Patch", func() error {
+				v, err := c.Patch(ctx, "bucket", ilht.ProbeHint(b.Records[37].Key, false), patch)
 				if _, ok := v.(ilht.PatchAck); err == nil && !ok {
 					return fmt.Errorf("reply %T, want an acknowledgement", v)
 				}

@@ -40,14 +40,13 @@ type mconn struct {
 // fresh one is built per (re)dial, so a failure sweeps exactly the
 // requests that were riding the broken socket.
 type wireState struct {
-	conn     net.Conn
-	features uint64 // what the node's ping reply said it serves (frame.go)
-	sendq    chan *[]byte
-	dead     chan struct{} // closed by fail; err is set before the close
-	pending  map[uint64]*pending
-	nextID   uint64
-	failed   bool
-	err      error
+	conn    net.Conn
+	sendq   chan *[]byte
+	dead    chan struct{} // closed by fail; err is set before the close
+	pending map[uint64]*pending
+	nextID  uint64
+	failed  bool
+	err     error
 }
 
 // pending is one in-flight request's rendezvous. Exactly one result is
@@ -101,8 +100,7 @@ func (m *mconn) ensureLocked(ctx context.Context) (*wireState, error) {
 		m.gate.failure(err)
 		return nil, err
 	}
-	features, err := handshake(ctx, conn)
-	if err != nil {
+	if err := handshake(ctx, conn); err != nil {
 		_ = conn.Close()
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -113,12 +111,11 @@ func (m *mconn) ensureLocked(ctx context.Context) (*wireState, error) {
 	}
 	m.gate.success()
 	st := &wireState{
-		conn:     conn,
-		features: features,
-		sendq:    make(chan *[]byte, 64),
-		dead:     make(chan struct{}),
-		pending:  make(map[uint64]*pending),
-		nextID:   1,
+		conn:    conn,
+		sendq:   make(chan *[]byte, 64),
+		dead:    make(chan struct{}),
+		pending: make(map[uint64]*pending),
+		nextID:  1,
 	}
 	m.st = st
 	go m.writeLoop(st)
@@ -131,25 +128,12 @@ func (m *mconn) ensureLocked(ctx context.Context) (*wireState, error) {
 // must fail the probe, never hang it.
 const handshakeTimeout = 5 * time.Second
 
-// serves reports whether the node m is connected to advertised every bit
-// of feat in its ping reply, connecting first if m is not.
-func (m *mconn) serves(ctx context.Context, feat uint64) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, err := m.ensureLocked(ctx)
-	if err != nil {
-		return false, err
-	}
-	return st.features&feat == feat, nil
-}
-
 // handshake sends the protocol magic and a health-check ping frame, and
 // reads the ping response, all synchronously on the fresh connection
-// (nothing else can be using it yet), returning the feature word it
-// carries (0 from a node that predates the word). The context's deadline
-// bounds it (capped at handshakeTimeout when absent), and cancelling the
-// context closes the socket to unblock the read.
-func handshake(ctx context.Context, conn net.Conn) (features uint64, err error) {
+// (nothing else can be using it yet). The context's deadline bounds it
+// (capped at handshakeTimeout when absent), and cancelling the context
+// closes the socket to unblock the read.
+func handshake(ctx context.Context, conn net.Conn) error {
 	dl, _ := ctx.Deadline()
 	if lim := time.Now().Add(handshakeTimeout); dl.IsZero() || dl.After(lim) {
 		dl = lim
@@ -161,31 +145,24 @@ func handshake(ctx context.Context, conn net.Conn) (features uint64, err error) 
 	frame := newFrame(dht.OpPing)
 	finishFrame(*frame, 0)
 	msg := append([]byte(wireMagic), *frame...)
-	_, err = conn.Write(msg)
+	_, err := conn.Write(msg)
 	putBuf(frame)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	br := bufio.NewReaderSize(conn, 256)
 	body, err := readFrameBody(br, nil)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if br.Buffered() != 0 {
-		return 0, fmt.Errorf("unexpected bytes after ping response")
+		return fmt.Errorf("unexpected bytes after ping response")
 	}
 	c := cursor{b: body[frameHeaderLen:]}
-	status, err := c.u8()
-	if err != nil || status != statusOK {
-		return 0, fmt.Errorf("ping rejected (status %d, %v)", status, err)
+	if status, err := c.u8(); err != nil || status != statusOK || !c.empty() {
+		return fmt.Errorf("ping rejected (status %d, %v, %d bytes more)", status, err, len(c.b))
 	}
-	if c.empty() {
-		return 0, nil
-	}
-	if features, err = c.uvarint(); err != nil {
-		return 0, fmt.Errorf("malformed ping reply: %w", err)
-	}
-	return features, nil
+	return nil
 }
 
 // fail tears down one connection generation: marks it broken, closes the

@@ -1,7 +1,6 @@
 package tcpnet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -13,7 +12,6 @@ import (
 	"reflect"
 	"regexp"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"lht/internal/bitlabel"
@@ -21,14 +19,22 @@ import (
 	"lht/internal/dht/dhttest"
 	"lht/internal/keyspace"
 	ilht "lht/internal/lht"
+	"lht/internal/metrics"
 	"lht/internal/pht"
 	"lht/internal/record"
 )
 
-// patchIf is a patchif request payload.
+// patchIf is the payload of a patchif in mode 1 or 2.
 func patchIf(key string, mode byte, ifEpoch uint64, patch []byte) []byte {
 	b := append(appendLenString(nil, key), mode)
 	return append(appendUv(b, ifEpoch), patch...)
+}
+
+// probePatch is the payload of a patchif in mode 0: a Patch riding a
+// probe of key with hint.
+func probePatch(key string, hint uint64, patch []byte) []byte {
+	b := append(appendLenString(nil, key), patchProbe)
+	return append(binary.BigEndian.AppendUint64(b, hint), patch...)
 }
 
 // upserted is b after the whole-bucket arm's insert of rec.
@@ -52,19 +58,20 @@ func mustAppendValue(t testing.TB, v dht.Value) []byte {
 	return tv
 }
 
-// TestPatchIfOnTheWire pins the node's half of a patched write: the
-// stored bytes after a patch are the bytes a PutIf of the patched bucket
-// stores, tags and all; the serializer's mode compares epochs as putif
-// does, the propagation mode as putnewer does and the in-place mode as
-// writeif does, charging no lookup; every stored form the
-// node cannot look into, and every patch the kind's patcher turns down,
-// is refused with nothing written; and the patcher's one allocation is
-// the new stored value.
+// TestPatchIfOnTheWire pins the node's half of a patched write (wire op
+// patchif): the stored
+// bytes after a patch are the bytes a PutIf of the patched bucket stores,
+// tags and all; a Patch is one lookup whatever it meets, and one the
+// patcher will not apply — every stored form the node cannot look into,
+// every leaf the write was not meant for — writes nothing and is answered
+// as the probe it rode; the propagation mode compares epochs as putnewer
+// does and the in-place mode as writeif does, charging no lookup; and the
+// patcher's one allocation is the new stored value.
 func TestPatchIfOnTheWire(t *testing.T) {
 	ctx := context.Background()
 	c, servers := startCluster(t, 1)
 	srv := servers[0]
-	b := wideBucket() // epoch 7
+	b := wideBucket() // epoch 7, 75 records at depth 7
 	torn := wideBucket()
 	torn.Pending = ilht.Pending{Kind: ilht.PendingSplit}
 	node := &pht.Node{Label: bitlabel.MustParse("#010"), Leaf: true, Epoch: 7,
@@ -85,71 +92,105 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		defer srv.mu.Unlock()
 		return srv.store[key]
 	}
+	lookups := func() int64 { return srv.Metrics().Lookup.Total }
 	rec := record.Record{Key: 0.7101, Value: []byte("new")}
-	put := ilht.UpsertPatch(rec, 100)
+	put := ilht.UpsertPatch(rec, 100, 20)
+	want := func(delta float64) uint64 { return ilht.ProbeHint(delta, false) }
 
 	// Applied: the acknowledgement, the stored bytes, the counter.
-	before := srv.Metrics().Lookup.Total
-	v, err := c.PatchIf(ctx, "bucket", put, 7)
+	before := lookups()
+	v, err := c.Patch(ctx, "bucket", want(rec.Key), put)
 	if v != (ilht.PatchAck{Records: 76}) || err != nil {
-		t.Fatalf("PatchIf = %#v, %v, want an acknowledgement of 76 records", v, err)
+		t.Fatalf("Patch = %#v, %v, want an acknowledgement of 76 records", v, err)
 	}
-	want := upserted(b, rec)
-	if got := stored("bucket"); !bytes.Equal(got, mustAppendValue(t, want)) {
-		t.Fatalf("stored after the patch:\n%x\nwant what a PutIf of the patched bucket stores:\n%x", got, mustAppendValue(t, want))
+	upsert := upserted(b, rec)
+	if got := stored("bucket"); !bytes.Equal(got, mustAppendValue(t, upsert)) {
+		t.Fatalf("stored after the patch:\n%x\nwant what a PutIf of the patched bucket stores:\n%x", got, mustAppendValue(t, upsert))
 	}
-	if n := srv.Metrics().Lookup.Total - before; n != 1 {
-		t.Errorf("one patchif counted as %d lookups", n)
+	if n := lookups() - before; n != 1 {
+		t.Errorf("one patch counted as %d lookups", n)
 	}
+	// Asked for, the acknowledgement names the leaf.
+	rec.Value = []byte("again")
+	v, err = c.Patch(ctx, "bucket", want(rec.Key), ilht.WantLabel(ilht.UpsertPatch(rec, 100, 20)))
+	if a, ok := v.(*ilht.LeafAck); err != nil || !ok || a.Label != b.Label || a.Records != 76 {
+		t.Fatalf("labelled Patch = %#v, %v, want %s's label and 76 records", v, err, b.Label)
+	}
+	upsert = upserted(upsert, rec)
 	// Across the patch's threshold the reply is the new bucket.
 	rec2 := record.Record{Key: 0.7105, Value: []byte("whole")}
-	v, err = c.PatchIf(ctx, "bucket", ilht.UpsertPatch(rec2, 78), 8)
-	want = upserted(want, rec2)
-	if got, ok := v.(*ilht.Bucket); err != nil || !ok || !bytes.Equal(mustAppendValue(t, got), mustAppendValue(t, want)) {
-		t.Fatalf("PatchIf across the threshold = %#v, %v, want the new bucket", v, err)
+	v, err = c.Patch(ctx, "bucket", want(rec2.Key), ilht.UpsertPatch(rec2, 78, 20))
+	upsert = upserted(upsert, rec2)
+	if got, ok := v.(*ilht.Bucket); err != nil || !ok || !bytes.Equal(mustAppendValue(t, got), mustAppendValue(t, upsert)) {
+		t.Fatalf("Patch across the threshold = %#v, %v, want the new bucket", v, err)
 	}
-	// A lost compare-and-swap is putif's conflict, winner and all, and
-	// its one lookup.
-	before = srv.Metrics().Lookup.Total
-	var conflict *dht.CASConflictError
-	if _, err = c.PatchIf(ctx, "bucket", put, 7); !errors.As(err, &conflict) || !conflict.Exists || conflict.WinnerEpoch != 9 {
-		t.Errorf("PatchIf at a stale epoch: %v", err)
-	}
-	if _, err = c.PatchIf(ctx, "absent", put, 0); !errors.As(err, &conflict) || conflict.Exists {
-		t.Errorf("PatchIf of an absent key: %v", err)
-	}
-	if n := srv.Metrics().Lookup.Total - before; n != 2 {
-		t.Errorf("two conflicting patchifs counted as %d lookups", n)
-	}
-	// Refusals write nothing and, as dht.Patcher has it, cost nothing:
-	// the whole-value write that follows one is the lookup.
-	before = srv.Metrics().Lookup.Total
+
+	// Not applied, the patch was a probe: answered as the probe, with the
+	// refusal, one lookup each and nothing written. A stored form no
+	// patcher can look into, and a torn leaf, are answered whole.
+	before = lookups()
 	for _, key := range []string{"torn", "raw", "epoch", "node"} {
 		was := append([]byte(nil), stored(key)...)
-		if v, err := c.PatchIf(ctx, key, put, storedEpoch(was)); !errors.Is(err, dht.ErrPatchRefused) || v != nil {
-			t.Errorf("PatchIf of %q = %#v, %v, want a refusal", key, v, err)
+		probe, perr := c.Probe(ctx, key, want(0.71))
+		if v, err := c.Patch(ctx, key, want(0.71), put); !errors.Is(err, dht.ErrPatchRefused) || !reflect.DeepEqual(v, probe) || perr != nil {
+			t.Errorf("Patch of %q = %#v, %v, want a refusal beside %#v, the probe's answer", key, v, err, probe)
 		}
 		if !bytes.Equal(stored(key), was) {
 			t.Errorf("the refused patch of %q changed what is stored", key)
 		}
 	}
-	for name, patch := range map[string][]byte{
-		"no patch":           nil,
-		"an excluded key":    ilht.UpsertPatch(record.Record{Key: 0.1}, 0),
-		"an absent record":   ilht.DeletePatch(0.7189, 0),
-		"an unknown op":      {9, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"a record cut short": put[:len(put)-1],
+	if n := lookups() - before; n != 8 {
+		t.Errorf("four refused patches and their four probes counted as %d lookups, want 8", n)
+	}
+	// The leaf weighs 78 now, at depth 7: a new key takes it past the
+	// weight bound of a patch whose threshold is 71 or less.
+	atBound := 78 - b.Label.Len()
+	for name, tc := range map[string]struct {
+		hint  uint64
+		patch []byte
+		check func(dht.Value) bool
+	}{
+		"an excluded key": {want(0.1), ilht.UpsertPatch(record.Record{Key: 0.1}, 0, 20), func(v dht.Value) bool {
+			h, ok := v.(*ilht.BucketHeader)
+			return ok && h.Label == upsert.Label
+		}},
+		"an absent record": {ilht.ProbeHint(0.7186, true), ilht.DeletePatch(0.7186, 0), func(v dht.Value) bool {
+			r, ok := v.(*ilht.BucketRecord)
+			return ok && r.Label == upsert.Label && !r.Found
+		}},
+		"an unknown op":      {want(0.71), []byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0}, isBucket},
+		"a record cut short": {want(0.71), put[:len(put)-1], isBucket},
+		"no patch":           {want(0.71), nil, isBucket},
+		// One record past the weight bound, theta + depth: the writer must
+		// split first, and the answer is the bucket to split.
+		"a new key at the bound": {want(0.7186), ilht.UpsertPatch(record.Record{Key: 0.7186}, atBound, 20), isBucket},
 	} {
 		was := stored("bucket")
-		if _, err := c.PatchIf(ctx, "bucket", patch, 9); !errors.Is(err, dht.ErrPatchRefused) {
-			t.Errorf("PatchIf with %s: %v, want a refusal", name, err)
+		before := lookups()
+		v, err := c.Patch(ctx, "bucket", tc.hint, tc.patch)
+		if !errors.Is(err, dht.ErrPatchRefused) || !tc.check(v) {
+			t.Errorf("Patch with %s = %#v, %v, want a refusal beside the probe's answer", name, v, err)
 		}
 		if got := stored("bucket"); &got[0] != &was[0] {
-			t.Errorf("PatchIf with %s replaced the stored value", name)
+			t.Errorf("Patch with %s replaced the stored value", name)
+		}
+		if n := lookups() - before; n != 1 {
+			t.Errorf("Patch with %s counted as %d lookups", name, n)
 		}
 	}
-	if n := srv.Metrics().Lookup.Total - before; n != 0 {
-		t.Errorf("ten refused patchifs counted as %d lookups", n)
+	// The bound holds only above the depth bound D: a leaf at D takes the
+	// record, and the writer gets the bucket back to count its overflow.
+	v, err = c.Patch(ctx, "bucket", want(0.7186), ilht.UpsertPatch(record.Record{Key: 0.7186}, atBound, b.Label.Len()))
+	if got, ok := v.(*ilht.Bucket); err != nil || !ok || len(got.Records) != 78 {
+		t.Fatalf("Patch at the depth bound = %#v, %v, want the bucket with the record in", v, err)
+	}
+	upsert = upserted(upsert, record.Record{Key: 0.7186})
+	before = lookups()
+	if v, err := c.Patch(ctx, "absent", want(0.71), put); !errors.Is(err, dht.ErrNotFound) || v != nil {
+		t.Errorf("Patch of an absent key = %#v, %v, want not-found", v, err)
+	}
+	if f := srv.Metrics().Lookup; f.Total-before != 1 {
+		t.Errorf("a patch of an absent key counted as %d lookups", f.Total-before)
 	}
 	if dht.IsTransient(dht.ErrPatchRefused) || errors.Is(dht.ErrPatchRefused, dht.ErrCASConflict) {
 		t.Error("a refusal classifies as transient or as a conflict")
@@ -159,21 +200,21 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	// and untouched past it, a conflict behind it or on an absent key;
 	// the reply is the status alone.
 	status := func(resp []byte) []byte { return resp[4+frameHeaderLen:] }
-	was := stored("bucket") // epoch 9
+	was := stored("bucket") // epoch 11
 	del := ilht.DeletePatch(rec2.Key, 200)
 	for name, tc := range map[string]struct {
 		payload []byte
 		want    []byte
 	}{
-		"newer, stored ahead":   {patchIf("bucket", patchNewer, 8, del), []byte{statusOK}},
-		"newer, stored behind":  {patchIf("bucket", patchNewer, 10, del), appendCASConflict(nil, true, 9)},
-		"newer, absent":         {patchIf("absent", patchNewer, 9, del), appendCASConflict(nil, false, 0)},
-		"newer, refused":        {patchIf("bucket", patchNewer, 9, ilht.DeletePatch(0.7189, 0)), []byte{statusPatchRefused}},
-		"primary, stored ahead": {patchIf("bucket", patchPrimary, 8, del), appendCASConflict(nil, true, 9)},
-		"no mode":               {appendLenString(nil, "bucket"), appendStatusErr(nil, errMalformed)},
-		"mode 3":                {patchIf("bucket", 3, 9, del), appendStatusErr(nil, errMalformed)},
-		"no epoch":              {append(appendLenString(nil, "bucket"), patchNewer), appendStatusErr(nil, errMalformed)},
-		"no key":                {nil, appendStatusErr(nil, errMalformed)},
+		"newer, stored ahead":  {patchIf("bucket", patchNewer, 10, del), []byte{statusOK}},
+		"newer, stored behind": {patchIf("bucket", patchNewer, 12, del), appendCASConflict(nil, true, 11)},
+		"newer, absent":        {patchIf("absent", patchNewer, 11, del), appendCASConflict(nil, false, 0)},
+		"newer, refused":       {patchIf("bucket", patchNewer, 11, ilht.DeletePatch(0.7188, 0)), []byte{statusPatchRefused}},
+		"no mode":              {appendLenString(nil, "bucket"), appendStatusErr(nil, errMalformed)},
+		"mode 3":               {patchIf("bucket", 3, 11, del), appendStatusErr(nil, errMalformed)},
+		"no epoch":             {append(appendLenString(nil, "bucket"), patchNewer), appendStatusErr(nil, errMalformed)},
+		"probe, no hint":       {append(appendLenString(nil, "bucket"), patchProbe, 1, 2, 3), appendStatusErr(nil, errMalformed)},
+		"no key":               {nil, appendStatusErr(nil, errMalformed)},
 	} {
 		resp := srv.applyFrame(buildFrame(1, dht.OpPatchIf, tc.payload)[4:], nil)
 		if !bytes.Equal(status(resp), tc.want) {
@@ -183,25 +224,35 @@ func TestPatchIfOnTheWire(t *testing.T) {
 			t.Fatalf("%s: the stored value was replaced", name)
 		}
 	}
-	resp := srv.applyFrame(buildFrame(2, dht.OpPatchIf, patchIf("bucket", patchNewer, 9, del))[4:], nil)
-	want, _ = deleted(want, rec2.Key)
-	if !bytes.Equal(status(resp), []byte{statusOK}) || !bytes.Equal(stored("bucket"), mustAppendValue(t, want)) {
+	resp := srv.applyFrame(buildFrame(2, dht.OpPatchIf, patchIf("bucket", patchNewer, 11, del))[4:], nil)
+	upsert, _ = deleted(upsert, rec2.Key)
+	if !bytes.Equal(status(resp), []byte{statusOK}) || !bytes.Equal(stored("bucket"), mustAppendValue(t, upsert)) {
 		t.Errorf("newer at the stored epoch: answered % x, stored %x", status(resp), stored("bucket"))
 	}
+	// An applied Patch's reply says which epoch it patched: what the
+	// propagation to the other holders is guarded by.
+	resp = srv.applyFrame(buildFrame(3, dht.OpPatchIf, probePatch("bucket", want(rec.Key), put))[4:], nil)
+	rc := cursor{b: status(resp)}
+	if st, _ := rc.u8(); st != statusOK {
+		t.Errorf("a probe-mode patch answered % x", status(resp))
+	} else if e, err := rc.uvarint(); err != nil || e != 12 {
+		t.Errorf("a probe-mode patch of epoch 12 answered % x", status(resp))
+	}
+	cur := upserted(upsert, record.Record{Key: rec.Key, Value: []byte("new")})
 
 	// In place: writeif's verdicts, and never a lookup. A stale epoch is
 	// a conflict, an absent key not-found, a step that does not apply a
 	// refusal; the mark and the commit store what the WriteIf of the
 	// marked bucket and of its local half would.
-	before = srv.Metrics().Lookup.Total
-	was = stored("bucket") // epoch 10
+	before = lookups()
+	was = stored("bucket") // epoch 13
 	for name, tc := range map[string]struct {
 		payload []byte
 		want    []byte
 	}{
-		"in place, stored ahead": {patchIf("bucket", patchInPlace, 9, ilht.MarkSplitPatch()), appendCASConflict(nil, true, 10)},
+		"in place, stored ahead": {patchIf("bucket", patchInPlace, 12, ilht.MarkSplitPatch()), appendCASConflict(nil, true, 13)},
 		"in place, absent":       {patchIf("absent", patchInPlace, 0, ilht.MarkSplitPatch()), []byte{statusNotFound}},
-		"in place, refused":      {patchIf("bucket", patchInPlace, 10, ilht.CommitSplitPatch()), []byte{statusPatchRefused}},
+		"in place, refused":      {patchIf("bucket", patchInPlace, 13, ilht.CommitSplitPatch()), []byte{statusPatchRefused}},
 	} {
 		resp := srv.applyFrame(buildFrame(5, dht.OpPatchIf, tc.payload)[4:], nil)
 		if !bytes.Equal(status(resp), tc.want) {
@@ -211,10 +262,10 @@ func TestPatchIfOnTheWire(t *testing.T) {
 			t.Fatalf("%s: the stored value was replaced", name)
 		}
 	}
-	marked := *want
-	marked.Pending, marked.Epoch = ilht.Pending{Kind: ilht.PendingSplit}, want.Epoch+1
-	v, err = c.WritePatchIf(ctx, "bucket", ilht.MarkSplitPatch(), want.Epoch)
-	if v != (ilht.PatchAck{Records: len(want.Records)}) || err != nil || !bytes.Equal(stored("bucket"), mustAppendValue(t, &marked)) {
+	marked := *cur
+	marked.Pending, marked.Epoch = ilht.Pending{Kind: ilht.PendingSplit}, cur.Epoch+1
+	v, err = c.WritePatchIf(ctx, "bucket", ilht.MarkSplitPatch(), cur.Epoch)
+	if v != (ilht.PatchAck{Records: len(cur.Records)}) || err != nil || !bytes.Equal(stored("bucket"), mustAppendValue(t, &marked)) {
 		t.Errorf("in-place mark = %#v, %v; stored\n%x", v, err, stored("bucket"))
 	}
 	local := localHalf(&marked)
@@ -222,34 +273,34 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	if v != (ilht.PatchAck{Records: len(local.Records)}) || err != nil || !bytes.Equal(stored("bucket"), mustAppendValue(t, local)) {
 		t.Errorf("in-place commit = %#v, %v; stored\n%x\nwant\n%x", v, err, stored("bucket"), mustAppendValue(t, local))
 	}
-	if n := srv.Metrics().Lookup.Total - before; n != 0 {
+	if n := lookups() - before; n != 0 {
 		t.Errorf("five in-place patches counted as %d lookups", n)
 	}
 
 	// Two allocations a patch, as for a putif: the value stored and the
-	// store's own copy of the key. Epoch 1000 and on keeps the frame's
-	// epoch two bytes wide.
-	at := wideBucket()
-	at.Epoch = 1000
-	if err := c.Put(ctx, "bucket", at); err != nil {
+	// store's own copy of the key.
+	if err := c.Put(ctx, "bucket", wideBucket()); err != nil {
 		t.Fatal(err)
 	}
 	reqs := [2][]byte{
-		buildFrame(3, dht.OpPatchIf, patchIf("bucket", patchPrimary, 1000, ilht.UpsertPatch(rec, 0)))[4:],
-		buildFrame(4, dht.OpPatchIf, patchIf("bucket", patchPrimary, 1000, ilht.DeletePatch(rec.Key, 0)))[4:],
+		buildFrame(3, dht.OpPatchIf, probePatch("bucket", want(rec.Key), ilht.UpsertPatch(rec, 0, 20)))[4:],
+		buildFrame(4, dht.OpPatchIf, probePatch("bucket", want(rec.Key), ilht.DeletePatch(rec.Key, 0)))[4:],
 	}
-	epochAt := frameHeaderLen + 1 + len("bucket") + 1
-	epoch, out := uint64(1000), make([]byte, 0, 256)
+	i, out := 0, make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(200, func() {
-		req := reqs[epoch%2]
-		binary.PutUvarint(req[epochAt:], epoch)
-		if out = srv.applyFrame(req, out[:0]); status(out)[0] != statusOK {
-			t.Fatalf("patch at epoch %d answered % x", epoch, status(out))
+		if out = srv.applyFrame(reqs[i%2], out[:0]); status(out)[0] != statusOK {
+			t.Fatalf("patch %d answered % x", i, status(out))
 		}
-		epoch++
+		i++
 	}); n != 2 {
-		t.Errorf("serving a patchif: %v allocations, want 2 (the new stored value, the key)", n)
+		t.Errorf("serving a patch: %v allocations, want 2 (the new stored value, the key)", n)
 	}
+}
+
+// isBucket reports whether v is a whole bucket.
+func isBucket(v dht.Value) bool {
+	_, ok := v.(*ilht.Bucket)
+	return ok
 }
 
 // localHalf is the half of a marked wideBucket that a split commits on
@@ -280,15 +331,26 @@ func deleted(b *ilht.Bucket, delta float64) (*ilht.Bucket, bool) {
 }
 
 // lyingPatcher is a peer whose honest answer to a patch it applied is
-// tampered with on its way to the index. stored is the bucket as the
-// patch left it.
+// tampered with on its way to the index: lie gets the honest reply, the
+// bucket as the patch left it and the patch. With refuse it applies
+// nothing instead, and answers a patch of a leaf that covers the key with
+// the leaf's record reply, as if it had declined to apply it there.
 type lyingPatcher struct {
 	*Client
-	lie func(honest dht.Value, stored *ilht.Bucket, patch []byte) dht.Value
+	lie    func(honest dht.Value, stored *ilht.Bucket, patch []byte) dht.Value
+	refuse bool
 }
 
-func (p lyingPatcher) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
-	v, err := p.Client.PatchIf(ctx, key, patch, ifEpoch)
+func (p lyingPatcher) Patch(ctx context.Context, key string, hint uint64, patch []byte) (dht.Value, error) {
+	if p.refuse {
+		delta, upsert := patchDelta(patch)
+		v, err := p.Client.Probe(ctx, key, ilht.ProbeHint(delta, true))
+		if r, ok := v.(*ilht.BucketRecord); ok && err == nil && (upsert || r.Found) {
+			return r, dht.ErrPatchRefused
+		}
+		return p.Client.Patch(ctx, key, hint, patch)
+	}
+	v, err := p.Client.Patch(ctx, key, hint, patch)
 	if err != nil {
 		return v, err
 	}
@@ -297,6 +359,18 @@ func (p lyingPatcher) PatchIf(ctx context.Context, key string, patch []byte, ifE
 		return nil, err
 	}
 	return p.lie(v, w.(*ilht.Bucket), patch), nil
+}
+
+// patchDelta is the key an upsert or delete patch writes, and whether it
+// is an upsert.
+func patchDelta(patch []byte) (float64, bool) {
+	upsert := patch[0]&0x7f == ilht.UpsertPatch(record.Record{}, 0, 0)[0]
+	c := cursor{b: patch[1:]}
+	_, _ = c.uvarint() // whole
+	if upsert {
+		_, _ = c.uvarint() // depth
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(c.b)), upsert
 }
 
 // growBoth runs one seeded stream of inserts, overwrites and deletes
@@ -358,90 +432,103 @@ func sameTree(t *testing.T, a, b *ilht.Index) {
 	}
 }
 
-// A patch's reply is believed only as far as it checks out. A whole
-// bucket must be the leaf the lookup found, one epoch on, with the record
-// in (or out); an acknowledgement must leave the leaf short of the
-// threshold the patch named. A reply that fails costs one plain get of
-// the bucket and changes nothing else: the write was committed either
-// way, and the split or merge runs on what is stored.
+// A patch's reply is believed only as far as it checks out, whether the
+// patch rode the search's probe (the leaf cache on) or followed its record
+// reply (off). A whole bucket must be a leaf stored under the patched name
+// that covers the key, untorn, with the record in (or out); an
+// acknowledgement must leave the leaf short of the threshold the patch
+// named. A reply that fails costs one plain get of the bucket and changes
+// nothing else: the write was committed either way, and the split or
+// merge runs on what is stored. A peer that says it did not apply a
+// patch to a covering, untorn leaf that holds what the patch needs is not
+// believed either: the leaf is fetched with one plain get and written
+// whole, two lookups more, to the same tree.
 func TestLyingPatchReplyIsRefetchedNotTrusted(t *testing.T) {
-	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20}
 	for name, tc := range map[string]struct {
 		lie    func(honest dht.Value, stored *ilht.Bucket, patch []byte) dht.Value
+		refuse bool
 		always bool // every write is lied to, not just those that crossed a threshold
 	}{
-		"another leaf's bucket": {func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
-			b.Label = b.Label.Child(0)
+		"another leaf's bucket": {lie: func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
+			if b.Label.Len() > 1 {
+				b.Label = b.Label.Sibling() // disjoint
+			} else {
+				b.Label = b.Label.Right() // stored under another name
+			}
 			return b
-		}, true},
-		"a stale epoch": {func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
-			b.Epoch--
-			return b
-		}, true},
-		"a torn bucket": {func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
+		}, always: true},
+		"a torn bucket": {lie: func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
 			b.Pending = ilht.Pending{Kind: ilht.PendingSplit}
 			return b
-		}, true},
-		"a bucket without the write": {func(_ dht.Value, b *ilht.Bucket, patch []byte) dht.Value {
+		}, always: true},
+		"a bucket without the write": {lie: func(_ dht.Value, b *ilht.Bucket, patch []byte) dht.Value {
 			// The upserted record out again, the deleted one back in.
-			_, n := binary.Uvarint(patch[1:])
-			delta := math.Float64frombits(binary.BigEndian.Uint64(patch[1+n:]))
+			delta, _ := patchDelta(patch)
 			if i := record.FindByKey(b.Records, delta); i >= 0 {
 				b.Records = append(b.Records[:i], b.Records[i+1:]...)
 			} else {
 				b.Records = append(b.Records, record.Record{Key: delta})
 			}
 			return b
-		}, true},
-		"an acknowledgement where the bucket was due": {func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
+		}, always: true},
+		"an acknowledgement where the bucket was due": {lie: func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
 			return ilht.PatchAck{Records: len(b.Records)}
-		}, false},
+		}},
+		"not applied to a leaf it applies to": {refuse: true, always: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			honest, _ := startCluster(t, 1)
-			lying, _ := startCluster(t, 1)
-			lies := 0
-			want, err := ilht.New(honest, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, cached := range []bool{false, true} {
+				t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+					cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20, LeafCache: cached}
+					honest, _ := startCluster(t, 1)
+					lying, _ := startCluster(t, 1)
+					lies := 0
+					want, err := ilht.New(honest, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					crossed := map[int]bool{} // lies told where the honest reply was a bucket
+					got, err := ilht.New(lyingPatcher{Client: lying, refuse: tc.refuse, lie: func(v dht.Value, b *ilht.Bucket, patch []byte) dht.Value {
+						_, whole := v.(*ilht.Bucket)
+						crossed[lies] = whole
+						lies++
+						return tc.lie(v, b, patch)
+					}}, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					extra := growBoth(t, want, got)
+					if !tc.refuse && lies != len(extra) {
+						t.Fatalf("%d patches applied for %d writes", lies, len(extra))
+					}
+					refetched, perLie := 0, 1
+					if tc.refuse {
+						perLie = 2
+					}
+					for i, n := range extra {
+						switch {
+						case n == perLie:
+							refetched++
+						case n != 0:
+							t.Errorf("write %d cost %d lookups more through the lying peer", i, n)
+						}
+						if tc.always && n != perLie {
+							t.Errorf("write %d: %d more lookups, want %d", i, n, perLie)
+						}
+						if !tc.always && crossed[i] && n != perLie {
+							t.Errorf("write %d crossed a threshold and was lied to: %d more lookups, want the one refetch", i, n)
+						}
+					}
+					if refetched == 0 {
+						t.Error("no write refetched its bucket")
+					}
+					plain, err := ilht.New(wholeOnly{lying, lying, lying}, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameTree(t, want, plain)
+				})
 			}
-			crossed := map[int]bool{} // lies told where the honest reply was a bucket
-			got, err := ilht.New(lyingPatcher{lying, func(v dht.Value, b *ilht.Bucket, patch []byte) dht.Value {
-				_, whole := v.(*ilht.Bucket)
-				crossed[lies] = whole
-				lies++
-				return tc.lie(v, b, patch)
-			}}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			extra := growBoth(t, want, got)
-			if lies != len(extra) {
-				t.Fatalf("%d patches for %d writes", lies, len(extra))
-			}
-			refetched := 0
-			for i, n := range extra {
-				switch {
-				case n == 1:
-					refetched++
-				case n != 0:
-					t.Errorf("write %d cost %d lookups more through the lying peer", i, n)
-				}
-				if tc.always && n != 1 {
-					t.Errorf("write %d: %d more lookups, want the one refetch", i, n)
-				}
-				if !tc.always && crossed[i] && n != 1 {
-					t.Errorf("write %d crossed a threshold and was lied to: %d more lookups, want the one refetch", i, n)
-				}
-			}
-			if refetched == 0 {
-				t.Error("no write refetched its bucket")
-			}
-			plain, err := ilht.New(wholeOnly{lying, lying, lying}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameTree(t, want, plain)
 		})
 	}
 }
@@ -453,105 +540,13 @@ type wholeOnly struct {
 	dht.Conditional
 }
 
-// oldVersion is how far back the node serveOld plays predates this one.
-type oldVersion int
-
-const (
-	// beforePatches knows no patchif at all.
-	beforePatches oldVersion = iota
-	// beforeFeatures patches, but not in place (mode 2), and its ping
-	// reply is the status alone, as every node's was before the feature
-	// word.
-	beforeFeatures
-	// beforeHintedBatch patches in place and says so (feature bit 0), but
-	// reads no hint on a getbatch.
-	beforeHintedBatch
-)
-
-// oldNode is a node serveOld plays, with what of the newer protocol
-// reached it.
-type oldNode struct {
-	addr          string
-	inPlace       atomic.Int64 // patchifs of mode 2
-	hintedBatches atomic.Int64 // getbatches with a hint after the keys
-}
-
-// serveOld serves the framed protocol from a real server's store the way
-// a node of version v does. Every such node answers a getbatch whose keys
-// are followed by anything as malformed; one before the feature word
-// answers a patchif of mode 2 as malformed too, and one before patches
-// answers patchif as an op it does not know.
-func serveOld(t *testing.T, real *Server, v oldVersion) *oldNode {
-	t.Helper()
-	node := new(oldNode)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				if _, err := br.Discard(len(wireMagic)); err != nil {
-					return
-				}
-				for {
-					body, err := readFrameBody(br, nil)
-					if err != nil {
-						return
-					}
-					c := cursor{b: body[frameHeaderLen:]}
-					switch op := dht.OpKind(body[8]); {
-					case op == dht.OpPatchIf && v == beforePatches:
-						body[8] = 200 // the dispatcher's default arm, where the op fell before it existed
-					case op == dht.OpPatchIf:
-						if _, err := c.lenBytes(); err == nil && len(c.b) > 0 && c.b[0] == patchInPlace {
-							node.inPlace.Add(1)
-							if v < beforeHintedBatch {
-								c.b[0] = patchInPlace + 1 // past the modes it knew: malformed
-							}
-						}
-					case op == dht.OpGetBatch:
-						n, err := c.count()
-						for i := 0; i < n && err == nil; i++ {
-							_, err = c.lenBytes()
-						}
-						if err == nil && !c.empty() {
-							node.hintedBatches.Add(1)
-							body = append(body, 0) // a tail it cannot read: malformed
-						}
-					}
-					resp := real.applyFrame(body, nil)
-					if dht.OpKind(body[8]) == dht.OpPing {
-						resp = resp[:4+frameHeaderLen+1] // the status alone
-						if v == beforeHintedBatch {
-							resp = appendUv(resp, featInPlacePatch)
-						}
-						binary.BigEndian.PutUint32(resp, uint32(len(resp)-4))
-					}
-					if _, err := conn.Write(resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	node.addr = ln.Addr().String()
-	return node
-}
-
 // recordOnlyCounter counts the lookups that ended in a record reply, the
-// patches and the in-place patches.
+// patches, those of them that rode a probe and were applied, and the
+// in-place patches.
 type recordOnlyCounter struct {
 	*Client
-	mu                        sync.Mutex
-	records, patches, inPlace int
+	mu                                sync.Mutex
+	records, patches, ridden, inPlace int
 }
 
 func (p *recordOnlyCounter) WritePatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
@@ -571,188 +566,25 @@ func (p *recordOnlyCounter) Probe(ctx context.Context, key string, hint uint64) 
 	return v, err
 }
 
-func (p *recordOnlyCounter) PatchIf(ctx context.Context, key string, patch []byte, ifEpoch uint64) (dht.Value, error) {
+// Patch counts the patches that rode a search's probe (they ask for a
+// labelled acknowledgement) and were applied: each is a lookup the
+// whole-bucket arm pays and this one does not.
+func (p *recordOnlyCounter) Patch(ctx context.Context, key string, hint uint64, patch []byte) (dht.Value, error) {
+	v, err := p.Client.Patch(ctx, key, hint, patch)
 	p.mu.Lock()
 	p.patches++
+	if err == nil && patch[0]&0x80 != 0 {
+		p.ridden++
+	}
 	p.mu.Unlock()
-	return p.Client.PatchIf(ctx, key, patch, ifEpoch)
+	return v, err
 }
 
-// A new client over nodes that predate patchif: the first write's patch
-// comes back "unknown op", which the client reads as a refusal; the index
-// fetches the bucket it would have fetched in the first place (one lookup
-// more, once) and from then on that index's writes look up and put whole
-// buckets, at exactly the whole-bucket arm's cost. Upgrade nodes before
-// clients.
-func TestOldNodeRefusesPatchOnce(t *testing.T) {
-	ctx := context.Background()
-	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20}
-	honest, _ := startCluster(t, 1)
-	_, olds := startCluster(t, 1)
-	node := serveOld(t, olds[0], beforePatches)
-	old, err := Dial(ctx, ClusterConfig{Seeds: []string{node.addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = old.Close() })
-	if _, err := old.PatchIf(ctx, "k", ilht.DeletePatch(0.5, 0), 0); !errors.Is(err, dht.ErrPatchRefused) {
-		t.Fatalf("PatchIf against an old node: %v, want a refusal", err)
-	}
-
-	want, err := ilht.New(wholeOnly{honest, honest, honest}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := &recordOnlyCounter{Client: old}
-	got, err := ilht.New(counter, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := growBoth(t, want, got)
-	if extra[0] != 1 {
-		t.Errorf("the first write cost %d lookups more than a whole-bucket write, want the one refetch", extra[0])
-	}
-	for i, n := range extra[1:] {
-		if n != 0 {
-			t.Errorf("write %d cost %d lookups more than a whole-bucket write", i+1, n)
-		}
-	}
-	if counter.records != 1 || counter.patches != 1 {
-		t.Errorf("%d record replies and %d patches over %d writes, want one of each: the refusal sticks", counter.records, counter.patches, len(extra))
-	}
-	sameTree(t, want, got)
-	// Reads still ask for, and get, the record alone.
-	if _, _, err := got.Search(0.5); err != nil && !errors.Is(err, ilht.ErrKeyNotFound) {
-		t.Fatal(err)
-	}
-	if counter.records != 2 {
-		t.Errorf("a Search after the refusal ended in %d record replies, want 1", counter.records-1)
-	}
-}
-
-// A new client over PR 24's nodes, which patch but do not patch in place
-// and say nothing in their ping reply: the client never sends them an
-// in-place patch, the index takes each such refusal as a WriteIf of the
-// whole bucket at no lookup, and so grows the tree a new node grows, at
-// the same cost op for op.
-func TestInPlacePatchOfAnOldNodeWritesWhole(t *testing.T) {
-	ctx := context.Background()
-	cfg := ilht.Config{SplitThreshold: 5, MergeThreshold: 3, Depth: 20}
-	honest, _ := startCluster(t, 1)
-	_, olds := startCluster(t, 1)
-	node := serveOld(t, olds[0], beforeFeatures)
-	old, err := Dial(ctx, ClusterConfig{Seeds: []string{node.addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = old.Close() })
-	want, err := ilht.New(honest, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := &recordOnlyCounter{Client: old}
-	got, err := ilht.New(counter, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range growBoth(t, want, got) {
-		if n != 0 {
-			t.Errorf("write %d cost %d lookups more over the old node", i, n)
-		}
-	}
-	if counter.inPlace == 0 || counter.patches == 0 || node.inPlace.Load() != 0 {
-		t.Errorf("%d in-place patches asked for, %d of them sent, %d patches: want the record patches and none in place on the wire",
-			counter.inPlace, node.inPlace.Load(), counter.patches)
-	}
-	sameTree(t, want, got)
-}
-
-// A PR 24 client's handshake against a new node: the ping reply's
-// feature word follows the status, which is all that handshake read, and
-// it read no further (it never asked whether the payload had ended).
-func TestOldClientHandshakesWithANewNode(t *testing.T) {
-	_, srvs := startCluster(t, 1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() { _ = srvs[0].Serve(ln) }()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// PR 24's handshake, less its deadline handling.
-	if _, err := conn.Write(append([]byte(wireMagic), buildFrame(0, dht.OpPing, nil)...)); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReaderSize(conn, 256)
-	body, err := readFrameBody(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.Buffered() != 0 {
-		t.Fatal("unexpected bytes after ping response")
-	}
-	c := cursor{b: body[frameHeaderLen:]}
-	if status, err := c.u8(); err != nil || status != statusOK {
-		t.Fatalf("ping rejected (status %d, %v)", status, err)
-	}
-	// What follows is the word a new client reads.
-	if f, err := c.uvarint(); err != nil || f&featInPlacePatch == 0 || !c.empty() {
-		t.Errorf("after the status: features %b, %v, %d bytes more", f, err, len(c.b))
-	}
-}
-
-// A new client over nodes that read no hint on a getbatch: their handshake
-// does not offer the hinted form, so none is sent them, and they answer
-// every swept slot whole, which a range query takes as it takes a bucket
-// over dht.Local — the same records at the same cost.
-func TestProbeBatchOfAnOldNodeIsWhole(t *testing.T) {
-	ctx := context.Background()
-	_, olds := startCluster(t, 1)
-	node := serveOld(t, olds[0], beforeHintedBatch)
-	old, err := Dial(ctx, ClusterConfig{Seeds: []string{node.addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = old.Close() })
-	cfg := ilht.Config{SplitThreshold: 8, MergeThreshold: 4, Depth: 20}
-	want, err := ilht.New(dht.NewLocal(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ilht.New(old, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(26))
-	for i := 0; i < 300; i++ {
-		rec := record.Record{Key: rng.Float64(), Value: []byte{byte(i), byte(i >> 8)}}
-		for _, ix := range []*ilht.Index{want, got} {
-			if _, err := ix.Insert(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	batches := olds[0].Metrics().Batch.Ops
-	for i := 0; i < 40; i++ {
-		lo := rng.Float64() * 0.9
-		hi := lo + rng.Float64()*(1-lo)/2
-		wantRecs, wantCost, err := want.Range(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, cost, err := got.Range(lo, hi)
-		if err != nil || !reflect.DeepEqual(recs, wantRecs) || cost != wantCost {
-			t.Fatalf("Range(%v, %v) over the old node: %d records at %+v, %v; over dht.Local %d at %+v",
-				lo, hi, len(recs), cost, err, len(wantRecs), wantCost)
-		}
-	}
-	if swept := olds[0].Metrics().Batch.Ops - batches; swept == 0 || node.hintedBatches.Load() != 0 {
-		t.Errorf("the old node served %d multi-gets, %d of them hinted: want sweeps, none hinted", swept, node.hintedBatches.Load())
-	}
+// riddenCount is how many patches rode a probe and were applied.
+func (p *recordOnlyCounter) riddenCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ridden
 }
 
 // An older client's getbatch, the keys and nothing after them, is answered
@@ -854,8 +686,8 @@ func (d nameDialer) DialContext(ctx context.Context, network, addr string) (net.
 }
 
 // startNamedCluster boots three servers known to the client as node0..2,
-// two holders a key, hinted handoff on.
-func startNamedCluster(t *testing.T) (*Client, []*Server) {
+// replicas holders a key, hinted handoff on.
+func startNamedCluster(t *testing.T, replicas int) (*Client, []*Server) {
 	t.Helper()
 	srvs := make([]*Server, 3)
 	names := make([]string, len(srvs))
@@ -871,7 +703,7 @@ func startNamedCluster(t *testing.T) (*Client, []*Server) {
 		srvs[i], names[i] = srv, fmt.Sprintf("node%d:7000", i)
 		dialer[names[i]] = ln.Addr().String()
 	}
-	c, err := Dial(context.Background(), ClusterConfig{Seeds: names, Replicas: 2, HintedHandoff: true, Dialer: dialer})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: names, Replicas: replicas, HintedHandoff: true, Dialer: dialer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -884,17 +716,25 @@ func startNamedCluster(t *testing.T) (*Client, []*Server) {
 // in place of the dialer (which the clock decides).
 var dialNoise = regexp.MustCompile(`127\.0\.0\.1:\d+| backing off after \d+ failures: tcpnet: dial "[^"]*"`)
 
-// With two holders a key, a patched write and a whole-bucket write leave
-// byte-identical values on every holder after every op — splits and
-// merges, their in-place steps patched too, included — at the same cost
-// and index and server counters. With one holder dead and hinted handoff
-// on, they still cost the same op for op, the live holders still agree
-// byte for byte, and what is parked for the dead one is the whole value
-// the whole-bucket arm parks — a patch is never parked, for it means
-// nothing to a holder that has missed the one before it. (The servers'
-// counters part there: a holder a patch cannot reach costs the acting
-// serializer the read of the whole value to send it instead.)
+// With two or three holders a key, a patched write and a whole-bucket
+// write leave byte-identical values on every holder after every op —
+// splits and merges, their in-place steps patched too, included — with
+// the same index and server counters, but for the one lookup each patch
+// that rode the search's probe saved: such an op costs exactly that many
+// lookups less. With one holder dead and hinted handoff on that still
+// holds op for op, the live holders still agree byte for byte, and what
+// is parked for the dead one is the whole value the whole-bucket arm
+// parks — a patch is never parked, for it means nothing to a holder that
+// has missed the one before it. (The servers' counters part there: a
+// holder a patch cannot reach costs the acting serializer the read of the
+// whole value to send it instead.)
 func TestPatchedWritesOnEveryHolder(t *testing.T) {
+	for _, replicas := range []int{2, 3} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) { patchedWritesOnEveryHolder(t, replicas) })
+	}
+}
+
+func patchedWritesOnEveryHolder(t *testing.T, replicas int) {
 	cfg := ilht.Config{SplitThreshold: 6, MergeThreshold: 4, Depth: 20, LeafCache: true}
 	type arm struct {
 		srvs    []*Server
@@ -903,7 +743,7 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 	}
 	counter := &recordOnlyCounter{}
 	start := func(hide bool) *arm {
-		client, srvs := startNamedCluster(t)
+		client, srvs := startNamedCluster(t, replicas)
 		var d dht.DHT = client
 		if hide {
 			d = wholeOnly{client, client, client}
@@ -934,6 +774,7 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 			present = append(present, rec.Key)
 		}
 		for _, a := range []*arm{patched, whole} {
+			ridden := counter.riddenCount()
 			var cost ilht.Cost
 			var err error
 			if del {
@@ -941,21 +782,30 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 			} else {
 				cost, err = a.ix.Insert(rec)
 			}
+			if a == patched {
+				// What the whole-bucket arm pays for the probe each ridden
+				// patch replaced.
+				n := counter.riddenCount() - ridden
+				cost.Lookups += n
+				cost.Steps += n
+			}
 			a.results = append(a.results, dialNoise.ReplaceAllString(fmt.Sprintf("%+v %v", cost, err), ""))
 		}
 	}
 	compare := func(when string, allUp bool, live ...int) {
 		t.Helper()
+		ridden := int64(counter.riddenCount())
 		for i := range patched.results {
 			if patched.results[i] != whole.results[i] {
-				t.Fatalf("%s: op %d: %s as a patch, %s as a whole bucket", when, i, patched.results[i], whole.results[i])
+				t.Fatalf("%s: op %d: %s as a patch and its ridden probes, %s as a whole bucket", when, i, patched.results[i], whole.results[i])
 			}
 		}
+		var servedP, servedW metrics.LookupCounts
 		for _, i := range live {
 			p, w := patched.srvs[i], whole.srvs[i]
-			if pl, wl := p.Metrics().Lookup, w.Metrics().Lookup; allUp && pl != wl {
-				t.Fatalf("%s: node%d counted %+v as a patch, %+v as a whole bucket", when, i, pl, wl)
-			}
+			pl, wl := p.Metrics().Lookup, w.Metrics().Lookup
+			servedP.Total, servedP.FailedGets = servedP.Total+pl.Total, servedP.FailedGets+pl.FailedGets
+			servedW.Total, servedW.FailedGets = servedW.Total+wl.Total, servedW.FailedGets+wl.FailedGets
 			p.mu.Lock()
 			w.mu.Lock()
 			if !reflect.DeepEqual(p.store, w.store) {
@@ -976,8 +826,11 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 			w.mu.Unlock()
 			p.mu.Unlock()
 		}
+		if servedP.Total += ridden; allUp && servedP != servedW {
+			t.Fatalf("%s: the servers counted %+v as a patch and its ridden probes, %+v as a whole bucket", when, servedP, servedW)
+		}
 		pm, wm := patched.ix.Metrics(), whole.ix.Metrics()
-		if pm.Lookup != wm.Lookup || pm.Write != wm.Write || pm.Cache != wm.Cache {
+		if pm.Lookup.Total += ridden; pm.Lookup != wm.Lookup || pm.Write != wm.Write || pm.Cache != wm.Cache {
 			t.Errorf("%s: counters differ:\n%+v %+v %+v\n%+v %+v %+v", when, pm.Lookup, pm.Write, pm.Cache, wm.Lookup, wm.Write, wm.Cache)
 		}
 	}
@@ -987,6 +840,9 @@ func TestPatchedWritesOnEveryHolder(t *testing.T) {
 	}
 	if m := patched.ix.Metrics().Lookup; m.Splits < 10 || m.Merges < 3 {
 		t.Errorf("the stream made %d splits and %d merges: too tame to prove much", m.Splits, m.Merges)
+	}
+	if n := counter.riddenCount(); 2*n < 300 {
+		t.Errorf("%d of 300 writes were done by the probe their patch rode, want most", n)
 	}
 
 	for _, a := range []*arm{patched, whole} {

@@ -174,8 +174,7 @@ func serveLying(t *testing.T, real *Server) string {
 }
 
 // serveRehinted serves the framed protocol from a real server's store,
-// with every get's hint passed through rehint first. Its handshake does
-// not offer the hinted getbatch, so every multi-get it serves is plain.
+// with every get's hint passed through rehint first.
 func serveRehinted(t *testing.T, real *Server, rehint func(uint64) uint64) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -207,9 +206,6 @@ func serveRehinted(t *testing.T, real *Server, rehint func(uint64) uint64) strin
 						}
 					}
 					resp := real.applyFrame(body, nil)
-					if dht.OpKind(body[8]) == dht.OpPing {
-						resp[len(resp)-1] &^= featHintedBatch // the feature word, one byte
-					}
 					if _, err := conn.Write(resp); err != nil {
 						return
 					}
@@ -484,94 +480,5 @@ func TestRangeProbeShipsTheRun(t *testing.T) {
 	}
 	if _, err := c.Probe(ctx, "absent", ilht.RangeHint(0, 1)); err != dht.ErrNotFound {
 		t.Errorf("range probe of an absent key: %v", err)
-	}
-}
-
-// rangeHintBit is what tells a range hint from a key hint.
-const rangeHintBit = 1 << 62
-
-// rangeReplies is a client that counts what its range probes came back
-// as; a reply that is neither a bucket nor a header is a run.
-type rangeReplies struct {
-	*Client
-	probes, whole, headers int
-}
-
-func (p *rangeReplies) runs() int { return p.probes - p.whole - p.headers }
-
-func (p *rangeReplies) Probe(ctx context.Context, key string, hint uint64) (dht.Value, error) {
-	v, err := p.Client.Probe(ctx, key, hint)
-	if hint&rangeHintBit != 0 && err == nil {
-		p.probes++
-		switch v.(type) {
-		case *ilht.Bucket:
-			p.whole++
-		case *ilht.BucketHeader:
-			p.headers++
-		}
-	}
-	return v, err
-}
-
-// A node that predates the range hint reads the word as a key hint, and
-// the key as one of 2 or more, which no leaf covers: it answers every
-// untorn leaf with its header. A header for a leaf outside the range is
-// all the query wanted; one for a leaf that overlaps it is dropped and the
-// bucket fetched again, whole, with a plain get. So a new client over old
-// nodes returns what it returns over new ones, one lookup more for each
-// run it would have got.
-func TestRangeProbeOfAnOldNodeIsRefetched(t *testing.T) {
-	ctx := context.Background()
-	if ilht.RangeHint(0, 1)&rangeHintBit == 0 || ilht.ProbeHint(1, true)&rangeHintBit != 0 {
-		t.Fatal("bit 62 no longer tells a range hint from a key hint")
-	}
-	honest, servers := startCluster(t, 1)
-	cfg, _, _ := growHonestIndex(t, honest)
-	// The old projector, from the new one: to a hint it takes for a key no
-	// leaf covers it gives the answer it gives to the key 1.
-	addr := serveRehinted(t, servers[0], func(hint uint64) uint64 {
-		if hint&rangeHintBit != 0 {
-			return ilht.ProbeHint(1, false)
-		}
-		return hint
-	})
-	old, err := Dial(ctx, ClusterConfig{Seeds: []string{addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = old.Close() })
-
-	newNodes, oldNodes := &rangeReplies{Client: honest}, &rangeReplies{Client: old}
-	want, err := ilht.New(newNodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ilht.New(oldNodes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(24))
-	for i := 0; i < 40; i++ {
-		lo := rng.Float64() * 0.9
-		hi := lo + rng.Float64()*(1-lo)/2
-		before := newNodes.runs()
-		wantRecs, wantCost, err := want.Range(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs := newNodes.runs() - before
-		recs, cost, err := got.Range(lo, hi)
-		if err != nil || !reflect.DeepEqual(recs, wantRecs) {
-			t.Fatalf("Range(%v, %v) over the old node: %v, %v; over the new one: %v", lo, hi, recs, err, wantRecs)
-		}
-		if cost.Lookups != wantCost.Lookups+runs || cost.Steps != wantCost.Steps {
-			t.Errorf("Range(%v, %v): cost %+v over the old node, %+v over the new one with %d runs, want one refetch for each", lo, hi, cost, wantCost, runs)
-		}
-	}
-	if newNodes.runs() == 0 || newNodes.whole != 0 {
-		t.Errorf("the new node answered %d range probes with %d runs and %d whole buckets", newNodes.probes, newNodes.runs(), newNodes.whole)
-	}
-	if oldNodes.runs() != 0 || oldNodes.whole != 0 || oldNodes.headers == 0 {
-		t.Errorf("the old node answered %d range probes with %d headers, %d whole buckets and %d other replies", oldNodes.probes, oldNodes.headers, oldNodes.whole, oldNodes.runs())
 	}
 }

@@ -177,7 +177,8 @@ func (c *Client) take(ctx context.Context, r req) (dht.Value, error) {
 // surface to the caller (the write IS committed on the primary; the
 // caller's retry loop re-runs against the committed state), they never
 // roll back the primary's decision. It answers what the serializer did:
-// an applied patch's reply, nil for anything else.
+// an applied patch's reply, a refused Patch's probe answer beside
+// dht.ErrPatchRefused, nil for anything else.
 //
 // With hinted handoff on, the serializer role itself fails over: an
 // unreachable primary is skipped and the conditional resolves on the
@@ -195,7 +196,7 @@ func (c *Client) cond(ctx context.Context, r req) (dht.Value, error) {
 	acting, reply, err := 0, dht.Value(nil), error(nil)
 	for i, n := range holders {
 		acting = i
-		if reply, err = n.do(ctx, r); err == nil || !c.cfg.HintedHandoff || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
+		if reply, err = n.doAt(ctx, &r); err == nil || !c.cfg.HintedHandoff || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
 			break
 		}
 	}

@@ -91,7 +91,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if !c.empty() {
 			return appendStatusErr(out, errMalformed)
 		}
-		return appendUv(append(out, statusOK), serverFeatures)
+		return append(out, statusOK)
 
 	case dht.OpGet, dht.OpTake:
 		key, err := c.lenBytes()
@@ -316,14 +316,34 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if err != nil || mode > patchInPlace {
 			return appendStatusErr(out, errMalformed)
 		}
+		if mode == patchProbe {
+			if len(c.b) < 8 {
+				return appendStatusErr(out, errMalformed)
+			}
+			hint := binary.BigEndian.Uint64(c.b)
+			c.b = c.b[8:]
+			// Charged as the get it rides, applied or not.
+			s.c.Add(metrics.Lookups, 1)
+			cur, ok := s.store[string(key)]
+			if !ok {
+				s.c.Add(metrics.FailedGets, 1)
+				return append(out, statusNotFound)
+			}
+			next, reply, ok := patchStored(cur, c.rest(), appendUv(append(out, statusOK), storedEpoch(cur)))
+			if !ok {
+				return appendProbed(append(out, statusPatchRefused), cur, hint)
+			}
+			s.store[string(key)] = next
+			return reply
+		}
 		ifEpoch, err := c.uvarint()
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
-		// Charged as the putif (primary), putnewer (newer) or writeif (in
-		// place: nothing) it replaces, once the outcome is one of theirs;
-		// a refused patch is free, as dht.Patcher has it: the whole-value
-		// write that follows is the lookup.
+		// Charged as the putnewer (newer) or writeif (in place: nothing)
+		// it replaces, once the outcome is one of theirs; a refused patch
+		// is free, as dht.Patcher has it: the whole-value write that
+		// follows is the lookup.
 		lookups := int64(1)
 		if mode == patchInPlace {
 			lookups = 0

@@ -228,7 +228,7 @@ const gobPutStream = "c\x7f\x03\x01\x01\arequest\x01\xff\x80\x00\x01\b\x01\x02Op
 	"\v\xff\x80\x01\x03\x01\x01k\x01\x01\x01\x00"
 
 // TestServerRejectsNonMagic: a connection that does not open with the
-// LHT2 magic, or follows it with something that is not a frame, is closed
+// LHT3 magic, or follows it with something that is not a frame, is closed
 // without a byte served, the store untouched and no handler left behind.
 func TestServerRejectsNonMagic(t *testing.T) {
 	_, servers := startCluster(t, 1)
@@ -274,6 +274,34 @@ func TestServerRejectsNonMagic(t *testing.T) {
 		t.Errorf("store holds %d keys after rejected connections, want 0", n)
 	}
 	leak()
+}
+
+// TestServerClosesThePreviousGeneration: a peer of the protocol generation
+// before this one opens with its own magic and a ping, then a put, as such
+// a client would. The node closes the connection with not one frame served
+// — no ping reply for its handshake to misread — and stores nothing.
+func TestServerClosesThePreviousGeneration(t *testing.T) {
+	_, servers := startCluster(t, 1)
+	srv := servers[0]
+	put := append(appendLenString(nil, "k"), tagRaw, 'v')
+	previous := wireMagic[:3] + "2"
+	msg := append(append([]byte(previous), buildFrame(1, dht.OpPing, nil)...), buildFrame(2, dht.OpPut, put)...)
+	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	if len(got) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("a %s dialer was answered %q, %v; want a bare close", previous, got, err)
+	}
+	if n := srv.Len(); n != 0 {
+		t.Errorf("store holds %d keys after the %s dialer, want 0", n, previous)
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

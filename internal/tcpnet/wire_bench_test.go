@@ -208,13 +208,16 @@ func BenchmarkWirePatch(b *testing.B) {
 	if err := c.Put(ctx, "k", bucket); err != nil {
 		b.Fatal(err)
 	}
-	patch := ilht.UpsertPatch(bucket.Records[37], 0)
-	req := patchIf("k", patchPrimary, bucket.Epoch, patch)
-	const reply = 4 + frameHeaderLen + 1 + 1 + 2 // length, id+op, status, kind, acknowledgement
+	patch := ilht.UpsertPatch(bucket.Records[37], 0, 20)
+	hint := ilht.ProbeHint(bucket.Records[37].Key, false)
+	req := probePatch("k", hint, patch)
+	// length, id+op, status, the epoch patched (two bytes from 128 on),
+	// kind, acknowledgement
+	const reply = 4 + frameHeaderLen + 1 + 2 + 1 + 2
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.PatchIf(ctx, "k", patch, bucket.Epoch+uint64(i)); err != nil {
+		if _, err := c.Patch(ctx, "k", hint, patch); err != nil {
 			b.Fatal(err)
 		}
 	}

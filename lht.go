@@ -240,7 +240,10 @@ func WithCoalescedGets(on bool) Option { return ilht.WithCoalescedGets(on) }
 // bucket from a fresh read and commits it with an epoch-guarded
 // compare-and-swap on the storing peer (the substrate's Conditional
 // capability), retrying from a fresh read whenever a concurrent writer
-// won the bucket first. Splits and merges yield silently to a concurrent
+// won the bucket first; over tcpnet a one-record write is instead a patch
+// the storing peer applies only to a leaf it is meant for, and one that
+// no longer is sends the writer back to its search. Splits and merges
+// yield silently to a concurrent
 // winner and are retried by whichever writer next visits the overweight
 // (or underweight) leaf, so structural maintenance needs no coordination
 // either. Lost CAS rounds are visible in Snapshot.Write (CASConflicts,
