@@ -297,8 +297,8 @@ func dispatch(ctx context.Context, ix *lht.Index, cmd []string, seed int64, out 
 			}
 		}
 		s := ix.Metrics()
-		fmt.Fprintf(out, "inserted %d records: %d DHT-lookups, %d splits, %d record slots moved\n",
-			n, s.Lookup.Total, s.Lookup.Splits, s.Lookup.MovedRecords)
+		fmt.Fprintf(out, "inserted %d records: %d DHT-lookups, %d splits, %d record slots moved; %d written by the probe their patch rode, %d rides refused\n",
+			n, s.Lookup.Total, s.Lookup.Splits, s.Lookup.MovedRecords, s.Write.RidesApplied, s.Write.RidesRefused)
 	default:
 		return fmt.Errorf("unknown command %q", cmd[0])
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"lht/internal/dht"
@@ -97,16 +96,17 @@ func RunBatchAblation(o Options, dist workload.Dist, sizes []int) (Result, Resul
 				queryYs[vi][t] = append(queryYs[vi][t], float64(delta.RoundTrips())/float64(o.Queries))
 
 				// Oracle check: both arms must agree on bandwidth and tree
-				// bytes — batching may only change round trips.
+				// bytes, leaf after leaf as EncodeBucket writes them —
+				// batching may only change round trips.
 				leaves, err := ix.Leaves()
 				if err != nil {
 					return load, query, err
 				}
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(leaves); err != nil {
-					return load, query, err
+				var tree []byte
+				for _, b := range leaves {
+					tree = b.AppendWire(tree)
 				}
-				trees = append(trees, buf.Bytes())
+				trees = append(trees, tree)
 				lookups = append(lookups, loaded.Lookup.Total+delta.Lookup.Total)
 			}
 			if !bytes.Equal(trees[0], trees[1]) {

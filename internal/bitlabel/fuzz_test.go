@@ -55,3 +55,22 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNames checks Names against the set of names it counts on arbitrary
+// labels and ranges.
+func FuzzNames(f *testing.F) {
+	f.Add(uint64(0), uint8(20), uint8(1), uint8(20))
+	f.Add(uint64(0x5555), uint8(20), uint8(3), uint8(17))
+	f.Add(^uint64(0), uint8(MaxBits), uint8(1), uint8(MaxBits))
+	f.Fuzz(func(t *testing.T, val uint64, n, lo, hi uint8) {
+		n = 1 + n%MaxBits
+		lo, hi = 1+lo%n, 1+hi%n
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		l := Label{val: val & (1<<n - 1), n: n}
+		if got, want := l.Names(int(lo), int(hi)), refNames(l, int(lo), int(hi)); got != want {
+			t.Fatalf("%s.Names(%d, %d) = %d, want %d", l, lo, hi, got, want)
+		}
+	})
+}

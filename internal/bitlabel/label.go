@@ -109,6 +109,20 @@ func (l Label) String() string {
 // separately so call sites read as intent ("use as DHT key").
 func (l Label) Key() string { return l.String() }
 
+// IsKey reports whether key is the label's DHT key, l.Key() == key,
+// without building the string.
+func (l Label) IsKey(key string) bool {
+	if len(key) != int(l.n)+1 || key[0] != '#' {
+		return false
+	}
+	for i := 0; i < int(l.n); i++ {
+		if key[i+1] != '0'+byte(l.Bit(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Len returns the number of bits in the label. The virtual root has length
 // 0 and the regular root "#0" has length 1. Note the paper measures label
 // length in characters including '#'; that is Len()+1.
@@ -254,6 +268,22 @@ func (l Label) NextName(mu Label) (next Label, ok bool) {
 		}
 	}
 	return Label{}, false
+}
+
+// Names counts the distinct names f_n gives the prefixes of l whose
+// lengths lie in [lo, hi]: the candidates Algorithm 2's binary search
+// still has when its bounds are lo and hi. The prefixes of lengths k and
+// k+1 share a name iff bit k repeats bit k-1, so the count is one plus
+// the number of bit changes at positions lo through hi-1, read off l's
+// bits with a shift, an XOR and a popcount. Names panics unless
+// 1 <= lo <= hi <= Len().
+func (l Label) Names(lo, hi int) int {
+	if lo < 1 || lo > hi || hi > int(l.n) {
+		panic(fmt.Sprintf("bitlabel: Names(%d, %d) out of range for %s", lo, hi, l))
+	}
+	changes := l.val ^ l.val>>1 // bit p set iff bits p and p+1 differ
+	span := uint64(1)<<uint(hi-lo) - 1
+	return 1 + bits.OnesCount64(changes>>(uint(l.n)-uint(hi))&span)
 }
 
 // RightNeighbor implements the right-neighbor function f_rn of Definition

@@ -50,6 +50,65 @@ func repeat(s string, n int) string {
 	return out
 }
 
+// Names agrees with the set of names it counts for every range of prefix
+// lengths of random labels at the paper's depth and at the deepest a label
+// goes, one run throughout and a zero then a run of ones among them.
+func TestNamesCountsThePrefixesNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, depth := range []int{20, MaxBits} {
+		below := uint64(1)<<(depth-1) - 1 // every bit but the root edge's
+		for i := 0; i < 50; i++ {
+			l := Label{val: rng.Uint64() & below, n: uint8(depth)}
+			if i < 2 {
+				l.val = uint64(i) * below
+			}
+			for lo := 1; lo <= l.Len(); lo++ {
+				for hi := lo; hi <= l.Len(); hi++ {
+					if got, want := l.Names(lo, hi), refNames(l, lo, hi); got != want {
+						t.Fatalf("%s.Names(%d, %d) = %d, want %d", l, lo, hi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// IsKey is the comparison with Key, for a label's own key, the keys of its
+// relatives and strings that are no key at all.
+func TestIsKeyComparesWithKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		l := MustParse(randLabelString(rng, MaxBits-1))
+		others := []string{"", "#", "x" + l.Key()[1:], l.Key() + "0", l.Parent().Key(), l.Child(1).Key()}
+		if l.Len() > 1 {
+			others = append(others, l.Sibling().Key())
+		}
+		for _, key := range append(others, l.Key()) {
+			if got, want := l.IsKey(key), l.Key() == key; got != want {
+				t.Fatalf("%s.IsKey(%q) = %v, want %v", l, key, got, want)
+			}
+		}
+	}
+	if !Root.IsKey("#") || Root.IsKey("") {
+		t.Error("the virtual root's key is \"#\"")
+	}
+}
+
+// Names panics on a range that is empty or leaves the label.
+func TestNamesPanicsOutOfRange(t *testing.T) {
+	l := MustParse("#0110")
+	for _, r := range [][2]int{{0, 2}, {3, 2}, {1, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Names(%d, %d) of %s did not panic", r[0], r[1], l)
+				}
+			}()
+			l.Names(r[0], r[1])
+		}()
+	}
+}
+
 func TestRootConstants(t *testing.T) {
 	if Root.String() != "#" {
 		t.Errorf("Root = %q", Root.String())

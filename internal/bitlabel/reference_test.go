@@ -92,3 +92,13 @@ func randLabelString(rng *rand.Rand, maxBits int) string {
 	}
 	return b.String()
 }
+
+// refNames counts the distinct names among the prefixes of l with lengths
+// lo through hi by collecting them, one Name call a prefix.
+func refNames(l Label, lo, hi int) int {
+	names := map[Label]bool{}
+	for k := lo; k <= hi; k++ {
+		names[l.Prefix(k).Name()] = true
+	}
+	return len(names)
+}

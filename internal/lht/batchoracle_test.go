@@ -3,7 +3,6 @@ package lht
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"testing"
@@ -103,7 +102,7 @@ func TestBatchedPathIsAnOracle(t *testing.T) {
 				t.Errorf("BulkLoad Lookups: batched %d, per-op %d", bcost.Lookups, pcost.Lookups)
 			}
 
-			if got, want := gobLeaves(t, batched.ix), gobLeaves(t, perOp.ix); !bytes.Equal(got, want) {
+			if got, want := treeBytes(t, batched.ix), treeBytes(t, perOp.ix); !bytes.Equal(got, want) {
 				t.Fatal("batched and per-op trees are not byte-identical")
 			}
 
@@ -149,17 +148,17 @@ func TestBatchedPathIsAnOracle(t *testing.T) {
 	}
 }
 
-// gobLeaves serializes an index's leaves (in key order) for byte-level
-// comparison.
-func gobLeaves(t *testing.T, ix *Index) []byte {
+// treeBytes is an index's leaves in key order, one after another as
+// EncodeBucket writes them, for byte-level comparison.
+func treeBytes(t *testing.T, ix *Index) []byte {
 	t.Helper()
 	leaves, err := ix.Leaves()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(leaves); err != nil {
-		t.Fatal(err)
+	var out []byte
+	for _, b := range leaves {
+		out = append(out, mustEncode(t, b)...)
 	}
-	return buf.Bytes()
+	return out
 }

@@ -197,20 +197,22 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 // leaf cache has learnt its label exactly as from a whole bucket.
 //
 // With recordOnly (Search; Insert and Delete while patchWrites) the hint
-// also says that of the covering leaf only delta's record is wanted, and such a substrate may answer
-// that leaf with a BucketRecord, returned in place of the bucket. A short
-// reply is trusted no further than its own claim: a header that covers
-// delta, a BucketRecord that was not asked for, does not cover delta or
-// carries another key's record, is dropped and the bucket fetched whole
-// with a plain, charged get.
+// also says that of the covering leaf only delta's record is wanted, and
+// such a substrate may answer that leaf with a BucketRecord, returned in
+// place of the bucket. A short reply is trusted no further than its own
+// claim: a header that covers delta, a BucketRecord that was not asked
+// for, does not cover delta or carries another key's record, is dropped
+// and the bucket fetched whole with a plain, charged get.
 //
 // A write w may ride the probe with patch (see lookupLeaf): the probe is
 // then a dht.Patch, whose hint asks for what the write needs should the
 // peer not apply it — a delete the record, an upsert the bucket, which the
 // peer refuses only at the weight bound — and an applied patch returns the
-// peer's reply as the third result. A refused one is the probe's answer
-// and is taken as such, with one rule more: a delete's record reply that
-// found the record is one the peer should have applied, and is dropped.
+// peer's reply as the third result. A refused one (or one that found no
+// bucket) is the probe's answer and is taken as such, with one rule more:
+// a delete's record reply that found the record is one the peer should
+// have applied, and is dropped. Each ride is counted, applied or refused
+// (metrics.RidesApplied, metrics.RidesRefused).
 func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, recordOnly bool, w *write, patch []byte, cost *Cost) (*Bucket, *BucketRecord, dht.Value, error) {
 	cost.Lookups++
 	var v dht.Value
@@ -221,9 +223,13 @@ func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, rec
 	} else {
 		recordOnly = !w.upsert
 		if v, err = dht.DoPatch(ctx, ix.d, key, ProbeHint(delta, recordOnly), patch); err == nil {
+			ix.c.Add(metrics.RidesApplied, 1)
 			return nil, nil, v, nil
 		}
-		if refused = errors.Is(err, dht.ErrPatchRefused); refused {
+		if refused = errors.Is(err, dht.ErrPatchRefused); refused || errors.Is(err, dht.ErrNotFound) {
+			ix.c.Add(metrics.RidesRefused, 1)
+		}
+		if refused {
 			err = nil
 		}
 	}
@@ -304,10 +310,14 @@ type leaf struct {
 //
 // A write w (nil for a read) rides the probe the cache names — the cached
 // leaf's name on a hit, the bracket's first probe on a miss — which is
-// the search's last almost every time: its patch travels with the probe
-// (ride), and a peer that applies it ends the search with the write done
-// (committed). One that does not answers the probe, and the search goes
-// on from that answer as from any probe's, at the same cost.
+// the search's last almost every time, and every probe whose bounds
+// [lo, hi] leave at most two names (mu.Names): with one left the probe is
+// certain to end the search, with two it does about three times in four
+// on the ledger's tree, and riding pays its bytes back from a rate of
+// about one in two. Its patch travels with the probe (ride), and a peer
+// that applies it ends the search with the write done (committed). One
+// that does not answers the probe, and the search goes on from that
+// answer as from any probe's, at the same cost.
 func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool, w *write) (leaf, Cost, error) {
 	// Every probe of the binary search (and of the cache pre-probe) is
 	// PhaseProbe traffic; repairTorn overrides the phase for the repair
@@ -324,7 +334,7 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool,
 		if x, ok, br := ix.cache.find(mu); ok {
 			name := x.Name()
 			key := name.Key()
-			patch, whole := ix.ride(w, x)
+			patch, whole := ix.ride(w)
 			b, rec, v, err := ix.probeBucket(ctx, key, delta, recordOnly, w, patch, &cost)
 			if v != nil {
 				// A hit, and the write is done. A reply that names another
@@ -410,9 +420,11 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool,
 			mid := lo + (hi-lo)/2
 			var patch []byte
 			var whole int
+			if first > 0 || w != nil && mu.Names(lo, hi) <= 2 {
+				patch, whole = ix.ride(w)
+			}
 			if first > 0 {
 				mid, first = first, 0
-				patch, whole = ix.ride(w, mu.Prefix(mid))
 			}
 			x := mu.Prefix(mid)
 			key := x.Name().Key()
@@ -522,10 +534,11 @@ func (ix *Index) Insert(rec record.Record) (Cost, error) {
 // in hand (every in-process substrate, a coalesced or hidden-capability
 // stack, a torn leaf just repaired, the hot-split plane) is cloned,
 // changed and PutIf'd. Where the storing peer answers from its bytes, the
-// write ships the one record as a patch, which either rode the search's
-// last probe or follows its record reply, and the peer builds the same
-// bytes the PutIf would have carried — same stored bucket, one lookup
-// fewer when it rode.
+// write ships the one record as a patch, built once, which rides the
+// search's last probe when that probe is the one the leaf cache names or
+// has at most two names left, and otherwise follows its record reply; the
+// peer builds the same bytes the PutIf would have carried — same stored
+// bucket, one lookup fewer when it rode.
 func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cost, err error) {
 	if err := keyspace.CheckKey(rec.Key); err != nil {
 		return Cost{}, err
@@ -615,6 +628,7 @@ func (ix *Index) patchWrites() bool { return ix.cfg.HotSplitRate == 0 }
 type write struct {
 	rec    record.Record
 	upsert bool
+	patch  []byte // the write as a patch, once built (patchOf)
 }
 
 // reach runs w's search and, when that ended in a record reply the
@@ -633,26 +647,37 @@ func (ix *Index) reach(ctx context.Context, w *write, cost *Cost) (leaf, error) 
 	return ix.patchLeaf(ctx, f.key, f.rec.Label, w, cost)
 }
 
-// patchOf is w as the patch of the leaf believed to be label, and the
-// weight at which that patch asks for the new bucket back whole.
-func (ix *Index) patchOf(w *write, label bitlabel.Label) ([]byte, int) {
-	if w.upsert {
-		return UpsertPatch(w.rec, ix.cfg.SplitThreshold, ix.cfg.Depth), ix.cfg.SplitThreshold
+// patchOf is w as the patch of the leaf covering its key, and the weight
+// at which that patch asks for the new bucket back whole. The patch does
+// not depend on the leaf, so it is built once per write and shared by
+// every probe it rides and by patchLeaf, each of which sets or clears its
+// want-label bit in place before sending it. A delete asks at the merge
+// threshold whatever the leaf: the root leaf, which never merges, then
+// comes back whole while it weighs less, and DeleteContext's merge check
+// passes it by.
+func (ix *Index) patchOf(w *write) ([]byte, int) {
+	whole := ix.cfg.SplitThreshold
+	if !w.upsert {
+		whole = ix.cfg.MergeThreshold
 	}
-	whole := ix.cfg.MergeThreshold
-	if label.Len() < 2 {
-		whole = 0 // the root's children never merge
+	switch {
+	case w.patch != nil:
+		w.patch[0] &^= patchWantLabel
+	case w.upsert:
+		w.patch = UpsertPatch(w.rec, whole, ix.cfg.Depth)
+	default:
+		w.patch = DeletePatch(w.rec.Key, whole)
 	}
-	return DeletePatch(w.rec.Key, whole), whole
+	return w.patch, whole
 }
 
-// ride is patchOf for the probe a write rides, whose search has not seen
+// ride is patchOf for a probe a write rides, whose search has not seen
 // the leaf yet, so its acknowledgement names it; nil for no write.
-func (ix *Index) ride(w *write, label bitlabel.Label) ([]byte, int) {
+func (ix *Index) ride(w *write) ([]byte, int) {
 	if w == nil {
 		return nil, 0
 	}
-	patch, whole := ix.patchOf(w, label)
+	patch, whole := ix.patchOf(w)
 	return WantLabel(patch), whole
 }
 
@@ -683,7 +708,7 @@ var errLeafMoved = errors.New("lht: leaf moved under a patch")
 // the leaf gone, torn, split or merged since the reply — is errLeafMoved:
 // the round starts over, as from a lost compare-and-swap.
 func (ix *Index) patchLeaf(ctx context.Context, key string, label bitlabel.Label, w *write, cost *Cost) (leaf, error) {
-	patch, whole := ix.patchOf(w, label)
+	patch, whole := ix.patchOf(w)
 	cost.Lookups++
 	cost.Steps++
 	v, err := dht.DoPatch(ctx, ix.d, key, ProbeHint(w.rec.Key, !w.upsert), patch)
@@ -772,7 +797,7 @@ func (w *write) near(whole, n int) bool {
 // stores reports whether label is a leaf that covers delta and is stored
 // under key.
 func stores(key string, label bitlabel.Label, delta float64) bool {
-	return keyspace.IntervalOf(label).Contains(delta) && label.Name().Key() == key
+	return keyspace.IntervalOf(label).Contains(delta) && label.Name().IsKey(key)
 }
 
 // inPlaceOps holds the in-place patches back to back, read-only: a step

@@ -108,6 +108,7 @@ type writeTrace struct {
 	splits, merges, moved, maint   int64
 	cache                          []bitlabel.Label
 	cacheHits, cacheStale, cacheMs int64
+	ridesApplied                   int64 // the index's count; not compared across arms
 }
 
 // runWrites runs ops through ix and returns what they showed: op by op
@@ -145,6 +146,7 @@ func runWrites(t *testing.T, ix *Index, reader *Index, srvs []*tcpnet.Server, op
 		cost.Steps += n - r0
 		f := ix.Metrics()
 		f.Lookup.Total += int64(n)
+		f.Write.RidesApplied, f.Write.RidesRefused = 0, 0 // a substrate that does not patch refuses every ride
 		l, fg := served(srvs)
 		tr.results = append(tr.results, fmt.Sprintf("%+v %v | %+v %+v %+v | served %d, %d", cost, err, f.Lookup, f.Write, f.Cache, l+int64(n)-l0, fg-f0))
 	}
@@ -153,6 +155,7 @@ func runWrites(t *testing.T, ix *Index, reader *Index, srvs []*tcpnet.Server, op
 	f := ix.Metrics()
 	tr.ixLookups, tr.ixFails = f.Lookup.Total+int64(ridden()), f.Lookup.FailedGets
 	tr.conflicts, tr.retries, tr.fallbacks = f.Write.CASConflicts, f.Write.WriterRetries, f.Write.CASFallbacks
+	tr.ridesApplied = f.Write.RidesApplied
 	tr.splits, tr.merges, tr.moved, tr.maint = f.Lookup.Splits, f.Lookup.Merges, f.Lookup.MovedRecords, f.Lookup.Maintenance
 	tr.cache = cacheLabels(ix)
 	tr.cacheHits, tr.cacheStale, tr.cacheMs = f.Cache.Hits, f.Cache.Stale, f.Cache.Misses
@@ -184,6 +187,7 @@ func (a writeTrace) diff(b writeTrace) string {
 		return fmt.Sprintf("leaf caches differ:\n%v\n%v", a.cache, b.cache)
 	}
 	a.results, a.leaves, a.cache, b.results, b.leaves, b.cache = nil, nil, nil, nil, nil, nil
+	a.ridesApplied, b.ridesApplied = 0, 0
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		return fmt.Sprintf("counters differ: %+v against %+v", a, b)
 	}
@@ -198,9 +202,11 @@ func (a writeTrace) diff(b writeTrace) string {
 // or as a whole bucket — while every write of the first arm that did not
 // stop at a missing key was a patch, and every split's mark and commit and
 // every merge's clear an in-place one. The costs are the same too, but for
-// the patches that rode the probe the leaf cache named: each such write
-// costs exactly one lookup less than its whole-bucket twin, on the index
-// and on the servers. With the cache off none rides; with it on, most do.
+// the patches that rode a probe — the one the leaf cache names, or one
+// whose search had at most two names left — and were applied by it: each
+// write costs the whole arm's lookups minus exactly its applied rides, on
+// the index and on the servers, and the index counts each such ride. Every
+// arm rides; with the cache on, most writes do.
 func TestPatchedWritesMatchWholeWrites(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, arm := range []struct {
@@ -255,9 +261,12 @@ func TestPatchedWritesMatchWholeWrites(t *testing.T) {
 					t.Errorf("%d of %d write lookups ended in a record reply, %d in a patch that rode a probe, %d in a refused one's record reply",
 						records, len(ops), ridden, patchRecords)
 				}
-				if arm.cached != (2*ridden > len(ops)) || !arm.cached && ridden != 0 {
-					t.Errorf("cache %v: %d of %d writes were done by the probe their patch rode, want most with the cache and none without",
+				if ridden == 0 || arm.cached && 2*ridden <= len(ops) {
+					t.Errorf("cache %v: %d of %d writes were done by the probe their patch rode, want some, and most with the cache",
 						arm.cached, ridden, len(ops))
+				}
+				if got.ridesApplied != int64(ridden) {
+					t.Errorf("the index counted %d applied rides, the client saw %d", got.ridesApplied, ridden)
 				}
 				if n := spy.inPlaceCount(); n != int(2*got.splits+got.merges) {
 					t.Errorf("%d in-place patches for %d splits and %d merges, want two a split and one a merge", n, got.splits, got.merges)

@@ -10,17 +10,21 @@ import (
 	"testing"
 
 	"lht/internal/bitlabel"
+	"lht/internal/dht"
 	"lht/internal/keyspace"
 	"lht/internal/record"
 	"lht/internal/tcpnet"
+	"lht/internal/workload"
 )
 
-// These tests pin the write whose patch rides the probe its leaf cache
-// names: over real servers a cache hit is the whole write, one lookup in
-// one round trip; a probe that meets a leaf that moved since the cache
-// noted it is answered as a probe, and the write still commits exactly
-// once; and writers whose patches nothing but the storing peer guards keep
-// every leaf within the weight bound.
+// These tests pin the write whose patch rides a probe of its search — the
+// one its leaf cache names, or one with at most two names left: over real
+// servers a cache hit is the whole write, one lookup in one round trip, and
+// so is the last probe of a search left with one name; a probe that meets a
+// leaf that moved since the cache noted it is answered as a probe, and the
+// write still commits exactly once; writers whose patches nothing but the
+// storing peer guards keep every leaf within the weight bound; and a replay
+// at the ledger's shape rides exactly the probes the rule names.
 
 // A cache-hit insert and delete over real servers are one lookup and one
 // round trip each: the patch rides the probe of the cached leaf, and the
@@ -88,8 +92,8 @@ func TestCacheHitWriteIsOneRoundTrip(t *testing.T) {
 // since moved: split by another writer, merged away, or torn by a writer
 // that crashed. The peer then answers as a probe — a header, nothing, the
 // torn leaf whole — and the search goes on from that answer (repairing
-// the torn leaf), and the write commits exactly once, by the patch that
-// follows its record reply.
+// the torn leaf), and the write commits exactly once, by the patch riding
+// the probe that ends the search, which has at most two names left.
 func TestProbePatchOfAMovedLeafIsAnsweredAsAProbe(t *testing.T) {
 	// #0 splits at its fourth key into #00 = {0.1, 0.2}, stored under "#",
 	// and #01 = {0.6}, stored under "#0".
@@ -157,9 +161,10 @@ func TestProbePatchOfAMovedLeafIsAnsweredAsAProbe(t *testing.T) {
 				t.Fatal(err)
 			}
 			applied, ridden, _ := spy.patchCounts()
-			if spy.patchCount() != 2 || applied != 1 || ridden != 0 {
-				t.Errorf("%d patches, %d applied, %d of those riding the cached leaf's probe; want the ridden one answered as a probe, then one applied",
-					spy.patchCount(), applied, ridden)
+			f := ix.Metrics()
+			if spy.patchCount() < 2 || applied != 1 || ridden != 1 || f.Write.RidesApplied != 1 || f.Write.RidesRefused != int64(spy.patchCount()-1) {
+				t.Errorf("%d patches, %d applied, %d of those riding a probe; the index counted %d applied rides and %d refused; want the cached leaf's answered as a probe, and one applied by the probe that ended the search",
+					spy.patchCount(), applied, ridden, f.Write.RidesApplied, f.Write.RidesRefused)
 			}
 			if rec, _, err := other.Search(tc.key); err != nil || string(rec.Value) != "w" {
 				t.Errorf("Search(%v) = %v, %v", tc.key, rec, err)
@@ -167,7 +172,7 @@ func TestProbePatchOfAMovedLeafIsAnsweredAsAProbe(t *testing.T) {
 			if n, err := other.Count(); err != nil || n != tc.count {
 				t.Errorf("Count = %d, %v, want %d: the write landed once", n, err, tc.count)
 			}
-			if f := ix.Metrics(); f.Cache.Stale != 1 || (f.Repair.Repairs == 1) != tc.torn {
+			if f.Cache.Stale != 1 || (f.Repair.Repairs == 1) != tc.torn {
 				t.Errorf("%d stale cache entries, %d repairs", f.Cache.Stale, f.Repair.Repairs)
 			}
 			if err := other.CheckInvariants(); err != nil {
@@ -188,16 +193,25 @@ func getLeaf(t *testing.T, client *tcpnet.Client, x bitlabel.Label) *Bucket {
 	return b
 }
 
-// Eight writers race over one cluster with their leaf caches on and θ = 4,
-// every commit a patch that only the storing peer guards: nothing fences a
-// write that lands between a split's threshold-crossing patch and its
-// intent mark. The peer's refusal of a new key at the weight bound is what
-// holds it: after every burst no leaf weighs past θ + its depth
-// (CheckInvariants, overweight), every key is stored exactly once, and the
-// tree is sound.
+// Eight writers race over one cluster at θ = 4, every commit a patch that
+// only the storing peer guards: nothing fences a write that lands between a
+// split's threshold-crossing patch and its intent mark. The peer's refusal
+// of a new key at the weight bound is what holds it: after every burst no
+// leaf weighs past θ + its depth (CheckInvariants, overweight), every key
+// is stored exactly once, and the tree is sound. With the leaf caches on
+// the patches ride the probes the caches name; off, the probes of searches
+// with at most two names left.
 func TestPatchedWritersKeepTheWeightBound(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			patchedWritersKeepTheWeightBound(t, cached)
+		})
+	}
+}
+
+func patchedWritersKeepTheWeightBound(t *testing.T, cached bool) {
 	const nWriters, perWriter, bursts = 8, 12, 4
-	cfg := Config{SplitThreshold: 4, Depth: 20, LeafCache: true}
+	cfg := Config{SplitThreshold: 4, Depth: 20, LeafCache: cached}
 	client, _ := startProbeCluster(t, 3)
 	spy := &probeSpy{Client: client, t: t}
 	verify, err := New(hideProber(client), Config{SplitThreshold: 4, Depth: 20})
@@ -280,5 +294,195 @@ func TestPatchedWritersKeepTheWeightBound(t *testing.T) {
 	t.Logf("%d patches applied, %d of them riding a probe; %d writer retries", applied, ridden, retries)
 	if ridden == 0 {
 		t.Error("no patch rode a probe")
+	}
+}
+
+// replaySearch runs Algorithm 2 for delta over d's quiet tree with plain
+// gets, as a lookup with the cache off does, and returns the key of each
+// probe, how many names its bounds left — counted by collecting them, not
+// with Label.Names — and the leaf the search ended at.
+func replaySearch(t *testing.T, d dht.DHT, delta float64, depth int) (keys []string, names []int, leaf *Bucket) {
+	t.Helper()
+	mu, err := keyspace.Mu(delta, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo, hi := 1, depth; lo <= hi; {
+		x := mu.Prefix(lo + (hi-lo)/2)
+		left := map[bitlabel.Label]bool{}
+		for k := lo; k <= hi; k++ {
+			left[mu.Prefix(k).Name()] = true
+		}
+		keys, names = append(keys, x.Name().Key()), append(names, len(left))
+		v, err := d.Get(context.Background(), x.Name().Key())
+		if errors.Is(err, dht.ErrNotFound) {
+			hi = x.Name().Len()
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaf = v.(*Bucket); leaf.Contains(delta) {
+			return keys, names, leaf
+		}
+		next, ok := x.NextName(mu)
+		if !ok {
+			break
+		}
+		lo = next.Len()
+	}
+	t.Fatalf("the replay of %v's search found no covering leaf", delta)
+	return nil, nil, nil
+}
+
+// An insert whose search is left with one name is done by the probe its
+// patch rides: over real servers, with the cache off, it costs exactly the
+// probes of its search, one round trip each, and the last of them is the
+// patch the leaf's peer applied.
+func TestOneNameLeftWriteCommitsInItsProbes(t *testing.T) {
+	client, srvs := startProbeCluster(t, 3)
+	cfg := Config{SplitThreshold: 8, Depth: 20}
+	builder, err := New(client, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		if _, err := builder.Insert(record.Record{Key: rng.Float64(), Value: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spy := &probeSpy{Client: client, t: t}
+	ix, err := New(spy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := hideProber(client)
+	found := 0
+	for tries := 0; found < 5 && tries < 2000; tries++ {
+		// A key whose search takes more than one probe, the last with one
+		// name left, and whose leaf takes it without splitting.
+		k := rng.Float64()
+		keys, names, leaf := replaySearch(t, plain, k, cfg.Depth)
+		if len(keys) < 2 || names[len(names)-1] != 1 || leaf.Weight()+1 >= cfg.SplitThreshold {
+			continue
+		}
+		found++
+		probes, _, _ := spy.counts()
+		patches, ridden := spy.patchCount(), spy.riddenCount()
+		served0, _ := served(srvs)
+		cost, err := ix.Insert(record.Record{Key: k, Value: []byte("one name")})
+		served1, _ := served(srvs)
+		now, _, _ := spy.counts()
+		trips := now - probes + spy.patchCount() - patches
+		if err != nil || cost != (Cost{Lookups: len(keys), Steps: len(keys)}) || trips != len(keys) ||
+			served1-served0 != int64(len(keys)) || spy.riddenCount() != ridden+1 {
+			t.Errorf("Insert(%v), a search of %d probes, names left %v: %+v, %v; %d round trips, the servers counted %d lookups, %d patches applied by the probe they rode",
+				k, len(keys), names, cost, err, trips, served1-served0, spy.riddenCount()-ridden)
+		}
+	}
+	if found < 5 {
+		t.Fatalf("%d keys found whose search ends with one name left", found)
+	}
+	if err := builder.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ridingLocal is dht.Local with the probe and patch planes of a substrate
+// that applies no patch: a probe is a plain get, a patch is refused beside
+// that get's answer, and each probe is on record with whether a patch rode
+// it.
+type ridingLocal struct {
+	*dht.Local
+	probes []probed
+}
+
+// probed is one probe a ridingLocal answered.
+type probed struct {
+	key     string
+	patched bool
+}
+
+func (r *ridingLocal) Probe(ctx context.Context, key string, _ uint64) (dht.Value, error) {
+	r.probes = append(r.probes, probed{key: key})
+	return r.Local.Get(ctx, key)
+}
+
+func (r *ridingLocal) ProbeBatch(ctx context.Context, keys []string, _ uint64) ([]dht.Value, []error) {
+	return r.Local.GetBatch(ctx, keys)
+}
+
+func (r *ridingLocal) Patch(ctx context.Context, key string, _ uint64, _ []byte) (dht.Value, error) {
+	r.probes = append(r.probes, probed{key: key, patched: true})
+	v, err := r.Local.Get(ctx, key)
+	if err != nil {
+		return nil, err
+	}
+	return v, dht.ErrPatchRefused
+}
+
+func (r *ridingLocal) WritePatchIf(context.Context, string, []byte, uint64) (dht.Value, error) {
+	return nil, dht.ErrPatchRefused
+}
+
+// Replayed in process at the ledger's shape with the cache off — θ = 100,
+// D = 20, 2^17 Gaussian keys bulk-loaded, then 2 000 fresh ones inserted —
+// a write's patch rides exactly the probes of its search that have at most
+// two names left. The last probe of a search, the one a patching peer
+// applies the patch at, carries it for 0.556 of the inserts, at 0.649 rides
+// and 2.675 probes an insert. (Over 2^14 keys the tree is shallow enough
+// that most searches end at their first probe with many names left: 0.17.)
+func TestRidesReplayedAtTheLedgersShape(t *testing.T) {
+	local := dht.NewLocal()
+	cfg := Config{SplitThreshold: 100, Depth: 20}
+	builder, err := New(local, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(workload.Gaussian, 1)
+	if _, err := builder.BulkLoad(gen.Records(1 << 17)); err != nil {
+		t.Fatal(err)
+	}
+	sub := &ridingLocal{Local: local}
+	ix, err := New(sub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inserts = 2000
+	var rides, applied int
+	for _, rec := range gen.Records(inserts) {
+		keys, names, _ := replaySearch(t, local, rec.Key, cfg.Depth)
+		sub.probes = sub.probes[:0]
+		if _, err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(sub.probes) != len(keys) {
+			t.Fatalf("Insert(%v) made %d probes, its replayed search %d", rec.Key, len(sub.probes), len(keys))
+		}
+		for i, p := range sub.probes {
+			if p.key != keys[i] || p.patched != (names[i] <= 2) {
+				t.Fatalf("Insert(%v): probe %d of %q, patched %v, with %d names left; the replay probes %q",
+					rec.Key, i, p.key, p.patched, names[i], keys[i])
+			}
+			if p.patched {
+				rides++
+			}
+		}
+		if sub.probes[len(keys)-1].patched {
+			applied++
+		}
+	}
+	f := ix.Metrics().Write
+	if f.RidesApplied != 0 || f.RidesRefused != int64(rides) {
+		t.Errorf("the index counted %d applied rides and %d refused, want none and %d", f.RidesApplied, f.RidesRefused, rides)
+	}
+	per := float64(applied) / inserts
+	t.Logf("%.3f rides per insert, %.3f on the probe that ended the search", float64(rides)/inserts, per)
+	if per < 0.45 {
+		t.Errorf("%.3f inserts in one were done by the probe their patch rode, want at least 0.45", per)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -60,6 +60,14 @@ const (
 	// CASFallbacks counts conditional operations served by the non-atomic
 	// fetch-verify-write fallback because the substrate has no native CAS.
 	CASFallbacks
+	// RidesApplied counts one-record writes whose patch rode a probe of
+	// their search and was applied by it: each is a write done without
+	// the round trip of a patch of its own.
+	RidesApplied
+	// RidesRefused counts patches that rode a probe and were not applied,
+	// so the probe was answered as a probe: patch bytes shipped for
+	// nothing. A substrate that does not patch refuses every ride.
+	RidesRefused
 	// HotSplits counts leaf splits triggered by the decaying request-rate
 	// estimate crossing Config.HotSplitRate while the leaf was still under
 	// its capacity threshold. Each is also counted under Splits.
@@ -158,6 +166,8 @@ var counterTable = [NumCounters]counterRow{
 	CASConflicts:     {"cas_conflicts", "", "Conditional writes that lost their compare-and-swap.", func(s *Snapshot) *int64 { return &s.Write.CASConflicts }},
 	WriterRetries:    {"writer_retries", "", "Index mutation rounds re-run after a CAS conflict.", func(s *Snapshot) *int64 { return &s.Write.WriterRetries }},
 	CASFallbacks:     {"cas_fallbacks", "", "Conditional ops emulated by fetch-verify-write.", func(s *Snapshot) *int64 { return &s.Write.CASFallbacks }},
+	RidesApplied:     {"write_rides_applied", "", "Write patches applied by the search probe they rode.", func(s *Snapshot) *int64 { return &s.Write.RidesApplied }},
+	RidesRefused:     {"write_rides_refused", "", "Write patches that rode a search probe answered as a probe.", func(s *Snapshot) *int64 { return &s.Write.RidesRefused }},
 	HotSplits:        {"hot_splits", "", "Leaf splits triggered by request rate, not capacity.", func(s *Snapshot) *int64 { return &s.Load.HotSplits }},
 	CoalescedGets:    {"coalesced_gets", "", "DHT-gets absorbed by singleflight coalescing.", func(s *Snapshot) *int64 { return &s.Load.CoalescedGets }},
 	SpreadReads:      {"spread_reads", "", "Reads served starting at a non-primary replica.", func(s *Snapshot) *int64 { return &s.Load.SpreadReads }},

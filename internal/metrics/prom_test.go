@@ -33,6 +33,8 @@ func goldenCounters() *Counters {
 	c.Add(CASConflicts, 3)
 	c.Add(WriterRetries, 2)
 	c.Add(CASFallbacks, 1)
+	c.Add(RidesApplied, 7)
+	c.Add(RidesRefused, 3)
 	c.Add(HotSplits, 2)
 	c.Add(CoalescedGets, 5)
 	c.Add(SpreadReads, 6)
@@ -119,6 +121,12 @@ lht_writer_retries_total 2
 # HELP lht_cas_fallbacks_total Conditional ops emulated by fetch-verify-write.
 # TYPE lht_cas_fallbacks_total counter
 lht_cas_fallbacks_total 1
+# HELP lht_write_rides_applied_total Write patches applied by the search probe they rode.
+# TYPE lht_write_rides_applied_total counter
+lht_write_rides_applied_total 7
+# HELP lht_write_rides_refused_total Write patches that rode a search probe answered as a probe.
+# TYPE lht_write_rides_refused_total counter
+lht_write_rides_refused_total 3
 # HELP lht_hot_splits_total Leaf splits triggered by request rate, not capacity.
 # TYPE lht_hot_splits_total counter
 lht_hot_splits_total 2

@@ -471,7 +471,13 @@ func TestLyingPatchReplyIsRefetchedNotTrusted(t *testing.T) {
 			}
 			return b
 		}, always: true},
-		"an acknowledgement where the bucket was due": {lie: func(_ dht.Value, b *ilht.Bucket, _ []byte) dht.Value {
+		"an acknowledgement where the bucket was due": {lie: func(_ dht.Value, b *ilht.Bucket, patch []byte) dht.Value {
+			// The form of acknowledgement the write asked for: labelled for
+			// a patch that rode a probe (WantLabel), so that only the
+			// count lies.
+			if patch[0]&0x80 != 0 {
+				return &ilht.LeafAck{Label: b.Label, Records: len(b.Records)}
+			}
 			return ilht.PatchAck{Records: len(b.Records)}
 		}},
 		"not applied to a leaf it applies to": {refuse: true, always: true},
@@ -830,6 +836,11 @@ func patchedWritesOnEveryHolder(t *testing.T, replicas int) {
 			t.Fatalf("%s: the servers counted %+v as a patch and its ridden probes, %+v as a whole bucket", when, servedP, servedW)
 		}
 		pm, wm := patched.ix.Metrics(), whole.ix.Metrics()
+		if pm.Write.RidesApplied != ridden {
+			t.Errorf("%s: the index counted %d applied rides, the client saw %d", when, pm.Write.RidesApplied, ridden)
+		}
+		// The whole-bucket arm's substrate patches nothing and refuses every ride.
+		pm.Write.RidesApplied, pm.Write.RidesRefused, wm.Write.RidesRefused = 0, 0, 0
 		if pm.Lookup.Total += ridden; pm.Lookup != wm.Lookup || pm.Write != wm.Write || pm.Cache != wm.Cache {
 			t.Errorf("%s: counters differ:\n%+v %+v %+v\n%+v %+v %+v", when, pm.Lookup, pm.Write, pm.Cache, wm.Lookup, wm.Write, wm.Cache)
 		}

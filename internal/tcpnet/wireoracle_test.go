@@ -29,9 +29,11 @@ func newOracleIndex(t *testing.T, d dht.DHT) *ilht.Index {
 }
 
 // runOracleWorkload runs the seeded oracle workload through a fresh index
-// (newOracleIndex) and returns every leaf in its EncodeBucket form plus what the index
-// charged itself.
-func runOracleWorkload(t *testing.T, ix *ilht.Index) ([][]byte, oracleCost) {
+// (newOracleIndex) and returns every leaf in its EncodeBucket form, what
+// the index charged itself with each write patch that a probe applied
+// counted back in as the lookup the whole-bucket write pays, and how many
+// of those rides there were.
+func runOracleWorkload(t *testing.T, ix *ilht.Index) ([][]byte, oracleCost, int64) {
 	t.Helper()
 	// Deterministic workload: bulk load (exercises the batch plane), point
 	// inserts, deletes, searches and range queries, including misses.
@@ -83,17 +85,18 @@ func runOracleWorkload(t *testing.T, ix *ilht.Index) ([][]byte, oracleCost) {
 	}
 	f := ix.Metrics()
 	return enc, oracleCost{
-		Lookups: f.Lookup.Total, FailedGets: f.Lookup.FailedGets, BatchedKeys: f.Batch.Keys,
+		Lookups: f.Lookup.Total + f.Write.RidesApplied, FailedGets: f.Lookup.FailedGets, BatchedKeys: f.Batch.Keys,
 		CASConflicts: f.Write.CASConflicts, CASFallbacks: f.Write.CASFallbacks,
-	}
+	}, f.Write.RidesApplied
 }
 
 // TestCodecOracle pins the framed wire to the in-memory reference: the
 // identical index workload over a 3-node tcpnet cluster and over dht.Local
 // must leave byte-identical leaves and charge the index identical costs —
 // the wire may change how bytes travel, never what the index observes or
-// what the cost model charges — and the servers must have charged exactly
-// what the client was.
+// what the cost model charges, but for the lookup a write saves when a
+// probe applies the patch it rode — and the servers must have charged
+// exactly what the client was.
 func TestCodecOracle(t *testing.T) {
 	servers := make([]*Server, 3)
 	addrs := make([]string, 3)
@@ -128,11 +131,11 @@ func TestCodecOracle(t *testing.T) {
 	// servers' charge is taken from here on.
 	ix := newOracleIndex(t, c)
 	before, _ := sumServed()
-	wireLeaves, wireCost := runOracleWorkload(t, ix)
+	wireLeaves, wireCost, rides := runOracleWorkload(t, ix)
 	served, batchOps := sumServed()
 	served.Lookups -= before.Lookups
 	served.FailedGets -= before.FailedGets
-	localLeaves, localCost := runOracleWorkload(t, newOracleIndex(t, dht.NewLocal()))
+	localLeaves, localCost, _ := runOracleWorkload(t, newOracleIndex(t, dht.NewLocal()))
 
 	if len(wireLeaves) != len(localLeaves) {
 		t.Fatalf("tree state diverges from dht.Local: %d vs %d leaves", len(wireLeaves), len(localLeaves))
@@ -149,9 +152,12 @@ func TestCodecOracle(t *testing.T) {
 		t.Errorf("conditional ops fell back to fetch-verify on a native wire: %+v", wireCost)
 	}
 
-	want := oracleCost{Lookups: wireCost.Lookups, FailedGets: wireCost.FailedGets, BatchedKeys: wireCost.BatchedKeys}
+	want := oracleCost{Lookups: wireCost.Lookups - rides, FailedGets: wireCost.FailedGets, BatchedKeys: wireCost.BatchedKeys}
 	if served != want {
 		t.Errorf("servers charged %+v, the client was charged %+v", served, want)
+	}
+	if rides == 0 {
+		t.Error("no write's patch was applied by the probe it rode")
 	}
 	// BatchOps is per owner on the server, per call on the client.
 	if served.Lookups == 0 || batchOps == 0 {
