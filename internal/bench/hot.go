@@ -17,72 +17,65 @@ import (
 )
 
 // Skew exponents of the hot-leaf ablation: uniform arrivals (the control
-// arm), the mildest Zipf law math/rand's sampler admits, and the heavy
+// point), the mildest Zipf law math/rand's sampler admits, and the heavy
 // skew where one key draws more than a third of all traffic.
 var hotSkews = []float64{0, 1.01, 1.5}
 
 const (
-	// hotWorkers concurrent clients share one index handle — coalescing
-	// is per-handle, and a real hot leaf is hot because many callers
-	// converge on it at once.
+	// hotWorkers concurrent clients share one index handle: a real hot
+	// leaf is hot because many callers converge on it at once.
 	hotWorkers = 64
 	// hotUpdatePct of the measured ops are in-place updates of existing
-	// keys: they exercise the replicated CAS path and, because the rate
-	// estimator bumps on the commit path, they are what can trip a hot
-	// split during the run. Kept low so the tail measures read queueing
-	// (what the plane addresses) rather than single-key CAS contention
-	// (which no read plane can fix).
+	// keys: they exercise the write path, a patch over one copy and a
+	// patch fanned out to both holders over two. Kept low so the tail
+	// measures read queueing (what spreading addresses) rather than
+	// single-key write contention (which no read path can fix).
 	hotUpdatePct = 2
-	// hotSplitRate is the plane-on arm's split trigger in touches/sec;
-	// low enough that a heavily skewed run can reach it, high enough
-	// that uniform arrivals never do.
-	hotSplitRate = 16
 )
 
-// RunHotAblation is ablation A10: the hot-leaf load-balancing plane
-// under Zipfian skew, end to end over real sockets. hotWorkers
-// concurrent clients drive a query/update mix whose arrival process is
-// Zipf(s) over the record keys; because the framed wire answers one
-// connection's requests in arrival order, the hot leaf's node is a
-// genuine FIFO queue and the tail latency measures real queueing, not a
-// model. The plane-on arm enables every load mechanism this ablation
-// studies — rate-triggered splitting (Config.HotSplitRate), read
-// coalescing (Config.CoalesceGets) and replica read spreading
-// (tcpnet.ClusterConfig.Replicas) — and the plane-off arm none, on otherwise
+// RunHotAblation is ablation A10: replica read spreading under Zipfian
+// skew, end to end over real sockets. hotWorkers concurrent clients drive
+// a query/update mix whose arrival process is Zipf(s) over the record
+// keys; because the framed wire answers one connection's requests in
+// arrival order, the hot leaf's node is a genuine FIFO queue and the tail
+// latency measures real queueing, not a model. The "one copy" arm stores
+// every bucket once; the "two copies" arm sets tcpnet.ClusterConfig.
+// Replicas to 2, so each read starts at the key's secondary holder,
+// away from its primary, and every write fans out to both, on otherwise
 // identical clusters.
 //
 // Two results: the timed p50/p99 per op class (latency, machine-speed
 // dependent, not gated), and the deterministic round-trip cost of the
-// identical plane-off workload replayed serially over the instrumented
-// local substrate — the CI perf gate diffs that row, which pins the
-// plane-off lookup path to its PR-era cost model under every skew.
+// identical workload replayed serially over the instrumented local
+// substrate — the CI perf gate diffs that row, which pins the lookup
+// path to its cost model under every skew.
 func RunHotAblation(o Options, size int) (Result, Result, error) {
 	o = o.WithDefaults()
 	lat := Result{
 		Name: "A10",
-		Title: fmt.Sprintf("Hot-leaf load plane under Zipfian skew (%d records, %d clients, %d%% updates)",
+		Title: fmt.Sprintf("Replica read spreading under Zipfian skew (%d records, %d clients, %d%% updates)",
 			size, hotWorkers, hotUpdatePct),
 		XLabel: "zipf exponent s",
 		YLabel: "latency microseconds (p50/p99)",
 	}
 	rt := Result{
 		Name:   "A10b",
-		Title:  fmt.Sprintf("Skewed lookup cost, plane off (%d records + %d queries, serialized)", size, o.Queries),
+		Title:  fmt.Sprintf("Skewed lookup cost (%d records + %d queries, serialized)", size, o.Queries),
 		XLabel: "zipf exponent s",
 		YLabel: "round trips",
 	}
 
 	arms := []struct {
-		name  string
-		plane bool
+		name     string
+		replicas int
 	}{
-		{"plane off", false},
-		{"plane on", true},
+		{"one copy", 1},
+		{"two copies", 2},
 	}
 	for _, arm := range arms {
 		var qp50, qp99, up50, up99 []float64
 		for _, s := range hotSkews {
-			cell, err := measureHotCell(o, size, s, arm.plane)
+			cell, err := measureHotCell(o, size, s, arm.replicas)
 			if err != nil {
 				return lat, rt, fmt.Errorf("bench: hot ablation %s s=%v: %w", arm.name, s, err)
 			}
@@ -98,10 +91,10 @@ func RunHotAblation(o Options, size int) (Result, Result, error) {
 			meanSeries(arm.name+" update p99", hotSkews, [][]float64{up99}))
 	}
 
-	// The gated rows: plane off, serialized, over the instrumented local
-	// map, cache off and on. Round trips here are a pure function of
-	// (seed, theta, depth, size, queries, skew) — any drift means the
-	// plane leaked into the default lookup path.
+	// The gated rows: serialized, over the instrumented local map, cache
+	// off and on. Round trips here are a pure function of (seed, theta,
+	// depth, size, queries, skew) — any drift means the lookup path's
+	// cost changed.
 	for _, cache := range []bool{false, true} {
 		var rts []float64
 		for _, s := range hotSkews {
@@ -148,20 +141,17 @@ func hotSchedule(o Options, keys []float64, s float64, n int, rep int64) ([]hotO
 	return ops, nil
 }
 
-// measureHotCell boots a 4-node cluster, bulk-loads the tree, and times
-// the concurrent skewed phase.
-func measureHotCell(o Options, size int, s float64, plane bool) (hotCell, error) {
+// measureHotCell boots a 4-node cluster whose client stores each bucket
+// on replicas holders, bulk-loads the tree, and times the concurrent
+// skewed phase.
+func measureHotCell(o Options, size int, s float64, replicas int) (hotCell, error) {
 	var cell hotCell
 	cl, err := startWireCluster(4, nil, nil)
 	if err != nil {
 		return cell, err
 	}
 	defer cl.close()
-	ccfg := tcpnet.ClusterConfig{Seeds: cl.addrs}
-	if plane {
-		ccfg.Replicas, ccfg.Counters = 2, o.Agg
-	}
-	c, err := tcpnet.Dial(context.Background(), ccfg)
+	c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: cl.addrs, Replicas: replicas, Counters: o.Agg})
 	if err != nil {
 		return cell, err
 	}
@@ -173,18 +163,12 @@ func measureHotCell(o Options, size int, s float64, plane bool) (hotCell, error)
 		LeafCache:      true,
 		Aggregate:      o.Agg,
 	}
-	if plane {
-		cfg.HotSplitRate = hotSplitRate
-		cfg.CoalesceGets = true
-	}
 	ix, err := lht.New(c, cfg)
 	if err != nil {
 		return cell, err
 	}
 
-	// Build through the batch plane: it does not touch the rate
-	// estimator, so an in-process build running at memory speed cannot
-	// masquerade as hot traffic, and with replication on it leaves every
+	// Build through the batch plane: with replication on it leaves every
 	// leaf on its full holder set before the clock starts.
 	recs := workload.NewGenerator(workload.Uniform, o.Seed).Records(size)
 	keys := make([]float64, len(recs))
@@ -286,7 +270,7 @@ func pctileUS(ds []time.Duration, p float64) float64 {
 	return float64(sorted[int(float64(len(sorted)-1)*p)].Nanoseconds()) / 1000
 }
 
-// hotCostCell replays the plane-off workload serially over the
+// hotCostCell replays the workload serially over the
 // instrumented local substrate and returns the client-charged round
 // trips — fully deterministic, so the perf gate can diff it.
 func hotCostCell(o Options, size int, s float64, cache bool) (float64, error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -186,9 +185,6 @@ func hinted(hints []uint64, want uint64) int {
 // refusals is every cell of the conformance table in which a layer keeps
 // a plane from a substrate that has it, and why. Nothing else may.
 var refusals = map[string]string{
-	"coalescer/Prober.Probe":         "a flight is shared by callers whose hints differ, so a probe is a whole Get",
-	"coalescer/Patcher.Patch":        "a writer above it reads whole values, so a patch is its probe alone, a whole Get",
-	"coalescer/Patcher.WritePatchIf": "a writer above it reads whole values, so it rewrites whole values",
 	"withoutBatch/Batcher":           "stripping the batch planes is what it is for",
 	"withoutBatch/Prober.ProbeBatch": "stripping the batch planes is what it is for: a loop of probes",
 }
@@ -202,47 +198,37 @@ type layered struct {
 }
 
 // conformanceRows lists every wrapper in this package alone, and every
-// stack dht.Stack can build (hedging, coalescing and retries each on and
-// off), named inside out as policy(instrumented(coalescer(hedger))).
+// stack dht.Stack can build (hedging and retries each on and off), named
+// inside out as policy(instrumented(hedger)).
 func conformanceRows(c *metrics.Counters) []layered {
 	single := func(name string, wrap func(DHT) DHT) layered { return layered{name, []string{name}, wrap} }
 	rows := []layered{
 		single("Instrumented", func(d DHT) DHT { return NewInstrumented(d, c) }),
 		single("PolicyDHT", func(d DHT) DHT { return WithPolicy(d, Policy{Counters: c}) }),
 		single("hedger", func(d DHT) DHT { return WithHedging(d, time.Minute, c) }),
-		single("coalescer", func(d DHT) DHT { return WithCoalescing(d, c) }),
 		single("CrashPoints", func(d DHT) DHT { return WithCrashPoints(d) }),
 		single("withoutBatch", WithoutBatch),
 		{"policy(instrumented(crashpoints))", []string{"PolicyDHT", "Instrumented", "CrashPoints"}, func(d DHT) DHT {
-			return Stack(WithCrashPoints(d), c, 0, false, nil, &Policy{})
+			return Stack(WithCrashPoints(d), c, 0, nil, &Policy{})
 		}},
 	}
 	for _, hedge := range []bool{false, true} {
-		for _, coalesce := range []bool{false, true} {
-			for _, retry := range []bool{false, true} {
-				row := layered{name: "instrumented", layers: []string{"Instrumented"}}
-				var after time.Duration
-				var policy *Policy
-				inner := ""
-				if hedge {
-					after, inner = time.Minute, "hedger" // a trigger no test outlives
-					row.layers = append(row.layers, "hedger")
-				}
-				if coalesce {
-					inner = strings.TrimSuffix("coalescer("+inner+")", "()")
-					row.layers = append(row.layers, "coalescer")
-				}
-				if inner != "" {
-					row.name += "(" + inner + ")"
-				}
-				if retry {
-					policy = &Policy{}
-					row.name = "policy(" + row.name + ")"
-					row.layers = append(row.layers, "PolicyDHT")
-				}
-				row.wrap = func(d DHT) DHT { return Stack(d, c, after, coalesce, nil, policy) }
-				rows = append(rows, row)
+		for _, retry := range []bool{false, true} {
+			row := layered{name: "instrumented", layers: []string{"Instrumented"}}
+			var after time.Duration
+			var policy *Policy
+			if hedge {
+				after = time.Minute // a trigger no test outlives
+				row.name = "instrumented(hedger)"
+				row.layers = append(row.layers, "hedger")
 			}
+			if retry {
+				policy = &Policy{}
+				row.name = "policy(" + row.name + ")"
+				row.layers = append(row.layers, "PolicyDHT")
+			}
+			row.wrap = func(d DHT) DHT { return Stack(d, c, after, nil, policy) }
+			rows = append(rows, row)
 		}
 	}
 	return rows

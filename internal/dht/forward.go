@@ -197,8 +197,8 @@ type forwardTo struct{ inner DHT }
 
 func (f forwardTo) do(ctx context.Context, c call) (Value, error) { return c.on(ctx, f.inner) }
 
-// passthrough is the forwarding base of the wrappers that change a method
-// or two (the hedger, the coalescer): every DHT method and every optional
+// passthrough is the forwarding base of a wrapper that changes a method
+// or two (the hedger): every DHT method and every optional
 // plane reaches inner untouched, through the plane's Do* helper. The
 // wrapper overrides what it changes, and a plane it must refuse it
 // overrides too, with the reason.

@@ -31,7 +31,7 @@ const (
 // additionally capped at half the caller's remaining deadline budget, so
 // a hedge always has as much time to answer as the original had left.
 //
-// Like the coalescer, the hedger sits *below* the instrumentation layer:
+// The hedger sits *below* the instrumentation layer:
 // a hedge is a physical round trip, never a logical DHT-lookup, so the
 // paper's cost model is unchanged whether hedging is on or off.
 // HedgedGets counts launches, HedgeWins the races the duplicate won.

@@ -177,22 +177,6 @@ func TestHedgedProbeCarriesTheHintOnBothArms(t *testing.T) {
 	}
 }
 
-// A coalesced flight is shared by callers with different hints, so the
-// coalescer turns every probe into a whole Get, also when layers that do
-// forward probes sit above and below it.
-func TestCoalescerNeverForwardsAProbe(t *testing.T) {
-	p := newHintLog(t)
-	var c metrics.Counters
-	co := WithCoalescing(WithHedging(p, time.Minute, &c), &c)
-	d := WithPolicy(NewInstrumented(co, &c), Policy{Counters: &c})
-	if v, err := d.Probe(context.Background(), "k", 17); err != nil || v != "v" {
-		t.Fatalf("Probe = %v, %v", v, err)
-	}
-	if hints, gets := p.seen(); len(hints) != 0 || gets != 1 {
-		t.Fatalf("substrate saw hints %v and %d gets, want no probe and one get", hints, gets)
-	}
-}
-
 // testProjectKind answers a probe with '#' and the hint's low byte, or
 // whole when that byte is zero; testWireKind (wirevalue_test) registers
 // no probe plane.

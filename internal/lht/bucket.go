@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
@@ -49,44 +48,6 @@ type Bucket struct {
 	// so every intermediate state of a crashed mutation is detectable
 	// from the bucket alone; see Index.Scrub and the lookup read-repair.
 	Pending Pending
-	// Rate is the leaf's decaying request-rate estimate in requests per
-	// second, and RateAt the UnixNano timestamp of its last update. Both
-	// are maintained only when the load-balancing plane is enabled
-	// (Config.HotSplitRate > 0) and stay zero otherwise, so buckets
-	// written with the plane off carry no trace of it. Updated on the
-	// index's CAS commit path; splits halve it into each child and
-	// merges sum it, so the estimate follows the structure it measures.
-	Rate float64
-	// RateAt timestamps Rate (UnixNano); zero means never touched.
-	RateAt int64
-}
-
-// rateTau is the rate estimator's time constant: the estimate forgets
-// at e^(-dt/tau) and each touch adds 1/tau (per second), so under a
-// steady stream of lambda requests/sec the estimate converges to
-// ~lambda. One second balances reactivity (a burst registers within a
-// few hundred requests) against stability (a lull of a few seconds
-// fully cools a leaf).
-const rateTau = float64(time.Second)
-
-// bumpRate folds one request at time now (UnixNano) into the decaying
-// rate estimate. Calls with a frozen clock (dt == 0) skip the decay, so
-// deterministic tests observe Rate == touch count exactly.
-func (b *Bucket) bumpRate(now int64) {
-	if b.RateAt != 0 && now > b.RateAt {
-		b.Rate *= math.Exp(-float64(now-b.RateAt) / rateTau)
-	}
-	b.Rate += 1e9 / rateTau
-	b.RateAt = now
-}
-
-// RateNow returns the rate estimate decayed to time now without
-// recording a touch.
-func (b *Bucket) RateNow(now int64) float64 {
-	if b.RateAt == 0 || now <= b.RateAt {
-		return b.Rate
-	}
-	return b.Rate * math.Exp(-float64(now-b.RateAt)/rateTau)
 }
 
 // PendingKind enumerates the structural mutations that leave a
@@ -159,20 +120,19 @@ func (b *Bucket) String() string {
 	return fmt.Sprintf("bucket(%s, %d records)", b.Label, len(b.Records))
 }
 
-// Bucket wire format 1, the one serialized form of a bucket: what
+// Bucket wire format 2, the one serialized form of a bucket: what
 // EncodeBucket returns and what a network substrate ships and stores
 // (Bucket is a dht.WireValue). uv is a shortest-form unsigned varint.
 //
-//	version u8 = 1
+//	version u8 = 2
 //	uv epoch
 //	label        9 B  bit count u8, bits u64 BE (bitlabel binary form)
 //	pending      kind u8, uv n + n-byte remove-key, uv peer epoch
-//	rate         u64 BE = math.Float64bits(Rate)
-//	uv rate-at   uint64(RateAt)
 //	record list  uv count, count x (key u64 BE, uv vlen, value)
 //
 // The layout is canonical: a byte string decodes to at most one bucket
-// and that bucket encodes back to the same bytes.
+// and that bucket encodes back to the same bytes. Any other version byte,
+// 1 included, is no bucket to the decoder, projector or patcher.
 //
 // Everything before the record list is the header. It is a stable,
 // self-delimiting prefix: parseBucketHeader finds its end from its own
@@ -243,11 +203,11 @@ func (b *Bucket) String() string {
 //	                rest verbatim (Algorithm 1's write-ahead intent)
 //	4 commit split  a leaf marked Pending{Split}: the local half of
 //	                splitHalves — the label the local child's, the epoch
-//	                one up, no intent, the rate halved, the records of the
+//	                one up, no intent, the records of the
 //	                local child's side of the median in stored order
 //	5 clear merge   a leaf marked Pending{Merge}: no intent, the epoch kept
 const (
-	bucketWireVersion = 1
+	bucketWireVersion = 2
 	// bucketWireKind is Bucket's dht.WireValue kind byte.
 	bucketWireKind = 1
 	// recordReplyMarker opens a record reply where a bucket or a header
@@ -290,15 +250,13 @@ func (b *Bucket) appendHeader(dst []byte) []byte {
 	dst = append(dst, byte(b.Pending.Kind))
 	dst = binary.AppendUvarint(dst, uint64(len(b.Pending.RemoveKey)))
 	dst = append(dst, b.Pending.RemoveKey...)
-	dst = binary.AppendUvarint(dst, b.Pending.PeerEpoch)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Rate))
-	return binary.AppendUvarint(dst, uint64(b.RateAt))
+	return binary.AppendUvarint(dst, b.Pending.PeerEpoch)
 }
 
 // maxBucketHeaderLen bounds everything AppendWire writes before the
 // record list, apart from the remove-key's own bytes.
 const maxBucketHeaderLen = 1 + binary.MaxVarintLen64 + bitlabel.BinaryLen + 1 +
-	2*binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
+	2*binary.MaxVarintLen64
 
 // EncodeBucket serializes a bucket into a buffer sized for it. The error
 // is always nil; the signature predates the hand-rolled format.
@@ -380,14 +338,6 @@ func parseHeader(b *Bucket, buf []byte) (rest, removeKey []byte, err error) {
 	if b.Pending.PeerEpoch, buf, err = record.ReadUvarint(buf[n:]); err != nil {
 		return nil, nil, err
 	}
-	if len(buf) < 8 {
-		return nil, nil, errBucketTruncated
-	}
-	b.Rate = math.Float64frombits(binary.BigEndian.Uint64(buf))
-	if n, buf, err = record.ReadUvarint(buf[8:]); err != nil {
-		return nil, nil, err
-	}
-	b.RateAt = int64(n)
 	return buf, removeKey, nil
 }
 
@@ -708,7 +658,7 @@ func patchInPlace(dst, reply, data []byte, op byte) (out, rep []byte, epoch uint
 	if err != nil {
 		return dst, reply, 0, false
 	}
-	next := Bucket{Label: b.Label, Epoch: b.Epoch, Rate: b.Rate, RateAt: b.RateAt}
+	next := Bucket{Label: b.Label, Epoch: b.Epoch}
 	var mid float64
 	var low bool
 	switch {
@@ -718,7 +668,6 @@ func patchInPlace(dst, reply, data []byte, op byte) (out, rep []byte, epoch uint
 	case op == patchCommitSplit && b.Pending.Kind == PendingSplit && b.Label.Len() > 0 && b.Label.Len() < bitlabel.MaxBits:
 		next.Label, mid, low = splitAt(b.Label)
 		next.Epoch++
-		next.Rate /= 2
 	case op == patchClearMerge && b.Pending.Kind == PendingMerge:
 	default:
 		return dst, reply, 0, false

@@ -40,9 +40,7 @@ func mustEncode(t testing.TB, b *Bucket) []byte {
 // sameBucket compares two buckets field by field with floats compared by
 // bit pattern, so -0, denormals and NaN payloads count.
 func sameBucket(a, b *Bucket) bool {
-	if a.Label != b.Label || a.Epoch != b.Epoch || a.Pending != b.Pending ||
-		math.Float64bits(a.Rate) != math.Float64bits(b.Rate) || a.RateAt != b.RateAt ||
-		len(a.Records) != len(b.Records) {
+	if a.Label != b.Label || a.Epoch != b.Epoch || a.Pending != b.Pending || len(a.Records) != len(b.Records) {
 		return false
 	}
 	for i := range a.Records {
@@ -57,7 +55,6 @@ func sameBucket(a, b *Bucket) bool {
 func TestBucketCodecRoundTripAllFields(t *testing.T) {
 	b := referenceBucket()
 	b.Pending = Pending{Kind: PendingMerge, RemoveKey: "#01011011", PeerEpoch: 1 << 40}
-	b.Rate, b.RateAt = 1234.5678, 1_700_000_000_123_456_789
 	got, err := DecodeBucket(mustEncode(t, b))
 	if err != nil {
 		t.Fatal(err)
@@ -75,15 +72,13 @@ func TestBucketCodecFloatBitExact(t *testing.T) {
 		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Nextafter(1, 0), 0x1p-1074 * 3,
 	}
 	for _, f := range floats {
-		b := &Bucket{Label: bitlabel.TreeRoot, Rate: f, RateAt: -1,
-			Records: []record.Record{{Key: f, Value: []byte("v")}}}
+		b := &Bucket{Label: bitlabel.TreeRoot, Records: []record.Record{{Key: f, Value: []byte("v")}}}
 		got, err := DecodeBucket(mustEncode(t, b))
 		if err != nil {
 			t.Fatalf("%g: %v", f, err)
 		}
 		if !sameBucket(got, b) {
-			t.Errorf("%g (bits %#x) did not survive: rate bits %#x, key bits %#x", f, math.Float64bits(f),
-				math.Float64bits(got.Rate), math.Float64bits(got.Records[0].Key))
+			t.Errorf("%g (bits %#x) did not survive: key bits %#x", f, math.Float64bits(f), math.Float64bits(got.Records[0].Key))
 		}
 	}
 }
@@ -168,8 +163,7 @@ func TestBucketCodecAllocs(t *testing.T) {
 // bytes that follow: 2^24 records would be half a gigabyte of slice.
 func hostileBuckets() map[string][]byte {
 	// version, epoch, label, pending kind | remove-key length, peer
-	// epoch, rate, rate-at | record count: all single bytes bar label
-	// and rate.
+	// epoch | record count: all single bytes bar the label.
 	empty := (&Bucket{Label: bitlabel.TreeRoot}).AppendWire(nil)
 	toPending, toCount := 1+1+bitlabel.BinaryLen+1, len(empty)-1
 	huge := binary.AppendUvarint(nil, 1<<24)
@@ -213,6 +207,52 @@ func TestBucketDecodeRejectsNonCanonical(t *testing.T) {
 	for name, data := range cases {
 		if _, err := DecodeBucket(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// versionOne is b in bucket wire format 1, built by hand: the version
+// byte 1, then today's header fields, then the retired rate words (an
+// 8-byte rate and a uvarint timestamp), then the record list.
+func versionOne(t testing.TB, b *Bucket) []byte {
+	t.Helper()
+	enc := mustEncode(t, b)
+	hdr := headerLen(t, b)
+	v1 := append([]byte{1}, enc[1:hdr]...)
+	v1 = binary.BigEndian.AppendUint64(v1, math.Float64bits(2.5))
+	v1 = binary.AppendUvarint(v1, 1_700_000_000_000_000_000)
+	return append(v1, enc[hdr:]...)
+}
+
+// A version-1 bucket, which carried the retired rate words, is no bucket
+// to this build: the decoder refuses it, the projector ships it whole for
+// the prober's decoder to refuse, and the patcher applies nothing to it.
+// None of them panics.
+func TestVersionOneBucketIsRefused(t *testing.T) {
+	b := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 4,
+		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}}
+	v1 := versionOne(t, b)
+	if _, err := DecodeBucket(v1); err == nil {
+		t.Error("DecodeBucket accepted a version-1 bucket")
+	}
+	for _, hint := range []uint64{ProbeHint(0.5, true), ProbeHint(0.5, false), ProbeHint(0.1, true), RangeHint(0.5, 0.8)} {
+		reply := projectBucket(nil, v1, hint)
+		if !bytes.Equal(reply, v1) {
+			t.Errorf("hint %#x: projected %x, want the stored bytes whole", hint, reply)
+		}
+		if v, err := decodeProbeReply(reply); err == nil {
+			t.Errorf("hint %#x: the reply decoded to %#v", hint, v)
+		}
+	}
+	for name, patch := range map[string][]byte{
+		"upsert":       UpsertPatch(record.Record{Key: 0.6, Value: []byte("v")}, 100, 20),
+		"delete":       DeletePatch(0.5, 50),
+		"mark split":   MarkSplitPatch(),
+		"commit split": CommitSplitPatch(),
+		"clear merge":  ClearMergePatch(),
+	} {
+		if out, reply, _, ok := patchBucket(nil, nil, v1, patch); ok || len(out) != 0 || len(reply) != 0 {
+			t.Errorf("%s: patched a version-1 bucket: ok %v, %d bytes out, %d of reply", name, ok, len(out), len(reply))
 		}
 	}
 }
@@ -457,15 +497,13 @@ func bucketFromBytes(raw []byte) *Bucket {
 		raw = raw[n:]
 		return out
 	}
-	var hdr [26]byte
+	var hdr [13]byte
 	copy(hdr[:], next(len(hdr)))
 	b.Epoch = binary.BigEndian.Uint64(hdr[0:])
 	for _, bit := range hdr[8:10] {
 		b.Label = b.Label.Child(int(bit & 1))
 	}
 	b.Pending = Pending{Kind: PendingKind(hdr[10] % 3), RemoveKey: string(next(int(hdr[11] % 8))), PeerEpoch: uint64(hdr[12])}
-	b.Rate = math.Float64frombits(binary.BigEndian.Uint64(hdr[13:]))
-	b.RateAt = int64(binary.BigEndian.Uint32(hdr[21:]))
 	for len(raw) >= 9 {
 		key := math.Float64frombits(binary.BigEndian.Uint64(next(8)))
 		b.Records = append(b.Records, record.Record{Key: key, Value: next(int(next(1)[0]))})
@@ -479,7 +517,7 @@ func bucketFromBytes(raw []byte) *Bucket {
 func bucketFuzzSeeds(tb testing.TB) [][]byte {
 	seeds := [][]byte{
 		mustEncode(tb, &Bucket{Label: bitlabel.TreeRoot}),
-		mustEncode(tb, &Bucket{Label: bitlabel.MustParse("#011"), Epoch: 1 << 60, Rate: 3.5, RateAt: 12345,
+		mustEncode(tb, &Bucket{Label: bitlabel.MustParse("#011"), Epoch: 1 << 60,
 			Pending: Pending{Kind: PendingMerge, RemoveKey: "#0110", PeerEpoch: 9},
 			Records: []record.Record{{Key: 0.4}, {Key: 0.45, Value: []byte("x")}}}),
 	}

@@ -3,8 +3,8 @@ package lht
 // Cluster-facing facade: the index exposes the membership plane of its
 // substrate (when it has one) without callers needing to hold the
 // tcpnet client themselves. Both methods type-assert the bare substrate
-// the index was built over — the instrumentation, coalescing, hedging
-// and policy wrappers all sit above it and do not implement the
+// the index was built over — the instrumentation, hedging and policy
+// wrappers all sit above it and do not implement the
 // membership interfaces.
 
 import (

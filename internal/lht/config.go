@@ -96,35 +96,6 @@ type Config struct {
 	// while each keeps its own exact per-instance accounting.
 	Aggregate *metrics.Counters
 
-	// HotSplitRate enables load-aware leaf splitting: each bucket carries
-	// a decaying request-rate estimate (requests per second, updated on
-	// the CAS commit path), and a leaf whose estimate reaches
-	// HotSplitRate splits even while its record count is below
-	// SplitThreshold — halving the key interval one hot peer serves.
-	// Merges skip leaves that are still hot so the structure does not
-	// thrash. 0 (the default) disables the plane entirely: buckets carry
-	// zero-valued rate fields and every cost counter is identical to a
-	// build without the plane. Negative is invalid.
-	HotSplitRate float64
-
-	// CoalesceGets enables singleflight read coalescing below the
-	// instrumentation layer: N concurrent DHT-gets of one key (the
-	// thundering herd on a hot leaf label) issue a single physical fetch
-	// that all N share. Every logical get is still charged as a
-	// DHT-lookup, so the paper's cost model is unchanged; only physical
-	// round trips and the hot peer's service load shrink (counted by
-	// CoalescedGets). Off by default.
-	//
-	// Opting in accepts a bounded read-your-writes window on QUERY paths:
-	// a search that joins an in-flight fetch started before a write
-	// committed can observe the pre-commit bucket once — a record whose
-	// Insert was just acknowledged may be missed by reads already riding
-	// the herd, exactly as if they had been issued before the insert. The
-	// window is one in-flight fetch; the write paths are exempt (the CAS
-	// retry loops bypass coalescing with dht.WithFreshRead, so mutations
-	// always rebase onto the committed epoch). See dht/coalesce.go.
-	CoalesceGets bool
-
 	// HedgeAfter enables quantile-triggered hedged reads below the
 	// instrumentation layer: an idempotent DHT-get still waiting after
 	// the hedge delay (the observed p95 get latency, floored at
@@ -132,8 +103,8 @@ type Config struct {
 	// loser is cancelled. Over a replicated substrate the duplicate
 	// rotates to a different holder, so one slow or silently dead node
 	// stops defining the read's tail latency. Hedges are physical round
-	// trips only — like coalescing, the layer sits below the
-	// instrumentation, so the paper's DHT-lookup cost model is unchanged
+	// trips only — the layer sits below the instrumentation, so the
+	// paper's DHT-lookup cost model is unchanged
 	// (HedgedGets/HedgeWins count them separately). 0 (the default)
 	// disables hedging; negative is invalid.
 	HedgeAfter time.Duration
@@ -149,10 +120,6 @@ type Config struct {
 	// byte-identical. Off by default; a no-op on substrates without
 	// replication.
 	Rereplicate bool
-
-	// clock overrides the rate estimator's time source (UnixNano) so
-	// tests drive deterministic hot-split schedules. Nil means real time.
-	clock func() int64
 }
 
 // DefaultLeafCacheSize is the leaf-cache capacity used when LeafCache
@@ -195,9 +162,6 @@ func (c Config) Validate() error {
 	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("%w: BatchSize %d negative", ErrConfig, c.BatchSize)
-	}
-	if c.HotSplitRate < 0 {
-		return fmt.Errorf("%w: HotSplitRate %v negative", ErrConfig, c.HotSplitRate)
 	}
 	if c.HedgeAfter < 0 {
 		return fmt.Errorf("%w: HedgeAfter %v negative", ErrConfig, c.HedgeAfter)

@@ -59,8 +59,7 @@ type Index struct {
 	raw   dht.DHT // bare substrate, below all wrapping; membership probes
 	cfg   Config
 	c     *metrics.Counters
-	cache *leafCache   // nil unless Config.LeafCache
-	now   func() int64 // rate-estimator clock (UnixNano); cfg.clock or real time
+	cache *leafCache // nil unless Config.LeafCache
 
 	mu        sync.Mutex
 	alphaSum  float64 // sum over splits of (remote bucket weight / theta)
@@ -73,9 +72,9 @@ type Index struct {
 // traffic is not charged to the index counters.
 //
 // The index runs over dht.Stack(d, ...), which states the order of the
-// retry, instrumentation, singleflight and hedging layers that
-// cfg.Policy, cfg.TraceSink, cfg.CoalesceGets and cfg.HedgeAfter switch
-// on, and why the cost model needs that order.
+// retry, instrumentation and hedging layers that cfg.Policy,
+// cfg.TraceSink and cfg.HedgeAfter switch on, and why the cost model
+// needs that order.
 func New(d dht.DHT, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -97,11 +96,8 @@ func New(d dht.DHT, cfg Config) (*Index, error) {
 	if cfg.Aggregate != nil {
 		c.Chain(cfg.Aggregate)
 	}
-	stack := dht.Stack(d, c, cfg.HedgeAfter, cfg.CoalesceGets, cfg.TraceSink, cfg.Policy)
-	ix := &Index{d: stack, raw: d, cfg: cfg, c: c, now: cfg.clock}
-	if ix.now == nil {
-		ix.now = func() int64 { return time.Now().UnixNano() }
-	}
+	stack := dht.Stack(d, c, cfg.HedgeAfter, cfg.TraceSink, cfg.Policy)
+	ix := &Index{d: stack, raw: d, cfg: cfg, c: c}
 	if cfg.LeafCache {
 		ix.cache = newLeafCache(cfg.leafCacheSize())
 	}
@@ -196,7 +192,7 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 // nil error: the leaf exists, is untorn, does not cover delta, and the
 // leaf cache has learnt its label exactly as from a whole bucket.
 //
-// With recordOnly (Search; Insert and Delete while patchWrites) the hint
+// With recordOnly (Search, Insert and Delete) the hint
 // also says that of the covering leaf only delta's record is wanted, and
 // such a substrate may answer that leaf with a BucketRecord, returned in
 // place of the bucket. A short reply is trusted no further than its own
@@ -531,14 +527,13 @@ func (ix *Index) Insert(rec record.Record) (Cost, error) {
 //
 // Which form the write-back takes follows from what the lookup ended in,
 // never from asking the substrate what it can do (reach). A whole bucket
-// in hand (every in-process substrate, a coalesced or hidden-capability
-// stack, a torn leaf just repaired, the hot-split plane) is cloned,
-// changed and PutIf'd. Where the storing peer answers from its bytes, the
-// write ships the one record as a patch, built once, which rides the
-// search's last probe when that probe is the one the leaf cache names or
-// has at most two names left, and otherwise follows its record reply; the
-// peer builds the same bytes the PutIf would have carried — same stored
-// bucket, one lookup fewer when it rode.
+// in hand (every in-process substrate, a hidden-capability stack, a torn
+// leaf just repaired) is cloned, changed and PutIf'd. Where the storing
+// peer answers from its bytes, the write ships the one record as a patch,
+// built once, which rides the search's last probe when that probe is the
+// one the leaf cache names or has at most two names left, and otherwise
+// follows its record reply; the peer builds the same bytes the PutIf
+// would have carried — same stored bucket, one lookup fewer when it rode.
 func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cost, err error) {
 	if err := keyspace.CheckKey(rec.Key); err != nil {
 		return Cost{}, err
@@ -552,11 +547,10 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 			return cost, err
 		}
 		nb := f.b // the committed bucket, when this writer holds it
-		var hotEdge bool
 		if b := f.b; err == nil && !f.patched && ix.full(b, rec.Key) {
 			// The record would take the leaf past the weight bound, where
 			// a patch's peer refuses it: split, then start over.
-			splitCost, serr := ix.split(ctx, f.key, b, false, false)
+			splitCost, serr := ix.split(ctx, f.key, b, false)
 			cost.Add(splitCost)
 			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
 			if serr != nil {
@@ -572,12 +566,6 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 			} else {
 				nb.Records = append(nb.Records, rec)
 			}
-			if ix.cfg.HotSplitRate > 0 {
-				now := ix.now()
-				hotEdge = nb.RateNow(now) < ix.cfg.HotSplitRate
-				nb.bumpRate(now)
-				hotEdge = hotEdge && nb.Rate >= ix.cfg.HotSplitRate
-			}
 			nb.Epoch++
 			cost.Lookups++
 			cost.Steps++
@@ -590,10 +578,6 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
-			// The snapshot just lost: the re-read must not ride a
-			// coalesced fetch that may predate the winning write, or the
-			// retry would re-run against the same losing epoch.
-			ctx = dht.WithFreshRead(ctx)
 			continue
 		}
 		if err != nil {
@@ -602,9 +586,8 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		if nb == nil {
 			return cost, nil // patched, and still under the split threshold
 		}
-		capacity := nb.Weight() >= ix.cfg.SplitThreshold
-		if capacity || ix.hotLeaf(nb, hotEdge) {
-			splitCost, err := ix.split(ctx, f.key, nb, !capacity, f.patched)
+		if nb.Weight() >= ix.cfg.SplitThreshold {
+			splitCost, err := ix.split(ctx, f.key, nb, f.patched)
 			cost.Add(splitCost)
 			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
 			if err != nil {
@@ -614,14 +597,6 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		return cost, nil
 	}
 }
-
-// patchWrites reports whether a write's lookup asks its terminal probe
-// for the record alone, and so whether its patch rides the search, so
-// that a substrate whose peers answer from their bytes gets the write as
-// a patch. The hot-split plane does not: its commit folds the request
-// into the leaf's rate words, which a BucketRecord does not carry (the
-// reply stays in the allocator's 64-byte class, for a Get's sake).
-func (ix *Index) patchWrites() bool { return ix.cfg.HotSplitRate == 0 }
 
 // write is a one-record write on its way to the leaf covering its key:
 // the record an Insert stores, or the key a Delete removes (rec.Key).
@@ -635,11 +610,7 @@ type write struct {
 // write's patch did not ride, follows it with the patch (patchLeaf). A
 // delete's record reply that found no record ends it there.
 func (ix *Index) reach(ctx context.Context, w *write, cost *Cost) (leaf, error) {
-	var ride *write
-	if ix.patchWrites() {
-		ride = w
-	}
-	f, lcost, err := ix.lookupLeaf(ctx, w.rec.Key, ride != nil, ride)
+	f, lcost, err := ix.lookupLeaf(ctx, w.rec.Key, true, w)
 	cost.Add(lcost)
 	if err != nil || f.rec == nil || !w.upsert && !f.rec.Found {
 		return f, err
@@ -841,37 +812,13 @@ func (ix *Index) writeInPlace(ctx context.Context, key string, op byte, want *Bu
 	return stored, nil
 }
 
-// rateHot reports whether the leaf's decayed request-rate estimate has
-// crossed the configured hot threshold (always false with the plane
-// off).
-func (ix *Index) rateHot(b *Bucket) bool {
-	return ix.cfg.HotSplitRate > 0 && b.RateNow(ix.now()) >= ix.cfg.HotSplitRate
-}
-
-// hotLeaf reports whether the load-balancing plane wants this leaf
-// split: this commit carried its rate estimate *across* the threshold,
-// and it still holds a record to partition (an empty leaf gains nothing
-// from halving its interval). Edge-triggering — the crossing commit
-// splits, not every commit while hot — matters under contention: the CAS
-// serializes commits, so exactly one writer owns each crossing, and a
-// herd of writers on one hot leaf launches one Algorithm 1 run instead
-// of a stampede of racing splits whose pending intents every concurrent
-// reader would then try to repair.
-func (ix *Index) hotLeaf(b *Bucket, hotEdge bool) bool {
-	return hotEdge && b.Weight() >= 2
-}
-
 // split performs Algorithm 1 on the bucket stored under key. One half
 // keeps the name f_n(lambda) and stays on its peer (a free local rewrite);
 // the other is named lambda itself and is pushed out with a single
-// DHT-put (Theorem 2). hot marks a split triggered by the request-rate
-// estimate rather than capacity; the mechanism is identical — the same
-// intent protocol, the same deterministic partition — only the
-// accounting differs (HotSplits), so a rate-triggered split leaves
-// exactly the tree a capacity split of the same leaf would. inPlace
-// marks the split of a patched write: its two free rewrites of the leaf
-// in place are patches too, which the storing peer applies to its own
-// bytes (writeInPlace), and only the remote half travels whole.
+// DHT-put (Theorem 2). inPlace marks the split of a patched write: its
+// two free rewrites of the leaf in place are patches too, which the
+// storing peer applies to its own bytes (writeInPlace), and only the
+// remote half travels whole.
 //
 // The rewrite is crash-consistent: a write-ahead intent (Pending) is
 // recorded in the full leaf in place before any routed write, and cleared
@@ -879,7 +826,7 @@ func (ix *Index) hotLeaf(b *Bucket, hotEdge bool) bool {
 // detectable from the bucket under key alone, and completeSplit — invoked
 // by the next lookup's read-repair or by Scrub — re-runs the remaining
 // steps idempotently, converging on exactly the never-crashed tree.
-func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot, inPlace bool) (Cost, error) {
+func (ix *Index) split(ctx context.Context, key string, b *Bucket, inPlace bool) (Cost, error) {
 	// Maintenance traffic: the intent write and both halves' writes are
 	// split-phase lookups (repairTorn labels its own calls PhaseRepair).
 	ctx = metrics.WithPhase(ctx, metrics.PhaseSplit)
@@ -924,9 +871,6 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, hot, inPlace 
 	// must not distort the cost metrics or the paper's alpha estimate.
 	moved := int64(rb.Weight())
 	ix.c.Add(metrics.Splits, 1)
-	if hot {
-		ix.c.Add(metrics.HotSplits, 1)
-	}
 	ix.c.Add(metrics.MovedRecords, moved)
 	ix.mu.Lock()
 	ix.alphaSum += float64(moved) / float64(ix.cfg.SplitThreshold)
@@ -969,9 +913,6 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 			nb = b.Clone()
 			nb.Records[i] = nb.Records[len(nb.Records)-1]
 			nb.Records = nb.Records[:len(nb.Records)-1]
-			if ix.cfg.HotSplitRate > 0 {
-				nb.bumpRate(ix.now())
-			}
 			nb.Epoch++
 			cost.Lookups++
 			cost.Steps++
@@ -984,17 +925,12 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 			if cerr := ctx.Err(); cerr != nil {
 				return cost, cerr
 			}
-			// See InsertContext: a lost CAS must re-read fresh, not ride
-			// a possibly pre-write coalesced fetch.
-			ctx = dht.WithFreshRead(ctx)
 			continue
 		}
 		if err != nil {
 			return cost, fmt.Errorf("lht: write back %q: %w", f.key, err)
 		}
-		// A rate-hot leaf never merges: re-widening the interval a skewed
-		// read stream is hammering would undo the load split and thrash.
-		if nb != nil && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold && !ix.rateHot(nb) {
+		if nb != nil && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold {
 			mergeCost, err := ix.merge(ctx, f.key, nb, f.patched)
 			cost.Add(mergeCost)
 			ix.c.Add(metrics.MaintLookups, int64(mergeCost.Lookups))
@@ -1052,9 +988,6 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket, inPlace bool)
 	if b.Weight()+sb.Weight()-1 >= ix.cfg.MergeThreshold {
 		return cost, nil // merged weight would defeat the purpose
 	}
-	if ix.rateHot(sb) {
-		return cost, nil // sibling is hot: keep its interval narrow
-	}
 
 	// Exactly one child keeps the parent's name f_n(parent) (the child
 	// extending the parent's trailing bit run); the other child is named
@@ -1074,10 +1007,6 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket, inPlace bool)
 		Records: recs,
 		Epoch:   max(b.Epoch, sb.Epoch) + 1,
 		Pending: Pending{Kind: PendingMerge, RemoveKey: removeKey, PeerEpoch: peerEpoch},
-		// The merged interval serves both children's traffic: sum the
-		// rate estimates (both zero with the plane off).
-		Rate:   b.Rate + sb.Rate,
-		RateAt: max(b.RateAt, sb.RateAt),
 	}
 
 	// Step 1: make the merged bucket durable under f_n(parent), intent

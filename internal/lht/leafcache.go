@@ -33,12 +33,11 @@ import (
 // bracket only costs probes before the search restarts from [1, D], so
 // cached results are always identical to the uncached path.
 //
-// The cache composes with the load-balancing plane: a cache hit turns a
-// hot-key lookup into a single get of the leaf's name, which is exactly
-// the access pattern Config.CoalesceGets collapses — N clients hitting
-// one hot cached leaf converge on the same key and share one physical
-// fetch — and after a hot split the usual staleness repair re-teaches
-// the cache the (now narrower, cooler) children.
+// The cache composes with replica read spreading: a cache hit turns a
+// hot-key lookup into a single probe of the leaf's name, which a
+// replicated substrate (tcpnet with Replicas > 1, Chord, Kademlia)
+// rotates across the name's holders, so one hot leaf's reads do not all
+// queue on one peer.
 type leafCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -588,23 +588,46 @@ func TestMultiWriterStress(t *testing.T) {
 	}
 }
 
-// TestMultiWriterZipfSoak is the load plane's race soak: the full plane
-// on (rate-triggered splits, coalesced reads), a Zipf(1.5) arrival
+// TestMultiWriterZipfSoak is the skew race soak: a Zipf(1.5) arrival
 // stream concentrating almost all traffic onto a handful of leaves, 6
 // writers updating the hot keys in place while 4 readers hammer the same
 // distribution and a scrubber walks the live tree. Skew is its own race
-// schedule — every writer and reader converges on one leaf, so the
-// edge-triggered hot split, the CAS retry storm and the coalescer's
-// flight teardown all interleave. Afterwards the key population must be
-// intact (updates never change membership), the tree clean, and no
-// goroutine leaked.
+// schedule — every writer and reader converges on one leaf. Over dht.Local
+// the writers race whole-bucket compare-and-swaps; over tcpnet their
+// patches ride their searches' probes and race each other, the splits
+// they trigger and the scrubber on the storing peers. Afterwards the key
+// population must be intact (updates never change membership) and the
+// tree clean; over dht.Local no goroutine may leak, and over tcpnet
+// patches must have ridden.
 func TestMultiWriterZipfSoak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	shared := dht.NewLocal()
-	cfg := Config{
-		SplitThreshold: 8, MergeThreshold: 4, Depth: 20,
-		HotSplitRate: 50, CoalesceGets: true,
-	}
+	t.Run("local", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		zipfSoak(t, dht.NewLocal())
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > before+2 {
+			t.Errorf("goroutines: %d before, %d after; leak suspected", before, g)
+		}
+	})
+	t.Run("tcpnet", func(t *testing.T) {
+		c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: startServers(t, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		if rides := zipfSoak(t, c); rides == 0 {
+			t.Error("no patch rode a probe: the writers took the whole-bucket path over a patching peer")
+		}
+	})
+}
+
+// zipfSoak runs TestMultiWriterZipfSoak's schedule over shared, checks the
+// tree it leaves, and returns the writers' applied rides
+// (metrics.RidesApplied).
+func zipfSoak(t *testing.T, shared dht.DHT) (rides int64) {
+	cfg := Config{SplitThreshold: 8, MergeThreshold: 4, Depth: 20}
 	seedIx, err := New(shared, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -625,11 +648,13 @@ func TestMultiWriterZipfSoak(t *testing.T) {
 	)
 	ctx := context.Background()
 	var writers sync.WaitGroup
+	writerIxs := make([]*Index, nWriters)
 	for w := 0; w < nWriters; w++ {
 		ix, err := New(shared, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		writerIxs[w] = ix
 		arr, err := workload.NewArrivals(keys, 1.5, int64(w))
 		if err != nil {
 			t.Fatal(err)
@@ -734,12 +759,8 @@ func TestMultiWriterZipfSoak(t *testing.T) {
 	if len(seen) != nKeys {
 		t.Errorf("tree holds %d keys, want %d", len(seen), nKeys)
 	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	for _, ix := range writerIxs {
+		rides += ix.Metrics().Write.RidesApplied
 	}
-	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Errorf("goroutines: %d before, %d after; leak suspected", before, g)
-	}
+	return rides
 }

@@ -88,18 +88,6 @@ func WithThresholds(split, merge int) Option {
 	})
 }
 
-// WithHotSplitRate enables load-aware leaf splitting at the given
-// requests-per-second threshold (see Config.HotSplitRate; 0 disables).
-func WithHotSplitRate(rate float64) Option {
-	return optionFunc(func(c *Config) { c.HotSplitRate = rate })
-}
-
-// WithCoalescedGets toggles singleflight read coalescing (see
-// Config.CoalesceGets).
-func WithCoalescedGets(on bool) Option {
-	return optionFunc(func(c *Config) { c.CoalesceGets = on })
-}
-
 // WithHedgedGets enables quantile-triggered hedged reads with the given
 // trigger floor (see Config.HedgeAfter; 0 disables).
 func WithHedgedGets(after time.Duration) Option {
@@ -110,10 +98,4 @@ func WithHedgedGets(after time.Duration) Option {
 // substrates that implement dht.Rereplicator (see Config.Rereplicate).
 func WithRereplication(on bool) Option {
 	return optionFunc(func(c *Config) { c.Rereplicate = on })
-}
-
-// withClock overrides the rate estimator's time source for
-// deterministic tests (package-private on purpose).
-func withClock(now func() int64) Option {
-	return optionFunc(func(c *Config) { c.clock = now })
 }

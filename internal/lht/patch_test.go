@@ -89,7 +89,7 @@ func patchedReply(t testing.TB, reply, stored []byte) int {
 // reply is the count or, across the patch's threshold, the new bytes, and
 // everything the whole arm would not have written that way is refused.
 func TestPatchBucket(t *testing.T) {
-	small := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 127, Rate: 2.5, RateAt: 99, // [0.5, 1)
+	small := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 127, // [0.5, 1)
 		Records: []record.Record{
 			{Key: 0.5, Value: []byte("half")},
 			{Key: 0.75, Value: bytes.Repeat([]byte{7}, 200)},
@@ -165,7 +165,7 @@ func TestPatchBucket(t *testing.T) {
 	// bytes, so marking or committing that leaf moves all that follows.
 	rightmost := &Bucket{Label: bitlabel.MustParse("#011"), Epoch: 4, // [0.75, 1]
 		Records: []record.Record{{Key: 1, Value: []byte("top")}, {Key: 0.8}, {Key: 0.875, Value: []byte("mid")}, {Key: 0.9}}}
-	merged := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 9, Rate: 3, RateAt: 7, Records: small.Records,
+	merged := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 9, Records: small.Records,
 		Pending: Pending{Kind: PendingMerge, RemoveKey: "#01", PeerEpoch: 5}}
 	for name, tc := range map[string]struct {
 		b, want *Bucket

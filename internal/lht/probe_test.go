@@ -1,6 +1,7 @@
 package lht
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -689,11 +690,57 @@ func TestProbeOfTornLeafComesBackWholeAndIsRepaired(t *testing.T) {
 	}
 }
 
-// TestOnlyTheCoalescerStopsAProbe runs the index's own decorator stacks
-// over the spy: retry, instrumentation and hedging pass probes down to
-// the client; with CoalesceGets on none arrives, every fetch is a whole
-// Get, and the answers are the same.
-func TestOnlyTheCoalescerStopsAProbe(t *testing.T) {
+// stackSpy is a probeSpy that also counts what a probing, patching index
+// should never send the client: plain gets, whole-bucket PutIfs and
+// unhinted multi-gets. It counts the range sweeps' hinted multi-gets too.
+type stackSpy struct {
+	*probeSpy
+
+	mu           sync.Mutex
+	gets         int // Get calls
+	putIfs       int // PutIf calls
+	plainBatches int // GetBatch calls
+	hintedSweeps int // ProbeBatch calls carrying a range hint
+}
+
+func (s *stackSpy) Get(ctx context.Context, key string) (dht.Value, error) {
+	s.mu.Lock()
+	s.gets++
+	s.mu.Unlock()
+	return s.Client.Get(ctx, key)
+}
+
+func (s *stackSpy) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	s.mu.Lock()
+	s.putIfs++
+	s.mu.Unlock()
+	return s.Client.PutIf(ctx, key, v, ifEpoch)
+}
+
+func (s *stackSpy) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []error) {
+	s.mu.Lock()
+	s.plainBatches++
+	s.mu.Unlock()
+	return s.Client.GetBatch(ctx, keys)
+}
+
+func (s *stackSpy) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]dht.Value, []error) {
+	s.mu.Lock()
+	if hint&probeRange != 0 {
+		s.hintedSweeps++
+	}
+	s.mu.Unlock()
+	return s.Client.ProbeBatch(ctx, keys, hint)
+}
+
+// TestNoStackTurnsTheRecordPathOff builds every decorator stack the
+// index's Config can ask for — hedging, the retry policy, a trace sink
+// and the leaf cache, each on and off — over one tcpnet cluster, and
+// holds each to the record path: every lookup of a search reaches the
+// client as a probe for the record alone, a one-record write goes out as
+// a patch (one rides a probe, and no whole PutIf is sent), a range's
+// sweeps carry its hint, and no plain get or multi-get is sent at all.
+func TestNoStackTurnsTheRecordPathOff(t *testing.T) {
 	client, _ := startProbeCluster(t, 3)
 	base := Config{SplitThreshold: 4, Depth: 20}
 	builder, err := New(client, base)
@@ -702,48 +749,77 @@ func TestOnlyTheCoalescerStopsAProbe(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	keys := make([]float64, 64)
+	values := make([][]byte, len(keys))
 	for i := range keys {
-		keys[i] = rng.Float64()
-		if _, err := builder.Insert(record.Record{Key: keys[i], Value: []byte{byte(i)}}); err != nil {
+		keys[i], values[i] = rng.Float64(), []byte{byte(i)}
+		if _, err := builder.Insert(record.Record{Key: keys[i], Value: values[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	policy := dht.DefaultPolicy()
-	for _, tc := range []struct {
-		name   string
-		mod    func(*Config)
-		probes bool
+	layers := []struct {
+		name string
+		on   func(*Config)
 	}{
-		{"bare", func(*Config) {}, true},
-		{"policy", func(c *Config) { c.Policy = &policy }, true},
-		{"hedged", func(c *Config) { c.HedgeAfter = time.Second }, true},
-		{"coalesced", func(c *Config) { c.CoalesceGets = true }, false},
-		{"coalesced+hedged+policy", func(c *Config) { c.CoalesceGets, c.HedgeAfter, c.Policy = true, time.Second, &policy }, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
-			tc.mod(&cfg)
-			spy := &probeSpy{Client: client, t: t, verify: true}
+		{"hedged", func(c *Config) { c.HedgeAfter = time.Second }},
+		{"policy", func(c *Config) { c.Policy = &policy }},
+		{"traced", func(c *Config) { c.TraceSink = metrics.NewRing(64) }},
+		{"cached", func(c *Config) { c.LeafCache = true }},
+	}
+	for stack := 0; stack < 1<<len(layers); stack++ {
+		cfg, name := base, ""
+		for i, l := range layers {
+			if stack&(1<<i) != 0 {
+				l.on(&cfg)
+				name += "+" + l.name
+			}
+		}
+		name = strings.TrimPrefix(name, "+")
+		if name == "" {
+			name = "bare"
+		}
+		t.Run(name, func(t *testing.T) {
+			spy := &stackSpy{probeSpy: &probeSpy{Client: client, t: t, verify: true}}
 			ix, err := New(spy, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			spy.gets = 0 // New's look for the root, which no operation makes
 			var lookups int
 			for i, k := range keys {
 				rec, cost, err := ix.Search(k)
-				if err != nil || len(rec.Value) != 1 || rec.Value[0] != byte(i) {
-					t.Fatalf("Search(%v) = %v, %v", k, rec, err)
+				if err != nil || !bytes.Equal(rec.Value, values[i]) {
+					t.Fatalf("Search(%v) = %v, %v; want value %v", k, rec, err, values[i])
 				}
 				lookups += cost.Lookups
 			}
 			probes, headers, _ := spy.counts()
 			recordOnly, records := spy.recordCounts()
-			switch {
-			case tc.probes && (probes != lookups || headers == 0 || recordOnly != probes || records != len(keys)):
+			if probes != lookups || recordOnly != probes || records != len(keys) || !cfg.LeafCache && headers == 0 {
 				t.Errorf("%d lookups of %d searches reached the client as %d probes, %d for the record alone, %d answered with headers, %d with records",
 					lookups, len(keys), probes, recordOnly, headers, records)
-			case !tc.probes && probes != 0:
-				t.Errorf("%d probes got past the coalescer", probes)
+			}
+
+			for i, k := range keys {
+				values[i] = []byte{byte(i), byte(stack)}
+				if _, err := ix.Insert(record.Record{Key: k, Value: values[i]}); err != nil {
+					t.Fatalf("Insert(%v): %v", k, err)
+				}
+			}
+			if rides := ix.Metrics().Write.RidesApplied; rides == 0 || spy.riddenCount() == 0 {
+				t.Errorf("no update's patch rode a probe: write_rides_applied %d, %d ridden patches seen", rides, spy.riddenCount())
+			}
+
+			for _, r := range [][2]float64{{0.1, 0.9}, {0.25, 0.5}, {0, 1}} {
+				if _, _, err := ix.Range(r[0], r[1]); err != nil {
+					t.Fatalf("Range(%v, %v): %v", r[0], r[1], err)
+				}
+			}
+			spy.mu.Lock()
+			defer spy.mu.Unlock()
+			if spy.putIfs != 0 || spy.gets != 0 || spy.plainBatches != 0 || spy.hintedSweeps == 0 {
+				t.Errorf("the client was sent %d PutIfs, %d plain gets and %d plain multi-gets, and %d hinted sweeps",
+					spy.putIfs, spy.gets, spy.plainBatches, spy.hintedSweeps)
 			}
 		})
 	}

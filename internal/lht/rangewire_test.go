@@ -211,10 +211,6 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		{"bare, parallel", false, Config{ParallelRange: true}},
 		{"policy(instrumented(crashpoints))", true, Config{Policy: &policy}},
 		{"policy(instrumented(crashpoints)), parallel", true, Config{Policy: &policy, ParallelRange: true}},
-		// The coalescer shares a flight between callers, so it turns every
-		// single probe into a plain get: the whole-bucket arm, over the
-		// wire. A multi-get is no flight, and passes hinted.
-		{"coalesced", false, Config{CoalesceGets: true}},
 	} {
 		name, spy := arm.name, &rangeSpy{Client: client}
 		var d dht.DHT = spy
@@ -230,10 +226,7 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		// Every single get of a range is a probe, and of an untorn leaf it
 		// comes back as a run, or as a header when the leaf lies outside
 		// the range (case 3's LCA probe): never as the bucket.
-		switch {
-		case arm.cfg.CoalesceGets && spy.probes != 0:
-			t.Errorf("%s: %d range probes got past the coalescer", name, spy.probes)
-		case !arm.cfg.CoalesceGets && (spy.probeRuns == 0 || spy.probeHeaders == 0 || spy.probeWhole != 0):
+		if spy.probeRuns == 0 || spy.probeHeaders == 0 || spy.probeWhole != 0 {
 			t.Errorf("%s: of %d range probes %d came back as runs, %d as headers, %d as whole untorn buckets",
 				name, spy.probes, spy.probeRuns, spy.probeHeaders, spy.probeWhole)
 		}

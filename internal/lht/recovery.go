@@ -44,12 +44,8 @@ func splitHalves(b *Bucket) (local, remote *Bucket) {
 	if low {
 		localRecs, remoteRecs = below, above
 	}
-	// Each child serves half the parent's interval, so it inherits half
-	// the rate estimate — a pure function of the stored bucket, like the
-	// record partition, so crash-repair replays reproduce it exactly.
-	// Zero rate (load plane off) stays zero.
-	local = &Bucket{Label: localLabel, Records: localRecs, Epoch: b.Epoch + 1, Rate: b.Rate / 2, RateAt: b.RateAt}
-	remote = &Bucket{Label: localLabel.Sibling(), Records: remoteRecs, Epoch: b.Epoch + 1, Rate: b.Rate / 2, RateAt: b.RateAt}
+	local = &Bucket{Label: localLabel, Records: localRecs, Epoch: b.Epoch + 1}
+	remote = &Bucket{Label: localLabel.Sibling(), Records: remoteRecs, Epoch: b.Epoch + 1}
 	return local, remote
 }
 

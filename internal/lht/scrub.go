@@ -29,10 +29,6 @@ type ScrubReport struct {
 	Orphans    int // orphaned buckets (stale mutation remnants) removed
 	Strays     int // records found outside their leaf's interval, relocated
 	Repairs    int // total repairs applied (tears + orphans + strays)
-	HotLeaves  int // leaves whose decayed request rate is at or above
-	// Config.HotSplitRate at walk time (always 0 with the load plane
-	// off); a gauge of where the hot-split plane is about to act, not a
-	// violation
 
 	// Replica-repair pass (Config.Rereplicate over a dht.Rereplicator
 	// substrate; all zero otherwise): per-owner existence probes issued,
@@ -58,9 +54,6 @@ func (r *ScrubReport) Clean() bool {
 func (r *ScrubReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scrub: %d leaves, %d records, %d DHT-lookups", r.Leaves, r.Records, r.Lookups)
-	if r.HotLeaves > 0 {
-		fmt.Fprintf(&b, ", %d hot", r.HotLeaves)
-	}
 	if r.ReplicaProbes > 0 {
 		fmt.Fprintf(&b, ", replicas %d probed/%d missing/%d restored",
 			r.ReplicaProbes, r.ReplicaMissing, r.ReplicaRestored)
@@ -142,7 +135,7 @@ func (ix *Index) Scrub(ctx context.Context) (rep *ScrubReport, err error) {
 		}
 		// A structural repair changed the region already walked; start
 		// over (repairs are idempotent, so re-walking is safe).
-		rep.Leaves, rep.Records, rep.HotLeaves = 0, 0, 0
+		rep.Leaves, rep.Records = 0, 0
 		keys = keys[:0]
 	}
 	return rep, fmt.Errorf("%w: scrub did not converge after %d rounds", ErrCorrupt, maxScrubRounds)
@@ -248,9 +241,6 @@ func (ix *Index) scrubWalk(ctx context.Context, rep *ScrubReport, cost *Cost, st
 		rep.Leaves++
 		rep.Records += len(b.Records)
 		*keys = append(*keys, key)
-		if ix.rateHot(b) {
-			rep.HotLeaves++
-		}
 		want = iv.Hi
 
 		// Advance to the leftmost leaf of the nearest right branch.

@@ -32,7 +32,7 @@ func TestSplitOverLocalCopiesNoRecords(t *testing.T) {
 	split := testing.AllocsPerRun(50, func() {
 		_ = local.Put(ctx, key, full)
 		_ = local.Remove(ctx, remote)
-		if _, err := ix.split(ctx, key, full, false, false); err != nil {
+		if _, err := ix.split(ctx, key, full, false); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -68,15 +68,6 @@ const (
 	// so the probe was answered as a probe: patch bytes shipped for
 	// nothing. A substrate that does not patch refuses every ride.
 	RidesRefused
-	// HotSplits counts leaf splits triggered by the decaying request-rate
-	// estimate crossing Config.HotSplitRate while the leaf was still under
-	// its capacity threshold. Each is also counted under Splits.
-	HotSplits
-	// CoalescedGets counts concurrent fetches of one hot key that rode an
-	// already-in-flight get. They are still charged as lookups by the
-	// instrumentation layer above the coalescer, so the cost model is
-	// unchanged; this counts the physical round trips saved.
-	CoalescedGets
 	// SpreadReads counts Get/Take operations whose replica iteration
 	// started at a rotated non-primary holder to spread a hot key's read
 	// load across its replica set.
@@ -168,8 +159,6 @@ var counterTable = [NumCounters]counterRow{
 	CASFallbacks:     {"cas_fallbacks", "", "Conditional ops emulated by fetch-verify-write.", func(s *Snapshot) *int64 { return &s.Write.CASFallbacks }},
 	RidesApplied:     {"write_rides_applied", "", "Write patches applied by the search probe they rode.", func(s *Snapshot) *int64 { return &s.Write.RidesApplied }},
 	RidesRefused:     {"write_rides_refused", "", "Write patches that rode a search probe answered as a probe.", func(s *Snapshot) *int64 { return &s.Write.RidesRefused }},
-	HotSplits:        {"hot_splits", "", "Leaf splits triggered by request rate, not capacity.", func(s *Snapshot) *int64 { return &s.Load.HotSplits }},
-	CoalescedGets:    {"coalesced_gets", "", "DHT-gets absorbed by singleflight coalescing.", func(s *Snapshot) *int64 { return &s.Load.CoalescedGets }},
 	SpreadReads:      {"spread_reads", "", "Reads served starting at a non-primary replica.", func(s *Snapshot) *int64 { return &s.Load.SpreadReads }},
 	HedgedGets:       {"hedged_gets", "", "Duplicate reads launched after the hedge delay.", func(s *Snapshot) *int64 { return &s.Health.HedgedGets }},
 	HedgeWins:        {"hedge_wins", "", "Hedges that answered before the original attempt.", func(s *Snapshot) *int64 { return &s.Health.HedgeWins }},

@@ -111,7 +111,7 @@ func (c *Counters) ObserveOp(op Op, d time.Duration, failed bool) {
 // the paper's cost model (Lookup), the client leaf cache (Cache), the
 // retry policy plane (Retry), the batched operation plane (Batch), the
 // crash-consistency plane (Repair), multi-writer concurrency control
-// (Write), hot-leaf load balancing (Load), graceful degradation (Health),
+// (Write), replica read spreading (Load), graceful degradation (Health),
 // self-healing membership (Membership), and per-operation-class latency
 // and phase attribution (Latency).
 type Snapshot struct {
@@ -174,11 +174,9 @@ type WriteCounts struct {
 	RidesRefused  int64 // write patches that rode a probe answered as a probe
 }
 
-// LoadCounts are the hot-leaf load-balancing-plane counters.
+// LoadCounts are the read-load counters: replica read spreading.
 type LoadCounts struct {
-	HotSplits     int64 // leaf splits triggered by request rate, not capacity
-	CoalescedGets int64 // DHT-gets absorbed by singleflight coalescing
-	SpreadReads   int64 // reads served starting at a non-primary replica
+	SpreadReads int64 // reads served starting at a non-primary replica
 }
 
 // HealthCounts are the graceful-degradation-plane counters: circuit

@@ -35,8 +35,6 @@ func goldenCounters() *Counters {
 	c.Add(CASFallbacks, 1)
 	c.Add(RidesApplied, 7)
 	c.Add(RidesRefused, 3)
-	c.Add(HotSplits, 2)
-	c.Add(CoalescedGets, 5)
 	c.Add(SpreadReads, 6)
 	c.Add(HedgedGets, 3)
 	c.Add(HedgeWins, 1)
@@ -127,12 +125,6 @@ lht_write_rides_applied_total 7
 # HELP lht_write_rides_refused_total Write patches that rode a search probe answered as a probe.
 # TYPE lht_write_rides_refused_total counter
 lht_write_rides_refused_total 3
-# HELP lht_hot_splits_total Leaf splits triggered by request rate, not capacity.
-# TYPE lht_hot_splits_total counter
-lht_hot_splits_total 2
-# HELP lht_coalesced_gets_total DHT-gets absorbed by singleflight coalescing.
-# TYPE lht_coalesced_gets_total counter
-lht_coalesced_gets_total 5
 # HELP lht_spread_reads_total Reads served starting at a non-primary replica.
 # TYPE lht_spread_reads_total counter
 lht_spread_reads_total 6

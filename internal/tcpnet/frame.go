@@ -15,8 +15,8 @@ import (
 // reflection and recycles every buffer it touches, so the encode/decode
 // hot path allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT3"; a server closes one
-// that opens with anything else — an LHT2 peer of the generation before
+// A connection opens with the 4-byte magic "LHT4"; a server closes one
+// that opens with anything else — an LHT3 peer of the generation before
 // this one included — before serving a frame. Nodes and clients of one
 // generation upgrade together. After the magic, both directions speak
 // length-prefixed frames:
@@ -156,7 +156,7 @@ import (
 // n-byte message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT3"
+	wireMagic = "LHT4"
 
 	// frameHeaderLen is the id+op prefix counted inside the length field.
 	frameHeaderLen = 9

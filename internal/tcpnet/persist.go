@@ -9,11 +9,13 @@ import (
 	"path/filepath"
 )
 
-// snapshotFormat versions the on-disk layout. Format 2 stores tagged
-// values exactly as the store holds them (see frame.go for the tags).
-// Format 1, bare gob values, is refused, as is a format-2 snapshot that
-// holds a value in the retired gob form: a node could not serve either.
-const snapshotFormat = 2
+// snapshotFormat versions the on-disk layout. Format 3 stores tagged
+// values exactly as the store holds them (see frame.go for the tags), its
+// buckets in lht's bucket wire format 2. Format 2 held the same tags over
+// version-1 buckets, and format 1 bare gob values; both are refused, as
+// is a snapshot that holds a value in the retired gob form: a node could
+// not serve any of them.
+const snapshotFormat = 3
 
 type snapshot struct {
 	Format int
@@ -33,7 +35,12 @@ func (s *Server) SaveSnapshot(path string) error {
 		snap.Store[k] = cp
 	}
 	s.mu.Unlock()
+	return writeSnapshot(path, snap)
+}
 
+// writeSnapshot encodes snap to a temp file beside path, syncs it and
+// renames it over path.
+func writeSnapshot(path string, snap snapshot) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".lht-node-*")
 	if err != nil {
 		return fmt.Errorf("tcpnet: snapshot temp: %w", err)

@@ -138,6 +138,27 @@ func TestSnapshotWithRetiredFormIsRefused(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfThePreviousFormatIsRefused: a snapshot written in the
+// format before this one holds buckets in a wire version no node decodes,
+// projects or patches, so LoadSnapshot refuses it whole, naming the
+// format, and the store stays as it was.
+func TestSnapshotOfThePreviousFormatIsRefused(t *testing.T) {
+	path := t.TempDir() + "/old.snap"
+	old := snapshot{Format: snapshotFormat - 1, Store: map[string][]byte{"#": {tagRaw, 'v'}}}
+	if err := writeSnapshot(path, old); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewServer()
+	dst.store["mine"] = []byte{tagRaw, 'm'}
+	err := dst.LoadSnapshot(path)
+	if want := fmt.Sprintf("snapshot format %d", old.Format); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadSnapshot = %v, want a refusal naming %q", err, want)
+	}
+	if len(dst.store) != 1 || !bytes.Equal(dst.store["mine"], []byte{tagRaw, 'm'}) {
+		t.Errorf("the refused load changed the store: %q", dst.store)
+	}
+}
+
 // TestStoredFormsSnapshotServes: a snapshot of a store holding the index's
 // buckets (tagEpoch over tagWire) and raw values (tagRaw) — the forms and
 // the container every snapshot since the binary bucket format has held —

@@ -228,7 +228,7 @@ const gobPutStream = "c\x7f\x03\x01\x01\arequest\x01\xff\x80\x00\x01\b\x01\x02Op
 	"\v\xff\x80\x01\x03\x01\x01k\x01\x01\x01\x00"
 
 // TestServerRejectsNonMagic: a connection that does not open with the
-// LHT3 magic, or follows it with something that is not a frame, is closed
+// LHT4 magic, or follows it with something that is not a frame, is closed
 // without a byte served, the store untouched and no handler left behind.
 func TestServerRejectsNonMagic(t *testing.T) {
 	_, servers := startCluster(t, 1)
@@ -284,7 +284,7 @@ func TestServerClosesThePreviousGeneration(t *testing.T) {
 	_, servers := startCluster(t, 1)
 	srv := servers[0]
 	put := append(appendLenString(nil, "k"), tagRaw, 'v')
-	previous := wireMagic[:3] + "2"
+	previous := wireMagic[:3] + string(wireMagic[3]-1)
 	msg := append(append([]byte(previous), buildFrame(1, dht.OpPing, nil)...), buildFrame(2, dht.OpPut, put)...)
 	conn, err := net.Dial("tcp", srv.ln.Addr().String())
 	if err != nil {

@@ -206,11 +206,6 @@ func WithDepth(d int) Option { return ilht.WithDepth(d) }
 // WithThresholds sets theta_split and the merge hysteresis threshold.
 func WithThresholds(split, merge int) Option { return ilht.WithThresholds(split, merge) }
 
-// WithHotSplitRate enables load-aware leaf splitting: a leaf whose
-// request rate crosses the threshold (requests/sec) splits even below
-// theta_split. 0 (the default) disables the load plane.
-func WithHotSplitRate(rate float64) Option { return ilht.WithHotSplitRate(rate) }
-
 // WithRereplication extends Scrub with a replica-repair pass over
 // substrates with a membership plane (the tcpnet cluster client): after
 // the structural walk, every live storage key is probed on all of its
@@ -225,11 +220,6 @@ func WithRereplication(on bool) Option { return ilht.WithRereplication(on) }
 // one slow or partitioned node stops defining the read tail. Hedges are
 // physical round trips, never DHT-lookups; see Config.HedgeAfter.
 func WithHedgedGets(after time.Duration) Option { return ilht.WithHedgedGets(after) }
-
-// WithCoalescedGets toggles singleflight read coalescing: concurrent
-// reads of one bucket through this index share a single substrate
-// fetch. Off by default.
-func WithCoalescedGets(on bool) Option { return ilht.WithCoalescedGets(on) }
 
 // Index is an LHT index over a DHT substrate. Create one with New.
 //
