@@ -102,8 +102,7 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 			leaves = append(leaves, &Bucket{Label: label, Records: part})
 			return
 		}
-		iv := keyspace.IntervalOf(label)
-		pivot := iv.Lo + (iv.Hi-iv.Lo)/2
+		_, pivot, _ := splitAt(label)
 		split := sort.Search(len(part), func(i int) bool { return part[i].Key >= pivot })
 		build(label.Left(), part[:split:split])
 		build(label.Right(), part[split:])

@@ -165,6 +165,15 @@ func (ix *Index) fetchBucket(ctx context.Context, key string) (*Bucket, error) {
 // bucketOf type-asserts one get outcome (per-op or one slot of a batched
 // multi-get) into a bucket, teaching the leaf cache on success.
 func (ix *Index) bucketOf(v dht.Value, err error, key string) (*Bucket, error) {
+	b, err := asBucket(v, err, key)
+	if err == nil {
+		ix.cacheNote(b.Label)
+	}
+	return b, err
+}
+
+// asBucket type-asserts one get outcome into a bucket.
+func asBucket(v dht.Value, err error, key string) (*Bucket, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +181,6 @@ func (ix *Index) bucketOf(v dht.Value, err error, key string) (*Bucket, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: key %q holds %T, not a bucket", ErrCorrupt, key, v)
 	}
-	ix.cacheNote(b.Label)
 	return b, nil
 }
 
@@ -182,10 +190,11 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 	return ix.fetchBucket(ctx, key)
 }
 
-// probeBucket is getBucket for Algorithm 2's probes. The search reads a
-// probed bucket's records only when it covers delta (or is torn, and
-// gets repaired); any other bucket says just "a leaf lives under this
-// name, so the probed prefix is an internal node". The probe therefore
+// probeBucket is getBucket for Algorithm 2's probes, every one of which
+// lookupLeaf's loop makes, the one the leaf cache names included. The
+// search reads a probed bucket's records only when it covers delta (or is
+// torn, and gets repaired); any other bucket says just "a leaf lives under
+// this name, so the probed prefix is an internal node". The probe therefore
 // carries delta as its hint, and a substrate that is a dht.Prober may
 // answer a non-covering leaf with its BucketHeader alone — still one
 // round trip and one DHT-lookup. That reply comes back as nil, nil and a
@@ -270,14 +279,8 @@ func (ix *Index) LookupBucket(delta float64) (*Bucket, Cost, error) {
 func (ix *Index) LookupBucketContext(ctx context.Context, delta float64) (b *Bucket, cost Cost, err error) {
 	ctx, done := ix.beginOp(ctx, metrics.OpGet)
 	defer func() { done(err) }()
-	b, _, cost, err = ix.lookup(ctx, delta)
-	return b, cost, err
-}
-
-// lookup is LookupBucket returning also the bucket's DHT key.
-func (ix *Index) lookup(ctx context.Context, delta float64) (*Bucket, string, Cost, error) {
 	f, cost, err := ix.lookupLeaf(ctx, delta, false, nil)
-	return f.b, f.key, cost, err
+	return f.b, cost, err
 }
 
 // leaf is where a lookup ended: the leaf covering its key, stored under
@@ -295,14 +298,14 @@ type leaf struct {
 // returns as the whole bucket or, only when recordOnly allows it, as the
 // storing peer's BucketRecord for delta (see probeBucket): exactly one of
 // the two is set on success, and both searches probe the same names at
-// the same cost. With the leaf cache enabled it first probes the name of
-// the deepest cached leaf covering delta: the covering leaf back is a hit
-// (one DHT-get); any other outcome is a soundly detected stale entry,
-// which is dropped and converted into tightened binary-search bounds (see
-// repair cases below). A miss brackets the search instead: the cached
-// leaves beside delta's raise its lower bound and pick its first probe
-// (see leafCache.find). Either way cached results are always identical
-// to the uncached path.
+// the same cost. The leaf cache only picks the search's first probe. A
+// hit probes the name of the deepest cached leaf covering delta, which
+// ends the search at one DHT-get when the leaf is still there; any other
+// outcome is a soundly detected stale entry, which is dropped, and the
+// probe's answer bounds the search as any probe's does. A miss brackets
+// the search instead: the cached leaves beside delta's raise its lower
+// bound and pick its first probe (see leafCache.find). Either way cached
+// results are always identical to the uncached path.
 //
 // A write w (nil for a read) rides the probe the cache names — the cached
 // leaf's name on a hit, the bracket's first probe on a miss — which is
@@ -315,9 +318,8 @@ type leaf struct {
 // that does not answers the probe, and the search goes on from that
 // answer as from any probe's, at the same cost.
 func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool, w *write) (leaf, Cost, error) {
-	// Every probe of the binary search (and of the cache pre-probe) is
-	// PhaseProbe traffic; repairTorn overrides the phase for the repair
-	// writes it issues.
+	// Every probe of the binary search is PhaseProbe traffic; repairTorn
+	// overrides the phase for the repair writes it issues.
 	ctx = metrics.WithPhase(ctx, metrics.PhaseProbe)
 	var cost Cost
 	mu, err := keyspace.Mu(delta, ix.cfg.Depth)
@@ -325,67 +327,11 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool,
 		return leaf{}, cost, err
 	}
 	lo, hi := 1, ix.cfg.Depth
-	first := 0 // the first probe's depth when a cache miss suggests one
+	first := 0                // the first probe's depth, when the cache picks one
+	var cached bitlabel.Label // the cached leaf that first probe asks for, on a hit
 	if ix.cache != nil {
 		if x, ok, br := ix.cache.find(mu); ok {
-			name := x.Name()
-			key := name.Key()
-			patch, whole := ix.ride(w)
-			b, rec, v, err := ix.probeBucket(ctx, key, delta, recordOnly, w, patch, &cost)
-			if v != nil {
-				// A hit, and the write is done. A reply that names another
-				// leaf retires the stale entry, as a probe's does.
-				ix.c.Add(metrics.CacheHits, 1)
-				b, label, err := ix.committed(ctx, key, w, whole, v, &cost)
-				if !label.IsRoot() && label != x {
-					ix.cache.drop(x)
-				}
-				cost.Steps = cost.Lookups
-				return leaf{key: key, b: b, patched: true}, cost, err
-			}
-			if b != nil && b.Torn() {
-				// The cached leaf's peer holds a torn mutation from a
-				// crashed writer; finish it, then apply the normal case
-				// analysis to the repaired bucket.
-				b, err = ix.repairTorn(ctx, key, b, &cost)
-			}
-			switch {
-			case err == nil && (rec != nil || b != nil && b.Contains(delta)):
-				// Hit. The fetched label can differ from the cached one
-				// (the leaf split but this half kept the name and still
-				// covers delta); the probe noted the fresh label, so
-				// just retire the stale entry.
-				ix.c.Add(metrics.CacheHits, 1)
-				if rec != nil && rec.Label != x || b != nil && b.Label != x {
-					ix.cache.drop(x)
-				}
-				cost.Steps = cost.Lookups
-				return leaf{key: key, b: b, rec: rec}, cost, nil
-			case errors.Is(err, dht.ErrNotFound):
-				// The cached leaf's name is gone (a merge removed it).
-				// Algorithm 2's miss rule applies to this probe exactly
-				// as to its own: every prefix of mu longer than f_n(x)
-				// up to x shares the missing name, so the covering leaf
-				// is at most len(f_n(x)) deep.
-				ix.c.Add(metrics.CacheStale, 1)
-				ix.cache.drop(x)
-				hi = name.Len()
-			case err != nil:
-				cost.Steps = cost.Lookups
-				return leaf{}, cost, err
-			default:
-				// A leaf answered under f_n(x) but does not cover delta,
-				// so x is now an internal node (the leaf split):
-				// Algorithm 2's non-covering rule moves the lower bound
-				// past x's trailing run. If mu never leaves that run
-				// there is no tighter bound; fall back to the full
-				// search.
-				ix.c.Add(metrics.CacheStale, 1)
-				ix.cache.drop(x)
-				if next, ok := x.NextName(mu); ok {
-					lo = next.Len()
-				}
-			}
+			cached, first = x, x.Len()
 		} else {
 			// A miss. Cached leaves below mu's prefix of length br.lo-1
 			// leave mu past it, so if they are fresh that prefix is an
@@ -423,10 +369,17 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool,
 				mid, first = first, 0
 			}
 			x := mu.Prefix(mid)
+			// On a cache hit the first probe asks for the cached leaf, and
+			// the cache hears how that went (cacheProbed).
+			hit := x == cached
+			cached = bitlabel.Root
 			key := x.Name().Key()
 			b, rec, v, err := ix.probeBucket(ctx, key, delta, recordOnly, w, patch, &cost)
 			if v != nil {
-				b, _, err := ix.committed(ctx, key, w, whole, v, &cost)
+				b, label, err := ix.committed(ctx, key, w, whole, v, &cost)
+				if hit {
+					ix.cacheProbed(x, true, label)
+				}
 				cost.Steps = cost.Lookups
 				return leaf{key: key, b: b, patched: true}, cost, err
 			}
@@ -444,21 +397,33 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool,
 				// computed against the current tree and stays valid.
 				lo, hi = 1, ix.cfg.Depth
 			}
+			covers := err == nil && (rec != nil || b != nil && b.Contains(delta))
+			if hit && (err == nil || errors.Is(err, dht.ErrNotFound)) {
+				label := bitlabel.Root // the probed leaf's, when it has one
+				if rec != nil {
+					label = rec.Label
+				} else if b != nil {
+					label = b.Label
+				}
+				ix.cacheProbed(x, covers, label)
+			}
 			switch {
 			case errors.Is(err, dht.ErrNotFound):
 				// No leaf is named f_n(x): every prefix of mu in
-				// (len(f_n(x)), len(x)] shares that name and is ruled out.
+				// (len(f_n(x)), len(x)] shares that name and is ruled out
+				// (a cached leaf's name goes when a merge removes it).
 				hi = x.Name().Len()
 			case err != nil:
 				cost.Steps = cost.Lookups
 				return leaf{}, cost, err
-			case rec != nil || b != nil && b.Contains(delta):
+			case covers:
 				cost.Steps = cost.Lookups
 				return leaf{key: key, b: b, rec: rec}, cost, nil
 			default:
 				// The leaf named f_n(x) does not cover delta, so x is an
-				// internal node; the next candidate is the first prefix of
-				// mu past x's trailing run (it has a different name).
+				// internal node (a cached leaf is once it splits); the next
+				// candidate is the first prefix of mu past x's trailing run
+				// (it has a different name).
 				next, ok := x.NextName(mu)
 				if !ok {
 					// mu continues with x's last bit to its full depth D, so
@@ -519,13 +484,26 @@ func (ix *Index) Insert(rec record.Record) (Cost, error) {
 	return ix.InsertContext(context.Background(), rec)
 }
 
-// InsertContext is Insert with a caller-supplied context. The
-// read-modify-write is optimistic: the write-back is an epoch-guarded
-// conditional put, and losing the compare-and-swap to a concurrent writer
-// re-runs the whole round (lookup included — the leaf may have split or
-// merged under us) until the insert commits or ctx ends.
+// InsertContext is Insert with a caller-supplied context. It runs the
+// commit round Delete shares (commit): optimistic, re-run whole on a lost
+// compare-and-swap (the leaf may have split or merged under us) until the
+// insert commits or ctx ends, then the split its weight asks for.
+func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cost, err error) {
+	if err := keyspace.CheckKey(rec.Key); err != nil {
+		return Cost{}, err
+	}
+	ctx, done := ix.beginOp(ctx, metrics.OpInsert)
+	defer func() { done(err) }()
+	return ix.commit(ctx, &write{rec: rec, upsert: true})
+}
+
+// commit is the commit round of a one-record write, Insert's or Delete's:
+// reach the leaf covering the key, then PutIf it back mutated whole
+// (write.apply) or have its peer apply the write's patch; start over on a
+// lost compare-and-swap or a leaf moved under the patch; once committed,
+// split at theta_split (an upsert) or merge below theta_merge (a delete).
 //
-// Which form the write-back takes follows from what the lookup ended in,
+// Which form the write-back takes follows from what the search ended in,
 // never from asking the substrate what it can do (reach). A whole bucket
 // in hand (every in-process substrate, a hidden-capability stack, a torn
 // leaf just repaired) is cloned, changed and PutIf'd. Where the storing
@@ -534,39 +512,28 @@ func (ix *Index) Insert(rec record.Record) (Cost, error) {
 // one the leaf cache names or has at most two names left, and otherwise
 // follows its record reply; the peer builds the same bytes the PutIf
 // would have carried — same stored bucket, one lookup fewer when it rode.
-func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cost, err error) {
-	if err := keyspace.CheckKey(rec.Key); err != nil {
-		return Cost{}, err
-	}
-	ctx, done := ix.beginOp(ctx, metrics.OpInsert)
-	defer func() { done(err) }()
-	w := &write{rec: rec, upsert: true}
+func (ix *Index) commit(ctx context.Context, w *write) (Cost, error) {
+	var cost Cost
 	for {
 		f, err := ix.reach(ctx, w, &cost)
 		if err != nil && err != errLeafMoved {
 			return cost, err
 		}
+		if f.rec != nil {
+			return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, w.rec.Key)
+		}
 		nb := f.b // the committed bucket, when this writer holds it
-		if b := f.b; err == nil && !f.patched && ix.full(b, rec.Key) {
+		if b := f.b; err == nil && !f.patched && w.upsert && ix.full(b, w.rec.Key) {
 			// The record would take the leaf past the weight bound, where
 			// a patch's peer refuses it: split, then start over.
-			splitCost, serr := ix.split(ctx, f.key, b, false)
-			cost.Add(splitCost)
-			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
-			if serr != nil {
-				return cost, serr
+			if err = ix.maintain(ctx, f.key, b, false, &cost); err != nil {
+				return cost, err
 			}
 			err = errLeafMoved
 		} else if err == nil && !f.patched {
-			// Mutate a private clone: the substrate may hand concurrent readers
-			// the very pointer it stores (the in-process substrates do).
-			nb = b.Clone()
-			if i := record.FindByKey(nb.Records, rec.Key); i >= 0 {
-				nb.Records[i] = rec
-			} else {
-				nb.Records = append(nb.Records, rec)
+			if nb, err = w.apply(b); err != nil {
+				return cost, err
 			}
-			nb.Epoch++
 			cost.Lookups++
 			cost.Steps++
 			if err = dht.DoPutIf(ctx, ix.d, f.key, nb, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
@@ -583,19 +550,31 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		if err != nil {
 			return cost, fmt.Errorf("lht: write back %q: %w", f.key, err)
 		}
-		if nb == nil {
-			return cost, nil // patched, and still under the split threshold
-		}
-		if nb.Weight() >= ix.cfg.SplitThreshold {
-			splitCost, err := ix.split(ctx, f.key, nb, f.patched)
-			cost.Add(splitCost)
-			ix.c.Add(metrics.MaintLookups, int64(splitCost.Lookups))
-			if err != nil {
-				return cost, err
-			}
+		switch {
+		case nb == nil: // patched, and on the near side of maintenance
+		case w.upsert && nb.Weight() >= ix.cfg.SplitThreshold,
+			!w.upsert && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold:
+			return cost, ix.maintain(ctx, f.key, nb, f.patched, &cost)
 		}
 		return cost, nil
 	}
+}
+
+// maintain splits the leaf b stored under key when it weighs theta_split
+// or more (an upsert's), and merges it otherwise (a delete's, under
+// theta_merge <= theta_split), adding the maintenance's cost to the
+// write's and counting its lookups as maintenance lookups.
+func (ix *Index) maintain(ctx context.Context, key string, b *Bucket, inPlace bool, cost *Cost) error {
+	var mcost Cost
+	var err error
+	if b.Weight() >= ix.cfg.SplitThreshold {
+		mcost, err = ix.split(ctx, key, b, inPlace)
+	} else {
+		mcost, err = ix.merge(ctx, key, b, inPlace)
+	}
+	cost.Add(mcost)
+	ix.c.Add(metrics.MaintLookups, int64(mcost.Lookups))
+	return err
 }
 
 // write is a one-record write on its way to the leaf covering its key:
@@ -604,6 +583,29 @@ type write struct {
 	rec    record.Record
 	upsert bool
 	patch  []byte // the write as a patch, once built (patchOf)
+}
+
+// apply is w done to a private clone of the leaf b (the substrate may hand
+// concurrent readers the very pointer it stores; the in-process
+// substrates do), at b's next epoch: the record upserted, or its key's
+// record removed — ErrKeyNotFound when b holds none.
+func (w *write) apply(b *Bucket) (*Bucket, error) {
+	i := record.FindByKey(b.Records, w.rec.Key)
+	if i < 0 && !w.upsert {
+		return nil, fmt.Errorf("%w: %v", ErrKeyNotFound, w.rec.Key)
+	}
+	nb := b.Clone()
+	switch n := len(nb.Records); {
+	case !w.upsert:
+		nb.Records[i] = nb.Records[n-1]
+		nb.Records = nb.Records[:n-1]
+	case i >= 0:
+		nb.Records[i] = w.rec
+	default:
+		nb.Records = append(nb.Records, w.rec)
+	}
+	nb.Epoch++
+	return nb, nil
 }
 
 // reach runs w's search and, when that ended in a record reply the
@@ -885,61 +887,18 @@ func (ix *Index) Delete(delta float64) (Cost, error) {
 	return ix.DeleteContext(context.Background(), delta)
 }
 
-// DeleteContext is Delete with a caller-supplied context. Like
-// InsertContext it is an optimistic read-modify-write: a lost CAS re-runs
-// the round from the lookup until the delete commits or ctx ends, and the
-// write-back is a patch where the storing peer answers from its bytes.
+// DeleteContext is Delete with a caller-supplied context. It runs
+// Insert's commit round (commit): a lost CAS re-runs the round from the
+// lookup until the delete commits or ctx ends, the write-back is a patch
+// where the storing peer answers from its bytes, and a leaf the delete
+// leaves under theta_merge is merged with its sibling.
 func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, err error) {
 	if err := keyspace.CheckKey(delta); err != nil {
 		return Cost{}, err
 	}
 	ctx, done := ix.beginOp(ctx, metrics.OpDelete)
 	defer func() { done(err) }()
-	w := &write{rec: record.Record{Key: delta}}
-	for {
-		f, err := ix.reach(ctx, w, &cost)
-		if err != nil && err != errLeafMoved {
-			return cost, err
-		}
-		if f.rec != nil {
-			return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
-		}
-		nb := f.b // the committed bucket, when this writer holds it
-		if b := f.b; err == nil && !f.patched {
-			i := record.FindByKey(b.Records, delta)
-			if i < 0 {
-				return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
-			}
-			nb = b.Clone()
-			nb.Records[i] = nb.Records[len(nb.Records)-1]
-			nb.Records = nb.Records[:len(nb.Records)-1]
-			nb.Epoch++
-			cost.Lookups++
-			cost.Steps++
-			if err = dht.DoPutIf(ctx, ix.d, f.key, nb, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
-				ix.cacheDrop(b.Label)
-			}
-		}
-		if errors.Is(err, dht.ErrCASConflict) || err == errLeafMoved {
-			ix.c.Add(metrics.WriterRetries, 1)
-			if cerr := ctx.Err(); cerr != nil {
-				return cost, cerr
-			}
-			continue
-		}
-		if err != nil {
-			return cost, fmt.Errorf("lht: write back %q: %w", f.key, err)
-		}
-		if nb != nil && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold {
-			mergeCost, err := ix.merge(ctx, f.key, nb, f.patched)
-			cost.Add(mergeCost)
-			ix.c.Add(metrics.MaintLookups, int64(mergeCost.Lookups))
-			if err != nil {
-				return cost, err
-			}
-		}
-		return cost, nil
-	}
+	return ix.commit(ctx, &write{rec: record.Record{Key: delta}})
 }
 
 // merge attempts to merge the underweight leaf b with its sibling, the
@@ -1018,25 +977,19 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket, inPlace bool)
 	if key == mergedKey {
 		// b already sits on the peer that keeps the merged bucket: a free
 		// in-place rewrite.
-		err := dht.DoWriteIf(ctx, ix.d, mergedKey, merged, baseEpoch)
-		if errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound) {
-			return cost, nil
-		}
-		if err != nil {
-			return cost, fmt.Errorf("lht: merge write %q: %w", mergedKey, err)
-		}
+		err = dht.DoWriteIf(ctx, ix.d, mergedKey, merged, baseEpoch)
 	} else {
 		// The sibling's peer holds mergedKey: one routed put replaces the
 		// sibling's bucket with the merged one.
 		cost.Lookups++
 		cost.Steps++
-		err := dht.DoPutIf(ctx, ix.d, mergedKey, merged, baseEpoch)
-		if errors.Is(err, dht.ErrCASConflict) {
-			return cost, nil
-		}
-		if err != nil {
-			return cost, fmt.Errorf("lht: merge put %q: %w", mergedKey, err)
-		}
+		err = dht.DoPutIf(ctx, ix.d, mergedKey, merged, baseEpoch)
+	}
+	if errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound) {
+		return cost, nil
+	}
+	if err != nil {
+		return cost, fmt.Errorf("lht: merge write %q: %w", mergedKey, err)
 	}
 
 	// Step 2: drop the obsolete child, but only at the epoch the intent

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"lht/internal/bitlabel"
+	"lht/internal/metrics"
 )
 
 // leafCache is the client-side leaf cache behind Config.LeafCache: a
@@ -174,5 +175,22 @@ func (ix *Index) cacheNote(label bitlabel.Label) {
 func (ix *Index) cacheDrop(label bitlabel.Label) {
 	if ix.cache != nil {
 		ix.cache.drop(label)
+	}
+}
+
+// cacheProbed tells the cache how the probe of its cached leaf x went: a
+// hit when the probe ended the search at the leaf labelled label (the
+// root label when the reply did not say which), a stale entry otherwise.
+// A stale entry is dropped, and so is a hit's whose leaf has another label
+// now (the leaf split and this half kept x's name); the probe has noted
+// the fresh label.
+func (ix *Index) cacheProbed(x bitlabel.Label, hit bool, label bitlabel.Label) {
+	counter := metrics.CacheStale
+	if hit {
+		counter = metrics.CacheHits
+	}
+	ix.c.Add(counter, 1)
+	if !hit || !label.IsRoot() && label != x {
+		ix.cache.drop(x)
 	}
 }

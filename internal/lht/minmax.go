@@ -2,11 +2,9 @@ package lht
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"lht/internal/bitlabel"
-	"lht/internal/dht"
 	"lht/internal/metrics"
 	"lht/internal/record"
 )
@@ -17,7 +15,9 @@ import (
 //
 // If deletions have left boundary leaves empty, Min walks inward through
 // the local tree's branch nodes (one extra lookup per empty leaf) until it
-// finds a record; ErrEmpty is returned when the whole index is empty.
+// finds a record; ErrEmpty is returned when the whole index is empty. Each
+// leaf of the walk (Index.nextLeaf) is repaired first if torn, so a split
+// that crashed mid-way cannot hide a newer extreme in its remote half.
 func (ix *Index) Min() (record.Record, Cost, error) {
 	return ix.MinContext(context.Background())
 }
@@ -50,50 +50,21 @@ func (ix *Index) extreme(ctx context.Context, dir sweepDir) (record.Record, Cost
 	// The boundary-leaf fetch and the inward walk are both probe traffic.
 	ctx = metrics.WithPhase(ctx, metrics.PhaseProbe)
 	var cost Cost
-	key := bitlabel.Root.Key() // min: leftmost leaf is named "#"
-	if dir == sweepLeft {
-		key = bitlabel.TreeRoot.Key() // max: rightmost leaf is named "#0"
-	}
-	b, err := ix.getBucket(ctx, key, &cost)
-	if dir == sweepLeft && errors.Is(err, dht.ErrNotFound) {
-		// Single-leaf tree: "#0" is both leftmost and rightmost and lives
-		// under "#".
-		b, err = ix.getBucket(ctx, bitlabel.Root.Key(), &cost)
-	}
-	if err != nil {
+	for from := bitlabel.Root; ; {
+		// The boundary leaf first; while it is empty, move to the adjacent
+		// branch and enter it through its near-end boundary leaf (same
+		// pattern as sweep).
+		_, b, err := ix.nextLeaf(ctx, from, dir, true, &cost)
 		cost.Steps = cost.Lookups
-		return record.Record{}, cost, fmt.Errorf("lht: extreme leaf: %w", err)
-	}
-
-	for {
-		if len(b.Records) > 0 {
-			cost.Steps = cost.Lookups
+		switch {
+		case err != nil:
+			return record.Record{}, cost, fmt.Errorf("lht: extreme walk %w", err)
+		case b == nil:
+			return record.Record{}, cost, ErrEmpty
+		case len(b.Records) > 0:
 			return pickExtreme(b.Records, dir), cost, nil
 		}
-		// Empty boundary leaf: move to the adjacent branch and enter it
-		// through its near-end boundary leaf (same pattern as sweep).
-		var (
-			beta bitlabel.Label
-			ok   bool
-		)
-		if dir == sweepRight {
-			beta, ok = b.Label.RightNeighbor()
-		} else {
-			beta, ok = b.Label.LeftNeighbor()
-		}
-		if !ok {
-			cost.Steps = cost.Lookups
-			return record.Record{}, cost, ErrEmpty
-		}
-		nb, err := ix.getBucket(ctx, beta.Key(), &cost)
-		if errors.Is(err, dht.ErrNotFound) {
-			nb, err = ix.getBucket(ctx, beta.Name().Key(), &cost)
-		}
-		if err != nil {
-			cost.Steps = cost.Lookups
-			return record.Record{}, cost, fmt.Errorf("lht: extreme walk %s: %w", beta, err)
-		}
-		b = nb
+		from = b.Label
 	}
 }
 

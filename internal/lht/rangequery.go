@@ -181,16 +181,26 @@ func (ix *Index) rangeLeaf(ctx context.Context, v dht.Value, err error, key stri
 	case *BucketRecord:
 		// Never asked for by a range.
 	default:
-		return wholeLeaf(ix.bucketOf(v, nil, key))
+		b, err := ix.bucketOf(v, nil, key)
+		return ix.wholeLeaf(ctx, key, b, err, col)
 	}
 	// No current peer sends this. Whatever did, the query needs the leaf.
 	col.addLookups(1)
-	return wholeLeaf(ix.fetchBucket(ctx, key))
+	b, err := ix.fetchBucket(ctx, key)
+	return ix.wholeLeaf(ctx, key, b, err, col)
 }
 
-// wholeLeaf returns a fetched bucket as rangeLeaf does, keeping the nil
-// *Bucket of a failed fetch out of the interface.
-func wholeLeaf(b *Bucket, err error) (dht.Value, error) {
+// wholeLeaf returns a whole bucket fetched under key as rangeLeaf does: a
+// torn one repaired first, as Algorithm 2's probes repair theirs, with the
+// repair's lookups charged to col, and the nil *Bucket of a failed fetch
+// kept out of the interface. The query goes on from the repaired leaf's
+// label, which sweeps both ways across what the repair moved.
+func (ix *Index) wholeLeaf(ctx context.Context, key string, b *Bucket, err error, col *rangeCollector) (dht.Value, error) {
+	if err == nil && b.Torn() {
+		var cost Cost
+		b, err = ix.repairTorn(ctx, key, b, &cost)
+		col.addLookups(cost.Lookups)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -255,13 +265,13 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 	case errors.Is(err, dht.ErrNotFound):
 		// Case 1: no leaf is named f_n(LCA), so the subtree under LCA is
 		// a single leaf covering the whole range: exact-match lookup.
-		lb, _, lcost, err := ix.lookup(ctx, lo)
+		f, lcost, err := ix.lookupLeaf(ctx, lo, false, nil)
 		cost.Lookups = col.lookups + lcost.Lookups
 		cost.Steps = 1 + lcost.Steps
 		if err != nil {
 			return nil, cost, err
 		}
-		return record.FilterRange(nil, lb.Records, lo, hi), cost, nil
+		return record.FilterRange(nil, f.b.Records, lo, hi), cost, nil
 	case err != nil:
 		cost.Lookups = col.lookups
 		cost.Steps = 1
@@ -315,32 +325,24 @@ func deepest(chains ...func() int) int {
 }
 
 // enterChild fetches the leaf that starts the sweep inside one child
-// subtree of the LCA and forwards the intersected range there. The child
+// subtree of the LCA and forwards the intersected range there: the child
+// is entered as a sweep enters its partially covered branch. The child
 // label itself is tried first (the leaf bound to that name is the subtree
 // boundary leaf); if the child is a leaf rather than an internal node, the
 // key misses and the leaf is found under f_n(child) instead - the one
 // extra lookup the complexity analysis of section 6.3 budgets for.
 // It returns the depth of the dependent lookup chain it issued.
 func (ix *Index) enterChild(ctx context.Context, child bitlabel.Label, r keyspace.Interval, col *rangeCollector) int {
-	sub := keyspace.IntervalOf(child).Intersect(r)
-	if sub.Empty() {
+	task := branchTask{label: child, inv: keyspace.IntervalOf(child)}
+	if task.inv.Intersect(r).Empty() {
 		return 0
 	}
 	if err := ctx.Err(); err != nil {
 		col.setErr(fmt.Errorf("lht: range enter %s: %w", child, err))
 		return 0
 	}
-	depth := 1
-	leaf, err := ix.probeLeaf(ctx, child.Key(), col)
-	if errors.Is(err, dht.ErrNotFound) {
-		depth = 2
-		leaf, err = ix.probeLeaf(ctx, child.Name().Key(), col)
-	}
-	if err != nil {
-		col.setErr(fmt.Errorf("lht: range enter %s: %w", child, err))
-		return depth
-	}
-	return depth + ix.forward(ctx, leaf, sub, col)
+	v, err := ix.probeLeaf(ctx, child.Key(), col)
+	return ix.branch(ctx, task, v, err, r, col)
 }
 
 // forward implements the recursive forwarding of Algorithm 3 from a leaf
@@ -392,6 +394,18 @@ const (
 	sweepLeft
 )
 
+// neighbor is Algorithm 3's neighbour function in direction d, f_rn or
+// f_ln: the nearest branch beside the node labelled l that way, false at
+// the tree's edge. It is the one call of either: the range sweep
+// enumerates its branches with it, and every leaf walk steps with it
+// (Index.nextLeaf).
+func (d sweepDir) neighbor(l bitlabel.Label) (bitlabel.Label, bool) {
+	if d == sweepLeft {
+		return l.LeftNeighbor()
+	}
+	return l.RightNeighbor()
+}
+
 // sweep walks the branch nodes of the local tree of the leaf labeled from,
 // in the given direction, decomposing r into per-branch subranges
 // (Algorithm 3). A branch whose interval is fully inside r is entered
@@ -415,12 +429,7 @@ func (ix *Index) sweep(ctx context.Context, from bitlabel.Label, r keyspace.Inte
 loop:
 	for {
 		var ok bool
-		if dir == sweepRight {
-			beta, ok = beta.RightNeighbor()
-		} else {
-			beta, ok = beta.LeftNeighbor()
-		}
-		if !ok {
+		if beta, ok = dir.neighbor(beta); !ok {
 			break // reached the tree edge
 		}
 		inv := keyspace.IntervalOf(beta)

@@ -112,7 +112,8 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 	// The same inserts grow the same tree on both substrates. No key falls
 	// in [0.45, 0.55), so a range inside that gap sweeps leaves and finds
 	// nothing.
-	var tornKey string
+	var tornKey, remoteKey string
+	var tornLeaf *Bucket
 	for _, d := range []dht.DHT{local, client} {
 		ix, err := New(d, Config{SplitThreshold: 8, MergeThreshold: 6, Depth: depth})
 		if err != nil {
@@ -131,18 +132,28 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		if err := ix.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		// Tear the leaf covering 0.7 as a crashed merge leaves one: whole,
-		// queryable, its intent uncleared.
-		b, key, _, err := ix.lookup(ctx, 0.7)
+		// The leaf covering 0.7, to be torn as a split that crashed after
+		// its intent mark leaves it (see tear).
+		f, _, err := ix.lookupLeaf(ctx, 0.7, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn := b.Clone()
-		torn.Pending = Pending{Kind: PendingMerge, RemoveKey: "no such key", PeerEpoch: 1}
-		if err := d.Put(ctx, key, torn); err != nil {
+		b, key := f.b, f.key
+		tornLeaf = b.Clone()
+		tornLeaf.Pending, tornLeaf.Epoch = Pending{Kind: PendingSplit}, b.Epoch+1
+		tornKey, remoteKey = key, b.Label.Key()
+	}
+	// tear puts the torn leaf back, and takes away the remote half that
+	// the last range's repair pushed out: every run meets the same tear
+	// and repairs it the same way.
+	tear := func(d dht.DHT) {
+		t.Helper()
+		if err := d.Put(ctx, tornKey, tornLeaf); err != nil {
 			t.Fatal(err)
 		}
-		tornKey = key
+		if err := d.Remove(ctx, remoteKey); err != nil && !errors.Is(err, dht.ErrNotFound) {
+			t.Fatal(err)
+		}
 	}
 
 	// One range of each kind, found by looking at the tree.
@@ -194,6 +205,7 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		return answers, cachedLabels(ix)
 	}
 
+	tear(local)
 	want, wantCache := run(local, Config{})
 	for i, q := range queries {
 		if (len(want[i].recs) == 0) != (q.name == "an empty result") {
@@ -217,6 +229,7 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		if arm.crashpoints {
 			d = dht.WithCrashPoints(spy)
 		}
+		tear(client)
 		got, gotCache := run(d, arm.cfg)
 		// Every swept slot of an untorn leaf comes back as a run.
 		if spy.runs == 0 || spy.whole != 0 {
@@ -252,8 +265,8 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		t.Error("the torn leaf never came back from a probed multi-get as a bucket")
 	}
 	for _, d := range []dht.DHT{local, client} {
-		if v, err := d.Get(ctx, tornKey); err != nil || !v.(*Bucket).Torn() {
-			t.Errorf("the torn leaf did not stay torn: %v, %v", v, err)
+		if v, err := d.Get(ctx, tornKey); err != nil || v.(*Bucket).Torn() {
+			t.Errorf("the range did not repair the torn leaf: %v, %v", v, err)
 		}
 	}
 }

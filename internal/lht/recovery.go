@@ -162,6 +162,11 @@ func (ix *Index) completeMerge(ctx context.Context, key string, b *Bucket, cost 
 			return nil, fmt.Errorf("lht: repair merge remove %q: %w", rmKey, rerr)
 		}
 	}
+	// Rolling forward clears the intent: the merged leaf stands, the
+	// removed child is gone.
+	nb := *b
+	nb.Pending = Pending{}
+	gone, what := removed, "repair merge clear"
 	if !forward {
 		// The child changed since the crash: roll the merge back. The
 		// surviving child (the one named f_n(parent)) keeps the records
@@ -169,38 +174,31 @@ func (ix *Index) completeMerge(ctx context.Context, key string, b *Bucket, cost 
 		// keeps its own.
 		keeper := b.Label.Child(b.Label.LastBit())
 		kiv := keyspace.IntervalOf(keeper)
-		var recs []record.Record
-		for _, r := range b.Records {
-			if kiv.Contains(r.Key) {
-				recs = append(recs, r)
-			}
-		}
-		kb := &Bucket{Label: keeper, Records: recs, Epoch: b.Epoch + 1}
-		werr := dht.DoWriteIf(ctx, ix.d, key, kb, b.Epoch)
-		if errors.Is(werr, dht.ErrCASConflict) || errors.Is(werr, dht.ErrNotFound) {
-			// A racing repairer (or writer) resolved the tear first; adopt
-			// whatever is stored now.
-			return ix.peekBucket(ctx, key, cost)
-		}
-		if werr != nil {
-			return nil, fmt.Errorf("lht: rollback merge %q: %w", key, werr)
-		}
-		ix.cacheDrop(b.Label)
-		ix.cacheNote(kb.Label)
-		return kb, nil
+		nb = Bucket{Label: keeper, Records: record.FilterRange(nil, b.Records, kiv.Lo, kiv.Hi), Epoch: b.Epoch + 1}
+		gone, what = b.Label, "rollback merge"
 	}
-	cleared := *b
-	cleared.Pending = Pending{}
-	werr := dht.DoWriteIf(ctx, ix.d, key, &cleared, b.Epoch)
-	if errors.Is(werr, dht.ErrCASConflict) || errors.Is(werr, dht.ErrNotFound) {
-		return ix.peekBucket(ctx, key, cost)
+	out, written, err := ix.rewrite(ctx, key, &nb, b.Epoch, what, cost)
+	if written {
+		ix.cacheDrop(gone)
+		ix.cacheNote(nb.Label)
 	}
-	if werr != nil {
-		return nil, fmt.Errorf("lht: repair merge clear %q: %w", key, werr)
+	return out, err
+}
+
+// rewrite writes nb in place under key for a repair, guarded by epoch, the
+// torn bucket's. A conflict or a vanished key means a racing repairer (or
+// writer) resolved the tear first: whatever is stored now is adopted
+// instead, and written is false.
+func (ix *Index) rewrite(ctx context.Context, key string, nb *Bucket, epoch uint64, what string, cost *Cost) (b *Bucket, written bool, err error) {
+	err = dht.DoWriteIf(ctx, ix.d, key, nb, epoch)
+	switch {
+	case errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound):
+		b, err = ix.peekBucket(ctx, key, cost)
+		return b, false, err
+	case err != nil:
+		return nil, false, fmt.Errorf("lht: %s %q: %w", what, key, err)
 	}
-	ix.cacheDrop(removed)
-	ix.cacheNote(cleared.Label)
-	return &cleared, nil
+	return nb, true, nil
 }
 
 // removedChildOf identifies the child of the merged bucket's label that
@@ -226,6 +224,9 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 	// than in completeSplit/completeMerge, which split() and merge()
 	// also call under their own phases.
 	ctx = metrics.WithPhase(ctx, metrics.PhaseRepair)
+	if b.Label.IsRoot() {
+		return nil, fmt.Errorf("%w: key %q holds an intent on the virtual root", ErrCorrupt, key)
+	}
 	before := cost.Lookups
 	var out *Bucket
 	var err error
@@ -240,15 +241,7 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 			// and a conflict means someone else resolved it — adopt theirs.
 			nb := *b
 			nb.Pending = Pending{}
-			werr := dht.DoWriteIf(ctx, ix.d, key, &nb, b.Epoch)
-			if errors.Is(werr, dht.ErrCASConflict) || errors.Is(werr, dht.ErrNotFound) {
-				out, err = ix.peekBucket(ctx, key, cost)
-				break
-			}
-			if werr != nil {
-				return nil, fmt.Errorf("lht: rollback split %q: %w", key, werr)
-			}
-			out = &nb
+			out, _, err = ix.rewrite(ctx, key, &nb, b.Epoch, "rollback split", cost)
 			break
 		}
 		out, _, err = ix.completeSplit(ctx, key, b, cost, true, false)
@@ -272,12 +265,5 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 func (ix *Index) peekBucket(ctx context.Context, key string, cost *Cost) (*Bucket, error) {
 	cost.Lookups++
 	v, err := ix.d.Get(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	b, ok := v.(*Bucket)
-	if !ok {
-		return nil, fmt.Errorf("%w: key %q holds %T, not a bucket", ErrCorrupt, key, v)
-	}
-	return b, nil
+	return asBucket(v, err, key)
 }

@@ -2,10 +2,8 @@ package lht
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"lht/internal/dht"
 	"lht/internal/metrics"
 	"lht/internal/record"
 )
@@ -21,21 +19,25 @@ func (ix *Index) Scan(from float64, limit int) ([]record.Record, Cost, error) {
 }
 
 // ScanContext is Scan with a caller-supplied context; cancellation stops
-// the walk at the next leaf fetch.
+// the walk at the next leaf fetch. A torn leaf is repaired before its
+// records are read, the first by the lookup, the rest by the walk's step
+// (nextLeaf): read as stored, a torn split would return the records of
+// its remote half twice and miss any written there since.
 func (ix *Index) ScanContext(ctx context.Context, from float64, limit int) (out []record.Record, cost Cost, err error) {
 	if limit <= 0 {
 		return nil, cost, fmt.Errorf("%w: scan limit %d", ErrBadRange, limit)
 	}
 	ctx, done := ix.beginOp(ctx, metrics.OpScan)
 	defer func() { done(err) }()
-	b, _, lcost, err := ix.lookup(ctx, from)
+	f, lcost, err := ix.lookupLeaf(ctx, from, false, nil)
 	cost.Add(lcost)
 	if err != nil {
 		return nil, cost, err
 	}
+	b := f.b
 	// The neighbor walk is forwarding traffic, like the range sweep.
 	ctx = metrics.WithPhase(ctx, metrics.PhaseForward)
-	for {
+	for b != nil {
 		matched := record.FilterRange(nil, b.Records, from, 1)
 		record.SortByKey(matched)
 		for _, r := range matched {
@@ -45,20 +47,10 @@ func (ix *Index) ScanContext(ctx context.Context, from float64, limit int) (out 
 			}
 		}
 		// Advance to the next leaf in key order: the near-end leaf of
-		// the nearest right branch.
-		beta, ok := b.Label.RightNeighbor()
-		if !ok {
-			return out, cost, nil // reached the right edge of the tree
+		// the nearest right branch, repaired if torn.
+		if _, b, err = ix.nextLeaf(ctx, b.Label, sweepRight, true, &cost); err != nil {
+			return out, cost, fmt.Errorf("lht: scan walk %w", err)
 		}
-		nb, err := ix.getBucket(ctx, beta.Key(), &cost)
-		cost.Steps++
-		if errors.Is(err, dht.ErrNotFound) {
-			nb, err = ix.getBucket(ctx, beta.Name().Key(), &cost)
-			cost.Steps++
-		}
-		if err != nil {
-			return out, cost, fmt.Errorf("lht: scan walk %s: %w", beta, err)
-		}
-		b = nb
 	}
+	return out, cost, nil // reached the right edge of the tree
 }

@@ -150,14 +150,22 @@ func (ix *Index) scrubWalk(ctx context.Context, rep *ScrubReport, cost *Cost, st
 	ctx = metrics.WithPhase(ctx, metrics.PhaseProbe)
 	names := make(map[string]bitlabel.Label)
 	want := 0.0
-	key := bitlabel.Root.Key()
-	b, err := ix.scrubFetch(ctx, key, cost)
-	if err != nil {
-		return false, fmt.Errorf("lht: scrub leftmost leaf: %w", err)
-	}
-	for {
+	for from := bitlabel.Root; ; {
 		if err := ctx.Err(); err != nil {
 			return false, fmt.Errorf("lht: scrub: %w", err)
+		}
+		// The leftmost leaf first, then the leftmost leaf of the nearest
+		// right branch.
+		key, b, err := ix.nextLeaf(ctx, from, sweepRight, true, cost)
+		if err != nil {
+			return false, fmt.Errorf("lht: scrub walk %w", err)
+		}
+		if b == nil {
+			if want != 1 {
+				rep.Violations = append(rep.Violations,
+					fmt.Sprintf("unrepaired: leaves tile [0, %g), want [0, 1)", want))
+			}
+			return false, nil
 		}
 
 		// Shadow check: nothing may be stored under a live leaf's own
@@ -206,16 +214,10 @@ func (ix *Index) scrubWalk(ctx context.Context, rep *ScrubReport, cost *Cost, st
 			}
 		}
 		if len(out) > 0 {
-			nb := b.Clone()
-			kept := nb.Records[:0:0]
-			for _, r := range nb.Records {
-				if iv.Contains(r.Key) {
-					kept = append(kept, r)
-				}
-			}
-			nb.Records = kept
+			nb := *b
+			nb.Records = record.FilterRange(nil, b.Records, iv.Lo, iv.Hi)
 			nb.Epoch++
-			werr := dht.DoWriteIf(ctx, ix.d, key, nb, b.Epoch)
+			werr := dht.DoWriteIf(ctx, ix.d, key, &nb, b.Epoch)
 			if errors.Is(werr, dht.ErrCASConflict) || errors.Is(werr, dht.ErrNotFound) {
 				// A concurrent writer advanced the leaf under us; restart
 				// the pass and re-examine what is stored now.
@@ -224,7 +226,7 @@ func (ix *Index) scrubWalk(ctx context.Context, rep *ScrubReport, cost *Cost, st
 			if werr != nil {
 				return false, fmt.Errorf("lht: scrub drop strays %q: %w", key, werr)
 			}
-			b = nb
+			b = &nb
 			*strays = append(*strays, out...)
 			rep.Strays += len(out)
 			rep.Violations = append(rep.Violations,
@@ -242,41 +244,8 @@ func (ix *Index) scrubWalk(ctx context.Context, rep *ScrubReport, cost *Cost, st
 		rep.Records += len(b.Records)
 		*keys = append(*keys, key)
 		want = iv.Hi
-
-		// Advance to the leftmost leaf of the nearest right branch.
-		beta, ok := b.Label.RightNeighbor()
-		if !ok {
-			if want != 1 {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("unrepaired: leaves tile [0, %g), want [0, 1)", want))
-			}
-			return false, nil
-		}
-		key = beta.Key()
-		nb, err := ix.scrubFetch(ctx, key, cost)
-		if errors.Is(err, dht.ErrNotFound) {
-			key = beta.Name().Key()
-			nb, err = ix.scrubFetch(ctx, key, cost)
-		}
-		if err != nil {
-			return false, fmt.Errorf("lht: scrub walk %s: %w", beta, err)
-		}
-		b = nb
+		from = b.Label
 	}
-}
-
-// scrubFetch fetches a bucket for the walk, resolving any torn intent it
-// carries before the walk interprets it.
-func (ix *Index) scrubFetch(ctx context.Context, key string, cost *Cost) (*Bucket, error) {
-	b, err := ix.getBucket(ctx, key, cost)
-	cost.Steps++
-	if err != nil {
-		return nil, err
-	}
-	if b.Torn() {
-		b, err = ix.repairTorn(ctx, key, b, cost)
-	}
-	return b, err
 }
 
 // scrubRereplicate restores the replica count of every live storage key

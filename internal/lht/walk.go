@@ -7,6 +7,7 @@ import (
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
+	"lht/internal/keyspace"
 )
 
 // Leaves returns every leaf bucket of the tree in left-to-right key order,
@@ -19,30 +20,70 @@ func (ix *Index) Leaves() ([]*Bucket, error) {
 }
 
 // LeavesContext is Leaves with a caller-supplied context; cancellation
-// stops the walk at the next leaf fetch.
+// stops the walk at the next leaf fetch. It only reads: a torn leaf is
+// listed as stored.
 func (ix *Index) LeavesContext(ctx context.Context) ([]*Bucket, error) {
 	var cost Cost
-	b, err := ix.getBucket(ctx, bitlabel.Root.Key(), &cost)
-	if err != nil {
-		return nil, fmt.Errorf("lht: leftmost leaf: %w", err)
-	}
-	leaves := []*Bucket{b}
-	for {
-		beta, ok := b.Label.RightNeighbor()
-		if !ok {
+	var leaves []*Bucket
+	for from := bitlabel.Root; ; {
+		_, b, err := ix.nextLeaf(ctx, from, sweepRight, false, &cost)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("lht: walk %w", err)
+		case b == nil:
 			return leaves, nil
 		}
-		// The next leaf in key order is the leftmost leaf of the nearest
-		// right branch.
-		nb, err := ix.getBucket(ctx, beta.Key(), &cost)
-		if errors.Is(err, dht.ErrNotFound) {
-			nb, err = ix.getBucket(ctx, beta.Name().Key(), &cost)
+		leaves = append(leaves, b)
+		from = b.Label
+	}
+}
+
+// nextLeaf is Algorithm 3's neighbour step, the one every leaf walk takes
+// (Leaves, Scan, Min/Max, Scrub; the range sweep batches its own): the
+// leaf next to the leaf labelled from in direction dir, with its key, or
+// a nil bucket past the tree's edge. That leaf is the near end of beta,
+// the nearest branch that way (dir.neighbor), stored under beta's own key
+// or, when beta is itself a leaf, under f_n(beta). From the virtual root
+// it is the tree's first leaf that way: "#" walking right (the virtual
+// root's own key, and nowhere else), "#0" ("#" on a single-leaf tree)
+// walking left — Theorem 3's one lookup. Each fetch is one lookup and one
+// step.
+//
+// With repair (the queries' walks and Scrub's), a torn leaf is repaired
+// as Algorithm 2's probes repair theirs; a repaired split may keep beta's
+// far half under the key fetched, and the step then runs once more over
+// the repaired tree. Without (Leaves), it is returned as stored.
+func (ix *Index) nextLeaf(ctx context.Context, from bitlabel.Label, dir sweepDir, repair bool, cost *Cost) (string, *Bucket, error) {
+	beta, ok := bitlabel.Root, true
+	switch {
+	case !from.IsRoot():
+		beta, ok = dir.neighbor(from)
+	case dir == sweepLeft:
+		beta = bitlabel.TreeRoot
+	}
+	if !ok {
+		return "", nil, nil
+	}
+	near := keyspace.IntervalOf(beta)
+	for again := true; ; again = false {
+		key := beta.Key()
+		b, err := ix.getBucket(ctx, key, cost)
+		cost.Steps++
+		if errors.Is(err, dht.ErrNotFound) && !beta.IsRoot() {
+			key = beta.Name().Key()
+			b, err = ix.getBucket(ctx, key, cost)
+			cost.Steps++
+		}
+		if err == nil && repair && b.Torn() {
+			b, err = ix.repairTorn(ctx, key, b, cost)
+			if err == nil && again && (dir == sweepRight && b.Interval().Lo != near.Lo || dir == sweepLeft && b.Interval().Hi != near.Hi) {
+				continue
+			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("lht: walk %s: %w", beta, err)
+			return "", nil, fmt.Errorf("%s: %w", beta, err)
 		}
-		leaves = append(leaves, nb)
-		b = nb
+		return key, b, nil
 	}
 }
 
