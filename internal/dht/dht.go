@@ -120,8 +120,9 @@ type DHT interface {
 	Put(ctx context.Context, key string, v Value) error
 
 	// Take atomically removes and returns the value stored under key, or
-	// returns ErrNotFound. Costs one DHT-lookup. LHT leaf merges use Take
-	// to fetch-and-delete the sibling bucket in a single routing.
+	// returns ErrNotFound. Costs one DHT-lookup. The LHT index does not
+	// use it: leaf merges and repairs delete a bucket with the
+	// epoch-guarded RemoveIf (Conditional).
 	Take(ctx context.Context, key string) (Value, error)
 
 	// Remove deletes the value under key if present; removing an absent

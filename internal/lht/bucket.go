@@ -177,10 +177,14 @@ func (b *Bucket) String() string {
 //	             uv vlen, value: one record, to the patch's end
 //	delete       key u64 BE
 //
-// and answers with one of two forms, told apart by decodePatchReply:
+// and answers with one of three forms, told apart by decodePatchReply:
 //
 //	ack      marker u8 = 0xFE (never a wire version), uv new record count,
 //	         and when asked for, the leaf's label (9 B, bitlabel binary)
+//	split    an upsert crossed whole at a leaf shallower than depth, whose
+//	         local half (splitHalves) keeps n > 0 records: marker u8 = 0xFC,
+//	         the new header verbatim, uv n, and the record list of the
+//	         remote half in stored order — what the split moves (Theorem 2)
 //	whole    the new stored bytes: the weight crossed the patch's whole
 //
 // No epoch guards a patch (dht.Patcher's Patch), so the patcher is the
@@ -217,6 +221,8 @@ const (
 	patchAckMarker = 0xFE
 	// runReplyMarker opens a run reply likewise.
 	runReplyMarker = 0xFD
+	// splitReplyMarker opens a patch's split reply likewise.
+	splitReplyMarker = 0xFC
 
 	patchUpsert      = 1
 	patchDelete      = 2
@@ -621,6 +627,7 @@ func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64,
 	mark := len(dst)
 	dst = binary.AppendUvarint(append(dst, bucketWireVersion), b.Epoch+1)
 	dst = append(dst, data[1+record.UvarintLen(b.Epoch):len(data)-len(list)]...)
+	head := len(dst)
 	var count uint64
 	var crossed bool
 	if op == patchUpsert {
@@ -637,12 +644,26 @@ func patchBucket(dst, reply, data, patch []byte) (out, rep []byte, epoch uint64,
 	if err != nil {
 		return dst[:mark], reply, 0, false
 	}
+	if crossed && op == patchUpsert && canSplit(b.Label, depth) {
+		_, mid, low := splitAt(b.Label)
+		if n, _ := record.CountHalf(dst[head:], mid, low); n > 0 { // else the bucket whole is shorter
+			reply = binary.AppendUvarint(append(append(reply, splitReplyMarker), dst[mark:head]...), n)
+			reply, _, _ = record.AppendHalf(reply, dst[head:], mid, !low) // never fails: the list was just built
+			return dst, reply, b.Epoch + 1, true
+		}
+	}
 	if crossed {
 		reply = append(reply, dst[mark:]...)
 	} else if reply = binary.AppendUvarint(append(reply, patchAckMarker), count); labelled {
 		reply, _ = b.Label.AppendBinary(reply) // never fails
 	}
 	return dst, reply, b.Epoch + 1, true
+}
+
+// canSplit reports whether a leaf labelled l can split under the depth
+// bound depth: it is no root, and its children fit a label.
+func canSplit(l bitlabel.Label, depth uint64) bool {
+	return l.Len() > 0 && uint64(l.Len()) < depth && l.Len() < bitlabel.MaxBits
 }
 
 // patchInPlace applies one of the in-place patches, op 3 to 5 (see
@@ -665,7 +686,7 @@ func patchInPlace(dst, reply, data []byte, op byte) (out, rep []byte, epoch uint
 	case op == patchMarkSplit && !b.Torn():
 		next.Epoch++
 		next.Pending.Kind = PendingSplit
-	case op == patchCommitSplit && b.Pending.Kind == PendingSplit && b.Label.Len() > 0 && b.Label.Len() < bitlabel.MaxBits:
+	case op == patchCommitSplit && b.Pending.Kind == PendingSplit && canSplit(b.Label, bitlabel.MaxBits):
 		next.Label, mid, low = splitAt(b.Label)
 		next.Epoch++
 	case op == patchClearMerge && b.Pending.Kind == PendingMerge:
@@ -707,8 +728,11 @@ type LeafAck struct {
 }
 
 // decodePatchReply is the bucket kind's patch-reply decoder: an
-// acknowledgement, labelled or not, or else a whole bucket.
+// acknowledgement, labelled or not, a split reply, or a whole bucket.
 func decodePatchReply(data []byte) (dht.Value, error) {
+	if len(data) > 0 && data[0] == splitReplyMarker {
+		return decodeSplitReply(data[1:])
+	}
 	if len(data) == 0 || data[0] != patchAckMarker {
 		return DecodeBucket(data)
 	}
@@ -726,4 +750,20 @@ func decodePatchReply(data []byte) (dht.Value, error) {
 		}
 	}
 	return nil, errors.New("decode patch ack: malformed label")
+}
+
+// decodeSplitReply decodes a split reply past its marker into the Cut of
+// its leaf as the split's intent will mark it.
+func decodeSplitReply(data []byte) (*Cut, error) {
+	var b Bucket
+	list, err1 := parseBucketHeader(&b, data)
+	n, list, err2 := record.ReadUvarint(list)
+	remote, err3 := record.DecodeList(append([]byte(nil), list...))
+	if err := errors.Join(err1, err2, err3); err != nil || b.Torn() || n == 0 || n > math.MaxInt32 || !canSplit(b.Label, bitlabel.MaxBits) {
+		return nil, errors.Join(errors.New("decode split reply: not a leaf that splits"), err)
+	}
+	b.Epoch, b.Pending = b.Epoch+1, Pending{Kind: PendingSplit}
+	c := splitHalves(&b)
+	c.remote.Records, c.n = remote, int(n)
+	return c, nil
 }

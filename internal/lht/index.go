@@ -286,11 +286,13 @@ func (ix *Index) LookupBucketContext(ctx context.Context, delta float64) (b *Buc
 // leaf is where a lookup ended: the leaf covering its key, stored under
 // key, as the whole bucket (b) or as its peer's record reply (rec); or,
 // for a write whose patch the leaf's peer applied (patched), the write
-// done, with b the leaf as committed when maintenance may be due.
+// done, with b the leaf as committed when maintenance may be due (or cut,
+// what its split moves).
 type leaf struct {
 	key     string
 	b       *Bucket
 	rec     *BucketRecord
+	cut     *Cut
 	patched bool
 }
 
@@ -376,12 +378,12 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool,
 			key := x.Name().Key()
 			b, rec, v, err := ix.probeBucket(ctx, key, delta, recordOnly, w, patch, &cost)
 			if v != nil {
-				b, label, err := ix.committed(ctx, key, w, whole, v, &cost)
+				f, label, err := ix.committed(ctx, key, w, whole, v, &cost)
 				if hit {
 					ix.cacheProbed(x, true, label)
 				}
 				cost.Steps = cost.Lookups
-				return leaf{key: key, b: b, patched: true}, cost, err
+				return f, cost, err
 			}
 			if b != nil && b.Torn() {
 				// In-line read-repair: a fetched bucket carrying a pending
@@ -522,21 +524,20 @@ func (ix *Index) commit(ctx context.Context, w *write) (Cost, error) {
 		if f.rec != nil {
 			return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, w.rec.Key)
 		}
-		nb := f.b // the committed bucket, when this writer holds it
 		if b := f.b; err == nil && !f.patched && w.upsert && ix.full(b, w.rec.Key) {
 			// The record would take the leaf past the weight bound, where
 			// a patch's peer refuses it: split, then start over.
-			if err = ix.maintain(ctx, f.key, b, false, &cost); err != nil {
+			if err = ix.maintain(ctx, f, &cost); err != nil {
 				return cost, err
 			}
 			err = errLeafMoved
 		} else if err == nil && !f.patched {
-			if nb, err = w.apply(b); err != nil {
+			if f.b, err = w.apply(b); err != nil {
 				return cost, err
 			}
 			cost.Lookups++
 			cost.Steps++
-			if err = dht.DoPutIf(ctx, ix.d, f.key, nb, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
+			if err = dht.DoPutIf(ctx, ix.d, f.key, f.b, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
 				ix.cacheDrop(b.Label)
 			}
 		}
@@ -550,27 +551,32 @@ func (ix *Index) commit(ctx context.Context, w *write) (Cost, error) {
 		if err != nil {
 			return cost, fmt.Errorf("lht: write back %q: %w", f.key, err)
 		}
-		switch {
-		case nb == nil: // patched, and on the near side of maintenance
-		case w.upsert && nb.Weight() >= ix.cfg.SplitThreshold,
+		switch nb := f.b; {
+		case f.cut == nil && nb == nil: // patched, and on the near side of maintenance
+		case f.cut != nil, w.upsert && nb.Weight() >= ix.cfg.SplitThreshold,
 			!w.upsert && ix.cfg.MergeThreshold > 0 && nb.Label.Len() >= 2 && nb.Weight() < ix.cfg.MergeThreshold:
-			return cost, ix.maintain(ctx, f.key, nb, f.patched, &cost)
+			return cost, ix.maintain(ctx, f, &cost)
 		}
 		return cost, nil
 	}
 }
 
-// maintain splits the leaf b stored under key when it weighs theta_split
-// or more (an upsert's), and merges it otherwise (a delete's, under
+// maintain splits the leaf f when it comes cut or weighs theta_split or
+// more (an upsert's), and merges it otherwise (a delete's, under
 // theta_merge <= theta_split), adding the maintenance's cost to the
 // write's and counting its lookups as maintenance lookups.
-func (ix *Index) maintain(ctx context.Context, key string, b *Bucket, inPlace bool, cost *Cost) error {
+func (ix *Index) maintain(ctx context.Context, f leaf, cost *Cost) error {
 	var mcost Cost
 	var err error
-	if b.Weight() >= ix.cfg.SplitThreshold {
-		mcost, err = ix.split(ctx, key, b, inPlace)
-	} else {
-		mcost, err = ix.merge(ctx, key, b, inPlace)
+	switch {
+	case f.cut != nil:
+		mcost, err = ix.split(ctx, f.key, f.cut, f.patched)
+	case f.b.Weight() >= ix.cfg.SplitThreshold:
+		marked := *f.b // the leaf's header, marked, over its records, which are read-only
+		marked.Epoch, marked.Pending = marked.Epoch+1, Pending{Kind: PendingSplit}
+		mcost, err = ix.split(ctx, f.key, splitHalves(&marked), f.patched)
+	default:
+		mcost, err = ix.merge(ctx, f.key, f.b, f.patched)
 	}
 	cost.Add(mcost)
 	ix.c.Add(metrics.MaintLookups, int64(mcost.Lookups))
@@ -687,12 +693,12 @@ func (ix *Index) patchLeaf(ctx context.Context, key string, label bitlabel.Label
 	v, err := dht.DoPatch(ctx, ix.d, key, ProbeHint(w.rec.Key, !w.upsert), patch)
 	if err == nil {
 		lookups := cost.Lookups
-		nb, _, err := ix.committed(ctx, key, w, whole, v, cost)
+		f, _, err := ix.committed(ctx, key, w, whole, v, cost)
 		cost.Steps += cost.Lookups - lookups
 		if err != nil {
 			err = fmt.Errorf("lht: write back %q: %w", key, err)
 		}
-		return leaf{key: key, b: nb, patched: true}, err
+		return f, err
 	}
 	if r, ok := v.(*BucketRecord); ok && errors.Is(err, dht.ErrPatchRefused) && (w.upsert || r.Found) && keyspace.IntervalOf(r.Label).Contains(w.rec.Key) {
 		// The peer should have applied the write here; no peer sends this.
@@ -717,45 +723,52 @@ func (ix *Index) patchLeaf(ctx context.Context, key string, label bitlabel.Label
 // committed reads v, the storing peer's reply to w's patch of the leaf
 // under key, which it applied; whole is the weight at which the patch
 // asked for the new bucket back. It returns the leaf as committed when
-// maintenance may be due — the bucket of a reply that crossed whole — and
-// the leaf's label when the reply named it (the root label when not).
+// maintenance may be due — the bucket of a reply that crossed whole, or a
+// split reply's Cut — and the leaf's label when the reply named it (the
+// root label when not).
 //
 // A reply is trusted no further than a probed bucket: an acknowledgement
 // must be on the near side of whole, a labelled one (LeafAck) name a leaf
-// stored under key that covers the key, and a bucket be such a leaf,
-// untorn, holding the record (an upsert) or not (a delete). Anything else
-// is dropped and the leaf fetched with a plain, charged get. The write is
-// committed all the same; what maintenance may run on is the leaf as
-// stored, if it still is one.
-func (ix *Index) committed(ctx context.Context, key string, w *write, whole int, v dht.Value, cost *Cost) (*Bucket, bitlabel.Label, error) {
+// stored under key that covers the key, a bucket be such a leaf, untorn,
+// holding the record (an upsert) or not (a delete), and a Cut an upsert's
+// of such a leaf. Anything else is dropped and the leaf fetched with a
+// plain, charged get. The write is committed all the same; what
+// maintenance may run on is the leaf as stored, if it still is one.
+func (ix *Index) committed(ctx context.Context, key string, w *write, whole int, v dht.Value, cost *Cost) (leaf, bitlabel.Label, error) {
 	delta := w.rec.Key
+	f := leaf{key: key, patched: true}
 	switch a := v.(type) {
 	case PatchAck:
 		if w.near(whole, a.Records) {
-			return nil, bitlabel.Root, nil
+			return f, bitlabel.Root, nil
 		}
 	case *LeafAck:
 		if w.near(whole, a.Records) && stores(key, a.Label, delta) {
 			ix.cacheNote(a.Label)
-			return nil, a.Label, nil
+			return f, a.Label, nil
 		}
 	case *Bucket:
 		if stores(key, a.Label, delta) && !a.Torn() && (record.FindByKey(a.Records, delta) >= 0) == w.upsert {
 			ix.cacheNote(a.Label)
-			return a, a.Label, nil
+			return leaf{key: key, b: a, patched: true}, a.Label, nil
+		}
+	case *Cut:
+		if w.upsert && stores(key, a.leaf.Label, delta) {
+			ix.cacheNote(a.leaf.Label)
+			return leaf{key: key, cut: a, patched: true}, a.leaf.Label, nil
 		}
 	}
 	// No peer sends this.
 	nb, err := ix.getBucket(ctx, key, cost)
 	switch {
 	case errors.Is(err, dht.ErrNotFound):
-		return nil, bitlabel.Root, nil
+		return f, bitlabel.Root, nil
 	case err != nil:
-		return nil, bitlabel.Root, err
+		return f, bitlabel.Root, err
 	case nb.Torn() || !nb.Contains(delta):
-		return nil, nb.Label, nil // already being restructured by someone else
+		return f, nb.Label, nil // already being restructured by someone else
 	}
-	return nb, nb.Label, nil
+	return leaf{key: key, b: nb, patched: true}, nb.Label, nil
 }
 
 // near reports whether a leaf left holding n records by w is on the near
@@ -779,27 +792,30 @@ var inPlaceOps = [...]byte{patchMarkSplit, patchCommitSplit, patchClearMerge}
 
 // writeInPlace commits one of the free in-place steps of a split or merge
 // — the split's intent mark and its commit, the merge's intent clear —
-// that leave want stored under key, guarded by ifEpoch. On the patched
-// arm (inPlace: the write that led here was a patch) it ships the step's
-// one-byte patch op, from which the storing peer builds want's bytes out
-// of its own; a refusal falls back to the WriteIf of want, which this
-// writer holds, at no lookup. Off it, it is that WriteIf, byte for byte.
+// that leave want, of n records, stored under key, guarded by ifEpoch. On
+// the patched arm (inPlace: the write that led here was a patch) it ships
+// the step's one-byte patch op, from which the storing peer builds want's
+// bytes out of its own; a refusal falls back to the WriteIf of want, at no
+// lookup, or, where this writer holds fewer than n of want's records (a
+// Cut's), is a lost compare-and-swap. Off it, it is that WriteIf.
 //
-// The peer acknowledges with the record count, which must be want's. An
+// The peer acknowledges with the record count, which must be n. An
 // acknowledgement that is not costs one plain, charged get, as in
 // patchLeaf: if what is stored is want's leaf at want's epoch and intent,
 // the step stands and that bucket is returned for the mutation to go on
 // from; if it is anything else, the step is reported as the conflict a
 // WriteIf would have met there, and the caller yields as from one.
-func (ix *Index) writeInPlace(ctx context.Context, key string, op byte, want *Bucket, ifEpoch uint64, inPlace bool, cost *Cost) (*Bucket, error) {
+func (ix *Index) writeInPlace(ctx context.Context, key string, op byte, want *Bucket, n int, ifEpoch uint64, inPlace bool, cost *Cost) (*Bucket, error) {
 	if !inPlace {
 		return want, dht.DoWriteIf(ctx, ix.d, key, want, ifEpoch)
 	}
 	v, err := dht.DoWritePatchIf(ctx, ix.d, key, inPlaceOps[op-patchMarkSplit:][:1], ifEpoch)
 	switch {
-	case errors.Is(err, dht.ErrPatchRefused):
+	case errors.Is(err, dht.ErrPatchRefused) && len(want.Records) == n:
 		return want, dht.DoWriteIf(ctx, ix.d, key, want, ifEpoch)
-	case err != nil || v == PatchAck{Records: len(want.Records)}:
+	case errors.Is(err, dht.ErrPatchRefused):
+		return want, &dht.CASConflictError{Key: key, Exists: true}
+	case err != nil || v == PatchAck{Records: n}:
 		return want, err
 	}
 	// No peer sends this.
@@ -814,13 +830,12 @@ func (ix *Index) writeInPlace(ctx context.Context, key string, op byte, want *Bu
 	return stored, nil
 }
 
-// split performs Algorithm 1 on the bucket stored under key. One half
-// keeps the name f_n(lambda) and stays on its peer (a free local rewrite);
-// the other is named lambda itself and is pushed out with a single
-// DHT-put (Theorem 2). inPlace marks the split of a patched write: its
-// two free rewrites of the leaf in place are patches too, which the
-// storing peer applies to its own bytes (writeInPlace), and only the
-// remote half travels whole.
+// split performs Algorithm 1 on c, the Cut of the leaf stored under key.
+// One half keeps the name f_n(lambda) and stays on its peer (a free local
+// rewrite); the other is named lambda itself and is pushed out with a
+// single DHT-put (Theorem 2). inPlace marks the split of a patched write:
+// its two free rewrites of the leaf in place are patches too, which the
+// storing peer applies to its own bytes (writeInPlace).
 //
 // The rewrite is crash-consistent: a write-ahead intent (Pending) is
 // recorded in the full leaf in place before any routed write, and cleared
@@ -828,13 +843,12 @@ func (ix *Index) writeInPlace(ctx context.Context, key string, op byte, want *Bu
 // detectable from the bucket under key alone, and completeSplit — invoked
 // by the next lookup's read-repair or by Scrub — re-runs the remaining
 // steps idempotently, converging on exactly the never-crashed tree.
-func (ix *Index) split(ctx context.Context, key string, b *Bucket, inPlace bool) (Cost, error) {
+func (ix *Index) split(ctx context.Context, key string, c *Cut, inPlace bool) (Cost, error) {
 	// Maintenance traffic: the intent write and both halves' writes are
 	// split-phase lookups (repairTorn labels its own calls PhaseRepair).
 	ctx = metrics.WithPhase(ctx, metrics.PhaseSplit)
 	var cost Cost
-	lambda := b.Label
-	if lambda.Len() >= ix.cfg.Depth {
+	if c.leaf.Label.Len() >= ix.cfg.Depth {
 		// The tree may not outgrow the a-priori depth D; leave the
 		// bucket oversized and record the event.
 		ix.mu.Lock()
@@ -850,12 +864,8 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, inPlace bool)
 	// complete the split before retrying. Losing the fence ourselves means
 	// another writer committed first (possibly its own split); yield and
 	// let the structure settle — if the leaf is still over threshold, the
-	// next insert re-triggers the split. The marked bucket is a copy of
-	// b's header over b's records, which are read-only.
-	marked := *b
-	marked.Pending = Pending{Kind: PendingSplit}
-	marked.Epoch = b.Epoch + 1
-	stored, err := ix.writeInPlace(ctx, key, patchMarkSplit, &marked, b.Epoch, inPlace, &cost)
+	// next insert re-triggers the split.
+	_, err := ix.writeInPlace(ctx, key, patchMarkSplit, c.leaf, c.n+len(c.remote.Records), c.leaf.Epoch-1, inPlace, &cost)
 	if errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound) {
 		return cost, nil
 	}
@@ -864,7 +874,7 @@ func (ix *Index) split(ctx context.Context, key string, b *Bucket, inPlace bool)
 	}
 
 	// Steps 2-3: push the remote half out, write the local half back.
-	_, rb, err := ix.completeSplit(ctx, key, stored, &cost, false, inPlace)
+	_, rb, err := ix.completeSplit(ctx, key, c, &cost, false, inPlace)
 	if err != nil {
 		return cost, err
 	}
@@ -1014,7 +1024,7 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket, inPlace bool)
 	// bucket, the intent is gone and this write must not clobber theirs.
 	cleared := *merged
 	cleared.Pending = Pending{}
-	_, err = ix.writeInPlace(ctx, mergedKey, patchClearMerge, &cleared, merged.Epoch, inPlace, &cost)
+	_, err = ix.writeInPlace(ctx, mergedKey, patchClearMerge, &cleared, len(cleared.Records), merged.Epoch, inPlace, &cost)
 	if err != nil && !errors.Is(err, dht.ErrCASConflict) && !errors.Is(err, dht.ErrNotFound) {
 		return cost, fmt.Errorf("lht: merge clear %q: %w", mergedKey, err)
 	}

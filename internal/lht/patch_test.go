@@ -2,6 +2,7 @@ package lht
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -48,8 +49,7 @@ func markedSplit(b *Bucket) *Bucket {
 }
 
 func committedSplit(marked *Bucket) *Bucket {
-	local, _ := splitHalves(marked)
-	return local
+	return splitHalves(marked).local
 }
 
 func clearedMerge(merged *Bucket) *Bucket {
@@ -58,8 +58,17 @@ func clearedMerge(merged *Bucket) *Bucket {
 	return &c
 }
 
+// Reply forms that carry no count, as patchedReply reports them.
+const (
+	wholeReply = -1
+	splitReply = -2
+)
+
 // patchedReply classifies a patch's reply against the new stored bytes:
-// the record count an acknowledgement carries, or -1 for the bucket whole.
+// the record count an acknowledgement carries, wholeReply for the bucket
+// whole, or splitReply for a split reply, which must be the new header
+// verbatim, the local half's record count and the remote half record for
+// record, as splitHalves cuts the stored bucket, and no longer than it.
 func patchedReply(t testing.TB, reply, stored []byte) int {
 	t.Helper()
 	v, err := decodePatchReply(reply)
@@ -78,7 +87,25 @@ func patchedReply(t testing.TB, reply, stored []byte) int {
 		if !bytes.Equal(reply, stored) {
 			t.Fatalf("whole reply differs from the stored bytes:\n%x\n%x", reply, stored)
 		}
-		return -1
+		return wholeReply
+	case *Cut:
+		b, err := DecodeBucket(stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := splitHalves(markedSplit(b))
+		local, remote := c.local, c.remote
+		head := len(stored) - record.ListSize(b.Records)
+		if !bytes.Equal(reply[1:1+head], stored[:head]) || !sameBucket(a.leaf, markedSplit(&Bucket{Label: b.Label, Epoch: b.Epoch})) {
+			t.Fatalf("split reply's header %x (%v) differs from the stored one, %x", reply[1:1+head], a.leaf, stored[:head])
+		}
+		if a.n != len(local.Records) || a.n == 0 || !sameBucket(a.remote, remote) || a.local.Records != nil || !sameBucket(a.local, &Bucket{Label: local.Label, Epoch: local.Epoch}) {
+			t.Fatalf("split reply of %v: %d local records and remote %v, want %d and %v", b, a.n, a.remote.Records, len(local.Records), remote.Records)
+		}
+		if len(reply) > len(stored) {
+			t.Fatalf("split reply of %d bytes for a bucket of %d", len(reply), len(stored))
+		}
+		return splitReply
 	}
 	t.Fatalf("patch reply decodes to %T, %v", v, err)
 	return 0
@@ -102,6 +129,7 @@ func TestPatchBucket(t *testing.T) {
 		wide.Records = append(wide.Records, record.Record{Key: float64(i) / 256, Value: []byte{byte(i)}})
 	}
 	zero := &Bucket{Label: bitlabel.TreeRoot, Records: []record.Record{{Key: 0, Value: []byte("plus")}}}
+	lowHalf := &Bucket{Label: small.Label, Epoch: 3, Records: []record.Record{{Key: 0.5}, {Key: 0.7, Value: []byte("v")}}}
 	negZero := math.Copysign(0, -1)
 	prefix := []byte("dst")
 
@@ -109,31 +137,36 @@ func TestPatchBucket(t *testing.T) {
 		b     *Bucket
 		patch []byte
 		want  *Bucket
-		whole bool // the reply is the new bucket
+		whole bool // the reply is the new bucket, or its split reply where the leaf can split
 	}{
-		"append":                        {b: small, patch: UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 100, 20)},
-		"append an empty value":         {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 0, 20)},
-		"append at the threshold":       {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 7, 20), whole: true},
-		"append under the threshold":    {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 8, 20)},
-		"replace first of duplicates":   {b: small, patch: UpsertPatch(record.Record{Key: 0.5, Value: []byte("a longer value than before")}, 100, 20)},
-		"replace past the threshold":    {b: small, patch: UpsertPatch(record.Record{Key: 0.875}, 3, 20), whole: true},
-		"replace +0 with -0":            {b: zero, patch: UpsertPatch(record.Record{Key: negZero, Value: []byte("minus")}, 100, 20)},
-		"count 127 to 128":              {b: wide, patch: UpsertPatch(record.Record{Key: 0.9}, 0, 20)},
-		"delete last":                   {b: small, patch: DeletePatch(0.875, 0)},
-		"delete middle":                 {b: small, patch: DeletePatch(0.75, 3)},
-		"delete first of duplicates":    {b: small, patch: DeletePatch(0.5, 5)},
-		"delete below the threshold":    {b: small, patch: DeletePatch(0.625, 6), whole: true},
-		"delete the only record":        {b: zero, patch: DeletePatch(negZero, 0)},
-		"append, the label asked for":   {b: small, patch: WantLabel(UpsertPatch(record.Record{Key: 0.6}, 100, 20))},
-		"delete, the label asked for":   {b: small, patch: WantLabel(DeletePatch(0.75, 3))},
-		"append one short of the bound": {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 5, 20), whole: true},
-		"append at the bound, depth D":  {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 4, 2), whole: true},
-		"replace at the bound":          {b: small, patch: UpsertPatch(record.Record{Key: 0.75}, 4, 20), whole: true},
+		"append":                                       {b: small, patch: UpsertPatch(record.Record{Key: 0.6, Value: []byte("new")}, 100, 20)},
+		"append an empty value":                        {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 0, 20)},
+		"append at the threshold":                      {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 7, 20), whole: true},
+		"append under the threshold":                   {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 8, 20)},
+		"replace first of duplicates":                  {b: small, patch: UpsertPatch(record.Record{Key: 0.5, Value: []byte("a longer value than before")}, 100, 20)},
+		"replace past the threshold":                   {b: small, patch: UpsertPatch(record.Record{Key: 0.875}, 3, 20), whole: true},
+		"replace +0 with -0":                           {b: zero, patch: UpsertPatch(record.Record{Key: negZero, Value: []byte("minus")}, 100, 20)},
+		"count 127 to 128":                             {b: wide, patch: UpsertPatch(record.Record{Key: 0.9}, 0, 20)},
+		"delete last":                                  {b: small, patch: DeletePatch(0.875, 0)},
+		"delete middle":                                {b: small, patch: DeletePatch(0.75, 3)},
+		"delete first of duplicates":                   {b: small, patch: DeletePatch(0.5, 5)},
+		"delete below the threshold":                   {b: small, patch: DeletePatch(0.625, 6), whole: true},
+		"delete the only record":                       {b: zero, patch: DeletePatch(negZero, 0)},
+		"append, the label asked for":                  {b: small, patch: WantLabel(UpsertPatch(record.Record{Key: 0.6}, 100, 20))},
+		"delete, the label asked for":                  {b: small, patch: WantLabel(DeletePatch(0.75, 3))},
+		"append one short of the bound":                {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 5, 20), whole: true},
+		"append at the bound, depth D":                 {b: small, patch: UpsertPatch(record.Record{Key: 0.6}, 4, 2), whole: true},
+		"replace at the bound":                         {b: small, patch: UpsertPatch(record.Record{Key: 0.75}, 4, 20), whole: true},
+		"append at the threshold, every record moving": {b: lowHalf, patch: UpsertPatch(record.Record{Key: 0.6}, 3, 20), whole: true},
 	} {
 		var rec record.Record
 		_, arg, _ := record.ReadUvarint(tc.patch[1:])
+		form := wholeReply
 		if tc.patch[0]&^patchWantLabel == patchUpsert {
-			_, arg, _ = record.ReadUvarint(arg) // the depth bound
+			var depth uint64
+			if depth, arg, _ = record.ReadUvarint(arg); canSplit(tc.b.Label, depth) {
+				form = splitReply
+			}
 			var err error
 			if rec, err = record.DecodeRecord(arg); err != nil {
 				t.Fatal(err)
@@ -141,6 +174,9 @@ func TestPatchBucket(t *testing.T) {
 			tc.want = applyUpsert(tc.b, rec)
 		} else {
 			tc.want, _ = applyDelete(tc.b, math.Float64frombits(binary.BigEndian.Uint64(arg)))
+		}
+		if splitHalves(markedSplit(tc.want)).n == 0 {
+			form = wholeReply // the shorter
 		}
 		data, want := mustEncode(t, tc.b), mustEncode(t, tc.want)
 		out, reply, epoch, ok := patchBucket(append([]byte(nil), prefix...), append([]byte(nil), prefix...), data, tc.patch)
@@ -151,8 +187,8 @@ func TestPatchBucket(t *testing.T) {
 		if !bytes.HasPrefix(reply, prefix) {
 			t.Errorf("%s: the reply buffer's prefix is gone", name)
 		}
-		if got := patchedReply(t, reply[len(prefix):], want); tc.whole != (got < 0) || !tc.whole && got != len(tc.want.Records) {
-			t.Errorf("%s: reply says %d (-1 = whole), want whole %v of %d records", name, got, tc.whole, len(tc.want.Records))
+		if got := patchedReply(t, reply[len(prefix):], want); tc.whole && got != form || !tc.whole && got != len(tc.want.Records) {
+			t.Errorf("%s: reply says %d (-1 = whole, -2 = split), want whole %v of %d records", name, got, tc.whole, len(tc.want.Records))
 		}
 		dst, rep := make([]byte, 0, 2*len(data)+64), make([]byte, 0, 2*len(data)+64)
 		if n := testing.AllocsPerRun(50, func() { patchBucket(dst, rep, data, tc.patch) }); n != 0 {
@@ -186,7 +222,7 @@ func TestPatchBucket(t *testing.T) {
 			continue
 		}
 		if got := patchedReply(t, reply[len(prefix):], want); got != len(tc.want.Records) {
-			t.Errorf("%s: reply says %d (-1 = whole), want an acknowledgement of %d records", name, got, len(tc.want.Records))
+			t.Errorf("%s: reply says %d (-1 = whole, -2 = split), want an acknowledgement of %d records", name, got, len(tc.want.Records))
 		}
 		dst, rep := make([]byte, 0, 2*len(data)+64), make([]byte, 0, 64)
 		if n := testing.AllocsPerRun(50, func() { patchBucket(dst, rep, data, tc.patch) }); n != 0 {
@@ -257,6 +293,21 @@ func TestPatchBucket(t *testing.T) {
 	if b, err := DecodeBucket(out); err != nil || !sameBucket(b, applyUpsert(small, record.Record{Key: 0.6, Value: []byte("v")})) {
 		t.Errorf("PatchWire stored %v, %v", b, err)
 	}
+	// A split reply of small, and the same with the header, the count or
+	// the list broken.
+	_, split, _, _ := patchBucket(nil, nil, data, UpsertPatch(record.Record{Key: 0.6}, 6, 20))
+	hdr := list + 1 // the epoch one up takes a second byte
+	head := 1 + hdr + 1
+	if v, err := decodePatchReply(split); err != nil || split[head-1] != 2 {
+		t.Fatalf("split reply %x decoded to %#v, %v, want 2 local records", split, v, err)
+	}
+	root := mustEncode(t, &Bucket{})
+	splitOf := func(header []byte, local uint64, list []byte) []byte {
+		return append(binary.AppendUvarint(append([]byte{splitReplyMarker}, header...), local), list...)
+	}
+	if rebuilt := splitOf(split[1:1+hdr], 2, split[head:]); !bytes.Equal(rebuilt, split) {
+		t.Fatalf("split reply %x rebuilt as %x", split, rebuilt)
+	}
 	for name, bad := range map[string][]byte{
 		"marker alone":   {patchAckMarker},
 		"padded count":   {patchAckMarker, 0x80, 0x00},
@@ -265,9 +316,50 @@ func TestPatchBucket(t *testing.T) {
 		"header alone":   data[:list],
 		"a record reply": projectBucket(nil, data, ProbeHint(0.75, true)),
 		"empty":          {},
+
+		"split marker alone":           {splitReplyMarker},
+		"split reply, no count":        split[:1+hdr],
+		"split reply, no list":         split[:head],
+		"split reply, a torn leaf":     splitOf(mustEncode(t, torn)[:list], 2, split[head:]),
+		"split reply, no local half":   splitOf(split[1:1+hdr], 0, split[head:]),
+		"split reply, absurd count":    splitOf(split[1:1+hdr], 1<<40, split[head:]),
+		"split reply, the root":        splitOf(root[:len(root)-1], 2, split[head:]),
+		"split reply, a trailing byte": append(append([]byte(nil), split...), 0),
 	} {
 		if v, err := decodePatchReply(bad); err == nil {
 			t.Errorf("patch reply %s decoded to %#v", name, v)
+		}
+	}
+}
+
+// A split reply is trusted no further than a whole one: an upsert's, of
+// the leaf stored under the patched name that covers the key. Any other
+// is dropped, and the leaf fetched with one plain, charged get.
+func TestLyingSplitReplyIsRefetchedNotTrusted(t *testing.T) {
+	ix, err := New(dht.NewLocal(), Config{SplitThreshold: 4, Depth: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := bitlabel.TreeRoot.Name().Key() // the root leaf's, as New stored it
+	leaf := &Bucket{Label: bitlabel.TreeRoot, Epoch: 3, Records: []record.Record{{Key: 0.1}, {Key: 0.3}, {Key: 0.7}}}
+	honest := splitHalves(markedSplit(leaf))
+	deeper := splitHalves(markedSplit(&Bucket{Label: bitlabel.MustParse("#00"), Epoch: 3}))
+	upsert := &write{rec: record.Record{Key: 0.3}, upsert: true}
+	for name, tc := range map[string]struct {
+		key     string
+		w       *write
+		c       *Cut
+		trusted bool
+	}{
+		"honest":               {key, upsert, honest, true},
+		"to a delete":          {key, &write{rec: record.Record{Key: 0.3}}, honest, false},
+		"under another name":   {bitlabel.MustParse("#01").Key(), upsert, honest, false},
+		"not covering the key": {key, &write{rec: record.Record{Key: 0.7}, upsert: true}, deeper, false},
+	} {
+		var cost Cost
+		f, _, err := ix.committed(context.Background(), tc.key, tc.w, 4, tc.c, &cost)
+		if err != nil || (f.cut == tc.c) != tc.trusted || cost.Lookups != btoi(!tc.trusted) {
+			t.Errorf("%s: committed = %+v, %v at %d lookups; want trusted %v", name, f, err, cost.Lookups, tc.trusted)
 		}
 	}
 }
@@ -317,6 +409,7 @@ func FuzzPatchBucket(f *testing.F) {
 	f.Add(mustEncode(f, &merged), ClearMergePatch())
 
 	f.Fuzz(func(t *testing.T, raw, patch []byte) {
+		var form int // the reply of check's last applied patch, as patchedReply reads it
 		check := func(data, patch []byte) (stored *Bucket) {
 			out, reply, epoch, ok := patchBucket([]byte("d"), []byte("r"), data, patch)
 			if !ok {
@@ -337,8 +430,8 @@ func FuzzPatchBucket(f *testing.F) {
 			if err != nil || stored.Epoch != epoch || epoch != before.Epoch+bump {
 				t.Fatalf("stored bytes decode to %v, %v; epoch %d after %d", stored, err, epoch, before.Epoch)
 			}
-			if n := patchedReply(t, reply[1:], out[1:]); n >= 0 && n != len(stored.Records) {
-				t.Fatalf("acknowledged %d records, stored %d", n, len(stored.Records))
+			if form = patchedReply(t, reply[1:], out[1:]); form >= 0 && form != len(stored.Records) {
+				t.Fatalf("acknowledged %d records, stored %d", form, len(stored.Records))
 			}
 			return stored
 		}
@@ -357,6 +450,17 @@ func FuzzPatchBucket(f *testing.F) {
 			got := check(enc, UpsertPatch(rec, i, 20))
 			if (got != nil) != able || able && !sameBucket(got, applyUpsert(b, rec)) {
 				t.Fatalf("upsert of %v into %s (torn %v): stored %v", k, b.Label, b.Torn(), got)
+			}
+			// Crossing, the leaf comes back as its split reply, or whole
+			// where its local half would be empty.
+			if got != nil && i > 0 && got.Weight() >= i {
+				want := splitReply
+				if splitHalves(markedSplit(got)).n == 0 {
+					want = wholeReply
+				}
+				if form != want {
+					t.Fatalf("upsert of %v into %s crossing %d: reply form %d, want %d", k, b.Label, i, form, want)
+				}
 			}
 			want, held := applyDelete(b, k)
 			got = check(enc, DeletePatch(k, i))

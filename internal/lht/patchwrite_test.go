@@ -338,52 +338,82 @@ func TestPatchedWritersConverge(t *testing.T) {
 	t.Logf("%d patches, %d CAS conflicts, %d writer retries", spy.patchCount(), f.Write.CASConflicts, f.Write.WriterRetries)
 }
 
-// A split of a patched write crashes at each of its in-place steps on real
-// servers: after the intent mark lands, after the remote half's CreateIf
-// (the commit never sent), and at the commit (applied, its acknowledgement
-// lost). Each time the next lookup finds the tree as a split that was
-// never interrupted leaves it, repairing the torn leaf where there is one.
+// A split of a patched write runs from the crossing upsert's split reply,
+// which carries only the half the split moves, and crashes on real
+// servers, one and two replicas each: after that reply (the writer dies
+// holding only the half, before its intent mark), after the mark lands,
+// after the remote half's CreateIf lands, and at the commit (applied, its
+// acknowledgement lost). Where the split tore, the next lookup finds the
+// tree as a split that was never interrupted leaves it, repaired from the
+// stored bytes. Where it had not begun, the leaf stands whole and untorn,
+// as a yielded split leaves it, and the next write splits it.
 func TestPatchedSplitCrashesRepairToTheNeverCrashedTree(t *testing.T) {
-	oracle, _ := startNamedCluster(t, 3, 1)
-	if err := splitWorkload(t, oracle); err != nil {
-		t.Fatalf("oracle workload: %v", err)
-	}
-	want := leafBytes(t, oracle)
-	for _, tc := range []struct {
-		name string
-		rule dht.CrashRule
-		torn bool
-	}{
-		{"after the mark", dht.CrashRule{Op: dht.OpWriteIf, N: 1, After: true, Halt: true}, true},
-		{"after the remote CreateIf", dht.CrashRule{Op: dht.OpWriteIf, N: 2, Halt: true}, true},
-		{"at the commit", dht.CrashRule{Op: dht.OpWriteIf, N: 2, After: true, Halt: true}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			client, _ := startNamedCluster(t, 3, 1)
-			spy := &probeSpy{Client: client, t: t}
-			if err := splitWorkload(t, dht.WithCrashPoints(spy, tc.rule)); !errors.Is(err, dht.ErrCrashed) {
-				t.Fatalf("splitting insert = %v, want ErrCrashed", err)
+	for _, replicas := range []int{1, 2} {
+		oracle, _ := startNamedCluster(t, 3, replicas)
+		if err := splitWorkload(t, oracle); err != nil {
+			t.Fatalf("oracle workload: %v", err)
+		}
+		want := leafBytes(t, oracle)
+		remote := func(k string) bool { return k == "#0" } // the split's remote half; the root leaf lives under "#"
+		for _, tc := range []struct {
+			name    string
+			rule    dht.CrashRule
+			inPlace int  // in-place patches that reached the servers
+			torn    bool // the crash leaves the split torn
+		}{
+			{"after the crossing reply", dht.CrashRule{Op: dht.OpWriteIf, N: 1, Halt: true}, 0, false},
+			{"after the mark", dht.CrashRule{Op: dht.OpWriteIf, N: 1, After: true, Halt: true}, 1, true},
+			{"after the remote CreateIf", dht.CrashRule{Op: dht.OpCreateIf, Key: remote, N: 1, After: true, Halt: true}, 1, true},
+			{"at the commit", dht.CrashRule{Op: dht.OpWriteIf, N: 2, After: true, Halt: true}, 2, false},
+		} {
+			name := tc.name
+			if replicas > 1 {
+				name = fmt.Sprintf("%s, %d replicas", name, replicas)
 			}
-			if n := spy.inPlaceCount(); n != tc.rule.N-1+btoi(tc.rule.After) {
-				t.Fatalf("%d in-place patches reached the servers before the crash", n)
-			}
-			ix, err := New(client, Config{SplitThreshold: 4, Depth: 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, k := range splitKeys {
-				rec, _, err := ix.Search(k)
-				if err != nil || len(rec.Value) != 1 || rec.Value[0] != byte(i) {
-					t.Fatalf("Search(%g) after the crash = %v, %v", k, rec, err)
+			t.Run(name, func(t *testing.T) {
+				client, _ := startNamedCluster(t, 3, replicas)
+				spy := &probeSpy{Client: client, t: t}
+				if err := splitWorkload(t, dht.WithCrashPoints(spy, tc.rule)); !errors.Is(err, dht.ErrCrashed) {
+					t.Fatalf("splitting insert = %v, want ErrCrashed", err)
 				}
-			}
-			if s := ix.Metrics(); s.Repair.TornSplits != int64(btoi(tc.torn)) || s.Repair.Repairs != int64(btoi(tc.torn)) {
-				t.Errorf("TornSplits=%d Repairs=%d, want %d each", s.Repair.TornSplits, s.Repair.Repairs, btoi(tc.torn))
-			}
-			if got := leafBytes(t, client); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("after the crash the tree is\n%v\nwant the never-crashed\n%v", got, want)
-			}
-		})
+				if n, cuts := spy.inPlaceCount(), spy.cutCount(); n != tc.inPlace || cuts != 1 {
+					t.Fatalf("%d in-place patches reached the servers before the crash, after %d split replies; want %d after 1", n, cuts, tc.inPlace)
+				}
+				ix, err := New(client, Config{SplitThreshold: 4, Depth: 20})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, k := range splitKeys {
+					rec, _, err := ix.Search(k)
+					if err != nil || len(rec.Value) != 1 || rec.Value[0] != byte(i) {
+						t.Fatalf("Search(%g) after the crash = %v, %v", k, rec, err)
+					}
+				}
+				if s := ix.Metrics(); s.Repair.TornSplits != int64(btoi(tc.torn)) || s.Repair.Repairs != int64(btoi(tc.torn)) {
+					t.Errorf("TornSplits=%d Repairs=%d, want %d each", s.Repair.TornSplits, s.Repair.Repairs, btoi(tc.torn))
+				}
+				got := leafBytes(t, client)
+				if tc.inPlace > 0 && fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("after the crash the tree is\n%v\nwant the never-crashed\n%v", got, want)
+				}
+				if tc.inPlace == 0 {
+					// The split never began: one untorn leaf, which the next
+					// write splits.
+					if len(got) != 1 {
+						t.Fatalf("after a crash before the mark the tree is %v, want the one leaf", got)
+					}
+					if _, err := ix.Insert(record.Record{Key: 0.9}); err != nil {
+						t.Fatal(err)
+					}
+					if s := ix.Metrics(); s.Lookup.Splits != 1 || len(leafBytes(t, client)) != 2 {
+						t.Errorf("the next insert made %d splits, leaving %d leaves; want 1 and 2", s.Lookup.Splits, len(leafBytes(t, client)))
+					}
+				}
+				if err := ix.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }
 

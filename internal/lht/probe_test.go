@@ -85,6 +85,7 @@ type probeSpy struct {
 	ridden        int                // of those, applied ones that rode a search's probe
 	patchRecords  int                // refused, and answered with a record reply
 	inPlace       int                // WritePatchIf calls
+	cuts          int                // applied patches answered with a split reply
 }
 
 func (s *probeSpy) Patch(ctx context.Context, key string, hint uint64, patch []byte) (dht.Value, error) {
@@ -101,7 +102,16 @@ func (s *probeSpy) Patch(ctx context.Context, key string, hint uint64, patch []b
 			s.ridden++
 		}
 	}
+	if _, ok := v.(*Cut); ok && err == nil {
+		s.cuts++
+	}
 	return v, err
+}
+
+func (s *probeSpy) cutCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cuts
 }
 
 // patchCounts is how many patches were applied, how many of those rode

@@ -24,13 +24,13 @@ import (
 	"lht/internal/record"
 )
 
-// splitHalves partitions the (possibly intent-marked) full leaf b at its
+// splitHalves cuts the (possibly intent-marked) full leaf b at its
 // interval median, exactly as Algorithm 1 does: the local half keeps the
 // name f_n(lambda), the remote half is named lambda itself. The partition
 // is a pure function of the bucket, which is what makes split recovery
 // deterministic: re-deriving the halves from the marked bucket yields the
 // same bytes the crashed writer was about to write.
-func splitHalves(b *Bucket) (local, remote *Bucket) {
+func splitHalves(b *Bucket) *Cut {
 	localLabel, mid, low := splitAt(b.Label)
 	var below, above []record.Record // keys < mid, and the rest
 	for _, r := range b.Records {
@@ -44,9 +44,17 @@ func splitHalves(b *Bucket) (local, remote *Bucket) {
 	if low {
 		localRecs, remoteRecs = below, above
 	}
-	local = &Bucket{Label: localLabel, Records: localRecs, Epoch: b.Epoch + 1}
-	remote = &Bucket{Label: localLabel.Sibling(), Records: remoteRecs, Epoch: b.Epoch + 1}
-	return local, remote
+	local := &Bucket{Label: localLabel, Records: localRecs, Epoch: b.Epoch + 1}
+	remote := &Bucket{Label: localLabel.Sibling(), Records: remoteRecs, Epoch: b.Epoch + 1}
+	return &Cut{leaf: b, local: local, remote: remote, n: len(localRecs)}
+}
+
+// A Cut is a split as its steps take it: the leaf as its intent marks it,
+// and its halves. A split reply (see "Patches") decodes to one less the
+// records that stay put, the leaf's and the local half's, which n counts.
+type Cut struct {
+	leaf, local, remote *Bucket
+	n                   int
 }
 
 // splitAt is where Algorithm 1 cuts the leaf lambda: at its interval's
@@ -66,8 +74,8 @@ func splitAt(lambda bitlabel.Label) (local bitlabel.Label, mid float64, low bool
 	return lambda.Left(), mid, true
 }
 
-// completeSplit performs the routed steps of Algorithm 1 on the
-// intent-marked bucket b stored under key: push the remote half to the
+// completeSplit performs the routed steps of Algorithm 1 on c, the Cut of
+// the intent-marked bucket stored under key: push the remote half to the
 // peer responsible for lambda (one DHT-put, Theorem 2), then write the
 // shrunk local half back in place, clearing the intent.
 //
@@ -78,9 +86,9 @@ func splitAt(lambda bitlabel.Label) (local bitlabel.Label, mid float64, low bool
 // caller just fetched lambda as a leaf, so nothing can be stored under
 // lambda's own key. With inPlace, the in-flight split of a patched write,
 // the local half is written back as a patch (writeInPlace).
-func (ix *Index) completeSplit(ctx context.Context, key string, b *Bucket, cost *Cost, repair, inPlace bool) (local, remote *Bucket, err error) {
-	lambda := b.Label
-	local, remote = splitHalves(b)
+func (ix *Index) completeSplit(ctx context.Context, key string, c *Cut, cost *Cost, repair, inPlace bool) (local, remote *Bucket, err error) {
+	lambda := c.leaf.Label
+	local, remote = c.local, c.remote
 	put := true
 	if repair {
 		cost.Steps++
@@ -113,7 +121,7 @@ func (ix *Index) completeSplit(ctx context.Context, key string, b *Bucket, cost 
 	// bucket's epoch: a conflict (or a vanished key) means a racing
 	// repairer already committed this very split — the halves are a pure
 	// function of the marked bucket, so the committed state is ours.
-	local, err = ix.writeInPlace(ctx, key, patchCommitSplit, local, b.Epoch, inPlace, cost)
+	local, err = ix.writeInPlace(ctx, key, patchCommitSplit, local, c.n, c.leaf.Epoch, inPlace, cost)
 	if err != nil && !errors.Is(err, dht.ErrCASConflict) && !errors.Is(err, dht.ErrNotFound) {
 		return nil, nil, fmt.Errorf("lht: split write %q: %w", key, err)
 	}
@@ -244,7 +252,7 @@ func (ix *Index) repairTorn(ctx context.Context, key string, b *Bucket, cost *Co
 			out, _, err = ix.rewrite(ctx, key, &nb, b.Epoch, "rollback split", cost)
 			break
 		}
-		out, _, err = ix.completeSplit(ctx, key, b, cost, true, false)
+		out, _, err = ix.completeSplit(ctx, key, splitHalves(b), cost, true, false)
 	case PendingMerge:
 		ix.c.Add(metrics.TornMerges, 1)
 		out, err = ix.completeMerge(ctx, key, b, cost)

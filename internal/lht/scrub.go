@@ -318,7 +318,7 @@ func (ix *Index) scrubShadow(ctx context.Context, key string, b *Bucket, rep *Sc
 		// stale pre-split leaf. Completing the split (remote side kept as
 		// stored) reconciles the two.
 		ix.c.Add(metrics.TornSplits, 1)
-		if _, _, err := ix.completeSplit(ctx, key, b, cost, true, false); err != nil {
+		if _, _, err := ix.completeSplit(ctx, key, splitHalves(b), cost, true, false); err != nil {
 			return nil, false, fmt.Errorf("lht: scrub reconcile stale leaf %s: %w", b.Label, err)
 		}
 		ix.c.Add(metrics.Repairs, 1)

@@ -276,25 +276,12 @@ func CountList(list []byte) (uint64, error) {
 // altogether when it does not parse; dst grows and nothing else is
 // allocated.
 func AppendHalf(dst, list []byte, mid float64, low bool) (out []byte, n uint64, err error) {
-	count, body, err := readCount(list)
-	if err != nil {
+	if n, err = CountHalf(list, mid, low); err != nil {
 		return dst, 0, err
 	}
-	rest := body
-	for i := count; i > 0; i-- {
-		var r Record
-		if rest, err = readRecord(&r, rest); err != nil {
-			return dst, 0, err
-		}
-		if (r.Key < mid) == low {
-			n++
-		}
-	}
-	if len(rest) != 0 {
-		return dst, 0, fmt.Errorf("record: %d bytes after the last record", len(rest))
-	}
 	dst = binary.AppendUvarint(dst, n)
-	for rest = body; len(rest) > 0; {
+	_, body, _ := readCount(list) // validated above
+	for rest := body; len(rest) > 0; {
 		var r Record
 		next, _ := readRecord(&r, rest) // validated above
 		if (r.Key < mid) == low {
@@ -303,6 +290,29 @@ func AppendHalf(dst, list []byte, mid float64, low bool) (out []byte, n uint64, 
 		rest = next
 	}
 	return dst, n, nil
+}
+
+// CountHalf is AppendHalf's count alone: how many of list's records fall
+// on the side of mid that low names. It validates list whole and
+// allocates nothing.
+func CountHalf(list []byte, mid float64, low bool) (n uint64, err error) {
+	count, rest, err := readCount(list)
+	if err != nil {
+		return 0, err
+	}
+	for i := count; i > 0; i-- {
+		var r Record
+		if rest, err = readRecord(&r, rest); err != nil {
+			return 0, err
+		}
+		if (r.Key < mid) == low {
+			n++
+		}
+	}
+	if len(rest) != 0 {
+		return 0, fmt.Errorf("record: %d bytes after the last record", len(rest))
+	}
+	return n, nil
 }
 
 // AppendRange decodes enc, records back to back as FilterList returns

@@ -354,6 +354,9 @@ func TestFilterList(t *testing.T) {
 		if out, n, err := AppendHalf([]byte("dst:"), bad, 0.5, true); err == nil || string(out) != "dst:" || n != 0 {
 			t.Errorf("%s: AppendHalf = %q, %d, %v", name, out, n, err)
 		}
+		if n, err := CountHalf(bad, 0.5, false); err == nil || n != 0 {
+			t.Errorf("%s: CountHalf = %d, %v", name, n, err)
+		}
 		// Even a range the damage lies outside of must not be cut.
 		for _, r := range [][2]float64{{0, 1}, {0.7, 0.8}, {0.9, 1}} {
 			if out, err := AppendFilteredList([]byte("dst:"), bad, r[0], r[1]); err == nil || string(out) != "dst:" {
@@ -381,8 +384,8 @@ func TestFilterList(t *testing.T) {
 
 // AppendHalf cuts a list where a leaf split cuts its records: the keys
 // below mid one side, every other key — NaN and +Inf too, and a key equal
-// to mid — the other, each side in list order; CountList counts a list.
-// Neither allocates with room in dst.
+// to mid — the other, each side in list order; CountHalf counts a side
+// and CountList a list. None allocates with room in dst.
 func TestAppendHalf(t *testing.T) {
 	rs := []Record{
 		{Key: 1, Value: []byte("top")},
@@ -405,6 +408,12 @@ func TestAppendHalf(t *testing.T) {
 		out, n, err := AppendHalf([]byte("dst:"), list, 0.5, low)
 		if err != nil || n != uint64(len(want)) || !bytes.Equal(out, AppendList([]byte("dst:"), want)) {
 			t.Errorf("low %v: AppendHalf = %x, %d, %v; want the list of %v", low, out, n, err, want)
+		}
+		if n, err := CountHalf(list, 0.5, low); err != nil || n != uint64(len(want)) {
+			t.Errorf("low %v: CountHalf = %d, %v, want %d", low, n, err, len(want))
+		}
+		if a := testing.AllocsPerRun(100, func() { _, _ = CountHalf(list, 0.5, low) }); a != 0 {
+			t.Errorf("low %v: CountHalf allocates %v times, want 0", low, a)
 		}
 		buf := make([]byte, 0, len(list))
 		if a := testing.AllocsPerRun(100, func() { buf, _, _ = AppendHalf(buf[:0], list, 0.5, low) }); a != 0 {

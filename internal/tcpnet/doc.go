@@ -5,7 +5,7 @@
 // There is one wire: the framed binary protocol (frame.go) —
 // reflection-free length-prefixed frames with pooled buffers, carried by a
 // pipelined multiplexer (mux.go) that keeps many requests in flight per
-// connection. A connection opens with the "LHT4" magic; a server closes
+// connection. A connection opens with the "LHT5" magic; a server closes
 // one that opens with anything else, a peer of the protocol generation
 // before this one included: nodes and clients of one generation upgrade
 // together, and nothing negotiates which request forms a node serves.

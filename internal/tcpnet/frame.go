@@ -15,8 +15,8 @@ import (
 // reflection and recycles every buffer it touches, so the encode/decode
 // hot path allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT4"; a server closes one
-// that opens with anything else — an LHT3 peer of the generation before
+// A connection opens with the 4-byte magic "LHT5"; a server closes one
+// that opens with anything else — an LHT4 peer of the generation before
 // this one included — before serving a frame. Nodes and clients of one
 // generation upgrade together. After the magic, both directions speak
 // length-prefixed frames:
@@ -91,9 +91,11 @@ import (
 // projector the patcher works on bytes, under the store lock, and the kind
 // byte is all the node knows of the type; for the index's buckets
 // (internal/lht, "Patches") a patch upserts or deletes one record and the
-// reply is the new record count, or the new bucket whole when the writer
-// must split or merge it; or it marks, commits or clears a split or merge
-// intent, and the reply is the record count. The mode byte says whose
+// reply is the new record count; or, when the writer must split the
+// leaf, the new header with what the split moves (the local half's record
+// count and the remote half's records); or the new bucket whole when the
+// writer may merge it (or it is too deep to split); or it marks, commits
+// or clears a split or merge intent, and the reply is the record count. The mode byte says whose
 // write this is:
 //
 //	0 probe    the serializer's dht.Patcher Patch: a hinted get that
@@ -156,7 +158,7 @@ import (
 // n-byte message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT4"
+	wireMagic = "LHT5"
 
 	// frameHeaderLen is the id+op prefix counted inside the length field.
 	frameHeaderLen = 9

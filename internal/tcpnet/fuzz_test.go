@@ -179,7 +179,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if status == statusOK && len(reply) > 0 {
 				switch v, err := dht.DecodePatchReply(reply[0], reply[1:]); v.(type) {
-				case *ilht.Bucket, ilht.PatchAck, *ilht.LeafAck:
+				case *ilht.Bucket, ilht.PatchAck, *ilht.LeafAck, *ilht.Cut:
 				default:
 					t.Fatalf("patchif answered with %T, %v", v, err)
 				}

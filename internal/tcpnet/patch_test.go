@@ -117,12 +117,13 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		t.Fatalf("labelled Patch = %#v, %v, want %s's label and 76 records", v, err, b.Label)
 	}
 	upsert = upserted(upsert, rec)
-	// Across the patch's threshold the reply is the new bucket.
-	rec2 := record.Record{Key: 0.7105, Value: []byte("whole")}
+	// Across the patch's threshold the reply is the split reply: what the
+	// writer's split moves.
+	rec2 := record.Record{Key: 0.7105, Value: []byte("split")}
 	v, err = c.Patch(ctx, "bucket", want(rec2.Key), ilht.UpsertPatch(rec2, 78, 20))
 	upsert = upserted(upsert, rec2)
-	if got, ok := v.(*ilht.Bucket); err != nil || !ok || !bytes.Equal(mustAppendValue(t, got), mustAppendValue(t, upsert)) {
-		t.Fatalf("Patch across the threshold = %#v, %v, want the new bucket", v, err)
+	if _, ok := v.(*ilht.Cut); err != nil || !ok || !bytes.Equal(stored("bucket"), mustAppendValue(t, upsert)) {
+		t.Fatalf("Patch across the threshold = %#v, %v, want the split reply", v, err)
 	}
 
 	// Not applied, the patch was a probe: answered as the probe, with the
@@ -493,10 +494,11 @@ func TestLyingPatchReplyIsRefetchedNotTrusted(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					crossed := map[int]bool{} // lies told where the honest reply was a bucket
+					crossed := map[int]bool{} // lies told where the honest reply was a bucket or a split reply
 					got, err := ilht.New(lyingPatcher{Client: lying, refuse: tc.refuse, lie: func(v dht.Value, b *ilht.Bucket, patch []byte) dht.Value {
 						_, whole := v.(*ilht.Bucket)
-						crossed[lies] = whole
+						_, cut := v.(*ilht.Cut)
+						crossed[lies] = whole || cut
 						lies++
 						return tc.lie(v, b, patch)
 					}}, cfg)

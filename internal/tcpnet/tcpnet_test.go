@@ -228,7 +228,7 @@ const gobPutStream = "c\x7f\x03\x01\x01\arequest\x01\xff\x80\x00\x01\b\x01\x02Op
 	"\v\xff\x80\x01\x03\x01\x01k\x01\x01\x01\x00"
 
 // TestServerRejectsNonMagic: a connection that does not open with the
-// LHT4 magic, or follows it with something that is not a frame, is closed
+// LHT5 magic, or follows it with something that is not a frame, is closed
 // without a byte served, the store untouched and no handler left behind.
 func TestServerRejectsNonMagic(t *testing.T) {
 	_, servers := startCluster(t, 1)
@@ -245,6 +245,7 @@ func TestServerRejectsNonMagic(t *testing.T) {
 		"1 byte then EOF":   {send: "L", halfClose: true},
 		"3 bytes then EOF":  {send: "LHT", halfClose: true},
 		"wrong magic":       {send: "LHT1"},
+		"the last magic":    {send: "LHT4" + "\x00\x00\x00\x09" + "\x00\x00\x00\x00\x00\x00\x00\x01\x01"},
 		"magic, short len":  {send: wireMagic + "\x00\x00\x00\x01junk"},
 		"magic, huge len":   {send: wireMagic + "\xff\xff\xff\xffjunk"},
 		"magic, torn frame": {send: wireMagic + "\x00\x00\x00\x20junk", halfClose: true},

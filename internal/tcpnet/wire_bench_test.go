@@ -224,6 +224,48 @@ func BenchmarkWirePatch(b *testing.B) {
 	b.ReportMetric(float64(4+frameHeaderLen+len(req)+reply), "wire-B/op")
 }
 
+// BenchmarkWirePatchCrossing is the upsert that takes a 99-record leaf
+// to its split threshold, full client round trip: the node answers with
+// the split reply, the new header with the local half's record count and
+// the remote half's records, which the writer's split pushes out.
+// BenchmarkWirePatchCrossingWhole is the same upsert at the depth bound,
+// where the leaf cannot split and the node answers with the new bucket
+// whole. wire-B/op is request plus reply.
+func BenchmarkWirePatchCrossing(b *testing.B) { benchWirePatchCrossing(b, 20) }
+
+func BenchmarkWirePatchCrossingWhole(b *testing.B) { benchWirePatchCrossing(b, 7) }
+
+func benchWirePatchCrossing(b *testing.B, depth int) {
+	c := benchCluster(b)
+	ctx := context.Background()
+	leaf := &ilht.Bucket{Label: bitlabel.MustParse("#0101101"), Epoch: 7} // [0.703125, 0.71875)
+	for i := 0; i < 99; i++ {
+		leaf.Records = append(leaf.Records, record.Record{Key: 0.703125 + float64(i)/100/64, Value: bytes.Repeat([]byte{byte(i)}, 64)})
+	}
+	rec := record.Record{Key: 0.703125 + 0.99/64, Value: bytes.Repeat([]byte{99}, 64)}
+	patch, hint := ilht.UpsertPatch(rec, 100, depth), ilht.ProbeHint(rec.Key, false)
+	_, reply, _, ok := dht.PatchWire(nil, nil, leaf.WireKind(), leaf.AppendWire(nil), patch)
+	if !ok {
+		b.Fatal("the patcher refused the crossing upsert")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.Put(ctx, "k", leaf); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		v, err := c.Patch(ctx, "k", hint, patch)
+		if _, split := v.(*ilht.Cut); err != nil || split != (depth > leaf.Label.Len()) {
+			b.Fatalf("crossing Patch = %T, %v", v, err)
+		}
+	}
+	// The reply frame: length, id+op, status, the epoch patched, kind, the
+	// patcher's reply.
+	b.ReportMetric(float64(4+frameHeaderLen+len(probePatch("k", hint, patch))+4+frameHeaderLen+1+1+1+len(reply)), "wire-B/op")
+}
+
 // BenchmarkWireWriteIfCommit / BenchmarkWirePatchCommit are the two ways
 // a split of that bucket commits on the peer that keeps it, full client
 // round trip: the local half whole under writeif, or the one-byte commit

@@ -12,9 +12,10 @@ import (
 
 // DHT is the substrate interface LHT runs over: a flat key-value store
 // with one-lookup Get/Put/Take/Remove and a free local Write, every
-// operation taking a context.Context for cancellation and deadlines. Any
-// DHT can be adapted by implementing it; this package ships four
-// substrates.
+// operation taking a context.Context for cancellation and deadlines. Leaf
+// merges and repairs commit by the epoch-guarded RemoveIf of the
+// Conditional capability, not by Take. Any DHT can be adapted by
+// implementing it; this package ships four substrates.
 type DHT = dht.DHT
 
 // Value is the unit of substrate storage.
