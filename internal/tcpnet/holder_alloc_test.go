@@ -25,7 +25,7 @@ func TestOneHolderAddsNoAllocations(t *testing.T) {
 	// Per operation: the exact count at one holder, the ceiling at two.
 	want := map[string][2]float64{
 		"Get": {2, 2}, "Probe": {2, 2}, "Put": {2, 12}, "PutIf": {2, 12},
-		"WriteIf": {2, 12}, "Patch": {2, 13}, "Remove": {0, 8},
+		"WriteIf": {2, 12}, "Patch": {1, 11}, "Remove": {0, 8},
 	}
 	for _, replicas := range []int{1, 2} {
 		c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: replicas})

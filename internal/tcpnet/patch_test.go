@@ -65,8 +65,8 @@ func mustAppendValue(t testing.TB, v dht.Value) []byte {
 // patcher will not apply — every stored form the node cannot look into,
 // every leaf the write was not meant for — writes nothing and is answered
 // as the probe it rode; the propagation mode compares epochs as putnewer
-// does and the in-place mode as writeif does, charging no lookup; and the
-// patcher's one allocation is the new stored value.
+// does and the in-place mode as writeif does, charging no lookup; and an
+// applied patch allocates nothing but the store's copy of the key.
 func TestPatchIfOnTheWire(t *testing.T) {
 	ctx := context.Background()
 	c, servers := startCluster(t, 1)
@@ -278,8 +278,8 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		t.Errorf("five in-place patches counted as %d lookups", n)
 	}
 
-	// Two allocations a patch, as for a putif: the value stored and the
-	// store's own copy of the key.
+	// One allocation a patch, the store's own copy of the key: the value
+	// is built in the node's spare array.
 	if err := c.Put(ctx, "bucket", wideBucket()); err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +293,35 @@ func TestPatchIfOnTheWire(t *testing.T) {
 			t.Fatalf("patch %d answered % x", i, status(out))
 		}
 		i++
-	}); n != 2 {
-		t.Errorf("serving a patch: %v allocations, want 2 (the new stored value, the key)", n)
+	}); n != 1 {
+		t.Errorf("serving a patch: %v allocations, want 1 (the key)", n)
+	}
+	// A split's in-place mark and commit of a fresh copy of the bucket:
+	// the key each, and the committed half, which is less than half the
+	// length of the arrays at hand (the spare and the marked bucket's) and
+	// so gets one of its own size.
+	e := wideBucket().Epoch
+	steps := [2][]byte{
+		buildFrame(5, dht.OpPatchIf, patchIf("bucket", patchInPlace, e, ilht.MarkSplitPatch()))[4:],
+		buildFrame(6, dht.OpPatchIf, patchIf("bucket", patchInPlace, e+1, ilht.CommitSplitPatch()))[4:],
+	}
+	fresh := make([][]byte, 201) // AllocsPerRun's warm-up and runs
+	for i := range fresh {
+		fresh[i] = mustAppendValue(t, wideBucket())
+	}
+	i = 0
+	if n := testing.AllocsPerRun(len(fresh)-1, func() {
+		srv.mu.Lock()
+		srv.store["bucket"] = fresh[i]
+		srv.mu.Unlock()
+		for _, req := range steps {
+			if out = srv.applyFrame(req, out[:0]); status(out)[0] != statusOK {
+				t.Fatalf("in-place step %d answered % x", i, status(out))
+			}
+		}
+		i++
+	}); n != 3 {
+		t.Errorf("serving a mark and a commit: %v allocations, want 3 (the key twice, the committed half)", n)
 	}
 }
 

@@ -19,6 +19,10 @@ type Server struct {
 	// store holds tagged values (see frame.go for the tags), exactly the
 	// bytes the wire delivered.
 	store map[string][]byte
+	// spare is the array the next applied patch builds its value in: the
+	// array of the value the last one replaced (see patchStored). Like
+	// the store's values it is touched only under mu.
+	spare []byte
 	ln    net.Listener
 	conns map[net.Conn]struct{}
 	done  bool

@@ -16,10 +16,11 @@ const errMalformed = "malformed request"
 
 // handleBinary serves the framed protocol on one connection, after the
 // magic has been consumed from br. Requests are processed in arrival
-// order into reused buffers — steady-state service allocates only store
-// mutations — and responses are flushed only once the read buffer holds
-// no further input, so a pipelined burst of requests is answered with one
-// write.
+// order into reused buffers — steady-state service allocates only what a
+// whole-value write stores and the store's copy of a written key (an
+// applied patch builds its value in the spare, see patchStored) — and
+// responses are flushed only once the read buffer holds no further input,
+// so a pipelined burst of requests is answered with one write.
 func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 	bw := bufio.NewWriterSize(conn, wireBufSize)
 	in := getBuf()
@@ -329,11 +330,10 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 				s.c.Add(metrics.FailedGets, 1)
 				return append(out, statusNotFound)
 			}
-			next, reply, ok := patchStored(cur, c.rest(), appendUv(append(out, statusOK), storedEpoch(cur)))
+			reply, ok := s.patchStored(key, cur, c.rest(), appendUv(append(out, statusOK), storedEpoch(cur)))
 			if !ok {
 				return appendProbed(append(out, statusPatchRefused), cur, hint)
 			}
-			s.store[string(key)] = next
 			return reply
 		}
 		ifEpoch, err := c.uvarint()
@@ -363,12 +363,11 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			}
 			return appendCASConflict(out, true, w)
 		}
-		next, reply, ok := patchStored(cur, c.rest(), append(out, statusOK))
+		reply, ok := s.patchStored(key, cur, c.rest(), append(out, statusOK))
 		if !ok {
 			return append(out, statusPatchRefused)
 		}
 		s.c.Add(metrics.Lookups, lookups)
-		s.store[string(key)] = next
 		if mode == patchNewer {
 			return reply[:len(out)+1] // a holder's word is its status
 		}
@@ -383,32 +382,48 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 // before the wire value's own bytes: both tags, the epoch, the kind.
 const maxEpochTagLen = 1 + binary.MaxVarintLen64 + 2
 
-// patchStored applies patch to cur, a stored tagged value, with the
-// dht.WirePatcher of its kind. It returns the value to store in cur's
-// place, freshly allocated (stored values are never written to: replies
-// are cut from them under the lock, and snapshots alias them) and tagged
-// with the epoch the patcher returned, and reply extended by the kind
-// byte and the patcher's reply. ok is false, and nothing else of use,
+// patchStored applies patch to cur, the tagged value stored under key,
+// with the dht.WirePatcher of its kind, stores the result in cur's place
+// under the epoch the patcher returned, and returns reply extended by the
+// kind byte and the patcher's reply. ok is false, and the store untouched,
 // when cur is not a tagEpoch-over-tagWire value or the patcher refuses.
-func patchStored(cur, patch, reply []byte) (next, rep []byte, ok bool) {
+// Callers hold s.mu.
+//
+// No stored value's bytes are seen outside s.mu (replies and snapshots
+// copy them under it), so the new value is built in place in s.spare, and
+// cur's array becomes the next spare: once the spare has grown to the
+// values it holds, an applied patch allocates nothing. The patcher
+// appends past a reserve of maxEpochTagLen bytes, into which the tags and
+// epoch are written right-aligned. No stored value keeps an array more
+// than twice its length: a value that much smaller than the spare is copied
+// back into cur's array (or a new one, when that is far larger too), and
+// the spare is kept.
+func (s *Server) patchStored(key, cur, patch, reply []byte) (rep []byte, ok bool) {
 	c := cursor{b: cur}
 	if tag, _ := c.u8(); tag != tagEpoch {
-		return nil, reply, false
+		return reply, false
 	}
 	if _, err := c.uvarint(); err != nil || len(c.b) < 2 || c.b[0] != tagWire {
-		return nil, reply, false
+		return reply, false
 	}
 	kind, data := c.b[1], c.b[2:]
-	// The patcher writes into a pooled buffer, and the value is copied out
-	// into one allocation of its own size: a patch may grow the value by
-	// all of itself or, committing a split, halve it.
-	scratch := getBuf()
-	defer putBuf(scratch)
-	out, rep, epoch, ok := dht.PatchWire((*scratch)[:0], append(reply, kind), kind, data, patch)
-	*scratch = out
+	out, rep, epoch, ok := dht.PatchWire(append(s.spare[:0], make([]byte, maxEpochTagLen)...), append(reply, kind), kind, data, patch)
+	s.spare = out[:0]
 	if !ok {
-		return nil, reply, false
+		return reply, false
 	}
-	next = appendUv(append(make([]byte, 0, maxEpochTagLen+len(out)), tagEpoch), epoch)
-	return append(append(next, tagWire, kind), out...), rep, true
+	var tags [maxEpochTagLen]byte
+	prefix := append(appendUv(append(tags[:0], tagEpoch), epoch), tagWire, kind)
+	next := out[maxEpochTagLen-len(prefix):]
+	copy(next, prefix)
+	switch {
+	case cap(next) <= 2*len(next):
+		s.spare = cur[:0]
+	case cap(cur) <= 2*len(next):
+		next = append(cur[:0], next...)
+	default:
+		next = append([]byte(nil), next...)
+	}
+	s.store[string(key)] = next
+	return rep, true
 }
