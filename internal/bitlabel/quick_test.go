@@ -168,3 +168,28 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: the DHT key of every probe Algorithm 2 makes for mu is a
+// prefix of mu's own key, mu.Prefix(n).Name().Key() ==
+// mu.Key()[:mu.Prefix(n).Name().Len()+1] for every n in [1, len mu], so
+// a lookup can cut all its probe keys from one string. mu takes up to
+// MaxBits bits; n = 1 names the root "#" every time.
+func TestQuickProbeKeyIsPrefixOfMuKey(t *testing.T) {
+	prop := func(raw uint64, length uint8) bool {
+		mu := TreeRoot
+		for i := 1; i < 1+int(length)%MaxBits; i++ {
+			mu = mu.Child(int(raw >> (i - 1) & 1))
+		}
+		muKey := mu.Key()
+		for n := 1; n <= mu.Len(); n++ {
+			name := mu.Prefix(n).Name()
+			if name.Key() != muKey[:name.Len()+1] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, quickCfg()); err != nil {
+		t.Error(err)
+	}
+}

@@ -64,8 +64,8 @@ func (ix *Index) BulkLoad(recs []record.Record) (Cost, error) {
 // much of the tree made it out — a subsequent BulkLoad will refuse with
 // ErrNotEmpty, exactly because the partial tree is real data.
 func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cost Cost, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpBulkLoad)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpBulkLoad, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	// The index must be in its bootstrap state: the single empty leaf.
 	b, err := ix.getBucket(metrics.WithPhase(ctx, metrics.PhaseProbe), bitlabel.Root.Key(), &cost)
 	if err != nil {

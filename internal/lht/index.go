@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
@@ -116,18 +115,6 @@ func (ix *Index) Metrics() metrics.Snapshot { return ix.c.Snapshot() }
 // Counters exposes the live counter set, e.g. to serve a /metrics
 // endpoint without snapshotting on every increment.
 func (ix *Index) Counters() *metrics.Counters { return ix.c }
-
-// beginOp opens an operation scope for the observability plane: the
-// returned context carries the operation class (so the instrumentation
-// layer attributes each DHT-lookup to it), and the returned finish
-// function records the operation's end-to-end latency and outcome. Every
-// public entry point calls it exactly once.
-func (ix *Index) beginOp(ctx context.Context, op metrics.Op) (context.Context, func(error)) {
-	start := time.Now()
-	return metrics.WithOp(ctx, op), func(err error) {
-		ix.c.ObserveOp(op, time.Since(start), err != nil)
-	}
-}
 
 // AlphaMean returns the average alpha (remote-bucket fraction of
 // theta_split, section 8.2) over all splits performed by this client, and
@@ -277,8 +264,8 @@ func (ix *Index) LookupBucket(delta float64) (*Bucket, Cost, error) {
 // LookupBucketContext is LookupBucket with a caller-supplied context
 // bounding the underlying DHT traffic.
 func (ix *Index) LookupBucketContext(ctx context.Context, delta float64) (b *Bucket, cost Cost, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpGet)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpGet, metrics.PhaseProbe)
+	defer func() { scope.Done(err) }()
 	f, cost, err := ix.lookupLeaf(ctx, delta, false, nil)
 	return f.b, cost, err
 }
@@ -321,13 +308,17 @@ type leaf struct {
 // answer as from any probe's, at the same cost.
 func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool, w *write) (leaf, Cost, error) {
 	// Every probe of the binary search is PhaseProbe traffic; repairTorn
-	// overrides the phase for the repair writes it issues.
+	// overrides the phase for the repair writes it issues. A Get opens its
+	// scope in PhaseProbe, so for it this returns ctx unchanged.
 	ctx = metrics.WithPhase(ctx, metrics.PhaseProbe)
 	var cost Cost
 	mu, err := keyspace.Mu(delta, ix.cfg.Depth)
 	if err != nil {
 		return leaf{}, cost, err
 	}
+	// Every probe's name is a prefix of mu, so its key is a prefix of
+	// mu's: one string serves the whole search.
+	muKey := mu.Key()
 	lo, hi := 1, ix.cfg.Depth
 	first := 0                // the first probe's depth, when the cache picks one
 	var cached bitlabel.Label // the cached leaf that first probe asks for, on a hit
@@ -375,7 +366,7 @@ func (ix *Index) lookupLeaf(ctx context.Context, delta float64, recordOnly bool,
 			// the cache hears how that went (cacheProbed).
 			hit := x == cached
 			cached = bitlabel.Root
-			key := x.Name().Key()
+			key := muKey[:x.Name().Len()+1]
 			b, rec, v, err := ix.probeBucket(ctx, key, delta, recordOnly, w, patch, &cost)
 			if v != nil {
 				f, label, err := ix.committed(ctx, key, w, whole, v, &cost)
@@ -461,8 +452,8 @@ func (ix *Index) Search(delta float64) (record.Record, Cost, error) {
 
 // SearchContext is Search with a caller-supplied context.
 func (ix *Index) SearchContext(ctx context.Context, delta float64) (rec record.Record, cost Cost, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpGet)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpGet, metrics.PhaseProbe)
+	defer func() { scope.Done(err) }()
 	f, cost, err := ix.lookupLeaf(ctx, delta, true, nil)
 	if err != nil {
 		return record.Record{}, cost, err
@@ -494,8 +485,8 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 	if err := keyspace.CheckKey(rec.Key); err != nil {
 		return Cost{}, err
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpInsert)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpInsert, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	return ix.commit(ctx, &write{rec: rec, upsert: true})
 }
 
@@ -906,8 +897,8 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 	if err := keyspace.CheckKey(delta); err != nil {
 		return Cost{}, err
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpDelete)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpDelete, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	return ix.commit(ctx, &write{rec: record.Record{Key: delta}})
 }
 

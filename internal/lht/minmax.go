@@ -24,8 +24,8 @@ func (ix *Index) Min() (record.Record, Cost, error) {
 
 // MinContext is Min with a caller-supplied context.
 func (ix *Index) MinContext(ctx context.Context) (rec record.Record, cost Cost, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpMin)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpMin, metrics.PhaseProbe)
+	defer func() { scope.Done(err) }()
 	return ix.extreme(ctx, sweepRight)
 }
 
@@ -38,8 +38,8 @@ func (ix *Index) Max() (record.Record, Cost, error) {
 
 // MaxContext is Max with a caller-supplied context.
 func (ix *Index) MaxContext(ctx context.Context) (rec record.Record, cost Cost, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpMax)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpMax, metrics.PhaseProbe)
+	defer func() { scope.Done(err) }()
 	return ix.extreme(ctx, sweepLeft)
 }
 

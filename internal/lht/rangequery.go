@@ -254,8 +254,8 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 	if !(hi > lo && hi <= 1) {
 		return nil, cost, fmt.Errorf("%w: [%v, %v)", ErrBadRange, lo, hi)
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpRange)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpRange, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	r := keyspace.Interval{Lo: lo, Hi: hi}
 	lca := keyspace.RangeLCA(r, ix.cfg.Depth)
 

@@ -27,8 +27,8 @@ func (ix *Index) ScanContext(ctx context.Context, from float64, limit int) (out 
 	if limit <= 0 {
 		return nil, cost, fmt.Errorf("%w: scan limit %d", ErrBadRange, limit)
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpScan)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpScan, metrics.PhaseProbe)
+	defer func() { scope.Done(err) }()
 	f, lcost, err := ix.lookupLeaf(ctx, from, false, nil)
 	cost.Add(lcost)
 	if err != nil {

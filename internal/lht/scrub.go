@@ -95,8 +95,8 @@ const maxScrubRounds = 8
 // concurrently with readers; like all writers, a repairing scrub must be
 // serialized against other writers by the caller.
 func (ix *Index) Scrub(ctx context.Context) (rep *ScrubReport, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpScrub)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpScrub, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	rep = &ScrubReport{}
 	before := ix.c.Snapshot()
 	var cost Cost

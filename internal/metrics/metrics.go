@@ -9,7 +9,13 @@
 // issued it (probe, forward, split, merge, repair, retry). Operation
 // and phase labels travel on the context (WithOp, WithPhase) so the
 // instrumentation layer can charge each routed lookup to the right
-// cell without threading extra parameters through the algorithms.
+// cell without threading extra parameters through the algorithms. The
+// context holds a pointer into a static table of every (op, phase)
+// pair, so a label costs one context node and reading it nothing. An
+// index operation opens its scope once, with Counters.BeginOp, in the
+// phase it starts in: a Get opens in PhaseProbe and carries one context
+// node for all its probes, and only a phase change (a repair, a split)
+// adds another.
 //
 // Counters are atomic so instrumented DHTs can be shared across
 // goroutines; reads take a consistent-enough snapshot for reporting.
@@ -26,6 +32,7 @@
 package metrics
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 )
@@ -106,6 +113,28 @@ func (c *Counters) ObserveOp(op Op, d time.Duration, failed bool) {
 		c.opLat[op].Observe(d)
 	}
 }
+
+// OpScope is one index operation in flight, opened by BeginOp and
+// closed by Done. It is a value, so opening an operation allocates
+// nothing beyond its context node.
+type OpScope struct {
+	c     *Counters
+	op    Op
+	start time.Time
+}
+
+// BeginOp opens an operation scope for the observability plane: the
+// returned context carries the operation class and the phase it opens
+// in (so the instrumentation layer attributes each DHT-lookup to them),
+// and the returned scope's Done records the operation's end-to-end
+// latency and outcome. Every public index entry point calls it exactly
+// once.
+func (c *Counters) BeginOp(ctx context.Context, op Op, phase Phase) (context.Context, OpScope) {
+	return withLabels(ctx, Labels{Op: op, Phase: phase}), OpScope{c: c, op: op, start: time.Now()}
+}
+
+// Done records the operation's latency and whether it failed.
+func (s OpScope) Done(err error) { s.c.ObserveOp(s.op, time.Since(s.start), err != nil) }
 
 // Snapshot is a point-in-time copy of the counters, grouped by concern:
 // the paper's cost model (Lookup), the client leaf cache (Cache), the

@@ -238,6 +238,24 @@ func TestContextLabels(t *testing.T) {
 	if lb := LabelsFrom(WithOp(ctx, OpScrub)); lb.Op != OpScrub || lb.Phase != PhaseOther {
 		t.Fatalf("WithOp labels = %+v", lb)
 	}
+	// BeginOp opens in the given phase; a WithPhase to it is then free.
+	var c Counters
+	opened, scope := c.BeginOp(context.Background(), OpGet, PhaseProbe)
+	if lb := LabelsFrom(opened); lb != (Labels{OpGet, PhaseProbe}) {
+		t.Fatalf("BeginOp labels = %+v", lb)
+	}
+	if WithPhase(opened, PhaseProbe) != opened {
+		t.Fatal("WithPhase(the opening phase) allocated a new context")
+	}
+	scope.Done(nil)
+	if g := c.Snapshot().Latency.Ops[OpGet]; g.Count != 1 || g.Errors != 0 {
+		t.Fatalf("after Done: %+v", g)
+	}
+	// Labels outside the table's range travel too.
+	odd := Labels{Op: NumOps + 1, Phase: -1}
+	if lb := LabelsFrom(withLabels(ctx, odd)); lb != odd {
+		t.Fatalf("out-of-range labels = %+v, want %+v", lb, odd)
+	}
 }
 
 func TestOpPhaseStrings(t *testing.T) {

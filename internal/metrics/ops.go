@@ -70,14 +70,40 @@ type Labels struct {
 
 type labelsKey struct{}
 
-// WithOp starts a new operation scope: it labels ctx with the given
-// class and resets the phase to PhaseOther. Index entry points call
-// this once; everything beneath inherits the class.
-func WithOp(ctx context.Context, op Op) context.Context {
-	if lb := LabelsFrom(ctx); lb.Op == op && lb.Phase == PhaseOther {
+// labelTable holds every in-range Labels value once. A context carries a
+// pointer into it, which an interface holds without boxing, so labelling
+// a context costs its one context node.
+var labelTable = func() (t [NumOps][NumPhases]Labels) {
+	for op := range t {
+		for ph := range t[op] {
+			t[op][ph] = Labels{Op: Op(op), Phase: Phase(ph)}
+		}
+	}
+	return t
+}()
+
+// withLabels labels ctx with an operation class and an algorithm phase
+// at once. It returns ctx unchanged when it already carries both.
+func withLabels(ctx context.Context, lb Labels) context.Context {
+	if LabelsFrom(ctx) == lb {
 		return ctx
 	}
-	return context.WithValue(ctx, labelsKey{}, Labels{Op: op})
+	var p *Labels
+	if lb.Op >= 0 && lb.Op < NumOps && lb.Phase >= 0 && lb.Phase < NumPhases {
+		p = &labelTable[lb.Op][lb.Phase]
+	} else {
+		p = new(Labels) // out of the table's range: the only boxed labels
+		*p = lb
+	}
+	return context.WithValue(ctx, labelsKey{}, p)
+}
+
+// WithOp starts a new operation scope: it labels ctx with the given
+// class and resets the phase to PhaseOther. Index entry points open
+// their scope with Counters.BeginOp, which sets both labels at once;
+// everything beneath inherits the class.
+func WithOp(ctx context.Context, op Op) context.Context {
+	return withLabels(ctx, Labels{Op: op})
 }
 
 // WithPhase labels ctx with the algorithm phase, keeping the operation
@@ -89,12 +115,14 @@ func WithPhase(ctx context.Context, phase Phase) context.Context {
 		return ctx
 	}
 	lb.Phase = phase
-	return context.WithValue(ctx, labelsKey{}, lb)
+	return withLabels(ctx, lb)
 }
 
 // LabelsFrom returns the attribution labels on ctx, or the zero Labels
 // when none are set.
 func LabelsFrom(ctx context.Context) Labels {
-	lb, _ := ctx.Value(labelsKey{}).(Labels)
-	return lb
+	if p, ok := ctx.Value(labelsKey{}).(*Labels); ok {
+		return *p
+	}
+	return Labels{}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
@@ -107,16 +106,6 @@ func New(d dht.DHT, cfg Config) (*Index, error) {
 	return &Index{d: dht.NewInstrumented(d, c), cfg: cfg, c: c}, nil
 }
 
-// beginOp opens an operation span: the returned context carries the
-// operation class for phase attribution, and the returned func records
-// the operation's latency and outcome when called with the final error.
-func (ix *Index) beginOp(ctx context.Context, op metrics.Op) (context.Context, func(error)) {
-	start := time.Now()
-	return metrics.WithOp(ctx, op), func(err error) {
-		ix.c.ObserveOp(op, time.Since(start), err != nil)
-	}
-}
-
 // Config returns the index configuration.
 func (ix *Index) Config() Config { return ix.cfg }
 
@@ -150,8 +139,8 @@ func (ix *Index) LookupLeaf(delta float64) (*Node, Cost, error) {
 
 // LookupLeafContext is LookupLeaf with a caller-supplied context.
 func (ix *Index) LookupLeafContext(ctx context.Context, delta float64) (n *Node, cost Cost, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpGet)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpGet, metrics.PhaseProbe)
+	defer func() { scope.Done(err) }()
 	return ix.lookupLeaf(ctx, delta)
 }
 
@@ -193,8 +182,8 @@ func (ix *Index) Search(delta float64) (record.Record, Cost, error) {
 
 // SearchContext is Search with a caller-supplied context.
 func (ix *Index) SearchContext(ctx context.Context, delta float64) (rec record.Record, cost Cost, err error) {
-	ctx, done := ix.beginOp(ctx, metrics.OpGet)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpGet, metrics.PhaseProbe)
+	defer func() { scope.Done(err) }()
 	n, cost, err := ix.lookupLeaf(ctx, delta)
 	if err != nil {
 		return record.Record{}, cost, err
@@ -219,8 +208,8 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 	if err := keyspace.CheckKey(rec.Key); err != nil {
 		return Cost{}, err
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpInsert)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpInsert, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	for {
 		n, lcost, err := ix.lookupLeaf(ctx, rec.Key)
 		cost.Add(lcost)
@@ -385,8 +374,8 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 	if err := keyspace.CheckKey(delta); err != nil {
 		return Cost{}, err
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpDelete)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpDelete, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	for {
 		n, lcost, err := ix.lookupLeaf(ctx, delta)
 		cost.Add(lcost)

@@ -41,8 +41,8 @@ func (ix *Index) RangeSequentialContext(ctx context.Context, lo, hi float64) (ou
 	if err := checkRange(lo, hi); err != nil {
 		return nil, Cost{}, err
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpRange)
-	defer func() { done(err) }()
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpRange, metrics.PhaseOther)
+	defer func() { scope.Done(err) }()
 	n, cost, err := ix.lookupLeaf(ctx, lo)
 	if err != nil {
 		return nil, cost, err
@@ -88,10 +88,9 @@ func (ix *Index) RangeParallelContext(ctx context.Context, lo, hi float64) (out 
 	if err := checkRange(lo, hi); err != nil {
 		return nil, Cost{}, err
 	}
-	ctx, done := ix.beginOp(ctx, metrics.OpRange)
-	defer func() { done(err) }()
 	// The trie descent fans the query out level by level.
-	ctx = metrics.WithPhase(ctx, metrics.PhaseForward)
+	ctx, scope := ix.c.BeginOp(ctx, metrics.OpRange, metrics.PhaseForward)
+	defer func() { scope.Done(err) }()
 	r := keyspace.Interval{Lo: lo, Hi: hi}
 	lca := keyspace.RangeLCA(r, ix.cfg.Depth)
 

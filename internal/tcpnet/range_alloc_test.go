@@ -6,7 +6,7 @@ import "testing"
 
 // TestWireRangeAllocationCeiling pins what BenchmarkWireRange measures, a
 // 12-leaf range over three loopback servers, which share the process and
-// whose allocations count too: 90 when this was written. All twelve
+// whose allocations count too: 86 when this was written. All twelve
 // leaves arrive as runs cut by the storing peer — eight from a sweep's
 // multi-gets, four from the query's single gets — and cost two
 // allocations each, the run and its bytes, where a decoded bucket costs
@@ -22,7 +22,7 @@ func TestWireRangeAllocationCeiling(t *testing.T) {
 		}
 	}
 	query() // dial, fill the frame pools
-	const ceiling = 95
+	const ceiling = 91
 	if n := testing.AllocsPerRun(200, query); n > ceiling {
 		t.Errorf("a 12-leaf range over the wire: %v allocations, want at most %d", n, ceiling)
 	}
