@@ -905,3 +905,92 @@ func patchedWritesOnEveryHolder(t *testing.T, replicas int) {
 		t.Error("nothing was parked for the dead holder")
 	}
 }
+
+// At two replicas a Patch's propagation to its one other holder runs on
+// the caller's goroutine, and a secondary that cannot apply it gets the
+// whole value instead, read back once from the serializer and stored over
+// putnewer. Whatever the secondary held — the key at an older epoch (a
+// conflict), nothing, or a stored form no patcher looks into at the
+// patch's epoch (a refusal) — both holders end byte-identical, holding
+// what a PutIf of the patched bucket stores, and the serializer serves
+// exactly one get more than a secondary in step costs it. With the
+// secondary's server closed, the whole value is parked as its hint: a
+// whole bucket, never the patch.
+func TestOneTargetPatchFallsBackToTheWholeValue(t *testing.T) {
+	ctx := context.Background()
+	c, srvs := startNamedCluster(t, 2)
+	server := func(n *clientNode) *Server {
+		var i int
+		if _, err := fmt.Sscanf(n.addr, "node%d:", &i); err != nil {
+			t.Fatal(err)
+		}
+		return srvs[i]
+	}
+	holders := c.holders("leaf")
+	primary, secondary := server(holders[0]), server(holders[1])
+	stored := func(srv *Server) []byte {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return append([]byte(nil), srv.store["leaf"]...)
+	}
+	b := wideBucket() // epoch 7
+	rec := b.Records[37]
+	rec.Value = []byte("patched")
+	hint, patch := ilht.ProbeHint(rec.Key, false), ilht.UpsertPatch(rec, 0, 20)
+	want := mustAppendValue(t, upserted(b, rec))
+	behind := wideBucket()
+	behind.Epoch--
+	// run performs the Patch over a secondary that holds was (nil: nothing)
+	// and returns how many lookups the serializer served for it.
+	run := func(was []byte) int64 {
+		t.Helper()
+		if err := c.Put(ctx, "leaf", b); err != nil {
+			t.Fatal(err)
+		}
+		secondary.mu.Lock()
+		if delete(secondary.store, "leaf"); was != nil {
+			secondary.store["leaf"] = was
+		}
+		secondary.mu.Unlock()
+		before := primary.Metrics().Lookup.Total
+		if v, err := c.Patch(ctx, "leaf", hint, patch); err != nil || v != (ilht.PatchAck{Records: len(b.Records)}) {
+			t.Fatalf("Patch = %#v, %v, want an acknowledgement of %d records", v, err, len(b.Records))
+		}
+		return primary.Metrics().Lookup.Total - before
+	}
+	inStep := run(mustAppendValue(t, b))
+	if got := stored(secondary); !bytes.Equal(got, want) {
+		t.Fatalf("a secondary in step stores\n%x\nwant\n%x", got, want)
+	}
+	for name, was := range map[string][]byte{
+		"behind":  mustAppendValue(t, behind),
+		"absent":  nil,
+		"refused": mustAppendValue(t, &dhttest.EpochValue{Epoch: b.Epoch, Body: "seven"}),
+	} {
+		served := run(was)
+		if p, s := stored(primary), stored(secondary); !bytes.Equal(p, want) || !bytes.Equal(s, p) {
+			t.Errorf("secondary %s: the holders store\n%x\n%x\nwant both\n%x", name, p, s, want)
+		}
+		if served != inStep+1 {
+			t.Errorf("secondary %s: the serializer served %d lookups, %d with the secondary in step: want one get more", name, served, inStep)
+		}
+	}
+
+	if err := secondary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if served := run(nil); served != inStep+1 {
+		t.Errorf("secondary dead: the serializer served %d lookups, %d with the secondary in step: want one get more", served, inStep)
+	}
+	primary.mu.Lock()
+	tv, ok := primary.hints[holders[1].addr]["leaf"]
+	primary.mu.Unlock()
+	if !ok {
+		t.Fatalf("nothing parked on the serializer for the dead %s", holders[1].addr)
+	}
+	if v, err := decodeTaggedValue(tv); err != nil {
+		t.Errorf("the parked hint does not decode: %v", err)
+	} else if _, ok := v.(*ilht.Bucket); !ok || !bytes.Equal(tv, want) {
+		t.Errorf("the parked hint is a %T holding\n%x\nwant the whole patched bucket\n%x", v, tv, want)
+	}
+}

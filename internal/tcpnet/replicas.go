@@ -36,9 +36,12 @@ package tcpnet
 // slot the primary could not answer is read again as Get reads it.
 //
 // With one holder a read neither rotates nor fails over, and nothing is
-// propagated. The concurrency a fan-out needs lives in fanOut, which runs
-// only for a window of more than one node: its goroutines and shared state
-// are heap-allocated, and a holder set of one never pays for them.
+// propagated. A write reaches the holders it must through reach: one
+// target — the lone holder, or at two replicas the one holder a
+// conditional propagates to — is served on the caller's goroutine, and
+// only two or more go through fanOut, whose goroutines and shared state
+// are heap-allocated. So a replica costs a write its round trip and
+// nothing else; the caller blocks until every target answered either way.
 
 import (
 	"context"
@@ -134,12 +137,7 @@ func (c *Client) get(ctx context.Context, r req) (dht.Value, error) {
 // key; with hinted handoff an unreachable holder's copy of a put or write
 // parks on a substitute instead of failing it (store).
 func (c *Client) eachHolder(ctx context.Context, r req) error {
-	holders := c.holders(r.key)
-	if len(holders) == 1 {
-		_, err := c.store(ctx, holders[0], r)
-		return err
-	}
-	return firstFault(c.fanOut(ctx, holders, -1, r))
+	return c.reach(ctx, c.holders(r.key), -1, r)
 }
 
 // take fetches-and-deletes across the whole replica set: every holder
@@ -203,10 +201,39 @@ func (c *Client) cond(ctx context.Context, r req) (dht.Value, error) {
 	if err != nil || len(holders) == 1 {
 		return reply, err
 	}
-	if err := firstFault(c.fanOut(ctx, holders, acting, r.propagated())); err != nil && !errors.Is(err, dht.ErrNotFound) {
+	if err := c.reach(ctx, holders, acting, r.propagated()); err != nil && !errors.Is(err, dht.ErrNotFound) {
 		return reply, err
 	}
 	return reply, nil
+}
+
+// reach performs r on every holder but holders[skip] (skip -1 skips none)
+// and returns the first fault among their answers (firstFault). One target
+// is served on the caller's goroutine, with no goroutine or shared state
+// to allocate; two or more go through fanOut. Either way each target gets
+// propagate, and reach returns once every target answered.
+func (c *Client) reach(ctx context.Context, holders []*clientNode, skip int, r req) error {
+	targets, target := len(holders), 0
+	if skip >= 0 {
+		targets--
+	}
+	if targets > 1 {
+		return firstFault(c.fanOut(ctx, holders, skip, r))
+	}
+	if skip == 0 {
+		target = 1
+	}
+	_, err := c.propagate(ctx, holders[target], r, serializer(holders, skip), nil)
+	return err
+}
+
+// serializer is holders[skip], the holder whose accepted write a
+// propagation carries, or nil when skip is -1 (nothing is propagated).
+func serializer(holders []*clientNode, skip int) *clientNode {
+	if skip < 0 {
+		return nil
+	}
+	return holders[skip]
 }
 
 // answer is one holder's reply to a fanned-out request.
@@ -216,31 +243,13 @@ type answer struct {
 }
 
 // fanOut performs r on every holder but holders[skip] (skip -1 skips
-// none), concurrently, and returns the answers in holder order. It is the
-// one fan-out of the replicated operations, run only for a window of more
-// than one node.
-//
-// A propagated patch (from cond, whose serializer is holders[skip]) that
-// a holder cannot apply — it is behind or ahead of the epoch (conflict),
-// stores a form it will not patch (refused), or is out of reach — is
-// replaced for that holder by the whole value, read back once from the
-// serializer and stored over putnewer exactly as a propagated PutIf is,
-// so a hint parked for a dead holder is a whole value, never a patch. The
-// value read back may already be a later commit's; putnewer's epoch order
-// makes that harmless.
-//
-// A patch is weaker than a PutIf in one respect: nothing checks that a
-// holder at the patch's epoch held the serializer's bytes. Two holders
-// that differ at one epoch (split serializers, see cond) are made equal by
-// the next PutIf's whole value; patched, they stay apart until the key is
-// next written whole (frame.go, "same epoch means same bytes").
+// none), concurrently, one goroutine a target, and returns the answers in
+// holder order. reach calls it for two targets or more, and take, which
+// needs every holder's answer, for its whole holder set. The targets share
+// one read-back of the serializer's whole value (propagate).
 func (c *Client) fanOut(ctx context.Context, holders []*clientNode, skip int, r req) []answer {
 	answers := make([]answer, len(holders))
-	var whole struct {
-		once sync.Once
-		v    dht.Value
-		err  error
-	}
+	from, whole := serializer(holders, skip), new(readBack)
 	var wg sync.WaitGroup
 	for i, n := range holders {
 		if i == skip {
@@ -249,18 +258,58 @@ func (c *Client) fanOut(ctx context.Context, holders []*clientNode, skip int, r 
 		wg.Add(1)
 		go func(a *answer, n *clientNode) {
 			defer wg.Done()
-			a.v, a.err = c.store(ctx, n, r)
-			if a.err == nil || r.op != dht.OpPatchIf {
-				return
-			}
-			whole.once.Do(func() { whole.v, whole.err = holders[skip].do(ctx, req{op: dht.OpGet, key: r.key}) })
-			if a.err = whole.err; a.err == nil { // not-found: since removed, nothing to propagate
-				a.v, a.err = c.store(ctx, n, req{op: dht.OpPutNewer, key: r.key, val: whole.v})
-			}
+			a.v, a.err = c.propagate(ctx, n, r, from, whole)
 		}(&answers[i], n)
 	}
 	wg.Wait()
 	return answers
+}
+
+// propagate performs r on holder n through store, so a put-like copy for
+// an unreachable holder parks as a hint. It is the one per-target body of
+// reach and fanOut.
+//
+// A propagated patch (from cond, whose serializer is from) that n cannot
+// apply — it is behind or ahead of the epoch (conflict), stores a form it
+// will not patch (refused), or is out of reach — is replaced for n by the
+// whole value, read back from the serializer (whole.get) and stored over
+// putnewer exactly as a propagated PutIf is, so a hint parked for a dead
+// holder is a whole value, never a patch. The value read back may already
+// be a later commit's; putnewer's epoch order makes that harmless.
+//
+// A patch is weaker than a PutIf in one respect: nothing checks that a
+// holder at the patch's epoch held the serializer's bytes. Two holders
+// that differ at one epoch (split serializers, see cond) are made equal by
+// the next PutIf's whole value; patched, they stay apart until the key is
+// next written whole (frame.go, "same epoch means same bytes").
+func (c *Client) propagate(ctx context.Context, n *clientNode, r req, from *clientNode, whole *readBack) (dht.Value, error) {
+	v, err := c.store(ctx, n, r)
+	if err == nil || r.op != dht.OpPatchIf {
+		return v, err
+	}
+	if v, err = whole.get(ctx, from, r.key); err != nil { // not-found: since removed, nothing to propagate
+		return nil, err
+	}
+	return c.store(ctx, n, req{op: dht.OpPutNewer, key: r.key, val: v})
+}
+
+// readBack is a fan-out's one read of a key's whole value from its
+// serializer, shared by every target a propagated patch did not reach.
+type readBack struct {
+	once sync.Once
+	v    dht.Value
+	err  error
+}
+
+// get reads key's whole value from from, at most once for all of w's
+// targets; a nil w (reach's one target) reads it on the caller's goroutine.
+func (w *readBack) get(ctx context.Context, from *clientNode, key string) (dht.Value, error) {
+	get := req{op: dht.OpGet, key: key}
+	if w == nil {
+		return from.do(ctx, get)
+	}
+	w.once.Do(func() { w.v, w.err = from.do(ctx, get) })
+	return w.v, w.err
 }
 
 // firstFault returns the first error among answers in holder order, with

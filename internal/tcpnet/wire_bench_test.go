@@ -224,6 +224,37 @@ func BenchmarkWirePatch(b *testing.B) {
 	b.ReportMetric(float64(4+frameHeaderLen+len(req)+reply), "wire-B/op")
 }
 
+// BenchmarkWirePatchReplicated is BenchmarkWirePatch at two replicas:
+// the key's serializer applies the patch, and the client then sends it in
+// newer mode to the other holder, which applies it too. That propagation
+// has one target, so it runs on the caller's goroutine and the client
+// allocates nothing for it: allocs/op is twice BenchmarkWirePatch's, each
+// holder's own (none, for a one-byte key), and ns/op is two round trips
+// back to back.
+func BenchmarkWirePatchReplicated(b *testing.B) {
+	addrs := startBenchServers(b, 2)
+	ctx := context.Background()
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = c.Close() })
+	bucket := wideBucket()
+	if err := c.Put(ctx, "k", bucket); err != nil {
+		b.Fatal(err)
+	}
+	patch := ilht.UpsertPatch(bucket.Records[37], 0, 20)
+	hint := ilht.ProbeHint(bucket.Records[37].Key, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := c.Patch(ctx, "k", hint, patch)
+		if _, ok := v.(ilht.PatchAck); err != nil || !ok {
+			b.Fatalf("Patch = %#v, %v, want an acknowledgement", v, err)
+		}
+	}
+}
+
 // BenchmarkWirePatchCrossing is the upsert that takes a 99-record leaf
 // to its split threshold, full client round trip: the node answers with
 // the split reply, the new header with the local half's record count and
