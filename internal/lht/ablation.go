@@ -59,5 +59,5 @@ func (ix *Index) SearchLinear(delta float64) (record.Record, Cost, error) {
 	if i := record.FindByKey(b.Records, delta); i >= 0 {
 		return b.Records[i], cost, nil
 	}
-	return record.Record{}, cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
+	return record.Record{}, cost, keyNotFound(delta)
 }

@@ -25,6 +25,15 @@ var (
 	ErrCorrupt = errors.New("lht: corrupt index state")
 )
 
+// keyNotFound is the ErrKeyNotFound of one data key. It reads as
+// fmt.Errorf("%w: %v", ErrKeyNotFound, key) does but formats only when
+// asked, so a miss allocates just the error.
+type keyNotFound float64
+
+func (k keyNotFound) Error() string { return fmt.Sprintf("%v: %v", ErrKeyNotFound, float64(k)) }
+
+func (k keyNotFound) Unwrap() error { return ErrKeyNotFound }
+
 // Cost reports the DHT traffic of a single index operation; see
 // metrics.Cost.
 type Cost = metrics.Cost
@@ -465,7 +474,7 @@ func (ix *Index) SearchContext(ctx context.Context, delta float64) (rec record.R
 	} else if i := record.FindByKey(f.b.Records, delta); i >= 0 {
 		return f.b.Records[i], cost, nil
 	}
-	return record.Record{}, cost, fmt.Errorf("%w: %v", ErrKeyNotFound, delta)
+	return record.Record{}, cost, keyNotFound(delta)
 }
 
 // Insert adds a record (replacing any record with the same key). Per
@@ -513,7 +522,7 @@ func (ix *Index) commit(ctx context.Context, w *write) (Cost, error) {
 			return cost, err
 		}
 		if f.rec != nil {
-			return cost, fmt.Errorf("%w: %v", ErrKeyNotFound, w.rec.Key)
+			return cost, keyNotFound(w.rec.Key)
 		}
 		if b := f.b; err == nil && !f.patched && w.upsert && ix.full(b, w.rec.Key) {
 			// The record would take the leaf past the weight bound, where
@@ -589,7 +598,7 @@ type write struct {
 func (w *write) apply(b *Bucket) (*Bucket, error) {
 	i := record.FindByKey(b.Records, w.rec.Key)
 	if i < 0 && !w.upsert {
-		return nil, fmt.Errorf("%w: %v", ErrKeyNotFound, w.rec.Key)
+		return nil, keyNotFound(w.rec.Key)
 	}
 	nb := b.Clone()
 	switch n := len(nb.Records); {

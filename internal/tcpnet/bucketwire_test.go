@@ -28,9 +28,9 @@ func storedInnerTag(t *testing.T, servers []*Server, key string) byte {
 	t.Helper()
 	for _, s := range servers {
 		s.mu.Lock()
-		v, ok := s.store[key]
+		v := storedValue(s, key)
 		s.mu.Unlock()
-		if ok {
+		if v != nil {
 			return innerTag(t, v)
 		}
 	}

@@ -116,8 +116,8 @@ func FuzzDecodeFrame(f *testing.F) {
 
 		// Serve the request; garbage payloads must answer, not panic.
 		s := NewServer()
-		s.store["key"] = stored
-		s.store["raw"] = []byte{tagRaw, 'v'}
+		plantValue(s, "key", stored)
+		plantValue(s, "raw", []byte{tagRaw, 'v'})
 		resp := s.applyFrame(body, nil)
 		if len(resp) < frameHeaderLen+4+1 {
 			t.Fatalf("response frame too short: %d bytes", len(resp))
@@ -158,13 +158,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Whatever the patch, what it leaves stored is a bucket, what it
 		// answers decodes, and only a tagWire value was ever patched.
 		if op == dht.OpPatchIf {
-			if v, err := decodeTaggedValue(s.store["key"]); err != nil {
-				t.Fatalf("a patchif left %x stored: %v", s.store["key"], err)
+			if v, err := decodeTaggedValue(storedValue(s, "key")); err != nil {
+				t.Fatalf("a patchif left %x stored: %v", storedValue(s, "key"), err)
 			} else if _, ok := v.(*ilht.Bucket); !ok {
 				t.Fatalf("a patchif left a %T stored", v)
 			}
-			if string(s.store["raw"]) != string([]byte{tagRaw, 'v'}) {
-				t.Fatalf("a patchif rewrote a raw value to %x", s.store["raw"])
+			if string(storedValue(s, "raw")) != string([]byte{tagRaw, 'v'}) {
+				t.Fatalf("a patchif rewrote a raw value to %x", storedValue(s, "raw"))
 			}
 			pc := cursor{b: body[frameHeaderLen:]}
 			_, _ = pc.lenBytes()

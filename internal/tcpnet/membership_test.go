@@ -167,7 +167,7 @@ func TestHintParkAndReplay(t *testing.T) {
 	}
 	// The newer-epoch hint must have won the park slot.
 	holder.mu.Lock()
-	e := storedEpoch(holder.store["k1"])
+	e := storedEpoch(storedValue(holder, "k1"))
 	holder.mu.Unlock()
 	if e != 7 {
 		t.Fatalf("holder k1 epoch = %d, want 7", e)
@@ -188,7 +188,7 @@ func TestHintReplayLosesToNewerEpoch(t *testing.T) {
 	newer = append(newer, tagRaw)
 	newer = append(newer, []byte("v9")...)
 	holder.mu.Lock()
-	holder.store["k"] = newer
+	plantValue(holder, "k", newer)
 	holder.mu.Unlock()
 
 	stale := append([]byte{tagEpoch}, appendUv(nil, 7)...)
@@ -206,7 +206,7 @@ func TestHintReplayLosesToNewerEpoch(t *testing.T) {
 		}
 	}
 	holder.mu.Lock()
-	e := storedEpoch(holder.store["k"])
+	e := storedEpoch(storedValue(holder, "k"))
 	holder.mu.Unlock()
 	if e != 9 {
 		t.Fatalf("holder epoch = %d after stale replay, want 9 (putnewer must keep the newer value)", e)

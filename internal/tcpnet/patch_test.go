@@ -66,7 +66,7 @@ func mustAppendValue(t testing.TB, v dht.Value) []byte {
 // every leaf the write was not meant for — writes nothing and is answered
 // as the probe it rode; the propagation mode compares epochs as putnewer
 // does and the in-place mode as writeif does, charging no lookup; and an
-// applied patch allocates nothing but the store's copy of the key.
+// applied patch allocates nothing.
 func TestPatchIfOnTheWire(t *testing.T) {
 	ctx := context.Background()
 	c, servers := startCluster(t, 1)
@@ -90,7 +90,7 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	stored := func(key string) []byte {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return srv.store[key]
+		return storedValue(srv, key)
 	}
 	lookups := func() int64 { return srv.Metrics().Lookup.Total }
 	rec := record.Record{Key: 0.7101, Value: []byte("new")}
@@ -278,8 +278,9 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		t.Errorf("five in-place patches counted as %d lookups", n)
 	}
 
-	// One allocation a patch, the store's own copy of the key: the value
-	// is built in the node's spare array.
+	// No allocation a patch: the value is built in the node's spare
+	// array, and stored under the string the store already has for the
+	// key.
 	if err := c.Put(ctx, "bucket", wideBucket()); err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +294,13 @@ func TestPatchIfOnTheWire(t *testing.T) {
 			t.Fatalf("patch %d answered % x", i, status(out))
 		}
 		i++
-	}); n != 1 {
-		t.Errorf("serving a patch: %v allocations, want 1 (the key)", n)
+	}); n != 0 {
+		t.Errorf("serving a patch: %v allocations, want 0", n)
 	}
 	// A split's in-place mark and commit of a fresh copy of the bucket:
-	// the key each, and the committed half, which is less than half the
-	// length of the arrays at hand (the spare and the marked bucket's) and
-	// so gets one of its own size.
+	// only the committed half, which is less than half the length of the
+	// arrays at hand (the spare and the marked bucket's) and so gets one
+	// of its own size.
 	e := wideBucket().Epoch
 	steps := [2][]byte{
 		buildFrame(5, dht.OpPatchIf, patchIf("bucket", patchInPlace, e, ilht.MarkSplitPatch()))[4:],
@@ -312,7 +313,7 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	i = 0
 	if n := testing.AllocsPerRun(len(fresh)-1, func() {
 		srv.mu.Lock()
-		srv.store["bucket"] = fresh[i]
+		plantValue(srv, "bucket", fresh[i])
 		srv.mu.Unlock()
 		for _, req := range steps {
 			if out = srv.applyFrame(req, out[:0]); status(out)[0] != statusOK {
@@ -320,8 +321,8 @@ func TestPatchIfOnTheWire(t *testing.T) {
 			}
 		}
 		i++
-	}); n != 3 {
-		t.Errorf("serving a mark and a commit: %v allocations, want 3 (the key twice, the committed half)", n)
+	}); n != 1 {
+		t.Errorf("serving a mark and a commit: %v allocations, want 1 (the committed half)", n)
 	}
 }
 
@@ -629,14 +630,14 @@ func (p *recordOnlyCounter) riddenCount() int {
 func TestUnhintedBatchIsServedAsBefore(t *testing.T) {
 	srv := NewServer()
 	bucket := mustAppendValue(t, wideBucket())
-	srv.store["bucket"] = bucket
-	srv.store["raw"] = []byte{tagRaw, 'v'}
+	plantValue(srv, "bucket", bucket)
+	plantValue(srv, "raw", []byte{tagRaw, 'v'})
 	keys := binary.AppendUvarint(nil, 3)
 	for _, k := range []string{"bucket", "raw", "absent"} {
 		keys = appendLenString(keys, k)
 	}
 	want := appendLenBytes(append(appendUv([]byte{statusOK}, 3), statusOK), bucket)
-	want = append(appendLenBytes(append(want, statusOK), srv.store["raw"]), statusNotFound)
+	want = append(appendLenBytes(append(want, statusOK), storedValue(srv, "raw")), statusNotFound)
 	if got := srv.applyFrame(buildFrame(1, dht.OpGetBatch, keys)[4:], nil); !bytes.Equal(got, buildFrame(1, dht.OpGetBatch, want)) {
 		t.Errorf("a getbatch with no hint was answered with\n%x\nwant\n%x", got, buildFrame(1, dht.OpGetBatch, want))
 	}
@@ -931,7 +932,7 @@ func TestOneTargetPatchFallsBackToTheWholeValue(t *testing.T) {
 	stored := func(srv *Server) []byte {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return append([]byte(nil), srv.store["leaf"]...)
+		return append([]byte(nil), storedValue(srv, "leaf")...)
 	}
 	b := wideBucket() // epoch 7
 	rec := b.Records[37]
@@ -949,7 +950,7 @@ func TestOneTargetPatchFallsBackToTheWholeValue(t *testing.T) {
 		}
 		secondary.mu.Lock()
 		if delete(secondary.store, "leaf"); was != nil {
-			secondary.store["leaf"] = was
+			plantValue(secondary, "leaf", was)
 		}
 		secondary.mu.Unlock()
 		before := primary.Metrics().Lookup.Total

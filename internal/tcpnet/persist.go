@@ -29,9 +29,9 @@ type snapshot struct {
 func (s *Server) SaveSnapshot(path string) error {
 	s.mu.Lock()
 	snap := snapshot{Format: snapshotFormat, Store: make(map[string][]byte, len(s.store))}
-	for k, v := range s.store {
-		cp := make([]byte, len(v))
-		copy(cp, v)
+	for k, e := range s.store {
+		cp := make([]byte, len(e.val))
+		copy(cp, e.val)
 		snap.Store[k] = cp
 	}
 	s.mu.Unlock()
@@ -87,11 +87,12 @@ func (s *Server) LoadSnapshot(path string) error {
 			return fmt.Errorf("tcpnet: snapshot key %q holds a value in the retired gob form (tag %d)", k, tagRetired)
 		}
 	}
-	s.mu.Lock()
-	s.store = snap.Store
-	if s.store == nil {
-		s.store = make(map[string][]byte)
+	store := make(map[string]entry, len(snap.Store))
+	for k, v := range snap.Store {
+		store[k] = entry{k, v}
 	}
+	s.mu.Lock()
+	s.store = store
 	s.mu.Unlock()
 	return nil
 }

@@ -17,8 +17,11 @@ import (
 type Server struct {
 	mu sync.Mutex
 	// store holds tagged values (see frame.go for the tags), exactly the
-	// bytes the wire delivered.
-	store map[string][]byte
+	// bytes the wire delivered, each beside the map's own string of its
+	// key. Writes go through put, which stores under that string when the
+	// key is already held, so only a key the node never held allocates
+	// its string; reads go through get.
+	store map[string]entry
 	// spare is the array the next applied patch builds its value in: the
 	// array of the value the last one replaced (see patchStored). Like
 	// the store's values it is touched only under mu.
@@ -41,7 +44,7 @@ type Server struct {
 // NewServer returns a server with an empty store.
 func NewServer() *Server {
 	return &Server{
-		store: make(map[string][]byte),
+		store: make(map[string]entry),
 		conns: make(map[net.Conn]struct{}),
 	}
 }
@@ -134,6 +137,31 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	_, _ = br.Discard(len(wireMagic))
 	s.handleBinary(conn, br)
+}
+
+// entry is one stored value and the string its key is stored under.
+type entry struct {
+	key string
+	val []byte
+}
+
+// get returns the value stored under key. Callers hold s.mu.
+func (s *Server) get(key []byte) ([]byte, bool) {
+	e, ok := s.store[string(key)]
+	return e.val, ok
+}
+
+// put stores val under key, keeping val's array. A key the node already
+// holds is stored under the string the store has for it, so the write
+// allocates nothing for the key; a new key allocates its string once.
+// Callers hold s.mu.
+func (s *Server) put(key, val []byte) {
+	if e, ok := s.store[string(key)]; ok {
+		s.store[e.key] = entry{e.key, val}
+		return
+	}
+	k := string(key)
+	s.store[k] = entry{k, val}
 }
 
 // storedEpoch reads the CAS epoch off a stored tagged value: the varint

@@ -17,7 +17,8 @@ const errMalformed = "malformed request"
 // handleBinary serves the framed protocol on one connection, after the
 // magic has been consumed from br. Requests are processed in arrival
 // order into reused buffers — steady-state service allocates only what a
-// whole-value write stores and the store's copy of a written key (an
+// whole-value write stores, and the string of a key the node never held
+// (a write to a held key reuses the store's string, see Server.put; an
 // applied patch builds its value in the spare, see patchStored) — and
 // responses are flushed only once the read buffer holds no further input,
 // so a pipelined burst of requests is answered with one write.
@@ -102,7 +103,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		s.c.Add(metrics.Lookups, 1)
-		v, ok := s.store[string(key)]
+		v, ok := s.get(key)
 		if !ok {
 			s.c.Add(metrics.FailedGets, 1)
 			return append(out, statusNotFound)
@@ -122,7 +123,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		s.c.Add(metrics.Lookups, 1)
-		s.store[string(key)] = append([]byte(nil), c.rest()...)
+		s.put(key, append([]byte(nil), c.rest()...))
 		return append(out, statusOK)
 
 	case dht.OpPutNewer:
@@ -141,10 +142,10 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		s.c.Add(metrics.Lookups, 1)
-		if cur, ok := s.store[string(key)]; ok && storedEpoch(cur) > storedEpoch(val) {
+		if cur, ok := s.get(key); ok && storedEpoch(cur) > storedEpoch(val) {
 			return append(out, statusOK) // superseded: keep the newer value
 		}
-		s.store[string(key)] = append([]byte(nil), val...)
+		s.put(key, append([]byte(nil), val...))
 		return append(out, statusOK)
 
 	case dht.OpRemove:
@@ -162,10 +163,10 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		// Free in the cost model: the client already routed here.
-		if _, ok := s.store[string(key)]; !ok {
+		if _, ok := s.get(key); !ok {
 			return append(out, statusNotFound)
 		}
-		s.store[string(key)] = append([]byte(nil), c.rest()...)
+		s.put(key, append([]byte(nil), c.rest()...))
 		return append(out, statusOK)
 
 	case dht.OpPutIf, dht.OpWriteIf:
@@ -184,7 +185,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if op == dht.OpPutIf {
 			s.c.Add(metrics.Lookups, 1) // WriteIf, like Write, is free
 		}
-		cur, ok := s.store[string(key)]
+		cur, ok := s.get(key)
 		if !ok {
 			if op == dht.OpWriteIf {
 				return append(out, statusNotFound) // matches Write
@@ -194,7 +195,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if w := storedEpoch(cur); w != ifEpoch {
 			return appendCASConflict(out, true, w)
 		}
-		s.store[string(key)] = append([]byte(nil), val...)
+		s.put(key, append([]byte(nil), val...))
 		return append(out, statusOK)
 
 	case dht.OpCreateIf:
@@ -207,10 +208,10 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		s.c.Add(metrics.Lookups, 1)
-		if cur, ok := s.store[string(key)]; ok {
+		if cur, ok := s.get(key); ok {
 			return appendCASConflict(out, true, storedEpoch(cur))
 		}
-		s.store[string(key)] = append([]byte(nil), val...)
+		s.put(key, append([]byte(nil), val...))
 		return append(out, statusOK)
 
 	case dht.OpRemoveIf:
@@ -223,7 +224,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			return appendStatusErr(out, errMalformed)
 		}
 		s.c.Add(metrics.Lookups, 1)
-		cur, ok := s.store[string(key)]
+		cur, ok := s.get(key)
 		if !ok {
 			return append(out, statusOK) // already gone: the removal is done
 		}
@@ -256,7 +257,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		out = appendUv(out, uint64(n))
 		for i := 0; i < n; i++ {
 			key, _ := c.lenBytes()
-			v, ok := s.store[string(key)]
+			v, ok := s.get(key)
 			if !ok {
 				s.c.Add(metrics.FailedGets, 1)
 				out = append(out, statusNotFound)
@@ -295,7 +296,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		for i := 0; i < n; i++ { // in order: a duplicate key's last pair wins
 			key, _ := c.lenBytes()
 			val, _ := c.lenBytes()
-			s.store[string(key)] = append([]byte(nil), val...)
+			s.put(key, append([]byte(nil), val...))
 		}
 		out = append(out, statusOK)
 		out = appendUv(out, uint64(n))
@@ -325,7 +326,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 			c.b = c.b[8:]
 			// Charged as the get it rides, applied or not.
 			s.c.Add(metrics.Lookups, 1)
-			cur, ok := s.store[string(key)]
+			cur, ok := s.get(key)
 			if !ok {
 				s.c.Add(metrics.FailedGets, 1)
 				return append(out, statusNotFound)
@@ -348,7 +349,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		if mode == patchInPlace {
 			lookups = 0
 		}
-		cur, ok := s.store[string(key)]
+		cur, ok := s.get(key)
 		if !ok {
 			if mode == patchInPlace {
 				return append(out, statusNotFound) // matches writeif
@@ -392,7 +393,8 @@ const maxEpochTagLen = 1 + binary.MaxVarintLen64 + 2
 // No stored value's bytes are seen outside s.mu (replies and snapshots
 // copy them under it), so the new value is built in place in s.spare, and
 // cur's array becomes the next spare: once the spare has grown to the
-// values it holds, an applied patch allocates nothing. The patcher
+// values it holds, an applied patch allocates nothing: put stores the
+// result under the string the store already has for key. The patcher
 // appends past a reserve of maxEpochTagLen bytes, into which the tags and
 // epoch are written right-aligned. No stored value keeps an array more
 // than twice its length: a value that much smaller than the spare is copied
@@ -424,6 +426,6 @@ func (s *Server) patchStored(key, cur, patch, reply []byte) (rep []byte, ok bool
 	default:
 		next = append([]byte(nil), next...)
 	}
-	s.store[string(key)] = next
+	s.put(key, next)
 	return rep, true
 }

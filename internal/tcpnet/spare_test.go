@@ -73,7 +73,7 @@ func TestStoredBytesStayBehindTheLock(t *testing.T) {
 	stored := func(k string) []byte {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return bytes.Clone(srv.store[k])
+		return bytes.Clone(storedValue(srv, k))
 	}
 	checkStore := func(when string) {
 		t.Helper()
@@ -141,8 +141,8 @@ func TestStoredBytesStayBehindTheLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		if !bytes.Equal(restored.store[k], saved[k]) {
-			t.Errorf("the snapshot restores %s as\n%x\nwant what was stored at the save\n%x", k, restored.store[k], saved[k])
+		if !bytes.Equal(storedValue(restored, k), saved[k]) {
+			t.Errorf("the snapshot restores %s as\n%x\nwant what was stored at the save\n%x", k, storedValue(restored, k), saved[k])
 		}
 	}
 	// The restored values are the restored store's own too: patching one
@@ -236,7 +236,7 @@ func TestConcurrentReadsPatchesAndSnapshots(t *testing.T) {
 			return err
 		}
 		for _, k := range keys {
-			v, err := decodeTaggedValue(restored.store[k])
+			v, err := decodeTaggedValue(storedValue(restored, k))
 			if err != nil {
 				return fmt.Errorf("snapshot of %s: %w", k, err)
 			}
@@ -277,7 +277,8 @@ func TestPatchedStoreMemoryIsBounded(t *testing.T) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		sumCap, sumLen := cap(srv.spare), 0
-		for k, v := range srv.store {
+		for k := range srv.store {
+			v := storedValue(srv, k)
 			sumCap, sumLen = sumCap+cap(v), sumLen+len(v)
 			longest = max(longest, len(v))
 			if cap(v) > 2*len(v) {

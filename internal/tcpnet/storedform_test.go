@@ -120,19 +120,19 @@ func TestSnapshotWithRetiredFormIsRefused(t *testing.T) {
 		"under epoch": {tagEpoch, 5, tagRetired, 0x0f, 0xff},
 	} {
 		src := NewServer()
-		src.store["fine"] = []byte{tagRaw, 'v'}
-		src.store["old-bucket"] = planted
+		plantValue(src, "fine", []byte{tagRaw, 'v'})
+		plantValue(src, "old-bucket", planted)
 		path := dir + "/" + strings.ReplaceAll(name, " ", "-") + ".snap"
 		if err := src.SaveSnapshot(path); err != nil {
 			t.Fatal(err)
 		}
 		dst := NewServer()
-		dst.store["mine"] = []byte{tagRaw, 'm'}
+		plantValue(dst, "mine", []byte{tagRaw, 'm'})
 		err := dst.LoadSnapshot(path)
 		if err == nil || !strings.Contains(err.Error(), `"old-bucket"`) {
 			t.Errorf("%s: LoadSnapshot = %v, want a refusal naming the key", name, err)
 		}
-		if len(dst.store) != 1 || !bytes.Equal(dst.store["mine"], []byte{tagRaw, 'm'}) {
+		if len(dst.store) != 1 || !bytes.Equal(storedValue(dst, "mine"), []byte{tagRaw, 'm'}) {
 			t.Errorf("%s: the refused load changed the store: %q", name, dst.store)
 		}
 	}
@@ -149,12 +149,12 @@ func TestSnapshotOfThePreviousFormatIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := NewServer()
-	dst.store["mine"] = []byte{tagRaw, 'm'}
+	plantValue(dst, "mine", []byte{tagRaw, 'm'})
 	err := dst.LoadSnapshot(path)
 	if want := fmt.Sprintf("snapshot format %d", old.Format); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("LoadSnapshot = %v, want a refusal naming %q", err, want)
 	}
-	if len(dst.store) != 1 || !bytes.Equal(dst.store["mine"], []byte{tagRaw, 'm'}) {
+	if len(dst.store) != 1 || !bytes.Equal(storedValue(dst, "mine"), []byte{tagRaw, 'm'}) {
 		t.Errorf("the refused load changed the store: %q", dst.store)
 	}
 }
@@ -187,7 +187,8 @@ func TestStoredFormsSnapshotServes(t *testing.T) {
 	}
 	forms := map[string]int{}
 	servers[0].mu.Lock()
-	for _, v := range servers[0].store {
+	for k := range servers[0].store {
+		v := storedValue(servers[0], k)
 		switch in := innerValue(v); {
 		case v[0] == tagEpoch && in[0] == tagWire:
 			forms["epoch+wire"]++

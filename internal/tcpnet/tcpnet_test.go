@@ -311,7 +311,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	srv := NewServer()
 	for i := 0; i < 50; i++ {
-		srv.store[fmt.Sprintf("k%d", i)] = []byte{tagRaw, byte(i)}
+		plantValue(srv, fmt.Sprintf("k%d", i), []byte{tagRaw, byte(i)})
 	}
 	if err := srv.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if restored.Len() != 50 {
 		t.Fatalf("restored %d keys, want 50", restored.Len())
 	}
-	if v := restored.store["k7"]; string(v) != string([]byte{tagRaw, 7}) {
+	if v := storedValue(restored, "k7"); string(v) != string([]byte{tagRaw, 7}) {
 		t.Fatalf("restored value = % x", v)
 	}
 
@@ -408,3 +408,10 @@ func TestNodeRestartPreservesIndex(t *testing.T) {
 		}
 	}
 }
+
+// storedValue returns the value srv stores under k, nil if none; plantValue
+// stores v under k as it is. Neither takes srv.mu: a test that reaches a
+// serving node's store holds it around the call.
+func storedValue(srv *Server, k string) []byte { return srv.store[k].val }
+
+func plantValue(srv *Server, k string, v []byte) { srv.store[k] = entry{k, v} }

@@ -175,6 +175,11 @@ func benchWireProbe(b *testing.B, hint uint64) {
 	b.ReportMetric(float64(reply), "wire-B/op")
 }
 
+// leafKey is the key the write benchmarks store under, a leaf's DHT name
+// as the index writes it. Go never allocates a one-byte string, so a
+// one-byte key would hide what a node allocates for a written key.
+var leafKey = wideBucket().Label.Name().Key()
+
 // BenchmarkWirePutIf / BenchmarkWirePatch are the two ways to overwrite
 // one 64-byte record of a 75-record bucket, full client round trip: the
 // whole bucket under putif, the one record under patchif. wire-B/op is
@@ -183,10 +188,10 @@ func BenchmarkWirePutIf(b *testing.B) {
 	c := benchCluster(b)
 	ctx := context.Background()
 	bucket := wideBucket()
-	if err := c.Put(ctx, "k", bucket); err != nil {
+	if err := c.Put(ctx, leafKey, bucket); err != nil {
 		b.Fatal(err)
 	}
-	req, err := appendValue(appendUv(appendLenString(nil, "k"), bucket.Epoch), bucket)
+	req, err := appendValue(appendUv(appendLenString(nil, leafKey), bucket.Epoch), bucket)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,7 +199,7 @@ func BenchmarkWirePutIf(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bucket.Epoch++
-		if err := c.PutIf(ctx, "k", bucket, bucket.Epoch-1); err != nil {
+		if err := c.PutIf(ctx, leafKey, bucket, bucket.Epoch-1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,19 +210,19 @@ func BenchmarkWirePatch(b *testing.B) {
 	c := benchCluster(b)
 	ctx := context.Background()
 	bucket := wideBucket()
-	if err := c.Put(ctx, "k", bucket); err != nil {
+	if err := c.Put(ctx, leafKey, bucket); err != nil {
 		b.Fatal(err)
 	}
 	patch := ilht.UpsertPatch(bucket.Records[37], 0, 20)
 	hint := ilht.ProbeHint(bucket.Records[37].Key, false)
-	req := probePatch("k", hint, patch)
+	req := probePatch(leafKey, hint, patch)
 	// length, id+op, status, the epoch patched (two bytes from 128 on),
 	// kind, acknowledgement
 	const reply = 4 + frameHeaderLen + 1 + 2 + 1 + 2
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Patch(ctx, "k", hint, patch); err != nil {
+		if _, err := c.Patch(ctx, leafKey, hint, patch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,8 +234,8 @@ func BenchmarkWirePatch(b *testing.B) {
 // newer mode to the other holder, which applies it too. That propagation
 // has one target, so it runs on the caller's goroutine and the client
 // allocates nothing for it: allocs/op is twice BenchmarkWirePatch's, each
-// holder's own (none, for a one-byte key), and ns/op is two round trips
-// back to back.
+// holder's own (none: each writes under the key string it holds), and
+// ns/op is two round trips back to back.
 func BenchmarkWirePatchReplicated(b *testing.B) {
 	addrs := startBenchServers(b, 2)
 	ctx := context.Background()
@@ -240,7 +245,7 @@ func BenchmarkWirePatchReplicated(b *testing.B) {
 	}
 	b.Cleanup(func() { _ = c.Close() })
 	bucket := wideBucket()
-	if err := c.Put(ctx, "k", bucket); err != nil {
+	if err := c.Put(ctx, leafKey, bucket); err != nil {
 		b.Fatal(err)
 	}
 	patch := ilht.UpsertPatch(bucket.Records[37], 0, 20)
@@ -248,7 +253,7 @@ func BenchmarkWirePatchReplicated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := c.Patch(ctx, "k", hint, patch)
+		v, err := c.Patch(ctx, leafKey, hint, patch)
 		if _, ok := v.(ilht.PatchAck); err != nil || !ok {
 			b.Fatalf("Patch = %#v, %v, want an acknowledgement", v, err)
 		}
@@ -312,23 +317,23 @@ func benchWireCommit(b *testing.B, patched bool) {
 	marked := wideBucket()
 	marked.Pending = ilht.Pending{Kind: ilht.PendingSplit}
 	local, commit := localHalf(marked), ilht.CommitSplitPatch()
-	req, reply := patchIf("k", patchInPlace, marked.Epoch, commit), 3 // status, kind, acknowledgement
+	req, reply := patchIf(leafKey, patchInPlace, marked.Epoch, commit), 3 // status, kind, acknowledgement
 	if !patched {
-		req, reply = append(appendUv(appendLenString(nil, "k"), marked.Epoch), mustAppendValue(b, local)...), 1
+		req, reply = append(appendUv(appendLenString(nil, leafKey), marked.Epoch), mustAppendValue(b, local)...), 1
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := c.Put(ctx, "k", marked); err != nil {
+		if err := c.Put(ctx, leafKey, marked); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 		var err error
 		if patched {
-			_, err = c.WritePatchIf(ctx, "k", commit, marked.Epoch)
+			_, err = c.WritePatchIf(ctx, leafKey, commit, marked.Epoch)
 		} else {
-			err = c.WriteIf(ctx, "k", local, marked.Epoch)
+			err = c.WriteIf(ctx, leafKey, local, marked.Epoch)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -344,7 +349,7 @@ func BenchmarkWirePut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Put(ctx, "k", val); err != nil {
+		if err := c.Put(ctx, leafKey, val); err != nil {
 			b.Fatal(err)
 		}
 	}
