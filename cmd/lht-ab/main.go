@@ -34,6 +34,14 @@
 //     than a fair coin would lose with probability 0.05 (a one-sided sign
 //     test), and unresolved when only the first holds.
 //
+// A workload named in -traced also gets a traced cell at every seed: the
+// ledger at --trace 1, run in the same interleaved pairs. Its timings
+// (facade throughput, median latency and CPU an operation, and the
+// client's and the nodes' shares of that CPU) are reported only: each is
+// better or worse when the change won or lost more pairs than a fair coin
+// would with probability 0.05 (the sign test above), and unresolved
+// otherwise. They never fail the study.
+//
 // Exit status: 0 when every claim is shown, no must-not-move metric is out
 // of bound and every run's result was correct, 1 otherwise, 2 when a run
 // produced no result.
@@ -86,8 +94,12 @@ type manifest struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []metricDef `json:"end_to_end"`
+	PerLayer []metricDef `json:"per_layer"`
 	RunSecs  int         `json:"run_seconds"`
 }
+
+// timings are the per-layer metrics a traced cell is judged on.
+var timings = []string{"facade.ops_per_s", "facade.p50_us", "facade.cpu_us_per_op", "client.cpu_us_per_op", "node.cpu_us_per_op"}
 
 // metricDef is one end-to-end metric: its unit, its direction and its
 // bound, the share of the base's value by which the change may be worse.
@@ -111,12 +123,14 @@ type study struct {
 	Pass      bool     `json:"pass"`
 }
 
-// cell is one workload at one seed: both sides' runs, pair by pair, and
-// the verdict on each end-to-end metric.
+// cell is one workload at one seed and trace level: both sides' runs,
+// pair by pair, and the verdict on each end-to-end metric, or on each
+// timing of a traced cell.
 type cell struct {
 	Workload string      `json:"workload"`
 	Seed     int64       `json:"seed"`
-	Runs     [2][]sample `json:"runs"` // base, head
+	Trace    int         `json:"trace"` // the ledger's --trace
+	Runs     [2][]sample `json:"runs"`  // base, head
 	Verdicts []*verdict  `json:"verdicts"`
 }
 
@@ -132,7 +146,7 @@ type sample struct {
 // verdict is one metric of one cell, judged.
 type verdict struct {
 	Metric  string    `json:"metric"`
-	Role    string    `json:"role"` // claim, must-not-move or report
+	Role    string    `json:"role"` // claim, must-not-move, report or timing
 	Bound   float64   `json:"bound"`
 	Sides   [2]spread `json:"sides"` // base, head
 	Worse   float64   `json:"worse"` // by how much the change's median is worse, as a share of the base's
@@ -152,6 +166,7 @@ type spread struct {
 type options struct {
 	base      string
 	workloads []string
+	traced    []string // workloads that also run a --trace 1 cell
 	seeds     []int64
 	pairs     int
 	seconds   int
@@ -174,6 +189,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	o, err := parseFlags(args, m, stderr)
+	if err != nil {
+		return fail(err)
+	}
+	timingDefs, err := m.timingDefs()
 	if err != nil {
 		return fail(err)
 	}
@@ -204,28 +223,41 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			s.Cells = append(s.Cells, &cell{Workload: w, Seed: seed})
 		}
 	}
+	for _, w := range o.traced {
+		for _, seed := range o.seeds {
+			s.Cells = append(s.Cells, &cell{Workload: w, Seed: seed, Trace: 1})
+		}
+	}
 	s.Pass = true
 	for p := 0; p < o.pairs; p++ {
 		for _, c := range s.Cells {
 			first := p % 2 // base leads the even pairs, the change the odd
 			for _, side := range []int{first, 1 - first} {
-				r, err := ledger(ctx, trees[side], c.Workload, c.Seed, o.seconds)
+				r, err := ledger(ctx, trees[side], c.Workload, c.Seed, c.Trace, o.seconds)
 				if err != nil {
-					return fail(fmt.Errorf("%s, %s seed %d, pair %d: %w", sideNames[side], c.Workload, c.Seed, p+1, err))
+					return fail(fmt.Errorf("%s, %s seed %d trace %d, pair %d: %w", sideNames[side], c.Workload, c.Seed, c.Trace, p+1, err))
 				}
 				r.First = side == first
 				c.Runs[side] = append(c.Runs[side], r)
-				fmt.Fprintf(stderr, "lht-ab: pair %d/%d %s seed %d %s: correct %v, %v\n", p+1, o.pairs, c.Workload, c.Seed, sideNames[side], r.Correct, r.Metrics)
+				fmt.Fprintf(stderr, "lht-ab: pair %d/%d %s seed %d trace %d %s: correct %v, %v\n", p+1, o.pairs, c.Workload, c.Seed, c.Trace, sideNames[side], r.Correct, r.Metrics)
 				s.Pass = s.Pass && r.Correct
 			}
 		}
 	}
 
 	for _, c := range s.Cells {
-		for _, def := range m.EndToEnd {
-			v := &verdict{Metric: def.Name, Role: o.role(c.Workload, def.Name), Bound: def.Bound}
+		defs := m.EndToEnd
+		if c.Trace == 1 {
+			defs = timingDefs
+		}
+		for _, def := range defs {
+			role := "timing"
+			if c.Trace == 0 {
+				role = o.role(c.Workload, def.Name)
+			}
+			v := &verdict{Metric: def.Name, Role: role, Bound: def.Bound}
 			if err := v.judge(c.Runs, def); err != nil {
-				return fail(fmt.Errorf("%s seed %d: %w", c.Workload, c.Seed, err))
+				return fail(fmt.Errorf("%s seed %d trace %d: %w", c.Workload, c.Seed, c.Trace, err))
 			}
 			s.Pass = s.Pass && v.Verdict != "out of bound" && v.Verdict != "not shown"
 			c.Verdicts = append(c.Verdicts, v)
@@ -259,6 +291,19 @@ func loadManifest(path string) (manifest, error) {
 	return m, nil
 }
 
+// timingDefs are the per-layer definitions of the timings, in their order.
+func (m manifest) timingDefs() ([]metricDef, error) {
+	var defs []metricDef
+	for _, name := range timings {
+		i := slices.IndexFunc(m.PerLayer, func(d metricDef) bool { return d.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("BENCHMARK.json has no per-layer metric %s", name)
+		}
+		defs = append(defs, m.PerLayer[i])
+	}
+	return defs, nil
+}
+
 func parseFlags(args []string, m manifest, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("lht-ab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -269,6 +314,7 @@ func parseFlags(args []string, m manifest, stderr io.Writer) (options, error) {
 	o := options{}
 	fs.StringVar(&o.base, "base", "", "revision to measure the working tree against (required)")
 	workloads := fs.String("workloads", strings.Join(names, ","), "comma-separated workloads")
+	traced := fs.String("traced", "", "comma-separated workloads that also run a --trace 1 cell at each seed, its timings reported only")
 	seeds := fs.String("seeds", "1", "comma-separated seeds; each workload runs at each")
 	fs.IntVar(&o.pairs, "pairs", 10, "pairs per workload and seed")
 	fs.IntVar(&o.seconds, "seconds", m.RunSecs, "the ledger's --seconds, the same on both sides")
@@ -283,7 +329,10 @@ func parseFlags(args []string, m manifest, stderr io.Writer) (options, error) {
 		return o, errors.New("-base and -out are required, -pairs and -seconds positive, and nothing follows the flags")
 	}
 	o.workloads = strings.Split(*workloads, ",")
-	for _, w := range o.workloads {
+	if *traced != "" {
+		o.traced = strings.Split(*traced, ",")
+	}
+	for _, w := range slices.Concat(o.workloads, o.traced) {
 		if !slices.Contains(names, w) {
 			return o, fmt.Errorf("unknown workload %q (BENCHMARK.json has %s)", w, strings.Join(names, ", "))
 		}
@@ -383,13 +432,13 @@ func export(ctx context.Context, root, rev, dir string) error {
 	return nil
 }
 
-// ledger runs one tree's harness on one workload and seed, with tracing
-// off, and parses the result off its last line of standard output. A run
-// that exits 1 (an incorrect result) still has one; any other failure is
-// an error carrying the end of its standard error.
-func ledger(ctx context.Context, tree, workload string, seed int64, seconds int) (sample, error) {
+// ledger runs one tree's harness on one workload and seed at one trace
+// level, and parses the result off its last line of standard output. A
+// run that exits 1 (an incorrect result) still has one; any other failure
+// is an error carrying the end of its standard error.
+func ledger(ctx context.Context, tree, workload string, seed int64, trace, seconds int) (sample, error) {
 	cmd := exec.CommandContext(ctx, "go", "run", "-C", filepath.Join(tree, "benchmark"), ".",
-		"--workload", workload, "--seed", strconv.FormatInt(seed, 10), "--seconds", strconv.Itoa(seconds), "--trace", "0")
+		"--workload", workload, "--seed", strconv.FormatInt(seed, 10), "--seconds", strconv.Itoa(seconds), "--trace", strconv.Itoa(trace))
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -397,6 +446,12 @@ func ledger(ctx context.Context, tree, workload string, seed int64, seconds int)
 	if err != nil && !(errors.As(err, &exit) && exit.ExitCode() == exitWrong) {
 		return sample{}, fmt.Errorf("%w: %s", err, tail(stderr.String(), 400))
 	}
+	return parseResult(out)
+}
+
+// parseResult reads a run's result, the JSON object on the last line of
+// its standard output, end-to-end or per-layer alike.
+func parseResult(out []byte) (sample, error) {
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	var res struct {
 		Correct   bool `json:"correct"`
@@ -456,6 +511,12 @@ func (v *verdict) judge(runs [2][]sample, def metricDef) error {
 	iqr := b.Q3 - b.Q1
 	n := len(vals[base])
 	switch {
+	case v.Role == "timing" && signTest(v.Won, v.Won+v.Lost) < 0.05:
+		v.Verdict = "better (reported only)"
+	case v.Role == "timing" && signTest(v.Lost, v.Won+v.Lost) < 0.05:
+		v.Verdict = "worse (reported only)"
+	case v.Role == "timing":
+		v.Verdict = "unresolved (reported only)"
 	case v.Role == "claim" && 10*v.Won >= 9*n && sign*(b.Median-h.Median) > iqr:
 		v.Verdict = "shown"
 	case v.Role == "claim":
@@ -527,12 +588,12 @@ func binomial(n, k int) float64 {
 // table prints the verdicts, one line per workload, seed and metric.
 func (s *study) table(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tseed\tmetric\trole\tbase [q1, q3]\thead [q1, q3]\tworse by\tbound\twon/lost\tverdict")
+	fmt.Fprintln(tw, "workload\tseed\ttrace\tmetric\trole\tbase [q1, q3]\thead [q1, q3]\tworse by\tbound\twon/lost\tverdict")
 	for _, c := range s.Cells {
 		for _, v := range c.Verdicts {
 			b, h := v.Sides[base], v.Sides[head]
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%.6g [%.6g, %.6g]\t%.6g [%.6g, %.6g]\t%+.2f%%\t%.1f%%\t%d/%d\t%s\n",
-				c.Workload, c.Seed, v.Metric, v.Role, b.Median, b.Q1, b.Q3, h.Median, h.Q1, h.Q3, 100*v.Worse, 100*v.Bound, v.Won, v.Lost, v.Verdict)
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.6g [%.6g, %.6g]\t%.6g [%.6g, %.6g]\t%+.2f%%\t%.1f%%\t%d/%d\t%s\n",
+				c.Workload, c.Seed, c.Trace, v.Metric, v.Role, b.Median, b.Q1, b.Q3, h.Median, h.Q1, h.Q3, 100*v.Worse, 100*v.Bound, v.Won, v.Lost, v.Verdict)
 		}
 	}
 	return tw.Flush()

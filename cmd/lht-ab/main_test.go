@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 )
 
@@ -79,6 +80,10 @@ func TestJudge(t *testing.T) {
 		"reported, out of bound":   {"allocs_per_op", "report", "lower", 0.02, ten(13), ten(14), "out of bound (reported only)"},
 		"equal, nothing won":       {"lookups_per_op", "must-not-move", "lower", 0.03, ten(3), ten(3), "ok"},
 		"claim of an equal metric": {"lookups_per_op", "claim", "lower", 0.03, ten(3), ten(3), "not shown"},
+		"timing, pairs won":        {"facade.cpu_us_per_op", "timing", "lower", 0, ten(120), ten(100), "better (reported only)"},
+		"timing, pairs lost":       {"facade.ops_per_s", "timing", "higher", 0, ten(13000), ten(12000), "worse (reported only)"},
+		"timing, 8 of 10 lost":     {"facade.p50_us", "timing", "lower", 0, ten(60), append(ten(70)[:8], 50, 50), "unresolved (reported only)"},
+		"timing, nothing moved":    {"node.cpu_us_per_op", "timing", "lower", 0, ten(40), ten(40), "unresolved (reported only)"},
 	} {
 		unit := "count"
 		if tc.metric == "setup_s" {
@@ -133,5 +138,50 @@ func TestCellSetAndRole(t *testing.T) {
 		if got := tc.o.role(tc.workload, tc.metric); got != tc.want {
 			t.Errorf("role(%s, %s) = %s, want %s", tc.workload, tc.metric, got, tc.want)
 		}
+	}
+}
+
+// A traced run's result is parsed off its last line like an untraced
+// one's, whatever its harness printed before it, and BENCHMARK.json
+// defines every timing a traced cell is judged on.
+func TestParseTracedResult(t *testing.T) {
+	out := []byte(`{"not": "the result"}
+{"correct":true,"attempted":45001,"failed":0,"metrics":{"client.cpu_us_per_op":{"value":61.2,"unit":"us"},"facade.cpu_us_per_op":{"value":104.5,"unit":"us"},"facade.ops_per_s":{"value":13951.3,"unit":"1/s"},"facade.p50_us":{"value":138.1,"unit":"us"},"node.cpu_us_per_op":{"value":43.3,"unit":"us"},"tcpnet.wire_bytes_per_call":{"value":6188,"unit":"B"}}}
+`)
+	r, err := parseResult(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Correct || r.Attempted != 45001 || r.Failed != 0 {
+		t.Errorf("parsed %+v", r)
+	}
+	want := map[string]float64{"client.cpu_us_per_op": 61.2, "facade.cpu_us_per_op": 104.5, "facade.ops_per_s": 13951.3, "facade.p50_us": 138.1, "node.cpu_us_per_op": 43.3, "tcpnet.wire_bytes_per_call": 6188}
+	if len(r.Metrics) != len(want) {
+		t.Errorf("metrics %v, want %v", r.Metrics, want)
+	}
+	for name, x := range want {
+		if r.Metrics[name] != x {
+			t.Errorf("%s = %v, want %v", name, r.Metrics[name], x)
+		}
+	}
+	if _, err := parseResult([]byte("bench: set-up failed\n")); err == nil {
+		t.Error("a run without a result was parsed")
+	}
+
+	m, err := loadManifest(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs, err := m.timingDefs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range defs {
+		if d.Name != timings[i] || d.Better != "higher" && d.Better != "lower" {
+			t.Errorf("timing %d: %+v", i, d)
+		}
+	}
+	if _, err := (manifest{}).timingDefs(); err == nil {
+		t.Error("a manifest without per-layer metrics gave timings")
 	}
 }

@@ -47,10 +47,13 @@ const bulkLoadWorkers = 8
 // n records costs about n/(theta/2) DHT-lookups instead of incremental
 // insertion's ~n*log(D/2) - the standard index-construction optimization.
 //
-// Records with duplicate keys collapse to the last occurrence (matching
-// Insert's replace semantics). Bulk loading performs no splits, so split
-// statistics (AlphaMean) stay empty; MovedRecords counts every shipped
-// slot, as all buckets travel to their responsible peers.
+// Building the tree locally costs one generic sort of a copy of recs,
+// linear when recs is already in key order, and no map: records with
+// duplicate keys collapse to the last occurrence (matching Insert's
+// replace semantics), and only keys that repeat are looked up again to
+// find it. recs itself is never reordered. Bulk loading performs no
+// splits, so split statistics (AlphaMean) stay empty; MovedRecords counts
+// every shipped slot, as all buckets travel to their responsible peers.
 func (ix *Index) BulkLoad(recs []record.Record) (Cost, error) {
 	return ix.BulkLoadContext(context.Background(), recs)
 }
@@ -75,19 +78,16 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 		return cost, ErrNotEmpty
 	}
 
-	// Deduplicate (last wins) and order by key.
-	dedup := make(map[float64]record.Record, len(recs))
+	// Order a copy by key, then deduplicate (last wins).
 	for _, r := range recs {
 		if err := keyspace.CheckKey(r.Key); err != nil {
 			return cost, err
 		}
-		dedup[r.Key] = r
 	}
-	sorted := make([]record.Record, 0, len(dedup))
-	for _, r := range dedup {
-		sorted = append(sorted, r)
-	}
+	sorted := make([]record.Record, len(recs))
+	copy(sorted, recs)
 	record.SortByKey(sorted)
+	sorted = lastWins(sorted, recs)
 
 	// Partition into leaves exactly as median splits would.
 	var leaves []*Bucket
@@ -195,4 +195,42 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 	// The bootstrap bucket was either replaced (single-leaf result) or
 	// superseded by the new root's leftmost leaf, which shares key "#".
 	return cost, nil
+}
+
+// lastWins collapses each run of equal keys in sorted, a sorted copy of
+// in, to the key's last occurrence in in. The sort is not stable, so a
+// run's order says nothing about its records' input order: the input
+// positions are looked up, for the keys that repeat only. Without
+// repeats it is one comparison per record and allocates nothing.
+func lastWins(sorted, in []record.Record) []record.Record {
+	var last map[float64]int // a repeated key's last position in in
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Key == sorted[i-1].Key {
+			if last == nil {
+				last = make(map[float64]int)
+			}
+			last[sorted[i].Key] = -1
+		}
+	}
+	if last == nil {
+		return sorted
+	}
+	for i, r := range in {
+		if _, ok := last[r.Key]; ok {
+			last[r.Key] = i
+		}
+	}
+	out := sorted[:0]
+	for i := 0; i < len(sorted); {
+		r, j := sorted[i], i+1
+		for j < len(sorted) && sorted[j].Key == r.Key {
+			j++
+		}
+		if j > i+1 {
+			r = in[last[r.Key]]
+		}
+		out = append(out, r)
+		i = j
+	}
+	return out
 }

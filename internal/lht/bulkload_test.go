@@ -1,8 +1,12 @@
 package lht
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -156,5 +160,166 @@ func TestBulkLoadEmptyAndClustered(t *testing.T) {
 		if _, _, err := ix2.Search(r.Key); err != nil {
 			t.Fatalf("Search(%v): %v", r.Key, err)
 		}
+	}
+}
+
+// referenceBulkLoad loads recs as BulkLoad deduplicated them before it
+// sorted once: through a map, the last occurrence winning, then a
+// reflective sort of the map's order. The result goes to BulkLoad
+// already unique and in order, so the map is all that decides which
+// record of a repeated key is stored.
+func referenceBulkLoad(t *testing.T, cfg Config, recs []record.Record) (*dht.Local, *Index, Cost, map[float64]record.Record) {
+	t.Helper()
+	dedup := make(map[float64]record.Record, len(recs))
+	for _, r := range recs {
+		dedup[r.Key] = r
+	}
+	sorted := make([]record.Record, 0, len(dedup))
+	for _, r := range dedup {
+		sorted = append(sorted, r)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	l := dht.NewLocal()
+	ix, err := New(l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := ix.BulkLoad(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, ix, cost, dedup
+}
+
+// TestBulkLoadMatchesMapReference: whatever the input's order and
+// however its keys repeat, BulkLoad stores the same leaves, byte for
+// byte, as the map-then-sort reference, at the same cost, keeps the last
+// occurrence of every key and leaves the caller's slice as it was.
+func TestBulkLoadMatchesMapReference(t *testing.T) {
+	cfg := Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20}
+	const n = 2000
+	type arrange struct {
+		name string
+		do   func([]record.Record, *rand.Rand)
+	}
+	orderings := []arrange{
+		{"sorted", func(rs []record.Record, _ *rand.Rand) {
+			sort.Slice(rs, func(i, j int) bool { return rs[i].Key < rs[j].Key })
+		}},
+		{"reversed", func(rs []record.Record, _ *rand.Rand) {
+			sort.Slice(rs, func(i, j int) bool { return rs[i].Key > rs[j].Key })
+		}},
+		{"shuffled", func(rs []record.Record, rng *rand.Rand) {
+			rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+		}},
+	}
+	// Each duplicates pattern gives input positions the key of another.
+	duplicates := []arrange{
+		{"none", func([]record.Record, *rand.Rand) {}},
+		{"one pair", func(rs []record.Record, rng *rand.Rand) {
+			rs[rng.Intn(n/2)+n/2].Key = rs[rng.Intn(n/2)].Key
+		}},
+		{"one key many times", func(rs []record.Record, rng *rand.Rand) {
+			k := rs[n/2].Key
+			rs[0].Key, rs[n-1].Key = k, k
+			for i := 0; i < 100; i++ {
+				rs[rng.Intn(n)].Key = k
+			}
+		}},
+	}
+	for oi, order := range orderings {
+		for di, dup := range duplicates {
+			t.Run(order.name+"/"+dup.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(10*oi + di)))
+				recs := make([]record.Record, n)
+				for i := range recs {
+					recs[i] = record.Record{Key: rng.Float64(), Value: fmt.Appendf(nil, "r%d", i)}
+				}
+				order.do(recs, rng)
+				dup.do(recs, rng)
+				before := slices.Clone(recs)
+
+				local := dht.NewLocal()
+				ix, err := New(local, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost, err := ix.BulkLoad(recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refLocal, ref, refCost, want := referenceBulkLoad(t, cfg, recs)
+
+				for i := range recs {
+					if recs[i].Key != before[i].Key || &recs[i].Value[0] != &before[i].Value[0] {
+						t.Fatalf("caller's slice changed at %d: %v, was %v", i, recs[i], before[i])
+					}
+				}
+				if cost != refCost {
+					t.Errorf("cost %+v, reference %+v", cost, refCost)
+				}
+				if got, ref := ix.Metrics().Lookup.MovedRecords, ref.Metrics().Lookup.MovedRecords; got != ref {
+					t.Errorf("moved records %d, reference %d", got, ref)
+				}
+				keys, refKeys := local.Keys(), refLocal.Keys()
+				slices.Sort(keys)
+				slices.Sort(refKeys)
+				if !slices.Equal(keys, refKeys) {
+					t.Fatalf("stored names %v, reference %v", keys, refKeys)
+				}
+				for _, k := range keys {
+					got, _ := local.Get(context.Background(), k)
+					exp, _ := refLocal.Get(context.Background(), k)
+					gb, _ := EncodeBucket(got.(*Bucket))
+					eb, _ := EncodeBucket(exp.(*Bucket))
+					if !bytes.Equal(gb, eb) {
+						t.Errorf("leaf %q differs from the reference's", k)
+					}
+				}
+				if c, err := ix.Count(); err != nil || c != len(want) {
+					t.Errorf("Count = %d, %v; want %d", c, err, len(want))
+				}
+				for k, w := range want {
+					r, _, err := ix.Search(k)
+					if err != nil || !bytes.Equal(r.Value, w.Value) {
+						t.Fatalf("Search(%v) = %q, %v; want %q", k, r.Value, err, w.Value)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBulkLoad loads 2^17 records of 64 B into a fresh index over
+// dht.Local, the ledger's set-up load, from input in key order and from
+// shuffled input. The index is built outside the timer; every timed
+// load is the whole of BulkLoad, sort, partition and ship.
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 1 << 17
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]record.Record, n)
+	for i := range recs {
+		recs[i] = record.Record{Key: rng.Float64(), Value: make([]byte, 64)}
+	}
+	shuffled := slices.Clone(recs)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+	for _, bc := range []struct {
+		name string
+		recs []record.Record
+	}{{"sorted", recs}, {"shuffled", shuffled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix, err := New(dht.NewLocal(), Config{SplitThreshold: 100, Depth: 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := ix.BulkLoad(bc.recs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

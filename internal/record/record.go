@@ -7,8 +7,9 @@
 package record
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Record is one indexed data unit.
@@ -27,9 +28,11 @@ func (r Record) String() string {
 	return fmt.Sprintf("{%g: %q}", r.Key, r.Value)
 }
 
-// SortByKey sorts records in ascending key order in place.
+// SortByKey sorts records in ascending key order in place. It is a
+// generic pdqsort (no reflection), linear on input already in order and
+// not stable: records with equal keys end up in no particular order.
 func SortByKey(rs []Record) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Key < rs[j].Key })
+	slices.SortFunc(rs, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // FindByKey returns the index of the record with the given key in rs, or
