@@ -36,11 +36,14 @@
 //
 // A workload named in -traced also gets a traced cell at every seed: the
 // ledger at --trace 1, run in the same interleaved pairs. Its timings
-// (facade throughput, median latency and CPU an operation, and the
-// client's and the nodes' shares of that CPU) are reported only: each is
-// better or worse when the change won or lost more pairs than a fair coin
-// would with probability 0.05 (the sign test above), and unresolved
-// otherwise. They never fail the study.
+// (facade throughput, median latency and CPU an operation, the client's
+// and the nodes' shares of that CPU, the index's and the tcpnet spans' own
+// time an operation, the decorator stack's cost a get, and a raw get's
+// median round trip) are reported only: each is better or worse when the
+// change won or lost more pairs than a fair coin would with probability
+// 0.05 (the sign test above), and unresolved otherwise. They never fail
+// the study, unless -claim names one (workload:timing, the workload
+// traced): a claimed timing is judged by the claim rule above.
 //
 // Exit status: 0 when every claim is shown, no must-not-move metric is out
 // of bound and every run's result was correct, 1 otherwise, 2 when a run
@@ -99,7 +102,8 @@ type manifest struct {
 }
 
 // timings are the per-layer metrics a traced cell is judged on.
-var timings = []string{"facade.ops_per_s", "facade.p50_us", "facade.cpu_us_per_op", "client.cpu_us_per_op", "node.cpu_us_per_op"}
+var timings = []string{"facade.ops_per_s", "facade.p50_us", "facade.cpu_us_per_op", "client.cpu_us_per_op", "node.cpu_us_per_op",
+	"tcpnet.get_raw_us_p50", "lht.self_us_per_op", "dht.stack_ns_per_get", "tcpnet.span_us_per_op"}
 
 // metricDef is one end-to-end metric: its unit, its direction and its
 // bound, the share of the base's value by which the change may be worse.
@@ -251,9 +255,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			defs = timingDefs
 		}
 		for _, def := range defs {
-			role := "timing"
-			if c.Trace == 0 {
-				role = o.role(c.Workload, def.Name)
+			role := o.role(c.Workload, def.Name)
+			if c.Trace == 1 && role != "claim" {
+				role = "timing"
 			}
 			v := &verdict{Metric: def.Name, Role: role, Bound: def.Bound}
 			if err := v.judge(c.Runs, def); err != nil {
@@ -318,7 +322,7 @@ func parseFlags(args []string, m manifest, stderr io.Writer) (options, error) {
 	seeds := fs.String("seeds", "1", "comma-separated seeds; each workload runs at each")
 	fs.IntVar(&o.pairs, "pairs", 10, "pairs per workload and seed")
 	fs.IntVar(&o.seconds, "seconds", m.RunSecs, "the ledger's --seconds, the same on both sides")
-	claim := fs.String("claim", "", "comma-separated workload:metric gains the study must show")
+	claim := fs.String("claim", "", "comma-separated workload:metric gains the study must show; the metric an end-to-end one, or a timing of a -traced workload")
 	still := fs.String("must-not-move", "", "comma-separated metric or workload:metric that must stay within bound (default: every end-to-end metric not claimed)")
 	fs.StringVar(&o.out, "out", "", "file the study is written to, e.g. BENCH_<n>.json (required)")
 	if err := fs.Parse(args); err != nil {
@@ -349,8 +353,13 @@ func parseFlags(args []string, m manifest, stderr io.Writer) (options, error) {
 		metrics = append(metrics, d.Name)
 	}
 	var err error
-	if o.claims, err = cellSet(*claim, names, metrics, true); err != nil {
+	if o.claims, err = cellSet(*claim, names, slices.Concat(metrics, timings), true); err != nil {
 		return o, fmt.Errorf("-claim: %w", err)
+	}
+	for c := range o.claims {
+		if w, metric, _ := strings.Cut(c, ":"); slices.Contains(timings, metric) && !slices.Contains(o.traced, w) {
+			return o, fmt.Errorf("-claim %s: a timing is claimed on a traced cell, and -traced has no %s", c, w)
+		}
 	}
 	if *still != "" {
 		if o.still, err = cellSet(*still, names, metrics, false); err != nil {
@@ -376,7 +385,7 @@ func cellSet(list string, workloads, metrics []string, qualified bool) (map[stri
 		case ok && !slices.Contains(workloads, w), !ok && qualified:
 			return nil, fmt.Errorf("%q is not workload:metric", f)
 		case !slices.Contains(metrics, metric):
-			return nil, fmt.Errorf("%q: no end-to-end metric %q", f, metric)
+			return nil, fmt.Errorf("%q: no metric %q to judge", f, metric)
 		}
 		set[f] = true
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -84,6 +85,11 @@ func TestJudge(t *testing.T) {
 		"timing, pairs lost":       {"facade.ops_per_s", "timing", "higher", 0, ten(13000), ten(12000), "worse (reported only)"},
 		"timing, 8 of 10 lost":     {"facade.p50_us", "timing", "lower", 0, ten(60), append(ten(70)[:8], 50, 50), "unresolved (reported only)"},
 		"timing, nothing moved":    {"node.cpu_us_per_op", "timing", "lower", 0, ten(40), ten(40), "unresolved (reported only)"},
+		"timing, raw get faster":   {"tcpnet.get_raw_us_p50", "timing", "lower", 0, ten(28), ten(21), "better (reported only)"},
+		"timing, stack slower":     {"dht.stack_ns_per_get", "timing", "lower", 0, ten(60), ten(70), "worse (reported only)"},
+		"claimed timing shown":     {"tcpnet.get_raw_us_p50", "claim", "lower", 0, ten(28), ten(21), "shown"},
+		"claimed timing, 8 of 10":  {"tcpnet.span_us_per_op", "claim", "lower", 0, ten(170), append(ten(150)[:8], 190, 190), "not shown"},
+		"claimed timing in spread": {"lht.self_us_per_op", "claim", "lower", 0, []float64{4, 5, 6, 7}, []float64{3.9, 4.9, 5.9, 6.9}, "not shown"},
 	} {
 		unit := "count"
 		if tc.metric == "setup_s" {
@@ -137,6 +143,34 @@ func TestCellSetAndRole(t *testing.T) {
 	} {
 		if got := tc.o.role(tc.workload, tc.metric); got != tc.want {
 			t.Errorf("role(%s, %s) = %s, want %s", tc.workload, tc.metric, got, tc.want)
+		}
+	}
+
+	// A claim may name a timing, of a workload that runs a traced cell.
+	m := manifest{EndToEnd: []metricDef{{Name: "setup_s"}}, RunSecs: 20}
+	for _, w := range workloads {
+		m.Workloads = append(m.Workloads, struct {
+			Name string `json:"name"`
+		}{w})
+	}
+	flags := func(extra ...string) []string {
+		return append([]string{"-base", "HEAD", "-out", "x.json"}, extra...)
+	}
+	var discard strings.Builder
+	o, err := parseFlags(flags("-traced", "get-probe", "-claim", "get-probe:tcpnet.get_raw_us_p50,get-probe:setup_s"), m, &discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.role("get-probe", "tcpnet.get_raw_us_p50"); got != "claim" {
+		t.Errorf("a claimed timing's role = %s, want claim", got)
+	}
+	for _, bad := range [][]string{
+		{"-claim", "get-probe:tcpnet.get_raw_us_p50"},
+		{"-traced", "insert-grow", "-claim", "get-probe:tcpnet.get_raw_us_p50"},
+		{"-traced", "get-probe", "-claim", "get-probe:tcpnet.no_such_us"},
+	} {
+		if _, err := parseFlags(flags(bad...), m, &discard); err == nil {
+			t.Errorf("flags %q accepted", bad)
 		}
 	}
 }

@@ -368,41 +368,86 @@ func innerValue(tv []byte) []byte {
 }
 
 // readFrameBody reads one frame from br into buf (grown as needed) and
-// returns the body (id + op + payload). The length field is validated
-// before any allocation, so malformed or hostile headers cannot cause an
-// oversized allocation.
+// returns the body (id + op + payload): a frameReader's one frame, on a
+// reader no deadline cuts short.
 func readFrameBody(br *bufio.Reader, buf []byte) ([]byte, error) {
-	// The length field is read byte-wise: a stack array passed through
-	// io.ReadFull's interface would escape and cost one allocation per
-	// frame.
-	var n uint32
-	for i := 0; i < 4; i++ {
-		c, err := br.ReadByte()
+	f := frameReader{br: br, body: &buf}
+	_, err := f.next()
+	return buf, err
+}
+
+// frameReader reads frames off a connection whose reads a deadline may
+// cut short at any byte: the part of a frame read so far stays here, so
+// the next read, maybe another caller's, resumes it.
+type frameReader struct {
+	br   *bufio.Reader
+	n    uint32  // the frame's length field, as far as read
+	hdr  int     // bytes of the length field read
+	body *[]byte // the frame's bytes read so far; nil: a pooled buffer
+}
+
+// next reads the frame in progress to its end and returns its body (id +
+// op + payload) in f.body, a pooled buffer unless the caller set one. The
+// length field is validated before any allocation, so a malformed or
+// hostile header cannot cause an oversized one.
+func (f *frameReader) next() (*[]byte, error) {
+	for f.hdr < 4 {
+		// Byte-wise: a stack array passed through io.ReadFull's interface
+		// would escape and cost one allocation per frame.
+		c, err := f.br.ReadByte()
 		if err != nil {
-			if i > 0 && err == io.EOF {
+			if f.hdr > 0 && err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return buf, err
+			return nil, err
 		}
-		n = n<<8 | uint32(c)
-	}
-	if n < frameHeaderLen {
-		return buf, errFrameTooSmall
-	}
-	if n > maxFrameLen {
-		return buf, errFrameTooLarge
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+		f.n = f.n<<8 | uint32(c)
+		if f.hdr++; f.hdr < 4 {
+			continue
 		}
-		return buf, err
+		if f.n < frameHeaderLen {
+			return nil, errFrameTooSmall
+		}
+		if f.n > maxFrameLen {
+			return nil, errFrameTooLarge
+		}
+		if f.body == nil {
+			f.body = getBuf()
+		}
+		if cap(*f.body) < int(f.n) {
+			*f.body = make([]byte, 0, f.n)
+		}
+		*f.body = (*f.body)[:0]
 	}
-	return buf, nil
+	for b := *f.body; len(b) < int(f.n); b = *f.body {
+		k, err := f.br.Read(b[len(b):f.n])
+		*f.body = b[:len(b)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	body := f.body
+	f.n, f.hdr, f.body = 0, 0, nil
+	return body, nil
+}
+
+// ready reports whether a whole frame is buffered, so next returns it
+// without a syscall.
+func (f *frameReader) ready() bool {
+	if f.hdr != 0 || f.br.Buffered() < 4 {
+		return false
+	}
+	b, _ := f.br.Peek(4)
+	return f.br.Buffered()-4 >= int(binary.BigEndian.Uint32(b))
+}
+
+// drop recycles the frame in progress of a connection that failed.
+func (f *frameReader) drop() {
+	putBuf(f.body)
+	f.body = nil
 }
 
 // cursor walks a frame payload; every accessor reports truncation as an

@@ -5,6 +5,7 @@ package tcpnet
 import (
 	"context"
 	"testing"
+	"time"
 
 	"lht/internal/bitlabel"
 	ilht "lht/internal/lht"
@@ -22,7 +23,10 @@ import (
 // 0.3 misses "#001001100" and "#001" before "#" answers. A miss
 // allocates nothing on either side; a probe answered with a header of a
 // leaf that does not cover the key allocates that header's box, which
-// this pin does not cover. (Not under the race detector, whose sync.Pool
+// this pin does not cover. Every Get runs under three contexts, with the
+// same ceiling: one never cancelled, one cancelable and one with a
+// deadline, as a caller's usually are; waiting on either must cost
+// nothing per round trip. (Not under the race detector, whose sync.Pool
 // drops buffers.)
 func TestGetAllocationsDoNotGrowWithProbes(t *testing.T) {
 	ctx := context.Background()
@@ -51,31 +55,40 @@ func TestGetAllocationsDoNotGrowWithProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ceiling = 4
-	allocs := make(map[int]float64)
-	for _, g := range []struct {
-		key    float64
-		probes int
-	}{{0.9995, 1}, {0.3, 3}} {
-		var failed error
-		get := func() {
-			rec, cost, err := ix.SearchContext(ctx, g.key)
-			if err == nil && (rec.Key != g.key || cost.Lookups != g.probes) {
-				t.Fatalf("Get(%v) = key %v in %d probes, want %d", g.key, rec.Key, cost.Lookups, g.probes)
+	cancelable, cancel := context.WithCancel(ctx)
+	defer cancel()
+	timed, cancelTimed := context.WithTimeout(ctx, time.Minute)
+	defer cancelTimed()
+	for _, under := range []struct {
+		name string
+		ctx  context.Context
+	}{{"Background", ctx}, {"WithCancel", cancelable}, {"WithTimeout", timed}} {
+		allocs := make(map[int]float64)
+		for _, g := range []struct {
+			key    float64
+			probes int
+		}{{0.9995, 1}, {0.3, 3}} {
+			var failed error
+			get := func() {
+				rec, cost, err := ix.SearchContext(under.ctx, g.key)
+				if err == nil && (rec.Key != g.key || cost.Lookups != g.probes) {
+					t.Fatalf("Get(%v) = key %v in %d probes, want %d", g.key, rec.Key, cost.Lookups, g.probes)
+				}
+				if err != nil {
+					failed = err
+				}
 			}
-			if err != nil {
-				failed = err
+			get() // dial, fill the frame pools
+			allocs[g.probes] = testing.AllocsPerRun(200, get)
+			if failed != nil {
+				t.Fatalf("Get(%v) under %s: %v", g.key, under.name, failed)
+			}
+			if n := allocs[g.probes]; n > ceiling {
+				t.Errorf("under %s, a %d-probe Get allocates %v, want at most %d", under.name, g.probes, n, ceiling)
 			}
 		}
-		get() // dial, fill the frame pools
-		allocs[g.probes] = testing.AllocsPerRun(200, get)
-		if failed != nil {
-			t.Fatalf("Get(%v): %v", g.key, failed)
+		if allocs[1] != allocs[3] {
+			t.Errorf("under %s, a 1-probe Get allocates %v and a 3-probe Get %v, want the same", under.name, allocs[1], allocs[3])
 		}
-		if n := allocs[g.probes]; n > ceiling {
-			t.Errorf("a %d-probe Get allocates %v, want at most %d", g.probes, n, ceiling)
-		}
-	}
-	if allocs[1] != allocs[3] {
-		t.Errorf("a 1-probe Get allocates %v and a 3-probe Get %v, want the same", allocs[1], allocs[3])
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -14,11 +15,33 @@ import (
 )
 
 // mconn is one pipelined, multiplexed connection to a node. Any number of
-// goroutines issue requests concurrently; a writer goroutine coalesces
-// their frames into the socket and a reader goroutine correlates response
-// frames back to waiters through a request-id-keyed pending table. A
-// cancelled caller abandons its pending slot and walks away — the
-// connection (and everyone else's in-flight requests) keeps going.
+// goroutines issue requests concurrently, and they do the connection's
+// I/O themselves: no goroutine runs per connection, so an idle one holds
+// none and a round trip hands nothing to another goroutine. With one
+// caller at a time a round trip is that caller's write and read.
+//
+// Writing: a caller appends its frame to the connection's write queue.
+// If no flush is in progress it becomes the flusher and writes the queue
+// itself, and every frame queued behind it while it writes — many
+// pipelined requests per syscall. The queue is bounded: a caller that
+// finds wireBufSize bytes queued behind a flush waits for the flusher to
+// take them.
+//
+// Reading: one waiter at a time holds the reader token. It reads response
+// frames and hands each to its waiter by request id, through a pending
+// table; once its own reply is in, it leaves the token to a waiter still
+// parked (leader/follower).
+//
+// Both duties run under a deadline, the earlier of the holder's context
+// deadline and recheck from now, so a holder looks up at least that often:
+// a cancelled one leaves, a reader finds a queue nobody is flushing. A
+// deadline cuts nothing: the frame reader keeps the part of a frame it
+// has read, and a flush cut short leaves its unwritten tail queued. A
+// cancelled caller abandons its pending slot and walks away; the
+// connection, and everyone else's in-flight requests, keep going. A
+// socket error fails every request riding the connection, and a
+// connection that died idle is found by the next call's I/O, which call's
+// one retry on a fresh dial covers.
 //
 // The connection dials lazily and redials after a failure; every dial is
 // health-checked with a synchronous ping before the connection is handed
@@ -38,21 +61,38 @@ type mconn struct {
 
 // wireState is one generation of an mconn's underlying connection: a
 // fresh one is built per (re)dial, so a failure sweeps exactly the
-// requests that were riding the broken socket.
+// requests that were riding the broken socket. The mconn's mu guards it,
+// except what only a duty holder touches (see fr and the deadlines).
 type wireState struct {
 	conn    net.Conn
-	sendq   chan *[]byte
-	dead    chan struct{} // closed by fail; err is set before the close
 	pending map[uint64]*pending
 	nextID  uint64
 	failed  bool
-	err     error
+
+	queue   []byte     // frames queued and not yet taken by a flusher
+	spare   []byte     // the buffer the last flush wrote, reused for the queue
+	full    []*pending // callers waiting for room in the queue
+	flusher *pending   // the caller writing the queue out; nil when none
+	reader  *pending   // the caller holding the reader token; nil when none
+
+	fr  frameReader // the reader token holder's alone
+	rdl time.Time   // the read deadline last set, the token holder's alone
+	wdl time.Time   // the write deadline last set, the flusher's alone
 }
 
-// pending is one in-flight request's rendezvous. Exactly one result is
-// delivered per registration (by the reader or by fail), so the struct
-// and its channel are pooled and reused across requests.
-type pending struct{ ch chan result }
+// pending is one in-flight request's rendezvous, guarded by the mconn's
+// mu. sent is set once its frame is queued; done is set once, with res,
+// by the reader that read its reply or by fail. wake nudges its waiter to
+// look again — its reply is in, or there is a duty it may take — and
+// every waiter looks again under the lock before it parks, so a nudge is
+// never lost and a stray one is harmless: the struct is pooled and reused
+// across requests.
+type pending struct {
+	wake chan struct{}
+	sent bool
+	done bool
+	res  result
+}
 
 // result carries a response frame body (a pooled buffer the waiter must
 // recycle) or the connection failure that ended the wait.
@@ -61,11 +101,24 @@ type result struct {
 	err error
 }
 
-var pendingPool = sync.Pool{New: func() any { return &pending{ch: make(chan result, 1)} }}
+var pendingPool = sync.Pool{New: func() any { return &pending{wake: make(chan struct{}, 1)} }}
 
-// wireBufSize sizes the per-connection read and write buffers: large
-// enough to coalesce dozens of pipelined frames per syscall.
+// nudge wakes p's waiter if it is parked, or makes its next park return
+// at once.
+func (p *pending) nudge() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// wireBufSize sizes the per-connection read buffer and bounds the write
+// queue: large enough to coalesce dozens of pipelined frames per syscall.
 const wireBufSize = 64 << 10
+
+// recheck is the longest a duty holder stays in one socket call: the
+// flusher's write and the reader's read run under a deadline no later.
+const recheck = 20 * time.Millisecond
 
 var errClientClosed = errors.New("tcpnet: client closed")
 
@@ -112,14 +165,11 @@ func (m *mconn) ensureLocked(ctx context.Context) (*wireState, error) {
 	m.gate.success()
 	st := &wireState{
 		conn:    conn,
-		sendq:   make(chan *[]byte, 64),
-		dead:    make(chan struct{}),
 		pending: make(map[uint64]*pending),
 		nextID:  1,
+		fr:      frameReader{br: bufio.NewReaderSize(conn, wireBufSize)},
 	}
 	m.st = st
-	go m.writeLoop(st)
-	go m.readLoop(st)
 	return st, nil
 }
 
@@ -175,31 +225,21 @@ func (m *mconn) fail(st *wireState, err error) {
 		return
 	}
 	st.failed = true
-	st.err = err
 	if m.st == st {
 		m.st = nil
 	}
-	pend := st.pending
+	for _, p := range st.pending {
+		p.done, p.res = true, result{err: err}
+		p.nudge()
+	}
 	st.pending = nil
+	st.queue, st.spare, st.full = nil, nil, nil
 	m.mu.Unlock()
-
 	_ = st.conn.Close()
-	close(st.dead)
-	for _, p := range pend {
-		p.ch <- result{err: err}
-	}
-	// Recycle frames that were queued but never written.
-	for {
-		select {
-		case b := <-st.sendq:
-			putBuf(b)
-		default:
-			return
-		}
-	}
 }
 
 // close shuts the connection down for good; subsequent calls fail fast.
+// Closing the socket unblocks a caller parked in its read or write.
 func (m *mconn) close() {
 	m.mu.Lock()
 	m.closed = true
@@ -207,67 +247,6 @@ func (m *mconn) close() {
 	m.mu.Unlock()
 	if st != nil {
 		m.fail(st, errClientClosed)
-	}
-}
-
-// writeLoop drains the send queue into the socket, coalescing every frame
-// already queued into one buffered flush (many pipelined requests per
-// syscall).
-func (m *mconn) writeLoop(st *wireState) {
-	bw := bufio.NewWriterSize(st.conn, wireBufSize)
-	for {
-		select {
-		case <-st.dead:
-			return
-		case buf := <-st.sendq:
-			for {
-				_, err := bw.Write(*buf)
-				putBuf(buf)
-				if err != nil {
-					m.fail(st, m.transport(err))
-					return
-				}
-				select {
-				case buf = <-st.sendq:
-					continue
-				default:
-				}
-				break
-			}
-			if err := bw.Flush(); err != nil {
-				m.fail(st, m.transport(err))
-				return
-			}
-		}
-	}
-}
-
-// readLoop reads response frames and hands each to its waiter by request
-// id. Responses whose waiter has abandoned the slot (cancellation) are
-// dropped on the floor — that is the entire cost of a cancelled request.
-func (m *mconn) readLoop(st *wireState) {
-	br := bufio.NewReaderSize(st.conn, wireBufSize)
-	for {
-		bufp := getBuf()
-		body, err := readFrameBody(br, *bufp)
-		*bufp = body // keep the (possibly re-grown) backing array pooled
-		if err != nil {
-			putBuf(bufp)
-			m.fail(st, m.transport(err))
-			return
-		}
-		id := binary.BigEndian.Uint64(body[:8])
-		m.mu.Lock()
-		p, ok := st.pending[id]
-		if ok {
-			delete(st.pending, id)
-		}
-		m.mu.Unlock()
-		if !ok {
-			putBuf(bufp)
-			continue
-		}
-		p.ch <- result{buf: bufp}
 	}
 }
 
@@ -325,58 +304,243 @@ func (m *mconn) attempt(ctx context.Context, op dht.OpKind, build func([]byte) (
 
 	bufp := newFrame(op)
 	built, err := build(*bufp)
+	*bufp = built
 	if err != nil {
 		// Encoding failed before anything hit the wire: unregister and
 		// surface the caller's error (not a transport fault).
 		putBuf(bufp)
-		m.forget(st, id, p)
+		m.mu.Lock()
+		m.leave(st, id, p)
 		return nil, err, false
 	}
-	*bufp = built
 	finishFrame(*bufp, id)
 
-	select {
-	case st.sendq <- bufp:
-	case <-st.dead:
-		putBuf(bufp)
-		m.forget(st, id, p)
-		return nil, st.err, true
-	case <-ctx.Done():
-		putBuf(bufp)
-		m.forget(st, id, p)
-		return nil, ctx.Err(), false
-	}
-
-	select {
-	case res := <-p.ch:
-		pendingPool.Put(p)
-		if res.err != nil {
-			return nil, res.err, !errors.Is(res.err, errClientClosed)
-		}
+	m.mu.Lock()
+	err = m.roundTrip(ctx, st, p, bufp)
+	res := p.res
+	m.leave(st, id, p)
+	if res.buf != nil {
 		return res.buf, nil, false
-	case <-ctx.Done():
-		m.forget(st, id, p)
-		return nil, ctx.Err(), false
+	}
+	if res.err != nil {
+		return nil, res.err, !errors.Is(res.err, errClientClosed)
+	}
+	return nil, err, false
+}
+
+// roundTrip queues frame for p and waits for p's reply, taking on the
+// connection's I/O — the flush of the queue, the reader token — whenever
+// nobody else holds it. It returns once p is done, or with ctx's error.
+// Called and returns with m.mu held; frame is recycled once queued.
+func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame *[]byte) (err error) {
+	stalled := false // the last flush ran out of recheck with ctx alive
+	for !p.done && err == nil {
+		switch {
+		case !p.sent && st.flusher != nil && len(st.queue) >= wireBufSize:
+			st.full = append(st.full, p)
+			err = m.park(ctx, p)
+		case !p.sent:
+			st.queue = append(st.queue, *frame...)
+			p.sent = true
+		case len(st.queue) > 0 && st.flusher == nil && !stalled:
+			stalled, err = m.flush(ctx, st, p)
+		case st.reader == nil:
+			// After a stalled flush, read before writing again: the node
+			// may have stopped reading until its replies are read.
+			stalled = false
+			st.reader = p
+			m.mu.Unlock()
+			err = m.read(ctx, st, p)
+			m.mu.Lock()
+			st.reader = nil
+		default:
+			stalled = false
+			err = m.park(ctx, p)
+		}
+	}
+	putBuf(frame)
+	return err
+}
+
+// leave unregisters p, recycles it and releases m.mu. A reply that came
+// in after p gave up is dropped on the floor — that is the entire cost of
+// a cancelled request. Whatever duty nobody holds now goes to a waiter
+// still parked.
+func (m *mconn) leave(st *wireState, id uint64, p *pending) {
+	if !p.done {
+		delete(st.pending, id) // st.full may still hold p: a stray nudge is harmless
+	}
+	m.handOff(st)
+	m.mu.Unlock()
+	p.sent, p.done, p.res = false, false, result{}
+	pendingPool.Put(p)
+}
+
+// handOff nudges one parked waiter whose frame is queued when the reader
+// token is free or the queue has no flusher, so that it takes them on.
+// Called with m.mu held.
+func (m *mconn) handOff(st *wireState) {
+	if st.reader != nil && (st.flusher != nil || len(st.queue) == 0) {
+		return
+	}
+	for _, q := range st.pending {
+		if q.sent && q != st.reader && q != st.flusher {
+			q.nudge()
+			return
+		}
 	}
 }
 
-// forget abandons a pending slot. If the reader (or fail) got there
-// first, the delivered result is drained and recycled so the pooled
-// pending is clean for its next user.
-func (m *mconn) forget(st *wireState, id uint64, p *pending) {
-	m.mu.Lock()
-	_, mine := st.pending[id]
-	if mine {
-		delete(st.pending, id)
-	}
+// park waits, with m.mu released, for p's nudge or the end of ctx.
+func (m *mconn) park(ctx context.Context, p *pending) (err error) {
 	m.mu.Unlock()
-	if !mine {
-		res := <-p.ch
-		if res.buf != nil {
-			putBuf(res.buf)
+	select {
+	case <-p.wake:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	m.mu.Lock()
+	return err
+}
+
+// flush writes the queue out as p, and whatever is queued behind it while
+// it writes, until the queue is empty, ctx ends (its error is returned)
+// or a write runs out of recheck (stalled). A write cut short puts its
+// unwritten tail back at the head of the queue. Called and returns with
+// m.mu held.
+func (m *mconn) flush(ctx context.Context, st *wireState, p *pending) (stalled bool, err error) {
+	st.flusher = p
+	for len(st.queue) > 0 && !st.failed {
+		buf := st.queue
+		st.queue, st.spare = st.spare[:0], nil
+		wakeFull(st)
+		m.mu.Unlock()
+		if dl, set := ioDeadline(ctx, st.wdl); set {
+			_ = st.conn.SetWriteDeadline(dl)
+			st.wdl = dl
+		}
+		n, werr := st.conn.Write(buf)
+		if werr != nil && !errors.Is(werr, os.ErrDeadlineExceeded) {
+			m.fail(st, m.transport(werr))
+			m.mu.Lock()
+			break
+		}
+		m.mu.Lock()
+		if werr == nil {
+			if cap(buf) <= maxPooledBuf {
+				st.spare = buf[:0]
+			}
+			continue
+		}
+		if st.failed {
+			break
+		}
+		rest := append(buf[:0], buf[n:]...)
+		st.queue, st.spare = append(rest, st.queue...), st.queue[:0]
+		err = ctxDone(ctx)
+		stalled = err == nil
+		break
+	}
+	st.flusher = nil
+	wakeFull(st)
+	return stalled, err
+}
+
+// wakeFull nudges the callers waiting for room in the queue: it has room
+// now. Called with m.mu held.
+func wakeFull(st *wireState) {
+	for _, q := range st.full {
+		q.nudge()
+	}
+	clear(st.full)
+	st.full = st.full[:0]
+}
+
+// read holds the reader token for p: it reads reply frames and hands each
+// to its waiter until p's own is in, then hands over the replies already
+// buffered too, which costs no syscall. It also returns when a read runs
+// out of recheck, with nil, so that its caller looks around, and when ctx
+// ends, with ctx's error; a socket error fails the connection. Called
+// without m.mu.
+func (m *mconn) read(ctx context.Context, st *wireState, p *pending) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if dl, set := ioDeadline(ctx, st.rdl); set {
+			_ = st.conn.SetReadDeadline(dl)
+			st.rdl = dl
+		}
+		body, err := st.fr.next()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return ctxDone(ctx)
+		}
+		if err != nil {
+			st.fr.drop()
+			m.fail(st, m.transport(err))
+			return nil
+		}
+		if m.deliver(st, body, p) != p {
+			continue
+		}
+		for st.fr.ready() {
+			body, err := st.fr.next()
+			if err != nil {
+				st.fr.drop()
+				m.fail(st, m.transport(err))
+				return nil
+			}
+			m.deliver(st, body, p)
+		}
+		return nil
+	}
+}
+
+// deliver hands a reply to its waiter, nudging it unless it is the
+// reader, and returns that waiter; nil when it has abandoned its slot,
+// and the reply is dropped.
+func (m *mconn) deliver(st *wireState, body *[]byte, reader *pending) *pending {
+	id := binary.BigEndian.Uint64((*body)[:8])
+	m.mu.Lock()
+	q := st.pending[id]
+	if q != nil {
+		delete(st.pending, id)
+		q.done, q.res = true, result{buf: body}
+		if q != reader {
+			q.nudge()
 		}
 	}
-	pendingPool.Put(p)
+	m.mu.Unlock()
+	if q == nil {
+		putBuf(body)
+	}
+	return q
+}
+
+// ioDeadline returns the deadline a duty done for ctx runs under — the
+// earlier of ctx's deadline and recheck from now — given the one last set
+// (cur), and whether it must be set. A deadline past half of recheck from
+// now is kept, so a run of round trips does not set one each.
+func ioDeadline(ctx context.Context, cur time.Time) (time.Time, bool) {
+	now := time.Now()
+	dl := now.Add(recheck)
+	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
+		return d, !d.Equal(cur)
+	}
+	if cur.After(now.Add(recheck/2)) && !cur.After(dl) {
+		return cur, false
+	}
+	return dl, true
+}
+
+// ctxDone is ctx's error once a socket deadline expired: nil while ctx
+// lives on, and once ctx's own deadline has passed, ctx's error when its
+// timer fires, which can be a moment after the socket's.
+func ctxDone(ctx context.Context) error {
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		<-ctx.Done()
+	}
+	return ctx.Err()
 }
 
 // maxInFlight reports the connection's in-flight high-water mark.

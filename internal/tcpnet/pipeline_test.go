@@ -9,13 +9,16 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"lht/internal/dht"
+	"lht/internal/netchaos"
 )
 
 // countGoroutines samples the goroutine count with settling retries, so a
@@ -236,20 +239,21 @@ func TestPipelinedClientStress(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The client's reader/writer goroutines must all be gone; only the
-	// servers (owned by t.Cleanup) remain.
+	// Every caller's goroutine must be gone; only the servers (owned by
+	// t.Cleanup) remain.
 	if n := countGoroutines(base + 3*2); n > base+3*2+workers {
 		t.Errorf("goroutine count %d after close, started at %d: leak", n, base)
 	}
 }
 
-// TestNoGoroutinePerCall verifies the satellite that removed the per-call
-// cancellation watcher: a burst of calls on a never-cancelled context must
-// not grow the goroutine count (the old client spawned one goroutine per
-// round trip; the framed path is goroutine-free per call).
+// TestNoGoroutinePerCall verifies that the client runs no goroutine of its
+// own, per call or per connection: callers do every read and write. After
+// Dial and a burst of calls on a never-cancelled context, the goroutines
+// outside the in-process server are what they were before Dial.
 func TestNoGoroutinePerCall(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		addrs := startServers(t, 1)
+		base := clientGoroutines()
 		c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, PoolSize: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -259,16 +263,177 @@ func TestNoGoroutinePerCall(t *testing.T) {
 		if err := c.Put(ctx, "k", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		base := runtime.NumGoroutine()
 		for i := 0; i < 200; i++ {
 			if _, err := c.Get(ctx, "k"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if n := countGoroutines(base); n > base {
-			t.Errorf("goroutine count grew %d -> %d over 200 sequential calls", base, n)
+		n := clientGoroutines()
+		for i := 0; i < 50 && n != base; i++ {
+			time.Sleep(10 * time.Millisecond)
+			n = clientGoroutines()
+		}
+		if n != base {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines outside the server before Dial, %d after 200 calls:\n%s", base, n, buf[:runtime.Stack(buf, true)])
 		}
 	})
+}
+
+// clientGoroutines counts the goroutines that are not an in-process
+// server's: its accept loop, maybe not yet started, and its connection
+// handlers, some of them maybe a closed server's, still exiting.
+func clientGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if !strings.Contains(g, "tcpnet.(*Server)") && !strings.Contains(g, "tcpnet.startServers") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCancelledReaderPassesTheToken: the caller holding the reader token
+// is cancelled while the node's replies are withheld. It returns by its
+// deadline, the connection survives it (no redial, both requests on one
+// connection), and the caller queued behind it takes the token and gets
+// its own reply once the window ends, past the abandoned one.
+func TestCancelledReaderPassesTheToken(t *testing.T) {
+	addrs := startServers(t, 1)
+	chaos := netchaos.New(21)
+	dialer := &countingDialer{base: chaos}
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, PoolSize: 1, Dialer: dialer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for _, k := range []string{"a", "b"} {
+		if err := c.Put(ctx, k, []byte("v:"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dials := dialer.dials.Load()
+
+	const window, deadline = 300 * time.Millisecond, 40 * time.Millisecond
+	chaos.Add(netchaos.Rule{Until: window, Effect: netchaos.Effect{DropReads: true}})
+	chaos.Start()
+	start := time.Now()
+	readerDone := make(chan time.Duration, 1)
+	go func() {
+		rctx, cancel := context.WithTimeout(ctx, deadline)
+		defer cancel()
+		if _, err := c.Get(rctx, "a"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("the reader's Get = %v, want its deadline", err)
+		}
+		readerDone <- time.Since(start)
+	}()
+	// Queue the second caller behind the reader, once the reader holds
+	// the token.
+	for c.MaxInFlight() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	v, err := c.Get(ctx, "b")
+	took := time.Since(start)
+	if err != nil || string(v.([]byte)) != "v:b" {
+		t.Fatalf("the queued caller's Get = %v, %v, want its own reply", v, err)
+	}
+	if d := <-readerDone; d > deadline+100*time.Millisecond {
+		t.Errorf("the cancelled reader returned after %v, want about %v", d, deadline)
+	}
+	if took < window-50*time.Millisecond {
+		t.Errorf("the queued caller's reply came after %v, inside the %v window", took, window)
+	}
+	if got := dialer.dials.Load() - dials; got != 0 {
+		t.Errorf("%d redials, want none: a cancelled reader must not fail the connection", got)
+	}
+	if got := c.MaxInFlight(); got != 2 {
+		t.Errorf("max in-flight %d, want 2: both requests on the one connection", got)
+	}
+}
+
+// trickleConn returns at most one byte per Read and counts the reads a
+// deadline cut short.
+type trickleConn struct {
+	net.Conn
+	timeouts *atomic.Int64
+}
+
+func (c trickleConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p[:min(len(p), 1)])
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		c.timeouts.Add(1)
+	}
+	return n, err
+}
+
+type trickleDialer struct{ timeouts atomic.Int64 }
+
+func (d *trickleDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return trickleConn{conn, &d.timeouts}, nil
+}
+
+// TestTrickledReplySurvivesDeadlines: a reply that arrives one byte per
+// read, with pauses longer than the reader's re-check interval inside its
+// length field and inside its body, is read intact: the frame reader keeps
+// what it has read across every deadline that expires mid-frame.
+func TestTrickledReplySurvivesDeadlines(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	const pause = 3 * recheck
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := br.Discard(len(wireMagic)); err != nil {
+			return
+		}
+		for op := 0; ; op++ {
+			body, err := readFrameBody(br, nil)
+			if err != nil {
+				return
+			}
+			id := binary.BigEndian.Uint64(body[:8])
+			if op == 0 { // the handshake ping
+				_, _ = conn.Write(buildFrame(id, dht.OpPing, []byte{statusOK}))
+				continue
+			}
+			reply := buildFrame(id, dht.OpGet, append([]byte{statusOK, tagRaw}, "a value read a byte at a time"...))
+			for _, piece := range [][]byte{reply[:2], reply[2:20], reply[20:]} {
+				if _, err := conn.Write(piece); err != nil {
+					return
+				}
+				time.Sleep(pause)
+			}
+		}
+	}()
+	d := &trickleDialer{}
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{ln.Addr().String()}, PoolSize: 1, Dialer: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	v, err := c.Get(cctx, "k")
+	if err != nil || string(v.([]byte)) != "a value read a byte at a time" {
+		t.Fatalf("trickled Get = %q, %v", v, err)
+	}
+	if n := d.timeouts.Load(); n < 2 {
+		t.Errorf("%d reads cut short by a deadline, want one in the length field and one in the body at least", n)
+	}
 }
 
 // TestCancellationAbandonsSlot pins the framed wire's cancellation
@@ -306,5 +471,73 @@ func TestCancellationAbandonsSlot(t *testing.T) {
 	v, err := c.Get(ctx, "k")
 	if err != nil || !bytes.Equal(v.([]byte), []byte("v")) {
 		t.Fatalf("Get after cancellations = %v, %v", v, err)
+	}
+}
+
+// TestWriteQueueStaysBounded: writers outrun a throttled link. The
+// flusher holds the socket while the others queue their frames, and a
+// caller that finds wireBufSize bytes queued waits for the flusher to
+// take them, as a full send queue made it wait before. So the queue holds
+// at most that and one frame, twice over while a write cut short by its
+// deadline puts its tail back ahead of what was queued meanwhile. Every
+// write lands.
+func TestWriteQueueStaysBounded(t *testing.T) {
+	addrs := startServers(t, 1)
+	chaos := netchaos.New(5)
+	chaos.Add(netchaos.Rule{Effect: netchaos.Effect{ThrottleBps: 16 << 20}})
+	chaos.Start()
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, PoolSize: 1, Dialer: chaos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := c.ringNodes()[0].conns[0]
+
+	const writers, rounds, size = 16, 8, 16 << 10
+	var maxQueued, maxWaiting int
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+			m.mu.Lock()
+			if st := m.st; st != nil {
+				maxQueued = max(maxQueued, len(st.queue))
+				maxWaiting = max(maxWaiting, len(st.full))
+			}
+			m.mu.Unlock()
+		}
+	}()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("w%02d-%d", w, i)
+				if err := c.Put(ctx, key, bytes.Repeat([]byte{byte(w)}, size)); err != nil {
+					t.Errorf("Put(%s): %v", key, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-sampled
+	if limit := 2 * (wireBufSize + size + 64); maxQueued > limit {
+		t.Errorf("the write queue held %d bytes, want at most %d", maxQueued, limit)
+	}
+	if maxWaiting == 0 {
+		t.Error("no caller ever waited for room: the bound was never reached")
+	}
+	v, err := c.Get(ctx, "w03-7")
+	if err != nil || !bytes.Equal(v.([]byte), bytes.Repeat([]byte{3}, size)) {
+		t.Fatalf("Get after the burst = %d bytes, %v", len(v.([]byte)), err)
 	}
 }

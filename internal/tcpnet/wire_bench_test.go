@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -121,7 +122,19 @@ func ioSyscalls() (n int64, ok bool) {
 // one read and the runtime's speculative read that returns EAGAIN before
 // the goroutine parks in the poller, so ~6 is the floor of a lone round
 // trip, not a sign that writes go unbatched.
-func BenchmarkWireGet(b *testing.B) {
+func BenchmarkWireGet(b *testing.B) { benchWireGet(b) }
+
+// BenchmarkWireGetLocked is BenchmarkWireGet from a goroutine locked to
+// its OS thread, as the ledger's main goroutine is: there every handoff
+// of a frame or a reply to another goroutine would be a thread wake, so
+// a round trip done on its caller shows here most.
+func BenchmarkWireGetLocked(b *testing.B) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	benchWireGet(b)
+}
+
+func benchWireGet(b *testing.B) {
 	c := benchCluster(b)
 	ctx := context.Background()
 	if err := c.Put(ctx, "k", bytes.Repeat([]byte("x"), 256)); err != nil {
