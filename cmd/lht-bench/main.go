@@ -53,7 +53,6 @@ type config struct {
 	span     float64
 	csv      bool
 	jsonPath string // non-empty: also write a machine-readable report here
-	baseline string // non-empty: perf-gate this run against the report here
 	selected map[string]bool
 }
 
@@ -87,7 +86,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		jsonPath    = fs.String("json-out", "", "write the machine-readable report to this path (implies -json)")
 		metricsAddr = fs.String("metrics", "", "serve the run's live counters as Prometheus /metrics (plus pprof) on this address")
 		paper       = fs.Bool("paper", false, "paper scale: 100 trials, 1000 queries, sizes up to 2^20")
-		baseline    = fs.String("baseline", "", "perf gate: diff this run's deterministic rows (round trips, allocs/op) against the baseline report at this path and fail on >20% regression")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,7 +96,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Agg: &metrics.Counters{},
 		},
 		minExp: *minExp, maxExp: *maxExp, span: *span, csv: *csv,
-		baseline: *baseline,
 		selected: map[string]bool{},
 	}
 	if *jsonOut {
@@ -180,7 +177,12 @@ func runExperiments(ctx context.Context, cfg config, out io.Writer) error {
 		lat := bench.LatencySummary(snap.Sub(lastSnap))
 		for i, r := range results {
 			if cfg.csv {
-				fmt.Fprintf(out, "# %s: %s\n%s\n", r.Name, r.Title, bench.FormatCSV(r))
+				// CSV is the pinned form (results/counted-costs.csv), so
+				// it holds the counts alone; a measured result is in the
+				// tables and the JSON report only.
+				if !r.Measured {
+					fmt.Fprintf(out, "# %s: %s\n%s\n", r.Name, r.Title, bench.FormatCSV(r))
+				}
 			} else {
 				fmt.Fprintln(out, bench.FormatTable(r))
 			}
@@ -400,20 +402,6 @@ func runExperiments(ctx context.Context, cfg config, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s (%d results)\n", cfg.jsonPath, len(report.Results))
-	}
-	if cfg.baseline != "" {
-		base, err := bench.LoadReport(cfg.baseline)
-		if err != nil {
-			return err
-		}
-		if bad := bench.CompareBaseline(base, report); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(out, "perf gate: %s\n", line)
-			}
-			return fmt.Errorf("perf gate: %d regression(s) against %s", len(bad), cfg.baseline)
-		}
-		fmt.Fprintf(out, "perf gate ok: %d deterministic rows within 20%% of %s\n",
-			bench.GatedRows(base), cfg.baseline)
 	}
 	return nil
 }

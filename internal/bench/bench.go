@@ -84,6 +84,12 @@ type Result struct {
 	XLabel string   `json:"xlabel"`
 	YLabel string   `json:"ylabel"`
 	Series []Series `json:"series"`
+	// Measured marks a result whose values the running machine decides
+	// (clock, scheduler or allocator), not the workload alone. Every other
+	// result is a count that reproduces byte for byte, which is what
+	// results/counted-costs.csv pins; lht-bench -csv leaves measured
+	// results out of it.
+	Measured bool `json:"-"`
 }
 
 // Sizes returns the power-of-two data sizes [2^lo, 2^hi].

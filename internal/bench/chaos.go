@@ -37,9 +37,9 @@ import (
 // the whole run.
 //
 // Two results: A11, the measured success rate and latency tail per
-// scenario (machine-speed dependent, not gated), and A11b, the plane-off
-// workload replayed serially over the instrumented local substrate —
-// deterministic round trips the CI perf gate diffs, pinning that neither
+// scenario (machine-speed dependent), and A11b, the plane-off workload
+// replayed serially over the instrumented local substrate — deterministic
+// round trips results/counted-costs.csv pins, holding that neither
 // the chaos plane nor the degradation machinery leaks into the logical
 // cost model when switched off.
 const (
@@ -90,8 +90,9 @@ func RunChaosAblation(o Options, size int) (Result, Result, error) {
 		Name: "A11",
 		Title: fmt.Sprintf("Degradation plane under network chaos (%d records, %d clients, %v deadline)",
 			size, chaosWorkers, chaosOpDeadline),
-		XLabel: "scenario (0=partition, 1=slow, 2=flap)",
-		YLabel: "success % / latency microseconds (p50/p99)",
+		XLabel:   "scenario (0=partition, 1=slow, 2=flap)",
+		YLabel:   "success % / latency microseconds (p50/p99)",
+		Measured: true,
 	}
 	rt := Result{
 		Name:   "A11b",
@@ -124,7 +125,7 @@ func RunChaosAblation(o Options, size int) (Result, Result, error) {
 			meanSeries(arm.name+" query p99", xs, [][]float64{p99s}))
 	}
 
-	// The gated rows: each scenario's schedule replayed serially over the
+	// The pinned rows: each scenario's schedule replayed serially over the
 	// instrumented local map with the plane off, cache off and on. Round
 	// trips are a pure function of (seed, theta, depth, size, queries) —
 	// drift means the chaos or degradation plane leaked into the default

@@ -6,8 +6,7 @@ import "testing"
 // criteria: with breakers + hedged reads over 3 replicas, query success
 // stays at 100% through the partition and slow-node scenarios, and the
 // p99 latency is at least 2x below the degradation-off arm's; the
-// serialized cost replay is eligible for the perf gate while the timed
-// result is not.
+// serialized cost replay is a count while the timed result is measured.
 func TestChaosAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 6 real 4-node clusters")
@@ -50,13 +49,13 @@ func TestChaosAblation(t *testing.T) {
 		}
 	}
 
-	// Gate eligibility: the deterministic replay rows diff byte-for-byte
-	// in CI; the wall-clock result must stay out of the gate.
-	if !gatedResult(rt) {
-		t.Error("the round-trips replay must be eligible for the perf gate")
+	// The deterministic replay rows are pinned byte for byte in
+	// results/counted-costs.csv; the wall-clock result stays out of it.
+	if rt.Measured {
+		t.Error("the round-trips replay is marked measured, want a count")
 	}
-	if gatedResult(lat) {
-		t.Error("the timed chaos result must not be eligible for the perf gate")
+	if !lat.Measured {
+		t.Error("the timed chaos result is not marked measured")
 	}
 	for _, s := range rt.Series {
 		if len(s.Points) != len(chaosScenarios) {

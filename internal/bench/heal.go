@@ -37,11 +37,11 @@ import (
 // index stays one failure away from data loss.
 //
 // Two results: A12, the measured outage-write success, post-recovery
-// query success, and replica coverage per scenario (wall-clock dependent,
-// not gated), and A12b, the identical logical workload replayed serially
-// over the instrumented local substrate — deterministic round trips the
-// CI perf gate diffs, pinning that the membership plane is free in the
-// cost model when off.
+// query success, and replica coverage per scenario (wall-clock
+// dependent), and A12b, the identical logical workload replayed serially
+// over the instrumented local substrate — deterministic round trips
+// results/counted-costs.csv pins, holding that the membership plane is
+// free in the cost model when off.
 const (
 	// healNodes/healReplicas shape the cluster: 4 nodes, 3-way
 	// replication, so one loss leaves every key readable and repairable.
@@ -70,8 +70,9 @@ func RunMembershipAblation(o Options, size int) (Result, Result, error) {
 		Name: "A12",
 		Title: fmt.Sprintf("Self-healing membership under churn (%d records + %d outage writes, %d clients)",
 			size, size/healChurnDiv, chaosWorkers),
-		XLabel: "scenario (0=kill, 1=rejoin empty)",
-		YLabel: "success % / replica coverage %",
+		XLabel:   "scenario (0=kill, 1=rejoin empty)",
+		YLabel:   "success % / replica coverage %",
+		Measured: true,
 	}
 	rt := Result{
 		Name: "A12b",
@@ -105,7 +106,7 @@ func RunMembershipAblation(o Options, size int) (Result, Result, error) {
 			meanSeries(arm.name+" replica coverage %", xs, [][]float64{cov}))
 	}
 
-	// The gated rows: each scenario's logical workload (build + churn
+	// The pinned rows: each scenario's logical workload (build + churn
 	// writes + queries) replayed serially over the instrumented local
 	// map, cache off and on. Round trips are a pure function of (seed,
 	// theta, depth, size, queries) — drift means the membership plane

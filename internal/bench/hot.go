@@ -44,19 +44,20 @@ const (
 // away from its primary, and every write fans out to both, on otherwise
 // identical clusters.
 //
-// Two results: the timed p50/p99 per op class (latency, machine-speed
-// dependent, not gated), and the deterministic round-trip cost of the
-// identical workload replayed serially over the instrumented local
-// substrate — the CI perf gate diffs that row, which pins the lookup
-// path to its cost model under every skew.
+// Two results: the timed p50/p99 per op class (latency, measured), and
+// the deterministic round-trip cost of the identical workload replayed
+// serially over the instrumented local substrate — results/counted-costs.csv
+// pins that row, which holds the lookup path to its cost model under
+// every skew.
 func RunHotAblation(o Options, size int) (Result, Result, error) {
 	o = o.WithDefaults()
 	lat := Result{
 		Name: "A10",
 		Title: fmt.Sprintf("Replica read spreading under Zipfian skew (%d records, %d clients, %d%% updates)",
 			size, hotWorkers, hotUpdatePct),
-		XLabel: "zipf exponent s",
-		YLabel: "latency microseconds (p50/p99)",
+		XLabel:   "zipf exponent s",
+		YLabel:   "latency microseconds (p50/p99)",
+		Measured: true,
 	}
 	rt := Result{
 		Name:   "A10b",
@@ -91,7 +92,7 @@ func RunHotAblation(o Options, size int) (Result, Result, error) {
 			meanSeries(arm.name+" update p99", hotSkews, [][]float64{up99}))
 	}
 
-	// The gated rows: serialized, over the instrumented local map, cache
+	// The pinned rows: serialized, over the instrumented local map, cache
 	// off and on. Round trips here are a pure function of (seed, theta,
 	// depth, size, queries, skew) — any drift means the lookup path's
 	// cost changed.
@@ -272,7 +273,7 @@ func pctileUS(ds []time.Duration, p float64) float64 {
 
 // hotCostCell replays the workload serially over the
 // instrumented local substrate and returns the client-charged round
-// trips — fully deterministic, so the perf gate can diff it.
+// trips — fully deterministic, so the pinned CSV can hold it exactly.
 func hotCostCell(o Options, size int, s float64, cache bool) (float64, error) {
 	ix, err := lht.New(dht.NewLocal(), lht.Config{
 		SplitThreshold: o.Theta,

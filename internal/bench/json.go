@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // ReportSchema versions the machine-readable report format; bump it when
@@ -40,11 +39,6 @@ type Report struct {
 // NewReport starts a report for one run.
 func NewReport(o Options) *Report {
 	return &Report{Schema: ReportSchema, Options: o}
-}
-
-// Add appends one result with its wall time.
-func (r *Report) Add(res Result, wall time.Duration) {
-	r.AddTimed(TimedResult{Result: res, WallMillis: wall.Milliseconds()})
 }
 
 // AddTimed appends one fully populated result (wall time plus latency).

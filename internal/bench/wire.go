@@ -89,29 +89,35 @@ var wireValueSizes = []int{16, 256, 4096}
 
 // RunWireAblation is ablation A8: what the framed wire protocol costs,
 // measured end to end over real TCP connections to in-process tcpnet
-// servers. Three results: allocations per operation (the deterministic row
-// the CI perf gate diffs), throughput (client kops/sec on Get plus batched
-// bulk-load krecords/sec), and Get tail latency. RunSweep pins the wire's
-// counted costs against dht.Local; this run prices its codec.
+// servers. Three results: allocations per operation, throughput (client
+// kops/sec on Get plus batched bulk-load krecords/sec), and Get tail
+// latency. All three are measured: the allocation rows divide a
+// process-wide MemStats delta, so a GC cycle inside the window can move
+// them, and internal/tcpnet's TestRawRoundTripAllocations pins the same
+// round trips exactly instead. RunSweep pins the wire's counted costs
+// against dht.Local; this run prices its codec.
 func RunWireAblation(o Options) (Result, Result, Result, error) {
 	o = o.WithDefaults()
 	allocs := Result{
-		Name:   "A8",
-		Title:  "Frame codec: allocations per operation",
-		XLabel: "value size (bytes)",
-		YLabel: "allocs/op",
+		Name:     "A8",
+		Title:    "Frame codec: allocations per operation",
+		XLabel:   "value size (bytes)",
+		YLabel:   "allocs/op",
+		Measured: true,
 	}
 	thru := Result{
-		Name:   "A8b",
-		Title:  "Frame codec: throughput",
-		XLabel: "value size (bytes)",
-		YLabel: "kops/sec (Get) | krecords/sec (bulk load)",
+		Name:     "A8b",
+		Title:    "Frame codec: throughput",
+		XLabel:   "value size (bytes)",
+		YLabel:   "kops/sec (Get) | krecords/sec (bulk load)",
+		Measured: true,
 	}
 	tail := Result{
-		Name:   "A8c",
-		Title:  "Frame codec: Get tail latency",
-		XLabel: "value size (bytes)",
-		YLabel: "p99 microseconds",
+		Name:     "A8c",
+		Title:    "Frame codec: Get tail latency",
+		XLabel:   "value size (bytes)",
+		YLabel:   "p99 microseconds",
+		Measured: true,
 	}
 
 	xs := float64s(wireValueSizes)
@@ -127,8 +133,6 @@ func RunWireAblation(o Options) (Result, Result, Result, error) {
 		loadRate = append(loadRate, st.loadRate)
 		p99 = append(p99, st.p99)
 	}
-	// The series keep the "binary" prefix the checked-in baseline rows
-	// are keyed by.
 	allocs.Series = append(allocs.Series,
 		meanSeries("binary Get", xs, [][]float64{getAllocs}),
 		meanSeries("binary Put", xs, [][]float64{putAllocs}))
@@ -345,8 +349,8 @@ const (
 // map, tcpnet} × batch size × leaf-cache setting × value size.
 //
 // It emits five results. The first carries the deterministic cost rows
-// the CI perf gate diffs: round trips for the whole workload, per batch
-// size, cache on and off. Round trips are counted client-side (Lookups -
+// results/counted-costs.csv pins: round trips for the whole workload, per
+// batch size, cache on and off. Round trips are counted client-side (Lookups -
 // BatchedKeys + BatchOps), so they are identical across substrates and
 // value sizes by construction — the run fails if any cell diverges,
 // which pins the wire protocol to the cost model. The second and third
@@ -354,7 +358,8 @@ const (
 // value size. The fourth and fifth sweep the client cache itself —
 // leaf-cache capacity under uniform queries, and query-arrival skew
 // (Zipf s) with the cache off and on — both deterministic round-trip
-// rows over the local substrate, also eligible for the gate.
+// rows over the local substrate, pinned the same way. The throughput
+// results are measured.
 func RunSweep(o Options, size int) ([]Result, error) {
 	o = o.WithDefaults()
 	rt := Result{
@@ -364,16 +369,18 @@ func RunSweep(o Options, size int) ([]Result, error) {
 		YLabel: "round trips",
 	}
 	tpBatch := Result{
-		Name:   "Sweepb",
-		Title:  "Wire sweep: throughput vs batch size (cache off, 64 B values)",
-		XLabel: "batch size (keys)",
-		YLabel: "kops/sec",
+		Name:     "Sweepb",
+		Title:    "Wire sweep: throughput vs batch size (cache off, 64 B values)",
+		XLabel:   "batch size (keys)",
+		YLabel:   "kops/sec",
+		Measured: true,
 	}
 	tpValue := Result{
-		Name:   "Sweepc",
-		Title:  "Wire sweep: throughput vs value size (cache off, batch 64)",
-		XLabel: "value size (bytes)",
-		YLabel: "kops/sec",
+		Name:     "Sweepc",
+		Title:    "Wire sweep: throughput vs value size (cache off, batch 64)",
+		XLabel:   "value size (bytes)",
+		YLabel:   "kops/sec",
+		Measured: true,
 	}
 
 	// Batch-size dimension: substrate x batch x cache at the base value
@@ -459,7 +466,7 @@ func RunSweep(o Options, size int) ([]Result, error) {
 	// Zipfian, cache off and on, local substrate. Off, every query costs
 	// the same wherever it lands; on, skew concentrates arrivals on leaves
 	// a small cache can hold, so the gap between the rows is the cache's
-	// skew win — deterministic, gated.
+	// skew win — deterministic, pinned.
 	skewRt := Result{
 		Name:   "Sweepe",
 		Title:  fmt.Sprintf("Skew sweep: round trips vs query skew (%d records + %d queries)", size, o.Queries),

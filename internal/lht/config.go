@@ -116,7 +116,7 @@ type Config struct {
 	// are restored from the highest-epoch survivor. The probe and restore
 	// round trips are charged to the scrub's cost (they bypass the
 	// instrumented stack, so Scrub accounts for them manually); query and
-	// mutation costs are untouched, keeping the paper's gated cost rows
+	// mutation costs are untouched, keeping the paper's pinned cost rows
 	// byte-identical. Off by default; a no-op on substrates without
 	// replication.
 	Rereplicate bool

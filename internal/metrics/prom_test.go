@@ -191,6 +191,19 @@ lht_op_latency_seconds_count{op="range"} 1
 // workload: any change to metric names, label sets, or bucket rendering
 // must update the golden text consciously.
 func TestWritePrometheusGolden(t *testing.T) {
+	// Every flat counter has one unlabelled lht_*_total series, named from
+	// the same table row as its Snapshot.Counts key, so pinning the series
+	// here pins the lht-bench report's counter keys too.
+	series := 0
+	for _, line := range strings.Split(goldenExposition, "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(name, "lht_") && strings.HasSuffix(name, "_total") {
+			series++
+		}
+	}
+	if series != int(NumCounters) {
+		t.Errorf("golden holds %d unlabelled lht_*_total series, want NumCounters = %d", series, NumCounters)
+	}
 	var b strings.Builder
 	if err := WritePrometheus(&b, goldenCounters().Snapshot()); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ package tcpnet
 //
 // All membership traffic is free in the cost model (see the OpKind doc in
 // internal/dht): it is control-plane chatter, not index routing, and the
-// gated bench rows never enable it.
+// pinned bench rows never enable it.
 
 import (
 	"context"
