@@ -121,7 +121,7 @@ func ExampleNewChordDHT() {
 
 // Every operation has a Context variant: a deadline on the context
 // bounds the whole multi-step algorithm - here a range query over a
-// Chord ring, whose parallel forwarding stops promptly if the deadline
+// Chord ring, whose forwarding rounds stop promptly if the deadline
 // expires. The WithPolicy option additionally absorbs transient
 // substrate faults with retries and backoff, each retry charged as a
 // DHT-lookup.

@@ -16,23 +16,25 @@ import (
 // readers touch).
 func TestConcurrentReaders(t *testing.T) {
 	t.Run("uncached", func(t *testing.T) {
-		testConcurrentReaders(t, Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20})
+		testConcurrentReaders(t, dht.NewLocal(), Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20})
 	})
 	t.Run("cached", func(t *testing.T) {
-		testConcurrentReaders(t, Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20,
+		testConcurrentReaders(t, dht.NewLocal(), Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20,
 			LeafCache: true, LeafCacheSize: 32})
 	})
-	// ParallelRange layers the batched sweep's intra-query goroutines on
-	// top of the inter-query concurrency; with the cache on, every slot
-	// of every multi-get notes its bucket in the shared LRU.
+	// Over tcpnet a range round's multi-get reaches its owners in
+	// parallel round trips, on top of the inter-query concurrency; with
+	// the cache on, every slot of every round notes its leaf in the
+	// shared LRU.
 	t.Run("cached-parallel", func(t *testing.T) {
-		testConcurrentReaders(t, Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20,
-			LeafCache: true, LeafCacheSize: 32, ParallelRange: true})
+		client, _ := startProbeCluster(t, 3)
+		testConcurrentReaders(t, client, Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20,
+			LeafCache: true, LeafCacheSize: 32})
 	})
 }
 
-func testConcurrentReaders(t *testing.T, cfg Config) {
-	ix, err := New(dht.NewLocal(), cfg)
+func testConcurrentReaders(t *testing.T, d dht.DHT, cfg Config) {
+	ix, err := New(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,15 +53,6 @@ type Config struct {
 	// invalid. Ignored unless LeafCache is set.
 	LeafCacheSize int
 
-	// ParallelRange executes range-query forwarding concurrently: every
-	// independent branch forward runs in its own goroutine, exactly the
-	// parallelism the Steps latency metric models, so wall-clock latency
-	// over networked substrates matches it. Results and costs are
-	// identical to sequential execution. Off by default: over the
-	// in-process substrates goroutine overhead exceeds the map accesses
-	// it parallelizes.
-	ParallelRange bool
-
 	// BatchSize caps the number of keys per batched DHT operation (the
 	// bulk-load put rounds and the range-sweep multi-gets). Larger
 	// batches mean fewer round trips on a batch-native substrate but

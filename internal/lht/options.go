@@ -62,12 +62,6 @@ func WithTraceSink(s metrics.TraceSink) Option {
 	return optionFunc(func(c *Config) { c.TraceSink = s })
 }
 
-// WithParallelRange toggles concurrent range-query forwarding (see
-// Config.ParallelRange).
-func WithParallelRange(on bool) Option {
-	return optionFunc(func(c *Config) { c.ParallelRange = on })
-}
-
 // WithAggregate chains the index's counters to a shared parent (see
 // Config.Aggregate).
 func WithAggregate(agg *metrics.Counters) Option {

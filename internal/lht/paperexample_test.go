@@ -220,10 +220,11 @@ func TestGeneralCaseFallbacks(t *testing.T) {
 	// Case 3: [0.3, 0.6) straddles 0.5, so its LCA is the root #0 and
 	// f_n(#0) = "#" leads to the leftmost leaf #000 ([0, 0.25)), which
 	// does not overlap the range; the query then descends through both
-	// children. The left descent reaches leaf #0011 via #00, which
-	// sweeps left into the partially covered branch #0010: that probe is
-	// the one failed lookup section 6.3 budgets for (leaf #0010 is bound
-	// to #001, not to its own label), and the fallback succeeds.
+	// children in one round. The left descent reaches leaf #0011 via
+	// #00, which sweeps left into the partially covered branch #0010 in
+	// the next round: that probe is the one failed lookup section 6.3
+	// budgets for (leaf #0010 is bound to #001, not to its own label),
+	// and the fallback succeeds in the round after.
 	d.reset()
 	recs, cost, err = ix.Range(0.3, 0.6)
 	if err != nil {
@@ -232,7 +233,7 @@ func TestGeneralCaseFallbacks(t *testing.T) {
 	if len(recs) != 3 { // midpoints 0.3125, 0.4375, 0.5625
 		t.Fatalf("case 3 records = %v", recs)
 	}
-	assertProbes(t, d.probes(), []string{"#", "#00", "#0010", "#001", "#01"})
+	assertProbes(t, d.probes(), []string{"#", "#00", "#01", "#0010", "#001"})
 	if cost.Lookups != 5 {
 		t.Fatalf("case 3 cost = %d lookups, want 5 = B+2 <= B+3 (B=3)", cost.Lookups)
 	}

@@ -49,10 +49,10 @@ func TestSetErrPrefersRootCause(t *testing.T) {
 }
 
 // cancelOnKey instruments one key's fetch: it cancels the query's context
-// before the fetch proceeds, then delays so the sibling branches have
-// observed the cancellation by the time this branch's real fault lands.
-// The delegate call runs on a background context — the fault was already
-// in flight when the cancellation hit.
+// before the fetch proceeds, then delays, so that every other get in
+// flight or still to come observes the cancellation. The delegate call
+// runs on a background context — the fault was already in flight when
+// the cancellation hit.
 type cancelOnKey struct {
 	dht.DHT
 	cancel context.CancelFunc
@@ -68,20 +68,18 @@ func (c *cancelOnKey) Get(ctx context.Context, key string) (dht.Value, error) {
 	return c.DHT.Get(ctx, key)
 }
 
-// TestParallelRangeSurfacesChordFaultOverCancellation is the regression
-// for the error-preference fix: under ParallelRange, one branch hitting a
-// dead Chord peer makes the sibling branches fail with the collateral
-// context cancellation first, and the query used to surface whichever
-// landed first. The root-cause fault must win regardless of arrival
-// order.
-func TestParallelRangeSurfacesChordFaultOverCancellation(t *testing.T) {
+// TestRangeSurfacesChordFaultOverCancellation is the regression for the
+// error-preference fix: one branch hitting a dead Chord peer comes with
+// the collateral context cancellation of the gets beside it, and the
+// query used to surface whichever it met first. The root-cause fault
+// must win regardless of arrival order.
+func TestRangeSurfacesChordFaultOverCancellation(t *testing.T) {
 	ring, err := chord.NewRing(12, chord.Config{Replicas: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The Fig. 5b hand tree, stored on the ring: Range(0.3, 0.6) is the
-	// general case 3, descending into #00 and #01 as two parallel
-	// branches.
+	// general case 3, descending into #00 and #01 in one round.
 	for _, ls := range []string{"#000", "#0010", "#0011", "#0100", "#0101", "#011"} {
 		b := mustBucket(t, ls)
 		if err := ring.Put(context.Background(), b.Label.Name().Key(), b); err != nil {
@@ -102,7 +100,7 @@ func TestParallelRangeSurfacesChordFaultOverCancellation(t *testing.T) {
 	ring.Fail(ref.Addr)
 	d := &cancelOnKey{DHT: ring, cancel: cancel, badKey: "#01"}
 
-	ix, err := New(d, Config{SplitThreshold: 8, MergeThreshold: 0, Depth: 14, ParallelRange: true})
+	ix, err := New(d, Config{SplitThreshold: 8, MergeThreshold: 0, Depth: 14})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
@@ -42,10 +40,7 @@ type rangeShare struct {
 }
 
 // rangeCollector accumulates a range query's results and bandwidth cost.
-// When the index is configured with ParallelRange, branch forwards run in
-// goroutines, so the collector is mutex-guarded; latency (Steps) is
-// always computed structurally from the forwarding DAG, identically in
-// both modes.
+// The query's goroutine is the only one that touches it.
 //
 // The result is built once, by snapshot, at its final size: until then
 // each leaf's share waits as it was fetched. Over a substrate that cuts
@@ -56,7 +51,6 @@ type rangeCollector struct {
 	r    keyspace.Interval // the query's range
 	hint uint64            // RangeHint of r: one hint per query
 
-	mu      sync.Mutex
 	shares  []rangeShare
 	n       int // the result's size, or an upper bound of it
 	lookups int
@@ -87,16 +81,8 @@ func (c *rangeCollector) add(s rangeShare, n int) {
 	if n == 0 {
 		return
 	}
-	c.mu.Lock()
 	c.shares = append(c.shares, s)
 	c.n += n
-	c.mu.Unlock()
-}
-
-func (c *rangeCollector) addLookups(n int) {
-	c.mu.Lock()
-	c.lookups += n
-	c.mu.Unlock()
 }
 
 // isCancellation reports whether err is (or wraps) a context
@@ -108,24 +94,21 @@ func isCancellation(err error) bool {
 
 // setErr records the error the query surfaces. The first error wins,
 // with one exception: a stored cancellation yields to a later
-// non-cancellation error. Under ParallelRange one branch's real fault
-// (say a dead Chord peer) makes the sibling branches observe
-// context.Canceled; whichever order those land in, the root cause — not
-// the collateral cancellation — must be what the caller sees.
+// non-cancellation error. A round's slots fail together when its context
+// is cancelled, one slot's real fault (say a dead Chord peer) among them;
+// whichever slot order those come in, the root cause — not the
+// collateral cancellation — must be what the caller sees.
 func (c *rangeCollector) setErr(err error) {
-	c.mu.Lock()
 	if c.err == nil || (isCancellation(c.err) && !isCancellation(err)) {
 		c.err = err
 	}
-	c.mu.Unlock()
 }
 
-// snapshot joins the shares, in the order they were added, into the
-// query's result. A run's values alias its enc, as a bucket's records
-// alias the buffer it was decoded from.
+// snapshot joins the shares, in the order they were added (round by
+// round, each round's in slot order), into the query's result. A run's
+// values alias its enc, as a bucket's records alias the buffer it was
+// decoded from.
 func (c *rangeCollector) snapshot() ([]record.Record, int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.err != nil || c.n == 0 {
 		return nil, c.lookups, c.err
 	}
@@ -145,18 +128,18 @@ func (c *rangeCollector) snapshot() ([]record.Record, int, error) {
 
 // probeLeaf is a range query's single get, charging the collector.
 func (ix *Index) probeLeaf(ctx context.Context, key string, col *rangeCollector) (dht.Value, error) {
-	col.addLookups(1)
+	col.lookups++
 	v, err := dht.DoProbe(ctx, ix.d, key, col.hint)
 	return ix.rangeLeaf(ctx, v, err, key, col)
 }
 
-// rangeLeaf takes the reply (v, err) to a range query's get of key, a
-// single one (probeLeaf) or a sweep's slot. The query goes on from the
-// fetched leaf's label and takes only its records in the query's range,
-// so every get is a probe hinted with that range, and a substrate that is
-// a dht.Prober may answer an untorn leaf with the run of those records,
-// or, when the leaf does not overlap the range, with its BucketHeader
-// alone — still one round trip and one DHT-lookup. What comes back is a
+// rangeLeaf takes the reply (v, err) to a range query's get of key: the
+// LCA probe (probeLeaf) or a slot of a forwarding round. The query goes
+// on from the fetched leaf's label and takes only its records in the
+// query's range, so every get is a probe hinted with that range, and a
+// substrate that is a dht.Prober may answer an untorn leaf with the run
+// of those records, or, when the leaf does not overlap the range, with
+// its BucketHeader alone — still one round trip and one DHT-lookup. What comes back is a
 // *Bucket, a *bucketRun or such a *BucketHeader, the leaf cache having
 // learnt the label from each alike (see forward).
 //
@@ -185,7 +168,7 @@ func (ix *Index) rangeLeaf(ctx context.Context, v dht.Value, err error, key stri
 		return ix.wholeLeaf(ctx, key, b, err, col)
 	}
 	// No current peer sends this. Whatever did, the query needs the leaf.
-	col.addLookups(1)
+	col.lookups++
 	b, err := ix.fetchBucket(ctx, key)
 	return ix.wholeLeaf(ctx, key, b, err, col)
 }
@@ -199,7 +182,7 @@ func (ix *Index) wholeLeaf(ctx context.Context, key string, b *Bucket, err error
 	if err == nil && b.Torn() {
 		var cost Cost
 		b, err = ix.repairTorn(ctx, key, b, &cost)
-		col.addLookups(cost.Lookups)
+		col.lookups += cost.Lookups
 	}
 	if err != nil {
 		return nil, err
@@ -227,26 +210,27 @@ func rangeLeafLabel(v dht.Value) bitlabel.Label {
 // locally computes the range's lowest common ancestor LCA and fetches the
 // leaf named f_n(LCA). A miss means the whole range lies in one leaf
 // (an exact-match lookup finishes the query); an overlapping bucket starts
-// recursive forwarding (Algorithm 3); a non-overlapping bucket descends
-// through LCA's two children first. Forwarding needs only each bucket's
-// local tree: branch nodes are enumerated with the neighbor functions, and
+// forwarding (Algorithm 3); a non-overlapping bucket descends through
+// LCA's two children first. Forwarding needs only each bucket's local
+// tree: branch nodes are enumerated with the neighbor functions, and
 // every fully-covered branch is entered in one hop through its named leaf.
 //
 // Cost.Lookups counts every DHT-get (the bandwidth measure, at most B+3
 // for B result buckets in the paper's analysis); Cost.Steps counts the
 // longest dependent chain (the latency measure): all forwards issued by
-// one bucket proceed in parallel. With Config.ParallelRange they really
-// do - independent branches run in goroutines - which turns the Steps
-// model into wall-clock time over networked substrates.
+// one bucket proceed in parallel. They really do: the query runs a round
+// per step, and every get of a round — the branches of every leaf the
+// last round fetched, and the second tries of its misses — travels in
+// one multi-get, which a networked substrate sends to the owning peers
+// at once. So a query makes Cost.Steps substrate calls.
 func (ix *Index) Range(lo, hi float64) ([]record.Record, Cost, error) {
 	return ix.RangeContext(context.Background(), lo, hi)
 }
 
 // RangeContext is Range with a caller-supplied context. Cancelling the
-// context stops the forwarding recursion promptly: no new branch fetches
-// start, in-flight substrate operations observe the cancellation, and the
-// parallel goroutines drain before RangeContext returns. The partial cost
-// accumulated up to that point is still reported.
+// context stops the query between rounds: no new round starts, and the
+// round in flight observes the cancellation in its substrate calls. The
+// partial cost accumulated up to that point is still reported.
 func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record.Record, cost Cost, err error) {
 	if err := keyspace.CheckKey(lo); err != nil {
 		return nil, cost, fmt.Errorf("%w: lo: %v", ErrBadRange, err)
@@ -278,113 +262,115 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 		return nil, cost, err
 	}
 
-	// Everything from here on is forwarding traffic.
-	fctx := metrics.WithPhase(ctx, metrics.PhaseForward)
-	var depth int
-	switch {
-	case keyspace.IntervalOf(rangeLeafLabel(leaf)).Overlaps(r):
+	// A round rarely has more probes than fit on the stack.
+	var this, next [16]rangeProbe
+	first := this[:0]
+	if keyspace.IntervalOf(rangeLeafLabel(leaf)).Overlaps(r) {
 		// Case 2: the simple case holds from this leaf.
-		depth = 1 + ix.forward(fctx, leaf, r, col)
-	case ix.cfg.ParallelRange:
+		first = ix.forward(first, leaf, r, col)
+	} else {
 		// Case 3: descend through both children of the LCA; each child's
 		// subrange contains one bound of its half, so forwarding from the
-		// entered leaf is again the simple case. The two descents proceed
-		// in parallel.
-		depth = 1 + deepest(
-			func() int { return ix.enterChild(fctx, lca.Left(), r, col) },
-			func() int { return ix.enterChild(fctx, lca.Right(), r, col) },
-		)
-	default:
-		depth = 1 + max(ix.enterChild(fctx, lca.Left(), r, col), ix.enterChild(fctx, lca.Right(), r, col))
+		// entered leaf is again the simple case. A child is entered as a
+		// sweep enters its partially covered branch.
+		first = enter(enter(first, lca.Left(), r), lca.Right(), r)
 	}
+	// Everything from here on is forwarding traffic.
+	steps := ix.rounds(metrics.WithPhase(ctx, metrics.PhaseForward), first, next[:0], col)
 	out, lookups, err := col.snapshot()
 	cost.Lookups = lookups
-	cost.Steps = depth
+	cost.Steps = 1 + steps
 	if err != nil {
 		return nil, cost, err
 	}
 	return out, cost, nil
 }
 
-// deepest runs the lookup chains concurrently and returns the depth of
-// the deepest. Only a ParallelRange query gets here: a sequential one
-// makes the same calls in the same order directly, and builds no closures
-// to do so.
-func deepest(chains ...func() int) int {
-	depths := make([]int, len(chains))
-	var wg sync.WaitGroup
-	for i, chain := range chains {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			depths[i] = chain()
-		}()
-	}
-	wg.Wait()
-	return slices.Max(depths)
+// rangeProbe is one get of a range query's forwarding: the key it
+// fetches, the branch node it enters, and the subrange of the query the
+// fetched leaf is entered for.
+type rangeProbe struct {
+	key    string
+	branch bitlabel.Label
+	sub    keyspace.Interval
+	// retry: a miss means the branch is itself a leaf, bound to its name
+	// f_n(branch) — the at-most-one failed lookup per sweep of section
+	// 6.3, tried again in the next round.
+	retry bool
 }
 
-// enterChild fetches the leaf that starts the sweep inside one child
-// subtree of the LCA and forwards the intersected range there: the child
-// is entered as a sweep enters its partially covered branch. The child
-// label itself is tried first (the leaf bound to that name is the subtree
-// boundary leaf); if the child is a leaf rather than an internal node, the
-// key misses and the leaf is found under f_n(child) instead - the one
-// extra lookup the complexity analysis of section 6.3 budgets for.
-// It returns the depth of the dependent lookup chain it issued.
-func (ix *Index) enterChild(ctx context.Context, child bitlabel.Label, r keyspace.Interval, col *rangeCollector) int {
-	task := branchTask{label: child, inv: keyspace.IntervalOf(child)}
-	if task.inv.Intersect(r).Empty() {
-		return 0
+// rounds runs a range query's forwarding from the probes of its first
+// forwarding round, queuing each round's successors in next, and returns
+// the number of rounds it ran. A round fetches every pending probe at
+// once, as one multi-get (a lone key as a single probe), and takes each
+// slot in slot order: a leaf's records join the result and its branches
+// are the next round's probes; a missed retry probe goes again under the
+// branch's name. A failed probe, or a cancelled context, starts no
+// further round.
+func (ix *Index) rounds(ctx context.Context, probes, next []rangeProbe, col *rangeCollector) int {
+	var (
+		keys   []string
+		oneV   [1]dht.Value
+		oneErr [1]error
+		n      int
+	)
+	for ; len(probes) > 0 && col.err == nil; n++ {
+		if err := ctx.Err(); err != nil {
+			col.setErr(fmt.Errorf("lht: range forward %s: %w", probes[0].branch, err))
+			break
+		}
+		col.lookups += len(probes)
+		vals, errs := oneV[:], oneErr[:]
+		if len(probes) == 1 {
+			vals[0], errs[0] = dht.DoProbe(ctx, ix.d, probes[0].key, col.hint)
+		} else {
+			if cap(keys) < len(probes) {
+				keys = make([]string, 0, 2*len(probes))
+			}
+			keys = keys[:0]
+			for _, p := range probes {
+				keys = append(keys, p.key)
+			}
+			vals, errs = dht.DoProbeBatch(ctx, ix.d, keys, col.hint)
+		}
+		next = next[:0]
+		for i, p := range probes {
+			v, err := ix.rangeLeaf(ctx, vals[i], errs[i], p.key, col)
+			switch {
+			case p.retry && errors.Is(err, dht.ErrNotFound):
+				next = append(next, rangeProbe{key: p.branch.Name().Key(), branch: p.branch, sub: p.sub})
+			case err != nil:
+				col.setErr(fmt.Errorf("lht: range forward %s: %w", p.branch, err))
+			default:
+				next = ix.forward(next, v, p.sub, col)
+			}
+		}
+		probes, next = next, probes
 	}
-	if err := ctx.Err(); err != nil {
-		col.setErr(fmt.Errorf("lht: range enter %s: %w", child, err))
-		return 0
-	}
-	v, err := ix.probeLeaf(ctx, child.Key(), col)
-	return ix.branch(ctx, task, v, err, r, col)
+	return n
 }
 
-// forward implements the recursive forwarding of Algorithm 3 from a leaf
-// the caller has already fetched — whole, as a run, or as the header of a
-// leaf with nothing in the query's range: collect its records in r, then
-// sweep on from its label.
-func (ix *Index) forward(ctx context.Context, leaf dht.Value, r keyspace.Interval, col *rangeCollector) int {
+// forward is Algorithm 3 at a leaf the query has fetched — whole, as a
+// run, or as the header of a leaf with nothing in the query's range —
+// entered for sub: it collects the leaf's records in sub and appends to
+// next the probes of the branches the leaf forwards to, sweeping toward
+// whichever sides of sub extend beyond the leaf's interval.
+func (ix *Index) forward(next []rangeProbe, leaf dht.Value, sub keyspace.Interval, col *rangeCollector) []rangeProbe {
 	switch leaf := leaf.(type) {
 	case *Bucket:
-		col.addRecords(leaf.Records, r.Lo, r.Hi)
+		col.addRecords(leaf.Records, sub.Lo, sub.Hi)
 	case *bucketRun:
-		col.addRun(leaf, r.Lo, r.Hi)
+		col.addRun(leaf, sub.Lo, sub.Hi)
 	}
-	return ix.sweepFrom(ctx, rangeLeafLabel(leaf), r, col)
-}
-
-// sweepFrom is forward past the leaf labeled from, whose share of r the
-// collector already has: sweep toward whichever sides of r extend beyond
-// the leaf's interval. Both sweeps and all per-branch forwards are issued
-// by the leaf's peer in one round, so the returned chain depth is the
-// maximum over the branches.
-func (ix *Index) sweepFrom(ctx context.Context, from bitlabel.Label, r keyspace.Interval, col *rangeCollector) int {
-	if err := ctx.Err(); err != nil {
-		col.setErr(fmt.Errorf("lht: range forward from %s: %w", from, err))
-		return 0
-	}
+	from := rangeLeafLabel(leaf)
 	iv := keyspace.IntervalOf(from)
-	right, left := r.Hi > iv.Hi, r.Lo < iv.Lo
-	if right && left && ix.cfg.ParallelRange {
-		return deepest(
-			func() int { return ix.sweep(ctx, from, r, sweepRight, col) },
-			func() int { return ix.sweep(ctx, from, r, sweepLeft, col) },
-		)
+	if sub.Hi > iv.Hi {
+		next = sweep(next, from, sub, sweepRight)
 	}
-	var dRight, dLeft int
-	if right {
-		dRight = ix.sweep(ctx, from, r, sweepRight, col)
+	if sub.Lo < iv.Lo {
+		next = sweep(next, from, sub, sweepLeft)
 	}
-	if left {
-		dLeft = ix.sweep(ctx, from, r, sweepLeft, col)
-	}
-	return max(dRight, dLeft)
+	return next
 }
 
 type sweepDir int
@@ -406,123 +392,48 @@ func (d sweepDir) neighbor(l bitlabel.Label) (bitlabel.Label, bool) {
 	return l.RightNeighbor()
 }
 
-// sweep walks the branch nodes of the local tree of the leaf labeled from,
-// in the given direction, decomposing r into per-branch subranges
-// (Algorithm 3). A branch whose interval is fully inside r is entered
-// through the leaf bound to f_n(beta): the far-end boundary leaf of the
-// branch, which then sweeps back inward. The final, partially covered
-// branch is entered through the leaf bound to beta itself: the near-end
-// boundary leaf; if beta turns out to be a leaf, that get fails and the
-// leaf is under f_n(beta) - the at-most-one failed lookup per sweep of
-// section 6.3.
-//
-// The walk over branch labels is local arithmetic; every branch's fetch
-// and recursive forward is independent, so in parallel mode each runs in
-// its own goroutine. A cancelled context stops the recursion before any
-// further branch fetch.
-func (ix *Index) sweep(ctx context.Context, from bitlabel.Label, r keyspace.Interval, dir sweepDir, col *rangeCollector) int {
-	// Phase 1: enumerate the branches to visit (pure local arithmetic).
-	// A sweep rarely has more branches than fit on the stack.
-	var few [8]branchTask
-	tasks := few[:0]
-	beta := from
-loop:
-	for {
+// sweep walks the branch nodes of the local tree of the leaf labeled
+// from, in the given direction, decomposing r into per-branch subranges
+// (Algorithm 3), and appends each branch's probe to next. A branch whose
+// interval is fully inside r is entered through the leaf bound to
+// f_n(beta): the far-end boundary leaf of the branch, which then sweeps
+// back inward. The final, partially covered branch is entered through
+// the leaf bound to beta itself (enter). The walk is local arithmetic.
+func sweep(next []rangeProbe, from bitlabel.Label, r keyspace.Interval, dir sweepDir) []rangeProbe {
+	for beta := from; ; {
 		var ok bool
 		if beta, ok = dir.neighbor(beta); !ok {
-			break // reached the tree edge
+			return next // reached the tree edge
 		}
 		inv := keyspace.IntervalOf(beta)
 		covered := false
 		switch dir {
 		case sweepRight:
 			if inv.Lo >= r.Hi {
-				break loop // branch lies beyond the range
+				return next // branch lies beyond the range
 			}
 			covered = inv.Hi <= r.Hi
 		case sweepLeft:
 			if inv.Hi <= r.Lo {
-				break loop
+				return next
 			}
 			covered = inv.Lo >= r.Lo
 		}
-		tasks = append(tasks, branchTask{label: beta, inv: inv, covered: covered})
 		if !covered {
-			break // the partially covered branch terminates the sweep
+			return enter(next, beta, r) // the partially covered branch terminates the sweep
 		}
+		next = append(next, rangeProbe{key: beta.Name().Key(), branch: beta, sub: inv})
 	}
-
-	// Phase 2: every branch's first probe goes out as one multi-get —
-	// the same fan-out round the Steps model already treats as parallel,
-	// now one round trip on a batch-native substrate. Each fetched branch
-	// then forwards independently (concurrently under ParallelRange).
-	// A covered branch probes its named leaf f_n(beta); the partially
-	// covered terminal branch probes beta's own label, and a miss there
-	// means beta is itself a leaf, found under f_n(beta) — the
-	// at-most-one failed lookup of section 6.3, still a per-op follow-up.
-	if len(tasks) == 0 {
-		return 0
-	}
-	if err := ctx.Err(); err != nil {
-		col.setErr(fmt.Errorf("lht: range forward %s: %w", tasks[0].label, err))
-		return 0
-	}
-	keys := make([]string, len(tasks))
-	for i, task := range tasks {
-		if task.covered {
-			keys[i] = task.label.Name().Key()
-		} else {
-			keys[i] = task.label.Key()
-		}
-	}
-	col.addLookups(len(keys))
-	vals, errs := dht.DoProbeBatch(ctx, ix.d, keys, col.hint)
-
-	// Every slot is taken, and its leaf noted in the cache, before any
-	// branch forwards, in slot order, whichever way the branches run.
-	for i := range tasks {
-		vals[i], errs[i] = ix.rangeLeaf(ctx, vals[i], errs[i], keys[i], col)
-	}
-	if ix.cfg.ParallelRange {
-		chains := make([]func() int, len(tasks))
-		for i, task := range tasks {
-			chains[i] = func() int { return ix.branch(ctx, task, vals[i], errs[i], r, col) }
-		}
-		return deepest(chains...)
-	}
-	var depth int
-	for i, task := range tasks {
-		depth = max(depth, ix.branch(ctx, task, vals[i], errs[i], r, col))
-	}
-	return depth
 }
 
-// branchTask is one branch node a sweep visits.
-type branchTask struct {
-	label   bitlabel.Label
-	inv     keyspace.Interval
-	covered bool
-}
-
-// branch enters one branch of a sweep over r, given its slot (v, err) of
-// the sweep's multi-get as rangeLeaf left it, and returns the depth of
-// the dependent lookup chain. A covered branch is fully inside the
-// remaining range: it is entered through its named leaf, which sweeps
-// back inward. The terminal branch is entered through the leaf under its
-// own label or, on a miss, under its name.
-func (ix *Index) branch(ctx context.Context, task branchTask, v dht.Value, err error, r keyspace.Interval, col *rangeCollector) int {
-	hops := 1
-	sub := task.inv
-	if !task.covered {
-		sub = task.inv.Intersect(r)
-		if errors.Is(err, dht.ErrNotFound) {
-			hops = 2
-			v, err = ix.probeLeaf(ctx, task.label.Name().Key(), col)
-		}
+// enter appends to next the probe that enters the branch beta, partly
+// inside r, for their intersection: the near-end boundary leaf, bound to
+// beta itself when beta is an internal node. If beta turns out to be a
+// leaf, that get misses and the leaf is under f_n(beta) (rangeProbe.retry).
+func enter(next []rangeProbe, beta bitlabel.Label, r keyspace.Interval) []rangeProbe {
+	sub := keyspace.IntervalOf(beta).Intersect(r)
+	if sub.Empty() {
+		return next
 	}
-	if err != nil {
-		col.setErr(fmt.Errorf("lht: range forward %s: %w", task.label, err))
-		return hops
-	}
-	return hops + ix.forward(ctx, v, sub, col)
+	return append(next, rangeProbe{key: beta.Key(), branch: beta, sub: sub, retry: true})
 }

@@ -220,9 +220,7 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 		cfg         Config
 	}{
 		{"bare", false, Config{}},
-		{"bare, parallel", false, Config{ParallelRange: true}},
 		{"policy(instrumented(crashpoints))", true, Config{Policy: &policy}},
-		{"policy(instrumented(crashpoints)), parallel", true, Config{Policy: &policy, ParallelRange: true}},
 	} {
 		name, spy := arm.name, &rangeSpy{Client: client}
 		var d dht.DHT = spy
@@ -248,16 +246,11 @@ func TestRangeOverTheWireMatchesLocal(t *testing.T) {
 				t.Errorf("%s, %s: cost %+v, over dht.Local %+v", name, q.name, got[i].cost, want[i].cost)
 			}
 			g, w := got[i].recs, want[i].recs
-			if arm.cfg.ParallelRange {
-				g, w = append([]record.Record(nil), g...), append([]record.Record(nil), w...)
-				record.SortByKey(g)
-				record.SortByKey(w)
-			}
 			if !sameBucket(&Bucket{Records: g}, &Bucket{Records: w}) {
 				t.Errorf("%s, %s: records\n got %v\nwant %v", name, q.name, g, w)
 			}
 		}
-		if !arm.cfg.ParallelRange && !slices.Equal(gotCache, wantCache) {
+		if !slices.Equal(gotCache, wantCache) {
 			t.Errorf("%s: leaf cache ends as %v, over dht.Local as %v", name, gotCache, wantCache)
 		}
 	}

@@ -11,18 +11,17 @@ import (
 	"lht/internal/record"
 )
 
-// TestTraceSinkParallelRangeRace hammers one bounded Ring sink from
-// concurrent parallel range queries and point reads (run with -race):
-// every branch goroutine of every in-flight query emits op events into
-// the same ring while readers drain it.
-func TestTraceSinkParallelRangeRace(t *testing.T) {
+// TestTraceSinkConcurrentRangeRace hammers one bounded Ring sink from
+// concurrent range queries and point reads (run with -race): every
+// in-flight query emits op events into the same ring while readers drain
+// it.
+func TestTraceSinkConcurrentRangeRace(t *testing.T) {
 	const retain = 128
 	ring := metrics.NewRing(retain)
 	ix, err := New(dht.NewLocal(), Config{
 		SplitThreshold: 8,
 		MergeThreshold: 0,
 		Depth:          20,
-		ParallelRange:  true,
 		TraceSink:      ring,
 	})
 	if err != nil {

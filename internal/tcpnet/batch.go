@@ -122,18 +122,24 @@ type ownerGroup struct {
 }
 
 // eachGroup runs do once per group, the groups concurrently: one round
-// trip per node, all in flight together. Its callers run a batch that has
-// a single owner themselves, on their own goroutine, and so build neither
-// the closure nor the WaitGroup for it.
+// trip per node, all in flight together. The last group runs on the
+// caller's goroutine, so a batch over k nodes starts k−1 goroutines. Its
+// callers run a batch that has a single owner themselves, and so build
+// neither the closure nor the WaitGroup for it.
 func eachGroup(groups []ownerGroup, do func(ownerGroup)) {
+	if len(groups) == 0 {
+		return
+	}
+	last := len(groups) - 1
 	var wg sync.WaitGroup
-	for _, g := range groups {
+	for _, g := range groups[:last] {
 		wg.Add(1)
 		go func(g ownerGroup) {
 			defer wg.Done()
 			do(g)
 		}(g)
 	}
+	do(groups[last])
 	wg.Wait()
 }
 

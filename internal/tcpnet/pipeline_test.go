@@ -281,13 +281,15 @@ func TestNoGoroutinePerCall(t *testing.T) {
 }
 
 // clientGoroutines counts the goroutines that are not an in-process
-// server's: its accept loop, maybe not yet started, and its connection
-// handlers, some of them maybe a closed server's, still exiting.
+// server's — its accept loop, maybe not yet started, and its connection
+// handlers, some of them maybe a closed server's, still exiting — nor
+// the test runner's of a test that has ended and is still exiting.
 func clientGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := 0
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if !strings.Contains(g, "tcpnet.(*Server)") && !strings.Contains(g, "tcpnet.startServers") {
+		if !strings.Contains(g, "tcpnet.(*Server)") && !strings.Contains(g, "tcpnet.startServers") &&
+			!strings.Contains(g, "testing.tRunner.func1()") {
 			n++
 		}
 	}

@@ -496,11 +496,14 @@ func wireRangeIndex(tb testing.TB) (*ilht.Index, *atomic.Int64) {
 // loopback servers, through the index: run with -benchmem for what a
 // range costs the client in allocations (servers share the process; they
 // add a handful a request). wire-B/op is request plus reply bytes, so
-// B/op over wire-B/op is the ledger's alloc-bytes-per-wire-byte ratio.
+// B/op over wire-B/op is the ledger's alloc-bytes-per-wire-byte ratio;
+// syscalls/op counts both ends' reads and writes, as BenchmarkWireGet's
+// does, so it falls with the frames a query sends.
 func BenchmarkWireRange(b *testing.B) {
 	ix, wire := wireRangeIndex(b)
 	b.ReportAllocs()
 	before := wire.Load()
+	calls, counted := ioSyscalls()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recs, _, err := ix.Range(wireRangeLo, wireRangeHi)
@@ -510,4 +513,7 @@ func BenchmarkWireRange(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(wire.Load()-before)/float64(b.N), "wire-B/op")
+	if after, _ := ioSyscalls(); counted {
+		b.ReportMetric(float64(after-calls)/float64(b.N), "syscalls/op")
+	}
 }

@@ -28,8 +28,8 @@
 // The context-taking methods (GetContext, RangeContext, InsertContext,
 // ...) are the canonical API: they thread a context.Context down to the
 // substrate, where deadlines become socket deadlines on networked
-// substrates and cancellation stops multi-step algorithms (including
-// parallel range forwarding) promptly. The context also carries the
+// substrates and cancellation stops multi-step algorithms (including a
+// range query's forwarding rounds) promptly. The context also carries the
 // operation and phase labels the observability plane attributes traffic
 // to. Each plain variant (Get, Range, Insert, ...) is shorthand for the
 // Context method under context.Background(); see the compatibility
@@ -59,11 +59,11 @@
 // HTTP endpoint together with net/http/pprof.
 //
 // Substrates that implement the optional Batcher interface serve
-// many-key rounds — bulk loads, parallel range sweeps — in one network
-// round trip per peer instead of one per key. Batching changes latency
-// and round-trip counts only: Lookups (the paper's bandwidth measure)
-// and query results are identical either way, and WithoutBatch restores
-// strict per-op behavior for comparison.
+// many-key rounds — bulk loads, a range query's forwarding rounds — in
+// one network round trip per peer instead of one per key. Batching
+// changes latency and round-trip counts only: Lookups (the paper's
+// bandwidth measure) and query results are identical either way, and
+// WithoutBatch restores strict per-op behavior for comparison.
 //
 // The substrates, the PHT baseline, and the experiment harness that
 // regenerates the paper's figures live under internal/; see DESIGN.md for
@@ -125,7 +125,7 @@ type Bucket = ilht.Bucket
 
 // TraceSink receives one structured OpEvent per DHT operation an index
 // performs; attach one with WithTraceSink. Implementations must be safe
-// for concurrent use (parallel range forwarding emits concurrently).
+// for concurrent use (an index may serve many goroutines at once).
 type TraceSink = metrics.TraceSink
 
 // OpEvent is one traced DHT operation: kind, key, operation class and
@@ -195,10 +195,6 @@ func WithBatchSize(n int) Option { return ilht.WithBatchSize(n) }
 // WithTraceSink attaches a structured op-event sink; see TraceSink and
 // NewTraceRing.
 func WithTraceSink(s TraceSink) Option { return ilht.WithTraceSink(s) }
-
-// WithParallelRange toggles concurrent range-query forwarding (off by
-// default).
-func WithParallelRange(on bool) Option { return ilht.WithParallelRange(on) }
 
 // WithDepth sets D, the a-priori maximum tree depth.
 func WithDepth(d int) Option { return ilht.WithDepth(d) }
