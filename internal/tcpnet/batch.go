@@ -180,7 +180,7 @@ func batchCall(ctx context.Context, m *mconn, op dht.OpKind, want int, build fun
 	if err != nil {
 		return cursor{}, nil, err
 	}
-	cur := cursor{b: (*body)[frameHeaderLen:]}
+	cur := cursor{b: *body}
 	status, err := cur.u8()
 	if err != nil {
 		putBuf(body)

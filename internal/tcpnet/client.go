@@ -390,7 +390,7 @@ func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([
 	if err != nil {
 		return nil, nil, err
 	}
-	c := cursor{b: (*body)[frameHeaderLen:]}
+	c := cursor{b: *body}
 	status, err := c.u8()
 	if err == nil && status == statusOK {
 		return c.rest(), body, nil
@@ -525,7 +525,7 @@ func (n *clientNode) doAt(ctx context.Context, r *req) (v dht.Value, err error) 
 		return nil, err
 	}
 	defer putBuf(body)
-	c := cursor{b: (*body)[frameHeaderLen:]}
+	c := cursor{b: *body}
 	status, err := c.u8()
 	if err != nil {
 		return nil, malformedResp(err)

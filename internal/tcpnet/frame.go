@@ -11,26 +11,34 @@ import (
 	"lht/internal/dht"
 )
 
-// This file is the framed binary wire codec (wire format 2). It uses no
-// reflection and recycles every buffer it touches, so the encode/decode
-// hot path allocates nothing beyond the returned value bytes.
+// This file is the framed binary wire codec. It uses no reflection and
+// recycles every buffer it touches, so the encode/decode hot path
+// allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT5"; a server closes one
-// that opens with anything else — an LHT4 peer of the generation before
+// A connection opens with the 4-byte magic "LHT6"; a server closes one
+// that opens with anything else — an LHT5 peer of the generation before
 // this one included — before serving a frame. Nodes and clients of one
 // generation upgrade together. After the magic, both directions speak
-// length-prefixed frames:
+// length-prefixed frames whose header is two unsigned varints:
 //
-//	+---------+------------+--------+---------------------+
-//	| len u32 | request id | op u8  | payload (len-9 B)   |
-//	| big-end |   u64 BE   |        |                     |
-//	+---------+------------+--------+---------------------+
+//	request  +--------+-------+-------+---------+
+//	         | uv len | uv id | op u8 | payload |
+//	         +--------+-------+-------+---------+
+//	reply    +--------+-------+-----------+---------+
+//	         | uv len | uv id | status u8 | payload |
+//	         +--------+-------+-----------+---------+
 //
-// len counts the bytes after the length field (id + op + payload), so a
-// frame occupies 4+len bytes on the wire. The id correlates a response
-// with its request: responses may arrive in any order, which is what lets
-// a client keep many requests in flight on one connection. The op byte is
-// uint8(dht.OpKind); responses echo the request's id and op.
+// len counts the bytes after the length field, so a frame occupies len
+// plus one to four bytes on the wire: len is at most maxFrameLen, and a
+// reader refuses a longer varint, a larger length, or an id that leaves
+// no byte for the op or status, before it allocates anything. The id
+// correlates a reply with its request: replies may arrive in any order,
+// which is what lets a client keep many requests in flight on one
+// connection. A client numbers the requests of a connection 1, 2, 3, …
+// (its handshake ping is 0) and never reuses an id, so a reply lost or
+// duplicated on the way fails one request and misroutes none. A node
+// echoes the id's bytes verbatim, and not the op: the client knows what
+// it sent. The op byte is uint8(dht.OpKind).
 //
 // Request payloads (uv = unsigned varint; "rest" = to the frame's end):
 //
@@ -158,15 +166,16 @@ import (
 // n-byte message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT5"
-
-	// frameHeaderLen is the id+op prefix counted inside the length field.
-	frameHeaderLen = 9
+	wireMagic = "LHT6"
 
 	// maxFrameLen bounds a frame's length field: decoders reject anything
 	// larger before allocating, so a garbage or hostile header can never
 	// balloon memory.
 	maxFrameLen = 64 << 20
+
+	// lenReserve is the room a frame keeps for its length varint while it
+	// is built: maxFrameLen's varint takes four bytes.
+	lenReserve = 4
 
 	// maxPooledBuf is the largest buffer the frame pool retains; bigger
 	// ones (oversized batch frames) are left to the garbage collector so
@@ -204,6 +213,7 @@ const (
 var (
 	errFrameTooLarge = errors.New("tcpnet: frame exceeds size limit")
 	errFrameTooSmall = errors.New("tcpnet: frame shorter than header")
+	errFrameID       = errors.New("tcpnet: frame id overflows 64 bits")
 	errTruncated     = errors.New("tcpnet: truncated frame payload")
 )
 
@@ -221,21 +231,26 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// newFrame starts a request frame in a pooled buffer: length placeholder,
-// zero id placeholder, op byte. The pooled pointer travels with the frame
+// newFrame starts request id's frame in a pooled buffer: the length
+// reserve, the id, the op byte. The pooled pointer travels with the frame
 // (builders reassign *bp after appending) so the encode path allocates no
-// fresh slice header per request; finishFrame stamps the real id and
-// length in place.
-func newFrame(op dht.OpKind) *[]byte {
+// fresh slice header per request; finishFrame writes the length.
+func newFrame(id uint64, op dht.OpKind) *[]byte {
 	bp := getBuf()
-	*bp = append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, byte(op))
+	*bp = append(appendUv(append((*bp)[:0], 0, 0, 0, 0), id), byte(op))
 	return bp
 }
 
-// finishFrame stamps the frame's id and length fields in place.
-func finishFrame(b []byte, id uint64) {
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-4))
-	binary.BigEndian.PutUint64(b[4:12], id)
+// finishFrame writes the length of the frame built in b after its
+// lenReserve bytes, right-aligned into them, and returns where the frame
+// starts: b[off:] is what crosses the wire. The frame is at most
+// maxFrameLen bytes past the reserve.
+func finishFrame(b []byte) (off int) {
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(len(b)-lenReserve))
+	off = lenReserve - k
+	copy(b[off:], n[:k])
+	return off
 }
 
 // appendUv appends an unsigned varint.
@@ -367,31 +382,33 @@ func innerValue(tv []byte) []byte {
 	return c.b
 }
 
-// readFrameBody reads one frame from br into buf (grown as needed) and
-// returns the body (id + op + payload): a frameReader's one frame, on a
-// reader no deadline cuts short.
-func readFrameBody(br *bufio.Reader, buf []byte) ([]byte, error) {
-	f := frameReader{br: br, body: &buf}
-	_, err := f.next()
-	return buf, err
-}
-
 // frameReader reads frames off a connection whose reads a deadline may
-// cut short at any byte: the part of a frame read so far stays here, so
-// the next read, maybe another caller's, resumes it.
+// cut short at any byte: the part of a frame read so far, its header's
+// varints too, stays here, so the next read, maybe another caller's,
+// resumes it.
 type frameReader struct {
-	br   *bufio.Reader
-	n    uint32  // the frame's length field, as far as read
-	hdr  int     // bytes of the length field read
-	body *[]byte // the frame's bytes read so far; nil: a pooled buffer
+	br    *bufio.Reader
+	n     uint32                      // the frame's length, as far as read
+	hdr   int                         // bytes of the length varint read
+	sized bool                        // the length varint is whole
+	idn   int                         // bytes of the id varint read into id
+	id    [binary.MaxVarintLen64]byte // the id varint as it arrived
+	body  *[]byte                     // the body read so far; nil until the header is whole
+	// keep, when set, is the one buffer every body is read into, for an
+	// owner done with each body before it reads the next; nil gives each
+	// body a pooled buffer of its own.
+	keep *[]byte
 }
 
-// next reads the frame in progress to its end and returns its body (id +
-// op + payload) in f.body, a pooled buffer unless the caller set one. The
-// length field is validated before any allocation, so a malformed or
-// hostile header cannot cause an oversized one.
-func (f *frameReader) next() (*[]byte, error) {
-	for f.hdr < 4 {
+// next reads the frame in progress to its end and returns its id's bytes,
+// valid until the next call, and its body after them (op + payload, or
+// status + payload) in a pooled buffer, or in keep. The header is read a byte at a
+// time and checked as it arrives — the length's varint at most
+// lenReserve bytes and its value at most maxFrameLen, the id's varint
+// leaving a byte for the op or status — so a malformed or hostile header
+// is refused before anything is allocated.
+func (f *frameReader) next() (id []byte, body *[]byte, err error) {
+	for f.body == nil {
 		// Byte-wise: a stack array passed through io.ReadFull's interface
 		// would escape and cost one allocation per frame.
 		c, err := f.br.ReadByte()
@@ -399,49 +416,85 @@ func (f *frameReader) next() (*[]byte, error) {
 			if f.hdr > 0 && err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, err
+			return nil, nil, err
 		}
-		f.n = f.n<<8 | uint32(c)
-		if f.hdr++; f.hdr < 4 {
-			continue
+		if err := f.header(c); err != nil {
+			return nil, nil, err
 		}
-		if f.n < frameHeaderLen {
-			return nil, errFrameTooSmall
-		}
-		if f.n > maxFrameLen {
-			return nil, errFrameTooLarge
-		}
-		if f.body == nil {
-			f.body = getBuf()
-		}
-		if cap(*f.body) < int(f.n) {
-			*f.body = make([]byte, 0, f.n)
-		}
-		*f.body = (*f.body)[:0]
 	}
-	for b := *f.body; len(b) < int(f.n); b = *f.body {
-		k, err := f.br.Read(b[len(b):f.n])
+	for b, want := *f.body, int(f.n)-f.idn; len(b) < want; b = *f.body {
+		k, err := f.br.Read(b[len(b):want])
 		*f.body = b[:len(b)+k]
 		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	body := f.body
-	f.n, f.hdr, f.body = 0, 0, nil
-	return body, nil
+	id, body = f.id[:f.idn], f.body
+	f.n, f.hdr, f.sized, f.idn, f.body = 0, 0, false, 0, nil
+	return id, body, nil
+}
+
+// header takes the next header byte c: the length's varint, then the
+// id's. Once the id is whole it readies a buffer for the bytes that
+// remain, the body.
+func (f *frameReader) header(c byte) error {
+	if !f.sized {
+		f.n |= uint32(c&0x7f) << (7 * f.hdr)
+		f.hdr++
+		switch {
+		case c >= 0x80 && f.hdr == lenReserve:
+			return errFrameTooLarge // a fifth length byte: past maxFrameLen
+		case c >= 0x80:
+			return nil
+		case f.n > maxFrameLen:
+			return errFrameTooLarge
+		case f.n < 2:
+			return errFrameTooSmall // no room for an id and an op
+		}
+		f.sized = true
+		return nil
+	}
+	if f.idn+2 > int(f.n) {
+		return errFrameTooSmall // the id runs into the op's byte, or past the end
+	}
+	if f.idn == len(f.id) {
+		return errFrameID
+	}
+	f.id[f.idn] = c
+	if f.idn++; c >= 0x80 {
+		return nil
+	}
+	if _, k := binary.Uvarint(f.id[:f.idn]); k <= 0 {
+		return errFrameID
+	}
+	if f.body = f.keep; f.body == nil {
+		f.body = getBuf()
+	}
+	if want := int(f.n) - f.idn; cap(*f.body) < want {
+		*f.body = make([]byte, 0, want)
+	}
+	*f.body = (*f.body)[:0]
+	return nil
 }
 
 // ready reports whether a whole frame is buffered, so next returns it
 // without a syscall.
 func (f *frameReader) ready() bool {
-	if f.hdr != 0 || f.br.Buffered() < 4 {
+	if f.hdr != 0 {
 		return false
 	}
-	b, _ := f.br.Peek(4)
-	return f.br.Buffered()-4 >= int(binary.BigEndian.Uint32(b))
+	b, _ := f.br.Peek(min(f.br.Buffered(), lenReserve))
+	n, k := binary.Uvarint(b)
+	return k > 0 && f.br.Buffered()-k >= int(n)
+}
+
+// frameID is the value of a frame id's varint bytes, as next returns them.
+func frameID(id []byte) uint64 {
+	v, _ := binary.Uvarint(id)
+	return v
 }
 
 // drop recycles the frame in progress of a connection that failed.

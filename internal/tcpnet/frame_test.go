@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -15,41 +16,135 @@ import (
 	"lht/internal/dht"
 )
 
-// buildFrame assembles a raw frame for tests: header + payload, with the
-// length stamped.
+// buildFrame assembles a raw request frame for tests: the length, the id
+// and the op, then the payload.
 func buildFrame(id uint64, op dht.OpKind, payload []byte) []byte {
-	b := make([]byte, frameHeaderLen+4, frameHeaderLen+4+len(payload))
-	binary.BigEndian.PutUint32(b[0:4], uint32(frameHeaderLen+len(payload)))
-	binary.BigEndian.PutUint64(b[4:12], id)
-	b[12] = byte(op)
-	return append(b, payload...)
+	return buildReply(id, append([]byte{byte(op)}, payload...))
+}
+
+// buildReply assembles a raw reply frame for tests: the length and the
+// id, then the body, which starts with the status byte.
+func buildReply(id uint64, body []byte) []byte {
+	rest := append(binary.AppendUvarint(nil, id), body...)
+	return append(binary.AppendUvarint(nil, uint64(len(rest))), rest...)
+}
+
+// splitFrame cuts a well-formed frame into its id varint's bytes and its
+// body.
+func splitFrame(frame []byte) (id, body []byte) {
+	_, n := binary.Uvarint(frame)
+	_, k := binary.Uvarint(frame[n:])
+	return frame[n : n+k], frame[n+k:]
+}
+
+// replyBody is a reply frame's body: its status and payload.
+func replyBody(reply []byte) []byte {
+	_, body := splitFrame(reply)
+	return body
+}
+
+// serve has s answer the request frame req, as a connection would, and
+// returns the reply frame. A non-nil out is the reply buffer, kept grown
+// across calls.
+func serve(s *Server, req []byte, out *[]byte) []byte {
+	if out == nil {
+		out = new([]byte)
+	}
+	id, body := splitFrame(req)
+	buf, off := s.applyFrame(id, body, (*out)[:0])
+	*out = buf
+	return buf[off:]
+}
+
+// readFrame reads one frame from br: its id and its body.
+func readFrame(br *bufio.Reader) (id uint64, body []byte, err error) {
+	f := frameReader{br: br}
+	idb, bp, err := f.next()
+	if err != nil {
+		return 0, nil, err
+	}
+	return frameID(idb), *bp, nil
 }
 
 func TestReadFrameBody(t *testing.T) {
 	payload := []byte("hello")
-	raw := buildFrame(7, dht.OpGet, payload)
-	body, err := readFrameBody(bufio.NewReader(bytes.NewReader(raw)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.BigEndian.Uint64(body[:8]); got != 7 {
-		t.Fatalf("id = %d", got)
-	}
-	if dht.OpKind(body[8]) != dht.OpGet {
-		t.Fatalf("op = %d", body[8])
-	}
-	if !bytes.Equal(body[frameHeaderLen:], payload) {
-		t.Fatalf("payload = %q", body[frameHeaderLen:])
+	for _, want := range []uint64{7, 300, 1 << 40} {
+		id, body, err := readFrame(bufio.NewReader(bytes.NewReader(buildFrame(want, dht.OpGet, payload))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != want {
+			t.Fatalf("id = %d", id)
+		}
+		if dht.OpKind(body[0]) != dht.OpGet || !bytes.Equal(body[1:], payload) {
+			t.Fatalf("body = %q", body)
+		}
 	}
 
-	// A buffer is reused when big enough, grown when not.
-	buf := make([]byte, 0, 256)
-	body, err = readFrameBody(bufio.NewReader(bytes.NewReader(raw)), buf)
-	if err != nil {
-		t.Fatal(err)
+	// With keep set, every body is read into that one buffer: its array
+	// when big enough, grown when not.
+	arr := make([]byte, 0, 256)
+	keep := arr
+	raw := append(buildFrame(1, dht.OpGet, payload), buildFrame(2, dht.OpGet, make([]byte, 300))...)
+	f := frameReader{br: bufio.NewReader(bytes.NewReader(raw)), keep: &keep}
+	if _, body, err := f.next(); err != nil || body != &keep || &keep[0] != &arr[:1][0] || !bytes.Equal(keep[1:], payload) {
+		t.Fatalf("a body that fits was not read into keep's array: %q, %v", keep, err)
 	}
-	if &body[0] != &buf[:1][0] {
-		t.Error("readFrameBody did not reuse the caller's buffer")
+	if _, body, err := f.next(); err != nil || body != &keep || len(keep) != 301 {
+		t.Fatalf("a body past keep's capacity: %d bytes, %v", len(keep), err)
+	}
+}
+
+// stutterReader hands out one byte a read, and a deadline error before
+// every byte: a frame reader must resume a frame cut at any byte.
+type stutterReader struct {
+	b   []byte
+	cut bool
+}
+
+func (r *stutterReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	if r.cut = !r.cut; r.cut {
+		return 0, os.ErrDeadlineExceeded
+	}
+	p[0], r.b = r.b[0], r.b[1:]
+	return 1, nil
+}
+
+// TestFrameReaderResumesAnywhere cuts frames whose length and id varints
+// run to several bytes at every byte: the reader keeps what it has read,
+// and each frame comes out whole, once.
+func TestFrameReaderResumesAnywhere(t *testing.T) {
+	var stream []byte
+	ids := []uint64{0, 127, 128, 16384, 1<<63 + 5}
+	for i, id := range ids {
+		stream = append(stream, buildFrame(id, dht.OpPut, bytes.Repeat([]byte{byte(i)}, 200*i))...)
+	}
+	f := frameReader{br: bufio.NewReaderSize(&stutterReader{b: stream}, 16)}
+	for i, want := range ids {
+		cuts := 0
+		for {
+			id, body, err := f.next()
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				cuts++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if got := frameID(id); got != want || len(*body) != 1+200*i || (*body)[0] != byte(dht.OpPut) {
+				t.Fatalf("frame %d: id %d and %d body bytes, want id %d and %d", i, got, len(*body), want, 1+200*i)
+			}
+			break
+		}
+		if cuts < 3 {
+			t.Errorf("frame %d was cut %d times, want one a byte at least", i, cuts)
+		}
+	}
+	if _, _, err := f.next(); err != io.EOF {
+		t.Errorf("after the last frame: %v, want EOF", err)
 	}
 }
 
@@ -60,19 +155,71 @@ func TestReadFrameBodyMalformed(t *testing.T) {
 		want error
 	}{
 		{"empty", nil, io.EOF},
-		{"short header", []byte{0, 0, 1}, io.ErrUnexpectedEOF},
-		{"length below header", []byte{0, 0, 0, 8}, errFrameTooSmall},
-		{"zero length", []byte{0, 0, 0, 0}, errFrameTooSmall},
-		{"oversized length", []byte{0xff, 0xff, 0xff, 0xff}, errFrameTooLarge},
-		{"truncated body", append([]byte{0, 0, 0, 20}, make([]byte, 10)...), io.ErrUnexpectedEOF},
+		{"short header", []byte{0x80, 0x80}, io.ErrUnexpectedEOF},
+		{"zero length", []byte{0}, errFrameTooSmall},
+		{"length below header", []byte{1, 7}, errFrameTooSmall},
+		{"five-byte length", []byte{0x80, 0x80, 0x80, 0x80, 0}, errFrameTooLarge},
+		{"oversized length", binary.AppendUvarint(nil, maxFrameLen+1), errFrameTooLarge},
+		{"id runs past the end", []byte{3, 0x80, 0x80, 0x80, 1}, errFrameTooSmall},
+		{"no op after a two-byte id", []byte{2, 0x81, 1}, errFrameTooSmall},
+		{"id over 64 bits", append([]byte{20}, append(bytes.Repeat([]byte{0xff}, 9), 2, 1)...), errFrameID},
+		{"truncated id", []byte{5, 0x80}, io.ErrUnexpectedEOF},
+		{"truncated body", append([]byte{20, 1}, make([]byte, 10)...), io.ErrUnexpectedEOF},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := readFrameBody(bufio.NewReader(bytes.NewReader(tc.raw)), nil)
+			f := frameReader{br: bufio.NewReader(bytes.NewReader(tc.raw))}
+			_, _, err := f.next()
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
+			// A header refused is refused before a buffer is taken.
+			if f.body != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("the refused header took a buffer")
+			}
 		})
+	}
+}
+
+// TestFrameHeaderBytes pins the header's size on the wire: a raw Get's
+// request crosses as its payload plus the length byte, the id's varint
+// and the op, and its reply as its body plus the length byte and the id's
+// varint — at a connection's first id, and at the first ids whose
+// varints take two and three bytes.
+func TestFrameHeaderBytes(t *testing.T) {
+	ctx := context.Background()
+	addr := startServers(t, 1)[0]
+	value := bytes.Repeat([]byte("v"), 100) // every frame's length is one byte
+	w, err := Dial(ctx, ClusterConfig{Seeds: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Put(ctx, "k", value); err != nil {
+		t.Fatal(err)
+	}
+	dialer := &byteDialer{addrs: map[string]string{"node": addr}}
+	c, err := Dial(ctx, ClusterConfig{Seeds: []string{"node"}, PoolSize: 1, Dialer: dialer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := len(appendLenString(nil, "k"))
+	body := 1 + 1 + len(value) // status, tagRaw, value
+	for _, id := range []uint64{1, 128, 16384} {
+		setNextID(t, c, id)
+		n, read := dialer.n.Load(), dialer.read.Load()
+		if v, err := c.Get(ctx, "k"); err != nil || !bytes.Equal(v.([]byte), value) {
+			t.Fatalf("Get at id %d = %v, %v", id, v, err)
+		}
+		idLen := len(binary.AppendUvarint(nil, id))
+		reply := dialer.read.Load() - read
+		if req, want := dialer.n.Load()-n-reply, payload+2+idLen; req != int64(want) {
+			t.Errorf("id %d: the request crossed as %d bytes, want %d", id, req, want)
+		}
+		if want := body + 1 + idLen; reply != int64(want) {
+			t.Errorf("id %d: the reply crossed as %d bytes, want %d", id, reply, want)
+		}
 	}
 }
 
@@ -166,8 +313,8 @@ func TestServerSurvivesMalformedPeer(t *testing.T) {
 
 	send([]byte("GARB"))                                                                                // bad magic: not a frame, not valid gob
 	send([]byte(wireMagic))                                                                             // magic then silence
-	send(append([]byte(wireMagic), 0xff, 0xff, 0xff, 0xff))                                             // oversized length
-	send(append([]byte(wireMagic), 0, 0, 0, 2, 1, 2))                                                   // length below header
+	send(append([]byte(wireMagic), 0xff, 0xff, 0xff, 0xff, 1))                                          // five-byte length
+	send(append([]byte(wireMagic), 1, 1, 2))                                                            // length below header
 	send(append([]byte(wireMagic), buildFrame(1, 99, nil)...))                                          // unknown op
 	send(append([]byte(wireMagic), buildFrame(1, dht.OpGet, []byte{200})...))                           // truncated key
 	send(append([]byte(wireMagic), buildFrame(1, dht.OpGetBatch, binary.AppendUvarint(nil, 1<<50))...)) // absurd count
@@ -185,28 +332,28 @@ func TestServerSurvivesMalformedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	body, err := readFrameBody(br, nil)
+	id, body, err := readFrame(br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id := binary.BigEndian.Uint64(body[:8]); id != 5 {
+	if id != 5 {
 		t.Fatalf("first response id = %d", id)
 	}
-	if body[frameHeaderLen] != statusErr {
-		t.Fatalf("garbage payload answered status %d, want statusErr", body[frameHeaderLen])
+	if body[0] != statusErr {
+		t.Fatalf("garbage payload answered status %d, want statusErr", body[0])
 	}
-	if msg := string(body[frameHeaderLen+1:]); !strings.Contains(msg, "malformed") {
+	if msg := string(body[1:]); !strings.Contains(msg, "malformed") {
 		t.Fatalf("error message = %q", msg)
 	}
-	body, err = readFrameBody(br, nil)
+	id, body, err = readFrame(br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id := binary.BigEndian.Uint64(body[:8]); id != 6 {
+	if id != 6 {
 		t.Fatalf("second response id = %d", id)
 	}
-	if body[frameHeaderLen] != statusOK {
-		t.Fatalf("ping after garbage answered status %d", body[frameHeaderLen])
+	if body[0] != statusOK {
+		t.Fatalf("ping after garbage answered status %d", body[0])
 	}
 
 	// The healthy client still works.
@@ -221,16 +368,17 @@ func TestServerSurvivesMalformedPeer(t *testing.T) {
 // transient, so the retry plane can act — and never panic.
 func TestClientSurvivesMalformedServer(t *testing.T) {
 	pingOK := func(id uint64) []byte {
-		return buildFrame(id, dht.OpPing, []byte{statusOK})
+		return buildReply(id, []byte{statusOK})
 	}
 	cases := []struct {
 		name  string
 		reply func(reqID uint64) []byte
 	}{
-		{"oversized length", func(id uint64) []byte { return []byte{0xff, 0xff, 0xff, 0xff} }},
-		{"length below header", func(id uint64) []byte { return []byte{0, 0, 0, 3, 1, 2, 3} }},
-		{"empty status", func(id uint64) []byte { return buildFrame(id, dht.OpGet, nil) }},
-		{"truncated stream", func(id uint64) []byte { return []byte{0, 0, 0, 20, 0} }},
+		{"oversized length", func(id uint64) []byte { return []byte{0xff, 0xff, 0xff, 0xff, 1} }},
+		{"length below header", func(id uint64) []byte { return []byte{1, 1, 2, 3} }},
+		{"id runs past the end", func(id uint64) []byte { return []byte{2, 0x81, 0x01} }},
+		{"empty status", func(id uint64) []byte { return buildReply(id, []byte{}) }},
+		{"truncated stream", func(id uint64) []byte { return []byte{20, 1} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -252,19 +400,19 @@ func TestClientSurvivesMalformedServer(t *testing.T) {
 							return
 						}
 						// Answer the handshake ping honestly...
-						body, err := readFrameBody(br, nil)
+						id, _, err := readFrame(br)
 						if err != nil {
 							return
 						}
-						if _, err := conn.Write(pingOK(binary.BigEndian.Uint64(body[:8]))); err != nil {
+						if _, err := conn.Write(pingOK(id)); err != nil {
 							return
 						}
 						// ...then answer the first real request with garbage.
-						body, err = readFrameBody(br, nil)
+						id, _, err = readFrame(br)
 						if err != nil {
 							return
 						}
-						_, _ = conn.Write(tc.reply(binary.BigEndian.Uint64(body[:8])))
+						_, _ = conn.Write(tc.reply(id))
 					}(conn)
 				}
 			}()

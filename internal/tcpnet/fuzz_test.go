@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -13,12 +15,12 @@ import (
 )
 
 // FuzzDecodeFrame drives arbitrary bytes through the full server-side
-// decode path: framing (readFrameBody), request parsing and service
+// decode path: framing (frameReader), request parsing and service
 // (applyFrame), and client-side response parsing. Truncated, oversized
 // and garbage inputs must error or answer statusErr — never panic, and
-// never allocate beyond the input's actual size (readFrameBody validates
-// the length field before allocating; cursor.count bounds batch counts by
-// the bytes that remain).
+// never allocate beyond the input's actual size (frameReader checks the
+// header's varints before it takes a buffer; cursor.count bounds batch
+// counts by the bytes that remain).
 func FuzzDecodeFrame(f *testing.F) {
 	// Well-formed frames of every op, so the corpus mutates from inside
 	// the grammar, not just outside it.
@@ -65,10 +67,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		buildFrame(21, dht.OpPatchIf, probePatch("raw", ilht.ProbeHint(0.25, false), ilht.DeletePatch(0.25, 0))),
 		buildFrame(26, dht.OpPatchIf, probePatch("key", ilht.ProbeHint(0.25, false), ilht.UpsertPatch(record.Record{Key: 0.25}, 77, 20))),
 		buildFrame(27, dht.OpPatchIf, probePatch("key", ilht.ProbeHint(0.7186, false), ilht.UpsertPatch(record.Record{Key: 0.7186}, 69, 20))),
-		// Malformed shapes.
+		// Malformed shapes: no frame, a five-byte length, a length over
+		// maxFrameLen, an id varint that runs past the frame's end, a body
+		// with room for no op, and one with room for a one-byte id alone.
 		{},
-		{0, 0, 0, 0},
-		{0xff, 0xff, 0xff, 0xff, 1, 2, 3},
+		{0x80, 0x80, 0x80, 0x80, 1, 1, 6},
+		append(binary.AppendUvarint(nil, maxFrameLen+1), 1, 6),
+		{3, 0x80, 0x80, 0x80, 0x80, 1, 6},
+		{1, 1, 6},
+		{2, 0x81, 1, 6},
 		buildFrame(9, 200, []byte("junk")),
 		buildFrame(10, dht.OpGetBatch, binary.AppendUvarint(nil, 1<<60)),
 		// In-place patches of the bucket: a mark, applied; a commit the
@@ -96,20 +103,25 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// The length field must never drive an allocation larger than the
-		// input itself (plus the bounded header), no matter what it claims.
-		if len(raw) >= 4 {
-			if n := binary.BigEndian.Uint32(raw[:4]); n <= maxFrameLen && int(n) > len(raw) {
-				// Claimed length exceeds what will arrive: must error.
-				if _, err := readFrameBody(bufio.NewReader(bytes.NewReader(raw)), nil); err == nil {
-					t.Fatal("truncated frame decoded without error")
-				}
-				return
+		// input itself, no matter what it claims.
+		if n, k := binary.Uvarint(raw); k > 0 && k <= lenReserve && n <= maxFrameLen && int(n) > len(raw)-k {
+			// Claimed length exceeds what will arrive: must error.
+			if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw))); err == nil {
+				t.Fatal("truncated frame decoded without error")
 			}
+			return
 		}
-		body, err := readFrameBody(bufio.NewReader(bytes.NewReader(raw)), nil)
+		fr := frameReader{br: bufio.NewReader(bytes.NewReader(raw))}
+		id, bp, err := fr.next()
 		if err != nil {
-			return // framing rejected it; that is a valid outcome
+			// Framing rejected it, a valid outcome; a header it refused
+			// took no buffer.
+			if !errors.Is(err, io.ErrUnexpectedEOF) && fr.body != nil {
+				t.Fatalf("a refused header (%v) took a buffer", err)
+			}
+			return
 		}
+		body := *bp
 		if len(body) > maxFrameLen {
 			t.Fatalf("frame body %d bytes exceeds the limit", len(body))
 		}
@@ -118,32 +130,35 @@ func FuzzDecodeFrame(f *testing.F) {
 		s := NewServer()
 		plantValue(s, "key", stored)
 		plantValue(s, "raw", []byte{tagRaw, 'v'})
-		resp := s.applyFrame(body, nil)
-		if len(resp) < frameHeaderLen+4+1 {
-			t.Fatalf("response frame too short: %d bytes", len(resp))
-		}
-		if got, want := binary.BigEndian.Uint64(resp[4:12]), binary.BigEndian.Uint64(body[:8]); got != want {
-			t.Fatalf("response id %d does not echo request id %d", got, want)
-		}
+		out, off := s.applyFrame(id, body, nil)
+		resp := out[off:]
 
-		// The response must itself be a well-formed frame the client-side
-		// parser accepts structurally.
-		rbody, err := readFrameBody(bufio.NewReader(bytes.NewReader(resp)), nil)
+		// The response must itself be one well-formed frame the client-side
+		// reader accepts, echoing the request's id bytes.
+		rr := frameReader{br: bufio.NewReader(bytes.NewReader(resp))}
+		rid, rbp, err := rr.next()
 		if err != nil {
 			t.Fatalf("server emitted an unreadable frame: %v", err)
 		}
-		c := cursor{b: rbody[frameHeaderLen:]}
+		if !bytes.Equal(rid, id) {
+			t.Fatalf("response id % x does not echo request id % x", rid, id)
+		}
+		if n := rr.br.Buffered(); n != 0 {
+			t.Fatalf("%d bytes past the response frame", n)
+		}
+		rbody := *rbp
+		c := cursor{b: rbody}
 		status, err := c.u8()
 		if err != nil {
 			t.Fatalf("server emitted a status-less response: %v", err)
 		}
-		op := dht.OpKind(body[8])
+		op := dht.OpKind(body[0])
 		// Whatever the hint, a get of the stored bucket is answered with
 		// the bucket, its header or one record of it — or, to a range
 		// hint, with the run of its records in range, a type lht keeps
 		// to itself.
 		if op == dht.OpGet && status == statusOK {
-			hc := cursor{b: body[frameHeaderLen:]}
+			hc := cursor{b: body[1:]}
 			_, _ = hc.lenBytes()
 			ranged := len(hc.b) == 8 && binary.BigEndian.Uint64(hc.b)&(1<<62) != 0
 			switch v, err := decodeTagged(c.rest(), true); v.(type) {
@@ -166,7 +181,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if string(storedValue(s, "raw")) != string([]byte{tagRaw, 'v'}) {
 				t.Fatalf("a patchif rewrote a raw value to %x", storedValue(s, "raw"))
 			}
-			pc := cursor{b: body[frameHeaderLen:]}
+			pc := cursor{b: body[1:]}
 			_, _ = pc.lenBytes()
 			probe := len(pc.b) > 0 && pc.b[0] == patchProbe
 			reply := c.rest()
@@ -202,7 +217,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// of the reply decodes as the reply to a get with that tail would.
 		hinted := false
 		if op == dht.OpGetBatch {
-			rc := cursor{b: body[frameHeaderLen:]}
+			rc := cursor{b: body[1:]}
 			n, err := rc.count()
 			for i := 0; i < n && err == nil; i++ {
 				_, err = rc.lenBytes()
@@ -217,7 +232,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// when it claims to be a batch response (client symmetry: these
 		// parsers also must not panic on anything the fuzzer reaches).
 		if op == dht.OpGetBatch || op == dht.OpPutBatch {
-			cc := cursor{b: rbody[frameHeaderLen:]}
+			cc := cursor{b: rbody[1:]}
 			if st, _ := cc.u8(); st == statusOK {
 				n, err := cc.count()
 				if err != nil {

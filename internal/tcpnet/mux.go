@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -192,23 +191,24 @@ func handshake(ctx context.Context, conn net.Conn) error {
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 	defer stop()
-	frame := newFrame(dht.OpPing)
-	finishFrame(*frame, 0)
-	msg := append([]byte(wireMagic), *frame...)
+	frame := newFrame(0, dht.OpPing)
+	off := finishFrame(*frame)
+	msg := append([]byte(wireMagic), (*frame)[off:]...)
 	_, err := conn.Write(msg)
 	putBuf(frame)
 	if err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(conn, 256)
-	body, err := readFrameBody(br, nil)
+	fr := frameReader{br: bufio.NewReaderSize(conn, 256)}
+	_, body, err := fr.next()
 	if err != nil {
 		return err
 	}
-	if br.Buffered() != 0 {
+	defer putBuf(body)
+	if fr.br.Buffered() != 0 {
 		return fmt.Errorf("unexpected bytes after ping response")
 	}
-	c := cursor{b: body[frameHeaderLen:]}
+	c := cursor{b: *body}
 	if status, err := c.u8(); err != nil || status != statusOK || !c.empty() {
 		return fmt.Errorf("ping rejected (status %d, %v, %d bytes more)", status, err, len(c.b))
 	}
@@ -265,7 +265,7 @@ func (m *mconn) transport(err error) error {
 // (called once per attempt, appending to a pooled frame). A transport
 // failure is retried once on a fresh connection; context cancellation and
 // server-level responses are returned as-is. The returned buffer is the
-// response frame body (id+op+payload) and must be recycled with putBuf.
+// reply frame's body (status + payload) and must be recycled with putBuf.
 func (m *mconn) call(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (*[]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -302,9 +302,12 @@ func (m *mconn) attempt(ctx context.Context, op dht.OpKind, build func([]byte) (
 	}
 	m.mu.Unlock()
 
-	bufp := newFrame(op)
+	bufp := newFrame(id, op)
 	built, err := build(*bufp)
 	*bufp = built
+	if err == nil && len(built)-lenReserve > maxFrameLen {
+		err = errFrameTooLarge
+	}
 	if err != nil {
 		// Encoding failed before anything hit the wire: unregister and
 		// surface the caller's error (not a transport fault).
@@ -313,10 +316,11 @@ func (m *mconn) attempt(ctx context.Context, op dht.OpKind, build func([]byte) (
 		m.leave(st, id, p)
 		return nil, err, false
 	}
-	finishFrame(*bufp, id)
+	off := finishFrame(built)
 
 	m.mu.Lock()
-	err = m.roundTrip(ctx, st, p, bufp)
+	err = m.roundTrip(ctx, st, p, built[off:])
+	putBuf(bufp)
 	res := p.res
 	m.leave(st, id, p)
 	if res.buf != nil {
@@ -331,8 +335,8 @@ func (m *mconn) attempt(ctx context.Context, op dht.OpKind, build func([]byte) (
 // roundTrip queues frame for p and waits for p's reply, taking on the
 // connection's I/O — the flush of the queue, the reader token — whenever
 // nobody else holds it. It returns once p is done, or with ctx's error.
-// Called and returns with m.mu held; frame is recycled once queued.
-func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame *[]byte) (err error) {
+// Called and returns with m.mu held; frame is queued by copy.
+func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame []byte) (err error) {
 	stalled := false // the last flush ran out of recheck with ctx alive
 	for !p.done && err == nil {
 		switch {
@@ -340,7 +344,7 @@ func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame 
 			st.full = append(st.full, p)
 			err = m.park(ctx, p)
 		case !p.sent:
-			st.queue = append(st.queue, *frame...)
+			st.queue = append(st.queue, frame...)
 			p.sent = true
 		case len(st.queue) > 0 && st.flusher == nil && !stalled:
 			stalled, err = m.flush(ctx, st, p)
@@ -358,7 +362,6 @@ func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame 
 			err = m.park(ctx, p)
 		}
 	}
-	putBuf(frame)
 	return err
 }
 
@@ -471,7 +474,7 @@ func (m *mconn) read(ctx context.Context, st *wireState, p *pending) error {
 			_ = st.conn.SetReadDeadline(dl)
 			st.rdl = dl
 		}
-		body, err := st.fr.next()
+		id, body, err := st.fr.next()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			return ctxDone(ctx)
 		}
@@ -480,27 +483,26 @@ func (m *mconn) read(ctx context.Context, st *wireState, p *pending) error {
 			m.fail(st, m.transport(err))
 			return nil
 		}
-		if m.deliver(st, body, p) != p {
+		if m.deliver(st, frameID(id), body, p) != p {
 			continue
 		}
 		for st.fr.ready() {
-			body, err := st.fr.next()
+			id, body, err := st.fr.next()
 			if err != nil {
 				st.fr.drop()
 				m.fail(st, m.transport(err))
 				return nil
 			}
-			m.deliver(st, body, p)
+			m.deliver(st, frameID(id), body, p)
 		}
 		return nil
 	}
 }
 
-// deliver hands a reply to its waiter, nudging it unless it is the
-// reader, and returns that waiter; nil when it has abandoned its slot,
-// and the reply is dropped.
-func (m *mconn) deliver(st *wireState, body *[]byte, reader *pending) *pending {
-	id := binary.BigEndian.Uint64((*body)[:8])
+// deliver hands request id's reply to its waiter, nudging it unless it is
+// the reader, and returns that waiter; nil when it has abandoned its
+// slot, and the reply is dropped.
+func (m *mconn) deliver(st *wireState, id uint64, body *[]byte, reader *pending) *pending {
 	m.mu.Lock()
 	q := st.pending[id]
 	if q != nil {

@@ -200,7 +200,7 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	// Propagation mode, frame by frame: applied at the epoch named, ok
 	// and untouched past it, a conflict behind it or on an absent key;
 	// the reply is the status alone.
-	status := func(resp []byte) []byte { return resp[4+frameHeaderLen:] }
+	status := replyBody
 	was := stored("bucket") // epoch 11
 	del := ilht.DeletePatch(rec2.Key, 200)
 	for name, tc := range map[string]struct {
@@ -217,7 +217,7 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		"probe, no hint":       {append(appendLenString(nil, "bucket"), patchProbe, 1, 2, 3), appendStatusErr(nil, errMalformed)},
 		"no key":               {nil, appendStatusErr(nil, errMalformed)},
 	} {
-		resp := srv.applyFrame(buildFrame(1, dht.OpPatchIf, tc.payload)[4:], nil)
+		resp := serve(srv, buildFrame(1, dht.OpPatchIf, tc.payload), nil)
 		if !bytes.Equal(status(resp), tc.want) {
 			t.Errorf("%s: answered % x, want % x", name, status(resp), tc.want)
 		}
@@ -225,14 +225,14 @@ func TestPatchIfOnTheWire(t *testing.T) {
 			t.Fatalf("%s: the stored value was replaced", name)
 		}
 	}
-	resp := srv.applyFrame(buildFrame(2, dht.OpPatchIf, patchIf("bucket", patchNewer, 11, del))[4:], nil)
+	resp := serve(srv, buildFrame(2, dht.OpPatchIf, patchIf("bucket", patchNewer, 11, del)), nil)
 	upsert, _ = deleted(upsert, rec2.Key)
 	if !bytes.Equal(status(resp), []byte{statusOK}) || !bytes.Equal(stored("bucket"), mustAppendValue(t, upsert)) {
 		t.Errorf("newer at the stored epoch: answered % x, stored %x", status(resp), stored("bucket"))
 	}
 	// An applied Patch's reply says which epoch it patched: what the
 	// propagation to the other holders is guarded by.
-	resp = srv.applyFrame(buildFrame(3, dht.OpPatchIf, probePatch("bucket", want(rec.Key), put))[4:], nil)
+	resp = serve(srv, buildFrame(3, dht.OpPatchIf, probePatch("bucket", want(rec.Key), put)), nil)
 	rc := cursor{b: status(resp)}
 	if st, _ := rc.u8(); st != statusOK {
 		t.Errorf("a probe-mode patch answered % x", status(resp))
@@ -255,7 +255,7 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		"in place, absent":       {patchIf("absent", patchInPlace, 0, ilht.MarkSplitPatch()), []byte{statusNotFound}},
 		"in place, refused":      {patchIf("bucket", patchInPlace, 13, ilht.CommitSplitPatch()), []byte{statusPatchRefused}},
 	} {
-		resp := srv.applyFrame(buildFrame(5, dht.OpPatchIf, tc.payload)[4:], nil)
+		resp := serve(srv, buildFrame(5, dht.OpPatchIf, tc.payload), nil)
 		if !bytes.Equal(status(resp), tc.want) {
 			t.Errorf("%s: answered % x, want % x", name, status(resp), tc.want)
 		}
@@ -285,13 +285,13 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := [2][]byte{
-		buildFrame(3, dht.OpPatchIf, probePatch("bucket", want(rec.Key), ilht.UpsertPatch(rec, 0, 20)))[4:],
-		buildFrame(4, dht.OpPatchIf, probePatch("bucket", want(rec.Key), ilht.DeletePatch(rec.Key, 0)))[4:],
+		buildFrame(3, dht.OpPatchIf, probePatch("bucket", want(rec.Key), ilht.UpsertPatch(rec, 0, 20))),
+		buildFrame(4, dht.OpPatchIf, probePatch("bucket", want(rec.Key), ilht.DeletePatch(rec.Key, 0))),
 	}
 	i, out := 0, make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(200, func() {
-		if out = srv.applyFrame(reqs[i%2], out[:0]); status(out)[0] != statusOK {
-			t.Fatalf("patch %d answered % x", i, status(out))
+		if resp := status(serve(srv, reqs[i%2], &out)); resp[0] != statusOK {
+			t.Fatalf("patch %d answered % x", i, resp)
 		}
 		i++
 	}); n != 0 {
@@ -303,8 +303,8 @@ func TestPatchIfOnTheWire(t *testing.T) {
 	// of its own size.
 	e := wideBucket().Epoch
 	steps := [2][]byte{
-		buildFrame(5, dht.OpPatchIf, patchIf("bucket", patchInPlace, e, ilht.MarkSplitPatch()))[4:],
-		buildFrame(6, dht.OpPatchIf, patchIf("bucket", patchInPlace, e+1, ilht.CommitSplitPatch()))[4:],
+		buildFrame(5, dht.OpPatchIf, patchIf("bucket", patchInPlace, e, ilht.MarkSplitPatch())),
+		buildFrame(6, dht.OpPatchIf, patchIf("bucket", patchInPlace, e+1, ilht.CommitSplitPatch())),
 	}
 	fresh := make([][]byte, 201) // AllocsPerRun's warm-up and runs
 	for i := range fresh {
@@ -316,8 +316,8 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		plantValue(srv, "bucket", fresh[i])
 		srv.mu.Unlock()
 		for _, req := range steps {
-			if out = srv.applyFrame(req, out[:0]); status(out)[0] != statusOK {
-				t.Fatalf("in-place step %d answered % x", i, status(out))
+			if resp := status(serve(srv, req, &out)); resp[0] != statusOK {
+				t.Fatalf("in-place step %d answered % x", i, resp)
 			}
 		}
 		i++
@@ -638,13 +638,13 @@ func TestUnhintedBatchIsServedAsBefore(t *testing.T) {
 	}
 	want := appendLenBytes(append(appendUv([]byte{statusOK}, 3), statusOK), bucket)
 	want = append(appendLenBytes(append(want, statusOK), storedValue(srv, "raw")), statusNotFound)
-	if got := srv.applyFrame(buildFrame(1, dht.OpGetBatch, keys)[4:], nil); !bytes.Equal(got, buildFrame(1, dht.OpGetBatch, want)) {
-		t.Errorf("a getbatch with no hint was answered with\n%x\nwant\n%x", got, buildFrame(1, dht.OpGetBatch, want))
+	if got := serve(srv, buildFrame(1, dht.OpGetBatch, keys), nil); !bytes.Equal(got, buildReply(1, want)) {
+		t.Errorf("a getbatch with no hint was answered with\n%x\nwant\n%x", got, buildReply(1, want))
 	}
 	before := srv.Metrics().Lookup.Total
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
-		resp := srv.applyFrame(buildFrame(2, dht.OpGetBatch, append(keys, make([]byte, n)...))[4:], nil)
-		if c := (cursor{b: resp[4+frameHeaderLen:]}); !bytes.Equal(c.b, append([]byte{statusErr}, errMalformed...)) {
+		resp := serve(srv, buildFrame(2, dht.OpGetBatch, append(keys, make([]byte, n)...)), nil)
+		if c := (cursor{b: replyBody(resp)}); !bytes.Equal(c.b, append([]byte{statusErr}, errMalformed...)) {
 			t.Errorf("keys and %d bytes more were answered with %q, want malformed", n, c.b)
 		}
 	}

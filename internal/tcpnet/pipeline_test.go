@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -58,12 +57,11 @@ func batchServer(t *testing.T, hold int) (addr string, done <-chan struct{}) {
 			return
 		}
 		// Handshake ping.
-		body, err := readFrameBody(br, nil)
+		id, _, err := readFrame(br)
 		if err != nil {
 			return
 		}
-		id := binary.BigEndian.Uint64(body[:8])
-		if _, err := conn.Write(buildFrame(id, dht.OpPing, []byte{statusOK})); err != nil {
+		if _, err := conn.Write(buildReply(id, []byte{statusOK})); err != nil {
 			return
 		}
 		// Accumulate `hold` requests, then answer them newest-first. Each
@@ -75,24 +73,21 @@ func batchServer(t *testing.T, hold int) (addr string, done <-chan struct{}) {
 		}
 		reqs := make([]held, 0, hold)
 		for len(reqs) < hold {
-			body, err := readFrameBody(br, nil)
+			id, body, err := readFrame(br)
 			if err != nil {
 				return
 			}
-			c := cursor{b: body[frameHeaderLen:]}
+			c := cursor{b: body[1:]}
 			key, err := c.lenBytes()
 			if err != nil {
 				return
 			}
-			reqs = append(reqs, held{
-				id:  binary.BigEndian.Uint64(body[:8]),
-				key: append([]byte(nil), key...),
-			})
+			reqs = append(reqs, held{id: id, key: append([]byte(nil), key...)})
 		}
 		for i := len(reqs) - 1; i >= 0; i-- {
 			payload := append([]byte{statusOK, tagRaw}, []byte("echo:")...)
 			payload = append(payload, reqs[i].key...)
-			if _, err := conn.Write(buildFrame(reqs[i].id, dht.OpGet, payload)); err != nil {
+			if _, err := conn.Write(buildReply(reqs[i].id, payload)); err != nil {
 				return
 			}
 		}
@@ -382,9 +377,11 @@ func (d *trickleDialer) DialContext(ctx context.Context, network, addr string) (
 }
 
 // TestTrickledReplySurvivesDeadlines: a reply that arrives one byte per
-// read, with pauses longer than the reader's re-check interval inside its
-// length field and inside its body, is read intact: the frame reader keeps
-// what it has read across every deadline that expires mid-frame.
+// read, with pauses longer than the reader's re-check interval between the
+// bytes of its header — inside its two-byte length varint and inside its
+// id varint, one byte long and then three — and inside its body, is read
+// intact: the frame reader keeps what it has read across every deadline
+// that expires mid-frame.
 func TestTrickledReplySurvivesDeadlines(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -392,6 +389,8 @@ func TestTrickledReplySurvivesDeadlines(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = ln.Close() })
 	const pause = 3 * recheck
+	value := strings.Repeat("a value read a byte at a time. ", 5) // a length of two varint bytes
+	var headerBytes atomic.Int64
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -403,17 +402,22 @@ func TestTrickledReplySurvivesDeadlines(t *testing.T) {
 			return
 		}
 		for op := 0; ; op++ {
-			body, err := readFrameBody(br, nil)
+			id, _, err := readFrame(br)
 			if err != nil {
 				return
 			}
-			id := binary.BigEndian.Uint64(body[:8])
 			if op == 0 { // the handshake ping
-				_, _ = conn.Write(buildFrame(id, dht.OpPing, []byte{statusOK}))
+				_, _ = conn.Write(buildReply(id, []byte{statusOK}))
 				continue
 			}
-			reply := buildFrame(id, dht.OpGet, append([]byte{statusOK, tagRaw}, "a value read a byte at a time"...))
-			for _, piece := range [][]byte{reply[:2], reply[2:20], reply[20:]} {
+			reply := buildReply(id, append([]byte{statusOK, tagRaw}, value...))
+			hdr := len(reply) - 2 - len(value)
+			headerBytes.Add(int64(hdr))
+			pieces := [][]byte{reply[hdr : hdr+20], reply[hdr+20:]}
+			for i := hdr - 1; i >= 0; i-- {
+				pieces = append([][]byte{reply[i : i+1]}, pieces...)
+			}
+			for _, piece := range pieces {
 				if _, err := conn.Write(piece); err != nil {
 					return
 				}
@@ -429,13 +433,28 @@ func TestTrickledReplySurvivesDeadlines(t *testing.T) {
 	defer c.Close()
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	v, err := c.Get(cctx, "k")
-	if err != nil || string(v.([]byte)) != "a value read a byte at a time" {
-		t.Fatalf("trickled Get = %q, %v", v, err)
+	for _, id := range []uint64{1, 1 << 14} {
+		setNextID(t, c, id)
+		v, err := c.Get(cctx, "k")
+		if err != nil || string(v.([]byte)) != value {
+			t.Fatalf("trickled Get at id %d = %q, %v", id, v, err)
+		}
 	}
-	if n := d.timeouts.Load(); n < 2 {
-		t.Errorf("%d reads cut short by a deadline, want one in the length field and one in the body at least", n)
+	if n, want := d.timeouts.Load(), headerBytes.Load()+2; n < want {
+		t.Errorf("%d reads cut short by a deadline, want %d at least: one after each header byte and in the body", n, want)
 	}
+}
+
+// setNextID makes id the next request id of c's one connection.
+func setNextID(t *testing.T, c *Client, id uint64) {
+	t.Helper()
+	m := c.ringNodes()[0].conns[0]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.st == nil {
+		t.Fatal("the connection is not dialed")
+	}
+	m.st.nextID = id
 }
 
 // TestCancellationAbandonsSlot pins the framed wire's cancellation

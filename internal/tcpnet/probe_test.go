@@ -114,15 +114,16 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	// bucket's header, the record reply those plus one record; the server
 	// counts a probe as the get it is.
 	before := srv.Metrics()
-	whole := srv.applyFrame(buildFrame(1, dht.OpGet, appendLenString(nil, "bucket"))[4:], nil)
-	cut := srv.applyFrame(buildFrame(2, dht.OpGet, hintedGet("bucket", 0.1))[4:], nil)
-	miss := srv.applyFrame(buildFrame(3, dht.OpGet, hintedGet("absent", 0.1))[4:], nil)
-	one := srv.applyFrame(buildFrame(4, dht.OpGet, recordGet("bucket", present.Key))[4:], nil)
-	if len(whole) < 5000 || len(cut) > 4+frameHeaderLen+1+40 || !bytes.HasPrefix(whole[4+frameHeaderLen:], cut[4+frameHeaderLen:]) {
+	whole := serve(srv, buildFrame(1, dht.OpGet, appendLenString(nil, "bucket")), nil)
+	cut := serve(srv, buildFrame(2, dht.OpGet, hintedGet("bucket", 0.1)), nil)
+	miss := serve(srv, buildFrame(3, dht.OpGet, hintedGet("absent", 0.1)), nil)
+	one := serve(srv, buildFrame(4, dht.OpGet, recordGet("bucket", present.Key)), nil)
+	whole, cut, miss, one = replyBody(whole), replyBody(cut), replyBody(miss), replyBody(one)
+	if len(whole) < 5000 || len(cut) > 1+40 || !bytes.HasPrefix(whole, cut) {
 		t.Errorf("whole reply %d bytes, trimmed reply %d bytes: want a short prefix", len(whole), len(cut))
 	}
-	if miss[4+frameHeaderLen] != statusNotFound {
-		t.Errorf("hinted get of an absent key: status %d", miss[4+frameHeaderLen])
+	if miss[0] != statusNotFound {
+		t.Errorf("hinted get of an absent key: status %d", miss[0])
 	}
 	// Past the header: marker, found flag, key, one length byte, value.
 	if want := len(cut) + 1 + 1 + 8 + 1 + len(present.Value); len(one) != want || !bytes.HasSuffix(one, present.Value) {
@@ -142,9 +143,9 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 		"short hint":    buildFrame(8, dht.OpGet, hintedGet("bucket", 0.1)[:len("bucket")+8]),
 		"long hint":     buildFrame(9, dht.OpGet, append(recordGet("bucket", 0.1), 0)),
 	} {
-		resp := srv.applyFrame(frame[4:], nil)
-		if resp[4+frameHeaderLen] != statusErr || string(resp[4+frameHeaderLen+1:]) != errMalformed {
-			t.Errorf("%s: answered % x, want malformed", name, resp[4+frameHeaderLen:])
+		resp := replyBody(serve(srv, frame, nil))
+		if resp[0] != statusErr || string(resp[1:]) != errMalformed {
+			t.Errorf("%s: answered % x, want malformed", name, resp)
 		}
 	}
 	if _, err := c.Get(ctx, "bucket"); err != nil {
@@ -158,8 +159,8 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 		"record": recordGet("bucket", present.Key),
 		"absent": recordGet("bucket", absent),
 	} {
-		req := buildFrame(10, dht.OpGet, payload)[4:]
-		if n := testing.AllocsPerRun(200, func() { out = srv.applyFrame(req, out[:0]) }); n != 0 {
+		req := buildFrame(10, dht.OpGet, payload)
+		if n := testing.AllocsPerRun(200, func() { serve(srv, req, &out) }); n != 0 {
 			t.Errorf("serving a hinted get (%s): %v allocations, want 0", name, n)
 		}
 	}
@@ -194,19 +195,20 @@ func serveRehinted(t *testing.T, real *Server, rehint func(uint64) uint64) strin
 				if _, err := br.Discard(len(wireMagic)); err != nil {
 					return
 				}
+				fr := frameReader{br: br}
 				for {
-					body, err := readFrameBody(br, nil)
+					id, body, err := fr.next()
 					if err != nil {
 						return
 					}
-					if dht.OpKind(body[8]) == dht.OpGet {
-						c := cursor{b: body[frameHeaderLen:]}
+					if dht.OpKind((*body)[0]) == dht.OpGet {
+						c := cursor{b: (*body)[1:]}
 						if _, err := c.lenBytes(); err == nil && len(c.b) == 8 {
 							binary.BigEndian.PutUint64(c.b, rehint(binary.BigEndian.Uint64(c.b)))
 						}
 					}
-					resp := real.applyFrame(body, nil)
-					if _, err := conn.Write(resp); err != nil {
+					resp, off := real.applyFrame(id, *body, nil)
+					if _, err := conn.Write(resp[off:]); err != nil {
 						return
 					}
 				}
@@ -444,12 +446,13 @@ func TestRangeProbeShipsTheRun(t *testing.T) {
 	// half-gap to record 45 but by enough to take a key that is a bound.
 	slice := rangeGet(b.Records[20].Key, (b.Records[44].Key+b.Records[45].Key)/2)
 	before := srv.Metrics()
-	header := srv.applyFrame(buildFrame(1, dht.OpGet, hintedGet("bucket", 0.1))[4:], nil)
-	outside := srv.applyFrame(buildFrame(2, dht.OpGet, rangeGet(0.1, 0.2))[4:], nil)
-	run := srv.applyFrame(buildFrame(3, dht.OpGet, slice)[4:], nil)
-	all := srv.applyFrame(buildFrame(4, dht.OpGet, rangeGet(0, 1))[4:], nil)
-	whole := srv.applyFrame(buildFrame(5, dht.OpGet, appendLenString(nil, "bucket"))[4:], nil)
-	if !bytes.Equal(outside[4+8:], header[4+8:]) { // past the length and the request id
+	header := serve(srv, buildFrame(1, dht.OpGet, hintedGet("bucket", 0.1)), nil)
+	outside := serve(srv, buildFrame(2, dht.OpGet, rangeGet(0.1, 0.2)), nil)
+	run := serve(srv, buildFrame(3, dht.OpGet, slice), nil)
+	all := serve(srv, buildFrame(4, dht.OpGet, rangeGet(0, 1)), nil)
+	whole := serve(srv, buildFrame(5, dht.OpGet, appendLenString(nil, "bucket")), nil)
+	header, outside, run, all, whole = replyBody(header), replyBody(outside), replyBody(run), replyBody(all), replyBody(whole)
+	if !bytes.Equal(outside, header) {
 		t.Errorf("a range that misses the leaf was answered with %d bytes, a key that does with %d: want the header both times", len(outside), len(header))
 	}
 	// Past the header: the marker, a one-byte count, and the records, each
@@ -467,8 +470,8 @@ func TestRangeProbeShipsTheRun(t *testing.T) {
 	}
 	out := make([]byte, 0, 2*len(whole))
 	for name, payload := range map[string][]byte{"run": slice, "all": rangeGet(0, 1), "outside": rangeGet(0.1, 0.2)} {
-		req := buildFrame(6, dht.OpGet, payload)[4:]
-		if n := testing.AllocsPerRun(200, func() { out = srv.applyFrame(req, out[:0]) }); n != 0 {
+		req := buildFrame(6, dht.OpGet, payload)
+		if n := testing.AllocsPerRun(200, func() { serve(srv, req, &out) }); n != 0 {
 			t.Errorf("serving a range-hinted get (%s): %v allocations, want 0", name, n)
 		}
 	}

@@ -14,6 +14,10 @@ import (
 // payload was garbage).
 const errMalformed = "malformed request"
 
+// errReplyTooLarge is the server's reply to a request whose answer would
+// not fit in one frame.
+const errReplyTooLarge = "reply exceeds the frame size limit"
+
 // handleBinary serves the framed protocol on one connection, after the
 // magic has been consumed from br. Requests are processed in arrival
 // order into reused buffers — steady-state service allocates only what a
@@ -21,22 +25,33 @@ const errMalformed = "malformed request"
 // (a write to a held key reuses the store's string, see Server.put; an
 // applied patch builds its value in the spare, see patchStored) — and
 // responses are flushed only once the read buffer holds no further input,
-// so a pipelined burst of requests is answered with one write.
+// so a pipelined burst of requests is answered with one write. A buffer
+// grown past maxPooledBuf by one huge request or reply is dropped once
+// the reply is buffered for writing, so it does not stay pinned for the
+// connection's life.
 func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 	bw := bufio.NewWriterSize(conn, wireBufSize)
 	in := getBuf()
 	out := getBuf()
 	defer func() { putBuf(in); putBuf(out) }()
+	fr := frameReader{br: br, keep: in}
 	for {
-		body, err := readFrameBody(br, *in)
-		*in = body // keep the (possibly re-grown) backing array pooled
+		id, body, err := fr.next()
 		if err != nil {
 			// Framing is broken (EOF, truncation, oversized length):
 			// nothing sane can follow, drop the connection.
 			return
 		}
-		*out = s.applyFrame(body, (*out)[:0])
-		if _, err := bw.Write(*out); err != nil {
+		var off int
+		*out, off = s.applyFrame(id, *body, (*out)[:0])
+		_, err = bw.Write((*out)[off:])
+		if cap(*in) > maxPooledBuf {
+			*in = nil
+		}
+		if cap(*out) > maxPooledBuf {
+			*out = nil
+		}
+		if err != nil {
 			return
 		}
 		if br.Buffered() == 0 {
@@ -47,18 +62,21 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// applyFrame serves one request frame body (id + op + payload, at least
-// frameHeaderLen bytes, as readFrameBody returns) and appends the complete
-// response frame to out. It never panics on garbage payloads — malformed
-// requests get a statusErr response.
-func (s *Server) applyFrame(body, out []byte) []byte {
-	id := binary.BigEndian.Uint64(body[:8])
-	op := dht.OpKind(body[8])
-	out = append(out, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, byte(op))
-	out = s.respond(op, body[frameHeaderLen:], out)
-	binary.BigEndian.PutUint32(out[:4], uint32(len(out)-4))
-	binary.BigEndian.PutUint64(out[4:12], id)
-	return out
+// applyFrame serves one request frame — id, its id varint's bytes, and
+// body, its op and payload, as frameReader.next returns them — and
+// appends the reply frame to out past a lenReserve: the frame is
+// reply[off:]. It never panics on garbage payloads — malformed requests
+// get a statusErr response — and a reply longer than maxFrameLen is
+// replaced by a statusErr one.
+func (s *Server) applyFrame(id, body, out []byte) (reply []byte, off int) {
+	base := len(out)
+	out = append(append(out, 0, 0, 0, 0), id...)
+	start := len(out)
+	out = s.respond(dht.OpKind(body[0]), body[1:], out)
+	if len(out)-base-lenReserve > maxFrameLen {
+		out = appendStatusErr(out[:start], errReplyTooLarge)
+	}
+	return out, base + finishFrame(out[base:])
 }
 
 func appendStatusErr(out []byte, msg string) []byte {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -57,7 +58,7 @@ func checkWide(b *ilht.Bucket, n int) error {
 // more than twice its length.
 func TestStoredBytesStayBehindTheLock(t *testing.T) {
 	srv := NewServer()
-	status := func(resp []byte) []byte { return resp[4+frameHeaderLen:] }
+	status := replyBody
 	keys := []string{"a", "b", "c"}
 	model := map[string]*ilht.Bucket{}
 	for _, k := range keys {
@@ -66,7 +67,7 @@ func TestStoredBytesStayBehindTheLock(t *testing.T) {
 			model[k].Records = model[k].Records[:18]
 		}
 		payload := append(appendLenString(nil, k), mustAppendValue(t, model[k])...)
-		if resp := srv.applyFrame(buildFrame(1, dht.OpPut, payload)[4:], nil); status(resp)[0] != statusOK {
+		if resp := serve(srv, buildFrame(1, dht.OpPut, payload), nil); status(resp)[0] != statusOK {
 			t.Fatalf("put %s answered % x", k, status(resp))
 		}
 	}
@@ -83,8 +84,8 @@ func TestStoredBytesStayBehindTheLock(t *testing.T) {
 			}
 		}
 	}
-	get := srv.applyFrame(buildFrame(2, dht.OpGet, appendLenString(nil, "a"))[4:], nil)
-	probe := srv.applyFrame(buildFrame(3, dht.OpGet, recordGet("b", model["b"].Records[9].Key))[4:], nil)
+	get := serve(srv, buildFrame(2, dht.OpGet, appendLenString(nil, "a")), nil)
+	probe := serve(srv, buildFrame(3, dht.OpGet, recordGet("b", model["b"].Records[9].Key)), nil)
 	replies := [][]byte{bytes.Clone(get), bytes.Clone(probe)}
 	path := filepath.Join(t.TempDir(), "node.snap")
 	if err := srv.SaveSnapshot(path); err != nil {
@@ -100,7 +101,7 @@ func TestStoredBytesStayBehindTheLock(t *testing.T) {
 	}
 
 	patch := func(k string, p []byte, delta float64) []byte {
-		return status(srv.applyFrame(buildFrame(4, dht.OpPatchIf, probePatch(k, ilht.ProbeHint(delta, false), p))[4:], nil))
+		return status(serve(srv, buildFrame(4, dht.OpPatchIf, probePatch(k, ilht.ProbeHint(delta, false), p)), nil))
 	}
 	for i := 0; i < 60; i++ {
 		k, rec := keys[i%3], extraRecord(i/3%10)
@@ -308,4 +309,44 @@ func TestPatchedStoreMemoryIsBounded(t *testing.T) {
 	if m := ix.Metrics(); splits < 20 || m.Lookup.Merges < 10 {
 		t.Fatalf("the script split %d times and merged %d times; it is meant to do both often", splits, m.Lookup.Merges)
 	}
+}
+
+// TestConnectionReleasesLargeFrames: one 8 MB put and the remove of its
+// key over one connection leave the heap about where it was. Neither end
+// keeps a frame buffer larger than maxPooledBuf for the connection's
+// life: the node drops its request and reply buffers past that size once
+// the reply is written, as the client drops its frames and its write
+// queue's spare.
+func TestConnectionReleasesLargeFrames(t *testing.T) {
+	ctx := context.Background()
+	c, err := Dial(ctx, ClusterConfig{Seeds: startServers(t, 1), PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put(ctx, "small", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	const size = 8 << 20
+	before := liveHeap()
+	if err := c.Put(ctx, "big", make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(ctx, "big"); err != nil {
+		t.Fatal(err)
+	}
+	if grown := int64(liveHeap()) - int64(before); grown > size/2 {
+		t.Errorf("the heap holds %d bytes more after the put and remove of %d bytes, over one live connection", grown, size)
+	}
+	if _, err := c.Get(ctx, "small"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveHeap is the bytes of heap objects that survive a collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

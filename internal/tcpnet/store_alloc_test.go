@@ -82,10 +82,10 @@ func TestAppliedWritesReuseTheStoredKey(t *testing.T) {
 		out := make([]byte, 0, 256)
 		for _, w := range writes {
 			var req []byte
-			setup := func() { req = buildFrame(1, w.op, w.payload())[4:] }
+			setup := func() { req = buildFrame(1, w.op, w.payload()) }
 			n := allocsPerRun(200, setup, func() {
-				if out = srv.applyFrame(req, out[:0]); out[4+frameHeaderLen] != statusOK {
-					t.Fatalf("%s: %s answered % x", when, w.name, out[4+frameHeaderLen:])
+				if resp := replyBody(serve(srv, req, &out)); resp[0] != statusOK {
+					t.Fatalf("%s: %s answered % x", when, w.name, resp)
 				}
 			})
 			if n != w.want {

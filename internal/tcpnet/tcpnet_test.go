@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -228,7 +229,7 @@ const gobPutStream = "c\x7f\x03\x01\x01\arequest\x01\xff\x80\x00\x01\b\x01\x02Op
 	"\v\xff\x80\x01\x03\x01\x01k\x01\x01\x01\x00"
 
 // TestServerRejectsNonMagic: a connection that does not open with the
-// LHT5 magic, or follows it with something that is not a frame, is closed
+// LHT6 magic, or follows it with something that is not a frame, is closed
 // without a byte served, the store untouched and no handler left behind.
 func TestServerRejectsNonMagic(t *testing.T) {
 	_, servers := startCluster(t, 1)
@@ -245,10 +246,10 @@ func TestServerRejectsNonMagic(t *testing.T) {
 		"1 byte then EOF":   {send: "L", halfClose: true},
 		"3 bytes then EOF":  {send: "LHT", halfClose: true},
 		"wrong magic":       {send: "LHT1"},
-		"the last magic":    {send: "LHT4" + "\x00\x00\x00\x09" + "\x00\x00\x00\x00\x00\x00\x00\x01\x01"},
-		"magic, short len":  {send: wireMagic + "\x00\x00\x00\x01junk"},
+		"the last magic":    {send: "LHT5" + string(previousFrame(0, dht.OpPing, nil))},
+		"magic, short len":  {send: wireMagic + "\x01junk"},
 		"magic, huge len":   {send: wireMagic + "\xff\xff\xff\xffjunk"},
-		"magic, torn frame": {send: wireMagic + "\x00\x00\x00\x20junk", halfClose: true},
+		"magic, torn frame": {send: wireMagic + "\x20junk", halfClose: true},
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -286,7 +287,7 @@ func TestServerClosesThePreviousGeneration(t *testing.T) {
 	srv := servers[0]
 	put := append(appendLenString(nil, "k"), tagRaw, 'v')
 	previous := wireMagic[:3] + string(wireMagic[3]-1)
-	msg := append(append([]byte(previous), buildFrame(1, dht.OpPing, nil)...), buildFrame(2, dht.OpPut, put)...)
+	msg := append(append([]byte(previous), previousFrame(0, dht.OpPing, nil)...), previousFrame(1, dht.OpPut, put)...)
 	conn, err := net.Dial("tcp", srv.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +304,14 @@ func TestServerClosesThePreviousGeneration(t *testing.T) {
 	if n := srv.Len(); n != 0 {
 		t.Errorf("store holds %d keys after the %s dialer, want 0", n, previous)
 	}
+}
+
+// previousFrame is a request frame of the generation before this one
+// (LHT5): a u32 length, a u64 id and the op, then the payload.
+func previousFrame(id uint64, op dht.OpKind, payload []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(9+len(payload)))
+	b = append(binary.BigEndian.AppendUint64(b, id), byte(op))
+	return append(b, payload...)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

@@ -26,56 +26,62 @@ func BenchmarkFrameEncode(b *testing.B) {
 	val := bytes.Repeat([]byte("x"), 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bufp := newFrame(dht.OpPut)
+		bufp := newFrame(uint64(i), dht.OpPut)
 		frame := appendLenString(*bufp, "bench/key/000042")
 		frame = append(frame, tagRaw)
 		frame = append(frame, val...)
 		*bufp = frame
-		finishFrame(frame, uint64(i))
+		finishFrame(frame)
 		putBuf(bufp)
 	}
 }
 
 // BenchmarkFrameDecode measures pure decode cost: framing + cursor walk
-// of a put request. The only allocation is the first iteration's buffer.
+// of a put request. Steady state allocates nothing — the body's buffer is
+// pooled.
 func BenchmarkFrameDecode(b *testing.B) {
-	frame := appendLenString(*newFrame(dht.OpPut), "bench/key/000042")
+	frame := appendLenString(*newFrame(7, dht.OpPut), "bench/key/000042")
 	frame = append(frame, tagRaw)
 	frame = append(frame, bytes.Repeat([]byte("x"), 256)...)
-	finishFrame(frame, 7)
-	raw := frame
+	raw := frame[finishFrame(frame):]
 	r := bytes.NewReader(raw)
 	br := bufio.NewReader(r)
-	buf := make([]byte, 0, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Reset(raw)
 		br.Reset(r)
-		body, err := readFrameBody(br, buf)
+		f := frameReader{br: br}
+		_, body, err := f.next()
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf = body
-		c := cursor{b: body[frameHeaderLen:]}
+		c := cursor{b: (*body)[1:]}
 		if _, err := c.lenBytes(); err != nil {
 			b.Fatal(err)
 		}
 		if v := c.rest(); len(v) != 257 {
 			b.Fatalf("value = %d bytes", len(v))
 		}
+		putBuf(body)
 	}
 }
 
-// benchCluster is one server + one client for end-to-end benchmarks.
-func benchCluster(b *testing.B) *Client {
+// benchCluster is one server + one client for end-to-end benchmarks, and
+// the count of the bytes the client's connections carry, both ways.
+func benchCluster(b *testing.B) (*Client, *atomic.Int64) {
 	b.Helper()
-	addrs := startBenchServers(b, 1)
-	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs})
+	dialer := &byteDialer{addrs: map[string]string{"bench-node": startBenchServers(b, 1)[0]}}
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{"bench-node"}, Dialer: dialer})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = c.Close() })
-	return c
+	return c, &dialer.n
+}
+
+// reportWire reports n bytes crossed in b.N operations as wire-B/op.
+func reportWire(b *testing.B, n int64) {
+	b.ReportMetric(float64(n)/float64(b.N), "wire-B/op")
 }
 
 func startBenchServers(b testing.TB, n int) []string {
@@ -116,7 +122,8 @@ func ioSyscalls() (n int64, ok bool) {
 
 // BenchmarkWireGet / BenchmarkWirePut time the full client round trip
 // with a raw []byte value: run with -benchmem to see the allocs/op that
-// ablation A8 gates on. BenchmarkWireGet also reports syscalls/op, the
+// ablation A8 gates on. BenchmarkWireGet also reports wire-B/op, request
+// plus reply bytes as they crossed the socket, and syscalls/op, the
 // reads and writes of both ends of the connection (client and server
 // share the process): on an idle connection each side pays one write,
 // one read and the runtime's speculative read that returns EAGAIN before
@@ -135,12 +142,13 @@ func BenchmarkWireGetLocked(b *testing.B) {
 }
 
 func benchWireGet(b *testing.B) {
-	c := benchCluster(b)
+	c, wire := benchCluster(b)
 	ctx := context.Background()
 	if err := c.Put(ctx, "k", bytes.Repeat([]byte("x"), 256)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	crossed := wire.Load()
 	before, counted := ioSyscalls()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -149,6 +157,7 @@ func benchWireGet(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	reportWire(b, wire.Load()-crossed)
 	if after, _ := ioSyscalls(); counted {
 		b.ReportMetric(float64(after-before)/float64(b.N), "syscalls/op")
 	}
@@ -158,7 +167,7 @@ func benchWireGet(b *testing.B) {
 // probe of a 75-record bucket can get, full client round trip: the
 // header alone (the hinted key lies outside the leaf), the whole bucket
 // (it lies inside) and header plus one record (it lies inside and the
-// prober wants the record alone). wire-B/op is what the server sent back.
+// prober wants the record alone). wire-B/op is request plus reply.
 func BenchmarkWireProbeTrimmed(b *testing.B) { benchWireProbe(b, ilht.ProbeHint(0.1, false)) }
 
 func BenchmarkWireProbeWhole(b *testing.B) { benchWireProbe(b, ilht.ProbeHint(0.71, false)) }
@@ -168,24 +177,21 @@ func BenchmarkWireProbeSelected(b *testing.B) {
 }
 
 func benchWireProbe(b *testing.B, hint uint64) {
-	c := benchCluster(b)
+	c, wire := benchCluster(b)
 	ctx := context.Background()
 	if err := c.Put(ctx, "k", wideBucket()); err != nil {
 		b.Fatal(err)
 	}
-	stored, err := appendValue(nil, wideBucket())
-	if err != nil {
-		b.Fatal(err)
-	}
-	reply := 4 + frameHeaderLen + 1 + len(appendProbed(nil, stored, hint)) // length, id+op, status, value
 	b.ReportAllocs()
+	crossed := wire.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Probe(ctx, "k", hint); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(reply), "wire-B/op")
+	b.StopTimer()
+	reportWire(b, wire.Load()-crossed)
 }
 
 // leafKey is the key the write benchmarks store under, a leaf's DHT name
@@ -198,17 +204,14 @@ var leafKey = wideBucket().Label.Name().Key()
 // whole bucket under putif, the one record under patchif. wire-B/op is
 // request plus reply.
 func BenchmarkWirePutIf(b *testing.B) {
-	c := benchCluster(b)
+	c, wire := benchCluster(b)
 	ctx := context.Background()
 	bucket := wideBucket()
 	if err := c.Put(ctx, leafKey, bucket); err != nil {
 		b.Fatal(err)
 	}
-	req, err := appendValue(appendUv(appendLenString(nil, leafKey), bucket.Epoch), bucket)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
+	crossed := wire.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bucket.Epoch++
@@ -216,11 +219,12 @@ func BenchmarkWirePutIf(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(4+frameHeaderLen+len(req)+4+frameHeaderLen+1), "wire-B/op")
+	b.StopTimer()
+	reportWire(b, wire.Load()-crossed)
 }
 
 func BenchmarkWirePatch(b *testing.B) {
-	c := benchCluster(b)
+	c, wire := benchCluster(b)
 	ctx := context.Background()
 	bucket := wideBucket()
 	if err := c.Put(ctx, leafKey, bucket); err != nil {
@@ -228,18 +232,16 @@ func BenchmarkWirePatch(b *testing.B) {
 	}
 	patch := ilht.UpsertPatch(bucket.Records[37], 0, 20)
 	hint := ilht.ProbeHint(bucket.Records[37].Key, false)
-	req := probePatch(leafKey, hint, patch)
-	// length, id+op, status, the epoch patched (two bytes from 128 on),
-	// kind, acknowledgement
-	const reply = 4 + frameHeaderLen + 1 + 2 + 1 + 2
 	b.ReportAllocs()
+	crossed := wire.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Patch(ctx, leafKey, hint, patch); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(4+frameHeaderLen+len(req)+reply), "wire-B/op")
+	b.StopTimer()
+	reportWire(b, wire.Load()-crossed)
 }
 
 // BenchmarkWirePatchReplicated is BenchmarkWirePatch at two replicas:
@@ -285,7 +287,7 @@ func BenchmarkWirePatchCrossing(b *testing.B) { benchWirePatchCrossing(b, 20) }
 func BenchmarkWirePatchCrossingWhole(b *testing.B) { benchWirePatchCrossing(b, 7) }
 
 func benchWirePatchCrossing(b *testing.B, depth int) {
-	c := benchCluster(b)
+	c, wire := benchCluster(b)
 	ctx := context.Background()
 	leaf := &ilht.Bucket{Label: bitlabel.MustParse("#0101101"), Epoch: 7} // [0.703125, 0.71875)
 	for i := 0; i < 99; i++ {
@@ -293,10 +295,7 @@ func benchWirePatchCrossing(b *testing.B, depth int) {
 	}
 	rec := record.Record{Key: 0.703125 + 0.99/64, Value: bytes.Repeat([]byte{99}, 64)}
 	patch, hint := ilht.UpsertPatch(rec, 100, depth), ilht.ProbeHint(rec.Key, false)
-	_, reply, _, ok := dht.PatchWire(nil, nil, leaf.WireKind(), leaf.AppendWire(nil), patch)
-	if !ok {
-		b.Fatal("the patcher refused the crossing upsert")
-	}
+	var crossed int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -304,15 +303,16 @@ func benchWirePatchCrossing(b *testing.B, depth int) {
 		if err := c.Put(ctx, "k", leaf); err != nil {
 			b.Fatal(err)
 		}
+		from := wire.Load()
 		b.StartTimer()
 		v, err := c.Patch(ctx, "k", hint, patch)
 		if _, split := v.(*ilht.Cut); err != nil || split != (depth > leaf.Label.Len()) {
 			b.Fatalf("crossing Patch = %T, %v", v, err)
 		}
+		crossed += wire.Load() - from
 	}
-	// The reply frame: length, id+op, status, the epoch patched, kind, the
-	// patcher's reply.
-	b.ReportMetric(float64(4+frameHeaderLen+len(probePatch("k", hint, patch))+4+frameHeaderLen+1+1+1+len(reply)), "wire-B/op")
+	b.StopTimer()
+	reportWire(b, crossed)
 }
 
 // BenchmarkWireWriteIfCommit / BenchmarkWirePatchCommit are the two ways
@@ -325,15 +325,12 @@ func BenchmarkWireWriteIfCommit(b *testing.B) { benchWireCommit(b, false) }
 func BenchmarkWirePatchCommit(b *testing.B) { benchWireCommit(b, true) }
 
 func benchWireCommit(b *testing.B, patched bool) {
-	c := benchCluster(b)
+	c, wire := benchCluster(b)
 	ctx := context.Background()
 	marked := wideBucket()
 	marked.Pending = ilht.Pending{Kind: ilht.PendingSplit}
 	local, commit := localHalf(marked), ilht.CommitSplitPatch()
-	req, reply := patchIf(leafKey, patchInPlace, marked.Epoch, commit), 3 // status, kind, acknowledgement
-	if !patched {
-		req, reply = append(appendUv(appendLenString(nil, leafKey), marked.Epoch), mustAppendValue(b, local)...), 1
-	}
+	var crossed int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,6 +338,7 @@ func benchWireCommit(b *testing.B, patched bool) {
 		if err := c.Put(ctx, leafKey, marked); err != nil {
 			b.Fatal(err)
 		}
+		from := wire.Load()
 		b.StartTimer()
 		var err error
 		if patched {
@@ -351,12 +349,14 @@ func benchWireCommit(b *testing.B, patched bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		crossed += wire.Load() - from
 	}
-	b.ReportMetric(float64(4+frameHeaderLen+len(req)+4+frameHeaderLen+reply), "wire-B/op")
+	b.StopTimer()
+	reportWire(b, crossed)
 }
 
 func BenchmarkWirePut(b *testing.B) {
-	c := benchCluster(b)
+	c, _ := benchCluster(b)
 	ctx := context.Background()
 	val := bytes.Repeat([]byte("x"), 256)
 	b.ReportAllocs()
@@ -371,7 +371,7 @@ func BenchmarkWirePut(b *testing.B) {
 // BenchmarkWirePipelined measures the multiplexer's throughput win: many
 // concurrent getters sharing one connection pool.
 func BenchmarkWirePipelined(b *testing.B) {
-	c := benchCluster(b)
+	c, _ := benchCluster(b)
 	ctx := context.Background()
 	if err := c.Put(ctx, "k", bytes.Repeat([]byte("x"), 256)); err != nil {
 		b.Fatal(err)
@@ -394,7 +394,7 @@ func BenchmarkWireGetBatch(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bk-%03d", i)
 	}
-	c := benchCluster(b)
+	c, _ := benchCluster(b)
 	ctx := context.Background()
 	kvs := make([]dht.KV, n)
 	for i, k := range keys {
@@ -418,11 +418,12 @@ func BenchmarkWireGetBatch(b *testing.B) {
 }
 
 // byteDialer dials cluster members by fixed names, so that every run
-// places every key alike, and counts the bytes its connections carry,
-// both ways.
+// places every key alike, and counts the bytes its connections carry:
+// both ways, and read alone.
 type byteDialer struct {
 	addrs map[string]string
 	n     atomic.Int64
+	read  atomic.Int64
 }
 
 func (d *byteDialer) DialContext(ctx context.Context, network, name string) (net.Conn, error) {
@@ -430,17 +431,18 @@ func (d *byteDialer) DialContext(ctx context.Context, network, name string) (net
 	if err != nil {
 		return nil, err
 	}
-	return &byteConn{Conn: conn, n: &d.n}, nil
+	return &byteConn{Conn: conn, n: &d.n, read: &d.read}, nil
 }
 
 type byteConn struct {
 	net.Conn
-	n *atomic.Int64
+	n, read *atomic.Int64
 }
 
 func (c *byteConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.n.Add(int64(n))
+	c.read.Add(int64(n))
 	return n, err
 }
 
