@@ -1,6 +1,7 @@
 package bitlabel
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -34,24 +35,35 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzBinaryRoundTrip checks UnmarshalBinary on arbitrary bytes: it must
-// never panic, and everything it accepts must re-marshal identically.
+// FuzzBinaryRoundTrip checks ReadBinary and UnmarshalBinary on arbitrary
+// bytes: they must never panic, and the form is canonical — what ReadBinary
+// accepts re-marshals to exactly the bytes it consumed, so a set pad bit
+// is refused, and UnmarshalBinary accepts exactly the inputs with nothing
+// past that form.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{62, 0x20, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0})
+	f.Add([]byte{1, 0x40})    // a pad bit
+	f.Add([]byte{1, 0, 0})    // a trailing byte
+	f.Add([]byte{9, 0x20, 0}) // too short for its bits
+	f.Add([]byte{62, 0x20, 0, 0, 0, 0, 0, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var l Label
-		if err := l.UnmarshalBinary(data); err != nil {
+		l, rest, err := ReadBinary(data)
+		var whole Label
+		werr := whole.UnmarshalBinary(data)
+		if err != nil {
+			if werr == nil {
+				t.Fatalf("UnmarshalBinary accepted % x, which ReadBinary refuses: %v", data, err)
+			}
 			return
 		}
-		out, err := l.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal of accepted label: %v", err)
+		out, merr := l.MarshalBinary()
+		if merr != nil || !bytes.Equal(out, data[:len(data)-len(rest)]) {
+			t.Fatalf("% x read as %v re-marshals to % x (%v)", data, l, out, merr)
 		}
-		var l2 Label
-		if err := l2.UnmarshalBinary(out); err != nil || l2 != l {
-			t.Fatalf("round trip %v -> %v (%v)", l, l2, err)
+		if (werr == nil) != (len(rest) == 0) || werr == nil && whole != l {
+			t.Fatalf("UnmarshalBinary(% x) = %v, %v; ReadBinary left %d bytes", data, whole, werr, len(rest))
 		}
 	})
 }

@@ -448,6 +448,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal %s: %v", l, err)
 		}
+		if want := 1 + (l.Len()+7)/8; len(data) != want {
+			t.Fatalf("%s marshals to %d bytes, want %d", l, len(data), want)
+		}
+		if got, rest, err := ReadBinary(append(data, 0xAB)); err != nil || got != l || len(rest) != 1 {
+			t.Fatalf("ReadBinary of %s and a byte = %v, % x, %v", l, got, rest, err)
+		}
 		var got Label
 		if err := got.UnmarshalBinary(data); err != nil {
 			t.Fatalf("unmarshal %s: %v", l, err)
@@ -459,19 +465,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalBinaryErrors(t *testing.T) {
-	var l Label
-	if err := l.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
-		t.Error("short input should fail")
-	}
-	if err := l.UnmarshalBinary([]byte{63, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("length > MaxBits should fail")
-	}
-	// Value wider than the declared bit count.
-	if err := l.UnmarshalBinary([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2}); err == nil {
-		t.Error("value wider than n bits should fail")
-	}
-	// First bit set.
-	if err := l.UnmarshalBinary([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1}); err == nil {
-		t.Error("first bit 1 should fail")
+	for name, data := range map[string][]byte{
+		"empty":            {},
+		"short":            {9, 0},
+		"length > MaxBits": append([]byte{63}, make([]byte, 8)...),
+		"pad bit set":      {1, 0x40},
+		"first bit 1":      {1, 0x80},
+		"trailing byte":    {1, 0, 0},
+	} {
+		var l Label
+		if err := l.UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: % x decoded to %v", name, data, l)
+		}
 	}
 }

@@ -120,19 +120,23 @@ func (b *Bucket) String() string {
 	return fmt.Sprintf("bucket(%s, %d records)", b.Label, len(b.Records))
 }
 
-// Bucket wire format 2, the one serialized form of a bucket: what
+// Bucket wire format 3, the one serialized form of a bucket: what
 // EncodeBucket returns and what a network substrate ships and stores
 // (Bucket is a dht.WireValue). uv is a shortest-form unsigned varint.
 //
-//	version u8 = 2
+//	version u8 = 3
 //	uv epoch
-//	label        9 B  bit count u8, bits u64 BE (bitlabel binary form)
-//	pending      kind u8, uv n + n-byte remove-key, uv peer epoch
+//	label        bit count n u8, then the n bits in ceil(n/8) bytes, pad
+//	             bits zero (bitlabel binary form): 4 B at depth 20
+//	pending      kind u8; for a kind other than 0 (a torn leaf) then
+//	             uv n + n-byte remove-key, uv peer epoch
 //	record list  uv count, count x (key u64 BE, uv vlen, value)
 //
 // The layout is canonical: a byte string decodes to at most one bucket
 // and that bucket encodes back to the same bytes. Any other version byte,
-// 1 included, is no bucket to the decoder, projector or patcher.
+// 1 and 2 included, is no bucket to the decoder, projector or patcher.
+// So an untorn header ends at its pending-kind byte; an untorn leaf's
+// Pending is the zero value, whatever the struct held, once it crossed.
 //
 // Everything before the record list is the header. It is a stable,
 // self-delimiting prefix: parseBucketHeader finds its end from its own
@@ -180,7 +184,7 @@ func (b *Bucket) String() string {
 // and answers with one of three forms, told apart by decodePatchReply:
 //
 //	ack      marker u8 = 0xFE (never a wire version), uv new record count,
-//	         and when asked for, the leaf's label (9 B, bitlabel binary)
+//	         and when asked for, the leaf's label (bitlabel binary form)
 //	split    an upsert crossed whole at a leaf shallower than depth, whose
 //	         local half (splitHalves) keeps n > 0 records: marker u8 = 0xFC,
 //	         the new header verbatim, uv n, and the record list of the
@@ -211,7 +215,7 @@ func (b *Bucket) String() string {
 //	                local child's side of the median in stored order
 //	5 clear merge   a leaf marked Pending{Merge}: no intent, the epoch kept
 const (
-	bucketWireVersion = 2
+	bucketWireVersion = 3
 	// bucketWireKind is Bucket's dht.WireValue kind byte.
 	bucketWireKind = 1
 	// recordReplyMarker opens a record reply where a bucket or a header
@@ -253,7 +257,9 @@ func (b *Bucket) appendHeader(dst []byte) []byte {
 	dst = append(dst, bucketWireVersion)
 	dst = binary.AppendUvarint(dst, b.Epoch)
 	dst, _ = b.Label.AppendBinary(dst) // never fails
-	dst = append(dst, byte(b.Pending.Kind))
+	if dst = append(dst, byte(b.Pending.Kind)); !b.Torn() {
+		return dst
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(b.Pending.RemoveKey)))
 	dst = append(dst, b.Pending.RemoveKey...)
 	return binary.AppendUvarint(dst, b.Pending.PeerEpoch)
@@ -261,7 +267,7 @@ func (b *Bucket) appendHeader(dst []byte) []byte {
 
 // maxBucketHeaderLen bounds everything AppendWire writes before the
 // record list, apart from the remove-key's own bytes.
-const maxBucketHeaderLen = 1 + binary.MaxVarintLen64 + bitlabel.BinaryLen + 1 +
+const maxBucketHeaderLen = 1 + binary.MaxVarintLen64 + bitlabel.MaxBinaryLen + 1 +
 	2*binary.MaxVarintLen64
 
 // EncodeBucket serializes a bucket into a buffer sized for it. The error
@@ -323,18 +329,21 @@ func parseHeader(b *Bucket, buf []byte) (rest, removeKey []byte, err error) {
 	if b.Epoch, buf, err = record.ReadUvarint(buf[1:]); err != nil {
 		return nil, nil, err
 	}
-	if len(buf) < bitlabel.BinaryLen+1 {
-		return nil, nil, errBucketTruncated
-	}
-	if err := b.Label.UnmarshalBinary(buf[:bitlabel.BinaryLen]); err != nil {
+	if b.Label, buf, err = bitlabel.ReadBinary(buf); err != nil {
 		return nil, nil, err
 	}
-	b.Pending.Kind = PendingKind(buf[bitlabel.BinaryLen])
-	if b.Pending.Kind > PendingMerge {
+	if len(buf) == 0 {
+		return nil, nil, errBucketTruncated
+	}
+	b.Pending = Pending{Kind: PendingKind(buf[0])}
+	switch {
+	case b.Pending.Kind > PendingMerge:
 		return nil, nil, fmt.Errorf("unknown pending kind %d", b.Pending.Kind)
+	case !b.Torn():
+		return buf[1:], nil, nil
 	}
 	var n uint64
-	if n, buf, err = record.ReadUvarint(buf[bitlabel.BinaryLen+1:]); err != nil {
+	if n, buf, err = record.ReadUvarint(buf[1:]); err != nil {
 		return nil, nil, err
 	}
 	if n > uint64(len(buf)) {
@@ -740,16 +749,14 @@ func decodePatchReply(data []byte) (dht.Value, error) {
 	if err != nil || n > math.MaxInt32 {
 		return nil, errors.New("decode patch ack: malformed record count")
 	}
-	switch len(rest) {
-	case 0:
+	if len(rest) == 0 {
 		return PatchAck{Records: int(n)}, nil
-	case bitlabel.BinaryLen:
-		a := &LeafAck{Records: int(n)}
-		if err := a.Label.UnmarshalBinary(rest); err == nil {
-			return a, nil
-		}
 	}
-	return nil, errors.New("decode patch ack: malformed label")
+	a := &LeafAck{Records: int(n)}
+	if err := a.Label.UnmarshalBinary(rest); err != nil {
+		return nil, fmt.Errorf("decode patch ack: malformed label: %w", err)
+	}
+	return a, nil
 }
 
 // decodeSplitReply decodes a split reply past its marker into the Cut of

@@ -163,15 +163,17 @@ func TestBucketCodecAllocs(t *testing.T) {
 // bytes that follow: 2^24 records would be half a gigabyte of slice.
 func hostileBuckets() map[string][]byte {
 	// version, epoch, label, pending kind | remove-key length, peer
-	// epoch | record count: all single bytes bar the label.
+	// epoch (a torn leaf's) | record count: all single bytes bar the
+	// label's two.
 	empty := (&Bucket{Label: bitlabel.TreeRoot}).AppendWire(nil)
-	toPending, toCount := 1+1+bitlabel.BinaryLen+1, len(empty)-1
+	torn := (&Bucket{Label: bitlabel.TreeRoot, Pending: Pending{Kind: PendingMerge}}).AppendWire(nil)
+	toPending, toCount := len(torn)-3, len(empty)-1
 	huge := binary.AppendUvarint(nil, 1<<24)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	return map[string][]byte{
 		"record count":      cat(empty[:toCount], huge),
 		"value length":      cat(empty[:toCount], []byte{1}, make([]byte, 8), huge),
-		"remove-key length": cat(empty[:toPending], huge),
+		"remove-key length": cat(torn[:toPending], huge),
 	}
 }
 
@@ -194,15 +196,21 @@ func TestBucketDecodeRejectsHostileLengths(t *testing.T) {
 }
 
 func TestBucketDecodeRejectsNonCanonical(t *testing.T) {
-	good := mustEncode(t, &Bucket{Label: bitlabel.TreeRoot, Records: []record.Record{{Key: 0.5, Value: []byte("v")}}})
+	b := &Bucket{Label: bitlabel.TreeRoot, Records: []record.Record{{Key: 0.5, Value: []byte("v")}}}
+	good := mustEncode(t, b)
+	kindAt := headerLen(t, b) - 1 // an untorn header ends at its pending kind
+	set := func(at int, v byte) []byte { d := append([]byte(nil), good...); d[at] = v; return d }
 	cases := map[string][]byte{
-		"empty":           nil,
-		"unknown version": append([]byte{9}, good[1:]...),
-		"trailing bytes":  append(append([]byte(nil), good...), 0),
-		"truncated":       good[:len(good)-1],
-		"padded varint":   append([]byte{bucketWireVersion, 0x80, 0x00}, good[2:]...), // epoch 0 in two bytes
-		"unknown pending": func() []byte { d := append([]byte(nil), good...); d[2+bitlabel.BinaryLen] = 7; return d }(),
-		"bad label":       func() []byte { d := append([]byte(nil), good...); d[2] = 99; return d }(),
+		"empty":                              nil,
+		"unknown version":                    append([]byte{9}, good[1:]...),
+		"trailing bytes":                     append(append([]byte(nil), good...), 0),
+		"truncated":                          good[:len(good)-1],
+		"padded varint":                      append([]byte{bucketWireVersion, 0x80, 0x00}, good[2:]...), // epoch 0 in two bytes
+		"unknown pending":                    set(kindAt, 7),
+		"bad label":                          set(2, 99),
+		"label pad bit":                      set(3, 0x40), // "#0" is one bit: bit 1 of its byte is padding
+		"label past its bytes":               {bucketWireVersion, 0, bitlabel.MaxBits, 0, 0},
+		"untorn header, then pending fields": append(append(append([]byte(nil), good[:kindAt+1]...), 0, 0), good[kindAt+1:]...),
 	}
 	for name, data := range cases {
 		if _, err := DecodeBucket(data); err == nil {
@@ -211,48 +219,59 @@ func TestBucketDecodeRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// versionOne is b in bucket wire format 1, built by hand: the version
-// byte 1, then today's header fields, then the retired rate words (an
-// 8-byte rate and a uvarint timestamp), then the record list.
-func versionOne(t testing.TB, b *Bucket) []byte {
-	t.Helper()
-	enc := mustEncode(t, b)
-	hdr := headerLen(t, b)
-	v1 := append([]byte{1}, enc[1:hdr]...)
-	v1 = binary.BigEndian.AppendUint64(v1, math.Float64bits(2.5))
-	v1 = binary.AppendUvarint(v1, 1_700_000_000_000_000_000)
-	return append(v1, enc[hdr:]...)
+// oldVersion is b in bucket wire format 1 or 2, built by hand: the
+// version byte, the epoch, the label in its retired 9-byte form (bit
+// count, bits u64 BE), the pending fields whole whatever the kind, then
+// for format 1 the retired rate words (an 8-byte rate and a uvarint
+// timestamp), then the record list.
+func oldVersion(b *Bucket, version byte) []byte {
+	var bits uint64
+	for i := 0; i < b.Label.Len(); i++ {
+		bits = bits<<1 | uint64(b.Label.Bit(i))
+	}
+	old := binary.AppendUvarint([]byte{version}, b.Epoch)
+	old = binary.BigEndian.AppendUint64(append(old, byte(b.Label.Len())), bits)
+	old = binary.AppendUvarint(append(old, byte(b.Pending.Kind)), uint64(len(b.Pending.RemoveKey)))
+	old = binary.AppendUvarint(append(old, b.Pending.RemoveKey...), b.Pending.PeerEpoch)
+	if version == 1 {
+		old = binary.BigEndian.AppendUint64(old, math.Float64bits(2.5))
+		old = binary.AppendUvarint(old, 1_700_000_000_000_000_000)
+	}
+	return record.AppendList(old, b.Records)
 }
 
-// A version-1 bucket, which carried the retired rate words, is no bucket
-// to this build: the decoder refuses it, the projector ships it whole for
-// the prober's decoder to refuse, and the patcher applies nothing to it.
+// A version-1 bucket, which carried the retired rate words, and a
+// version-2 one, whose label took nine bytes, are no bucket to this build:
+// the decoder refuses them, the projector ships them whole for the
+// prober's decoder to refuse, and the patcher applies nothing to them.
 // None of them panics.
-func TestVersionOneBucketIsRefused(t *testing.T) {
+func TestOldVersionBucketsAreRefused(t *testing.T) {
 	b := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 4,
 		Records: []record.Record{{Key: 0.5, Value: []byte("half")}, {Key: 0.75}}}
-	v1 := versionOne(t, b)
-	if _, err := DecodeBucket(v1); err == nil {
-		t.Error("DecodeBucket accepted a version-1 bucket")
-	}
-	for _, hint := range []uint64{ProbeHint(0.5, true), ProbeHint(0.5, false), ProbeHint(0.1, true), RangeHint(0.5, 0.8)} {
-		reply := projectBucket(nil, v1, hint)
-		if !bytes.Equal(reply, v1) {
-			t.Errorf("hint %#x: projected %x, want the stored bytes whole", hint, reply)
+	for _, version := range []byte{1, 2} {
+		old := oldVersion(b, version)
+		if _, err := DecodeBucket(old); err == nil {
+			t.Errorf("DecodeBucket accepted a version-%d bucket", version)
 		}
-		if v, err := decodeProbeReply(reply); err == nil {
-			t.Errorf("hint %#x: the reply decoded to %#v", hint, v)
+		for _, hint := range []uint64{ProbeHint(0.5, true), ProbeHint(0.5, false), ProbeHint(0.1, true), RangeHint(0.5, 0.8)} {
+			reply := projectBucket(nil, old, hint)
+			if !bytes.Equal(reply, old) {
+				t.Errorf("version %d, hint %#x: projected %x, want the stored bytes whole", version, hint, reply)
+			}
+			if v, err := decodeProbeReply(reply); err == nil {
+				t.Errorf("version %d, hint %#x: the reply decoded to %#v", version, hint, v)
+			}
 		}
-	}
-	for name, patch := range map[string][]byte{
-		"upsert":       UpsertPatch(record.Record{Key: 0.6, Value: []byte("v")}, 100, 20),
-		"delete":       DeletePatch(0.5, 50),
-		"mark split":   MarkSplitPatch(),
-		"commit split": CommitSplitPatch(),
-		"clear merge":  ClearMergePatch(),
-	} {
-		if out, reply, _, ok := patchBucket(nil, nil, v1, patch); ok || len(out) != 0 || len(reply) != 0 {
-			t.Errorf("%s: patched a version-1 bucket: ok %v, %d bytes out, %d of reply", name, ok, len(out), len(reply))
+		for name, patch := range map[string][]byte{
+			"upsert":       UpsertPatch(record.Record{Key: 0.6, Value: []byte("v")}, 100, 20),
+			"delete":       DeletePatch(0.5, 50),
+			"mark split":   MarkSplitPatch(),
+			"commit split": CommitSplitPatch(),
+			"clear merge":  ClearMergePatch(),
+		} {
+			if out, reply, _, ok := patchBucket(nil, nil, old, patch); ok || len(out) != 0 || len(reply) != 0 {
+				t.Errorf("%s: patched a version-%d bucket: ok %v, %d bytes out, %d of reply", name, version, ok, len(out), len(reply))
+			}
 		}
 	}
 }
@@ -503,7 +522,9 @@ func bucketFromBytes(raw []byte) *Bucket {
 	for _, bit := range hdr[8:10] {
 		b.Label = b.Label.Child(int(bit & 1))
 	}
-	b.Pending = Pending{Kind: PendingKind(hdr[10] % 3), RemoveKey: string(next(int(hdr[11] % 8))), PeerEpoch: uint64(hdr[12])}
+	if kind := PendingKind(hdr[10] % 3); kind != PendingNone { // an untorn leaf's Pending is the zero value
+		b.Pending = Pending{Kind: kind, RemoveKey: string(next(int(hdr[11] % 8))), PeerEpoch: uint64(hdr[12])}
+	}
 	for len(raw) >= 9 {
 		key := math.Float64frombits(binary.BigEndian.Uint64(next(8)))
 		b.Records = append(b.Records, record.Record{Key: key, Value: next(int(next(1)[0]))})

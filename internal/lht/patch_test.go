@@ -115,6 +115,36 @@ func patchedReply(t testing.TB, reply, stored []byte) int {
 // encode(apply(b)) for every mutation the whole-bucket arm makes, the
 // reply is the count or, across the patch's threshold, the new bytes, and
 // everything the whole arm would not have written that way is refused.
+// A labelled acknowledgement names its leaf at every depth a label
+// reaches: the label's binary form, a byte and a byte per eight bits,
+// whose length decodePatchReply reads from that form. The patcher builds
+// it so at every depth a float64 key can still tell a leaf from its
+// sibling.
+func TestLabelledAckAtEveryDepth(t *testing.T) {
+	bits := "#0110100111010001011101100101001110100010111011001010011101000101"
+	for n := 0; n <= bitlabel.MaxBits; n++ {
+		l := bitlabel.MustParse(bits[:1+n])
+		reply, _ := l.AppendBinary([]byte{patchAckMarker, 1})
+		if want := 2 + 1 + (n+7)/8; len(reply) != want {
+			t.Fatalf("%s: a %d-byte ack, want %d bytes", l, len(reply), want)
+		}
+		if v, err := decodePatchReply(reply); err != nil || *v.(*LeafAck) != (LeafAck{Label: l, Records: 1}) {
+			t.Errorf("%s: ack %x decoded to %#v, %v", l, reply, v, err)
+		}
+		if n > 48 {
+			continue
+		}
+		rec := record.Record{Key: (&Bucket{Label: l}).Interval().Lo, Value: []byte("v")}
+		if _, got, _, ok := patchBucket(nil, nil, mustEncode(t, &Bucket{Label: l}), WantLabel(UpsertPatch(rec, 0, 20))); !ok || !bytes.Equal(got, reply) {
+			t.Errorf("%s: the patcher acknowledged %x (ok %v), want %x", l, got, ok, reply)
+		}
+	}
+	tooDeep := append([]byte{patchAckMarker, 1, bitlabel.MaxBits + 1}, make([]byte, 8)...)
+	if v, err := decodePatchReply(tooDeep); err == nil {
+		t.Errorf("an ack with a %d-bit label decoded to %#v", bitlabel.MaxBits+1, v)
+	}
+}
+
 func TestPatchBucket(t *testing.T) {
 	small := &Bucket{Label: bitlabel.MustParse("#01"), Epoch: 127, // [0.5, 1)
 		Records: []record.Record{
@@ -302,6 +332,7 @@ func TestPatchBucket(t *testing.T) {
 		t.Fatalf("split reply %x decoded to %#v, %v, want 2 local records", split, v, err)
 	}
 	root := mustEncode(t, &Bucket{})
+	tornData := mustEncode(t, torn)
 	splitOf := func(header []byte, local uint64, list []byte) []byte {
 		return append(binary.AppendUvarint(append([]byte{splitReplyMarker}, header...), local), list...)
 	}
@@ -309,18 +340,21 @@ func TestPatchBucket(t *testing.T) {
 		t.Fatalf("split reply %x rebuilt as %x", split, rebuilt)
 	}
 	for name, bad := range map[string][]byte{
-		"marker alone":   {patchAckMarker},
-		"padded count":   {patchAckMarker, 0x80, 0x00},
-		"trailing byte":  {patchAckMarker, 5, 0},
-		"absurd count":   binary.AppendUvarint([]byte{patchAckMarker}, 1<<40),
-		"header alone":   data[:list],
-		"a record reply": projectBucket(nil, data, ProbeHint(0.75, true)),
-		"empty":          {},
+		"marker alone":    {patchAckMarker},
+		"padded count":    {patchAckMarker, 0x80, 0x00},
+		"label cut short": {patchAckMarker, 5, 1},
+		"label pad bit":   {patchAckMarker, 5, 1, 0x40},
+		"label too deep":  append([]byte{patchAckMarker, 5, bitlabel.MaxBits + 1}, make([]byte, 8)...),
+		"trailing byte":   {patchAckMarker, 5, 1, 0, 0},
+		"absurd count":    binary.AppendUvarint([]byte{patchAckMarker}, 1<<40),
+		"header alone":    data[:list],
+		"a record reply":  projectBucket(nil, data, ProbeHint(0.75, true)),
+		"empty":           {},
 
 		"split marker alone":           {splitReplyMarker},
 		"split reply, no count":        split[:1+hdr],
 		"split reply, no list":         split[:head],
-		"split reply, a torn leaf":     splitOf(mustEncode(t, torn)[:list], 2, split[head:]),
+		"split reply, a torn leaf":     splitOf(tornData[:len(tornData)-record.ListSize(torn.Records)], 2, split[head:]),
 		"split reply, no local half":   splitOf(split[1:1+hdr], 0, split[head:]),
 		"split reply, absurd count":    splitOf(split[1:1+hdr], 1<<40, split[head:]),
 		"split reply, the root":        splitOf(root[:len(root)-1], 2, split[head:]),

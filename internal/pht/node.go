@@ -89,28 +89,28 @@ func (n *Node) String() string {
 	return fmt.Sprintf("pht(%s, %s)", n.Label, kind)
 }
 
-// Node wire format 1, the one serialized form of a trie node: what
+// Node wire format 2, the one serialized form of a trie node: what
 // EncodeNode returns and what a network substrate ships and stores (Node
 // is a dht.WireValue). It shares lht.Bucket's building blocks: uv is a
-// shortest-form unsigned varint, a label its 9-byte binary form.
+// shortest-form unsigned varint, a label its binary form (bit count u8,
+// then the bits in ceil(count/8) bytes, pad bits zero), whose length
+// each reader takes from its first byte. Version 1, with 9-byte labels,
+// is no node to the decoder.
 //
-//	version u8 = 1
+//	version u8 = 2
 //	uv epoch
-//	label        9 B
+//	label        binary form
 //	flags u8     bit 0 leaf, bit 1 has-prev, bit 2 has-next
-//	prev, next   9 B each
+//	prev, next   binary form each
 //	record list  uv count, count x (key u64 BE, uv vlen, value)
 const (
-	nodeWireVersion = 1
+	nodeWireVersion = 2
 	// nodeWireKind is Node's dht.WireValue kind byte.
 	nodeWireKind = 2
 
 	flagLeaf    = 1 << 0
 	flagHasPrev = 1 << 1
 	flagHasNext = 1 << 2
-
-	// nodeFixedLen is what follows the epoch and precedes the records.
-	nodeFixedLen = 3*bitlabel.BinaryLen + 1
 )
 
 func init() {
@@ -145,7 +145,7 @@ func (n *Node) AppendWire(dst []byte) []byte {
 // EncodeNode serializes a node into a buffer sized for it. The error is
 // always nil; the signature predates the hand-rolled format.
 func EncodeNode(n *Node) ([]byte, error) {
-	size := 1 + binary.MaxVarintLen64 + nodeFixedLen + record.ListSize(n.Records)
+	size := 1 + binary.MaxVarintLen64 + 3*bitlabel.MaxBinaryLen + 1 + record.ListSize(n.Records)
 	return n.AppendWire(make([]byte, 0, size)), nil
 }
 
@@ -171,25 +171,24 @@ func decodeNode(buf []byte) (*Node, error) {
 	if n.Epoch, buf, err = record.ReadUvarint(buf[1:]); err != nil {
 		return nil, err
 	}
-	if len(buf) < nodeFixedLen {
+	if n.Label, buf, err = bitlabel.ReadBinary(buf); err != nil {
+		return nil, err
+	}
+	if len(buf) == 0 {
 		return nil, errors.New("truncated header")
 	}
-	const l = bitlabel.BinaryLen
-	flags := buf[l]
+	flags := buf[0]
 	if flags&^(flagLeaf|flagHasPrev|flagHasNext) != 0 {
 		return nil, fmt.Errorf("unknown flags %#x", flags)
 	}
 	n.Leaf, n.HasPrev, n.HasNext = flags&flagLeaf != 0, flags&flagHasPrev != 0, flags&flagHasNext != 0
-	if err := n.Label.UnmarshalBinary(buf[:l]); err != nil {
+	if n.Prev, buf, err = bitlabel.ReadBinary(buf[1:]); err != nil {
 		return nil, err
 	}
-	if err := n.Prev.UnmarshalBinary(buf[l+1 : 2*l+1]); err != nil {
+	if n.Next, buf, err = bitlabel.ReadBinary(buf); err != nil {
 		return nil, err
 	}
-	if err := n.Next.UnmarshalBinary(buf[2*l+1 : nodeFixedLen]); err != nil {
-		return nil, err
-	}
-	if n.Records, err = record.DecodeList(buf[nodeFixedLen:]); err != nil {
+	if n.Records, err = record.DecodeList(buf); err != nil {
 		return nil, err
 	}
 	return n, nil

@@ -39,10 +39,34 @@ func TestNodeCodecRoundTripAllFields(t *testing.T) {
 	}
 }
 
+// TestNodeCodecEveryLabelLength: a node round-trips at every label
+// length, and each of its three labels takes one byte and a byte per
+// eight bits, so a node's size grows with its labels' depths.
+func TestNodeCodecEveryLabelLength(t *testing.T) {
+	bits := "#0110100111010001011101100101001110100010111011001010011101000101"
+	for n := 0; n <= bitlabel.MaxBits; n++ {
+		l := bitlabel.MustParse(bits[:1+n])
+		prev := bitlabel.MustParse(bits[:1+n/2])
+		node := &Node{Label: l, Leaf: true, Prev: prev, HasPrev: true, Next: l}
+		data, err := EncodeNode(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 + 2*(1+(n+7)/8) + 1 + 1 + (n/2+7)/8 + 1; len(data) != want {
+			t.Errorf("%s: encoded in %d bytes, want %d", l, len(data), want)
+		}
+		got, err := DecodeNode(data)
+		if err != nil || !reflect.DeepEqual(got, node) {
+			t.Errorf("%s: round trip = %+v, %v", l, got, err)
+		}
+	}
+}
+
 func TestDecodeNodeMalformed(t *testing.T) {
 	good, _ := EncodeNode(&Node{Label: bitlabel.MustParse("#01"), Leaf: true,
 		Records: []record.Record{{Key: 0.6, Value: []byte("v")}}})
-	flagsAt := 2 + bitlabel.BinaryLen // version, one-byte epoch, label
+	label, _ := bitlabel.MustParse("#01").MarshalBinary()
+	flagsAt := 2 + len(label) // version, one-byte epoch, label
 	cases := map[string][]byte{
 		"empty":           nil,
 		"unknown version": append([]byte{9}, good[1:]...),

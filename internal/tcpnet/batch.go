@@ -209,7 +209,7 @@ func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string
 	cur, frame, err := batchCall(ctx, n.pick(), dht.OpGetBatch, len(slots), func(b []byte) ([]byte, error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
-			b = appendLenString(b, keys[i])
+			b = appendKey(b, keys[i])
 		}
 		if h.set {
 			b = binary.BigEndian.AppendUint64(b, h.v)
@@ -254,7 +254,7 @@ func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV,
 	cur, frame, err := batchCall(ctx, n.pick(), dht.OpPutBatch, len(slots), func(b []byte) (_ []byte, err error) {
 		b = appendUv(b, uint64(len(slots)))
 		for _, i := range slots {
-			b = appendLenString(b, kvs[i].Key)
+			b = appendKey(b, kvs[i].Key)
 			at := len(b) // the value's length goes here
 			if b, err = appendValue(append(b, 0), kvs[i].Val); err != nil {
 				return nil, err

@@ -409,7 +409,7 @@ func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([
 // (and the value it guards) survive untouched.
 func (n *clientNode) getRaw(ctx context.Context, key string) ([]byte, error) {
 	tv, frame, err := n.simpleCall(ctx, dht.OpGet, func(b []byte) ([]byte, error) {
-		return appendLenString(b, key), nil
+		return appendKey(b, key), nil
 	})
 	if err != nil {
 		return nil, err
@@ -424,7 +424,7 @@ func (n *clientNode) getRaw(ctx context.Context, key string) ([]byte, error) {
 // copy loses, which is exactly right for a restore or a replayed hint.
 func (n *clientNode) putNewer(ctx context.Context, key string, tagged []byte) error {
 	_, frame, err := n.simpleCall(ctx, dht.OpPutNewer, func(b []byte) ([]byte, error) {
-		return append(appendLenString(b, key), tagged...), nil
+		return append(appendKey(b, key), tagged...), nil
 	})
 	if err != nil {
 		return err
@@ -455,7 +455,7 @@ type req struct {
 // frame appends r's payload to b: the key, then what r.op carries. It is
 // the one place a keyed request's frame is spelt out.
 func (r req) frame(b []byte) ([]byte, error) {
-	b = appendLenString(b, r.key)
+	b = appendKey(b, r.key)
 	switch r.op {
 	case dht.OpGet:
 		if r.hint.set {

@@ -331,7 +331,7 @@ func (c *Client) parkHint(ctx context.Context, key, holderAddr string, v dht.Val
 		var frame *[]byte
 		_, frame, err = n.simpleCall(ctx, dht.OpHintPut, func(b []byte) ([]byte, error) {
 			b = appendLenString(b, holderAddr)
-			b = appendLenString(b, key)
+			b = appendKey(b, key)
 			return appendValue(b, v)
 		})
 		if err != nil {

@@ -15,8 +15,8 @@ import (
 // recycles every buffer it touches, so the encode/decode hot path
 // allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT6"; a server closes one
-// that opens with anything else — an LHT5 peer of the generation before
+// A connection opens with the 4-byte magic "LHT7"; a server closes one
+// that opens with anything else — an LHT6 peer of the generation before
 // this one included — before serving a frame. Nodes and clients of one
 // generation upgrade together. After the magic, both directions speak
 // length-prefixed frames whose header is two unsigned varints:
@@ -40,21 +40,34 @@ import (
 // echoes the id's bytes verbatim, and not the op: the client knows what
 // it sent. The op byte is uint8(dht.OpKind).
 //
-// Request payloads (uv = unsigned varint; "rest" = to the frame's end):
+// Request payloads (uv = unsigned varint; "rest" = to the frame's end;
+// key = a key field, below):
 //
 //	ping                    (empty): the handshake every connection opens with
-//	get                     uv klen, key [, hint u64 BE]
-//	take / remove           uv klen, key
-//	put / write             uv klen, key, value(rest)
-//	putnewer                uv klen, key, value(rest); stored only if no
-//	                        strictly newer epoch tag is already held
-//	putif / writeif         uv klen, key, uv ifEpoch, value(rest)
-//	createif                uv klen, key, value(rest)
-//	removeif                uv klen, key, uv ifEpoch
-//	patchif                 uv klen, key, mode u8, then for mode 0 hint
-//	                        u64 BE, for modes 1 and 2 uv ifEpoch; patch(rest)
-//	getbatch                uv count, count x (uv klen, key) [, hint u64 BE]
-//	putbatch                uv count, count x (uv klen, key, uv vlen, value)
+//	get                     key [, hint u64 BE]
+//	take / remove           key
+//	put / write             key, value(rest)
+//	putnewer                key, value(rest); stored only if no strictly
+//	                        newer epoch tag is already held
+//	putif / writeif         key, uv ifEpoch, value(rest)
+//	createif                key, value(rest)
+//	removeif                key, uv ifEpoch
+//	patchif                 key, mode u8, then for mode 0 hint u64 BE, for
+//	                        modes 1 and 2 uv ifEpoch; patch(rest)
+//	getbatch                uv count, count x key [, hint u64 BE]
+//	putbatch                uv count, count x (key, uv vlen, value)
+//	hintput                 uv alen, holder addr, key, value(rest)
+//
+// Keys. Every key field is uv x, then the key. The index's keys are
+// label names (bitlabel), '#' and a bit string, and such a key of at most
+// 64 bits travels packed: x = nbits<<1 | 1, then ceil(nbits/8) bytes of
+// the bits, most significant first, the pad bits of the last byte zero —
+// "#0110" is the two bytes 0x09 0x60. Any other key travels raw: x =
+// len<<1, then its bytes. A node expands a packed key back to its '#'
+// string before it looks it up, so the store, the ring and snapshots hold
+// the same strings either way; it refuses, as malformed, a packed form of
+// more than 64 bits or with a pad bit set. Addresses are no keys: they
+// stay uv len, then the bytes.
 //
 // A value is a tag byte followed by its serialized form:
 //
@@ -166,7 +179,7 @@ import (
 // n-byte message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT6"
+	wireMagic = "LHT7"
 
 	// maxFrameLen bounds a frame's length field: decoders reject anything
 	// larger before allocating, so a garbage or hostile header can never
@@ -215,6 +228,7 @@ var (
 	errFrameTooSmall = errors.New("tcpnet: frame shorter than header")
 	errFrameID       = errors.New("tcpnet: frame id overflows 64 bits")
 	errTruncated     = errors.New("tcpnet: truncated frame payload")
+	errKeyForm       = errors.New("tcpnet: packed key past 64 bits or with a pad bit set")
 )
 
 // bufPool recycles frame buffers across requests; the hot path gets and
@@ -266,6 +280,47 @@ func appendLenBytes(b, p []byte) []byte {
 func appendLenString(b []byte, s string) []byte {
 	b = appendUv(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// maxPackedBits is the most bits a key's packed form carries.
+const maxPackedBits = 64
+
+// keyScratch is what cursor.key expands a packed key into.
+type keyScratch [1 + maxPackedBits]byte
+
+// appendKey appends a key field: a label's name, '#' and up to
+// maxPackedBits '0'/'1' bytes, packed eight bits a byte; any other key
+// raw (see "Keys" in the package comment).
+func appendKey(b []byte, key string) []byte {
+	if !packable(key) {
+		b = appendUv(b, uint64(len(key))<<1)
+		return append(b, key...)
+	}
+	n := len(key) - 1
+	b = appendUv(b, uint64(n)<<1|1)
+	var acc byte
+	for i := 1; i <= n; i++ {
+		if acc = acc<<1 | (key[i] - '0'); i%8 == 0 {
+			b, acc = append(b, acc), 0
+		}
+	}
+	if n%8 != 0 {
+		b = append(b, acc<<(8-n%8))
+	}
+	return b
+}
+
+// packable reports whether key has a packed form.
+func packable(key string) bool {
+	if len(key) == 0 || key[0] != '#' || len(key) > 1+maxPackedBits {
+		return false
+	}
+	for i := 1; i < len(key); i++ {
+		if key[i] != '0' && key[i] != '1' {
+			return false
+		}
+	}
+	return true
 }
 
 // closeLen writes the varint length of what follows b[at], a one-byte
@@ -554,6 +609,43 @@ func (c *cursor) lenBytes() ([]byte, error) {
 	v := c.b[:n]
 	c.b = c.b[n:]
 	return v, nil
+}
+
+// key reads a key field appendKey wrote: a raw key as a view into the
+// frame buffer, a packed one expanded into scratch, valid until scratch's
+// next use. A packed form of more than maxPackedBits bits, or with a pad
+// bit set, is malformed; a cut-short one is truncated.
+func (c *cursor) key(scratch *keyScratch) ([]byte, error) {
+	x, err := c.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	n := x >> 1
+	if x&1 == 0 {
+		if n > uint64(len(c.b)) {
+			return nil, errTruncated
+		}
+		v := c.b[:n]
+		c.b = c.b[n:]
+		return v, nil
+	}
+	if n > maxPackedBits {
+		return nil, errKeyForm
+	}
+	k := int(n+7) / 8
+	if k > len(c.b) {
+		return nil, errTruncated
+	}
+	packed := c.b[:k]
+	if n%8 != 0 && packed[k-1]<<(n%8) != 0 {
+		return nil, errKeyForm
+	}
+	scratch[0] = '#'
+	for i := 0; i < int(n); i++ {
+		scratch[1+i] = '0' + packed[i/8]>>(7-i%8)&1
+	}
+	c.b = c.b[k:]
+	return scratch[:1+n], nil
 }
 
 // rest consumes and returns everything left.

@@ -204,7 +204,7 @@ func TestFrameHeaderBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	payload := len(appendLenString(nil, "k"))
+	payload := len(appendKey(nil, "k"))
 	body := 1 + 1 + len(value) // status, tagRaw, value
 	for _, id := range []uint64{1, 128, 16384} {
 		setNextID(t, c, id)

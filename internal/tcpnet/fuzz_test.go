@@ -24,15 +24,19 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Well-formed frames of every op, so the corpus mutates from inside
 	// the grammar, not just outside it.
-	get := appendLenString(nil, "key")
-	put := appendLenString(nil, "key")
+	// name is the stored bucket's name, a key that travels packed.
+	name := wideBucket().Label.Name().Key()
+	padded := appendKey(nil, name)
+	padded[len(padded)-1] |= 1
+	get := appendKey(nil, "key")
+	put := appendKey(nil, "key")
 	put = append(put, tagRaw)
 	put = append(put, []byte("value")...)
 	getBatch := binary.AppendUvarint(nil, 2)
-	getBatch = appendLenString(getBatch, "a")
-	getBatch = appendLenString(getBatch, "b")
+	getBatch = appendKey(getBatch, "a")
+	getBatch = appendKey(getBatch, "b")
 	putBatch := binary.AppendUvarint(nil, 1)
-	putBatch = appendLenString(putBatch, "a")
+	putBatch = appendKey(putBatch, "a")
 	putBatch = appendLenBytes(putBatch, []byte{tagRaw, 'v'})
 	seeds := [][]byte{
 		buildFrame(1, dht.OpPing, nil),
@@ -82,12 +86,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		// patcher refuses (nothing is marked).
 		buildFrame(22, dht.OpPatchIf, patchIf("key", patchInPlace, 7, ilht.MarkSplitPatch())),
 		buildFrame(23, dht.OpPatchIf, patchIf("key", patchInPlace, 7, ilht.CommitSplitPatch())),
+		// The bucket under its own name, a packed key: a get, a record
+		// probe, a patch riding one, and the name with a pad bit set, which
+		// is malformed.
+		buildFrame(28, dht.OpGet, appendKey(nil, name)),
+		buildFrame(29, dht.OpGet, recordGet(name, 0.703125)),
+		buildFrame(30, dht.OpPatchIf, probePatch(name, ilht.ProbeHint(0.7101, false), ilht.UpsertPatch(record.Record{Key: 0.7101, Value: []byte("v")}, 77, 20))),
+		buildFrame(31, dht.OpGet, padded),
 	}
 	// A hinted getbatch of the bucket, the raw value and an absent key; and
 	// the same keys with a tail that is no hint, which is malformed.
 	probed := binary.AppendUvarint(nil, 3)
-	for _, k := range []string{"key", "raw", "absent"} {
-		probed = appendLenString(probed, k)
+	for _, k := range []string{"key", "raw", "absent", name, "#" + keyBits} {
+		probed = appendKey(probed, k)
 	}
 	seeds = append(seeds, buildFrame(24, dht.OpGetBatch, binary.BigEndian.AppendUint64(probed, ilht.RangeHint(0.704, 0.71))))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
@@ -129,6 +140,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Serve the request; garbage payloads must answer, not panic.
 		s := NewServer()
 		plantValue(s, "key", stored)
+		plantValue(s, name, stored)
 		plantValue(s, "raw", []byte{tagRaw, 'v'})
 		out, off := s.applyFrame(id, body, nil)
 		resp := out[off:]
@@ -159,7 +171,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// to itself.
 		if op == dht.OpGet && status == statusOK {
 			hc := cursor{b: body[1:]}
-			_, _ = hc.lenBytes()
+			_, _ = hc.key(new(keyScratch))
 			ranged := len(hc.b) == 8 && binary.BigEndian.Uint64(hc.b)&(1<<62) != 0
 			switch v, err := decodeTagged(c.rest(), true); v.(type) {
 			case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord:
@@ -173,16 +185,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Whatever the patch, what it leaves stored is a bucket, what it
 		// answers decodes, and only a tagWire value was ever patched.
 		if op == dht.OpPatchIf {
-			if v, err := decodeTaggedValue(storedValue(s, "key")); err != nil {
-				t.Fatalf("a patchif left %x stored: %v", storedValue(s, "key"), err)
-			} else if _, ok := v.(*ilht.Bucket); !ok {
-				t.Fatalf("a patchif left a %T stored", v)
+			for _, k := range []string{"key", name} {
+				if v, err := decodeTaggedValue(storedValue(s, k)); err != nil {
+					t.Fatalf("a patchif left %x stored: %v", storedValue(s, k), err)
+				} else if _, ok := v.(*ilht.Bucket); !ok {
+					t.Fatalf("a patchif left a %T stored", v)
+				}
 			}
 			if string(storedValue(s, "raw")) != string([]byte{tagRaw, 'v'}) {
 				t.Fatalf("a patchif rewrote a raw value to %x", storedValue(s, "raw"))
 			}
 			pc := cursor{b: body[1:]}
-			_, _ = pc.lenBytes()
+			_, _ = pc.key(new(keyScratch))
 			probe := len(pc.b) > 0 && pc.b[0] == patchProbe
 			reply := c.rest()
 			if status == statusOK && probe {
@@ -220,7 +234,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			rc := cursor{b: body[1:]}
 			n, err := rc.count()
 			for i := 0; i < n && err == nil; i++ {
-				_, err = rc.lenBytes()
+				_, err = rc.key(new(keyScratch))
 			}
 			if err == nil && len(rc.b) != 0 && len(rc.b) != 8 && status != statusErr {
 				t.Fatalf("a getbatch with %d bytes after its keys was answered with status %d", len(rc.b), status)
@@ -232,7 +246,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// when it claims to be a batch response (client symmetry: these
 		// parsers also must not panic on anything the fuzzer reaches).
 		if op == dht.OpGetBatch || op == dht.OpPutBatch {
-			cc := cursor{b: rbody[1:]}
+			cc := cursor{b: rbody}
 			if st, _ := cc.u8(); st == statusOK {
 				n, err := cc.count()
 				if err != nil {

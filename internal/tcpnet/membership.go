@@ -539,7 +539,7 @@ func (s *Server) respondMembership(op dht.OpKind, c *cursor, out []byte) []byte 
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}

@@ -26,14 +26,14 @@ import (
 
 // patchIf is the payload of a patchif in mode 1 or 2.
 func patchIf(key string, mode byte, ifEpoch uint64, patch []byte) []byte {
-	b := append(appendLenString(nil, key), mode)
+	b := append(appendKey(nil, key), mode)
 	return append(appendUv(b, ifEpoch), patch...)
 }
 
 // probePatch is the payload of a patchif in mode 0: a Patch riding a
 // probe of key with hint.
 func probePatch(key string, hint uint64, patch []byte) []byte {
-	b := append(appendLenString(nil, key), patchProbe)
+	b := append(appendKey(nil, key), patchProbe)
 	return append(binary.BigEndian.AppendUint64(b, hint), patch...)
 }
 
@@ -211,10 +211,10 @@ func TestPatchIfOnTheWire(t *testing.T) {
 		"newer, stored behind": {patchIf("bucket", patchNewer, 12, del), appendCASConflict(nil, true, 11)},
 		"newer, absent":        {patchIf("absent", patchNewer, 11, del), appendCASConflict(nil, false, 0)},
 		"newer, refused":       {patchIf("bucket", patchNewer, 11, ilht.DeletePatch(0.7188, 0)), []byte{statusPatchRefused}},
-		"no mode":              {appendLenString(nil, "bucket"), appendStatusErr(nil, errMalformed)},
+		"no mode":              {appendKey(nil, "bucket"), appendStatusErr(nil, errMalformed)},
 		"mode 3":               {patchIf("bucket", 3, 11, del), appendStatusErr(nil, errMalformed)},
-		"no epoch":             {append(appendLenString(nil, "bucket"), patchNewer), appendStatusErr(nil, errMalformed)},
-		"probe, no hint":       {append(appendLenString(nil, "bucket"), patchProbe, 1, 2, 3), appendStatusErr(nil, errMalformed)},
+		"no epoch":             {append(appendKey(nil, "bucket"), patchNewer), appendStatusErr(nil, errMalformed)},
+		"probe, no hint":       {append(appendKey(nil, "bucket"), patchProbe, 1, 2, 3), appendStatusErr(nil, errMalformed)},
 		"no key":               {nil, appendStatusErr(nil, errMalformed)},
 	} {
 		resp := serve(srv, buildFrame(1, dht.OpPatchIf, tc.payload), nil)
@@ -634,7 +634,7 @@ func TestUnhintedBatchIsServedAsBefore(t *testing.T) {
 	plantValue(srv, "raw", []byte{tagRaw, 'v'})
 	keys := binary.AppendUvarint(nil, 3)
 	for _, k := range []string{"bucket", "raw", "absent"} {
-		keys = appendLenString(keys, k)
+		keys = appendKey(keys, k)
 	}
 	want := appendLenBytes(append(appendUv([]byte{statusOK}, 3), statusOK), bucket)
 	want = append(appendLenBytes(append(want, statusOK), storedValue(srv, "raw")), statusNotFound)

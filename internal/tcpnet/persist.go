@@ -9,13 +9,21 @@ import (
 	"path/filepath"
 )
 
-// snapshotFormat versions the on-disk layout. Format 3 stores tagged
+// snapshotFormat versions the on-disk layout. Format 4 stores tagged
 // values exactly as the store holds them (see frame.go for the tags), its
-// buckets in lht's bucket wire format 2. Format 2 held the same tags over
-// version-1 buckets, and format 1 bare gob values; both are refused, as
-// is a snapshot that holds a value in the retired gob form: a node could
-// not serve any of them.
-const snapshotFormat = 3
+// buckets in lht's bucket wire format 3 (compact labels) under the '#'
+// strings of their names. The formats before it (refusedFormats) are
+// refused, as is a snapshot that holds a value in the retired gob form: a
+// node could not serve any of them.
+const snapshotFormat = 4
+
+// refusedFormats says what each earlier snapshot format held that a node
+// of this one cannot serve.
+var refusedFormats = map[int]string{
+	1: "bare gob values",
+	2: "buckets in bucket wire format 1",
+	3: "buckets in bucket wire format 2",
+}
 
 type snapshot struct {
 	Format int
@@ -78,6 +86,9 @@ func (s *Server) LoadSnapshot(path string) error {
 	var snap snapshot
 	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
 		return fmt.Errorf("tcpnet: snapshot decode: %w", err)
+	}
+	if held, ok := refusedFormats[snap.Format]; ok {
+		return fmt.Errorf("tcpnet: snapshot format %d holds %s; this node reads format %d, buckets in bucket wire format 3", snap.Format, held, snapshotFormat)
 	}
 	if snap.Format != snapshotFormat {
 		return fmt.Errorf("tcpnet: snapshot format %d, want %d", snap.Format, snapshotFormat)

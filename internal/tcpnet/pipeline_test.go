@@ -78,7 +78,7 @@ func batchServer(t *testing.T, hold int) (addr string, done <-chan struct{}) {
 				return
 			}
 			c := cursor{b: body[1:]}
-			key, err := c.lenBytes()
+			key, err := c.key(new(keyScratch))
 			if err != nil {
 				return
 			}

@@ -35,12 +35,12 @@ func wideBucket() *ilht.Bucket {
 // hintedGet is a get request payload carrying a probe hint: the bucket
 // is wanted.
 func hintedGet(key string, delta float64) []byte {
-	return binary.BigEndian.AppendUint64(appendLenString(nil, key), ilht.ProbeHint(delta, false))
+	return binary.BigEndian.AppendUint64(appendKey(nil, key), ilht.ProbeHint(delta, false))
 }
 
 // recordGet is hintedGet for a prober that wants delta's record alone.
 func recordGet(key string, delta float64) []byte {
-	return binary.BigEndian.AppendUint64(appendLenString(nil, key), ilht.ProbeHint(delta, true))
+	return binary.BigEndian.AppendUint64(appendKey(nil, key), ilht.ProbeHint(delta, true))
 }
 
 // TestProbeTrimsOnlyWhatTheKindAllows: over the wire a probe of a bucket
@@ -114,7 +114,7 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	// bucket's header, the record reply those plus one record; the server
 	// counts a probe as the get it is.
 	before := srv.Metrics()
-	whole := serve(srv, buildFrame(1, dht.OpGet, appendLenString(nil, "bucket")), nil)
+	whole := serve(srv, buildFrame(1, dht.OpGet, appendKey(nil, "bucket")), nil)
 	cut := serve(srv, buildFrame(2, dht.OpGet, hintedGet("bucket", 0.1)), nil)
 	miss := serve(srv, buildFrame(3, dht.OpGet, hintedGet("absent", 0.1)), nil)
 	one := serve(srv, buildFrame(4, dht.OpGet, recordGet("bucket", present.Key)), nil)
@@ -203,7 +203,7 @@ func serveRehinted(t *testing.T, real *Server, rehint func(uint64) uint64) strin
 					}
 					if dht.OpKind((*body)[0]) == dht.OpGet {
 						c := cursor{b: (*body)[1:]}
-						if _, err := c.lenBytes(); err == nil && len(c.b) == 8 {
+						if _, err := c.key(new(keyScratch)); err == nil && len(c.b) == 8 {
 							binary.BigEndian.PutUint64(c.b, rehint(binary.BigEndian.Uint64(c.b)))
 						}
 					}
@@ -440,7 +440,7 @@ func TestRangeProbeShipsTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	rangeGet := func(lo, hi float64) []byte {
-		return binary.BigEndian.AppendUint64(appendLenString(nil, "bucket"), ilht.RangeHint(lo, hi))
+		return binary.BigEndian.AppendUint64(appendKey(nil, "bucket"), ilht.RangeHint(lo, hi))
 	}
 	// Records 20 to 44. The bounds are rounded outward, by less than the
 	// half-gap to record 45 but by enough to take a key that is a bound.
@@ -450,7 +450,7 @@ func TestRangeProbeShipsTheRun(t *testing.T) {
 	outside := serve(srv, buildFrame(2, dht.OpGet, rangeGet(0.1, 0.2)), nil)
 	run := serve(srv, buildFrame(3, dht.OpGet, slice), nil)
 	all := serve(srv, buildFrame(4, dht.OpGet, rangeGet(0, 1)), nil)
-	whole := serve(srv, buildFrame(5, dht.OpGet, appendLenString(nil, "bucket")), nil)
+	whole := serve(srv, buildFrame(5, dht.OpGet, appendKey(nil, "bucket")), nil)
 	header, outside, run, all, whole = replyBody(header), replyBody(outside), replyBody(run), replyBody(all), replyBody(whole)
 	if !bytes.Equal(outside, header) {
 		t.Errorf("a range that misses the leaf was answered with %d bytes, a key that does with %d: want the header both times", len(outside), len(header))

@@ -11,7 +11,7 @@ import (
 )
 
 // Server is one storage node: a byte store behind the framed binary
-// protocol (frame.go). A connection opens with the "LHT6" magic or is
+// protocol (frame.go). A connection opens with the "LHT7" magic or is
 // closed unserved. Create with NewServer, start with Serve, stop with
 // Close.
 type Server struct {
@@ -26,6 +26,9 @@ type Server struct {
 	// array of the value the last one replaced (see patchStored). Like
 	// the store's values it is touched only under mu.
 	spare []byte
+	// keys is where a request's packed key is expanded to its string
+	// (cursor.key); like spare it is touched only under mu.
+	keys  keyScratch
 	ln    net.Listener
 	conns map[net.Conn]struct{}
 	done  bool

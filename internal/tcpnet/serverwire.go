@@ -114,7 +114,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return append(out, statusOK)
 
 	case dht.OpGet, dht.OpTake:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		// A get may carry a probe hint after the key; a take never does.
 		hinted := op == dht.OpGet && len(c.b) == 8
 		if err != nil || !(c.empty() || hinted) {
@@ -136,7 +136,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return append(out, v...)
 
 	case dht.OpPut:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
@@ -151,7 +151,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		// accepted write in place, so a late-arriving older fan-out can
 		// never leave this holder durably stale. Charged like OpPut — the
 		// cost model sees propagation identically either way.
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
@@ -167,7 +167,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return append(out, statusOK)
 
 	case dht.OpRemove:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil || !c.empty() {
 			return appendStatusErr(out, errMalformed)
 		}
@@ -176,7 +176,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return append(out, statusOK)
 
 	case dht.OpWrite:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
@@ -188,7 +188,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return append(out, statusOK)
 
 	case dht.OpPutIf, dht.OpWriteIf:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
@@ -217,7 +217,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return append(out, statusOK)
 
 	case dht.OpCreateIf:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
@@ -233,7 +233,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return append(out, statusOK)
 
 	case dht.OpRemoveIf:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}
@@ -259,7 +259,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		}
 		cc := c
 		for i := 0; i < n; i++ {
-			if _, err := cc.lenBytes(); err != nil {
+			if _, err := cc.key(&s.keys); err != nil {
 				return appendStatusErr(out, errMalformed)
 			}
 		}
@@ -274,7 +274,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		out = append(out, statusOK)
 		out = appendUv(out, uint64(n))
 		for i := 0; i < n; i++ {
-			key, _ := c.lenBytes()
+			key, _ := c.key(&s.keys)
 			v, ok := s.get(key)
 			if !ok {
 				s.c.Add(metrics.FailedGets, 1)
@@ -298,7 +298,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		}
 		cc := c
 		for i := 0; i < n; i++ {
-			if _, err := cc.lenBytes(); err != nil {
+			if _, err := cc.key(&s.keys); err != nil {
 				return appendStatusErr(out, errMalformed)
 			}
 			if _, err := cc.lenBytes(); err != nil {
@@ -312,7 +312,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		s.c.Add(metrics.BatchOps, 1)
 		s.c.Add(metrics.BatchedKeys, int64(n))
 		for i := 0; i < n; i++ { // in order: a duplicate key's last pair wins
-			key, _ := c.lenBytes()
+			key, _ := c.key(&s.keys)
 			val, _ := c.lenBytes()
 			s.put(key, append([]byte(nil), val...))
 		}
@@ -328,7 +328,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		return s.respondMembership(op, &c, out)
 
 	case dht.OpPatchIf:
-		key, err := c.lenBytes()
+		key, err := c.key(&s.keys)
 		if err != nil {
 			return appendStatusErr(out, errMalformed)
 		}

@@ -66,7 +66,7 @@ func TestStoredBytesStayBehindTheLock(t *testing.T) {
 		if k == "c" {
 			model[k].Records = model[k].Records[:18]
 		}
-		payload := append(appendLenString(nil, k), mustAppendValue(t, model[k])...)
+		payload := append(appendKey(nil, k), mustAppendValue(t, model[k])...)
 		if resp := serve(srv, buildFrame(1, dht.OpPut, payload), nil); status(resp)[0] != statusOK {
 			t.Fatalf("put %s answered % x", k, status(resp))
 		}
@@ -84,7 +84,7 @@ func TestStoredBytesStayBehindTheLock(t *testing.T) {
 			}
 		}
 	}
-	get := serve(srv, buildFrame(2, dht.OpGet, appendLenString(nil, "a")), nil)
+	get := serve(srv, buildFrame(2, dht.OpGet, appendKey(nil, "a")), nil)
 	probe := serve(srv, buildFrame(3, dht.OpGet, recordGet("b", model["b"].Records[9].Key)), nil)
 	replies := [][]byte{bytes.Clone(get), bytes.Clone(probe)}
 	path := filepath.Join(t.TempDir(), "node.snap")

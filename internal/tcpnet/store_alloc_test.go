@@ -50,20 +50,20 @@ func TestAppliedWritesReuseTheStoredKey(t *testing.T) {
 			payload func() []byte // built before each call, not measured
 			want    float64
 		}{
-			{"put", dht.OpPut, func() []byte { v, _ := current(); return append(appendLenString(nil, key), v...) }, 1},
-			{"putnewer", dht.OpPutNewer, func() []byte { v, _ := current(); return append(appendLenString(nil, key), v...) }, 1},
-			{"write", dht.OpWrite, func() []byte { v, _ := current(); return append(appendLenString(nil, key), v...) }, 1},
+			{"put", dht.OpPut, func() []byte { v, _ := current(); return append(appendKey(nil, key), v...) }, 1},
+			{"putnewer", dht.OpPutNewer, func() []byte { v, _ := current(); return append(appendKey(nil, key), v...) }, 1},
+			{"write", dht.OpWrite, func() []byte { v, _ := current(); return append(appendKey(nil, key), v...) }, 1},
 			{"putif", dht.OpPutIf, func() []byte {
 				v, e := current()
-				return append(appendUv(appendLenString(nil, key), e), v...)
+				return append(appendUv(appendKey(nil, key), e), v...)
 			}, 1},
 			{"writeif", dht.OpWriteIf, func() []byte {
 				v, e := current()
-				return append(appendUv(appendLenString(nil, key), e), v...)
+				return append(appendUv(appendKey(nil, key), e), v...)
 			}, 1},
 			{"putbatch", dht.OpPutBatch, func() []byte {
 				v, _ := current()
-				return appendLenBytes(appendLenString(appendUv(nil, 1), key), v)
+				return appendLenBytes(appendKey(appendUv(nil, 1), key), v)
 			}, 1},
 			{"patchif probe", dht.OpPatchIf, func() []byte { return probePatch(key, hint, flip()) }, 0},
 			{"patchif newer", dht.OpPatchIf, func() []byte {
@@ -76,7 +76,7 @@ func TestAppliedWritesReuseTheStoredKey(t *testing.T) {
 			}, 0},
 			{"createif", dht.OpCreateIf, func() []byte {
 				delete(srv.store, created)
-				return append(appendLenString(nil, created), mustAppendValue(t, b)...)
+				return append(appendKey(nil, created), mustAppendValue(t, b)...)
 			}, 2},
 		}
 		out := make([]byte, 0, 256)

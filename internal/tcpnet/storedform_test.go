@@ -128,7 +128,7 @@ func TestSnapshotWithRetiredFormIsRefused(t *testing.T) {
 // TestSnapshotOfThePreviousFormatIsRefused: a snapshot written in the
 // format before this one holds buckets in a wire version no node decodes,
 // projects or patches, so LoadSnapshot refuses it whole, naming the
-// format, and the store stays as it was.
+// format and its buckets' format, and the store stays as it was.
 func TestSnapshotOfThePreviousFormatIsRefused(t *testing.T) {
 	path := t.TempDir() + "/old.snap"
 	old := snapshot{Format: snapshotFormat - 1, Store: map[string][]byte{"#": {tagRaw, 'v'}}}
@@ -138,8 +138,10 @@ func TestSnapshotOfThePreviousFormatIsRefused(t *testing.T) {
 	dst := NewServer()
 	plantValue(dst, "mine", []byte{tagRaw, 'm'})
 	err := dst.LoadSnapshot(path)
-	if want := fmt.Sprintf("snapshot format %d", old.Format); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("LoadSnapshot = %v, want a refusal naming %q", err, want)
+	for _, want := range []string{fmt.Sprintf("snapshot format %d", old.Format), "bucket wire format 2"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadSnapshot = %v, want a refusal naming %q", err, want)
+		}
 	}
 	if len(dst.store) != 1 || !bytes.Equal(storedValue(dst, "mine"), []byte{tagRaw, 'm'}) {
 		t.Errorf("the refused load changed the store: %q", dst.store)

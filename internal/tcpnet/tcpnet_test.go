@@ -229,7 +229,7 @@ const gobPutStream = "c\x7f\x03\x01\x01\arequest\x01\xff\x80\x00\x01\b\x01\x02Op
 	"\v\xff\x80\x01\x03\x01\x01k\x01\x01\x01\x00"
 
 // TestServerRejectsNonMagic: a connection that does not open with the
-// LHT6 magic, or follows it with something that is not a frame, is closed
+// LHT7 magic, or follows it with something that is not a frame, is closed
 // without a byte served, the store untouched and no handler left behind.
 func TestServerRejectsNonMagic(t *testing.T) {
 	_, servers := startCluster(t, 1)
@@ -246,7 +246,8 @@ func TestServerRejectsNonMagic(t *testing.T) {
 		"1 byte then EOF":   {send: "L", halfClose: true},
 		"3 bytes then EOF":  {send: "LHT", halfClose: true},
 		"wrong magic":       {send: "LHT1"},
-		"the last magic":    {send: "LHT5" + string(previousFrame(0, dht.OpPing, nil))},
+		"the last magic":    {send: "LHT6" + string(buildFrame(0, dht.OpPing, nil))},
+		"an older magic":    {send: "LHT5" + string(oldFrame(0, dht.OpPing, nil))},
 		"magic, short len":  {send: wireMagic + "\x01junk"},
 		"magic, huge len":   {send: wireMagic + "\xff\xff\xff\xffjunk"},
 		"magic, torn frame": {send: wireMagic + "\x20junk", halfClose: true},
@@ -280,14 +281,16 @@ func TestServerRejectsNonMagic(t *testing.T) {
 
 // TestServerClosesThePreviousGeneration: a peer of the protocol generation
 // before this one opens with its own magic and a ping, then a put, as such
-// a client would. The node closes the connection with not one frame served
-// — no ping reply for its handshake to misread — and stores nothing.
+// a client would: the frames are this generation's, the key field its own,
+// uv klen and the key's bytes. The node closes the connection with not one
+// frame served — no ping reply for its handshake to misread — and stores
+// nothing.
 func TestServerClosesThePreviousGeneration(t *testing.T) {
 	_, servers := startCluster(t, 1)
 	srv := servers[0]
-	put := append(appendLenString(nil, "k"), tagRaw, 'v')
+	put := append(appendLenString(nil, "#0110"), tagRaw, 'v')
 	previous := wireMagic[:3] + string(wireMagic[3]-1)
-	msg := append(append([]byte(previous), previousFrame(0, dht.OpPing, nil)...), previousFrame(1, dht.OpPut, put)...)
+	msg := append(append([]byte(previous), buildFrame(0, dht.OpPing, nil)...), buildFrame(1, dht.OpPut, put)...)
 	conn, err := net.Dial("tcp", srv.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -306,9 +309,9 @@ func TestServerClosesThePreviousGeneration(t *testing.T) {
 	}
 }
 
-// previousFrame is a request frame of the generation before this one
-// (LHT5): a u32 length, a u64 id and the op, then the payload.
-func previousFrame(id uint64, op dht.OpKind, payload []byte) []byte {
+// oldFrame is a request frame of the LHT5 generation: a u32 length, a u64
+// id and the op, then the payload.
+func oldFrame(id uint64, op dht.OpKind, payload []byte) []byte {
 	b := binary.BigEndian.AppendUint32(nil, uint32(9+len(payload)))
 	b = append(binary.BigEndian.AppendUint64(b, id), byte(op))
 	return append(b, payload...)

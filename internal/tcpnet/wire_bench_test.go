@@ -27,7 +27,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bufp := newFrame(uint64(i), dht.OpPut)
-		frame := appendLenString(*bufp, "bench/key/000042")
+		frame := appendKey(*bufp, "bench/key/000042")
 		frame = append(frame, tagRaw)
 		frame = append(frame, val...)
 		*bufp = frame
@@ -40,12 +40,13 @@ func BenchmarkFrameEncode(b *testing.B) {
 // of a put request. Steady state allocates nothing — the body's buffer is
 // pooled.
 func BenchmarkFrameDecode(b *testing.B) {
-	frame := appendLenString(*newFrame(7, dht.OpPut), "bench/key/000042")
+	frame := appendKey(*newFrame(7, dht.OpPut), "bench/key/000042")
 	frame = append(frame, tagRaw)
 	frame = append(frame, bytes.Repeat([]byte("x"), 256)...)
 	raw := frame[finishFrame(frame):]
 	r := bytes.NewReader(raw)
 	br := bufio.NewReader(r)
+	var keys keyScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Reset(raw)
@@ -56,7 +57,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		c := cursor{b: (*body)[1:]}
-		if _, err := c.lenBytes(); err != nil {
+		if _, err := c.key(&keys); err != nil {
 			b.Fatal(err)
 		}
 		if v := c.rest(); len(v) != 257 {
@@ -120,6 +121,12 @@ func ioSyscalls() (n int64, ok bool) {
 	return n, true
 }
 
+// leafKey is the key the round-trip benchmarks store under, a leaf's DHT
+// name as the index writes it: its wire-B/op includes what a name costs
+// on the wire, and Go never allocates a one-byte string, so a one-byte
+// key would hide what a node allocates for a written key.
+var leafKey = wideBucket().Label.Name().Key()
+
 // BenchmarkWireGet / BenchmarkWirePut time the full client round trip
 // with a raw []byte value: run with -benchmem to see the allocs/op that
 // ablation A8 gates on. BenchmarkWireGet also reports wire-B/op, request
@@ -144,7 +151,7 @@ func BenchmarkWireGetLocked(b *testing.B) {
 func benchWireGet(b *testing.B) {
 	c, wire := benchCluster(b)
 	ctx := context.Background()
-	if err := c.Put(ctx, "k", bytes.Repeat([]byte("x"), 256)); err != nil {
+	if err := c.Put(ctx, leafKey, bytes.Repeat([]byte("x"), 256)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -152,7 +159,7 @@ func benchWireGet(b *testing.B) {
 	before, counted := ioSyscalls()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(ctx, "k"); err != nil {
+		if _, err := c.Get(ctx, leafKey); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,25 +186,20 @@ func BenchmarkWireProbeSelected(b *testing.B) {
 func benchWireProbe(b *testing.B, hint uint64) {
 	c, wire := benchCluster(b)
 	ctx := context.Background()
-	if err := c.Put(ctx, "k", wideBucket()); err != nil {
+	if err := c.Put(ctx, leafKey, wideBucket()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	crossed := wire.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Probe(ctx, "k", hint); err != nil {
+		if _, err := c.Probe(ctx, leafKey, hint); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	reportWire(b, wire.Load()-crossed)
 }
-
-// leafKey is the key the write benchmarks store under, a leaf's DHT name
-// as the index writes it. Go never allocates a one-byte string, so a
-// one-byte key would hide what a node allocates for a written key.
-var leafKey = wideBucket().Label.Name().Key()
 
 // BenchmarkWirePutIf / BenchmarkWirePatch are the two ways to overwrite
 // one 64-byte record of a 75-record bucket, full client round trip: the
@@ -300,12 +302,12 @@ func benchWirePatchCrossing(b *testing.B, depth int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := c.Put(ctx, "k", leaf); err != nil {
+		if err := c.Put(ctx, leafKey, leaf); err != nil {
 			b.Fatal(err)
 		}
 		from := wire.Load()
 		b.StartTimer()
-		v, err := c.Patch(ctx, "k", hint, patch)
+		v, err := c.Patch(ctx, leafKey, hint, patch)
 		if _, split := v.(*ilht.Cut); err != nil || split != (depth > leaf.Label.Len()) {
 			b.Fatalf("crossing Patch = %T, %v", v, err)
 		}
