@@ -63,13 +63,6 @@ func (f *flakySubstrate) Put(ctx context.Context, key string, v dht.Value) error
 	return f.inner.Put(ctx, key, v)
 }
 
-func (f *flakySubstrate) Take(ctx context.Context, key string) (dht.Value, error) {
-	if err := f.fault(); err != nil {
-		return nil, err
-	}
-	return f.inner.Take(ctx, key)
-}
-
 func (f *flakySubstrate) Remove(ctx context.Context, key string) error {
 	if err := f.fault(); err != nil {
 		return err

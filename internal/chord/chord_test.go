@@ -111,35 +111,34 @@ func TestPutGetAcrossRing(t *testing.T) {
 	}
 }
 
-func TestTakeRemoveWrite(t *testing.T) {
-	r := newRing(t, 8, Config{Seed: 4})
-	if err := r.Put(context.Background(), "a", 1); err != nil {
+// TestRemoveWrite pins Write and Remove over a replicated ring: Write
+// reaches every replica, and Remove leaves no copy on any of them.
+func TestRemoveWrite(t *testing.T) {
+	r := newRing(t, 8, Config{Seed: 4, Replicas: 3})
+	ctx := context.Background()
+	if err := r.Put(ctx, "a", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Write(context.Background(), "a", 2); err != nil {
+	if err := r.Write(ctx, "a", 2); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := r.Get(context.Background(), "a"); v.(int) != 2 {
+	if v, _ := r.Get(ctx, "a"); v.(int) != 2 {
 		t.Fatalf("Write lost: %v", v)
 	}
-	if err := r.Write(context.Background(), "missing", 1); !errors.Is(err, dht.ErrNotFound) {
+	if err := r.Write(ctx, "missing", 1); !errors.Is(err, dht.ErrNotFound) {
 		t.Fatalf("Write missing = %v", err)
 	}
-	v, err := r.Take(context.Background(), "a")
-	if err != nil || v.(int) != 2 {
-		t.Fatalf("Take = %v, %v", v, err)
-	}
-	if _, err := r.Take(context.Background(), "a"); !errors.Is(err, dht.ErrNotFound) {
-		t.Fatal("second Take should miss")
-	}
-	if err := r.Put(context.Background(), "b", 3); err != nil {
+	if err := r.Remove(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Remove(context.Background(), "b"); err != nil {
-		t.Fatal(err)
+	if _, err := r.Get(ctx, "a"); !errors.Is(err, dht.ErrNotFound) {
+		t.Fatalf("Get after Remove = %v", err)
 	}
-	if _, err := r.Get(context.Background(), "b"); !errors.Is(err, dht.ErrNotFound) {
-		t.Fatal("Remove did not delete")
+	if n := r.TotalKeys(); n != 0 {
+		t.Fatalf("Remove left %d copies behind", n)
+	}
+	if err := r.Remove(ctx, "a"); err != nil {
+		t.Fatalf("Remove of absent key = %v, must not error", err)
 	}
 }
 
@@ -340,15 +339,13 @@ func TestReadSpreading(t *testing.T) {
 	}
 	// With 3 replicas and a rotating sequence, 2/3 of reads start
 	// off-primary.
-	if n := r.SpreadReads(); n < 10 {
+	if n := agg.Snapshot().Load.SpreadReads; n < 10 {
 		t.Errorf("SpreadReads = %d after 30 replicated reads", n)
-	}
-	if got, want := agg.Snapshot().Load.SpreadReads, r.SpreadReads(); got != want {
-		t.Errorf("chained aggregate SpreadReads = %d, ring says %d", got, want)
 	}
 
 	// Unreplicated rings have a single holder: nothing to spread.
-	r1 := newRing(t, 8, Config{Seed: 22})
+	agg1 := &metrics.Counters{}
+	r1 := newRing(t, 8, Config{Seed: 22, Counters: agg1})
 	if err := r1.Put(context.Background(), "solo", 7); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +354,7 @@ func TestReadSpreading(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := r1.SpreadReads(); n != 0 {
+	if n := agg1.Snapshot().Load.SpreadReads; n != 0 {
 		t.Errorf("SpreadReads = %d with Replicas=1", n)
 	}
 }
@@ -367,8 +364,8 @@ func TestReadSpreading(t *testing.T) {
 // replicated Get costs exactly one DHT-lookup whether or not its start
 // was rotated — identical to the primary-pinned behavior it replaced.
 func TestReadSpreadingCostOracle(t *testing.T) {
-	r := newRing(t, 8, Config{Seed: 23, Replicas: 3})
 	var c metrics.Counters
+	r := newRing(t, 8, Config{Seed: 23, Replicas: 3, Counters: &c})
 	d := dht.NewInstrumented(r, &c)
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
@@ -386,7 +383,7 @@ func TestReadSpreadingCostOracle(t *testing.T) {
 	if got := c.Snapshot().Lookup.Total - before; got != reads {
 		t.Errorf("60 replicated Gets charged %d lookups, want exactly %d", got, reads)
 	}
-	if r.SpreadReads() == 0 {
+	if c.Snapshot().Load.SpreadReads == 0 {
 		t.Error("no reads were spread across the replica chain")
 	}
 }

@@ -212,17 +212,6 @@ func (n *Node) rpcFetch(key string) (dht.Value, bool) {
 	return v, ok
 }
 
-// rpcTake removes and returns one value.
-func (n *Node) rpcTake(key string) (dht.Value, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	v, ok := n.data[key]
-	if ok {
-		delete(n.data, key)
-	}
-	return v, ok
-}
-
 // rpcRemove deletes one value.
 func (n *Node) rpcRemove(key string) {
 	n.mu.Lock()

@@ -74,10 +74,8 @@ type Ring struct {
 	rng   *rand.Rand
 	nodes map[string]*Node // every node ever added and not removed
 
-	// readSeq rotates the replica a read starts at (see rotateStart);
-	// spreadReads counts reads that started off-primary.
-	readSeq     atomic.Uint64
-	spreadReads atomic.Int64
+	// readSeq rotates the replica a read starts at (see rotateStart).
+	readSeq atomic.Uint64
 
 	// held is the per-key holder registry: every node that may store a
 	// copy of the key (fed by Node.onStore from every copy-creating path,
@@ -361,14 +359,10 @@ func (r *Ring) rotateStart(key string, n int) int {
 	_, _ = h.Write([]byte(key))
 	start := int((uint64(h.Sum32()) + r.readSeq.Add(1) - 1) % uint64(n))
 	if start != 0 {
-		r.spreadReads.Add(1)
 		r.cfg.Counters.Add(metrics.SpreadReads, 1)
 	}
 	return start
 }
-
-// SpreadReads reports how many reads started at a non-primary replica.
-func (r *Ring) SpreadReads() int64 { return r.spreadReads.Load() }
 
 // recordHold marks n as a possible holder of keys in the retirement
 // registry. Invoked (via Node.onStore) after every store, with the
@@ -472,29 +466,6 @@ func (r *Ring) Get(ctx context.Context, key string) (dht.Value, error) {
 		}
 	}
 	return nil, errMissing(key, slid)
-}
-
-// Take implements dht.DHT: fetch-and-delete across the replica chain.
-func (r *Ring) Take(ctx context.Context, key string) (dht.Value, error) {
-	chain, _, slid, err := r.replicaChain(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		out   dht.Value
-		found bool
-	)
-	start := r.rotateStart(key, len(chain))
-	for i := range chain {
-		if v, ok := chain[(start+i)%len(chain)].rpcTake(key); ok && !found {
-			out, found = v, true
-		}
-	}
-	if !found {
-		return nil, errMissing(key, slid)
-	}
-	r.retireStale(key, nil)
-	return out, nil
 }
 
 // Remove implements dht.DHT.

@@ -53,9 +53,6 @@ func (f fallbackOnly) Get(ctx context.Context, key string) (dht.Value, error) {
 func (f fallbackOnly) Put(ctx context.Context, key string, v dht.Value) error {
 	return f.d.Put(ctx, key, v)
 }
-func (f fallbackOnly) Take(ctx context.Context, key string) (dht.Value, error) {
-	return f.d.Take(ctx, key)
-}
 func (f fallbackOnly) Remove(ctx context.Context, key string) error { return f.d.Remove(ctx, key) }
 func (f fallbackOnly) Write(ctx context.Context, key string, v dht.Value) error {
 	return f.d.Write(ctx, key, v)

@@ -28,7 +28,9 @@ const (
 	OpGet
 	// OpPut matches Put (and each pair of a PutBatch).
 	OpPut
-	// OpTake matches Take.
+	// OpTake is wire-level only: the op byte of tcpnet.Client.Take; no
+	// DHT method, so crash schedules never match it. It keeps its slot
+	// because the enum's values are the wire's op bytes.
 	OpTake
 	// OpRemove matches Remove.
 	OpRemove

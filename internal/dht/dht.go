@@ -4,7 +4,7 @@
 // instrumentation wrapper, and a retry/backoff policy wrapper for
 // transient substrate faults.
 //
-// Every routed operation (Put, Get, Take, Remove) costs exactly one
+// Every routed operation (Put, Get, Remove) costs exactly one
 // DHT-lookup in the paper's cost model: the underlying substrate resolves
 // the key to its responsible peer (typically O(log N) physical hops) and
 // performs the storage action there. Write is the deliberate exception: it
@@ -118,12 +118,6 @@ type DHT interface {
 	// Put stores v under key, replacing any previous value. Costs one
 	// DHT-lookup.
 	Put(ctx context.Context, key string, v Value) error
-
-	// Take atomically removes and returns the value stored under key, or
-	// returns ErrNotFound. Costs one DHT-lookup. The LHT index does not
-	// use it: leaf merges and repairs delete a bucket with the
-	// epoch-guarded RemoveIf (Conditional).
-	Take(ctx context.Context, key string) (Value, error)
 
 	// Remove deletes the value under key if present; removing an absent
 	// key is not an error. Costs one DHT-lookup.

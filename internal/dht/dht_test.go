@@ -43,23 +43,6 @@ func TestLocalBasicOps(t *testing.T) {
 	}
 }
 
-func TestLocalTake(t *testing.T) {
-	d := NewLocal()
-	if _, err := d.Take(context.Background(), "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Take missing = %v", err)
-	}
-	if err := d.Put(context.Background(), "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := d.Take(context.Background(), "k")
-	if err != nil || v.(string) != "v" {
-		t.Fatalf("Take = %v, %v", v, err)
-	}
-	if _, err := d.Get(context.Background(), "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("Take must remove the key")
-	}
-}
-
 func TestLocalWrite(t *testing.T) {
 	d := NewLocal()
 	if err := d.Write(context.Background(), "k", 1); !errors.Is(err, ErrNotFound) {
@@ -131,18 +114,16 @@ func TestInstrumentedCounting(t *testing.T) {
 	_ = d.Put(context.Background(), "a", 1)       // 1 lookup
 	_, _ = d.Get(context.Background(), "a")       // 2
 	_, _ = d.Get(context.Background(), "missing") // 3, 1 failed
-	_, _ = d.Take(context.Background(), "a")      // 4
-	_, _ = d.Take(context.Background(), "a")      // 5, 2 failed
-	_ = d.Remove(context.Background(), "a")       // 6
-	_ = d.Put(context.Background(), "b", 1)       // 7
+	_ = d.Remove(context.Background(), "a")       // 4
+	_ = d.Put(context.Background(), "b", 1)       // 5
 	_ = d.Write(context.Background(), "b", 2)     // free
 
 	s := c.Snapshot()
-	if s.Lookup.Total != 7 {
-		t.Errorf("Lookups = %d, want 7", s.Lookup.Total)
+	if s.Lookup.Total != 5 {
+		t.Errorf("Lookups = %d, want 5", s.Lookup.Total)
 	}
-	if s.Lookup.FailedGets != 2 {
-		t.Errorf("FailedGets = %d, want 2", s.Lookup.FailedGets)
+	if s.Lookup.FailedGets != 1 {
+		t.Errorf("FailedGets = %d, want 1", s.Lookup.FailedGets)
 	}
 	if v, err := d.Get(context.Background(), "b"); err != nil || v.(int) != 2 {
 		t.Errorf("Write through instrumentation failed: %v, %v", v, err)

@@ -76,23 +76,6 @@ func Run(t *testing.T, factory func(t *testing.T) dht.DHT, opts Options) {
 		}
 	})
 
-	t.Run("TakeSemantics", func(t *testing.T) {
-		d := factory(t)
-		if _, err := d.Take(ctx, "k"); !errors.Is(err, dht.ErrNotFound) {
-			t.Fatalf("Take(absent) = %v", err)
-		}
-		if err := d.Put(ctx, "k", o.ValueFactory(3)); err != nil {
-			t.Fatal(err)
-		}
-		v, err := d.Take(ctx, "k")
-		if err != nil || !o.ValueEqual(v, 3) {
-			t.Fatalf("Take = %v, %v", v, err)
-		}
-		if _, err := d.Get(ctx, "k"); !errors.Is(err, dht.ErrNotFound) {
-			t.Fatal("Take must remove the key")
-		}
-	})
-
 	t.Run("RemoveIdempotent", func(t *testing.T) {
 		d := factory(t)
 		if err := d.Put(ctx, "k", o.ValueFactory(4)); err != nil {
@@ -187,9 +170,6 @@ func Run(t *testing.T, factory func(t *testing.T) dht.DHT, opts Options) {
 		}
 		if err := d.Put(cctx, "k2", o.ValueFactory(8)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Put(cancelled) = %v, want context.Canceled", err)
-		}
-		if _, err := d.Take(cctx, "k"); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Take(cancelled) = %v, want context.Canceled", err)
 		}
 		if err := d.Remove(cctx, "k"); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Remove(cancelled) = %v, want context.Canceled", err)

@@ -9,7 +9,7 @@ import "context"
 // what it changes; a new per-key capability is a row, a case and a
 // method here and reaches the substrate through every wrapper.
 
-// prim names one per-key primitive: the five DHT methods and each method
+// prim names one per-key primitive: the four DHT methods and each method
 // of the optional per-key planes (Conditional, Prober, Patcher).
 type prim uint8
 
@@ -17,7 +17,6 @@ const (
 	primGet prim = iota
 	primProbe
 	primPut
-	primTake
 	primRemove
 	primWrite
 	primPutIf
@@ -44,7 +43,6 @@ var prims = [...]struct {
 	primGet:          {kind: OpGet, lookups: 1, miss: true},
 	primProbe:        {kind: OpGet, lookups: 1, miss: true},
 	primPut:          {kind: OpPut, lookups: 1},
-	primTake:         {kind: OpTake, lookups: 1, miss: true},
 	primRemove:       {kind: OpRemove, lookups: 1},
 	primWrite:        {kind: OpWrite},
 	primPutIf:        {kind: OpPutIf, lookups: 1, conditional: true},
@@ -78,8 +76,6 @@ func (c call) on(ctx context.Context, d DHT) (Value, error) {
 		return DoProbe(ctx, d, c.key, c.hint)
 	case primPut:
 		return nil, d.Put(ctx, c.key, c.val)
-	case primTake:
-		return d.Take(ctx, c.key)
 	case primRemove:
 		return nil, d.Remove(ctx, c.key)
 	case primWrite:
@@ -122,10 +118,6 @@ func (k perKey) Probe(ctx context.Context, key string, hint uint64) (Value, erro
 func (k perKey) Put(ctx context.Context, key string, v Value) error {
 	_, err := k.l.do(ctx, call{prim: primPut, key: key, val: v})
 	return err
-}
-
-func (k perKey) Take(ctx context.Context, key string) (Value, error) {
-	return k.l.do(ctx, call{prim: primTake, key: key})
 }
 
 func (k perKey) Remove(ctx context.Context, key string) error {

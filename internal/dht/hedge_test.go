@@ -21,7 +21,6 @@ func (s *scriptGet) Get(ctx context.Context, key string) (Value, error) {
 	return s.get(s.calls.Add(1), ctx)
 }
 func (s *scriptGet) Put(ctx context.Context, key string, v Value) error   { return nil }
-func (s *scriptGet) Take(ctx context.Context, key string) (Value, error)  { return nil, ErrNotFound }
 func (s *scriptGet) Remove(ctx context.Context, key string) error         { return nil }
 func (s *scriptGet) Write(ctx context.Context, key string, v Value) error { return nil }
 

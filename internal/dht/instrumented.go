@@ -9,7 +9,7 @@ import (
 )
 
 // Instrumented wraps a DHT and charges every routed operation to a
-// metrics.Counters according to the paper's cost model: Get, Put, Take and
+// metrics.Counters according to the paper's cost model: Get, Put and
 // Remove each cost one DHT-lookup; failed Gets are additionally counted so
 // experiments can report them; Write is free. Operations that end in
 // context cancellation or deadline expiry are also tallied

@@ -52,21 +52,6 @@ func (l *Local) Put(ctx context.Context, key string, v Value) error {
 	return nil
 }
 
-// Take implements DHT.
-func (l *Local) Take(ctx context.Context, key string) (Value, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	v, ok := l.data[key]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	delete(l.data, key)
-	return v, nil
-}
-
 // Remove implements DHT.
 func (l *Local) Remove(ctx context.Context, key string) error {
 	if err := ctxErr(ctx); err != nil {

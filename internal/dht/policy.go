@@ -176,9 +176,7 @@ func (d *PolicyDHT) backoff(ctx context.Context, n int) error {
 // Only what Classify accepts is retried. A CAS conflict or a refused
 // patch is an answer — IsTransient rejects both — so it surfaces to the
 // index layer's optimistic-retry loop on the first attempt instead of
-// burning backoff rounds on an identical doomed operation. Take is safe
-// to retry against the repository's substrates: delivery is synchronous,
-// so a failed attempt means the fetch-and-delete did not happen.
+// burning backoff rounds on an identical doomed operation.
 func (d *PolicyDHT) do(ctx context.Context, c call) (Value, error) {
 	var err error
 	actx := ctx

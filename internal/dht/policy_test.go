@@ -43,13 +43,6 @@ func (f *flaky) Put(ctx context.Context, key string, v Value) error {
 	return f.inner.Put(ctx, key, v)
 }
 
-func (f *flaky) Take(ctx context.Context, key string) (Value, error) {
-	if err := f.attempt(); err != nil {
-		return nil, err
-	}
-	return f.inner.Take(ctx, key)
-}
-
 func (f *flaky) Remove(ctx context.Context, key string) error {
 	if err := f.attempt(); err != nil {
 		return err

@@ -87,38 +87,38 @@ func TestNetworkPutGet(t *testing.T) {
 	}
 }
 
-func TestTakeRemoveWrite(t *testing.T) {
+// TestRemoveWrite pins Write and Remove over a replicated network:
+// Write reaches every holder, and Remove leaves no copy on any of the K
+// closest.
+func TestRemoveWrite(t *testing.T) {
 	nw, err := NewNetwork(10, Config{Seed: 2, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Put(context.Background(), "a", 1); err != nil {
+	ctx := context.Background()
+	if err := nw.Put(ctx, "a", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Write(context.Background(), "a", 2); err != nil {
+	if err := nw.Write(ctx, "a", 2); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := nw.Get(context.Background(), "a"); v.(int) != 2 {
+	if v, _ := nw.Get(ctx, "a"); v.(int) != 2 {
 		t.Fatal("Write did not propagate to replicas")
 	}
-	if err := nw.Write(context.Background(), "missing", 0); !errors.Is(err, dht.ErrNotFound) {
+	if err := nw.Write(ctx, "missing", 0); !errors.Is(err, dht.ErrNotFound) {
 		t.Fatalf("Write missing = %v", err)
 	}
-	v, err := nw.Take(context.Background(), "a")
-	if err != nil || v.(int) != 2 {
-		t.Fatalf("Take = %v, %v", v, err)
-	}
-	if _, err := nw.Get(context.Background(), "a"); !errors.Is(err, dht.ErrNotFound) {
-		t.Fatal("Take left replicas behind")
-	}
-	if err := nw.Put(context.Background(), "b", 3); err != nil {
+	if err := nw.Remove(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Remove(context.Background(), "b"); err != nil {
-		t.Fatal(err)
+	if _, err := nw.Get(ctx, "a"); !errors.Is(err, dht.ErrNotFound) {
+		t.Fatalf("Get after Remove = %v", err)
 	}
-	if err := nw.Remove(context.Background(), "b"); err != nil {
-		t.Fatal("Remove of absent key must not error")
+	if n := nw.TotalKeys(); n != 0 {
+		t.Fatalf("Remove left %d copies behind", n)
+	}
+	if err := nw.Remove(ctx, "a"); err != nil {
+		t.Fatalf("Remove of absent key = %v, must not error", err)
 	}
 }
 

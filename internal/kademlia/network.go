@@ -86,13 +86,11 @@ func (n *node) rpcFindValue(from Ref, key string, k int) (dht.Value, bool, []Ref
 	return nil, false, n.table.closest(hashring.HashKey(key), k)
 }
 
-// rpcDelete removes a key (used by the DHT facade's Remove/Take).
-func (n *node) rpcDelete(key string) (dht.Value, bool) {
+// rpcDelete removes a key (used by Remove and RemoveIf).
+func (n *node) rpcDelete(key string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v, ok := n.data[key]
 	delete(n.data, key)
-	return v, ok
 }
 
 // rpcWriteLocal rewrites a value the node already stores.
@@ -116,10 +114,8 @@ type Network struct {
 	rng   *rand.Rand
 	nodes map[string]*node
 
-	// readSeq rotates the replica a read starts at (see rotateStart);
-	// spreadReads counts reads that started off the XOR-closest holder.
-	readSeq     atomic.Uint64
-	spreadReads atomic.Int64
+	// readSeq rotates the replica a read starts at (see rotateStart).
+	readSeq atomic.Uint64
 
 	// casMu serializes conditional read-compare-write cycles per key
 	// across the key's K-closest replica set, standing in for the storing
@@ -337,29 +333,33 @@ func (nw *Network) Lookup(ctx context.Context, key string) ([]Ref, int, error) {
 
 // --- dht.DHT -------------------------------------------------------------
 
-// Put implements dht.DHT: STORE on the K closest nodes.
-func (nw *Network) Put(ctx context.Context, key string, v dht.Value) error {
+// closest routes from a random entry node to key's K closest live nodes.
+// Finding none is the transient ErrNoNodes.
+func (nw *Network) closest(ctx context.Context, key string) (*node, []Ref, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	origin, err := nw.entry()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	refs, _ := nw.iterativeFindNode(ctx, origin, hashring.HashKey(key))
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if len(refs) == 0 {
-		return dht.MarkTransient(ErrNoNodes)
+		return nil, nil, dht.MarkTransient(ErrNoNodes)
 	}
-	for _, r := range refs {
-		peer, err := nw.dial(origin, r.Addr)
-		if err != nil {
-			continue
-		}
-		peer.rpcStore(origin.ref, key, v)
+	return origin, refs, nil
+}
+
+// Put implements dht.DHT: STORE on the K closest nodes.
+func (nw *Network) Put(ctx context.Context, key string, v dht.Value) error {
+	origin, refs, err := nw.closest(ctx, key)
+	if err != nil {
+		return err
 	}
+	nw.storeOn(origin, refs, key, v)
 	return nil
 }
 
@@ -377,14 +377,10 @@ func (nw *Network) rotateStart(key string, n int) int {
 	_, _ = h.Write([]byte(key))
 	start := int((uint64(h.Sum32()) + nw.readSeq.Add(1) - 1) % uint64(n))
 	if start != 0 {
-		nw.spreadReads.Add(1)
 		nw.cfg.Counters.Add(metrics.SpreadReads, 1)
 	}
 	return start
 }
-
-// SpreadReads reports how many reads started at a non-closest holder.
-func (nw *Network) SpreadReads() int64 { return nw.spreadReads.Load() }
 
 // Get implements dht.DHT: iterative FIND_VALUE, starting at a rotated
 // member of the K-closest set.
@@ -413,45 +409,14 @@ func (nw *Network) Get(ctx context.Context, key string) (dht.Value, error) {
 	return nil, dht.ErrNotFound
 }
 
-// Take implements dht.DHT: fetch-and-delete across the K closest.
-func (nw *Network) Take(ctx context.Context, key string) (dht.Value, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	origin, err := nw.entry()
-	if err != nil {
-		return nil, err
-	}
-	refs, _ := nw.iterativeFindNode(ctx, origin, hashring.HashKey(key))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var (
-		out   dht.Value
-		found bool
-	)
-	for _, r := range refs {
-		peer, err := nw.dial(origin, r.Addr)
-		if err != nil {
-			continue
-		}
-		if v, ok := peer.rpcDelete(key); ok && !found {
-			out, found = v, true
-		}
-	}
-	if !found {
-		return nil, dht.ErrNotFound
-	}
-	return out, nil
-}
-
-// Remove implements dht.DHT.
+// Remove implements dht.DHT: DELETE on the K closest.
 func (nw *Network) Remove(ctx context.Context, key string) error {
-	_, err := nw.Take(ctx, key)
-	if errors.Is(err, dht.ErrNotFound) {
-		return nil
+	origin, refs, err := nw.closest(ctx, key)
+	if err != nil {
+		return err
 	}
-	return err
+	nw.deleteOn(origin, refs, key)
+	return nil
 }
 
 // Write implements dht.DHT: every replica holding the key rewrites it in
@@ -483,19 +448,9 @@ func (nw *Network) Write(ctx context.Context, key string, v dht.Value) error {
 // casResolve routes to the K closest nodes and reads the current value
 // for key from the first replica holding it.
 func (nw *Network) casResolve(ctx context.Context, key string) (refs []Ref, origin *node, cur dht.Value, found bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, false, err
-	}
-	origin, err = nw.entry()
+	origin, refs, err = nw.closest(ctx, key)
 	if err != nil {
 		return nil, nil, nil, false, err
-	}
-	refs, _ = nw.iterativeFindNode(ctx, origin, hashring.HashKey(key))
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, false, err
-	}
-	if len(refs) == 0 {
-		return nil, nil, nil, false, dht.MarkTransient(ErrNoNodes)
 	}
 	for _, r := range refs {
 		peer, err := nw.dial(origin, r.Addr)
@@ -517,6 +472,17 @@ func (nw *Network) storeOn(origin *node, refs []Ref, key string, v dht.Value) {
 			continue
 		}
 		peer.rpcStore(origin.ref, key, v)
+	}
+}
+
+// deleteOn DELETEs key on every reachable ref.
+func (nw *Network) deleteOn(origin *node, refs []Ref, key string) {
+	for _, r := range refs {
+		peer, err := nw.dial(origin, r.Addr)
+		if err != nil {
+			continue
+		}
+		peer.rpcDelete(key)
 	}
 }
 
@@ -569,13 +535,7 @@ func (nw *Network) RemoveIf(ctx context.Context, key string, ifEpoch uint64) err
 	if e := dht.EpochOf(cur); e != ifEpoch {
 		return &dht.CASConflictError{Key: key, Exists: true, WinnerEpoch: e}
 	}
-	for _, r := range refs {
-		peer, err := nw.dial(origin, r.Addr)
-		if err != nil {
-			continue
-		}
-		peer.rpcDelete(key)
-	}
+	nw.deleteOn(origin, refs, key)
 	return nil
 }
 

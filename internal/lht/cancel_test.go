@@ -36,10 +36,6 @@ func (b *blockingDHT) Put(ctx context.Context, key string, v dht.Value) error {
 	return b.inner.Put(ctx, key, v)
 }
 
-func (b *blockingDHT) Take(ctx context.Context, key string) (dht.Value, error) {
-	return b.inner.Take(ctx, key)
-}
-
 func (b *blockingDHT) Remove(ctx context.Context, key string) error {
 	return b.inner.Remove(ctx, key)
 }

@@ -45,13 +45,6 @@ func (f *faultDHT) Put(ctx context.Context, key string, v dht.Value) error {
 	return f.inner.Put(ctx, key, v)
 }
 
-func (f *faultDHT) Take(ctx context.Context, key string) (dht.Value, error) {
-	if err := f.tick(); err != nil {
-		return nil, err
-	}
-	return f.inner.Take(ctx, key)
-}
-
 func (f *faultDHT) Remove(ctx context.Context, key string) error {
 	if err := f.tick(); err != nil {
 		return err

@@ -367,7 +367,7 @@ func TestRangeOverSerializingDHT(t *testing.T) {
 }
 
 // codecDHT is a Local DHT that stores buckets serialized, decoding on
-// every Get/Take, so returned values never alias stored ones.
+// every Get, so returned values never alias stored ones.
 type codecDHT struct {
 	inner *dht.Local
 }
@@ -403,9 +403,6 @@ func (c *codecDHT) decode(v dht.Value, err error) (dht.Value, error) {
 
 func (c *codecDHT) Get(ctx context.Context, key string) (dht.Value, error) {
 	return c.decode(c.inner.Get(ctx, key))
-}
-func (c *codecDHT) Take(ctx context.Context, key string) (dht.Value, error) {
-	return c.decode(c.inner.Take(ctx, key))
 }
 func (c *codecDHT) Put(ctx context.Context, key string, v dht.Value) error {
 	return c.inner.Put(ctx, key, c.encode(v))

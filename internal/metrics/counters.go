@@ -5,8 +5,8 @@ package metrics
 type Counter int
 
 const (
-	// Lookups counts DHT-lookups: every routed Get/Put/Take/Remove, the
-	// paper's bandwidth measure (section 8.1).
+	// Lookups counts DHT-lookups: every routed Get/Put/Remove and
+	// conditional write, the paper's bandwidth measure (section 8.1).
 	Lookups Counter = iota
 	// FailedGets counts DHT-gets that found no value (already counted as
 	// lookups).
@@ -68,9 +68,9 @@ const (
 	// so the probe was answered as a probe: patch bytes shipped for
 	// nothing. A substrate that does not patch refuses every ride.
 	RidesRefused
-	// SpreadReads counts Get/Take operations whose replica iteration
-	// started at a rotated non-primary holder to spread a hot key's read
-	// load across its replica set.
+	// SpreadReads counts reads whose replica iteration started at a
+	// rotated non-primary holder to spread a hot key's read load across
+	// its replica set.
 	SpreadReads
 	// HedgedGets counts duplicate reads launched against another replica
 	// holder after the original attempt outlived the hedge delay. Hedges

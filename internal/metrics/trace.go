@@ -10,11 +10,15 @@ import (
 // the instrumentation layer, stamped with the operation class and phase
 // that issued it, its duration, and how it ended. A bounded ring of
 // these is enough to reconstruct a slow query span-by-span.
+//
+// Kind is one of get, put, remove, write, putif, createif, removeif,
+// writeif, get_batch and put_batch: a Probe or a Patch is traced as the
+// get it stands in for, a WritePatchIf as the writeif.
 type OpEvent struct {
 	Seq      uint64        // monotonically increasing per sink
 	Start    time.Time     // when the primitive was issued
 	Duration time.Duration // wall time of the primitive
-	Kind     string        // DHT primitive: get, put, take, remove, write, get_batch, put_batch
+	Kind     string        // DHT primitive, listed above
 	Key      string        // DHT key (empty for batches)
 	Keys     int           // number of keys carried (1, or batch width)
 	Op       Op            // operation class that issued it

@@ -596,7 +596,9 @@ func (c *Client) Put(ctx context.Context, key string, v dht.Value) error {
 	return c.eachHolder(ctx, req{op: dht.OpPut, key: key, val: v})
 }
 
-// Take implements dht.DHT.
+// Take fetches and deletes key on every holder and returns the first copy
+// found. It is no dht.DHT method: its one caller is the benchmark's
+// --trace 1 tap, and it goes when that tap does.
 func (c *Client) Take(ctx context.Context, key string) (dht.Value, error) {
 	return c.take(ctx, req{op: dht.OpTake, key: key})
 }

@@ -45,7 +45,8 @@ import (
 //
 //	ping                    (empty): the handshake every connection opens with
 //	get                     key [, hint u64 BE]
-//	take / remove           key
+//	take                    key: Client.Take's fetch-and-delete
+//	remove                  key
 //	put / write             key, value(rest)
 //	putnewer                key, value(rest); stored only if no strictly
 //	                        newer epoch tag is already held

@@ -14,11 +14,11 @@ package tcpnet
 //     holders only after the primary accepted it — via OpPutNewer, the
 //     epoch-ordered store: a holder rejects a propagated value whose
 //     epoch tag is older than what it already stores;
-//   - Get and Take rotate their starting holder per request across the
-//     secondary holders — keeping a hot key's read queue off its CAS
-//     serializer — and fall back through the remaining holders (the
-//     primary included) so a lagging replica costs an extra round trip,
-//     never a wrong answer.
+//   - Get (and Client.Take, which no dht.DHT method reaches) rotate
+//     their starting holder per request across the secondary holders —
+//     keeping a hot key's read queue off its CAS serializer — and fall
+//     back through the remaining holders (the primary included) so a
+//     lagging replica costs an extra round trip, never a wrong answer.
 //
 // A key is therefore never *stale* on a reachable holder (every accepted
 // write reaches all of them synchronously), at most *absent* where a
