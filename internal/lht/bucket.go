@@ -146,27 +146,31 @@ func (b *Bucket) String() string {
 //
 // Probe replies. A storing peer answers a probe (a hinted get or a slot of
 // a hinted multi-get, see ProbeHint and RangeHint) of a stored bucket with
-// one of four forms, built from the stored bytes, undecoded, by
+// one of five forms, built from the stored bytes, undecoded, by
 // projectBucket:
 //
 //	whole    the stored bytes: the bucket is torn or does not parse, or
 //	         it covers the hinted key and the prober wants the bucket
-//	header   the header bytes alone: an untorn leaf that does not cover
-//	         the hinted key, or does not overlap the hinted range
-//	record   an untorn leaf that covers the hinted key, for a prober that
-//	         wants the record alone:
-//	           marker u8 = 0xFF (never a wire version)
-//	           header      the stored header bytes, verbatim
-//	           found u8    0 = no record with that key in this leaf, 1
-//	           if found: key u64 BE, uv vlen, value (the stored record)
+//	header   an untorn leaf that does not cover the hinted key, or does
+//	         not overlap the hinted range:
+//	           marker u8 = 0xFB, label (bitlabel binary form)
+//	record   an untorn leaf that covers the hinted key and holds a record
+//	         with it, for a prober that wants the record alone:
+//	           marker u8 = 0xFF, label, then the stored record past its
+//	           key: uv vlen, value (the key is the hinted one, bit for
+//	           bit: a record whose key is stored as -0, which a hint
+//	           reads as +0, goes out in the whole bucket instead)
+//	absent   the same leaf when it holds no record with the hinted key:
+//	           marker u8 = 0xFA, label
 //	run      an untorn leaf that overlaps the hinted range:
-//	           marker u8 = 0xFD (never a wire version)
-//	           header      the stored header bytes, verbatim
-//	           record list the stored records whose keys fall in the
-//	                       hinted range, in stored order
+//	           marker u8 = 0xFD, label, then the record list of the stored
+//	           records whose keys fall in the hinted range, in stored order
 //
-// The four are told apart from their own bytes (decodeProbeReply), and
-// DecodeBucket accepts only the first.
+// A short form names the leaf by its label and drops the rest of the
+// header: a prober reads no version, epoch or intent off a leaf it did not
+// get whole, and a short form is only ever sent for an untorn leaf. No
+// marker is a wire version, so the five are told apart by their first
+// byte (decodeProbeReply), and DecodeBucket accepts only the first.
 //
 // Patches. A write that changes one record of an untorn leaf ships the
 // change, not the leaf (UpsertPatch, DeletePatch), and the storing peer
@@ -218,8 +222,8 @@ const (
 	bucketWireVersion = 3
 	// bucketWireKind is Bucket's dht.WireValue kind byte.
 	bucketWireKind = 1
-	// recordReplyMarker opens a record reply where a bucket or a header
-	// has its version byte.
+	// recordReplyMarker opens a record reply where a bucket has its
+	// version byte.
 	recordReplyMarker = 0xFF
 	// patchAckMarker opens a patch's short reply likewise.
 	patchAckMarker = 0xFE
@@ -227,6 +231,10 @@ const (
 	runReplyMarker = 0xFD
 	// splitReplyMarker opens a patch's split reply likewise.
 	splitReplyMarker = 0xFC
+	// headerReplyMarker opens a header reply likewise.
+	headerReplyMarker = 0xFB
+	// absentReplyMarker opens a record reply that found no record.
+	absentReplyMarker = 0xFA
 
 	patchUpsert      = 1
 	patchDelete      = 2
@@ -417,7 +425,7 @@ func parseRangeHint(hint uint64) keyspace.Interval {
 // projectBucket is the bucket's dht.WireProjector: the storing peer's
 // half of a probe (see "Probe replies" above). A probed bucket that does
 // not cover the hinted key tells Algorithm 2 only that a leaf with this
-// label lives under this name, so the header is all the prober can use;
+// label lives under this name, so its label is all the prober can use;
 // one that does cover it ends an exact-match query or a one-record
 // write's lookup, which reads a single record of it, found exactly as
 // record.FindByKey would. A range query's single gets likewise go on from
@@ -432,39 +440,43 @@ func projectBucket(dst, data []byte, hint uint64) []byte {
 	if err != nil || b.Torn() {
 		return append(dst, data...)
 	}
-	header := data[:len(data)-len(list)]
 	if hint&probeRange != 0 {
 		r := parseRangeHint(hint)
 		if !b.Interval().Overlaps(r) {
-			return append(dst, header...)
+			return appendShort(dst, headerReplyMarker, b.Label)
 		}
 		mark := len(dst)
-		dst = append(append(dst, runReplyMarker), header...)
-		if dst, err = record.AppendFilteredList(dst, list, r.Lo, r.Hi); err != nil {
+		if dst, err = record.AppendFilteredList(appendShort(dst, runReplyMarker, b.Label), list, r.Lo, r.Hi); err != nil {
 			return append(dst[:mark], data...)
 		}
 		return dst
 	}
 	delta, recordOnly := parseProbeHint(hint)
 	if !b.Contains(delta) {
-		return append(dst, header...)
+		return appendShort(dst, headerReplyMarker, b.Label)
 	}
 	if !recordOnly {
 		return append(dst, data...)
 	}
 	rec, err := record.FindInList(list, delta)
-	if err != nil {
-		return append(dst, data...)
+	switch {
+	case err != nil || rec != nil && binary.BigEndian.Uint64(rec) != math.Float64bits(delta):
+		return append(dst, data...) // a list that does not parse, or a key stored as -0, which the reply's key would lose
+	case rec == nil:
+		return appendShort(dst, absentReplyMarker, b.Label)
 	}
-	dst = append(append(dst, recordReplyMarker), header...)
-	if rec == nil {
-		return append(dst, 0)
-	}
-	return append(append(dst, 1), rec...)
+	return append(appendShort(dst, recordReplyMarker, b.Label), rec[8:]...) // past the key
+}
+
+// appendShort opens a short probe reply: its marker, then the leaf's
+// label.
+func appendShort(dst []byte, marker byte, l bitlabel.Label) []byte {
+	dst, _ = l.AppendBinary(append(dst, marker)) // never fails
+	return dst
 }
 
 // BucketHeader is a storing peer's whole answer to a probe its leaf
-// cannot satisfy (see projectBucket): proof that an untorn leaf with this
+// cannot satisfy (see projectBucket): word that an untorn leaf with this
 // label is stored under the probed name. It is deliberately a type of
 // its own and not a dht.WireValue, so nothing that handles buckets —
 // clone, CAS, write-back, a query's result — can be handed one.
@@ -484,71 +496,56 @@ type BucketRecord struct {
 	// Found reports whether the leaf holds a record with the hinted key.
 	Found bool
 	// Record is that record when Found; its value is a copy of its own.
+	// The reply does not carry the key, which is the hinted one bit for
+	// bit: the decoder leaves Record.Key zero, and the index's probe
+	// fills it in.
 	Record record.Record
 }
 
-// decodeProbeReply is the bucket kind's probe decoder. A reply that opens
-// with the record marker is a BucketRecord, one that opens with the run
-// marker a bucketRun, one that ends where its header ends a BucketHeader,
-// and anything else must be a whole bucket. A torn bucket is only ever
-// shipped whole, so any short form of one is refused.
+// decodeProbeReply is the bucket kind's probe decoder: a reply's first
+// byte is its form's marker (see "Probe replies"), or a whole bucket's
+// version byte.
 func decodeProbeReply(data []byte) (dht.Value, error) {
-	if len(data) > 0 && data[0] == recordReplyMarker {
-		return decodeRecordReply(data[1:])
-	}
-	if len(data) > 0 && data[0] == runReplyMarker {
-		return decodeRunReply(data[1:])
-	}
-	var b Bucket
-	rest, err := parseBucketHeader(&b, data)
-	if err != nil || len(rest) != 0 {
+	if len(data) == 0 {
 		return DecodeBucket(data)
 	}
-	if b.Torn() {
-		return nil, errors.New("decode bucket: header-only reply for a torn bucket")
+	switch data[0] {
+	case headerReplyMarker, absentReplyMarker, recordReplyMarker, runReplyMarker:
+	default:
+		return DecodeBucket(data)
 	}
-	return &BucketHeader{Label: b.Label}, nil
-}
-
-// decodeRunReply decodes a run reply past its marker. The decoder is not
-// told the probe's hint: the run is every record of the reply's list, in a
-// copy of its own, and the query's join filters it as it filters a whole
-// bucket's records.
-func decodeRunReply(data []byte) (dht.Value, error) {
-	var b Bucket
-	list, err := parseBucketHeader(&b, data)
+	label, rest, err := bitlabel.ReadBinary(data[1:])
 	if err != nil {
-		return nil, fmt.Errorf("decode run reply: %w", err)
+		return nil, fmt.Errorf("decode probe reply: %w", err)
 	}
-	if b.Torn() {
-		return nil, errors.New("decode run reply: sent for a torn bucket")
-	}
-	enc, n, err := record.FilterList(list, math.Inf(-1), math.Inf(1))
-	if err != nil {
-		return nil, fmt.Errorf("decode run reply: %w", err)
-	}
-	return &bucketRun{label: b.Label, n: n, enc: enc}, nil
-}
-
-// decodeRecordReply decodes a record reply past its marker.
-func decodeRecordReply(data []byte) (dht.Value, error) {
-	var b Bucket
-	rest, err := parseBucketHeader(&b, data)
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("decode record reply: %w", err)
-	case b.Torn():
-		return nil, errors.New("decode record reply: sent for a torn bucket")
-	case len(rest) == 1 && rest[0] == 0:
-		return &BucketRecord{Label: b.Label}, nil
-	case len(rest) > 1 && rest[0] == 1:
-		rec, err := record.DecodeRecord(rest[1:])
+	switch data[0] {
+	case runReplyMarker:
+		// The decoder is not told the probe's hint: the run is every
+		// record of the reply's list, in a copy of its own, and the
+		// query's join filters it as it filters a whole bucket's records.
+		enc, n, err := record.FilterList(rest, math.Inf(-1), math.Inf(1))
 		if err != nil {
-			return nil, fmt.Errorf("decode record reply: %w", err)
+			return nil, fmt.Errorf("decode run reply: %w", err)
 		}
-		return &BucketRecord{Label: b.Label, Found: true, Record: rec}, nil
+		return &bucketRun{label: label, n: n, enc: enc}, nil
+	case recordReplyMarker:
+		n, v, err := record.ReadUvarint(rest)
+		if err != nil || n != uint64(len(v)) {
+			return nil, errors.New("decode record reply: malformed record")
+		}
+		r := &BucketRecord{Label: label, Found: true}
+		if n > 0 {
+			r.Record.Value = append([]byte(nil), v...)
+		}
+		return r, nil
 	}
-	return nil, errors.New("decode record reply: malformed found flag")
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("decode probe reply: %d bytes past the label", len(rest))
+	}
+	if data[0] == absentReplyMarker {
+		return &BucketRecord{Label: label}, nil
+	}
+	return &BucketHeader{Label: label}, nil
 }
 
 // UpsertPatch is the patch that stores rec into the leaf covering its

@@ -284,38 +284,48 @@ func headerLen(t testing.TB, b *Bucket) int {
 
 // probeReply classifies what projectBucket shipped for data: "whole",
 // "header", "run", or "record" with the decoded reply; anything else
-// fails the test. A record or run reply must also be one DecodeBucket
-// refuses.
+// fails the test. A short reply must be one DecodeBucket refuses, open
+// with its marker and the stored leaf's label, and, for a header or a
+// record that is absent, end there.
 func probeReply(t testing.TB, data, reply []byte) (string, *BucketRecord) {
 	t.Helper()
-	var b Bucket
-	rest, err := parseBucketHeader(&b, data)
-	switch {
-	case bytes.Equal(reply, data):
+	if bytes.Equal(reply, data) {
 		return "whole", nil
-	case err == nil && bytes.Equal(reply, data[:len(data)-len(rest)]):
-		return "header", nil
 	}
 	v, err := decodeProbeReply(reply)
 	if _, err := DecodeBucket(reply); err == nil {
 		t.Fatalf("DecodeBucket accepted a short reply (%T)", v)
 	}
-	if _, ok := v.(*bucketRun); ok && err == nil {
-		return "run", nil
+	var b Bucket
+	if _, err := parseBucketHeader(&b, data); err != nil || len(reply) == 0 || !bytes.HasPrefix(reply, appendShort(nil, reply[0], b.Label)) {
+		t.Fatalf("a %d-byte short reply does not name the stored leaf %s (%v)", len(reply), b.Label, err)
 	}
-	r, ok := v.(*BucketRecord)
-	if err != nil || !ok {
-		t.Fatalf("a %d-byte reply to a probe of %d bytes is no whole, header, run or record: %T, %v", len(reply), len(data), v, err)
+	short := len(appendShort(nil, reply[0], b.Label))
+	switch v := v.(type) {
+	case *BucketHeader:
+		if len(reply) == short && err == nil {
+			return "header", nil
+		}
+	case *bucketRun:
+		if err == nil {
+			return "run", nil
+		}
+	case *BucketRecord:
+		if err == nil && (v.Found || len(reply) == short) {
+			return "record", v
+		}
 	}
-	return "record", r
+	t.Fatalf("a %d-byte reply to a probe of %d bytes is no whole, header, run or record: %T, %v", len(reply), len(data), v, err)
+	return "", nil
 }
 
 // The storing peer's half of a probe, over its three outcomes. A leaf
-// that cannot cover the hinted key is cut to its header; one that covers
+// that cannot cover the hinted key is cut to its label; one that covers
 // it goes out whole, or, for a prober that wants the record alone, as
-// header plus the record record.FindByKey would pick; a torn one, or
-// bytes that are no bucket at all, are shipped whole whatever was asked.
-// The reply is built from bytes in place: no decode, no allocation.
+// its label plus the value of the record record.FindByKey would pick (or
+// word that there is none); a torn one, or bytes that are no bucket at
+// all, are shipped whole whatever was asked. The reply is built from
+// bytes in place: no decode, no allocation.
 func TestTrimBucket(t *testing.T) {
 	b := referenceBucket()               // #0101101 = [0.703125, 0.71875)
 	b.Records[40].Key = b.Records[3].Key // a duplicate: the first in list order answers
@@ -327,8 +337,8 @@ func TestTrimBucket(t *testing.T) {
 	zeroData := mustEncode(t, zero)
 	badList := append([]byte(nil), data[:len(data)-1]...) // sound header, last value a byte short
 	absent := &BucketRecord{Label: b.Label}
-	found := func(b *Bucket, i int) *BucketRecord {
-		return &BucketRecord{Label: b.Label, Found: true, Record: b.Records[i]}
+	found := func(b *Bucket, i int) *BucketRecord { // the reply carries no key
+		return &BucketRecord{Label: b.Label, Found: true, Record: record.Record{Value: b.Records[i].Value}}
 	}
 	for _, tc := range []struct {
 		name       string
@@ -355,8 +365,8 @@ func TestTrimBucket(t *testing.T) {
 		{"record, just below", data, math.Nextafter(iv.Lo, 0), true, "header", nil},
 		{"record, far away", data, 0.1, true, "header", nil},
 		{"record, not a key", data, math.NaN(), true, "header", nil},
-		{"record of +0 stored as -0", zeroData, 0, true, "record", found(zero, 1)},
-		{"record of -0 stored as -0", zeroData, math.Copysign(0, -1), true, "record", found(zero, 1)},
+		{"record of +0 stored as -0", zeroData, 0, true, "whole", nil}, // the reply's key, the hint's, would read +0
+		{"record of -0 stored as -0", zeroData, math.Copysign(0, -1), true, "whole", nil},
 		{"bucket for -0", zeroData, math.Copysign(0, -1), false, "whole", nil},
 		{"record of an empty value", zeroData, 0.2, true, "record", found(zero, 2)},
 		{"record, list does not parse", badList, b.Records[0].Key, true, "whole", nil},
@@ -425,7 +435,7 @@ func TestProbeHint(t *testing.T) {
 	}
 }
 
-// What a probe may be answered with decodes to exactly one of three
+// What a probe may be answered with decodes to exactly one of four
 // types, and DecodeBucket, which every other path uses, takes only the
 // whole.
 func TestDecodeProbeReply(t *testing.T) {
@@ -437,31 +447,41 @@ func TestDecodeProbeReply(t *testing.T) {
 	if got, ok := v.(*Bucket); err != nil || !ok || !sameBucket(got, b) {
 		t.Fatalf("whole reply decoded to %T, %v", v, err)
 	}
-	v, err = decodeProbeReply(data[:hdr])
+	header := projectBucket(nil, data, ProbeHint(0.1, false))
+	v, err = decodeProbeReply(header)
 	if h, ok := v.(*BucketHeader); err != nil || !ok || h.Label != b.Label {
-		t.Fatalf("header-only reply decoded to %#v, %v", v, err)
+		t.Fatalf("header reply decoded to %#v, %v", v, err)
 	}
-	if _, err := DecodeBucket(data[:hdr]); err == nil {
-		t.Error("DecodeBucket accepted a header-only prefix")
+	absent := projectBucket(nil, data, ProbeHint(0.7101, true))
+	v, err = decodeProbeReply(absent)
+	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || r.Found {
+		t.Fatalf("absent-record reply decoded to %#v, %v", v, err)
 	}
-	for _, n := range []int{0, 1, hdr - 1, hdr + 1, len(data) - 1} {
+	for _, short := range [][]byte{header, absent} {
+		if _, err := DecodeBucket(short); err == nil {
+			t.Errorf("DecodeBucket accepted the short reply %x", short)
+		}
+		for n := 0; n < len(short); n++ {
+			if v, err := decodeProbeReply(short[:n]); err == nil {
+				t.Errorf("%d-byte prefix of %x decoded to %#v", n, short, v)
+			}
+		}
+	}
+	// A bucket's header alone, the short form of wire generations before
+	// the label forms, is no reply: it is a cut bucket.
+	for _, n := range []int{0, 1, hdr - 1, hdr, hdr + 1, len(data) - 1} {
 		if v, err := decodeProbeReply(data[:n]); err == nil {
 			t.Errorf("%d-byte prefix decoded to %T", n, v)
 		}
 	}
-	torn := referenceBucket()
-	torn.Pending = Pending{Kind: PendingSplit}
-	tornHdr := mustEncode(t, torn)[:headerLen(t, torn)]
-	if v, err := decodeProbeReply(tornHdr); err == nil {
-		t.Errorf("torn header decoded to %#v", v)
-	}
 
-	// The record reply: every cut of it but the whole is refused, as is a
-	// torn one, a flag that is neither 0 nor 1, and bytes after the record.
+	// The record reply: every cut of it but the whole is refused, as are
+	// bytes after the record, and the absent and header markers in front
+	// of a record.
 	reply := projectBucket(nil, data, ProbeHint(b.Records[5].Key, true))
 	v, err = decodeProbeReply(reply)
 	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || !r.Found ||
-		r.Record.Key != b.Records[5].Key || !bytes.Equal(r.Record.Value, b.Records[5].Value) {
+		r.Record.Key != 0 || !bytes.Equal(r.Record.Value, b.Records[5].Value) {
 		t.Fatalf("record reply decoded to %#v, %v", v, err)
 	}
 	// The reply stays in the allocator's 64-byte class: one more word and
@@ -485,13 +505,15 @@ func TestDecodeProbeReply(t *testing.T) {
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for name, bad := range map[string][]byte{
-		"torn":           cat([]byte{recordReplyMarker}, tornHdr, []byte{0}),
-		"flag 2":         cat(reply[:1+hdr], []byte{2}, reply[2+hdr:]),
-		"absent + bytes": cat(reply[:1+hdr], []byte{0}, reply[2+hdr:]),
-		"found, nothing": cat(reply[:1+hdr], []byte{1}),
-		"trailing byte":  cat(reply, []byte{0}),
-		"marker twice":   cat([]byte{recordReplyMarker}, reply),
-		"marker + whole": cat([]byte{recordReplyMarker}, data),
+		"absent + a record":    cat([]byte{absentReplyMarker}, reply[1:]),
+		"header + a record":    cat([]byte{headerReplyMarker}, reply[1:]),
+		"found, nothing":       cat([]byte{recordReplyMarker}, header[1:]),
+		"trailing byte":        cat(reply, []byte{0}),
+		"marker twice":         cat([]byte{recordReplyMarker}, reply),
+		"marker + whole":       cat([]byte{recordReplyMarker}, data),
+		"a label pad bit":      {headerReplyMarker, 1, 0x40},
+		"a label past MaxBits": {headerReplyMarker, bitlabel.MaxBits + 1, 0, 0, 0, 0, 0, 0, 0, 0},
+		"a patch's ack":        {patchAckMarker, 5},
 	} {
 		if v, err := decodeProbeReply(bad); err == nil {
 			t.Errorf("%s: decoded to %#v", name, v)
@@ -565,14 +587,14 @@ func bucketFuzzSeeds(tb testing.TB) [][]byte {
 //     exactly the input;
 //   - decode∘encode is the identity on buckets, floats compared bitwise;
 //   - of the prefixes of a valid encoding, a probe reply decodes the whole
-//     to the bucket, the header (of an untorn bucket) to a BucketHeader
-//     with its label, and every other one to an error — never to a bucket
-//     with fewer records;
+//     to the bucket and every other one to an error — never to a bucket
+//     with fewer records, nor, the header, to a BucketHeader;
 //   - the peer's projector, on arbitrary bytes and on a valid encoding
 //     probed with every key in it, one absent key and an arbitrary hint,
 //     ships only the whole, the header, a run (FuzzRangeProbe holds
 //     that form to its contract) or a record reply, the last refused by
-//     DecodeBucket and agreeing with record.FindByKey.
+//     DecodeBucket and agreeing with record.FindByKey, its key the hinted
+//     one bit for bit (a record stored under -0 goes out whole).
 func FuzzDecodeBucket(f *testing.F) {
 	for _, seed := range bucketFuzzSeeds(f) {
 		f.Add(seed)
@@ -628,10 +650,6 @@ func FuzzDecodeBucket(f *testing.F) {
 				if b, ok := v.(*Bucket); err != nil || !ok || !sameBucket(b, want) {
 					t.Fatalf("whole encoding as a probe reply: %T, %v", v, err)
 				}
-			case n == hdr && !want.Torn():
-				if h, ok := v.(*BucketHeader); err != nil || !ok || h.Label != want.Label {
-					t.Fatalf("header as a probe reply: %#v, %v", v, err)
-				}
 			case err == nil:
 				t.Fatalf("%d-byte prefix of a %d-byte bucket (header %d) decoded to %#v", n, len(enc), hdr, v)
 			}
@@ -663,13 +681,17 @@ func FuzzDecodeBucket(f *testing.F) {
 				if got != "header" {
 					t.Fatalf("key %v outside %s was answered with the %s", k, want.Label, got)
 				}
-			case got != "record" || rec.Label != want.Label:
-				t.Fatalf("key %v inside %s was answered with the %s, %+v", k, want.Label, got, rec)
 			default:
 				i := record.FindByKey(want.Records, k)
-				if rec.Found != (i >= 0) || rec.Found && (math.Float64bits(rec.Record.Key) != math.Float64bits(want.Records[i].Key) ||
-					!bytes.Equal(rec.Record.Value, want.Records[i].Value)) {
-					t.Fatalf("key %v: record reply %+v, FindByKey says %d", k, rec, i)
+				if i >= 0 && math.Float64bits(want.Records[i].Key) != math.Float64bits(k) {
+					if got != "whole" {
+						t.Fatalf("key %v, stored as %v, was answered with the %s", k, want.Records[i].Key, got)
+					}
+					continue
+				}
+				if got != "record" || rec.Label != want.Label || rec.Found != (i >= 0) || rec.Record.Key != 0 ||
+					rec.Found && !bytes.Equal(rec.Record.Value, want.Records[i].Value) {
+					t.Fatalf("key %v inside %s was answered with the %s %+v, FindByKey says %d", k, want.Label, got, rec, i)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"lht/internal/bitlabel"
@@ -197,13 +198,15 @@ func (ix *Index) getBucket(ctx context.Context, key string, cost *Cost) (*Bucket
 // nil error: the leaf exists, is untorn, does not cover delta, and the
 // leaf cache has learnt its label exactly as from a whole bucket.
 //
-// With recordOnly (Search, Insert and Delete) the hint
-// also says that of the covering leaf only delta's record is wanted, and
-// such a substrate may answer that leaf with a BucketRecord, returned in
-// place of the bucket. A short reply is trusted no further than its own
-// claim: a header that covers delta, a BucketRecord that was not asked
-// for, does not cover delta or carries another key's record, is dropped
-// and the bucket fetched whole with a plain, charged get.
+// With recordOnly (Search, Insert and Delete) the hint also says that of
+// the covering leaf only delta's record is wanted, and such a substrate
+// may answer that leaf with a BucketRecord, returned in place of the
+// bucket. The reply does not carry the record's key, which is the hinted
+// one bit for bit (a key stored as -0 comes in its whole bucket), so it is
+// filled in here: delta, its sign bit cleared. A short reply is trusted
+// no further than its own claim: a header that covers delta, a
+// BucketRecord that was not asked for or does not cover delta, is
+// dropped and the bucket fetched whole with a plain, charged get.
 //
 // A write w may ride the probe with patch (see lookupLeaf): the probe is
 // then a dht.Patch, whose hint asks for what the write needs should the
@@ -244,8 +247,9 @@ func (ix *Index) probeBucket(ctx context.Context, key string, delta float64, rec
 			return nil, nil, nil, nil
 		}
 	case *BucketRecord:
-		if recordOnly && keyspace.IntervalOf(r.Label).Contains(delta) && (!r.Found || r.Record.Key == delta && !refused) {
+		if recordOnly && keyspace.IntervalOf(r.Label).Contains(delta) && !(r.Found && refused) {
 			ix.cacheNote(r.Label)
+			r.Record.Key = math.Abs(delta) // the hint's key: -0 reads as +0
 			return nil, r, nil, nil
 		}
 	default:

@@ -197,10 +197,11 @@ func TestPatchBucket(t *testing.T) {
 			if depth, arg, _ = record.ReadUvarint(arg); canSplit(tc.b.Label, depth) {
 				form = splitReply
 			}
-			var err error
-			if rec, err = record.DecodeRecord(arg); err != nil {
+			recs, err := record.DecodeList(append([]byte{1}, arg...))
+			if err != nil {
 				t.Fatal(err)
 			}
+			rec = recs[0]
 			tc.want = applyUpsert(tc.b, rec)
 		} else {
 			tc.want, _ = applyDelete(tc.b, math.Float64frombits(binary.BigEndian.Uint64(arg)))

@@ -65,8 +65,8 @@ func runOf(t testing.TB, reply []byte, label bitlabel.Label) []record.Record {
 }
 
 // The storing peer's half of a range probe. A leaf that overlaps the
-// hinted range goes out as its header and the records record.FilterRange
-// would keep, in stored order; one that does not, as the header alone; a
+// hinted range goes out as its label and the records record.FilterRange
+// would keep, in stored order; one that does not, as the label alone; a
 // torn one, or bytes that are no bucket, or a bucket whose list does not
 // parse, whole. The reply is built from bytes in place: no decode, no
 // allocation, and nothing of what the buffer already held is touched.
@@ -97,6 +97,7 @@ func TestProjectRange(t *testing.T) {
 		{"beginning where the leaf ends", data, iv.Hi, 1, "header"},
 		{"far away", data, 0.1, 0.2, "header"},
 		{"far away, list does not parse", badList, 0.1, 0.2, "header"}, // as for a key hint: the header is sound
+		{"far away, no list", data[:hdr], 0.1, 0.2, "header"},
 		{"list does not parse", badList, 0, 1, "whole"},
 		{"truncated header", data[:hdr-1], 0, 1, "whole"},
 		{"junk", []byte("junk"), 0, 1, "whole"},
@@ -114,8 +115,8 @@ func TestProjectRange(t *testing.T) {
 		if tc.want != "run" {
 			continue
 		}
-		if reply[0] != runReplyMarker || !bytes.Equal(reply[1:1+hdr], tc.data[:hdr]) {
-			t.Errorf("%s: the run reply does not open with the marker and the stored header", tc.name)
+		if !bytes.HasPrefix(reply, appendShort(nil, runReplyMarker, b.Label)) {
+			t.Errorf("%s: the run reply does not open with the marker and the stored label", tc.name)
 		}
 		stored, err := DecodeBucket(tc.data)
 		if err != nil {
@@ -166,13 +167,12 @@ func TestProjectRange(t *testing.T) {
 }
 
 // A run reply decodes to a run that owns its bytes, and to nothing else:
-// every cut of it is refused, as is one sent for a torn bucket, one whose
-// list does not parse, and the marker in front of anything but a header
-// and a list.
+// every cut of it is refused, as is one whose list does not parse, and
+// the marker in front of anything but a label and a list.
 func TestDecodeRunReply(t *testing.T) {
 	b := referenceBucket()
 	data := mustEncode(t, b)
-	hdr := headerLen(t, b)
+	short := len(appendShort(nil, runReplyMarker, b.Label))
 	lo, hi := b.Records[20].Key, b.Records[40].Key
 	reply := projectBucket(nil, data, RangeHint(lo, hi))
 	got := record.FilterRange(nil, runOf(t, reply, b.Label), lo, hi)
@@ -194,17 +194,13 @@ func TestDecodeRunReply(t *testing.T) {
 			t.Errorf("%d-byte prefix of a %d-byte run reply decoded to %#v", n, len(reply), v)
 		}
 	}
-	torn := referenceBucket()
-	torn.Pending = Pending{Kind: PendingSplit}
-	tornData := mustEncode(t, torn)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for name, bad := range map[string][]byte{
-		"torn":                  cat([]byte{runReplyMarker}, tornData),
-		"torn, its header only": cat([]byte{runReplyMarker}, tornData[:headerLen(t, torn)], []byte{0}),
+		"marker + whole":        cat([]byte{runReplyMarker}, data),
 		"list a byte short":     reply[:len(reply)-1],
-		"count one too many":    cat(reply[:1+hdr], []byte{reply[1+hdr] + 1}, reply[2+hdr:]),
+		"count one too many":    cat(reply[:short], []byte{reply[short] + 1}, reply[short+1:]),
 		"trailing byte":         cat(reply, []byte{0}),
-		"no list":               reply[:1+hdr],
+		"no list":               reply[:short],
 		"marker twice":          cat([]byte{runReplyMarker}, reply),
 		"marker + record reply": cat([]byte{runReplyMarker}, projectBucket(nil, data, ProbeHint(lo, true))),
 		"marker alone":          {runReplyMarker},
@@ -226,10 +222,11 @@ func TestDecodeRunReply(t *testing.T) {
 //   - the projector never panics, keeps what its buffer held and, given
 //     one large enough, allocates nothing to answer for an untorn bucket (a
 //     refusal builds its error, a torn header its remove-key);
-//   - stored bytes that do not open with a bucket's header and a byte
-//     more go out as they are; an untorn leaf that does not overlap the
-//     hinted range goes out as its header (as for a key hint, the list
-//     behind a sound header is not read); any other reply decodes iff
+//   - stored bytes that do not open with a bucket's header go out as
+//     they are; an untorn leaf that does not overlap the hinted range
+//     goes out as its label behind the header marker (as for a key hint,
+//     the list behind a sound header is not read); any other reply
+//     decodes iff
 //     DecodeBucket takes the stored bytes, to a *Bucket — the stored one —
 //     iff that is torn, and otherwise to a run with the stored label from
 //     which the query's bounds take exactly what record.FilterRange keeps
@@ -274,19 +271,21 @@ func FuzzRangeProbe(f *testing.F) {
 		var stored Bucket
 		list, herr := parseBucketHeader(&stored, raw)
 		switch {
-		case herr != nil || len(list) == 0:
-			// What is stored has no bucket's header, or is a bare one: no
-			// bucket either way, possibly some short reply's bytes. It goes
-			// out as it stands, for the prober to refuse or re-fetch.
+		case herr != nil:
+			// What is stored has no bucket's header: no bucket, possibly
+			// some short reply's bytes. It goes out as it stands, for the
+			// prober to refuse or re-fetch.
 			if !bytes.Equal(reply, raw) {
 				t.Fatalf("stored bytes that are no bucket were answered with %x", reply)
 			}
 			return
-		case herr == nil && !stored.Torn() && !stored.Interval().Overlaps(hinted):
-			if !bytes.Equal(reply, raw[:len(raw)-len(list)]) {
-				t.Fatalf("%s probed with %v was answered with %d of %d bytes, want its header", stored.Label, hinted, len(reply), len(raw))
+		case !stored.Torn() && !stored.Interval().Overlaps(hinted):
+			if !bytes.Equal(reply, appendShort(nil, headerReplyMarker, stored.Label)) {
+				t.Fatalf("%s probed with %v was answered with %x, want its label", stored.Label, hinted, reply)
 			}
 			return
+		case len(list) == 0 && !bytes.Equal(reply, raw):
+			t.Fatalf("a bare header overlapping the hint was answered with %x", reply)
 		}
 		v, err := decodeProbeReply(reply)
 		if (err != nil) != (derr != nil) {

@@ -384,21 +384,3 @@ func DeleteFromList(dst, list []byte, key float64) (out []byte, count uint64, er
 	}
 	return dst, s.Count - 1, nil
 }
-
-// DecodeRecord parses what FindInList returned: one record occupying all
-// of buf. Unlike DecodeList's, the value is a copy, so buf may be a pooled
-// buffer and the record pins nothing but its own bytes.
-func DecodeRecord(buf []byte) (Record, error) {
-	var r Record
-	rest, err := readRecord(&r, buf)
-	if err != nil {
-		return Record{}, err
-	}
-	if len(rest) != 0 {
-		return Record{}, fmt.Errorf("record: %d bytes after the record", len(rest))
-	}
-	if r.Value != nil {
-		r.Value = append([]byte(nil), r.Value...)
-	}
-	return r, nil
-}

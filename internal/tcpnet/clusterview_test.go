@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"testing"
@@ -271,6 +272,60 @@ func TestEnsureReplicated(t *testing.T) {
 	rep, err = c.EnsureReplicated(ctx, "never-stored")
 	if err != nil || rep.Restored != 0 {
 		t.Fatalf("absent key = %+v, %v", rep, err)
+	}
+}
+
+// TestEnsureReplicatedRestoresTheFreshestBytes: re-replication reads each
+// holder's copy with a plain get, picks the one with the highest stored
+// epoch and restores a missing copy from it byte for byte through
+// putnewer. So a plain get must answer the stored bytes, epoch prefix and
+// all: here the first holder probed keeps a stale copy, the second the
+// fresh one, and the third, which lost its copy, must get the fresh
+// bytes exactly as the second stores them.
+func TestEnsureReplicatedRestoresTheFreshestBytes(t *testing.T) {
+	ctx := context.Background()
+	srvs, _, addrs := startMemberCluster(t, 3)
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := wideBucket()
+	key := b.Label.Name().Key()
+	if err := c.Put(ctx, key, b); err != nil {
+		t.Fatal(err)
+	}
+	stale := b.Clone()
+	stale.Epoch, stale.Records = b.Epoch-1, stale.Records[:10]
+	staleBytes, err := appendValue(nil, stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAddr := make(map[string]*Server, len(srvs))
+	for _, s := range srvs {
+		byAddr[s.mem.self] = s
+	}
+	holders := c.holders(key)
+	first, fresh, lost := byAddr[holders[0].addr], byAddr[holders[1].addr], byAddr[holders[2].addr]
+	first.mu.Lock()
+	plantValue(first, key, staleBytes)
+	first.mu.Unlock()
+	lost.mu.Lock()
+	delete(lost.store, key)
+	lost.mu.Unlock()
+
+	rep, err := c.EnsureReplicated(ctx, key)
+	if err != nil || rep.Missing != 1 || rep.Restored != 1 {
+		t.Fatalf("repair = %+v, %v, want 1 missing / 1 restored", rep, err)
+	}
+	fresh.mu.Lock()
+	want := bytes.Clone(storedValue(fresh, key))
+	fresh.mu.Unlock()
+	lost.mu.Lock()
+	got := bytes.Clone(storedValue(lost, key))
+	lost.mu.Unlock()
+	if want[0] != tagEpoch || !bytes.Equal(got, want) {
+		t.Errorf("the restored copy is %d bytes (%x…), want the fresh holder's %d (%x…)", len(got), got[:min(len(got), 4)], len(want), want[:4])
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // recycles every buffer it touches, so the encode/decode hot path
 // allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT7"; a server closes one
-// that opens with anything else — an LHT6 peer of the generation before
+// A connection opens with the 4-byte magic "LHT8"; a server closes one
+// that opens with anything else — an LHT7 peer of the generation before
 // this one included — before serving a frame. Nodes and clients of one
 // generation upgrade together. After the magic, both directions speak
 // length-prefixed frames whose header is two unsigned varints:
@@ -34,11 +34,17 @@ import (
 // no byte for the op or status, before it allocates anything. The id
 // correlates a reply with its request: replies may arrive in any order,
 // which is what lets a client keep many requests in flight on one
-// connection. A client numbers the requests of a connection 1, 2, 3, …
-// (its handshake ping is 0) and never reuses an id, so a reply lost or
-// duplicated on the way fails one request and misroutes none. A node
-// echoes the id's bytes verbatim, and not the op: the client knows what
-// it sent. The op byte is uint8(dht.OpKind).
+// connection. An id is a slot of its connection, not a serial number.
+// The handshake ping is 0; a client gives a request a free id, the one
+// freed last, and a new one (1, 2, 3, …) only when none is free. An id is
+// freed once the reply to it has been read, or at once when its frame was
+// never queued; the id of a request whose caller gave up is freed only
+// when its late reply arrives, and that reply is dropped. So no two
+// requests in flight share an id, a reply finds the request it answers,
+// and ids stay at or below the connection's in-flight high-water mark: a
+// connection that never has more than 127 requests in flight sends every
+// id in one byte. A node echoes the id's bytes verbatim, and not the op:
+// the client knows what it sent. The op byte is uint8(dht.OpKind).
 //
 // Request payloads (uv = unsigned varint; "rest" = to the frame's end;
 // key = a key field, below):
@@ -89,18 +95,24 @@ import (
 // with an error that is not transient, before any frame is sent. Servers
 // store values with their tags, exactly as the wire delivered them.
 //
-// A get may end in an 8-byte hint, which makes it a probe (dht.Prober):
-// the requester can perhaps do without most of the value. The reply to a
-// hinted get of a tagWire value carries the stored tags and kind byte,
-// then what the kind's dht.WireProjector appended given the hint: the
-// value's own bytes whole, or a smaller form the kind defines. For the
-// index's buckets (internal/lht, "Probe replies") that is the header
-// alone when the leaf does not cover the hinted key, and the header plus
-// the one record asked for when it does and the hint says the record is
-// all the requester wants. The requester decodes with dht.DecodeProbe.
-// The server builds the reply without decoding anything; every other
-// tag, and a kind with no projector, is answered whole, and a get with no
-// hint is served exactly as before the hint existed.
+// Probe replies. A get may end in an 8-byte hint, which makes it a probe
+// (dht.Prober): the requester can perhaps do without most of the value.
+// The reply to a hinted get of a tagWire value, bare or under its
+// tagEpoch prefix, is tagWire, the kind byte, then what the kind's
+// dht.WireProjector appended given the hint: the value's own bytes whole,
+// or a smaller form the kind defines. The epoch prefix stays behind: a
+// prober reads no epoch (a whole value carries its own version), so the
+// prefix would be bytes nobody reads. For the index's buckets
+// (internal/lht, "Probe replies") the smaller forms are the leaf's label
+// alone when the leaf does not cover the hinted key, and the label plus
+// the one record asked for, or word that it is absent, when it does and
+// the hint says the record is all the requester wants. The requester
+// decodes with dht.DecodeProbe. The server builds the reply without
+// decoding anything; every other tag is answered as stored, a kind with
+// no projector whole, and a get with no hint is served the stored bytes
+// verbatim, epoch prefix and all: re-replication (EnsureReplicated)
+// compares the epochs of plain gets and forwards the donor's bytes as
+// they came.
 //
 // A getbatch may end in one such hint (dht.Prober's ProbeBatch), and each
 // found slot is then answered as the hinted get of its key would be. After
@@ -158,8 +170,9 @@ import (
 //
 //	status u8: 0 ok, 1 not-found, 2 server error, 3 CAS conflict,
 //	           4 patch refused
-//	ok   get/take            value(rest); after a hinted get possibly
-//	                         a projection of it, see above
+//	ok   get/take            value(rest), as stored; after a hinted get
+//	                         of a tagWire value tagWire, kind u8 and the
+//	                         projection, see "Probe replies"
 //	ok   ping                (empty)
 //	ok   put/remove/write    (empty)
 //	ok   putif/createif/removeif/writeif  (empty)
@@ -175,12 +188,12 @@ import (
 //	                         get would have answered; otherwise (empty)
 //
 // A batch slot is: status u8; ok = uv n, n bytes (a tagged value for a
-// get slot, after a hinted getbatch possibly a projection of it, as for a
-// hinted get; n=0 for a put slot); not-found = nothing; error = uv n,
-// n-byte message.
+// get slot, after a hinted getbatch answered as the hinted get of its key
+// is; n=0 for a put slot); not-found = nothing; error = uv n, n-byte
+// message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT7"
+	wireMagic = "LHT8"
 
 	// maxFrameLen bounds a frame's length field: decoders reject anything
 	// larger before allocating, so a garbage or hostile header can never
@@ -412,17 +425,16 @@ func decodeTagged(tv []byte, probe bool) (dht.Value, error) {
 
 // appendProbed appends the reply value of a get carrying hint, given the
 // stored tagged value tv: for a tagWire value (under its tagEpoch prefix
-// or bare) the tags and kind byte, then whatever the kind's projector
-// ships; for anything else all of tv. Pure byte work on the stored value:
-// nothing is decoded or allocated, and the kind byte is all the server
-// knows of the type.
+// or bare) tagWire and the kind byte, then whatever the kind's projector
+// ships — never the epoch prefix, which no prober reads; for anything
+// else all of tv. Pure byte work on the stored value: nothing is decoded
+// or allocated, and the kind byte is all the server knows of the type.
 func appendProbed(out, tv []byte, hint uint64) []byte {
 	in := innerValue(tv)
 	if len(in) < 2 || in[0] != tagWire {
 		return append(out, tv...)
 	}
-	out = append(out, tv[:len(tv)-len(in)+2]...)
-	return dht.ProjectWire(out, in[1], in[2:], hint)
+	return dht.ProjectWire(append(out, in[:2]...), in[1], in[2:], hint)
 }
 
 // innerValue returns the tagged value under tv's tagEpoch prefix, tv

@@ -185,7 +185,8 @@ func TestReadFrameBodyMalformed(t *testing.T) {
 // request crosses as its payload plus the length byte, the id's varint
 // and the op, and its reply as its body plus the length byte and the id's
 // varint — at a connection's first id, and at the first ids whose
-// varints take two and three bytes.
+// varints take two and three bytes. An id is a slot, not a serial number:
+// after 20 000 Gets one at a time, the next still crosses as one byte.
 func TestFrameHeaderBytes(t *testing.T) {
 	ctx := context.Background()
 	addr := startServers(t, 1)[0]
@@ -206,8 +207,9 @@ func TestFrameHeaderBytes(t *testing.T) {
 	defer c.Close()
 	payload := len(appendKey(nil, "k"))
 	body := 1 + 1 + len(value) // status, tagRaw, value
-	for _, id := range []uint64{1, 128, 16384} {
-		setNextID(t, c, id)
+	// get checks one Get's bytes both ways at request id id.
+	get := func(id uint64) {
+		t.Helper()
 		n, read := dialer.n.Load(), dialer.read.Load()
 		if v, err := c.Get(ctx, "k"); err != nil || !bytes.Equal(v.([]byte), value) {
 			t.Fatalf("Get at id %d = %v, %v", id, v, err)
@@ -220,6 +222,16 @@ func TestFrameHeaderBytes(t *testing.T) {
 		if want := body + 1 + idLen; reply != int64(want) {
 			t.Errorf("id %d: the reply crossed as %d bytes, want %d", id, reply, want)
 		}
+	}
+	for i := 0; i < 20000; i++ {
+		if _, err := c.Get(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get(1)
+	for _, id := range []uint64{1, 128, 16384} {
+		setNextID(t, c, id)
+		get(id)
 	}
 }
 

@@ -101,6 +101,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		probed = appendKey(probed, k)
 	}
 	seeds = append(seeds, buildFrame(24, dht.OpGetBatch, binary.BigEndian.AppendUint64(probed, ilht.RangeHint(0.704, 0.71))))
+	seeds = append(seeds, buildFrame(32, dht.OpGetBatch, binary.BigEndian.AppendUint64(probed, ilht.ProbeHint(0.703125, true))))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
 		seeds = append(seeds, buildFrame(25, dht.OpGetBatch, append(probed, make([]byte, n)...)))
 	}
@@ -168,11 +169,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Whatever the hint, a get of the stored bucket is answered with
 		// the bucket, its header or one record of it — or, to a range
 		// hint, with the run of its records in range, a type lht keeps
-		// to itself.
+		// to itself. A hinted get's reply never carries the stored epoch
+		// prefix; a plain get's is the stored bytes, prefix and all.
 		if op == dht.OpGet && status == statusOK {
 			hc := cursor{b: body[1:]}
-			_, _ = hc.key(new(keyScratch))
+			key, _ := hc.key(new(keyScratch))
 			ranged := len(hc.b) == 8 && binary.BigEndian.Uint64(hc.b)&(1<<62) != 0
+			if len(hc.b) == 8 && len(c.b) > 0 && c.b[0] == tagEpoch {
+				t.Fatalf("a probe was answered with the stored epoch prefix: %x", c.b)
+			}
+			if len(hc.b) == 0 && !bytes.Equal(c.b, storedValue(s, string(key))) {
+				t.Fatalf("a plain get of %q was answered with %x, not the stored bytes", key, c.b)
+			}
 			switch v, err := decodeTagged(c.rest(), true); v.(type) {
 			case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord:
 			default:
@@ -216,6 +224,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			// Not applied, a probe-mode patch is answered as its probe: the
 			// bucket, a short form of it, or the raw value.
 			if status == statusPatchRefused && probe {
+				if len(reply) > 0 && reply[0] == tagEpoch {
+					t.Fatalf("a refused probe-mode patch was answered with the stored epoch prefix: %x", reply)
+				}
 				ranged := len(pc.b) >= 9 && binary.BigEndian.Uint64(pc.b[1:9])&(1<<62) != 0
 				switch v, err := decodeTagged(reply, true); v.(type) {
 				case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord, []byte:
@@ -265,6 +276,9 @@ func FuzzDecodeFrame(f *testing.F) {
 						t.Fatalf("batch slot %d payload: %v", i, err)
 					}
 					if op == dht.OpGetBatch {
+						if hinted && len(p) > 0 && p[0] == tagEpoch {
+							t.Fatalf("batch slot %d of a hinted getbatch carries the stored epoch prefix: %x", i, p)
+						}
 						if v, err := decodeTagged(p, hinted); err != nil || v == nil {
 							t.Fatalf("batch slot %d decoded to %T, %v", i, v, err)
 						}

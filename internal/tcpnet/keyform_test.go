@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -101,6 +102,84 @@ func TestKeyFormBytes(t *testing.T) {
 	sort.Strings(want)
 	if strings.Join(stored, "|") != strings.Join(want, "|") {
 		t.Errorf("the node stores %q, want %q", stored, want)
+	}
+}
+
+// TestProbeReplyBytes pins a probe's reply on the wire, form by form, at
+// request id 1: the frame's length byte and id byte, the status, tagWire
+// and the kind, then what the bucket's projector ships — a marker and the
+// leaf's label (two bytes at depth 7), and past them for a found record
+// its value's length byte and value, for a run its count and records.
+// None carries the stored value's epoch prefix, a hinted getbatch's slot
+// included; a plain get answers the stored bytes verbatim, prefix and
+// all, for re-replication compares the epochs of plain gets.
+func TestProbeReplyBytes(t *testing.T) {
+	ctx := context.Background()
+	addrs, srvs := startServerMap(t, 1)
+	dialer := &byteDialer{addrs: map[string]string{"node": addrs[0]}}
+	c, err := Dial(ctx, ClusterConfig{Seeds: []string{"node"}, PoolSize: 1, Dialer: dialer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := wideBucket()
+	key := b.Label.Name().Key()
+	if err := c.Put(ctx, key, b); err != nil {
+		t.Fatal(err)
+	}
+	stored := storedValue(srvs[addrs[0]], key)
+	if stored[0] != tagEpoch {
+		t.Fatalf("the bucket is stored as %x…, want its epoch prefix first", stored[:4])
+	}
+
+	// received is what one call's reply put on the wire.
+	received := func(call func() (dht.Value, error)) (dht.Value, int64) {
+		t.Helper()
+		setNextID(t, c, 1)
+		read := dialer.read.Load()
+		v, err := call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, dialer.read.Load() - read
+	}
+	probe := func(hint uint64) func() (dht.Value, error) {
+		return func() (dht.Value, error) { return c.Probe(ctx, key, hint) }
+	}
+	const (
+		head  = 5 // length, id, status, tagWire, kind
+		label = 2 // #0101101: a bit count byte and one byte of bits
+		value = 64
+	)
+	mid := func(i int) float64 { return (b.Records[i].Key + b.Records[i+1].Key) / 2 }
+	for _, tc := range []struct {
+		name string
+		call func() (dht.Value, error)
+		want int64
+	}{
+		{"header", probe(ilht.ProbeHint(0.1, false)), head + 1 + label},
+		{"header, record-only", probe(ilht.ProbeHint(0.1, true)), head + 1 + label},
+		{"header, range", probe(ilht.RangeHint(0.1, 0.2)), head + 1 + label},
+		{"record found", probe(ilht.ProbeHint(b.Records[21].Key, true)), head + 1 + label + 1 + value},
+		{"record absent", probe(ilht.ProbeHint(0.7101, true)), head + 1 + label},
+		{"run of one record", probe(ilht.RangeHint(mid(20), mid(21))), head + 1 + label + 1 + 8 + 1 + value},
+		{"run of none", probe(ilht.RangeHint(mid(20), math.Nextafter(mid(20), 1))), head + 1 + label + 1},
+		{"getbatch slot, header", func() (dht.Value, error) {
+			vs, errs := c.ProbeBatch(ctx, []string{key}, ilht.ProbeHint(0.1, false))
+			return vs[0], errs[0]
+		}, head + 3 + 1 + label}, // the count, the slot's status and its length, then as a get's reply
+	} {
+		v, got := received(tc.call)
+		if got != tc.want {
+			t.Errorf("%s: the reply crossed as %d bytes, want %d (%T)", tc.name, got, tc.want, v)
+		}
+	}
+	v, got := received(func() (dht.Value, error) { return c.Get(ctx, key) })
+	if frame := 1 + 1 + len(stored); got != int64(len(appendUv(nil, uint64(frame)))+frame) {
+		t.Errorf("a plain get's reply crossed as %d bytes, want the %d stored ones, epoch prefix and all, and a header", got, len(stored))
+	}
+	if _, ok := v.(*ilht.Bucket); !ok {
+		t.Errorf("a plain get returned a %T", v)
 	}
 }
 

@@ -37,7 +37,8 @@ import (
 // deadline cuts nothing: the frame reader keeps the part of a frame it
 // has read, and a flush cut short leaves its unwritten tail queued. A
 // cancelled caller abandons its pending slot and walks away; the
-// connection, and everyone else's in-flight requests, keep going. A
+// connection, and everyone else's in-flight requests, keep going, and the
+// slot's id stays taken until the late reply to it is read and dropped. A
 // socket error fails every request riding the connection, and a
 // connection that died idle is found by the next call's I/O, which call's
 // one retry on a fresh dial covers.
@@ -64,8 +65,9 @@ type mconn struct {
 // except what only a duty holder touches (see fr and the deadlines).
 type wireState struct {
 	conn    net.Conn
-	pending map[uint64]*pending
-	nextID  uint64
+	pending map[uint64]*pending // by request id; nil for an abandoned request whose reply is due
+	free    []uint64            // ids whose requests are over, to hand out again, last freed first
+	nextID  uint64              // the next new id, for when none is free
 	failed  bool
 
 	queue   []byte     // frames queued and not yet taken by a flusher
@@ -229,8 +231,10 @@ func (m *mconn) fail(st *wireState, err error) {
 		m.st = nil
 	}
 	for _, p := range st.pending {
-		p.done, p.res = true, result{err: err}
-		p.nudge()
+		if p != nil {
+			p.done, p.res = true, result{err: err}
+			p.nudge()
+		}
 	}
 	st.pending = nil
 	st.queue, st.spare, st.full = nil, nil, nil
@@ -293,8 +297,7 @@ func (m *mconn) attempt(ctx context.Context, op dht.OpKind, build func([]byte) (
 		m.mu.Unlock()
 		return nil, err, false
 	}
-	id := st.nextID
-	st.nextID++
+	id := st.takeID()
 	p := pendingPool.Get().(*pending)
 	st.pending[id] = p
 	if n := len(st.pending); n > m.hwm {
@@ -365,13 +368,32 @@ func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame 
 	return err
 }
 
-// leave unregisters p, recycles it and releases m.mu. A reply that came
-// in after p gave up is dropped on the floor — that is the entire cost of
-// a cancelled request. Whatever duty nobody holds now goes to a waiter
-// still parked.
+// takeID hands out a request id: the one freed last, or a new one when
+// none is free. Called with m.mu held.
+func (st *wireState) takeID() uint64 {
+	if n := len(st.free); n > 0 {
+		id := st.free[n-1]
+		st.free = st.free[:n-1]
+		return id
+	}
+	st.nextID++
+	return st.nextID - 1
+}
+
+// leave unregisters p, recycles it and releases m.mu. A p that gave up
+// before its reply came in keeps its id taken if its frame was queued: the
+// reply is still due, and deliver drops it on the floor and frees the id —
+// that is the entire cost of a cancelled request. An id whose frame never
+// was queued is freed at once. Whatever duty nobody holds now goes to a
+// waiter still parked.
 func (m *mconn) leave(st *wireState, id uint64, p *pending) {
-	if !p.done {
-		delete(st.pending, id) // st.full may still hold p: a stray nudge is harmless
+	switch {
+	case p.done: // deliver freed the id, or the connection failed
+	case p.sent:
+		st.pending[id] = nil // st.full may still hold p: a stray nudge is harmless
+	default:
+		delete(st.pending, id)
+		st.free = append(st.free, id)
 	}
 	m.handOff(st)
 	m.mu.Unlock()
@@ -387,7 +409,7 @@ func (m *mconn) handOff(st *wireState) {
 		return
 	}
 	for _, q := range st.pending {
-		if q.sent && q != st.reader && q != st.flusher {
+		if q != nil && q.sent && q != st.reader && q != st.flusher {
 			q.nudge()
 			return
 		}
@@ -500,13 +522,17 @@ func (m *mconn) read(ctx context.Context, st *wireState, p *pending) error {
 }
 
 // deliver hands request id's reply to its waiter, nudging it unless it is
-// the reader, and returns that waiter; nil when it has abandoned its
-// slot, and the reply is dropped.
+// the reader, frees the id and returns that waiter; nil when it has
+// abandoned its slot, or the id is none of the connection's, and the
+// reply is dropped.
 func (m *mconn) deliver(st *wireState, id uint64, body *[]byte, reader *pending) *pending {
 	m.mu.Lock()
-	q := st.pending[id]
-	if q != nil {
+	q, ok := st.pending[id]
+	if ok {
 		delete(st.pending, id)
+		st.free = append(st.free, id)
+	}
+	if q != nil {
 		q.done, q.res = true, result{buf: body}
 		if q != reader {
 			q.nudge()

@@ -445,7 +445,9 @@ func TestTrickledReplySurvivesDeadlines(t *testing.T) {
 	}
 }
 
-// setNextID makes id the next request id of c's one connection.
+// setNextID makes id the next request id of c's one connection, which
+// must have no request in flight: the free ids are forgotten, so the next
+// request takes id.
 func setNextID(t *testing.T, c *Client, id uint64) {
 	t.Helper()
 	m := c.ringNodes()[0].conns[0]
@@ -454,7 +456,7 @@ func setNextID(t *testing.T, c *Client, id uint64) {
 	if m.st == nil {
 		t.Fatal("the connection is not dialed")
 	}
-	m.st.nextID = id
+	m.st.nextID, m.st.free = id, m.st.free[:0]
 }
 
 // TestCancellationAbandonsSlot pins the framed wire's cancellation
@@ -492,6 +494,97 @@ func TestCancellationAbandonsSlot(t *testing.T) {
 	v, err := c.Get(ctx, "k")
 	if err != nil || !bytes.Equal(v.([]byte), []byte("v")) {
 		t.Fatalf("Get after cancellations = %v, %v", v, err)
+	}
+}
+
+// TestLateReplyOfAnAbandonedCallIsNotMisrouted pins the life of a
+// request id. A stub node holds the reply to a Get whose caller then
+// gives up; a second Get on the same connection must get an id of its
+// own, for the abandoned one stays taken until its reply arrives. The
+// node then answers both, the late reply first: it is dropped, and the
+// second caller gets its own value. After that both ids are free, and a
+// third Get takes one of them.
+func TestLateReplyOfAnAbandonedCallIsNotMisrouted(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	ids := make(chan uint64, 3)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := br.Discard(len(wireMagic)); err != nil {
+			return
+		}
+		echo := func(id uint64, body []byte) []byte {
+			c := cursor{b: body[1:]}
+			key, _ := c.key(new(keyScratch))
+			return buildReply(id, append([]byte{statusOK, tagRaw}, "echo:"+string(key)...))
+		}
+		var held [][]byte
+		for n := 0; ; n++ {
+			id, body, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			if n == 0 { // the handshake ping
+				_, _ = conn.Write(buildReply(id, []byte{statusOK}))
+				continue
+			}
+			ids <- id
+			if held = append(held, echo(id, body)); n < 2 {
+				continue // hold the first Get's reply until the second's is in
+			}
+			for _, reply := range held {
+				if _, err := conn.Write(reply); err != nil {
+					return
+				}
+			}
+			held = held[:0]
+		}
+	}()
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: []string{ln.Addr().String()}, PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctx, "a")
+		abandoned <- err
+	}()
+	first := <-ids
+	cancel()
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the abandoned Get = %v, want its cancellation", err)
+	}
+	second := make(chan error, 1)
+	go func() {
+		v, err := c.Get(context.Background(), "b")
+		if err == nil && string(v.([]byte)) != "echo:b" {
+			err = fmt.Errorf("got %q, want echo:b (misrouted)", v)
+		}
+		second <- err
+	}()
+	if id := <-ids; id == first {
+		t.Errorf("the second Get took id %d while the abandoned one's reply was still due", id)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("the second Get: %v", err)
+	}
+	v, err := c.Get(context.Background(), "c")
+	if err != nil || string(v.([]byte)) != "echo:c" {
+		t.Fatalf("the third Get = %v, %v", v, err)
+	}
+	if id := <-ids; id > 2 {
+		t.Errorf("the third Get took id %d, want a freed one: 1 or 2", id)
 	}
 }
 

@@ -44,10 +44,10 @@ func recordGet(key string, delta float64) []byte {
 }
 
 // TestProbeTrimsOnlyWhatTheKindAllows: over the wire a probe of a bucket
-// its hint excludes is answered with the header alone, and one that asks
-// for a covered key's record with header and record; a covering hint that
-// wants the bucket, a plain get, and every stored form the server cannot
-// ask a projector about — raw bytes, kinds with no projector — are
+// its hint excludes is answered with the leaf's label alone, and one that
+// asks for a covered key's record with label and record; a covering hint
+// that wants the bucket, a plain get, and every stored form the server
+// cannot ask a projector about — raw bytes, kinds with no projector — are
 // answered whole.
 func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	ctx := context.Background()
@@ -77,8 +77,8 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	}
 	v, err := c.Probe(ctx, "bucket", ilht.ProbeHint(present.Key, true))
 	if r, ok := v.(*ilht.BucketRecord); err != nil || !ok || r.Label != b.Label || !r.Found ||
-		r.Record.Key != present.Key || !bytes.Equal(r.Record.Value, present.Value) {
-		t.Fatalf("record probe with a present key: %#v, %v, want its record", v, err)
+		r.Record.Key != 0 || !bytes.Equal(r.Record.Value, present.Value) {
+		t.Fatalf("record probe with a present key: %#v, %v, want its record's value (the key is the hint's)", v, err)
 	}
 	v, err = c.Probe(ctx, "bucket", ilht.ProbeHint(absent, true))
 	if r, ok := v.(*ilht.BucketRecord); err != nil || !ok || r.Label != b.Label || r.Found {
@@ -110,23 +110,25 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 		t.Errorf("probe of an absent key: %v", err)
 	}
 
-	// On the wire: the trimmed reply is the tags, the kind and the
-	// bucket's header, the record reply those plus one record; the server
-	// counts a probe as the get it is.
+	// On the wire: the trimmed reply is the status, tagWire, the kind, a
+	// marker and the bucket's label, the record reply a marker and the
+	// label too, then the record's value; the server counts a probe as the
+	// get it is. (TestProbeReplyBytes pins every form to the byte.)
 	before := srv.Metrics()
 	whole := serve(srv, buildFrame(1, dht.OpGet, appendKey(nil, "bucket")), nil)
 	cut := serve(srv, buildFrame(2, dht.OpGet, hintedGet("bucket", 0.1)), nil)
 	miss := serve(srv, buildFrame(3, dht.OpGet, hintedGet("absent", 0.1)), nil)
 	one := serve(srv, buildFrame(4, dht.OpGet, recordGet("bucket", present.Key)), nil)
 	whole, cut, miss, one = replyBody(whole), replyBody(cut), replyBody(miss), replyBody(one)
-	if len(whole) < 5000 || len(cut) > 1+40 || !bytes.HasPrefix(whole, cut) {
-		t.Errorf("whole reply %d bytes, trimmed reply %d bytes: want a short prefix", len(whole), len(cut))
+	label, _ := b.Label.MarshalBinary()
+	if len(whole) < 5000 || len(cut) != 4+len(label) || !bytes.HasSuffix(cut, label) {
+		t.Errorf("whole reply %d bytes, trimmed reply %x: want the label behind four bytes", len(whole), cut)
 	}
 	if miss[0] != statusNotFound {
 		t.Errorf("hinted get of an absent key: status %d", miss[0])
 	}
-	// Past the header: marker, found flag, key, one length byte, value.
-	if want := len(cut) + 1 + 1 + 8 + 1 + len(present.Value); len(one) != want || !bytes.HasSuffix(one, present.Value) {
+	// Past the label: one length byte, the value.
+	if want := len(cut) + 1 + len(present.Value); len(one) != want || !bytes.HasSuffix(one, present.Value) {
 		t.Errorf("record reply %d bytes, want %d ending in the record's value", len(one), want)
 	}
 	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 4 || after.Lookup.FailedGets-before.Lookup.FailedGets != 1 {
@@ -314,10 +316,11 @@ func (p unaskedProber) Probe(ctx context.Context, key string, hint uint64) (dht.
 }
 
 // A record reply is believed only as far as it checks out: its label must
-// cover the key and its record, if any, carry that key. A reply that
-// fails either, like a header that claims to cover the key, costs one
-// plain get of the bucket and changes no answer; and a record reply to a
-// lookup that asked for the bucket is never taken for one.
+// cover the key (the reply carries no key of its own to check: its record
+// is the hinted key's). A reply that does not, like a header that claims
+// to cover the key, costs one plain get of the bucket and changes no
+// answer; and a record reply to a lookup that asked for the bucket is
+// never taken for one.
 func TestLyingRecordReplyIsRefetchedNotTrusted(t *testing.T) {
 	honest, _ := startCluster(t, 1)
 	cfg, builder, keys := growHonestIndex(t, honest)
@@ -325,10 +328,6 @@ func TestLyingRecordReplyIsRefetchedNotTrusted(t *testing.T) {
 	for name, lie := range map[string]func(*ilht.BucketRecord) dht.Value{
 		"a sibling's label": func(r *ilht.BucketRecord) dht.Value {
 			r.Label = r.Label.Sibling()
-			return r
-		},
-		"another key's record": func(r *ilht.BucketRecord) dht.Value {
-			r.Found, r.Record.Key = true, math.Nextafter(r.Record.Key, 2)
 			return r
 		},
 		"a covering header": func(r *ilht.BucketRecord) dht.Value {
@@ -418,7 +417,7 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 			t.Errorf("%s: probe with a covered key: %T, %v, want the whole bucket", name, v, err)
 		}
 		v, err = c.Probe(pctx, "bucket", ilht.ProbeHint(b.Records[9].Key, true))
-		if r, ok := v.(*ilht.BucketRecord); err != nil || !ok || !r.Found || r.Record.Key != b.Records[9].Key {
+		if r, ok := v.(*ilht.BucketRecord); err != nil || !ok || !r.Found || !bytes.Equal(r.Record.Value, b.Records[9].Value) {
 			t.Errorf("%s: record probe with a present key: %#v, %v, want its record", name, v, err)
 		}
 		if failed := agg.Snapshot().Health.Failovers - before; (name == "primary first") != (failed == 3) {
@@ -428,8 +427,8 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 }
 
 // TestRangeProbeShipsTheRun: over the wire a get hinted with a range is
-// answered with the bucket's header and the records in the range, or with
-// the header alone by a leaf outside it, built from the stored bytes under
+// answered with the bucket's label and the records in the range, or with
+// the label alone by a leaf outside it, built from the stored bytes under
 // the store lock and counted as the one get it is.
 func TestRangeProbeShipsTheRun(t *testing.T) {
 	ctx := context.Background()
@@ -455,14 +454,17 @@ func TestRangeProbeShipsTheRun(t *testing.T) {
 	if !bytes.Equal(outside, header) {
 		t.Errorf("a range that misses the leaf was answered with %d bytes, a key that does with %d: want the header both times", len(outside), len(header))
 	}
-	// Past the header: the marker, a one-byte count, and the records, each
-	// a key, one length byte and the value.
+	// Past the label (the run's marker in the header's place): a one-byte
+	// count, and the records, each a key, one length byte and the value.
 	perRecord := 8 + 1 + len(b.Records[0].Value)
-	if want := len(header) + 1 + 1 + 25*perRecord; len(run) != want || !bytes.HasSuffix(run, b.Records[44].Value) {
+	if want := len(header) + 1 + 25*perRecord; len(run) != want || !bytes.HasSuffix(run, b.Records[44].Value) {
 		t.Errorf("run reply %d bytes, want %d ending in the last record's value", len(run), want)
 	}
-	if len(all) != len(whole)+1 {
-		t.Errorf("a range that takes every record was answered with %d bytes, a plain get with %d: want the marker more", len(all), len(whole))
+	// The whole bucket has the epoch prefix (tagEpoch, the epoch) and the
+	// header's version, epoch and pending kind that the run's marker stands
+	// in for.
+	if e := len(binary.AppendUvarint(nil, b.Epoch)); len(all) != len(whole)-2*e-2 {
+		t.Errorf("a range that takes every record was answered with %d bytes, a plain get with %d: want %d fewer", len(all), len(whole), 2*e+2)
 	}
 	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 5 || after.Lookup.FailedGets != before.Lookup.FailedGets {
 		t.Errorf("five gets counted as %d lookups, %d failed gets",
