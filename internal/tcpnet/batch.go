@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"lht/internal/dht"
 )
@@ -20,8 +19,9 @@ func malformedResp(err error) error {
 }
 
 // GetBatch implements dht.Batcher: the batch's keys are grouped by owning
-// node and each group travels as one framed multi-op message, the round
-// trips to distinct nodes running concurrently. A transport failure
+// node and each group travels as one framed multi-op message, every
+// node's frame written before any reply is read, so the round trips to
+// distinct nodes overlap on the caller's goroutine. A transport failure
 // touches only that node's slots, which are read again from their other
 // holders if they have any; the rest of the batch stands.
 func (c *Client) GetBatch(ctx context.Context, keys []string) ([]dht.Value, []error) {
@@ -44,13 +44,9 @@ func (c *Client) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]
 func (c *Client) getBatch(ctx context.Context, keys []string, h probeHint) ([]dht.Value, []error) {
 	vals := make([]dht.Value, len(keys))
 	errs := make([]error, len(keys))
-	if groups := c.groupByRank(keys, 0); len(groups) == 1 {
-		c.frameGetBatch(ctx, groups[0].n, keys, groups[0].slots, h, vals, errs)
-	} else {
-		eachGroup(groups, func(g ownerGroup) {
-			c.frameGetBatch(ctx, g.n, keys, g.slots, h, vals, errs)
-		})
-	}
+	batchRound(ctx, dht.OpGetBatch, c.groupByRank(keys, 0), errs,
+		func(b []byte, slots []int) ([]byte, error) { return appendGetBatch(b, keys, slots, h), nil },
+		func(i int, tv []byte) { vals[i], errs[i] = decodeTagged(tv, h.set) })
 	for i, err := range errs {
 		if err == nil || errors.Is(err, dht.ErrNotFound) || ctx.Err() != nil || len(c.holders(keys[i])) == 1 {
 			continue
@@ -101,46 +97,54 @@ func (c *Client) putBatchRank(ctx context.Context, kvs []dht.KV, rank int) []err
 			}
 		}
 		if len(sendable) > 0 {
-			live = append(live, ownerGroup{g.n, sendable})
+			live = append(live, ownerGroup{n: g.n, slots: sendable})
 		}
 	}
-	if len(live) == 1 {
-		c.framePutBatch(ctx, live[0].n, kvs, live[0].slots, errs)
-	} else {
-		eachGroup(live, func(g ownerGroup) {
-			c.framePutBatch(ctx, g.n, kvs, g.slots, errs)
-		})
-	}
+	batchRound(ctx, dht.OpPutBatch, live, errs,
+		func(b []byte, slots []int) ([]byte, error) { return appendPutBatch(b, kvs, slots) }, nil)
 	return errs
 }
 
 // ownerGroup is one node's share of a batch: the slot indices it serves,
-// ascending.
+// ascending, and, once batchRound has sent its frame, where to wait for
+// the reply.
 type ownerGroup struct {
 	n     *clientNode
 	slots []int
+	m     *mconn // the connection the frame went out on
+	sent  ticket
+	err   error // why the group failed, for every one of its slots
 }
 
-// eachGroup runs do once per group, the groups concurrently: one round
-// trip per node, all in flight together. The last group runs on the
-// caller's goroutine, so a batch over k nodes starts k−1 goroutines. Its
-// callers run a batch that has a single owner themselves, and so build
-// neither the closure nor the WaitGroup for it.
-func eachGroup(groups []ownerGroup, do func(ownerGroup)) {
-	if len(groups) == 0 {
-		return
+// batchRound sends each group's frame, build's payload for the group's
+// slots, to its node, then waits for the replies in group order and hands
+// each ok slot's value bytes to ok (nil: an ok slot carries nothing to
+// keep). All of it runs on the caller's goroutine: every node's frame is
+// written before any reply is read, so the round trips overlap, and the
+// later replies are mostly in their sockets by the time they are read. A
+// group whose round trip failed gets that error in each of its slots; as
+// call's, a transport failure is retried once on a fresh dial.
+func batchRound(ctx context.Context, op dht.OpKind, groups []ownerGroup, errs []error,
+	build func(b []byte, slots []int) ([]byte, error), ok func(i int, tv []byte)) {
+	for gi := range groups {
+		g := &groups[gi]
+		g.m = g.n.pick()
+		g.sent, g.err = g.m.send(ctx, op, func(b []byte) ([]byte, error) { return build(b, g.slots) })
 	}
-	last := len(groups) - 1
-	var wg sync.WaitGroup
-	for _, g := range groups[:last] {
-		wg.Add(1)
-		go func(g ownerGroup) {
-			defer wg.Done()
-			do(g)
-		}(g)
+	for gi := range groups {
+		g := &groups[gi]
+		if g.err == nil {
+			var body *[]byte
+			if body, g.err = g.m.wait(ctx, g.sent, op, func(b []byte) ([]byte, error) { return build(b, g.slots) }); g.err == nil {
+				g.err = readSlots(body, g.slots, errs, ok)
+			}
+		}
+		if g.err != nil {
+			for _, i := range g.slots {
+				errs[i] = g.err
+			}
+		}
 	}
-	do(groups[last])
-	wg.Wait()
 }
 
 // groupByRank groups each key under its rank-th holder (rank 0 is the
@@ -166,130 +170,79 @@ func (c *Client) groupByRank(keys []string, rank int) []ownerGroup {
 		for hi < len(slots) && at[slots[hi]] == at[slots[lo]] {
 			hi++
 		}
-		groups = append(groups, ownerGroup{nodes[at[slots[lo]]], slots[lo:hi:hi]})
+		groups = append(groups, ownerGroup{n: nodes[at[slots[lo]]], slots: slots[lo:hi:hi]})
 		lo = hi
 	}
 	return groups
 }
 
-// batchCall performs one framed batch round trip and hands back a cursor
-// positioned at the first of want slots, or an error applied to the whole
-// group. The returned frame must be recycled after the slots are parsed.
-func batchCall(ctx context.Context, m *mconn, op dht.OpKind, want int, build func([]byte) ([]byte, error)) (cursor, *[]byte, error) {
-	body, err := m.call(ctx, op, build)
-	if err != nil {
-		return cursor{}, nil, err
+// appendGetBatch appends a getbatch payload: the slots' keys, then h when
+// it is set.
+func appendGetBatch(b []byte, keys []string, slots []int, h probeHint) []byte {
+	b = appendUv(b, uint64(len(slots)))
+	for _, i := range slots {
+		b = appendKey(b, keys[i])
 	}
+	if h.set {
+		b = binary.BigEndian.AppendUint64(b, h.v)
+	}
+	return b
+}
+
+// appendPutBatch appends a putbatch payload: the slots' pairs.
+func appendPutBatch(b []byte, kvs []dht.KV, slots []int) (_ []byte, err error) {
+	b = appendUv(b, uint64(len(slots)))
+	for _, i := range slots {
+		b = appendKey(b, kvs[i].Key)
+		at := len(b) // the value's length goes here
+		if b, err = appendValue(append(b, 0), kvs[i].Val); err != nil {
+			return nil, err
+		}
+		b = closeLen(b, at)
+	}
+	return b, nil
+}
+
+// readSlots parses a batch reply, body, whose slots answer slots in
+// order: an ok slot's value bytes go to ok, any other slot's error to
+// errs. A reply that is no batch of len(slots) slots is returned as the
+// error of them all. body is recycled.
+func readSlots(body *[]byte, slots []int, errs []error, ok func(i int, tv []byte)) error {
+	defer putBuf(body)
 	cur := cursor{b: *body}
 	status, err := cur.u8()
 	if err != nil {
-		putBuf(body)
-		return cursor{}, nil, malformedResp(err)
+		return malformedResp(err)
 	}
 	if status != statusOK {
-		err = serverErr(cur.rest())
-		putBuf(body)
-		return cursor{}, nil, err
+		return serverErr(cur.rest())
 	}
 	got, err := cur.count()
 	if err != nil {
-		putBuf(body)
-		return cursor{}, nil, malformedResp(err)
+		return malformedResp(err)
 	}
-	if got != want {
-		putBuf(body)
-		return cursor{}, nil, fmt.Errorf("tcpnet: batch reply has %d slots, want %d", got, want)
+	if got != len(slots) {
+		return fmt.Errorf("tcpnet: batch reply has %d slots, want %d", got, len(slots))
 	}
-	return cur, body, nil
-}
-
-// frameGetBatch fetches one node's slots of a batch in one frame, with h
-// when it is set.
-func (c *Client) frameGetBatch(ctx context.Context, n *clientNode, keys []string, slots []int, h probeHint, vals []dht.Value, errs []error) {
-	cur, frame, err := batchCall(ctx, n.pick(), dht.OpGetBatch, len(slots), func(b []byte) ([]byte, error) {
-		b = appendUv(b, uint64(len(slots)))
-		for _, i := range slots {
-			b = appendKey(b, keys[i])
-		}
-		if h.set {
-			b = binary.BigEndian.AppendUint64(b, h.v)
-		}
-		return b, nil
-	})
-	if err != nil {
-		for _, i := range slots {
-			errs[i] = err
-		}
-		return
-	}
-	defer putBuf(frame)
 	for _, i := range slots {
 		st, err := cur.u8()
 		if err != nil {
 			errs[i] = malformedResp(err)
 			continue
 		}
-		switch st {
-		case statusOK:
-			tv, err := cur.lenBytes()
-			if err != nil {
-				errs[i] = malformedResp(err)
-				continue
-			}
-			vals[i], errs[i] = decodeTagged(tv, h.set)
-		case statusNotFound:
+		if st == statusNotFound {
 			errs[i] = dht.ErrNotFound
-		default:
-			msg, err := cur.lenBytes()
-			if err != nil {
-				errs[i] = malformedResp(err)
-				continue
-			}
-			errs[i] = serverErr(msg)
-		}
-	}
-}
-
-func (c *Client) framePutBatch(ctx context.Context, n *clientNode, kvs []dht.KV, slots []int, errs []error) {
-	cur, frame, err := batchCall(ctx, n.pick(), dht.OpPutBatch, len(slots), func(b []byte) (_ []byte, err error) {
-		b = appendUv(b, uint64(len(slots)))
-		for _, i := range slots {
-			b = appendKey(b, kvs[i].Key)
-			at := len(b) // the value's length goes here
-			if b, err = appendValue(append(b, 0), kvs[i].Val); err != nil {
-				return nil, err
-			}
-			b = closeLen(b, at)
-		}
-		return b, nil
-	})
-	if err != nil {
-		for _, i := range slots {
-			errs[i] = err
-		}
-		return
-	}
-	defer putBuf(frame)
-	for _, i := range slots {
-		st, err := cur.u8()
-		if err != nil {
-			errs[i] = malformedResp(err)
 			continue
 		}
-		switch st {
-		case statusOK:
-			if _, err := cur.lenBytes(); err != nil {
-				errs[i] = malformedResp(err)
-			}
-		case statusNotFound:
-			errs[i] = dht.ErrNotFound
-		default:
-			msg, err := cur.lenBytes()
-			if err != nil {
-				errs[i] = malformedResp(err)
-				continue
-			}
-			errs[i] = serverErr(msg)
+		b, err := cur.lenBytes()
+		switch {
+		case err != nil:
+			errs[i] = malformedResp(err)
+		case st != statusOK:
+			errs[i] = serverErr(b)
+		case ok != nil:
+			ok(i, b)
 		}
 	}
+	return nil
 }

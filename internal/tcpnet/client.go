@@ -77,8 +77,9 @@ type ClusterConfig struct {
 // Chord substrate uses, so each node owns the arc ending at its hashed
 // address. It is safe for concurrent use: each node connection is a
 // pipelined multiplexer carrying many requests in flight at once, so
-// concurrent callers (and the batch plane's per-node fan-out) overlap
-// their round trips instead of queueing on a connection mutex.
+// concurrent callers overlap their round trips instead of queueing on a
+// connection mutex, and a batch writes every node's frame before it reads
+// any reply, overlapping its round trips on its caller's goroutine.
 //
 // Contexts bound the dial of a connection, and cancellation abandons the
 // request's pending slot — the connection and everyone else's in-flight

@@ -19,6 +19,16 @@ import (
 // none and a round trip hands nothing to another goroutine. With one
 // caller at a time a round trip is that caller's write and read.
 //
+// A round trip is two halves, and call is the one followed by the other:
+// send takes a request id, queues the frame and flushes the queue if
+// nobody is flushing it; wait takes the reader token, or parks until the
+// reply is in. A batch sends its frame to each of its nodes and then
+// waits for each reply in turn, all on its caller's goroutine, so every
+// node's frame is out before any reply is read. Between the halves the
+// request is away: its caller may be waiting on another connection, so
+// nobody hands it the reader token (handOff passes it over), or the
+// callers parked behind it would wait for that other connection too.
+//
 // Writing: a caller appends its frame to the connection's write queue.
 // If no flush is in progress it becomes the flusher and writes the queue
 // itself, and every frame queued behind it while it writes — many
@@ -82,7 +92,8 @@ type wireState struct {
 }
 
 // pending is one in-flight request's rendezvous, guarded by the mconn's
-// mu. sent is set once its frame is queued; done is set once, with res,
+// mu. sent is set once its frame is queued; away while its caller, having
+// sent it, has not yet come to wait for it; done is set once, with res,
 // by the reader that read its reply or by fail. wake nudges its waiter to
 // look again — its reply is in, or there is a duty it may take — and
 // every waiter looks again under the lock before it parks, so a nudge is
@@ -91,6 +102,7 @@ type wireState struct {
 type pending struct {
 	wake chan struct{}
 	sent bool
+	away bool
 	done bool
 	res  result
 }
@@ -265,37 +277,41 @@ func (m *mconn) transport(err error) error {
 	return dht.MarkTransient(fmt.Errorf("tcpnet: node %q unreachable: %w", m.addr, err))
 }
 
-// call performs one framed round trip: build encodes the request payload
-// (called once per attempt, appending to a pooled frame). A transport
-// failure is retried once on a fresh connection; context cancellation and
-// server-level responses are returned as-is. The returned buffer is the
-// reply frame's body (status + payload) and must be recycled with putBuf.
+// call performs one framed round trip: send, then wait. build encodes
+// the request payload, appending to a pooled frame, once per attempt. The
+// returned buffer is the reply frame's body (status + payload) and must
+// be recycled with putBuf.
 func (m *mconn) call(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (*[]byte, error) {
-	if err := ctx.Err(); err != nil {
+	t, err := m.send(ctx, op, build)
+	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		body, err, retry := m.attempt(ctx, op, build)
-		if err == nil {
-			return body, nil
-		}
-		if !retry || ctx.Err() != nil {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
+	return m.wait(ctx, t, op, build)
 }
 
-// attempt runs one send/receive cycle. retry reports whether the failure
-// was transport-level on an established connection (worth one redial).
-func (m *mconn) attempt(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (_ *[]byte, err error, retry bool) {
+// ticket is a request whose frame send has queued, for wait to take up.
+type ticket struct {
+	st *wireState
+	id uint64
+	p  *pending
+}
+
+// send takes a slot for a request, queues its frame, built by build, and
+// flushes the queue if nobody is flushing it; it reads nothing. The
+// request is away from then until wait takes it up, and nobody hands it
+// the reader token meanwhile. A failure before the frame is queued — the
+// context, the dial, build's error — or a context that ends during the
+// flush gives the slot up and is returned; a connection that fails once
+// the slot is taken is wait's to report.
+func (m *mconn) send(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (ticket, error) {
+	if err := ctx.Err(); err != nil {
+		return ticket{}, err
+	}
 	m.mu.Lock()
 	st, err := m.ensureLocked(ctx)
 	if err != nil {
 		m.mu.Unlock()
-		return nil, err, false
+		return ticket{}, err
 	}
 	id := st.takeID()
 	p := pendingPool.Get().(*pending)
@@ -317,38 +333,60 @@ func (m *mconn) attempt(ctx context.Context, op dht.OpKind, build func([]byte) (
 		putBuf(bufp)
 		m.mu.Lock()
 		m.leave(st, id, p)
-		return nil, err, false
+		return ticket{}, err
 	}
-	off := finishFrame(built)
+	frame := built[finishFrame(built):]
 
 	m.mu.Lock()
-	err = m.roundTrip(ctx, st, p, built[off:])
+	for !p.sent && !p.done && err == nil {
+		if st.flusher != nil && len(st.queue) >= wireBufSize {
+			st.full = append(st.full, p)
+			err = m.park(ctx, p)
+		} else {
+			st.queue = append(st.queue, frame...)
+			p.sent = true
+		}
+	}
 	putBuf(bufp)
-	res := p.res
-	m.leave(st, id, p)
-	if res.buf != nil {
-		return res.buf, nil, false
+	if p.sent && st.flusher == nil {
+		_, err = m.flush(ctx, st, p)
 	}
-	if res.err != nil {
-		return nil, res.err, !errors.Is(res.err, errClientClosed)
+	if err != nil {
+		m.leave(st, id, p)
+		return ticket{}, err
 	}
-	return nil, err, false
+	p.away = true
+	m.mu.Unlock()
+	return ticket{st, id, p}, nil
 }
 
-// roundTrip queues frame for p and waits for p's reply, taking on the
-// connection's I/O — the flush of the queue, the reader token — whenever
-// nobody else holds it. It returns once p is done, or with ctx's error.
-// Called and returns with m.mu held; frame is queued by copy.
-func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame []byte) (err error) {
+// wait takes up t and returns its reply. A transport failure on an
+// established connection is retried once while ctx lives: the request,
+// built again by build, is sent on a fresh dial and waited for. Context
+// cancellation and server-level responses are returned as they are.
+func (m *mconn) wait(ctx context.Context, t ticket, op dht.OpKind, build func([]byte) ([]byte, error)) (*[]byte, error) {
+	body, err, retry := m.await(ctx, t)
+	if retry && ctx.Err() == nil {
+		if t, err = m.send(ctx, op, build); err != nil {
+			return nil, err
+		}
+		body, err, _ = m.await(ctx, t)
+	}
+	return body, err
+}
+
+// await waits for t's reply, taking on the connection's I/O — the flush
+// of the queue, the reader token — whenever nobody else holds it, until
+// the reply is in or ctx ends, and gives t's slot up. retry reports a
+// failure at the transport on an established connection (worth one
+// redial).
+func (m *mconn) await(ctx context.Context, t ticket) (_ *[]byte, err error, retry bool) {
+	st, p := t.st, t.p
+	m.mu.Lock()
+	p.away = false
 	stalled := false // the last flush ran out of recheck with ctx alive
 	for !p.done && err == nil {
 		switch {
-		case !p.sent && st.flusher != nil && len(st.queue) >= wireBufSize:
-			st.full = append(st.full, p)
-			err = m.park(ctx, p)
-		case !p.sent:
-			st.queue = append(st.queue, frame...)
-			p.sent = true
 		case len(st.queue) > 0 && st.flusher == nil && !stalled:
 			stalled, err = m.flush(ctx, st, p)
 		case st.reader == nil:
@@ -365,7 +403,15 @@ func (m *mconn) roundTrip(ctx context.Context, st *wireState, p *pending, frame 
 			err = m.park(ctx, p)
 		}
 	}
-	return err
+	res := p.res
+	m.leave(st, t.id, p)
+	if res.buf != nil {
+		return res.buf, nil, false
+	}
+	if res.err != nil {
+		return nil, res.err, !errors.Is(res.err, errClientClosed)
+	}
+	return nil, err, false
 }
 
 // takeID hands out a request id: the one freed last, or a new one when
@@ -397,19 +443,21 @@ func (m *mconn) leave(st *wireState, id uint64, p *pending) {
 	}
 	m.handOff(st)
 	m.mu.Unlock()
-	p.sent, p.done, p.res = false, false, result{}
+	p.sent, p.done, p.away, p.res = false, false, false, result{}
 	pendingPool.Put(p)
 }
 
 // handOff nudges one parked waiter whose frame is queued when the reader
-// token is free or the queue has no flusher, so that it takes them on.
+// token is free or the queue has no flusher, so that it takes them on. A
+// request that is away is passed over: its caller is busy elsewhere, and
+// a duty handed to it would wait for it while the parked ones stall.
 // Called with m.mu held.
 func (m *mconn) handOff(st *wireState) {
 	if st.reader != nil && (st.flusher != nil || len(st.queue) == 0) {
 		return
 	}
 	for _, q := range st.pending {
-		if q != nil && q.sent && q != st.reader && q != st.flusher {
+		if q != nil && q.sent && !q.away && q != st.reader && q != st.flusher {
 			q.nudge()
 			return
 		}

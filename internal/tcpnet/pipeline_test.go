@@ -655,3 +655,258 @@ func TestWriteQueueStaysBounded(t *testing.T) {
 		t.Fatalf("Get after the burst = %d bytes, %v", len(v.([]byte)), err)
 	}
 }
+
+// stubReq is one request a stubNode read: its id, its op, its keys (a
+// get's one, a getbatch's every slot's), and reply, which writes the
+// node's answer — each key's value "echo:"+key — whenever the test calls
+// it.
+type stubReq struct {
+	id    uint64
+	op    dht.OpKind
+	keys  []string
+	reply func()
+}
+
+// stubNode is a fake node for one framed connection: it answers the
+// handshake ping and hands each later request, a get or a getbatch, to
+// the test on reqs, to be answered when the test says.
+func stubNode(t *testing.T) (addr string, reqs <-chan stubReq) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	ch := make(chan stubReq, 16)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var wmu sync.Mutex
+		write := func(frame []byte) {
+			wmu.Lock()
+			defer wmu.Unlock()
+			_, _ = conn.Write(frame)
+		}
+		br := bufio.NewReader(conn)
+		if _, err := br.Discard(len(wireMagic)); err != nil {
+			return
+		}
+		for n := 0; ; n++ {
+			id, body, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			if n == 0 { // the handshake ping
+				write(buildReply(id, []byte{statusOK}))
+				continue
+			}
+			r := stubReq{id: id, op: dht.OpKind(body[0])}
+			c := cursor{b: body[1:]}
+			count := 1
+			if r.op == dht.OpGetBatch {
+				count, _ = c.count()
+			}
+			out := []byte{statusOK}
+			if r.op == dht.OpGetBatch {
+				out = appendUv(out, uint64(count))
+			}
+			for i := 0; i < count; i++ {
+				key, err := c.key(new(keyScratch))
+				if err != nil {
+					return
+				}
+				r.keys = append(r.keys, string(key))
+				val := append([]byte{tagRaw}, "echo:"+string(key)...)
+				if r.op == dht.OpGetBatch {
+					out = appendLenBytes(append(out, statusOK), val)
+				} else {
+					out = append(out, val...)
+				}
+			}
+			frame := buildReply(id, out)
+			r.reply = func() { write(frame) }
+			ch <- r
+		}
+	}()
+	return ln.Addr().String(), ch
+}
+
+// stubPair dials a one-connection client to two stub nodes and returns
+// their requests in ring order, with a key each of them owns.
+func stubPair(t *testing.T) (c *Client, reqs [2]<-chan stubReq, keys [2]string) {
+	t.Helper()
+	byAddr := map[string]<-chan stubReq{}
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		addr, r := stubNode(t)
+		byAddr[addr] = r
+		addrs = append(addrs, addr)
+	}
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	nodes := c.ringNodes()
+	for i, n := range nodes {
+		reqs[i] = byAddr[n.addr]
+		for j := 0; keys[i] == ""; j++ {
+			if k := fmt.Sprintf("k%d", j); ownerIndex(nodes, k) == i {
+				keys[i] = k
+			}
+		}
+	}
+	return c, reqs, keys
+}
+
+// readerHeld reports whether a caller holds m's reader token.
+func readerHeld(m *mconn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.st != nil && m.st.reader != nil
+}
+
+// TestAwayCallerIsNotHandedTheReaderToken: caller A's batch has sent its
+// frames to both nodes and waits on the first, which holds A's reply. On
+// the second node, where A is away, caller C holds the reader token and
+// caller B is parked behind it. Once C's reply is in, the token must go to
+// B, not to A, who is busy elsewhere: B's reply comes 50 ms later and B
+// returns with it, long before A would come to read for it.
+func TestAwayCallerIsNotHandedTheReaderToken(t *testing.T) {
+	ctx := context.Background()
+	get := func(c *Client, key string, done chan<- error) {
+		v, err := c.Get(ctx, key)
+		if err == nil && string(v.([]byte)) != "echo:"+key {
+			err = fmt.Errorf("got %q, want echo:%s (misrouted)", v, key)
+		}
+		done <- err
+	}
+	for round := 0; round < 10; round++ {
+		c, reqs, keys := stubPair(t)
+		aDone := make(chan error, 1)
+		go func() {
+			vals, errs := c.GetBatch(ctx, keys[:])
+			for i, err := range errs {
+				if err == nil && string(vals[i].([]byte)) != "echo:"+keys[i] {
+					err = fmt.Errorf("slot %d = %q (misrouted)", i, vals[i])
+				}
+				if err != nil {
+					aDone <- err
+					return
+				}
+			}
+			aDone <- nil
+		}()
+		a0, a1 := <-reqs[0], <-reqs[1] // both held: A waits on the first node
+		cDone, bDone := make(chan error, 1), make(chan error, 1)
+		go get(c, keys[1], cDone)
+		cReq := <-reqs[1]
+		for !readerHeld(c.ringNodes()[1].conns[0]) {
+			time.Sleep(time.Millisecond) // C takes the reader token
+		}
+		go get(c, keys[1], bDone)
+		bReq := <-reqs[1]
+		// B parks behind C once it is past its flush; nothing shows that
+		// from outside, and a B not yet parked when C's reply comes takes
+		// the token itself, which this round then does not test.
+		time.Sleep(20 * time.Millisecond)
+		cReq.reply()
+		time.AfterFunc(50*time.Millisecond, bReq.reply)
+		select {
+		case err := <-bDone:
+			if err != nil {
+				t.Fatalf("round %d: B's Get: %v", round, err)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("round %d: B's reply was not read within 1s: the reader token went to A, away on the other node", round)
+		}
+		a0.reply()
+		a1.reply()
+		for name, done := range map[string]chan error{"A's batch": aDone, "C's Get": cDone} {
+			if err := <-done; err != nil {
+				t.Fatalf("round %d: %s: %v", round, name, err)
+			}
+		}
+		if t.Failed() {
+			<-bDone
+			return
+		}
+	}
+}
+
+// TestCancelledBatchFreesEverySlot: a batch's context ends while its
+// second node holds the reply. The first node's slots have their values,
+// the second's the context's error. No slot outlives the batch but the
+// one whose reply is still due, and that one only until the reply is read
+// and dropped: the next Get on each connection gets its own value under a
+// one-byte id, and leaves both pending tables empty.
+func TestCancelledBatchFreesEverySlot(t *testing.T) {
+	c, reqs, keys := stubPair(t)
+	conns := [2]*mconn{c.ringNodes()[0].conns[0], c.ringNodes()[1].conns[0]}
+	pendings := func(m *mconn) (live, abandoned int) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, p := range m.st.pending {
+			if p == nil {
+				abandoned++
+			} else {
+				live++
+			}
+		}
+		return live, abandoned
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	type batch struct {
+		vals []dht.Value
+		errs []error
+	}
+	done := make(chan batch, 1)
+	go func() {
+		vals, errs := c.GetBatch(ctx, keys[:])
+		done <- batch{vals, errs}
+	}()
+	first, held := <-reqs[0], <-reqs[1]
+	first.reply()
+	for live, _ := pendings(conns[0]); live > 0; live, _ = pendings(conns[0]) {
+		time.Sleep(time.Millisecond) // the first reply is read
+	}
+	cancel()
+	b := <-done
+	if b.errs[0] != nil || string(b.vals[0].([]byte)) != "echo:"+keys[0] {
+		t.Errorf("the answered slot = %v, %v", b.vals[0], b.errs[0])
+	}
+	if !errors.Is(b.errs[1], context.Canceled) {
+		t.Errorf("the held slot's error = %v, want the context's", b.errs[1])
+	}
+	for i, m := range conns {
+		live, abandoned := pendings(m)
+		if want := i; live != 0 || abandoned != want {
+			t.Errorf("node %d: %d live and %d abandoned slots after the batch, want 0 and %d", i, live, abandoned, want)
+		}
+	}
+	held.reply() // the late reply
+	for i, m := range conns {
+		got := make(chan error, 1)
+		go func() {
+			v, err := c.Get(context.Background(), keys[i])
+			if err == nil && string(v.([]byte)) != "echo:"+keys[i] {
+				err = fmt.Errorf("got %q (misrouted)", v)
+			}
+			got <- err
+		}()
+		r := <-reqs[i]
+		if r.id >= 128 {
+			t.Errorf("node %d: the next Get took id %d, more than one byte", i, r.id)
+		}
+		r.reply()
+		if err := <-got; err != nil {
+			t.Fatalf("node %d: the next Get: %v", i, err)
+		}
+		if live, abandoned := pendings(m); live+abandoned != 0 {
+			t.Errorf("node %d: %d live and %d abandoned slots after the next Get", i, live, abandoned)
+		}
+	}
+}
