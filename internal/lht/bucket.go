@@ -156,15 +156,21 @@ func (b *Bucket) String() string {
 //	           marker u8 = 0xFB, label (bitlabel binary form)
 //	record   an untorn leaf that covers the hinted key and holds a record
 //	         with it, for a prober that wants the record alone:
-//	           marker u8 = 0xFF, label, then the stored record past its
-//	           key: uv vlen, value (the key is the hinted one, bit for
-//	           bit: a record whose key is stored as -0, which a hint
-//	           reads as +0, goes out in the whole bucket instead)
+//	           marker u8 = 0xFF, label, then the record's value, to the
+//	           reply's end (the key is the hinted one, bit for bit: a
+//	           record whose key is stored as -0, which a hint reads as +0,
+//	           goes out in the whole bucket instead)
 //	absent   the same leaf when it holds no record with the hinted key:
 //	           marker u8 = 0xFA, label
 //	run      an untorn leaf that overlaps the hinted range:
-//	           marker u8 = 0xFD, label, then the record list of the stored
-//	           records whose keys fall in the hinted range, in stored order
+//	           marker u8 = 0xFD, label, then the packed run
+//	           (record.AppendRun) of the stored records whose keys fall in
+//	           the hinted range, in stored order: each key as the offset
+//	           of its bit pattern in the leaf's interval's, in the bits
+//	           the widest offset needs (keyBits), and one length for
+//	           values that all have it. A leaf holding a record in the
+//	           range whose key lies outside its interval's bits, such as
+//	           one stored as -0, goes out whole instead
 //
 // A short form names the leaf by its label and drops the rest of the
 // header: a prober reads no version, epoch or intent off a leaf it did not
@@ -433,7 +439,8 @@ func parseRangeHint(hint uint64) keyspace.Interval {
 // out exactly as record.FilterRange would; a leaf that does not overlap
 // the range has none. A torn bucket goes out whole, for the prober must
 // see it to repair it, and so does anything that does not parse, for the
-// prober's decoder to refuse.
+// prober's decoder to refuse, and a leaf holding a record its run or its
+// record reply could not carry bit for bit.
 func projectBucket(dst, data []byte, hint uint64) []byte {
 	var b Bucket
 	list, _, err := parseHeader(&b, data)
@@ -446,8 +453,8 @@ func projectBucket(dst, data []byte, hint uint64) []byte {
 			return appendShort(dst, headerReplyMarker, b.Label)
 		}
 		mark := len(dst)
-		if dst, err = record.AppendFilteredList(appendShort(dst, runReplyMarker, b.Label), list, r.Lo, r.Hi); err != nil {
-			return append(dst[:mark], data...)
+		if dst, err = record.AppendRun(appendShort(dst, runReplyMarker, b.Label), list, r.Lo, r.Hi, keyBits(b.Interval())); err != nil {
+			return append(dst[:mark], data...) // a list that does not parse, or a key in range the run cannot carry, such as -0
 		}
 		return dst
 	}
@@ -465,7 +472,14 @@ func projectBucket(dst, data []byte, hint uint64) []byte {
 	case rec == nil:
 		return appendShort(dst, absentReplyMarker, b.Label)
 	}
-	return append(appendShort(dst, recordReplyMarker, b.Label), rec[8:]...) // past the key
+	_, value, _ := record.ReadUvarint(rec[8:]) // past the key and the length: the reply's end is the value's
+	return append(appendShort(dst, recordReplyMarker, b.Label), value...)
+}
+
+// keyBits is the span of key bit patterns of a leaf's interval iv: what a
+// run of the leaf's records may carry (record.AppendRun).
+func keyBits(iv keyspace.Interval) record.KeyBits {
+	return record.KeyBits{Lo: math.Float64bits(iv.Lo), Hi: math.Float64bits(iv.Hi)}
 }
 
 // appendShort opens a short probe reply: its marker, then the leaf's
@@ -520,22 +534,22 @@ func decodeProbeReply(data []byte) (dht.Value, error) {
 	}
 	switch data[0] {
 	case runReplyMarker:
-		// The decoder is not told the probe's hint: the run is every
-		// record of the reply's list, in a copy of its own, and the
-		// query's join filters it as it filters a whole bucket's records.
-		enc, n, err := record.FilterList(rest, math.Inf(-1), math.Inf(1))
+		// The decoder is not told the probe's hint: the run holds every
+		// record the peer packed, in a copy of its own, and the query's
+		// join filters it as it filters a whole bucket's records.
+		n, err := record.CountRun(rest, keyBits(keyspace.IntervalOf(label)))
 		if err != nil {
 			return nil, fmt.Errorf("decode run reply: %w", err)
 		}
-		return &bucketRun{label: label, n: n, enc: enc}, nil
-	case recordReplyMarker:
-		n, v, err := record.ReadUvarint(rest)
-		if err != nil || n != uint64(len(v)) {
-			return nil, errors.New("decode record reply: malformed record")
-		}
-		r := &BucketRecord{Label: label, Found: true}
+		run := &bucketRun{label: label, n: n}
 		if n > 0 {
-			r.Record.Value = append([]byte(nil), v...)
+			run.enc = append([]byte(nil), rest...)
+		}
+		return run, nil
+	case recordReplyMarker:
+		r := &BucketRecord{Label: label, Found: true}
+		if len(rest) > 0 {
+			r.Record.Value = append([]byte(nil), rest...)
 		}
 		return r, nil
 	}

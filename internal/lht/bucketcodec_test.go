@@ -475,10 +475,15 @@ func TestDecodeProbeReply(t *testing.T) {
 		}
 	}
 
-	// The record reply: every cut of it but the whole is refused, as are
-	// bytes after the record, and the absent and header markers in front
-	// of a record.
+	// The record reply: its value runs to the reply's end, so a cut
+	// through the marker and label is refused and a longer one is a
+	// shorter value (the frame around the reply fixes its end); the absent
+	// and header markers in front of a value are refused.
 	reply := projectBucket(nil, data, ProbeHint(b.Records[5].Key, true))
+	label := len(appendShort(nil, recordReplyMarker, b.Label))
+	if len(reply) != label+len(b.Records[5].Value) {
+		t.Errorf("the record reply is %d bytes, want the marker and label (%d) and the %d-byte value alone", len(reply), label, len(b.Records[5].Value))
+	}
 	v, err = decodeProbeReply(reply)
 	if r, ok := v.(*BucketRecord); err != nil || !ok || r.Label != b.Label || !r.Found ||
 		r.Record.Key != 0 || !bytes.Equal(r.Record.Value, b.Records[5].Value) {
@@ -499,18 +504,16 @@ func TestDecodeProbeReply(t *testing.T) {
 		reply[i] ^= 0xFF
 	}
 	for n := 0; n < len(reply); n++ {
-		if v, err := decodeProbeReply(reply[:n]); err == nil {
-			t.Errorf("%d-byte prefix of a %d-byte record reply decoded to %#v", n, len(reply), v)
+		v, err := decodeProbeReply(reply[:n])
+		if r, ok := v.(*BucketRecord); n < label && err == nil || n >= label && (err != nil || !ok || !r.Found || !bytes.Equal(r.Record.Value, reply[label:n])) {
+			t.Errorf("%d-byte prefix of a %d-byte record reply decoded to %#v, %v", n, len(reply), v, err)
 		}
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for name, bad := range map[string][]byte{
-		"absent + a record":    cat([]byte{absentReplyMarker}, reply[1:]),
-		"header + a record":    cat([]byte{headerReplyMarker}, reply[1:]),
-		"found, nothing":       cat([]byte{recordReplyMarker}, header[1:]),
-		"trailing byte":        cat(reply, []byte{0}),
+		"absent + a value":     cat([]byte{absentReplyMarker}, reply[1:]),
+		"header + a value":     cat([]byte{headerReplyMarker}, reply[1:]),
 		"marker twice":         cat([]byte{recordReplyMarker}, reply),
-		"marker + whole":       cat([]byte{recordReplyMarker}, data),
 		"a label pad bit":      {headerReplyMarker, 1, 0x40},
 		"a label past MaxBits": {headerReplyMarker, bitlabel.MaxBits + 1, 0, 0, 0, 0, 0, 0, 0, 0},
 		"a patch's ack":        {patchAckMarker, 5},
@@ -741,4 +744,25 @@ func BenchmarkBucketProjectRange(b *testing.B) {
 		out = projectBucket(out[:0], data, hint)
 	}
 	sinkBytes = out
+}
+
+// BenchmarkBucketRunDecode is the prober's cost of a range probe's run
+// reply: the decoder's validating walk and copy, then the join's decode
+// of every record of the run into a result sized for it.
+func BenchmarkBucketRunDecode(b *testing.B) {
+	bk := referenceBucket()
+	reply := projectBucket(nil, mustEncode(b, bk), RangeHint(0, 1))
+	out := make([]record.Record, 0, len(bk.Records))
+	b.SetBytes(int64(len(reply)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := decodeProbeReply(reply)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out, err = v.(*bucketRun).appendTo(out[:0], 0, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -938,8 +938,12 @@ func lyingRangeReplies(t *testing.T, sweep bool) {
 				return run, false
 			}
 			b := v.(*Bucket)
-			list := record.AppendList(nil, b.Records)
-			return &bucketRun{label: b.Label, n: len(b.Records), enc: list[record.UvarintLen(uint64(len(b.Records))):]}, false
+			enc, err := record.AppendRun(nil, record.AppendList(nil, b.Records), math.Inf(-1), math.Inf(1), keyBits(b.Interval()))
+			if err != nil {
+				t.Error(err)
+				return run, false
+			}
+			return &bucketRun{label: b.Label, n: len(b.Records), enc: enc}, false
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -57,7 +57,7 @@ func runOf(t testing.TB, reply []byte, label bitlabel.Label) []record.Record {
 	if err != nil || !ok || run.label != label {
 		t.Fatalf("a %d-byte reply decoded to %#v, %v, want a run of %s", len(reply), v, err, label)
 	}
-	recs, err := record.AppendRange(nil, run.enc, math.Inf(-1), math.Inf(1))
+	recs, err := run.appendTo(nil, math.Inf(-1), math.Inf(1))
 	if err != nil || len(recs) != run.n {
 		t.Fatalf("run of %s: %d records, n = %d, %v", label, len(recs), run.n, err)
 	}
@@ -183,7 +183,7 @@ func TestDecodeRunReply(t *testing.T) {
 	for i := range reply { // the transport reuses its buffer
 		reply[i] ^= 0xFF
 	}
-	if again, err := record.AppendRange(nil, v.(*bucketRun).enc, lo, hi); err != nil || !sameBucket(&Bucket{Records: again}, &Bucket{Records: got}) {
+	if again, err := v.(*bucketRun).appendTo(nil, lo, hi); err != nil || !sameBucket(&Bucket{Records: again}, &Bucket{Records: got}) {
 		t.Errorf("the run's records alias the reply buffer: %v, %v", again, err)
 	}
 	for i := range reply {
@@ -228,9 +228,10 @@ func TestDecodeRunReply(t *testing.T) {
 //     the list behind a sound header is not read); any other reply
 //     decodes iff
 //     DecodeBucket takes the stored bytes, to a *Bucket — the stored one —
-//     iff that is torn, and otherwise to a run with the stored label from
-//     which the query's bounds take exactly what record.FilterRange keeps
-//     of the decoded bucket's records, in order;
+//     iff that is torn or holds a record in the hinted range that a run
+//     cannot carry (outside), and otherwise to a run with the stored label
+//     from which the query's bounds take exactly what record.FilterRange
+//     keeps of the decoded bucket's records, in order;
 //   - the run keeps nothing of the reply buffer.
 func FuzzRangeProbe(f *testing.F) {
 	for _, seed := range bucketFuzzSeeds(f) {
@@ -299,15 +300,15 @@ func FuzzRangeProbe(f *testing.F) {
 		}
 		switch v := v.(type) {
 		case *Bucket:
-			if !b.Torn() || !bytes.Equal(mustEncode(t, v), raw) {
+			if !b.Torn() && !outside(b, hinted) || !bytes.Equal(mustEncode(t, v), raw) {
 				t.Fatalf("a bucket (torn: %v) came back whole: %+v", b.Torn(), v)
 			}
 		case *bucketRun:
-			if b.Torn() {
-				t.Fatal("a torn bucket was cut into a run")
+			if b.Torn() || outside(b, hinted) {
+				t.Fatalf("a bucket (torn: %v) was cut into a run", b.Torn())
 			}
 			want := record.FilterRange(nil, b.Records, lo, hi)
-			got, err := record.AppendRange(nil, v.enc, lo, hi)
+			got, err := v.appendTo(nil, lo, hi)
 			if err != nil || v.label != b.Label || v.n < len(want) || !sameBucket(&Bucket{Records: got}, &Bucket{Records: want}) {
 				t.Fatalf("run of %s: %d records, of which in %v %v, %v; want %s: %v", v.label, v.n, r, got, err, b.Label, want)
 			}
@@ -315,4 +316,17 @@ func FuzzRangeProbe(f *testing.F) {
 			t.Fatalf("the reply decoded to a %T", v)
 		}
 	})
+}
+
+// outside reports whether b holds a record in r whose key's bit pattern
+// lies outside b's interval: one a run cannot carry, such as a key stored
+// as -0, so a probe hinted with r is answered with the bucket whole.
+func outside(b *Bucket, r keyspace.Interval) bool {
+	keys := keyBits(b.Interval())
+	for _, rec := range record.FilterRange(nil, b.Records, r.Lo, r.Hi) {
+		if k := math.Float64bits(rec.Key); k < keys.Lo || k >= keys.Hi {
+			return true
+		}
+	}
+	return false
 }

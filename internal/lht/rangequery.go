@@ -26,7 +26,16 @@ var ErrBadRange = errors.New("lht: invalid range")
 type bucketRun struct {
 	label bitlabel.Label
 	n     int    // records in enc
-	enc   []byte // the run's own copy, as record.FilterList cut it
+	enc   []byte // the run's own copy, packed (record.AppendRun); nil when n is 0
+}
+
+// appendTo appends to dst the run's records whose keys fall in [lo, hi),
+// in run order. Their values alias enc.
+func (r *bucketRun) appendTo(dst []record.Record, lo, hi float64) ([]record.Record, error) {
+	if r.n == 0 {
+		return dst, nil
+	}
+	return record.UnpackRun(dst, r.enc, keyBits(keyspace.IntervalOf(r.label)), lo, hi)
 }
 
 // rangeShare is one leaf's contribution to a range query's result: its
@@ -119,7 +128,7 @@ func (c *rangeCollector) snapshot() ([]record.Record, int, error) {
 			continue
 		}
 		var err error
-		if out, err = record.AppendRange(out, s.run.enc, s.lo, s.hi); err != nil {
+		if out, err = s.run.appendTo(out, s.lo, s.hi); err != nil {
 			return nil, c.lookups, fmt.Errorf("%w: run of leaf %s: %v", ErrCorrupt, s.run.label, err)
 		}
 	}

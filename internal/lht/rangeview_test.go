@@ -103,7 +103,7 @@ func FuzzRunView(f *testing.F) {
 			case *Bucket:
 				recs = again.Records
 			case *bucketRun:
-				if recs, err = record.AppendRange(nil, again.enc, math.Inf(-1), math.Inf(1)); err != nil || len(recs) != again.n {
+				if recs, err = again.appendTo(nil, math.Inf(-1), math.Inf(1)); err != nil || len(recs) != again.n {
 					t.Fatalf("run of %s: %d records, n = %d, %v", again.label, len(recs), again.n, err)
 				}
 			default:

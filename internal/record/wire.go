@@ -186,80 +186,6 @@ func FindInList(buf []byte, key float64) (enc []byte, err error) {
 	return buf[s.Hit:s.End], nil
 }
 
-// spanInRange is the validating walk FilterList and AppendFilteredList
-// share: it accepts exactly the lists DecodeList accepts, walks list to
-// its end, and reports the records that follow its count (body), how many
-// there are (count), and how many of them (n), in how many encoded bytes
-// (size), have keys in [lo, hi). It allocates nothing.
-func spanInRange(list []byte, lo, hi float64) (body []byte, count uint64, n, size int, err error) {
-	if count, body, err = readCount(list); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	rest := body
-	for i := count; i > 0; i-- {
-		var r Record
-		before := len(rest)
-		if rest, err = readRecord(&r, rest); err != nil {
-			return nil, 0, 0, 0, err
-		}
-		if r.Key >= lo && r.Key < hi {
-			n++
-			size += before - len(rest)
-		}
-	}
-	if len(rest) != 0 {
-		return nil, 0, 0, 0, fmt.Errorf("record: %d bytes after the last record", len(rest))
-	}
-	return body, count, n, size, nil
-}
-
-// appendInRange appends to dst, still encoded and in list order, the
-// records of body — which spanInRange validated — whose keys fall in
-// [lo, hi); all says that every one does, which makes it one copy.
-func appendInRange(dst, body []byte, all bool, lo, hi float64) []byte {
-	if all {
-		return append(dst, body...)
-	}
-	for rest := body; len(rest) > 0; {
-		var r Record
-		next, _ := readRecord(&r, rest) // validated by spanInRange
-		if r.Key >= lo && r.Key < hi {
-			dst = append(dst, rest[:len(rest)-len(next)]...)
-		}
-		rest = next
-	}
-	return dst
-}
-
-// FilterList is FilterRange on an encoded list: it returns, still encoded
-// and in list order, the n records of list whose keys fall in [lo, hi),
-// back to back with no count in front (what AppendRange decodes). It
-// accepts exactly the lists DecodeList accepts and validates all of list
-// before it allocates. enc is a copy sized to the records it holds, so
-// list may be a pooled buffer and nothing out of range stays alive; it is
-// nil when n is 0.
-func FilterList(list []byte, lo, hi float64) (enc []byte, n int, err error) {
-	body, count, n, size, err := spanInRange(list, lo, hi)
-	if err != nil || n == 0 {
-		return nil, 0, err
-	}
-	return appendInRange(make([]byte, 0, size), body, uint64(n) == count, lo, hi), n, nil
-}
-
-// AppendFilteredList is FilterList for a caller that has a buffer: it
-// appends to dst the encoded list, count and all, of the records of list
-// whose keys fall in [lo, hi), in list order. list is validated whole
-// first, and left out of dst altogether when it does not parse; dst grows
-// and nothing else is allocated.
-func AppendFilteredList(dst, list []byte, lo, hi float64) ([]byte, error) {
-	body, count, n, _, err := spanInRange(list, lo, hi)
-	if err != nil {
-		return dst, err
-	}
-	dst = binary.AppendUvarint(dst, uint64(n))
-	return appendInRange(dst, body, uint64(n) == count, lo, hi), nil
-}
-
 // CountList is the validating walk on its own: it accepts exactly the
 // lists DecodeList accepts, returns their record count and allocates
 // nothing.
@@ -313,24 +239,6 @@ func CountHalf(list []byte, mid float64, low bool) (n uint64, err error) {
 		return 0, fmt.Errorf("record: %d bytes after the last record", len(rest))
 	}
 	return n, nil
-}
-
-// AppendRange decodes enc, records back to back as FilterList returns
-// them, and appends to dst those whose keys fall in [lo, hi). Like
-// DecodeList's, the values are capacity-clipped views of enc, which the
-// caller must own.
-func AppendRange(dst []Record, enc []byte, lo, hi float64) ([]Record, error) {
-	for len(enc) > 0 {
-		var r Record
-		var err error
-		if enc, err = readRecord(&r, enc); err != nil {
-			return dst, err
-		}
-		if r.Key >= lo && r.Key < hi {
-			dst = append(dst, r)
-		}
-	}
-	return dst, nil
 }
 
 // ErrNoRecord reports a DeleteFromList of a key the list does not hold.

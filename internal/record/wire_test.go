@@ -247,128 +247,6 @@ func TestSpliceList(t *testing.T) {
 	}
 }
 
-// FilterList agrees with FilterRange on what DecodeList decodes, record
-// for record and in order, accepts exactly the lists DecodeList accepts,
-// and returns a copy that holds the records in range and nothing else;
-// AppendFilteredList makes the same cut into the caller's buffer, as a
-// list with its count.
-func TestFilterList(t *testing.T) {
-	rs := []Record{
-		{Key: 0.75, Value: bytes.Repeat([]byte{7}, 300)},
-		{Key: 0.125, Value: []byte("a")},
-		{Key: math.Copysign(0, -1), Value: []byte("minus zero")},
-		{Key: math.NaN(), Value: []byte("in no range")},
-		{Key: 0.5},
-		{Key: 0.25, Value: []byte("b")},
-	}
-	for name, tc := range map[string]struct {
-		rs     []Record
-		lo, hi float64
-	}{
-		"empty list":             {nil, 0, 1},
-		"none in range":          {rs, 0.8, 0.9},
-		"all but NaN in range":   {rs, 0, 1},
-		"all in range":           {append(rs[:3:3], rs[4:]...), 0, 1},
-		"some in range":          {rs, 0.125, 0.5},
-		"minus zero is zero":     {rs, 0, 0.1},
-		"bounds that are a key":  {rs, 0.25, 0.75},
-		"the empty range":        {rs, 0.5, 0.5},
-		"NaN bounds select none": {rs, math.NaN(), math.NaN()},
-	} {
-		list := AppendList(nil, tc.rs)
-		enc, n, err := FilterList(list, tc.lo, tc.hi)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		want := FilterRange(nil, tc.rs, tc.lo, tc.hi)
-		got, err := AppendRange(nil, enc, math.Inf(-1), math.Inf(1))
-		if err != nil || n != len(want) || len(got) != len(want) {
-			t.Errorf("%s: %d records (n = %d), %v; FilterRange keeps %d", name, len(got), n, err, len(want))
-			continue
-		}
-		for i := range want {
-			if math.Float64bits(got[i].Key) != math.Float64bits(want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
-				t.Errorf("%s: record %d is %v, want %v", name, i, got[i], want[i])
-			}
-		}
-		if size := ListSize(want) - UvarintLen(uint64(len(want))); len(enc) != size || cap(enc) != size || (n == 0) != (enc == nil) {
-			t.Errorf("%s: enc has %d of %d bytes for %d records that encode in %d", name, len(enc), cap(enc), n, size)
-		}
-		// The same cut appended to a buffer is the list FilterRange's
-		// records encode to, after what the buffer held.
-		if out, err := AppendFilteredList([]byte("dst:"), list, tc.lo, tc.hi); err != nil || !bytes.Equal(out, AppendList([]byte("dst:"), want)) {
-			t.Errorf("%s: AppendFilteredList = %x, %v; want the list of %v", name, out, err, want)
-		}
-		// A copy: the pooled buffer it was cut from may be reused at once.
-		for i := range list {
-			list[i] ^= 0xFF
-		}
-		if again, _ := AppendRange(nil, enc, math.Inf(-1), math.Inf(1)); len(again) != len(want) || len(want) > 0 && !bytes.Equal(again[0].Value, want[0].Value) {
-			t.Errorf("%s: enc changed with the list it was cut from", name)
-		}
-	}
-
-	data := AppendList(nil, rs)
-	if n := testing.AllocsPerRun(100, func() { _, _, _ = FilterList(data, 0.125, 0.5) }); n != 1 {
-		t.Errorf("FilterList: %v allocations for a partial cut, want 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { _, _, _ = FilterList(data, 0.8, 0.9) }); n != 0 {
-		t.Errorf("FilterList: %v allocations for an empty cut, want 0", n)
-	}
-	buf := make([]byte, 0, len(data))
-	for _, r := range [][2]float64{{0.125, 0.5}, {0.8, 0.9}, {math.Inf(-1), math.Inf(1)}} {
-		if n := testing.AllocsPerRun(100, func() { buf, _ = AppendFilteredList(buf[:0], data, r[0], r[1]) }); n != 0 {
-			t.Errorf("AppendFilteredList(%v) into a sized buffer: %v allocations, want 0", r, n)
-		}
-	}
-
-	one := AppendList(nil, rs[:1])
-	for name, bad := range map[string][]byte{
-		"empty":              {},
-		"count past the end": binary.AppendUvarint(nil, 1<<40),
-		"truncated":          data[:len(data)-1],
-		"trailing byte":      append(append([]byte(nil), data...), 0),
-		"padded count":       append([]byte{0x81, 0x00}, one[1:]...),
-		"padded length":      append(append([]byte{1}, make([]byte, 8)...), 0x81, 0x00, 'x'),
-	} {
-		if _, err := DecodeList(bad); err == nil {
-			t.Fatalf("%s: DecodeList accepts it", name)
-		}
-		if n, err := CountList(bad); err == nil {
-			t.Errorf("%s: CountList = %d", name, n)
-		}
-		if out, n, err := AppendHalf([]byte("dst:"), bad, 0.5, true); err == nil || string(out) != "dst:" || n != 0 {
-			t.Errorf("%s: AppendHalf = %q, %d, %v", name, out, n, err)
-		}
-		if n, err := CountHalf(bad, 0.5, false); err == nil || n != 0 {
-			t.Errorf("%s: CountHalf = %d, %v", name, n, err)
-		}
-		// Even a range the damage lies outside of must not be cut.
-		for _, r := range [][2]float64{{0, 1}, {0.7, 0.8}, {0.9, 1}} {
-			if out, err := AppendFilteredList([]byte("dst:"), bad, r[0], r[1]); err == nil || string(out) != "dst:" {
-				t.Errorf("%s: AppendFilteredList(%v) = %q, %v", name, r, out, err)
-			}
-			if enc, n, err := FilterList(bad, r[0], r[1]); err == nil || enc != nil || n != 0 {
-				t.Errorf("%s: FilterList(%v) = %d bytes, %d records, %v", name, r, len(enc), n, err)
-			}
-		}
-	}
-
-	// AppendRange filters as it decodes, appends, and refuses a torn run.
-	enc, _, _ := FilterList(data, 0, 1)
-	got, err := AppendRange([]Record{{Key: 9}}, enc, 0.125, 0.5)
-	if want := FilterRange([]Record{{Key: 9}}, rs, 0.125, 0.5); err != nil || len(got) != len(want) || got[0].Key != 9 || got[1].Key != want[1].Key || got[2].Key != want[2].Key {
-		t.Errorf("AppendRange = %v, %v, want %v", got, err, want)
-	}
-	if len(got[1].Value) > 0 && cap(got[1].Value) != len(got[1].Value) {
-		t.Error("AppendRange: value not capacity-clipped")
-	}
-	if _, err := AppendRange(nil, enc[:len(enc)-1], 0, 1); err == nil {
-		t.Error("AppendRange decoded a truncated run")
-	}
-}
-
 // AppendHalf cuts a list where a leaf split cuts its records: the keys
 // below mid one side, every other key — NaN and +Inf too, and a key equal
 // to mid — the other, each side in list order; CountHalf counts a side

@@ -15,8 +15,8 @@ import (
 // recycles every buffer it touches, so the encode/decode hot path
 // allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT8"; a server closes one
-// that opens with anything else — an LHT7 peer of the generation before
+// A connection opens with the 4-byte magic "LHT9"; a server closes one
+// that opens with anything else — an LHT8 peer of the generation before
 // this one included — before serving a frame. Nodes and clients of one
 // generation upgrade together. After the magic, both directions speak
 // length-prefixed frames whose header is two unsigned varints:
@@ -105,8 +105,11 @@ import (
 // prefix would be bytes nobody reads. For the index's buckets
 // (internal/lht, "Probe replies") the smaller forms are the leaf's label
 // alone when the leaf does not cover the hinted key, and the label plus
-// the one record asked for, or word that it is absent, when it does and
-// the hint says the record is all the requester wants. The requester
+// the value of the one record asked for, or word that it is absent, when
+// it does and the hint says the record is all the requester wants; to a
+// range hint, the label plus the leaf's records in the range, packed: each
+// key as its offset inside the leaf's interval, one length for values
+// that share it. The requester
 // decodes with dht.DecodeProbe. The server builds the reply without
 // decoding anything; every other tag is answered as stored, a kind with
 // no projector whole, and a get with no hint is served the stored bytes
@@ -193,7 +196,7 @@ import (
 // message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT8"
+	wireMagic = "LHT9"
 
 	// maxFrameLen bounds a frame's length field: decoders reject anything
 	// larger before allocating, so a garbage or hostile header can never

@@ -105,10 +105,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
 		seeds = append(seeds, buildFrame(25, dht.OpGetBatch, append(probed, make([]byte, n)...)))
 	}
+	// Gets of the raw value, plain and hinted: answered as stored.
+	seeds = append(seeds, buildFrame(33, dht.OpGet, appendKey(nil, "raw")), buildFrame(34, dht.OpGet, hintedGet("raw", 0.25)))
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	stored, err := appendValue(nil, wideBucket())
+	wide := wideBucket()
+	stored, err := appendValue(nil, wide)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -169,8 +172,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Whatever the hint, a get of the stored bucket is answered with
 		// the bucket, its header or one record of it — or, to a range
 		// hint, with the run of its records in range, a type lht keeps
-		// to itself. A hinted get's reply never carries the stored epoch
-		// prefix; a plain get's is the stored bytes, prefix and all.
+		// to itself — and a get of the raw value with its bytes. A hinted
+		// get's reply never carries the stored epoch prefix; a plain
+		// get's is the stored bytes, prefix and all.
 		if op == dht.OpGet && status == statusOK {
 			hc := cursor{b: body[1:]}
 			key, _ := hc.key(new(keyScratch))
@@ -181,8 +185,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			if len(hc.b) == 0 && !bytes.Equal(c.b, storedValue(s, string(key))) {
 				t.Fatalf("a plain get of %q was answered with %x, not the stored bytes", key, c.b)
 			}
-			switch v, err := decodeTagged(c.rest(), true); v.(type) {
-			case *ilht.Bucket, *ilht.BucketHeader, *ilht.BucketRecord:
+			switch v, err := decodeTagged(c.rest(), true); v := v.(type) {
+			case *ilht.BucketRecord:
+				// A found record's value runs to the reply's end: it is
+				// the stored record's with the hinted key, whole.
+				delta := math.Float64frombits(binary.BigEndian.Uint64(hc.b) &^ (1 << 63))
+				if i := record.FindByKey(wide.Records, delta); v.Found && (i < 0 || !bytes.Equal(v.Record.Value, wide.Records[i].Value)) {
+					t.Fatalf("a record probe for %v was answered with the value %x", delta, v.Record.Value)
+				}
+			case *ilht.Bucket, *ilht.BucketHeader:
+			case []byte:
+				if string(key) != "raw" {
+					t.Fatalf("get of %q answered with raw bytes %x", key, v)
+				}
 			default:
 				if !ranged || err != nil || v == nil {
 					t.Fatalf("get of the stored bucket answered with %T, %v", v, err)

@@ -109,7 +109,8 @@ func TestKeyFormBytes(t *testing.T) {
 // request id 1: the frame's length byte and id byte, the status, tagWire
 // and the kind, then what the bucket's projector ships — a marker and the
 // leaf's label (two bytes at depth 7), and past them for a found record
-// its value's length byte and value, for a run its count and records.
+// its value alone, to the reply's end, for a run its count, its values'
+// one length, its keys packed and its values.
 // None carries the stored value's epoch prefix, a hinted getbatch's slot
 // included; a plain get answers the stored bytes verbatim, prefix and
 // all, for re-replication compares the epochs of plain gets.
@@ -160,9 +161,9 @@ func TestProbeReplyBytes(t *testing.T) {
 		{"header", probe(ilht.ProbeHint(0.1, false)), head + 1 + label},
 		{"header, record-only", probe(ilht.ProbeHint(0.1, true)), head + 1 + label},
 		{"header, range", probe(ilht.RangeHint(0.1, 0.2)), head + 1 + label},
-		{"record found", probe(ilht.ProbeHint(b.Records[21].Key, true)), head + 1 + label + 1 + value},
+		{"record found", probe(ilht.ProbeHint(b.Records[21].Key, true)), head + 1 + label + value},
 		{"record absent", probe(ilht.ProbeHint(0.7101, true)), head + 1 + label},
-		{"run of one record", probe(ilht.RangeHint(mid(20), mid(21))), head + 1 + label + 1 + 8 + 1 + value},
+		{"run of one record", probe(ilht.RangeHint(mid(20), mid(21))), head + 1 + label + 1 + 1 + 6 + value}, // the key's 47-bit offset in 6 bytes
 		{"run of none", probe(ilht.RangeHint(mid(20), math.Nextafter(mid(20), 1))), head + 1 + label + 1},
 		{"getbatch slot, header", func() (dht.Value, error) {
 			vs, errs := c.ProbeBatch(ctx, []string{key}, ilht.ProbeHint(0.1, false))

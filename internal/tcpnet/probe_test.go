@@ -127,8 +127,8 @@ func TestProbeTrimsOnlyWhatTheKindAllows(t *testing.T) {
 	if miss[0] != statusNotFound {
 		t.Errorf("hinted get of an absent key: status %d", miss[0])
 	}
-	// Past the label: one length byte, the value.
-	if want := len(cut) + 1 + len(present.Value); len(one) != want || !bytes.HasSuffix(one, present.Value) {
+	// Past the label: the value, to the reply's end.
+	if want := len(cut) + len(present.Value); len(one) != want || !bytes.HasSuffix(one, present.Value) {
 		t.Errorf("record reply %d bytes, want %d ending in the record's value", len(one), want)
 	}
 	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 4 || after.Lookup.FailedGets-before.Lookup.FailedGets != 1 {
@@ -455,16 +455,20 @@ func TestRangeProbeShipsTheRun(t *testing.T) {
 		t.Errorf("a range that misses the leaf was answered with %d bytes, a key that does with %d: want the header both times", len(outside), len(header))
 	}
 	// Past the label (the run's marker in the header's place): a one-byte
-	// count, and the records, each a key, one length byte and the value.
-	perRecord := 8 + 1 + len(b.Records[0].Value)
-	if want := len(header) + 1 + 25*perRecord; len(run) != want || !bytes.HasSuffix(run, b.Records[44].Value) {
+	// count, the values' one length byte, each key as its 47-bit offset in
+	// the leaf's interval (2^-6 wide, where a float's bits step by 2^-53),
+	// and the values.
+	packed := func(n int) int { return len(header) + 1 + 1 + (n*47+7)/8 + n*len(b.Records[0].Value) }
+	if want := packed(25); len(run) != want || !bytes.HasSuffix(run, b.Records[44].Value) {
 		t.Errorf("run reply %d bytes, want %d ending in the last record's value", len(run), want)
 	}
 	// The whole bucket has the epoch prefix (tagEpoch, the epoch) and the
 	// header's version, epoch and pending kind that the run's marker stands
-	// in for.
-	if e := len(binary.AppendUvarint(nil, b.Epoch)); len(all) != len(whole)-2*e-2 {
-		t.Errorf("a range that takes every record was answered with %d bytes, a plain get with %d: want %d fewer", len(all), len(whole), 2*e+2)
+	// in for, and its records as a list: each key in 8 bytes, each value
+	// with its length.
+	e := len(binary.AppendUvarint(nil, b.Epoch))
+	if want := len(whole) - 2*e - 2 - record.ListSize(b.Records) + packed(len(b.Records)) - len(header); len(all) != want {
+		t.Errorf("a range that takes every record was answered with %d bytes, want %d (a plain get: %d)", len(all), want, len(whole))
 	}
 	if after := srv.Metrics(); after.Lookup.Total-before.Lookup.Total != 5 || after.Lookup.FailedGets != before.Lookup.FailedGets {
 		t.Errorf("five gets counted as %d lookups, %d failed gets",

@@ -29,3 +29,28 @@ func TestWireRangeAllocationCeiling(t *testing.T) {
 		t.Errorf("a 12-leaf range over the wire: %v allocations, want at most %d", n, ceiling)
 	}
 }
+
+// TestWireRangeBytesCeiling pins the other count BenchmarkWireRange
+// reports, the bytes a query's requests and replies put on the wire: 63,422
+// when the runs shipped each record as its 8-byte key, its length and its
+// value, 61,024 since a run ships each key as its offset in its leaf's
+// interval (49 to 52 bits in these leaves, by the binade each lies in)
+// and one length for the values. The count does not vary from query to query: the
+// ceiling is that count, and one byte more a record (864 a query) breaks it.
+func TestWireRangeBytesCeiling(t *testing.T) {
+	ix, wire := wireRangeIndex(t)
+	query := func() {
+		if recs, _, err := ix.Range(wireRangeLo, wireRangeHi); err != nil || len(recs) != 864 {
+			t.Fatalf("Range = %d records, %v", len(recs), err)
+		}
+	}
+	query() // dial
+	const ceiling, queries = 61024, 10
+	before := wire.Load()
+	for i := 0; i < queries; i++ {
+		query()
+	}
+	if n := (wire.Load() - before) / queries; n > ceiling {
+		t.Errorf("a 12-leaf range over the wire: %d bytes a query, want at most %d", n, ceiling)
+	}
+}

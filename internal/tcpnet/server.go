@@ -11,7 +11,7 @@ import (
 )
 
 // Server is one storage node: a byte store behind the framed binary
-// protocol (frame.go). A connection opens with the "LHT8" magic or is
+// protocol (frame.go). A connection opens with the "LHT9" magic or is
 // closed unserved. Create with NewServer, start with Serve, stop with
 // Close.
 type Server struct {

@@ -230,3 +230,82 @@ func TestStoredFormsSnapshotServes(t *testing.T) {
 		}
 	}
 }
+
+// TestLHT8SnapshotServesARange: testdata/lht8-node.snap is the snapshot an
+// LHT8 node wrote of a one-node tree (200 inserts of seeded keys at split
+// threshold 16). The stored bytes did not change with the wire: this
+// build, making the same inserts, stores byte for byte what the snapshot
+// holds. Loaded on a node of this wire, the snapshot answers range
+// queries, the leaves going out as packed runs, so a query of every
+// record reads two bytes a record fewer than the node stores, and more.
+func TestLHT8SnapshotServesARange(t *testing.T) {
+	ctx := context.Background()
+	cfg := ilht.Config{SplitThreshold: 16, MergeThreshold: 8, Depth: 20}
+	c, servers := startCluster(t, 1)
+	ix, err := ilht.New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(50))
+	var recs []record.Record
+	for i := 0; i < 200; i++ {
+		r := record.Record{Key: rng.Float64(), Value: []byte(fmt.Sprintf("value-%03d", i))}
+		if _, err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	srv := NewServer()
+	if err := srv.LoadSnapshot("testdata/lht8-node.snap"); err != nil {
+		t.Fatal(err)
+	}
+	stored := 0
+	servers[0].mu.Lock()
+	if len(srv.store) != len(servers[0].store) {
+		t.Errorf("the snapshot holds %d values, the same inserts store %d", len(srv.store), len(servers[0].store))
+	}
+	for k := range servers[0].store {
+		if want, got := storedValue(servers[0], k), storedValue(srv, k); !bytes.Equal(got, want) {
+			t.Errorf("%q: the snapshot holds %x, the same inserts store %x", k, got, want)
+		}
+		stored += len(storedValue(srv, k))
+	}
+	servers[0].mu.Unlock()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	dialer := &byteDialer{addrs: map[string]string{"lht8-node": ln.Addr().String()}}
+	c2, err := Dial(ctx, ClusterConfig{Seeds: []string{"lht8-node"}, Dialer: dialer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c2.Close() })
+	ix2, err := ilht.New(c2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range [][2]float64{{0, 1}, {0.2, 0.45}, {0.7, 0.7001}} {
+		read := dialer.read.Load()
+		got, _, err := ix2.Range(q[0], q[1])
+		want := record.FilterRange(nil, recs, q[0], q[1])
+		record.SortByKey(got)
+		record.SortByKey(want)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("Range(%v) from the snapshot = %d records, %v; want %d", q, len(got), err, len(want))
+		}
+		for i := range want {
+			if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("Range(%v) from the snapshot: record %d is %v, want %v", q, i, got[i], want[i])
+			}
+		}
+		// A run's key takes about 5 bytes of the 8 stored, and its values
+		// share one length.
+		if n := dialer.read.Load() - read; q == [2]float64{0, 1} && n >= int64(stored-2*len(recs)) {
+			t.Errorf("Range(%v) read %d bytes, the node stores %d: the leaves did not go out as packed runs", q, n, stored)
+		}
+	}
+}
