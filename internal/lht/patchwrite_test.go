@@ -202,8 +202,8 @@ func (a writeTrace) diff(b writeTrace) string {
 // or as a whole bucket — while every write of the first arm that did not
 // stop at a missing key was a patch, and every split's mark and commit and
 // every merge's clear an in-place one. The costs are the same too, but for
-// the patches that rode a probe — the one the leaf cache names, or one
-// whose search had at most two names left — and were applied by it: each
+// the patches that rode a probe — the one the leaf cache names, or the
+// one lastProbe guessed was its search's last — and were applied by it: each
 // write costs the whole arm's lookups minus exactly its applied rides, on
 // the index and on the servers, and the index counts each such ride. Every
 // arm rides; with the cache on, most writes do.
