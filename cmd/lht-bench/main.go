@@ -61,7 +61,7 @@ type config struct {
 // theta sweep, a4: client leaf cache, a5: retry policy under faults,
 // a6: batched operation plane, a7: recovery under churn + torn
 // mutations, a8: frame codec cost (allocs/op), a9: multi-writer
-// concurrency, a10: replica read spreading under Zipfian skew, a11:
+// concurrency, a10: replication under Zipfian skew, a11:
 // degradation plane — breakers + hedged reads — under scripted network
 // chaos, a12: self-healing membership — gossip view, hinted handoff,
 // scrub re-replication — under permanent and rejoin churn) and the

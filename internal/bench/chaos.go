@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lht/internal/dht"
+	"lht/internal/hashring"
 	"lht/internal/lht"
 	"lht/internal/netchaos"
 	"lht/internal/tcpnet"
@@ -23,8 +25,8 @@ import (
 //
 //   - partition: the return path from one storage node is black-holed
 //     (requests arrive, responses vanish) — an asymmetric partition of
-//     the primary for ~1/4 of the keys and a rotated read target for
-//     ~1/3 of them;
+//     the node that is primary, where reads start, for the most leaves
+//     the query schedule reads (chaosTarget);
 //   - slow: one node answers at 10x the scenario latency quantum — alive
 //     and correct, just late, the failure mode breakers alone cannot see;
 //   - flap: one peer refuses dials and severs connections on a 50% duty
@@ -216,27 +218,54 @@ func measureChaosCell(o Options, size, scenario int, plane bool) (chaosCell, err
 	// Warm the leaf cache over every key (so no measured query pays a
 	// multi-probe binary search whose probes could each draw the faulty
 	// holder) and fill the hedger's latency window with healthy samples
-	// before any fault exists.
+	// before any fault exists. The leaves found name the fault's target.
+	leaf := make(map[float64]string, len(keys))
 	for _, k := range keys {
-		if _, _, err := ix.Search(k); err != nil {
-			return cell, fmt.Errorf("warmup search: %w", err)
+		b, _, err := ix.LookupBucket(k)
+		if err != nil {
+			return cell, fmt.Errorf("warmup lookup: %w", err)
 		}
+		leaf[k] = b.Label.Name().Key()
 	}
-
-	// The scenario targets one fixed storage node: primary for ~1/4 of
-	// the keys, in the 3-holder replica set of 3/4 of them.
-	chaos.Add(chaosScenarios[scenario].rule(cl.addrs[0]))
+	schedules := make([][]float64, o.Trials)
+	for rep := range schedules {
+		schedules[rep] = chaosSchedule(o, keys, scenario, rep)
+	}
+	chaos.Add(chaosScenarios[scenario].rule(chaosTarget(c.NodeAddrs(), leaf, schedules)))
 	chaos.Start()
 
 	var ok, total atomic.Int64
 	var lats []time.Duration
-	for rep := 0; rep < o.Trials; rep++ {
-		qs := chaosSchedule(o, keys, scenario, rep)
+	for _, qs := range schedules {
 		lats = append(lats, runChaosPhase(ix, qs, &ok, &total)...)
 	}
 	cell.success = 100 * float64(ok.Load()) / float64(total.Load())
 	cell.p50, cell.p99 = pctileUS(lats, 0.50), pctileUS(lats, 0.99)
 	return cell, nil
+}
+
+// chaosTarget is the node a scenario faults: the one that is primary,
+// by the client's ring rule over addrs (in ring order), for the most leaf
+// reads in schedules, whose keys leaf maps to their leaves' names. Reads
+// start at the primary, and ring ownership follows the cluster's random
+// loopback ports, so a node picked blind can be primary for none of the
+// schedule's leaves, and the plane-off arm would never meet the fault.
+func chaosTarget(addrs []string, leaf map[float64]string, schedules [][]float64) string {
+	reads := make(map[string]int, len(addrs))
+	for _, qs := range schedules {
+		for _, k := range qs {
+			h := hashring.HashKey(leaf[k])
+			i := sort.Search(len(addrs), func(i int) bool { return hashring.HashAddr(addrs[i]) >= h })
+			reads[addrs[i%len(addrs)]]++
+		}
+	}
+	target := addrs[0]
+	for _, a := range addrs {
+		if reads[a] > reads[target] {
+			target = a
+		}
+	}
+	return target
 }
 
 // runChaosPhase strip-mines the schedule across chaosWorkers goroutines.

@@ -5,8 +5,9 @@ import "testing"
 // TestChaosAblation runs A11 at reduced scale and pins the acceptance
 // criteria: with breakers + hedged reads over 3 replicas, query success
 // stays at 100% through the partition and slow-node scenarios, and the
-// p99 latency is at least 2x below the degradation-off arm's; the
-// serialized cost replay is a count while the timed result is measured.
+// p99 latency is at least 2x below the degradation-off arm's, whose
+// partition and slow tails show that it met the fault; the serialized
+// cost replay is a count while the timed result is measured.
 func TestChaosAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 6 real 4-node clusters")
@@ -27,6 +28,16 @@ func TestChaosAblation(t *testing.T) {
 	for sc, name := range []string{"partition", "slow", "flap"} {
 		t.Logf("%s: success off=%.1f%% on=%.1f%%, p99 off=%.0fus on=%.0fus",
 			name, offSucc.Points[sc].Y, onSucc.Points[sc].Y, offP99.Points[sc].Y, onP99.Points[sc].Y)
+	}
+
+	// The plane-off arm must meet the fault: a read of the faulted node
+	// spends its per-holder failover share of the deadline before it
+	// moves on. A target that is primary for none of the schedule's
+	// leaves would leave the off arm's tail at loopback speed.
+	for _, sc := range []int{0, 1} {
+		if off := offP99.Points[sc].Y; off < float64((chaosOpDeadline / 3).Microseconds()) {
+			t.Errorf("scenario %d: plane off p99 %vus, below the failover share %v: the fault was never met", sc, off, chaosOpDeadline/3)
+		}
 	}
 
 	// The headline claim: partition and slow scenarios lose nothing with

@@ -28,20 +28,20 @@ const (
 	// hotUpdatePct of the measured ops are in-place updates of existing
 	// keys: they exercise the write path, a patch over one copy and a
 	// patch fanned out to both holders over two. Kept low so the tail
-	// measures read queueing (what spreading addresses) rather than
-	// single-key write contention (which no read path can fix).
+	// measures read queueing rather than single-key write contention
+	// (which no read path can fix).
 	hotUpdatePct = 2
 )
 
-// RunHotAblation is ablation A10: replica read spreading under Zipfian
-// skew, end to end over real sockets. hotWorkers concurrent clients drive
+// RunHotAblation is ablation A10: replication under Zipfian skew, end to
+// end over real sockets. hotWorkers concurrent clients drive
 // a query/update mix whose arrival process is Zipf(s) over the record
 // keys; because the framed wire answers one connection's requests in
 // arrival order, the hot leaf's node is a genuine FIFO queue and the tail
 // latency measures real queueing, not a model. The "one copy" arm stores
 // every bucket once; the "two copies" arm sets tcpnet.ClusterConfig.
-// Replicas to 2, so each read starts at the key's secondary holder,
-// away from its primary, and every write fans out to both, on otherwise
+// Replicas to 2, so each read starts at the key's primary and falls back
+// to its secondary, and every write fans out to both, on otherwise
 // identical clusters.
 //
 // Two results: the timed p50/p99 per op class (latency, measured), and
@@ -53,7 +53,7 @@ func RunHotAblation(o Options, size int) (Result, Result, error) {
 	o = o.WithDefaults()
 	lat := Result{
 		Name: "A10",
-		Title: fmt.Sprintf("Replica read spreading under Zipfian skew (%d records, %d clients, %d%% updates)",
+		Title: fmt.Sprintf("Replication under Zipfian skew (%d records, %d clients, %d%% updates)",
 			size, hotWorkers, hotUpdatePct),
 		XLabel:   "zipf exponent s",
 		YLabel:   "latency microseconds (p50/p99)",

@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"lht/internal/dht"
 	"lht/internal/hashring"
-	"lht/internal/metrics"
 	"lht/internal/simnet"
 )
 
@@ -33,8 +30,8 @@ type Config struct {
 	// successor list. Default 8.
 	SuccessorListLen int
 	// Replicas is the number of consecutive successors each key is
-	// stored on (1 = no replication). Reads fall back along the replica
-	// chain when the primary has failed. Default 1.
+	// stored on (1 = no replication). Reads start at the primary and fall
+	// back along the replica chain when it has failed. Default 1.
 	Replicas int
 	// StabilizeRounds is how many stabilization sweeps AddNode runs after
 	// a join so tests get a coherent ring without calling Stabilize
@@ -42,10 +39,6 @@ type Config struct {
 	StabilizeRounds int
 	// Seed drives entry-point selection and stabilization order.
 	Seed int64
-	// Counters, when set, receives the ring's load-balancing counters
-	// (spread reads); the routing cost model itself is charged by the
-	// dht.Instrumented layer above, not here.
-	Counters *metrics.Counters
 }
 
 func (c Config) withDefaults() Config {
@@ -73,9 +66,6 @@ type Ring struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	nodes map[string]*Node // every node ever added and not removed
-
-	// readSeq rotates the replica a read starts at (see rotateStart).
-	readSeq atomic.Uint64
 
 	// held is the per-key holder registry: every node that may store a
 	// copy of the key (fed by Node.onStore from every copy-creating path,
@@ -342,28 +332,6 @@ func (r *Ring) replicaChain(ctx context.Context, key string) (chain []*Node, hop
 	return nil, hops, slid, dht.MarkTransient(fmt.Errorf("chord: %q unroutable: %w", key, lastErr))
 }
 
-// rotateStart picks which replica a read of key starts at: a
-// deterministic function of the key and a per-ring read sequence, so
-// consecutive reads of one hot key spread across its whole live replica
-// set instead of pinning the primary, while any serialized schedule
-// stays exactly reproducible. The scan still visits every chain member
-// in order (wrapping), so fallback-on-failure semantics and the miss
-// classification are unchanged, and no DHT-lookups are added — chain
-// members are fetched by direct calls, which the cost model does not
-// charge.
-func (r *Ring) rotateStart(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	start := int((uint64(h.Sum32()) + r.readSeq.Add(1) - 1) % uint64(n))
-	if start != 0 {
-		r.cfg.Counters.Add(metrics.SpreadReads, 1)
-	}
-	return start
-}
-
 // recordHold marks n as a possible holder of keys in the retirement
 // registry. Invoked (via Node.onStore) after every store, with the
 // node's own mutex released.
@@ -385,21 +353,22 @@ func (r *Ring) recordHold(n *Node, keys []string) {
 // anywhere else is a stale remnant of an earlier chain — a holder that
 // slid out of the replica set during churn and missed the write. Left
 // in place it would resurface when churn slides that node back into
-// the chain, which is exactly the copy a rotated read must never
-// observe; retiring it keeps "any stored copy is the latest write"
-// true, the invariant that makes read spreading safe. Retirement is
-// scoped by the holder registry (r.held) rather than sweeping the whole
-// ring: every copy-creating path records itself, so the registry is a
-// superset of the nodes that can hold a remnant, and a write touches
+// the chain: a node that slides back can become the key's primary,
+// where every read starts, and serve the remnant over the current copy
+// behind it. Retiring it keeps "any stored copy is the latest write"
+// true. Retirement is scoped by the holder registry (r.held) rather than
+// sweeping the whole ring: every copy-creating path records itself, so
+// the registry is a superset of the nodes that can hold a remnant, and a
+// write touches
 // O(holders) nodes without the global lock.
 //
 // Down nodes are skipped, as a real system cannot reach them, but stay
 // registered: the first write after recovery retires their stranded
-// copy. Until that write, the read rotation can surface the recovered
-// stale copy — under the old primary-first read order the live primary
-// usually shadowed it — which is the Fail/Recover staleness the bucket
-// epoch already orders and the index scrub repairs (pinned by
-// TestRecoveredStaleCopy* in chord_test.go).
+// copy. Until that write, a recovered secondary's stale copy is
+// shadowed by the live primary, which reads ask first (pinned by
+// TestRecoveredStaleCopyWindow in chord_test.go); only a recovered node
+// that is the key's primary can serve it — the Fail/Recover staleness
+// the bucket epoch orders and the index scrub repairs.
 func (r *Ring) retireStale(key string, keep []*Node) {
 	inKeep := make(map[*Node]bool, len(keep))
 	for _, n := range keep {
@@ -450,7 +419,10 @@ func (r *Ring) Put(ctx context.Context, key string, v dht.Value) error {
 	return nil
 }
 
-// Get implements dht.DHT, falling back along the replica chain. When no
+// Get implements dht.DHT: it reads the primary first (a hedged duplicate
+// the first secondary, dht.ReadStart), falling back along the replica
+// chain. Chain members are fetched by direct calls, which the cost model
+// does not charge, so a fallback adds no DHT-lookup. When no
 // live replica holds the key but an unreachable holder was slid past, the
 // miss is reported as a transient fault, not ErrNotFound: the value may
 // still exist on the crashed peer.
@@ -459,7 +431,7 @@ func (r *Ring) Get(ctx context.Context, key string) (dht.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := r.rotateStart(key, len(chain))
+	start := dht.ReadStart(ctx)
 	for i := range chain {
 		if v, ok := chain[(start+i)%len(chain)].rpcFetch(key); ok {
 			return v, nil

@@ -197,21 +197,25 @@ func (h *hedger) race(ctx context.Context, fetch func(context.Context) (Value, e
 func isNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
 
 // hedgeAttemptKey marks a context as belonging to a hedge's duplicate
-// attempt, so a replica-aware substrate can route it away from wherever
-// the straggling original started.
+// attempt, so a replica-aware substrate can send it to another holder
+// than the straggling original.
 type hedgeAttemptKey struct{}
 
-// MarkHedgeAttempt tags ctx as a hedged duplicate read. Substrates that
-// spread reads over replicas should start a marked read at a holder no
-// unmarked read starts at (tcpnet starts it at the primary), making the
-// hedge's holder diversity deterministic rather than a property of
-// rotation-sequence parity under concurrency.
+// MarkHedgeAttempt tags ctx as a hedged duplicate read. Every replicated
+// substrate (tcpnet, Chord, Kademlia) starts a read at the key's primary
+// and a marked read at its first secondary (ReadStart), so a hedge
+// always reaches a different holder than the read it races.
 func MarkHedgeAttempt(ctx context.Context) context.Context {
 	return context.WithValue(ctx, hedgeAttemptKey{}, true)
 }
 
-// IsHedgeAttempt reports whether ctx carries the hedge-attempt mark.
-func IsHedgeAttempt(ctx context.Context) bool {
-	hedged, _ := ctx.Value(hedgeAttemptKey{}).(bool)
-	return hedged
+// ReadStart is the position in a key's holder order at which a read
+// under ctx starts, taken modulo the holder count: 0, the primary, or 1,
+// the first secondary, for a hedged duplicate (MarkHedgeAttempt). The
+// read falls back through the rest of the holders in order.
+func ReadStart(ctx context.Context) int {
+	if hedged, _ := ctx.Value(hedgeAttemptKey{}).(bool); hedged {
+		return 1
+	}
+	return 0
 }

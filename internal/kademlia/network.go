@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"lht/internal/dht"
 	"lht/internal/hashring"
-	"lht/internal/metrics"
 	"lht/internal/simnet"
 )
 
@@ -34,9 +31,6 @@ type Config struct {
 	Alpha int
 	// Seed drives entry selection.
 	Seed int64
-	// Counters, when set, receives the network's load-balancing counters
-	// (spread reads); routing cost is charged by dht.Instrumented above.
-	Counters *metrics.Counters
 }
 
 func (c Config) withDefaults() Config {
@@ -113,9 +107,6 @@ type Network struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	nodes map[string]*node
-
-	// readSeq rotates the replica a read starts at (see rotateStart).
-	readSeq atomic.Uint64
 
 	// casMu serializes conditional read-compare-write cycles per key
 	// across the key's K-closest replica set, standing in for the storing
@@ -363,27 +354,9 @@ func (nw *Network) Put(ctx context.Context, key string, v dht.Value) error {
 	return nil
 }
 
-// rotateStart picks which of the K-closest holders a read of key starts
-// at: a deterministic function of the key and a per-network read
-// sequence, so consecutive reads of one hot key spread across the whole
-// replica set instead of pinning the XOR-closest node, while any
-// serialized schedule stays reproducible. The scan still visits every
-// ref in order (wrapping), so fallback semantics are unchanged.
-func (nw *Network) rotateStart(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	start := int((uint64(h.Sum32()) + nw.readSeq.Add(1) - 1) % uint64(n))
-	if start != 0 {
-		nw.cfg.Counters.Add(metrics.SpreadReads, 1)
-	}
-	return start
-}
-
-// Get implements dht.DHT: iterative FIND_VALUE, starting at a rotated
-// member of the K-closest set.
+// Get implements dht.DHT: iterative FIND_VALUE, asking the K-closest
+// set in XOR order from the closest (a hedged duplicate from the second,
+// dht.ReadStart).
 func (nw *Network) Get(ctx context.Context, key string) (dht.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -396,7 +369,7 @@ func (nw *Network) Get(ctx context.Context, key string) (dht.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := nw.rotateStart(key, len(refs))
+	start := dht.ReadStart(ctx)
 	for i := range refs {
 		peer, err := nw.dial(origin, refs[(start+i)%len(refs)].Addr)
 		if err != nil {

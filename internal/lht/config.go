@@ -92,7 +92,8 @@ type Config struct {
 	// the hedge delay (the observed p95 get latency, floored at
 	// HedgeAfter) launches one duplicate attempt, first answer wins, the
 	// loser is cancelled. Over a replicated substrate the duplicate
-	// rotates to a different holder, so one slow or silently dead node
+	// starts at the first secondary, away from the primary the original
+	// asked first (dht.ReadStart), so one slow or silently dead node
 	// stops defining the read's tail latency. Hedges are physical round
 	// trips only — the layer sits below the instrumentation, so the
 	// paper's DHT-lookup cost model is unchanged

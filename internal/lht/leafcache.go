@@ -34,11 +34,10 @@ import (
 // bracket only costs probes before the search restarts from [1, D], so
 // cached results are always identical to the uncached path.
 //
-// The cache composes with replica read spreading: a cache hit turns a
-// hot-key lookup into a single probe of the leaf's name, which a
-// replicated substrate (tcpnet with Replicas > 1, Chord, Kademlia)
-// rotates across the name's holders, so one hot leaf's reads do not all
-// queue on one peer.
+// The cache composes with replication: a cache hit turns a hot-key
+// lookup into a single probe of the leaf's name, which a replicated
+// substrate (tcpnet with Replicas > 1, Chord, Kademlia) sends to the
+// name's primary and fails over along its other holders.
 type leafCache struct {
 	mu      sync.Mutex
 	cap     int

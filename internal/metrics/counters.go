@@ -68,10 +68,6 @@ const (
 	// so the probe was answered as a probe: patch bytes shipped for
 	// nothing. A substrate that does not patch refuses every ride.
 	RidesRefused
-	// SpreadReads counts reads whose replica iteration started at a
-	// rotated non-primary holder to spread a hot key's read load across
-	// its replica set.
-	SpreadReads
 	// HedgedGets counts duplicate reads launched against another replica
 	// holder after the original attempt outlived the hedge delay. Hedges
 	// are physical round trips, not logical DHT-lookups — the paper's cost
@@ -159,7 +155,6 @@ var counterTable = [NumCounters]counterRow{
 	CASFallbacks:     {"cas_fallbacks", "", "Conditional ops emulated by fetch-verify-write.", func(s *Snapshot) *int64 { return &s.Write.CASFallbacks }},
 	RidesApplied:     {"write_rides_applied", "", "Write patches applied by the search probe they rode.", func(s *Snapshot) *int64 { return &s.Write.RidesApplied }},
 	RidesRefused:     {"write_rides_refused", "", "Write patches that rode a search probe answered as a probe.", func(s *Snapshot) *int64 { return &s.Write.RidesRefused }},
-	SpreadReads:      {"spread_reads", "", "Reads served starting at a non-primary replica.", func(s *Snapshot) *int64 { return &s.Load.SpreadReads }},
 	HedgedGets:       {"hedged_gets", "", "Duplicate reads launched after the hedge delay.", func(s *Snapshot) *int64 { return &s.Health.HedgedGets }},
 	HedgeWins:        {"hedge_wins", "", "Hedges that answered before the original attempt.", func(s *Snapshot) *int64 { return &s.Health.HedgeWins }},
 	BreakerOpens:     {"breaker_opens", "", "Circuit-breaker transitions into the open state.", func(s *Snapshot) *int64 { return &s.Health.BreakerOpens }},

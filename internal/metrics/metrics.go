@@ -140,9 +140,9 @@ func (s OpScope) Done(err error) { s.c.ObserveOp(s.op, time.Since(s.start), err 
 // the paper's cost model (Lookup), the client leaf cache (Cache), the
 // retry policy plane (Retry), the batched operation plane (Batch), the
 // crash-consistency plane (Repair), multi-writer concurrency control
-// (Write), replica read spreading (Load), graceful degradation (Health),
-// self-healing membership (Membership), and per-operation-class latency
-// and phase attribution (Latency).
+// (Write), graceful degradation (Health), self-healing membership
+// (Membership), and per-operation-class latency and phase attribution
+// (Latency).
 type Snapshot struct {
 	Lookup     LookupCounts
 	Cache      CacheCounts
@@ -150,7 +150,6 @@ type Snapshot struct {
 	Batch      BatchCounts
 	Repair     RepairCounts
 	Write      WriteCounts
-	Load       LoadCounts
 	Health     HealthCounts
 	Membership MembershipCounts
 	Latency    LatencyStats
@@ -201,11 +200,6 @@ type WriteCounts struct {
 	CASFallbacks  int64 // conditional ops emulated by fetch-verify-write
 	RidesApplied  int64 // write patches applied by the search probe they rode
 	RidesRefused  int64 // write patches that rode a probe answered as a probe
-}
-
-// LoadCounts are the read-load counters: replica read spreading.
-type LoadCounts struct {
-	SpreadReads int64 // reads served starting at a non-primary replica
 }
 
 // HealthCounts are the graceful-degradation-plane counters: circuit

@@ -35,7 +35,6 @@ func goldenCounters() *Counters {
 	c.Add(CASFallbacks, 1)
 	c.Add(RidesApplied, 7)
 	c.Add(RidesRefused, 3)
-	c.Add(SpreadReads, 6)
 	c.Add(HedgedGets, 3)
 	c.Add(HedgeWins, 1)
 	c.Add(BreakerOpens, 2)
@@ -125,9 +124,6 @@ lht_write_rides_applied_total 7
 # HELP lht_write_rides_refused_total Write patches that rode a search probe answered as a probe.
 # TYPE lht_write_rides_refused_total counter
 lht_write_rides_refused_total 3
-# HELP lht_spread_reads_total Reads served starting at a non-primary replica.
-# TYPE lht_spread_reads_total counter
-lht_spread_reads_total 6
 # HELP lht_hedged_gets_total Duplicate reads launched after the hedge delay.
 # TYPE lht_hedged_gets_total counter
 lht_hedged_gets_total 3

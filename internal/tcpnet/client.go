@@ -33,12 +33,11 @@ type ClusterConfig struct {
 	// Replicas stores each key on this many consecutive ring members, its
 	// holders (default 1: a holder set of one is an unreplicated client).
 	// Replication is client-driven and every operation has one path for
-	// any count — see replicas.go for the fan-out, fallback and
-	// read-spreading contract. Requires a cluster of at least that many
-	// nodes.
+	// any count — see replicas.go for the fan-out and fallback contract.
+	// Requires a cluster of at least that many nodes.
 	Replicas int
-	// Counters chains the client's load counters (spread reads,
-	// failovers, breaker opens) onto a shared metrics sink. Nil counts
+	// Counters chains the client's own counters (failovers, breaker
+	// opens, view refreshes) onto a shared metrics sink. Nil counts
 	// nothing.
 	Counters *metrics.Counters
 	// Dialer replaces the transport factory used for every outgoing
@@ -107,8 +106,6 @@ type Client struct {
 
 	refreshCancel context.CancelFunc
 	refreshWG     sync.WaitGroup
-
-	readSeq atomic.Uint64 // read-spreading rotation sequence
 }
 
 // memberRing is one immutable routing-ring snapshot.

@@ -26,10 +26,10 @@
 // demonstrates the paper's "easy to implement and deploy" claim with
 // actual sockets and processes. The cluster's moving parts live here too:
 // gossiped membership that grows and shrinks the client's routing ring
-// (membership.go, clusterview.go), client-driven replication with read
-// spreading and failover (replicas.go) — one path for every replica
-// count, an unreplicated client being a holder set of one — hinted
-// handoff for writes a down holder missed, and per-node circuit breakers
-// (health.go). The index layer sees none of it — it talks to a dht.DHT,
+// (membership.go, clusterview.go), client-driven replication whose reads
+// start at the primary and fail over to the other holders (replicas.go)
+// — one path for every replica count, an unreplicated client being a
+// holder set of one — hinted handoff for writes a down holder missed,
+// and per-node circuit breakers (health.go). The index layer sees none of it — it talks to a dht.DHT,
 // which is the point of the over-DHT design.
 package tcpnet

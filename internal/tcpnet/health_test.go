@@ -248,18 +248,17 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	if err := c.Put(ctx, key, []byte("7")); err != nil {
 		t.Fatal(err)
 	}
-	holders := c.holders(key)
-	secondary := holders[1]
-	_ = srvs[secondary.addr].Close()
+	primary := c.holders(key)[0]
+	_ = srvs[primary.addr].Close()
 
-	// The first read trips the secondary's breaker (reads start there)
-	// and falls back to the primary — it must still succeed.
+	// The first read trips the primary's breaker (reads start there) and
+	// falls back to the secondary — it must still succeed.
 	v, err := c.Get(ctx, key)
 	if err != nil || string(v.([]byte)) != "7" {
-		t.Fatalf("Get with dead secondary = %v, %v", v, err)
+		t.Fatalf("Get with dead primary = %v, %v", v, err)
 	}
-	if got := c.Health(secondary.addr); got != dht.BreakerOpen {
-		t.Fatalf("secondary breaker = %v, want open", got)
+	if got := c.Health(primary.addr); got != dht.BreakerOpen {
+		t.Fatalf("primary breaker = %v, want open", got)
 	}
 
 	// With the breaker open, reads keep succeeding and the dead holder

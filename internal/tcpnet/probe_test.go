@@ -404,9 +404,9 @@ func TestProbeFailsOverWithItsHint(t *testing.T) {
 	if err := srvs[c.holders("bucket")[0].addr].Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A hedged duplicate starts at the primary, a first read at the other
+	// A first read starts at the primary, a hedged duplicate at the other
 	// holder: between them both orders of the failover walk are covered.
-	for name, pctx := range map[string]context.Context{"primary first": dht.MarkHedgeAttempt(ctx), "secondary first": ctx} {
+	for name, pctx := range map[string]context.Context{"primary first": ctx, "secondary first": dht.MarkHedgeAttempt(ctx)} {
 		before := agg.Snapshot().Health.Failovers
 		v, err := c.Probe(pctx, "bucket", ilht.ProbeHint(0.1, false))
 		if h, ok := v.(*ilht.BucketHeader); err != nil || !ok || h.Label != b.Label {

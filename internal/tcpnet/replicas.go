@@ -5,8 +5,7 @@ package tcpnet
 // the same successor-set scheme the Chord substrate uses. Every operation
 // has one body, which walks the key's holders; a holder set of one is the
 // unreplicated client, and each body is then one round trip to it. The
-// servers stay plain byte stores — fan-out, fallback and read spreading
-// all live here:
+// servers stay plain byte stores — fan-out and fallback both live here:
 //
 //   - put-like ops store on every holder, concurrently, before returning;
 //   - conditional ops resolve their compare-and-swap on the primary (the
@@ -14,28 +13,34 @@ package tcpnet
 //     holders only after the primary accepted it — via OpPutNewer, the
 //     epoch-ordered store: a holder rejects a propagated value whose
 //     epoch tag is older than what it already stores;
-//   - Get (and Client.Take, which no dht.DHT method reaches) rotate
-//     their starting holder per request across the secondary holders —
-//     keeping a hot key's read queue off its CAS serializer — and fall
-//     back through the remaining holders (the primary included) so a
-//     lagging replica costs an extra round trip, never a wrong answer.
+//   - Get starts at the primary, the key's CAS serializer, and falls
+//     back through the other holders in order, so an unreachable or
+//     lagging holder costs an extra round trip, never a wrong answer.
+//     A hedged duplicate (dht.ReadStart) starts at the first secondary
+//     instead. Client.Take, which no dht.DHT method reaches, returns the
+//     first copy in holder order.
 //
-// A key is therefore never *stale* on a reachable holder (every accepted
-// write reaches all of them synchronously), at most *absent* where a
-// fan-out has not landed yet, and absence falls back. Concurrent writers
-// to one key are serialized by the primary's CAS, but their fan-outs may
-// interleave on the network; the epoch-ordered propagation makes that
-// harmless — if commit N's fan-out overtakes commit N-1's, the straggler
-// is rejected on arrival instead of durably rolling a holder back. The
-// one remaining divergence window is a removal racing an earlier
-// commit's fan-out (a late store can transiently resurrect a copy on a
-// secondary after RemoveIf's propagation deleted it); that copy carries
-// an older epoch, which the index's scrub orders and repairs. Batched
-// stores replicate in per-rank waves (see PutBatch); batched reads group
-// by primary, which holds every accepted write by construction, and a
-// slot the primary could not answer is read again as Get reads it.
+// A key is therefore never *stale* on a reachable holder once its write
+// has returned (every accepted write reaches all of them first), at most
+// *absent* where a fan-out has not landed yet, and absence falls back.
+// Concurrent writers to one key are serialized by the primary's CAS, but
+// their fan-outs may interleave on the network; the epoch-ordered
+// propagation makes that harmless — if commit N's fan-out overtakes commit
+// N-1's, the straggler is rejected on arrival instead of durably rolling a
+// holder back. A secondary lags the primary only while a fan-out is in
+// flight to it, and reads ask the primary first, so while the primary
+// answers no read sees that lag: once a reader has seen a commit, no later
+// read returns the value before it. Only a hedged duplicate, raced against
+// a slow primary, asks a secondary first. The one remaining divergence
+// window is a removal racing an earlier commit's fan-out (a late store can
+// transiently resurrect a copy on a secondary after RemoveIf's propagation
+// deleted it); that copy carries an older epoch, which the index's scrub
+// orders and repairs. Batched stores replicate in per-rank waves (see
+// PutBatch); batched reads group by primary, which holds every accepted
+// write by construction, and a slot the primary could not answer is read
+// again as Get reads it.
 //
-// With one holder a read neither rotates nor fails over, and nothing is
+// With one holder a read has nowhere to fail over, and nothing is
 // propagated. A write reaches the holders it must through reach: one
 // target — the lone holder, or at two replicas the one holder a
 // conditional propagates to — is served on the caller's goroutine, and
@@ -47,34 +52,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"lht/internal/dht"
 	"lht/internal/metrics"
 )
 
-// rotateStart picks which holder a read of key starts at: the
-// key-hash-plus-sequence rotation the Chord and Kademlia substrates use,
-// but over the *secondary* holders only. The primary is every key's CAS
-// serializer — it already queues the conditional writes and their
-// fan-outs — so reads start away from it and touch it only as the
-// fallback, keeping a hot key's read queue and its write queue on
-// different nodes. With more than two replicas the rotation still
-// spreads reads across the whole secondary set.
-func (c *Client) rotateStart(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	start := 1 + int((uint64(h.Sum32())+c.readSeq.Add(1)-1)%uint64(n-1))
-	c.cfg.Counters.Add(metrics.SpreadReads, 1)
-	return start
-}
-
-// get reads r's key from the rotated holder, falling back through the
-// rest: a holder that is missing the key (a fan-out it has not seen) or
+// get reads r's key from its primary, falling back through the rest in
+// holder order: a holder that is missing the key (a fan-out it has not seen) or
 // unreachable costs one extra round trip, and only a miss on every
 // holder is a real miss. A probe's hint rides every attempt, so a
 // failover is answered under the same rule as the first try.
@@ -86,16 +71,12 @@ func (c *Client) rotateStart(key string, n int) int {
 // black-holed holder burns its share of the budget, never all of it; the
 // loop stops early only when the caller's own deadline is spent.
 //
-// A hedged duplicate (dht.MarkHedgeAttempt) starts at the primary
-// instead: first reads never do, so the duplicate is guaranteed a
-// different first holder than the straggler it is racing, whatever the
-// rotation sequence did in between.
+// A hedged duplicate (dht.MarkHedgeAttempt) starts at the first
+// secondary instead: first reads never do, so the duplicate is
+// guaranteed a different first holder than the straggler it is racing.
 func (c *Client) get(ctx context.Context, r req) (dht.Value, error) {
 	holders := c.holders(r.key)
-	start := 0
-	if !dht.IsHedgeAttempt(ctx) {
-		start = c.rotateStart(r.key, len(holders))
-	}
+	start := dht.ReadStart(ctx)
 	var firstErr error
 	for i := range holders {
 		n := holders[(start+i)%len(holders)]
@@ -141,18 +122,14 @@ func (c *Client) eachHolder(ctx context.Context, r req) error {
 }
 
 // take fetches-and-deletes across the whole replica set: every holder
-// gives up its copy, and the first found from the rotated start is
-// returned.
+// gives up its copy, and the first found in holder order is returned.
 func (c *Client) take(ctx context.Context, r req) (dht.Value, error) {
 	holders := c.holders(r.key)
 	if len(holders) == 1 {
 		return holders[0].do(ctx, r)
 	}
-	start := c.rotateStart(r.key, len(holders))
-	answers := c.fanOut(ctx, holders, -1, r)
 	var firstErr error
-	for i := range answers {
-		a := answers[(start+i)%len(answers)]
+	for _, a := range c.fanOut(ctx, holders, -1, r) {
 		if a.err == nil {
 			return a.v, nil
 		}

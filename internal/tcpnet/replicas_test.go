@@ -2,17 +2,18 @@ package tcpnet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"lht/internal/dht"
 	"lht/internal/dht/dhttest"
 	"lht/internal/hashring"
-	"lht/internal/metrics"
 )
 
 // startServerMap boots n servers and returns their addresses plus an
@@ -38,7 +39,7 @@ func startServerMap(t *testing.T, n int) ([]string, map[string]*Server) {
 
 // TestReplicatedConformance runs the full substrate battery with
 // replication on: every op must behave exactly like the unreplicated
-// client, with redundancy and read spreading invisible to callers.
+// client, with redundancy and failover invisible to callers.
 func TestReplicatedConformance(t *testing.T) {
 	factory := func(t *testing.T) dht.DHT {
 		c, err := Dial(context.Background(), ClusterConfig{Seeds: startServers(t, 4), Replicas: 2})
@@ -51,13 +52,12 @@ func TestReplicatedConformance(t *testing.T) {
 	dhttest.Run(t, factory, selfSerialising)
 }
 
-// TestReplicatedFailover pins what replication buys: with the primary
-// holder down, reads fall back to the surviving holder, and the read
-// rotation spreads load across holders while both are up.
+// TestReplicatedFailover pins what replication buys: while both holders
+// are up every read is served by the primary, and with the primary down
+// reads fall back to the surviving holder.
 func TestReplicatedFailover(t *testing.T) {
 	addrs, srvs := startServerMap(t, 4)
-	agg := &metrics.Counters{}
-	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 2, Counters: agg})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,29 +68,32 @@ func TestReplicatedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Both holders up: repeated reads of one key must leave the primary.
+	// Both holders up: the primary serves all ten reads, the secondary
+	// none. The Put charged each holder one lookup.
+	primary, secondary := c.holders("hot")[0], c.holders("hot")[1]
+	served := func(n *clientNode) int64 { return srvs[n.addr].Metrics().Lookup.Total }
+	p0, s0 := served(primary), served(secondary)
 	for i := 0; i < 10; i++ {
 		if _, err := c.Get(ctx, "hot"); err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
 	}
-	if agg.Snapshot().Load.SpreadReads == 0 {
-		t.Error("no reads spread to the non-primary holder")
+	if p, s := served(primary)-p0, served(secondary)-s0; p != 10 || s != 0 {
+		t.Errorf("10 reads served %d by the primary and %d by the secondary, want 10 and 0", p, s)
 	}
 
 	// Kill the primary: the fallback scan must still serve the key.
-	primary := c.holders("hot")[0]
 	if err := srvs[primary.addr].Close(); err != nil {
 		t.Fatal(err)
 	}
-	var served bool
+	var ok bool
 	for i := 0; i < 4; i++ {
 		if _, err := c.Get(ctx, "hot"); err == nil {
-			served = true
+			ok = true
 			break
 		}
 	}
-	if !served {
+	if !ok {
 		t.Error("replicated get did not survive losing the primary holder")
 	}
 
@@ -106,8 +109,8 @@ func TestReplicatedFailover(t *testing.T) {
 // replica fan-outs travel as OpPutNewer, so a late-arriving propagation of
 // an OLDER commit must not overwrite the newer value a holder already
 // stores. Without the epoch guard, two concurrent commits' interleaved
-// fan-outs could durably roll a secondary back, and every rotated read of
-// the key would serve the stale epoch.
+// fan-outs could durably roll a secondary back, and every read of the key
+// that fell back to it would serve the stale epoch.
 func TestReplicaPropagationEpochOrder(t *testing.T) {
 	addrs, _ := startServerMap(t, 2)
 	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, Replicas: 2})
@@ -204,6 +207,176 @@ func TestReplicatedCASHoldersConverge(t *testing.T) {
 			t.Errorf("holder %d (%s) settled at epoch %d, want %d: stale replica survived the fan-out race",
 				rank, holder.addr, got, want)
 		}
+	}
+}
+
+// newerHold dials like net.Dialer, but on connections to target it holds
+// back every propagation frame (putnewer) until release; every other frame
+// to target, its reads included, passes at once.
+type newerHold struct {
+	target string
+	caught chan struct{} // closed when the first frame is held
+
+	mu       sync.Mutex
+	held     []heldFrame
+	released bool
+}
+
+type heldFrame struct {
+	c     *newerHoldConn
+	frame []byte
+}
+
+func (h *newerHold) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+	if err != nil || addr != h.target {
+		return conn, err
+	}
+	return &newerHoldConn{Conn: conn, h: h}, nil
+}
+
+// hold keeps frame back unless the hold was released, and says whether
+// it did.
+func (h *newerHold) hold(c *newerHoldConn, frame []byte) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.released {
+		return false
+	}
+	if len(h.held) == 0 {
+		close(h.caught)
+	}
+	h.held = append(h.held, heldFrame{c, slices.Clone(frame)})
+	return true
+}
+
+// release sends the held frames on and lets every later one pass.
+func (h *newerHold) release() {
+	h.mu.Lock()
+	held := h.held
+	h.held, h.released = nil, true
+	h.mu.Unlock()
+	for _, f := range held {
+		f.c.mu.Lock()
+		_, _ = f.c.Conn.Write(f.frame)
+		f.c.mu.Unlock()
+	}
+}
+
+// newerHoldConn splits what the client writes into frames (after the
+// magic) and forwards each, or hands a putnewer to its hold.
+type newerHoldConn struct {
+	net.Conn
+	h *newerHold
+
+	mu   sync.Mutex
+	in   []byte // written, not yet split into whole frames
+	open bool   // the magic has passed
+}
+
+func (c *newerHoldConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.in = append(c.in, p...)
+	var out []byte
+	if !c.open && len(c.in) >= len(wireMagic) {
+		out, c.in, c.open = append(out, c.in[:len(wireMagic)]...), c.in[len(wireMagic):], true
+	}
+	for c.open {
+		size, n := binary.Uvarint(c.in)
+		if n <= 0 || len(c.in) < n+int(size) {
+			break
+		}
+		frame := c.in[:n+int(size)]
+		_, m := binary.Uvarint(frame[n:])
+		if dht.OpKind(frame[n+m]) != dht.OpPutNewer || !c.h.hold(c, frame) {
+			out = append(out, frame...)
+		}
+		c.in = c.in[len(frame):]
+	}
+	if _, err := c.Conn.Write(out); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestReadsNeverGoBackPastACommit pins the window primary-first reads
+// close. At three replicas a PutIf commits on the primary, then
+// propagates; one secondary has the new value and the other's
+// propagation is held. Sequential reads from one client, all served
+// while the hold lasts, must never return the old value once one has
+// returned the new: a read that started at a secondary could meet
+// either.
+func TestReadsNeverGoBackPastACommit(t *testing.T) {
+	addrs, _ := startServerMap(t, 3)
+	ctx := context.Background()
+	const key = "window"
+	plain, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = plain.Close() }()
+	holders := plain.holders(key)
+	lagging := holders[2]
+	h := &newerHold{target: lagging.addr, caught: make(chan struct{})}
+	defer h.release()
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 3, Dialer: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	if err := plain.CreateIf(ctx, key, &dhttest.EpochValue{Epoch: 1, Body: "old"}); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() {
+		committed <- c.PutIf(ctx, key, &dhttest.EpochValue{Epoch: 2, Body: "new"}, 1)
+	}()
+	select {
+	case <-h.caught:
+	case err := <-committed:
+		t.Fatalf("PutIf returned %v with its propagation to %s held", err, lagging.addr)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no propagation frame reached the hold")
+	}
+	// The other secondary takes the new value; the lagging one keeps the old.
+	for epoch := uint64(0); epoch != 2; {
+		v, err := holders[1].do(ctx, req{op: dht.OpGet, key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch = v.(*dhttest.EpochValue).Epoch
+	}
+	if v, err := lagging.do(ctx, req{op: dht.OpGet, key: key}); err != nil || v.(*dhttest.EpochValue).Epoch != 1 {
+		t.Fatalf("precondition: lagging secondary holds %#v, %v, want epoch 1", v, err)
+	}
+
+	sawNew := false
+	for i := 0; i < 12; i++ {
+		v, err := c.Get(ctx, key)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		switch v.(*dhttest.EpochValue).Epoch {
+		case 2:
+			sawNew = true
+		case 1:
+			if sawNew {
+				t.Fatalf("read %d returned the old value after an earlier read returned the new", i)
+			}
+		}
+	}
+	if !sawNew {
+		t.Error("no read returned the committed value")
+	}
+
+	h.release()
+	if err := <-committed; err != nil {
+		t.Fatalf("PutIf after release: %v", err)
+	}
+	if v, err := lagging.do(ctx, req{op: dht.OpGet, key: key}); err != nil || v.(*dhttest.EpochValue).Epoch != 2 {
+		t.Fatalf("lagging secondary holds %#v, %v after release, want epoch 2", v, err)
 	}
 }
 
