@@ -63,7 +63,7 @@ type config struct {
 // mutations, a8: frame codec cost (allocs/op), a9: multi-writer
 // concurrency, a10: replication under Zipfian skew, a11:
 // degradation plane — breakers + hedged reads — under scripted network
-// chaos, a12: self-healing membership — gossip view, hinted handoff,
+// chaos, a12: self-healing membership — gossip view, write failover,
 // scrub re-replication — under permanent and rejoin churn) and the
 // wire-protocol parameter sweep (substrate x batch size x leaf cache
 // x value size x cache capacity x query skew).

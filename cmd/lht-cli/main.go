@@ -21,8 +21,8 @@
 //
 // -degraded connects even while part of the cluster is down (-status
 // always does: the health report must work precisely then), and
-// -hinted parks writes that fail against a down holder for replay on
-// its return.
+// -failover-writes lets writes succeed while a holder is down, leaving
+// the copy it missed to the next -scrub -rereplicate.
 package main
 
 import (
@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		status  = fs.Bool("status", false, "print the cluster membership and health report, and exit")
 		rerep   = fs.Bool("rereplicate", false, "with -scrub: restore the replica count of every bucket (needs -replicas > 1)")
 		degr    = fs.Bool("degraded", false, "connect even if part of the cluster is down (dead nodes start breaker-open); implied by -status")
-		hinted  = fs.Bool("hinted", false, "park writes that fail against a down holder as hints for replay on its return (needs -replicas > 1)")
+		failw   = fs.Bool("failover-writes", false, "let writes succeed while a holder is down, leaving its copy to a re-replicating scrub (needs -replicas > 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,8 +80,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *rerep && *reps < 2 {
 		return fmt.Errorf("-rereplicate needs -replicas > 1")
 	}
-	if *hinted && *reps < 2 {
-		return fmt.Errorf("-hinted needs -replicas > 1")
+	if *failw && *reps < 2 {
+		return fmt.Errorf("-failover-writes needs -replicas > 1")
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -93,11 +93,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// always boots degraded: unreachable members start breaker-open and
 	// show up in the report instead of failing the dial.
 	client, err := tcpnet.Dial(ctx, tcpnet.ClusterConfig{
-		Seeds:         strings.Split(*nodes, ","),
-		PoolSize:      *conns,
-		Replicas:      *reps,
-		DegradedStart: *degr || *status,
-		HintedHandoff: *hinted,
+		Seeds:          strings.Split(*nodes, ","),
+		PoolSize:       *conns,
+		Replicas:       *reps,
+		DegradedStart:  *degr || *status,
+		FailoverWrites: *failw,
 	})
 	if err != nil {
 		return err
@@ -151,16 +151,15 @@ func runCommand(ctx context.Context, ix *lht.Index, cmd []string, scrub, status 
 }
 
 // printStatus renders the cluster membership report: one row per member
-// with its gossip state, incarnation, this client's breaker verdict, the
-// hinted-handoff backlog parked for it cluster-wide, and known replica
-// debt.
+// with its gossip state, incarnation, this client's breaker verdict and
+// known replica debt.
 func printStatus(out io.Writer, st lht.ClusterStatus) {
 	fmt.Fprintf(out, "cluster view epoch %d, %d member(s)\n", st.ViewEpoch, len(st.Members))
-	fmt.Fprintf(out, "%-24s %-8s %-5s %-9s %-6s %s\n",
-		"ADDRESS", "STATE", "INC", "BREAKER", "HINTS", "DEBT")
+	fmt.Fprintf(out, "%-24s %-8s %-5s %-9s %s\n",
+		"ADDRESS", "STATE", "INC", "BREAKER", "DEBT")
 	for _, m := range st.Members {
-		fmt.Fprintf(out, "%-24s %-8s %-5d %-9s %-6d %d\n",
-			m.Addr, m.State, m.Incarnation, m.Breaker, m.Hints, m.ReplicaDebt)
+		fmt.Fprintf(out, "%-24s %-8s %-5d %-9s %d\n",
+			m.Addr, m.State, m.Incarnation, m.Breaker, m.ReplicaDebt)
 	}
 }
 

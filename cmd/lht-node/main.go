@@ -21,12 +21,12 @@
 //
 // With -gossip-peers set, the node joins the self-healing membership
 // plane: it anti-entropy-gossips a versioned cluster view with its
-// peers, declares unresponsive members suspect and then dead, parks
-// hinted handoffs for down holders and replays them when the holder
-// returns. Adding -repair-interval makes the node periodically scrub
-// the shared index with re-replication, restoring the replica count of
-// buckets lost to permanent node failures (run it on one node per
-// cluster, or stagger the intervals):
+// peers, and declares unresponsive members suspect and then dead.
+// Adding -repair-interval makes the node periodically scrub the shared
+// index with re-replication, restoring the replica count of buckets lost
+// to permanent node failures, and the copies a returned holder missed
+// while it was down (run it on one node per cluster, or stagger the
+// intervals):
 //
 //	lht-node -listen 127.0.0.1:7001 \
 //	  -gossip-peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \

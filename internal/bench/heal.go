@@ -15,10 +15,11 @@ import (
 )
 
 // Ablation A12: the self-healing membership plane — gossip cluster view,
-// hinted handoff, and scrub-driven re-replication — under permanent and
-// transient node loss, end to end over real sockets. Each cell boots a
-// fresh 4-node cluster with the server-side membership plane enabled,
-// loads the tree over 3 replicas, then applies one churn scenario:
+// view refresh, write failover and scrub-driven re-replication — under
+// permanent and transient node loss, end to end over real sockets. Each
+// cell boots a fresh 4-node cluster with the server-side membership plane
+// enabled, loads the tree over 3 replicas, then applies one churn
+// scenario:
 //
 //   - kill: one storage node dies permanently — its replica copies are
 //     gone and writes during the outage cannot reach their full holder
@@ -26,12 +27,13 @@ import (
 //   - rejoin: the node dies and later returns EMPTY at the same address
 //     (disk lost) — the worst non-graceful restart.
 //
-// During the outage both arms keep writing. The self-healing arm then
-// recovers: anti-entropy gossip declares the node dead (kill) or adopts
-// its refuted rejoin, the client refreshes its routing ring from the
-// gossip view, parked hinted handoffs replay to the returned holder, and
-// a bounded number of re-replicating scrub passes restores the replica
-// count on the current ring owners. The static arm is yesterday's
+// During the outage both arms keep writing; the self-healing arm's write
+// failover lets a write return with the down holder's copy missing. It
+// then recovers: anti-entropy gossip declares the node dead (kill) or
+// adopts its refuted rejoin, the client refreshes its routing ring from
+// the gossip view, and a bounded number of re-replicating scrub passes
+// restores the replica count on the current ring owners, the returned
+// holder's missed copies included. The static arm is yesterday's
 // cluster API: a fixed member list with breaker failover only — reads
 // keep succeeding off the survivors, but nothing ever repairs, so the
 // index stays one failure away from data loss.
@@ -54,8 +56,8 @@ const (
 	// count must be fully restored within this many scrub passes.
 	healMaxScrubRounds = 3
 	// healConvergeBudget caps how long a cell waits for gossip to
-	// converge (suspicion, death, rejoin refutation, hint replay) before
-	// giving up; generous because CI machines stall.
+	// converge (suspicion, death, rejoin refutation) before giving up;
+	// generous because CI machines stall.
 	healConvergeBudget = 30 * time.Second
 )
 
@@ -181,7 +183,7 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 			MaxCooldown: 250 * time.Millisecond,
 			Seed:        o.Seed,
 		},
-		HintedHandoff: healing,
+		FailoverWrites: healing,
 	})
 	if err != nil {
 		return cell, err
@@ -218,9 +220,9 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 	const victim = healNodes - 1
 	_ = srvs[victim].Close()
 
-	// The outage write phase: the static arm loses the down holder's
-	// copies outright (and a write whose holder can't be reached errors);
-	// the healing arm parks them as hinted handoffs.
+	// The outage write phase: a write whose holder can't be reached
+	// errors in the static arm; the healing arm's write failover returns
+	// with that copy missing, for the scrub to restore.
 	var wrOK, wrTotal int
 	for _, r := range healChurnRecords(o, size) {
 		keys = append(keys, r.Key)
@@ -245,7 +247,7 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 	}
 
 	if healing {
-		if err := healRecover(ctx, ix, c, srvs, mems, addrs, victim, scenario); err != nil {
+		if err := healRecover(ctx, ix, c, mems, addrs, victim, scenario); err != nil {
 			return cell, err
 		}
 	}
@@ -272,9 +274,9 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 
 // healRecover runs the self-healing arm's recovery protocol: drive
 // gossip until the cluster view reflects the churn (victim dead, or
-// rejoined with its hint backlog drained), refresh the client's routing
-// ring from the view, and re-replicate via bounded scrub passes.
-func healRecover(ctx context.Context, ix *lht.Index, c *tcpnet.Client, srvs []*tcpnet.Server, mems []*tcpnet.Membership, addrs []string, victim, scenario int) error {
+// rejoined), refresh the client's routing ring from the view, and
+// re-replicate via bounded scrub passes.
+func healRecover(ctx context.Context, ix *lht.Index, c *tcpnet.Client, mems []*tcpnet.Membership, addrs []string, victim, scenario int) error {
 	deadline := time.Now().Add(healConvergeBudget)
 	converged := func() bool {
 		for i, m := range mems {
@@ -287,9 +289,6 @@ func healRecover(ctx context.Context, ix *lht.Index, c *tcpnet.Client, srvs []*t
 				}
 			} else {
 				if st, ok := m.View().Find(addrs[victim]); !ok || st.State != dht.MemberAlive {
-					return false
-				}
-				if i != victim && srvs[i].HintBacklog()[addrs[victim]] > 0 {
 					return false
 				}
 			}

@@ -1,9 +1,9 @@
 package bench
 
 // The membership-churn soak: every concurrent moving part of the
-// self-healing plane running at once — server-side gossip loops, the
-// client's background view refresh, hinted handoff, re-replicating
-// scrubs, and a query fleet — while one node flaps on the A11 chaos
+// self-healing plane running at once — server-side gossip loops, a
+// background view refresh, write failover, re-replicating scrubs, and a
+// query fleet — while one node flaps on the A11 chaos
 // schedule. The assertions are deliberately light (the cluster must end
 // healthy); the test earns its keep under `go test -race`, where any
 // locking mistake between the planes surfaces as a report.
@@ -55,13 +55,30 @@ func TestMembershipChurnSoak(t *testing.T) {
 			MaxCooldown: 250 * time.Millisecond,
 			Seed:        o.Seed,
 		},
-		HintedHandoff:   true,
-		RefreshInterval: 50 * time.Millisecond,
+		FailoverWrites: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
+	// The background view refresh: the client's routing ring follows the
+	// servers' gossiped view while everything below races it.
+	var refresh sync.WaitGroup
+	defer func() { cancel(); refresh.Wait() }()
+	refresh.Add(1)
+	go func() {
+		defer refresh.Done()
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+				_ = c.RefreshView(ctx)
+			}
+		}
+	}()
 	ix, err := lht.New(c, lht.Config{
 		SplitThreshold: o.Theta,
 		Depth:          o.Depth,

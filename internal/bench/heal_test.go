@@ -6,8 +6,9 @@ import "testing"
 // acceptance criteria: after a permanent node kill the self-healing arm
 // answers 100% of queries AND restores full replica coverage within the
 // bounded scrub rounds, while the static-view arm stays under-replicated
-// forever; after an empty rejoin, hinted handoff plus re-replication
-// refill the returned node. The serialized cost replay is a count; the
+// forever; after an empty rejoin, re-replication refills the returned
+// node, the copies it missed while down included (write failover left
+// them to the scrub). The serialized cost replay is a count; the
 // wall-clock result is measured.
 func TestMembershipAblation(t *testing.T) {
 	if testing.Short() {
@@ -34,7 +35,7 @@ func TestMembershipAblation(t *testing.T) {
 
 	for sc := range healScenarios {
 		// The headline claim: the self-healing arm loses nothing — every
-		// outage write lands (hinted handoff), every post-recovery query
+		// outage write lands (write failover), every post-recovery query
 		// answers, and the replica count is fully restored.
 		if y := healW.Points[sc].Y; y != 100 {
 			t.Errorf("self-healing, scenario %d: outage write success %v%%, want 100%%", sc, y)

@@ -76,13 +76,10 @@ const (
 	// OpGossip is one anti-entropy membership exchange: the payload is the
 	// sender's encoded ClusterView, the response the receiver's merged one.
 	OpGossip
-	// OpHintPut parks a hinted handoff: an epoch-tagged value a writer
-	// could not deliver to its down holder, stored on a substitute node
-	// keyed by the intended holder's address, replayed via OpPutNewer when
-	// the holder returns.
-	OpHintPut
-	// OpStatus asks a node for its membership view plus its parked-hint
-	// backlog per intended holder.
+	// The retired hinted-handoff park (OpHintPut) held this slot; it stays
+	// taken so that the op bytes after it do not move.
+	_
+	// OpStatus asks a node for its membership view.
 	OpStatus
 
 	// OpPatchIf is the wire op of Patcher.Patch and WritePatchIf: a write
@@ -125,8 +122,6 @@ func (k OpKind) String() string {
 		return "putnewer"
 	case OpGossip:
 		return "gossip"
-	case OpHintPut:
-		return "hintput"
 	case OpStatus:
 		return "status"
 	case OpPatchIf:

@@ -171,7 +171,7 @@ func (v ClusterView) Alive() []string {
 // ClusterStatus is the operator-facing introspection snapshot a
 // membership-aware substrate reports: the view version plus one row per
 // member combining the gossip state with this client's local health
-// plane (breaker state, parked hints, replica debt).
+// plane (breaker state, replica debt).
 type ClusterStatus struct {
 	// ViewEpoch is the membership view version the reporter holds.
 	ViewEpoch uint64
@@ -190,9 +190,6 @@ type MemberStatus struct {
 	// Breaker is this client's circuit-breaker state for the member
 	// (BreakerClosed when the health plane is off).
 	Breaker BreakerState
-	// Hints is the number of keys parked cluster-wide as hinted handoffs
-	// awaiting this member's return (-1 when unknown).
-	Hints int
 	// ReplicaDebt is the number of missing replica copies this client has
 	// observed on the member and not yet seen restored (via
 	// EnsureReplicated probes); 0 when none or never probed.
@@ -207,11 +204,11 @@ type ClusterReporter interface {
 }
 
 // ReplicaRepair is the outcome of one EnsureReplicated call: how many
-// holder probes it issued, how many copies it found missing, and how many
-// it restored.
+// holder probes it issued, how many copies it found missing or behind the
+// freshest, and how many it restored.
 type ReplicaRepair struct {
 	Probes   int // per-holder existence probes issued (each a DHT round trip)
-	Missing  int // holder slots found without a copy
+	Missing  int // holder slots found without a copy, or with an older one
 	Restored int // copies re-stored on their owners
 }
 
@@ -224,7 +221,8 @@ func (r *ReplicaRepair) Add(o ReplicaRepair) {
 
 // Rereplicator is the optional re-replication capability of a replicated
 // substrate: EnsureReplicated(key) probes every current ring owner of the
-// key and restores missing copies from the freshest surviving one (via
+// key and restores missing or older copies from the freshest surviving
+// one (via
 // the substrate's epoch-ordered store, so a restore can never roll a
 // holder back). Index.Scrub drives it over every bucket key when
 // re-replication is enabled, which is how a permanently dead node's keys

@@ -20,7 +20,7 @@ var ErrNoCluster = errors.New("lht: substrate has no cluster membership plane")
 
 // ClusterStatus reports the substrate cluster's membership view: per
 // member its gossip state and incarnation, the client's breaker verdict,
-// parked hinted-handoff backlogs, and known replica debt. It fails with
+// and known replica debt. It fails with
 // ErrNoCluster when the substrate does not implement dht.ClusterReporter.
 // Status traffic rides the membership plane and is free in the paper's
 // cost model.

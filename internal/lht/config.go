@@ -104,8 +104,8 @@ type Config struct {
 	// Rereplicate extends Scrub with a re-replication pass when the
 	// substrate implements dht.Rereplicator (the tcpnet cluster client
 	// does): after the structural walk verifies the tree, every visited
-	// bucket key is probed on all of its ring owners and missing copies
-	// are restored from the highest-epoch survivor. The probe and restore
+	// bucket key is probed on all of its ring owners and missing or older
+	// copies are restored from the highest-epoch survivor. The probe and restore
 	// round trips are charged to the scrub's cost (they bypass the
 	// instrumented stack, so Scrub accounts for them manually); query and
 	// mutation costs are untouched, keeping the paper's pinned cost rows

@@ -91,18 +91,11 @@ const (
 	// ViewRefreshes counts membership views a client pulled from the
 	// cluster and applied to its routing ring.
 	ViewRefreshes
-	// HintsParked counts epoch-tagged writes a fan-out could not deliver to
-	// their holder, parked on a substitute node for replay when the holder
-	// returns.
-	HintsParked
-	// HintsReplayed counts parked hinted handoffs delivered to their
-	// returned holder through the epoch-ordered store.
-	HintsReplayed
 	// ReplicaProbes counts per-holder existence checks EnsureReplicated
 	// issued while auditing a key's replica set.
 	ReplicaProbes
-	// ReplicaRepairs counts missing copies re-stored on their ring owners
-	// by re-replication.
+	// ReplicaRepairs counts missing or older copies re-stored on their
+	// ring owners by re-replication.
 	ReplicaRepairs
 	NumCounters // count sentinel, keep last
 )
@@ -162,8 +155,6 @@ var counterTable = [NumCounters]counterRow{
 	Failovers:        {"failovers", "", "Reads rerouted off an unhealthy holder.", func(s *Snapshot) *int64 { return &s.Health.Failovers }},
 	GossipRounds:     {"gossip_rounds", "", "Anti-entropy membership exchanges performed.", func(s *Snapshot) *int64 { return &s.Membership.GossipRounds }},
 	ViewRefreshes:    {"view_refreshes", "", "Membership views applied to a client routing ring.", func(s *Snapshot) *int64 { return &s.Membership.ViewRefreshes }},
-	HintsParked:      {"hints_parked", "", "Hinted handoffs parked for an unreachable holder.", func(s *Snapshot) *int64 { return &s.Membership.HintsParked }},
-	HintsReplayed:    {"hints_replayed", "", "Parked hints delivered to their returned holder.", func(s *Snapshot) *int64 { return &s.Membership.HintsReplayed }},
 	ReplicaProbes:    {"replica_probes", "", "Per-holder existence probes issued by re-replication.", func(s *Snapshot) *int64 { return &s.Membership.ReplicaProbes }},
 	ReplicaRepairs:   {"replica_repairs", "", "Missing replica copies restored on their owners.", func(s *Snapshot) *int64 { return &s.Membership.ReplicaRepairs }},
 }

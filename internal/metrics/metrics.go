@@ -214,16 +214,13 @@ type HealthCounts struct {
 }
 
 // MembershipCounts are the self-healing-membership-plane counters:
-// gossip keeping every view current, hinted handoff bridging transient
-// holder outages, and re-replication restoring replica count after
-// permanent ones.
+// gossip keeping every view current, and re-replication restoring
+// replica count after an outage, transient or permanent.
 type MembershipCounts struct {
 	GossipRounds   int64 // anti-entropy membership exchanges performed
 	ViewRefreshes  int64 // membership views applied to a client's routing ring
-	HintsParked    int64 // hinted handoffs parked for an unreachable holder
-	HintsReplayed  int64 // parked hints delivered to their returned holder
 	ReplicaProbes  int64 // per-holder existence probes issued by re-replication
-	ReplicaRepairs int64 // missing replica copies restored on their owners
+	ReplicaRepairs int64 // missing or older replica copies restored on their owners
 }
 
 // OpStats are the per-operation-class observations: how many operations

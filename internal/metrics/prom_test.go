@@ -42,8 +42,6 @@ func goldenCounters() *Counters {
 	c.Add(Failovers, 2)
 	c.Add(GossipRounds, 5)
 	c.Add(ViewRefreshes, 2)
-	c.Add(HintsParked, 3)
-	c.Add(HintsReplayed, 2)
 	c.Add(ReplicaProbes, 9)
 	c.Add(ReplicaRepairs, 1)
 	c.AddPhaseLookups(OpGet, PhaseProbe, 7)
@@ -145,12 +143,6 @@ lht_gossip_rounds_total 5
 # HELP lht_view_refreshes_total Membership views applied to a client routing ring.
 # TYPE lht_view_refreshes_total counter
 lht_view_refreshes_total 2
-# HELP lht_hints_parked_total Hinted handoffs parked for an unreachable holder.
-# TYPE lht_hints_parked_total counter
-lht_hints_parked_total 3
-# HELP lht_hints_replayed_total Parked hints delivered to their returned holder.
-# TYPE lht_hints_replayed_total counter
-lht_hints_replayed_total 2
 # HELP lht_replica_probes_total Per-holder existence probes issued by re-replication.
 # TYPE lht_replica_probes_total counter
 lht_replica_probes_total 9

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lht/internal/dht"
 	"lht/internal/hashring"
@@ -21,9 +20,8 @@ import (
 type ClusterConfig struct {
 	// Seeds are the bootstrap node addresses. With membership gossip
 	// running on the servers they are only the first view — RefreshView
-	// (or the RefreshInterval loop) grows and shrinks the routing ring as
-	// the gossiped view changes. Without gossip they are the static
-	// member list, exactly as before.
+	// grows and shrinks the routing ring as the gossiped view changes.
+	// Without gossip they are the static member list, exactly as before.
 	Seeds []string
 	// PoolSize is the number of multiplexed connections the client keeps
 	// per node (default 2; a negative value means 1). Each connection
@@ -59,16 +57,17 @@ type ClusterConfig struct {
 	// and adopts them. Implies Health (with defaults, if not configured
 	// explicitly). Construction still fails when no node is reachable.
 	DegradedStart bool
-	// HintedHandoff parks put-like fan-outs that fail against a down
-	// holder on a reachable node instead of surfacing the fault: the park
-	// (OpHintPut) tags the value with its epoch, and the holding node
-	// replays it to the returned holder over the epoch-ordered putnewer
-	// path. Requires Replicas > 1.
-	HintedHandoff bool
-	// RefreshInterval, when positive, runs a background loop calling
-	// RefreshView at that period, keeping the routing ring synced to the
-	// servers' gossiped membership view. Zero leaves refresh manual.
-	RefreshInterval time.Duration
+	// FailoverWrites keeps writes available while a holder is down: a
+	// conditional resolves on the first reachable holder when the primary
+	// is unreachable, and a holder's transport fault on a copy of an
+	// epoch-tagged value (or a patch) is dropped while another holder
+	// stored it, leaving that copy to the re-replicating scrub, which
+	// restores a copy that is missing or carries an older epoch. An
+	// untagged value's write still fails with the fault: its copies all
+	// read epoch 0, so the scrub could not tell the missed one. Until the
+	// scrub runs, a returned holder serves the copy it kept (see
+	// replicas.go). Requires Replicas > 1.
+	FailoverWrites bool
 }
 
 // Client implements dht.DHT over a static set of tcpnet servers: keys are
@@ -103,9 +102,6 @@ type Client struct {
 	// node address (fed by EnsureReplicated; read by ClusterStatus).
 	debtMu sync.Mutex
 	debt   map[string]map[string]struct{}
-
-	refreshCancel context.CancelFunc
-	refreshWG     sync.WaitGroup
 }
 
 // memberRing is one immutable routing-ring snapshot.
@@ -179,8 +175,8 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
 	}
-	if cfg.HintedHandoff && cfg.Replicas < 2 {
-		return nil, errors.New("tcpnet: hinted handoff requires replication")
+	if cfg.FailoverWrites && cfg.Replicas < 2 {
+		return nil, errors.New("tcpnet: write failover requires replication")
 	}
 	if cfg.DegradedStart && cfg.Health == nil {
 		cfg.Health = &dht.BreakerConfig{}
@@ -214,24 +210,6 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	} else if err := c.verifyAll(ctx, nodes); err != nil {
 		_ = c.Close()
 		return nil, err
-	}
-	if cfg.RefreshInterval > 0 {
-		rctx, cancel := context.WithCancel(context.Background())
-		c.refreshCancel = cancel
-		c.refreshWG.Add(1)
-		go func() {
-			defer c.refreshWG.Done()
-			t := time.NewTicker(cfg.RefreshInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-rctx.Done():
-					return
-				case <-t.C:
-					_ = c.RefreshView(rctx)
-				}
-			}
-		}()
 	}
 	return c, nil
 }
@@ -310,13 +288,8 @@ func (c *Client) verifyAll(ctx context.Context, nodes []*clientNode) error {
 	return firstErr
 }
 
-// Close stops the view-refresh loop (if any) and tears down all
-// connections.
+// Close tears down all connections.
 func (c *Client) Close() error {
-	if c.refreshCancel != nil {
-		c.refreshCancel()
-		c.refreshWG.Wait()
-	}
 	for _, n := range c.ringNodes() {
 		n.close()
 	}
@@ -419,7 +392,7 @@ func (n *clientNode) getRaw(ctx context.Context, key string) ([]byte, error) {
 
 // putNewer stores already-tagged bytes on n over the epoch-ordered
 // OpPutNewer path: if n accepted a fresher write in the meantime, this
-// copy loses, which is exactly right for a restore or a replayed hint.
+// copy loses, which is exactly right for a restore.
 func (n *clientNode) putNewer(ctx context.Context, key string, tagged []byte) error {
 	_, frame, err := n.simpleCall(ctx, dht.OpPutNewer, func(b []byte) ([]byte, error) {
 		return append(appendKey(b, key), tagged...), nil

@@ -13,8 +13,8 @@ package tcpnet
 //
 // On top of the view sit the two repair capabilities the index layer
 // discovers by type assertion: EnsureReplicated (dht.Rereplicator)
-// restores a key's missing replica copies from the freshest surviving
-// one, and ClusterStatus (dht.ClusterReporter) joins the gossiped view
+// restores a key's missing or older replica copies from the freshest
+// surviving one, and ClusterStatus (dht.ClusterReporter) joins the gossiped view
 // with the client's local health plane for operator introspection.
 
 import (
@@ -180,11 +180,16 @@ func (c *Client) replicaDebt(addr string) int {
 }
 
 // EnsureReplicated implements dht.Rereplicator: probe every current
-// holder of key and restore missing copies from the freshest surviving
-// one; with one copy there is none to restore. A key no holder has is not
-// an error (it was removed, or never existed); a key no holder could even
-// be asked about is. Restores ride OpPutNewer, so racing writers can only
-// ever beat the restore with a newer value, never lose to it.
+// holder of key and restore, from the freshest surviving copy (the highest
+// stored epoch), every copy that is missing or carries an older epoch —
+// the copy a holder kept through a write it missed (see
+// ClusterConfig.FailoverWrites); with one copy there is none to restore.
+// A key no holder has is not an error (it was removed, or never existed);
+// a key no holder could even be asked about is. Restores ride OpPutNewer,
+// so racing writers can only ever beat the restore with a newer value,
+// never lose to it. Copies at one epoch are not told apart: untagged
+// values all read epoch 0, which is why write failover never leaves one
+// of their copies behind.
 func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaRepair, error) {
 	var rep dht.ReplicaRepair
 	if c.cfg.Replicas <= 1 {
@@ -221,9 +226,9 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 	}
 	for i, n := range holders {
 		switch {
-		case errs[i] == nil:
+		case errs[i] == nil && storedEpoch(vals[i]) >= storedEpoch(donor):
 			c.clearDebt(n.addr, key)
-		case errors.Is(errs[i], dht.ErrNotFound):
+		case errs[i] == nil || errors.Is(errs[i], dht.ErrNotFound):
 			rep.Missing++
 			if err := n.putNewer(ctx, key, donor); err != nil {
 				c.noteDebt(n.addr, key)
@@ -241,12 +246,12 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 }
 
 // ClusterStatus implements dht.ClusterReporter: fetch the gossiped view
-// and hint backlog from the first reachable member (OpStatus) and join it
-// with the client's local health plane. Against a cluster that never
-// enabled the membership plane the report falls back to the client's own
-// view of its ring, so breaker states stay visible either way.
+// from the first reachable member (OpStatus) and join it with the
+// client's local health plane. Against a cluster that never enabled the
+// membership plane the report falls back to the client's own view of its
+// ring, so breaker states stay visible either way.
 func (c *Client) ClusterStatus(ctx context.Context) (dht.ClusterStatus, error) {
-	view, hints, err := c.fetchStatus(ctx)
+	view, err := c.fetchStatus(ctx)
 	if err != nil || len(view.Members) == 0 {
 		// No server-side view: report the client's local one.
 		view = c.View()
@@ -265,16 +270,14 @@ func (c *Client) ClusterStatus(ctx context.Context) (dht.ClusterStatus, error) {
 			State:       m.State,
 			Incarnation: m.Incarnation,
 			Breaker:     c.Health(m.Addr),
-			Hints:       hints[m.Addr],
 			ReplicaDebt: c.replicaDebt(m.Addr),
 		})
 	}
 	return st, nil
 }
 
-// fetchStatus asks the first reachable member for its view and hint
-// backlog over OpStatus.
-func (c *Client) fetchStatus(ctx context.Context) (dht.ClusterView, map[string]int, error) {
+// fetchStatus asks the first reachable member for its view over OpStatus.
+func (c *Client) fetchStatus(ctx context.Context) (dht.ClusterView, error) {
 	err := errors.New("tcpnet: no members to query")
 	for _, n := range c.ringNodes() {
 		var tv []byte
@@ -286,59 +289,12 @@ func (c *Client) fetchStatus(ctx context.Context) (dht.ClusterView, map[string]i
 			continue
 		}
 		cur := cursor{b: tv}
-		view, verr := readView(&cur)
-		if verr != nil {
-			putBuf(frame)
-			err = verr
-			continue
-		}
-		hints := make(map[string]int)
-		nh, herr := cur.uvarint()
-		for i := uint64(0); herr == nil && i < nh; i++ {
-			var holder []byte
-			holder, herr = cur.lenBytes()
-			if herr != nil {
-				break
-			}
-			var count uint64
-			count, herr = cur.uvarint()
-			if herr != nil {
-				break
-			}
-			hints[string(holder)] = int(count)
-		}
+		var view dht.ClusterView
+		view, err = readView(&cur)
 		putBuf(frame)
-		if herr != nil {
-			err = herr
-			continue
+		if err == nil {
+			return view, nil
 		}
-		return view, hints, nil
 	}
-	return dht.ClusterView{}, nil, err
-}
-
-// parkHint parks the value a failed put-like fan-out could not deliver to
-// holderAddr on the first reachable other holder of key (any live node
-// works; the other holders are simply the closest candidates). The park
-// node replays it to the holder over OpPutNewer once gossip shows the
-// holder routable again.
-func (c *Client) parkHint(ctx context.Context, key, holderAddr string, v dht.Value) error {
-	err := errors.New("tcpnet: no substitute for hint")
-	for _, n := range c.holders(key) {
-		if n.addr == holderAddr {
-			continue
-		}
-		var frame *[]byte
-		_, frame, err = n.simpleCall(ctx, dht.OpHintPut, func(b []byte) ([]byte, error) {
-			b = appendLenString(b, holderAddr)
-			b = appendKey(b, key)
-			return appendValue(b, v)
-		})
-		if err != nil {
-			continue
-		}
-		putBuf(frame)
-		return nil
-	}
-	return err
+	return dht.ClusterView{}, err
 }

@@ -3,11 +3,15 @@ package tcpnet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"lht/internal/dht"
+	ilht "lht/internal/lht"
+	"lht/internal/record"
 )
 
 // startMemberCluster boots n servers with membership enabled (each seeded
@@ -62,8 +66,8 @@ func TestDialClusterConfigValidation(t *testing.T) {
 	if _, err := Dial(ctx, ClusterConfig{}); err == nil {
 		t.Error("empty seeds must fail")
 	}
-	if _, err := Dial(ctx, ClusterConfig{Seeds: []string{"a:1"}, HintedHandoff: true}); err == nil {
-		t.Error("hinted handoff without replication must fail")
+	if _, err := Dial(ctx, ClusterConfig{Seeds: []string{"a:1"}, FailoverWrites: true}); err == nil {
+		t.Error("write failover without replication must fail")
 	}
 }
 
@@ -168,65 +172,224 @@ func TestApplyViewRefusesToShrinkBelowReplicas(t *testing.T) {
 	}
 }
 
-func TestHintedHandoffParksAndReplays(t *testing.T) {
+// holderIndex is the index in addrs of the i-th holder of key.
+func holderIndex(t *testing.T, c *Client, addrs []string, key string, i int) int {
+	t.Helper()
+	for j, a := range addrs {
+		if a == c.holders(key)[i].addr {
+			return j
+		}
+	}
+	t.Fatalf("holder %d of %q is no member", i, key)
+	return -1
+}
+
+// rebind starts an empty membership server at the address a closed one
+// listened on, as a node that lost its disk comes back.
+func rebind(t *testing.T, addr string, addrs []string) *Server {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("cannot rebind %s: %v", addr, err)
+	}
+	back := NewServer()
+	_ = back.EnableMembership(MembershipConfig{Self: addr, Seeds: addrs, Seed: 99})
+	go func() { _ = back.Serve(ln) }()
+	t.Cleanup(func() { _ = back.Close() })
+	return back
+}
+
+// TestFailoverWritesSurviveADownHolder pins write failover's store rule:
+// a put of an epoch-tagged value whose secondary is down succeeds, stored
+// on the primary (the missed copy is the scrub's to restore); a put of an
+// untagged value, which the scrub could not order against the copy the
+// secondary kept, fails; and a put with every holder of its key down
+// fails, so no write returns having stored no copy.
+func TestFailoverWritesSurviveADownHolder(t *testing.T) {
 	ctx := context.Background()
-	srvs, mems, addrs := startMemberCluster(t, 3)
-	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, HintedHandoff: true})
+	srvs, _, addrs := startMemberCluster(t, 3)
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, FailoverWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Choose the downed holder as the SECONDARY of the key so the primary
-	// stays up to accept both its copy and the park.
-	key := "hh-key"
-	victim := c.holders(key)[1].addr
-	var victimIdx int
-	for i, a := range addrs {
-		if a == victim {
-			victimIdx = i
-		}
+	key := "fw-key"
+	primary, secondary := holderIndex(t, c, addrs, key, 0), holderIndex(t, c, addrs, key, 1)
+	_ = srvs[secondary].Close()
+	put := func(v dht.Value) error {
+		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		return c.Put(pctx, key, v)
 	}
-	_ = srvs[victimIdx].Close()
+	if err := put(wideBucket()); err != nil {
+		t.Fatalf("put with the secondary down: %v", err)
+	}
+	if !srvs[primary].Has(key) {
+		t.Fatal("the primary holds no copy of a put that succeeded")
+	}
+	if err := put([]byte("v1")); !dht.IsTransient(err) {
+		t.Fatalf("an untagged put with the secondary down = %v, want the transport fault", err)
+	}
 
-	// The put must succeed despite the down holder: its copy parks.
+	_ = srvs[primary].Close()
+	if err := put(wideBucket()); err == nil || !dht.IsTransient(err) {
+		t.Fatalf("a put with every holder down = %v, want the transport fault", err)
+	}
+}
+
+// TestScrubRestoresACopyItsHolderKeptThroughAMissedWrite: a primary that
+// was down while a put was acknowledged, and comes back with the copy it
+// had (a restart on its snapshot), holds the older epoch until the
+// re-replicating scrub; the scrub restores the acknowledged value onto it,
+// after which a read returns that value and a PutIf built on a fresh read
+// keeps its records on every holder.
+func TestScrubRestoresACopyItsHolderKeptThroughAMissedWrite(t *testing.T) {
+	ctx := context.Background()
+	srvs, _, addrs := startMemberCluster(t, 3)
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, FailoverWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	v1 := wideBucket()
+	key := v1.Label.Name().Key()
+	if err := c.Put(ctx, key, v1); err != nil {
+		t.Fatal(err)
+	}
+	primary, secondary := holderIndex(t, c, addrs, key, 0), holderIndex(t, c, addrs, key, 1)
+	snap := filepath.Join(t.TempDir(), "primary.snap")
+	if err := srvs[primary].SaveSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	_ = srvs[primary].Close()
+	v2 := v1.Clone()
+	v2.Epoch++
+	v2.Records = v2.Records[:40]
 	pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	err = c.Put(pctx, key, []byte("v1"))
+	err = c.Put(pctx, key, v2)
 	cancel()
 	if err != nil {
-		t.Fatalf("put with hinted handoff failed: %v", err)
+		t.Fatalf("put with the primary down: %v", err)
 	}
-	backlog := 0
-	for i, s := range srvs {
-		if i == victimIdx {
-			continue
+	srvs[primary] = rebind(t, addrs[primary], addrs)
+	if err := srvs[primary].LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	epochOn := func(s *Server) uint64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return storedEpoch(storedValue(s, key))
+	}
+	if got := epochOn(srvs[primary]); got != v1.Epoch {
+		t.Fatalf("the returned primary stores epoch %d, want its old %d", got, v1.Epoch)
+	}
+
+	// One scrub, retried while the client's redial backoff for the
+	// returned primary lasts (<= 250 ms).
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		rep, err := c.EnsureReplicated(ctx, key)
+		if err != nil {
+			t.Fatal(err)
 		}
-		backlog += s.HintBacklog()[victim]
-	}
-	if backlog != 1 {
-		t.Fatalf("parked hints = %d, want 1", backlog)
-	}
-
-	// Resurrect the holder and let the park node replay.
-	ln, err := net.Listen("tcp", victim)
-	if err != nil {
-		t.Skipf("cannot rebind %s: %v", victim, err)
-	}
-	back := NewServer()
-	_ = back.EnableMembership(MembershipConfig{Self: victim, Seeds: addrs, Seed: 99})
-	go func() { _ = back.Serve(ln) }()
-	t.Cleanup(func() { _ = back.Close() })
-
-	deadline := time.Now().Add(10 * time.Second)
-	for !back.Has(key) {
-		for i, m := range mems {
-			if i != victimIdx {
-				_ = m.Tick(ctx)
+		if rep.Restored == 1 {
+			if rep.Missing != 1 {
+				t.Fatalf("repair = %+v, want 1 missing / 1 restored", rep)
 			}
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("hint never replayed to the returned holder")
+			t.Fatalf("the scrub left the primary's older copy in place: last repair %+v", rep)
 		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	v, err := c.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.(*ilht.Bucket); got.Epoch != v2.Epoch || len(got.Records) != len(v2.Records) {
+		t.Fatalf("read epoch %d with %d records, want the acknowledged epoch %d with %d", got.Epoch, len(got.Records), v2.Epoch, len(v2.Records))
+	}
+
+	v3 := v.(*ilht.Bucket).Clone()
+	v3.Epoch++
+	v3.Records = append(v3.Records, record.Record{Key: 0.71875, Value: []byte("v3")})
+	if err := c.PutIf(ctx, key, v3, v2.Epoch); err != nil {
+		t.Fatalf("PutIf on a fresh read: %v", err)
+	}
+	for _, i := range []int{primary, secondary} {
+		if got := epochOn(srvs[i]); got != v3.Epoch {
+			t.Errorf("node %d stores epoch %d, want %d", i, got, v3.Epoch)
+		}
+	}
+	v, err = c.Get(ctx, key)
+	if got, ok := v.(*ilht.Bucket); err != nil || !ok || len(got.Records) != len(v2.Records)+1 {
+		t.Fatalf("after the PutIf read %v, %v; want the acknowledged %d records and one more", v, err, len(v2.Records))
+	}
+}
+
+// TestRemovedKeyStaysRemovedWhenItsHolderReturns: a holder that was down
+// while a key was put, and comes back empty, must not have the key put
+// back on it after the key is removed, however many gossip rounds run
+// after the removal; a Get then finds the key on no holder.
+func TestRemovedKeyStaysRemovedWhenItsHolderReturns(t *testing.T) {
+	ctx := context.Background()
+	srvs, mems, addrs := startMemberCluster(t, 3)
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, FailoverWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	key := "gone-key"
+	secondary := holderIndex(t, c, addrs, key, 1)
+	_ = srvs[secondary].Close()
+	pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	err = c.Put(pctx, key, wideBucket())
+	cancel()
+	if err != nil {
+		t.Fatalf("put with the secondary down: %v", err)
+	}
+	srvs[secondary] = rebind(t, addrs[secondary], addrs)
+	mems[secondary] = srvs[secondary].Membership()
+
+	// The removal reaches both holders: the client redials the returned
+	// one once its backoff has passed.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if err = c.Remove(ctx, key); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("remove with both holders up: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	for round := 0; round < 8; round++ {
+		for _, m := range mems {
+			_ = m.Tick(ctx)
+		}
+	}
+	for i, s := range srvs {
+		if s.Has(key) {
+			t.Fatalf("node %d stores the removed key", i)
+		}
+	}
+	deadline = time.Now().Add(time.Second) // past the redial backoff (<= 250 ms)
+	for {
+		_, err = c.Get(ctx, key)
+		if errors.Is(err, dht.ErrNotFound) {
+			break
+		}
+		if err == nil {
+			t.Fatal("Get read back the removed key")
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Get of the removed key: %v, want not-found", err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -277,11 +440,11 @@ func TestEnsureReplicated(t *testing.T) {
 
 // TestEnsureReplicatedRestoresTheFreshestBytes: re-replication reads each
 // holder's copy with a plain get, picks the one with the highest stored
-// epoch and restores a missing copy from it byte for byte through
-// putnewer. So a plain get must answer the stored bytes, epoch prefix and
-// all: here the first holder probed keeps a stale copy, the second the
-// fresh one, and the third, which lost its copy, must get the fresh
-// bytes exactly as the second stores them.
+// epoch and restores a missing or older copy from it byte for byte
+// through putnewer. So a plain get must answer the stored bytes, epoch
+// prefix and all: here the first holder probed keeps a stale copy, the
+// second the fresh one, and the third lost its copy; the first and the
+// third must get the fresh bytes exactly as the second stores them.
 func TestEnsureReplicatedRestoresTheFreshestBytes(t *testing.T) {
 	ctx := context.Background()
 	srvs, _, addrs := startMemberCluster(t, 3)
@@ -315,17 +478,19 @@ func TestEnsureReplicatedRestoresTheFreshestBytes(t *testing.T) {
 	lost.mu.Unlock()
 
 	rep, err := c.EnsureReplicated(ctx, key)
-	if err != nil || rep.Missing != 1 || rep.Restored != 1 {
-		t.Fatalf("repair = %+v, %v, want 1 missing / 1 restored", rep, err)
+	if err != nil || rep.Missing != 2 || rep.Restored != 2 {
+		t.Fatalf("repair = %+v, %v, want 2 missing / 2 restored", rep, err)
 	}
 	fresh.mu.Lock()
 	want := bytes.Clone(storedValue(fresh, key))
 	fresh.mu.Unlock()
-	lost.mu.Lock()
-	got := bytes.Clone(storedValue(lost, key))
-	lost.mu.Unlock()
-	if want[0] != tagEpoch || !bytes.Equal(got, want) {
-		t.Errorf("the restored copy is %d bytes (%x…), want the fresh holder's %d (%x…)", len(got), got[:min(len(got), 4)], len(want), want[:4])
+	for name, s := range map[string]*Server{"lost": lost, "stale": first} {
+		s.mu.Lock()
+		got := bytes.Clone(storedValue(s, key))
+		s.mu.Unlock()
+		if want[0] != tagEpoch || !bytes.Equal(got, want) {
+			t.Errorf("the restored %s copy is %d bytes (%x…), want the fresh holder's %d (%x…)", name, len(got), got[:min(len(got), 4)], len(want), want[:4])
+		}
 	}
 }
 
@@ -391,7 +556,7 @@ func TestClusterStatusWithoutMembershipPlane(t *testing.T) {
 func TestRefreshViewRevivesBreaker(t *testing.T) {
 	ctx := context.Background()
 	srvs, mems, addrs := startMemberCluster(t, 3)
-	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, HintedHandoff: true,
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, FailoverWrites: true,
 		Health: &dht.BreakerConfig{Threshold: 2, Cooldown: time.Minute, MaxCooldown: time.Minute, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -402,13 +567,8 @@ func TestRefreshViewRevivesBreaker(t *testing.T) {
 	// cooldown guarantees the breaker cannot recover on its own within
 	// this test: only the revive path can close it.
 	key := "revive-key"
-	victim := c.holders(key)[0].addr
-	var victimIdx int
-	for i, a := range addrs {
-		if a == victim {
-			victimIdx = i
-		}
-	}
+	victimIdx := holderIndex(t, c, addrs, key, 0)
+	victim := addrs[victimIdx]
 	_ = srvs[victimIdx].Close()
 	for i := 0; i < 4 && c.Health(victim) != dht.BreakerOpen; i++ {
 		gctx, cancel := context.WithTimeout(ctx, time.Second)
@@ -428,14 +588,7 @@ func TestRefreshViewRevivesBreaker(t *testing.T) {
 
 	// Rejoin at the same address; gossip until the refutation (alive at a
 	// bumped incarnation) reaches the client and revives the breaker.
-	ln, err := net.Listen("tcp", victim)
-	if err != nil {
-		t.Skipf("cannot rebind %s: %v", victim, err)
-	}
-	back := NewServer()
-	mems[victimIdx] = back.EnableMembership(MembershipConfig{Self: victim, Seeds: addrs, Seed: 99})
-	go func() { _ = back.Serve(ln) }()
-	t.Cleanup(func() { _ = back.Close() })
+	mems[victimIdx] = rebind(t, victim, addrs).Membership()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for c.Health(victim) != dht.BreakerClosed {

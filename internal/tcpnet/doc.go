@@ -5,14 +5,13 @@
 // There is one wire: the framed binary protocol (frame.go) —
 // reflection-free length-prefixed frames with pooled buffers, carried by a
 // pipelined multiplexer (mux.go) that keeps many requests in flight per
-// connection. A connection opens with the "LHT9" magic; a server closes
+// connection. A connection opens with the "LH10" magic; a server closes
 // one that opens with anything else, a peer of the protocol generation
 // before this one included: nodes and clients of one generation upgrade
 // together, and nothing negotiates which request forms a node serves.
-// There is one transport too: a
-// server reaches its gossip peers, and replays hints to them, through the
-// same clientNode and pipelined connection a client uses for its members
-// (membership.go). Servers are pure byte stores: values
+// There is one transport too: a server reaches its gossip peers through
+// the same clientNode and pipelined connection a client uses for its
+// members (membership.go). Servers are pure byte stores: values
 // travel and are stored tagged (frame.go lists the tags), and the server
 // reads no further into one than its epoch prefix; what a hinted get
 // ships of a value and what a patchif makes of one it asks the value's
@@ -29,7 +28,8 @@
 // (membership.go, clusterview.go), client-driven replication whose reads
 // start at the primary and fail over to the other holders (replicas.go)
 // — one path for every replica count, an unreplicated client being a
-// holder set of one — hinted handoff for writes a down holder missed,
-// and per-node circuit breakers (health.go). The index layer sees none of it — it talks to a dht.DHT,
+// holder set of one — write failover, which leaves a copy a down holder
+// missed to the re-replicating scrub, and per-node circuit breakers
+// (health.go). The index layer sees none of it — it talks to a dht.DHT,
 // which is the point of the over-DHT design.
 package tcpnet

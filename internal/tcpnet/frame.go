@@ -15,8 +15,8 @@ import (
 // recycles every buffer it touches, so the encode/decode hot path
 // allocates nothing beyond the returned value bytes.
 //
-// A connection opens with the 4-byte magic "LHT9"; a server closes one
-// that opens with anything else — an LHT8 peer of the generation before
+// A connection opens with the 4-byte magic "LH10"; a server closes one
+// that opens with anything else — an LHT9 peer of the generation before
 // this one included — before serving a frame. Nodes and clients of one
 // generation upgrade together. After the magic, both directions speak
 // length-prefixed frames whose header is two unsigned varints:
@@ -63,7 +63,8 @@ import (
 //	                        modes 1 and 2 uv ifEpoch; patch(rest)
 //	getbatch                uv count, count x key [, hint u64 BE]
 //	putbatch                uv count, count x (key, uv vlen, value)
-//	hintput                 uv alen, holder addr, key, value(rest)
+//	gossip                  the sender's view (membership.go)
+//	status                  (empty)
 //
 // Keys. Every key field is uv x, then the key. The index's keys are
 // label names (bitlabel), '#' and a bit string, and such a key of at most
@@ -184,6 +185,8 @@ import (
 //	ok   patchif in place    kind u8, the patcher's reply(rest)
 //	ok   patchif newer       (empty)
 //	ok   getbatch/putbatch   uv count, count x slot
+//	ok   gossip/status       view: the node's, merged with the sender's
+//	                         for a gossip; nothing follows it
 //	not-found                (empty)
 //	error                    message(rest)
 //	cas-conflict             exists u8, uv winnerEpoch
@@ -196,7 +199,7 @@ import (
 // message.
 const (
 	// wireMagic opens every connection; the server closes one without it.
-	wireMagic = "LHT9"
+	wireMagic = "LH10"
 
 	// maxFrameLen bounds a frame's length field: decoders reject anything
 	// larger before allocating, so a garbage or hostile header can never

@@ -60,7 +60,6 @@ func TestKeyFormBytes(t *testing.T) {
 			return err
 		},
 		"getbatch": func(k string) error { _, errs := c.GetBatch(ctx, []string{k}); return errs[0] },
-		"hint put": func(k string) error { return c.parkHint(ctx, k, "elsewhere", []byte("v")) },
 	}
 	var want []string
 	for _, n := range []int{0, 1, 8, 9, 13, 20, 63, 64} {
@@ -234,7 +233,6 @@ func FuzzKeyForm(f *testing.F) {
 			{dht.OpPatchIf, data},
 			{dht.OpGetBatch, append([]byte{1}, data...)},
 			{dht.OpPutBatch, append([]byte{1}, data...)},
-			{dht.OpHintPut, append(appendLenString(nil, "elsewhere"), data...)},
 		} {
 			srv := NewServer()
 			plantValue(srv, "#0110", []byte{tagRaw, 'v'})
@@ -242,8 +240,8 @@ func FuzzKeyForm(f *testing.F) {
 			if !bytes.Equal(resp, appendStatusErr(nil, errMalformed)) {
 				t.Fatalf("op %d with key field % x (%v) answered % x", req.op, data, err, resp)
 			}
-			if n := srv.Metrics().Lookup.Total; n != 0 || srv.Len() != 1 || len(srv.hints) != 0 {
-				t.Fatalf("op %d with key field % x charged %d lookups, left %d keys and %d hints", req.op, data, n, srv.Len(), len(srv.hints))
+			if n := srv.Metrics().Lookup.Total; n != 0 || srv.Len() != 1 {
+				t.Fatalf("op %d with key field % x charged %d lookups and left %d keys", req.op, data, n, srv.Len())
 			}
 		}
 	})

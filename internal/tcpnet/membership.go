@@ -10,12 +10,10 @@ package tcpnet
 // refutes by bumping its incarnation, which the merge order in
 // internal/dht turns into an authoritative resurrection.
 //
-// The same Tick also drains hinted handoffs: writes that failed over a
-// down holder parked an epoch-tagged hint here (OpHintPut), and once the
-// view shows the holder routable again the hints replay to it over the
-// epoch-ordered OpPutNewer path — a stale hint loses to any newer write
-// the holder accepted in the meantime, so replay can never roll a key
-// back; hints for a holder the view shows left are dropped.
+// The plane carries views only, never data: a copy a down holder missed
+// (see ClusterConfig.FailoverWrites) — absent, or older than the
+// acknowledged one — is restored by the re-replicating scrub once the
+// view shows the holder back, not by this node.
 //
 // A server reaches its peers the way a client reaches its members: one
 // clientNode per peer, whose pipelined mconn handshakes with a ping,
@@ -32,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -46,8 +43,8 @@ import (
 const (
 	defaultSuspectAfter = 2
 	defaultDeadAfter    = 2
-	// gossipIOBudget bounds one exchange or replay round when the caller's
-	// context carries no deadline of its own.
+	// gossipIOBudget bounds one exchange when the caller's context
+	// carries no deadline of its own.
 	gossipIOBudget = 2 * time.Second
 )
 
@@ -68,8 +65,8 @@ type MembershipConfig struct {
 	// DeadAfter is how many further consecutive failures after suspicion
 	// mark the peer dead (default 2).
 	DeadAfter int
-	// Dialer is the transport factory for outbound gossip and hint replay
-	// (nil = plain net.Dialer); the netchaos plane injects here.
+	// Dialer is the transport factory for outbound gossip (nil = plain
+	// net.Dialer); the netchaos plane injects here.
 	Dialer ContextDialer
 }
 
@@ -89,8 +86,8 @@ type Membership struct {
 	inc   uint64 // self incarnation, bumped only to refute
 	rng   *rand.Rand
 	fails map[string]int // consecutive failed exchanges per peer
-	// peers is the connection this node keeps to each peer it gossips with
-	// or replays hints to; nil once the server has closed.
+	// peers is the connection this node keeps to each peer it gossips
+	// with; nil once the server has closed.
 	peers map[string]*clientNode
 }
 
@@ -197,13 +194,11 @@ func (m *Membership) Leave() {
 }
 
 // Tick performs one gossip round: pick one peer by seeded rng, exchange
-// views, and apply the failure detector to the outcome; then replay any
-// parked hints whose holder the view shows routable again. Returns the
+// views, and apply the failure detector to the outcome. Returns the
 // exchange error, or nil when the round had no peer to talk to.
 func (m *Membership) Tick(ctx context.Context) error {
 	peer, ok := m.pickPeer()
 	if !ok {
-		m.replayHints(ctx)
 		return nil
 	}
 	m.c.Add(metrics.GossipRounds, 1)
@@ -224,7 +219,6 @@ func (m *Membership) Tick(ctx context.Context) error {
 		m.refuteLocked()
 	}
 	m.mu.Unlock()
-	m.replayHints(ctx)
 	return err
 }
 
@@ -244,9 +238,8 @@ func (m *Membership) Run(ctx context.Context, interval time.Duration) {
 }
 
 // pickPeer chooses the round's gossip target: a seeded-uniform draw over
-// every known peer that is not confirmed gone (dead peers are still
-// probed occasionally via their hint replay path, but gossip targets only
-// alive/suspect members — a returned node re-announces itself).
+// every known peer that is not confirmed gone. Gossip targets only
+// alive/suspect members: a returned node re-announces itself.
 func (m *Membership) pickPeer() (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -350,117 +343,6 @@ func withIOBudget(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, gossipIOBudget)
 }
 
-// replayHints walks the parked-hint store and delivers every hint whose
-// holder the view shows routable, over the epoch-ordered OpPutNewer path.
-// Hints that fail to deliver stay parked for the next round; hints for a
-// holder the view shows left are dropped, since a left member never
-// rejoins under its incarnation (a dead one may, so its hints stay).
-func (m *Membership) replayHints(ctx context.Context) {
-	m.mu.Lock()
-	states := make(map[string]dht.MemberState, len(m.view.Members))
-	for _, mem := range m.view.Members {
-		states[mem.Addr] = mem.State
-	}
-	m.mu.Unlock()
-
-	s := m.srv
-	s.mu.Lock()
-	var batches []hintBatch
-	for holder, keys := range s.hints {
-		st, known := states[holder]
-		if known && st == dht.MemberLeft {
-			delete(s.hints, holder)
-			continue
-		}
-		if holder == m.self || !known || !st.Routable() {
-			continue
-		}
-		b := hintBatch{holder: holder, vals: make(map[string][]byte, len(keys))}
-		for k, v := range keys {
-			b.vals[k] = v
-		}
-		batches = append(batches, b)
-	}
-	s.mu.Unlock()
-
-	for _, b := range batches {
-		delivered := m.deliverHints(ctx, b.holder, b.vals)
-		if len(delivered) == 0 {
-			continue
-		}
-		s.mu.Lock()
-		if keys := s.hints[b.holder]; keys != nil {
-			for _, k := range delivered {
-				// A fresher hint may have parked while we replayed; only
-				// retire the exact bytes that were delivered.
-				if cur, ok := keys[k]; ok && string(cur) == string(b.vals[k]) {
-					delete(keys, k)
-				}
-			}
-			if len(keys) == 0 {
-				delete(s.hints, b.holder)
-			}
-		}
-		s.mu.Unlock()
-		m.c.Add(metrics.HintsReplayed, int64(len(delivered)))
-	}
-}
-
-type hintBatch struct {
-	holder string
-	vals   map[string][]byte
-}
-
-// deliverHints sends each parked value to its returned holder over
-// putnewer and returns the keys the holder acknowledged. The first error
-// abandons the rest (they stay parked).
-func (m *Membership) deliverHints(ctx context.Context, holder string, vals map[string][]byte) (delivered []string) {
-	_ = m.onPeer(ctx, holder, func(ctx context.Context, n *clientNode) error {
-		for key, val := range vals {
-			if err := n.putNewer(ctx, key, val); err != nil {
-				return err
-			}
-			delivered = append(delivered, key)
-		}
-		return nil
-	})
-	return delivered
-}
-
-// HintBacklog returns the number of keys parked per holder awaiting
-// replay, for status reporting.
-func (s *Server) HintBacklog() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.hints) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(s.hints))
-	for holder, keys := range s.hints {
-		out[holder] = len(keys)
-	}
-	return out
-}
-
-// parkHint stores a hinted handoff for an unreachable holder: the exact
-// tagged value the failed fan-out would have delivered. A newer-epoch
-// hint for the same key replaces an older parked one. Callers hold s.mu.
-func (s *Server) parkHintLocked(holder, key string, val []byte) {
-	if s.hints == nil {
-		s.hints = make(map[string]map[string][]byte)
-	}
-	keys := s.hints[holder]
-	if keys == nil {
-		keys = make(map[string][]byte)
-		s.hints[holder] = keys
-	}
-	if cur, ok := keys[key]; ok && storedEpoch(cur) > storedEpoch(val) {
-		return // an older fan-out arrived late; keep the newer hint
-	}
-	keys[key] = append([]byte(nil), val...)
-	s.c.Add(metrics.HintsParked, 1)
-}
-
 // View wire encoding (canonical, shared by OpGossip and OpStatus):
 //
 //	uv epoch, uv count, count x (uv alen, addr, state u8, uv incarnation)
@@ -534,22 +416,6 @@ func (s *Server) respondMembership(op dht.OpKind, c *cursor, out []byte) []byte 
 		out = append(out, statusOK)
 		return appendView(out, local)
 
-	case dht.OpHintPut:
-		holder, err := c.lenBytes()
-		if err != nil {
-			return appendStatusErr(out, errMalformed)
-		}
-		key, err := c.key(&s.keys)
-		if err != nil {
-			return appendStatusErr(out, errMalformed)
-		}
-		val := c.rest()
-		if len(val) == 0 {
-			return appendStatusErr(out, errMalformed)
-		}
-		s.parkHintLocked(string(holder), string(key), val)
-		return append(out, statusOK)
-
 	case dht.OpStatus:
 		if !c.empty() {
 			return appendStatusErr(out, errMalformed)
@@ -561,19 +427,7 @@ func (s *Server) respondMembership(op dht.OpKind, c *cursor, out []byte) []byte 
 			s.mem.mu.Unlock()
 		}
 		out = append(out, statusOK)
-		out = appendView(out, view)
-		out = appendUv(out, uint64(len(s.hints)))
-		// Deterministic order: hints render sorted by holder address.
-		holders := make([]string, 0, len(s.hints))
-		for h := range s.hints {
-			holders = append(holders, h)
-		}
-		sort.Strings(holders)
-		for _, h := range holders {
-			out = appendLenString(out, h)
-			out = appendUv(out, uint64(len(s.hints[h])))
-		}
-		return out
+		return appendView(out, view)
 
 	default:
 		return appendStatusErr(out, errUnknownOp)

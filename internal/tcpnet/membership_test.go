@@ -123,96 +123,6 @@ func TestMembershipDeathAndRefutation(t *testing.T) {
 	}
 }
 
-func TestHintParkAndReplay(t *testing.T) {
-	ctx := context.Background()
-	sub, msub, asub := startMember(t, nil, 1)
-	holder, mholder, aholder := startMember(t, []string{asub}, 2)
-	// One exchange initiated by the holder teaches the substitute's view
-	// that the holder exists and is alive.
-	if err := mholder.Tick(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Park two hints on the substitute for the holder: an epoch-tagged
-	// value and a raw one, exactly as a failed fan-out would.
-	tagged := append([]byte{tagEpoch}, appendUv(nil, 7)...)
-	tagged = append(tagged, tagRaw)
-	tagged = append(tagged, []byte("v7")...)
-	raw := append([]byte{tagRaw}, []byte("vr")...)
-	sub.mu.Lock()
-	sub.parkHintLocked(aholder, "k1", tagged)
-	sub.parkHintLocked(aholder, "k2", raw)
-	// An older-epoch late arrival must not displace the parked newer hint.
-	older := append([]byte{tagEpoch}, appendUv(nil, 3)...)
-	older = append(older, tagRaw)
-	older = append(older, []byte("v3")...)
-	sub.parkHintLocked(aholder, "k1", older)
-	sub.mu.Unlock()
-
-	if got := sub.HintBacklog()[aholder]; got != 2 {
-		t.Fatalf("backlog = %d, want 2", got)
-	}
-
-	// The holder is routable in the substitute's view, so one tick drains
-	// the park.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(sub.HintBacklog()) != 0 {
-		_ = msub.Tick(ctx)
-		if time.Now().After(deadline) {
-			t.Fatalf("hints never replayed: backlog %v", sub.HintBacklog())
-		}
-	}
-	if !holder.Has("k1") || !holder.Has("k2") {
-		t.Fatal("replayed hints must land on the holder")
-	}
-	// The newer-epoch hint must have won the park slot.
-	holder.mu.Lock()
-	e := storedEpoch(storedValue(holder, "k1"))
-	holder.mu.Unlock()
-	if e != 7 {
-		t.Fatalf("holder k1 epoch = %d, want 7", e)
-	}
-}
-
-func TestHintReplayLosesToNewerEpoch(t *testing.T) {
-	ctx := context.Background()
-	sub, msub, asub := startMember(t, nil, 1)
-	holder, mholder, aholder := startMember(t, []string{asub}, 2)
-	if err := mholder.Tick(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// The holder already accepted epoch 9 for the key (a fresher write
-	// landed after it returned); a parked epoch-7 hint must lose.
-	newer := append([]byte{tagEpoch}, appendUv(nil, 9)...)
-	newer = append(newer, tagRaw)
-	newer = append(newer, []byte("v9")...)
-	holder.mu.Lock()
-	plantValue(holder, "k", newer)
-	holder.mu.Unlock()
-
-	stale := append([]byte{tagEpoch}, appendUv(nil, 7)...)
-	stale = append(stale, tagRaw)
-	stale = append(stale, []byte("v7")...)
-	sub.mu.Lock()
-	sub.parkHintLocked(aholder, "k", stale)
-	sub.mu.Unlock()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for len(sub.HintBacklog()) != 0 {
-		_ = msub.Tick(ctx)
-		if time.Now().After(deadline) {
-			t.Fatal("stale hint never drained")
-		}
-	}
-	holder.mu.Lock()
-	e := storedEpoch(storedValue(holder, "k"))
-	holder.mu.Unlock()
-	if e != 9 {
-		t.Fatalf("holder epoch = %d after stale replay, want 9 (putnewer must keep the newer value)", e)
-	}
-}
-
 // TestGossipDeterministicPeerSelection pins the seeded peer-selection
 // schedule: the same seed over the same view must pick the same
 // sequence. CI's gossip-determinism job leans on this.
@@ -250,41 +160,6 @@ func TestGossipDeterministicPeerSelection(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical schedules")
-	}
-}
-
-// taggedValue is a stored value as a fan-out would park it: epoch tag,
-// then raw bytes.
-func taggedValue(epoch uint64, v string) []byte {
-	b := append([]byte{tagEpoch}, appendUv(nil, epoch)...)
-	return append(append(b, tagRaw), v...)
-}
-
-// TestGossipDropsHintsOfLeftHolder: a holder that left never rejoins
-// under its incarnation, so the first round that sees it left drops what
-// was parked for it instead of keeping it for the life of the process.
-func TestGossipDropsHintsOfLeftHolder(t *testing.T) {
-	ctx := context.Background()
-	sub, msub, asub := startMember(t, nil, 1)
-	_, mholder, aholder := startMember(t, []string{asub}, 2)
-	if err := mholder.Tick(ctx); err != nil {
-		t.Fatal(err)
-	}
-	sub.mu.Lock()
-	sub.parkHintLocked(aholder, "k", taggedValue(7, "v7"))
-	sub.mu.Unlock()
-
-	// The holder leaves and says so in the exchange it initiates.
-	mholder.Leave()
-	if err := mholder.Tick(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := msub.View().Find(aholder); st.State != dht.MemberLeft {
-		t.Fatalf("substitute sees the holder %s, want left", st.State)
-	}
-	_ = msub.Tick(ctx)
-	if b := sub.HintBacklog(); len(b) != 0 {
-		t.Fatalf("backlog %v after the holder left, want none", b)
 	}
 }
 
@@ -353,23 +228,17 @@ func TestGossipRedialsAfterFailedExchange(t *testing.T) {
 	}
 }
 
-// TestCloseReclaimsPeerConnections: after gossip and hint replay have
-// opened a connection to a peer that stays up, Server.Close leaves no
-// connection goroutine behind on either side.
+// TestCloseReclaimsPeerConnections: after gossip has opened a connection
+// to a peer that stays up, Server.Close leaves no connection goroutine
+// behind on either side.
 func TestCloseReclaimsPeerConnections(t *testing.T) {
 	ctx := context.Background()
-	holder, _, aholder := startMember(t, nil, 2)
+	_, _, apeer := startMember(t, nil, 2)
 	leak := checkGoroutines(t)
-	sub, msub, _ := startMember(t, []string{aholder}, 1)
-	sub.mu.Lock()
-	sub.parkHintLocked(aholder, "k", taggedValue(7, "v7"))
-	sub.mu.Unlock()
-	if err := msub.Tick(ctx); err != nil {
+	srv, m, _ := startMember(t, []string{apeer}, 1)
+	if err := m.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(sub.HintBacklog()) != 0 || !holder.Has("k") {
-		t.Fatal("hint was not replayed")
-	}
-	_ = sub.Close()
+	_ = srv.Close()
 	leak()
 }

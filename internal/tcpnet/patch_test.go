@@ -722,7 +722,7 @@ func (d nameDialer) DialContext(ctx context.Context, network, addr string) (net.
 }
 
 // startNamedCluster boots three servers known to the client as node0..2,
-// replicas holders a key, hinted handoff on.
+// replicas holders a key, write failover on.
 func startNamedCluster(t *testing.T, replicas int) (*Client, []*Server) {
 	t.Helper()
 	srvs := make([]*Server, 3)
@@ -739,7 +739,7 @@ func startNamedCluster(t *testing.T, replicas int) (*Client, []*Server) {
 		srvs[i], names[i] = srv, fmt.Sprintf("node%d:7000", i)
 		dialer[names[i]] = ln.Addr().String()
 	}
-	c, err := Dial(context.Background(), ClusterConfig{Seeds: names, Replicas: replicas, HintedHandoff: true, Dialer: dialer})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: names, Replicas: replicas, FailoverWrites: true, Dialer: dialer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -757,13 +757,10 @@ var dialNoise = regexp.MustCompile(`127\.0\.0\.1:\d+| backing off after \d+ fail
 // splits and merges, their in-place steps patched too, included — with
 // the same index and server counters, but for the one lookup each patch
 // that rode the search's probe saved: such an op costs exactly that many
-// lookups less. With one holder dead and hinted handoff on that still
-// holds op for op, the live holders still agree byte for byte, and what
-// is parked for the dead one is the whole value the whole-bucket arm
-// parks — a patch is never parked, for it means nothing to a holder that
-// has missed the one before it. (The servers' counters part there: a
-// holder a patch cannot reach costs the acting serializer the read of the
-// whole value to send it instead.)
+// lookups less. With one holder dead and write failover on that still
+// holds op for op, and the live holders still agree byte for byte: the
+// dead holder's copy, patch or whole value, is dropped either way, for
+// the scrub to restore.
 func TestPatchedWritesOnEveryHolder(t *testing.T) {
 	for _, replicas := range []int{2, 3} {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) { patchedWritesOnEveryHolder(t, replicas) })
@@ -847,18 +844,6 @@ func patchedWritesOnEveryHolder(t *testing.T, replicas int) {
 			if !reflect.DeepEqual(p.store, w.store) {
 				t.Fatalf("%s: node%d stores differ between the arms (%d keys against %d)", when, i, len(p.store), len(w.store))
 			}
-			if !reflect.DeepEqual(p.hints, w.hints) {
-				t.Errorf("%s: node%d parks different hints in the two arms", when, i)
-			}
-			for _, keys := range p.hints {
-				for key, tv := range keys {
-					if v, err := decodeTaggedValue(tv); err != nil {
-						t.Errorf("%s: the hint parked for %q on node%d does not decode: %v", when, key, i, err)
-					} else if _, ok := v.(*ilht.Bucket); !ok {
-						t.Errorf("%s: the hint parked for %q on node%d is a %T, want a whole bucket", when, key, i, v)
-					}
-				}
-			}
 			w.mu.Unlock()
 			p.mu.Unlock()
 		}
@@ -898,13 +883,6 @@ func patchedWritesOnEveryHolder(t *testing.T, replicas int) {
 	if m := patched.ix.Metrics().Lookup; counter.inPlace != int(2*m.Splits+m.Merges) {
 		t.Errorf("%d in-place patches for %d splits and %d merges, want two a split and one a merge", counter.inPlace, m.Splits, m.Merges)
 	}
-	parked := 0
-	for _, i := range []int{0, 2} {
-		parked += patched.srvs[i].HintBacklog()["node1:7000"]
-	}
-	if parked == 0 {
-		t.Error("nothing was parked for the dead holder")
-	}
 }
 
 // At two replicas a Patch's propagation to its one other holder runs on
@@ -915,8 +893,9 @@ func patchedWritesOnEveryHolder(t *testing.T, replicas int) {
 // patch's epoch (a refusal) — both holders end byte-identical, holding
 // what a PutIf of the patched bucket stores, and the serializer serves
 // exactly one get more than a secondary in step costs it. With the
-// secondary's server closed, the whole value is parked as its hint: a
-// whole bucket, never the patch.
+// secondary's server closed, the Patch still succeeds (write failover
+// leaves that copy to the scrub), and the serializer reads nothing back:
+// the whole value would not reach the secondary either.
 func TestOneTargetPatchFallsBackToTheWholeValue(t *testing.T) {
 	ctx := context.Background()
 	c, srvs := startNamedCluster(t, 2)
@@ -980,18 +959,10 @@ func TestOneTargetPatchFallsBackToTheWholeValue(t *testing.T) {
 	if err := secondary.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if served := run(nil); served != inStep+1 {
-		t.Errorf("secondary dead: the serializer served %d lookups, %d with the secondary in step: want one get more", served, inStep)
+	if served := run(nil); served != inStep {
+		t.Errorf("secondary dead: the serializer served %d lookups, %d with the secondary in step: want as many", served, inStep)
 	}
-	primary.mu.Lock()
-	tv, ok := primary.hints[holders[1].addr]["leaf"]
-	primary.mu.Unlock()
-	if !ok {
-		t.Fatalf("nothing parked on the serializer for the dead %s", holders[1].addr)
-	}
-	if v, err := decodeTaggedValue(tv); err != nil {
-		t.Errorf("the parked hint does not decode: %v", err)
-	} else if _, ok := v.(*ilht.Bucket); !ok || !bytes.Equal(tv, want) {
-		t.Errorf("the parked hint is a %T holding\n%x\nwant the whole patched bucket\n%x", v, tv, want)
+	if p := stored(primary); !bytes.Equal(p, want) {
+		t.Errorf("secondary dead: the serializer stores\n%x\nwant\n%x", p, want)
 	}
 }

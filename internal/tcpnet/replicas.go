@@ -35,10 +35,17 @@ package tcpnet
 // window is a removal racing an earlier commit's fan-out (a late store can
 // transiently resurrect a copy on a secondary after RemoveIf's propagation
 // deleted it); that copy carries an older epoch, which the index's scrub
-// orders and repairs. Batched stores replicate in per-rank waves (see
-// PutBatch); batched reads group by primary, which holds every accepted
-// write by construction, and a slot the primary could not answer is read
-// again as Get reads it.
+// orders and repairs. Under ClusterConfig.FailoverWrites a write of an
+// epoch-tagged value also returns without a holder it could not reach
+// (see settle): that holder misses the write, and until the
+// re-replicating scrub restores its copy (EnsureReplicated, which orders
+// copies by epoch) it answers with the copy it had before, or with none.
+// In that window a returned primary that kept its older copy serves it to
+// every read and serializes conditionals on it: a writer that read it can
+// commit over the acknowledged value. Batched stores
+// replicate in per-rank waves (see PutBatch); batched reads group by
+// primary, which holds every accepted write by construction, and a slot
+// the primary could not answer is read again as Get reads it.
 //
 // With one holder a read has nowhere to fail over, and nothing is
 // propagated. A write reaches the holders it must through reach: one
@@ -115,8 +122,9 @@ func (c *Client) get(ctx context.Context, r req) (dht.Value, error) {
 }
 
 // eachHolder performs r, a put, write or remove, on every holder of its
-// key; with hinted handoff an unreachable holder's copy of a put or write
-// parks on a substitute instead of failing it (store).
+// key; with write failover an unreachable holder's copy of an
+// epoch-tagged put or write is left to the scrub while another holder
+// stored it (settle).
 func (c *Client) eachHolder(ctx context.Context, r req) error {
 	return c.reach(ctx, c.holders(r.key), -1, r)
 }
@@ -155,23 +163,24 @@ func (c *Client) take(ctx context.Context, r req) (dht.Value, error) {
 // an applied patch's reply, a refused Patch's probe answer beside
 // dht.ErrPatchRefused, nil for anything else.
 //
-// With hinted handoff on, the serializer role itself fails over: an
+// With write failover on, the serializer role itself fails over: an
 // unreachable primary is skipped and the conditional resolves on the
 // first reachable holder instead — every reachable holder carries the
 // key's committed state (fan-outs are synchronous), so the CAS verdict
 // is the same, and all writers walk the holders in the same order, so
 // within one view they agree on the acting serializer. The skipped
-// holders then receive the outcome through the ordinary propagation
-// path, whose hinting parks their copy for replay. Only transport
-// faults fail over; a logical verdict (CAS conflict, not-found) from
-// any holder settles the op. A refusal by the serializer itself wrote
-// nothing anywhere.
+// holders then miss the outcome: their propagation faults on an
+// epoch-tagged value or a patch are dropped (the acting serializer stored
+// it, see dropped), and the scrub restores their copies. Only transport
+// faults fail over; a logical verdict (CAS
+// conflict, not-found) from any holder settles the op. A refusal by the
+// serializer itself wrote nothing anywhere.
 func (c *Client) cond(ctx context.Context, r req) (dht.Value, error) {
 	holders := c.holders(r.key)
 	acting, reply, err := 0, dht.Value(nil), error(nil)
 	for i, n := range holders {
 		acting = i
-		if reply, err = n.doAt(ctx, &r); err == nil || !c.cfg.HintedHandoff || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
+		if reply, err = n.doAt(ctx, &r); err == nil || !c.cfg.FailoverWrites || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
 			break
 		}
 	}
@@ -185,7 +194,7 @@ func (c *Client) cond(ctx context.Context, r req) (dht.Value, error) {
 }
 
 // reach performs r on every holder but holders[skip] (skip -1 skips none)
-// and returns the first fault among their answers (firstFault). One target
+// and returns the fault among their answers that settle keeps. One target
 // is served on the caller's goroutine, with no goroutine or shared state
 // to allocate; two or more go through fanOut. Either way each target gets
 // propagate, and reach returns once every target answered.
@@ -195,12 +204,15 @@ func (c *Client) reach(ctx context.Context, holders []*clientNode, skip int, r r
 		targets--
 	}
 	if targets > 1 {
-		return firstFault(c.fanOut(ctx, holders, skip, r))
+		return c.settle(r, c.fanOut(ctx, holders, skip, r))
 	}
 	if skip == 0 {
 		target = 1
 	}
 	_, err := c.propagate(ctx, holders[target], r, serializer(holders, skip), nil)
+	if skip >= 0 && c.dropped(r, err) { // the serializer stored it
+		return nil
+	}
 	return err
 }
 
@@ -242,17 +254,17 @@ func (c *Client) fanOut(ctx context.Context, holders []*clientNode, skip int, r 
 	return answers
 }
 
-// propagate performs r on holder n through store, so a put-like copy for
-// an unreachable holder parks as a hint. It is the one per-target body of
+// propagate performs r on holder n. It is the one per-target body of
 // reach and fanOut.
 //
 // A propagated patch (from cond, whose serializer is from) that n cannot
-// apply — it is behind or ahead of the epoch (conflict), stores a form it
-// will not patch (refused), or is out of reach — is replaced for n by the
-// whole value, read back from the serializer (whole.get) and stored over
-// putnewer exactly as a propagated PutIf is, so a hint parked for a dead
-// holder is a whole value, never a patch. The value read back may already
-// be a later commit's; putnewer's epoch order makes that harmless.
+// apply — it is behind or ahead of the epoch (conflict), or stores a form
+// it will not patch (refused) — is replaced for n by the whole value, read
+// back from the serializer (whole.get) and stored over putnewer exactly as
+// a propagated PutIf is. The value read back may already be a later
+// commit's; putnewer's epoch order makes that harmless. A patch that did
+// not reach n (a transport fault) is answered as it is: the whole value
+// would not reach n either.
 //
 // A patch is weaker than a PutIf in one respect: nothing checks that a
 // holder at the patch's epoch held the serializer's bytes. Two holders
@@ -260,18 +272,19 @@ func (c *Client) fanOut(ctx context.Context, holders []*clientNode, skip int, r 
 // the next PutIf's whole value; patched, they stay apart until the key is
 // next written whole (frame.go, "same epoch means same bytes").
 func (c *Client) propagate(ctx context.Context, n *clientNode, r req, from *clientNode, whole *readBack) (dht.Value, error) {
-	v, err := c.store(ctx, n, r)
-	if err == nil || r.op != dht.OpPatchIf {
+	v, err := n.do(ctx, r)
+	if err == nil || r.op != dht.OpPatchIf || dht.IsTransient(err) {
 		return v, err
 	}
 	if v, err = whole.get(ctx, from, r.key); err != nil { // not-found: since removed, nothing to propagate
 		return nil, err
 	}
-	return c.store(ctx, n, req{op: dht.OpPutNewer, key: r.key, val: v})
+	return n.do(ctx, req{op: dht.OpPutNewer, key: r.key, val: v})
 }
 
 // readBack is a fan-out's one read of a key's whole value from its
-// serializer, shared by every target a propagated patch did not reach.
+// serializer, shared by every target that could not apply a propagated
+// patch.
 type readBack struct {
 	once sync.Once
 	v    dht.Value
@@ -289,40 +302,40 @@ func (w *readBack) get(ctx context.Context, from *clientNode, key string) (dht.V
 	return w.v, w.err
 }
 
-// firstFault returns the first error among answers in holder order, with
+// settle returns the first error among answers in holder order, with
 // ErrNotFound outranked by any other error (a holder that never saw the
-// key is expected mid-fan-out; a transport fault is not).
-func firstFault(answers []answer) error {
+// key is expected mid-fan-out; a transport fault is not). Under write
+// failover a fault dropped accepts is left out while some answer is nil,
+// that is while some holder stored the value (the serializer's skipped
+// slot is nil too); the re-replicating scrub restores that holder's copy
+// later, missing or older. With no copy stored, the first fault stands.
+func (c *Client) settle(r req, answers []answer) error {
+	stored := false
+	for _, a := range answers {
+		stored = stored || a.err == nil
+	}
 	var notFound error
 	for _, a := range answers {
-		if a.err == nil {
-			continue
-		}
-		if errors.Is(a.err, dht.ErrNotFound) {
+		switch {
+		case a.err == nil || stored && c.dropped(r, a.err):
+		case errors.Is(a.err, dht.ErrNotFound):
 			notFound = a.err
-			continue
+		default:
+			return a.err
 		}
-		return a.err
 	}
 	return notFound
 }
 
-// store is n.do with hinted handoff: a put-like request that fails
-// against an unreachable holder parks its value as a hint instead of
-// surfacing the fault — the write is complete on every reachable holder,
-// and the hint replays when the missing one returns. Only transport
-// faults are hinted; logical outcomes (not-found on Write, CAS conflicts)
-// surface unchanged. A request that carries no value (a take, a patch, a
-// removal) is never hinted: replaying a deletion later could race a newer
-// create, so a missed removal is left to the scrub plane, whose epoch
-// ordering repairs it safely.
-func (c *Client) store(ctx context.Context, n *clientNode, r req) (dht.Value, error) {
-	v, err := n.do(ctx, r)
-	if err == nil || !c.cfg.HintedHandoff || r.val == nil || errors.Is(err, dht.ErrNotFound) || !dht.IsTransient(err) {
-		return v, err
-	}
-	if c.parkHint(ctx, r.key, n.addr, r.val) == nil {
-		return nil, nil
-	}
-	return v, err
+// dropped reports whether err, one holder's answer to r, is a fault write
+// failover may leave to the scrub: a transport fault on a copy the scrub
+// can order above any the holder kept from before — a value carrying a
+// nonzero epoch, or a patch, whose result always does (EnsureReplicated
+// restores a copy with an older epoch, not one with the same). An untagged
+// value reads epoch 0 like the copy it replaces, so its fault stands. A
+// logical outcome (not-found, a CAS conflict) is no fault to drop, and
+// neither is a missed removal, whose surviving copy the scrub's
+// re-replication would spread back rather than delete.
+func (c *Client) dropped(r req, err error) bool {
+	return c.cfg.FailoverWrites && (r.op == dht.OpPatchIf || dht.EpochOf(r.val) > 0) && !errors.Is(err, dht.ErrNotFound) && dht.IsTransient(err)
 }

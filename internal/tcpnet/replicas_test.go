@@ -14,6 +14,7 @@ import (
 	"lht/internal/dht"
 	"lht/internal/dht/dhttest"
 	"lht/internal/hashring"
+	ilht "lht/internal/lht"
 )
 
 // startServerMap boots n servers and returns their addresses plus an
@@ -485,14 +486,14 @@ func addrsOf(nodes []*clientNode) []string {
 	return out
 }
 
-// TestCondSerializerFailover pins the acting-serializer rule: with hinted
-// handoff on, a conditional write whose primary holder is unreachable
-// resolves on the first reachable holder and parks the primary's copy as
-// a hint; without hinted handoff the same write surfaces the fault.
+// TestCondSerializerFailover pins the acting-serializer rule: with write
+// failover on, a conditional write whose primary holder is unreachable
+// resolves on the first reachable holder, leaving the primary's copy to
+// the scrub; without write failover the same write surfaces the fault.
 func TestCondSerializerFailover(t *testing.T) {
 	ctx := context.Background()
 	addrs, srvs := startServerMap(t, 3)
-	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, HintedHandoff: true})
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, FailoverWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,17 +509,18 @@ func TestCondSerializerFailover(t *testing.T) {
 	primary, secondary := holders[0].addr, holders[1].addr
 	_ = srvs[primary].Close()
 
-	if err := static.CreateIf(ctx, key, []byte("lost")); err == nil {
+	// Epoch-tagged values: write failover leaves the down primary's copy
+	// of one to the scrub, never of an untagged value.
+	if err := static.CreateIf(ctx, key, wideBucket()); err == nil {
 		t.Fatal("static client must surface the down primary")
 	}
-	if err := c.CreateIf(ctx, key, []byte("v1")); err != nil {
+	v1 := wideBucket()
+	v1.Records = v1.Records[:3]
+	if err := c.CreateIf(ctx, key, v1); err != nil {
 		t.Fatalf("CreateIf with serializer failover: %v", err)
 	}
 	if !srvs[secondary].Has(key) {
 		t.Fatal("acting serializer holds no copy")
-	}
-	if got := srvs[secondary].HintBacklog()[primary]; got != 1 {
-		t.Fatalf("hints parked for the skipped primary = %d, want 1", got)
 	}
 
 	// The committed copy is CAS-visible: a conditional update against the
@@ -527,10 +529,10 @@ func TestCondSerializerFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(v.([]byte)) != "v1" {
-		t.Fatalf("read back %q", v)
+	if got := v.(*ilht.Bucket); len(got.Records) != len(v1.Records) {
+		t.Fatalf("read back %d records, want %d", len(got.Records), len(v1.Records))
 	}
-	if err := c.CreateIf(ctx, key, []byte("dup")); err == nil {
+	if err := c.CreateIf(ctx, key, wideBucket()); err == nil {
 		t.Fatal("CreateIf over an existing key must conflict, not fail over")
 	}
 }

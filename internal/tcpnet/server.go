@@ -11,7 +11,7 @@ import (
 )
 
 // Server is one storage node: a byte store behind the framed binary
-// protocol (frame.go). A connection opens with the "LHT9" magic or is
+// protocol (frame.go). A connection opens with the "LH10" magic or is
 // closed unserved. Create with NewServer, start with Serve, stop with
 // Close.
 type Server struct {
@@ -33,11 +33,8 @@ type Server struct {
 	conns map[net.Conn]struct{}
 	done  bool
 
-	// mem is the gossip participant (nil until EnableMembership); hints is
-	// the hinted-handoff park: holder address -> key -> the tagged value a
-	// failed fan-out left for it (see membership.go).
-	mem   *Membership
-	hints map[string]map[string][]byte
+	// mem is the gossip participant (nil until EnableMembership).
+	mem *Membership
 
 	c metrics.Counters
 

@@ -324,7 +324,7 @@ func (s *Server) respond(op dht.OpKind, payload, out []byte) []byte {
 		}
 		return out
 
-	case dht.OpGossip, dht.OpHintPut, dht.OpStatus:
+	case dht.OpGossip, dht.OpStatus:
 		return s.respondMembership(op, &c, out)
 
 	case dht.OpPatchIf:

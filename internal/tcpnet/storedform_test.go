@@ -29,12 +29,12 @@ func wantUnstorable(t *testing.T, op string, err error) {
 
 // TestUnstorableValueFailsBeforeAnyIO: a value with no stored form fails
 // every write that carries one before a frame is sent — also with a
-// holder down, where a storable value's copy would be parked as a hint —
-// and a batch fails that one slot and ships the rest.
+// holder down, where an epoch-tagged value's write fails over to the
+// other holder — and a batch fails that one slot and ships the rest.
 func TestUnstorableValueFailsBeforeAnyIO(t *testing.T) {
 	ctx := context.Background()
 	addrs, srvs := startServerMap(t, 3)
-	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, HintedHandoff: true})
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, FailoverWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestUnstorableValueFailsBeforeAnyIO(t *testing.T) {
 	}
 
 	key := "k"
-	primary := c.holders(key)[0] // every write tries it first
-	down := primary.addr
+	holders := c.holders(key) // every write tries the primary first
+	down := holders[0].addr
 	_ = srvs[down].Close()
 	// The client finds the primary's connections dead on their next use: a
 	// request reaching one fails its read, and its one redial fails too,
-	// so a storable write parks a hint.
+	// so a storable write fails over to the secondary.
 	before = served()
 	wantUnstorable(t, "Put", c.Put(ctx, key, point{1, 2}))
 	wantUnstorable(t, "Write", c.Write(ctx, key, point{1, 2}))
@@ -78,21 +78,12 @@ func TestUnstorableValueFailsBeforeAnyIO(t *testing.T) {
 	if n := served() - before; n != 0 {
 		t.Errorf("refused writes reached the servers: %d lookups served", n)
 	}
-	for addr, s := range srvs {
-		if b := s.HintBacklog(); len(b) != 0 {
-			t.Errorf("%s parked hints %v for refused writes", addr, b)
-		}
-	}
-	// The same put of bytes parks its copy for the down holder.
-	if err := c.Put(ctx, key, []byte("k")); err != nil {
+	// A put of an epoch-tagged value succeeds, stored on the secondary.
+	if err := c.Put(ctx, key, wideBucket()); err != nil {
 		t.Fatal(err)
 	}
-	parked := 0
-	for _, s := range srvs {
-		parked += s.HintBacklog()[down]
-	}
-	if parked != 1 {
-		t.Errorf("a storable put with a holder down parked %d hints, want 1", parked)
+	if !srvs[holders[1].addr].Has(key) {
+		t.Error("a storable put with the primary down left no copy on the secondary")
 	}
 }
 

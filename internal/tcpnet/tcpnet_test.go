@@ -229,7 +229,7 @@ const gobPutStream = "c\x7f\x03\x01\x01\arequest\x01\xff\x80\x00\x01\b\x01\x02Op
 	"\v\xff\x80\x01\x03\x01\x01k\x01\x01\x01\x00"
 
 // TestServerRejectsNonMagic: a connection that does not open with the
-// LHT9 magic, or follows it with something that is not a frame, is closed
+// LH10 magic, or follows it with something that is not a frame, is closed
 // without a byte served, the store untouched and no handler left behind.
 func TestServerRejectsNonMagic(t *testing.T) {
 	_, servers := startCluster(t, 1)
@@ -244,10 +244,10 @@ func TestServerRejectsNonMagic(t *testing.T) {
 		"gob stream":        {send: gobPutStream},
 		"nothing then EOF":  {send: "", halfClose: true},
 		"1 byte then EOF":   {send: "L", halfClose: true},
-		"3 bytes then EOF":  {send: "LHT", halfClose: true},
+		"3 bytes then EOF":  {send: wireMagic[:3], halfClose: true},
 		"wrong magic":       {send: "LHT1"},
-		"the last magic":    {send: "LHT8" + string(buildFrame(0, dht.OpPing, nil))},
-		"the one before":    {send: "LHT7" + string(buildFrame(0, dht.OpPing, nil))},
+		"the last magic":    {send: "LHT9" + string(buildFrame(0, dht.OpPing, nil))},
+		"the one before":    {send: "LHT8" + string(buildFrame(0, dht.OpPing, nil))},
 		"an older magic":    {send: "LHT5" + string(oldFrame(0, dht.OpPing, nil))},
 		"magic, short len":  {send: wireMagic + "\x01junk"},
 		"magic, huge len":   {send: wireMagic + "\xff\xff\xff\xffjunk"},

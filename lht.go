@@ -205,8 +205,8 @@ func WithThresholds(split, merge int) Option { return ilht.WithThresholds(split,
 // WithRereplication extends Scrub with a replica-repair pass over
 // substrates with a membership plane (the tcpnet cluster client): after
 // the structural walk, every live storage key is probed on all of its
-// ring owners and missing copies are restored from the highest-epoch
-// survivor. A no-op on other substrates; off by default.
+// ring owners and missing or older copies are restored from the
+// highest-epoch survivor. A no-op on other substrates; off by default.
 func WithRereplication(on bool) Option { return ilht.WithRereplication(on) }
 
 // WithHedgedGets enables quantile-triggered hedged reads: an idempotent
@@ -327,8 +327,7 @@ func (ix *Index) ScrubContext(ctx context.Context) (*ScrubReport, error) {
 
 // ClusterStatus is the membership view of a self-healing cluster
 // substrate: per member its gossip state and incarnation, the client's
-// breaker verdict, parked hinted-handoff backlogs, and known replica
-// debt.
+// breaker verdict, and known replica debt.
 type ClusterStatus = dht.ClusterStatus
 
 // MemberStatus is one member's row in a ClusterStatus.
