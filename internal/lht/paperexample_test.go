@@ -2,6 +2,7 @@ package lht
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -220,11 +221,12 @@ func TestGeneralCaseFallbacks(t *testing.T) {
 	// Case 3: [0.3, 0.6) straddles 0.5, so its LCA is the root #0 and
 	// f_n(#0) = "#" leads to the leftmost leaf #000 ([0, 0.25)), which
 	// does not overlap the range; the query then descends through both
-	// children in one round. The left descent reaches leaf #0011 via
+	// children in one round, each under its own key: both are shallower
+	// than #000 beside them. The left descent reaches leaf #0011 via
 	// #00, which sweeps left into the partially covered branch #0010 in
-	// the next round: that probe is the one failed lookup section 6.3
-	// budgets for (leaf #0010 is bound to #001, not to its own label),
-	// and the fallback succeeds in the round after.
+	// the next round. #0010 is as deep as #0011, its sibling, so it is
+	// tried under its name #001 first, where leaf #0010 is bound: the
+	// miss at its own label, section 6.3's one failed lookup, is gone.
 	d.reset()
 	recs, cost, err = ix.Range(0.3, 0.6)
 	if err != nil {
@@ -233,8 +235,44 @@ func TestGeneralCaseFallbacks(t *testing.T) {
 	if len(recs) != 3 { // midpoints 0.3125, 0.4375, 0.5625
 		t.Fatalf("case 3 records = %v", recs)
 	}
-	assertProbes(t, d.probes(), []string{"#", "#00", "#01", "#0010", "#001"})
-	if cost.Lookups != 5 {
-		t.Fatalf("case 3 cost = %d lookups, want 5 = B+2 <= B+3 (B=3)", cost.Lookups)
+	assertProbes(t, d.probes(), []string{"#", "#00", "#01", "#001"})
+	if cost != (Cost{Lookups: 4, Steps: 3}) {
+		t.Fatalf("case 3 cost = %+v, want 4 lookups = B+1 <= B+3 (B=3) in 3 steps", cost)
+	}
+}
+
+// TestInternalSiblingCostsOneWastedLookup is case 3 of
+// TestGeneralCaseFallbacks on a Fig. 5b-style tree whose leaf #0010 has
+// split into #00100 and #00101: the branch #0010, which the left descent
+// sweeps into from #0011, is as deep as #0011 but internal. Its name #001
+// now holds its far-end leaf #00100, which joins nothing; the next round
+// enters #0010 under its own key, at its near-end leaf #00101, which
+// sweeps on into #00100, its own sibling and a leaf. That one wasted
+// lookup is the whole price of the wrong guess: 6 lookups for B = 4
+// result buckets, within B+3, and the result is exact.
+func TestInternalSiblingCostsOneWastedLookup(t *testing.T) {
+	d := buildTree(t, []string{"#000", "#00100", "#00101", "#0011", "#0100", "#0101", "#011"})
+	ix, err := New(d, Config{SplitThreshold: 8, MergeThreshold: 0, Depth: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.reset()
+	recs, cost, err := ix.Range(0.3, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Midpoints in [0.3, 0.6): #00101's 0.34375, #0011's 0.4375 and
+	// #0100's 0.5625; #00100's 0.28125 is below the range.
+	record.SortByKey(recs)
+	var got []string
+	for _, r := range recs {
+		got = append(got, string(r.Value))
+	}
+	if want := []string{"#00101", "#0011", "#0100"}; !slices.Equal(got, want) {
+		t.Fatalf("records from %v, want %v", got, want)
+	}
+	assertProbes(t, d.probes(), []string{"#", "#00", "#01", "#001", "#0010", "#001"})
+	if cost != (Cost{Lookups: 6, Steps: 5}) {
+		t.Fatalf("cost = %+v, want 6 lookups = B+2 <= B+3 (B=4) in 5 steps", cost)
 	}
 }

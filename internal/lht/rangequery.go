@@ -229,9 +229,14 @@ func rangeLeafLabel(v dht.Value) bitlabel.Label {
 // longest dependent chain (the latency measure): all forwards issued by
 // one bucket proceed in parallel. They really do: the query runs a round
 // per step, and every get of a round — the branches of every leaf the
-// last round fetched, and the second tries of its misses — travels in
-// one multi-get, which a networked substrate sends to the owning peers
-// at once. So a query makes Cost.Steps substrate calls.
+// last round fetched, and the second tries of its entries that missed —
+// travels in one multi-get, which a networked substrate sends to the
+// owning peers at once. So a query makes Cost.Steps substrate calls. The
+// paper budgets one failed lookup for each partially covered branch,
+// which is tried under its own key and is often a leaf, bound to
+// f_n(branch). Here the depth of the leaf beside the branch picks which
+// key goes first (enterBeside), so a second try, a wasted lookup and a
+// round, is rare: on the ledger's tree 0.1 an op, where it was 0.8.
 func (ix *Index) Range(lo, hi float64) ([]record.Record, Cost, error) {
 	return ix.RangeContext(context.Background(), lo, hi)
 }
@@ -281,8 +286,10 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 		// Case 3: descend through both children of the LCA; each child's
 		// subrange contains one bound of its half, so forwarding from the
 		// entered leaf is again the simple case. A child is entered as a
-		// sweep enters its partially covered branch.
-		first = enter(enter(first, lca.Left(), r), lca.Right(), r)
+		// sweep enters its partially covered branch, the leaf bound to
+		// f_n(LCA) standing beside it.
+		depth := rangeLeafLabel(leaf).Len()
+		first = enter(enter(first, lca.Left(), depth, r), lca.Right(), depth, r)
 	}
 	// Everything from here on is forwarding traffic.
 	steps := ix.rounds(metrics.WithPhase(ctx, metrics.PhaseForward), first, next[:0], col)
@@ -296,16 +303,14 @@ func (ix *Index) RangeContext(ctx context.Context, lo, hi float64) (res []record
 }
 
 // rangeProbe is one get of a range query's forwarding: the key it
-// fetches, the branch node it enters, and the subrange of the query the
+// fetches, the branch node it enters and how (a fully covered branch
+// through its name alone, a partially covered one through whichever of
+// its two keys branchEntry tries now), and the subrange of the query the
 // fetched leaf is entered for.
 type rangeProbe struct {
-	key    string
-	branch bitlabel.Label
-	sub    keyspace.Interval
-	// retry: a miss means the branch is itself a leaf, bound to its name
-	// f_n(branch) — the at-most-one failed lookup per sweep of section
-	// 6.3, tried again in the next round.
-	retry bool
+	key   string // entry.key()
+	entry branchEntry
+	sub   keyspace.Interval
 }
 
 // rounds runs a range query's forwarding from the probes of its first
@@ -313,9 +318,10 @@ type rangeProbe struct {
 // the number of rounds it ran. A round fetches every pending probe at
 // once, as one multi-get (a lone key as a single probe), and takes each
 // slot in slot order: a leaf's records join the result and its branches
-// are the next round's probes; a missed retry probe goes again under the
-// branch's name. A failed probe, or a cancelled context, starts no
-// further round.
+// are the next round's probes; a reply that does not enter a partially
+// covered branch (a miss, or a wrong guess's far-end leaf, which joins
+// nothing) sends the branch's other key in the next round. A failed
+// probe, or a cancelled context, starts no further round.
 func (ix *Index) rounds(ctx context.Context, probes, next []rangeProbe, col *rangeCollector) int {
 	var (
 		keys   []string
@@ -325,7 +331,7 @@ func (ix *Index) rounds(ctx context.Context, probes, next []rangeProbe, col *ran
 	)
 	for ; len(probes) > 0 && col.err == nil; n++ {
 		if err := ctx.Err(); err != nil {
-			col.setErr(fmt.Errorf("lht: range forward %s: %w", probes[0].branch, err))
+			col.setErr(fmt.Errorf("lht: range forward %s: %w", probes[0].entry.beta, err))
 			break
 		}
 		col.lookups += len(probes)
@@ -345,14 +351,21 @@ func (ix *Index) rounds(ctx context.Context, probes, next []rangeProbe, col *ran
 		next = next[:0]
 		for i, p := range probes {
 			v, err := ix.rangeLeaf(ctx, vals[i], errs[i], p.key, col)
-			switch {
-			case p.retry && errors.Is(err, dht.ErrNotFound):
-				next = append(next, rangeProbe{key: p.branch.Name().Key(), branch: p.branch, sub: p.sub})
-			case err != nil:
-				col.setErr(fmt.Errorf("lht: range forward %s: %w", p.branch, err))
-			default:
-				next = ix.forward(next, v, p.sub, col)
+			if err == nil || errors.Is(err, dht.ErrNotFound) {
+				var got bitlabel.Label
+				if err == nil {
+					got = rangeLeafLabel(v)
+				}
+				if e, ok := p.entry.next(got, err == nil); ok {
+					next = append(next, rangeProbe{key: e.key(), entry: e, sub: p.sub})
+					continue
+				}
 			}
+			if err != nil {
+				col.setErr(fmt.Errorf("lht: range forward %s: %w", p.entry.beta, err))
+				continue
+			}
+			next = ix.forward(next, v, p.sub, col)
 		}
 		probes, next = next, probes
 	}
@@ -401,13 +414,95 @@ func (d sweepDir) neighbor(l bitlabel.Label) (bitlabel.Label, bool) {
 	return l.RightNeighbor()
 }
 
+// branchEntry is how a sweep or walk enters beta, the nearest branch
+// beside a leaf it holds (sweepDir.neighbor), through beta's near-end
+// leaf, the one next to the leaf beside it. Two keys can hold that leaf
+// (section 6.3): beta's own, when beta is internal, and f_n(beta), when
+// beta is itself a leaf. Under f_n(beta) an internal beta keeps its
+// far-end leaf instead, strictly inside beta: f_n strips a label's
+// trailing run, so f_n(beta) names the leaf reached from beta by
+// repeating beta's last bit. The range sweep also enters its fully
+// covered branches through f_n(beta) (tryName), for that far-end leaf.
+type branchEntry struct {
+	beta bitlabel.Label
+	try  entryTry
+}
+
+// entryTry is the key a branchEntry tries now, and what follows it.
+type entryTry uint8
+
+const (
+	// tryName is f_n(beta), the last try: whatever leaf is there is the
+	// one the walk goes on from.
+	tryName entryTry = iota
+	// tryOwn is beta's own key, then f_n(beta) on a miss.
+	tryOwn
+	// tryGuess is f_n(beta), guessing that beta is a leaf. A miss, or a
+	// leaf strictly inside beta, says beta is internal: that leaf, beta's
+	// far end, joins nothing (the walk meets it again from beta's near
+	// end), and beta's own key follows.
+	tryGuess
+)
+
+// enterBeside returns the entry into beta beside a leaf depth deep.
+// Neighbouring leaves sit at about one depth, so a beta as deep as that
+// leaf — its sibling — is most likely a leaf itself, and f_n(beta) is
+// tried first; a shallower beta is most likely internal, and its own key
+// is tried first. Replayed on the ledger's tree (2^17 Gaussian keys,
+// θ = 100), a sibling beta is a leaf in 94 % of range entries, a beta one
+// level up internal in 94 %, and one two or more levels up internal
+// every time. A wrong guess costs one lookup, the one a miss on beta's
+// own key costs a leaf beta, so an entry still wastes at most one.
+func enterBeside(beta bitlabel.Label, depth int) branchEntry {
+	if beta.Len() >= depth {
+		return branchEntry{beta: beta, try: tryGuess}
+	}
+	return branchEntry{beta: beta, try: tryOwn}
+}
+
+// key is the DHT key the entry tries now.
+func (e branchEntry) key() string {
+	if e.try == tryOwn {
+		return e.beta.Key()
+	}
+	return e.beta.Name().Key()
+}
+
+// farEnd reports whether the leaf labelled got, replied under f_n(beta),
+// is beta's far-end leaf: strictly inside beta.
+func (e branchEntry) farEnd(got bitlabel.Label) bool {
+	return e.beta.IsPrefixOf(got) && got != e.beta
+}
+
+// next returns the entry's following try after the reply to key(): found
+// is false on a miss, and got is the replied leaf's label otherwise. ok
+// is false when there is none: the reply is the leaf to go on from, or a
+// miss no other key can mend.
+func (e branchEntry) next(got bitlabel.Label, found bool) (_ branchEntry, ok bool) {
+	switch e.try {
+	case tryGuess:
+		if found && !e.farEnd(got) {
+			return e, false // beta itself, or a leaf above it
+		}
+		return branchEntry{beta: e.beta, try: tryOwn}, true
+	case tryOwn:
+		if !found && !e.beta.IsRoot() {
+			return branchEntry{beta: e.beta, try: tryName}, true
+		}
+	}
+	return e, false
+}
+
 // sweep walks the branch nodes of the local tree of the leaf labeled
 // from, in the given direction, decomposing r into per-branch subranges
 // (Algorithm 3), and appends each branch's probe to next. A branch whose
 // interval is fully inside r is entered through the leaf bound to
 // f_n(beta): the far-end boundary leaf of the branch, which then sweeps
 // back inward. The final, partially covered branch is entered through
-// the leaf bound to beta itself (enter). The walk is local arithmetic.
+// its near-end leaf (enter), with from the leaf beside it: only the
+// sweep's first branch, from's sibling when from ends toward dir, is as
+// deep as from, and every later one is shallower. The walk is local
+// arithmetic.
 func sweep(next []rangeProbe, from bitlabel.Label, r keyspace.Interval, dir sweepDir) []rangeProbe {
 	for beta := from; ; {
 		var ok bool
@@ -429,20 +524,22 @@ func sweep(next []rangeProbe, from bitlabel.Label, r keyspace.Interval, dir swee
 			covered = inv.Lo >= r.Lo
 		}
 		if !covered {
-			return enter(next, beta, r) // the partially covered branch terminates the sweep
+			return enter(next, beta, from.Len(), r) // the partially covered branch terminates the sweep
 		}
-		next = append(next, rangeProbe{key: beta.Name().Key(), branch: beta, sub: inv})
+		e := branchEntry{beta: beta, try: tryName}
+		next = append(next, rangeProbe{key: e.key(), entry: e, sub: inv})
 	}
 }
 
 // enter appends to next the probe that enters the branch beta, partly
-// inside r, for their intersection: the near-end boundary leaf, bound to
-// beta itself when beta is an internal node. If beta turns out to be a
-// leaf, that get misses and the leaf is under f_n(beta) (rangeProbe.retry).
-func enter(next []rangeProbe, beta bitlabel.Label, r keyspace.Interval) []rangeProbe {
+// inside r, for their intersection, beside a leaf depth deep: the first
+// try of beta's near-end leaf (enterBeside). A try that does not reach
+// that leaf is followed by the other key in the next round (rounds).
+func enter(next []rangeProbe, beta bitlabel.Label, depth int, r keyspace.Interval) []rangeProbe {
 	sub := keyspace.IntervalOf(beta).Intersect(r)
 	if sub.Empty() {
 		return next
 	}
-	return append(next, rangeProbe{key: beta.Key(), branch: beta, sub: sub, retry: true})
+	e := enterBeside(beta, depth)
+	return append(next, rangeProbe{key: e.key(), entry: e, sub: sub})
 }

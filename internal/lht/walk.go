@@ -7,7 +7,6 @@ import (
 
 	"lht/internal/bitlabel"
 	"lht/internal/dht"
-	"lht/internal/keyspace"
 )
 
 // Leaves returns every leaf bucket of the tree in left-to-right key order,
@@ -42,46 +41,57 @@ func (ix *Index) LeavesContext(ctx context.Context) ([]*Bucket, error) {
 // (Leaves, Scan, Min/Max, Scrub; the range sweep batches its own): the
 // leaf next to the leaf labelled from in direction dir, with its key, or
 // a nil bucket past the tree's edge. That leaf is the near end of beta,
-// the nearest branch that way (dir.neighbor), stored under beta's own key
-// or, when beta is itself a leaf, under f_n(beta). From the virtual root
-// it is the tree's first leaf that way: "#" walking right (the virtual
-// root's own key, and nowhere else), "#0" ("#" on a single-leaf tree)
-// walking left — Theorem 3's one lookup. Each fetch is one lookup and one
-// step.
+// the nearest branch that way (dir.neighbor), entered as the range sweep
+// enters its partially covered branch, with from the leaf beside it
+// (enterBeside): beta's sibling is tried under f_n(beta) first, and a
+// shallower beta under its own key. From the virtual root it is the
+// tree's first leaf that way: "#" walking right (the virtual root's own
+// key, and nowhere else), "#0" ("#" on a single-leaf tree) walking left —
+// Theorem 3's one lookup. Each fetch is one lookup and one step.
 //
 // With repair (the queries' walks and Scrub's), a torn leaf is repaired
-// as Algorithm 2's probes repair theirs; a repaired split may keep beta's
-// far half under the key fetched, and the step then runs once more over
-// the repaired tree. Without (Leaves), it is returned as stored.
+// as Algorithm 2's probes repair theirs; without (Leaves), it is returned
+// as stored. A split of beta, repaired or landed after beta's own key
+// missed, leaves beta's far half under f_n(beta): the step then runs
+// once more, from beta's own key.
 func (ix *Index) nextLeaf(ctx context.Context, from bitlabel.Label, dir sweepDir, repair bool, cost *Cost) (string, *Bucket, error) {
-	beta, ok := bitlabel.Root, true
+	e := branchEntry{beta: bitlabel.Root, try: tryOwn}
 	switch {
 	case !from.IsRoot():
-		beta, ok = dir.neighbor(from)
+		beta, ok := dir.neighbor(from)
+		if !ok {
+			return "", nil, nil
+		}
+		e = enterBeside(beta, from.Len())
 	case dir == sweepLeft:
-		beta = bitlabel.TreeRoot
+		e.beta = bitlabel.TreeRoot
 	}
-	if !ok {
-		return "", nil, nil
-	}
-	near := keyspace.IntervalOf(beta)
-	for again := true; ; again = false {
-		key := beta.Key()
+	for again := true; ; {
+		key := e.key()
 		b, err := ix.getBucket(ctx, key, cost)
 		cost.Steps++
-		if errors.Is(err, dht.ErrNotFound) && !beta.IsRoot() {
-			key = beta.Name().Key()
-			b, err = ix.getBucket(ctx, key, cost)
-			cost.Steps++
-		}
 		if err == nil && repair && b.Torn() {
 			b, err = ix.repairTorn(ctx, key, b, cost)
-			if err == nil && again && (dir == sweepRight && b.Interval().Lo != near.Lo || dir == sweepLeft && b.Interval().Hi != near.Hi) {
+		}
+		if err == nil || errors.Is(err, dht.ErrNotFound) {
+			var got bitlabel.Label
+			if err == nil {
+				got = b.Label
+			}
+			if ne, ok := e.next(got, err == nil); ok {
+				e = ne
+				continue
+			}
+			// beta's own key missed, and then beta split: the repair
+			// completed it, or it landed in between, and its far half
+			// keeps f_n(beta).
+			if err == nil && again && e.try == tryName && e.farEnd(got) {
+				again, e = false, branchEntry{beta: e.beta, try: tryOwn}
 				continue
 			}
 		}
 		if err != nil {
-			return "", nil, fmt.Errorf("%s: %w", beta, err)
+			return "", nil, fmt.Errorf("%s: %w", e.beta, err)
 		}
 		return key, b, nil
 	}
