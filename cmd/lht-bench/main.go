@@ -61,13 +61,12 @@ type config struct {
 // theta sweep, a4: client leaf cache, a5: retry policy under faults,
 // a6: batched operation plane, a7: recovery under churn + torn
 // mutations, a8: frame codec cost (allocs/op), a9: multi-writer
-// concurrency, a10: replication under Zipfian skew, a11:
-// degradation plane — breakers + hedged reads — under scripted network
-// chaos, a12: self-healing membership — gossip view, write failover,
+// concurrency, a11: degradation plane — hedged reads — under scripted
+// network chaos, a12: self-healing membership — gossip view, write failover,
 // scrub re-replication — under permanent and rejoin churn) and the
 // wire-protocol parameter sweep (substrate x batch size x leaf cache
 // x value size x cache capacity x query skew).
-var experimentNames = []string{"fig6a", "fig6b", "fig7", "fig8a", "fig8b", "fig9a", "fig9b", "eq3", "thm3", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "sweep", "s1", "rw1", "x1"}
+var experimentNames = []string{"fig6a", "fig6b", "fig7", "fig8a", "fig8b", "fig9a", "fig9b", "eq3", "thm3", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a11", "a12", "sweep", "s1", "rw1", "x1"}
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lht-bench", flag.ContinueOnError)
@@ -340,16 +339,6 @@ func runExperiments(ctx context.Context, cfg config, out io.Writer) error {
 			return err
 		}
 		emit(thru, rounds, cont)
-	}
-	if want("a10") {
-		// The tree must hold clearly more leaves than the ablation runs
-		// concurrent clients, so uniform arrivals (the control) rarely
-		// collide on a leaf and only *skew* concentrates load.
-		lat, rt, err := bench.RunHotAblation(cfg.opts, 4*sizes[0])
-		if err != nil {
-			return err
-		}
-		emit(lat, rt)
 	}
 	if want("a11") {
 		lat, rt, err := bench.RunChaosAblation(cfg.opts, sizes[0])

@@ -11,7 +11,7 @@
 //	lht-cli -nodes ... min | max | count
 //	lht-cli -nodes ... fill 10000        # seeded uniform bulk load
 //	lht-cli -nodes ... -scrub            # verify + repair tree invariants
-//	lht-cli -nodes ... -status           # cluster membership + health report
+//	lht-cli -nodes ... -status           # cluster membership report
 //
 // Against a replicated, self-healing cluster (lht-node -gossip-peers),
 // pass -replicas so reads fail over and -scrub -rereplicate restores
@@ -20,7 +20,7 @@
 //	lht-cli -nodes ... -replicas 3 -scrub -rereplicate
 //
 // -degraded connects even while part of the cluster is down (-status
-// always does: the health report must work precisely then), and
+// always does: the membership report must work precisely then), and
 // -failover-writes lets writes succeed while a holder is down, leaving
 // the copy it missed to the next -scrub -rereplicate.
 package main
@@ -65,9 +65,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		trace   = fs.Int("trace", 0, "after the command, print its last N DHT operations (kind, key, phase, duration, outcome)")
 		conns   = fs.Int("conns", 0, "pipelined connections per node (0 = default)")
 		reps    = fs.Int("replicas", 1, "store each key on this many distinct nodes")
-		status  = fs.Bool("status", false, "print the cluster membership and health report, and exit")
+		status  = fs.Bool("status", false, "print the cluster membership report, and exit")
 		rerep   = fs.Bool("rereplicate", false, "with -scrub: restore the replica count of every bucket (needs -replicas > 1)")
-		degr    = fs.Bool("degraded", false, "connect even if part of the cluster is down (dead nodes start breaker-open); implied by -status")
+		degr    = fs.Bool("degraded", false, "connect even if part of the cluster is down (dead nodes start suspect and backed off); implied by -status")
 		failw   = fs.Bool("failover-writes", false, "let writes succeed while a holder is down, leaving its copy to a re-replicating scrub (needs -replicas > 1)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -90,8 +90,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	// -status must work precisely when part of the cluster is down, so it
-	// always boots degraded: unreachable members start breaker-open and
-	// show up in the report instead of failing the dial.
+	// always boots degraded: unreachable members start suspect and show
+	// up in the report instead of failing the dial.
 	client, err := tcpnet.Dial(ctx, tcpnet.ClusterConfig{
 		Seeds:          strings.Split(*nodes, ","),
 		PoolSize:       *conns,
@@ -151,15 +151,12 @@ func runCommand(ctx context.Context, ix *lht.Index, cmd []string, scrub, status 
 }
 
 // printStatus renders the cluster membership report: one row per member
-// with its gossip state, incarnation, this client's breaker verdict and
-// known replica debt.
+// with its gossip state, incarnation and known replica debt.
 func printStatus(out io.Writer, st lht.ClusterStatus) {
 	fmt.Fprintf(out, "cluster view epoch %d, %d member(s)\n", st.ViewEpoch, len(st.Members))
-	fmt.Fprintf(out, "%-24s %-8s %-5s %-9s %s\n",
-		"ADDRESS", "STATE", "INC", "BREAKER", "DEBT")
+	fmt.Fprintf(out, "%-24s %-8s %-5s %s\n", "ADDRESS", "STATE", "INC", "DEBT")
 	for _, m := range st.Members {
-		fmt.Fprintf(out, "%-24s %-8s %-5d %-9s %d\n",
-			m.Addr, m.State, m.Incarnation, m.Breaker, m.ReplicaDebt)
+		fmt.Fprintf(out, "%-24s %-8s %-5d %d\n", m.Addr, m.State, m.Incarnation, m.ReplicaDebt)
 	}
 }
 

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"lht"
-	"lht/internal/dht"
 	"lht/internal/metrics"
 	"lht/internal/tcpnet"
 )
@@ -226,14 +225,13 @@ func repairLoop(ctx context.Context, cfg nodeConfig) {
 }
 
 // repairOnce runs one re-replicating scrub over the cluster. The client
-// dials degraded (dead members start with open breakers) and refreshes
-// its routing ring from the gossip view first, so the scrub probes the
-// owners the cluster actually routes to now.
+// dials degraded (dead members start suspect, their redials backed off)
+// and refreshes its routing ring from the gossip view first, so the
+// scrub probes the owners the cluster actually routes to now.
 func repairOnce(ctx context.Context, cfg nodeConfig) (*lht.ScrubReport, error) {
 	client, err := tcpnet.Dial(ctx, tcpnet.ClusterConfig{
 		Seeds:         cfg.gossipPeers,
 		Replicas:      cfg.repairReplicas,
-		Health:        &dht.BreakerConfig{},
 		DegradedStart: true,
 	})
 	if err != nil {

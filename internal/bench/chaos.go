@@ -17,9 +17,8 @@ import (
 	"lht/internal/workload"
 )
 
-// Ablation A11: the degradation plane (per-node circuit breakers, hedged
-// reads, failover deadline budgets) under scripted network chaos, end to
-// end over real sockets. Each cell boots a fresh 4-node cluster, loads
+// Ablation A11: hedged reads under scripted network chaos, end to end
+// over real sockets. Each cell boots a fresh 4-node cluster, loads
 // the tree, then injects one fault scenario through the netchaos dialer
 // while concurrent clients run the identical query schedule:
 //
@@ -28,26 +27,28 @@ import (
 //     the node that is primary, where reads start, for the most leaves
 //     the query schedule reads (chaosTarget);
 //   - slow: one node answers at 10x the scenario latency quantum — alive
-//     and correct, just late, the failure mode breakers alone cannot see;
+//     and correct, just late, the failure mode no failure memory can see;
 //   - flap: one peer refuses dials and severs connections on a 50% duty
 //     cycle — up, gone, up again, on a deterministic clock.
 //
-// The plane-on arm runs breakers + hedged reads over 3 replicas; the
-// plane-off arm the identical cluster, replication, and schedule with
-// the degradation plane disabled. Queries carry a fixed per-op deadline,
-// so a black-holed holder costs the off arm its failover budget, never
-// the whole run.
+// The hedging-on arm races a duplicate read against any read slower than
+// the hedge delay, over 3 replicas; the hedging-off arm runs the identical
+// cluster, replication, and schedule without it. Both arms keep what
+// every client has: holder failover under a per-holder share of the
+// deadline (stepCtx) and the redial gate. Queries carry a fixed per-op
+// deadline, so a black-holed holder costs the off arm its failover
+// budget, never the whole run.
 //
 // Two results: A11, the measured success rate and latency tail per
-// scenario (machine-speed dependent), and A11b, the plane-off workload
+// scenario (machine-speed dependent), and A11b, the hedging-off workload
 // replayed serially over the instrumented local substrate — deterministic
 // round trips results/counted-costs.csv pins, holding that neither
-// the chaos plane nor the degradation machinery leaks into the logical
-// cost model when switched off.
+// the chaos plane nor hedging leaks into the logical cost model when
+// switched off.
 const (
 	// chaosWorkers concurrent clients share the index handle, so a
 	// stalled link stalls some queries while others proceed — the
-	// degradation plane's job is to keep the stall from defining p99.
+	// hedger's job is to keep the stall from defining p99.
 	chaosWorkers = 8
 	// chaosOpDeadline is every query's end-to-end budget, both arms. It
 	// is generous on purpose: the off arm's tail is the per-holder
@@ -59,7 +60,7 @@ const (
 	// chaosSlowLatency is the slow scenario's per-write delay: 10x a
 	// 4ms latency quantum, far above any healthy loopback round trip.
 	chaosSlowLatency = 40 * time.Millisecond
-	// chaosHedgeAfter is the plane-on arm's hedge floor: well above a
+	// chaosHedgeAfter is the hedging-on arm's hedge floor: well above a
 	// healthy read, well below every injected fault.
 	chaosHedgeAfter = 5 * time.Millisecond
 	// chaosFlapPeriod/chaosFlapDuty flap the peer: 80ms up, 80ms down.
@@ -90,7 +91,7 @@ func RunChaosAblation(o Options, size int) (Result, Result, error) {
 	o = o.WithDefaults()
 	lat := Result{
 		Name: "A11",
-		Title: fmt.Sprintf("Degradation plane under network chaos (%d records, %d clients, %v deadline)",
+		Title: fmt.Sprintf("Hedged reads under network chaos (%d records, %d clients, %v deadline)",
 			size, chaosWorkers, chaosOpDeadline),
 		XLabel:   "scenario (0=partition, 1=slow, 2=flap)",
 		YLabel:   "success % / latency microseconds (p50/p99)",
@@ -109,11 +110,11 @@ func RunChaosAblation(o Options, size int) (Result, Result, error) {
 
 	for _, arm := range []struct {
 		name  string
-		plane bool
-	}{{"plane off", false}, {"plane on", true}} {
+		hedge bool
+	}{{"hedging off", false}, {"hedging on", true}} {
 		var succ, p50s, p99s []float64
 		for sc := range chaosScenarios {
-			cell, err := measureChaosCell(o, size, sc, arm.plane)
+			cell, err := measureChaosCell(o, size, sc, arm.hedge)
 			if err != nil {
 				return lat, rt, fmt.Errorf("bench: chaos ablation %s %s: %w", arm.name, chaosScenarios[sc].name, err)
 			}
@@ -128,9 +129,9 @@ func RunChaosAblation(o Options, size int) (Result, Result, error) {
 	}
 
 	// The pinned rows: each scenario's schedule replayed serially over the
-	// instrumented local map with the plane off, cache off and on. Round
+	// instrumented local map with hedging off, cache off and on. Round
 	// trips are a pure function of (seed, theta, depth, size, queries) —
-	// drift means the chaos or degradation plane leaked into the default
+	// drift means the chaos plane or hedging leaked into the default
 	// lookup path.
 	for _, cache := range []bool{false, true} {
 		var rts []float64
@@ -168,8 +169,8 @@ func chaosSchedule(o Options, keys []float64, scenario, rep int) []float64 {
 
 // measureChaosCell boots a 4-node cluster, loads the tree through the
 // chaos dialer (healthy until Start), then injects the scenario and
-// times the concurrent query phase.
-func measureChaosCell(o Options, size, scenario int, plane bool) (chaosCell, error) {
+// times the concurrent query phase, hedging reads when hedge is set.
+func measureChaosCell(o Options, size, scenario int, hedge bool) (chaosCell, error) {
 	var cell chaosCell
 	cl, err := startWireCluster(4, nil, nil)
 	if err != nil {
@@ -178,16 +179,7 @@ func measureChaosCell(o Options, size, scenario int, plane bool) (chaosCell, err
 	defer cl.close()
 
 	chaos := netchaos.New(o.Seed + int64(scenario))
-	ccfg := tcpnet.ClusterConfig{Seeds: cl.addrs, Dialer: chaos, Replicas: 3, Counters: o.Agg}
-	if plane {
-		ccfg.Health = &dht.BreakerConfig{
-			Threshold:   3,
-			Cooldown:    50 * time.Millisecond,
-			MaxCooldown: 250 * time.Millisecond,
-			Seed:        o.Seed,
-		}
-	}
-	c, err := tcpnet.Dial(context.Background(), ccfg)
+	c, err := tcpnet.Dial(context.Background(), tcpnet.ClusterConfig{Seeds: cl.addrs, Dialer: chaos, Replicas: 3, Counters: o.Agg})
 	if err != nil {
 		return cell, err
 	}
@@ -199,7 +191,7 @@ func measureChaosCell(o Options, size, scenario int, plane bool) (chaosCell, err
 		LeafCache:      true,
 		Aggregate:      o.Agg,
 	}
-	if plane {
+	if hedge {
 		cfg.HedgeAfter = chaosHedgeAfter
 	}
 	ix, err := lht.New(c, cfg)
@@ -249,7 +241,7 @@ func measureChaosCell(o Options, size, scenario int, plane bool) (chaosCell, err
 // reads in schedules, whose keys leaf maps to their leaves' names. Reads
 // start at the primary, and ring ownership follows the cluster's random
 // loopback ports, so a node picked blind can be primary for none of the
-// schedule's leaves, and the plane-off arm would never meet the fault.
+// schedule's leaves, and the hedging-off arm would never meet the fault.
 func chaosTarget(addrs []string, leaf map[float64]string, schedules [][]float64) string {
 	reads := make(map[string]int, len(addrs))
 	for _, qs := range schedules {
@@ -303,6 +295,16 @@ func runChaosPhase(ix *lht.Index, qs []float64, ok, total *atomic.Int64) []time.
 		lats = append(lats, wLats[w]...)
 	}
 	return lats
+}
+
+// pctileUS returns the p-quantile of the samples in microseconds.
+func pctileUS(ds []time.Duration, p float64) float64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return float64(sorted[int(float64(len(sorted)-1)*p)].Nanoseconds()) / 1000
 }
 
 // chaosCostCell replays one scenario's schedule (build + queries,

@@ -3,9 +3,9 @@ package bench
 import "testing"
 
 // TestChaosAblation runs A11 at reduced scale and pins the acceptance
-// criteria: with breakers + hedged reads over 3 replicas, query success
-// stays at 100% through the partition and slow-node scenarios, and the
-// p99 latency is at least 2x below the degradation-off arm's, whose
+// criteria: with hedged reads over 3 replicas, query success stays at
+// 100% through the partition and slow-node scenarios, and the p99
+// latency is at least 2x below the hedging-off arm's, whose
 // partition and slow tails show that it met the fault; the serialized
 // cost replay is a count while the timed result is measured.
 func TestChaosAblation(t *testing.T) {
@@ -21,42 +21,42 @@ func TestChaosAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	offSucc := seriesByName(t, lat, "plane off success %")
-	onSucc := seriesByName(t, lat, "plane on success %")
-	offP99 := seriesByName(t, lat, "plane off query p99")
-	onP99 := seriesByName(t, lat, "plane on query p99")
+	offSucc := seriesByName(t, lat, "hedging off success %")
+	onSucc := seriesByName(t, lat, "hedging on success %")
+	offP99 := seriesByName(t, lat, "hedging off query p99")
+	onP99 := seriesByName(t, lat, "hedging on query p99")
 	for sc, name := range []string{"partition", "slow", "flap"} {
 		t.Logf("%s: success off=%.1f%% on=%.1f%%, p99 off=%.0fus on=%.0fus",
 			name, offSucc.Points[sc].Y, onSucc.Points[sc].Y, offP99.Points[sc].Y, onP99.Points[sc].Y)
 	}
 
-	// The plane-off arm must meet the fault: a read of the faulted node
+	// The hedging-off arm must meet the fault: a read of the faulted node
 	// spends its per-holder failover share of the deadline before it
 	// moves on. A target that is primary for none of the schedule's
 	// leaves would leave the off arm's tail at loopback speed.
 	for _, sc := range []int{0, 1} {
 		if off := offP99.Points[sc].Y; off < float64((chaosOpDeadline / 3).Microseconds()) {
-			t.Errorf("scenario %d: plane off p99 %vus, below the failover share %v: the fault was never met", sc, off, chaosOpDeadline/3)
+			t.Errorf("scenario %d: hedging off p99 %vus, below the failover share %v: the fault was never met", sc, off, chaosOpDeadline/3)
 		}
 	}
 
 	// The headline claim: partition and slow scenarios lose nothing with
-	// the plane on (flap can clip a query mid-transition, so it gets the
+	// hedging on (flap can clip a query mid-transition, so it gets the
 	// softer bound), and the tail collapses by at least 2x.
 	for _, sc := range []int{0, 1} {
 		if y := onSucc.Points[sc].Y; y != 100 {
-			t.Errorf("plane on, scenario %d: success %v%%, want 100%%", sc, y)
+			t.Errorf("hedging on, scenario %d: success %v%%, want 100%%", sc, y)
 		}
 		if off, on := offP99.Points[sc].Y, onP99.Points[sc].Y; on <= 0 || off < 2*on {
 			t.Errorf("scenario %d: p99 off %vus vs on %vus, want >= 2x reduction", sc, off, on)
 		}
 	}
 	if y := onSucc.Points[2].Y; y < 99 {
-		t.Errorf("plane on, flap: success %v%%, want >= 99%%", y)
+		t.Errorf("hedging on, flap: success %v%%, want >= 99%%", y)
 	}
 	for sc := range onSucc.Points {
 		if off, on := offSucc.Points[sc].Y, onSucc.Points[sc].Y; on < off {
-			t.Errorf("scenario %d: plane on success %v%% below plane off %v%%", sc, on, off)
+			t.Errorf("scenario %d: hedging on success %v%% below hedging off %v%%", sc, on, off)
 		}
 	}
 

@@ -34,7 +34,7 @@ import (
 // the gossip view, and a bounded number of re-replicating scrub passes
 // restores the replica count on the current ring owners, the returned
 // holder's missed copies included. The static arm is yesterday's
-// cluster API: a fixed member list with breaker failover only — reads
+// cluster API: a fixed member list with holder failover only — reads
 // keep succeeding off the survivors, but nothing ever repairs, so the
 // index stays one failure away from data loss.
 //
@@ -174,15 +174,9 @@ func measureHealCell(o Options, size, scenario int, healing bool) (healCell, err
 	srvs, mems, addrs := cl.servers, cl.members, cl.addrs
 
 	c, err := tcpnet.Dial(ctx, tcpnet.ClusterConfig{
-		Seeds:    addrs,
-		Replicas: healReplicas,
-		Counters: o.Agg,
-		Health: &dht.BreakerConfig{
-			Threshold:   3,
-			Cooldown:    50 * time.Millisecond,
-			MaxCooldown: 250 * time.Millisecond,
-			Seed:        o.Seed,
-		},
+		Seeds:          addrs,
+		Replicas:       healReplicas,
+		Counters:       o.Agg,
 		FailoverWrites: healing,
 	})
 	if err != nil {
@@ -296,12 +290,13 @@ func healRecover(ctx context.Context, ix *lht.Index, c *tcpnet.Client, mems []*t
 		// The client converges too: its suspicion must round-trip through
 		// the gossip plane (kill: the victim's death reaches its view and
 		// drops it from the ring; rejoin: the victim's refutation comes
-		// back with a bumped incarnation and revives the open breaker).
+		// back with a bumped incarnation, and the refresh that brings it
+		// resets the victim's redial gates).
 		st, ok := c.View().Find(addrs[victim])
 		if scenario == 0 {
 			return ok && st.State == dht.MemberDead
 		}
-		return ok && st.State == dht.MemberAlive && c.Health(addrs[victim]) == dht.BreakerClosed
+		return ok && st.State == dht.MemberAlive
 	}
 	for !converged() {
 		if time.Now().After(deadline) {
@@ -314,7 +309,7 @@ func healRecover(ctx context.Context, ix *lht.Index, c *tcpnet.Client, mems []*t
 			_ = m.Tick(ctx)
 		}
 		// The client is one more gossip participant: each exchange pushes
-		// its local evidence (the victim's breaker opened → suspect) and
+		// its local evidence (a failed dial of the victim → suspect) and
 		// pulls the cluster's verdict back.
 		_ = c.RefreshView(ctx)
 	}
@@ -335,8 +330,8 @@ func healRecover(ctx context.Context, ix *lht.Index, c *tcpnet.Client, mems []*t
 // present on live servers: for every leaf storage key, healReplicas
 // copies are expected; skip marks a permanently dead server. The leaf
 // walk runs over a fresh client dialed against only the live members —
-// the measured client's breakers remember the outage, which would turn
-// the walk's expected probe misses into unavailability errors.
+// the measured client's view and redial gates remember the outage, and
+// the walk must count copies, not meet the client's failure memory.
 func replicaCoverage(o Options, addrs []string, srvs []*tcpnet.Server, skip int) (float64, error) {
 	ctx := context.Background()
 	live := make([]string, 0, len(addrs))

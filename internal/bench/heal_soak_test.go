@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"lht/internal/dht"
 	"lht/internal/lht"
 	"lht/internal/netchaos"
 	"lht/internal/tcpnet"
@@ -46,15 +45,9 @@ func TestMembershipChurnSoak(t *testing.T) {
 	chaos.Add(chaosScenarios[2].rule(addrs[0]))
 
 	c, err := tcpnet.Dial(ctx, tcpnet.ClusterConfig{
-		Seeds:    addrs,
-		Replicas: healReplicas,
-		Dialer:   chaos,
-		Health: &dht.BreakerConfig{
-			Threshold:   3,
-			Cooldown:    50 * time.Millisecond,
-			MaxCooldown: 250 * time.Millisecond,
-			Seed:        o.Seed,
-		},
+		Seeds:          addrs,
+		Replicas:       healReplicas,
+		Dialer:         chaos,
 		FailoverWrites: true,
 	})
 	if err != nil {

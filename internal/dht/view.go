@@ -33,8 +33,8 @@ type MemberState uint8
 const (
 	// MemberAlive: the member answers probes / gossip.
 	MemberAlive MemberState = iota
-	// MemberSuspect: consecutive probe failures (or an opened circuit
-	// breaker) cast doubt; routing still includes the member, but its
+	// MemberSuspect: consecutive probe failures (or a client's failed
+	// dial) cast doubt; routing still includes the member, but its
 	// failure is being timed.
 	MemberSuspect
 	// MemberDead: the suspicion timer expired without a refutation. The
@@ -170,8 +170,7 @@ func (v ClusterView) Alive() []string {
 
 // ClusterStatus is the operator-facing introspection snapshot a
 // membership-aware substrate reports: the view version plus one row per
-// member combining the gossip state with this client's local health
-// plane (breaker state, replica debt).
+// member combining the gossip state with this client's replica debt.
 type ClusterStatus struct {
 	// ViewEpoch is the membership view version the reporter holds.
 	ViewEpoch uint64
@@ -187,9 +186,6 @@ type MemberStatus struct {
 	State MemberState
 	// Incarnation is the member's incarnation in the reporter's view.
 	Incarnation uint64
-	// Breaker is this client's circuit-breaker state for the member
-	// (BreakerClosed when the health plane is off).
-	Breaker BreakerState
 	// ReplicaDebt is the number of missing replica copies this client has
 	// observed on the member and not yet seen restored (via
 	// EnsureReplicated probes); 0 when none or never probed.

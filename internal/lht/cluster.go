@@ -19,8 +19,8 @@ import (
 var ErrNoCluster = errors.New("lht: substrate has no cluster membership plane")
 
 // ClusterStatus reports the substrate cluster's membership view: per
-// member its gossip state and incarnation, the client's breaker verdict,
-// and known replica debt. It fails with
+// member its gossip state and incarnation, and known replica debt. It
+// fails with
 // ErrNoCluster when the substrate does not implement dht.ClusterReporter.
 // Status traffic rides the membership plane and is free in the paper's
 // cost model.

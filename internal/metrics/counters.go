@@ -75,15 +75,8 @@ const (
 	// latency.
 	HedgedGets
 	HedgeWins // hedged gets whose duplicate answered before the original
-	// BreakerOpens counts a node's consecutive transport failures crossing
-	// the threshold: further traffic to it fast-fails for the cooldown.
-	BreakerOpens
-	// BreakerFastFails counts operations rejected instantly by an open
-	// breaker instead of paying a dial or request timeout against a node
-	// known to be unhealthy.
-	BreakerFastFails
-	// Failovers counts reads that skipped an open (unhealthy) holder and
-	// were served by another replica.
+	// Failovers counts reads that moved off an unhealthy holder (one that
+	// failed, or whose redial gate was backing off) to another replica.
 	Failovers
 	// GossipRounds counts gossip round trips between two nodes, successful
 	// or not.
@@ -150,8 +143,6 @@ var counterTable = [NumCounters]counterRow{
 	RidesRefused:     {"write_rides_refused", "", "Write patches that rode a search probe answered as a probe.", func(s *Snapshot) *int64 { return &s.Write.RidesRefused }},
 	HedgedGets:       {"hedged_gets", "", "Duplicate reads launched after the hedge delay.", func(s *Snapshot) *int64 { return &s.Health.HedgedGets }},
 	HedgeWins:        {"hedge_wins", "", "Hedges that answered before the original attempt.", func(s *Snapshot) *int64 { return &s.Health.HedgeWins }},
-	BreakerOpens:     {"breaker_opens", "", "Circuit-breaker transitions into the open state.", func(s *Snapshot) *int64 { return &s.Health.BreakerOpens }},
-	BreakerFastFails: {"breaker_fast_fails", "", "Operations rejected instantly by an open breaker.", func(s *Snapshot) *int64 { return &s.Health.BreakerFastFails }},
 	Failovers:        {"failovers", "", "Reads rerouted off an unhealthy holder.", func(s *Snapshot) *int64 { return &s.Health.Failovers }},
 	GossipRounds:     {"gossip_rounds", "", "Anti-entropy membership exchanges performed.", func(s *Snapshot) *int64 { return &s.Membership.GossipRounds }},
 	ViewRefreshes:    {"view_refreshes", "", "Membership views applied to a client routing ring.", func(s *Snapshot) *int64 { return &s.Membership.ViewRefreshes }},

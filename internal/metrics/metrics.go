@@ -202,15 +202,13 @@ type WriteCounts struct {
 	RidesRefused  int64 // write patches that rode a probe answered as a probe
 }
 
-// HealthCounts are the graceful-degradation-plane counters: circuit
-// breakers and hedged reads keeping queries answered while the network
+// HealthCounts are the graceful-degradation-plane counters: hedged reads
+// and holder failover keeping queries answered while the network
 // misbehaves.
 type HealthCounts struct {
-	HedgedGets       int64 // duplicate reads launched after the hedge delay
-	HedgeWins        int64 // hedges that answered before the original attempt
-	BreakerOpens     int64 // circuit-breaker transitions into the open state
-	BreakerFastFails int64 // operations rejected instantly by an open breaker
-	Failovers        int64 // reads rerouted off an unhealthy holder
+	HedgedGets int64 // duplicate reads launched after the hedge delay
+	HedgeWins  int64 // hedges that answered before the original attempt
+	Failovers  int64 // reads rerouted off an unhealthy holder
 }
 
 // MembershipCounts are the self-healing-membership-plane counters:

@@ -37,8 +37,6 @@ func goldenCounters() *Counters {
 	c.Add(RidesRefused, 3)
 	c.Add(HedgedGets, 3)
 	c.Add(HedgeWins, 1)
-	c.Add(BreakerOpens, 2)
-	c.Add(BreakerFastFails, 4)
 	c.Add(Failovers, 2)
 	c.Add(GossipRounds, 5)
 	c.Add(ViewRefreshes, 2)
@@ -128,12 +126,6 @@ lht_hedged_gets_total 3
 # HELP lht_hedge_wins_total Hedges that answered before the original attempt.
 # TYPE lht_hedge_wins_total counter
 lht_hedge_wins_total 1
-# HELP lht_breaker_opens_total Circuit-breaker transitions into the open state.
-# TYPE lht_breaker_opens_total counter
-lht_breaker_opens_total 2
-# HELP lht_breaker_fast_fails_total Operations rejected instantly by an open breaker.
-# TYPE lht_breaker_fast_fails_total counter
-lht_breaker_fast_fails_total 4
 # HELP lht_failovers_total Reads rerouted off an unhealthy holder.
 # TYPE lht_failovers_total counter
 lht_failovers_total 2

@@ -5,8 +5,8 @@
 //
 // A Chaos wraps a ContextDialer (plain net.Dialer by default) and is
 // injected into a tcpnet client as its ClusterConfig.Dialer, so every
-// connection the client opens — including lazy redials and half-open
-// breaker probes — passes through the plane. Faults are expressed as
+// connection the client opens — including the lazy redials its redial
+// gate paces — passes through the plane. Faults are expressed as
 // Rules: each names a destination address (the link, from this client's
 // point of view), a time window relative to Start, an optional duty
 // cycle for flapping, and an Effect. The schedule is a pure function of

@@ -211,9 +211,9 @@ func TestDropReadsWithholdsThenReleases(t *testing.T) {
 
 // TestDropReadsHonorsReadDeadline: a reader parked in a DropReads window
 // must still observe its read deadline — the tcpnet handshake bounds its
-// health-check ping with SetDeadline, and a half-open probe into an
-// inbound partition has to fail within that bound, not hang for the
-// whole drop window.
+// health-check ping with SetDeadline, and a redial into an inbound
+// partition has to fail within that bound, not hang for the whole drop
+// window.
 func TestDropReadsHonorsReadDeadline(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()

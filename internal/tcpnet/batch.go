@@ -37,8 +37,8 @@ func (c *Client) ProbeBatch(ctx context.Context, keys []string, hint uint64) ([]
 // getBatch is GetBatch's and ProbeBatch's one body. Its frames go to the
 // keys' primaries: the primary is in every key's holder set and sees
 // every accepted write, so its ErrNotFound is a miss as authoritative as
-// Get's. A slot that failed otherwise (a transport fault, an open
-// breaker) is read again through Get's holder walk when the key has
+// Get's. A slot that failed otherwise (a transport fault, a redial gate
+// backing off) is read again through Get's holder walk when the key has
 // another holder to walk to, so a batched read fails over as a single
 // one does.
 func (c *Client) getBatch(ctx context.Context, keys []string, h probeHint) ([]dht.Value, []error) {

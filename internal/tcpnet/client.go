@@ -34,28 +34,19 @@ type ClusterConfig struct {
 	// any count — see replicas.go for the fan-out and fallback contract.
 	// Requires a cluster of at least that many nodes.
 	Replicas int
-	// Counters chains the client's own counters (failovers, breaker
-	// opens, view refreshes) onto a shared metrics sink. Nil counts
-	// nothing.
+	// Counters chains the client's own counters (failovers, view
+	// refreshes) onto a shared metrics sink. Nil counts nothing.
 	Counters *metrics.Counters
 	// Dialer replaces the transport factory used for every outgoing
 	// connection (nil = plain net.Dialer). This is the injection point for
 	// the netchaos plane: a scripted dialer can drop, delay, throttle, or
 	// partition individual node links under an otherwise unmodified client.
 	Dialer ContextDialer
-	// Health enables the graceful-degradation plane: one circuit breaker
-	// per node with the given configuration (zero fields defaulted — see
-	// dht.BreakerConfig). Consecutive transport failures open the node's
-	// breaker; while open, every operation against it fails instantly with
-	// a typed *dht.UnavailableError, replicated reads fail over to the next
-	// holder immediately, and the first operation after the cooldown probes
-	// the node half-open. See health.go for the full contract.
-	Health *dht.BreakerConfig
 	// DegradedStart lets Dial succeed with part of the cluster
-	// unreachable: dead nodes are registered with their breaker already
-	// open, so they fail fast until a half-open probe finds them recovered
-	// and adopts them. Implies Health (with defaults, if not configured
-	// explicitly). Construction still fails when no node is reachable.
+	// unreachable: a dead node's failed first dial backs its redial gate
+	// off (health.go), so it fails fast until a later dial finds it
+	// recovered and adopts it. Construction still fails when no node is
+	// reachable.
 	DegradedStart bool
 	// FailoverWrites keeps writes available while a holder is down: a
 	// conditional resolves on the first reachable holder when the primary
@@ -93,7 +84,7 @@ type Client struct {
 	ring atomic.Pointer[memberRing]
 
 	// view is the client's local membership view: seeded from the
-	// bootstrap list, fed suspicion by breaker opens, and merged with a
+	// bootstrap list, fed suspicion by failed dials, and merged with a
 	// server's gossiped view on every RefreshView.
 	viewMu sync.Mutex
 	view   dht.ClusterView
@@ -144,9 +135,6 @@ type clientNode struct {
 
 	conns []*mconn
 	next  atomic.Uint32
-
-	br       *dht.Breaker // health plane; nil when ClusterConfig.Health is nil
-	counters *metrics.Counters
 }
 
 // pick returns the node's next connection in round-robin order.
@@ -177,9 +165,6 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 	}
 	if cfg.FailoverWrites && cfg.Replicas < 2 {
 		return nil, errors.New("tcpnet: write failover requires replication")
-	}
-	if cfg.DegradedStart && cfg.Health == nil {
-		cfg.Health = &dht.BreakerConfig{}
 	}
 	c := &Client{cfg: cfg}
 	seen := make(map[string]bool, len(cfg.Seeds))
@@ -218,35 +203,19 @@ func Dial(ctx context.Context, cfg ClusterConfig) (*Client, error) {
 // the client was dialled with. Used at construction and again whenever a
 // view refresh admits a new member.
 func (c *Client) newNode(a string) *clientNode {
-	var br *dht.Breaker
-	if c.cfg.Health != nil {
-		cfg := *c.cfg.Health
-		if cfg.Seed == 0 {
-			// Distinct deterministic jitter stream per node.
-			cfg.Seed = int64(hashring.HashAddr(a)) | 1
-		}
-		prev := cfg.OnOpen
-		cfg.OnOpen = func() {
-			c.cfg.Counters.Add(metrics.BreakerOpens, 1)
-			// An opened breaker is local evidence of failure: mark the
-			// member suspect so the next gossip exchange spreads the doubt.
-			c.markSuspect(a)
-			if prev != nil {
-				prev()
-			}
-		}
-		br = dht.NewBreaker(cfg)
-	}
-	return newClientNode(a, c.cfg.Dialer, c.cfg.PoolSize, br, c.cfg.Counters)
+	// A failed dial is local evidence of failure: mark the member suspect
+	// so the next gossip exchange spreads the doubt.
+	return newClientNode(a, c.cfg.Dialer, c.cfg.PoolSize, func() { c.markSuspect(a) })
 }
 
 // newClientNode builds the connection state for the node at addr: pool
-// pipelined connections through dial, gated by br (nil: no breaker). A
-// client builds its members with it, and a server its gossip peers.
-func newClientNode(addr string, dial ContextDialer, pool int, br *dht.Breaker, counters *metrics.Counters) *clientNode {
-	n := &clientNode{id: hashring.HashAddr(addr), addr: addr, br: br, counters: counters}
+// pipelined connections through dial, whose redial gates call suspect
+// (nil: nothing) on a failed dial. A client builds its members with it,
+// and a server its gossip peers.
+func newClientNode(addr string, dial ContextDialer, pool int, suspect func()) *clientNode {
+	n := &clientNode{id: hashring.HashAddr(addr), addr: addr}
 	for i := 0; i < pool; i++ {
-		n.conns = append(n.conns, &mconn{addr: addr, dial: dial, gate: redialGate{br: br}})
+		n.conns = append(n.conns, &mconn{addr: addr, dial: dial, gate: redialGate{suspect: suspect}})
 	}
 	return n
 }
@@ -352,11 +321,6 @@ func serverErr(msg []byte) error {
 // response's tagged value bytes (nil for value-less ops) plus the pooled
 // frame to recycle after the value is decoded.
 func (n *clientNode) simpleCall(ctx context.Context, op dht.OpKind, build func([]byte) ([]byte, error)) (val []byte, frame *[]byte, err error) {
-	tok, err := n.allow()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { n.record(tok, err) }()
 	body, err := n.pick().call(ctx, op, build)
 	if err != nil {
 		return nil, nil, err
@@ -471,8 +435,8 @@ func (r req) propagated() req {
 // and nil for anything else; statusCASConflict is the typed
 // *dht.CASConflictError. A patch the node would not apply is
 // dht.ErrPatchRefused, beside — for a Patch — the answer to the get it
-// rode. A value with no stored form fails before the breaker or the
-// connection is touched.
+// rode. A value with no stored form fails before the connection is
+// touched.
 func (n *clientNode) do(ctx context.Context, r req) (dht.Value, error) {
 	return n.doAt(ctx, &r)
 }
@@ -486,11 +450,6 @@ func (n *clientNode) doAt(ctx context.Context, r *req) (v dht.Value, err error) 
 			return nil, err
 		}
 	}
-	tok, err := n.allow()
-	if err != nil {
-		return nil, err
-	}
-	defer func() { n.record(tok, err) }()
 	body, err := n.pick().call(ctx, r.op, r.frame)
 	if err != nil {
 		return nil, err

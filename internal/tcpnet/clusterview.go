@@ -1,8 +1,8 @@
 package tcpnet
 
 // Client-side membership: the Client keeps a local dht.ClusterView
-// (seeded from the bootstrap list, fed suspicion by its own circuit
-// breakers) and syncs it with the servers' gossiped view through
+// (seeded from the bootstrap list, fed suspicion by its own failed dials)
+// and syncs it with the servers' gossiped view through
 // RefreshView — one OpGossip exchange with the first reachable member,
 // exactly the anti-entropy protocol the servers run among themselves, so
 // the client is just one more gossip participant that happens to hold no
@@ -15,7 +15,7 @@ package tcpnet
 // discovers by type assertion: EnsureReplicated (dht.Rereplicator)
 // restores a key's missing or older replica copies from the freshest
 // surviving one, and ClusterStatus (dht.ClusterReporter) joins the gossiped view
-// with the client's local health plane for operator introspection.
+// with the client's replica debt for operator introspection.
 
 import (
 	"context"
@@ -31,10 +31,10 @@ var (
 	_ dht.ClusterReporter = (*Client)(nil)
 )
 
-// markSuspect records local failure evidence against a member: the
-// breaker's OnOpen calls this, so a node that just tripped its breaker is
-// marked suspect in the client's view and the doubt spreads on the next
-// gossip exchange. Within one incarnation suspicion merges over health
+// markSuspect records local failure evidence against a member: a redial
+// gate calls this on a failed dial or handshake, so the node is marked
+// suspect in the client's view and the doubt spreads on the next gossip
+// exchange. Within one incarnation suspicion merges over health
 // (worse state wins), and only the member itself can refute it.
 func (c *Client) markSuspect(addr string) {
 	c.viewMu.Lock()
@@ -73,25 +73,22 @@ func (c *Client) RefreshView(ctx context.Context) error {
 		c.view.Merge(remote)
 		merged := c.view.Clone()
 		c.viewMu.Unlock()
-		c.reviveBreakers(local, merged)
+		c.reviveGates(local, merged)
 		c.applyView(merged)
 		return nil
 	}
 	return err
 }
 
-// reviveBreakers closes the breaker of every member the refreshed view
+// reviveGates resets the redial gates of every member the refreshed view
 // newly reports alive. The gossip plane carries fresher evidence than a
-// breaker's failure memory — a rejoined node refutes its own death with a
-// bumped incarnation — so an open window must not outlive the verdict
+// gate's failure memory — a rejoined node refutes its own death with a
+// bumped incarnation — so a backoff window must not outlive the verdict
 // that caused it. Members the merge taught nothing new about (already
-// alive at the same or a newer local incarnation) keep their breaker
-// state: local transport evidence stands until gossip contradicts it.
-func (c *Client) reviveBreakers(old, merged dht.ClusterView) {
+// alive at the same or a newer local incarnation) keep their gates:
+// local transport evidence stands until gossip contradicts it.
+func (c *Client) reviveGates(old, merged dht.ClusterView) {
 	for _, n := range c.ringNodes() {
-		if n.br == nil {
-			continue
-		}
 		m, ok := merged.Find(n.addr)
 		if !ok || m.State != dht.MemberAlive {
 			continue
@@ -99,14 +96,12 @@ func (c *Client) reviveBreakers(old, merged dht.ClusterView) {
 		if prev, had := old.Find(n.addr); had && prev.State == dht.MemberAlive && prev.Incarnation >= m.Incarnation {
 			continue
 		}
-		if n.br.State() != dht.BreakerClosed {
-			n.br.Success()
-		}
+		n.revive()
 	}
 }
 
 // applyView rebuilds the routing ring to the view's routable member set.
-// Existing members keep their connection state (and breaker history); new
+// Existing members keep their connection state (and redial gates); new
 // members are dialed lazily on first use; removed members are closed. The
 // ring never shrinks below the replica count — a view that would leave
 // too few holders is held (routing keeps the wider ring) until gossip
@@ -247,9 +242,9 @@ func (c *Client) EnsureReplicated(ctx context.Context, key string) (dht.ReplicaR
 
 // ClusterStatus implements dht.ClusterReporter: fetch the gossiped view
 // from the first reachable member (OpStatus) and join it with the
-// client's local health plane. Against a cluster that never enabled the
+// client's replica debt. Against a cluster that never enabled the
 // membership plane the report falls back to the client's own view of its
-// ring, so breaker states stay visible either way.
+// ring, whose suspicion its failed dials feed.
 func (c *Client) ClusterStatus(ctx context.Context) (dht.ClusterStatus, error) {
 	view, err := c.fetchStatus(ctx)
 	if err != nil || len(view.Members) == 0 {
@@ -269,7 +264,6 @@ func (c *Client) ClusterStatus(ctx context.Context) (dht.ClusterStatus, error) {
 			Addr:        m.Addr,
 			State:       m.State,
 			Incarnation: m.Incarnation,
-			Breaker:     c.Health(m.Addr),
 			ReplicaDebt: c.replicaDebt(m.Addr),
 		})
 	}

@@ -524,9 +524,6 @@ func TestClusterStatusReport(t *testing.T) {
 		if m.State != dht.MemberAlive {
 			t.Fatalf("%s reported %s, want alive", m.Addr, m.State)
 		}
-		if m.Breaker != dht.BreakerClosed {
-			t.Fatalf("%s breaker %v, want closed", m.Addr, m.Breaker)
-		}
 	}
 }
 
@@ -549,58 +546,73 @@ func TestClusterStatusWithoutMembershipPlane(t *testing.T) {
 	}
 }
 
-// TestRefreshViewRevivesBreaker pins the revive rule: a breaker opened
-// against a node that later rejoins must close as soon as a view refresh
+// TestRefreshViewRevivesTheGate pins the gate's two jobs for membership:
+// a refused dial marks the node suspect in the client's view (the only
+// local failure evidence that reaches gossip), and a gate backing off
+// against a node that later rejoins is reset as soon as a view refresh
 // brings back the member's refutation (alive at a bumped incarnation) —
-// gossip evidence outranks the breaker's stale failure memory.
-func TestRefreshViewRevivesBreaker(t *testing.T) {
+// gossip evidence outranks the gate's stale failure memory.
+func TestRefreshViewRevivesTheGate(t *testing.T) {
 	ctx := context.Background()
 	srvs, mems, addrs := startMemberCluster(t, 3)
-	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, FailoverWrites: true,
-		Health: &dht.BreakerConfig{Threshold: 2, Cooldown: time.Minute, MaxCooldown: time.Minute, Seed: 1}})
+	c, err := Dial(ctx, ClusterConfig{Seeds: addrs, Replicas: 2, PoolSize: 1, FailoverWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Kill a node and hammer it until its breaker opens. The minute-long
-	// cooldown guarantees the breaker cannot recover on its own within
-	// this test: only the revive path can close it.
+	// Kill a node and read until a refused dial backs its gate off.
 	key := "revive-key"
 	victimIdx := holderIndex(t, c, addrs, key, 0)
 	victim := addrs[victimIdx]
 	_ = srvs[victimIdx].Close()
-	for i := 0; i < 4 && c.Health(victim) != dht.BreakerOpen; i++ {
+	for i := 0; i < 4 && gateFails(c, victim) < 1; i++ {
 		gctx, cancel := context.WithTimeout(ctx, time.Second)
 		_, _ = c.Get(gctx, key)
 		cancel()
 	}
-	if got := c.Health(victim); got != dht.BreakerOpen {
-		t.Fatalf("breaker for downed node = %s, want open", got)
+	if got := gateFails(c, victim); got < 1 {
+		t.Fatalf("gate for downed node holds %d failures, want >= 1", got)
+	}
+	if m, _ := c.View().Find(victim); m.State != dht.MemberSuspect {
+		t.Fatalf("downed node is %v in the client's view, want suspect", m.State)
+	}
+	// Hold the gate shut for a minute, so it cannot reopen on its own
+	// within this test: only the revive path can reset it.
+	window := time.Now().Add(time.Minute)
+	for _, n := range c.ringNodes() {
+		if n.addr == victim {
+			n.conns[0].mu.Lock()
+			n.conns[0].gate.next = window
+			n.conns[0].mu.Unlock()
+		}
 	}
 
 	// A refresh while the node is still down must NOT revive: the view has
 	// nothing newer than the client's own suspicion.
 	_ = c.RefreshView(ctx)
-	if got := c.Health(victim); got != dht.BreakerOpen {
-		t.Fatalf("breaker revived without evidence: %s", got)
+	if got := gateFails(c, victim); got < 1 {
+		t.Fatalf("gate reset without evidence: %d failures", got)
 	}
 
 	// Rejoin at the same address; gossip until the refutation (alive at a
-	// bumped incarnation) reaches the client and revives the breaker.
+	// bumped incarnation) reaches the client and resets the gate.
 	mems[victimIdx] = rebind(t, victim, addrs).Membership()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Health(victim) != dht.BreakerClosed {
+	for gateFails(c, victim) != 0 {
 		for _, m := range mems {
 			_ = m.Tick(ctx)
 		}
 		_ = c.RefreshView(ctx)
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never revived; view %v", c.View())
+			t.Fatalf("gate never revived; view %v", c.View())
 		}
 	}
 	if err := c.Put(ctx, key, []byte("after")); err != nil {
 		t.Fatalf("put after revive: %v", err)
+	}
+	if !time.Now().Before(window) {
+		t.Fatal("the put came after the gate's old window: the revive went unshown")
 	}
 }

@@ -29,7 +29,8 @@
 // start at the primary and fail over to the other holders (replicas.go)
 // — one path for every replica count, an unreplicated client being a
 // holder set of one — write failover, which leaves a copy a down holder
-// missed to the re-replicating scrub, and per-node circuit breakers
+// missed to the re-replicating scrub, and per-node redial gates that
+// fail a dead node fast and feed the client's view its suspicion
 // (health.go). The index layer sees none of it — it talks to a dht.DHT,
 // which is the point of the over-DHT design.
 package tcpnet

@@ -159,7 +159,7 @@ import (
 // Newer mode rests on "same epoch means same bytes": a holder applies the
 // patch to whatever it stores at ifEpoch and nothing compares the result
 // with the serializer's. One serializer per key makes that so. Where it
-// fails — two writers whose breakers disagree on who is reachable each
+// fails — two writers whose dials disagree on who is reachable each
 // commit epoch E+1 on a different acting serializer — a putif's
 // propagation, the whole value by putnewer, overwrites the odd holder at
 // the next commit; a patch carries the difference forward, until that

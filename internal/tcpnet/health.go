@@ -1,26 +1,22 @@
 package tcpnet
 
-// Graceful degradation for the cluster client: per-node circuit breakers
-// over the shared dht.Breaker state machine, a pluggable dialer (the
-// injection point for the netchaos plane), redial backoff, and
-// per-operation deadline budgets for replica failover.
+// Graceful degradation for the cluster client: a pluggable dialer (the
+// injection point for the netchaos plane), the redial gate, and
+// per-operation deadline budgets for replica failover. Hedged reads
+// (dht.WithHedging) race a slow holder from above the client.
 //
-// The health plane is opt-in (ClusterConfig.Health): without it the client keeps
-// its original contract — every operation attempts its node, transport
-// faults are transient, and the policy layer above owns all pacing. With
-// it, each node gets a breaker: a run of consecutive transport failures
-// opens the node for a capped, jittered, exponentially growing cooldown
-// during which every operation against it fails instantly with a typed
-// *dht.UnavailableError (still transient, so retry loops keep working);
-// the first operation after the cooldown is admitted as the half-open
-// probe whose dial + handshake ping decides recovery. Replicated reads
-// treat the fast-fail as an immediate failover signal — an open primary
-// costs microseconds, not a timeout, before the read moves to the next
-// holder.
+// The redial gate is a node's one failure memory. A failed dial or
+// handshake backs the node's redials off for a short, jittered,
+// exponentially growing window, during which every operation against it
+// fails instantly with a transient error — so a replicated read moves
+// straight to the next holder, and a dead primary costs microseconds, not
+// a timeout. On a cluster client the same failure marks the member
+// suspect in the client's view, which spreads the doubt on the next
+// gossip exchange; a refreshed view that reports the member alive again
+// at a newer incarnation resets its gates (RefreshView).
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -28,7 +24,6 @@ import (
 	"time"
 
 	"lht/internal/dht"
-	"lht/internal/metrics"
 )
 
 // ContextDialer is the pluggable transport factory: anything with
@@ -63,11 +58,9 @@ func dialWith(ctx context.Context, d ContextDialer, addr string) (net.Conn, erro
 	return conn, nil
 }
 
-// Redial backoff bounds for connections without a breaker: the first
-// failed dial backs subsequent attempts off for ~dialBackoffBase,
-// doubling per consecutive failure up to dialBackoffMax, jittered over
-// [d/2, d). With a breaker the breaker's own (longer, also jittered)
-// open window is the shared cooldown instead.
+// Redial backoff bounds: the first failed dial backs subsequent attempts
+// off for ~dialBackoffBase, doubling per consecutive failure up to
+// dialBackoffMax, jittered over [d/2, d).
 const (
 	dialBackoffBase = 5 * time.Millisecond
 	dialBackoffMax  = 250 * time.Millisecond
@@ -78,21 +71,18 @@ const (
 // per operation. All methods must be called under the owning
 // connection's lock.
 type redialGate struct {
-	br      *dht.Breaker // shared per-node breaker; nil below the health plane
-	fails   int          // consecutive dial/handshake failures
-	next    time.Time    // earliest next dial attempt
+	fails   int       // consecutive dial/handshake failures
+	next    time.Time // earliest next dial attempt
 	lastErr error
+	// suspect marks a cluster client's member suspect (nil for a gossip
+	// peer). failure calls it under the connection's lock: the lock order
+	// is the connection's, then the client's viewMu.
+	suspect func()
 }
 
 // check reports whether a dial may proceed now, returning the fast-fail
 // error when the gate is closed.
 func (g *redialGate) check(addr string) error {
-	if g.br != nil {
-		if _, backing := g.br.Backoff(); backing {
-			return g.br.Unavailable(addr)
-		}
-		return nil
-	}
 	if g.fails > 0 && time.Now().Before(g.next) {
 		return dht.MarkTransient(fmt.Errorf(
 			"tcpnet: dial %q backing off after %d failures: %w", addr, g.fails, g.lastErr))
@@ -100,8 +90,8 @@ func (g *redialGate) check(addr string) error {
 	return nil
 }
 
-// failure records a failed dial or handshake and schedules the next
-// attempt window.
+// failure records a failed dial or handshake, schedules the next
+// attempt window, and reports the node suspect.
 func (g *redialGate) failure(err error) {
 	g.fails++
 	g.lastErr = err
@@ -111,6 +101,9 @@ func (g *redialGate) failure(err error) {
 	}
 	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 	g.next = time.Now().Add(d)
+	if g.suspect != nil {
+		g.suspect()
+	}
 }
 
 // success resets the gate after a healthy dial.
@@ -119,97 +112,16 @@ func (g *redialGate) success() {
 	g.lastErr = nil
 }
 
-// minTimeoutCharge is the least wall-clock an attempt must have consumed
-// before its context.DeadlineExceeded counts against the node's breaker.
-// A caller whose deadline was already (nearly) spent on entry times out
-// in microseconds through no fault of the node, and a burst of such
-// calls must not trip breakers on healthy peers.
-const minTimeoutCharge = 5 * time.Millisecond
-
-// opToken is what allow returns for an admitted operation: whether this
-// operation holds the breaker's single half-open probe slot, and when it
-// was admitted. record needs both to classify the outcome.
-type opToken struct {
-	probe bool
-	start time.Time
-}
-
-// allow is the health gate every per-node operation passes: it admits
-// without the health plane or through a closed breaker, and returns the
-// typed fast-fail when the node's breaker is open. Allow itself claims
-// the half-open probe slot, so the first operation after a cooldown IS
-// the probe — the token records that so record can settle the slot.
-func (n *clientNode) allow() (opToken, error) {
-	if n.br == nil {
-		return opToken{}, nil
+// revive resets the gate of every connection of n, so the next operation
+// dials at once: the view has newer evidence that the node is back than
+// the gate's failures. A dial in flight holds its connection's lock, and
+// revive waits it out.
+func (n *clientNode) revive() {
+	for _, m := range n.conns {
+		m.mu.Lock()
+		m.gate.success()
+		m.mu.Unlock()
 	}
-	ok, probe := n.br.AllowProbe()
-	if !ok {
-		n.counters.Add(metrics.BreakerFastFails, 1)
-		return opToken{}, n.br.Unavailable(n.addr)
-	}
-	return opToken{probe: probe, start: time.Now()}, nil
-}
-
-// record feeds one finished operation's outcome to the node's breaker.
-// The classification is deliberate:
-//
-//   - nil, ErrNotFound, CAS conflicts, and other server-level errors are
-//     successes — the node answered;
-//   - transport faults (dht.IsTransient) are failures;
-//   - context.DeadlineExceeded is a failure only when the attempt ran
-//     for at least minTimeoutCharge: a black-holed node never answers,
-//     so the deadline expiring while waiting on it is the only signal it
-//     gives — but a caller whose own deadline was already (nearly) spent
-//     on entry says nothing about the node;
-//   - context.Canceled is neutral — a hedge losing its race or a caller
-//     walking away says nothing about the node;
-//   - our own breaker fast-fails and client-closed are neutral: no
-//     contact was made.
-//
-// A neutral outcome on the operation holding the half-open probe slot
-// relinquishes it (Breaker.CancelProbe): the hedger cancels its losing
-// arm, and if that arm was the probe, keeping the slot claimed would
-// wedge the breaker half-open forever — no later operation could ever be
-// admitted to close or re-open it.
-func (n *clientNode) record(tok opToken, err error) {
-	if n.br == nil {
-		return
-	}
-	neutral := false
-	switch {
-	case err == nil:
-		n.br.Success()
-	case errors.Is(err, context.Canceled),
-		errors.Is(err, errClientClosed),
-		dht.IsUnavailable(err):
-		neutral = true
-	case errors.Is(err, context.DeadlineExceeded):
-		if time.Since(tok.start) < minTimeoutCharge {
-			neutral = true
-		} else {
-			n.br.Failure(err)
-		}
-	case dht.IsTransient(err):
-		n.br.Failure(err)
-	default:
-		n.br.Success()
-	}
-	if neutral && tok.probe {
-		n.br.CancelProbe()
-	}
-}
-
-// Health reports the breaker state for one node address, or
-// BreakerClosed when the health plane is off. Exposed for tests and
-// operational introspection.
-func (c *Client) Health(addr string) dht.BreakerState {
-	for _, n := range c.ringNodes() {
-		if n.addr == addr && n.br != nil {
-			return n.br.State()
-		}
-	}
-	return dht.BreakerClosed
 }
 
 // stepCtx splits the caller's remaining deadline budget evenly over the
@@ -232,11 +144,11 @@ func stepCtx(ctx context.Context, stepsLeft int) (context.Context, context.Cance
 	return context.WithDeadline(ctx, time.Now().Add(rem/time.Duration(stepsLeft)))
 }
 
-// verifyDegraded probes every node concurrently like DialContext's
-// strict path, but instead of failing the construction on the first dead
-// node it trips that node's breaker — the node starts open, fails fast,
-// and is adopted by the first successful half-open probe after it comes
-// back. Construction fails only if no node at all is reachable.
+// verifyDegraded probes every node concurrently like verifyAll, but a
+// dead node does not fail the construction: its failed connect has
+// already backed its gate off and marked it suspect, so it fails fast
+// until a later dial finds it back and adopts it. Construction fails only
+// if no node at all is reachable.
 func (c *Client) verifyDegraded(ctx context.Context) error {
 	var (
 		mu   sync.Mutex
@@ -253,10 +165,9 @@ func (c *Client) verifyDegraded(ctx context.Context) error {
 			defer mu.Unlock()
 			if err == nil {
 				up++
-				return
+			} else {
+				last = err
 			}
-			last = err
-			n.br.Trip(err)
 		}(n)
 	}
 	wg.Wait()

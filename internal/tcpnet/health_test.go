@@ -31,60 +31,23 @@ func (d *countingDialer) DialContext(ctx context.Context, network, addr string) 
 	return dialWith(ctx, d.base, addr)
 }
 
-// TestBreakerOpensAndFastFails: a run of transport failures against one
-// node trips its breaker; further operations fail instantly with the
-// typed *dht.UnavailableError (still transient), and the counters
-// record the open and the fast-fails.
-func TestBreakerOpensAndFastFails(t *testing.T) {
-	addrs, srvs := startServerMap(t, 1)
-	agg := &metrics.Counters{}
-	c, err := Dial(context.Background(), ClusterConfig{
-		Seeds:    addrs,
-		Counters: agg,
-		Health:   &dht.BreakerConfig{Threshold: 2, Cooldown: time.Minute},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	ctx := context.Background()
-
-	if err := c.Put(ctx, "k", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Health(addrs[0]); got != dht.BreakerClosed {
-		t.Fatalf("healthy node breaker = %v", got)
-	}
-	_ = srvs[addrs[0]].Close()
-
-	// Two transport failures reach the threshold.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Get(ctx, "k"); err == nil {
-			t.Fatal("Get against a killed server succeeded")
+// gateFails is the most consecutive dial failures any redial gate of
+// addr's connections holds: 0 when every gate would dial, -1 when addr is
+// not on the client's ring.
+func gateFails(c *Client, addr string) int {
+	for _, n := range c.ringNodes() {
+		if n.addr != addr {
+			continue
 		}
+		fails := 0
+		for _, m := range n.conns {
+			m.mu.Lock()
+			fails = max(fails, m.gate.fails)
+			m.mu.Unlock()
+		}
+		return fails
 	}
-	if got := c.Health(addrs[0]); got != dht.BreakerOpen {
-		t.Fatalf("breaker after threshold failures = %v, want open", got)
-	}
-
-	_, err = c.Get(ctx, "k")
-	if !dht.IsUnavailable(err) {
-		t.Fatalf("open-breaker Get = %v, want *dht.UnavailableError", err)
-	}
-	if !dht.IsTransient(err) {
-		t.Fatal("fast-fail must stay transient so retry loops keep working")
-	}
-	if errors.Is(err, dht.ErrNotFound) {
-		t.Fatal("fast-fail mislabelled as a missing key")
-	}
-	f := agg.Snapshot()
-	if f.Health.BreakerOpens != 1 || f.Health.BreakerFastFails < 1 {
-		t.Fatalf("BreakerOpens=%d BreakerFastFails=%d, want 1/>=1", f.Health.BreakerOpens, f.Health.BreakerFastFails)
-	}
-	// Writes surface the same typed unavailability.
-	if err := c.Put(ctx, "k2", []byte("2")); !dht.IsUnavailable(err) {
-		t.Fatalf("open-breaker Put = %v, want *dht.UnavailableError", err)
-	}
+	return -1
 }
 
 // flipProxy fronts a live server with a listener the test fully
@@ -177,66 +140,20 @@ func (p *flipProxy) pipe(c net.Conn) {
 	_ = b.Close()
 }
 
-// TestBreakerHalfOpenProbeRecoversClient: after the cooldown the first
-// operation is admitted as the probe; with the server back, it succeeds
-// and closes the breaker for everyone.
-func TestBreakerHalfOpenProbeRecoversClient(t *testing.T) {
-	backends, _ := startServerMap(t, 1)
-	p := newFlipProxy(t, backends[0], false)
-	addr := p.addr()
-
-	c, err := Dial(context.Background(), ClusterConfig{
-		Seeds:  []string{addr},
-		Health: &dht.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Millisecond, MaxCooldown: 60 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	ctx := context.Background()
-	if err := c.Put(ctx, "k", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-
-	p.setReject(true)
-	if _, err := c.Get(ctx, "k"); err == nil {
-		t.Fatal("Get through a severed node succeeded")
-	}
-	if got := c.Health(addr); got != dht.BreakerOpen {
-		t.Fatalf("breaker = %v, want open", got)
-	}
-
-	p.setReject(false)
-
-	// Within a few cooldown windows an operation must be admitted as the
-	// half-open probe, find the node back, and close the breaker.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, err := c.Get(ctx, "k"); err == nil && string(v.([]byte)) == "1" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client never recovered through the half-open probe")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := c.Health(addr); got != dht.BreakerClosed {
-		t.Fatalf("breaker after recovery = %v, want closed", got)
-	}
-}
-
-// TestOpenHolderFailsOverImmediately: with replication, a holder whose
-// breaker is open costs the read a few microseconds before it moves to
-// the next holder — never a timeout — and the failover counter records
-// the reroute.
+// TestOpenHolderFailsOverImmediately: with replication, a dead primary
+// whose redial gate is backing off costs the read a few microseconds
+// before it moves to the next holder — never a timeout, and no dial per
+// read — and the failover counter records the reroute.
 func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	addrs, srvs := startServerMap(t, 4)
 	agg := &metrics.Counters{}
+	cd := &countingDialer{}
 	c, err := Dial(context.Background(), ClusterConfig{
 		Seeds:    addrs,
 		Replicas: 2,
+		PoolSize: 1,
 		Counters: agg,
-		Health:   &dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+		Dialer:   cd,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,27 +168,32 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 	primary := c.holders(key)[0]
 	_ = srvs[primary.addr].Close()
 
-	// The first read trips the primary's breaker (reads start there) and
-	// falls back to the secondary — it must still succeed.
+	// The first read finds the primary dead (reads start there), backs its
+	// gate off and falls back to the secondary — it must still succeed.
 	v, err := c.Get(ctx, key)
 	if err != nil || string(v.([]byte)) != "7" {
 		t.Fatalf("Get with dead primary = %v, %v", v, err)
 	}
-	if got := c.Health(primary.addr); got != dht.BreakerOpen {
-		t.Fatalf("primary breaker = %v, want open", got)
+	if got := gateFails(c, primary.addr); got < 1 {
+		t.Fatalf("primary gate holds %d failures, want >= 1", got)
 	}
 
-	// With the breaker open, reads keep succeeding and the dead holder
-	// costs microseconds, not dial timeouts: 50 reads must finish far
-	// inside what even one connect timeout would burn.
+	// With the gate backing off, reads keep succeeding and the dead holder
+	// costs microseconds, not a dial each: 50 reads must finish far inside
+	// what even one connect timeout would burn, on a handful of dials.
+	const reads = 50
+	before := cd.dials.Load()
 	start := time.Now()
-	for i := 0; i < 50; i++ {
+	for i := 0; i < reads; i++ {
 		if v, err := c.Get(ctx, key); err != nil || string(v.([]byte)) != "7" {
 			t.Fatalf("read %d = %v, %v", i, v, err)
 		}
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("50 reads through an open holder took %v", d)
+		t.Fatalf("%d reads through a dead holder took %v", reads, d)
+	}
+	if dials := cd.dials.Load() - before; dials >= reads/2 {
+		t.Fatalf("%d reads cost %d dials of the dead primary: the gate is not holding", reads, dials)
 	}
 	if f := agg.Snapshot(); f.Health.Failovers < 1 {
 		t.Fatalf("Failovers = %d, want >= 1", f.Health.Failovers)
@@ -279,10 +201,10 @@ func TestOpenHolderFailsOverImmediately(t *testing.T) {
 }
 
 // TestDegradedStartAdoptsRecoveredNode is the degraded-dial satellite:
-// Dial fails hard if any node is down; with
-// ClusterConfig.DegradedStart the client comes up with the dead node's breaker
-// open, keys it owns fail fast with the typed error, and the node is
-// adopted once a half-open probe finds it recovered.
+// Dial fails hard if any node is down; with ClusterConfig.DegradedStart
+// the client comes up with the dead node's gate backing off and the node
+// suspect in its view, keys it owns fail with a transient error, and the
+// node is adopted once a dial finds it recovered.
 func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 	backends, _ := startServerMap(t, 2)
 	p := newFlipProxy(t, backends[1], true) // node B starts down
@@ -295,22 +217,21 @@ func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 		t.Fatal("strict Dial succeeded with a dead node")
 	}
 
-	c, err := Dial(context.Background(), ClusterConfig{
-		Seeds:         addrs,
-		DegradedStart: true,
-		Health:        &dht.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Millisecond, MaxCooldown: 60 * time.Millisecond},
-	})
+	c, err := Dial(context.Background(), ClusterConfig{Seeds: addrs, DegradedStart: true})
 	if err != nil {
 		t.Fatalf("degraded Dial = %v, want a working client", err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	if got := c.Health(dead); got != dht.BreakerOpen {
-		t.Fatalf("dead node breaker = %v, want open at start", got)
+	if got := gateFails(c, dead); got < 1 {
+		t.Fatalf("dead node gate holds %d failures at start, want >= 1", got)
+	}
+	if m, _ := c.View().Find(dead); m.State != dht.MemberSuspect {
+		t.Fatalf("dead node is %v in the client's view, want suspect", m.State)
 	}
 	ctx := context.Background()
 
 	// Find a key owned by each node: live-owned keys work immediately,
-	// dead-owned keys fail fast with the typed error.
+	// dead-owned keys fail transiently.
 	var liveKey, deadKey string
 	for i := 0; liveKey == "" || deadKey == ""; i++ {
 		k := "probe-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
@@ -323,11 +244,11 @@ func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 	if err := c.Put(ctx, liveKey, []byte("1")); err != nil {
 		t.Fatalf("Put on live node = %v", err)
 	}
-	if err := c.Put(ctx, deadKey, []byte("2")); !dht.IsUnavailable(err) {
-		t.Fatalf("Put on dead node = %v, want *dht.UnavailableError", err)
+	if err := c.Put(ctx, deadKey, []byte("2")); !dht.IsTransient(err) || errors.Is(err, dht.ErrNotFound) {
+		t.Fatalf("Put on dead node = %v, want a transient fault", err)
 	}
 
-	// Bring the dead node back; the next probes must adopt it.
+	// Bring the dead node back; a dial after the gate's window adopts it.
 	p.setReject(false)
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -340,97 +261,14 @@ func TestDegradedStartAdoptsRecoveredNode(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := c.Health(dead); got != dht.BreakerClosed {
-		t.Fatalf("adopted node breaker = %v, want closed", got)
+	if v, err := c.Get(ctx, deadKey); err != nil || string(v.([]byte)) != "2" {
+		t.Fatalf("Get on the adopted node = %v, %v", v, err)
 	}
 }
 
-// TestCancelledProbeDoesNotWedgeBreaker pins the hedger-vs-breaker
-// interaction: the hedger cancels its losing arm, and when that arm held
-// the half-open probe slot the breaker used to keep the slot claimed
-// forever — every later operation fast-failed and nothing could ever
-// probe the node again. A cancelled (neutral) probe must relinquish the
-// slot so the next operation is admitted as a fresh probe.
-func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
-	now := time.Unix(2000, 0)
-	br := dht.NewBreaker(dht.BreakerConfig{
-		Threshold: 1,
-		Cooldown:  100 * time.Millisecond,
-		Seed:      3,
-		Clock:     func() time.Time { return now },
-	})
-	n := &clientNode{addr: "10.0.0.1:1", br: br}
-
-	tok, err := n.allow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.record(tok, dht.MarkTransient(errors.New("conn reset")))
-	if br.State() != dht.BreakerOpen {
-		t.Fatalf("breaker = %v, want open", br.State())
-	}
-
-	now = now.Add(100 * time.Millisecond)
-	tok, err = n.allow()
-	if err != nil {
-		t.Fatalf("post-cooldown op not admitted: %v", err)
-	}
-	if !tok.probe {
-		t.Fatal("post-cooldown op did not hold the probe slot")
-	}
-	// The hedge's losing arm: cancelled mid-flight, no verdict on the node.
-	n.record(tok, context.Canceled)
-
-	// Without the relinquish this allow() fast-fails forever.
-	tok, err = n.allow()
-	if err != nil {
-		t.Fatalf("operation after a cancelled probe rejected: %v", err)
-	}
-	if !tok.probe {
-		t.Fatal("next operation was not admitted as the fresh probe")
-	}
-	n.record(tok, nil)
-	if br.State() != dht.BreakerClosed {
-		t.Fatalf("breaker = %v, want closed after probe success", br.State())
-	}
-}
-
-// TestExpiredDeadlineDoesNotTripBreaker: context.DeadlineExceeded counts
-// against a node only when the attempt had real budget to wait in. A
-// burst of calls whose deadlines were already (nearly) spent on entry
-// must leave the breaker closed — the node never had a chance to answer.
-func TestExpiredDeadlineDoesNotTripBreaker(t *testing.T) {
-	br := dht.NewBreaker(dht.BreakerConfig{Threshold: 2})
-	n := &clientNode{addr: "10.0.0.1:1", br: br}
-	for i := 0; i < 10; i++ {
-		tok, err := n.allow()
-		if err != nil {
-			t.Fatalf("call %d rejected: %v", i, err)
-		}
-		// The deadline fired (nearly) immediately: no budget was consumed.
-		n.record(tok, context.DeadlineExceeded)
-	}
-	if br.State() != dht.BreakerClosed {
-		t.Fatalf("breaker = %v after zero-budget timeouts, want closed", br.State())
-	}
-
-	// An attempt that actually waited out a meaningful budget still counts.
-	for i := 0; i < 2; i++ {
-		tok, err := n.allow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tok.start = tok.start.Add(-minTimeoutCharge) // ran >= the charge floor
-		n.record(tok, context.DeadlineExceeded)
-	}
-	if br.State() != dht.BreakerOpen {
-		t.Fatalf("breaker = %v after real timeouts, want open", br.State())
-	}
-}
-
-// TestRedialBackoffLimitsDials is the lazy-redial satellite: without any
-// breaker, a dead node must cost one dial per backoff window, not one
-// dial per operation — rapid-fire calls mostly fail fast on the gate.
+// TestRedialBackoffLimitsDials is the lazy-redial satellite: a dead node
+// must cost one dial per backoff window, not one dial per operation —
+// rapid-fire calls mostly fail fast on the gate.
 func TestRedialBackoffLimitsDials(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		addrs, srvs := startServerMap(t, 1)

@@ -1,8 +1,8 @@
 package tcpnet
 
 // Goroutine-leak assertions for the degradation plane: Close must
-// reclaim every goroutine even while hedged reads are in flight,
-// breakers are open, and handshakes are being cancelled mid-probe. The
+// reclaim every goroutine even while hedged reads are in flight, redial
+// gates are backing off, and handshakes are being cancelled mid-probe. The
 // checker is hand-rolled (no external leak detector): capture a
 // baseline, then poll until the count returns to it or dump all stacks.
 
@@ -57,7 +57,6 @@ func TestCloseReclaimsInFlightHedgedReads(t *testing.T) {
 		Seeds:    addrs,
 		Dialer:   chaos,
 		Replicas: 2,
-		Health:   &dht.BreakerConfig{Threshold: 100, Cooldown: time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +90,11 @@ func TestCloseReclaimsInFlightHedgedReads(t *testing.T) {
 	leak()
 }
 
-// TestCloseReclaimsOpenBreakers: a client whose nodes are all tripped
-// open holds no background goroutines — breakers are passive state — so
-// Close returns the process to baseline immediately.
-func TestCloseReclaimsOpenBreakers(t *testing.T) {
+// TestCloseReclaimsBackedOffGates: a client whose nodes' redial gates
+// are all backing off holds no background goroutines — a gate is passive
+// state, and so is the suspicion it feeds the client's view — so Close
+// returns the process to baseline immediately.
+func TestCloseReclaimsBackedOffGates(t *testing.T) {
 	addrs, _ := startServerMap(t, 2)
 	leak := checkGoroutines(t)
 
@@ -102,14 +102,13 @@ func TestCloseReclaimsOpenBreakers(t *testing.T) {
 	c, err := Dial(context.Background(), ClusterConfig{
 		Seeds:  addrs,
 		Dialer: chaos,
-		Health: &dht.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	// Sever everything and trip every node's breaker.
+	// Sever everything and back every node's gate off.
 	chaos.Add(netchaos.Rule{Effect: netchaos.Effect{RefuseDial: true, DropConns: true}})
 	chaos.Start()
 	for _, addr := range addrs {
@@ -117,14 +116,14 @@ func TestCloseReclaimsOpenBreakers(t *testing.T) {
 			_, _ = c.Get(ctx, "owned-by-"+addr)
 		}
 	}
-	open := 0
+	backing := 0
 	for _, addr := range addrs {
-		if c.Health(addr) == dht.BreakerOpen {
-			open++
+		if gateFails(c, addr) > 0 {
+			backing++
 		}
 	}
-	if open == 0 {
-		t.Fatal("no breaker opened; scenario did not arm")
+	if backing == 0 {
+		t.Fatal("no gate backed off; scenario did not arm")
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

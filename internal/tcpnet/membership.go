@@ -291,9 +291,9 @@ func (m *Membership) onPeer(ctx context.Context, addr string, round func(context
 	}
 	n := m.peers[addr]
 	if n == nil {
-		// One connection and no breaker: the failure detector above is
-		// this plane's health signal.
-		n = newClientNode(addr, m.dialer, 1, nil, m.c)
+		// One connection, whose failures suspect nobody: the failure
+		// detector above is this plane's health signal.
+		n = newClientNode(addr, m.dialer, 1, nil)
 		m.peers[addr] = n
 	}
 	m.mu.Unlock()

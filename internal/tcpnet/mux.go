@@ -64,7 +64,7 @@ type mconn struct {
 
 	mu     sync.Mutex
 	st     *wireState // nil until dialed; replaced on reconnect
-	gate   redialGate // lazy-redial cooldown (breaker-backed when health is on)
+	gate   redialGate // lazy-redial cooldown
 	closed bool
 	hwm    int // high-water mark of in-flight requests, across generations
 }

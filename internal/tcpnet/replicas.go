@@ -71,9 +71,9 @@ import (
 // holder is a real miss. A probe's hint rides every attempt, so a
 // failover is answered under the same rule as the first try.
 //
-// Degradation contract (ClusterConfig.Health): a holder whose breaker is open
-// fails in microseconds, so the read moves straight to the next holder —
-// an open primary never costs a timeout. Each failover attempt runs
+// Degradation contract: a holder whose redial gate is backing off fails
+// in microseconds, so the read moves straight to the next holder — a
+// dead primary never costs a timeout. Each failover attempt runs
 // under an even share of the caller's remaining deadline (stepCtx), so a
 // black-holed holder burns its share of the budget, never all of it; the
 // loop stops early only when the caller's own deadline is spent.
@@ -95,11 +95,10 @@ func (c *Client) get(ctx context.Context, r req) (dht.Value, error) {
 		}
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			// The step budget expired, not the caller's deadline: to the
-			// caller this is an ordinary transient holder fault (the
-			// breaker already recorded the timeout against the node), so
-			// it must stay retryable — context.DeadlineExceeded would
-			// wrongly read as the caller's own deadline and stop a
-			// policy-layer retry loop cold.
+			// caller this is an ordinary transient holder fault, so it
+			// must stay retryable — context.DeadlineExceeded would wrongly
+			// read as the caller's own deadline and stop a policy-layer
+			// retry loop cold.
 			err = dht.MarkTransient(fmt.Errorf(
 				"tcpnet: holder %q timed out inside its failover budget", n.addr))
 		}

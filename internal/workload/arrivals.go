@@ -12,8 +12,8 @@ import (
 // keys — Arrivals deliberately re-issues the same popular keys over and
 // over, which is what concentrates traffic onto one leaf's responsible
 // peer and makes its tail latency collapse. Skew s = 0 is the uniform
-// arrival process (every key equally popular), the control arm of
-// ablation A10.
+// arrival process (every key equally popular), the control arm of a
+// skewed workload.
 type Arrivals struct {
 	keys []float64 // population in popularity order: keys[0] is hottest
 	rng  *rand.Rand

@@ -326,8 +326,8 @@ func (ix *Index) ScrubContext(ctx context.Context) (*ScrubReport, error) {
 }
 
 // ClusterStatus is the membership view of a self-healing cluster
-// substrate: per member its gossip state and incarnation, the client's
-// breaker verdict, and known replica debt.
+// substrate: per member its gossip state and incarnation, and known
+// replica debt.
 type ClusterStatus = dht.ClusterStatus
 
 // MemberStatus is one member's row in a ClusterStatus.
