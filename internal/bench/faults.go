@@ -77,6 +77,34 @@ func (f *flakySubstrate) Write(ctx context.Context, key string, v dht.Value) err
 	return f.inner.Write(ctx, key, v)
 }
 
+func (f *flakySubstrate) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.inner.PutIf(ctx, key, v, ifEpoch)
+}
+
+func (f *flakySubstrate) CreateIf(ctx context.Context, key string, v dht.Value) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.inner.CreateIf(ctx, key, v)
+}
+
+func (f *flakySubstrate) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.inner.RemoveIf(ctx, key, ifEpoch)
+}
+
+func (f *flakySubstrate) WriteIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.inner.WriteIf(ctx, key, v, ifEpoch)
+}
+
 // RunFaultAblation is ablation A5: query success under injected transient
 // substrate faults, with and without the retry/backoff policy layer. An
 // index of the given size is built on a healthy substrate; the query

@@ -34,7 +34,7 @@ func TestRingConditionalConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		return r
-	}, dhttest.Options{})
+	})
 }
 
 func TestReplicatedRingConditionalConformance(t *testing.T) {
@@ -46,7 +46,7 @@ func TestReplicatedRingConditionalConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		return r
-	}, dhttest.Options{})
+	})
 }
 
 func TestRingCrashPointsConformance(t *testing.T) {

@@ -84,10 +84,7 @@ type Ring struct {
 	casMu dht.KeyLocks
 }
 
-var (
-	_ dht.DHT         = (*Ring)(nil)
-	_ dht.Conditional = (*Ring)(nil)
-)
+var _ dht.DHT = (*Ring)(nil)
 
 // NewRing creates a ring with n initial nodes named "n0".."n<n-1>", fully
 // stabilized.

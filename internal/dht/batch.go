@@ -66,11 +66,10 @@ func DoPutBatch(ctx context.Context, d DHT, kvs []KV) []error {
 // withoutBatch hides a substrate's batch planes (GetBatch, PutBatch,
 // ProbeBatch): it has the per-key methods only, so every batch falls back
 // to per-op calls. Every per-key plane is passed through untouched — the
-// wrapper strips batching, not CAS, probes or patches. Without the
+// wrapper strips batching, not probes or patches. Without the
 // pass-through the arms of the A6 ablation would differ in more than
-// batching: the per-op arm's conditional puts would degrade to
-// fetch-verify emulation (more lookups), and over tcpnet its lookups and
-// writes would ship whole values where the batched arm's ship records.
+// batching: over tcpnet the per-op arm's lookups and writes would ship
+// whole values where the batched arm's ship records.
 type withoutBatch struct{ perKey }
 
 // WithoutBatch returns d stripped of its batched-operation plane, forcing

@@ -15,7 +15,8 @@ import (
 // scripted errors — a refused Patch beside its probe's answer — or (nil,
 // or the script run out) with what it recorded. It counts the batches and
 // the conditional writes it serves too, so it knows of every optional
-// per-key and batch plane whether a call reached it natively.
+// per-key and batch plane, and of each conditional write, whether a call
+// reached it natively.
 type patchLog struct {
 	*hintLog
 	patches []string // one per Patch: "hint:patch"
@@ -92,8 +93,8 @@ func newPatchLog(t *testing.T, script ...error) *patchLog {
 	return &patchLog{hintLog: newHintLog(t), script: script}
 }
 
-// bare hides every optional plane of a substrate: only the five DHT
-// methods promote through the embedded interface.
+// bare hides every optional plane of a substrate: only the DHT methods
+// promote through the embedded interface.
 type bare struct{ DHT }
 
 // capabilities is every optional plane a wrapper can stand between an
@@ -116,25 +117,6 @@ var capabilities = []struct {
 		}
 		return nil
 	}, func(sub *patchLog) (int, int) { return sub.batches, 2 }},
-
-	{"Conditional", func(ctx context.Context, d DHT, _ bool) error {
-		if err := DoCreateIf(ctx, d, "c", "1"); err != nil {
-			return fmt.Errorf("DoCreateIf = %v", err)
-		}
-		if err := DoPutIf(ctx, d, "c", "2", 0); err != nil {
-			return fmt.Errorf("DoPutIf = %v", err)
-		}
-		if err := DoWriteIf(ctx, d, "c", "3", 0); err != nil {
-			return fmt.Errorf("DoWriteIf = %v", err)
-		}
-		if err := DoRemoveIf(ctx, d, "c", 0); err != nil {
-			return fmt.Errorf("DoRemoveIf = %v", err)
-		}
-		if _, err := d.Get(ctx, "c"); !errors.Is(err, ErrNotFound) {
-			return fmt.Errorf("Get after the conditional writes = %v, want the key removed", err)
-		}
-		return nil
-	}, func(sub *patchLog) (int, int) { return sub.cas, 4 }},
 
 	{"Prober.Probe", func(ctx context.Context, d DHT, _ bool) error {
 		if v, err := DoProbe(ctx, d, "k", 7); err != nil || v != "v" {
@@ -281,13 +263,43 @@ func TestCapabilityForwarding(t *testing.T) {
 	}
 }
 
+// TestConditionalsReachTheSubstrate: the conditional writes are DHT
+// methods, so no layer has a fallback for them. Every wrapper and every
+// stack dht.Stack builds hands each of the four to the substrate's own
+// method.
+func TestConditionalsReachTheSubstrate(t *testing.T) {
+	ctx := context.Background()
+	var c metrics.Counters
+	for _, w := range conformanceRows(&c) {
+		sub := newPatchLog(t)
+		d := w.wrap(sub)
+		if err := d.CreateIf(ctx, "c", "1"); err != nil {
+			t.Errorf("%s: CreateIf = %v", w.name, err)
+		}
+		if err := d.PutIf(ctx, "c", "2", 0); err != nil {
+			t.Errorf("%s: PutIf = %v", w.name, err)
+		}
+		if err := d.WriteIf(ctx, "c", "3", 0); err != nil {
+			t.Errorf("%s: WriteIf = %v", w.name, err)
+		}
+		if err := d.RemoveIf(ctx, "c", 0); err != nil {
+			t.Errorf("%s: RemoveIf = %v", w.name, err)
+		}
+		if _, err := d.Get(ctx, "c"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: Get after the conditional writes = %v, want the key removed", w.name, err)
+		}
+		if sub.cas != 4 {
+			t.Errorf("%s: the substrate served %d of the four conditional writes itself", w.name, sub.cas)
+		}
+	}
+}
+
 // chargedThrough pins what the conformance table cannot see: Instrumented
 // prices an emulated plane by what the substrate under layer lacks, not
 // by layer's method set. Over a substrate that does not batch, a batch
 // decomposes into the instrumented layer's own charged per-op calls (n
-// lookups, no BatchOps); over one with no CAS, a conditional write is a
-// CASFallback and its fetch and its write are both charged — in each case
-// exactly as with no layer in between.
+// lookups, no BatchOps), exactly as with no layer in between. A
+// conditional write is one lookup over every substrate.
 func chargedThrough(t *testing.T, layer func(DHT) DHT) {
 	t.Helper()
 	ctx := context.Background()
@@ -300,24 +312,24 @@ func chargedThrough(t *testing.T, layer func(DHT) DHT) {
 		if vals, errs := DoGetBatch(ctx, d, []string{"a", "b", "absent"}); vals[0] != "1" || vals[1] != "2" || !errors.Is(errs[2], ErrNotFound) {
 			t.Fatalf("DoGetBatch = %v, %v", vals, errs)
 		}
-		if err := DoPutIf(ctx, d, "a", "3", 0); err != nil {
-			t.Fatalf("DoPutIf: %v", err)
+		if err := d.PutIf(ctx, "a", "3", 0); err != nil {
+			t.Fatalf("PutIf: %v", err)
 		}
 		return c.Snapshot()
 	}
 	for _, sub := range []struct {
-		name                     string
-		new                      func() DHT
-		lookups, batchOps, falls int64
+		name     string
+		new      func() DHT
+		batchOps int64
 	}{
-		{"Local", func() DHT { return NewLocal() }, 6, 2, 0},
-		{"a substrate without batches", func() DHT { return WithoutBatch(NewLocal()) }, 6, 0, 0},
-		{"a substrate with no optional plane", func() DHT { return bare{NewLocal()} }, 7, 0, 1},
+		{"Local", func() DHT { return NewLocal() }, 2},
+		{"a substrate without batches", func() DHT { return WithoutBatch(NewLocal()) }, 0},
+		{"a substrate with no optional plane", func() DHT { return bare{NewLocal()} }, 0},
 	} {
 		want := charge(sub.new(), func(d DHT) DHT { return d })
-		if want.Lookup.Total != sub.lookups || want.Batch.Ops != sub.batchOps || want.Write.CASFallbacks != sub.falls {
-			t.Fatalf("over %s: %d lookups, %d batch ops, %d CAS fallbacks, want %d, %d, %d", sub.name,
-				want.Lookup.Total, want.Batch.Ops, want.Write.CASFallbacks, sub.lookups, sub.batchOps, sub.falls)
+		if want.Lookup.Total != 6 || want.Batch.Ops != sub.batchOps {
+			t.Fatalf("over %s: %d lookups, %d batch ops, want 6, %d", sub.name,
+				want.Lookup.Total, want.Batch.Ops, sub.batchOps)
 		}
 		if got := charge(sub.new(), layer); got.Lookup != want.Lookup || got.Batch != want.Batch || got.Write != want.Write {
 			t.Errorf("over %s the layer changes the charge: %+v %+v %+v, want %+v %+v %+v", sub.name,

@@ -41,8 +41,8 @@ func (e *CASConflictError) Error() string {
 func (e *CASConflictError) Unwrap() error { return ErrCASConflict }
 
 // Epocher is implemented by stored values that carry a monotonic version.
-// The index layers' buckets and trie nodes implement it; Conditional
-// substrates compare the stored value's epoch against a caller-supplied
+// The index layers' buckets and trie nodes implement it; a conditional
+// write compares the stored value's epoch against a caller-supplied
 // expectation. Values without an epoch compare as epoch 0.
 type Epocher interface {
 	// DHTEpoch returns the value's version for CAS comparison.
@@ -58,13 +58,11 @@ func EpochOf(v Value) uint64 {
 	return 0
 }
 
-// Conditional is the optional substrate capability behind multi-writer
-// index mutation: epoch-guarded writes that fail with *CASConflictError
-// instead of silently overwriting a concurrent winner. Substrates that
-// implement it do the compare atomically with the write on the storing
-// peer; DoPutIf and friends fall back to a non-atomic fetch-verify-write
-// for substrates that do not (good enough for single-writer use, not for
-// true concurrency).
+// Conditional is the substrate capability behind multi-writer index
+// mutation, and part of every DHT: epoch-guarded writes that fail with
+// *CASConflictError instead of silently overwriting a concurrent winner.
+// The compare is atomic with the write on the storing peer — the
+// responsible peer that serializes a bucket's updates (paper section 7).
 //
 // Cost model: PutIf, CreateIf and RemoveIf each cost one DHT-lookup,
 // exactly like their unconditional counterparts; WriteIf, like Write, is
@@ -95,110 +93,6 @@ type Conditional interface {
 // casConflict builds the conflict error for a contested key.
 func casConflict(key string, exists bool, winner uint64) error {
 	return &CASConflictError{Key: key, Exists: exists, WinnerEpoch: winner}
-}
-
-// DoPutIf performs a conditional put: natively when d implements
-// Conditional, else by non-atomic fetch-verify-write (two lookups, and a
-// racing writer can slip between the verify and the write — acceptable
-// only when writers are serialized elsewhere).
-func DoPutIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) error {
-	if c, ok := d.(Conditional); ok {
-		return c.PutIf(ctx, key, v, ifEpoch)
-	}
-	return fallbackPutIf(ctx, d, key, v, ifEpoch)
-}
-
-// DoCreateIf is DoPutIf's create-if-absent counterpart.
-func DoCreateIf(ctx context.Context, d DHT, key string, v Value) error {
-	if c, ok := d.(Conditional); ok {
-		return c.CreateIf(ctx, key, v)
-	}
-	return fallbackCreateIf(ctx, d, key, v)
-}
-
-// DoRemoveIf is DoPutIf's remove-if-epoch counterpart.
-func DoRemoveIf(ctx context.Context, d DHT, key string, ifEpoch uint64) error {
-	if c, ok := d.(Conditional); ok {
-		return c.RemoveIf(ctx, key, ifEpoch)
-	}
-	return fallbackRemoveIf(ctx, d, key, ifEpoch)
-}
-
-// DoWriteIf is DoPutIf's epoch-guarded in-place-write counterpart.
-func DoWriteIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) error {
-	if c, ok := d.(Conditional); ok {
-		return c.WriteIf(ctx, key, v, ifEpoch)
-	}
-	return fallbackWriteIf(ctx, d, key, v, ifEpoch)
-}
-
-// The fallback implementations below never assert Conditional on d, so
-// capability wrappers can route them through their own charged per-op
-// methods without recursing.
-
-// emulate performs the conditional write c on d by fetch-verify-write.
-func (c call) emulate(ctx context.Context, d DHT) error {
-	switch c.prim {
-	case primPutIf:
-		return fallbackPutIf(ctx, d, c.key, c.val, c.epoch)
-	case primCreateIf:
-		return fallbackCreateIf(ctx, d, c.key, c.val)
-	case primRemoveIf:
-		return fallbackRemoveIf(ctx, d, c.key, c.epoch)
-	case primWriteIf:
-		return fallbackWriteIf(ctx, d, c.key, c.val, c.epoch)
-	}
-	panic("dht: not a conditional primitive")
-}
-
-func fallbackPutIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) error {
-	cur, err := d.Get(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		return casConflict(key, false, 0)
-	}
-	if err != nil {
-		return err
-	}
-	if e := EpochOf(cur); e != ifEpoch {
-		return casConflict(key, true, e)
-	}
-	return d.Put(ctx, key, v)
-}
-
-func fallbackCreateIf(ctx context.Context, d DHT, key string, v Value) error {
-	cur, err := d.Get(ctx, key)
-	if err == nil {
-		return casConflict(key, true, EpochOf(cur))
-	}
-	if !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	return d.Put(ctx, key, v)
-}
-
-func fallbackRemoveIf(ctx context.Context, d DHT, key string, ifEpoch uint64) error {
-	cur, err := d.Get(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		return nil // already gone: the removal is done
-	}
-	if err != nil {
-		return err
-	}
-	if e := EpochOf(cur); e != ifEpoch {
-		return casConflict(key, true, e)
-	}
-	return d.Remove(ctx, key)
-}
-
-func fallbackWriteIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) error {
-	cur, err := d.Get(ctx, key)
-	if err != nil {
-		return err // including ErrNotFound, matching Write
-	}
-	if e := EpochOf(cur); e != ifEpoch {
-		return casConflict(key, true, e)
-	}
-	return d.Write(ctx, key, v)
 }
 
 // KeyLocks is a striped per-key mutex set. The simulated network

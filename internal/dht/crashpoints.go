@@ -178,11 +178,10 @@ type CrashPoints struct {
 }
 
 var (
-	_ DHT         = (*CrashPoints)(nil)
-	_ Batcher     = (*CrashPoints)(nil)
-	_ Conditional = (*CrashPoints)(nil)
-	_ Prober      = (*CrashPoints)(nil)
-	_ Patcher     = (*CrashPoints)(nil)
+	_ DHT     = (*CrashPoints)(nil)
+	_ Batcher = (*CrashPoints)(nil)
+	_ Prober  = (*CrashPoints)(nil)
+	_ Patcher = (*CrashPoints)(nil)
 )
 
 // WithCrashPoints wraps d with the given schedule. Rules are evaluated in

@@ -11,6 +11,12 @@
 // rewrites a value on the peer that already stores it ("write b back to
 // the local disk", Algorithm 1 line 10) and costs no lookup.
 //
+// Every DHT also has the epoch-guarded forms of those writes (Conditional:
+// PutIf, CreateIf, RemoveIf, WriteIf), each priced as the write it guards.
+// The storing peer compares the stored value's epoch atomically with the
+// write, as the one peer responsible for a bucket serializes its updates
+// (paper section 7); every index commit goes through one.
+//
 // Substrates may additionally implement the optional Batcher interface,
 // serving many keys per round trip; DoGetBatch and DoPutBatch fall back
 // to per-op calls for substrates that do not. Batched keys are charged as
@@ -128,6 +134,10 @@ type DHT interface {
 	// the key is not stored. Costs zero DHT-lookups. Index layers call
 	// Write after mutating a bucket they just fetched.
 	Write(ctx context.Context, key string, v Value) error
+
+	// Conditional is the epoch-guarded form of Put, Remove and Write that
+	// every index commit goes through.
+	Conditional
 }
 
 // ctxErr returns ctx.Err() wrapped with a uniform prefix when the context

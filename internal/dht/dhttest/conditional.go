@@ -80,12 +80,9 @@ func wantConflict(t *testing.T, err error, exists bool, winner uint64) {
 }
 
 // RunConditional drives the conformance battery for the conditional-write
-// plane (dht.Conditional) against fresh substrates from the factory. It
-// holds for native implementations and for the DoPutIf fetch-verify
-// fallback alike; only the atomicity-under-contention subtests require a
-// native plane (disable via opts.SkipConcurrency for fallback-only
-// substrates).
-func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Options) {
+// methods (dht.Conditional) against fresh substrates from the factory,
+// atomicity under contention included.
+func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT) {
 	t.Helper()
 	ctx := context.Background()
 
@@ -94,7 +91,7 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		if err := d.Put(ctx, "k", &EpochValue{Epoch: 1, Body: "a"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := dht.DoPutIf(ctx, d, "k", &EpochValue{Epoch: 2, Body: "b"}, 1); err != nil {
+		if err := d.PutIf(ctx, "k", &EpochValue{Epoch: 2, Body: "b"}, 1); err != nil {
 			t.Fatalf("PutIf(matching epoch) = %v", err)
 		}
 		if body, epoch := condBody(t, d, "k"); body != "b" || epoch != 2 {
@@ -107,7 +104,7 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		if err := d.Put(ctx, "k", &EpochValue{Epoch: 5, Body: "winner"}); err != nil {
 			t.Fatal(err)
 		}
-		err := dht.DoPutIf(ctx, d, "k", &EpochValue{Epoch: 4, Body: "stale"}, 3)
+		err := d.PutIf(ctx, "k", &EpochValue{Epoch: 4, Body: "stale"}, 3)
 		wantConflict(t, err, true, 5)
 		if body, epoch := condBody(t, d, "k"); body != "winner" || epoch != 5 {
 			t.Fatalf("lost CAS disturbed the store: %q/%d", body, epoch)
@@ -118,7 +115,7 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		// A PutIf against nothing is a conflict (Exists=false), not a
 		// create: the caller's epoch premise "something is stored" failed.
 		d := factory(t)
-		err := dht.DoPutIf(ctx, d, "absent", &EpochValue{Epoch: 1}, 0)
+		err := d.PutIf(ctx, "absent", &EpochValue{Epoch: 1}, 0)
 		wantConflict(t, err, false, 0)
 		if _, err := d.Get(ctx, "absent"); !errors.Is(err, dht.ErrNotFound) {
 			t.Fatalf("Get after conflicted PutIf = %v, want ErrNotFound", err)
@@ -127,10 +124,10 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 
 	t.Run("CreateIfFirstWins", func(t *testing.T) {
 		d := factory(t)
-		if err := dht.DoCreateIf(ctx, d, "k", &EpochValue{Epoch: 7, Body: "first"}); err != nil {
+		if err := d.CreateIf(ctx, "k", &EpochValue{Epoch: 7, Body: "first"}); err != nil {
 			t.Fatalf("CreateIf(absent) = %v", err)
 		}
-		err := dht.DoCreateIf(ctx, d, "k", &EpochValue{Epoch: 9, Body: "second"})
+		err := d.CreateIf(ctx, "k", &EpochValue{Epoch: 9, Body: "second"})
 		wantConflict(t, err, true, 7)
 		if body, epoch := condBody(t, d, "k"); body != "first" || epoch != 7 {
 			t.Fatalf("stored = %q/%d, want first/7", body, epoch)
@@ -142,7 +139,7 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		if err := d.Put(ctx, "k", &EpochValue{Epoch: 4}); err != nil {
 			t.Fatal(err)
 		}
-		if err := dht.DoRemoveIf(ctx, d, "k", 4); err != nil {
+		if err := d.RemoveIf(ctx, "k", 4); err != nil {
 			t.Fatalf("RemoveIf(matching) = %v", err)
 		}
 		if _, err := d.Get(ctx, "k"); !errors.Is(err, dht.ErrNotFound) {
@@ -155,7 +152,7 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		if err := d.Put(ctx, "k", &EpochValue{Epoch: 4, Body: "keep"}); err != nil {
 			t.Fatal(err)
 		}
-		err := dht.DoRemoveIf(ctx, d, "k", 2)
+		err := d.RemoveIf(ctx, "k", 2)
 		wantConflict(t, err, true, 4)
 		if body, _ := condBody(t, d, "k"); body != "keep" {
 			t.Fatalf("stored = %q, want keep", body)
@@ -166,23 +163,23 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		// The removal's goal state already holds; like Remove, this is not
 		// an error (and not a conflict — there is no winner).
 		d := factory(t)
-		if err := dht.DoRemoveIf(ctx, d, "absent", 3); err != nil {
+		if err := d.RemoveIf(ctx, "absent", 3); err != nil {
 			t.Fatalf("RemoveIf(absent) = %v, want nil", err)
 		}
 	})
 
 	t.Run("WriteIfSemantics", func(t *testing.T) {
 		d := factory(t)
-		if err := dht.DoWriteIf(ctx, d, "k", &EpochValue{Epoch: 1}, 0); !errors.Is(err, dht.ErrNotFound) {
+		if err := d.WriteIf(ctx, "k", &EpochValue{Epoch: 1}, 0); !errors.Is(err, dht.ErrNotFound) {
 			t.Fatalf("WriteIf(absent) = %v, want ErrNotFound (Write's contract)", err)
 		}
 		if err := d.Put(ctx, "k", &EpochValue{Epoch: 1, Body: "a"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := dht.DoWriteIf(ctx, d, "k", &EpochValue{Epoch: 2, Body: "b"}, 1); err != nil {
+		if err := d.WriteIf(ctx, "k", &EpochValue{Epoch: 2, Body: "b"}, 1); err != nil {
 			t.Fatalf("WriteIf(matching) = %v", err)
 		}
-		err := dht.DoWriteIf(ctx, d, "k", &EpochValue{Epoch: 2, Body: "c"}, 1)
+		err := d.WriteIf(ctx, "k", &EpochValue{Epoch: 2, Body: "c"}, 1)
 		wantConflict(t, err, true, 2)
 		if body, epoch := condBody(t, d, "k"); body != "b" || epoch != 2 {
 			t.Fatalf("stored = %q/%d, want b/2", body, epoch)
@@ -200,8 +197,8 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		if err := d.Write(ctx, "k", &EpochValue{Epoch: 8}); err != nil {
 			t.Fatal(err)
 		}
-		wantConflict(t, dht.DoPutIf(ctx, d, "k", &EpochValue{Epoch: 4}, 3), true, 8)
-		if err := dht.DoPutIf(ctx, d, "k", &EpochValue{Epoch: 9}, 8); err != nil {
+		wantConflict(t, d.PutIf(ctx, "k", &EpochValue{Epoch: 4}, 3), true, 8)
+		if err := d.PutIf(ctx, "k", &EpochValue{Epoch: 9}, 8); err != nil {
 			t.Fatalf("PutIf against Write's epoch = %v", err)
 		}
 		for i, err := range dht.DoPutBatch(ctx, d, []dht.KV{{Key: "k", Val: &EpochValue{Epoch: 12}}}) {
@@ -209,8 +206,8 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 				t.Fatalf("PutBatch slot %d: %v", i, err)
 			}
 		}
-		wantConflict(t, dht.DoPutIf(ctx, d, "k", &EpochValue{Epoch: 10}, 9), true, 12)
-		if err := dht.DoPutIf(ctx, d, "k", &EpochValue{Epoch: 13}, 12); err != nil {
+		wantConflict(t, d.PutIf(ctx, "k", &EpochValue{Epoch: 10}, 9), true, 12)
+		if err := d.PutIf(ctx, "k", &EpochValue{Epoch: 13}, 12); err != nil {
 			t.Fatalf("PutIf against batched epoch = %v", err)
 		}
 	})
@@ -222,26 +219,22 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 		}
 		cctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := dht.DoPutIf(cctx, d, "k", &EpochValue{Epoch: 2}, 1); !errors.Is(err, context.Canceled) {
+		if err := d.PutIf(cctx, "k", &EpochValue{Epoch: 2}, 1); !errors.Is(err, context.Canceled) {
 			t.Fatalf("PutIf(cancelled) = %v, want context.Canceled", err)
 		}
-		if err := dht.DoCreateIf(cctx, d, "k2", &EpochValue{Epoch: 1}); !errors.Is(err, context.Canceled) {
+		if err := d.CreateIf(cctx, "k2", &EpochValue{Epoch: 1}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("CreateIf(cancelled) = %v, want context.Canceled", err)
 		}
-		if err := dht.DoRemoveIf(cctx, d, "k", 1); !errors.Is(err, context.Canceled) {
+		if err := d.RemoveIf(cctx, "k", 1); !errors.Is(err, context.Canceled) {
 			t.Fatalf("RemoveIf(cancelled) = %v, want context.Canceled", err)
 		}
-		if err := dht.DoWriteIf(cctx, d, "k", &EpochValue{Epoch: 2}, 1); !errors.Is(err, context.Canceled) {
+		if err := d.WriteIf(cctx, "k", &EpochValue{Epoch: 2}, 1); !errors.Is(err, context.Canceled) {
 			t.Fatalf("WriteIf(cancelled) = %v, want context.Canceled", err)
 		}
 		if body, epoch := condBody(t, d, "k"); body != "keep" || epoch != 1 {
 			t.Fatalf("cancelled ops disturbed the store: %q/%d", body, epoch)
 		}
 	})
-
-	if opts.SkipConcurrency {
-		return
-	}
 
 	t.Run("CreateIfRaceOneWinner", func(t *testing.T) {
 		// N clients race to create the same key: exactly one wins, every
@@ -255,7 +248,7 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				err := dht.DoCreateIf(ctx, d, "race", &EpochValue{Epoch: 1, Body: fmt.Sprintf("w%d", g)})
+				err := d.CreateIf(ctx, "race", &EpochValue{Epoch: 1, Body: fmt.Sprintf("w%d", g)})
 				switch {
 				case err == nil:
 					winners[g] = true
@@ -309,7 +302,7 @@ func RunConditional(t *testing.T, factory func(t *testing.T) dht.DHT, opts Optio
 							return
 						}
 						cur := v.(*EpochValue).Epoch
-						err = dht.DoPutIf(ctx, d, "ctr", &EpochValue{Epoch: cur + 1}, cur)
+						err = d.PutIf(ctx, "ctr", &EpochValue{Epoch: cur + 1}, cur)
 						if err == nil {
 							break
 						}

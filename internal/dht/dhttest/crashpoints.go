@@ -182,25 +182,25 @@ func RunCrashPoints(t *testing.T, factory func(t *testing.T) dht.DHT) {
 			dht.CrashRule{Op: dht.OpWriteIf, N: 1},
 			dht.CrashRule{Op: dht.OpRemoveIf, N: 1},
 		)
-		if err := dht.DoCreateIf(ctx, c, "a", &EpochValue{Epoch: 1, Body: "v1"}); !errors.Is(err, dht.ErrCrashed) {
+		if err := c.CreateIf(ctx, "a", &EpochValue{Epoch: 1, Body: "v1"}); !errors.Is(err, dht.ErrCrashed) {
 			t.Fatalf("CreateIf = %v, want ErrCrashed (After rule)", err)
 		}
 		if body, _ := condBody(t, inner, "a"); body != "v1" {
 			t.Fatalf("crash-after-create not durable: %q", body)
 		}
-		if err := dht.DoPutIf(ctx, c, "a", &EpochValue{Epoch: 2, Body: "v2"}, 1); err != nil {
+		if err := c.PutIf(ctx, "a", &EpochValue{Epoch: 2, Body: "v2"}, 1); err != nil {
 			t.Fatalf("1st PutIf = %v, want success (rule fires on the 2nd)", err)
 		}
-		if err := dht.DoPutIf(ctx, c, "a", &EpochValue{Epoch: 3, Body: "v3"}, 2); !errors.Is(err, dht.ErrCrashed) {
+		if err := c.PutIf(ctx, "a", &EpochValue{Epoch: 3, Body: "v3"}, 2); !errors.Is(err, dht.ErrCrashed) {
 			t.Fatalf("2nd PutIf = %v, want ErrCrashed", err)
 		}
 		if body, epoch := condBody(t, inner, "a"); body != "v2" || epoch != 2 {
 			t.Fatalf("crashed-before PutIf landed: %q/%d, want v2/2", body, epoch)
 		}
-		if err := dht.DoWriteIf(ctx, c, "a", &EpochValue{Epoch: 3, Body: "v3"}, 2); !errors.Is(err, dht.ErrCrashed) {
+		if err := c.WriteIf(ctx, "a", &EpochValue{Epoch: 3, Body: "v3"}, 2); !errors.Is(err, dht.ErrCrashed) {
 			t.Fatalf("WriteIf = %v, want ErrCrashed", err)
 		}
-		if err := dht.DoRemoveIf(ctx, c, "a", 2); !errors.Is(err, dht.ErrCrashed) {
+		if err := c.RemoveIf(ctx, "a", 2); !errors.Is(err, dht.ErrCrashed) {
 			t.Fatalf("RemoveIf = %v, want ErrCrashed", err)
 		}
 		if body, _ := condBody(t, inner, "a"); body != "v2" {

@@ -24,9 +24,6 @@ type Options struct {
 	ValueEqual func(v dht.Value, i int) bool
 	// Keys is the number of keys bulk tests use (default 200).
 	Keys int
-	// Concurrent disables the concurrency test when false-unsafe
-	// substrates are wrapped for single-threaded use. Defaults to true.
-	SkipConcurrency bool
 }
 
 func (o Options) withDefaults() Options {
@@ -290,34 +287,32 @@ func Run(t *testing.T, factory func(t *testing.T) dht.DHT, opts Options) {
 		}
 	})
 
-	if !o.SkipConcurrency {
-		t.Run("ConcurrentMixedOps", func(t *testing.T) {
-			d := factory(t)
-			var wg sync.WaitGroup
-			for g := 0; g < 6; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 40; i++ {
-						key := fmt.Sprintf("c-%d-%d", g, i)
-						if err := d.Put(ctx, key, o.ValueFactory(i)); err != nil {
-							t.Errorf("Put: %v", err)
+	t.Run("ConcurrentMixedOps", func(t *testing.T) {
+		d := factory(t)
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					key := fmt.Sprintf("c-%d-%d", g, i)
+					if err := d.Put(ctx, key, o.ValueFactory(i)); err != nil {
+						t.Errorf("Put: %v", err)
+						return
+					}
+					if v, err := d.Get(ctx, key); err != nil || !o.ValueEqual(v, i) {
+						t.Errorf("Get(%s) = %v, %v", key, v, err)
+						return
+					}
+					if i%3 == 0 {
+						if err := d.Remove(ctx, key); err != nil {
+							t.Errorf("Remove: %v", err)
 							return
-						}
-						if v, err := d.Get(ctx, key); err != nil || !o.ValueEqual(v, i) {
-							t.Errorf("Get(%s) = %v, %v", key, v, err)
-							return
-						}
-						if i%3 == 0 {
-							if err := d.Remove(ctx, key); err != nil {
-								t.Errorf("Remove: %v", err)
-								return
-							}
 						}
 					}
-				}(g)
-			}
-			wg.Wait()
-		})
-	}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
 }

@@ -9,8 +9,8 @@ import "context"
 // what it changes; a new per-key capability is a row, a case and a
 // method here and reaches the substrate through every wrapper.
 
-// prim names one per-key primitive: the four DHT methods and each method
-// of the optional per-key planes (Conditional, Prober, Patcher).
+// prim names one per-key primitive: the DHT methods (Conditional's among
+// them) and each method of the optional per-key planes (Prober, Patcher).
 type prim uint8
 
 const (
@@ -35,21 +35,20 @@ const (
 // Write, WriteIf and WritePatchIf rewrite a value on the peer already
 // holding it and are free in the cost model.
 var prims = [...]struct {
-	kind        OpKind // the operation class a crash schedule matches and a trace names
-	lookups     int64  // DHT-lookups charged
-	miss        bool   // an ErrNotFound answer is a failed get
-	conditional bool   // a method of Conditional: emulated where the substrate has no CAS
+	kind    OpKind // the operation class a crash schedule matches and a trace names
+	lookups int64  // DHT-lookups charged
+	miss    bool   // an ErrNotFound answer is a failed get
 }{
 	primGet:          {kind: OpGet, lookups: 1, miss: true},
 	primProbe:        {kind: OpGet, lookups: 1, miss: true},
 	primPut:          {kind: OpPut, lookups: 1},
 	primRemove:       {kind: OpRemove, lookups: 1},
 	primWrite:        {kind: OpWrite},
-	primPutIf:        {kind: OpPutIf, lookups: 1, conditional: true},
+	primPutIf:        {kind: OpPutIf, lookups: 1},
 	primPatch:        {kind: OpGet, lookups: 1, miss: true},
-	primCreateIf:     {kind: OpCreateIf, lookups: 1, conditional: true},
-	primRemoveIf:     {kind: OpRemoveIf, lookups: 1, conditional: true},
-	primWriteIf:      {kind: OpWriteIf, conditional: true},
+	primCreateIf:     {kind: OpCreateIf, lookups: 1},
+	primRemoveIf:     {kind: OpRemoveIf, lookups: 1},
+	primWriteIf:      {kind: OpWriteIf},
 	primWritePatchIf: {kind: OpWriteIf},
 }
 
@@ -66,8 +65,8 @@ type call struct {
 
 // on performs c on d. The optional planes go through their Do* helpers,
 // so a d without the plane answers as the helper's fallback does: a
-// probe with a plain Get, a conditional write by fetch-verify-write, a
-// Patch with its probe alone, a WritePatchIf with ErrPatchRefused.
+// probe with a plain Get, a Patch with its probe alone, a WritePatchIf
+// with ErrPatchRefused.
 func (c call) on(ctx context.Context, d DHT) (Value, error) {
 	switch c.prim {
 	case primGet:
@@ -81,15 +80,15 @@ func (c call) on(ctx context.Context, d DHT) (Value, error) {
 	case primWrite:
 		return nil, d.Write(ctx, c.key, c.val)
 	case primPutIf:
-		return nil, DoPutIf(ctx, d, c.key, c.val, c.epoch)
+		return nil, d.PutIf(ctx, c.key, c.val, c.epoch)
 	case primPatch:
 		return DoPatch(ctx, d, c.key, c.hint, c.patch)
 	case primCreateIf:
-		return nil, DoCreateIf(ctx, d, c.key, c.val)
+		return nil, d.CreateIf(ctx, c.key, c.val)
 	case primRemoveIf:
-		return nil, DoRemoveIf(ctx, d, c.key, c.epoch)
+		return nil, d.RemoveIf(ctx, c.key, c.epoch)
 	case primWriteIf:
-		return nil, DoWriteIf(ctx, d, c.key, c.val, c.epoch)
+		return nil, d.WriteIf(ctx, c.key, c.val, c.epoch)
 	case primWritePatchIf:
 		return DoWritePatchIf(ctx, d, c.key, c.patch, c.epoch)
 	}
@@ -101,10 +100,10 @@ type layer interface {
 	do(ctx context.Context, c call) (Value, error)
 }
 
-// perKey implements DHT, Conditional, Prober and Patcher by handing each
-// call to l. A wrapper that gives every primitive the same treatment
-// (PolicyDHT's retry loop, CrashPoints' schedule, Instrumented's
-// charging) embeds it with itself as l and states that treatment once.
+// perKey implements DHT, Prober and Patcher by handing each call to l. A
+// wrapper that gives every primitive the same treatment (PolicyDHT's
+// retry loop, CrashPoints' schedule, Instrumented's charging) embeds it
+// with itself as l and states that treatment once.
 type perKey struct{ l layer }
 
 func (k perKey) Get(ctx context.Context, key string) (Value, error) {
@@ -190,10 +189,10 @@ type forwardTo struct{ inner DHT }
 func (f forwardTo) do(ctx context.Context, c call) (Value, error) { return c.on(ctx, f.inner) }
 
 // passthrough is the forwarding base of a wrapper that changes a method
-// or two (the hedger): every DHT method and every optional
-// plane reaches inner untouched, through the plane's Do* helper. The
-// wrapper overrides what it changes, and a plane it must refuse it
-// overrides too, with the reason.
+// or two (the hedger): every DHT method reaches inner untouched, and
+// every optional plane through the plane's Do* helper. The wrapper
+// overrides what it changes, and a plane it must refuse it overrides too,
+// with the reason.
 //
 // Its method set therefore says nothing of what inner can do. The one
 // layer that asks, Instrumented, asks substrateOf.
@@ -207,10 +206,9 @@ func newPassthrough(inner DHT) passthrough {
 }
 
 var (
-	_ Batcher     = passthrough{}
-	_ Conditional = passthrough{}
-	_ Prober      = passthrough{}
-	_ Patcher     = passthrough{}
+	_ Batcher = passthrough{}
+	_ Prober  = passthrough{}
+	_ Patcher = passthrough{}
 )
 
 func (p passthrough) GetBatch(ctx context.Context, keys []string) ([]Value, []error) {

@@ -3,7 +3,7 @@ package dht
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,18 +38,19 @@ const (
 //
 // Over a replicated substrate (tcpnet's ClusterConfig.Replicas) the
 // duplicate is not a pure retry: its context carries the hedge-attempt
-// mark, and the client starts marked reads at the primary — the one
-// holder a first read never starts at — so the duplicate is guaranteed to
+// mark, and a first read starts at the primary while a marked one starts
+// at the first secondary (ReadStart), so the duplicate is guaranteed to
 // probe a different holder than the straggler began with.
 type hedger struct {
 	passthrough
 	after time.Duration
 	c     *metrics.Counters
 
-	mu  sync.Mutex
-	lat [hedgeWindow]time.Duration
-	idx int
-	n   int
+	mu     sync.Mutex
+	lat    [hedgeWindow]time.Duration
+	sorted [hedgeWindow]time.Duration // trigger's scratch, so a read allocates no window
+	idx    int
+	n      int
 }
 
 // WithHedging wraps inner so Gets slower than the trigger delay race a
@@ -83,9 +84,9 @@ func (h *hedger) trigger(ctx context.Context) time.Duration {
 	d := h.after
 	h.mu.Lock()
 	if h.n >= hedgeMinSamples {
-		buf := make([]time.Duration, h.n)
+		buf := h.sorted[:h.n]
 		copy(buf, h.lat[:h.n])
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+		slices.Sort(buf)
 		p := buf[(h.n*95+99)/100-1]
 		if p > d {
 			d = p

@@ -11,8 +11,9 @@ import (
 )
 
 // scriptGet is a DHT whose Get behavior is scripted per call number
-// (1-based); writes are accepted and dropped.
+// (1-based); no test here writes through it, so the embedded DHT is nil.
 type scriptGet struct {
+	DHT
 	calls atomic.Int64
 	get   func(call int64, ctx context.Context) (Value, error)
 }
@@ -20,9 +21,6 @@ type scriptGet struct {
 func (s *scriptGet) Get(ctx context.Context, key string) (Value, error) {
 	return s.get(s.calls.Add(1), ctx)
 }
-func (s *scriptGet) Put(ctx context.Context, key string, v Value) error   { return nil }
-func (s *scriptGet) Remove(ctx context.Context, key string) error         { return nil }
-func (s *scriptGet) Write(ctx context.Context, key string, v Value) error { return nil }
 
 func TestHedgeWinsOverStraggler(t *testing.T) {
 	inner := &scriptGet{}

@@ -29,28 +29,24 @@ type Instrumented struct {
 	c      *metrics.Counters
 	sink   metrics.TraceSink
 
-	// Whether the substrate under inner's passthrough layers batches and
-	// compares-and-swaps natively. Where it does not, the operation is
-	// decomposed here, through this wrapper's own charged per-op methods,
-	// so the emulation is priced honestly.
-	batches, cas bool
+	// Whether the substrate under inner's passthrough layers batches
+	// natively. Where it does not, a batch is decomposed here, through
+	// this wrapper's own charged per-op methods, so each key is priced.
+	batches bool
 }
 
 var (
-	_ DHT         = (*Instrumented)(nil)
-	_ Batcher     = (*Instrumented)(nil)
-	_ Conditional = (*Instrumented)(nil)
-	_ Prober      = (*Instrumented)(nil)
-	_ Patcher     = (*Instrumented)(nil)
+	_ DHT     = (*Instrumented)(nil)
+	_ Batcher = (*Instrumented)(nil)
+	_ Prober  = (*Instrumented)(nil)
+	_ Patcher = (*Instrumented)(nil)
 )
 
 // NewInstrumented wraps inner, charging costs to c. c must not be nil.
 func NewInstrumented(inner DHT, c *metrics.Counters) *Instrumented {
 	d := &Instrumented{inner: inner, c: c}
 	d.perKey = perKey{d}
-	sub := substrateOf(inner)
-	_, d.batches = sub.(Batcher)
-	_, d.cas = sub.(Conditional)
+	_, d.batches = substrateOf(inner).(Batcher)
 	return d
 }
 
@@ -147,21 +143,12 @@ func batchErr(errs []error) error {
 // prims, whether or not the wrapped substrate serves its plane natively:
 // a Probe over a substrate that only Gets is still the one lookup.
 //
-// A conditional write over a substrate with no native CAS decomposes into
-// this wrapper's own charged Get and Put (two lookups — the price of
-// emulation) and is tallied as a CASFallback. A refused WritePatchIf was
-// no lookup and leaves no trace here: the caller's fallback is charged. A
-// refused Patch was its probe, and is charged and traced as that probe
-// answered. The free in-place writes are still traced, since intent writes
-// are part of a mutation's span.
+// A refused WritePatchIf was no lookup and leaves no trace here: the
+// caller's fallback is charged. A refused Patch was its probe, and is
+// charged and traced as that probe answered. The free in-place writes are
+// still traced, since intent writes are part of a mutation's span.
 func (d *Instrumented) do(ctx context.Context, c call) (Value, error) {
 	p := &prims[c.prim]
-	if p.conditional && !d.cas {
-		d.c.Add(metrics.CASFallbacks, 1)
-		err := c.emulate(ctx, d)
-		d.noteCAS(err)
-		return nil, err
-	}
 	start := d.start()
 	v, err := c.on(ctx, d.inner)
 	traced := err

@@ -17,9 +17,8 @@ type Local struct {
 }
 
 var (
-	_ DHT         = (*Local)(nil)
-	_ Batcher     = (*Local)(nil)
-	_ Conditional = (*Local)(nil)
+	_ DHT     = (*Local)(nil)
+	_ Batcher = (*Local)(nil)
 )
 
 // NewLocal returns an empty single-process DHT.

@@ -22,9 +22,9 @@ var ErrPatchRefused = errors.New("dht: patch refused")
 // from the stored bytes and the patch (the kind's WirePatcher), stores it,
 // and answers with what the patcher replied — a short acknowledgement or
 // the new value whole, the caller learns which from the type that comes
-// back (see RegisterWirePatch) — all in the one round trip. It is a
-// capability of its own, not a method of Conditional: a layer that
-// forwards one need not forward the other.
+// back (see RegisterWirePatch) — all in the one round trip. It is an
+// optional capability of its own, not a method of Conditional, which
+// every DHT has.
 //
 // Patch rides a probe. No epoch guards it: the patcher alone decides, on
 // the stored bytes under the store's lock, whether the value it finds is

@@ -101,11 +101,10 @@ type PolicyDHT struct {
 }
 
 var (
-	_ DHT         = (*PolicyDHT)(nil)
-	_ Batcher     = (*PolicyDHT)(nil)
-	_ Conditional = (*PolicyDHT)(nil)
-	_ Prober      = (*PolicyDHT)(nil)
-	_ Patcher     = (*PolicyDHT)(nil)
+	_ DHT     = (*PolicyDHT)(nil)
+	_ Batcher = (*PolicyDHT)(nil)
+	_ Prober  = (*PolicyDHT)(nil)
+	_ Patcher = (*PolicyDHT)(nil)
 )
 
 // WithPolicy wraps inner so every routed operation retries transient

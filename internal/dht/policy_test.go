@@ -11,10 +11,12 @@ import (
 	"lht/internal/simnet"
 )
 
-// flaky fails the next `failures` routed operations with err, then
-// delegates; calls counts every attempt it saw.
+// flaky fails the next `failures` Gets, Puts, Removes and Writes with
+// err, then delegates; calls counts every attempt it saw. It embeds the
+// substrate it wraps, so the conditional writes, which no test here
+// faults, reach it untouched.
 type flaky struct {
-	inner    DHT
+	DHT
 	failures int
 	calls    int
 	err      error
@@ -33,28 +35,28 @@ func (f *flaky) Get(ctx context.Context, key string) (Value, error) {
 	if err := f.attempt(); err != nil {
 		return nil, err
 	}
-	return f.inner.Get(ctx, key)
+	return f.DHT.Get(ctx, key)
 }
 
 func (f *flaky) Put(ctx context.Context, key string, v Value) error {
 	if err := f.attempt(); err != nil {
 		return err
 	}
-	return f.inner.Put(ctx, key, v)
+	return f.DHT.Put(ctx, key, v)
 }
 
 func (f *flaky) Remove(ctx context.Context, key string) error {
 	if err := f.attempt(); err != nil {
 		return err
 	}
-	return f.inner.Remove(ctx, key)
+	return f.DHT.Remove(ctx, key)
 }
 
 func (f *flaky) Write(ctx context.Context, key string, v Value) error {
 	if err := f.attempt(); err != nil {
 		return err
 	}
-	return f.inner.Write(ctx, key, v)
+	return f.DHT.Write(ctx, key, v)
 }
 
 func fastPolicy(c *metrics.Counters) Policy {
@@ -73,7 +75,7 @@ func transientErr() error {
 func TestPolicyRetriesTransientFaults(t *testing.T) {
 	ctx := context.Background()
 	var c metrics.Counters
-	f := &flaky{inner: NewLocal(), failures: 2, err: transientErr()}
+	f := &flaky{DHT: NewLocal(), failures: 2, err: transientErr()}
 	d := WithPolicy(f, fastPolicy(&c))
 
 	if err := d.Put(ctx, "k", 42); err != nil {
@@ -93,7 +95,7 @@ func TestPolicyRetriesTransientFaults(t *testing.T) {
 func TestPolicyPermanentErrorsPassThrough(t *testing.T) {
 	ctx := context.Background()
 	var c metrics.Counters
-	f := &flaky{inner: NewLocal()}
+	f := &flaky{DHT: NewLocal()}
 	d := WithPolicy(f, fastPolicy(&c))
 
 	if _, err := d.Get(ctx, "absent"); !errors.Is(err, ErrNotFound) {
@@ -111,7 +113,7 @@ func TestPolicyExhaustion(t *testing.T) {
 	ctx := context.Background()
 	var c metrics.Counters
 	cause := transientErr()
-	f := &flaky{inner: NewLocal(), failures: 1 << 30, err: cause}
+	f := &flaky{DHT: NewLocal(), failures: 1 << 30, err: cause}
 	d := WithPolicy(f, fastPolicy(&c))
 
 	_, err := d.Get(ctx, "k")
@@ -134,7 +136,7 @@ func TestPolicyExhaustion(t *testing.T) {
 
 func TestPolicyCancelDuringBackoff(t *testing.T) {
 	var c metrics.Counters
-	f := &flaky{inner: NewLocal(), failures: 1 << 30, err: transientErr()}
+	f := &flaky{DHT: NewLocal(), failures: 1 << 30, err: transientErr()}
 	// A long backoff guarantees the cancellation lands mid-wait.
 	d := WithPolicy(f, Policy{
 		MaxAttempts: 4,
@@ -180,7 +182,7 @@ func TestPolicyCancelDuringBackoff(t *testing.T) {
 func TestPolicyRetriesChargedAsLookups(t *testing.T) {
 	ctx := context.Background()
 	var c metrics.Counters
-	f := &flaky{inner: NewLocal(), failures: 2, err: transientErr()}
+	f := &flaky{DHT: NewLocal(), failures: 2, err: transientErr()}
 	d := WithPolicy(NewInstrumented(f, &c), fastPolicy(&c))
 
 	if err := d.Put(ctx, "k", 1); err != nil {
@@ -198,7 +200,7 @@ func TestPolicyRetriesChargedAsLookups(t *testing.T) {
 func TestPolicyCustomClassify(t *testing.T) {
 	ctx := context.Background()
 	errCustom := errors.New("substrate hiccup")
-	f := &flaky{inner: NewLocal(), failures: 1, err: errCustom}
+	f := &flaky{DHT: NewLocal(), failures: 1, err: errCustom}
 	d := WithPolicy(f, Policy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Microsecond,

@@ -40,8 +40,8 @@ func TestStackAddsNoAllocations(t *testing.T) {
 		{"Get", 0, func(d DHT) { _, _ = d.Get(ctx, "k") }},
 		{"Probe", 0, func(d DHT) { _, _ = DoProbe(ctx, d, "k", 7) }},
 		{"Put", 0, func(d DHT) { _ = d.Put(ctx, "k", v) }},
-		{"PutIf", 0, func(d DHT) { _ = DoPutIf(ctx, d, "k", v, 0) }},
-		{"WriteIf", 0, func(d DHT) { _ = DoWriteIf(ctx, d, "k", v, 0) }},
+		{"PutIf", 0, func(d DHT) { _ = d.PutIf(ctx, "k", v, 0) }},
+		{"WriteIf", 0, func(d DHT) { _ = d.WriteIf(ctx, "k", v, 0) }},
 		{"Patch", 1, func(d DHT) { _, _ = DoPatch(ctx, d, "k", 7, nil) }},
 		{"WritePatchIf", 1, func(d DHT) { _, _ = DoWritePatchIf(ctx, d, "k", nil, 0) }},
 		{"GetBatch", 0, func(d DHT) { _, _ = DoGetBatch(ctx, d, keys) }},

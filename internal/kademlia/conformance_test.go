@@ -24,5 +24,5 @@ func TestNetworkConditionalConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		return nw
-	}, dhttest.Options{})
+	})
 }

@@ -114,10 +114,7 @@ type Network struct {
 	casMu dht.KeyLocks
 }
 
-var (
-	_ dht.DHT         = (*Network)(nil)
-	_ dht.Conditional = (*Network)(nil)
-)
+var _ dht.DHT = (*Network)(nil)
 
 // NewNetwork creates a network of n nodes named "k0".."k<n-1>", each
 // bootstrapped through a random earlier node.

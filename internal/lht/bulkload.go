@@ -121,7 +121,7 @@ func (ix *Index) BulkLoadContext(ctx context.Context, recs []record.Record) (cos
 	rootLeaf.Epoch = b.Epoch + 1
 	cost.Steps++
 	cost.Lookups++
-	cerr := dht.DoPutIf(ctx, ix.d, bitlabel.Root.Key(), rootLeaf, b.Epoch)
+	cerr := ix.d.PutIf(ctx, bitlabel.Root.Key(), rootLeaf, b.Epoch)
 	if errors.Is(cerr, dht.ErrCASConflict) {
 		ix.c.Add(metrics.WriterRetries, 1)
 		for _, r := range sorted {

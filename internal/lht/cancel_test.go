@@ -14,9 +14,10 @@ import (
 // blockingDHT lets a configurable number of Gets through, then parks
 // every further Get on its context until cancellation, simulating a
 // substrate that stops responding mid-operation. inflight tracks how many
-// fetches are currently parked.
+// fetches are currently parked. It embeds the substrate it wraps, so
+// every write reaches it untouched.
 type blockingDHT struct {
-	inner    dht.DHT
+	dht.DHT
 	blocking atomic.Bool
 	allow    atomic.Int32 // Gets still allowed through while blocking
 	inflight atomic.Int32
@@ -29,19 +30,7 @@ func (b *blockingDHT) Get(ctx context.Context, key string) (dht.Value, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return b.inner.Get(ctx, key)
-}
-
-func (b *blockingDHT) Put(ctx context.Context, key string, v dht.Value) error {
-	return b.inner.Put(ctx, key, v)
-}
-
-func (b *blockingDHT) Remove(ctx context.Context, key string) error {
-	return b.inner.Remove(ctx, key)
-}
-
-func (b *blockingDHT) Write(ctx context.Context, key string, v dht.Value) error {
-	return b.inner.Write(ctx, key, v)
+	return b.DHT.Get(ctx, key)
 }
 
 // TestRangeCancellationStopsParallelFetches is the end-to-end
@@ -50,7 +39,7 @@ func (b *blockingDHT) Write(ctx context.Context, key string, v dht.Value) error 
 // responding and the caller cancels, the query returns context.Canceled
 // promptly and every parked fetch goroutine is released.
 func TestRangeCancellationStopsParallelFetches(t *testing.T) {
-	b := &blockingDHT{inner: dht.NewLocal()}
+	b := &blockingDHT{DHT: dht.NewLocal()}
 	ix, err := New(b, Config{SplitThreshold: 4, MergeThreshold: 0, Depth: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +99,7 @@ func TestRangeCancellationStopsParallelFetches(t *testing.T) {
 // TestRangeDeadlineExpiry: a deadline that expires mid-query surfaces
 // context.DeadlineExceeded and is tallied separately from cancellations.
 func TestRangeDeadlineExpiry(t *testing.T) {
-	b := &blockingDHT{inner: dht.NewLocal()}
+	b := &blockingDHT{DHT: dht.NewLocal()}
 	ix, err := New(b, Config{SplitThreshold: 4, MergeThreshold: 0, Depth: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,8 @@ import (
 )
 
 // faultDHT injects a substrate failure after a countdown of operations,
-// modelling a transient network outage mid-operation.
+// modelling a transient network outage mid-operation. Every method ticks,
+// the conditional writes too, so a cut can land on any commit.
 type faultDHT struct {
 	inner     dht.DHT
 	remaining int
@@ -57,6 +58,34 @@ func (f *faultDHT) Write(ctx context.Context, key string, v dht.Value) error {
 		return err
 	}
 	return f.inner.Write(ctx, key, v)
+}
+
+func (f *faultDHT) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.PutIf(ctx, key, v, ifEpoch)
+}
+
+func (f *faultDHT) CreateIf(ctx context.Context, key string, v dht.Value) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.CreateIf(ctx, key, v)
+}
+
+func (f *faultDHT) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.RemoveIf(ctx, key, ifEpoch)
+}
+
+func (f *faultDHT) WriteIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.WriteIf(ctx, key, v, ifEpoch)
 }
 
 // TestSubstrateFailuresPropagate injects a failure at every possible

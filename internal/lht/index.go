@@ -58,11 +58,6 @@ type Cost = metrics.Cost
 // lock, iff the leaf it holds is one the write is meant for — untorn,
 // covering the key, short of the weight bound — and otherwise answers as
 // a probe, and the writer goes on from that answer.
-//
-// On substrates without native conditional writes the commit degrades to
-// a fetch-verify-write emulation (counted in Write.CASFallbacks), which
-// closes no race window; true multi-writer safety needs a Conditional
-// substrate (Local, Chord, Kademlia and tcpnet all qualify).
 type Index struct {
 	d     dht.DHT
 	raw   dht.DHT // bare substrate, below all wrapping; membership probes
@@ -96,7 +91,7 @@ func New(d dht.DHT, cfg Config) (*Index, error) {
 		// Create-if-absent: two clients bootstrapping concurrently converge
 		// on one empty tree instead of the loser clobbering a root the
 		// winner may already have grown.
-		err := dht.DoCreateIf(ctx, d, bitlabel.Root.Key(), &Bucket{Label: bitlabel.TreeRoot})
+		err := d.CreateIf(ctx, bitlabel.Root.Key(), &Bucket{Label: bitlabel.TreeRoot})
 		if err != nil && !errors.Is(err, dht.ErrCASConflict) {
 			return nil, fmt.Errorf("lht: bootstrap: %w", err)
 		}
@@ -561,7 +556,7 @@ func (ix *Index) commit(ctx context.Context, w *write) (Cost, error) {
 			}
 			cost.Lookups++
 			cost.Steps++
-			if err = dht.DoPutIf(ctx, ix.d, f.key, f.b, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
+			if err = ix.d.PutIf(ctx, f.key, f.b, b.Epoch); errors.Is(err, dht.ErrCASConflict) {
 				ix.cacheDrop(b.Label)
 			}
 		}
@@ -831,12 +826,12 @@ var inPlaceOps = [...]byte{patchMarkSplit, patchCommitSplit, patchClearMerge}
 // WriteIf would have met there, and the caller yields as from one.
 func (ix *Index) writeInPlace(ctx context.Context, key string, op byte, want *Bucket, n int, ifEpoch uint64, inPlace bool, cost *Cost) (*Bucket, error) {
 	if !inPlace {
-		return want, dht.DoWriteIf(ctx, ix.d, key, want, ifEpoch)
+		return want, ix.d.WriteIf(ctx, key, want, ifEpoch)
 	}
 	v, err := dht.DoWritePatchIf(ctx, ix.d, key, inPlaceOps[op-patchMarkSplit:][:1], ifEpoch)
 	switch {
 	case errors.Is(err, dht.ErrPatchRefused) && len(want.Records) == n:
-		return want, dht.DoWriteIf(ctx, ix.d, key, want, ifEpoch)
+		return want, ix.d.WriteIf(ctx, key, want, ifEpoch)
 	case errors.Is(err, dht.ErrPatchRefused):
 		return want, &dht.CASConflictError{Key: key, Exists: true}
 	case err != nil || v == PatchAck{Records: n}:
@@ -1011,13 +1006,13 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket, inPlace bool)
 	if key == mergedKey {
 		// b already sits on the peer that keeps the merged bucket: a free
 		// in-place rewrite.
-		err = dht.DoWriteIf(ctx, ix.d, mergedKey, merged, baseEpoch)
+		err = ix.d.WriteIf(ctx, mergedKey, merged, baseEpoch)
 	} else {
 		// The sibling's peer holds mergedKey: one routed put replaces the
 		// sibling's bucket with the merged one.
 		cost.Lookups++
 		cost.Steps++
-		err = dht.DoPutIf(ctx, ix.d, mergedKey, merged, baseEpoch)
+		err = ix.d.PutIf(ctx, mergedKey, merged, baseEpoch)
 	}
 	if errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound) {
 		return cost, nil
@@ -1033,7 +1028,7 @@ func (ix *Index) merge(ctx context.Context, key string, b *Bucket, inPlace bool)
 	// crash recovery would.
 	cost.Lookups++
 	cost.Steps++
-	err = dht.DoRemoveIf(ctx, ix.d, removeKey, peerEpoch)
+	err = ix.d.RemoveIf(ctx, removeKey, peerEpoch)
 	if errors.Is(err, dht.ErrCASConflict) {
 		_, rerr := ix.completeMerge(ctx, mergedKey, merged, &cost)
 		return cost, rerr

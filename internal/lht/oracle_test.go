@@ -367,10 +367,20 @@ func TestRangeOverSerializingDHT(t *testing.T) {
 }
 
 // codecDHT is a Local DHT that stores buckets serialized, decoding on
-// every Get, so returned values never alias stored ones.
+// every Get, so returned values never alias stored ones. The conditional
+// writes go to Local's own, so a stored form keeps its bucket's epoch for
+// Local to compare: bare bytes would read as epoch 0.
 type codecDHT struct {
 	inner *dht.Local
 }
+
+// encodedBucket is a bucket as codecDHT stores it.
+type encodedBucket struct {
+	epoch uint64
+	data  []byte
+}
+
+func (e encodedBucket) DHTEpoch() uint64 { return e.epoch }
 
 func newCodecDHT() *codecDHT { return &codecDHT{inner: dht.NewLocal()} }
 
@@ -383,18 +393,18 @@ func (c *codecDHT) encode(v dht.Value) dht.Value {
 	if err != nil {
 		panic(err)
 	}
-	return data
+	return encodedBucket{b.Epoch, data}
 }
 
 func (c *codecDHT) decode(v dht.Value, err error) (dht.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, ok := v.([]byte)
+	e, ok := v.(encodedBucket)
 	if !ok {
 		return v, nil
 	}
-	b, err := DecodeBucket(data)
+	b, err := DecodeBucket(e.data)
 	if err != nil {
 		return nil, err
 	}
@@ -411,3 +421,15 @@ func (c *codecDHT) Write(ctx context.Context, key string, v dht.Value) error {
 	return c.inner.Write(ctx, key, c.encode(v))
 }
 func (c *codecDHT) Remove(ctx context.Context, key string) error { return c.inner.Remove(ctx, key) }
+func (c *codecDHT) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	return c.inner.PutIf(ctx, key, c.encode(v), ifEpoch)
+}
+func (c *codecDHT) CreateIf(ctx context.Context, key string, v dht.Value) error {
+	return c.inner.CreateIf(ctx, key, c.encode(v))
+}
+func (c *codecDHT) RemoveIf(ctx context.Context, key string, ifEpoch uint64) error {
+	return c.inner.RemoveIf(ctx, key, ifEpoch)
+}
+func (c *codecDHT) WriteIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	return c.inner.WriteIf(ctx, key, c.encode(v), ifEpoch)
+}

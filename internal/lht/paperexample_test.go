@@ -108,6 +108,33 @@ func TestSection5LookupTrace(t *testing.T) {
 	assertProbes(t, d.probes(), []string{"#011100", "#0", "#0111"})
 }
 
+// TestSection5InsertTrace replays section 5's insert cost, "an LHT
+// lookup followed by one DHT-put": inserting 0.9 into the Fig. 2 tree
+// makes exactly the lookup example's three gets and then commits with one
+// conditional put, four DHT-lookups in all, and the index charges the four
+// it reports.
+func TestSection5InsertTrace(t *testing.T) {
+	d := buildTree(t, []string{"#000", "#001", "#010", "#0110", "#01110", "#01111"})
+	ix, err := New(d, Config{SplitThreshold: 8, MergeThreshold: 0, Depth: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.reset()
+	before := ix.Metrics().Lookup.Total
+
+	cost, err := ix.Insert(record.Record{Key: 0.9, Value: []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertProbes(t, d.probes(), []string{"#011100", "#0", "#0111"})
+	if cost.Lookups != 4 {
+		t.Errorf("insert cost = %d DHT-lookups, want the lookup's 3 and one put", cost.Lookups)
+	}
+	if charged := ix.Metrics().Lookup.Total - before; charged != int64(cost.Lookups) {
+		t.Errorf("the index charged %d DHT-lookups for an insert that cost %d", charged, cost.Lookups)
+	}
+}
+
 // TestSection5MuPrefixClaim verifies the premise of the lookup example:
 // lambda(0.4) = #001 in Fig. 2, and every candidate leaf label is a
 // prefix of mu(delta, D).

@@ -11,7 +11,9 @@ import (
 )
 
 // allowThen lets a fixed number of puts through, then runs a trip action
-// once and fails every later put with the error it returns. It does not
+// once and fails every later put with the error it returns. The bootstrap
+// CreateIf and a load's claim PutIf are puts too, and take from the same
+// count, so a test can fail a load before its claim. It does not
 // implement dht.Batcher, so batched shippers decompose through it
 // per-op in slice order — making the failure point deterministic.
 type allowThen struct {
@@ -21,10 +23,11 @@ type allowThen struct {
 	err   error
 }
 
-func (a *allowThen) Put(ctx context.Context, key string, v dht.Value) error {
+// gate takes one put from the count, or fails it.
+func (a *allowThen) gate(ctx context.Context) error {
 	if a.allow > 0 {
 		a.allow--
-		return a.DHT.Put(ctx, key, v)
+		return nil
 	}
 	if a.err == nil {
 		a.err = a.trip()
@@ -33,6 +36,27 @@ func (a *allowThen) Put(ctx context.Context, key string, v dht.Value) error {
 		return ctxErr
 	}
 	return a.err
+}
+
+func (a *allowThen) Put(ctx context.Context, key string, v dht.Value) error {
+	if err := a.gate(ctx); err != nil {
+		return err
+	}
+	return a.DHT.Put(ctx, key, v)
+}
+
+func (a *allowThen) CreateIf(ctx context.Context, key string, v dht.Value) error {
+	if err := a.gate(ctx); err != nil {
+		return err
+	}
+	return a.DHT.CreateIf(ctx, key, v)
+}
+
+func (a *allowThen) PutIf(ctx context.Context, key string, v dht.Value, ifEpoch uint64) error {
+	if err := a.gate(ctx); err != nil {
+		return err
+	}
+	return a.DHT.PutIf(ctx, key, v, ifEpoch)
 }
 
 func partialLoadRecords(n int) []record.Record {

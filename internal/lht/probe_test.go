@@ -55,15 +55,14 @@ func startReplicatedProbeCluster(t *testing.T, n, replicas int, agg *metrics.Cou
 	return c, srvs
 }
 
-// wholeOnly is a substrate with its Prober hidden and its batch and
-// conditional planes intact: the plain-Get arm.
+// wholeOnly is a substrate with its Prober hidden and its batch plane
+// intact: the plain-Get arm.
 type wholeOnly struct {
 	dht.DHT
 	dht.Batcher
-	dht.Conditional
 }
 
-func hideProber(c *tcpnet.Client) dht.DHT { return wholeOnly{c, c, c} }
+func hideProber(c *tcpnet.Client) dht.DHT { return wholeOnly{c, c} }
 
 // probeSpy is the client with every probe and its reply on record.
 type probeSpy struct {

@@ -111,7 +111,7 @@ func (ix *Index) completeSplit(ctx context.Context, key string, c *Cut, cost *Co
 		// any mutation rebased on them is CAS-checked before it commits).
 		cost.Lookups++
 		cost.Steps++
-		err := dht.DoCreateIf(ctx, ix.d, lambda.Key(), remote)
+		err := ix.d.CreateIf(ctx, lambda.Key(), remote)
 		if err != nil && !errors.Is(err, dht.ErrCASConflict) {
 			return nil, nil, fmt.Errorf("lht: split put %s: %w", lambda, err)
 		}
@@ -162,7 +162,7 @@ func (ix *Index) completeMerge(ctx context.Context, key string, b *Bucket, cost 
 		// a rollback.
 		cost.Lookups++
 		cost.Steps++
-		rerr := dht.DoRemoveIf(ctx, ix.d, rmKey, b.Pending.PeerEpoch)
+		rerr := ix.d.RemoveIf(ctx, rmKey, b.Pending.PeerEpoch)
 		switch {
 		case rerr == nil:
 			forward = true
@@ -198,7 +198,7 @@ func (ix *Index) completeMerge(ctx context.Context, key string, b *Bucket, cost 
 // writer) resolved the tear first: whatever is stored now is adopted
 // instead, and written is false.
 func (ix *Index) rewrite(ctx context.Context, key string, nb *Bucket, epoch uint64, what string, cost *Cost) (b *Bucket, written bool, err error) {
-	err = dht.DoWriteIf(ctx, ix.d, key, nb, epoch)
+	err = ix.d.WriteIf(ctx, key, nb, epoch)
 	switch {
 	case errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound):
 		b, err = ix.peekBucket(ctx, key, cost)

@@ -217,7 +217,7 @@ func (ix *Index) scrubWalk(ctx context.Context, rep *ScrubReport, cost *Cost, st
 			nb := *b
 			nb.Records = record.FilterRange(nil, b.Records, iv.Lo, iv.Hi)
 			nb.Epoch++
-			werr := dht.DoWriteIf(ctx, ix.d, key, &nb, b.Epoch)
+			werr := ix.d.WriteIf(ctx, key, &nb, b.Epoch)
 			if errors.Is(werr, dht.ErrCASConflict) || errors.Is(werr, dht.ErrNotFound) {
 				// A concurrent writer advanced the leaf under us; restart
 				// the pass and re-examine what is stored now.
@@ -332,7 +332,7 @@ func (ix *Index) scrubShadow(ctx context.Context, key string, b *Bucket, rep *Sc
 	// restart the pass rather than delete live data.
 	cost.Lookups++
 	cost.Steps++
-	rerr := dht.DoRemoveIf(ctx, ix.d, b.Label.Key(), shadow.Epoch)
+	rerr := ix.d.RemoveIf(ctx, b.Label.Key(), shadow.Epoch)
 	if errors.Is(rerr, dht.ErrCASConflict) {
 		return nil, true, nil
 	}

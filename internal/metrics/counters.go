@@ -57,9 +57,6 @@ const (
 	// WriterRetries counts whole read-modify-write cycles the index layer
 	// re-ran after losing a CAS.
 	WriterRetries
-	// CASFallbacks counts conditional operations served by the non-atomic
-	// fetch-verify-write fallback because the substrate has no native CAS.
-	CASFallbacks
 	// RidesApplied counts one-record writes whose patch rode a probe of
 	// their search and was applied by it: each is a write done without
 	// the round trip of a patch of its own.
@@ -138,7 +135,6 @@ var counterTable = [NumCounters]counterRow{
 	ScrubLookups:     {"scrub_lookups", "", "Lookups issued by Scrub walks.", func(s *Snapshot) *int64 { return &s.Repair.ScrubLookups }},
 	CASConflicts:     {"cas_conflicts", "", "Conditional writes that lost their compare-and-swap.", func(s *Snapshot) *int64 { return &s.Write.CASConflicts }},
 	WriterRetries:    {"writer_retries", "", "Index mutation rounds re-run after a CAS conflict.", func(s *Snapshot) *int64 { return &s.Write.WriterRetries }},
-	CASFallbacks:     {"cas_fallbacks", "", "Conditional ops emulated by fetch-verify-write.", func(s *Snapshot) *int64 { return &s.Write.CASFallbacks }},
 	RidesApplied:     {"write_rides_applied", "", "Write patches applied by the search probe they rode.", func(s *Snapshot) *int64 { return &s.Write.RidesApplied }},
 	RidesRefused:     {"write_rides_refused", "", "Write patches that rode a search probe answered as a probe.", func(s *Snapshot) *int64 { return &s.Write.RidesRefused }},
 	HedgedGets:       {"hedged_gets", "", "Duplicate reads launched after the hedge delay.", func(s *Snapshot) *int64 { return &s.Health.HedgedGets }},

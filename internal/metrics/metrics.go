@@ -197,7 +197,6 @@ type RepairCounts struct {
 type WriteCounts struct {
 	CASConflicts  int64 // conditional writes that lost their compare-and-swap
 	WriterRetries int64 // index mutation rounds re-run after a CAS conflict
-	CASFallbacks  int64 // conditional ops emulated by fetch-verify-write
 	RidesApplied  int64 // write patches applied by the search probe they rode
 	RidesRefused  int64 // write patches that rode a probe answered as a probe
 }

@@ -32,7 +32,6 @@ func goldenCounters() *Counters {
 	c.Add(ScrubLookups, 4)
 	c.Add(CASConflicts, 3)
 	c.Add(WriterRetries, 2)
-	c.Add(CASFallbacks, 1)
 	c.Add(RidesApplied, 7)
 	c.Add(RidesRefused, 3)
 	c.Add(HedgedGets, 3)
@@ -111,9 +110,6 @@ lht_cas_conflicts_total 3
 # HELP lht_writer_retries_total Index mutation rounds re-run after a CAS conflict.
 # TYPE lht_writer_retries_total counter
 lht_writer_retries_total 2
-# HELP lht_cas_fallbacks_total Conditional ops emulated by fetch-verify-write.
-# TYPE lht_cas_fallbacks_total counter
-lht_cas_fallbacks_total 1
 # HELP lht_write_rides_applied_total Write patches applied by the search probe they rode.
 # TYPE lht_write_rides_applied_total counter
 lht_write_rides_applied_total 7

@@ -94,7 +94,7 @@ func New(d dht.DHT, cfg Config) (*Index, error) {
 			return nil, fmt.Errorf("pht: probe substrate: %w", err)
 		}
 		// Create-if-absent: concurrent bootstrappers converge on one trie.
-		err := dht.DoCreateIf(ctx, d, rootKey, &Node{Label: bitlabel.TreeRoot, Leaf: true})
+		err := d.CreateIf(ctx, rootKey, &Node{Label: bitlabel.TreeRoot, Leaf: true})
 		if err != nil && !errors.Is(err, dht.ErrCASConflict) {
 			return nil, fmt.Errorf("pht: bootstrap: %w", err)
 		}
@@ -225,7 +225,7 @@ func (ix *Index) InsertContext(ctx context.Context, rec record.Record) (cost Cos
 		nn.Epoch++
 		cost.Lookups++
 		cost.Steps++
-		err = dht.DoPutIf(ctx, ix.d, nn.Label.Key(), nn, n.Epoch)
+		err = ix.d.PutIf(ctx, nn.Label.Key(), nn, n.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
 			ix.c.Add(metrics.WriterRetries, 1)
 			if cerr := ctx.Err(); cerr != nil {
@@ -297,7 +297,7 @@ func (ix *Index) split(ctx context.Context, n *Node) (Cost, error) {
 	// LHT's intent-marked split, the marker is not recoverable: a writer
 	// dying between here and the children's puts leaves a torn trie.)
 	marker := &Node{Label: n.Label, Epoch: n.Epoch + 1}
-	err := dht.DoWriteIf(ctx, ix.d, n.Label.Key(), marker, n.Epoch)
+	err := ix.d.WriteIf(ctx, n.Label.Key(), marker, n.Epoch)
 	if errors.Is(err, dht.ErrCASConflict) || errors.Is(err, dht.ErrNotFound) {
 		return cost, nil
 	}
@@ -348,7 +348,7 @@ func (ix *Index) patchLink(ctx context.Context, label bitlabel.Label, cost *Cost
 		np := p.Clone()
 		fn(np)
 		np.Epoch++
-		err = dht.DoWriteIf(ctx, ix.d, label.Key(), np, p.Epoch)
+		err = ix.d.WriteIf(ctx, label.Key(), np, p.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
 			ix.c.Add(metrics.WriterRetries, 1)
 			if cerr := ctx.Err(); cerr != nil {
@@ -392,7 +392,7 @@ func (ix *Index) DeleteContext(ctx context.Context, delta float64) (cost Cost, e
 		nn.Epoch++
 		cost.Lookups++
 		cost.Steps++
-		err = dht.DoPutIf(ctx, ix.d, nn.Label.Key(), nn, n.Epoch)
+		err = ix.d.PutIf(ctx, nn.Label.Key(), nn, n.Epoch)
 		if errors.Is(err, dht.ErrCASConflict) {
 			ix.c.Add(metrics.WriterRetries, 1)
 			if cerr := ctx.Err(); cerr != nil {
@@ -466,7 +466,7 @@ func (ix *Index) merge(ctx context.Context, n *Node) (Cost, error) {
 	// which is exactly the lost-update window the paper's LHT protocol
 	// closes.
 	for _, child := range []*Node{left, right} {
-		rerr := dht.DoRemoveIf(ctx, ix.d, child.Label.Key(), child.Epoch)
+		rerr := ix.d.RemoveIf(ctx, child.Label.Key(), child.Epoch)
 		if errors.Is(rerr, dht.ErrCASConflict) {
 			cost.Lookups++
 			rerr = ix.d.Remove(ctx, child.Label.Key())

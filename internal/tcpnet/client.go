@@ -121,10 +121,9 @@ func (c *Client) ringNodes() []*clientNode {
 }
 
 var (
-	_ dht.DHT         = (*Client)(nil)
-	_ dht.Conditional = (*Client)(nil)
-	_ dht.Prober      = (*Client)(nil)
-	_ dht.Patcher     = (*Client)(nil)
+	_ dht.DHT     = (*Client)(nil)
+	_ dht.Prober  = (*Client)(nil)
+	_ dht.Patcher = (*Client)(nil)
 )
 
 // clientNode is one member's connection state: a pool of multiplexed

@@ -69,6 +69,6 @@ func TestClientConformance(t *testing.T) {
 	t.Run("binary/conditional", func(t *testing.T) {
 		// The byte store serves the CAS from the epoch prefix written
 		// with every put-like op.
-		dhttest.RunConditional(t, factory, dhttest.Options{})
+		dhttest.RunConditional(t, factory)
 	})
 }

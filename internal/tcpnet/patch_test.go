@@ -558,7 +558,7 @@ func TestLyingPatchReplyIsRefetchedNotTrusted(t *testing.T) {
 					if refetched == 0 {
 						t.Error("no write refetched its bucket")
 					}
-					plain, err := ilht.New(wholeOnly{lying, lying, lying}, cfg)
+					plain, err := ilht.New(wholeOnly{lying, lying}, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -573,7 +573,6 @@ func TestLyingPatchReplyIsRefetchedNotTrusted(t *testing.T) {
 type wholeOnly struct {
 	dht.DHT
 	dht.Batcher
-	dht.Conditional
 }
 
 // recordOnlyCounter counts the lookups that ended in a record reply, the
@@ -703,7 +702,7 @@ func TestLyingInPlaceAckIsRefetchedNotTrusted(t *testing.T) {
 			if liar.lies < 2 || extra != liar.lies {
 				t.Errorf("%d lookups more for %d lies, want one each, and at least two lies", extra, liar.lies)
 			}
-			plain, err := ilht.New(wholeOnly{lying, lying, lying}, cfg)
+			plain, err := ilht.New(wholeOnly{lying, lying}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -779,7 +778,7 @@ func patchedWritesOnEveryHolder(t *testing.T, replicas int) {
 		client, srvs := startNamedCluster(t, replicas)
 		var d dht.DHT = client
 		if hide {
-			d = wholeOnly{client, client, client}
+			d = wholeOnly{client, client}
 		} else {
 			counter.Client = client
 			d = counter

@@ -16,7 +16,7 @@ import (
 // oracleCost is the slice of the index's own cost counters the oracle
 // compares across substrates.
 type oracleCost struct {
-	Lookups, FailedGets, BatchedKeys, CASConflicts, CASFallbacks int64
+	Lookups, FailedGets, BatchedKeys, CASConflicts int64
 }
 
 func newOracleIndex(t *testing.T, d dht.DHT) *ilht.Index {
@@ -86,7 +86,7 @@ func runOracleWorkload(t *testing.T, ix *ilht.Index) ([][]byte, oracleCost, int6
 	f := ix.Metrics()
 	return enc, oracleCost{
 		Lookups: f.Lookup.Total + f.Write.RidesApplied, FailedGets: f.Lookup.FailedGets, BatchedKeys: f.Batch.Keys,
-		CASConflicts: f.Write.CASConflicts, CASFallbacks: f.Write.CASFallbacks,
+		CASConflicts: f.Write.CASConflicts,
 	}, f.Write.RidesApplied
 }
 
@@ -147,9 +147,6 @@ func TestCodecOracle(t *testing.T) {
 	}
 	if wireCost != localCost {
 		t.Errorf("index cost counters diverge:\n tcpnet: %+v\n local:  %+v", wireCost, localCost)
-	}
-	if wireCost.CASFallbacks != 0 {
-		t.Errorf("conditional ops fell back to fetch-verify on a native wire: %+v", wireCost)
 	}
 
 	want := oracleCost{Lookups: wireCost.Lookups - rides, FailedGets: wireCost.FailedGets, BatchedKeys: wireCost.BatchedKeys}

@@ -233,15 +233,8 @@ func WithHedgedGets(after time.Duration) Option { return ilht.WithHedgedGets(aft
 // winner and are retried by whichever writer next visits the overweight
 // (or underweight) leaf, so structural maintenance needs no coordination
 // either. Lost CAS rounds are visible in Snapshot.Write (CASConflicts,
-// WriterRetries).
-//
-// The exception is substrates without native Conditional support: there
-// the conditional ops degrade to a non-atomic fetch-verify-write
-// (counted in Snapshot.Write.CASFallbacks), which is sound only when the
-// caller serializes writers externally — any number of concurrent
-// readers, or exactly one writer. Every bundled substrate (Local, Chord,
-// Kademlia, tcpnet) is native. BulkLoad remains an
-// empty-index construction pass, not a concurrent mutation.
+// WriterRetries). BulkLoad remains an empty-index construction pass, not
+// a concurrent mutation.
 type Index struct {
 	inner *ilht.Index
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // DHT is the substrate interface LHT runs over: a flat key-value store
-// with one-lookup Get/Put/Remove and a free local Write, every operation
-// taking a context.Context for cancellation and deadlines. Leaf merges and
-// repairs commit by the epoch-guarded RemoveIf of the Conditional
-// capability. Any DHT can be adapted by implementing it; this package
-// ships four substrates.
+// with one-lookup Get/Put/Remove and a free local Write, plus their
+// epoch-guarded Conditional forms, every operation taking a
+// context.Context for cancellation and deadlines. Every index commit goes
+// through a conditional write. Any DHT can be adapted by implementing it;
+// this package ships four substrates.
 type DHT = dht.DHT
 
 // Value is the unit of substrate storage.
@@ -70,11 +70,10 @@ func PutBatch(ctx context.Context, d DHT, kvs []KV) []error {
 // saves (ablation A6 in EXPERIMENTS.md).
 func WithoutBatch(d DHT) DHT { return dht.WithoutBatch(d) }
 
-// Conditional is the optional conditional-write plane: substrates that
-// can compare a stored value's epoch and swap atomically implement it
-// alongside DHT. It is what makes true multi-writer index concurrency
-// safe — every index read-modify-write commits through an epoch-guarded
-// conditional put. All four shipped substrates implement it natively.
+// Conditional is the conditional-write half of DHT: a stored value's
+// epoch is compared and the value swapped atomically on the storing peer.
+// It is what makes true multi-writer index concurrency safe — every index
+// read-modify-write commits through an epoch-guarded conditional put.
 type Conditional = dht.Conditional
 
 // Epocher is implemented by stored values that carry a version epoch;
@@ -89,31 +88,6 @@ var ErrCASConflict = dht.ErrCASConflict
 // CASConflictError is the typed form of ErrCASConflict, carrying whether
 // a value exists under the contested key and the winning stored epoch.
 type CASConflictError = dht.CASConflictError
-
-// PutIf stores v under key only if a value is stored there with epoch
-// ifEpoch, through d's native conditional plane if it has one, or a
-// non-atomic fetch-verify emulation otherwise.
-func PutIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) error {
-	return dht.DoPutIf(ctx, d, key, v, ifEpoch)
-}
-
-// CreateIf stores v under key only if nothing is stored there.
-func CreateIf(ctx context.Context, d DHT, key string, v Value) error {
-	return dht.DoCreateIf(ctx, d, key, v)
-}
-
-// RemoveIf deletes key only if the stored value's epoch is ifEpoch; an
-// absent key is a success (the removal's goal state).
-func RemoveIf(ctx context.Context, d DHT, key string, ifEpoch uint64) error {
-	return dht.DoRemoveIf(ctx, d, key, ifEpoch)
-}
-
-// WriteIf is the free in-place counterpart of PutIf: it rewrites key's
-// value only if present with epoch ifEpoch, returns ErrNotFound if
-// absent, and costs no DHT-lookup.
-func WriteIf(ctx context.Context, d DHT, key string, v Value, ifEpoch uint64) error {
-	return dht.DoWriteIf(ctx, d, key, v, ifEpoch)
-}
 
 // CrashPoints is a substrate wrapper carrying a scripted, deterministic
 // fault schedule — the tool behind the repository's torn-mutation tests
